@@ -1,7 +1,7 @@
 //! Regenerate the paper's tables and figures.
 //!
 //! ```text
-//! figures [--quick] table1|fig5|fig6|fig7|tsu-latency|unroll|tsu-group|all
+//! figures [--quick] table1|fig5|fig6|fig7|tsu-latency|unroll|tsu-group|tub|all
 //! ```
 //!
 //! Run with `--release`; the full Figure 5 sweep simulates hundreds of
@@ -48,6 +48,7 @@ fn main() -> ExitCode {
         "tsu-groups-scale" => tsu_groups_scale(quick),
         "qsort-tree" => qsort_tree(quick),
         "calibrate" => calibrate(),
+        "tub" => tub(),
         "fig5-x86" => fig5_x86(quick),
         "all" => {
             print!("{}", figures::table1_text());
@@ -61,11 +62,12 @@ fn main() -> ExitCode {
             tsu_groups_scale(quick);
             qsort_tree(quick);
             calibrate();
+            tub();
             fig5_x86(quick);
         }
         other => {
             eprintln!(
-                "unknown artifact `{other}`; expected table1|fig5|fig6|fig7|tsu-latency|unroll|tsu-group|tsu-groups-scale|qsort-tree|calibrate|fig5-x86|all"
+                "unknown artifact `{other}`; expected table1|fig5|fig6|fig7|tsu-latency|unroll|tsu-group|tsu-groups-scale|qsort-tree|calibrate|tub|fig5-x86|all"
             );
             return ExitCode::from(2);
         }
@@ -148,6 +150,15 @@ fn calibrate() {
     println!("paper-2008 cost model   : {modeled} cycles/DThread (2*access + 2*op + kernel)");
     println!("the Fig. 6 model is calibrated to the paper's 2008 pthread runtime;");
     println!("this Rust runtime's transition path is considerably cheaper\n");
+}
+
+fn tub() {
+    println!("== §4.2: segmented TUB contention (4 pushers + 1 drainer, this host) ==");
+    println!("{:>8} {:>10} {:>12}", "segments", "busy_hits", "ns/push");
+    for (segments, busy_hits, ns_per_push) in figures::tub_contention() {
+        println!("{segments:>8} {busy_hits:>10} {ns_per_push:>12.0}");
+    }
+    println!("paper: segments keep completing kernels from serializing on one lock\n");
 }
 
 fn qsort_tree(quick: bool) {

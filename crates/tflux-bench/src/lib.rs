@@ -16,5 +16,5 @@ pub mod tsu_path;
 
 pub use figures::{
     calibrate_soft_overhead, fig5, fig5_x86, fig6, fig7, qsort_tree_depth, table1_text,
-    tsu_group_ablation, tsu_groups_scaling, tsu_latency, unroll_study, FigRow,
+    tsu_group_ablation, tsu_groups_scaling, tsu_latency, tub_contention, unroll_study, FigRow,
 };

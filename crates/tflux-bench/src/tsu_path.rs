@@ -5,10 +5,9 @@
 //! instance ids and one thread performed all ready-count updates. After
 //! the split, kernels call [`SyncMemory::complete`] themselves; the
 //! ready counts now live in a lock-free table of atomic slots. This module
-//! builds the paths on the *same* `SyncMemory` so the criterion bench
-//! (`benches/tsu_path.rs`) and the `bench_tsu` binary (which writes
-//! `BENCH_tsu.json`) compare exactly the completion work, with no body
-//! execution or queue noise. The [`locked`] submodule preserves the
+//! builds the paths on the *same* `SyncMemory` so the `bench_tsu` binary
+//! (which writes `BENCH_tsu.json`) compares exactly the completion work,
+//! with no body execution or queue noise. The [`locked`] submodule preserves the
 //! locked-shard interior (`Mutex<HashMap>` per kernel) as a host-portable
 //! reference, so one run can report the lock-free vs locked ratio on the
 //! same machine — and CI can fail if the lock-free path ever regresses

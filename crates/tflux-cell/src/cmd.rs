@@ -8,7 +8,6 @@
 //! ring, so a buffer holds at most 8 in-flight commands — which is also the
 //! back-pressure limit the machine model enforces.
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
 use tflux_core::ids::{Context, Epoch, Instance, ThreadId};
 
 /// Size of one CommandBuffer in bytes (fixed by the paper).
@@ -35,45 +34,33 @@ pub enum Command {
 }
 
 impl Command {
-    /// Encode into exactly [`COMMAND_BYTES`] bytes.
-    pub fn encode(&self) -> Bytes {
-        let mut b = BytesMut::with_capacity(COMMAND_BYTES);
-        match self {
-            Command::Complete(i, ep) => {
-                b.put_u32(1);
-                b.put_u32(i.thread.0);
-                b.put_u32(i.context.0);
-                b.put_u32(ep.0 as u32);
-            }
-            Command::RequestWork => {
-                b.put_u32(2);
-                b.put_bytes(0, 12);
-            }
-            Command::Shutdown => {
-                b.put_u32(3);
-                b.put_bytes(0, 12);
-            }
+    /// Encode into exactly [`COMMAND_BYTES`] bytes: four big-endian words.
+    pub fn encode(&self) -> [u8; COMMAND_BYTES] {
+        let words: [u32; 4] = match self {
+            Command::Complete(i, ep) => [1, i.thread.0, i.context.0, ep.0 as u32],
+            Command::RequestWork => [2, 0, 0, 0],
+            Command::Shutdown => [3, 0, 0, 0],
+        };
+        let mut b = [0u8; COMMAND_BYTES];
+        for (dst, w) in b.chunks_exact_mut(4).zip(words) {
+            dst.copy_from_slice(&w.to_be_bytes());
         }
-        debug_assert_eq!(b.len(), COMMAND_BYTES);
-        b.freeze()
+        b
     }
 
-    /// Decode from a [`COMMAND_BYTES`]-sized record.
-    pub fn decode(mut bytes: Bytes) -> Option<Command> {
-        if bytes.len() < COMMAND_BYTES {
-            return None;
-        }
-        let tag = bytes.get_u32();
-        match tag {
-            1 => {
-                let t = bytes.get_u32();
-                let c = bytes.get_u32();
-                let ep = bytes.get_u32();
-                Some(Command::Complete(
-                    Instance::new(ThreadId(t), Context(c)),
-                    Epoch(ep as u64),
-                ))
-            }
+    /// Decode the record at the start of `bytes`; `None` if fewer than
+    /// [`COMMAND_BYTES`] bytes are given or the tag is unknown.
+    pub fn decode(bytes: &[u8]) -> Option<Command> {
+        let record = bytes.get(..COMMAND_BYTES)?;
+        let word = |i: usize| {
+            let w = &record[4 * i..4 * i + 4];
+            u32::from_be_bytes([w[0], w[1], w[2], w[3]])
+        };
+        match word(0) {
+            1 => Some(Command::Complete(
+                Instance::new(ThreadId(word(1)), Context(word(2))),
+                Epoch(word(3) as u64),
+            )),
             2 => Some(Command::RequestWork),
             3 => Some(Command::Shutdown),
             _ => None,
@@ -126,13 +113,12 @@ impl CommandBuffer {
     }
 
     /// Serialize the whole buffer as it would sit in main memory.
-    pub fn as_memory(&self) -> Bytes {
-        let mut b = BytesMut::with_capacity(COMMAND_BUFFER_BYTES);
-        for r in &self.records {
-            b.extend_from_slice(&r.encode());
+    pub fn as_memory(&self) -> [u8; COMMAND_BUFFER_BYTES] {
+        let mut b = [0u8; COMMAND_BUFFER_BYTES];
+        for (slot, r) in b.chunks_exact_mut(COMMAND_BYTES).zip(&self.records) {
+            slot.copy_from_slice(&r.encode());
         }
-        b.put_bytes(0, COMMAND_BUFFER_BYTES - b.len());
-        b.freeze()
+        b
     }
 }
 
@@ -149,14 +135,19 @@ mod tests {
             Command::Shutdown,
         ];
         for c in cmds {
-            assert_eq!(Command::decode(c.encode()), Some(c));
+            assert_eq!(Command::decode(&c.encode()), Some(c));
         }
+        // the wire layout itself: tag, thread, context, epoch, big-endian
+        assert_eq!(
+            cmds[1].encode(),
+            [0, 0, 0, 1, 0, 0, 0, 2, 0, 0, 0, 9, 0, 0, 0, 41]
+        );
     }
 
     #[test]
     fn decode_rejects_garbage() {
-        assert_eq!(Command::decode(Bytes::from_static(&[0u8; 16])), None);
-        assert_eq!(Command::decode(Bytes::from_static(&[1u8; 3])), None);
+        assert_eq!(Command::decode(&[0u8; 16]), None);
+        assert_eq!(Command::decode(&[1u8; 3]), None);
     }
 
     #[test]
@@ -184,7 +175,7 @@ mod tests {
         assert_eq!(img.len(), COMMAND_BUFFER_BYTES);
         // first record decodes back
         assert_eq!(
-            Command::decode(img.slice(0..COMMAND_BYTES)),
+            Command::decode(&img[..COMMAND_BYTES]),
             Some(Command::RequestWork)
         );
         // rest is zero padding

@@ -1,12 +1,11 @@
 //! Cell/BE machine parameters.
 
-use serde::{Deserialize, Serialize};
 use tflux_core::tsu::TsuConfig;
 
 /// Configuration of the simulated Cell/BE.
 ///
 /// All latencies are in 3.2 GHz SPE cycles.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct CellConfig {
     /// Usable SPEs (the PS3 exposes 6 of 8: one disabled for yield, one
     /// reserved for the hypervisor, §6.3).
@@ -40,7 +39,6 @@ pub struct CellConfig {
     pub compute_scale_den: u64,
     /// Configuration handed to the PPE-side TSU emulator (capacity,
     /// scheduling policy, completion-funnel flush policy).
-    #[serde(default)]
     pub tsu: TsuConfig,
 }
 

@@ -1,10 +1,9 @@
 //! TFluxCell execution reports.
 
-use serde::{Deserialize, Serialize};
 use tflux_core::tsu::TsuStats;
 
 /// The outcome of one simulated TFluxCell execution.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct CellReport {
     /// Total execution time in SPE cycles.
     pub cycles: u64,

@@ -2,10 +2,10 @@
 //! arbitrary (LS-feasible) costs always complete, deterministically, with
 //! consistent accounting.
 
-use proptest::prelude::*;
 use tflux_cell::work::{CellWork, FnCellWork};
 use tflux_cell::{CellConfig, CellMachine};
 use tflux_core::prelude::*;
+use tflux_core::rng::{cases, SplitMix64};
 
 #[derive(Debug, Clone)]
 struct Desc {
@@ -18,27 +18,16 @@ struct Desc {
     double_buffer: bool,
 }
 
-fn desc() -> impl Strategy<Value = Desc> {
-    (
-        prop::collection::vec(1u32..8, 1..4),
-        1u32..3,
-        1u32..7,
-        10u64..100_000,
-        0u64..32_768,
-        0u64..16_384,
-        any::<bool>(),
-    )
-        .prop_map(
-            |(layers, blocks, spes, compute, import, export, double_buffer)| Desc {
-                layers,
-                blocks,
-                spes,
-                compute,
-                import,
-                export,
-                double_buffer,
-            },
-        )
+fn desc(rng: &mut SplitMix64) -> Desc {
+    Desc {
+        layers: (0..rng.range(1..4)).map(|_| rng.range(1u32..8)).collect(),
+        blocks: rng.range(1u32..3),
+        spes: rng.range(1u32..7),
+        compute: rng.range(10u64..100_000),
+        import: rng.range(0u64..32_768),
+        export: rng.range(0u64..16_384),
+        double_buffer: rng.chance(1, 2),
+    }
 }
 
 fn build(d: &Desc) -> DdmProgram {
@@ -57,11 +46,10 @@ fn build(d: &Desc) -> DdmProgram {
     b.build().unwrap()
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(96))]
-
-    #[test]
-    fn cell_machine_completes_and_accounts(d in desc()) {
+#[test]
+fn cell_machine_completes_and_accounts() {
+    cases(96, |rng| {
+        let d = desc(rng);
         let p = build(&d);
         let w = CellWork {
             compute: d.compute,
@@ -76,26 +64,27 @@ proptest! {
                 .with_double_buffer(d.double_buffer),
         );
         let r = m.run(&p, &src).expect("feasible run");
-        prop_assert_eq!(r.instances, p.total_instances());
-        prop_assert_eq!(r.tsu.completions as usize, p.total_instances());
-        prop_assert_eq!(r.commands as usize, p.total_instances());
+        assert_eq!(r.instances, p.total_instances());
+        assert_eq!(r.tsu.completions as usize, p.total_instances());
+        assert_eq!(r.commands as usize, p.total_instances());
         // busy time accounting: every instance contributed its compute
         let busy: u64 = r.spe_busy.iter().sum();
-        prop_assert_eq!(busy, d.compute * p.total_instances() as u64);
+        assert_eq!(busy, d.compute * p.total_instances() as u64);
         // and the wall clock cannot beat perfect parallelism of compute
-        prop_assert!(r.cycles * d.spes as u64 >= busy);
+        assert!(r.cycles * d.spes as u64 >= busy);
 
         // deterministic
         let r2 = m.run(&p, &src).expect("second run");
-        prop_assert_eq!(r.cycles, r2.cycles);
-    }
+        assert_eq!(r.cycles, r2.cycles);
+    });
+}
 
-    #[test]
-    fn double_buffering_never_slows_a_run(
-        arity in 4u32..32,
-        compute in 1_000u64..100_000,
-        import in 0u64..32_768,
-    ) {
+#[test]
+fn double_buffering_never_slows_a_run() {
+    cases(96, |rng| {
+        let arity = rng.range(4u32..32);
+        let compute = rng.range(1_000u64..100_000);
+        let import = rng.range(0u64..32_768);
         let mut b = ProgramBuilder::new();
         let blk = b.block();
         b.thread(blk, ThreadSpec::new("w", arity));
@@ -111,11 +100,11 @@ proptest! {
         let db = CellMachine::new(CellConfig::ps3().with_double_buffer(true))
             .run(&p, &src)
             .unwrap();
-        prop_assert!(
+        assert!(
             db.cycles <= plain.cycles,
             "double buffering slowed {} -> {}",
             plain.cycles,
             db.cycles
         );
-    }
+    });
 }

@@ -10,10 +10,9 @@
 //! block).
 
 use crate::ids::{BlockId, ThreadId};
-use serde::{Deserialize, Serialize};
 
 /// One DDM block: a subset of the program's DThreads plus its inlet/outlet.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct DdmBlock {
     /// Dense block id (blocks execute in id order).
     pub id: BlockId,

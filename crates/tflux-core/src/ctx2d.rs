@@ -7,10 +7,9 @@
 //! successor systems (e.g. DDM-VM) bake into their context words.
 
 use crate::ids::Context;
-use serde::{Deserialize, Serialize};
 
 /// A row-major 2-D iteration space `rows × cols` packed into flat contexts.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Context2d {
     /// Number of rows (outer dimension).
     pub rows: u32,

@@ -4,25 +4,24 @@
 //! TSU state machine can use flat arrays instead of hash maps — the paper's
 //! hardware TSU does exactly this with its Synchronization Memory.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Identifier of a DThread *template* (a node of the synchronization graph).
 ///
 /// Thread ids are dense: the `ProgramBuilder` assigns them in creation order
 /// across the whole program, so a `ThreadId` can index a `Vec`.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ThreadId(pub u32);
 
 /// Instance index of a loop DThread (the DDM *context*).
 ///
 /// Scalar DThreads have a single instance with context `0`; a loop DThread
 /// of arity `n` has contexts `0..n`.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Context(pub u32);
 
 /// A concrete schedulable unit: a DThread template plus a context.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Instance {
     /// The DThread template.
     pub thread: ThreadId,
@@ -31,18 +30,18 @@ pub struct Instance {
 }
 
 /// Identifier of a DDM block (dense, in program order).
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct BlockId(pub u32);
 
 /// Identifier of an execution kernel (one per CPU devoted to DThreads).
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct KernelId(pub u32);
 
 /// Identifier of an admitted program (a *tenant*) in a multi-program server.
 ///
 /// Program ids are assigned monotonically by the admitting server and are
 /// never reused, so a stale id can always be detected after eviction.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ProgramId(pub u64);
 
 /// One streaming iteration of a program through its dataflow graph.
@@ -52,7 +51,7 @@ pub struct ProgramId(pub u64);
 /// `open_epoch` credits one more pass. The full 64-bit id never wraps; the
 /// 30-bit tag packed into each slot's lifecycle word is `epoch mod 2^30`,
 /// which is ample to reject any late completion a real schedule can produce.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Epoch(pub u64);
 
 impl ThreadId {

@@ -61,6 +61,7 @@ pub mod ids;
 pub mod mapping;
 pub mod policy;
 pub mod program;
+pub mod rng;
 pub mod split;
 pub mod thread;
 pub mod tsu;

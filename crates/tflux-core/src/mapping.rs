@@ -9,10 +9,9 @@
 
 use crate::error::CoreError;
 use crate::ids::{Context, ThreadId};
-use serde::{Deserialize, Serialize};
 
 /// How producer instances map onto consumer instances across an arc.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum ArcMapping {
     /// Every producer instance notifies every consumer instance.
     ///

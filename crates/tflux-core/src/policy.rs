@@ -7,10 +7,10 @@
 //! Thread-to-Kernel Table) and serving each kernel from its own ready queue
 //! first. The policy here decides what happens beyond that.
 
-use serde::{Deserialize, Serialize};
+use crate::rng::SplitMix64;
 
 /// Policy used by the TSU when a kernel asks for its next DThread.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum SchedulingPolicy {
     /// Serve the kernel's own ready queue first (spatial locality); if it is
     /// empty and `steal` is set, take the oldest entry from the most loaded
@@ -36,7 +36,7 @@ impl Default for SchedulingPolicy {
 /// Stealing is now a queue-native operation (see
 /// [`StealDeque`](crate::tsu::StealDeque)); this policy only decides the
 /// *order* in which sibling queues are probed.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub enum StealPolicy {
     /// Probe one uniformly-drawn sibling first — randomization spreads
     /// concurrent thieves across victims so they do not all CAS the same
@@ -46,17 +46,6 @@ pub enum StealPolicy {
     /// Skip the random probe and always scan longest-queue-first. More
     /// deterministic, but concurrent thieves pile onto the same victim.
     LongestFirst,
-}
-
-/// splitmix64: the cheap deterministic generator used for victim draws
-/// (the same construction the TUB uses for its backoff jitter). Advances
-/// `state` and returns the next draw.
-pub fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 /// Adaptive backoff for victim probing.
@@ -126,14 +115,14 @@ impl StealBackoff {
 impl StealPolicy {
     /// The first victim a thief owning queue `own` (of `n` queues) should
     /// probe: a random sibling under [`StealPolicy::RandomThenLongest`]
-    /// (drawn from `state`, which advances), `None` under
+    /// (drawn from `rng`, which advances), `None` under
     /// [`StealPolicy::LongestFirst`] — the caller goes straight to the
     /// longest-queue scan.
-    pub fn first_victim(self, own: usize, n: usize, state: &mut u64) -> Option<usize> {
+    pub fn first_victim(self, own: usize, n: usize, rng: &mut SplitMix64) -> Option<usize> {
         if n < 2 || self == StealPolicy::LongestFirst {
             return None;
         }
-        let r = (splitmix64(state) % (n as u64 - 1)) as usize;
+        let r = rng.below(n as u64 - 1) as usize;
         Some(if r >= own { r + 1 } else { r })
     }
 }
@@ -152,7 +141,7 @@ mod tests {
 
     #[test]
     fn random_victim_never_picks_the_thief() {
-        let mut state = 42u64;
+        let mut state = SplitMix64(42);
         for own in 0..8usize {
             for _ in 0..64 {
                 let v = StealPolicy::RandomThenLongest
@@ -166,8 +155,8 @@ mod tests {
 
     #[test]
     fn victim_draws_are_deterministic_per_seed() {
-        let mut a = 7u64;
-        let mut b = 7u64;
+        let mut a = SplitMix64(7);
+        let mut b = SplitMix64(7);
         let va: Vec<_> = (0..32)
             .map(|_| StealPolicy::default().first_victim(0, 4, &mut a))
             .collect();
@@ -228,7 +217,7 @@ mod tests {
 
     #[test]
     fn longest_first_and_single_queue_skip_the_random_probe() {
-        let mut state = 1u64;
+        let mut state = SplitMix64(1);
         assert_eq!(
             StealPolicy::LongestFirst.first_victim(0, 8, &mut state),
             None

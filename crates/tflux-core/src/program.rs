@@ -5,10 +5,9 @@ use crate::error::CoreError;
 use crate::ids::{BlockId, Context, Instance, KernelId, ThreadId};
 use crate::mapping::ArcMapping;
 use crate::thread::{Affinity, ThreadKind, ThreadSpec};
-use serde::{Deserialize, Serialize};
 
 /// One arc of the synchronization graph.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct Arc {
     /// The producer DThread.
     pub producer: ThreadId,
@@ -23,7 +22,7 @@ pub struct Arc {
 /// Built with [`ProgramBuilder`]; immutable afterwards. The program holds
 /// only *metadata* — thread bodies are supplied by the platform executing it
 /// (`tflux-runtime`, `tflux-sim`, `tflux-cell`), keyed by [`ThreadId`].
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct DdmProgram {
     threads: Vec<ThreadSpec>,
     blocks: Vec<DdmBlock>,

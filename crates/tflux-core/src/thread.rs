@@ -1,10 +1,9 @@
 //! DThread templates: the nodes of the synchronization graph.
 
 use crate::ids::{Context, KernelId};
-use serde::{Deserialize, Serialize};
 
 /// The role a DThread plays in its DDM block.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum ThreadKind {
     /// An ordinary application DThread.
     App,
@@ -20,7 +19,7 @@ pub enum ThreadKind {
 /// This assignment *is* the Thread-to-Kernel Table (TKT) of the paper's
 /// Thread-Indexing technique: the TSU emulator uses it to locate, without
 /// searching, the Synchronization Memory holding an instance's ready count.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Affinity {
     /// Contiguous ranges of contexts per kernel (`ctx * n / arity`).
     ///
@@ -53,7 +52,7 @@ impl Affinity {
 }
 
 /// Static description of a DThread template.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct ThreadSpec {
     /// Human-readable name (used in traces, DOT dumps and error messages).
     pub name: String,

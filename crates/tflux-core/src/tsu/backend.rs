@@ -12,7 +12,6 @@ use crate::graph::hot_sinks;
 use crate::ids::{BlockId, Epoch, Instance, KernelId};
 use crate::policy::{SchedulingPolicy, StealPolicy};
 use crate::program::DdmProgram;
-use serde::{Deserialize, Serialize};
 
 use super::queue::FetchResult;
 
@@ -30,7 +29,7 @@ use super::queue::FetchResult;
 /// batching pays exactly when some reduction sink will absorb updates
 /// from every kernel, the same test the Synchronization Memory uses to
 /// build its combining trees.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub enum FlushPolicy {
     /// Pick `Direct` or `Batch` from the program's sink fan-in at
     /// construction ([`FlushPolicy::resolve`]). Explicitly configuring
@@ -85,7 +84,7 @@ impl FlushPolicy {
 }
 
 /// Configuration of a TSU instance.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub struct TsuConfig {
     /// Maximum instances resident at once (`0` = unlimited). A block whose
     /// residency exceeds this fails at load, mirroring the paper's rule that
@@ -96,23 +95,20 @@ pub struct TsuConfig {
     /// Victim-selection order once a steal is attempted (default:
     /// random-victim first, then longest-queue-first). Irrelevant unless
     /// `policy` permits stealing.
-    #[serde(default)]
     pub steal_policy: StealPolicy,
     /// Completion-funnel flush policy (default: `Auto`, which resolves to
     /// `Batch` when the program has hot reduction sinks and `Direct`
     /// otherwise; explicit `Direct`/`Batch` override the heuristic).
-    #[serde(default)]
     pub flush: FlushPolicy,
     /// Epoch credit window: maximum streaming passes in flight at once
     /// (opened but not yet retired). `0` means unwindowed — `open_epoch`
     /// never blocks on credits. One-shot programs never notice this knob:
     /// the construction-time epoch 0 is the only credit they ever use.
-    #[serde(default)]
     pub window: usize,
 }
 
 /// Counters a TSU keeps about its own operation.
-#[derive(Clone, Copy, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default)]
 pub struct TsuStats {
     /// Successful fetches (a DThread was handed to a kernel).
     pub fetches: u64,
@@ -127,7 +123,6 @@ pub struct TsuStats {
     /// Physical atomic read-modify-writes issued against ready-count
     /// slots. Equal to `rc_updates` on the direct path; batching makes it
     /// smaller (one `fetch_sub(n)` covers `n` logical decrements).
-    #[serde(default)]
     pub rc_rmws: u64,
     /// Fetches satisfied from another kernel's queue (successful takes of
     /// a sibling's entry; the stolen instance executes on the thief).
@@ -136,20 +131,17 @@ pub struct TsuStats {
     /// drained *between* the thief's length snapshot and its steal (the
     /// clean-miss path). High misses with low steals means thieves are
     /// scanning an idle machine.
-    #[serde(default)]
     pub steal_misses: u64,
     /// Steal attempts that lost the `top` CAS to the victim's owner or a
     /// concurrent thief. Each race is one wasted CAS, not a lost entry —
     /// the entry went to the winner. High races mean thieves are piling
     /// onto the same victim (see `StealPolicy::RandomThenLongest`).
-    #[serde(default)]
     pub steal_races: u64,
     /// Victim scans skipped by the adaptive backoff
     /// ([`StealBackoff`](crate::policy::StealBackoff)): fetch attempts on
     /// which a repeatedly-missing thief did not probe at all. High skips
     /// with zero steals is the *healthy* idle-machine signature — the old
     /// pathology was high `steal_misses` instead.
-    #[serde(default)]
     pub steal_skips: u64,
     /// DDM blocks loaded.
     pub blocks_loaded: u64,
@@ -160,11 +152,9 @@ pub struct TsuStats {
     /// previous decrement came from a *different* kernel — the software
     /// proxy for a coherence-line transfer of a hot sink slot. (The locked
     /// design counted `try_lock` misses here.)
-    #[serde(default)]
     pub sm_contended: u64,
     /// Streaming epochs whose pass ran to completion (the epoch ledger's
     /// `completed` column). A one-shot run counts as one epoch.
-    #[serde(default)]
     pub epochs: u64,
 }
 
@@ -173,13 +163,12 @@ pub struct TsuStats {
 /// is still attributed to the owning kernel of each instance). Evenly
 /// spread `rc_updates` with low `contended` means completions rarely
 /// collided on the same slot.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ShardStats {
     /// Logical ready-count decrements applied to this kernel's instances.
     pub rc_updates: u64,
     /// Physical ready-count RMWs issued against this kernel's instances
     /// (`<= rc_updates` once batching combines decrements).
-    #[serde(default)]
     pub rc_rmws: u64,
     /// Contention events on this kernel's instances: CAS retries on state
     /// transitions plus cross-kernel ready-count line transfers (the
@@ -192,7 +181,7 @@ pub struct ShardStats {
 /// Platforms embed these in their stall reports so a watchdog abort names
 /// the stuck instances instead of discarding the Synchronization Memory
 /// contents.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct WaitingInstance {
     /// The instance whose ready count has not reached zero.
     pub instance: Instance,

@@ -38,6 +38,7 @@ use crate::error::CoreError;
 use crate::ids::{BlockId, Epoch, Instance, KernelId};
 use crate::policy::{SchedulingPolicy, StealPolicy};
 use crate::program::DdmProgram;
+use crate::rng::SplitMix64;
 
 /// The single-owner TSU: Graph Memory + Synchronization Memory + one
 /// [`StealDeque`] per kernel, driven by one caller.
@@ -52,7 +53,7 @@ pub struct CoreTsu<P: ProgramHandle> {
     queues: Vec<StealDeque>,
     policy: SchedulingPolicy,
     steal_policy: StealPolicy,
-    steal_rng: u64,
+    steal_rng: SplitMix64,
     /// Per-kernel adaptive probe gate: a kernel whose steals keep missing
     /// backs off its victim scans until a hit resets it.
     backoff: Vec<crate::policy::StealBackoff>,
@@ -82,7 +83,7 @@ impl<P: ProgramHandle> CoreTsu<P> {
             policy: config.policy,
             steal_policy: config.steal_policy,
             // deterministic per-TSU seed: single-owner runs replay exactly
-            steal_rng: 0x5EED_0000 ^ ((kernels as u64) << 8),
+            steal_rng: SplitMix64(0x5EED_0000 ^ ((kernels as u64) << 8)),
             backoff: vec![crate::policy::StealBackoff::new(); nqueues],
             flush,
             waits: 0,

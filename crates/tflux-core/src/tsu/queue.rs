@@ -47,12 +47,8 @@
 //!   often the rung is swapped.
 
 use crate::ids::{Epoch, Instance, ProgramId, ThreadId};
-use std::sync::OnceLock;
-
-#[cfg(loom)]
-use loom::sync::atomic::{fence, AtomicI64, AtomicU64, AtomicUsize, Ordering};
-#[cfg(not(loom))]
 use std::sync::atomic::{fence, AtomicI64, AtomicU64, AtomicUsize, Ordering};
+use std::sync::OnceLock;
 
 /// Result of a kernel's request for its next DThread.
 ///
@@ -534,7 +530,7 @@ impl ServiceRotor {
     }
 }
 
-#[cfg(all(test, not(loom)))]
+#[cfg(test)]
 mod tests {
     use super::*;
     use crate::ids::{Context, ThreadId};

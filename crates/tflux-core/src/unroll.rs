@@ -10,11 +10,10 @@
 //! to 64 (MMULT).
 
 use crate::ids::Context;
-use serde::{Deserialize, Serialize};
 use std::ops::Range;
 
 /// An unrolled view of a loop of `iterations` iterations.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Unroll {
     /// Total loop iterations before unrolling.
     pub iterations: u64,

@@ -3,8 +3,8 @@
 //! ordering constraint, and executes completely under a capacity-enforcing
 //! TSU.
 
-use proptest::prelude::*;
 use tflux_core::prelude::*;
+use tflux_core::rng::{cases, SplitMix64};
 use tflux_core::split::{split_for_capacity, split_preserves_ordering};
 use tflux_core::tsu::drain_sequential;
 
@@ -15,14 +15,12 @@ struct Desc {
     capacity: usize,
 }
 
-fn desc() -> impl Strategy<Value = Desc> {
-    (prop::collection::vec(1u32..7, 1..5), 1u32..3, 4usize..40).prop_map(
-        |(layers, blocks, capacity)| Desc {
-            layers,
-            blocks,
-            capacity,
-        },
-    )
+fn desc(rng: &mut SplitMix64) -> Desc {
+    Desc {
+        layers: (0..rng.range(1..5)).map(|_| rng.range(1u32..7)).collect(),
+        blocks: rng.range(1u32..3),
+        capacity: rng.range(4usize..40),
+    }
 }
 
 fn build(d: &Desc) -> DdmProgram {
@@ -52,22 +50,23 @@ fn b_arity(_prev: Option<ThreadId>, layers: &[u32], li: usize) -> u32 {
     layers[li - 1]
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(256))]
-
-    #[test]
-    fn split_fits_preserves_and_executes(d in desc()) {
+#[test]
+fn split_fits_preserves_and_executes() {
+    cases(256, |rng| {
+        let d = desc(rng);
         let p = build(&d);
         let max_arity = d.layers.iter().copied().max().unwrap_or(1) as usize;
-        prop_assume!(max_arity < d.capacity);
+        if max_arity >= d.capacity {
+            return; // not splittable: a single thread exceeds the capacity
+        }
 
         let (q, idmap) = split_for_capacity(&p, d.capacity).expect("splittable");
         // capacity respected by every block
         for blk in q.blocks() {
-            prop_assert!(q.block_instances(blk.id) <= d.capacity);
+            assert!(q.block_instances(blk.id) <= d.capacity);
         }
         // ordering preserved
-        prop_assert!(split_preserves_ordering(&p, &q, &idmap));
+        assert!(split_preserves_ordering(&p, &q, &idmap));
         // app instances conserved
         let apps = |p: &DdmProgram| {
             p.threads()
@@ -76,16 +75,20 @@ proptest! {
                 .map(|t| t.arity as usize)
                 .sum::<usize>()
         };
-        prop_assert_eq!(apps(&p), apps(&q));
+        assert_eq!(apps(&p), apps(&q));
 
         // executes under a TSU with exactly that capacity
-        let mut tsu = CoreTsu::new(&q, 3, TsuConfig {
-            capacity: d.capacity,
-            policy: SchedulingPolicy::default(),
-            ..Default::default()
-        });
+        let mut tsu = CoreTsu::new(
+            &q,
+            3,
+            TsuConfig {
+                capacity: d.capacity,
+                policy: SchedulingPolicy::default(),
+                ..Default::default()
+            },
+        );
         let order = drain_sequential(&mut tsu);
-        prop_assert_eq!(order.len(), q.total_instances());
-        prop_assert!(tsu.stats().max_resident <= d.capacity);
-    }
+        assert_eq!(order.len(), q.total_instances());
+        assert!(tsu.stats().max_resident <= d.capacity);
+    });
 }

@@ -2,9 +2,9 @@
 //! machine always run every instance exactly once, in dependency order, and
 //! never deadlock.
 
-use proptest::prelude::*;
 use std::collections::HashMap;
 use tflux_core::prelude::*;
+use tflux_core::rng::{cases, SplitMix64};
 use tflux_core::tsu::drain_sequential;
 
 /// A random, always-valid program description.
@@ -17,49 +17,44 @@ struct ProgramDesc {
     policy: SchedulingPolicy,
 }
 
-fn affinity_strategy() -> impl Strategy<Value = Affinity> {
-    prop_oneof![
-        Just(Affinity::Range),
-        Just(Affinity::RoundRobin),
-        (0u32..4).prop_map(|k| Affinity::Fixed(KernelId(k))),
-    ]
+fn affinity(rng: &mut SplitMix64) -> Affinity {
+    match rng.below(3) {
+        0 => Affinity::Range,
+        1 => Affinity::RoundRobin,
+        _ => Affinity::Fixed(KernelId(rng.range(0u32..4))),
+    }
 }
 
-fn desc_strategy() -> impl Strategy<Value = ProgramDesc> {
-    let blocks = prop::collection::vec(
-        prop::collection::vec((1u32..9, affinity_strategy()), 1..6),
-        1..4,
-    );
-    (
-        blocks,
-        prop::collection::vec((0usize..6, 0usize..6, 0usize..6, 0u8..5, 1u8..5), 0..12),
-    )
-        .prop_flat_map(|(blocks, rawarcs)| {
-            let nb = blocks.len();
+fn desc(rng: &mut SplitMix64) -> ProgramDesc {
+    let blocks: Vec<Vec<(u32, Affinity)>> = (0..rng.range(1..4))
+        .map(|_| {
+            (0..rng.range(1..6))
+                .map(|_| (rng.range(1u32..9), affinity(rng)))
+                .collect()
+        })
+        .collect();
+    let nb = blocks.len();
+    let arcs = (0..rng.range(0..12))
+        .map(|_| {
             (
-                Just(blocks),
-                Just(rawarcs),
-                1u32..6,
-                prop_oneof![
-                    Just(SchedulingPolicy::LocalityFirst { steal: true }),
-                    Just(SchedulingPolicy::LocalityFirst { steal: false }),
-                    Just(SchedulingPolicy::GlobalFifo),
-                ],
-                Just(nb),
+                rng.range(0..nb),
+                rng.range(0usize..6),
+                rng.range(0usize..6),
+                rng.range(0u8..5),
+                rng.range(1u8..5),
             )
         })
-        .prop_map(|(blocks, rawarcs, kernels, policy, nb)| {
-            let arcs = rawarcs
-                .into_iter()
-                .map(|(b, p, c, m, f)| (b % nb, p, c, m, f))
-                .collect();
-            ProgramDesc {
-                blocks,
-                arcs,
-                kernels,
-                policy,
-            }
-        })
+        .collect();
+    ProgramDesc {
+        blocks,
+        arcs,
+        kernels: rng.range(1u32..6),
+        policy: *rng.pick(&[
+            SchedulingPolicy::LocalityFirst { steal: true },
+            SchedulingPolicy::LocalityFirst { steal: false },
+            SchedulingPolicy::GlobalFifo,
+        ]),
+    }
 }
 
 /// Materialize a description into a validated program. Arcs that would be
@@ -104,36 +99,42 @@ fn build(desc: &ProgramDesc) -> DdmProgram {
     b.build().expect("generated program must validate")
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(256))]
-
-    #[test]
-    fn every_instance_runs_exactly_once(desc in desc_strategy()) {
-        let p = build(&desc);
-        let mut tsu = CoreTsu::new(&p, desc.kernels, TsuConfig {
+/// Build a generated program and drain it through a `CoreTsu`.
+fn drained(desc: &ProgramDesc) -> (DdmProgram, Vec<Instance>, bool) {
+    let p = build(desc);
+    let mut tsu = CoreTsu::new(
+        &p,
+        desc.kernels,
+        TsuConfig {
             capacity: 0,
             policy: desc.policy,
             ..Default::default()
-        });
-        let order = drain_sequential(&mut tsu);
-        prop_assert_eq!(order.len(), p.total_instances());
+        },
+    );
+    let order = drain_sequential(&mut tsu);
+    let finished = tsu.finished();
+    drop(tsu);
+    (p, order, finished)
+}
+
+#[test]
+fn every_instance_runs_exactly_once() {
+    cases(256, |rng| {
+        let (p, order, finished) = drained(&desc(rng));
+        assert_eq!(order.len(), p.total_instances());
         let mut seen = HashMap::new();
         for i in &order {
             *seen.entry(*i).or_insert(0u32) += 1;
         }
-        prop_assert!(seen.values().all(|&v| v == 1));
-        prop_assert!(tsu.finished());
-    }
+        assert!(seen.values().all(|&v| v == 1));
+        assert!(finished);
+    });
+}
 
-    #[test]
-    fn producers_always_precede_consumers(desc in desc_strategy()) {
-        let p = build(&desc);
-        let mut tsu = CoreTsu::new(&p, desc.kernels, TsuConfig {
-            capacity: 0,
-            policy: desc.policy,
-            ..Default::default()
-        });
-        let order = drain_sequential(&mut tsu);
+#[test]
+fn producers_always_precede_consumers() {
+    cases(256, |rng| {
+        let (p, order, _) = drained(&desc(rng));
         let pos: HashMap<Instance, usize> =
             order.iter().enumerate().map(|(n, &i)| (i, n)).collect();
         for t in 0..p.threads().len() {
@@ -145,40 +146,35 @@ proptest! {
                     let pi = Instance::new(t, Context(pc));
                     for cc in arc.mapping.consumers(Context(pc), pa, ca) {
                         let ci = Instance::new(arc.consumer, cc);
-                        prop_assert!(
-                            pos[&pi] < pos[&ci],
-                            "{pi} ran after its consumer {ci}"
-                        );
+                        assert!(pos[&pi] < pos[&ci], "{pi} ran after its consumer {ci}");
                     }
                 }
             }
         }
-    }
+    });
+}
 
-    #[test]
-    fn blocks_never_interleave(desc in desc_strategy()) {
-        let p = build(&desc);
-        let mut tsu = CoreTsu::new(&p, desc.kernels, TsuConfig {
-            capacity: 0,
-            policy: desc.policy,
-            ..Default::default()
-        });
-        let order = drain_sequential(&mut tsu);
+#[test]
+fn blocks_never_interleave() {
+    cases(256, |rng| {
+        let (p, order, _) = drained(&desc(rng));
         let blocks: Vec<u32> = order.iter().map(|i| p.block_of(i.thread).0).collect();
         let mut sorted = blocks.clone();
         sorted.sort_unstable();
-        prop_assert_eq!(blocks, sorted);
-    }
+        assert_eq!(blocks, sorted);
+    });
+}
 
-    #[test]
-    fn work_span_bounds_hold(desc in desc_strategy()) {
-        let p = build(&desc);
+#[test]
+fn work_span_bounds_hold() {
+    cases(256, |rng| {
+        let p = build(&desc(rng));
         let ws = tflux_core::graph::work_span(&p, |_, _| 1.0);
         // span counts at least one instance per block (plus inlets), and
         // work counts everything
-        prop_assert_eq!(ws.work, p.total_instances() as f64);
-        prop_assert!(ws.span >= 2.0 * p.blocks().len() as f64); // inlet + >=1
-        prop_assert!(ws.span <= ws.work);
-        prop_assert!(ws.ideal_speedup() >= 1.0 - 1e-12);
-    }
+        assert_eq!(ws.work, p.total_instances() as f64);
+        assert!(ws.span >= 2.0 * p.blocks().len() as f64); // inlet + >=1
+        assert!(ws.span <= ws.work);
+        assert!(ws.ideal_speedup() >= 1.0 - 1e-12);
+    });
 }

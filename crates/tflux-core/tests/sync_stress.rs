@@ -314,6 +314,89 @@ fn steal_heavy_thieves_claim_every_entry_exactly_once() {
     }
 }
 
+/// One owner-vs-thief round on a fresh capacity-2 deque holding
+/// `0..preloaded`: both sides start together at a barrier, the owner runs
+/// `owner` (returning what it claimed) while the thief steals until
+/// `Empty`. Returns every claimed context, sorted.
+fn owner_vs_thief(
+    preloaded: u32,
+    owner: impl FnOnce(&tflux_core::tsu::StealDeque) -> Vec<u32>,
+) -> Vec<u32> {
+    use tflux_core::ids::{Context, Epoch, Instance, ThreadId};
+    use tflux_core::tsu::{Steal, StealDeque};
+
+    let q = StealDeque::with_capacity(2);
+    for c in 0..preloaded {
+        q.push(Instance::new(ThreadId(1), Context(c)), Epoch(0));
+    }
+    let start = std::sync::Barrier::new(2);
+    let (q_ref, start_ref) = (&q, &start);
+    let mut all = std::thread::scope(|s| {
+        let thief = s.spawn(move || {
+            start_ref.wait();
+            let mut got = Vec::new();
+            loop {
+                match q_ref.steal() {
+                    Steal::Success((i, ep)) => {
+                        assert_eq!(ep, Epoch(0));
+                        got.push(i.context.0);
+                    }
+                    Steal::Retry => {}
+                    Steal::Empty => return got,
+                }
+            }
+        });
+        start.wait();
+        let mut all = owner(q_ref);
+        all.extend(thief.join().expect("thief panicked"));
+        all
+    });
+    all.sort_unstable();
+    all
+}
+
+#[test]
+fn steal_during_growth_neither_loses_nor_duplicates() {
+    // the base capacity of 2 is full at the start, so the owner's pushes
+    // publish two larger rungs while the thief is (possibly) mid-steal on
+    // a retired one; the monotonic top counter must make a stale-rung
+    // claim impossible
+    use tflux_core::ids::{Context, Epoch, Instance, ThreadId};
+    for round in 0..2_000 {
+        let all = owner_vs_thief(2, |q| {
+            for c in 2..6 {
+                q.push(Instance::new(ThreadId(1), Context(c)), Epoch(0));
+            }
+            let mut mine = Vec::new();
+            while let Some((i, _)) = q.pop() {
+                mine.push(i.context.0);
+            }
+            mine
+        });
+        assert_eq!(
+            all,
+            vec![0, 1, 2, 3, 4, 5],
+            "round {round}: growth lost or duplicated an entry"
+        );
+    }
+}
+
+#[test]
+fn last_entry_goes_to_exactly_one_side() {
+    // the owner's restoring CAS and the thief's top CAS contend for the
+    // only entry: exactly one side wins, the loser sees nothing
+    for round in 0..2_000 {
+        let all = owner_vs_thief(1, |q| {
+            q.pop().map(|(i, _)| i.context.0).into_iter().collect()
+        });
+        assert_eq!(
+            all,
+            vec![0],
+            "round {round}: the last entry must go to exactly one side"
+        );
+    }
+}
+
 #[test]
 fn stale_epoch_completions_lose_the_rearm_race() {
     // streaming re-arm race: epoch 1 re-runs the whole graph while racers

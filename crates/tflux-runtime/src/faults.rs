@@ -26,6 +26,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 use tflux_core::ids::{Instance, KernelId};
+use tflux_core::rng::mix;
 
 /// What the injector tells a kernel to do before it runs a DThread body.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -93,16 +94,6 @@ pub trait FaultInjector: Sync {
 pub struct NoFaults;
 
 impl FaultInjector for NoFaults {}
-
-/// splitmix64 finalizer — the deterministic mixing function behind every
-/// [`FaultPlan`] decision (and the TUB backoff jitter).
-#[inline]
-pub(crate) fn mix(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
 
 /// Site tags keep decisions at different sites independent for one seed.
 const SITE_BODY_PANIC: u64 = 0x9147_11FB_6C8F_0001;

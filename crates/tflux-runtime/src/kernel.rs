@@ -19,8 +19,9 @@ use crate::faults::{BodyFault, FaultInjector};
 use crate::runtime::RetryPolicy;
 use crate::soft::SoftTsu;
 use crate::stats::KernelStats;
+use crate::sync::lock;
 use crate::tub::Tub;
-use parking_lot::Mutex;
+use std::sync::Mutex;
 use std::time::Duration;
 use tflux_core::ids::{Instance, KernelId};
 use tflux_core::thread::ThreadKind;
@@ -139,7 +140,7 @@ pub(crate) fn execute_body<F: FaultInjector>(
                     .map(|s| s.to_string())
                     .or_else(|| payload.downcast_ref::<String>().cloned())
                     .unwrap_or_else(|| "non-string panic payload".into());
-                panics.lock().push(BodyPanic {
+                lock(panics).push(BodyPanic {
                     instance,
                     message,
                     attempts: attempt,
@@ -385,7 +386,7 @@ mod tests {
         // published so the whole program drained
         assert_eq!(stats.executed as usize, p.total_instances());
         assert!(soft.finished());
-        let panics = sink.into_inner();
+        let panics = sink.into_inner().unwrap();
         assert_eq!(panics.len(), 1);
         assert_eq!(panics[0].instance, Instance::new(w, Context(1)));
         assert!(panics[0].message.contains("boom"));
@@ -422,10 +423,10 @@ mod tests {
     #[test]
     fn body_ctx_reports_kernel_and_context() {
         let (p, w) = work_program(2);
-        let seen = parking_lot::Mutex::new(Vec::new());
+        let seen = Mutex::new(Vec::new());
         let mut bodies = BodyTable::new(&p);
         bodies.set(w, |c| {
-            seen.lock().push((c.kernel, c.context));
+            seen.lock().unwrap().push((c.kernel, c.context));
         });
         let soft = SoftTsu::new(&p, 1, TsuConfig::default());
         let tub = Tub::new(1);
@@ -446,7 +447,7 @@ mod tests {
             h.join().unwrap()
         });
         drop(bodies); // release the body closure's borrow of `seen`
-        let mut seen = seen.into_inner();
+        let mut seen = seen.into_inner().unwrap();
         seen.sort_by_key(|&(_, c)| c);
         assert_eq!(
             seen,

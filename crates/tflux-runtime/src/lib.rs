@@ -70,6 +70,7 @@ pub mod shared;
 pub mod sm;
 pub mod soft;
 pub mod stats;
+mod sync;
 pub mod tub;
 
 pub use body::{BodyCtx, BodyTable};

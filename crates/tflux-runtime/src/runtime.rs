@@ -12,6 +12,7 @@ use crate::faults::{FaultInjector, NoFaults};
 use crate::kernel::run_kernel;
 use crate::soft::SoftTsu;
 use crate::stats::{KernelStats, RunReport, StallReport};
+use crate::sync;
 use crate::tub::{Tub, TubBackoff};
 use std::time::{Duration, Instant};
 use tflux_core::error::CoreError;
@@ -287,7 +288,7 @@ impl Runtime {
         });
         let wall = start.elapsed();
 
-        let panics = panic_sink.into_inner();
+        let panics = sync::into_inner(panic_sink);
         let mut kernel_stats = Vec::with_capacity(joined.len());
         let mut dead: Option<KernelId> = None;
         for (k, res) in joined.into_iter().enumerate() {
@@ -339,7 +340,7 @@ impl Runtime {
         program: &DdmProgram,
         bodies: &BodyTable<'_>,
     ) -> Result<(RunReport, Vec<crate::stats::RtSpan>), RuntimeError> {
-        use parking_lot::Mutex;
+        use std::sync::Mutex;
         let epoch = std::time::Instant::now();
         let spans: Mutex<Vec<crate::stats::RtSpan>> = Mutex::new(Vec::new());
         let mut wrapped = BodyTable::new(program);
@@ -353,7 +354,7 @@ impl Runtime {
                 let start_ns = epoch.elapsed().as_nanos() as u64;
                 (bodies.get(ctx.instance.thread))(ctx);
                 let end_ns = epoch.elapsed().as_nanos() as u64;
-                spans.lock().push(crate::stats::RtSpan {
+                sync::lock(spans).push(crate::stats::RtSpan {
                     kernel: ctx.kernel.0,
                     instance: ctx.instance,
                     start_ns,
@@ -363,7 +364,7 @@ impl Runtime {
         }
         let report = self.run(program, &wrapped)?;
         drop(wrapped);
-        Ok((report, spans.into_inner()))
+        Ok((report, sync::into_inner(spans)))
     }
 }
 
@@ -416,20 +417,20 @@ mod tests {
     fn multi_block_program_runs_blocks_in_order() {
         let (p, works) = fork_join(8, 3);
         let seq = AtomicUsize::new(0);
-        let order = parking_lot::Mutex::new(Vec::new());
+        let order = std::sync::Mutex::new(Vec::new());
         let mut bodies = BodyTable::new(&p);
         for (bi, &w) in works.iter().enumerate() {
             let seq = &seq;
             let order = &order;
             bodies.set(w, move |_| {
                 let n = seq.fetch_add(1, Ordering::Relaxed);
-                order.lock().push((bi, n));
+                order.lock().unwrap().push((bi, n));
             });
         }
         Runtime::new(RuntimeConfig::with_kernels(3))
             .run(&p, &bodies)
             .unwrap();
-        let order = order.lock();
+        let order = order.lock().unwrap();
         assert_eq!(order.len(), 24);
         // all block-0 work precedes block-1 work precedes block-2 work
         let mut max_seen = 0usize;

@@ -42,11 +42,11 @@ use crate::kernel::{execute_body, PanicSink};
 use crate::runtime::{RetryPolicy, RuntimeError};
 use crate::soft::SoftTsu;
 use crate::stats::TenantReport;
+use crate::sync::{lock, wait, wait_timeout};
 use crate::tub::{Tub, TubBackoff};
-use parking_lot::{Condvar, Mutex};
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc};
+use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 use tflux_core::error::CoreError;
 use tflux_core::ids::{Epoch, Instance, KernelId, ProgramId};
@@ -363,19 +363,19 @@ struct ServerShared {
 
 impl ServerShared {
     fn work_epoch(&self) -> u64 {
-        *self.work_seq.lock()
+        *lock(&self.work_seq)
     }
 
     fn ring(&self) {
-        *self.work_seq.lock() += 1;
+        *lock(&self.work_seq) += 1;
         self.work_cv.notify_all();
     }
 
     /// Park until the eventcount moves past `seen` or `timeout` elapses.
     fn wait_for_work(&self, seen: u64, timeout: Duration) {
-        let mut g = self.work_seq.lock();
+        let g = lock(&self.work_seq);
         if *g == seen {
-            self.work_cv.wait_for(&mut g, timeout);
+            drop(wait_timeout(&self.work_cv, g, timeout));
         }
     }
 }
@@ -431,7 +431,7 @@ impl ProgramServer {
                 got: submission.bodies.len(),
             });
         }
-        let mut pending = self.shared.pending.lock();
+        let mut pending = lock(&self.shared.pending);
         loop {
             if self.shared.shutdown.load(Ordering::Acquire) {
                 return Err(SubmitError::ShuttingDown);
@@ -442,13 +442,13 @@ impl ProgramServer {
             match mode {
                 Submit::Reject => {
                     return Err(SubmitError::Overloaded {
-                        resident: self.shared.registry.lock().len(),
+                        resident: lock(&self.shared.registry).len(),
                         queued: pending.len(),
                         limit: self.shared.config.queue_depth,
                     });
                 }
                 Submit::Block => {
-                    self.shared.pending_cv.wait(&mut pending);
+                    pending = wait(&self.shared.pending_cv, pending);
                 }
             }
         }
@@ -462,12 +462,12 @@ impl ProgramServer {
 
     /// Programs currently holding arenas.
     pub fn resident(&self) -> usize {
-        self.shared.registry.lock().len()
+        lock(&self.shared.registry).len()
     }
 
     /// Submissions waiting in the admission queue.
     pub fn queued(&self) -> usize {
-        self.shared.pending.lock().len()
+        lock(&self.shared.pending).len()
     }
 
     /// Poison a resident program's Synchronization Memory, exactly as a
@@ -476,10 +476,7 @@ impl ProgramServer {
     /// co-resident programs are untouched. Returns `false` if `id` is not
     /// resident (never admitted, already finished, or already evicted).
     pub fn poison(&self, id: ProgramId) -> bool {
-        let tenant = self
-            .shared
-            .registry
-            .lock()
+        let tenant = lock(&self.shared.registry)
             .iter()
             .find(|t| t.id == id)
             .cloned();
@@ -606,7 +603,7 @@ fn run_pool_kernel(shared: &ServerShared, kernel: KernelId) {
         let gen = shared.generation.load(Ordering::Acquire);
         if gen != seen_gen {
             seen_gen = gen;
-            snapshot = shared.registry.lock().clone();
+            snapshot = lock(&shared.registry).clone();
             let live: Vec<ProgramId> = snapshot.iter().map(|t| t.id).collect();
             for &old in &members {
                 if !live.contains(&old) {
@@ -668,10 +665,10 @@ fn evict_tenant(
         }
         retired += 1;
     }
-    shared.registry.lock().retain(|t| t.id != tenant.id);
+    lock(&shared.registry).retain(|t| t.id != tenant.id);
     shared.generation.fetch_add(1, Ordering::Release);
     shared.ring();
-    if let Some(tx) = tenant.done.lock().take() {
+    if let Some(tx) = lock(&tenant.done).take() {
         let _ = tx.send(result);
     }
 }
@@ -709,10 +706,10 @@ fn admit_pending(shared: &ServerShared) -> bool {
     let mut admitted = false;
     let mut scratch: Vec<Instance> = Vec::new();
     loop {
-        if shared.registry.lock().len() >= shared.config.max_resident {
+        if lock(&shared.registry).len() >= shared.config.max_resident {
             break;
         }
-        let Some(p) = shared.pending.lock().pop_front() else {
+        let Some(p) = lock(&shared.pending).pop_front() else {
             break;
         };
         // a queue slot freed: wake blocked submitters
@@ -726,7 +723,7 @@ fn admit_pending(shared: &ServerShared) -> bool {
                 tenant.tub.kick();
             }
         }
-        shared.registry.lock().push(tenant);
+        lock(&shared.registry).push(tenant);
         shared.generation.fetch_add(1, Ordering::Release);
         shared.ring();
         admitted = true;
@@ -744,7 +741,7 @@ fn run_supervisor(shared: &ServerShared) {
     loop {
         let mut progressed = admit_pending(shared);
         let epoch = shared.work_epoch();
-        let resident: Vec<Arc<Tenant>> = shared.registry.lock().clone();
+        let resident: Vec<Arc<Tenant>> = lock(&shared.registry).clone();
         for tenant in &resident {
             if tenant.evicted.load(Ordering::Acquire) {
                 continue;
@@ -761,7 +758,7 @@ fn run_supervisor(shared: &ServerShared) {
             {
                 let mut report =
                     stall_report(&tenant.soft, &tenant.tub, track.last_progress.elapsed());
-                report.panics = std::mem::take(&mut *tenant.panics.lock());
+                report.panics = std::mem::take(&mut *lock(&tenant.panics));
                 tracking.remove(&tenant.id.0);
                 evict_tenant(
                     shared,
@@ -801,7 +798,7 @@ fn run_supervisor(shared: &ServerShared) {
                     }
                 }
                 DrainRound::Finished => {
-                    let panics = std::mem::take(&mut *tenant.panics.lock());
+                    let panics = std::mem::take(&mut *lock(&tenant.panics));
                     Some(if panics.is_empty() {
                         Ok(TenantReport {
                             id: tenant.id,
@@ -832,7 +829,7 @@ fn run_supervisor(shared: &ServerShared) {
                     } else if track.last_progress.elapsed() >= cfg.watchdog {
                         let mut report =
                             stall_report(&tenant.soft, &tenant.tub, track.last_progress.elapsed());
-                        report.panics = std::mem::take(&mut *tenant.panics.lock());
+                        report.panics = std::mem::take(&mut *lock(&tenant.panics));
                         Some(Err(RuntimeError::Stalled {
                             report: Box::new(report),
                         }))
@@ -848,8 +845,8 @@ fn run_supervisor(shared: &ServerShared) {
             }
         }
         if shared.shutdown.load(Ordering::Acquire)
-            && shared.registry.lock().is_empty()
-            && shared.pending.lock().is_empty()
+            && lock(&shared.registry).is_empty()
+            && lock(&shared.pending).is_empty()
         {
             break;
         }

@@ -29,9 +29,10 @@
 //!   the parker's re-check observes the entry. A 50 ms timed wait backstops
 //!   lost wakeups, exactly as before.
 
-use parking_lot::{Condvar, Mutex};
+use crate::sync::{lock, wait_timeout};
 use std::collections::VecDeque;
 use std::sync::atomic::{fence, AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Condvar, Mutex};
 use std::time::{Duration, Instant};
 use tflux_core::ids::{Epoch, Instance};
 use tflux_core::tsu::{FetchResult, MpmcRing, Steal, StealDeque};
@@ -120,7 +121,7 @@ impl ReadyQueue {
     /// is full or a consumer is parked.
     pub fn push(&self, inst: Instance, epoch: Epoch) {
         if !self.inbox.push(inst, epoch) {
-            let mut ovf = self.overflow.lock();
+            let mut ovf = lock(&self.overflow);
             ovf.push_back((inst, epoch));
             self.overflow_len.store(ovf.len(), Ordering::SeqCst);
         }
@@ -140,7 +141,7 @@ impl ReadyQueue {
         if self.parked.load(Ordering::SeqCst) > 0 {
             // taking the lock orders the notify after the parker's
             // registered-but-not-yet-waiting window closes
-            let _guard = self.park_lock.lock();
+            let _guard = lock(&self.park_lock);
             self.available.notify_all();
         }
     }
@@ -149,7 +150,7 @@ impl ReadyQueue {
         if self.overflow_len.load(Ordering::SeqCst) == 0 {
             return None;
         }
-        let mut ovf = self.overflow.lock();
+        let mut ovf = lock(&self.overflow);
         let e = ovf.pop_front();
         self.overflow_len.store(ovf.len(), Ordering::SeqCst);
         e
@@ -228,11 +229,11 @@ impl ReadyQueue {
             }
             // park: register, re-check, then wait (the parker half of the
             // Dekker handshake — see `wake`)
-            let mut guard = self.park_lock.lock();
+            let mut guard = lock(&self.park_lock);
             self.parked.fetch_add(1, Ordering::SeqCst);
             fence(Ordering::SeqCst);
             if self.looks_empty() && !self.exit.load(Ordering::SeqCst) {
-                self.available.wait_for(&mut guard, wait_for);
+                guard = wait_timeout(&self.available, guard, wait_for);
             }
             self.parked.fetch_sub(1, Ordering::SeqCst);
             drop(guard);

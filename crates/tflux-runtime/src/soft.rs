@@ -17,11 +17,13 @@
 //! `&std::fs::File` implements `io::Write`.
 
 use crate::sm::ReadyQueue;
-use parking_lot::Mutex;
+use crate::sync::lock;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Mutex;
 use tflux_core::error::CoreError;
 use tflux_core::ids::{BlockId, Epoch, Instance, KernelId};
 use tflux_core::policy::{SchedulingPolicy, StealPolicy};
+use tflux_core::rng::SplitMix64;
 use tflux_core::tsu::{
     FetchResult, FlushPolicy, GraphMemory, ProgramHandle, ShardStats, Steal, SyncMemory,
     TsuBackend, TsuConfig, TsuStats, WaitingInstance,
@@ -285,9 +287,9 @@ impl<P: ProgramHandle> SoftTsu<P> {
     /// went to someone, so the machine made progress.
     fn steal_for(&self, k: usize, own: usize) -> Option<(Instance, Epoch)> {
         let n = self.queues.len();
-        let mut rng = self.kernel_rng[k].load(Ordering::Relaxed);
+        let mut rng = SplitMix64(self.kernel_rng[k].load(Ordering::Relaxed));
         let first = self.steal_policy.first_victim(own, n, &mut rng);
-        self.kernel_rng[k].store(rng, Ordering::Relaxed);
+        self.kernel_rng[k].store(rng.0, Ordering::Relaxed);
         if let Some(v) = first {
             match self.queues[v].steal() {
                 Steal::Success((i, ep)) => {
@@ -344,7 +346,7 @@ impl<P: ProgramHandle> SoftTsu<P> {
     /// Record a TSU protocol error raised on a kernel's direct path (first
     /// one wins); the emulator picks it up and aborts the run.
     pub fn record_protocol(&self, e: CoreError) {
-        let mut g = self.protocol.lock();
+        let mut g = lock(&self.protocol);
         if g.is_none() {
             *g = Some(e);
         }
@@ -352,7 +354,7 @@ impl<P: ProgramHandle> SoftTsu<P> {
 
     /// Take the recorded protocol error, if any.
     pub fn take_protocol_error(&self) -> Option<CoreError> {
-        self.protocol.lock().take()
+        lock(&self.protocol).take()
     }
 
     /// Aggregate TSU counters, with the scheduler's waits and steals folded

@@ -3,14 +3,13 @@
 
 use crate::kernel::BodyPanic;
 use crate::tub::TubSnapshot;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::time::Duration;
 use tflux_core::ids::{Instance, KernelId, ProgramId};
 use tflux_core::tsu::{ShardStats, TsuStats, WaitingInstance};
 
 /// Per-kernel counters.
-#[derive(Clone, Copy, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default)]
 pub struct KernelStats {
     /// DThread instances this kernel executed.
     pub executed: u64,
@@ -29,26 +28,22 @@ pub struct KernelStats {
     /// drained between the thief's length snapshot and the steal (the
     /// clean-miss path). High misses with low steals means this kernel
     /// kept scanning an idle machine.
-    #[serde(default)]
     pub steal_misses: u64,
     /// Steal CAS attempts lost to the victim's owner or another thief.
     /// Each race is a wasted CAS, not lost work — the entry went to the
     /// winner. High races mean thieves piled onto the same victim.
-    #[serde(default)]
     pub steal_races: u64,
     /// Panicked body attempts that were re-dispatched under the
     /// [`RetryPolicy`](crate::RetryPolicy).
-    #[serde(default)]
     pub retries: u64,
     /// Instances whose completion was withheld after retry exhaustion
     /// (`poison_on_exhaust`); their consumers never fire.
-    #[serde(default)]
     pub poisoned: u64,
 }
 
 /// One executed instance in a wall-clock trace (see
 /// [`Runtime::run_traced`](crate::Runtime::run_traced)).
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct RtSpan {
     /// Kernel that executed the body.
     pub kernel: u32,
@@ -61,7 +56,7 @@ pub struct RtSpan {
 }
 
 /// The result of one [`crate::Runtime::run`].
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct RunReport {
     /// Wall-clock duration of the whole run (kernel launch to last join).
     pub wall: Duration,
@@ -80,7 +75,6 @@ pub struct RunReport {
     /// updater). A hot `contended` entry means many kernels' completions
     /// pile into one consumer kernel's instances — the signature
     /// `FlushPolicy::Batch` flattens.
-    #[serde(default)]
     pub sm_shards: Vec<ShardStats>,
 }
 
@@ -135,7 +129,7 @@ impl RunReport {
 /// of [`RunReport`]. Kernel threads are shared between tenants in a server,
 /// so there is no per-kernel breakdown here — the execution counters are
 /// aggregated over whichever kernels happened to serve this tenant.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct TenantReport {
     /// The id the server assigned this program at admission.
     pub id: ProgramId,

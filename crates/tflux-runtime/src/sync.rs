@@ -1,0 +1,45 @@
+//! `std::sync` locking without poisoning.
+//!
+//! A poisoned mutex only says that some thread panicked while holding it.
+//! Every mutex in this crate guards data that is valid after each
+//! individual update (a queue, a flag, a counter), and panics are already
+//! surfaced as typed errors (`BodyPanic`, `RuntimeError`), so the guard is
+//! taken out of the `PoisonError` instead of raising a second panic.
+//! `SyncMemory`'s own poison latch (`CoreError::SmPoisoned`) is separate
+//! and untouched.
+
+use std::sync::{Condvar, Mutex, MutexGuard, PoisonError, TryLockError};
+use std::time::Duration;
+
+pub(crate) fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// `None` only if the lock is held right now.
+pub(crate) fn try_lock<T>(m: &Mutex<T>) -> Option<MutexGuard<'_, T>> {
+    match m.try_lock() {
+        Ok(g) => Some(g),
+        Err(TryLockError::Poisoned(e)) => Some(e.into_inner()),
+        Err(TryLockError::WouldBlock) => None,
+    }
+}
+
+pub(crate) fn into_inner<T>(m: Mutex<T>) -> T {
+    m.into_inner().unwrap_or_else(PoisonError::into_inner)
+}
+
+pub(crate) fn wait<'a, T>(cv: &Condvar, g: MutexGuard<'a, T>) -> MutexGuard<'a, T> {
+    cv.wait(g).unwrap_or_else(PoisonError::into_inner)
+}
+
+/// Returns on notify, on timeout or spuriously; every caller re-checks its
+/// condition, so which one it was is not reported.
+pub(crate) fn wait_timeout<'a, T>(
+    cv: &Condvar,
+    g: MutexGuard<'a, T>,
+    timeout: Duration,
+) -> MutexGuard<'a, T> {
+    cv.wait_timeout(g, timeout)
+        .unwrap_or_else(PoisonError::into_inner)
+        .0
+}

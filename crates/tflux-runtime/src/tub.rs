@@ -9,10 +9,12 @@
 //! segment is busy.
 
 use crate::faults::{FaultInjector, NoFaults};
-use parking_lot::{Condvar, Mutex};
+use crate::sync::{lock, try_lock, wait_timeout};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Condvar, Mutex};
 use std::time::Duration;
 use tflux_core::ids::{Epoch, Instance};
+use tflux_core::rng::mix;
 
 /// Contention counters for the TUB.
 #[derive(Debug, Default)]
@@ -45,7 +47,7 @@ impl TubStats {
 }
 
 /// Plain-integer view of [`TubStats`].
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct TubSnapshot {
     /// Completions published.
     pub pushes: u64,
@@ -54,10 +56,8 @@ pub struct TubSnapshot {
     /// Passes that found all segments busy.
     pub full_spins: u64,
     /// Pushes that fell back from spinning to parking.
-    #[serde(default)]
     pub parks: u64,
     /// Emulator wakeup signals suppressed by a fault injector.
-    #[serde(default)]
     pub dropped_bells: u64,
 }
 
@@ -115,7 +115,7 @@ impl TubBackoff {
         // absorbs any multiplication overflow before the cap applies
         let shift = parked_pass.min(63);
         let grown = base.saturating_mul(1u64 << shift).min(cap);
-        let jitter = crate::faults::mix(self.jitter_seed ^ parked_pass as u64) % (grown / 2 + 1);
+        let jitter = mix(self.jitter_seed ^ parked_pass as u64) % (grown / 2 + 1);
         Duration::from_nanos(grown - jitter)
     }
 }
@@ -184,7 +184,7 @@ impl Tub {
         let mut all_busy_passes = 0u32;
         loop {
             let idx = (start + offset) % n;
-            if let Some(mut seg) = self.segments[idx].try_lock() {
+            if let Some(mut seg) = try_lock(&self.segments[idx]) {
                 seg.push((inst, epoch));
                 break;
             }
@@ -215,8 +215,7 @@ impl Tub {
             self.stats.dropped_bells.fetch_add(1, Ordering::Relaxed);
             return;
         }
-        let mut s = self.signal.lock();
-        *s = true;
+        *lock(&self.signal) = true;
         self.bell.notify_one();
     }
 
@@ -226,7 +225,7 @@ impl Tub {
     pub fn drain_into(&self, out: &mut Vec<(Instance, Epoch)>) -> usize {
         let before = out.len();
         for seg in &self.segments {
-            let mut seg = seg.lock();
+            let mut seg = lock(seg);
             out.append(&mut seg);
         }
         out.len() - before
@@ -236,17 +235,16 @@ impl Tub {
     ///
     /// Spurious wakeups are fine — the emulator re-drains in a loop.
     pub fn wait(&self, timeout: std::time::Duration) {
-        let mut s = self.signal.lock();
+        let mut s = lock(&self.signal);
         if !*s {
-            self.bell.wait_for(&mut s, timeout);
+            s = wait_timeout(&self.bell, s, timeout);
         }
         *s = false;
     }
 
     /// Wake the emulator regardless of content (used at shutdown).
     pub fn kick(&self) {
-        let mut s = self.signal.lock();
-        *s = true;
+        *lock(&self.signal) = true;
         self.bell.notify_all();
     }
 }

@@ -15,66 +15,16 @@
 
 mod common;
 
+use common::{build_program, chaos_seeds, expected_checksum, instance_key, mix, Rng};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 use tflux_core::prelude::*;
 use tflux_runtime::{BodyTable, FaultPlan, RetryPolicy, Runtime, RuntimeConfig, RuntimeError};
 
-/// splitmix64 finalizer — same mixing discipline as `FaultPlan`, reused
-/// here for program generation and body checksums.
-fn mix(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
-/// Tiny deterministic generator for program shapes.
-struct Rng(u64);
-
-impl Rng {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(1);
-        mix(self.0)
-    }
-
-    fn below(&mut self, n: u64) -> u64 {
-        self.next() % n
-    }
-}
-
-fn instance_key(i: Instance) -> u64 {
-    ((i.thread.0 as u64) << 32) | i.context.0 as u64
-}
-
-/// Generate a layered program: 1–2 blocks, each 1–3 layers of 1–6-wide
-/// loop threads, consecutive layers joined all-to-all. Returns the program
-/// and its application threads with their arities.
-fn build_program(rng: &mut Rng) -> (DdmProgram, Vec<(ThreadId, u32)>) {
-    let mut b = ProgramBuilder::new();
-    let mut app = Vec::new();
-    let blocks = 1 + rng.below(2);
-    for bi in 0..blocks {
-        let blk = b.block();
-        let layers = 1 + rng.below(3);
-        let mut prev: Option<ThreadId> = None;
-        for li in 0..layers {
-            let arity = 1 + rng.below(6) as u32;
-            let t = b.thread(blk, ThreadSpec::new(format!("b{bi}l{li}"), arity));
-            if let Some(p) = prev {
-                b.arc(p, t, ArcMapping::All).unwrap();
-            }
-            app.push((t, arity));
-            prev = Some(t);
-        }
-    }
-    (b.build().unwrap(), app)
-}
-
 #[test]
 fn chaos_matrix_never_hangs_and_never_lies() {
     const WATCHDOG: Duration = Duration::from_secs(5);
-    let runs = common::chaos_seeds();
+    let runs = chaos_seeds();
     let mut ok_runs = 0u64;
     let mut panicked_runs = 0u64;
 
@@ -127,12 +77,7 @@ fn chaos_matrix_never_hangs_and_never_lies() {
                 bodies.mark_idempotent(t);
             }
         }
-        let expected: u64 = app
-            .iter()
-            .flat_map(|&(t, arity)| {
-                (0..arity).map(move |c| mix(instance_key(Instance::new(t, Context(c)))))
-            })
-            .fold(0u64, u64::wrapping_add);
+        let expected = expected_checksum(&app);
 
         let config = RuntimeConfig::with_kernels(kernels)
             .tsu(TsuConfig {

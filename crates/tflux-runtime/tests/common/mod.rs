@@ -9,16 +9,13 @@
 use std::sync::Arc;
 use tflux_core::prelude::*;
 
-/// splitmix64 finalizer — same mixing discipline as `FaultPlan`, reused
-/// for program generation and body checksums.
-pub fn mix(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
+/// The mixing function behind every `FaultPlan` decision, reused for
+/// program generation and body checksums.
+pub use tflux_core::rng::mix;
 
-/// Tiny deterministic generator for program shapes.
+/// Tiny deterministic generator for program shapes. (A counter fed
+/// through [`mix`], not the `SplitMix64` stream: the shapes each chaos
+/// seed has always produced depend on it.)
 pub struct Rng(pub u64);
 
 impl Rng {

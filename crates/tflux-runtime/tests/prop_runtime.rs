@@ -3,12 +3,12 @@
 //! and never violate producer→consumer ordering, regardless of thread
 //! interleaving.
 
-use parking_lot::Mutex;
-use proptest::prelude::*;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
 use std::time::Duration;
 use tflux_core::prelude::*;
+use tflux_core::rng::{cases, SplitMix64};
 use tflux_runtime::{BodyTable, Runtime, RuntimeConfig};
 
 #[derive(Debug, Clone)]
@@ -20,21 +20,14 @@ struct Desc {
     blocks: u32,
 }
 
-fn desc() -> impl Strategy<Value = Desc> {
-    (
-        prop::collection::vec(1u32..12, 1..5),
-        prop::collection::vec(0u8..3, 0..5),
-        1u32..5,
-        1usize..5,
-        1u32..3,
-    )
-        .prop_map(|(layers, maps, kernels, tub_segments, blocks)| Desc {
-            layers,
-            maps,
-            kernels,
-            tub_segments,
-            blocks,
-        })
+fn desc(rng: &mut SplitMix64) -> Desc {
+    Desc {
+        layers: (0..rng.range(1..5)).map(|_| rng.range(1u32..12)).collect(),
+        maps: (0..rng.range(0..5)).map(|_| rng.range(0u8..3)).collect(),
+        kernels: rng.range(1u32..5),
+        tub_segments: rng.range(1usize..5),
+        blocks: rng.range(1u32..3),
+    }
 }
 
 fn build(d: &Desc) -> DdmProgram {
@@ -59,12 +52,11 @@ fn build(d: &Desc) -> DdmProgram {
     b.build().unwrap()
 }
 
-proptest! {
+#[test]
+fn every_instance_executes_exactly_once() {
     // Thread spawning is expensive; keep the case count moderate.
-    #![proptest_config(ProptestConfig::with_cases(40))]
-
-    #[test]
-    fn every_instance_executes_exactly_once(d in desc()) {
+    cases(40, |rng| {
+        let d = desc(rng);
         let p = build(&d);
         let seq = AtomicUsize::new(0);
         let log: Mutex<Vec<(Instance, usize)>> = Mutex::new(Vec::new());
@@ -75,7 +67,7 @@ proptest! {
             let log = &log;
             bodies.set(t, move |c| {
                 let n = seq.fetch_add(1, Ordering::SeqCst);
-                log.lock().push((c.instance, n));
+                log.lock().unwrap().push((c.instance, n));
             });
         }
         let report = Runtime::new(
@@ -87,16 +79,16 @@ proptest! {
         .expect("run failed");
         drop(bodies);
 
-        let log = log.into_inner();
-        prop_assert_eq!(log.len(), p.total_instances());
-        prop_assert_eq!(report.tsu.completions as usize, p.total_instances());
+        let log = log.into_inner().unwrap();
+        assert_eq!(log.len(), p.total_instances());
+        assert_eq!(report.tsu.completions as usize, p.total_instances());
 
         // exactly once
         let mut seen = HashMap::new();
         for (i, _) in &log {
             *seen.entry(*i).or_insert(0) += 1;
         }
-        prop_assert!(seen.values().all(|&v| v == 1));
+        assert!(seen.values().all(|&v| v == 1));
 
         // ordering: producers before consumers (by body start sequence;
         // bodies are serialized through the SeqCst counter so sequence
@@ -111,13 +103,12 @@ proptest! {
                     let pi = Instance::new(t, Context(pc));
                     for cc in arc.mapping.consumers(Context(pc), pa, ca) {
                         let ci = Instance::new(arc.consumer, cc);
-                        prop_assert!(pos[&pi] < pos[&ci],
-                            "{pi} started after its consumer {ci}");
+                        assert!(pos[&pi] < pos[&ci], "{pi} started after its consumer {ci}");
                     }
                 }
             }
         }
-    }
+    });
 }
 
 #[test]
@@ -162,13 +153,13 @@ fn deep_chain_sequentializes_correctly() {
     let mut bodies = BodyTable::new(&p);
     for &t in &chain {
         let order = &order;
-        bodies.set(t, move |c| order.lock().push(c.instance.thread));
+        bodies.set(t, move |c| order.lock().unwrap().push(c.instance.thread));
     }
     Runtime::new(RuntimeConfig::with_kernels(4))
         .run(&p, &bodies)
         .unwrap();
     drop(bodies);
-    let order = order.into_inner();
+    let order = order.into_inner().unwrap();
     assert_eq!(order, chain);
 }
 

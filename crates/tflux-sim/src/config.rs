@@ -1,7 +1,6 @@
 //! Machine configurations, with the paper's two evaluation machines as
 //! presets.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Errors constructing a machine configuration.
@@ -39,7 +38,7 @@ impl std::error::Error for ConfigError {}
 /// The default is a flat (UMA) machine: one node, zero remote penalties,
 /// unmodeled channel bandwidth — cycle-identical to the pre-topology
 /// simulator, which keeps the Bagle/x86 paper figures stable.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Topology {
     /// Cores per NUMA node (0 = all cores on one node, flat/UMA).
     pub cores_per_node: u32,
@@ -80,7 +79,7 @@ impl Topology {
 }
 
 /// Geometry and latency of one cache level.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct CacheConfig {
     /// Total size in bytes.
     pub size: usize,
@@ -110,7 +109,7 @@ impl CacheConfig {
 /// plus locking (hundreds of cycles) and the TSU Emulator core spends
 /// `op` cycles of software per command (§6.2.2 — "the need to invoke a
 /// number of TSU Emulation functions when a DThread completes").
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct TsuCosts {
     /// Cycles for a kernel to issue one command to the TSU (MMI access for
     /// hardware, shared-memory + lock round trip for software).
@@ -126,7 +125,6 @@ pub struct TsuCosts {
     /// kernel's ready queue instead of the core's own (the remote-queue
     /// walk inside the unit for hardware; a cross-queue CAS plus the
     /// victim's cache line for software).
-    #[serde(default)]
     pub steal: u64,
 }
 
@@ -156,7 +154,7 @@ impl TsuCosts {
 }
 
 /// Full machine description.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct MachineConfig {
     /// Number of cores executing kernels. (Cores reserved for the OS or the
     /// TSU Emulator are excluded — they are modeled by the TSU device's
@@ -184,9 +182,7 @@ pub struct MachineConfig {
     /// Cores are partitioned round-robin-free: shard = core × groups /
     /// cores. Cross-shard ready-count updates pay a bus crossing.
     pub tsu_groups: u32,
-    /// NUMA layout (defaults to flat/UMA; absent in older serialized
-    /// configs).
-    #[serde(default)]
+    /// NUMA layout (defaults to flat/UMA).
     pub topology: Topology,
     /// Length in cycles of one DES merge round: the interval at which
     /// per-domain memory-system overlays commit into the shared snapshot
@@ -194,7 +190,6 @@ pub struct MachineConfig {
     /// `max(tsu.access + tsu.op, 256)`. This is a **model** parameter —
     /// every engine and host-thread count uses the same value, so results
     /// never depend on how the simulation is executed.
-    #[serde(default)]
     pub merge_round: u64,
 }
 

@@ -33,7 +33,6 @@
 
 use crate::cache::Cache;
 use crate::config::MachineConfig;
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// Classification of one memory access.
@@ -52,7 +51,7 @@ pub enum AccessClass {
 }
 
 /// Aggregate counters of the memory system.
-#[derive(Clone, Copy, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default)]
 pub struct MemStats {
     /// L1 hits.
     pub l1_hits: u64,
@@ -74,11 +73,9 @@ pub struct MemStats {
     pub bus_busy: u64,
     /// Transfers (memory fetches or cache-to-cache) that crossed a NUMA
     /// node boundary and paid the topology's remote penalty.
-    #[serde(default)]
     pub remote_node: u64,
     /// Cycles accesses queued on saturated per-node memory channels
     /// (beyond the raw transfer occupancy).
-    #[serde(default)]
     pub channel_wait: u64,
 }
 

@@ -2,11 +2,10 @@
 
 use crate::memsys::MemStats;
 use crate::tsu_dev::TsuDevStats;
-use serde::{Deserialize, Serialize};
 use tflux_core::tsu::TsuStats;
 
 /// The outcome of one simulated execution.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct SimReport {
     /// Total execution time in cycles (time the last core finished).
     pub cycles: u64,
@@ -28,7 +27,6 @@ pub struct SimReport {
     /// operations) — the engine-invariant denominator for host-side
     /// events/sec throughput. Zero for the sequential baseline, which has
     /// no event loop.
-    #[serde(default)]
     pub events: u64,
 }
 

@@ -2,14 +2,13 @@
 //! a simulation, with a text Gantt renderer — the tooling equivalent of
 //! watching the paper's Fig. 2 kernel loop run.
 
-use serde::{Deserialize, Serialize};
 use std::fmt::Write as _;
 use tflux_core::ids::Instance;
 use tflux_core::program::DdmProgram;
 use tflux_core::thread::ThreadKind;
 
 /// One executed instance.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Span {
     /// The core that executed it.
     pub core: u32,
@@ -22,7 +21,7 @@ pub struct Span {
 }
 
 /// The full trace of one simulated run.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct ExecTrace {
     /// Spans in completion order.
     pub spans: Vec<Span>,

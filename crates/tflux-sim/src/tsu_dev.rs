@@ -12,14 +12,13 @@
 //! sweeps `op` to verify the <1% claim.
 
 use crate::config::TsuCosts;
-use serde::{Deserialize, Serialize};
 use tflux_core::error::CoreError;
 use tflux_core::ids::{Epoch, Instance, KernelId};
 use tflux_core::thread::ThreadKind;
 use tflux_core::tsu::{CompletionFunnel, CoreTsu, FetchResult, TsuBackend};
 
 /// Counters of the device model.
-#[derive(Clone, Copy, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default)]
 pub struct TsuDevStats {
     /// Commands processed (fetches + completions).
     pub commands: u64,
@@ -35,11 +34,9 @@ pub struct TsuDevStats {
     /// Funnel flushes: batched completion commands sent to the unit. Each
     /// one covers up to `FlushPolicy::Batch { size }` App completions but
     /// costs a single command slot.
-    #[serde(default)]
     pub funnel_flushes: u64,
     /// Fetches served by stealing from a sibling kernel's ready queue
     /// (each paid [`TsuCosts::steal`] extra cycles inside the unit).
-    #[serde(default)]
     pub stolen_fetches: u64,
 }
 

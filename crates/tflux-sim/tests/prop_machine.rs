@@ -2,8 +2,8 @@
 //! models always complete every instance, produce physically consistent
 //! traces, and respect the work/span lower bound.
 
-use proptest::prelude::*;
 use tflux_core::prelude::*;
+use tflux_core::rng::{cases, SplitMix64};
 use tflux_sim::work::{FnWork, InstanceWork};
 use tflux_sim::{Machine, MachineConfig};
 
@@ -15,19 +15,13 @@ struct Desc {
     base_cost: u64,
 }
 
-fn desc() -> impl Strategy<Value = Desc> {
-    (
-        prop::collection::vec(1u32..10, 1..4),
-        1u32..3,
-        1u32..9,
-        10u64..5_000,
-    )
-        .prop_map(|(layers, blocks, cores, base_cost)| Desc {
-            layers,
-            blocks,
-            cores,
-            base_cost,
-        })
+fn desc(rng: &mut SplitMix64) -> Desc {
+    Desc {
+        layers: (0..rng.range(1..4)).map(|_| rng.range(1u32..10)).collect(),
+        blocks: rng.range(1u32..3),
+        cores: rng.range(1u32..9),
+        base_cost: rng.range(10u64..5_000),
+    }
 }
 
 fn build(d: &Desc) -> DdmProgram {
@@ -46,11 +40,10 @@ fn build(d: &Desc) -> DdmProgram {
     b.build().unwrap()
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-
-    #[test]
-    fn machine_completes_arbitrary_programs(d in desc()) {
+#[test]
+fn machine_completes_arbitrary_programs() {
+    cases(64, |rng| {
+        let d = desc(rng);
         let p = build(&d);
         let base = d.base_cost;
         let src = FnWork(move |i: Instance, out: &mut InstanceWork| {
@@ -64,10 +57,10 @@ proptest! {
         });
         let m = Machine::new(MachineConfig::bagle(d.cores));
         let (report, trace) = m.run_traced(&p, &src).expect("sim run");
-        prop_assert_eq!(report.instances, p.total_instances());
-        prop_assert_eq!(report.tsu.completions as usize, p.total_instances());
-        prop_assert!(trace.find_overlap().is_none());
-        prop_assert!(report.cycles >= trace.end_cycle());
+        assert_eq!(report.instances, p.total_instances());
+        assert_eq!(report.tsu.completions as usize, p.total_instances());
+        assert!(trace.find_overlap().is_none());
+        assert!(report.cycles >= trace.end_cycle());
 
         // wall time can never beat the critical path (work/span bound with
         // the same weights the source charges, ignoring memory time)
@@ -78,21 +71,22 @@ proptest! {
                 0.0
             }
         });
-        prop_assert!(
+        assert!(
             (report.cycles as f64) >= ws.span,
             "cycles {} < span {}",
             report.cycles,
             ws.span
         );
         // nor beat perfect parallelism over the cores
-        prop_assert!((report.cycles as f64) * (d.cores as f64) >= ws.work);
-    }
+        assert!((report.cycles as f64) * (d.cores as f64) >= ws.work);
+    });
+}
 
-    #[test]
-    fn more_cores_never_slow_down_compute_bound_programs(
-        arity in 4u32..40,
-        cost in 1_000u64..50_000,
-    ) {
+#[test]
+fn more_cores_never_slow_down_compute_bound_programs() {
+    cases(64, |rng| {
+        let arity = rng.range(4u32..40);
+        let cost = rng.range(1_000u64..50_000);
         let mut b = ProgramBuilder::new();
         let blk = b.block();
         b.thread(blk, ThreadSpec::new("w", arity));
@@ -100,8 +94,14 @@ proptest! {
         let src = FnWork(move |_: Instance, out: &mut InstanceWork| {
             out.compute = cost;
         });
-        let c2 = Machine::new(MachineConfig::bagle(2)).run(&p, &src).unwrap().cycles;
-        let c8 = Machine::new(MachineConfig::bagle(8)).run(&p, &src).unwrap().cycles;
-        prop_assert!(c8 <= c2, "8 cores ({c8}) slower than 2 ({c2})");
-    }
+        let c2 = Machine::new(MachineConfig::bagle(2))
+            .run(&p, &src)
+            .unwrap()
+            .cycles;
+        let c8 = Machine::new(MachineConfig::bagle(8))
+            .run(&p, &src)
+            .unwrap()
+            .cycles;
+        assert!(c8 <= c2, "8 cores ({c8}) slower than 2 ({c2})");
+    });
 }

@@ -4,7 +4,7 @@
 //! (observable as: a reader after a foreign write never gets a stale L1
 //! hit), and the model is deterministic.
 
-use proptest::prelude::*;
+use tflux_core::rng::{cases, SplitMix64};
 use tflux_sim::config::MachineConfig;
 use tflux_sim::memsys::{AccessClass, MemorySystem};
 
@@ -15,22 +15,20 @@ struct Op {
     write: bool,
 }
 
-fn ops(cores: u32) -> impl Strategy<Value = Vec<Op>> {
-    prop::collection::vec(
-        (0..cores, 0u64..32, any::<bool>()).prop_map(|(core, line, write)| Op {
-            core,
-            line: line * 64, // distinct cache lines in a small working set
-            write,
-        }),
-        1..300,
-    )
+fn ops(rng: &mut SplitMix64, cores: u32) -> Vec<Op> {
+    (0..rng.range(1..300))
+        .map(|_| Op {
+            core: rng.range(0..cores),
+            line: rng.range(0u64..32) * 64, // distinct cache lines in a small working set
+            write: rng.chance(1, 2),
+        })
+        .collect()
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(200))]
-
-    #[test]
-    fn counters_add_up_and_latencies_are_bounded(stream in ops(4)) {
+#[test]
+fn counters_add_up_and_latencies_are_bounded() {
+    cases(200, |rng| {
+        let stream = ops(rng, 4);
         let cfg = MachineConfig::bagle(4);
         let mut m = MemorySystem::new(cfg);
         let worst = cfg.l1.read_lat
@@ -42,14 +40,17 @@ proptest! {
         let mut t = 0u64;
         for op in &stream {
             let (lat, _) = m.access(op.core, t, op.line, op.write);
-            prop_assert!(lat <= worst, "latency {lat} out of bounds");
+            assert!(lat <= worst, "latency {lat} out of bounds");
             t += lat;
         }
-        prop_assert_eq!(m.stats().accesses(), stream.len() as u64);
-    }
+        assert_eq!(m.stats().accesses(), stream.len() as u64);
+    });
+}
 
-    #[test]
-    fn no_stale_read_after_foreign_write(stream in ops(4)) {
+#[test]
+fn no_stale_read_after_foreign_write() {
+    cases(200, |rng| {
+        let stream = ops(rng, 4);
         // Replay the stream with every access in its own round; after any
         // write by core W, the very next read of that line by a different
         // core must NOT be an L1 hit (its copy was invalidated at the
@@ -68,7 +69,7 @@ proptest! {
                 if w != op.core {
                     // the line was dirtied elsewhere since this core last
                     // touched it; serving it from local L1 would be stale
-                    prop_assert_ne!(
+                    assert_ne!(
                         class,
                         AccessClass::L1Hit,
                         "core {} read stale line {:#x} (writer {})",
@@ -86,10 +87,13 @@ proptest! {
                 }
             }
         }
-    }
+    });
+}
 
-    #[test]
-    fn model_is_deterministic(stream in ops(3)) {
+#[test]
+fn model_is_deterministic() {
+    cases(200, |rng| {
+        let stream = ops(rng, 3);
         let run = || {
             let mut m = MemorySystem::new(MachineConfig::bagle(3));
             let mut t = 0u64;
@@ -101,11 +105,15 @@ proptest! {
             }
             (lats, m.stats().accesses(), m.stats().bus_busy)
         };
-        prop_assert_eq!(run(), run());
-    }
+        assert_eq!(run(), run());
+    });
+}
 
-    #[test]
-    fn repeated_private_access_converges_to_l1_hits(core in 0u32..4, line in 0u64..64) {
+#[test]
+fn repeated_private_access_converges_to_l1_hits() {
+    cases(200, |rng| {
+        let core = rng.range(0u32..4);
+        let line = rng.range(0u64..64);
         let mut m = MemorySystem::new(MachineConfig::bagle(4));
         let addr = line * 64;
         let mut t = 0;
@@ -113,13 +121,17 @@ proptest! {
             let (lat, class) = m.access(core, t, addr, false);
             t += lat + 100;
             if i > 0 {
-                prop_assert_eq!(class, AccessClass::L1Hit);
+                assert_eq!(class, AccessClass::L1Hit);
             }
         }
-    }
+    });
+}
 
-    #[test]
-    fn remote_node_cold_miss_never_beats_local(page in 0u64..256, write in any::<bool>()) {
+#[test]
+fn remote_node_cold_miss_never_beats_local() {
+    cases(200, |rng| {
+        let page = rng.range(0u64..256);
+        let write = rng.chance(1, 2);
         // For any page on the 4-node T3-4, a cold miss from a core on the
         // page's home node is a lower bound on the same cold miss from any
         // core on a foreign node: remote memory can be slower, never
@@ -137,15 +149,18 @@ proptest! {
                 continue;
             }
             let remote = cold(node * cfg.topology.cores_per_node);
-            prop_assert!(
+            assert!(
                 remote >= local,
                 "remote-node miss ({remote}) beat the local one ({local}) for page {page:#x}"
             );
         }
-    }
+    });
+}
 
-    #[test]
-    fn channel_wait_is_monotone_in_concurrency(n in 1usize..24) {
+#[test]
+fn channel_wait_is_monotone_in_concurrency() {
+    cases(200, |rng| {
+        let n = rng.range(1usize..24);
         // Flood one node's memory channel with `n` simultaneous cold
         // misses to distinct pages it homes: the cycles spent queued on
         // the saturated channel must never *decrease* when one more
@@ -161,10 +176,10 @@ proptest! {
             }
             m.stats().channel_wait
         };
-        prop_assert!(
+        assert!(
             flood(n + 1) >= flood(n),
             "channel wait dropped when concurrency rose from {n} to {}",
             n + 1
         );
-    }
+    });
 }

@@ -8,8 +8,8 @@
 //! identical across engines, host-thread counts, and round lengths — for
 //! arbitrary `TsuCosts`, programs, and machine shapes.
 
-use proptest::prelude::*;
 use tflux_core::prelude::*;
+use tflux_core::rng::{cases, SplitMix64};
 use tflux_sim::config::TsuCosts;
 use tflux_sim::work::{FnWork, InstanceWork};
 use tflux_sim::{DesEngine, Machine, MachineConfig};
@@ -24,33 +24,23 @@ struct Draw {
     epochs: u64,
 }
 
-fn draw() -> impl Strategy<Value = Draw> {
-    (
-        prop::collection::vec(1u32..8, 1..4),
-        2u32..9,
-        any::<bool>(),
-        10u64..3_000,
+fn draw(rng: &mut SplitMix64) -> Draw {
+    Draw {
+        layers: (0..rng.range(1..4)).map(|_| rng.range(1u32..8)).collect(),
+        cores: rng.range(2u32..9),
+        xeon: rng.chance(1, 2),
+        base_cost: rng.range(10u64..3_000),
         // TsuCosts spanning hardware-like (~cycles) to software-like
         // (~hundreds of cycles) regimes, so the window `access + op`
         // ranges from 2 to ~1000 cycles
-        (1u64..300, 1u64..700, 0u64..200, 0u64..50),
-        1u64..4,
-    )
-        .prop_map(
-            |(layers, cores, xeon, base_cost, (access, op, ko, steal), epochs)| Draw {
-                layers,
-                cores,
-                xeon,
-                base_cost,
-                tsu: TsuCosts {
-                    access,
-                    op,
-                    kernel_overhead: ko,
-                    steal,
-                },
-                epochs,
-            },
-        )
+        tsu: TsuCosts {
+            access: rng.range(1u64..300),
+            op: rng.range(1u64..700),
+            kernel_overhead: rng.range(0u64..200),
+            steal: rng.range(0u64..50),
+        },
+        epochs: rng.range(1u64..4),
+    }
 }
 
 fn build(layers: &[u32]) -> DdmProgram {
@@ -100,33 +90,35 @@ fn run(d: &Draw, cfg: MachineConfig, engine: DesEngine, host_threads: u32) -> St
     format!("{r:?}")
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
-
-    /// For arbitrary `TsuCosts` the window bound holds on every cross-lane
-    /// push (enforced by the engine's debug assertion while these cases
-    /// run) and the engines agree field-for-field — including the parallel
-    /// sharded engine on 2 and 4 host threads.
-    #[test]
-    fn window_invariant_holds_for_random_tsu_costs(d in draw()) {
+/// For arbitrary `TsuCosts` the window bound holds on every cross-lane
+/// push (enforced by the engine's debug assertion while these cases
+/// run) and the engines agree field-for-field — including the parallel
+/// sharded engine on 2 and 4 host threads.
+#[test]
+fn window_invariant_holds_for_random_tsu_costs() {
+    cases(48, |rng| {
+        let d = draw(rng);
         let cfg = config(&d);
         let oracle = run(&d, cfg, DesEngine::Global, 1);
-        prop_assert_eq!(&run(&d, cfg, DesEngine::Sharded, 1), &oracle);
-        prop_assert_eq!(&run(&d, cfg, DesEngine::Sharded, 2), &oracle);
-        prop_assert_eq!(&run(&d, cfg, DesEngine::Sharded, 4), &oracle);
-    }
+        assert_eq!(&run(&d, cfg, DesEngine::Sharded, 1), &oracle);
+        assert_eq!(&run(&d, cfg, DesEngine::Sharded, 2), &oracle);
+        assert_eq!(&run(&d, cfg, DesEngine::Sharded, 4), &oracle);
+    });
+}
 
-    /// The merge round length is a *model* parameter (it quantizes when
-    /// cross-domain coherence traffic becomes visible), never an engine
-    /// knob: at any fixed round length — shorter than the window, equal to
-    /// it, or absurdly long — every engine and host-thread count must
-    /// replay the exact same event history.
-    #[test]
-    fn engines_agree_at_any_round_length(d in draw(), ri in 0usize..4) {
-        let r = [1u64, 17, 256, 4096][ri];
+/// The merge round length is a *model* parameter (it quantizes when
+/// cross-domain coherence traffic becomes visible), never an engine
+/// knob: at any fixed round length — shorter than the window, equal to
+/// it, or absurdly long — every engine and host-thread count must
+/// replay the exact same event history.
+#[test]
+fn engines_agree_at_any_round_length() {
+    cases(48, |rng| {
+        let d = draw(rng);
+        let r = *rng.pick(&[1u64, 17, 256, 4096]);
         let cfg = config(&d).with_merge_round(r);
         let oracle = run(&d, cfg, DesEngine::Global, 1);
-        prop_assert_eq!(&run(&d, cfg, DesEngine::Sharded, 1), &oracle);
-        prop_assert_eq!(&run(&d, cfg, DesEngine::Sharded, 4), &oracle);
-    }
+        assert_eq!(&run(&d, cfg, DesEngine::Sharded, 1), &oracle);
+        assert_eq!(&run(&d, cfg, DesEngine::Sharded, 4), &oracle);
+    });
 }

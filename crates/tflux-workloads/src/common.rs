@@ -1,10 +1,9 @@
 //! Shared parameter types and trace-model helpers.
 
-use serde::{Deserialize, Serialize};
 use tflux_sim::work::{InstanceWork, MemAccess};
 
 /// Parameters of one benchmark execution.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct Params {
     /// Kernel (execution node) count.
     pub kernels: u32,

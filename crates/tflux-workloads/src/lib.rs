@@ -42,7 +42,7 @@ pub use common::Params;
 pub use sizes::{Platform, SizeClass};
 
 /// The five benchmarks, as an enum for harness dispatch.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Bench {
     /// Trapezoidal-rule integration.
     Trapez,

@@ -6,10 +6,8 @@
 //! 256–1024 natively; QSORT uses 10 K–50 K elements except on the Cell,
 //! where 3 K–12 K is all that fits the Local Store.
 
-use serde::{Deserialize, Serialize};
-
 /// The paper's Small / Medium / Large size classes.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum SizeClass {
     /// Small problem size.
     Small,
@@ -43,7 +41,7 @@ impl SizeClass {
 }
 
 /// The platform a size is selected for (Table 1's S/N/C columns).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Platform {
     /// TFluxHard on the simulated Bagle machine.
     Simulated,
@@ -85,7 +83,7 @@ pub fn fft_n(size: SizeClass) -> usize {
 }
 
 /// One row of Table 1, for the harness's `table1` reproduction.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Table1Row {
     /// Benchmark name.
     pub benchmark: &'static str,
