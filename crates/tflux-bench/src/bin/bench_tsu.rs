@@ -13,19 +13,18 @@
 //!
 //! `--check` writes nothing: it is the regression gate the CI bench smoke
 //! job runs. Every pass/fail verdict keys on *deterministic* quantities —
-//! shard counters, simulated cycles, the 64-core NUMA scaling floors and
-//! the sharded-vs-global DES equivalence — so the gate's outcome is
-//! identical on any host. The one wall-clock comparison (lock-free vs
-//! locked) only gates when the host can actually run the paths in
-//! parallel; on a 1-thread host it prints a structured `SKIP` line with
-//! the reason instead of failing on scheduler noise.
+//! shard counters, simulated cycles and the 64-core NUMA scaling floors —
+//! so the gate's outcome is identical on any host. The one wall-clock
+//! comparison (lock-free vs locked) only gates when the host can actually
+//! run the paths in parallel; on a 1-thread host it prints a structured
+//! `SKIP` line with the reason instead of failing on scheduler noise.
 
 use tflux_bench::json::{Json, ToJson};
 use tflux_bench::tsu_path::{
     armed, balanced_fanout, complete_interleaved, imbalanced_fanout, locked, measure,
-    measure_stream, pipeline, reduction, sim_makespan, sim_scaling, sim_throughput,
+    measure_stream, pipeline, reduction, sim_makespan, sim_scaling,
 };
-use tflux_sim::{DesEngine, MachineConfig};
+use tflux_sim::MachineConfig;
 use tflux_workloads::Bench;
 
 const ARITY: u32 = 4096;
@@ -179,7 +178,6 @@ struct ScalingRow {
     topology: &'static str,
     bench: &'static str,
     cores: u32,
-    engine: &'static str,
     sim_cycles: u64,
     seq_cycles: u64,
     speedup: f64,
@@ -194,7 +192,6 @@ impl ToJson for ScalingRow {
             ("topology", self.topology.to_json()),
             ("bench", self.bench.to_json()),
             ("cores", self.cores.to_json()),
-            ("engine", self.engine.to_json()),
             ("sim_cycles", self.sim_cycles.to_json()),
             ("seq_cycles", self.seq_cycles.to_json()),
             ("speedup", self.speedup.to_json()),
@@ -203,65 +200,6 @@ impl ToJson for ScalingRow {
             ("steals", self.steals.to_json()),
         ])
     }
-}
-
-/// One host-scaling throughput row: the sparc_t3_4(64) trapez simulation
-/// on `host_threads` host workers. `events_per_sec` and
-/// `sim_mcycles_per_sec` are wall-clock rates (host-dependent);
-/// `sim_cycles` is simulated and must match at every thread count —
-/// that equality is what `--check` gates on everywhere, while the
-/// wall-clock `speedup_vs_1` gate arms only on truly parallel hosts.
-struct SimThroughputRow {
-    host_threads: u32,
-    ns_total: u64,
-    events: u64,
-    sim_cycles: u64,
-    events_per_sec: f64,
-    sim_mcycles_per_sec: f64,
-    speedup_vs_1: f64,
-}
-
-impl ToJson for SimThroughputRow {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("host_threads", self.host_threads.to_json()),
-            ("ns_total", self.ns_total.to_json()),
-            ("events", self.events.to_json()),
-            ("sim_cycles", self.sim_cycles.to_json()),
-            ("events_per_sec", self.events_per_sec.to_json()),
-            ("sim_mcycles_per_sec", self.sim_mcycles_per_sec.to_json()),
-            ("speedup_vs_1", self.speedup_vs_1.to_json()),
-        ])
-    }
-}
-
-/// Host-thread counts the throughput sweep covers.
-const SIM_HOST_THREADS: [u32; 3] = [1, 2, 4];
-/// Wall-clock repeats per throughput point (best-of).
-const SIM_THROUGHPUT_RUNS: usize = 3;
-
-/// Sweep the sparc_t3_4(64) trapez simulation across host-thread counts.
-/// The simulated outputs are asserted identical inside `sim_throughput`;
-/// the rows record how fast the host retires them.
-fn sim_throughput_rows() -> Vec<SimThroughputRow> {
-    let t3 = MachineConfig::sparc_t3_4(64).expect("64 kernels fit the T3-4");
-    let points: Vec<_> = SIM_HOST_THREADS
-        .iter()
-        .map(|&n| sim_throughput(Bench::Trapez, t3, n, SIM_THROUGHPUT_RUNS))
-        .collect();
-    let base_ns = points[0].ns_total;
-    points
-        .into_iter()
-        .map(|m| SimThroughputRow {
-            host_threads: m.host_threads,
-            ns_total: m.ns_total,
-            events: m.events,
-            sim_cycles: m.sim_cycles,
-            events_per_sec: m.events_per_sec(),
-            sim_mcycles_per_sec: m.sim_mcycles_per_sec(),
-            speedup_vs_1: base_ns as f64 / m.ns_total.max(1) as f64,
-        })
-        .collect()
 }
 
 struct Report {
@@ -276,7 +214,6 @@ struct Report {
     streaming: Vec<StreamRow>,
     steal: Vec<StealRow>,
     scaling: Vec<ScalingRow>,
-    sim_throughput: Vec<SimThroughputRow>,
 }
 
 impl ToJson for Report {
@@ -293,7 +230,6 @@ impl ToJson for Report {
             ("streaming", self.streaming.to_json()),
             ("steal", self.steal.to_json()),
             ("scaling", self.scaling.to_json()),
-            ("sim_throughput", self.sim_throughput.to_json()),
         ])
     }
 }
@@ -301,9 +237,8 @@ impl ToJson for Report {
 /// The ns_* fields of `rows`/`speedups`/`funnel`/`streaming` are wall
 /// clock and depend on `host_threads`; `steal` and `scaling` are
 /// simulated cycles, identical on any host.
-const WALL_CLOCK_NOTE: &str = "rows/speedups/funnel/streaming ns fields and the sim_throughput \
-     rates are wall clock and vary with host_threads; steal, scaling, and the sim_cycles/events \
-     columns of sim_throughput are simulated, host-independent";
+const WALL_CLOCK_NOTE: &str = "rows/speedups/funnel/streaming ns fields are wall clock and vary \
+     with host_threads; steal and scaling are simulated cycles, host-independent";
 
 /// Machine presets the scaling section sweeps: the paper's flat UMA
 /// board and the 64-core 4-node NUMA part.
@@ -318,12 +253,11 @@ fn scaling_machines() -> [(&'static str, MachineConfig); 2] {
 }
 
 fn scaling_row(topology: &'static str, bench: Bench, cfg: MachineConfig) -> ScalingRow {
-    let m = sim_scaling(bench, cfg, DesEngine::Sharded);
+    let m = sim_scaling(bench, cfg);
     ScalingRow {
         topology,
         bench: bench.name(),
         cores: cfg.cores,
-        engine: "sharded",
         sim_cycles: m.sim_cycles,
         seq_cycles: m.seq_cycles,
         speedup: m.speedup,
@@ -536,40 +470,26 @@ fn check() -> ! {
         std::process::exit(1);
     }
     // 64-core NUMA scaling gates: simulated cycles on the T3-4 preset,
-    // so the thresholds hold on any host. The sharded DES engine must
-    // also reproduce the global heap cycle-for-cycle on the same run —
-    // the cheap cross-check backing the full equivalence suite.
+    // so the thresholds hold on any host.
     let t3 = MachineConfig::sparc_t3_4(64).expect("64 kernels fit the T3-4");
-    let sharded = sim_scaling(Bench::Trapez, t3, DesEngine::Sharded);
-    let global = sim_scaling(Bench::Trapez, t3, DesEngine::Global);
+    let numa = sim_scaling(Bench::Trapez, t3);
     println!(
         "bench_tsu --check scaling (trapez, sparc_t3_4 x64): {} cycles vs {} sequential \
          ({:.1}x speedup, {} remote-node transfers, {} channel-wait cycles)",
-        sharded.sim_cycles,
-        sharded.seq_cycles,
-        sharded.speedup,
-        sharded.remote_node,
-        sharded.channel_wait
+        numa.sim_cycles, numa.seq_cycles, numa.speedup, numa.remote_node, numa.channel_wait
     );
-    if sharded.sim_cycles != global.sim_cycles {
-        eprintln!(
-            "FAIL: sharded DES engine diverged from the global heap: {} vs {} cycles",
-            sharded.sim_cycles, global.sim_cycles
-        );
-        std::process::exit(1);
-    }
-    if sharded.speedup < 16.0 {
+    if numa.speedup < 16.0 {
         eprintln!(
             "FAIL: 64-core T3-4 speedup {:.1}x is below the 16x floor",
-            sharded.speedup
+            numa.speedup
         );
         std::process::exit(1);
     }
-    if sharded.remote_node == 0 {
+    if numa.remote_node == 0 {
         eprintln!("FAIL: 64-core T3-4 run paid no cross-node transfers — NUMA model inert");
         std::process::exit(1);
     }
-    let bagle = sim_scaling(Bench::Trapez, MachineConfig::bagle(8), DesEngine::Sharded);
+    let bagle = sim_scaling(Bench::Trapez, MachineConfig::bagle(8));
     println!(
         "bench_tsu --check scaling (trapez, bagle x8): {:.1}x speedup",
         bagle.speedup
@@ -578,44 +498,6 @@ fn check() -> ! {
         eprintln!(
             "FAIL: 8-core Bagle speedup {:.1}x is below the 4x floor",
             bagle.speedup
-        );
-        std::process::exit(1);
-    }
-    // host-scaling gates: the simulated side (event counts and makespan
-    // identical at every host-thread count) is deterministic and always
-    // gates; the wall-clock side (parallel commit must actually run
-    // faster) only means something when the host has ≥ 4 hardware
-    // threads to run the domain workers on
-    let tput = sim_throughput_rows();
-    for r in &tput {
-        println!(
-            "bench_tsu --check sim_throughput (trapez, sparc_t3_4 x64) at {} host \
-             threads: {:.0} events/s, {:.2} sim Mcycles/s, {:.2}x vs 1 thread",
-            r.host_threads, r.events_per_sec, r.sim_mcycles_per_sec, r.speedup_vs_1
-        );
-    }
-    if tput
-        .iter()
-        .any(|r| r.sim_cycles != tput[0].sim_cycles || r.events != tput[0].events)
-    {
-        eprintln!("FAIL: simulated outputs changed with the host-thread count");
-        std::process::exit(1);
-    }
-    let at4 = tput
-        .iter()
-        .find(|r| r.host_threads == 4)
-        .expect("sweep covers 4 host threads");
-    if host_threads < 4 {
-        skip_gate(
-            "sim_host_scaling",
-            "wall-clock speedup of the parallel DES commit needs >= 4 hardware threads; \
-             this host would time oversubscription, not parallelism",
-        );
-    } else if at4.speedup_vs_1 < 1.8 {
-        eprintln!(
-            "FAIL: parallel DES commit at 4 host threads is only {:.2}x over 1 thread \
-             (floor 1.8x)",
-            at4.speedup_vs_1
         );
         std::process::exit(1);
     }
@@ -668,7 +550,6 @@ fn main() {
         .into_iter()
         .flat_map(|(name, cfg)| Bench::ALL.map(|b| scaling_row(name, b, cfg)))
         .collect();
-    let sim_throughput = sim_throughput_rows();
     let report = Report {
         bench: "tsu_completion_path",
         regenerate: "cargo run --release -p tflux-bench --bin bench_tsu",
@@ -683,7 +564,6 @@ fn main() {
         streaming,
         steal,
         scaling,
-        sim_throughput,
     };
     let json = report.to_json().pretty();
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_tsu.json");

@@ -353,19 +353,13 @@ pub struct ScalingMeasure {
 }
 
 /// Run `bench` at `Small` size with one kernel per core of `cfg` and
-/// report the simulated speedup over the sequential baseline. `engine`
-/// selects the DES engine — `Sharded` is what the 64-core rows use, and
-/// the equivalence suite holds it cycle-identical to `Global`.
-pub fn sim_scaling(
-    bench: tflux_workloads::Bench,
-    cfg: tflux_sim::MachineConfig,
-    engine: tflux_sim::DesEngine,
-) -> ScalingMeasure {
+/// report the simulated speedup over the sequential baseline.
+pub fn sim_scaling(bench: tflux_workloads::Bench, cfg: tflux_sim::MachineConfig) -> ScalingMeasure {
     use tflux_workloads::common::Params;
     use tflux_workloads::setup::{sim_baseline, sim_setup, with_default_unroll};
     use tflux_workloads::sizes::SizeClass;
     let p = with_default_unroll(bench, Params::hard(cfg.cores, 0, SizeClass::Small));
-    let machine = tflux_sim::Machine::new(cfg).with_engine(engine);
+    let machine = tflux_sim::Machine::new(cfg);
     let (prog, src) = sim_setup(bench, &p);
     let (sprog, ssrc) = sim_baseline(bench, &p);
     let seq = machine.run_sequential(&sprog, ssrc.as_ref());
@@ -378,76 +372,6 @@ pub fn sim_scaling(
         channel_wait: par.mem.channel_wait,
         steals: par.tsu.steals,
     }
-}
-
-/// One host-scaling throughput point: the same simulation run on a given
-/// number of host worker threads. `events` and `sim_cycles` are simulated
-/// quantities and must be identical at every `host_threads` (the parallel
-/// engine is cycle-exact); only `ns_total` is wall clock.
-#[derive(Debug, Clone, Copy)]
-pub struct ThroughputMeasure {
-    /// Host worker threads the sharded engine committed rounds on.
-    pub host_threads: u32,
-    /// Best-of-runs wall-clock time for one full simulation, nanoseconds.
-    pub ns_total: u64,
-    /// Discrete events processed (queue pops + replayed device ops).
-    pub events: u64,
-    /// Simulated makespan in cycles.
-    pub sim_cycles: u64,
-}
-
-impl ThroughputMeasure {
-    /// Host-side event throughput.
-    pub fn events_per_sec(&self) -> f64 {
-        self.events as f64 / (self.ns_total as f64 / 1e9)
-    }
-
-    /// Simulated megacycles retired per wall-clock second.
-    pub fn sim_mcycles_per_sec(&self) -> f64 {
-        self.sim_cycles as f64 / 1e6 / (self.ns_total as f64 / 1e9)
-    }
-}
-
-/// Time `bench` on the sharded DES engine at `host_threads` host workers:
-/// best-of-`runs` wall clock around `Machine::run`, with the simulated
-/// outputs asserted identical across every repeat (the determinism the
-/// equivalence suite proves, cross-checked here on the bench path).
-pub fn sim_throughput(
-    bench: tflux_workloads::Bench,
-    cfg: tflux_sim::MachineConfig,
-    host_threads: u32,
-    runs: usize,
-) -> ThroughputMeasure {
-    use tflux_workloads::common::Params;
-    use tflux_workloads::setup::{sim_setup, with_default_unroll};
-    use tflux_workloads::sizes::SizeClass;
-    // Medium: long enough that one run amortizes per-round worker
-    // dispatch, so the wall clock prices the commit machinery and not
-    // the timer
-    let p = with_default_unroll(bench, Params::hard(cfg.cores, 0, SizeClass::Medium));
-    let (prog, src) = sim_setup(bench, &p);
-    let machine = tflux_sim::Machine::new(cfg)
-        .with_engine(tflux_sim::DesEngine::Sharded)
-        .with_host_threads(host_threads);
-    let mut best: Option<ThroughputMeasure> = None;
-    for _ in 0..runs.max(1) {
-        let t = std::time::Instant::now();
-        let r = machine.run(&prog, src.as_ref()).expect("sim run");
-        let ns_total = t.elapsed().as_nanos() as u64;
-        if let Some(b) = best {
-            assert_eq!(b.events, r.events, "host_threads changed the event count");
-            assert_eq!(b.sim_cycles, r.cycles, "host_threads changed the makespan");
-        }
-        if best.is_none_or(|b| ns_total < b.ns_total) {
-            best = Some(ThroughputMeasure {
-                host_threads,
-                ns_total,
-                events: r.events,
-                sim_cycles: r.cycles,
-            });
-        }
-    }
-    best.unwrap()
 }
 
 /// The PR 2 locked-shard Synchronization Memory interior, preserved as a

@@ -512,6 +512,7 @@ impl ServiceRotor {
 
     /// The tenant to serve next. Each call grants one turn; a tenant of
     /// weight `w` receives `w` consecutive turns per round.
+    #[allow(clippy::should_implement_trait)] // a rotor never ends; `None` means empty now
     pub fn next(&mut self) -> Option<ProgramId> {
         if self.entries.is_empty() {
             return None;

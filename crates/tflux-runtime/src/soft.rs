@@ -308,7 +308,7 @@ impl<P: ProgramHandle> SoftTsu<P> {
             let victim = (0..n)
                 .filter(|&q| q != own && !self.queues[q].is_empty())
                 .max_by_key(|&q| self.queues[q].len());
-            let Some(v) = victim else { return None };
+            let v = victim?;
             match self.queues[v].steal() {
                 Steal::Success((i, ep)) => {
                     self.kernel_steals[k].fetch_add(1, Ordering::Relaxed);

@@ -95,7 +95,7 @@ impl Default for TubBackoff {
             full_spin_limit: 16,
             park: Duration::from_micros(50),
             max_park: Duration::from_millis(2),
-            jitter_seed: 0x7546__FB1C_55AB_10E5,
+            jitter_seed: 0x7546_FB1C_55AB_10E5,
         }
     }
 }

@@ -132,7 +132,7 @@ fn hundreds_of_programs_fault_exactly_the_seeded_subset() {
             .fold((0u64, 0u64), |(a, b), (c, d)| (a + c, b + d))
     });
 
-    let k = (PROGRAMS + FAULT_EVERY - 1) / FAULT_EVERY;
+    let k = PROGRAMS.div_ceil(FAULT_EVERY);
     assert_eq!(faulted_total, k, "exactly the seeded subset must fault");
     assert_eq!(ok_total, PROGRAMS - k, "every other program must succeed");
     assert_eq!(server.resident(), 0, "arenas leaked past completion");

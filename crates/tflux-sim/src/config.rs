@@ -6,15 +6,15 @@ use std::fmt;
 /// Errors constructing a machine configuration.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ConfigError {
-    /// More kernels requested than the machine has kernel cores. Use the
-    /// preset's `_oversubscribed` variant to fold kernels onto cores
-    /// explicitly instead.
+    /// More kernels requested than the machine has kernel cores.
     Oversubscribed {
         /// Kernels requested.
         kernels: u32,
         /// Kernel cores the machine actually has.
         cores: u32,
     },
+    /// A machine with zero cores: nothing can run the kernel loop.
+    NoCores,
 }
 
 impl fmt::Display for ConfigError {
@@ -22,9 +22,9 @@ impl fmt::Display for ConfigError {
         match self {
             ConfigError::Oversubscribed { kernels, cores } => write!(
                 f,
-                "{kernels} kernels requested but the machine has {cores} kernel cores; \
-                 use the explicit oversubscription constructor to double up kernels"
+                "{kernels} kernels requested but the machine has {cores} kernel cores"
             ),
+            ConfigError::NoCores => write!(f, "the machine has no cores"),
         }
     }
 }
@@ -184,13 +184,6 @@ pub struct MachineConfig {
     pub tsu_groups: u32,
     /// NUMA layout (defaults to flat/UMA).
     pub topology: Topology,
-    /// Length in cycles of one DES merge round: the interval at which
-    /// per-domain memory-system overlays commit into the shared snapshot
-    /// and deferred TSU-device operations replay. `0` (the default) picks
-    /// `max(tsu.access + tsu.op, 256)`. This is a **model** parameter —
-    /// every engine and host-thread count uses the same value, so results
-    /// never depend on how the simulation is executed.
-    pub merge_round: u64,
 }
 
 impl MachineConfig {
@@ -223,7 +216,6 @@ impl MachineConfig {
             tsu: TsuCosts::hard(),
             tsu_groups: 1,
             topology: Topology::flat(),
-            merge_round: 0,
         }
     }
 
@@ -256,7 +248,6 @@ impl MachineConfig {
             tsu: TsuCosts::soft(),
             tsu_groups: 1,
             topology: Topology::flat(),
-            merge_round: 0,
         }
     }
 
@@ -269,21 +260,13 @@ impl MachineConfig {
     /// # Errors
     /// [`ConfigError::Oversubscribed`] when more than 8 kernels are
     /// requested: the machine has 8 kernel cores, and silently folding
-    /// extra kernels onto them would mis-report per-kernel speedups. Opt
-    /// into folding with [`MachineConfig::x86_9core_oversubscribed`].
+    /// extra kernels onto them would mis-report per-kernel speedups.
     pub fn x86_9core(kernels: u32) -> Result<Self, ConfigError> {
         if kernels > 8 {
             return Err(ConfigError::Oversubscribed { kernels, cores: 8 });
         }
-        Ok(Self::x86_9core_oversubscribed(kernels))
-    }
-
-    /// The 9-core x86 machine with *explicit* oversubscription: more than 8
-    /// kernels are folded onto the 8 kernel cores (the TSU still sees
-    /// `kernels` logical consumers; the cores just multiplex them).
-    pub fn x86_9core_oversubscribed(kernels: u32) -> Self {
-        MachineConfig {
-            cores: kernels.min(8),
+        Ok(MachineConfig {
+            cores: kernels,
             l1: CacheConfig {
                 size: 32 * 1024,
                 line: 64,
@@ -306,8 +289,7 @@ impl MachineConfig {
             tsu: TsuCosts::hard(),
             tsu_groups: 1,
             topology: Topology::flat(),
-            merge_round: 0,
-        }
+        })
     }
 
     /// A SPARC-T3-4-class 64-core NUMA machine: 4 sockets × 16 cores, one
@@ -354,7 +336,6 @@ impl MachineConfig {
                 remote_c2c_penalty: 60,
                 channel_transfer: 8,
             },
-            merge_round: 0,
         })
     }
 
@@ -392,26 +373,17 @@ impl MachineConfig {
         core / self.l2_group.max(1)
     }
 
-    /// Override the DES merge-round length (0 = auto).
-    pub fn with_merge_round(mut self, cycles: u64) -> Self {
-        self.merge_round = cycles;
-        self
-    }
-
-    /// The resolved merge-round length: the configured value, or
-    /// `max(tsu.access + tsu.op, 256)` when unset — at least the
-    /// conservative cross-core window (the minimum latency by which one
-    /// core's activity can schedule work on another core), widened so
-    /// machines with very fast TSUs still amortize commit overhead.
-    /// Correctness does not depend on the value (cross-lane influence
-    /// always routes through the serial boundary replay); it only sets the
-    /// granularity at which cross-domain memory effects become visible.
+    /// Length in cycles of one DES merge round — the interval at which
+    /// per-domain memory-system overlays commit into the shared snapshot
+    /// and deferred TSU-device operations replay: `max(tsu.access +
+    /// tsu.op, 256)`, i.e. at least the conservative cross-core window (the
+    /// minimum latency by which one core's activity can schedule work on
+    /// another core), widened so machines with very fast TSUs still
+    /// amortize commit overhead. It sets the granularity at which
+    /// cross-domain memory effects become visible, so it is part of the
+    /// model.
     pub fn merge_round_len(&self) -> u64 {
-        if self.merge_round > 0 {
-            self.merge_round
-        } else {
-            (self.tsu.access + self.tsu.op).max(256)
-        }
+        (self.tsu.access + self.tsu.op).max(256)
     }
 
     /// Override the NUMA topology.
@@ -508,9 +480,6 @@ mod tests {
         assert_eq!(m.cores, 8);
         assert_eq!(m.l1.read_lat, 3);
         assert_eq!(m.tsu, TsuCosts::hard());
-        // opting in still folds kernels onto the 8 cores
-        let folded = MachineConfig::x86_9core_oversubscribed(27);
-        assert_eq!(folded.cores, 8);
     }
 
     #[test]

@@ -5,21 +5,25 @@
 //! figures generation) can attribute the failure to a configuration
 //! rather than unwinding through the event loop.
 
+use crate::config::ConfigError;
 use std::fmt;
 use tflux_core::error::CoreError;
 
 /// Why a simulation run could not produce a report.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SimError {
-    /// A single event lane accumulated more than 2^20 outstanding events.
+    /// The event queue accumulated more than 2^20 outstanding events.
     ///
-    /// The event queues pack the slot index into the low 20 bits of the
+    /// The queue packs the slot index into the low 20 bits of the
     /// deterministic tie-break key; overflowing it would silently corrupt
     /// event ordering, so the push is refused instead.
     EventOverflow {
-        /// The lane (simulated core) whose slot store overflowed.
+        /// The lane (simulated core) whose push was refused.
         lane: u32,
     },
+    /// The machine configuration cannot be simulated: `cores` is a
+    /// caller-set field, checked when a run starts.
+    Config(ConfigError),
     /// The TSU state machine rejected a command — an invalid
     /// program/configuration pair (e.g. a block exceeding TSU capacity),
     /// not a data-dependent condition.
@@ -40,6 +44,7 @@ impl fmt::Display for SimError {
                 "lane {lane} exceeded 2^20 outstanding events; the 20-bit \
                  slot field of the deterministic event key would overflow"
             ),
+            SimError::Config(e) => write!(f, "invalid machine configuration: {e}"),
             SimError::Protocol(e) => write!(f, "TSU protocol error: {e}"),
             SimError::Deadlock { stuck } => write!(
                 f,
@@ -53,6 +58,7 @@ impl std::error::Error for SimError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             SimError::Protocol(e) => Some(e),
+            SimError::Config(e) => Some(e),
             _ => None,
         }
     }
@@ -61,6 +67,12 @@ impl std::error::Error for SimError {
 impl From<CoreError> for SimError {
     fn from(e: CoreError) -> Self {
         SimError::Protocol(e)
+    }
+}
+
+impl From<ConfigError> for SimError {
+    fn from(e: ConfigError) -> Self {
+        SimError::Config(e)
     }
 }
 
@@ -79,5 +91,13 @@ mod tests {
         let e = SimError::from(CoreError::EmptyProgram);
         assert!(std::error::Error::source(&e).is_some());
         assert!(e.to_string().contains("protocol"));
+    }
+
+    #[test]
+    fn config_errors_chain_their_source() {
+        let e = SimError::from(ConfigError::NoCores);
+        let source = std::error::Error::source(&e).expect("chained source");
+        assert_eq!(source.to_string(), ConfigError::NoCores.to_string());
+        assert!(e.to_string().contains("no cores"));
     }
 }

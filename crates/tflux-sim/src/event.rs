@@ -1,17 +1,11 @@
-//! The discrete-event queues.
+//! The discrete-event queue.
 //!
-//! Both queues order events by the canonical key **`(cycle, lane)`**, with
-//! per-lane insertion order breaking what little remains. The machine
-//! schedules at most one outstanding event per lane (core), so `(cycle,
-//! lane)` is a *total* order over live events — and unlike a global
-//! insertion counter it is reproducible no matter which host thread pushed
-//! the event, which is what lets the parallel sharded engine commit lanes
-//! concurrently and still pop bit-identically to the serial engines.
-//!
-//! [`EventQueue`] is the single global heap (the equivalence oracle);
-//! [`ShardedEventQueue`] keeps one heap per lane and selects the global
-//! minimum through a tournament tree over cached lane heads, so a pop costs
-//! O(log lanes) instead of an O(lanes) head scan.
+//! [`EventQueue`] is one binary heap ordering events by the canonical key
+//! **`(cycle, lane)`**, with insertion order breaking what little remains.
+//! The machine schedules at most one outstanding event per lane (core), so
+//! `(cycle, lane)` is a *total* order over live events: pop order is a
+//! function of what was scheduled, never of the order the pushes happened
+//! to arrive in. `tflux-sim` and `tflux-cell` both run on it.
 
 use crate::error::SimError;
 use std::cmp::Reverse;
@@ -92,6 +86,15 @@ impl<E> EventQueue<E> {
         Some((at, event))
     }
 
+    /// Pop the earliest event if it fires before cycle `end`.
+    pub fn pop_before(&mut self, end: u64) -> Option<(u64, E)> {
+        if self.min_time()? < end {
+            self.pop()
+        } else {
+            None
+        }
+    }
+
     /// Number of pending events.
     pub fn len(&self) -> usize {
         self.heap.len()
@@ -100,196 +103,6 @@ impl<E> EventQueue<E> {
     /// Whether no events are pending.
     pub fn is_empty(&self) -> bool {
         self.heap.is_empty()
-    }
-}
-
-/// One lane of a [`ShardedEventQueue`]: a private heap with its own slot
-/// store and insertion counter. A lane is entirely self-contained, so the
-/// parallel engine can hand disjoint lane sets to worker threads.
-#[derive(Debug)]
-pub(crate) struct Lane<E> {
-    heap: BinaryHeap<Reverse<(u64, u64)>>,
-    slots: Vec<Option<E>>,
-    free: Vec<usize>,
-    next_seq: u64,
-    /// Cached head cycle, kept in sync on push/pop so cross-lane minimum
-    /// selection never touches the heap.
-    head: Option<u64>,
-}
-
-impl<E> Default for Lane<E> {
-    fn default() -> Self {
-        Lane::new()
-    }
-}
-
-impl<E> Lane<E> {
-    pub(crate) fn new() -> Self {
-        Lane {
-            heap: BinaryHeap::new(),
-            slots: Vec::new(),
-            free: Vec::new(),
-            next_seq: 0,
-            head: None,
-        }
-    }
-
-    /// `lane` is only used to label the error.
-    pub(crate) fn try_push(&mut self, lane: u32, at: u64, event: E) -> Result<(), SimError> {
-        let slot = if let Some(s) = self.free.pop() {
-            s
-        } else {
-            self.slots.push(None);
-            self.slots.len() - 1
-        };
-        if slot as u64 > SLOT_MASK {
-            self.slots.pop();
-            return Err(SimError::EventOverflow { lane });
-        }
-        self.slots[slot] = Some(event);
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.heap
-            .push(Reverse((at, (seq << SLOT_BITS) | slot as u64)));
-        self.head = Some(self.heap.peek().expect("just pushed").0 .0);
-        Ok(())
-    }
-
-    pub(crate) fn pop(&mut self) -> Option<(u64, E)> {
-        let Reverse((at, key)) = self.heap.pop()?;
-        let slot = (key & SLOT_MASK) as usize;
-        let event = self.slots[slot].take().expect("event slot empty");
-        self.free.push(slot);
-        self.head = self.heap.peek().map(|r| r.0 .0);
-        Some((at, event))
-    }
-
-    /// Cached earliest pending cycle on this lane.
-    pub(crate) fn head_at(&self) -> Option<u64> {
-        self.head
-    }
-}
-
-/// Marks an empty/padding position in the tournament tree.
-const NO_LANE: u32 = u32::MAX;
-
-/// A deterministic event queue sharded into per-lane heaps.
-///
-/// Events carry a lane index (the simulated core). The queue pops the
-/// globally earliest event in `(cycle, lane)` order, selected by a winner
-/// (tournament) tree over the cached lane heads: each internal node stores
-/// the winning lane of its subtree, so a push or pop only replays one
-/// root-to-leaf path — O(log lanes) instead of the O(lanes) head scan this
-/// replaces.
-#[derive(Debug)]
-pub struct ShardedEventQueue<E> {
-    lanes: Vec<Lane<E>>,
-    /// Winner tree: `tree[1]` is the overall winning lane, leaves live at
-    /// `[leaf_base, 2*leaf_base)`. `NO_LANE` marks padding.
-    tree: Vec<u32>,
-    leaf_base: usize,
-    len: usize,
-}
-
-impl<E> ShardedEventQueue<E> {
-    /// An empty queue with `lanes` lanes (at least one).
-    pub fn new(lanes: usize) -> Self {
-        let n = lanes.max(1);
-        let leaf_base = n.next_power_of_two();
-        let mut tree = vec![NO_LANE; 2 * leaf_base];
-        for (l, leaf) in tree[leaf_base..leaf_base + n].iter_mut().enumerate() {
-            *leaf = l as u32;
-        }
-        let mut q = ShardedEventQueue {
-            lanes: (0..n).map(|_| Lane::new()).collect(),
-            tree,
-            leaf_base,
-            len: 0,
-        };
-        for l in 0..n {
-            q.replay(l);
-        }
-        q
-    }
-
-    /// Number of lanes.
-    pub fn lanes(&self) -> usize {
-        self.lanes.len()
-    }
-
-    /// The winner of two tree positions: the lane whose head is earliest,
-    /// lane index breaking ties. Empty lanes and padding always lose.
-    fn better(&self, a: u32, b: u32) -> u32 {
-        let key = |l: u32| -> Option<(u64, u32)> {
-            if l == NO_LANE {
-                return None;
-            }
-            self.lanes[l as usize].head_at().map(|at| (at, l))
-        };
-        match (key(a), key(b)) {
-            (Some(ka), Some(kb)) => {
-                if ka <= kb {
-                    a
-                } else {
-                    b
-                }
-            }
-            (Some(_), None) => a,
-            _ => b,
-        }
-    }
-
-    /// Replay `lane`'s leaf-to-root path after its head changed.
-    fn replay(&mut self, lane: usize) {
-        let mut i = (self.leaf_base + lane) / 2;
-        while i >= 1 {
-            self.tree[i] = self.better(self.tree[2 * i], self.tree[2 * i + 1]);
-            i /= 2;
-        }
-    }
-
-    /// Schedule `event` on `lane` at absolute cycle `at`.
-    pub fn try_push(&mut self, lane: usize, at: u64, event: E) -> Result<(), SimError> {
-        self.lanes[lane].try_push(lane as u32, at, event)?;
-        self.len += 1;
-        self.replay(lane);
-        Ok(())
-    }
-
-    /// The current winning lane, if any event is pending. With a single
-    /// lane `tree[1]` *is* the leaf; otherwise it is the root.
-    fn winner(&self) -> Option<usize> {
-        let w = self.tree[1];
-        if w == NO_LANE || self.lanes[w as usize].head_at().is_none() {
-            None
-        } else {
-            Some(w as usize)
-        }
-    }
-
-    /// Earliest pending cycle across all lanes, if any.
-    pub fn min_time(&self) -> Option<u64> {
-        self.winner().and_then(|w| self.lanes[w].head_at())
-    }
-
-    /// Pop the globally earliest event in `(cycle, lane)` order. Returns
-    /// `(cycle, lane, event)`.
-    pub fn pop(&mut self) -> Option<(u64, usize, E)> {
-        let lane = self.winner()?;
-        let (at, event) = self.lanes[lane].pop().expect("winner lane is non-empty");
-        self.len -= 1;
-        self.replay(lane);
-        Some((at, lane, event))
-    }
-
-    /// Number of pending events.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Whether no events are pending.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
     }
 }
 
@@ -353,92 +166,5 @@ mod tests {
         assert_eq!(q.pop(), Some((4, 'y')));
         assert_eq!(q.pop(), Some((9, 'z')));
         assert_eq!(q.len(), 0);
-    }
-
-    #[test]
-    fn sharded_pops_in_global_time_order() {
-        let mut q = ShardedEventQueue::new(4);
-        q.try_push(3, 30, "c").unwrap();
-        q.try_push(0, 10, "a").unwrap();
-        q.try_push(2, 20, "b").unwrap();
-        assert_eq!(q.min_time(), Some(10));
-        assert_eq!(q.pop(), Some((10, 0, "a")));
-        assert_eq!(q.pop(), Some((20, 2, "b")));
-        assert_eq!(q.pop(), Some((30, 3, "c")));
-        assert_eq!(q.pop(), None);
-        assert_eq!(q.min_time(), None);
-    }
-
-    #[test]
-    fn sharded_cross_lane_ties_break_by_lane_index() {
-        let mut q = ShardedEventQueue::new(3);
-        q.try_push(2, 5, 1).unwrap();
-        q.try_push(0, 5, 2).unwrap();
-        q.try_push(1, 5, 3).unwrap();
-        q.try_push(0, 5, 4).unwrap();
-        assert_eq!(q.pop(), Some((5, 0, 2)));
-        assert_eq!(q.pop(), Some((5, 0, 4)));
-        assert_eq!(q.pop(), Some((5, 1, 3)));
-        assert_eq!(q.pop(), Some((5, 2, 1)));
-    }
-
-    #[test]
-    fn sharded_matches_global_queue_order_exactly() {
-        // pseudo-random schedule, deterministic: the sharded queue must
-        // reproduce the lane-keyed global heap's pop sequence event for
-        // event, including dense cross-lane ties
-        let mut global = EventQueue::new();
-        let mut sharded = ShardedEventQueue::new(8);
-        let mut x = 0x9E37_79B9_7F4A_7C15u64;
-        let mut step = move || {
-            x ^= x << 13;
-            x ^= x >> 7;
-            x ^= x << 17;
-            x
-        };
-        for i in 0..500u64 {
-            let at = step() % 64; // dense times force many ties
-            let lane = (step() % 8) as usize;
-            global.try_push_lane(lane as u32, at, i).unwrap();
-            sharded.try_push(lane, at, i).unwrap();
-            if step() % 3 == 0 {
-                assert_eq!(global.pop(), sharded.pop().map(|(t, _, e)| (t, e)));
-            }
-        }
-        loop {
-            let g = global.pop();
-            let s = sharded.pop().map(|(t, _, e)| (t, e));
-            assert_eq!(g, s);
-            if g.is_none() {
-                break;
-            }
-        }
-        assert!(sharded.is_empty());
-    }
-
-    #[test]
-    fn sharded_lane_slots_are_recycled() {
-        let mut q = ShardedEventQueue::new(2);
-        for round in 0..100u64 {
-            q.try_push((round % 2) as usize, round, round).unwrap();
-            let (at, lane, ev) = q.pop().unwrap();
-            assert_eq!((at, lane, ev), (round, (round % 2) as usize, round));
-        }
-        assert!(q.is_empty());
-        assert_eq!(q.lanes(), 2);
-    }
-
-    #[test]
-    fn tournament_tree_handles_single_and_odd_lane_counts() {
-        for n in [1usize, 3, 5, 7, 64] {
-            let mut q = ShardedEventQueue::new(n);
-            for l in (0..n).rev() {
-                q.try_push(l, (l as u64) * 2, l).unwrap();
-            }
-            for l in 0..n {
-                assert_eq!(q.pop(), Some(((l as u64) * 2, l, l)), "n={n}");
-            }
-            assert!(q.pop().is_none());
-        }
     }
 }

@@ -50,8 +50,8 @@ pub mod work;
 
 pub use config::{CacheConfig, ConfigError, MachineConfig, Topology, TsuCosts};
 pub use error::SimError;
-pub use event::{EventQueue, ShardedEventQueue};
-pub use machine::{DesEngine, Machine};
+pub use event::EventQueue;
+pub use machine::Machine;
 pub use report::SimReport;
 pub use trace::ExecTrace;
 pub use work::{InstanceWork, MemAccess, WorkSource};

@@ -9,9 +9,9 @@
 //!
 //! # Rounds
 //!
-//! Every engine advances time in *rounds*. A round starts at the earliest
-//! pending event cycle `t0` and spans `R = MachineConfig::merge_round_len()`
-//! cycles, in three phases:
+//! Time advances in *rounds*. A round starts at the earliest pending event
+//! cycle `t0` and spans `R = MachineConfig::merge_round_len()` cycles, in
+//! three phases:
 //!
 //! 1. **Drain** — events earlier than `t0 + R` are popped in canonical
 //!    `(cycle, lane)` order. `Chunk` events execute immediately against the
@@ -19,30 +19,28 @@
 //!    overlay); they only ever push follow-up events onto their own lane.
 //!    `Fetch` events and chunk completions are *deferred* into a batch keyed
 //!    by `(cycle, lane)` — TSU-device state is global, so device commands
-//!    must not run while lanes advance independently.
-//! 2. **Replay** — the deferred batch drains in `(cycle, lane)` order on the
-//!    driving thread. Device commands run here; fetches they spawn inside
-//!    the round join the batch, chunk work always lands on the event store
-//!    for the next round.
+//!    wait until every lane has reached the round boundary.
+//! 2. **Replay** — the deferred batch drains in `(cycle, lane)` order.
+//!    Device commands run here; fetches they spawn inside the round join
+//!    the batch, chunk work always lands on the event queue for the next
+//!    round.
 //! 3. **Commit** — every domain's memory overlay merges into the shared
 //!    snapshot in domain-index order ([`crate::memsys`]).
 //!
-//! Because phases never interleave and the replay/commit orders are fixed,
-//! the result is independent of the engine and of how many host threads
-//! drained phase 1 — the property the equivalence suite pins down.
+//! The rounds are the *model*, not an execution strategy: they fix when one
+//! core's coherence traffic and TSU commands become visible to another, and
+//! `tests/sim_report_pins.rs` pins the reports they produce.
 
-use crate::config::MachineConfig;
+use crate::config::{ConfigError, MachineConfig};
 use crate::error::SimError;
-use crate::event::{EventQueue, Lane, ShardedEventQueue};
-use crate::memsys::{commit_parts, DomainMem, MemorySystem, SharedMem};
+use crate::event::EventQueue;
+use crate::memsys::MemorySystem;
 use crate::report::SimReport;
 use crate::trace::ExecTrace;
 use crate::tsu_dev::{DevFetch, TsuDevice};
 use crate::work::{InstanceWork, WorkSource};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-use std::sync::{mpsc, RwLock};
-use std::thread;
 use tflux_core::ids::{Epoch, Instance};
 use tflux_core::program::DdmProgram;
 use tflux_core::tsu::{drain_sequential, CoreTsu, FlushPolicy, TsuConfig};
@@ -52,25 +50,6 @@ use tflux_core::tsu::{drain_sequential, CoreTsu, FlushPolicy, TsuConfig};
 /// under typical DThread lengths.
 const CHUNK: usize = 64;
 
-/// Which discrete-event engine drives the cores.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum DesEngine {
-    /// One global binary heap over all events — the original engine and
-    /// the equivalence oracle.
-    #[default]
-    Global,
-    /// Per-core event lanes advanced round-by-round. With one host thread
-    /// the lanes sit behind a tournament tree and drain on the calling
-    /// thread; with [`Machine::with_host_threads`] `> 1` each L2 group's
-    /// lanes drain concurrently on a worker pool, each against its own
-    /// memory-domain overlay, and the overlays merge at the round boundary.
-    /// Both variants are cycle-for-cycle identical to
-    /// [`DesEngine::Global`]: all cross-lane influence is serialized
-    /// through the round's replay and commit phases, whose order is fixed
-    /// by `(cycle, lane)` and domain index — never by host scheduling.
-    Sharded,
-}
-
 /// A simulated TFlux machine.
 #[derive(Clone, Copy, Debug)]
 pub struct Machine {
@@ -78,10 +57,6 @@ pub struct Machine {
     tsu_cfg: TsuConfig,
     /// Streaming passes over the program graph (1 = one-shot).
     epochs: u64,
-    engine: DesEngine,
-    /// Host worker threads draining event lanes (only meaningful for
-    /// [`DesEngine::Sharded`]).
-    host_threads: u32,
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -107,75 +82,6 @@ struct CoreState {
     idle: u64,
     finish: u64,
     done: bool,
-}
-
-/// The event store behind one simulation run.
-enum Events {
-    /// Single global heap ([`DesEngine::Global`]).
-    Global(EventQueue<Ev>),
-    /// Tournament tree over per-core lanes (serial [`DesEngine::Sharded`]).
-    Sharded(ShardedEventQueue<Ev>),
-    /// Bare lanes, handed out to the worker pool round by round
-    /// (parallel [`DesEngine::Sharded`]).
-    Lanes(Vec<Lane<Ev>>),
-}
-
-impl Events {
-    fn try_push(&mut self, lane: u32, at: u64, ev: Ev) -> Result<(), SimError> {
-        match self {
-            Events::Global(q) => q.try_push_lane(lane, at, ev),
-            Events::Sharded(q) => q.try_push(lane as usize, at, ev),
-            Events::Lanes(ls) => ls[lane as usize].try_push(lane, at, ev),
-        }
-    }
-
-    fn min_time(&self) -> Option<u64> {
-        match self {
-            Events::Global(q) => q.min_time(),
-            Events::Sharded(q) => q.min_time(),
-            Events::Lanes(ls) => ls.iter().filter_map(|l| l.head_at()).min(),
-        }
-    }
-
-    /// Pop the earliest event in `(cycle, lane)` order if it is before
-    /// `end`.
-    fn pop_before(&mut self, end: u64) -> Option<(u64, Ev)> {
-        match self {
-            Events::Global(q) => {
-                if q.min_time()? < end {
-                    q.pop()
-                } else {
-                    None
-                }
-            }
-            Events::Sharded(q) => {
-                if q.min_time()? < end {
-                    q.pop().map(|(t, _, e)| (t, e))
-                } else {
-                    None
-                }
-            }
-            Events::Lanes(ls) => {
-                let (i, at) = ls
-                    .iter()
-                    .enumerate()
-                    .filter_map(|(i, l)| l.head_at().map(|h| (i, h)))
-                    .min_by_key(|&(i, h)| (h, i))?;
-                if at < end {
-                    ls[i].pop()
-                } else {
-                    None
-                }
-            }
-        }
-    }
-
-    fn lanes_mut(&mut self) -> &mut Vec<Lane<Ev>> {
-        match self {
-            Events::Lanes(ls) => ls,
-            _ => unreachable!("lanes_mut on a queue-backed event store"),
-        }
-    }
 }
 
 /// A deferred TSU-device operation, replayed serially at the round
@@ -208,12 +114,12 @@ impl DevBatch {
 }
 
 /// Push router for the replay phase: fetches landing inside the current
-/// round rejoin the device batch, everything else goes to the event store.
+/// round rejoin the device batch, everything else goes to the event queue.
 /// Also asserts the conservative bound that justifies deferral — a device
 /// op triggered at `trigger` can only schedule *other* lanes at least one
 /// TSU service latency later.
 struct RoundIo<'a> {
-    events: &'a mut Events,
+    events: &'a mut EventQueue<Ev>,
     batch: &'a mut DevBatch,
     round_end: u64,
     /// Minimum cross-lane scheduling latency (`tsu.access + tsu.op`).
@@ -238,7 +144,7 @@ impl RoundIo<'_> {
             self.batch.push(at, lane, DevOp::Fetch);
             Ok(())
         } else {
-            self.events.try_push(lane, at, ev)
+            self.events.try_push_lane(lane, at, ev)
         }
     }
 }
@@ -251,20 +157,14 @@ enum ChunkOut {
     Done(u64),
 }
 
-/// Execute one chunk of `s`'s current instance starting at cycle `t`.
-/// `access(now, addr, write)` performs one memory access and returns its
-/// latency.
-fn run_chunk<F: FnMut(u64, u64, bool) -> u64>(
-    s: &mut CoreState,
-    t: u64,
-    access: &mut F,
-) -> ChunkOut {
+/// Execute one chunk of core `c`'s current instance starting at cycle `t`.
+fn run_chunk(s: &mut CoreState, c: u32, t: u64, mem: &mut MemorySystem) -> ChunkOut {
     let mut now = t;
     let total = s.work.accesses.len();
     let end = (s.cursor + CHUNK).min(total);
     for i in s.cursor..end {
         let a = s.work.accesses[i];
-        now += access(now, a.addr, a.write);
+        now += mem.access(c, now, a.addr, a.write).0;
     }
     s.cursor = end;
     now += s.compute_per_chunk;
@@ -278,135 +178,6 @@ fn run_chunk<F: FnMut(u64, u64, bool) -> u64>(
     } else {
         ChunkOut::Done(now)
     }
-}
-
-/// One L2 group's worth of simulation state, packed up and shipped to a
-/// worker for the drain phase of a round, then shipped back.
-struct DomainRun {
-    domain: usize,
-    base_core: u32,
-    round_end: u64,
-    dmem: DomainMem,
-    lanes: Vec<Lane<Ev>>,
-    states: Vec<CoreState>,
-    /// Deferred device ops `(cycle, lane, op)` discovered this round.
-    deferred: Vec<(u64, u32, DevOp)>,
-    /// Events popped (for the throughput counters).
-    popped: u64,
-    err: Option<SimError>,
-}
-
-impl DomainRun {
-    /// Drain this domain's lanes up to `round_end` against the shared
-    /// snapshot. Pops follow `(cycle, lane)` order within the domain,
-    /// which is exactly the serial engines' order restricted to these
-    /// lanes — nothing outside the domain can schedule events inside the
-    /// round, so the subsequences compose deterministically.
-    fn run(&mut self, shared: &SharedMem) {
-        loop {
-            let mut best: Option<(u64, usize)> = None;
-            for (i, l) in self.lanes.iter().enumerate() {
-                if let Some(h) = l.head_at() {
-                    if h < self.round_end && best.is_none_or(|(bh, bi)| (h, i) < (bh, bi)) {
-                        best = Some((h, i));
-                    }
-                }
-            }
-            let Some((_, li)) = best else { break };
-            let (t, ev) = self.lanes[li].pop().expect("non-empty head");
-            self.popped += 1;
-            let c = self.base_core + li as u32;
-            match ev {
-                Ev::Fetch(fc) => {
-                    debug_assert_eq!(fc, c);
-                    self.deferred.push((t, c, DevOp::Fetch));
-                }
-                Ev::Chunk(_) => {
-                    let s = &mut self.states[li];
-                    let dmem = &mut self.dmem;
-                    match run_chunk(s, t, &mut |now, addr, w| {
-                        dmem.access(shared, c, now, addr, w).0
-                    }) {
-                        ChunkOut::Continue(now) => {
-                            if let Err(e) = self.lanes[li].try_push(c, now, Ev::Chunk(c)) {
-                                self.err = Some(e);
-                                return;
-                            }
-                        }
-                        ChunkOut::Done(now) => self.deferred.push((t, c, DevOp::Complete { now })),
-                    }
-                }
-            }
-        }
-    }
-}
-
-/// Take domain `d`'s state out of the flat simulation arrays (lanes and
-/// core states are `mem::take`n, the domain memory moves out of its slot).
-fn pack_domain(
-    d: usize,
-    per_group: usize,
-    cores: usize,
-    round_end: u64,
-    dmems: &mut [Option<DomainMem>],
-    lanes: &mut [Lane<Ev>],
-    states: &mut [CoreState],
-) -> DomainRun {
-    let base = d * per_group;
-    let span = per_group.min(cores - base);
-    DomainRun {
-        domain: d,
-        base_core: base as u32,
-        round_end,
-        dmem: dmems[d].take().expect("domain already in flight"),
-        lanes: lanes[base..base + span]
-            .iter_mut()
-            .map(std::mem::take)
-            .collect(),
-        states: states[base..base + span]
-            .iter_mut()
-            .map(std::mem::take)
-            .collect(),
-        deferred: Vec::new(),
-        popped: 0,
-        err: None,
-    }
-}
-
-/// Scatter a finished [`DomainRun`] back into the flat arrays and fold its
-/// deferred device ops into the round batch.
-fn unpack_domain(
-    task: DomainRun,
-    per_group: usize,
-    dmems: &mut [Option<DomainMem>],
-    lanes: &mut [Lane<Ev>],
-    states: &mut [CoreState],
-    batch: &mut DevBatch,
-    events_done: &mut u64,
-) -> Option<SimError> {
-    let DomainRun {
-        domain,
-        dmem,
-        lanes: dl,
-        states: ds,
-        deferred,
-        popped,
-        err,
-        ..
-    } = task;
-    let base = domain * per_group;
-    for (i, lane) in dl.into_iter().enumerate() {
-        lanes[base + i] = lane;
-    }
-    for (i, st) in ds.into_iter().enumerate() {
-        states[base + i] = st;
-    }
-    dmems[domain] = Some(dmem);
-    for (at, lane, op) in deferred {
-        batch.push(at, lane, op);
-    }
-    *events_done += popped;
-    err
 }
 
 impl Machine {
@@ -424,30 +195,12 @@ impl Machine {
                 ..TsuConfig::default()
             },
             epochs: 1,
-            engine: DesEngine::default(),
-            host_threads: 1,
         }
     }
 
     /// Override the TSU state-machine configuration (capacity, policy).
     pub fn with_tsu_config(mut self, tsu_cfg: TsuConfig) -> Self {
         self.tsu_cfg = tsu_cfg;
-        self
-    }
-
-    /// Select the discrete-event engine (defaults to the global heap).
-    pub fn with_engine(mut self, engine: DesEngine) -> Self {
-        self.engine = engine;
-        self
-    }
-
-    /// Drain [`DesEngine::Sharded`] event lanes on `n` host threads
-    /// (clamped to ≥ 1; capped at the machine's L2-group count, since the
-    /// memory domain is the unit of isolation). The report is bit-identical
-    /// for every thread count — parallelism is an implementation detail of
-    /// the engine, never part of the model.
-    pub fn with_host_threads(mut self, n: u32) -> Self {
-        self.host_threads = n.max(1);
         self
     }
 
@@ -474,7 +227,9 @@ impl Machine {
     /// exceeding the configured capacity), [`SimError::Deadlock`] if the
     /// event queue drains with cores still waiting — both indicate an
     /// invalid program/configuration pair, not a data-dependent condition —
-    /// and [`SimError::EventOverflow`] if a lane exceeds its slot store.
+    /// [`SimError::EventOverflow`] if the event queue exceeds its slot
+    /// store, and [`SimError::Config`] if the machine has no cores or more
+    /// than the 64 the coherence directory can track.
     pub fn run(
         &self,
         program: &DdmProgram,
@@ -494,23 +249,6 @@ impl Machine {
         let mut trace = ExecTrace::default();
         let report = self.run_inner(program, source, Some(&mut trace))?;
         Ok((report, trace))
-    }
-
-    fn run_inner(
-        &self,
-        program: &DdmProgram,
-        source: &dyn WorkSource,
-        trace: Option<&mut ExecTrace>,
-    ) -> Result<SimReport, SimError> {
-        let parallel = self.engine == DesEngine::Sharded
-            && self.host_threads > 1
-            && self.cfg.l2_groups() > 1
-            && self.cfg.cores > 1;
-        if parallel {
-            self.run_parallel(program, source, trace)
-        } else {
-            self.run_serial(program, source, trace)
-        }
     }
 
     /// Build the TSU device with every streaming epoch banked up front.
@@ -535,20 +273,29 @@ impl Machine {
         Ok(dev)
     }
 
-    fn run_serial(
+    fn run_inner(
         &self,
         program: &DdmProgram,
         source: &dyn WorkSource,
         mut trace: Option<&mut ExecTrace>,
     ) -> Result<SimReport, SimError> {
-        let cores = self.cfg.cores.max(1);
+        // `cores` is a public field: reject what the memory system's 64-bit
+        // sharer bitmaps and per-core arrays cannot represent
+        let cores = self.cfg.cores;
+        if cores == 0 {
+            return Err(ConfigError::NoCores.into());
+        }
+        if cores > 64 {
+            return Err(ConfigError::Oversubscribed {
+                kernels: cores,
+                cores: 64,
+            }
+            .into());
+        }
         let mut dev = self.build_dev(program, cores)?;
         let mut mem = MemorySystem::new(self.cfg);
         let mut states: Vec<CoreState> = (0..cores).map(|_| CoreState::default()).collect();
-        let mut events = match self.engine {
-            DesEngine::Global => Events::Global(EventQueue::new()),
-            DesEngine::Sharded => Events::Sharded(ShardedEventQueue::new(cores as usize)),
-        };
+        let mut events = EventQueue::new();
         let round_len = self.cfg.merge_round_len();
         let window = self.cfg.tsu.access + self.cfg.tsu.op;
         let mut batch = DevBatch::default();
@@ -557,7 +304,7 @@ impl Machine {
         let mut events_done = 0u64;
 
         for c in 0..cores {
-            events.try_push(c, 0, Ev::Fetch(c))?;
+            events.try_push_lane(c, 0, Ev::Fetch(c))?;
         }
 
         while let Some(t0) = events.min_time() {
@@ -569,8 +316,10 @@ impl Machine {
                     Ev::Fetch(c) => batch.push(t, c, DevOp::Fetch),
                     Ev::Chunk(c) => {
                         let s = &mut states[c as usize];
-                        match run_chunk(s, t, &mut |now, addr, w| mem.access(c, now, addr, w).0) {
-                            ChunkOut::Continue(now) => events.try_push(c, now, Ev::Chunk(c))?,
+                        match run_chunk(s, c, t, &mut mem) {
+                            ChunkOut::Continue(now) => {
+                                events.try_push_lane(c, now, Ev::Chunk(c))?
+                            }
                             ChunkOut::Done(now) => batch.push(t, c, DevOp::Complete { now }),
                         }
                     }
@@ -596,160 +345,6 @@ impl Machine {
         Self::finish_report(&states, &dev, mem.stats(), instances, events_done)
     }
 
-    fn run_parallel(
-        &self,
-        program: &DdmProgram,
-        source: &dyn WorkSource,
-        mut trace: Option<&mut ExecTrace>,
-    ) -> Result<SimReport, SimError> {
-        let cores = self.cfg.cores.max(1);
-        let groups = self.cfg.l2_groups() as usize;
-        let per_group = self.cfg.l2_group.max(1) as usize;
-        let threads = (self.host_threads as usize).min(groups);
-        let mut dev = self.build_dev(program, cores)?;
-        let (shared, domains, mut committed) = MemorySystem::new(self.cfg).into_parts();
-        let shared = RwLock::new(shared);
-        let mut dmems: Vec<Option<DomainMem>> = domains.into_iter().map(Some).collect();
-        let mut states: Vec<CoreState> = (0..cores).map(|_| CoreState::default()).collect();
-        let mut events = Events::Lanes((0..cores).map(|_| Lane::new()).collect());
-        let round_len = self.cfg.merge_round_len();
-        let window = self.cfg.tsu.access + self.cfg.tsu.op;
-        let mut batch = DevBatch::default();
-        let mut instances = 0usize;
-        let mut parked_buf: Vec<u32> = Vec::with_capacity(cores as usize);
-        let mut events_done = 0u64;
-
-        for c in 0..cores {
-            events.try_push(c, 0, Ev::Fetch(c))?;
-        }
-
-        let run = thread::scope(|scope| -> Result<(), SimError> {
-            // Persistent workers: domain d always lands on worker d % T, a
-            // fixed mapping chosen for cache affinity — results never depend
-            // on it. Workers exit when the task senders drop.
-            let (res_tx, res_rx) = mpsc::channel::<DomainRun>();
-            let mut task_txs: Vec<mpsc::Sender<DomainRun>> = Vec::with_capacity(threads);
-            for _ in 0..threads {
-                let (tx, rx) = mpsc::channel::<DomainRun>();
-                task_txs.push(tx);
-                let res_tx = res_tx.clone();
-                let shared = &shared;
-                scope.spawn(move || {
-                    while let Ok(mut task) = rx.recv() {
-                        {
-                            let snap = shared.read().expect("snapshot lock");
-                            task.run(&snap);
-                        }
-                        if res_tx.send(task).is_err() {
-                            break;
-                        }
-                    }
-                });
-            }
-            drop(res_tx);
-
-            loop {
-                let Some(t0) = events.min_time() else { break };
-                let round_end = t0.saturating_add(round_len);
-                // phase 1: drain each active domain's lanes concurrently
-                let mut first_err: Option<SimError> = None;
-                {
-                    let lanes = events.lanes_mut();
-                    let active: Vec<usize> = (0..groups)
-                        .filter(|&d| {
-                            let base = d * per_group;
-                            let span = per_group.min(cores as usize - base);
-                            lanes[base..base + span]
-                                .iter()
-                                .any(|l| l.head_at().is_some_and(|h| h < round_end))
-                        })
-                        .collect();
-                    if let [only] = active[..] {
-                        // a lone active domain gains nothing from the pool;
-                        // drain it here and skip the channel round-trip
-                        let mut task = pack_domain(
-                            only,
-                            per_group,
-                            cores as usize,
-                            round_end,
-                            &mut dmems,
-                            lanes,
-                            &mut states,
-                        );
-                        {
-                            let snap = shared.read().expect("snapshot lock");
-                            task.run(&snap);
-                        }
-                        first_err = unpack_domain(
-                            task,
-                            per_group,
-                            &mut dmems,
-                            lanes,
-                            &mut states,
-                            &mut batch,
-                            &mut events_done,
-                        );
-                    } else {
-                        for &d in &active {
-                            let task = pack_domain(
-                                d,
-                                per_group,
-                                cores as usize,
-                                round_end,
-                                &mut dmems,
-                                lanes,
-                                &mut states,
-                            );
-                            task_txs[d % threads].send(task).expect("worker alive");
-                        }
-                        for _ in 0..active.len() {
-                            let task = res_rx.recv().expect("worker result");
-                            let err = unpack_domain(
-                                task,
-                                per_group,
-                                &mut dmems,
-                                lanes,
-                                &mut states,
-                                &mut batch,
-                                &mut events_done,
-                            );
-                            first_err = first_err.or(err);
-                        }
-                    }
-                }
-                if let Some(e) = first_err {
-                    return Err(e);
-                }
-                // phase 2: replay device ops serially on this thread
-                events_done += self.replay_batch(
-                    &mut batch,
-                    round_end,
-                    window,
-                    &mut dev,
-                    source,
-                    &mut states,
-                    &mut events,
-                    &mut instances,
-                    &mut parked_buf,
-                    trace.as_deref_mut(),
-                )?;
-                // phase 3: merge round overlays in domain-index order
-                {
-                    let mut snap = shared.write().expect("commit lock");
-                    let mut refs: Vec<&mut DomainMem> = dmems
-                        .iter_mut()
-                        .map(|d| d.as_mut().expect("domain home for commit"))
-                        .collect();
-                    commit_parts(&mut snap, &mut refs, &mut committed);
-                }
-            }
-            Ok(())
-        });
-        run?;
-
-        Self::finish_report(&states, &dev, committed, instances, events_done)
-    }
-
     /// Replay the round's deferred device operations in `(cycle, lane)`
     /// order. Returns the number of operations replayed.
     #[allow(clippy::too_many_arguments)]
@@ -761,7 +356,7 @@ impl Machine {
         dev: &mut TsuDevice<'_>,
         source: &dyn WorkSource,
         states: &mut [CoreState],
-        events: &mut Events,
+        events: &mut EventQueue<Ev>,
         instances: &mut usize,
         parked_buf: &mut Vec<u32>,
         mut trace: Option<&mut ExecTrace>,
@@ -1219,114 +814,6 @@ mod tests {
     }
 
     #[test]
-    fn sharded_engine_matches_global_engine_cycle_for_cycle() {
-        let p = fork_join(48);
-        let src = StreamWork {
-            bytes_per_instance: 4096,
-            stride: 64,
-            base: 0x10_0000,
-            writes: true,
-            cycles_per_access: 3,
-        };
-        for cfg in [
-            MachineConfig::bagle(8),
-            MachineConfig::xeon_x3650(6),
-            MachineConfig::sparc_t3_4(32).unwrap(),
-        ] {
-            let global = Machine::new(cfg).run(&p, &src).unwrap();
-            let sharded = Machine::new(cfg)
-                .with_engine(DesEngine::Sharded)
-                .run(&p, &src)
-                .unwrap();
-            assert_eq!(global.cycles, sharded.cycles, "cfg {cfg:?}");
-            assert_eq!(global.core_busy, sharded.core_busy);
-            assert_eq!(global.core_idle, sharded.core_idle);
-            assert_eq!(global.mem.accesses(), sharded.mem.accesses());
-            assert_eq!(global.mem.bus_wait, sharded.mem.bus_wait);
-            assert_eq!(global.dev.commands, sharded.dev.commands);
-            assert_eq!(global.instances, sharded.instances);
-            assert_eq!(global.events, sharded.events);
-        }
-    }
-
-    #[test]
-    fn parallel_host_threads_match_serial_engines_field_for_field() {
-        let p = fork_join(96);
-        let src = StreamWork {
-            bytes_per_instance: 8192,
-            stride: 64,
-            base: 0x20_0000,
-            writes: true,
-            cycles_per_access: 4,
-        };
-        for cfg in [
-            MachineConfig::bagle(8),
-            MachineConfig::xeon_x3650(6),
-            MachineConfig::sparc_t3_4(32).unwrap(),
-        ] {
-            let global = Machine::new(cfg).run(&p, &src).unwrap();
-            for threads in [1, 2, 4] {
-                let par = Machine::new(cfg)
-                    .with_engine(DesEngine::Sharded)
-                    .with_host_threads(threads)
-                    .run(&p, &src)
-                    .unwrap();
-                assert_eq!(
-                    format!("{global:?}"),
-                    format!("{par:?}"),
-                    "cfg {cfg:?} at {threads} host threads"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn parallel_engine_handles_streaming_epochs() {
-        let p = fork_join(24);
-        let src = StreamWork {
-            bytes_per_instance: 2048,
-            stride: 64,
-            base: 0x30_0000,
-            writes: true,
-            cycles_per_access: 2,
-        };
-        let m = Machine::new(MachineConfig::bagle(8)).with_epochs(3);
-        let global = m.run(&p, &src).unwrap();
-        let par = m
-            .with_engine(DesEngine::Sharded)
-            .with_host_threads(4)
-            .run(&p, &src)
-            .unwrap();
-        assert_eq!(format!("{global:?}"), format!("{par:?}"));
-        assert_eq!(par.tsu.epochs, 3);
-    }
-
-    #[test]
-    fn merge_round_is_a_model_parameter_not_an_engine_knob() {
-        // different round lengths quantize coherence visibility differently
-        // (a model change), but for a fixed round length every engine and
-        // host-thread count must agree exactly
-        let p = fork_join(32);
-        let src = StreamWork {
-            bytes_per_instance: 4096,
-            stride: 64,
-            base: 0,
-            writes: true,
-            cycles_per_access: 3,
-        };
-        for r in [64, 1024] {
-            let cfg = MachineConfig::bagle(8).with_merge_round(r);
-            let global = Machine::new(cfg).run(&p, &src).unwrap();
-            let par = Machine::new(cfg)
-                .with_engine(DesEngine::Sharded)
-                .with_host_threads(4)
-                .run(&p, &src)
-                .unwrap();
-            assert_eq!(format!("{global:?}"), format!("{par:?}"), "round {r}");
-        }
-    }
-
-    #[test]
     fn protocol_errors_surface_as_sim_errors() {
         // banking more epochs than the TSU credit window is a protocol
         // error, reported as a typed SimError rather than a panic
@@ -1346,6 +833,29 @@ mod tests {
     }
 
     #[test]
+    fn unrepresentable_core_counts_surface_as_config_errors() {
+        // regression: `cores` is a public field, and both of these used to
+        // panic inside `MemorySystem::new` (the 64-bit sharer-bitmap assert
+        // and an out-of-bounds domain index) instead of returning
+        let p = fork_join(8);
+        let src = UniformWork { cycles: 100 };
+        let run = |cores| {
+            let m = Machine::new(MachineConfig::bagle(27).with_cores(cores));
+            let traced = m.run_traced(&p, &src).map(|(r, _)| r);
+            let plain = m.run(&p, &src);
+            assert_eq!(plain.as_ref().err(), traced.as_ref().err());
+            plain.map(|r| r.cycles)
+        };
+        let too_many = ConfigError::Oversubscribed {
+            kernels: 65,
+            cores: 64,
+        };
+        assert_eq!(run(65), Err(SimError::Config(too_many)));
+        assert_eq!(run(0), Err(SimError::Config(ConfigError::NoCores)));
+        assert!(run(64).is_ok(), "64 cores is the largest valid machine");
+    }
+
+    #[test]
     fn t3_4_64_cores_scale_and_pay_numa_costs() {
         let p = fork_join(256);
         let src = StreamWork {
@@ -1357,10 +867,7 @@ mod tests {
         };
         let cfg64 = MachineConfig::sparc_t3_4(64).unwrap();
         let seq = Machine::new(cfg64).run_sequential(&p, &src);
-        let par = Machine::new(cfg64)
-            .with_engine(DesEngine::Sharded)
-            .run(&p, &src)
-            .unwrap();
+        let par = Machine::new(cfg64).run(&p, &src).unwrap();
         let s = par.speedup_over(&seq);
         assert!(s > 16.0, "64-core run should scale well past 16x, got {s}");
         assert!(s <= 64.5, "speedup cannot exceed core count, got {s}");

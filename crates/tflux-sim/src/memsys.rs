@@ -12,24 +12,22 @@
 //! # Partitioned state and rounds
 //!
 //! State is split by **domain** (one L2 group — on the NUMA presets a
-//! group maps onto a node slice) so the parallel DES engine can advance
-//! domains on separate host threads. A domain owns its cores' L1s and its
+//! group maps onto a node slice). A domain owns its cores' L1s and its
 //! L2 outright. Everything cross-domain — the directory, the system bus,
-//! and the per-node memory channels — lives in [`SharedMem`] as a
+//! and the per-node memory channels — lives in `SharedMem` as a
 //! *snapshot*: within a round a domain reads the snapshot and accumulates
-//! its own effects in a private [`RoundCtx`] overlay (a materialized
+//! its own effects in a private `RoundCtx` overlay (a materialized
 //! directory view plus an ordered edit log, per-window bus/channel booking
 //! deltas, foreign-cache invalidation records, and a stats delta). At the
 //! round boundary [`MemorySystem::commit_round`] merges every overlay into
-//! the snapshot **in domain-index order**, which makes the merged state —
-//! and therefore the entire simulation — independent of host-thread
-//! scheduling. Directory merges replay semantic edits (set/clear sharer
-//! bits, ownership claims) rather than overwriting whole entries, so
-//! concurrent sharer additions from different domains both survive; bus
-//! merges sum per-window booked cycles, which is commutative.
+//! the snapshot **in domain-index order**. Directory merges replay
+//! semantic edits (set/clear sharer bits, ownership claims) rather than
+//! overwriting whole entries, so concurrent sharer additions from
+//! different domains both survive; bus merges sum per-window booked
+//! cycles, which is commutative.
 //!
-//! The serial engines run the *same* snapshot/overlay/commit cycle, so all
-//! engines observe identical coherence timing by construction.
+//! The round is the model's coherence-visibility quantum: what one domain
+//! does inside a round reaches the others at its end, in a fixed order.
 
 use crate::cache::Cache;
 use crate::config::MachineConfig;
@@ -260,7 +258,7 @@ impl Bus {
 /// memory channels. Within a round this is a read-only snapshot; it only
 /// mutates in [`MemorySystem::commit_round`].
 #[derive(Debug)]
-pub(crate) struct SharedMem {
+struct SharedMem {
     dir: HashMap<u64, Dir>,
     bus: Bus,
     /// Per-NUMA-node memory channels (bandwidth windows; only booked when
@@ -288,7 +286,7 @@ struct RoundCtx {
 
 /// The caches and round overlay of one L2 group.
 #[derive(Debug)]
-pub(crate) struct DomainMem {
+struct DomainMem {
     cfg: MachineConfig,
     group: u32,
     base_core: u32,
@@ -304,8 +302,8 @@ pub(crate) struct DomainMem {
 #[derive(Debug)]
 pub struct MemorySystem {
     cfg: MachineConfig,
-    pub(crate) shared: SharedMem,
-    pub(crate) domains: Vec<DomainMem>,
+    shared: SharedMem,
+    domains: Vec<DomainMem>,
     committed: MemStats,
 }
 
@@ -377,18 +375,47 @@ impl MemorySystem {
         domains[g].access(shared, core, now, byte_addr, write)
     }
 
-    /// Merge every domain's round overlay into the shared snapshot, in
-    /// domain-index order. Call at each round (window) boundary; the
-    /// result is identical no matter which host threads ran the domains.
+    /// Merge every domain's round overlay into the shared snapshot. Call at
+    /// each round boundary.
+    ///
+    /// Two passes, both in domain-index order: first every domain's
+    /// directory log, bus and channel overlays, and stats delta fold into
+    /// the snapshot; then the recorded foreign-cache invalidations are
+    /// delivered.
     pub fn commit_round(&mut self) {
         let MemorySystem {
+            cfg,
             shared,
             domains,
             committed,
-            ..
         } = self;
-        let mut refs: Vec<&mut DomainMem> = domains.iter_mut().collect();
-        commit_parts(shared, &mut refs, committed);
+        let mut invals: Vec<Inval> = Vec::new();
+        for d in domains.iter_mut() {
+            let rnd = &mut d.rnd;
+            for e in rnd.dir_log.drain(..) {
+                e.apply(shared.dir.entry(e.line()).or_default());
+            }
+            rnd.dir_view.clear();
+            shared.bus.merge(&mut rnd.bus_local);
+            for (node, local) in rnd.chan_local.iter_mut().enumerate() {
+                shared.channels[node].merge(local);
+            }
+            invals.append(&mut rnd.invals);
+            committed.add(&rnd.stats);
+            rnd.stats = MemStats::default();
+        }
+        for inv in invals {
+            match inv {
+                Inval::L1 { core, line } => {
+                    let d = &mut domains[cfg.group_of(core) as usize];
+                    debug_assert_eq!(d.group, cfg.group_of(core));
+                    d.l1[(core - d.base_core) as usize].invalidate(line);
+                }
+                Inval::L2 { group, l2line } => {
+                    domains[group as usize].l2.invalidate(l2line);
+                }
+            }
+        }
     }
 
     /// Counters: committed rounds plus any still-open round deltas.
@@ -398,13 +425,6 @@ impl MemorySystem {
             s.add(&d.rnd.stats);
         }
         s
-    }
-
-    /// Split the system into its shared snapshot, per-domain slices, and
-    /// committed counters — the layout the parallel engine threads through
-    /// its worker pool.
-    pub(crate) fn into_parts(self) -> (SharedMem, Vec<DomainMem>, MemStats) {
-        (self.shared, self.domains, self.committed)
     }
 
     /// Total L1 miss ratio across cores.
@@ -418,50 +438,6 @@ impl MemorySystem {
             0.0
         } else {
             m as f64 / (h + m) as f64
-        }
-    }
-}
-
-/// The commit step shared by [`MemorySystem::commit_round`] and the
-/// parallel engine (which holds its domains inside per-worker slots).
-///
-/// Two deterministic passes: first every domain's directory log, bus and
-/// channel overlays, and stats delta fold into the snapshot in
-/// domain-index order; then the recorded foreign-cache invalidations are
-/// delivered, again in domain order. Nothing here depends on which host
-/// thread produced an overlay — that is the happens-before edge the
-/// parallel engine relies on.
-pub(crate) fn commit_parts(
-    shared: &mut SharedMem,
-    domains: &mut [&mut DomainMem],
-    committed: &mut MemStats,
-) {
-    let mut invals: Vec<Inval> = Vec::new();
-    for d in domains.iter_mut() {
-        let rnd = &mut d.rnd;
-        for e in rnd.dir_log.drain(..) {
-            e.apply(shared.dir.entry(e.line()).or_default());
-        }
-        rnd.dir_view.clear();
-        shared.bus.merge(&mut rnd.bus_local);
-        for (node, local) in rnd.chan_local.iter_mut().enumerate() {
-            shared.channels[node].merge(local);
-        }
-        invals.append(&mut rnd.invals);
-        committed.add(&rnd.stats);
-        rnd.stats = MemStats::default();
-    }
-    for inv in invals {
-        match inv {
-            Inval::L1 { core, line } => {
-                let g = domains[0].cfg.group_of(core) as usize;
-                let d = &mut domains[g];
-                debug_assert_eq!(d.group, g as u32);
-                d.l1[(core - d.base_core) as usize].invalidate(line);
-            }
-            Inval::L2 { group, l2line } => {
-                domains[group as usize].l2.invalidate(l2line);
-            }
         }
     }
 }
@@ -590,7 +566,7 @@ impl DomainMem {
         }
     }
 
-    pub(crate) fn access(
+    fn access(
         &mut self,
         shared: &SharedMem,
         core: u32,

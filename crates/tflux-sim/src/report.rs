@@ -24,9 +24,9 @@ pub struct SimReport {
     /// DThread instances executed.
     pub instances: usize,
     /// Discrete events processed (queue pops plus deferred device
-    /// operations) — the engine-invariant denominator for host-side
-    /// events/sec throughput. Zero for the sequential baseline, which has
-    /// no event loop.
+    /// operations) — a function of the model alone, so the denominator for
+    /// host-side events/sec throughput. Zero for the sequential baseline,
+    /// which has no event loop.
     pub events: u64,
 }
 

@@ -39,7 +39,6 @@ fn future_cmp(cores: u32) -> MachineConfig {
         tsu: TsuCosts::hard(),
         tsu_groups: 2, // the paper's §3.3 multi-group extension
         topology: Topology::flat(),
-        merge_round: 0, // auto: one conservative TSU window per round
     }
 }
 

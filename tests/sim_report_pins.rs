@@ -1,0 +1,110 @@
+//! The simulator's model, pinned: every paper workload at `Small` on the
+//! flat 8-core Bagle board, the 9-core x86 box and the 64-core 4-node
+//! T3-4, plus TRAPEZ streamed for three epochs on each, must reproduce its
+//! whole [`SimReport`] — makespan, event count, instances, per-core
+//! busy/tsu/idle splits, `MemStats`, TSU and device counters.
+//!
+//! The pins were captured at the last commit that still had a second and
+//! third DES engine agreeing with this one field for field, so they carry
+//! that suite's guarantee forward. A change that moves any of them is a
+//! *model* change (round length, replay order, commit order, latencies):
+//! make it deliberately, and replace the table with the rows this test
+//! prints on failure.
+
+use tflux::core::rng::mix;
+use tflux::sim::{Machine, MachineConfig, SimReport};
+use tflux::workloads::common::Params;
+use tflux::workloads::setup::{sim_setup, with_default_unroll};
+use tflux::workloads::sizes::SizeClass;
+use tflux::workloads::Bench;
+
+fn machine(name: &str) -> MachineConfig {
+    match name {
+        "bagle_x8" => MachineConfig::bagle(8),
+        "x86_x8" => MachineConfig::x86_9core(8).expect("8 kernels fit the 9-core x86"),
+        "sparc_t3_4_x64" => MachineConfig::sparc_t3_4(64).expect("64 kernels fit the T3-4"),
+        other => panic!("unknown machine {other}"),
+    }
+}
+
+fn run(bench: Bench, cfg: MachineConfig, epochs: u64) -> SimReport {
+    let p = with_default_unroll(bench, Params::hard(cfg.cores, 0, SizeClass::Small));
+    let (prog, src) = sim_setup(bench, &p);
+    Machine::new(cfg)
+        .with_epochs(epochs)
+        .run(&prog, src.as_ref())
+        .expect("sim run")
+}
+
+/// Fold of the report's `Debug` rendering: covers every field, including
+/// the per-core vectors and the nested counter structs.
+fn fold(r: &SimReport) -> u64 {
+    format!("{r:?}")
+        .bytes()
+        .fold(0, |h, b| mix(h ^ u64::from(b)))
+}
+
+/// `(bench, machine, epochs, cycles, events, fold)`.
+type Pin = (Bench, &'static str, u64, u64, u64, u64);
+
+#[rustfmt::skip]
+const PINS: [Pin; 18] = [
+    (Bench::Trapez, "bagle_x8", 1, 806370, 4123, 0x3b9c610d8cb7ee7b),
+    (Bench::Mmult, "bagle_x8", 1, 251937, 1177, 0x87071296e6b4d158),
+    (Bench::Qsort, "bagle_x8", 1, 1437372, 362, 0x37d232395700ec90),
+    (Bench::Susan, "bagle_x8", 1, 1792276, 898, 0x8aa0d29cf909d71b),
+    (Bench::Fft, "bagle_x8", 1, 26100, 262, 0xd0fb34910cf9ae08),
+    (Bench::Trapez, "bagle_x8", 3, 2415494, 12337, 0x22f53d90ae0890db),
+    (Bench::Trapez, "x86_x8", 1, 810565, 4123, 0xc3aaccb3ca0f5c2b),
+    (Bench::Mmult, "x86_x8", 1, 333402, 1177, 0xbb94f47421ce223a),
+    (Bench::Qsort, "x86_x8", 1, 1594040, 362, 0x77c2c5b0b836d259),
+    (Bench::Susan, "x86_x8", 1, 1839257, 898, 0x7b4da97f5445738a),
+    (Bench::Fft, "x86_x8", 1, 34126, 262, 0x0141003fd7e4982a),
+    (Bench::Trapez, "x86_x8", 3, 2424683, 12337, 0x34aa66b016eb4246),
+    (Bench::Trapez, "sparc_t3_4_x64", 1, 120955, 4235, 0x03a20781729b7fb1),
+    (Bench::Mmult, "sparc_t3_4_x64", 1, 159168, 1289, 0xa94336218405e5a9),
+    (Bench::Qsort, "sparc_t3_4_x64", 1, 1421665, 1063, 0xf5d19a8a738e307d),
+    (Bench::Susan, "sparc_t3_4_x64", 1, 438490, 1010, 0x38acf616062dcf23),
+    (Bench::Fft, "sparc_t3_4_x64", 1, 36159, 374, 0x0c664958fd4fbe1b),
+    (Bench::Trapez, "sparc_t3_4_x64", 3, 361568, 12449, 0xce940cc0b5c82549),
+];
+
+#[test]
+fn every_report_matches_its_pin() {
+    let mut moved = false;
+    let mut table = String::new();
+    for &(bench, name, epochs, cycles, events, pin) in &PINS {
+        let r = run(bench, machine(name), epochs);
+        assert_eq!(
+            r.tsu.epochs, epochs,
+            "{bench:?} on {name}: epochs did not stream"
+        );
+        let now = (r.cycles, r.events, fold(&r));
+        if now != (cycles, events, pin) {
+            moved = true;
+            eprintln!(
+                "{bench:?} on {name} x{epochs} moved from {cycles} cycles / {events} events \
+                 to {r:?}"
+            );
+        }
+        table += &format!(
+            "    (Bench::{bench:?}, {name:?}, {epochs}, {}, {}, {:#018x}),\n",
+            now.0, now.1, now.2
+        );
+    }
+    assert!(
+        !moved,
+        "the simulated model moved; the table is now\n{table}"
+    );
+}
+
+#[test]
+fn numa_machine_actually_pays_numa_costs_in_the_matrix() {
+    // guard against the table silently degenerating to flat machines: the
+    // 64-core rows must cross node boundaries
+    let r = run(Bench::Mmult, machine("sparc_t3_4_x64"), 1);
+    assert!(
+        r.mem.remote_node > 0,
+        "MMULT on the T3-4 never crossed a node boundary"
+    );
+}

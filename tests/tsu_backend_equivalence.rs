@@ -266,10 +266,10 @@ fn assert_stream_equivalent(bench: Bench) {
     let soft_s = soft_stream_outcome(&program, fifo(), STREAM_EPOCHS);
     let hard_s = hard_stream_outcome(&program, fifo(), STREAM_EPOCHS);
 
-    let mut k_copies: Vec<Instance> = std::iter::repeat(one.completed.iter().copied())
-        .take(STREAM_EPOCHS as usize)
-        .flatten()
-        .collect();
+    let mut k_copies: Vec<Instance> =
+        std::iter::repeat_n(one.completed.iter().copied(), STREAM_EPOCHS as usize)
+            .flatten()
+            .collect();
     k_copies.sort_unstable();
 
     let name = bench.name();
