@@ -1,10 +1,8 @@
 //! Measure the TSU completion hot path and write `BENCH_tsu.json` at the
 //! workspace root: the serialized single-drainer baseline (the pre-split
 //! emulator model, one thread performing every ready-count update), the
-//! lock-free direct-update path (one completing thread per kernel,
-//! `fetch_sub` on atomic ready-count slots), and the locked-shard
-//! reference (the PR 2 `Mutex<HashMap>` interior, kept in
-//! `tsu_path::locked`) on the same host.
+//! and the lock-free direct-update path (one completing thread per kernel,
+//! `fetch_sub` on atomic ready-count slots) on the same host.
 //!
 //! ```sh
 //! cargo run --release -p tflux-bench --bin bench_tsu            # write BENCH_tsu.json
@@ -14,15 +12,12 @@
 //! `--check` writes nothing: it is the regression gate the CI bench smoke
 //! job runs. Every pass/fail verdict keys on *deterministic* quantities —
 //! shard counters, simulated cycles and the 64-core NUMA scaling floors —
-//! so the gate's outcome is identical on any host. The one wall-clock
-//! comparison (lock-free vs locked) only gates when the host can actually
-//! run the paths in parallel; on a 1-thread host it prints a structured
-//! `SKIP` line with the reason instead of failing on scheduler noise.
+//! so the gate's outcome is identical on any host.
 
 use tflux_bench::json::{Json, ToJson};
 use tflux_bench::tsu_path::{
-    armed, balanced_fanout, complete_interleaved, imbalanced_fanout, locked, measure,
-    measure_stream, pipeline, reduction, sim_makespan, sim_scaling,
+    armed, balanced_fanout, complete_interleaved, imbalanced_fanout, measure, measure_stream,
+    pipeline, reduction, sim_makespan, sim_scaling,
 };
 use tflux_sim::MachineConfig;
 use tflux_workloads::Bench;
@@ -64,7 +59,6 @@ impl ToJson for Row {
 struct Speedup {
     kernels: u32,
     lockfree_over_serialized: f64,
-    lockfree_over_locked: f64,
 }
 
 impl ToJson for Speedup {
@@ -75,7 +69,6 @@ impl ToJson for Speedup {
                 "lockfree_over_serialized",
                 self.lockfree_over_serialized.to_json(),
             ),
-            ("lockfree_over_locked", self.lockfree_over_locked.to_json()),
         ])
     }
 }
@@ -279,17 +272,6 @@ fn best(program: &tflux_core::DdmProgram, kernels: u32, sharded: bool) -> u64 {
         .unwrap()
 }
 
-/// Best-of-`RUNS` through the locked-shard reference.
-fn best_locked(program: &tflux_core::DdmProgram, kernels: u32) -> u64 {
-    for _ in 0..WARMUP {
-        locked::measure(program, kernels);
-    }
-    (0..RUNS)
-        .map(|_| locked::measure(program, kernels))
-        .min()
-        .unwrap()
-}
-
 fn row(path: &'static str, kernels: u32, ns_total: u64) -> Row {
     let n = ARITY as f64;
     Row {
@@ -374,45 +356,12 @@ fn steal_row(scenario: &'static str, program: &tflux_core::DdmProgram, cores: u3
     }
 }
 
-/// Emit a structured skip record for a gate that cannot run honestly on
-/// this host. One line, machine-parseable, with the reason attached —
-/// CI logs show *why* the gate did not run instead of a silent pass or
-/// a noise-driven failure.
-fn skip_gate(gate: &str, reason: &str) {
-    println!("SKIP {{\"gate\":\"{gate}\",\"reason\":\"{reason}\"}}");
-}
-
-/// The CI smoke. Deterministic simulated-cycle gates always run: the
-/// funnel line-transfer cut, streaming epoch progress, the work-stealing
-/// makespans, the 64-core NUMA scaling floors, and the sharded-vs-global
-/// DES equivalence. Wall-clock gates (lock-free vs locked) additionally
-/// require real host parallelism — on a 1-thread host the two paths
-/// measure scheduler noise, not the completion path, so the gate emits a
-/// structured skip instead of a coin-flip verdict.
+/// The CI smoke. Every gate keys on deterministic quantities — shard
+/// counters and simulated cycles: the funnel line-transfer cut, streaming
+/// epoch progress, the work-stealing makespans and the 64-core NUMA
+/// scaling floors.
 fn check() -> ! {
-    let host_threads = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    let program = pipeline(ARITY);
     let k = *KERNELS.last().unwrap();
-    let lockfree = best(&program, k, true);
-    let locked_ns = best_locked(&program, k);
-    let ratio = locked_ns as f64 / lockfree as f64;
-    println!(
-        "bench_tsu --check at {k} kernels: lock-free {lockfree} ns, \
-         locked {locked_ns} ns, speedup {ratio:.2}x (host_threads {host_threads}, \
-         wall clock, informational unless host_threads > 1)"
-    );
-    if host_threads <= 1 {
-        skip_gate(
-            "lockfree_over_locked",
-            "wall-clock comparison of concurrent completion paths needs host_threads > 1; \
-             this host serializes both and measures scheduler noise",
-        );
-    } else if lockfree > locked_ns {
-        eprintln!("FAIL: lock-free completion path is slower than the locked baseline");
-        std::process::exit(1);
-    }
     let f = funnel_row(k);
     println!(
         "bench_tsu --check funnel at {k} kernels: contended off {} vs on {} \
@@ -520,13 +469,10 @@ fn main() {
         rows.push(row("serialized_single_drainer", k, serial));
         if k > 1 {
             let lockfree = best(&program, k, true);
-            let locked_ns = best_locked(&program, k);
             rows.push(row("lockfree_direct_update", k, lockfree));
-            rows.push(row("locked_shard_reference", k, locked_ns));
             speedups.push(Speedup {
                 kernels: k,
                 lockfree_over_serialized: serial as f64 / lockfree as f64,
-                lockfree_over_locked: locked_ns as f64 / lockfree as f64,
             });
         }
     }

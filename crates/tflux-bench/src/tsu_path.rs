@@ -7,11 +7,9 @@
 //! ready counts now live in a lock-free table of atomic slots. This module
 //! builds the paths on the *same* `SyncMemory` so the `bench_tsu` binary
 //! (which writes `BENCH_tsu.json`) compares exactly the completion work,
-//! with no body execution or queue noise. The [`locked`] submodule preserves the
-//! locked-shard interior (`Mutex<HashMap>` per kernel) as a host-portable
-//! reference, so one run can report the lock-free vs locked ratio on the
-//! same machine — and CI can fail if the lock-free path ever regresses
-//! below it (`bench_tsu --check`).
+//! with no body execution or queue noise. (The locked-shard interior the
+//! table replaced was kept here as a reference until its numbers were
+//! frozen in EXPERIMENTS.md, "SM completion path".)
 
 use std::time::Instant;
 use tflux_core::ids::Epoch;
@@ -374,174 +372,6 @@ pub fn sim_scaling(bench: tflux_workloads::Bench, cfg: tflux_sim::MachineConfig)
     }
 }
 
-/// The PR 2 locked-shard Synchronization Memory interior, preserved as a
-/// measurement reference: per-kernel `Mutex<HashMap>` shards, `try_lock`
-/// first. No runtime uses it — it exists so `bench_tsu` can compare the
-/// lock-free table against the locked baseline on the same host, and so
-/// `bench_tsu --check` can fail CI if the lock-free path regresses.
-pub mod locked {
-    use std::collections::{HashMap, HashSet};
-    use std::sync::atomic::{AtomicU64, Ordering};
-    use std::sync::{Mutex, PoisonError, TryLockError};
-    use tflux_core::prelude::*;
-    use tflux_core::thread::ThreadKind;
-    use tflux_core::tsu::GraphMemory;
-
-    #[derive(Default)]
-    struct ShardInner {
-        rc: HashMap<Instance, u32>,
-        running: HashSet<Instance>,
-    }
-
-    /// The locked reference Synchronization Memory. Only the operations
-    /// the completion-path measurement needs: arm, dispatch, complete.
-    pub struct LockedSm<'p> {
-        gm: GraphMemory<&'p DdmProgram>,
-        shards: Vec<Mutex<ShardInner>>,
-        completions: AtomicU64,
-    }
-
-    impl<'p> LockedSm<'p> {
-        /// Build and arm: the first block's inlet is made resident.
-        pub fn new(program: &'p DdmProgram, kernels: u32) -> Self {
-            let gm = GraphMemory::new(program, kernels);
-            let sm = LockedSm {
-                gm,
-                shards: (0..kernels).map(|_| Mutex::default()).collect(),
-                completions: AtomicU64::new(0),
-            };
-            sm.mark_resident(gm.first_inlet().thread);
-            sm
-        }
-
-        /// The armed first-block inlet.
-        pub fn armed_inlet(&self) -> Instance {
-            self.gm.first_inlet()
-        }
-
-        /// Completions processed so far.
-        pub fn completions(&self) -> u64 {
-            self.completions.load(Ordering::Relaxed)
-        }
-
-        fn lock(&self, i: Instance) -> std::sync::MutexGuard<'_, ShardInner> {
-            let shard = &self.shards[self.gm.owner_of(i).idx()];
-            match shard.try_lock() {
-                Ok(g) => g,
-                Err(TryLockError::WouldBlock) => {
-                    shard.lock().unwrap_or_else(PoisonError::into_inner)
-                }
-                Err(TryLockError::Poisoned(p)) => p.into_inner(),
-            }
-        }
-
-        fn mark_resident(&self, t: ThreadId) {
-            let rcs = self.gm.program().initial_rcs(t);
-            for (c, &rc) in rcs.iter().enumerate() {
-                let i = Instance::new(t, Context(c as u32));
-                self.lock(i).rc.insert(i, rc);
-            }
-        }
-
-        /// Mark `inst` dispatched (no residency validation — faithful to
-        /// the pre-fix behaviour this reference preserves).
-        pub fn dispatch(&self, inst: Instance) {
-            self.lock(inst).running.insert(inst);
-        }
-
-        /// Locked-shard completion: Inlet loads the block, App runs the
-        /// Post-Processing Phase through the consumer shards' locks.
-        pub fn complete(&self, inst: Instance, out: &mut Vec<Instance>) {
-            out.clear();
-            let t = inst.thread;
-            assert!(self.lock(inst).running.remove(&inst), "not running");
-            self.completions.fetch_add(1, Ordering::Relaxed);
-            match self.gm.kind(t) {
-                ThreadKind::Inlet => {
-                    let b = self.gm.block_of(t);
-                    let block = &self.gm.program().blocks()[b.idx()];
-                    for &at in &block.threads {
-                        self.mark_resident(at);
-                        for (c, &rc) in self.gm.program().initial_rcs(at).iter().enumerate() {
-                            if rc == 0 {
-                                out.push(Instance::new(at, Context(c as u32)));
-                            }
-                        }
-                    }
-                    self.mark_resident(block.outlet);
-                }
-                ThreadKind::Outlet => {}
-                ThreadKind::App => {
-                    let pa = self.gm.program().thread(t).arity;
-                    for arc in self.gm.consumers(t) {
-                        let ca = self.gm.program().thread(arc.consumer).arity;
-                        for c in arc.mapping.consumers(inst.context, pa, ca) {
-                            let ci = Instance::new(arc.consumer, c);
-                            let mut inner = self.lock(ci);
-                            let rc = inner.rc.get_mut(&ci).expect("consumer resident");
-                            *rc -= 1;
-                            if *rc == 0 {
-                                out.push(ci);
-                            }
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    /// A locked SM with the block loaded and the first stage dispatched.
-    pub fn armed(program: &DdmProgram, kernels: u32) -> (LockedSm<'_>, Vec<Instance>) {
-        let sm = LockedSm::new(program, kernels);
-        let mut ready = Vec::new();
-        let inlet = sm.armed_inlet();
-        sm.dispatch(inlet);
-        sm.complete(inlet, &mut ready);
-        let work = ready.clone();
-        for &i in &work {
-            sm.dispatch(i);
-        }
-        (sm, work)
-    }
-
-    /// Complete the instances from `kernels` threads — the same driver as
-    /// [`complete_sharded`](super::complete_sharded), against the locked
-    /// reference.
-    pub fn complete_sharded(sm: &LockedSm<'_>, work: &[Instance], kernels: u32) {
-        let gm = sm.gm;
-        std::thread::scope(|s| {
-            for k in 0..kernels {
-                let mine: Vec<Instance> = work
-                    .iter()
-                    .copied()
-                    .filter(|&i| gm.owner_of(i) == KernelId(k))
-                    .collect();
-                s.spawn(move || {
-                    let mut out = Vec::new();
-                    for i in mine {
-                        sm.complete(i, &mut out);
-                    }
-                });
-            }
-        });
-    }
-
-    /// Nanoseconds to complete all first-stage instances through the
-    /// locked reference with `kernels` completing threads.
-    pub fn measure(program: &DdmProgram, kernels: u32) -> u64 {
-        let (sm, work) = armed(program, kernels);
-        let t = std::time::Instant::now();
-        complete_sharded(&sm, &work, kernels);
-        let ns = t.elapsed().as_nanos() as u64;
-        assert_eq!(
-            sm.completions() as usize,
-            work.len() + 1,
-            "lost completions"
-        );
-        ns
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -634,15 +464,5 @@ mod tests {
             on.cycles,
             off.cycles
         );
-    }
-
-    #[test]
-    fn locked_reference_completes_every_instance() {
-        let p = pipeline(64);
-        let (sm, work) = locked::armed(&p, 4);
-        assert_eq!(work.len(), 64);
-        locked::complete_sharded(&sm, &work, 4);
-        assert_eq!(sm.completions(), 65); // inlet + 64
-        assert!(locked::measure(&p, 2) > 0);
     }
 }

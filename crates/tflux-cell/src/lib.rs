@@ -23,8 +23,8 @@
 //!   exactly why the paper could not run QSORT beyond its Medium size on
 //!   the PS3 (§6.3).
 //!
-//! Scheduling comes from the same [`CoreTsu`](tflux_core::CoreTsu)
-//! composition of TSU units as every other TFlux platform.
+//! Scheduling comes from the same [`Tsu`](tflux_core::Tsu) as every other
+//! TFlux platform.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

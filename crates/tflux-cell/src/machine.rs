@@ -21,7 +21,7 @@ use crate::work::{CellWork, CellWorkSource};
 use tflux_core::ids::{Epoch, Instance, KernelId};
 use tflux_core::program::DdmProgram;
 use tflux_core::thread::ThreadKind;
-use tflux_core::tsu::{drain_sequential, CompletionFunnel, CoreTsu, FetchResult, TsuConfig};
+use tflux_core::tsu::{drain_sequential, CompletionFunnel, FetchResult, Tsu, TsuConfig};
 use tflux_sim::event::EventQueue;
 
 /// Errors of a TFluxCell run.
@@ -138,7 +138,7 @@ impl CellMachine {
         source: &dyn CellWorkSource,
     ) -> Result<CellReport, CellError> {
         let spes = self.cfg.spes.max(1);
-        let mut tsu = CoreTsu::new(program, spes, self.cfg.tsu);
+        let tsu = Tsu::new(program, spes, self.cfg.tsu);
         // the PPE emulator's completion funnel: under a batching flush
         // policy, App commands park here and post-process as one batch
         // (one `ppe_op` charge per flush instead of per command)
@@ -169,7 +169,7 @@ impl CellMachine {
         // loop starts; the re-armed inlet then rides the final outlet of
         // each pass and the machine flows continuously.
         for _ in 1..self.epochs {
-            tsu.open_epoch_queued(&mut ready_buf)
+            tsu.open_epoch(&mut ready_buf)
                 .map_err(CellError::Protocol)?;
         }
 
@@ -177,7 +177,7 @@ impl CellMachine {
         // over the mailbox of the first SPE whose fetch reaches it.
         for k in 0..spes {
             if let FetchResult::Thread(inst, ep) =
-                tsu.fetch_ready(KernelId(k)).map_err(CellError::Protocol)?
+                tsu.fetch(KernelId(k)).map_err(CellError::Protocol)?
             {
                 events.push(self.cfg.mailbox_lat, Ev::Mail(k, inst, ep));
                 spelist[k as usize].dispatched = true;
@@ -258,7 +258,7 @@ impl CellMachine {
                         if funnel.push(inst, epoch) {
                             cost += self.cfg.ppe_op;
                             funnel
-                                .flush(&mut tsu, &mut ready_buf)
+                                .flush(&tsu, &mut ready_buf)
                                 .map_err(CellError::Protocol)?;
                         }
                     } else {
@@ -267,11 +267,11 @@ impl CellMachine {
                         if !funnel.is_empty() {
                             cost += self.cfg.ppe_op;
                             funnel
-                                .flush(&mut tsu, &mut ready_buf)
+                                .flush(&tsu, &mut ready_buf)
                                 .map_err(CellError::Protocol)?;
                         }
                         cost += self.cfg.ppe_op;
-                        tsu.complete_queued(inst, epoch, &mut ready_buf)
+                        tsu.complete(inst, epoch, &mut ready_buf)
                             .map_err(CellError::Protocol)?;
                     }
                     let mut done = start + cost;
@@ -299,7 +299,7 @@ impl CellMachine {
                                     continue;
                                 }
                                 if let FetchResult::Thread(i, ep) =
-                                    tsu.fetch_ready(KernelId(k)).map_err(CellError::Protocol)?
+                                    tsu.fetch(KernelId(k)).map_err(CellError::Protocol)?
                                 {
                                     events.push(done + self.cfg.mailbox_lat, Ev::Mail(k, i, ep));
                                     spelist[k as usize].dispatched = true;
@@ -317,7 +317,7 @@ impl CellMachine {
                             ppe_busy += self.cfg.ppe_op;
                             done = ppe_free;
                             funnel
-                                .flush(&mut tsu, &mut ready_buf)
+                                .flush(&tsu, &mut ready_buf)
                                 .map_err(CellError::Protocol)?;
                         }
                     }
@@ -371,8 +371,8 @@ impl CellMachine {
         program: &DdmProgram,
         source: &dyn CellWorkSource,
     ) -> Result<CellReport, CellError> {
-        let mut tsu = CoreTsu::new(program, 1, TsuConfig::default());
-        let order = drain_sequential(&mut tsu);
+        let tsu = Tsu::new(program, 1, TsuConfig::default());
+        let order = drain_sequential(&tsu).map_err(CellError::Protocol)?;
         let mut now = 0u64;
         let mut busy = 0u64;
         let mut dma = 0u64;

@@ -83,6 +83,13 @@ pub enum CoreError {
         /// The configured credit window (maximum in-flight epochs).
         window: usize,
     },
+    /// A single-owner drain polled every kernel and none could fetch,
+    /// with the program unfinished. Unreachable for a validated
+    /// (acyclic) program whose completions are all reported.
+    Deadlock {
+        /// Resident instances still waiting on producers.
+        waiting: usize,
+    },
 }
 
 impl fmt::Display for CoreError {
@@ -139,6 +146,10 @@ impl fmt::Display for CoreError {
             CoreError::WindowExhausted { window } => write!(
                 f,
                 "epoch credit window of {window} exhausted; retire a completed epoch first"
+            ),
+            CoreError::Deadlock { waiting } => write!(
+                f,
+                "no kernel can make progress: every queue is empty with {waiting} instances waiting"
             ),
         }
     }

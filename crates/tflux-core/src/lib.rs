@@ -12,14 +12,15 @@
 //!   reduction, merge trees, …).
 //! * **DDM blocks** — subsets of the program small enough to fit in the TSU,
 //!   chained by implicit *Inlet* and *Outlet* DThreads.
-//! * **The TSU units** ([`tsu`]) — the paper's §3.3 decomposition:
+//! * **The TSU** ([`tsu`]) — the paper's §3.3 decomposition:
 //!   [`tsu::GraphMemory`] (immutable program view), [`tsu::SyncMemory`]
-//!   (sharded ready counts + post-processing) and per-kernel
-//!   [`tsu::StealDeque`]s (Chase-Lev work-stealing queues), composed into
-//!   [`tsu::CoreTsu`] for single-owner drivers. All three platforms (the software TSU of `tflux-runtime`,
-//!   the simulated hardware TSU of `tflux-sim`, the Cell model of
-//!   `tflux-cell`) drive the same units through the [`tsu::TsuBackend`]
-//!   trait, which is what makes the platform implementations directly
+//!   (lock-free ready counts + post-processing) and a per-kernel
+//!   [`tsu::QueueUnit`] ([`tsu::StealDeque`], a Chase-Lev work-stealing
+//!   queue), composed once into [`tsu::Tsu`]. All three platforms (the
+//!   software TSU of `tflux-runtime`, the simulated hardware TSU of
+//!   `tflux-sim`, the Cell model of `tflux-cell`) drive that one `&self`
+//!   state machine and differ only in the queue unit they instantiate,
+//!   which is what makes the platform implementations directly
 //!   comparable.
 //!
 //! The crate is deliberately free of threads, I/O and unsafe code: it is the
@@ -45,8 +46,8 @@
 //! let program = b.build().unwrap();
 //!
 //! // Drive the TSU units to completion on 2 virtual kernels.
-//! let mut tsu = CoreTsu::new(&program, 2, TsuConfig::default());
-//! let order = tflux_core::tsu::drain_sequential(&mut tsu);
+//! let tsu = Tsu::new(&program, 2, TsuConfig::default());
+//! let order = tflux_core::tsu::drain_sequential(&tsu).unwrap();
 //! assert_eq!(order.len(), program.total_instances());
 //! ```
 
@@ -75,8 +76,8 @@ pub use policy::{SchedulingPolicy, StealBackoff, StealPolicy};
 pub use program::{DdmProgram, ProgramBuilder};
 pub use thread::{Affinity, ThreadKind, ThreadSpec};
 pub use tsu::{
-    CompletionFunnel, CoreTsu, FetchResult, FlushPolicy, GraphMemory, MpmcRing, ProgramHandle,
-    ServiceRotor, ShardStats, Steal, StealDeque, SyncMemory, TsuBackend, TsuConfig, TsuStats,
+    CompletionFunnel, FetchResult, FlushPolicy, GraphMemory, MpmcRing, ProgramHandle, QueueUnit,
+    ServiceRotor, ShardStats, Steal, StealDeque, SyncMemory, Tsu, TsuConfig, TsuStats,
     WaitingInstance,
 };
 
@@ -90,6 +91,6 @@ pub mod prelude {
     pub use crate::program::{DdmProgram, ProgramBuilder};
     pub use crate::thread::{Affinity, ThreadKind, ThreadSpec};
     pub use crate::tsu::{
-        CompletionFunnel, CoreTsu, FetchResult, FlushPolicy, ProgramHandle, TsuBackend, TsuConfig,
+        CompletionFunnel, FetchResult, FlushPolicy, ProgramHandle, Tsu, TsuConfig,
     };
 }

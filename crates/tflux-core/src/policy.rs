@@ -110,6 +110,20 @@ impl StealBackoff {
     pub fn consecutive_misses(&self) -> u32 {
         self.misses
     }
+
+    /// Pack the state into one word, so a TSU can keep it in an atomic
+    /// per-kernel slot.
+    pub(crate) fn to_bits(self) -> u64 {
+        (self.misses as u64) << 32 | self.skip as u64
+    }
+
+    /// Inverse of [`to_bits`](Self::to_bits).
+    pub(crate) fn from_bits(bits: u64) -> Self {
+        StealBackoff {
+            misses: (bits >> 32) as u32,
+            skip: bits as u32,
+        }
+    }
 }
 
 impl StealPolicy {

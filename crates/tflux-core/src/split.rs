@@ -216,7 +216,7 @@ mod tests {
     fn split_program_executes_under_the_small_tsu() {
         let p = layered(&[8, 8, 8]);
         // fails unsplit...
-        let mut tsu = CoreTsu::new(
+        let tsu = Tsu::new(
             &p,
             2,
             TsuConfig {
@@ -224,15 +224,15 @@ mod tests {
                 ..Default::default()
             },
         );
-        let (inlet, ep) = match tsu.fetch_ready(KernelId(0)).unwrap() {
+        let (inlet, ep) = match tsu.fetch(KernelId(0)).unwrap() {
             FetchResult::Thread(i, ep) => (i, ep),
             other => panic!("{other:?}"),
         };
-        assert!(tsu.complete_queued(inlet, ep, &mut Vec::new()).is_err());
+        assert!(tsu.complete(inlet, ep, &mut Vec::new()).is_err());
 
         // ...and drains completely after splitting
         let (q, _) = split_for_capacity(&p, 12).unwrap();
-        let mut tsu = CoreTsu::new(
+        let tsu = Tsu::new(
             &q,
             2,
             TsuConfig {
@@ -240,7 +240,7 @@ mod tests {
                 ..Default::default()
             },
         );
-        let order = drain_sequential(&mut tsu);
+        let order = drain_sequential(&tsu).unwrap();
         assert_eq!(order.len(), q.total_instances());
     }
 
@@ -248,8 +248,8 @@ mod tests {
     fn execution_order_constraints_survive_the_split() {
         let p = layered(&[6, 6, 6]);
         let (q, idmap) = split_for_capacity(&p, 8).unwrap();
-        let mut tsu = CoreTsu::new(&q, 3, TsuConfig::default());
-        let order = drain_sequential(&mut tsu);
+        let tsu = Tsu::new(&q, 3, TsuConfig::default());
+        let order = drain_sequential(&tsu).unwrap();
         let pos = |i: &Instance| order.iter().position(|x| x == i).unwrap();
         // layer 0 before layer 1 before layer 2, instance-wise
         for (a, b) in [(0u32, 1u32), (1, 2)] {

@@ -1,19 +1,15 @@
-//! The backend contract every platform TSU implements, and the counter
-//! types they all report.
+//! TSU configuration and the counter types every platform reports.
 //!
 //! The portability claim of the paper is that *one* TSU semantics backs
-//! three platforms. [`TsuBackend`] is that claim as a trait: the threaded
-//! runtime's shared TSU, the simulated hardware TSU device and the Cell
-//! machine all schedule through these operations, so the
-//! cross-backend equivalence suite can drive any of them interchangeably.
+//! three platforms; [`Tsu`](super::Tsu) is that one state machine, and
+//! these are the knobs it takes and the counters it keeps, so a
+//! `TsuStats` from the threaded runtime, the simulated hardware TSU and
+//! the Cell machine mean the same thing field for field.
 
-use crate::error::CoreError;
 use crate::graph::hot_sinks;
-use crate::ids::{BlockId, Epoch, Instance, KernelId};
+use crate::ids::Instance;
 use crate::policy::{SchedulingPolicy, StealPolicy};
 use crate::program::DdmProgram;
-
-use super::queue::FetchResult;
 
 /// When a kernel's completion funnel hands its accumulated ready-count
 /// decrements to the Synchronization Memory.
@@ -118,7 +114,7 @@ pub struct TsuStats {
     pub completions: u64,
     /// Logical ready-count decrements performed during post-processing.
     /// Batched flushes count every combined decrement here, so this is
-    /// invariant under [`FlushPolicy`] and comparable across backends.
+    /// invariant under [`FlushPolicy`] and comparable across platforms.
     pub rc_updates: u64,
     /// Physical atomic read-modify-writes issued against ready-count
     /// slots. Equal to `rc_updates` on the direct path; batching makes it
@@ -177,7 +173,8 @@ pub struct ShardStats {
 }
 
 /// A resident instance still waiting on producer completions — one row of
-/// the stall-forensics view exposed by [`TsuBackend::waiting_instances`].
+/// the stall-forensics view exposed by
+/// [`Tsu::waiting_instances`](super::Tsu::waiting_instances).
 /// Platforms embed these in their stall reports so a watchdog abort names
 /// the stuck instances instead of discarding the Synchronization Memory
 /// contents.
@@ -187,89 +184,4 @@ pub struct WaitingInstance {
     pub instance: Instance,
     /// Producer completions still needed before it becomes ready.
     pub remaining: u32,
-}
-
-/// The operations every platform TSU supports.
-///
-/// The contract mirrors §3.3 of the paper: kernels *fetch* ready DThreads
-/// and report *completions*; completions run the Post-Processing Phase and
-/// surface newly-ready instances; Inlet/Outlet completions *load* and
-/// unload DDM blocks. Streaming feeders *open* epochs to credit extra
-/// passes through the graph and *retire* them to return the credits.
-/// `ready` buffers are cleared by the callee, so callers can reuse one
-/// scratch vector across calls.
-pub trait TsuBackend {
-    /// Load a DDM block: make its instances resident and append the
-    /// initially-ready ones (ready count 0) to `ready`. Fails with
-    /// [`CoreError::BlockTooLarge`] if the block exceeds the configured
-    /// capacity.
-    fn load_block(&mut self, block: BlockId, ready: &mut Vec<Instance>) -> Result<(), CoreError>;
-
-    /// Ask for the next DThread on behalf of `kernel`. Fails with
-    /// [`CoreError::NotResident`] if a queued instance turns out not to be
-    /// resident (a scheduler protocol bug), or [`CoreError::SmPoisoned`]
-    /// if a kernel death left the Synchronization Memory untrustworthy.
-    fn fetch(&mut self, kernel: KernelId) -> Result<FetchResult, CoreError>;
-
-    /// Record completion of `inst`, which was fetched under `epoch`: run
-    /// the Post-Processing Phase and report the newly-ready instances in
-    /// `ready` (cleared first). The backend also schedules them onto its
-    /// own queues; `ready` lets device models inspect *who* became ready —
-    /// e.g. to charge cross-shard update messages. The epoch token is the
-    /// one delivered with the instance by [`fetch`](Self::fetch); a late
-    /// completion whose token predates a re-armed slot fails with
-    /// [`CoreError::StaleEpoch`] instead of corrupting the next pass.
-    fn complete(
-        &mut self,
-        inst: Instance,
-        epoch: Epoch,
-        ready: &mut Vec<Instance>,
-    ) -> Result<(), CoreError>;
-
-    /// Record a *batch* of application completions at once: the funnel
-    /// flush path. Backends that override this combine the batch's
-    /// ready-count decrements into one `fetch_sub(n)` per consumer slot;
-    /// the default simply replays [`complete`](Self::complete) per
-    /// instance, so every backend accepts a flush even before it learns
-    /// to combine. `done` must hold only `App` instances (Inlet/Outlet
-    /// completions drive block transitions and are never funneled), all
-    /// fetched under the same `epoch` — a funnel never parks completions
-    /// across an epoch boundary, because block transitions flush it.
-    /// Newly-ready instances land in `ready` (cleared first).
-    fn complete_batch(
-        &mut self,
-        done: &[Instance],
-        epoch: Epoch,
-        ready: &mut Vec<Instance>,
-    ) -> Result<(), CoreError> {
-        ready.clear();
-        let mut scratch = Vec::new();
-        for &inst in done {
-            self.complete(inst, epoch, &mut scratch)?;
-            ready.append(&mut scratch);
-        }
-        Ok(())
-    }
-
-    /// Credit one more streaming pass through the program. If the current
-    /// pass has already finished, the graph re-arms immediately and the
-    /// newly-resident inlet lands in `ready` (cleared first) *and* on the
-    /// backend's own queues; otherwise the credit is banked and the wrap
-    /// happens when the running pass completes. Fails with
-    /// [`CoreError::WindowExhausted`] when the configured credit window is
-    /// full — retire a drained epoch first.
-    fn open_epoch(&mut self, ready: &mut Vec<Instance>) -> Result<Epoch, CoreError>;
-
-    /// Return the credit held by a completed epoch. Epochs retire
-    /// oldest-first, exactly once: a premature or out-of-order retirement
-    /// fails with [`CoreError::EpochNotDrained`], a duplicate with
-    /// [`CoreError::StaleEpoch`].
-    fn retire_epoch(&mut self, epoch: Epoch) -> Result<(), CoreError>;
-
-    /// Snapshot of the operation counters accumulated so far.
-    fn drain_stats(&mut self) -> TsuStats;
-
-    /// Stall forensics: every resident instance whose ready count is still
-    /// above zero, ordered thread-major, context-minor.
-    fn waiting_instances(&self) -> Vec<WaitingInstance>;
 }

@@ -1,6 +1,5 @@
 //! The per-kernel completion funnel: local accumulation of App
-//! completions, flushed in batches through
-//! [`TsuBackend::complete_batch`].
+//! completions, flushed in batches through [`Tsu::complete_batch`].
 //!
 //! A `Reduction` arc sends every producer's ready-count decrement at the
 //! *same* sink slot; with K kernels completing producers concurrently
@@ -12,14 +11,17 @@
 //!
 //! The funnel itself is deliberately dumb — a bounded pending list and a
 //! policy. All protocol knowledge (state transitions, combining, the n→0
-//! publication rule) lives behind [`TsuBackend::complete_batch`], so the
-//! same funnel fronts the threaded runtime, the simulated hardware TSU
-//! and the Cell machine.
+//! publication rule) lives behind [`Tsu::complete_batch`], so the same
+//! funnel fronts the threaded runtime, the simulated hardware TSU and the
+//! Cell machine.
 
 use crate::error::CoreError;
 use crate::ids::{Epoch, Instance};
 
-use super::backend::{FlushPolicy, TsuBackend};
+use super::config::FlushPolicy;
+use super::gm::ProgramHandle;
+use super::queue::QueueUnit;
+use super::Tsu;
 
 /// Per-kernel accumulator of App completions awaiting a batched flush.
 ///
@@ -92,21 +94,21 @@ impl CompletionFunnel {
         self.pending.len() >= self.batch
     }
 
-    /// Hand everything parked to `backend` as one batch; newly-ready
+    /// Hand everything parked to `tsu` as one batch; newly-ready
     /// instances land in `ready` (cleared first; cleared even when the
     /// funnel is empty, so callers can rely on it). On error the funnel
-    /// is left empty — the backend has poisoned itself and replaying the
+    /// is left empty — the TSU has poisoned itself and replaying the
     /// batch would only fail again.
-    pub fn flush<B: TsuBackend>(
+    pub fn flush<P: ProgramHandle, Q: QueueUnit>(
         &mut self,
-        backend: &mut B,
+        tsu: &Tsu<P, Q>,
         ready: &mut Vec<Instance>,
     ) -> Result<(), CoreError> {
         if self.pending.is_empty() {
             ready.clear();
             return Ok(());
         }
-        let result = backend.complete_batch(&self.pending, self.epoch, ready);
+        let result = tsu.complete_batch(&self.pending, self.epoch, ready);
         self.pending.clear();
         result
     }
@@ -119,7 +121,7 @@ mod tests {
     use crate::mapping::ArcMapping;
     use crate::program::ProgramBuilder;
     use crate::thread::ThreadSpec;
-    use crate::tsu::{CoreTsu, FetchResult, TsuConfig};
+    use crate::tsu::{FetchResult, TsuConfig};
 
     fn wide_reduction(arity: u32) -> crate::program::DdmProgram {
         let mut b = ProgramBuilder::new();
@@ -155,33 +157,33 @@ mod tests {
     }
 
     #[test]
-    fn flush_drives_a_backend_and_empties_the_funnel() {
+    fn flush_drives_a_tsu_and_empties_the_funnel() {
         let p = wide_reduction(4);
-        let mut tsu = CoreTsu::new(&p, 1, TsuConfig::default());
+        let tsu = Tsu::new(&p, 1, TsuConfig::default());
         let mut f = CompletionFunnel::new(FlushPolicy::Batch { size: 8 });
         let mut ready = Vec::new();
         // run the inlet directly, park every work completion
-        let FetchResult::Thread(inlet, ep) = tsu.fetch_ready(KernelId(0)).unwrap() else {
+        let FetchResult::Thread(inlet, ep) = tsu.fetch(KernelId(0)).unwrap() else {
             panic!("inlet not ready");
         };
-        tsu.complete_queued(inlet, ep, &mut ready).unwrap();
+        tsu.complete(inlet, ep, &mut ready).unwrap();
         for _ in 0..4 {
-            let FetchResult::Thread(i, ep) = tsu.fetch_ready(KernelId(0)).unwrap() else {
+            let FetchResult::Thread(i, ep) = tsu.fetch(KernelId(0)).unwrap() else {
                 panic!("work not ready");
             };
             let _ = f.push(i, ep);
         }
         assert_eq!(f.pending().len(), 4);
-        f.flush(&mut tsu, &mut ready).unwrap();
+        f.flush(&tsu, &mut ready).unwrap();
         assert!(f.is_empty());
         // the flush published the sink onto the TSU's queues
-        let FetchResult::Thread(sink, _) = tsu.fetch_ready(KernelId(0)).unwrap() else {
+        let FetchResult::Thread(sink, _) = tsu.fetch(KernelId(0)).unwrap() else {
             panic!("sink not ready after flush");
         };
         assert_eq!(sink.thread, ThreadId(1));
         // flushing an empty funnel is a no-op that still clears `ready`
         ready.push(sink);
-        f.flush(&mut tsu, &mut ready).unwrap();
+        f.flush(&tsu, &mut ready).unwrap();
         assert!(ready.is_empty());
     }
 }

@@ -51,10 +51,13 @@ pub struct GraphMemory<P: ProgramHandle> {
 }
 
 impl<P: ProgramHandle> GraphMemory<P> {
-    /// View `program` as executed by `kernels` kernels.
+    /// View `program` as executed by `kernels` kernels (clamped to ≥ 1,
+    /// the rule every platform configuration applies).
     pub fn new(program: P, kernels: u32) -> Self {
-        assert!(kernels > 0, "need at least one kernel");
-        GraphMemory { program, kernels }
+        GraphMemory {
+            program,
+            kernels: kernels.max(1),
+        }
     }
 
     /// The underlying program.

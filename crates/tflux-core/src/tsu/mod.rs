@@ -9,91 +9,148 @@
 //!   Phase, held in a lock-free table of atomic slots so concurrent
 //!   completions never contend on a lock (only block transitions are
 //!   serialized).
-//! * [`StealDeque`] — one Chase-Lev work-stealing deque of ready
-//!   instances per kernel, speaking the shared [`FetchResult`]
-//!   vocabulary; idle kernels steal the oldest entry of a sibling.
+//! * a [`QueueUnit`] per kernel — [`StealDeque`], a Chase-Lev
+//!   work-stealing deque of ready instances, or the threaded runtime's
+//!   blocking `ReadyQueue` built on it; idle kernels steal the oldest
+//!   entry of a sibling.
 //!
-//! [`CoreTsu`] composes the three into the single-owner TSU used by the
-//! deterministic platforms and the reference executor
-//! ([`drain_sequential`]); the threaded runtime composes the same units
-//! with concurrent queues instead. Every platform drives its composition
-//! through the [`TsuBackend`] trait, which is what keeps TFluxSoft,
-//! TFluxHard and TFluxCell directly comparable.
+//! [`Tsu`] composes the three, once. Every operation takes `&self` (the
+//! units are lock-free), so the same state machine is driven by one owner
+//! in the deterministic platforms and the reference executor
+//! ([`drain_sequential`]) and shared by `&` between kernel threads in
+//! TFluxSoft. The queue unit is the only parameter — which is what keeps
+//! TFluxSoft, TFluxHard and TFluxCell directly comparable.
 
-mod backend;
+mod config;
 mod funnel;
 mod gm;
 mod queue;
 mod sync;
 
-pub use backend::{
-    FlushPolicy, ShardStats, TsuBackend, TsuConfig, TsuStats, WaitingInstance, AUTO_BATCH_SIZE,
-};
+pub use config::{FlushPolicy, ShardStats, TsuConfig, TsuStats, WaitingInstance, AUTO_BATCH_SIZE};
 pub use funnel::CompletionFunnel;
 pub use gm::{GraphMemory, ProgramHandle};
-pub use queue::{FetchResult, MpmcRing, ServiceRotor, Steal, StealDeque};
+pub use queue::{FetchResult, MpmcRing, QueueUnit, ServiceRotor, Steal, StealDeque};
 pub use sync::SyncMemory;
 
 use crate::error::CoreError;
-use crate::ids::{BlockId, Epoch, Instance, KernelId};
-use crate::policy::{SchedulingPolicy, StealPolicy};
+use crate::ids::{Epoch, Instance, KernelId};
+use crate::policy::{SchedulingPolicy, StealBackoff, StealPolicy};
 use crate::program::DdmProgram;
 use crate::rng::SplitMix64;
+use std::cmp::Reverse;
+use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 
-/// The single-owner TSU: Graph Memory + Synchronization Memory + one
-/// [`StealDeque`] per kernel, driven by one caller.
-///
-/// This is the composition used by the simulated hardware TSU
-/// (`tflux-sim`), the Cell machine (`tflux-cell`) and the sequential
-/// reference executor. The threaded runtime builds its own composition of
-/// the same units around concurrent queues.
-pub struct CoreTsu<P: ProgramHandle> {
-    gm: GraphMemory<P>,
-    sm: SyncMemory<P>,
-    queues: Vec<StealDeque>,
-    policy: SchedulingPolicy,
-    steal_policy: StealPolicy,
-    steal_rng: SplitMix64,
-    /// Per-kernel adaptive probe gate: a kernel whose steals keep missing
-    /// backs off its victim scans until a hit resets it.
-    backoff: Vec<crate::policy::StealBackoff>,
-    flush: FlushPolicy,
-    waits: u64,
-    steals: u64,
-    steal_misses: u64,
-    steal_races: u64,
-    steal_skips: u64,
+/// One kernel's scheduler state: its wait/steal counters and its steal
+/// backoff. Written only by the thread driving that kernel id, so every
+/// update is a `Relaxed` load + store, never an RMW — the single-owner
+/// device models pay no locked instruction for it, and the values publish
+/// no other data. (Kernel ids past the configured count share the last
+/// slot; a racing pair can then lose a count, nothing more.) One cache
+/// line per kernel, so idle kernels do not false-share.
+#[derive(Default)]
+#[repr(align(64))]
+struct KernelSlot {
+    waits: AtomicU64,
+    steals: AtomicU64,
+    steal_misses: AtomicU64,
+    steal_races: AtomicU64,
+    steal_skips: AtomicU64,
+    /// A packed [`StealBackoff`].
+    backoff: AtomicU64,
 }
 
-impl<P: ProgramHandle> CoreTsu<P> {
-    /// Create a TSU for `program` serving `kernels` kernels and arm it:
-    /// the inlet of the first block is made ready.
+fn bump(counter: &AtomicU64) {
+    counter.store(counter.load(Relaxed) + 1, Relaxed);
+}
+
+impl KernelSlot {
+    /// Run `f` on this kernel's backoff state and store the result back.
+    fn backoff<R>(&self, f: impl FnOnce(&mut StealBackoff) -> R) -> R {
+        let mut b = StealBackoff::from_bits(self.backoff.load(Relaxed));
+        let r = f(&mut b);
+        self.backoff.store(b.to_bits(), Relaxed);
+        r
+    }
+
+    fn add_to(&self, s: &mut TsuStats) {
+        s.waits += self.waits.load(Relaxed);
+        s.steals += self.steals.load(Relaxed);
+        s.steal_misses += self.steal_misses.load(Relaxed);
+        s.steal_races += self.steal_races.load(Relaxed);
+        s.steal_skips += self.steal_skips.load(Relaxed);
+    }
+}
+
+/// The TSU: Graph Memory + Synchronization Memory + one [`QueueUnit`] per
+/// kernel.
+///
+/// This is the one scheduler of the workspace. With the default
+/// [`StealDeque`] unit it is the state machine behind the simulated
+/// hardware TSU (`tflux-sim`), the Cell PPE (`tflux-cell`) and the
+/// sequential reference executor; with the runtime's blocking `ReadyQueue`
+/// it is the TSU kernel threads and server arenas share by `&`.
+///
+/// Every instance is dispatched (marked in flight in the Synchronization
+/// Memory) *before* it is pushed onto a queue unit, so a popped or stolen
+/// entry can never fail, `fetches` and `completions` pair up exactly, and
+/// stall forensics can name an instance that was queued but never popped.
+pub struct Tsu<P: ProgramHandle, Q: QueueUnit = StealDeque> {
+    gm: GraphMemory<P>,
+    sm: SyncMemory<P>,
+    queues: Vec<Q>,
+    /// Whether a kernel whose own unit misses probes its siblings.
+    steal: bool,
+    steal_policy: StealPolicy,
+    flush: FlushPolicy,
+    /// The one victim-draw stream of this TSU, seeded from the kernel
+    /// count: single-owner runs replay exactly. Concurrent thieves may
+    /// interleave their load/store pairs and draw the same victim, which
+    /// costs a probe, not correctness.
+    steal_rng: AtomicU64,
+    slots: Vec<KernelSlot>,
+}
+
+impl<P: ProgramHandle> Tsu<P> {
+    /// A TSU on the default queue unit, [`StealDeque`]; see
+    /// [`with_queue_unit`](Tsu::with_queue_unit).
     pub fn new(program: P, kernels: u32, config: TsuConfig) -> Self {
-        let gm = GraphMemory::new(program.clone(), kernels);
+        Self::with_queue_unit(program, kernels, config)
+    }
+}
+
+impl<P: ProgramHandle, Q: QueueUnit> Tsu<P, Q> {
+    /// Create a TSU for `program` serving `kernels` kernels (clamped to
+    /// ≥ 1) and arm it: the inlet of the first block is dispatched and
+    /// queued. `GlobalFifo` uses one shared queue unit; `LocalityFirst`
+    /// one per kernel, with stealing if configured and there is anyone to
+    /// steal from.
+    pub fn with_queue_unit(program: P, kernels: u32, config: TsuConfig) -> Self {
         let sm = SyncMemory::with_window(program, kernels, config.capacity, config.window);
-        let nqueues = match config.policy {
-            SchedulingPolicy::GlobalFifo => 1,
-            _ => kernels as usize,
-        };
-        let flush = config.flush.resolve(gm.program(), kernels);
-        let mut tsu = CoreTsu {
+        let gm = sm.graph();
+        let kernels = gm.kernels();
+        let shared = config.policy == SchedulingPolicy::GlobalFifo;
+        let nqueues = if shared { 1 } else { kernels as usize };
+        let steal = config.policy == SchedulingPolicy::LocalityFirst { steal: true } && kernels > 1;
+        // the resident bound, + slack for the re-armed inlet of the next
+        // streaming pass: a bounded unit of this size never overflows
+        let cap = gm.program().max_block_instances() + 2;
+        let tsu = Tsu {
+            flush: config.flush.resolve(gm.program(), kernels),
             gm,
             sm,
-            queues: (0..nqueues).map(|_| StealDeque::new()).collect(),
-            policy: config.policy,
+            queues: (0..nqueues).map(|_| Q::new(cap, shared)).collect(),
+            steal,
             steal_policy: config.steal_policy,
-            // deterministic per-TSU seed: single-owner runs replay exactly
-            steal_rng: SplitMix64(0x5EED_0000 ^ ((kernels as u64) << 8)),
-            backoff: vec![crate::policy::StealBackoff::new(); nqueues],
-            flush,
-            waits: 0,
-            steals: 0,
-            steal_misses: 0,
-            steal_races: 0,
-            steal_skips: 0,
+            steal_rng: AtomicU64::new(0x5EED_0000 ^ ((kernels as u64) << 8)),
+            slots: (0..kernels).map(|_| KernelSlot::default()).collect(),
         };
-        let inlet = tsu.sm.armed_inlet();
-        tsu.push_ready(inlet);
+        // a fresh Synchronization Memory is unpoisoned and holds exactly
+        // the armed inlet resident, so this cannot fail; were that ever
+        // broken, the latched poison makes the first fetch report it
+        if tsu.publish(&[tsu.sm.armed_inlet()]).is_err() {
+            tsu.sm.poison();
+        }
         tsu
     }
 
@@ -107,10 +164,32 @@ impl<P: ProgramHandle> CoreTsu<P> {
         self.gm.kernels()
     }
 
+    /// The read-only Graph Memory view.
+    pub fn graph(&self) -> &GraphMemory<P> {
+        &self.gm
+    }
+
+    /// The queue units: one per kernel, or a single shared one under
+    /// `GlobalFifo`. Kernel threads block on their own; stall forensics
+    /// read the depths.
+    pub fn queues(&self) -> &[Q] {
+        &self.queues
+    }
+
+    /// The index of the queue unit `kernel` consumes (its Local TSU).
+    pub fn queue_index(&self, kernel: KernelId) -> usize {
+        kernel.idx().min(self.queues.len() - 1)
+    }
+
+    /// Whether idle kernels steal from sibling queue units.
+    pub fn stealing(&self) -> bool {
+        self.steal
+    }
+
     /// The *resolved* completion-funnel flush policy (`Auto` is resolved
     /// against the program's sink fan-in at construction, so this is
-    /// always `Direct` or `Batch`). Device models poll this to decide
-    /// whether to build per-core funnels in front of the TSU.
+    /// always `Direct` or `Batch`). Platforms build their per-kernel
+    /// funnels from it.
     pub fn flush_policy(&self) -> FlushPolicy {
         self.flush
     }
@@ -130,9 +209,9 @@ impl<P: ProgramHandle> CoreTsu<P> {
         self.sm.finished()
     }
 
-    /// The currently loaded block, if any.
-    pub fn loaded_block(&self) -> Option<BlockId> {
-        self.sm.loaded_block()
+    /// Completions processed so far — the watchdog's progress probe.
+    pub fn completions(&self) -> u64 {
+        self.sm.completions()
     }
 
     /// Total ready instances across all queue units.
@@ -140,258 +219,230 @@ impl<P: ProgramHandle> CoreTsu<P> {
         self.queues.iter().map(|q| q.len()).sum()
     }
 
-    /// Operation counters: the Synchronization Memory's, plus the waits
-    /// and steals observed by this scheduler.
+    /// Operation counters: the Synchronization Memory's, plus every
+    /// kernel's waits and steals.
     pub fn stats(&self) -> TsuStats {
         let mut s = self.sm.stats();
-        s.waits = self.waits;
-        s.steals = self.steals;
-        s.steal_misses = self.steal_misses;
-        s.steal_races = self.steal_races;
-        s.steal_skips = self.steal_skips;
+        for slot in &self.slots {
+            slot.add_to(&mut s);
+        }
         s
     }
 
-    /// Stall forensics: resident instances still waiting on producers.
+    /// The scheduler counters (`waits`, `steals`, `steal_*`) of one
+    /// kernel; the Synchronization Memory fields are zero.
+    pub fn kernel_stats(&self, kernel: KernelId) -> TsuStats {
+        let mut s = TsuStats::default();
+        self.slot(kernel).add_to(&mut s);
+        s
+    }
+
+    /// Per-shard Synchronization Memory counters, indexed by owning kernel.
+    pub fn shard_stats(&self) -> Vec<ShardStats> {
+        self.sm.shard_stats()
+    }
+
+    /// Stall forensics: every resident instance whose ready count is still
+    /// above zero, ordered thread-major, context-minor.
     pub fn waiting_instances(&self) -> Vec<WaitingInstance> {
         self.sm.waiting_instances()
     }
 
-    /// Stall forensics: instances dispatched but not yet completed.
+    /// Stall forensics: instances dispatched but not yet completed —
+    /// queued, stolen or executing.
     pub fn running_instances(&self) -> Vec<Instance> {
         self.sm.running_instances()
     }
 
-    fn queue_of(&self, i: Instance) -> usize {
-        match self.policy {
-            SchedulingPolicy::GlobalFifo => 0,
-            _ => self.gm.owner_of(i).idx(),
+    /// Poison the Synchronization Memory: a kernel died mid-completion, so
+    /// the ready counts can no longer be trusted. Every subsequent
+    /// fetch/complete fails with [`CoreError::SmPoisoned`].
+    pub fn poison(&self) {
+        self.sm.poison();
+    }
+
+    fn slot(&self, kernel: KernelId) -> &KernelSlot {
+        &self.slots[kernel.idx().min(self.slots.len() - 1)]
+    }
+
+    /// Dispatch every newly-ready instance and push it on its owning
+    /// kernel's queue unit (Thread Indexing via Graph Memory).
+    fn publish(&self, ready: &[Instance]) -> Result<(), CoreError> {
+        for &i in ready {
+            let ep = self.sm.dispatch(i)?;
+            let q = match self.queues.len() {
+                1 => 0,
+                _ => self.gm.owner_of(i).idx(),
+            };
+            self.queues[q].push(i, ep);
         }
+        Ok(())
     }
 
-    fn push_ready(&mut self, i: Instance) {
-        let q = self.queue_of(i);
-        let ep = self.sm.current_epoch();
-        self.queues[q].push(i, ep);
+    /// Ask for the next DThread on behalf of `kernel`: its own queue unit
+    /// first, then (policy permitting) a steal. Non-blocking — `Wait`
+    /// means nothing is runnable anywhere right now. Fails with
+    /// [`CoreError::SmPoisoned`] when the Synchronization Memory can no
+    /// longer be trusted.
+    pub fn fetch(&self, kernel: KernelId) -> Result<FetchResult, CoreError> {
+        Ok(self.fetch_traced(kernel)?.0)
     }
 
-    /// Ask for the next DThread on behalf of `kernel`. Fails with
-    /// [`CoreError::NotResident`] when a queued instance is not resident
-    /// (a scheduler protocol bug) or [`CoreError::SmPoisoned`] when the
-    /// Synchronization Memory can no longer be trusted.
-    pub fn fetch_ready(&mut self, kernel: KernelId) -> Result<FetchResult, CoreError> {
-        Ok(self.fetch_ready_traced(kernel)?.0)
-    }
-
-    /// [`fetch_ready`](Self::fetch_ready) with provenance: the flag is
-    /// `true` when the instance was stolen from a sibling queue rather
-    /// than served from `kernel`'s own. Device models use this to charge
-    /// a steal latency on migrated fetches.
-    pub fn fetch_ready_traced(
-        &mut self,
-        kernel: KernelId,
-    ) -> Result<(FetchResult, bool), CoreError> {
+    /// [`fetch`](Self::fetch) with provenance: the flag is `true` when the
+    /// instance was stolen from a sibling queue unit rather than served
+    /// from `kernel`'s own. Device models use this to charge a steal
+    /// latency on migrated fetches.
+    pub fn fetch_traced(&self, kernel: KernelId) -> Result<(FetchResult, bool), CoreError> {
+        if self.sm.is_poisoned() {
+            return Err(CoreError::SmPoisoned);
+        }
         if self.sm.finished() {
             return Ok((FetchResult::Exit, false));
         }
-        let own = match self.policy {
-            SchedulingPolicy::GlobalFifo => 0,
-            _ => kernel.idx().min(self.queues.len() - 1),
-        };
-        if let Some((i, _)) = self.queues[own].pop() {
-            let ep = self.sm.dispatch(i)?;
-            return Ok((FetchResult::Thread(i, ep), false));
+        let own = self.queue_index(kernel);
+        match self.queues[own].take() {
+            FetchResult::Wait => {}
+            r => return Ok((r, false)),
         }
-        if let SchedulingPolicy::LocalityFirst { steal: true } = self.policy {
-            // adaptive backoff: a kernel whose recent probes all missed
-            // skips the victim scan entirely on most attempts, so an idle
+        let slot = self.slot(kernel);
+        if self.steal {
+            // adaptive backoff (polled units only, see
+            // `QueueUnit::BACKOFF`): a kernel whose recent probes all
+            // missed skips the victim scan on most attempts, so an idle
             // machine stops paying for empty sweeps; one hit re-arms
             // eager probing
-            if self.backoff[own].should_probe() {
-                let stolen = self.steal_ready(own);
-                self.backoff[own].record(stolen.is_some());
-                if let Some((i, _)) = stolen {
-                    let ep = self.sm.dispatch(i)?;
+            if !Q::BACKOFF || slot.backoff(StealBackoff::should_probe) {
+                let stolen = self.steal_for(slot, own);
+                if Q::BACKOFF {
+                    slot.backoff(|b| b.record(stolen.is_some()));
+                }
+                if let Some((i, ep)) = stolen {
                     return Ok((FetchResult::Thread(i, ep), true));
                 }
             } else {
-                self.steal_skips += 1;
+                bump(&slot.steal_skips);
             }
         }
-        self.waits += 1;
+        bump(&slot.waits);
         Ok((FetchResult::Wait, false))
     }
 
-    /// Steal on behalf of the owner of queue `own`: one random-victim
-    /// probe (under [`StealPolicy::RandomThenLongest`]), then a
-    /// longest-queue-first scan of the remaining siblings. A victim
-    /// drained between its length snapshot and the steal is a clean miss
-    /// ([`Steal::Empty`]) and falls through to the next; this TSU is
-    /// single-owner so [`Steal::Retry`] cannot occur, but the loop handles
-    /// it anyway for symmetry with the concurrent runtime.
-    fn steal_ready(&mut self, own: usize) -> Option<(Instance, Epoch)> {
+    /// One steal pass on behalf of the owner of queue `own`: one
+    /// random-victim probe (under [`StealPolicy::RandomThenLongest`];
+    /// spreads concurrent thieves across victims), then repeatedly the
+    /// longest non-empty sibling, ties to the lowest index, until every
+    /// victim answers [`Steal::Empty`]. A victim drained between its
+    /// length snapshot and the steal is a clean miss; a lost CAS re-scans
+    /// — the entry went to someone, so the machine made progress.
+    fn steal_for(&self, slot: &KernelSlot, own: usize) -> Option<(Instance, Epoch)> {
         let n = self.queues.len();
-        if let Some(v) = self.steal_policy.first_victim(own, n, &mut self.steal_rng) {
+        let mut rng = SplitMix64(self.steal_rng.load(Relaxed));
+        let mut victim = self.steal_policy.first_victim(own, n, &mut rng);
+        self.steal_rng.store(rng.0, Relaxed);
+        loop {
+            let v = victim.take().or_else(|| {
+                (0..n)
+                    .filter(|&q| q != own)
+                    .map(|q| (Reverse(self.queues[q].len()), q))
+                    .filter(|&(Reverse(len), _)| len > 0)
+                    .min()
+                    .map(|(_, q)| q)
+            })?;
             match self.queues[v].steal() {
                 Steal::Success(e) => {
-                    self.steals += 1;
+                    bump(&slot.steals);
                     return Some(e);
                 }
-                Steal::Empty => self.steal_misses += 1,
-                Steal::Retry => self.steal_races += 1,
+                Steal::Empty => bump(&slot.steal_misses),
+                Steal::Retry => bump(&slot.steal_races),
             }
         }
-        let mut victims: Vec<usize> = (0..n)
-            .filter(|&q| q != own && !self.queues[q].is_empty())
-            .collect();
-        victims.sort_by_key(|&q| std::cmp::Reverse(self.queues[q].len()));
-        for v in victims {
-            loop {
-                match self.queues[v].steal() {
-                    Steal::Success(e) => {
-                        self.steals += 1;
-                        return Some(e);
-                    }
-                    Steal::Empty => {
-                        self.steal_misses += 1;
-                        break;
-                    }
-                    Steal::Retry => self.steal_races += 1,
-                }
-            }
-        }
-        None
     }
 
-    /// Record completion of `inst`; newly-ready instances go onto the
-    /// internal queue units *and* are reported in `out` (cleared first),
-    /// so device models can inspect who became ready — e.g. to charge
-    /// cross-TSU-shard update messages.
-    pub fn complete_queued(
-        &mut self,
+    /// Record completion of `inst`, which was fetched under `epoch`: run
+    /// the Post-Processing Phase and schedule everything it made ready.
+    /// The newly-ready instances are also reported in `ready` (cleared
+    /// first), so device models can inspect *who* became ready — e.g. to
+    /// charge cross-TSU-shard update messages. A late completion whose
+    /// token predates a re-armed slot fails with
+    /// [`CoreError::StaleEpoch`] instead of corrupting the next pass.
+    pub fn complete(
+        &self,
         inst: Instance,
         epoch: Epoch,
-        out: &mut Vec<Instance>,
+        ready: &mut Vec<Instance>,
     ) -> Result<(), CoreError> {
-        self.sm.complete(inst, epoch, out)?;
-        for &i in out.iter() {
-            self.push_ready(i);
-        }
-        Ok(())
+        self.sm.complete(inst, epoch, ready)?;
+        self.publish(ready)
     }
 
-    /// Record a funnel flush: a batch of App completions whose combined
-    /// ready-count decrements hit each consumer slot once. Newly-ready
-    /// instances go onto the internal queue units *and* are reported in
-    /// `out` (cleared first), like
-    /// [`complete_queued`](Self::complete_queued).
-    pub fn complete_batch_queued(
-        &mut self,
+    /// Record a funnel flush: a batch of App completions, all fetched
+    /// under `epoch`, whose combined ready-count decrements hit each
+    /// consumer slot once. Scheduling and `ready` are as in
+    /// [`complete`](Self::complete). Inlet/Outlet completions drive block
+    /// transitions and are never batched.
+    pub fn complete_batch(
+        &self,
         done: &[Instance],
         epoch: Epoch,
-        out: &mut Vec<Instance>,
+        ready: &mut Vec<Instance>,
     ) -> Result<(), CoreError> {
-        self.sm.complete_batch(done, epoch, out)?;
-        for &i in out.iter() {
-            self.push_ready(i);
-        }
-        Ok(())
+        self.sm.complete_batch(done, epoch, ready)?;
+        self.publish(ready)
     }
 
-    /// Credit one more streaming pass; if the graph has already finished,
-    /// it re-arms now and the resident inlet is queued (and reported in
-    /// `out`).
-    pub fn open_epoch_queued(&mut self, out: &mut Vec<Instance>) -> Result<Epoch, CoreError> {
-        let ep = self.sm.open_epoch(out)?;
-        for &i in out.iter() {
-            self.push_ready(i);
-        }
+    /// Credit one more streaming pass. If the current pass has already
+    /// finished, the graph re-arms now and the resident inlet is scheduled
+    /// (and reported in `ready`); otherwise the credit is banked and the
+    /// wrap happens when the running pass completes. Fails with
+    /// [`CoreError::WindowExhausted`] when the configured credit window is
+    /// full — retire a drained epoch first.
+    pub fn open_epoch(&self, ready: &mut Vec<Instance>) -> Result<Epoch, CoreError> {
+        let ep = self.sm.open_epoch(ready)?;
+        self.publish(ready)?;
         Ok(ep)
     }
 
-    /// Return the credit of a completed epoch (oldest-first, exactly
-    /// once).
-    pub fn retire_epoch(&mut self, epoch: Epoch) -> Result<(), CoreError> {
+    /// Return the credit of a completed epoch. Epochs retire oldest-first,
+    /// exactly once: a premature or out-of-order retirement fails with
+    /// [`CoreError::EpochNotDrained`], a duplicate with
+    /// [`CoreError::StaleEpoch`].
+    pub fn retire_epoch(&self, epoch: Epoch) -> Result<(), CoreError> {
         self.sm.retire_epoch(epoch)
     }
 }
 
-impl<P: ProgramHandle> TsuBackend for CoreTsu<P> {
-    fn load_block(&mut self, block: BlockId, ready: &mut Vec<Instance>) -> Result<(), CoreError> {
-        ready.clear();
-        self.sm.load_block(block, ready)?;
-        for &i in ready.iter() {
-            self.push_ready(i);
-        }
-        Ok(())
-    }
-
-    fn fetch(&mut self, kernel: KernelId) -> Result<FetchResult, CoreError> {
-        self.fetch_ready(kernel)
-    }
-
-    fn complete(
-        &mut self,
-        inst: Instance,
-        epoch: Epoch,
-        ready: &mut Vec<Instance>,
-    ) -> Result<(), CoreError> {
-        self.complete_queued(inst, epoch, ready)
-    }
-
-    fn complete_batch(
-        &mut self,
-        done: &[Instance],
-        epoch: Epoch,
-        ready: &mut Vec<Instance>,
-    ) -> Result<(), CoreError> {
-        self.complete_batch_queued(done, epoch, ready)
-    }
-
-    fn open_epoch(&mut self, ready: &mut Vec<Instance>) -> Result<Epoch, CoreError> {
-        self.open_epoch_queued(ready)
-    }
-
-    fn retire_epoch(&mut self, epoch: Epoch) -> Result<(), CoreError> {
-        CoreTsu::retire_epoch(self, epoch)
-    }
-
-    fn drain_stats(&mut self) -> TsuStats {
-        self.stats()
-    }
-
-    fn waiting_instances(&self) -> Vec<WaitingInstance> {
-        self.sm.waiting_instances()
-    }
-}
-
 /// Drive a TSU to completion single-threadedly, round-robining fetches over
-/// the kernels; returns the execution order. Panics on protocol errors.
+/// the kernels; returns the execution order. A protocol error ends the
+/// drain; so does a full round of kernels all answering `Wait`
+/// ([`CoreError::Deadlock`]), which a validated program cannot produce.
 ///
 /// This is the reference executor used by tests and by the graph-analysis
 /// tooling; platforms implement their own drivers.
-pub fn drain_sequential<P: ProgramHandle>(tsu: &mut CoreTsu<P>) -> Vec<Instance> {
+pub fn drain_sequential<P: ProgramHandle, Q: QueueUnit>(
+    tsu: &Tsu<P, Q>,
+) -> Result<Vec<Instance>, CoreError> {
     let mut order = Vec::new();
     let mut scratch = Vec::new();
     let kernels = tsu.kernels();
     let mut k = 0u32;
     let mut idle_rounds = 0u32;
     loop {
-        match tsu.fetch_ready(KernelId(k)).expect("protocol error") {
+        match tsu.fetch(KernelId(k))? {
             FetchResult::Thread(i, ep) => {
                 idle_rounds = 0;
                 order.push(i);
-                tsu.complete_queued(i, ep, &mut scratch)
-                    .expect("protocol error");
+                tsu.complete(i, ep, &mut scratch)?;
             }
             FetchResult::Wait => {
                 idle_rounds += 1;
-                assert!(
-                    idle_rounds <= kernels,
-                    "deadlock: no kernel can make progress"
-                );
+                if idle_rounds > kernels {
+                    return Err(CoreError::Deadlock {
+                        waiting: tsu.waiting_instances().len(),
+                    });
+                }
             }
-            FetchResult::Exit => return order,
+            FetchResult::Exit => return Ok(order),
         }
         k = (k + 1) % kernels;
     }
@@ -419,16 +470,24 @@ mod tests {
         b.build().unwrap()
     }
 
-    fn complete(tsu: &mut CoreTsu<&DdmProgram>, i: Instance, ep: Epoch) -> Result<(), CoreError> {
-        let mut out = Vec::new();
-        tsu.complete_queued(i, ep, &mut out)
+    /// One block whose `arity` work instances all sit on `kernel`'s queue.
+    fn pinned(arity: u32, kernel: u32) -> DdmProgram {
+        let mut b = ProgramBuilder::new();
+        let blk = b.block();
+        let on = crate::thread::Affinity::Fixed(KernelId(kernel));
+        b.thread(blk, ThreadSpec::new("w", arity).with_affinity(on));
+        b.build().unwrap()
+    }
+
+    fn complete(tsu: &Tsu<&DdmProgram>, i: Instance, ep: Epoch) -> Result<(), CoreError> {
+        tsu.complete(i, ep, &mut Vec::new())
     }
 
     #[test]
     fn drains_every_instance_exactly_once() {
         let p = fork_join(16, 3);
-        let mut tsu = CoreTsu::new(&p, 4, TsuConfig::default());
-        let order = drain_sequential(&mut tsu);
+        let tsu = Tsu::new(&p, 4, TsuConfig::default());
+        let order = drain_sequential(&tsu).unwrap();
         assert_eq!(order.len(), p.total_instances());
         let set: HashSet<_> = order.iter().collect();
         assert_eq!(set.len(), order.len(), "duplicate execution");
@@ -438,8 +497,8 @@ mod tests {
     #[test]
     fn respects_producer_consumer_order() {
         let p = fork_join(8, 2);
-        let mut tsu = CoreTsu::new(&p, 3, TsuConfig::default());
-        let order = drain_sequential(&mut tsu);
+        let tsu = Tsu::new(&p, 3, TsuConfig::default());
+        let order = drain_sequential(&tsu).unwrap();
         let pos = |i: &Instance| order.iter().position(|x| x == i).unwrap();
         for blk in p.blocks() {
             let src = blk.threads[0];
@@ -465,8 +524,8 @@ mod tests {
     #[test]
     fn blocks_execute_in_order() {
         let p = fork_join(4, 3);
-        let mut tsu = CoreTsu::new(&p, 2, TsuConfig::default());
-        let order = drain_sequential(&mut tsu);
+        let tsu = Tsu::new(&p, 2, TsuConfig::default());
+        let order = drain_sequential(&tsu).unwrap();
         let block_seq: Vec<u32> = order.iter().map(|i| p.block_of(i.thread).0).collect();
         let mut sorted = block_seq.clone();
         sorted.sort_unstable();
@@ -476,7 +535,7 @@ mod tests {
     #[test]
     fn capacity_enforced_at_block_load() {
         let p = fork_join(32, 1); // block residency = 32 + 2 + 1 outlet
-        let mut tsu = CoreTsu::new(
+        let tsu = Tsu::new(
             &p,
             2,
             TsuConfig {
@@ -486,23 +545,23 @@ mod tests {
             },
         );
         // inlet fits; its completion tries to load the block and must fail
-        let FetchResult::Thread(inlet, ep) = tsu.fetch_ready(KernelId(0)).unwrap() else {
+        let FetchResult::Thread(inlet, ep) = tsu.fetch(KernelId(0)).unwrap() else {
             panic!("inlet not ready");
         };
-        let err = complete(&mut tsu, inlet, ep).unwrap_err();
+        let err = complete(&tsu, inlet, ep).unwrap_err();
         assert!(matches!(err, CoreError::BlockTooLarge { .. }));
     }
 
     #[test]
     fn double_completion_rejected() {
         let p = fork_join(2, 1);
-        let mut tsu = CoreTsu::new(&p, 1, TsuConfig::default());
-        let FetchResult::Thread(i, ep) = tsu.fetch_ready(KernelId(0)).unwrap() else {
+        let tsu = Tsu::new(&p, 1, TsuConfig::default());
+        let FetchResult::Thread(i, ep) = tsu.fetch(KernelId(0)).unwrap() else {
             panic!()
         };
-        complete(&mut tsu, i, ep).unwrap();
+        complete(&tsu, i, ep).unwrap();
         assert!(matches!(
-            complete(&mut tsu, i, ep),
+            complete(&tsu, i, ep),
             Err(CoreError::NotRunning(_))
         ));
     }
@@ -510,11 +569,11 @@ mod tests {
     #[test]
     fn completion_without_fetch_rejected() {
         let p = fork_join(2, 1);
-        let mut tsu = CoreTsu::new(&p, 1, TsuConfig::default());
+        let tsu = Tsu::new(&p, 1, TsuConfig::default());
         let work = p.blocks()[0].threads[1];
         let ep = tsu.current_epoch();
         assert!(matches!(
-            complete(&mut tsu, Instance::new(work, Context(0)), ep),
+            complete(&tsu, Instance::new(work, Context(0)), ep),
             Err(CoreError::NotRunning(_))
         ));
     }
@@ -522,20 +581,14 @@ mod tests {
     #[test]
     fn steal_lets_idle_kernel_progress() {
         // all work pinned to kernel 0; kernel 1 must steal
-        let mut b = ProgramBuilder::new();
-        let blk = b.block();
-        b.thread(
-            blk,
-            ThreadSpec::new("w", 8).with_affinity(crate::thread::Affinity::Fixed(KernelId(0))),
-        );
-        let p = b.build().unwrap();
-        let mut tsu = CoreTsu::new(&p, 2, TsuConfig::default());
+        let p = pinned(8, 0);
+        let tsu = Tsu::new(&p, 2, TsuConfig::default());
         // prime: run the inlet
-        let FetchResult::Thread(inlet, ep) = tsu.fetch_ready(KernelId(0)).unwrap() else {
+        let FetchResult::Thread(inlet, ep) = tsu.fetch(KernelId(0)).unwrap() else {
             panic!()
         };
-        complete(&mut tsu, inlet, ep).unwrap();
-        match tsu.fetch_ready(KernelId(1)).unwrap() {
+        complete(&tsu, inlet, ep).unwrap();
+        match tsu.fetch(KernelId(1)).unwrap() {
             FetchResult::Thread(..) => {}
             other => panic!("kernel 1 should have stolen, got {other:?}"),
         }
@@ -545,22 +598,16 @@ mod tests {
     #[test]
     fn idle_kernel_backs_off_probing_after_consecutive_misses() {
         use crate::policy::StealBackoff;
-        let mut b = ProgramBuilder::new();
-        let blk = b.block();
-        b.thread(
-            blk,
-            ThreadSpec::new("w", 8).with_affinity(crate::thread::Affinity::Fixed(KernelId(0))),
-        );
-        let p = b.build().unwrap();
-        let mut tsu = CoreTsu::new(&p, 2, TsuConfig::default());
+        let p = pinned(8, 0);
+        let tsu = Tsu::new(&p, 2, TsuConfig::default());
         // kernel 1 steals the armed inlet and sits on it (dispatched, never
         // completed): both queues are now empty, so every further probe by
         // kernel 1 can only miss
-        let FetchResult::Thread(inlet, ep) = tsu.fetch_ready(KernelId(1)).unwrap() else {
+        let FetchResult::Thread(inlet, ep) = tsu.fetch(KernelId(1)).unwrap() else {
             panic!("kernel 1 should steal the armed inlet")
         };
         for _ in 0..64 {
-            assert_eq!(tsu.fetch_ready(KernelId(1)).unwrap(), FetchResult::Wait);
+            assert_eq!(tsu.fetch(KernelId(1)).unwrap(), FetchResult::Wait);
         }
         let s = tsu.stats();
         assert!(
@@ -575,10 +622,10 @@ mod tests {
         // completing the inlet readies work on kernel 0's queue; the
         // backed-off thief must reach it within its bounded skip run and a
         // hit re-arms eager probing
-        complete(&mut tsu, inlet, ep).unwrap();
+        complete(&tsu, inlet, ep).unwrap();
         let mut fetched = None;
         for _ in 0..=1u32 << StealBackoff::MAX_SHIFT {
-            if let FetchResult::Thread(i, e) = tsu.fetch_ready(KernelId(1)).unwrap() {
+            if let FetchResult::Thread(i, e) = tsu.fetch(KernelId(1)).unwrap() {
                 fetched = Some((i, e));
                 break;
             }
@@ -592,14 +639,8 @@ mod tests {
 
     #[test]
     fn no_steal_policy_makes_idle_kernel_wait() {
-        let mut b = ProgramBuilder::new();
-        let blk = b.block();
-        b.thread(
-            blk,
-            ThreadSpec::new("w", 8).with_affinity(crate::thread::Affinity::Fixed(KernelId(0))),
-        );
-        let p = b.build().unwrap();
-        let mut tsu = CoreTsu::new(
+        let p = pinned(8, 0);
+        let tsu = Tsu::new(
             &p,
             2,
             TsuConfig {
@@ -608,18 +649,18 @@ mod tests {
                 ..Default::default()
             },
         );
-        let FetchResult::Thread(inlet, ep) = tsu.fetch_ready(KernelId(0)).unwrap() else {
+        let FetchResult::Thread(inlet, ep) = tsu.fetch(KernelId(0)).unwrap() else {
             panic!()
         };
-        complete(&mut tsu, inlet, ep).unwrap();
-        assert_eq!(tsu.fetch_ready(KernelId(1)).unwrap(), FetchResult::Wait);
+        complete(&tsu, inlet, ep).unwrap();
+        assert_eq!(tsu.fetch(KernelId(1)).unwrap(), FetchResult::Wait);
         assert!(tsu.stats().waits >= 1);
     }
 
     #[test]
     fn global_fifo_serves_everyone_from_one_queue() {
         let p = fork_join(6, 1);
-        let mut tsu = CoreTsu::new(
+        let tsu = Tsu::new(
             &p,
             3,
             TsuConfig {
@@ -628,7 +669,10 @@ mod tests {
                 ..Default::default()
             },
         );
-        let order = drain_sequential(&mut tsu);
+        assert_eq!(tsu.queues().len(), 1);
+        assert_eq!(tsu.queue_index(KernelId(2)), 0);
+        assert!(!tsu.stealing());
+        let order = drain_sequential(&tsu).unwrap();
         assert_eq!(order.len(), p.total_instances());
         assert_eq!(tsu.stats().steals, 0);
     }
@@ -636,8 +680,8 @@ mod tests {
     #[test]
     fn stats_count_operations() {
         let p = fork_join(4, 2);
-        let mut tsu = CoreTsu::new(&p, 2, TsuConfig::default());
-        drain_sequential(&mut tsu);
+        let tsu = Tsu::new(&p, 2, TsuConfig::default());
+        drain_sequential(&tsu).unwrap();
         let s = tsu.stats();
         assert_eq!(s.completions as usize, p.total_instances());
         assert_eq!(s.fetches as usize, p.total_instances());
@@ -655,19 +699,19 @@ mod tests {
     fn single_kernel_run_is_uncontended() {
         // one kernel: no CAS can race and no line ever changes hands
         let p = fork_join(4, 2);
-        let mut tsu = CoreTsu::new(&p, 1, TsuConfig::default());
-        drain_sequential(&mut tsu);
+        let tsu = Tsu::new(&p, 1, TsuConfig::default());
+        drain_sequential(&tsu).unwrap();
         assert_eq!(tsu.stats().sm_contended, 0);
     }
 
     #[test]
     fn batched_drain_matches_direct_counters() {
         let p = fork_join(8, 2);
-        let mut direct = CoreTsu::new(&p, 2, TsuConfig::default());
-        drain_sequential(&mut direct);
+        let direct = Tsu::new(&p, 2, TsuConfig::default());
+        drain_sequential(&direct).unwrap();
 
         // same program, but every App completion funneled through batches
-        let mut tsu = CoreTsu::new(
+        let tsu = Tsu::new(
             &p,
             2,
             TsuConfig {
@@ -684,23 +728,23 @@ mod tests {
         let mut k = 0usize;
         let mut idle = 0u32;
         loop {
-            match tsu.fetch_ready(KernelId(k as u32)).unwrap() {
+            match tsu.fetch(KernelId(k as u32)).unwrap() {
                 FetchResult::Thread(i, ep) => {
                     idle = 0;
                     executed += 1;
                     if tsu.program().thread(i.thread).kind == crate::thread::ThreadKind::App {
                         if funnels[k].push(i, ep) {
-                            funnels[k].flush(&mut tsu, &mut scratch).unwrap();
+                            funnels[k].flush(&tsu, &mut scratch).unwrap();
                         }
                     } else {
                         // block transitions flush first, then complete
-                        funnels[k].flush(&mut tsu, &mut scratch).unwrap();
-                        tsu.complete_queued(i, ep, &mut scratch).unwrap();
+                        funnels[k].flush(&tsu, &mut scratch).unwrap();
+                        tsu.complete(i, ep, &mut scratch).unwrap();
                     }
                 }
                 FetchResult::Wait => {
                     // flush before idling or the parked decrements deadlock
-                    funnels[k].flush(&mut tsu, &mut scratch).unwrap();
+                    funnels[k].flush(&tsu, &mut scratch).unwrap();
                     idle += 1;
                     assert!(idle <= 4, "deadlock");
                 }
@@ -723,18 +767,12 @@ mod tests {
         // queue-native, a victim that drains between the thief's length
         // probe and the steal must answer `Empty` — no panic, no
         // double-pop — and the fetch path must report `Wait`
-        let mut b = ProgramBuilder::new();
-        let blk = b.block();
-        b.thread(
-            blk,
-            ThreadSpec::new("w", 2).with_affinity(crate::thread::Affinity::Fixed(KernelId(1))),
-        );
-        let p = b.build().unwrap();
-        let mut tsu = CoreTsu::new(&p, 2, TsuConfig::default());
-        let FetchResult::Thread(inlet, ep) = tsu.fetch_ready(KernelId(0)).unwrap() else {
+        let p = pinned(2, 1);
+        let tsu = Tsu::new(&p, 2, TsuConfig::default());
+        let FetchResult::Thread(inlet, ep) = tsu.fetch(KernelId(0)).unwrap() else {
             panic!("inlet not ready");
         };
-        complete(&mut tsu, inlet, ep).unwrap();
+        complete(&tsu, inlet, ep).unwrap();
         // queue 1 holds both work instances; a thief would target it...
         assert_eq!(tsu.queues[1].len(), 2);
         // ...but it drains before the steal lands
@@ -742,7 +780,7 @@ mod tests {
         assert_eq!(tsu.queues[1].steal(), Steal::Empty, "must be a clean miss");
         assert_eq!(tsu.stats().steals, 0);
         // the public fetch path reports Wait (and counts the miss)
-        assert_eq!(tsu.fetch_ready(KernelId(0)).unwrap(), FetchResult::Wait);
+        assert_eq!(tsu.fetch(KernelId(0)).unwrap(), FetchResult::Wait);
         let s = tsu.stats();
         assert_eq!(s.steals, 0);
         assert!(s.steal_misses >= 1, "the emptied probe must be counted");
@@ -753,24 +791,18 @@ mod tests {
     fn traced_fetch_reports_steal_provenance() {
         // same pinned-work shape as steal_lets_idle_kernel_progress, but
         // through the traced surface the sim uses to charge steal latency
-        let mut b = ProgramBuilder::new();
-        let blk = b.block();
-        b.thread(
-            blk,
-            ThreadSpec::new("w", 2).with_affinity(crate::thread::Affinity::Fixed(KernelId(0))),
-        );
-        let p = b.build().unwrap();
-        let mut tsu = CoreTsu::new(&p, 2, TsuConfig::default());
-        let (FetchResult::Thread(inlet, ep), stolen) = tsu.fetch_ready_traced(KernelId(0)).unwrap()
+        let p = pinned(2, 0);
+        let tsu = Tsu::new(&p, 2, TsuConfig::default());
+        let (FetchResult::Thread(inlet, ep), stolen) = tsu.fetch_traced(KernelId(0)).unwrap()
         else {
             panic!("inlet not ready");
         };
         assert!(!stolen, "own-queue fetch is local");
-        complete(&mut tsu, inlet, ep).unwrap();
-        let (r, stolen) = tsu.fetch_ready_traced(KernelId(1)).unwrap();
+        complete(&tsu, inlet, ep).unwrap();
+        let (r, stolen) = tsu.fetch_traced(KernelId(1)).unwrap();
         assert!(matches!(r, FetchResult::Thread(..)));
         assert!(stolen, "kernel 1 served from kernel 0's queue");
-        let (r, stolen) = tsu.fetch_ready_traced(KernelId(0)).unwrap();
+        let (r, stolen) = tsu.fetch_traced(KernelId(0)).unwrap();
         assert!(matches!(r, FetchResult::Thread(..)));
         assert!(!stolen);
     }
@@ -780,7 +812,7 @@ mod tests {
         // regression: app-thread SM entries must be freed when the block's
         // outlet completes, or multi-block programs exceed capacity
         let p = fork_join(8, 3); // block residency: 8 + 2 scalars + outlet = 11
-        let mut tsu = CoreTsu::new(
+        let tsu = Tsu::new(
             &p,
             2,
             TsuConfig {
@@ -789,7 +821,7 @@ mod tests {
                 ..Default::default()
             },
         );
-        let order = drain_sequential(&mut tsu);
+        let order = drain_sequential(&tsu).unwrap();
         assert_eq!(order.len(), p.total_instances());
         assert!(tsu.stats().max_resident <= 12);
     }
@@ -797,19 +829,25 @@ mod tests {
     #[test]
     fn forensics_views_track_waiting_and_running() {
         let p = fork_join(4, 1);
-        let mut tsu = CoreTsu::new(&p, 1, TsuConfig::default());
-        // before the inlet runs, nothing but the inlet is resident; it is
-        // ready (rc 0) so the waiting view is empty
+        let tsu = Tsu::new(&p, 1, TsuConfig::default());
+        // the armed inlet is dispatched *before* it is queued: already in
+        // flight while no kernel has popped it — this is what lets a
+        // watchdog name a never-popped instance in its forensics
+        let inlet = tsu.graph().first_inlet();
+        assert_eq!(tsu.ready_len(), 1);
+        assert_eq!(tsu.running_instances(), vec![inlet]);
         assert!(tsu.waiting_instances().is_empty());
-        let FetchResult::Thread(inlet, ep) = tsu.fetch_ready(KernelId(0)).unwrap() else {
+        assert_eq!(tsu.stats().fetches, 1);
+        let FetchResult::Thread(fetched, ep) = tsu.fetch(KernelId(0)).unwrap() else {
             panic!("inlet not ready");
         };
-        // the inlet is dispatched but not completed
+        // popping it changes neither view
+        assert_eq!(fetched, inlet);
         assert_eq!(tsu.running_instances(), vec![inlet]);
-        complete(&mut tsu, inlet, ep).unwrap();
-        // block loaded: src (rc 0) is ready; each work instance waits on the
-        // src broadcast, the sink on 4 work completions, the outlet on all
-        // 6 app instances
+        complete(&tsu, inlet, ep).unwrap();
+        // block loaded: src (rc 0) is ready — queued, hence running; each
+        // work instance waits on the src broadcast, the sink on 4 work
+        // completions, the outlet on all 6 app instances
         let waiting = tsu.waiting_instances();
         let src = p.blocks()[0].threads[0];
         let work = p.blocks()[0].threads[1];
@@ -823,83 +861,108 @@ mod tests {
         assert!(waiting
             .iter()
             .any(|w| w.instance == Instance::scalar(sink) && w.remaining == 4));
-        assert!(tsu.running_instances().is_empty());
-        // dispatch src: it shows as running until completed, and its
-        // completion unblocks the work instances
-        let FetchResult::Thread(first, ep) = tsu.fetch_ready(KernelId(0)).unwrap() else {
+        assert_eq!(tsu.running_instances(), vec![Instance::scalar(src)]);
+        // completing src moves the work instances from waiting to running
+        // (queued), all four at once
+        let FetchResult::Thread(first, ep) = tsu.fetch(KernelId(0)).unwrap() else {
             panic!("no ready instance");
         };
         assert_eq!(first, Instance::scalar(src));
-        assert_eq!(tsu.running_instances(), vec![first]);
-        complete(&mut tsu, first, ep).unwrap();
-        assert!(tsu.running_instances().is_empty());
+        complete(&tsu, first, ep).unwrap();
+        let running = tsu.running_instances();
+        assert_eq!(running.len(), 4);
+        assert!(running.iter().all(|i| i.thread == work));
+        assert_eq!(tsu.ready_len(), 4);
         assert!(tsu
             .waiting_instances()
             .iter()
             .all(|w| w.instance.thread != work));
         // draining the rest empties both views
-        drain_sequential(&mut tsu);
+        drain_sequential(&tsu).unwrap();
         assert!(tsu.waiting_instances().is_empty());
         assert!(tsu.running_instances().is_empty());
+        let s = tsu.stats();
+        assert_eq!(s.fetches, s.completions);
     }
 
     #[test]
     fn exit_reported_to_all_kernels_after_finish() {
         let p = fork_join(2, 1);
-        let mut tsu = CoreTsu::new(&p, 4, TsuConfig::default());
-        drain_sequential(&mut tsu);
+        let tsu = Tsu::new(&p, 4, TsuConfig::default());
+        drain_sequential(&tsu).unwrap();
         for k in 0..4 {
-            assert_eq!(tsu.fetch_ready(KernelId(k)).unwrap(), FetchResult::Exit);
+            assert_eq!(tsu.fetch(KernelId(k)).unwrap(), FetchResult::Exit);
         }
     }
 
     #[test]
-    fn backend_trait_drives_a_full_program() {
-        // the same drain loop, written against the trait object surface
-        fn drain<B: TsuBackend>(tsu: &mut B, kernels: u32) -> Vec<Instance> {
-            let mut order = Vec::new();
-            let mut scratch = Vec::new();
-            let mut k = 0u32;
-            let mut idle = 0u32;
-            loop {
-                match tsu.fetch(KernelId(k)).unwrap() {
-                    FetchResult::Thread(i, ep) => {
-                        idle = 0;
-                        order.push(i);
-                        tsu.complete(i, ep, &mut scratch).unwrap();
-                    }
-                    FetchResult::Wait => {
-                        idle += 1;
-                        assert!(idle <= kernels, "deadlock");
-                    }
-                    FetchResult::Exit => return order,
+    fn steals_are_counted_per_kernel() {
+        // all work pinned to kernel 1; only kernel 0 fetches, so every
+        // work instance reaches it by stealing
+        let p = pinned(4, 1);
+        let tsu = Tsu::new(&p, 2, TsuConfig::default());
+        let mut done = 0usize;
+        while !tsu.finished() {
+            match tsu.fetch(KernelId(0)).unwrap() {
+                FetchResult::Thread(i, ep) => {
+                    complete(&tsu, i, ep).unwrap();
+                    done += 1;
                 }
-                k = (k + 1) % kernels;
+                other => panic!("kernel 0 should always find work: {other:?}"),
             }
         }
-        let p = fork_join(6, 2);
-        let mut tsu = CoreTsu::new(&p, 3, TsuConfig::default());
-        let order = drain(&mut tsu, 3);
-        assert_eq!(order.len(), p.total_instances());
-        let stats = tsu.drain_stats();
-        assert_eq!(stats.completions as usize, p.total_instances());
-        assert_eq!(stats.fetches, stats.completions);
-        assert!(TsuBackend::waiting_instances(&tsu).is_empty());
+        assert_eq!(done, p.total_instances());
+        assert_eq!(tsu.kernel_stats(KernelId(0)).steals, 4, "the 4 pinned");
+        assert_eq!(tsu.kernel_stats(KernelId(1)).steals, 0);
+        assert_eq!(tsu.stats().steals, 4);
+        assert_eq!(
+            tsu.stats().rc_updates,
+            tsu.shard_stats().iter().map(|s| s.rc_updates).sum::<u64>()
+        );
+    }
+
+    #[test]
+    fn poisoned_sm_fails_fetch_and_completion() {
+        let p = fork_join(2, 1);
+        let tsu = Tsu::new(&p, 1, TsuConfig::default());
+        tsu.poison();
+        assert_eq!(tsu.fetch(KernelId(0)), Err(CoreError::SmPoisoned));
+        assert_eq!(
+            complete(&tsu, tsu.graph().first_inlet(), Epoch(0)),
+            Err(CoreError::SmPoisoned)
+        );
+        assert_eq!(drain_sequential(&tsu), Err(CoreError::SmPoisoned));
+    }
+
+    #[test]
+    fn a_round_of_waits_is_a_typed_deadlock() {
+        // kernel 0 holds the inlet and never completes it: every further
+        // fetch waits, and the drain reports it instead of panicking
+        let p = fork_join(2, 1);
+        let tsu = Tsu::new(&p, 2, TsuConfig::default());
+        assert!(matches!(
+            tsu.fetch(KernelId(0)).unwrap(),
+            FetchResult::Thread(..)
+        ));
+        assert_eq!(
+            drain_sequential(&tsu),
+            Err(CoreError::Deadlock { waiting: 0 })
+        );
     }
 
     #[test]
     fn sequential_streaming_replays_the_schedule() {
         let p = fork_join(4, 2);
-        let mut tsu = CoreTsu::new(&p, 2, TsuConfig::default());
-        let first = drain_sequential(&mut tsu);
+        let tsu = Tsu::new(&p, 2, TsuConfig::default());
+        let first = drain_sequential(&tsu).unwrap();
         assert!(tsu.finished());
         // credit a second pass: the graph re-arms and the drain replays
         // the exact same deterministic schedule
         let mut out = Vec::new();
-        assert_eq!(tsu.open_epoch_queued(&mut out).unwrap(), Epoch(1));
+        assert_eq!(tsu.open_epoch(&mut out).unwrap(), Epoch(1));
         assert_eq!(out, vec![tsu.sm.armed_inlet()]);
         assert!(!tsu.finished());
-        let second = drain_sequential(&mut tsu);
+        let second = drain_sequential(&tsu).unwrap();
         assert_eq!(second, first);
         tsu.retire_epoch(Epoch(0)).unwrap();
         tsu.retire_epoch(Epoch(1)).unwrap();
@@ -913,7 +976,7 @@ mod tests {
     fn auto_flush_resolves_from_the_program() {
         // hot reduction sink + multiple kernels: Auto turns batching on
         let p = fork_join(8, 1);
-        let tsu = CoreTsu::new(&p, 2, TsuConfig::default());
+        let tsu = Tsu::new(&p, 2, TsuConfig::default());
         assert_eq!(
             tsu.flush_policy(),
             FlushPolicy::Batch {
@@ -921,10 +984,10 @@ mod tests {
             }
         );
         // one kernel: nothing to combine, Auto stays direct
-        let tsu = CoreTsu::new(&p, 1, TsuConfig::default());
+        let tsu = Tsu::new(&p, 1, TsuConfig::default());
         assert_eq!(tsu.flush_policy(), FlushPolicy::Direct);
         // an explicit policy overrides the heuristic
-        let tsu = CoreTsu::new(
+        let tsu = Tsu::new(
             &p,
             2,
             TsuConfig {

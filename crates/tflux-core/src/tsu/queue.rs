@@ -10,7 +10,8 @@
 //! `(Instance, Epoch)` pairs so streaming tokens ride the steal path
 //! unchanged. The threaded runtime builds its blocking `ReadyQueue` on the
 //! same deque plus the [`MpmcRing`] inbox (foreign pushes); both speak the
-//! shared [`FetchResult`] vocabulary.
+//! shared [`FetchResult`] vocabulary and both are a [`QueueUnit`] — the
+//! one parameter of the [`Tsu`](super::Tsu).
 //!
 //! # Memory ordering
 //!
@@ -88,6 +89,75 @@ impl Steal {
             Steal::Success(e) => Some(e),
             _ => None,
         }
+    }
+}
+
+/// What the [`Tsu`](super::Tsu) needs from a per-kernel Queue Unit — the
+/// only thing that differs between platforms.
+///
+/// [`StealDeque`] is the unit of the single-owner device models (the
+/// simulated hardware TSU, the Cell PPE, the sequential reference drain);
+/// the threaded runtime's blocking `ReadyQueue` is the unit kernel threads
+/// and server arenas share.
+pub trait QueueUnit {
+    /// Whether a kernel whose steals keep missing gates its victim scans
+    /// with [`StealBackoff`](crate::policy::StealBackoff). A polled unit
+    /// needs it — nothing else stops an idle device from sweeping empty
+    /// siblings on every fetch. A unit its consumer can *block* on must
+    /// not have it: the timed park between rescans already is the pacing,
+    /// and a skip window on top of it is a steal blackout.
+    const BACKOFF: bool;
+
+    /// An empty unit. `cap` is the program's resident bound (a sizing
+    /// hint for bounded units); `shared` means several kernels consume
+    /// this one unit (the `GlobalFifo` policy).
+    fn new(cap: usize, shared: bool) -> Self;
+
+    /// Enqueue a dispatched instance with its epoch token.
+    fn push(&self, inst: Instance, epoch: Epoch);
+
+    /// One non-blocking take by the unit's consumer:
+    /// [`FetchResult::Exit`] once the unit was shut down and drained.
+    fn take(&self) -> FetchResult;
+
+    /// One steal attempt by a foreign kernel.
+    fn steal(&self) -> Steal;
+
+    /// Entries currently queued (a racy snapshot under concurrency).
+    fn len(&self) -> usize;
+
+    /// Whether the unit is (momentarily) empty.
+    fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+}
+
+impl QueueUnit for StealDeque {
+    const BACKOFF: bool = true;
+
+    /// The deque grows on demand and has one consumer, so both hints are
+    /// unused.
+    fn new(_cap: usize, _shared: bool) -> Self {
+        StealDeque::new()
+    }
+
+    fn push(&self, inst: Instance, epoch: Epoch) {
+        StealDeque::push(self, inst, epoch)
+    }
+
+    fn take(&self) -> FetchResult {
+        match self.pop() {
+            Some((i, ep)) => FetchResult::Thread(i, ep),
+            None => FetchResult::Wait,
+        }
+    }
+
+    fn steal(&self) -> Steal {
+        StealDeque::steal(self)
+    }
+
+    fn len(&self) -> usize {
+        StealDeque::len(self)
     }
 }
 

@@ -69,7 +69,7 @@ use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
-use super::backend::{ShardStats, TsuStats, WaitingInstance};
+use super::config::{ShardStats, TsuStats, WaitingInstance};
 use super::gm::{GraphMemory, ProgramHandle};
 
 /// Slot state machine: the lifecycle *phase* of one instance in the SM,
@@ -259,6 +259,7 @@ impl<P: ProgramHandle> SyncMemory<P> {
     /// reallocates, no matter how many epochs stream through it.
     pub fn with_window(program: P, kernels: u32, capacity: usize, window: usize) -> Self {
         let gm = GraphMemory::new(program, kernels);
+        let kernels = gm.kernels(); // clamped to ≥ 1
         let mut base = Vec::with_capacity(gm.program().threads().len());
         let mut next = 0u32;
         for spec in gm.program().threads() {

@@ -78,7 +78,7 @@ fn split_fits_preserves_and_executes() {
         assert_eq!(apps(&p), apps(&q));
 
         // executes under a TSU with exactly that capacity
-        let mut tsu = CoreTsu::new(
+        let tsu = Tsu::new(
             &q,
             3,
             TsuConfig {
@@ -87,7 +87,7 @@ fn split_fits_preserves_and_executes() {
                 ..Default::default()
             },
         );
-        let order = drain_sequential(&mut tsu);
+        let order = drain_sequential(&tsu).unwrap();
         assert_eq!(order.len(), q.total_instances());
         assert!(tsu.stats().max_resident <= d.capacity);
     });

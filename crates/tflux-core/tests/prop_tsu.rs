@@ -99,10 +99,10 @@ fn build(desc: &ProgramDesc) -> DdmProgram {
     b.build().expect("generated program must validate")
 }
 
-/// Build a generated program and drain it through a `CoreTsu`.
+/// Build a generated program and drain it through a `Tsu`.
 fn drained(desc: &ProgramDesc) -> (DdmProgram, Vec<Instance>, bool) {
     let p = build(desc);
-    let mut tsu = CoreTsu::new(
+    let tsu = Tsu::new(
         &p,
         desc.kernels,
         TsuConfig {
@@ -111,7 +111,7 @@ fn drained(desc: &ProgramDesc) -> (DdmProgram, Vec<Instance>, bool) {
             ..Default::default()
         },
     );
-    let order = drain_sequential(&mut tsu);
+    let order = drain_sequential(&tsu).unwrap();
     let finished = tsu.finished();
     drop(tsu);
     (p, order, finished)

@@ -227,8 +227,8 @@ mod tests {
 "#;
         let m = parse_module(src).unwrap();
         let p = to_program(&m).unwrap();
-        let mut tsu = CoreTsu::new(&p, 2, TsuConfig::default());
-        let order = tflux_core::tsu::drain_sequential(&mut tsu);
+        let tsu = Tsu::new(&p, 2, TsuConfig::default());
+        let order = tflux_core::tsu::drain_sequential(&tsu).unwrap();
         assert_eq!(order.len(), p.total_instances());
     }
 }

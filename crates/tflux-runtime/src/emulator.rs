@@ -12,19 +12,20 @@
 //!   anyway);
 //! * the watchdog: declaring the run stalled, with forensics, when no
 //!   completion happens for too long;
-//! * collecting TSU protocol errors raised on the kernels' direct path.
+//! * collecting TSU protocol errors the kernels raise on their direct
+//!   path (latched in the TUB).
 //!
 //! For robustness the drain loop still accepts *any* completion kind from
 //! the TUB — an inline test kernel may publish everything through it.
 
 use crate::faults::FaultInjector;
-use crate::soft::SoftTsu;
+use crate::sm::{shutdown, SoftTsu};
 use crate::stats::{InFlightInstance, StallReport};
 use crate::tub::Tub;
 use std::time::{Duration, Instant};
 use tflux_core::error::CoreError;
 use tflux_core::ids::{Epoch, Instance};
-use tflux_core::tsu::{ProgramHandle, TsuStats};
+use tflux_core::tsu::{ProgramHandle, QueueUnit, TsuStats};
 
 /// Why the emulator stopped.
 #[derive(Debug)]
@@ -68,13 +69,13 @@ pub(crate) fn drain_round<P: ProgramHandle>(
     scratch: &mut Vec<Instance>,
 ) -> DrainRound {
     // a kernel hit a protocol error on the direct path and kicked us
-    if let Some(e) = soft.take_protocol_error() {
+    if let Some(e) = tub.take_error() {
         return DrainRound::Protocol(e);
     }
     batch.clear();
     let drained = tub.drain_into(batch);
     for &(done, ep) in batch.iter() {
-        if let Err(e) = soft.handle_completion(done, ep, scratch) {
+        if let Err(e) = soft.complete(done, ep, scratch) {
             return DrainRound::Protocol(e);
         }
     }
@@ -111,7 +112,7 @@ pub(crate) fn stall_report<P: ProgramHandle>(
                 kernel: gm.owner_of(i),
             })
             .collect(),
-        queue_depths: soft.queue_depths(),
+        queue_depths: soft.queues().iter().map(|q| q.len()).collect(),
         kernels: Vec::new(),
         panics: Vec::new(),
     }
@@ -143,11 +144,11 @@ pub fn run_emulator<P: ProgramHandle, F: FaultInjector>(
         }
         match drain_round(soft, tub, &mut batch, &mut scratch) {
             DrainRound::Protocol(e) => {
-                soft.shutdown();
+                shutdown(soft);
                 return EmulatorExit::Protocol(e);
             }
             DrainRound::Finished => {
-                soft.shutdown();
+                shutdown(soft);
                 return EmulatorExit::Finished(soft.stats());
             }
             DrainRound::Progress => {
@@ -165,7 +166,7 @@ pub fn run_emulator<P: ProgramHandle, F: FaultInjector>(
         }
         if last_progress.elapsed() >= watchdog {
             let report = stall_report(soft, tub, last_progress.elapsed());
-            soft.shutdown();
+            shutdown(soft);
             return EmulatorExit::Stalled {
                 report: Box::new(report),
             };
@@ -199,7 +200,7 @@ mod tests {
     #[test]
     fn emulator_drives_single_inline_kernel() {
         let p = fork_join(4);
-        let soft = SoftTsu::new(&p, 1, TsuConfig::default());
+        let soft = SoftTsu::with_queue_unit(&p, 1, TsuConfig::default());
         let tub = Tub::new(2);
         let executed = AtomicU64::new(0);
 
@@ -208,7 +209,7 @@ mod tests {
             let tubref = &tub;
             let exec = &executed;
             s.spawn(move || {
-                while let FetchResult::Thread(i, ep) = softref.queue(0).pop() {
+                while let FetchResult::Thread(i, ep) = softref.queues()[0].pop() {
                     exec.fetch_add(1, Ordering::Relaxed);
                     tubref.push(i, ep);
                 }
@@ -230,7 +231,7 @@ mod tests {
     #[test]
     fn watchdog_fires_when_kernels_never_complete() {
         let p = fork_join(2);
-        let soft = SoftTsu::new(&p, 1, TsuConfig::default());
+        let soft = SoftTsu::with_queue_unit(&p, 1, TsuConfig::default());
         let tub = Tub::new(1);
         // no kernel is running: the inlet is dispatched but never completes
         let exit = run_emulator(&soft, &tub, Duration::from_millis(50), &NoFaults);
@@ -255,7 +256,7 @@ mod tests {
         }
         // queue was shut down: a kernel popping now drains then exits
         assert!(matches!(
-            soft.queue(0).try_pop(),
+            soft.queues()[0].try_pop(),
             FetchResult::Thread(..) | FetchResult::Exit
         ));
     }
@@ -263,7 +264,7 @@ mod tests {
     #[test]
     fn protocol_error_reported_for_oversized_block() {
         let p = fork_join(64);
-        let soft = SoftTsu::new(
+        let soft = SoftTsu::with_queue_unit(
             &p,
             1,
             TsuConfig {
@@ -277,7 +278,7 @@ mod tests {
             let softref = &soft;
             let tubref = &tub;
             s.spawn(move || {
-                while let FetchResult::Thread(i, ep) = softref.queue(0).pop() {
+                while let FetchResult::Thread(i, ep) = softref.queues()[0].pop() {
                     tubref.push(i, ep);
                 }
             });
@@ -292,11 +293,10 @@ mod tests {
     #[test]
     fn latched_kernel_protocol_error_aborts_the_run() {
         let p = fork_join(2);
-        let soft = SoftTsu::new(&p, 1, TsuConfig::default());
+        let soft = SoftTsu::with_queue_unit(&p, 1, TsuConfig::default());
         let tub = Tub::new(1);
         let bogus = Instance::new(ThreadId(1), Context(0));
-        soft.record_protocol(CoreError::NotRunning(bogus));
-        tub.kick();
+        tub.raise(CoreError::NotRunning(bogus));
         let exit = run_emulator(&soft, &tub, Duration::from_secs(5), &NoFaults);
         match exit {
             EmulatorExit::Protocol(CoreError::NotRunning(i)) => assert_eq!(i, bogus),

@@ -2,9 +2,8 @@
 //!
 //! A kernel is "a simple user-level process" — here an OS thread — that
 //! alternates between the *FindReadyThread* loop and application DThread
-//! code. Fetching goes through the shared [`SoftTsu`]'s [`TsuBackend`]
-//! impl: own ready queue first, then (policy permitting) stealing from the
-//! most loaded sibling.
+//! code. Fetching goes through the shared [`SoftTsu`]: own ready queue
+//! first, then (policy permitting) stealing from the most loaded sibling.
 //!
 //! Completion is split by DThread kind. *Application* completions take the
 //! direct-update path: the kernel runs the Post-Processing Phase itself
@@ -17,15 +16,16 @@
 use crate::body::{BodyCtx, BodyTable};
 use crate::faults::{BodyFault, FaultInjector};
 use crate::runtime::RetryPolicy;
-use crate::soft::SoftTsu;
+use crate::sm::SoftTsu;
 use crate::stats::KernelStats;
 use crate::sync::lock;
 use crate::tub::Tub;
 use std::sync::Mutex;
 use std::time::Duration;
-use tflux_core::ids::{Instance, KernelId};
+use tflux_core::error::CoreError;
+use tflux_core::ids::{Epoch, Instance, KernelId};
 use tflux_core::thread::ThreadKind;
-use tflux_core::tsu::{CompletionFunnel, FetchResult, ProgramHandle, TsuBackend};
+use tflux_core::tsu::{CompletionFunnel, FetchResult, ProgramHandle};
 
 /// A panic captured from a DThread body. The kernel contains the panic,
 /// retries it if the body opted in as idempotent and the
@@ -51,39 +51,44 @@ pub type PanicSink = Mutex<Vec<BodyPanic>>;
 /// rescans.
 const STEAL_RESCAN: Duration = Duration::from_millis(1);
 
-/// Flush a kernel's completion funnel through the shared TSU, containing
-/// unwinds exactly like the direct completion path does. `Err(())` means
-/// the kernel must break out of its loop (the Synchronization Memory was
-/// poisoned by a panic mid-flush); a typed protocol error is recorded for
-/// the emulator and the kernel keeps going — its next fetch surfaces the
-/// abort.
-pub(crate) fn flush_funnel<P: ProgramHandle>(
+/// Run one Post-Processing operation on the shared TSU with its failures
+/// contained. A typed protocol error is reported through the TUB for the
+/// emulator and the caller keeps going — its next fetch surfaces the abort.
+/// An unwind has already poisoned the Synchronization Memory (its
+/// drop-guard latches the flag); containing it here lets the kernel
+/// surface the typed error and exit cleanly instead of dying mid-update:
+/// `Err(())` tells it to break out of its loop.
+fn contained<P: ProgramHandle>(
+    tsu: &SoftTsu<P>,
+    tub: &Tub,
+    op: impl FnOnce() -> Result<(), CoreError>,
+) -> Result<(), ()> {
+    match std::panic::catch_unwind(std::panic::AssertUnwindSafe(op)) {
+        Ok(Ok(())) => Ok(()),
+        Ok(Err(e)) => {
+            tub.raise(e);
+            Ok(())
+        }
+        Err(_) => {
+            tsu.poison();
+            tub.raise(CoreError::SmPoisoned);
+            Err(())
+        }
+    }
+}
+
+/// Flush a kernel's completion funnel through the shared TSU, failures
+/// [`contained`].
+fn flush_funnel<P: ProgramHandle>(
     funnel: &mut CompletionFunnel,
-    backend: &mut &SoftTsu<P>,
+    tsu: &SoftTsu<P>,
     tub: &Tub,
     scratch: &mut Vec<Instance>,
 ) -> Result<(), ()> {
     if funnel.is_empty() {
         return Ok(());
     }
-    let soft: &SoftTsu<P> = backend;
-    let flushed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        funnel.flush(backend, scratch)
-    }));
-    match flushed {
-        Ok(Ok(())) => Ok(()),
-        Ok(Err(e)) => {
-            soft.record_protocol(e);
-            tub.kick();
-            Ok(())
-        }
-        Err(_) => {
-            soft.poison();
-            soft.record_protocol(tflux_core::error::CoreError::SmPoisoned);
-            tub.kick();
-            Err(())
-        }
-    }
+    contained(tsu, tub, || funnel.flush(tsu, scratch))
 }
 
 /// Outcome of one body execution under panic containment and retry.
@@ -152,6 +157,28 @@ pub(crate) fn execute_body<F: FaultInjector>(
     BodyOutcome { publish, retries }
 }
 
+/// Publish one completion, split by DThread kind. An *App* completion is
+/// the direct update: post-processed on the calling kernel's thread,
+/// failures [`contained`]. *Inlet*/*Outlet* completions stay serialized
+/// through the emulator and travel by TUB. Shared by the single-program
+/// kernel loop below and the multi-program server's kernel pool.
+pub(crate) fn publish_completion<P: ProgramHandle, F: FaultInjector>(
+    tsu: &SoftTsu<P>,
+    tub: &Tub,
+    instance: Instance,
+    epoch: Epoch,
+    injector: &F,
+    scratch: &mut Vec<Instance>,
+) -> Result<(), ()> {
+    match tsu.graph().kind(instance.thread) {
+        ThreadKind::App => contained(tsu, tub, || tsu.complete(instance, epoch, scratch)),
+        ThreadKind::Inlet | ThreadKind::Outlet => {
+            tub.push_with(instance, epoch, injector);
+            Ok(())
+        }
+    }
+}
+
 /// Run one kernel to completion. Returns this kernel's counters.
 ///
 /// The loop mirrors Fig. 2: the first instance a kernel receives is (for
@@ -160,7 +187,7 @@ pub(crate) fn execute_body<F: FaultInjector>(
 /// Outlet "forces its Kernel to exit".
 pub fn run_kernel<P: ProgramHandle, F: FaultInjector>(
     kernel: KernelId,
-    soft: &SoftTsu<P>,
+    tsu: &SoftTsu<P>,
     bodies: &BodyTable<'_>,
     tub: &Tub,
     panics: &PanicSink,
@@ -172,30 +199,27 @@ pub fn run_kernel<P: ProgramHandle, F: FaultInjector>(
     let mut poisoned = 0u64;
     let mut iterations = 0u64;
     let mut scratch: Vec<Instance> = Vec::new();
-    let mut backend = soft; // &SoftTsu is the TsuBackend
-                            // App completions park here under FlushPolicy::Batch and reach the SM
-                            // as combined batches; under the default Direct policy the funnel is
-                            // bypassed entirely.
-    let mut funnel = CompletionFunnel::new(soft.flush_policy());
-    let queue = soft.queue(soft.queue_index(kernel));
-    let gm = soft.graph();
+    // App completions park here under FlushPolicy::Batch and reach the SM
+    // as combined batches; under the Direct policy the funnel stays empty.
+    let mut funnel = CompletionFunnel::new(tsu.flush_policy());
+    let queue = &tsu.queues()[tsu.queue_index(kernel)];
 
     loop {
         iterations += 1;
         if let Some(d) = injector.kernel_stall(kernel, iterations) {
             std::thread::sleep(d);
         }
-        // non-blocking trait fetch (own queue, then steal); fall back to a
+        // non-blocking fetch (own queue, then steal); fall back to a
         // blocking pop on the own queue when nothing is runnable anywhere —
         // bounded for stealers, which must periodically rescan victims
-        let fetched = match backend.fetch(kernel) {
+        let fetched = match tsu.fetch(kernel) {
             Ok(FetchResult::Wait) => {
                 // flush before blocking: the parked decrements may be the
                 // very ones this kernel (or a sibling) is waiting on
-                if flush_funnel(&mut funnel, &mut backend, tub, &mut scratch).is_err() {
+                if flush_funnel(&mut funnel, tsu, tub, &mut scratch).is_err() {
                     break;
                 }
-                if soft.stealing() {
+                if tsu.stealing() {
                     queue.pop_timeout(STEAL_RESCAN)
                 } else {
                     queue.pop()
@@ -204,8 +228,7 @@ pub fn run_kernel<P: ProgramHandle, F: FaultInjector>(
             Ok(r) => r,
             Err(e) => {
                 // poisoned SM or a scheduler protocol bug: abort the run
-                soft.record_protocol(e);
-                tub.kick();
+                tub.raise(e);
                 break;
             }
         };
@@ -228,60 +251,35 @@ pub fn run_kernel<P: ProgramHandle, F: FaultInjector>(
             poisoned += 1;
             continue;
         }
-        match gm.kind(instance.thread) {
-            // direct update: post-process on this kernel's thread. An
-            // unwind out of the Post-Processing Phase has already poisoned
-            // the Synchronization Memory (its drop-guard latches the
-            // flag); containing it here lets this kernel surface the typed
-            // error and exit cleanly instead of dying mid-update.
-            ThreadKind::App if funnel.batching() => {
-                // park the completion; a full funnel flushes as one batch
-                if funnel.push(instance, epoch)
-                    && flush_funnel(&mut funnel, &mut backend, tub, &mut scratch).is_err()
-                {
-                    break;
-                }
+        if funnel.batching() && tsu.graph().kind(instance.thread) == ThreadKind::App {
+            // park the completion; a full funnel flushes as one batch
+            if funnel.push(instance, epoch)
+                && flush_funnel(&mut funnel, tsu, tub, &mut scratch).is_err()
+            {
+                break;
             }
-            ThreadKind::App => {
-                let completed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    backend.complete(instance, epoch, &mut scratch)
-                }));
-                match completed {
-                    Ok(Ok(())) => {}
-                    Ok(Err(e)) => {
-                        soft.record_protocol(e);
-                        tub.kick(); // wake the emulator to abort the run
-                    }
-                    Err(_) => {
-                        soft.poison();
-                        soft.record_protocol(tflux_core::error::CoreError::SmPoisoned);
-                        tub.kick();
-                        break;
-                    }
-                }
-            }
-            // block transitions stay serialized through the emulator; the
-            // funnel flushes first so the emulator's post-processing sees
-            // every App decrement this kernel produced
-            ThreadKind::Inlet | ThreadKind::Outlet => {
-                if flush_funnel(&mut funnel, &mut backend, tub, &mut scratch).is_err() {
-                    break;
-                }
-                tub.push_with(instance, epoch, injector);
-            }
+            continue;
+        }
+        // a block transition flushes the funnel first, so the emulator's
+        // post-processing sees every App decrement this kernel produced
+        if flush_funnel(&mut funnel, tsu, tub, &mut scratch).is_err()
+            || publish_completion(tsu, tub, instance, epoch, injector, &mut scratch).is_err()
+        {
+            break;
         }
     }
-    // drain anything still parked (e.g. a break on a recorded protocol
+    // drain anything still parked (e.g. a break on a reported protocol
     // error) so no completion is silently dropped; failures here have
-    // already been recorded by the helper
-    let _ = flush_funnel(&mut funnel, &mut backend, tub, &mut scratch);
+    // already been reported by the helper
+    let _ = flush_funnel(&mut funnel, tsu, tub, &mut scratch);
+    let sched = tsu.kernel_stats(kernel);
     KernelStats {
         executed,
         wait_ns: queue.wait_nanos(),
         blocked_pops: queue.blocked_pops(),
-        steals: soft.steals_of(kernel),
-        steal_misses: soft.steal_misses_of(kernel),
-        steal_races: soft.steal_races_of(kernel),
+        steals: sched.steals,
+        steal_misses: sched.steal_misses,
+        steal_races: sched.steal_races,
         retries,
         poisoned,
     }
@@ -292,9 +290,10 @@ mod tests {
     use super::*;
     use crate::body::BodyTable;
     use crate::faults::NoFaults;
+    use crate::sm::shutdown;
     use std::sync::atomic::{AtomicU64, Ordering};
     use tflux_core::prelude::*;
-    use tflux_core::tsu::TsuConfig;
+    use tflux_core::tsu::QueueUnit;
 
     /// A minimal emulator stand-in: drain the TUB, post-process block
     /// transitions, shut the queues down when the program finishes.
@@ -302,7 +301,7 @@ mod tests {
         let mut batch = Vec::new();
         let mut scratch = Vec::new();
         while !soft.finished() {
-            if soft.take_protocol_error().is_some() {
+            if tub.take_error().is_some() {
                 break;
             }
             batch.clear();
@@ -311,10 +310,30 @@ mod tests {
                 continue;
             }
             for &(i, ep) in batch.iter() {
-                soft.handle_completion(i, ep, &mut scratch).unwrap();
+                soft.complete(i, ep, &mut scratch).unwrap();
             }
         }
-        soft.shutdown();
+        shutdown(soft);
+    }
+
+    /// `run_kernel` with no injected faults and the default retry policy.
+    fn run(
+        kernel: u32,
+        soft: &SoftTsu<&DdmProgram>,
+        bodies: &BodyTable<'_>,
+        tub: &Tub,
+        panics: &PanicSink,
+    ) -> KernelStats {
+        let retry = RetryPolicy::default();
+        run_kernel(
+            KernelId(kernel),
+            soft,
+            bodies,
+            tub,
+            panics,
+            &NoFaults,
+            retry,
+        )
     }
 
     fn work_program(arity: u32) -> (DdmProgram, ThreadId) {
@@ -332,20 +351,10 @@ mod tests {
         bodies.set(w, |c| {
             hits.fetch_add(1 + c.context.0 as u64, Ordering::Relaxed);
         });
-        let soft = SoftTsu::new(&p, 1, TsuConfig::default());
+        let soft = SoftTsu::with_queue_unit(&p, 1, TsuConfig::default());
         let tub = Tub::new(2);
         let stats = std::thread::scope(|s| {
-            let h = s.spawn(|| {
-                run_kernel(
-                    KernelId(0),
-                    &soft,
-                    &bodies,
-                    &tub,
-                    &PanicSink::default(),
-                    &NoFaults,
-                    RetryPolicy::default(),
-                )
-            });
+            let h = s.spawn(|| run(0, &soft, &bodies, &tub, &PanicSink::default()));
             drive(&soft, &tub);
             h.join().unwrap()
         });
@@ -364,21 +373,11 @@ mod tests {
                 panic!("boom at {:?}", c.context);
             }
         });
-        let soft = SoftTsu::new(&p, 1, TsuConfig::default());
+        let soft = SoftTsu::with_queue_unit(&p, 1, TsuConfig::default());
         let tub = Tub::new(1);
         let sink = PanicSink::default();
         let stats = std::thread::scope(|s| {
-            let h = s.spawn(|| {
-                run_kernel(
-                    KernelId(0),
-                    &soft,
-                    &bodies,
-                    &tub,
-                    &sink,
-                    &NoFaults,
-                    RetryPolicy::default(),
-                )
-            });
+            let h = s.spawn(|| run(0, &soft, &bodies, &tub, &sink));
             drive(&soft, &tub);
             h.join().unwrap()
         });
@@ -396,7 +395,7 @@ mod tests {
     fn kernel_with_shut_down_queue_exits_cleanly() {
         let (p, _) = work_program(2);
         let bodies = BodyTable::new(&p);
-        let soft = SoftTsu::new(
+        let soft = SoftTsu::with_queue_unit(
             &p,
             2,
             TsuConfig {
@@ -406,17 +405,9 @@ mod tests {
             },
         );
         let tub = Tub::new(1);
-        soft.shutdown();
+        shutdown(&soft);
         // kernel 1's queue is empty (the armed inlet sits on kernel 0's)
-        let stats = run_kernel(
-            KernelId(1),
-            &soft,
-            &bodies,
-            &tub,
-            &PanicSink::default(),
-            &NoFaults,
-            RetryPolicy::default(),
-        );
+        let stats = run(1, &soft, &bodies, &tub, &PanicSink::default());
         assert_eq!(stats.executed, 0);
     }
 
@@ -428,21 +419,11 @@ mod tests {
         bodies.set(w, |c| {
             seen.lock().unwrap().push((c.kernel, c.context));
         });
-        let soft = SoftTsu::new(&p, 1, TsuConfig::default());
+        let soft = SoftTsu::with_queue_unit(&p, 1, TsuConfig::default());
         let tub = Tub::new(1);
         std::thread::scope(|s| {
             // kernel id 3 on a 1-queue TSU: the clamp routes it to queue 0
-            let h = s.spawn(|| {
-                run_kernel(
-                    KernelId(3),
-                    &soft,
-                    &bodies,
-                    &tub,
-                    &PanicSink::default(),
-                    &NoFaults,
-                    RetryPolicy::default(),
-                )
-            });
+            let h = s.spawn(|| run(3, &soft, &bodies, &tub, &PanicSink::default()));
             drive(&soft, &tub);
             h.join().unwrap()
         });
@@ -471,7 +452,7 @@ mod tests {
         bodies.set(w, |_| {
             count.fetch_add(1, Ordering::Relaxed);
         });
-        let soft = SoftTsu::new(
+        let soft = SoftTsu::with_queue_unit(
             &p,
             2,
             TsuConfig {
@@ -482,17 +463,7 @@ mod tests {
         );
         let tub = Tub::new(1);
         let stats = std::thread::scope(|s| {
-            let h = s.spawn(|| {
-                run_kernel(
-                    KernelId(0),
-                    &soft,
-                    &bodies,
-                    &tub,
-                    &PanicSink::default(),
-                    &NoFaults,
-                    RetryPolicy::default(),
-                )
-            });
+            let h = s.spawn(|| run(0, &soft, &bodies, &tub, &PanicSink::default()));
             drive(&soft, &tub);
             h.join().unwrap()
         });
@@ -517,7 +488,7 @@ mod tests {
         bodies.set(w, |_| {
             count.fetch_add(1, Ordering::Relaxed);
         });
-        let soft = SoftTsu::new(
+        let soft = SoftTsu::with_queue_unit(
             &p,
             2,
             TsuConfig {
@@ -531,17 +502,7 @@ mod tests {
             let handles: Vec<_> = (0..2u32)
                 .map(|k| {
                     let (soft, bodies, tub, sink_panics) = (&soft, &bodies, &tub, &sink_panics);
-                    s.spawn(move || {
-                        run_kernel(
-                            KernelId(k),
-                            soft,
-                            bodies,
-                            tub,
-                            sink_panics,
-                            &NoFaults,
-                            RetryPolicy::default(),
-                        )
-                    })
+                    s.spawn(move || run(k, soft, bodies, tub, sink_panics))
                 })
                 .collect();
             drive(&soft, &tub);
@@ -579,7 +540,7 @@ mod tests {
         bodies.set(w, |_| {
             executed_w.fetch_add(1, Ordering::Relaxed);
         });
-        let soft = SoftTsu::new(
+        let soft = SoftTsu::with_queue_unit(
             &p,
             2,
             TsuConfig {
@@ -593,37 +554,27 @@ mod tests {
             let soft = &soft;
             let tub = &tub;
             let bodies = &bodies;
-            let h = s.spawn(move || {
-                run_kernel(
-                    KernelId(0),
-                    soft,
-                    bodies,
-                    tub,
-                    &PanicSink::default(),
-                    &NoFaults,
-                    RetryPolicy::default(),
-                )
-            });
+            let h = s.spawn(move || run(0, soft, bodies, tub, &PanicSink::default()));
             // process the inlet's TUB entry so the block loads and the
             // pinned work lands on kernel 1's (unserved) queue
             let mut batch = Vec::new();
             let mut scratch = Vec::new();
-            while soft.queue(1).len() < 3 {
+            while soft.queues()[1].len() < 3 {
                 batch.clear();
                 tub.drain_into(&mut batch);
                 for &(i, ep) in batch.iter() {
-                    soft.handle_completion(i, ep, &mut scratch).unwrap();
+                    soft.complete(i, ep, &mut scratch).unwrap();
                 }
                 std::thread::yield_now();
             }
             // give the non-stealing kernel a moment to (not) take it
             std::thread::sleep(Duration::from_millis(20));
-            soft.shutdown();
+            shutdown(soft);
             h.join().unwrap()
         });
         assert_eq!(stats.executed, 1, "only the inlet runs on kernel 0");
         assert_eq!(stats.steals, 0);
         assert_eq!(executed_w.load(Ordering::Relaxed), 0);
-        assert_eq!(soft.queue(1).len(), 3, "victim queue untouched");
+        assert_eq!(soft.queues()[1].len(), 3, "victim queue untouched");
     }
 }

@@ -9,8 +9,9 @@
 //!   Phase. Body dispatch is a plain closure call — the Rust analogue of
 //!   the paper's "Kernel code and application DThread code in the same
 //!   function", i.e. no OS involvement per DThread.
-//! * The shared software TSU ([`SoftTsu`]) composes the
-//!   units of [`tflux_core::tsu`]: a read-only Graph Memory and a
+//! * The shared software TSU ([`SoftTsu`]) is the one
+//!   [`Tsu`](tflux_core::tsu::Tsu) of `tflux-core` on blocking
+//!   [`ReadyQueue`](sm::ReadyQueue)s: a read-only Graph Memory and a
 //!   **lock-free Synchronization Memory** (atomic ready-count slots).
 //!   *Application* completions take the direct-update path — the
 //!   completing kernel decrements its consumers' ready counts with
@@ -68,7 +69,6 @@ pub mod runtime;
 pub mod server;
 pub mod shared;
 pub mod sm;
-pub mod soft;
 pub mod stats;
 mod sync;
 pub mod tub;
@@ -78,8 +78,8 @@ pub use faults::{BodyFault, FaultCounts, FaultInjector, FaultPlan, NoFaults};
 pub use runtime::{RetryPolicy, Runtime, RuntimeConfig, RuntimeError};
 pub use server::{Admission, ProgramServer, ServerConfig, Submission, Submit, SubmitError};
 pub use shared::SharedVar;
-pub use soft::SoftTsu;
+pub use sm::SoftTsu;
 pub use stats::{InFlightInstance, RunReport, StallReport, TenantReport};
 // the one fetch vocabulary shared with the core TSU units
-pub use tflux_core::tsu::{FetchResult, ShardStats, TsuBackend};
+pub use tflux_core::tsu::{FetchResult, ShardStats};
 pub use tub::TubBackoff;

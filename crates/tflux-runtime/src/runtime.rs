@@ -10,7 +10,7 @@ use crate::body::BodyTable;
 use crate::emulator::{run_emulator, EmulatorExit};
 use crate::faults::{FaultInjector, NoFaults};
 use crate::kernel::run_kernel;
-use crate::soft::SoftTsu;
+use crate::sm::SoftTsu;
 use crate::stats::{KernelStats, RunReport, StallReport};
 use crate::sync;
 use crate::tub::{Tub, TubBackoff};
@@ -259,10 +259,10 @@ impl Runtime {
             });
         }
         let kernels = self.config.kernels.max(1);
-        // The shared software TSU: Graph Memory, sharded Synchronization
-        // Memory and the per-kernel ready queues, armed with the first
-        // block's inlet.
-        let soft = SoftTsu::new(program, kernels, self.config.tsu);
+        // The shared software TSU: Graph Memory, Synchronization Memory
+        // and the per-kernel ready queues, armed with the first block's
+        // inlet.
+        let soft = SoftTsu::with_queue_unit(program, kernels, self.config.tsu);
         let tub = Tub::with_backoff(self.config.tub_segments, self.config.tub_backoff);
         let watchdog = self.config.watchdog;
         let retry = self.config.retry;

@@ -6,8 +6,8 @@
 //! duration of one `run`. A [`ProgramServer`] instead keeps a pool of
 //! kernel OS threads alive and lets callers *submit* programs while others
 //! drain. Each admitted program (a *tenant*) gets a *private arena*: its
-//! own [`SoftTsu`] — Graph Memory, sharded Synchronization Memory, ready
-//! queues — plus its own [TUB](crate::tub::Tub) and panic sink, so no
+//! own [`SoftTsu`] — Graph Memory, Synchronization Memory, ready queues —
+//! plus its own [TUB](crate::tub::Tub) and panic sink, so no
 //! scheduling state is shared between programs. The pool kernels multiplex
 //! over the resident arenas under a weighted round-robin
 //! [`ServiceRotor`](tflux_core::tsu::ServiceRotor) discipline; one
@@ -38,9 +38,9 @@
 use crate::body::BodyTable;
 use crate::emulator::{drain_round, stall_report, DrainRound};
 use crate::faults::FaultPlan;
-use crate::kernel::{execute_body, PanicSink};
+use crate::kernel::{execute_body, publish_completion, PanicSink};
 use crate::runtime::{RetryPolicy, RuntimeError};
-use crate::soft::SoftTsu;
+use crate::sm::{shutdown, SoftTsu};
 use crate::stats::TenantReport;
 use crate::sync::{lock, wait, wait_timeout};
 use crate::tub::{Tub, TubBackoff};
@@ -51,8 +51,7 @@ use std::time::{Duration, Instant};
 use tflux_core::error::CoreError;
 use tflux_core::ids::{Epoch, Instance, KernelId, ProgramId};
 use tflux_core::program::DdmProgram;
-use tflux_core::thread::ThreadKind;
-use tflux_core::tsu::{FetchResult, ServiceRotor, TsuBackend, TsuConfig};
+use tflux_core::tsu::{FetchResult, ServiceRotor, TsuConfig};
 
 /// Configuration of a [`ProgramServer`].
 #[derive(Clone, Copy, Debug)]
@@ -326,7 +325,7 @@ impl Tenant {
             deadline,
             epochs,
             admitted_at: Instant::now(),
-            soft: SoftTsu::new(program, cfg.kernels.max(1), cfg.tsu),
+            soft: SoftTsu::with_queue_unit(program, cfg.kernels, cfg.tsu),
             tub: Tub::with_backoff(cfg.tub_segments, cfg.tub_backoff),
             bodies,
             panics: PanicSink::default(),
@@ -483,8 +482,7 @@ impl ProgramServer {
         match tenant {
             Some(t) => {
                 t.soft.poison();
-                t.soft.record_protocol(CoreError::SmPoisoned);
-                t.tub.kick();
+                t.tub.raise(CoreError::SmPoisoned);
                 self.shared.ring();
                 true
             }
@@ -525,16 +523,15 @@ fn serve_one(
     kernel: KernelId,
     scratch: &mut Vec<Instance>,
 ) -> bool {
-    let mut backend = &tenant.soft; // &SoftTsu is the TsuBackend
-    let (instance, epoch) = match backend.fetch(kernel) {
+    let (instance, epoch) = match tenant.soft.fetch(kernel) {
         Ok(FetchResult::Thread(i, ep)) => (i, ep),
-        // Wait: nothing runnable here; Exit: arena shut down by eviction
+        // Wait: nothing runnable here; Exit: between streamed passes, or
+        // the arena was shut down by eviction
         Ok(_) => return false,
         Err(e) => {
-            // poisoned arena: latch the error for the supervisor to evict
+            // poisoned arena: report the error for the supervisor to evict
             // on, and move on to the next tenant — this kernel is fine
-            tenant.soft.record_protocol(e);
-            tenant.tub.kick();
+            tenant.tub.raise(e);
             shared.ring();
             return false;
         }
@@ -560,34 +557,17 @@ fn serve_one(
         tenant.poisoned.fetch_add(1, Ordering::Relaxed);
         return true;
     }
-    match tenant.soft.graph().kind(instance.thread) {
-        // direct update into this tenant's private Synchronization Memory;
-        // an unwind out of post-processing poisons only this arena
-        ThreadKind::App => {
-            let completed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                backend.complete(instance, epoch, scratch)
-            }));
-            match completed {
-                Ok(Ok(())) => shared.ring(),
-                Ok(Err(e)) => {
-                    tenant.soft.record_protocol(e);
-                    tenant.tub.kick();
-                    shared.ring();
-                }
-                Err(_) => {
-                    tenant.soft.poison();
-                    tenant.soft.record_protocol(CoreError::SmPoisoned);
-                    tenant.tub.kick();
-                    shared.ring();
-                }
-            }
-        }
-        // block transitions stay serialized through the supervisor
-        ThreadKind::Inlet | ThreadKind::Outlet => {
-            tenant.tub.push_with(instance, epoch, &tenant.faults);
-            shared.ring();
-        }
-    }
+    // a failed direct update poisons (and is reported against) only this
+    // tenant's private arena; the pool kernel itself carries on either way
+    let _ = publish_completion(
+        &tenant.soft,
+        &tenant.tub,
+        instance,
+        epoch,
+        &tenant.faults,
+        scratch,
+    );
+    shared.ring();
     true
 }
 
@@ -654,7 +634,7 @@ fn evict_tenant(
     result: Result<TenantReport, RuntimeError>,
 ) {
     tenant.evicted.store(true, Ordering::Release);
-    tenant.soft.shutdown();
+    shutdown(&tenant.soft);
     // a long-lived stream may hold banked epochs at eviction: retire every
     // fully drained one so the ledger closes before the arena is torn down
     // (epochs cut short mid-pass are abandoned with the arena)
@@ -677,7 +657,7 @@ fn evict_tenant(
 /// epoch (freeing window credits), then bank upcoming passes until the
 /// stream's total is reached or the credit window pushes back. Newly
 /// re-armed inlets are published straight onto the tenant's ready queues
-/// by [`SoftTsu::open_epoch`].
+/// by [`SoftTsu::open_epoch`](tflux_core::tsu::Tsu::open_epoch).
 fn stream_advance(tenant: &Tenant, scratch: &mut Vec<Instance>) -> Result<(), CoreError> {
     loop {
         let (_, completed, retired) = tenant.soft.epoch_ledger();
@@ -719,8 +699,7 @@ fn admit_pending(shared: &ServerShared) -> bool {
         // right at admission so kernels see continuous work
         if tenant.epochs > 1 {
             if let Err(e) = stream_advance(&tenant, &mut scratch) {
-                tenant.soft.record_protocol(e);
-                tenant.tub.kick();
+                tenant.tub.raise(e);
             }
         }
         lock(&shared.registry).push(tenant);

@@ -2,10 +2,12 @@
 //!
 //! Each kernel owns one [`ReadyQueue`] ("Local TSU" in Fig. 4 of the
 //! paper): the concurrent counterpart of the single-owner
-//! [`StealDeque`](tflux_core::tsu::StealDeque) — in fact it is built *on*
-//! one. Completion handlers push instances whose ready count reached zero;
-//! the kernel pops them, blocking when empty; idle siblings steal. All
-//! three answers speak the shared [`FetchResult`] vocabulary.
+//! [`StealDeque`] — in fact it is built *on* one. It is the [`QueueUnit`]
+//! that turns the one [`Tsu`] of `tflux-core` into the shared software TSU
+//! of TFluxSoft ([`SoftTsu`]): completion handlers push instances whose
+//! ready count reached zero; the kernel pops them, blocking when empty;
+//! idle siblings steal. All three answers speak the shared [`FetchResult`]
+//! vocabulary.
 //!
 //! # Structure
 //!
@@ -35,7 +37,25 @@ use std::sync::atomic::{fence, AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex};
 use std::time::{Duration, Instant};
 use tflux_core::ids::{Epoch, Instance};
-use tflux_core::tsu::{FetchResult, MpmcRing, Steal, StealDeque};
+use tflux_core::tsu::{FetchResult, MpmcRing, ProgramHandle, QueueUnit, Steal, StealDeque, Tsu};
+
+/// The shared software TSU of TFluxSoft: the one [`Tsu`] on blocking
+/// [`ReadyQueue`]s, shared by `&` between the kernels and the emulator.
+///
+/// This is the direct-update redesign of §4.2: instead of funnelling every
+/// completion through the single TSU-Emulator thread, kernels publish
+/// *application* completions straight into the lock-free Synchronization
+/// Memory. Only Inlet/Outlet completions (block loading/unloading, which
+/// the paper serializes anyway) still travel through the
+/// [TUB](crate::tub::Tub) to the emulator, which also keeps the watchdog.
+pub type SoftTsu<P> = Tsu<P, ReadyQueue>;
+
+/// Shut every queue of `tsu` down so all kernels terminate after draining.
+pub fn shutdown<P: ProgramHandle>(tsu: &SoftTsu<P>) {
+    for q in tsu.queues() {
+        q.shutdown();
+    }
+}
 
 /// How long a blocked pop sleeps before re-checking on its own — the
 /// backstop against a lost wakeup, not the normal wake path.
@@ -68,12 +88,6 @@ pub struct ReadyQueue {
     blocked_pops: AtomicU64,
 }
 
-impl Default for ReadyQueue {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 enum WaitMode {
     /// Return `Wait` immediately on a miss.
     Now,
@@ -81,26 +95,16 @@ enum WaitMode {
     Until(Option<Instant>),
 }
 
-impl ReadyQueue {
-    /// An empty single-owner queue with a default-sized inbox.
-    pub fn new() -> Self {
-        Self::build(256, false)
-    }
+impl QueueUnit for ReadyQueue {
+    /// Kernel threads pace their victim rescans by parking on this queue
+    /// ([`pop_timeout`](ReadyQueue::pop_timeout)), never by skipping them.
+    const BACKOFF: bool = false;
 
-    /// An empty single-owner queue whose inbox holds `cap` entries before
-    /// the overflow valve engages. Size it at the program's resident bound
-    /// and the valve is never hit.
-    pub fn with_capacity(cap: usize) -> Self {
-        Self::build(cap, false)
-    }
-
-    /// An empty *shared* (multi-consumer) queue: every take is served
-    /// FIFO from the MPMC inbox, because the deque bottom is owner-only.
-    pub fn new_shared(cap: usize) -> Self {
-        Self::build(cap, true)
-    }
-
-    fn build(cap: usize, shared: bool) -> Self {
+    /// An empty queue whose inbox holds `cap` entries before the overflow
+    /// valve engages — sized at the program's resident bound, the valve is
+    /// never hit. A *shared* (multi-consumer) queue serves every take FIFO
+    /// from the MPMC inbox, because the deque bottom is owner-only.
+    fn new(cap: usize, shared: bool) -> Self {
         ReadyQueue {
             deque: StealDeque::with_capacity(cap.max(4)),
             inbox: MpmcRing::with_capacity(cap.max(4)),
@@ -119,7 +123,7 @@ impl ReadyQueue {
     /// Enqueue a ready instance with the epoch it was dispatched under
     /// (completion-handler side; any thread). Lock-free unless the inbox
     /// is full or a consumer is parked.
-    pub fn push(&self, inst: Instance, epoch: Epoch) {
+    fn push(&self, inst: Instance, epoch: Epoch) {
         if !self.inbox.push(inst, epoch) {
             let mut ovf = lock(&self.overflow);
             ovf.push_back((inst, epoch));
@@ -128,6 +132,34 @@ impl ReadyQueue {
         self.wake();
     }
 
+    fn take(&self) -> FetchResult {
+        self.try_pop()
+    }
+
+    /// One steal attempt by a foreign kernel: the deque top first (oldest
+    /// owner-side entry), then the inbox, then the overflow valve.
+    /// [`Steal::Retry`] means a CAS was lost to the owner or another
+    /// thief — the caller counts the race and may retry or move on.
+    fn steal(&self) -> Steal {
+        match self.deque.steal() {
+            Steal::Empty => {}
+            hit_or_race => return hit_or_race,
+        }
+        if let Some(e) = self.inbox.pop() {
+            return Steal::Success(e);
+        }
+        match self.pop_overflow() {
+            Some(e) => Steal::Success(e),
+            None => Steal::Empty,
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.deque.len() + self.inbox.len() + self.overflow_len.load(Ordering::SeqCst)
+    }
+}
+
+impl ReadyQueue {
     /// Tell consumers to exit once the queue drains.
     pub fn shutdown(&self) {
         self.exit.store(true, Ordering::SeqCst);
@@ -169,31 +201,6 @@ impl ReadyQueue {
         self.deque.pop().or_else(|| self.pop_overflow())
     }
 
-    /// One steal attempt by a foreign kernel: the deque top first (oldest
-    /// owner-side entry), then the inbox, then the overflow valve.
-    /// [`Steal::Retry`] means a CAS was lost to the owner or another
-    /// thief — the caller counts the race and may retry or move on.
-    pub fn steal(&self) -> Steal {
-        match self.deque.steal() {
-            Steal::Empty => {}
-            hit_or_race => return hit_or_race,
-        }
-        if let Some(e) = self.inbox.pop() {
-            return Steal::Success(e);
-        }
-        match self.pop_overflow() {
-            Some(e) => Steal::Success(e),
-            None => Steal::Empty,
-        }
-    }
-
-    /// Whether every constituent queue is (momentarily) empty.
-    fn looks_empty(&self) -> bool {
-        self.deque.is_empty()
-            && self.inbox.is_empty()
-            && self.overflow_len.load(Ordering::SeqCst) == 0
-    }
-
     /// The one wait loop behind [`pop`](Self::pop),
     /// [`pop_timeout`](Self::pop_timeout) and [`try_pop`](Self::try_pop),
     /// so the `wait_nanos`/`blocked_pops` accounting cannot drift between
@@ -232,7 +239,7 @@ impl ReadyQueue {
             let mut guard = lock(&self.park_lock);
             self.parked.fetch_add(1, Ordering::SeqCst);
             fence(Ordering::SeqCst);
-            if self.looks_empty() && !self.exit.load(Ordering::SeqCst) {
+            if self.is_empty() && !self.exit.load(Ordering::SeqCst) {
                 guard = wait_timeout(&self.available, guard, wait_for);
             }
             self.parked.fetch_sub(1, Ordering::SeqCst);
@@ -265,16 +272,6 @@ impl ReadyQueue {
         self.pop_inner(WaitMode::Now)
     }
 
-    /// Entries currently queued (a racy snapshot under concurrency).
-    pub fn len(&self) -> usize {
-        self.deque.len() + self.inbox.len() + self.overflow_len.load(Ordering::SeqCst)
-    }
-
-    /// Whether the queue is currently empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
     /// Nanoseconds consumers spent blocked waiting for work.
     pub fn wait_nanos(&self) -> u64 {
         self.wait_ns.load(Ordering::Relaxed)
@@ -304,7 +301,7 @@ mod tests {
         // the Chase-Lev contract replaces the old FIFO-for-everyone order:
         // the owner runs its newest (cache-warm) entry, a thief migrates
         // the oldest
-        let q = ReadyQueue::new();
+        let q = ReadyQueue::new(256, false);
         q.push(inst(1), E0);
         q.push(inst(2), E0);
         q.push(inst(3), E0);
@@ -318,7 +315,7 @@ mod tests {
     #[test]
     fn shared_queue_serves_fifo() {
         // GlobalFifo baseline: multi-consumer queues keep strict FIFO
-        let q = ReadyQueue::new_shared(8);
+        let q = ReadyQueue::new(8, true);
         q.push(inst(1), E0);
         q.push(inst(2), Epoch(3));
         q.push(inst(3), E0);
@@ -332,7 +329,7 @@ mod tests {
     fn overflow_valve_loses_nothing() {
         // an undersized inbox pushes the excess through the mutex valve;
         // every entry still comes out, and len() sees all of them
-        let q = ReadyQueue::with_capacity(4);
+        let q = ReadyQueue::new(4, false);
         for t in 0..20 {
             q.push(inst(t), E0);
         }
@@ -355,7 +352,7 @@ mod tests {
 
     #[test]
     fn exit_reported_only_after_drain() {
-        let q = ReadyQueue::new();
+        let q = ReadyQueue::new(256, false);
         q.push(inst(1), E0);
         q.shutdown();
         assert_eq!(q.pop(), FetchResult::Thread(inst(1), E0));
@@ -365,7 +362,7 @@ mod tests {
 
     #[test]
     fn blocking_pop_wakes_on_push() {
-        let q = Arc::new(ReadyQueue::new());
+        let q = Arc::new(ReadyQueue::new(256, false));
         let handle = {
             let q = Arc::clone(&q);
             std::thread::spawn(move || q.pop())
@@ -379,7 +376,7 @@ mod tests {
 
     #[test]
     fn blocking_pop_wakes_on_shutdown() {
-        let q = Arc::new(ReadyQueue::new());
+        let q = Arc::new(ReadyQueue::new(256, false));
         let handle = {
             let q = Arc::clone(&q);
             std::thread::spawn(move || q.pop())
@@ -391,7 +388,7 @@ mod tests {
 
     #[test]
     fn pop_timeout_expires_and_delivers() {
-        let q = ReadyQueue::new();
+        let q = ReadyQueue::new(256, false);
         assert_eq!(q.pop_timeout(Duration::from_millis(5)), FetchResult::Wait);
         q.push(inst(4), E0);
         assert_eq!(
@@ -404,7 +401,7 @@ mod tests {
 
     #[test]
     fn try_pop_states() {
-        let q = ReadyQueue::new();
+        let q = ReadyQueue::new(256, false);
         assert_eq!(q.try_pop(), FetchResult::Wait);
         q.push(inst(3), E0);
         assert_eq!(q.try_pop(), FetchResult::Thread(inst(3), E0));
@@ -419,7 +416,7 @@ mod tests {
         // two foreign kernels steal while the owner pushes and pops;
         // every entry is claimed exactly once across the three parties
         let n = 5_000u32;
-        let q = Arc::new(ReadyQueue::with_capacity(8));
+        let q = Arc::new(ReadyQueue::new(8, false));
         let done = Arc::new(AtomicBool::new(false));
         let mut handles = Vec::new();
         for _ in 0..2 {

@@ -148,14 +148,16 @@ pub struct TenantReport {
     pub poisoned: u64,
 }
 
-/// An instance that was dispatched to a kernel but never completed — the
-/// prime suspect in a stall (its body may be stuck, or its completion may
-/// have been poisoned after retry exhaustion).
+/// An instance that was dispatched but never completed — the prime suspect
+/// in a stall (its body may be stuck, its completion may have been
+/// poisoned after retry exhaustion, or — instances are dispatched before
+/// they are queued — no kernel ever popped it).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct InFlightInstance {
     /// The dispatched-but-unfinished instance.
     pub instance: Instance,
-    /// The kernel the TSU handed it to.
+    /// The instance's *owning* kernel, whose ready queue it was pushed on
+    /// — not necessarily the executor: a thief may have taken it.
     pub kernel: KernelId,
 }
 

@@ -13,6 +13,7 @@ use crate::sync::{lock, try_lock, wait_timeout};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex};
 use std::time::Duration;
+use tflux_core::error::CoreError;
 use tflux_core::ids::{Epoch, Instance};
 use tflux_core::rng::mix;
 
@@ -130,6 +131,9 @@ pub struct Tub {
     bell: Condvar,
     backoff: TubBackoff,
     stats: TubStats,
+    /// First TSU protocol error raised by a kernel on the direct-update
+    /// path; the emulator collects it and aborts the run.
+    error: Mutex<Option<CoreError>>,
 }
 
 impl Tub {
@@ -149,6 +153,7 @@ impl Tub {
             bell: Condvar::new(),
             backoff,
             stats: TubStats::default(),
+            error: Mutex::new(None),
         }
     }
 
@@ -247,6 +252,18 @@ impl Tub {
         *lock(&self.signal) = true;
         self.bell.notify_all();
     }
+
+    /// Report a TSU protocol error raised on a kernel's direct path (first
+    /// one wins) and wake the emulator to abort the run.
+    pub fn raise(&self, e: CoreError) {
+        lock(&self.error).get_or_insert(e);
+        self.kick();
+    }
+
+    /// Take the reported protocol error, if any.
+    pub fn take_error(&self) -> Option<CoreError> {
+        lock(&self.error).take()
+    }
 }
 
 #[cfg(test)]
@@ -273,6 +290,15 @@ mod tests {
         assert_eq!(out, (0..10).map(|i| (inst(i, 0), E0)).collect::<Vec<_>>());
         // second drain finds nothing
         assert_eq!(tub.drain_into(&mut out), 0);
+    }
+
+    #[test]
+    fn protocol_error_is_latched_once() {
+        let tub = Tub::new(1);
+        tub.raise(CoreError::NotRunning(inst(1, 0)));
+        tub.raise(CoreError::NotRunning(inst(2, 9)));
+        assert_eq!(tub.take_error(), Some(CoreError::NotRunning(inst(1, 0))));
+        assert_eq!(tub.take_error(), None);
     }
 
     #[test]

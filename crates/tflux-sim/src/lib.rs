@@ -28,8 +28,8 @@
 //! they yield compute cycles plus a cache-line-granular memory access
 //! stream. The simulator executes the *same* [`DdmProgram`]s as the real
 //! runtime — scheduling decisions come from the same
-//! [`CoreTsu`](tflux_core::CoreTsu) composition of Graph Memory,
-//! Synchronization Memory, and Queue Units.
+//! [`Tsu`](tflux_core::Tsu), here on its single-owner
+//! [`StealDeque`](tflux_core::StealDeque) queue unit.
 //!
 //! [`DdmProgram`]: tflux_core::DdmProgram
 

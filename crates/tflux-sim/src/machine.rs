@@ -43,7 +43,7 @@ use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use tflux_core::ids::{Epoch, Instance};
 use tflux_core::program::DdmProgram;
-use tflux_core::tsu::{drain_sequential, CoreTsu, FlushPolicy, TsuConfig};
+use tflux_core::tsu::{drain_sequential, FlushPolicy, Tsu, TsuConfig};
 
 /// Accesses per scheduling quantum. Chunking trades event-queue overhead
 /// against interleaving fidelity; 64 accesses ≈ a few hundred cycles, well
@@ -257,7 +257,7 @@ impl Machine {
         program: &'p DdmProgram,
         cores: u32,
     ) -> Result<TsuDevice<'p>, SimError> {
-        let tsu = CoreTsu::new(program, cores, self.tsu_cfg);
+        let tsu = Tsu::new(program, cores, self.tsu_cfg);
         // cross-TSU-group updates ride the system network
         let cross = if self.cfg.tsu_groups > 1 {
             self.cfg.bus_transfer * 2
@@ -523,8 +523,10 @@ impl Machine {
     /// and kernel costs — the paper's "original sequential \[program\],
     /// i.e. without any TFlux overheads" (§5).
     pub fn run_sequential(&self, program: &DdmProgram, source: &dyn WorkSource) -> SimReport {
-        let mut tsu = CoreTsu::new(program, 1, TsuConfig::default());
-        let order = drain_sequential(&mut tsu);
+        let tsu = Tsu::new(program, 1, TsuConfig::default());
+        // a `DdmProgram` is validated acyclic at build and capacity is
+        // unlimited here, so neither a protocol error nor a deadlock can occur
+        let order = drain_sequential(&tsu).expect("validated program, unlimited capacity");
         let mut mem = MemorySystem::new(self.cfg.with_cores(1));
         let mut now = 0u64;
         let mut work = InstanceWork::default();

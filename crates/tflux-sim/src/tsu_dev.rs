@@ -15,7 +15,7 @@ use crate::config::TsuCosts;
 use tflux_core::error::CoreError;
 use tflux_core::ids::{Epoch, Instance, KernelId};
 use tflux_core::thread::ThreadKind;
-use tflux_core::tsu::{CompletionFunnel, CoreTsu, FetchResult, TsuBackend};
+use tflux_core::tsu::{CompletionFunnel, FetchResult, Tsu};
 
 /// Counters of the device model.
 #[derive(Clone, Copy, Debug, Default)]
@@ -59,7 +59,7 @@ pub enum DevFetch {
 /// that crosses shards pays `cross_cost` extra cycles (the TSU-to-TSU
 /// message that the single-group design handles internally).
 pub struct TsuDevice<'p> {
-    tsu: CoreTsu<&'p tflux_core::program::DdmProgram>,
+    tsu: Tsu<&'p tflux_core::program::DdmProgram>,
     costs: TsuCosts,
     busy_until: Vec<u64>,
     /// `shard_of[core]`.
@@ -78,18 +78,14 @@ pub struct TsuDevice<'p> {
 impl<'p> TsuDevice<'p> {
     /// Wrap a TSU state machine with a cost model for `cores` cores (one
     /// TSU Group).
-    pub fn new(
-        tsu: CoreTsu<&'p tflux_core::program::DdmProgram>,
-        costs: TsuCosts,
-        cores: u32,
-    ) -> Self {
+    pub fn new(tsu: Tsu<&'p tflux_core::program::DdmProgram>, costs: TsuCosts, cores: u32) -> Self {
         Self::sharded(tsu, costs, cores, 1, 0)
     }
 
     /// A sharded TSU: `groups` independent units, cross-shard updates
     /// costing `cross_cost` extra cycles.
     pub fn sharded(
-        tsu: CoreTsu<&'p tflux_core::program::DdmProgram>,
+        tsu: Tsu<&'p tflux_core::program::DdmProgram>,
         costs: TsuCosts,
         cores: u32,
         groups: u32,
@@ -116,7 +112,7 @@ impl<'p> TsuDevice<'p> {
     }
 
     /// The wrapped state machine.
-    pub fn tsu(&self) -> &CoreTsu<&'p tflux_core::program::DdmProgram> {
+    pub fn tsu(&self) -> &Tsu<&'p tflux_core::program::DdmProgram> {
         &self.tsu
     }
 
@@ -136,6 +132,18 @@ impl<'p> TsuDevice<'p> {
         done
     }
 
+    /// The TSU-to-TSU network message of a cross-shard ready-count update:
+    /// `cross_cost` extra cycles, charged only when a newly-ready instance's
+    /// owning kernel actually lives on another shard than `shard`.
+    fn cross_charge(&mut self, shard: u32, ready: &[Instance]) -> u64 {
+        let crosses = |&i: &Instance| self.shard_of[self.tsu.graph().owner_of(i).idx()] != shard;
+        if self.cross_cost == 0 || !ready.iter().any(crosses) {
+            return 0;
+        }
+        self.stats.cross_updates += 1;
+        self.cross_cost
+    }
+
     /// Flush a core's funnel as one batched completion command arriving
     /// at the unit at cycle `arrive`; returns the cycle at which the
     /// newly-ready DThreads become visible. A no-op for empty funnels.
@@ -144,21 +152,11 @@ impl<'p> TsuDevice<'p> {
             return Ok(arrive);
         }
         let shard = self.shard_of[core as usize];
-        let mut ready_at = self.process(shard, arrive);
+        let ready_at = self.process(shard, arrive);
         self.stats.funnel_flushes += 1;
         let mut ready = std::mem::take(&mut self.ready_buf);
-        let result = self.funnels[core as usize].flush(&mut self.tsu, &mut ready);
-        if self.cross_cost > 0 {
-            let kernels = self.tsu.kernels();
-            let crossings = ready.iter().any(|&i| {
-                let owner = self.tsu.program().kernel_of(i, kernels);
-                self.shard_of[owner.idx()] != shard
-            });
-            if crossings {
-                ready_at += self.cross_cost;
-                self.stats.cross_updates += 1;
-            }
-        }
+        let result = self.funnels[core as usize].flush(&self.tsu, &mut ready);
+        let ready_at = ready_at + self.cross_charge(shard, &ready);
         self.ready_buf = ready;
         result?;
         Ok(ready_at)
@@ -171,19 +169,19 @@ impl<'p> TsuDevice<'p> {
         let arrive = now + self.costs.access;
         let shard = self.shard_of[core as usize];
         let mut done = self.process(shard, arrive);
-        let (mut fetched, mut stolen) = self.tsu.fetch_ready_traced(KernelId(core))?;
+        let (mut fetched, mut stolen) = self.tsu.fetch_traced(KernelId(core))?;
         if fetched == FetchResult::Wait && self.funnels.iter().any(|f| !f.is_empty()) {
             // parked decrements may be the only thing standing between
             // this core and ready work: drain its own funnel, then (still
             // empty-handed) ask the unit to collect every core's buffer,
             // before conceding a park
             self.flush_core(core, arrive)?;
-            (fetched, stolen) = self.tsu.fetch_ready_traced(KernelId(core))?;
+            (fetched, stolen) = self.tsu.fetch_traced(KernelId(core))?;
             if fetched == FetchResult::Wait {
                 for c in 0..self.funnels.len() as u32 {
                     self.flush_core(c, arrive)?;
                 }
-                (fetched, stolen) = self.tsu.fetch_ready_traced(KernelId(core))?;
+                (fetched, stolen) = self.tsu.fetch_traced(KernelId(core))?;
             }
         }
         if stolen {
@@ -243,23 +241,10 @@ impl<'p> TsuDevice<'p> {
         // first so the command observes every earlier decrement
         self.flush_core(core, core_free)?;
         let shard = self.shard_of[c];
-        let mut ready_at = self.process(shard, core_free);
+        let ready_at = self.process(shard, core_free);
         let mut ready = std::mem::take(&mut self.ready_buf);
-        TsuBackend::complete(&mut self.tsu, inst, epoch, &mut ready)?;
-        // cross-shard ready-count updates: charge the TSU-to-TSU network
-        // message only when a newly-ready instance's owning kernel actually
-        // lives on another shard
-        if self.cross_cost > 0 {
-            let kernels = self.tsu.kernels();
-            let crossings = ready.iter().any(|&i| {
-                let owner = self.tsu.program().kernel_of(i, kernels);
-                self.shard_of[owner.idx()] != shard
-            });
-            if crossings {
-                ready_at += self.cross_cost;
-                self.stats.cross_updates += 1;
-            }
-        }
+        self.tsu.complete(inst, epoch, &mut ready)?;
+        let ready_at = ready_at + self.cross_charge(shard, &ready);
         self.ready_buf = ready;
         Ok((core_free, ready_at))
     }
@@ -302,7 +287,7 @@ impl<'p> TsuDevice<'p> {
     pub fn open_epoch(&mut self, now: u64) -> Result<(Epoch, u64), CoreError> {
         let done = self.process(0, now + self.costs.access);
         let mut ready = std::mem::take(&mut self.ready_buf);
-        let ep = TsuBackend::open_epoch(&mut self.tsu, &mut ready);
+        let ep = self.tsu.open_epoch(&mut ready);
         self.ready_buf = ready;
         Ok((ep?, done))
     }
@@ -311,7 +296,7 @@ impl<'p> TsuDevice<'p> {
     /// One unit command on shard 0; returns its completion cycle.
     pub fn retire_epoch(&mut self, epoch: Epoch, now: u64) -> Result<u64, CoreError> {
         let done = self.process(0, now + self.costs.access);
-        TsuBackend::retire_epoch(&mut self.tsu, epoch)?;
+        self.tsu.retire_epoch(epoch)?;
         Ok(done)
     }
 }
@@ -331,7 +316,7 @@ mod tests {
     #[test]
     fn fetch_charges_access_and_op_latency() {
         let p = fork(2);
-        let tsu = CoreTsu::new(&p, 1, TsuConfig::default());
+        let tsu = Tsu::new(&p, 1, TsuConfig::default());
         let mut dev = TsuDevice::new(tsu, TsuCosts::hard(), 1);
         match dev.fetch(0, 100).unwrap() {
             DevFetch::Thread(i, _, at) => {
@@ -355,7 +340,7 @@ mod tests {
             ThreadSpec::new("w", 4).with_affinity(Affinity::Fixed(KernelId(0))),
         );
         let p = b.build().unwrap();
-        let tsu = CoreTsu::new(&p, 2, TsuConfig::default());
+        let tsu = Tsu::new(&p, 2, TsuConfig::default());
         let mut dev = TsuDevice::new(tsu, TsuCosts::hard(), 2);
         let DevFetch::Thread(inlet, ep, t0) = dev.fetch(0, 0).unwrap() else {
             panic!()
@@ -380,7 +365,7 @@ mod tests {
     #[test]
     fn commands_serialize_through_the_unit() {
         let p = fork(8);
-        let tsu = CoreTsu::new(&p, 2, TsuConfig::default());
+        let tsu = Tsu::new(&p, 2, TsuConfig::default());
         let mut dev = TsuDevice::new(tsu, TsuCosts::hard(), 2);
         // prime: inlet fetched and completed so app threads are ready
         let DevFetch::Thread(inlet, ep, t0) = dev.fetch(0, 0).unwrap() else {
@@ -400,7 +385,7 @@ mod tests {
     #[test]
     fn empty_fetch_parks_core() {
         let p = fork(1);
-        let tsu = CoreTsu::new(&p, 2, TsuConfig::default());
+        let tsu = Tsu::new(&p, 2, TsuConfig::default());
         let mut dev = TsuDevice::new(tsu, TsuCosts::hard(), 2);
         let DevFetch::Thread(inlet, ep, _) = dev.fetch(0, 0).unwrap() else {
             panic!()
@@ -419,7 +404,7 @@ mod tests {
     #[test]
     fn completion_is_posted_core_continues_before_postprocessing() {
         let p = fork(1);
-        let tsu = CoreTsu::new(&p, 1, TsuConfig::default());
+        let tsu = Tsu::new(&p, 1, TsuConfig::default());
         let mut dev = TsuDevice::new(tsu, TsuCosts::soft(), 1);
         let DevFetch::Thread(inlet, ep, t) = dev.fetch(0, 0).unwrap() else {
             panic!()
@@ -432,7 +417,7 @@ mod tests {
     #[test]
     fn shards_serialize_independently() {
         let p = fork(16);
-        let tsu = CoreTsu::new(&p, 4, TsuConfig::default());
+        let tsu = Tsu::new(&p, 4, TsuConfig::default());
         let mut dev = TsuDevice::sharded(tsu, TsuCosts::hard(), 4, 2, 8);
         // prime the block
         let DevFetch::Thread(inlet, ep, t0) = dev.fetch(0, 0).unwrap() else {
@@ -458,7 +443,7 @@ mod tests {
     #[test]
     fn cross_shard_updates_are_charged_and_counted() {
         let p = fork(8);
-        let tsu = CoreTsu::new(&p, 4, TsuConfig::default());
+        let tsu = Tsu::new(&p, 4, TsuConfig::default());
         let mut dev = TsuDevice::sharded(tsu, TsuCosts::hard(), 4, 2, 50);
         let DevFetch::Thread(inlet, ep, t0) = dev.fetch(0, 0).unwrap() else {
             panic!()
@@ -467,7 +452,7 @@ mod tests {
         let (_, ready_at) = dev.complete(0, t0, inlet, ep).unwrap();
         assert!(dev.stats.cross_updates >= 1);
         // ready_at includes the cross-shard message
-        let plain_tsu = CoreTsu::new(&p, 4, TsuConfig::default());
+        let plain_tsu = Tsu::new(&p, 4, TsuConfig::default());
         let mut plain = TsuDevice::new(plain_tsu, TsuCosts::hard(), 4);
         let DevFetch::Thread(inlet2, ep2, t1) = plain.fetch(0, 0).unwrap() else {
             panic!()
@@ -485,7 +470,7 @@ mod tests {
             let sink = b.thread(blk, ThreadSpec::scalar("sink"));
             b.arc(work, sink, ArcMapping::Reduction).unwrap();
             let p = b.build().unwrap();
-            let tsu = CoreTsu::new(
+            let tsu = Tsu::new(
                 &p,
                 2,
                 TsuConfig {
@@ -538,7 +523,7 @@ mod tests {
     #[test]
     fn reopened_epoch_resumes_the_device_after_exit() {
         let p = fork(2);
-        let tsu = CoreTsu::new(&p, 1, TsuConfig::default());
+        let tsu = Tsu::new(&p, 1, TsuConfig::default());
         let mut dev = TsuDevice::new(tsu, TsuCosts::hard(), 1);
         let mut now = 0;
         let drive = |dev: &mut TsuDevice<'_>, mut now: u64| loop {
@@ -573,7 +558,7 @@ mod tests {
     #[test]
     fn exit_after_program_finishes() {
         let p = fork(1);
-        let tsu = CoreTsu::new(&p, 1, TsuConfig::default());
+        let tsu = Tsu::new(&p, 1, TsuConfig::default());
         let mut dev = TsuDevice::new(tsu, TsuCosts::hard(), 1);
         let mut now = 0;
         loop {

@@ -578,8 +578,8 @@ mod tests {
             let (prog, ids) = program_with_depth(&p, depth);
             assert_eq!(ids.levels.len() as u32, depth.min(4));
             // program drains
-            let mut tsu = tflux_core::CoreTsu::new(&prog, 4, tflux_core::TsuConfig::default());
-            let order = tflux_core::tsu::drain_sequential(&mut tsu);
+            let tsu = tflux_core::Tsu::new(&prog, 4, tflux_core::TsuConfig::default());
+            let order = tflux_core::tsu::drain_sequential(&tsu).unwrap();
             assert_eq!(order.len(), prog.total_instances(), "depth {depth}");
         }
         // depth 2 matches the paper's shipped two-level shape

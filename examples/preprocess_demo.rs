@@ -8,7 +8,7 @@
 //! cargo run --example preprocess_demo
 //! ```
 
-use tflux::core::tsu::{drain_sequential, CoreTsu, TsuConfig};
+use tflux::core::tsu::{drain_sequential, Tsu, TsuConfig};
 use tflux::ddmcpp::{self, Backend};
 
 const SOURCE: &str = r#"
@@ -61,8 +61,8 @@ fn main() {
     // semantic check: lower the module straight to a core program and
     // drive it with the reference executor
     let lowered = ddmcpp::lower::to_program(&module).expect("lower");
-    let mut tsu = CoreTsu::new(&lowered, 4, TsuConfig::default());
-    let order = drain_sequential(&mut tsu);
+    let tsu = Tsu::new(&lowered, 4, TsuConfig::default());
+    let order = drain_sequential(&tsu).unwrap();
     println!("\n==== execution order (reference executor) ====");
     println!(
         "{} instances; first 5: {:?}",

@@ -1,4 +1,4 @@
-//! Equivalence of the TSU-unit compositions: the threaded TFluxSoft path
+//! Equivalence of the platforms driving the one `Tsu`: the threaded TFluxSoft path
 //! (kernels post-processing App completions directly through the sharded
 //! Synchronization Memory + the emulator handling block transitions), the
 //! simulated hardware TSU device, and the sequential reference executor
@@ -74,7 +74,7 @@ fn soft_outcome(program: &DdmProgram, cfg: TsuConfig) -> Outcome {
     Outcome::new(completed, &report.tsu)
 }
 
-/// TFluxHard: the memory-mapped TSU device wrapping `CoreTsu`, driven
+/// TFluxHard: the memory-mapped TSU device wrapping the `Tsu`, driven
 /// core-by-core exactly like the simulated kernel loop. With `epochs > 1`
 /// every pass beyond the first is credited up front (the drive loop has
 /// no supervisor to bank credits mid-run), so the device re-arms the
@@ -84,7 +84,7 @@ fn hard_stream_outcome(program: &DdmProgram, cfg: TsuConfig, epochs: u64) -> Out
         window: epochs as usize,
         ..cfg
     };
-    let tsu = CoreTsu::new(program, KERNELS, cfg);
+    let tsu = Tsu::new(program, KERNELS, cfg);
     let mut dev = TsuDevice::new(tsu, TsuCosts::hard(), KERNELS);
     let mut completed = Vec::new();
     let mut now = 0u64;
@@ -123,8 +123,8 @@ fn hard_outcome(program: &DdmProgram, cfg: TsuConfig) -> Outcome {
 
 /// The sequential reference executor over the same units.
 fn seq_outcome(program: &DdmProgram) -> Outcome {
-    let mut tsu = CoreTsu::new(program, KERNELS, fifo());
-    let completed = drain_sequential(&mut tsu);
+    let tsu = Tsu::new(program, KERNELS, fifo());
+    let completed = drain_sequential(&tsu).unwrap();
     let stats = tsu.stats();
     Outcome::new(completed, &stats)
 }
@@ -136,14 +136,14 @@ fn seq_stream_outcome(program: &DdmProgram, epochs: u64) -> Outcome {
         window: 2,
         ..fifo()
     };
-    let mut tsu = CoreTsu::new(program, KERNELS, cfg);
+    let tsu = Tsu::new(program, KERNELS, cfg);
     let mut completed = Vec::new();
     let mut scratch = Vec::new();
     for e in 0..epochs {
-        completed.extend(drain_sequential(&mut tsu));
+        completed.extend(drain_sequential(&tsu).unwrap());
         tsu.retire_epoch(Epoch(e)).expect("retire drained pass");
         if e + 1 < epochs {
-            tsu.open_epoch_queued(&mut scratch).expect("open next pass");
+            tsu.open_epoch(&mut scratch).expect("open next pass");
         }
     }
     let stats = tsu.stats();
@@ -151,20 +151,20 @@ fn seq_stream_outcome(program: &DdmProgram, epochs: u64) -> Outcome {
 }
 
 /// TFluxSoft, streamed: one inline kernel drives the shared `GlobalFifo`
-/// ready queue through `handle_completion` (the kernels' direct-update
+/// ready queue through `complete` (the kernels' direct-update
 /// path); at each pass boundary the drained epoch is retired and the
 /// next opened, re-arming the context slots the pass just vacated.
 fn soft_stream_outcome(program: &DdmProgram, cfg: TsuConfig, epochs: u64) -> Outcome {
     let cfg = TsuConfig { window: 2, ..cfg };
-    let soft = SoftTsu::new(program, KERNELS, cfg);
+    let soft = SoftTsu::with_queue_unit(program, KERNELS, cfg);
     let mut completed = Vec::new();
     let mut scratch = Vec::new();
     for e in 0..epochs {
         loop {
-            match soft.queue(0).try_pop() {
+            match soft.queues()[0].try_pop() {
                 FetchResult::Thread(i, ep) => {
                     completed.push(i);
-                    soft.handle_completion(i, ep, &mut scratch)
+                    soft.complete(i, ep, &mut scratch)
                         .expect("soft stream completion");
                 }
                 _ => {
