@@ -311,7 +311,7 @@ pub fn sim_makespan(
     use tflux_sim::{Machine, MachineConfig};
     let r = Machine::new(MachineConfig::bagle(cores))
         .with_tsu_config(TsuConfig {
-            policy: SchedulingPolicy::LocalityFirst { steal },
+            steal,
             ..TsuConfig::default()
         })
         .run(

@@ -121,10 +121,10 @@ fn block_topo_order(program: &DdmProgram, block: crate::ids::BlockId) -> Vec<Thr
 /// `min_fan_in` — the hot sinks of the program's reduction arcs, returned
 /// with their fan-in (thread-major, context-minor order).
 ///
-/// The Synchronization Memory uses this to decide whether batched flushes
-/// should combine through a tree: with `min_fan_in = kernels`, a hit
-/// means some slot will absorb updates from (at least) every kernel, so
-/// the sink's cache line is worth funneling.
+/// `FlushPolicy::Auto` uses this to decide whether completions go through
+/// per-kernel funnels: with `min_fan_in = kernels`, a hit means some slot
+/// will absorb updates from (at least) every kernel, so the sink's cache
+/// line is worth funneling.
 pub fn hot_sinks(program: &DdmProgram, min_fan_in: u32) -> Vec<(Instance, u32)> {
     let mut out = Vec::new();
     for (t, spec) in program.threads().iter().enumerate() {

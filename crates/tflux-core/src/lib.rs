@@ -72,7 +72,7 @@ pub use block::DdmBlock;
 pub use error::CoreError;
 pub use ids::{BlockId, Context, Instance, KernelId, ProgramId, ThreadId};
 pub use mapping::ArcMapping;
-pub use policy::{SchedulingPolicy, StealBackoff, StealPolicy};
+pub use policy::StealBackoff;
 pub use program::{DdmProgram, ProgramBuilder};
 pub use thread::{Affinity, ThreadKind, ThreadSpec};
 pub use tsu::{
@@ -87,7 +87,7 @@ pub mod prelude {
     pub use crate::error::CoreError;
     pub use crate::ids::{BlockId, Context, Instance, KernelId, ProgramId, ThreadId};
     pub use crate::mapping::ArcMapping;
-    pub use crate::policy::{SchedulingPolicy, StealBackoff, StealPolicy};
+    pub use crate::policy::StealBackoff;
     pub use crate::program::{DdmProgram, ProgramBuilder};
     pub use crate::thread::{Affinity, ThreadKind, ThreadSpec};
     pub use crate::tsu::{

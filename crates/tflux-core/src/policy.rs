@@ -1,52 +1,15 @@
-//! Ready-thread selection policies.
+//! Ready-thread selection: the kernel's own queue first, then stealing.
 //!
 //! §3.1 of the paper: *"If more than one ready DThreads exist the TSU
 //! returns the one which, based on its internal policy, is most likely to
 //! maximize the spatial locality."* TFlux achieves this by assigning
 //! instances to kernels statically (the [`crate::thread::Affinity`] /
 //! Thread-to-Kernel Table) and serving each kernel from its own ready queue
-//! first. The policy here decides what happens beyond that.
+//! first. Beyond that there is one rule, work stealing
+//! ([`TsuConfig::steal`](crate::tsu::TsuConfig::steal)): this module holds
+//! its victim order (`first_victim`) and its pacing ([`StealBackoff`]).
 
 use crate::rng::SplitMix64;
-
-/// Policy used by the TSU when a kernel asks for its next DThread.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum SchedulingPolicy {
-    /// Serve the kernel's own ready queue first (spatial locality); if it is
-    /// empty and `steal` is set, take the oldest entry from the most loaded
-    /// other queue.
-    LocalityFirst {
-        /// Whether an idle kernel may take work owned by another kernel.
-        steal: bool,
-    },
-    /// A single FIFO shared by all kernels — no locality preference.
-    ///
-    /// Used as a baseline in the scheduling ablation.
-    GlobalFifo,
-}
-
-impl Default for SchedulingPolicy {
-    fn default() -> Self {
-        SchedulingPolicy::LocalityFirst { steal: true }
-    }
-}
-
-/// How a thief picks its victim queue once its own queue misses.
-///
-/// Stealing is now a queue-native operation (see
-/// [`StealDeque`](crate::tsu::StealDeque)); this policy only decides the
-/// *order* in which sibling queues are probed.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub enum StealPolicy {
-    /// Probe one uniformly-drawn sibling first — randomization spreads
-    /// concurrent thieves across victims so they do not all CAS the same
-    /// `top` — then fall back to scanning siblings longest-queue-first.
-    #[default]
-    RandomThenLongest,
-    /// Skip the random probe and always scan longest-queue-first. More
-    /// deterministic, but concurrent thieves pile onto the same victim.
-    LongestFirst,
-}
 
 /// Adaptive backoff for victim probing.
 ///
@@ -126,19 +89,17 @@ impl StealBackoff {
     }
 }
 
-impl StealPolicy {
-    /// The first victim a thief owning queue `own` (of `n` queues) should
-    /// probe: a random sibling under [`StealPolicy::RandomThenLongest`]
-    /// (drawn from `rng`, which advances), `None` under
-    /// [`StealPolicy::LongestFirst`] — the caller goes straight to the
-    /// longest-queue scan.
-    pub fn first_victim(self, own: usize, n: usize, rng: &mut SplitMix64) -> Option<usize> {
-        if n < 2 || self == StealPolicy::LongestFirst {
-            return None;
-        }
-        let r = rng.below(n as u64 - 1) as usize;
-        Some(if r >= own { r + 1 } else { r })
+/// The first victim a thief owning queue `own` (of `n` queues) probes: one
+/// uniformly-drawn sibling (drawn from `rng`, which advances), so
+/// concurrent thieves spread across victims instead of all CASing the same
+/// `top`. After it the caller scans siblings longest-queue-first. `None`
+/// when there is no sibling.
+pub(crate) fn first_victim(own: usize, n: usize, rng: &mut SplitMix64) -> Option<usize> {
+    if n < 2 {
+        return None;
     }
+    let r = rng.below(n as u64 - 1) as usize;
+    Some(if r >= own { r + 1 } else { r })
 }
 
 #[cfg(test)]
@@ -146,21 +107,11 @@ mod tests {
     use super::*;
 
     #[test]
-    fn default_is_locality_with_steal() {
-        assert_eq!(
-            SchedulingPolicy::default(),
-            SchedulingPolicy::LocalityFirst { steal: true }
-        );
-    }
-
-    #[test]
     fn random_victim_never_picks_the_thief() {
         let mut state = SplitMix64(42);
         for own in 0..8usize {
             for _ in 0..64 {
-                let v = StealPolicy::RandomThenLongest
-                    .first_victim(own, 8, &mut state)
-                    .unwrap();
+                let v = first_victim(own, 8, &mut state).unwrap();
                 assert_ne!(v, own);
                 assert!(v < 8);
             }
@@ -171,12 +122,8 @@ mod tests {
     fn victim_draws_are_deterministic_per_seed() {
         let mut a = SplitMix64(7);
         let mut b = SplitMix64(7);
-        let va: Vec<_> = (0..32)
-            .map(|_| StealPolicy::default().first_victim(0, 4, &mut a))
-            .collect();
-        let vb: Vec<_> = (0..32)
-            .map(|_| StealPolicy::default().first_victim(0, 4, &mut b))
-            .collect();
+        let va: Vec<_> = (0..32).map(|_| first_victim(0, 4, &mut a)).collect();
+        let vb: Vec<_> = (0..32).map(|_| first_victim(0, 4, &mut b)).collect();
         assert_eq!(va, vb);
     }
 
@@ -230,15 +177,9 @@ mod tests {
     }
 
     #[test]
-    fn longest_first_and_single_queue_skip_the_random_probe() {
+    fn a_single_queue_has_no_victim() {
         let mut state = SplitMix64(1);
-        assert_eq!(
-            StealPolicy::LongestFirst.first_victim(0, 8, &mut state),
-            None
-        );
-        assert_eq!(
-            StealPolicy::RandomThenLongest.first_victim(0, 1, &mut state),
-            None
-        );
+        assert_eq!(first_victim(0, 1, &mut state), None);
+        assert_eq!(state, SplitMix64(1), "no sibling, no draw");
     }
 }

@@ -8,7 +8,6 @@
 
 use crate::graph::hot_sinks;
 use crate::ids::Instance;
-use crate::policy::{SchedulingPolicy, StealPolicy};
 use crate::program::DdmProgram;
 
 /// When a kernel's completion funnel hands its accumulated ready-count
@@ -23,8 +22,7 @@ use crate::program::DdmProgram;
 /// completions are never batched), and at kernel exit. `Auto` (the
 /// default) picks between them at construction by inspecting the program:
 /// batching pays exactly when some reduction sink will absorb updates
-/// from every kernel, the same test the Synchronization Memory uses to
-/// build its combining trees.
+/// from every kernel.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub enum FlushPolicy {
     /// Pick `Direct` or `Batch` from the program's sink fan-in at
@@ -80,18 +78,17 @@ impl FlushPolicy {
 }
 
 /// Configuration of a TSU instance.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct TsuConfig {
     /// Maximum instances resident at once (`0` = unlimited). A block whose
     /// residency exceeds this fails at load, mirroring the paper's rule that
     /// the block size is bounded by the TSU size.
     pub capacity: usize,
-    /// Ready-thread selection policy.
-    pub policy: SchedulingPolicy,
-    /// Victim-selection order once a steal is attempted (default:
-    /// random-victim first, then longest-queue-first). Irrelevant unless
-    /// `policy` permits stealing.
-    pub steal_policy: StealPolicy,
+    /// Whether a kernel whose own queue misses takes the oldest entry of a
+    /// sibling's (default: `true`). Every kernel always serves its own
+    /// queue first (§3.1, spatial locality); victims are probed one random
+    /// sibling first, then longest queue first.
+    pub steal: bool,
     /// Completion-funnel flush policy (default: `Auto`, which resolves to
     /// `Batch` when the program has hot reduction sinks and `Direct`
     /// otherwise; explicit `Direct`/`Batch` override the heuristic).
@@ -101,6 +98,19 @@ pub struct TsuConfig {
     /// never blocks on credits. One-shot programs never notice this knob:
     /// the construction-time epoch 0 is the only credit they ever use.
     pub window: usize,
+}
+
+impl Default for TsuConfig {
+    /// Unlimited capacity, stealing on, `Auto` flush, no credit window.
+    /// Hand-written because the derived one would turn stealing off.
+    fn default() -> Self {
+        TsuConfig {
+            capacity: 0,
+            steal: true,
+            flush: FlushPolicy::Auto,
+            window: 0,
+        }
+    }
 }
 
 /// Counters a TSU keeps about its own operation.
@@ -131,7 +141,7 @@ pub struct TsuStats {
     /// Steal attempts that lost the `top` CAS to the victim's owner or a
     /// concurrent thief. Each race is one wasted CAS, not a lost entry —
     /// the entry went to the winner. High races mean thieves are piling
-    /// onto the same victim (see `StealPolicy::RandomThenLongest`).
+    /// onto the same victim despite the random first probe.
     pub steal_races: u64,
     /// Victim scans skipped by the adaptive backoff
     /// ([`StealBackoff`](crate::policy::StealBackoff)): fetch attempts on
@@ -146,19 +156,17 @@ pub struct TsuStats {
     /// Synchronization Memory contention events: weak-CAS retries on slot
     /// state transitions, plus ready-count RMWs that land on a slot whose
     /// previous decrement came from a *different* kernel — the software
-    /// proxy for a coherence-line transfer of a hot sink slot. (The locked
-    /// design counted `try_lock` misses here.)
+    /// proxy for a coherence-line transfer of a hot sink slot.
     pub sm_contended: u64,
     /// Streaming epochs whose pass ran to completion (the epoch ledger's
     /// `completed` column). A one-shot run counts as one epoch.
     pub epochs: u64,
 }
 
-/// Per-kernel Synchronization Memory counters ("shards" for continuity
-/// with the locked design — the lock-free table is one slab, but traffic
-/// is still attributed to the owning kernel of each instance). Evenly
-/// spread `rc_updates` with low `contended` means completions rarely
-/// collided on the same slot.
+/// Per-kernel Synchronization Memory counters: the table is one slab, and
+/// a "shard" is the traffic attributed to the owning kernel of each
+/// instance. Evenly spread `rc_updates` with low `contended` means
+/// completions rarely collided on the same slot.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ShardStats {
     /// Logical ready-count decrements applied to this kernel's instances.
@@ -167,8 +175,7 @@ pub struct ShardStats {
     /// (`<= rc_updates` once batching combines decrements).
     pub rc_rmws: u64,
     /// Contention events on this kernel's instances: CAS retries on state
-    /// transitions plus cross-kernel ready-count line transfers (the
-    /// locked design counted blocking lock acquisitions here).
+    /// transitions plus cross-kernel ready-count line transfers.
     pub contended: u64,
 }
 

@@ -35,7 +35,7 @@ pub use sync::SyncMemory;
 
 use crate::error::CoreError;
 use crate::ids::{Epoch, Instance, KernelId};
-use crate::policy::{SchedulingPolicy, StealBackoff, StealPolicy};
+use crate::policy::{first_victim, StealBackoff};
 use crate::program::DdmProgram;
 use crate::rng::SplitMix64;
 use std::cmp::Reverse;
@@ -101,7 +101,6 @@ pub struct Tsu<P: ProgramHandle, Q: QueueUnit = StealDeque> {
     queues: Vec<Q>,
     /// Whether a kernel whose own unit misses probes its siblings.
     steal: bool,
-    steal_policy: StealPolicy,
     flush: FlushPolicy,
     /// The one victim-draw stream of this TSU, seeded from the kernel
     /// count: single-owner runs replay exactly. Concurrent thieves may
@@ -122,16 +121,12 @@ impl<P: ProgramHandle> Tsu<P> {
 impl<P: ProgramHandle, Q: QueueUnit> Tsu<P, Q> {
     /// Create a TSU for `program` serving `kernels` kernels (clamped to
     /// ≥ 1) and arm it: the inlet of the first block is dispatched and
-    /// queued. `GlobalFifo` uses one shared queue unit; `LocalityFirst`
-    /// one per kernel, with stealing if configured and there is anyone to
-    /// steal from.
+    /// queued. One queue unit per kernel, with stealing if configured and
+    /// there is anyone to steal from.
     pub fn with_queue_unit(program: P, kernels: u32, config: TsuConfig) -> Self {
         let sm = SyncMemory::with_window(program, kernels, config.capacity, config.window);
         let gm = sm.graph();
         let kernels = gm.kernels();
-        let shared = config.policy == SchedulingPolicy::GlobalFifo;
-        let nqueues = if shared { 1 } else { kernels as usize };
-        let steal = config.policy == SchedulingPolicy::LocalityFirst { steal: true } && kernels > 1;
         // the resident bound, + slack for the re-armed inlet of the next
         // streaming pass: a bounded unit of this size never overflows
         let cap = gm.program().max_block_instances() + 2;
@@ -139,9 +134,8 @@ impl<P: ProgramHandle, Q: QueueUnit> Tsu<P, Q> {
             flush: config.flush.resolve(gm.program(), kernels),
             gm,
             sm,
-            queues: (0..nqueues).map(|_| Q::new(cap, shared)).collect(),
-            steal,
-            steal_policy: config.steal_policy,
+            queues: (0..kernels).map(|_| Q::new(cap)).collect(),
+            steal: config.steal && kernels > 1,
             steal_rng: AtomicU64::new(0x5EED_0000 ^ ((kernels as u64) << 8)),
             slots: (0..kernels).map(|_| KernelSlot::default()).collect(),
         };
@@ -169,14 +163,14 @@ impl<P: ProgramHandle, Q: QueueUnit> Tsu<P, Q> {
         &self.gm
     }
 
-    /// The queue units: one per kernel, or a single shared one under
-    /// `GlobalFifo`. Kernel threads block on their own; stall forensics
-    /// read the depths.
+    /// The queue units, one per kernel. Kernel threads block on their
+    /// own; stall forensics read the depths.
     pub fn queues(&self) -> &[Q] {
         &self.queues
     }
 
-    /// The index of the queue unit `kernel` consumes (its Local TSU).
+    /// The index of the queue unit `kernel` consumes (its Local TSU);
+    /// kernel ids past the count are served from the last unit.
     pub fn queue_index(&self, kernel: KernelId) -> usize {
         kernel.idx().min(self.queues.len() - 1)
     }
@@ -270,17 +264,13 @@ impl<P: ProgramHandle, Q: QueueUnit> Tsu<P, Q> {
     fn publish(&self, ready: &[Instance]) -> Result<(), CoreError> {
         for &i in ready {
             let ep = self.sm.dispatch(i)?;
-            let q = match self.queues.len() {
-                1 => 0,
-                _ => self.gm.owner_of(i).idx(),
-            };
-            self.queues[q].push(i, ep);
+            self.queues[self.gm.owner_of(i).idx()].push(i, ep);
         }
         Ok(())
     }
 
     /// Ask for the next DThread on behalf of `kernel`: its own queue unit
-    /// first, then (policy permitting) a steal. Non-blocking — `Wait`
+    /// first, then (if stealing is on) a steal. Non-blocking — `Wait`
     /// means nothing is runnable anywhere right now. Fails with
     /// [`CoreError::SmPoisoned`] when the Synchronization Memory can no
     /// longer be trusted.
@@ -328,16 +318,16 @@ impl<P: ProgramHandle, Q: QueueUnit> Tsu<P, Q> {
     }
 
     /// One steal pass on behalf of the owner of queue `own`: one
-    /// random-victim probe (under [`StealPolicy::RandomThenLongest`];
-    /// spreads concurrent thieves across victims), then repeatedly the
-    /// longest non-empty sibling, ties to the lowest index, until every
-    /// victim answers [`Steal::Empty`]. A victim drained between its
-    /// length snapshot and the steal is a clean miss; a lost CAS re-scans
-    /// — the entry went to someone, so the machine made progress.
+    /// random-victim probe (spreads concurrent thieves across victims),
+    /// then repeatedly the longest non-empty sibling, ties to the lowest
+    /// index, until every victim answers [`Steal::Empty`]. A victim
+    /// drained between its length snapshot and the steal is a clean miss;
+    /// a lost CAS re-scans — the entry went to someone, so the machine
+    /// made progress.
     fn steal_for(&self, slot: &KernelSlot, own: usize) -> Option<(Instance, Epoch)> {
         let n = self.queues.len();
         let mut rng = SplitMix64(self.steal_rng.load(Relaxed));
-        let mut victim = self.steal_policy.first_victim(own, n, &mut rng);
+        let mut victim = first_victim(own, n, &mut rng);
         self.steal_rng.store(rng.0, Relaxed);
         loop {
             let v = victim.take().or_else(|| {
@@ -540,7 +530,6 @@ mod tests {
             2,
             TsuConfig {
                 capacity: 8,
-                policy: SchedulingPolicy::default(),
                 ..Default::default()
             },
         );
@@ -644,11 +633,11 @@ mod tests {
             &p,
             2,
             TsuConfig {
-                capacity: 0,
-                policy: SchedulingPolicy::LocalityFirst { steal: false },
+                steal: false,
                 ..Default::default()
             },
         );
+        assert!(!tsu.stealing());
         let FetchResult::Thread(inlet, ep) = tsu.fetch(KernelId(0)).unwrap() else {
             panic!()
         };
@@ -658,23 +647,15 @@ mod tests {
     }
 
     #[test]
-    fn global_fifo_serves_everyone_from_one_queue() {
-        let p = fork_join(6, 1);
-        let tsu = Tsu::new(
-            &p,
-            3,
-            TsuConfig {
-                capacity: 0,
-                policy: SchedulingPolicy::GlobalFifo,
-                ..Default::default()
-            },
+    fn default_config_steals() {
+        // a derived `Default` would silently turn stealing off
+        assert!(TsuConfig::default().steal);
+        let p = fork_join(2, 1);
+        assert!(Tsu::new(&p, 2, TsuConfig::default()).stealing());
+        assert!(
+            !Tsu::new(&p, 1, TsuConfig::default()).stealing(),
+            "nobody to steal from"
         );
-        assert_eq!(tsu.queues().len(), 1);
-        assert_eq!(tsu.queue_index(KernelId(2)), 0);
-        assert!(!tsu.stealing());
-        let order = drain_sequential(&tsu).unwrap();
-        assert_eq!(order.len(), p.total_instances());
-        assert_eq!(tsu.stats().steals, 0);
     }
 
     #[test]
@@ -817,7 +798,6 @@ mod tests {
             2,
             TsuConfig {
                 capacity: 12,
-                policy: SchedulingPolicy::default(),
                 ..Default::default()
             },
         );

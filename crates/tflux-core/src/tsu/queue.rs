@@ -1,4 +1,4 @@
-//! The per-kernel Queue Unit — now a work-stealing deque — and the one
+//! The per-kernel Queue Unit — a work-stealing deque — and the one
 //! fetch-result vocabulary.
 //!
 //! §3.3/Fig. 4: each processor gets its own queue of ready DThreads, fed by
@@ -109,9 +109,8 @@ pub trait QueueUnit {
     const BACKOFF: bool;
 
     /// An empty unit. `cap` is the program's resident bound (a sizing
-    /// hint for bounded units); `shared` means several kernels consume
-    /// this one unit (the `GlobalFifo` policy).
-    fn new(cap: usize, shared: bool) -> Self;
+    /// hint for bounded units).
+    fn new(cap: usize) -> Self;
 
     /// Enqueue a dispatched instance with its epoch token.
     fn push(&self, inst: Instance, epoch: Epoch);
@@ -135,9 +134,8 @@ pub trait QueueUnit {
 impl QueueUnit for StealDeque {
     const BACKOFF: bool = true;
 
-    /// The deque grows on demand and has one consumer, so both hints are
-    /// unused.
-    fn new(_cap: usize, _shared: bool) -> Self {
+    /// The deque grows on demand, so the hint is unused.
+    fn new(_cap: usize) -> Self {
         StealDeque::new()
     }
 
@@ -240,8 +238,7 @@ impl Buffer {
 /// Owner operations take `&self` (all state is atomic, so misuse cannot
 /// cause undefined behavior) but must come from one thread at a time:
 /// concurrent owner calls may lose or duplicate entries. The concurrent
-/// runtime upholds this by routing foreign pushes through its inbox ring
-/// and shared (multi-consumer) queues through the steal path only.
+/// runtime upholds this by routing foreign pushes through its inbox ring.
 pub struct StealDeque {
     bottom: AtomicI64,
     top: AtomicI64,

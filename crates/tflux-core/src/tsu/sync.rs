@@ -21,21 +21,21 @@
 //!
 //! Only the block-transition slow path (Inlet/Outlet completions, already
 //! serialized by program structure) takes the `block` mutex. Per-kernel
-//! observability counters survive from the sharded design: `rc_updates`
-//! still counts *logical* decrements landing on each kernel's instances
-//! (`rc_rmws` counts the physical RMWs, which batching makes smaller),
-//! and `contended` counts weak-CAS retries on state transitions plus
-//! cross-kernel ready-count line transfers (a decrement arriving from a
-//! different kernel than the slot's previous one) instead of `try_lock`
-//! misses.
+//! observability counters attribute traffic to the owning kernel of each
+//! instance: `rc_updates` counts *logical* decrements landing on each
+//! kernel's instances (`rc_rmws` counts the physical RMWs, which batching
+//! makes smaller), and `contended` counts weak-CAS retries on state
+//! transitions plus cross-kernel ready-count line transfers (a decrement
+//! arriving from a different kernel than the slot's previous one).
 //!
 //! [`complete_batch`](SyncMemory::complete_batch) is the reduction-funnel
-//! flush path: a kernel's accumulated App completions arrive as one call,
-//! their decrements are combined locally (one `fetch_sub(n)` per slot)
-//! and, when several kernels share a hot sink, carried up a combining
-//! tree that merges concurrent flushes so K flushers issue O(log K) RMWs
-//! on the contended line. The 1→0 publication rule generalizes to `n→0`:
-//! exactly one flusher observes zero and enqueues the consumer.
+//! flush path: a kernel's accumulated App completions arrive as one call
+//! and their decrements are combined locally, one `fetch_sub(n)` per
+//! slot. There is deliberately no cross-kernel combining structure behind
+//! it: every flush already arrives combined, so merging two flushes could
+//! save at most one RMW on the sink line and would pay shared-node
+//! synchronization to do it. The 1→0 publication rule generalizes to
+//! `n→0`: exactly one flusher observes zero and enqueues the consumer.
 //!
 //! A kernel that dies mid-update (or any unwind out of a mutating
 //! section) **poisons** the SM: the `poisoned` flag latches, and every
@@ -142,8 +142,8 @@ impl Default for Slot {
 }
 
 /// Per-kernel observability counters. The table itself is not sharded —
-/// these only attribute traffic to the owning kernel of each instance,
-/// preserving the `RunReport.sm_shards` view from the locked design.
+/// these only attribute traffic to the owning kernel of each instance
+/// (the `RunReport.sm_shards` view).
 #[derive(Debug, Default)]
 struct ShardCounters {
     /// Logical ready-count decrements (invariant under batching).
@@ -151,17 +151,8 @@ struct ShardCounters {
     /// Physical `fetch_sub` RMWs (one per combined flush entry).
     rc_rmws: AtomicU64,
     /// Weak-CAS retries on state transitions plus cross-kernel
-    /// ready-count line transfers (the locked design counted `try_lock`
-    /// misses here).
+    /// ready-count line transfers.
     contended: AtomicU64,
-}
-
-/// One node of the combining tree: deposits parked by flushers that found
-/// the node claimed, waiting for the claimant to carry them to the table.
-#[derive(Debug, Default)]
-struct TreeNode {
-    pending: BTreeMap<Instance, u32>,
-    claimed: bool,
 }
 
 /// Block residency bookkeeping — serialized because Inlet/Outlet
@@ -231,11 +222,6 @@ pub struct SyncMemory<P: ProgramHandle> {
     base: Vec<u32>,
     slots: Vec<Slot>,
     shards: Vec<ShardCounters>,
-    /// Combining tree for batched flushes (heap-indexed, entry 0 unused;
-    /// kernel `k`'s leaf hangs under internal node `(P + k) / 2`). Empty
-    /// when a single kernel runs or the program has no hot sink — then
-    /// every flush goes straight to the table.
-    tree: Vec<Mutex<TreeNode>>,
     fetches: AtomicU64,
     completions: AtomicU64,
     finished: AtomicBool,
@@ -267,16 +253,6 @@ impl<P: ProgramHandle> SyncMemory<P> {
             next += spec.arity;
         }
         let slots = (0..next).map(|_| Slot::default()).collect();
-        // The combining tree only pays when several kernels funnel into a
-        // hot sink: its internal nodes (heap layout, `P = kernels` padded
-        // to a power of two) exist iff the precomputed reduction fan-in
-        // says such a sink exists.
-        let tree = if kernels > 1 && !crate::graph::hot_sinks(gm.program(), kernels).is_empty() {
-            let p = (kernels as usize).next_power_of_two();
-            (0..p).map(|_| Mutex::new(TreeNode::default())).collect()
-        } else {
-            Vec::new()
-        };
         let sm = SyncMemory {
             gm,
             capacity,
@@ -285,7 +261,6 @@ impl<P: ProgramHandle> SyncMemory<P> {
             base,
             slots,
             shards: (0..kernels).map(|_| ShardCounters::default()).collect(),
-            tree,
             fetches: AtomicU64::new(0),
             completions: AtomicU64::new(0),
             finished: AtomicBool::new(false),
@@ -739,11 +714,9 @@ impl<P: ProgramHandle> SyncMemory<P> {
     }
 
     /// Record a batch of *application* completions — the funnel flush
-    /// path. The batch's decrements are first combined locally (one entry
-    /// per consumer slot, so K completions hitting one Reduction sink
-    /// become a single `fetch_sub(K)`), then carried to the table through
-    /// the combining tree when one is built, merging with concurrent
-    /// flushes from other kernels on the way up.
+    /// path. The batch's decrements are combined locally (one entry per
+    /// consumer slot, so K completions hitting one Reduction sink become a
+    /// single `fetch_sub(K)`) and applied to the table in slot order.
     ///
     /// Unlike [`complete`](Self::complete), a protocol error inside a
     /// batch (an instance that was never dispatched, a non-App instance)
@@ -781,93 +754,11 @@ impl<P: ProgramHandle> SyncMemory<P> {
                 }
             }
         }
-        if self.tree.is_empty() {
-            self.apply_combined(&combined, updater, out);
-        } else {
-            self.tree_flush(updater, combined, out);
+        for (&ci, &n) in &combined {
+            self.apply_rc_sub(ci, n, updater, out);
         }
         sentinel.disarm();
         Ok(())
-    }
-
-    /// Apply a combined decrement map to the table, one RMW per slot.
-    fn apply_combined(
-        &self,
-        combined: &BTreeMap<Instance, u32>,
-        updater: KernelId,
-        out: &mut Vec<Instance>,
-    ) {
-        for (&ci, &n) in combined {
-            self.apply_rc_sub(ci, n, updater, out);
-        }
-    }
-
-    /// Lock one combining-tree node, latching OS-level poison like
-    /// [`lock_block`](Self::lock_block) does (but non-failing: the flush
-    /// proceeds and the *next* operation reports the corruption).
-    fn lock_tree(&self, idx: usize) -> MutexGuard<'_, TreeNode> {
-        self.tree[idx].lock().unwrap_or_else(|p: PoisonError<_>| {
-            self.poison();
-            p.into_inner()
-        })
-    }
-
-    /// Carry a combined batch up the combining tree. Climbing from the
-    /// flusher's leaf toward the root, each node is either *claimed* (we
-    /// own the path above and absorb anything parked there) or already
-    /// claimed by a concurrent flusher — then we deposit our map and
-    /// leave; the claimant carries it the rest of the way. K concurrent
-    /// flushers therefore issue O(log K) RMWs on a shared sink line: at
-    /// most one flusher per tree level reaches the table with the merged
-    /// update.
-    fn tree_flush(
-        &self,
-        updater: KernelId,
-        mut mine: BTreeMap<Instance, u32>,
-        out: &mut Vec<Instance>,
-    ) {
-        let p = self.tree.len();
-        let mut idx = (p + (updater.idx() & (p - 1))) / 2;
-        let mut claimed: Vec<usize> = Vec::new();
-        while idx >= 1 {
-            let mut node = self.lock_tree(idx);
-            if node.claimed {
-                for (ci, n) in mine {
-                    *node.pending.entry(ci).or_insert(0) += n;
-                }
-                drop(node);
-                self.unwind_claims(&claimed, updater, out);
-                return;
-            }
-            node.claimed = true;
-            for (ci, n) in std::mem::take(&mut node.pending) {
-                *mine.entry(ci).or_insert(0) += n;
-            }
-            drop(node);
-            claimed.push(idx);
-            idx /= 2;
-        }
-        self.apply_combined(&mine, updater, out);
-        self.unwind_claims(&claimed, updater, out);
-    }
-
-    /// Release the tree nodes this flusher claimed, root-most first. A
-    /// node is unclaimed only after its pending map is observed empty
-    /// under the lock; anything deposited while we were busy is applied
-    /// here, so no decrement is ever stranded at a claimed node.
-    fn unwind_claims(&self, claimed: &[usize], updater: KernelId, out: &mut Vec<Instance>) {
-        for &idx in claimed.iter().rev() {
-            loop {
-                let mut node = self.lock_tree(idx);
-                if node.pending.is_empty() {
-                    node.claimed = false;
-                    break;
-                }
-                let pending = std::mem::take(&mut node.pending);
-                drop(node);
-                self.apply_combined(&pending, updater, out);
-            }
-        }
     }
 
     /// Stall forensics: every resident instance whose ready count is still

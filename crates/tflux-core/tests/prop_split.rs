@@ -83,7 +83,6 @@ fn split_fits_preserves_and_executes() {
             3,
             TsuConfig {
                 capacity: d.capacity,
-                policy: SchedulingPolicy::default(),
                 ..Default::default()
             },
         );

@@ -14,7 +14,7 @@ struct ProgramDesc {
     // arcs as (block, producer idx, consumer idx > producer idx, mapping sel)
     arcs: Vec<(usize, usize, usize, u8, u8)>,
     kernels: u32,
-    policy: SchedulingPolicy,
+    steal: bool,
 }
 
 fn affinity(rng: &mut SplitMix64) -> Affinity {
@@ -49,11 +49,7 @@ fn desc(rng: &mut SplitMix64) -> ProgramDesc {
         blocks,
         arcs,
         kernels: rng.range(1u32..6),
-        policy: *rng.pick(&[
-            SchedulingPolicy::LocalityFirst { steal: true },
-            SchedulingPolicy::LocalityFirst { steal: false },
-            SchedulingPolicy::GlobalFifo,
-        ]),
+        steal: rng.chance(1, 2),
     }
 }
 
@@ -106,8 +102,7 @@ fn drained(desc: &ProgramDesc) -> (DdmProgram, Vec<Instance>, bool) {
         &p,
         desc.kernels,
         TsuConfig {
-            capacity: 0,
-            policy: desc.policy,
+            steal: desc.steal,
             ..Default::default()
         },
     );

@@ -122,10 +122,9 @@ fn race_rounds_across_shapes() {
 fn racing_batch_flushers_conserve_the_decrement_ledger() {
     // funnel-flush variant of the race: each flusher owns a disjoint slice
     // of the ready set, dispatches it, and retires it through
-    // `complete_batch` — so concurrent `fetch_sub(n)` updates (and the
-    // combining tree, which a 4-kernel reduction program builds) race on
-    // the shared sink slot. Batching must conserve the logical ledger
-    // exactly and admit exactly one n→0 publisher.
+    // `complete_batch` — so concurrent `fetch_sub(n)` updates race on the
+    // shared sink slot. Batching must conserve the logical ledger exactly
+    // and admit exactly one n→0 publisher.
     let arity = 512u32;
     let flushers = 8usize;
     let batch = 16usize;
@@ -181,8 +180,7 @@ fn racing_batch_flushers_conserve_the_decrement_ledger() {
         "per-shard ledger must sum to total"
     );
     // ...but the physical RMW count collapsed: each flush combines its
-    // sub-batch into at most two RMWs (sink + outlet), and tree combining
-    // can merge concurrent flushes further
+    // sub-batch into at most two RMWs (sink + outlet)
     assert!(
         st.rc_rmws <= 2 * (arity as u64).div_ceil(batch as u64),
         "batching did not collapse RMWs: {} physical for {} logical",

@@ -269,7 +269,6 @@ mod tests {
             1,
             TsuConfig {
                 capacity: 8,
-                policy: Default::default(),
                 ..Default::default()
             },
         );

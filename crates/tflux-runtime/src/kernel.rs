@@ -399,8 +399,7 @@ mod tests {
             &p,
             2,
             TsuConfig {
-                capacity: 0,
-                policy: SchedulingPolicy::LocalityFirst { steal: false },
+                steal: false,
                 ..Default::default()
             },
         );
@@ -452,15 +451,7 @@ mod tests {
         bodies.set(w, |_| {
             count.fetch_add(1, Ordering::Relaxed);
         });
-        let soft = SoftTsu::with_queue_unit(
-            &p,
-            2,
-            TsuConfig {
-                capacity: 0,
-                policy: SchedulingPolicy::LocalityFirst { steal: true },
-                ..Default::default()
-            },
-        );
+        let soft = SoftTsu::with_queue_unit(&p, 2, TsuConfig::default());
         let tub = Tub::new(1);
         let stats = std::thread::scope(|s| {
             let h = s.spawn(|| run(0, &soft, &bodies, &tub, &PanicSink::default()));
@@ -544,8 +535,7 @@ mod tests {
             &p,
             2,
             TsuConfig {
-                capacity: 0,
-                policy: SchedulingPolicy::LocalityFirst { steal: false },
+                steal: false,
                 ..Default::default()
             },
         );

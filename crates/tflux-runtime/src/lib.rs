@@ -82,4 +82,3 @@ pub use sm::SoftTsu;
 pub use stats::{InFlightInstance, RunReport, StallReport, TenantReport};
 // the one fetch vocabulary shared with the core TSU units
 pub use tflux_core::tsu::{FetchResult, ShardStats};
-pub use tub::TubBackoff;

@@ -13,7 +13,7 @@ use crate::kernel::run_kernel;
 use crate::sm::SoftTsu;
 use crate::stats::{KernelStats, RunReport, StallReport};
 use crate::sync;
-use crate::tub::{Tub, TubBackoff};
+use crate::tub::Tub;
 use std::time::{Duration, Instant};
 use tflux_core::error::CoreError;
 use tflux_core::ids::KernelId;
@@ -72,36 +72,24 @@ impl RetryPolicy {
 pub struct RuntimeConfig {
     /// Number of kernel threads (execution nodes).
     pub kernels: u32,
-    /// Number of TUB segments (§4.2; more segments, less contention).
-    pub tub_segments: usize,
-    /// TSU capacity and scheduling policy.
+    /// TSU capacity, stealing, flush policy and epoch window.
     pub tsu: TsuConfig,
     /// Abort the run if no DThread completes for this long.
     pub watchdog: Duration,
-    /// How pushing kernels degrade when every TUB segment stays busy.
-    pub tub_backoff: TubBackoff,
     /// What kernels do with panicking bodies.
     pub retry: RetryPolicy,
 }
 
 impl RuntimeConfig {
-    /// Defaults with `kernels` kernel threads: 4 TUB segments, unlimited TSU
-    /// capacity, 30 s watchdog, no panic retry.
+    /// Defaults with `kernels` kernel threads: unlimited TSU capacity,
+    /// 30 s watchdog, no panic retry.
     pub fn with_kernels(kernels: u32) -> Self {
         RuntimeConfig {
             kernels,
-            tub_segments: 4,
             tsu: TsuConfig::default(),
             watchdog: Duration::from_secs(30),
-            tub_backoff: TubBackoff::default(),
             retry: RetryPolicy::default(),
         }
-    }
-
-    /// Override the number of TUB segments.
-    pub fn tub_segments(mut self, segments: usize) -> Self {
-        self.tub_segments = segments;
-        self
     }
 
     /// Override the TSU configuration.
@@ -116,26 +104,10 @@ impl RuntimeConfig {
         self
     }
 
-    /// Override the TUB full-segment backoff.
-    pub fn tub_backoff(mut self, backoff: TubBackoff) -> Self {
-        self.tub_backoff = backoff;
-        self
-    }
-
     /// Override the panic retry policy.
     pub fn retry(mut self, retry: RetryPolicy) -> Self {
         self.retry = retry;
         self
-    }
-}
-
-impl Default for RuntimeConfig {
-    fn default() -> Self {
-        RuntimeConfig::with_kernels(
-            std::thread::available_parallelism()
-                .map(|n| n.get().saturating_sub(1).max(1) as u32)
-                .unwrap_or(1),
-        )
     }
 }
 
@@ -210,6 +182,11 @@ impl std::error::Error for RuntimeError {
     }
 }
 
+/// TUB segments of a run (§4.2). A constant: the TUB carries two entries
+/// per block, so segment contention is unmeasurable in a run; `figures --
+/// tub` varies [`Tub::new`] directly.
+const TUB_SEGMENTS: usize = 4;
+
 /// The TFluxSoft runtime. Create one with a [`RuntimeConfig`], then run DDM
 /// programs on it. `run` is synchronous: it launches the kernels and the
 /// emulator, executes the program to completion and joins everything.
@@ -263,7 +240,7 @@ impl Runtime {
         // and the per-kernel ready queues, armed with the first block's
         // inlet.
         let soft = SoftTsu::with_queue_unit(program, kernels, self.config.tsu);
-        let tub = Tub::with_backoff(self.config.tub_segments, self.config.tub_backoff);
+        let tub = Tub::new(TUB_SEGMENTS);
         let watchdog = self.config.watchdog;
         let retry = self.config.retry;
 
@@ -531,7 +508,6 @@ mod tests {
         let bodies = BodyTable::new(&p);
         let err = Runtime::new(RuntimeConfig::with_kernels(2).tsu(TsuConfig {
             capacity: 4,
-            policy: Default::default(),
             ..Default::default()
         }))
         .run(&p, &bodies)
@@ -582,30 +558,6 @@ mod tests {
     }
 
     #[test]
-    fn global_fifo_policy_shares_one_queue() {
-        let (p, works) = fork_join(40, 1);
-        let count = AtomicU64::new(0);
-        let mut bodies = BodyTable::new(&p);
-        bodies.set(works[0], |_| {
-            count.fetch_add(1, Ordering::Relaxed);
-            // slow enough that several kernels get to the shared queue
-            std::thread::sleep(Duration::from_micros(300));
-        });
-        let report = Runtime::new(RuntimeConfig::with_kernels(4).tsu(TsuConfig {
-            capacity: 0,
-            policy: tflux_core::SchedulingPolicy::GlobalFifo,
-            ..Default::default()
-        }))
-        .run(&p, &bodies)
-        .unwrap();
-        assert_eq!(count.load(Ordering::Relaxed), 40);
-        assert_eq!(report.total_executed() as usize, p.total_instances());
-        // multiple kernels served from the shared queue
-        let active = report.kernels.iter().filter(|k| k.executed > 0).count();
-        assert!(active >= 2, "only {active} kernels drew from the FIFO");
-    }
-
-    #[test]
     fn work_stealing_rebalances_pinned_work() {
         // all 24 instances pinned to kernel 0; with stealing enabled and a
         // slow body, other kernels must take a share
@@ -647,8 +599,7 @@ mod tests {
         let p = b.build().unwrap();
         let bodies = BodyTable::new(&p);
         let report = Runtime::new(RuntimeConfig::with_kernels(3).tsu(TsuConfig {
-            capacity: 0,
-            policy: tflux_core::SchedulingPolicy::LocalityFirst { steal: false },
+            steal: false,
             ..Default::default()
         }))
         .run(&p, &bodies)
@@ -689,13 +640,8 @@ mod tests {
     #[test]
     fn multi_kernel_panics_drain_and_report_under_both_policies() {
         // several panicking instances across 3 kernels: the run must drain
-        // fully (no stall) and report every panic, whichever scheduling
-        // policy routes the work
-        let policies = [
-            tflux_core::SchedulingPolicy::GlobalFifo,
-            tflux_core::SchedulingPolicy::LocalityFirst { steal: true },
-        ];
-        for policy in policies {
+        // fully (no stall) and report every panic, stealing or not
+        for steal in [false, true] {
             let (p, works) = fork_join(16, 1);
             let mut bodies = BodyTable::new(&p);
             bodies.set(works[0], |c| {
@@ -704,8 +650,7 @@ mod tests {
                 }
             });
             let err = Runtime::new(RuntimeConfig::with_kernels(3).tsu(TsuConfig {
-                capacity: 0,
-                policy,
+                steal,
                 ..Default::default()
             }))
             .run(&p, &bodies)
@@ -721,9 +666,9 @@ mod tests {
                         })
                         .collect();
                     contexts.sort_unstable();
-                    assert_eq!(contexts, vec![0, 4, 8, 12], "policy {policy:?}");
+                    assert_eq!(contexts, vec![0, 4, 8, 12], "steal {steal}");
                 }
-                other => panic!("policy {policy:?}: unexpected {other}"),
+                other => panic!("steal {steal}: unexpected {other}"),
             }
         }
     }

@@ -10,7 +10,7 @@
 //! plus its own [TUB](crate::tub::Tub) and panic sink, so no
 //! scheduling state is shared between programs. The pool kernels multiplex
 //! over the resident arenas under a weighted round-robin
-//! [`ServiceRotor`](tflux_core::tsu::ServiceRotor) discipline; one
+//! [`ServiceRotor`] discipline; one
 //! supervisor thread multiplexes the TSU-Emulator duties (TUB drains,
 //! block transitions, watchdog) across tenants and runs admission.
 //!
@@ -43,7 +43,7 @@ use crate::runtime::{RetryPolicy, RuntimeError};
 use crate::sm::{shutdown, SoftTsu};
 use crate::stats::TenantReport;
 use crate::sync::{lock, wait, wait_timeout};
-use crate::tub::{Tub, TubBackoff};
+use crate::tub::Tub;
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex};
@@ -51,7 +51,7 @@ use std::time::{Duration, Instant};
 use tflux_core::error::CoreError;
 use tflux_core::ids::{Epoch, Instance, KernelId, ProgramId};
 use tflux_core::program::DdmProgram;
-use tflux_core::tsu::{FetchResult, ServiceRotor, TsuConfig};
+use tflux_core::tsu::{FetchResult, FlushPolicy, ServiceRotor, TsuConfig};
 
 /// Configuration of a [`ProgramServer`].
 #[derive(Clone, Copy, Debug)]
@@ -64,31 +64,28 @@ pub struct ServerConfig {
     /// Bound of the pending admission queue; a full queue blocks or sheds
     /// submitters depending on their [`Submit`] mode.
     pub queue_depth: usize,
-    /// TUB segments per tenant.
-    pub tub_segments: usize,
-    /// TSU capacity and scheduling policy of every tenant arena.
+    /// TSU capacity, stealing and epoch window of every tenant arena.
+    /// `flush` is not consulted: pool kernels keep no completion funnel
+    /// and publish every completion directly, so arenas are built with
+    /// [`FlushPolicy::Direct`].
     pub tsu: TsuConfig,
     /// Evict a tenant when none of its DThreads completes for this long.
     pub watchdog: Duration,
-    /// All-busy backoff of every tenant TUB.
-    pub tub_backoff: TubBackoff,
     /// What pool kernels do with panicking bodies.
     pub retry: RetryPolicy,
 }
 
 impl ServerConfig {
     /// Defaults with `kernels` pool threads: 8 resident programs, a
-    /// 32-deep admission queue, 2 TUB segments per tenant, unlimited TSU
-    /// capacity, 30 s watchdog, no panic retry.
+    /// 32-deep admission queue, unlimited TSU capacity, 30 s watchdog, no
+    /// panic retry.
     pub fn with_kernels(kernels: u32) -> Self {
         ServerConfig {
             kernels: kernels.max(1),
             max_resident: 8,
             queue_depth: 32,
-            tub_segments: 2,
             tsu: TsuConfig::default(),
             watchdog: Duration::from_secs(30),
-            tub_backoff: TubBackoff::default(),
             retry: RetryPolicy::default(),
         }
     }
@@ -268,11 +265,6 @@ impl Admission {
             .recv()
             .expect("program server dropped without delivering a result")
     }
-
-    /// Non-blocking probe: the result, if already delivered.
-    pub fn try_wait(&self) -> Option<Result<TenantReport, RuntimeError>> {
-        self.rx.try_recv().ok()
-    }
 }
 
 /// A queued-but-not-yet-admitted submission.
@@ -308,6 +300,10 @@ struct Tenant {
     done: Mutex<Option<mpsc::Sender<Result<TenantReport, RuntimeError>>>>,
 }
 
+/// TUB segments per tenant arena (§4.2); a constant for the same reason
+/// as the runtime's: two entries per block give segments nothing to do.
+const TENANT_TUB_SEGMENTS: usize = 2;
+
 impl Tenant {
     fn new(p: Pending, cfg: &ServerConfig) -> Self {
         let Pending { id, submission, tx } = p;
@@ -325,8 +321,18 @@ impl Tenant {
             deadline,
             epochs,
             admitted_at: Instant::now(),
-            soft: SoftTsu::with_queue_unit(program, cfg.kernels, cfg.tsu),
-            tub: Tub::with_backoff(cfg.tub_segments, cfg.tub_backoff),
+            soft: SoftTsu::with_queue_unit(
+                program,
+                cfg.kernels,
+                TsuConfig {
+                    // `serve_one` completes through `publish_completion`;
+                    // resolving `Auto` would scan the graph for hot sinks
+                    // on every admission and report a policy nothing runs
+                    flush: FlushPolicy::Direct,
+                    ..cfg.tsu
+                },
+            ),
+            tub: Tub::new(TENANT_TUB_SEGMENTS),
             bodies,
             panics: PanicSink::default(),
             faults,
@@ -893,6 +899,24 @@ mod tests {
         assert_eq!(report.tsu.completions as usize, instances);
         assert_eq!(total.load(Ordering::Relaxed), expected(16));
         server.shutdown();
+    }
+
+    #[test]
+    fn tenant_arenas_run_the_direct_flush_policy() {
+        // a hot reduction sink on 2 kernels: `Auto` would resolve to
+        // `Batch`, but pool kernels keep no funnel, so the arena must not
+        // report a policy nothing runs
+        let (submission, _, _) = sum_of_squares(16);
+        let (tx, _rx) = mpsc::channel();
+        let cfg = ServerConfig::with_kernels(2);
+        assert_eq!(cfg.tsu.flush, FlushPolicy::Auto);
+        let pending = Pending {
+            id: ProgramId(0),
+            submission,
+            tx,
+        };
+        let tenant = Tenant::new(pending, &cfg);
+        assert_eq!(tenant.soft.flush_policy(), FlushPolicy::Direct);
     }
 
     #[test]

@@ -29,7 +29,7 @@
 //!   `SeqCst` fence and reads `parked` — the Dekker handshake means either
 //!   the pusher observes the parker (and notifies under the park lock) or
 //!   the parker's re-check observes the entry. A 50 ms timed wait backstops
-//!   lost wakeups, exactly as before.
+//!   lost wakeups.
 
 use crate::sync::{lock, wait_timeout};
 use std::collections::VecDeque;
@@ -73,10 +73,6 @@ pub struct ReadyQueue {
     /// so nobody locks the mutex while it is empty — the common case.
     overflow: Mutex<VecDeque<(Instance, Epoch)>>,
     overflow_len: AtomicUsize,
-    /// Multi-consumer mode (the `GlobalFifo` baseline): several kernels
-    /// pop one queue, so the owner-only deque bottom is off limits and
-    /// every take goes through the MPMC inbox — preserving FIFO order.
-    shared: bool,
     exit: AtomicBool,
     /// Consumers currently inside the park protocol.
     parked: AtomicUsize,
@@ -102,15 +98,13 @@ impl QueueUnit for ReadyQueue {
 
     /// An empty queue whose inbox holds `cap` entries before the overflow
     /// valve engages — sized at the program's resident bound, the valve is
-    /// never hit. A *shared* (multi-consumer) queue serves every take FIFO
-    /// from the MPMC inbox, because the deque bottom is owner-only.
-    fn new(cap: usize, shared: bool) -> Self {
+    /// never hit.
+    fn new(cap: usize) -> Self {
         ReadyQueue {
             deque: StealDeque::with_capacity(cap.max(4)),
             inbox: MpmcRing::with_capacity(cap.max(4)),
             overflow: Mutex::new(VecDeque::new()),
             overflow_len: AtomicUsize::new(0),
-            shared,
             exit: AtomicBool::new(false),
             parked: AtomicUsize::new(0),
             park_lock: Mutex::new(()),
@@ -188,13 +182,9 @@ impl ReadyQueue {
         e
     }
 
-    /// One take attempt by this queue's consumer. Owner mode drains the
-    /// inbox into the deque and pops LIFO; shared mode serves FIFO
-    /// straight from the inbox.
+    /// One take attempt by this queue's consumer: drain the inbox into
+    /// the deque, then pop LIFO.
     fn take(&self) -> Option<(Instance, Epoch)> {
-        if self.shared {
-            return self.inbox.pop().or_else(|| self.pop_overflow());
-        }
         while let Some((i, ep)) = self.inbox.pop() {
             self.deque.push(i, ep);
         }
@@ -298,10 +288,9 @@ mod tests {
 
     #[test]
     fn owner_pops_lifo_thieves_steal_fifo() {
-        // the Chase-Lev contract replaces the old FIFO-for-everyone order:
-        // the owner runs its newest (cache-warm) entry, a thief migrates
-        // the oldest
-        let q = ReadyQueue::new(256, false);
+        // the Chase-Lev contract: the owner runs its newest (cache-warm)
+        // entry, a thief migrates the oldest
+        let q = ReadyQueue::new(256);
         q.push(inst(1), E0);
         q.push(inst(2), E0);
         q.push(inst(3), E0);
@@ -313,23 +302,10 @@ mod tests {
     }
 
     #[test]
-    fn shared_queue_serves_fifo() {
-        // GlobalFifo baseline: multi-consumer queues keep strict FIFO
-        let q = ReadyQueue::new(8, true);
-        q.push(inst(1), E0);
-        q.push(inst(2), Epoch(3));
-        q.push(inst(3), E0);
-        assert_eq!(q.pop(), FetchResult::Thread(inst(1), E0));
-        assert_eq!(q.pop(), FetchResult::Thread(inst(2), Epoch(3)));
-        assert_eq!(q.steal(), Steal::Success((inst(3), E0)));
-        assert!(q.is_empty());
-    }
-
-    #[test]
     fn overflow_valve_loses_nothing() {
         // an undersized inbox pushes the excess through the mutex valve;
         // every entry still comes out, and len() sees all of them
-        let q = ReadyQueue::new(4, false);
+        let q = ReadyQueue::new(4);
         for t in 0..20 {
             q.push(inst(t), E0);
         }
@@ -352,7 +328,7 @@ mod tests {
 
     #[test]
     fn exit_reported_only_after_drain() {
-        let q = ReadyQueue::new(256, false);
+        let q = ReadyQueue::new(256);
         q.push(inst(1), E0);
         q.shutdown();
         assert_eq!(q.pop(), FetchResult::Thread(inst(1), E0));
@@ -362,7 +338,7 @@ mod tests {
 
     #[test]
     fn blocking_pop_wakes_on_push() {
-        let q = Arc::new(ReadyQueue::new(256, false));
+        let q = Arc::new(ReadyQueue::new(256));
         let handle = {
             let q = Arc::clone(&q);
             std::thread::spawn(move || q.pop())
@@ -376,7 +352,7 @@ mod tests {
 
     #[test]
     fn blocking_pop_wakes_on_shutdown() {
-        let q = Arc::new(ReadyQueue::new(256, false));
+        let q = Arc::new(ReadyQueue::new(256));
         let handle = {
             let q = Arc::clone(&q);
             std::thread::spawn(move || q.pop())
@@ -388,7 +364,7 @@ mod tests {
 
     #[test]
     fn pop_timeout_expires_and_delivers() {
-        let q = ReadyQueue::new(256, false);
+        let q = ReadyQueue::new(256);
         assert_eq!(q.pop_timeout(Duration::from_millis(5)), FetchResult::Wait);
         q.push(inst(4), E0);
         assert_eq!(
@@ -401,7 +377,7 @@ mod tests {
 
     #[test]
     fn try_pop_states() {
-        let q = ReadyQueue::new(256, false);
+        let q = ReadyQueue::new(256);
         assert_eq!(q.try_pop(), FetchResult::Wait);
         q.push(inst(3), E0);
         assert_eq!(q.try_pop(), FetchResult::Thread(inst(3), E0));
@@ -416,7 +392,7 @@ mod tests {
         // two foreign kernels steal while the owner pushes and pops;
         // every entry is claimed exactly once across the three parties
         let n = 5_000u32;
-        let q = Arc::new(ReadyQueue::new(8, false));
+        let q = Arc::new(ReadyQueue::new(8));
         let done = Arc::new(AtomicBool::new(false));
         let mut handles = Vec::new();
         for _ in 0..2 {

@@ -27,8 +27,8 @@ pub struct TubStats {
     /// Full passes over all segments that found every segment busy
     /// (the genuine stall case the segmentation is designed to avoid).
     pub full_spins: AtomicU64,
-    /// Times a pushing kernel gave up spinning and parked (see
-    /// [`TubBackoff`]).
+    /// Times a pushing kernel gave up spinning on an all-busy TUB and
+    /// parked.
     pub parks: AtomicU64,
     /// Emulator wakeup signals suppressed by a fault injector.
     pub dropped_bells: AtomicU64,
@@ -62,63 +62,44 @@ pub struct TubSnapshot {
     pub dropped_bells: u64,
 }
 
-/// How a pushing kernel degrades when *every* TUB segment stays busy.
-///
-/// The paper's `try_lock` scheme assumes some segment frees up quickly; an
-/// all-segments-busy livelock would otherwise burn a core on `yield_now`.
-/// After `full_spin_limit` full passes over the segments, the kernel parks
-/// instead of bare-yielding, with **bounded exponential backoff**: the
-/// park starts at `park`, doubles per further all-busy pass, and caps at
-/// `max_park`. Each park is shortened by a *deterministic* jitter — a pure
-/// function of `(jitter_seed, pass)` — so colliding kernels with different
-/// seeds desynchronize instead of re-colliding in lockstep, and a given
-/// schedule replays identically. The `full_spins` counter keeps counting
-/// passes either way.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct TubBackoff {
-    /// Full all-busy passes to spin (with `yield_now`) before parking.
-    /// `0` parks from the first all-busy pass.
-    pub full_spin_limit: u32,
-    /// Park duration of the first parked pass; doubles per further pass.
-    /// `Duration::ZERO` disables parking entirely (pure spinning).
-    pub park: Duration,
-    /// Upper bound the exponential growth saturates at.
-    pub max_park: Duration,
-    /// Seed of the deterministic per-pass jitter. Kernels sharing one
-    /// `TubBackoff` share the seed; per-pass mixing still staggers them
-    /// because passes rarely align exactly.
-    pub jitter_seed: u64,
-}
+// How a pushing kernel degrades when *every* TUB segment stays busy.
+//
+// The paper's `try_lock` scheme assumes some segment frees up quickly; an
+// all-segments-busy livelock would otherwise burn a core on `yield_now`.
+// After `FULL_SPIN_LIMIT` full passes over the segments the kernel parks
+// instead of bare-yielding, with bounded exponential backoff: the park
+// starts at `PARK_NS`, doubles per further all-busy pass, and caps at
+// `MAX_PARK_NS`, shortened by a deterministic per-pass jitter so colliding
+// kernels do not re-collide in lockstep.
+//
+// Constants, not configuration: App completions take the direct path, so
+// the TUB carries two entries per block (its Inlet and its Outlet, and the
+// second becomes ready only after the first is drained). A run's pusher
+// therefore contends with the emulator's drain alone, which holds one
+// segment at a time; no experiment has a schedule to vary. Only a
+// synthetic hammer (`figures -- tub`, the tests below) gets here.
 
-impl Default for TubBackoff {
-    fn default() -> Self {
-        TubBackoff {
-            full_spin_limit: 16,
-            park: Duration::from_micros(50),
-            max_park: Duration::from_millis(2),
-            jitter_seed: 0x7546_FB1C_55AB_10E5,
-        }
-    }
-}
+/// Full all-busy passes to spin (with `yield_now`) before parking.
+const FULL_SPIN_LIMIT: u32 = 16;
+/// Park duration of the first parked pass, in nanoseconds.
+const PARK_NS: u64 = 50_000;
+/// Upper bound the doubling saturates at, in nanoseconds.
+const MAX_PARK_NS: u64 = 2_000_000;
+/// Seed of the per-pass jitter.
+const JITTER_SEED: u64 = 0x7546_FB1C_55AB_10E5;
 
-impl TubBackoff {
-    /// The park duration of the `parked_pass`-th all-busy pass past the
-    /// spin limit (0-based): `park << parked_pass`, saturating at
-    /// `max_park`, minus a deterministic jitter of up to half the grown
-    /// value. Pure — same `(seed, pass)` always yields the same duration.
-    pub fn park_duration(&self, parked_pass: u32) -> Duration {
-        let base = self.park.as_nanos().min(u64::MAX as u128) as u64;
-        if base == 0 {
-            return Duration::ZERO;
-        }
-        let cap = (self.max_park.as_nanos().min(u64::MAX as u128) as u64).max(base);
-        // clamp the shift to keep `1 << shift` legal; saturating_mul
-        // absorbs any multiplication overflow before the cap applies
-        let shift = parked_pass.min(63);
-        let grown = base.saturating_mul(1u64 << shift).min(cap);
-        let jitter = mix(self.jitter_seed ^ parked_pass as u64) % (grown / 2 + 1);
-        Duration::from_nanos(grown - jitter)
-    }
+/// The park duration of the `parked_pass`-th all-busy pass past the spin
+/// limit (0-based): `PARK_NS << parked_pass`, saturating at `MAX_PARK_NS`,
+/// minus a jitter of up to half the grown value. Pure — the same pass
+/// always parks the same duration.
+fn park_duration(parked_pass: u32) -> Duration {
+    // clamp the shift to keep `1 << shift` legal; saturating_mul absorbs
+    // the multiplication overflow before the cap applies
+    let grown = PARK_NS
+        .saturating_mul(1u64 << parked_pass.min(63))
+        .min(MAX_PARK_NS);
+    let jitter = mix(JITTER_SEED ^ parked_pass as u64) % (grown / 2 + 1);
+    Duration::from_nanos(grown - jitter)
 }
 
 /// The segmented Thread-to-Update Buffer.
@@ -129,7 +110,6 @@ pub struct Tub {
     /// Wakes the emulator when entries arrive.
     signal: Mutex<bool>,
     bell: Condvar,
-    backoff: TubBackoff,
     stats: TubStats,
     /// First TSU protocol error raised by a kernel on the direct-update
     /// path; the emulator collects it and aborts the run.
@@ -137,21 +117,14 @@ pub struct Tub {
 }
 
 impl Tub {
-    /// A TUB with `segments` independently lockable segments (min 1) and
-    /// the default all-busy [`TubBackoff`].
+    /// A TUB with `segments` independently lockable segments (min 1).
     pub fn new(segments: usize) -> Self {
-        Tub::with_backoff(segments, TubBackoff::default())
-    }
-
-    /// A TUB with an explicit all-busy backoff configuration.
-    pub fn with_backoff(segments: usize, backoff: TubBackoff) -> Self {
         let n = segments.max(1);
         Tub {
             segments: (0..n).map(|_| Mutex::new(Vec::new())).collect(),
             next: AtomicUsize::new(0),
             signal: Mutex::new(false),
             bell: Condvar::new(),
-            backoff,
             stats: TubStats::default(),
             error: Mutex::new(None),
         }
@@ -201,15 +174,10 @@ impl Tub {
                 // (bounded livelock, desynchronized retries)
                 self.stats.full_spins.fetch_add(1, Ordering::Relaxed);
                 all_busy_passes += 1;
-                if all_busy_passes > self.backoff.full_spin_limit {
+                if all_busy_passes > FULL_SPIN_LIMIT {
                     self.stats.parks.fetch_add(1, Ordering::Relaxed);
-                    let parked_pass = all_busy_passes - self.backoff.full_spin_limit - 1;
-                    let park = self.backoff.park_duration(parked_pass);
-                    if park > Duration::ZERO {
-                        std::thread::park_timeout(park);
-                    } else {
-                        std::thread::yield_now();
-                    }
+                    let parked_pass = all_busy_passes - FULL_SPIN_LIMIT - 1;
+                    std::thread::park_timeout(park_duration(parked_pass));
                 } else {
                     std::thread::yield_now();
                 }
@@ -373,36 +341,6 @@ mod tests {
     }
 
     #[test]
-    fn park_backoff_loses_nothing_under_contention() {
-        // a 1-segment TUB with an immediate-park backoff: pushes from 4
-        // threads must all land even though every all-busy pass parks
-        let tub = Arc::new(Tub::with_backoff(
-            1,
-            TubBackoff {
-                full_spin_limit: 0,
-                park: std::time::Duration::from_micros(20),
-                ..TubBackoff::default()
-            },
-        ));
-        std::thread::scope(|s| {
-            for t in 0..4 {
-                let tub = Arc::clone(&tub);
-                s.spawn(move || {
-                    for c in 0..200 {
-                        tub.push(inst(t, c), E0);
-                    }
-                });
-            }
-        });
-        let mut out = Vec::new();
-        assert_eq!(tub.drain_into(&mut out), 800);
-        let snap = tub.stats().snapshot();
-        assert_eq!(snap.pushes, 800);
-        // parking only ever follows a counted all-busy pass
-        assert!(snap.parks <= snap.full_spins);
-    }
-
-    #[test]
     fn dropped_bell_suppresses_wakeup_but_not_data() {
         use crate::faults::FaultPlan;
         let tub = Tub::new(2);
@@ -421,53 +359,28 @@ mod tests {
 
     #[test]
     fn backoff_schedule_grows_doubles_and_caps() {
-        let b = TubBackoff {
-            full_spin_limit: 4,
-            park: Duration::from_micros(10),
-            max_park: Duration::from_micros(640),
-            jitter_seed: 42,
-        };
-        // deterministic: the same pass always parks the same duration
-        for pass in 0..32 {
-            assert_eq!(b.park_duration(pass), b.park_duration(pass));
-        }
-        for pass in 0..32u32 {
-            let d = b.park_duration(pass);
+        let (park, max_park) = (
+            Duration::from_nanos(PARK_NS),
+            Duration::from_nanos(MAX_PARK_NS),
+        );
+        for pass in 0..80u32 {
+            let d = park_duration(pass);
+            // deterministic: the same pass always parks the same duration
+            assert_eq!(d, park_duration(pass));
             // the un-jittered envelope is park << pass, capped at max_park;
-            // jitter removes at most half, so d is in (envelope/2, envelope]
-            let envelope = Duration::from_micros(10)
-                .saturating_mul(1 << pass.min(6))
-                .min(Duration::from_micros(640));
+            // jitter removes at most half, so d is in [envelope/2, envelope]
+            let envelope = park.saturating_mul(1 << pass.min(16)).min(max_park);
             assert!(d <= envelope, "pass {pass}: {d:?} > {envelope:?}");
             assert!(
                 d >= envelope / 2,
                 "pass {pass}: {d:?} < half of {envelope:?}"
             );
-            assert!(d <= b.max_park);
         }
         // the envelope really grows before the cap: pass 3's floor exceeds
         // pass 0's ceiling
-        assert!(b.park_duration(3) > b.park_duration(0));
-        // different seeds jitter differently somewhere in the schedule
-        let other = TubBackoff {
-            jitter_seed: 43,
-            ..b
-        };
-        assert!(
-            (0..32).any(|p| b.park_duration(p) != other.park_duration(p)),
-            "seeds 42 and 43 produced identical schedules"
-        );
-    }
-
-    #[test]
-    fn zero_park_disables_parking() {
-        let b = TubBackoff {
-            park: Duration::ZERO,
-            ..TubBackoff::default()
-        };
-        for pass in 0..8 {
-            assert_eq!(b.park_duration(pass), Duration::ZERO);
-        }
+        assert!(park_duration(3) > park_duration(0));
+        // and the jitter really varies once the cap flattens the envelope
+        assert!((8..40).any(|p| park_duration(p) != park_duration(p + 1)));
     }
 
     #[test]
@@ -485,5 +398,9 @@ mod tests {
         });
         let mut out = Vec::new();
         assert_eq!(tub.drain_into(&mut out), 800);
+        let snap = tub.stats().snapshot();
+        assert_eq!(snap.pushes, 800);
+        // parking only ever follows a counted all-busy pass
+        assert!(snap.parks <= snap.full_spins);
     }
 }

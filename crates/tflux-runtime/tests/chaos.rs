@@ -32,13 +32,9 @@ fn chaos_matrix_never_hangs_and_never_lies() {
         let mut rng = Rng(mix(seed));
         let (program, app) = build_program(&mut rng);
 
-        // alternate scheduling policies and retry regimes across the matrix
+        // alternate stealing and retry regimes across the matrix
         let kernels = 1 + rng.below(3) as u32;
-        let policy = if seed % 2 == 0 {
-            SchedulingPolicy::GlobalFifo
-        } else {
-            SchedulingPolicy::LocalityFirst { steal: true }
-        };
+        let steal = seed % 2 != 0;
         let with_retry = seed % 4 >= 2;
         let retry = if with_retry {
             RetryPolicy::attempts(3)
@@ -81,8 +77,7 @@ fn chaos_matrix_never_hangs_and_never_lies() {
 
         let config = RuntimeConfig::with_kernels(kernels)
             .tsu(TsuConfig {
-                capacity: 0,
-                policy,
+                steal,
                 ..Default::default()
             })
             .retry(retry)

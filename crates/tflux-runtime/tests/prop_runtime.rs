@@ -16,7 +16,6 @@ struct Desc {
     layers: Vec<u32>, // arity per layer, connected with a random mapping
     maps: Vec<u8>,
     kernels: u32,
-    tub_segments: usize,
     blocks: u32,
 }
 
@@ -25,7 +24,6 @@ fn desc(rng: &mut SplitMix64) -> Desc {
         layers: (0..rng.range(1..5)).map(|_| rng.range(1u32..12)).collect(),
         maps: (0..rng.range(0..5)).map(|_| rng.range(0u8..3)).collect(),
         kernels: rng.range(1u32..5),
-        tub_segments: rng.range(1usize..5),
         blocks: rng.range(1u32..3),
     }
 }
@@ -70,13 +68,10 @@ fn every_instance_executes_exactly_once() {
                 log.lock().unwrap().push((c.instance, n));
             });
         }
-        let report = Runtime::new(
-            RuntimeConfig::with_kernels(d.kernels)
-                .tub_segments(d.tub_segments)
-                .watchdog(Duration::from_secs(20)),
-        )
-        .run(&p, &bodies)
-        .expect("run failed");
+        let report =
+            Runtime::new(RuntimeConfig::with_kernels(d.kernels).watchdog(Duration::from_secs(20)))
+                .run(&p, &bodies)
+                .expect("run failed");
         drop(bodies);
 
         let log = log.into_inner().unwrap();
@@ -113,7 +108,7 @@ fn every_instance_executes_exactly_once() {
 
 #[test]
 fn large_fan_out_under_contention() {
-    // stress: 2000 tiny DThreads over 4 kernels and a single-segment TUB
+    // stress: 2000 tiny DThreads over 4 kernels
     let mut b = ProgramBuilder::new();
     let blk = b.block();
     let work = b.thread(blk, ThreadSpec::new("work", 2000));
@@ -126,7 +121,7 @@ fn large_fan_out_under_contention() {
     bodies.set(work, |_| {
         count.fetch_add(1, Ordering::Relaxed);
     });
-    let report = Runtime::new(RuntimeConfig::with_kernels(4).tub_segments(1))
+    let report = Runtime::new(RuntimeConfig::with_kernels(4))
         .run(&p, &bodies)
         .unwrap();
     assert_eq!(count.load(Ordering::Relaxed), 2000);

@@ -9,10 +9,10 @@
 //! difference is the pacing itself (`QueueUnit::BACKOFF`), so the shipping
 //! `StealDeque` is additionally held to the order-independent part.
 //!
-//! Generated programs are built to hit the paths the merge touched: wide
-//! threads pinned to one kernel (every sibling must steal), reductions
-//! into a scalar sink under `FlushPolicy::Batch` (funnels + combining),
-//! several blocks, and three or more streamed epochs.
+//! Generated programs are built to hit the paths where the units could
+//! diverge: wide threads pinned to one kernel (every sibling must steal),
+//! reductions into a scalar sink under `FlushPolicy::Batch` (funnels +
+//! combining), several blocks, and three or more streamed epochs.
 
 use tflux_core::ids::Epoch;
 use tflux_core::prelude::*;
@@ -25,8 +25,8 @@ struct Unpaced(StealDeque);
 
 impl QueueUnit for Unpaced {
     const BACKOFF: bool = false;
-    fn new(cap: usize, shared: bool) -> Self {
-        Unpaced(QueueUnit::new(cap, shared))
+    fn new(cap: usize) -> Self {
+        Unpaced(QueueUnit::new(cap))
     }
     fn push(&self, inst: Instance, epoch: Epoch) {
         self.0.push(inst, epoch)
@@ -61,7 +61,7 @@ fn affinity(rng: &mut SplitMix64, kernels: u32) -> Affinity {
     }
 }
 
-fn case(rng: &mut SplitMix64, policy: SchedulingPolicy) -> Case {
+fn case(rng: &mut SplitMix64, steal: bool) -> Case {
     let kernels = rng.range(2u32..6);
     let mut b = ProgramBuilder::new();
     for _ in 0..rng.range(1..4) {
@@ -103,8 +103,7 @@ fn case(rng: &mut SplitMix64, policy: SchedulingPolicy) -> Case {
         kernels,
         config: TsuConfig {
             capacity: 0,
-            policy,
-            steal_policy: *rng.pick(&[StealPolicy::RandomThenLongest, StealPolicy::LongestFirst]),
+            steal,
             flush: *rng.pick(&[
                 FlushPolicy::Batch { size: 3 },
                 FlushPolicy::Batch { size: 8 },
@@ -197,7 +196,7 @@ fn queue_units_make_the_same_decisions_under_the_same_pacing() {
     let (mut steals, mut batched) = (0, 0);
     cases(96, |rng| {
         let steal = rng.chance(3, 4);
-        let case = case(rng, SchedulingPolicy::LocalityFirst { steal });
+        let case = case(rng, steal);
         let (deque_order, deque_stats) = drive::<Unpaced>(&case);
         let (ready_order, ready_stats) = drive::<ReadyQueue>(&case);
         assert_eq!(deque_order, ready_order, "execution order diverged");
@@ -236,23 +235,6 @@ fn queue_units_make_the_same_decisions_under_the_same_pacing() {
 }
 
 #[test]
-fn global_fifo_agrees_up_to_order() {
-    // one shared unit: `ReadyQueue` serves it FIFO, `StealDeque` from the
-    // owner end, so only the order-independent part is comparable
-    cases(32, |rng| {
-        let case = case(rng, SchedulingPolicy::GlobalFifo);
-        let (deque_order, deque_stats) = drive::<StealDeque>(&case);
-        let (ready_order, ready_stats) = drive::<ReadyQueue>(&case);
-        assert_eq!(sorted(&deque_order), sorted(&ready_order));
-        assert_eq!(
-            order_independent(&deque_stats),
-            order_independent(&ready_stats)
-        );
-        assert_eq!(deque_stats.steals + ready_stats.steals, 0);
-    });
-}
-
-#[test]
 fn zero_kernels_clamp_to_one_on_both_queue_units() {
     // one rule in the one constructor (and in the units under it):
     // `kernels == 0` means one kernel, as the platform configs clamp
@@ -268,7 +250,7 @@ fn zero_kernels_clamp_to_one_on_both_queue_units() {
         assert_eq!(tsu.stats().completions as usize, p.total_instances());
     }
     let mut rng = SplitMix64(0);
-    let case = case(&mut rng, SchedulingPolicy::default());
+    let case = case(&mut rng, true);
     assert_eq!(GraphMemory::new(&case.program, 0).kernels(), 1);
     check::<StealDeque>(&case.program);
     check::<ReadyQueue>(&case.program);

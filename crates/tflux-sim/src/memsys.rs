@@ -426,20 +426,6 @@ impl MemorySystem {
         }
         s
     }
-
-    /// Total L1 miss ratio across cores.
-    pub fn l1_miss_ratio(&self) -> f64 {
-        let (h, m) = self
-            .domains
-            .iter()
-            .flat_map(|d| d.l1.iter())
-            .fold((0u64, 0u64), |(h, m), c| (h + c.hits, m + c.misses));
-        if h + m == 0 {
-            0.0
-        } else {
-            m as f64 / (h + m) as f64
-        }
-    }
 }
 
 impl DomainMem {

@@ -69,18 +69,6 @@ impl ExecTrace {
         busy
     }
 
-    /// Spans executed by the given core, in start order.
-    pub fn per_core(&self, core: u32) -> Vec<Span> {
-        let mut v: Vec<Span> = self
-            .spans
-            .iter()
-            .copied()
-            .filter(|s| s.core == core)
-            .collect();
-        v.sort_by_key(|s| s.start);
-        v
-    }
-
     /// Verify the trace is physically consistent: no core executes two
     /// instances at once. Returns the first overlap found.
     pub fn find_overlap(&self) -> Option<(Span, Span)> {

@@ -249,18 +249,10 @@ impl<'p> TsuDevice<'p> {
         Ok((core_free, ready_at))
     }
 
-    /// Cores currently parked, ascending. The machine retries their fetches
-    /// after every completion.
-    pub fn parked_cores(&self) -> Vec<u32> {
-        let mut v = Vec::new();
-        self.parked_cores_into(&mut v);
-        v
-    }
-
     /// Collect the currently-parked cores, ascending, into `buf` (cleared
-    /// first). The allocation-free form of
-    /// [`parked_cores`](Self::parked_cores) — the machine calls this once
-    /// per completion, which at 64 cores is hot.
+    /// first); the machine retries their fetches after every completion.
+    /// Fills a caller-owned buffer because that is once per completion,
+    /// which at 64 cores is hot.
     pub fn parked_cores_into(&self, buf: &mut Vec<u32>) {
         buf.clear();
         buf.extend(
@@ -393,7 +385,9 @@ mod tests {
         // core 1 fetches while only core 0 holds the inlet: nothing ready
         assert_eq!(dev.fetch(1, 0).unwrap(), DevFetch::Parked);
         assert!(dev.any_parked());
-        assert_eq!(dev.parked_cores(), vec![1]);
+        let mut parked = Vec::new();
+        dev.parked_cores_into(&mut parked);
+        assert_eq!(parked, vec![1]);
         assert_eq!(dev.stats.empty_fetches, 1);
         // completing the inlet loads the block; core 1 can now fetch
         dev.complete(0, 10, inlet, ep).unwrap();

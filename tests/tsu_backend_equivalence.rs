@@ -1,16 +1,18 @@
 //! Equivalence of the platforms driving the one `Tsu`: the threaded TFluxSoft path
-//! (kernels post-processing App completions directly through the sharded
+//! (kernels post-processing App completions directly through the lock-free
 //! Synchronization Memory + the emulator handling block transitions), the
 //! simulated hardware TSU device, and the sequential reference executor
-//! all drive the same `GraphMemory`/`SyncMemory` semantics — so under the
-//! deterministic `GlobalFifo` policy they must complete the *same multiset
-//! of instances* with the *same ready-count-update and block-load
-//! bookkeeping* for every workload in the suite.
+//! all drive the same `GraphMemory`/`SyncMemory` semantics — so with
+//! stealing off *and* with the shipping default (stealing on) they must
+//! complete the *same multiset of instances* with the *same
+//! ready-count-update and block-load bookkeeping* for every workload in
+//! the suite. Who executed what, and in which order, is free.
 
 use tflux::core::ids::Epoch;
 use tflux::core::prelude::*;
-use tflux::core::tsu::{drain_sequential, FetchResult, TsuStats};
-use tflux::runtime::{BodyTable, Runtime, RuntimeConfig, SoftTsu};
+use tflux::core::tsu::{drain_sequential, QueueUnit, StealDeque, TsuStats};
+use tflux::runtime::sm::ReadyQueue;
+use tflux::runtime::{BodyTable, Runtime, RuntimeConfig};
 use tflux::sim::tsu_dev::{DevFetch, TsuDevice};
 use tflux::sim::TsuCosts;
 use tflux::workloads::common::Params;
@@ -24,24 +26,24 @@ const FUNNEL_BATCH: u32 = 8;
 /// Consecutive streamed passes in the epoch-equivalence scenarios.
 const STREAM_EPOCHS: u64 = 3;
 
-fn fifo() -> TsuConfig {
+/// The funnel-free configuration the batched variants contrast, with
+/// stealing off or on.
+fn direct(steal: bool) -> TsuConfig {
     TsuConfig {
-        capacity: 0,
-        policy: SchedulingPolicy::GlobalFifo,
-        // pinned: the funnel-free baseline the batched variants contrast
+        steal,
         flush: FlushPolicy::Direct,
         ..Default::default()
     }
 }
 
-/// Same deterministic policy with completion funnels enabled: kernels
-/// (soft) and cores (hard) accumulate App completions locally and flush
-/// them as batches. Batching collapses physical RMWs but must not change
-/// the completion multiset or the logical decrement ledger.
-fn batched() -> TsuConfig {
+/// The same with completion funnels enabled: kernels (soft) and cores
+/// (hard) accumulate App completions locally and flush them as batches.
+/// Batching collapses physical RMWs but must not change the completion
+/// multiset or the logical decrement ledger.
+fn batched(steal: bool) -> TsuConfig {
     TsuConfig {
         flush: FlushPolicy::Batch { size: FUNNEL_BATCH },
-        ..fifo()
+        ..direct(steal)
     }
 }
 
@@ -60,6 +62,20 @@ impl Outcome {
             rc_updates: stats.rc_updates,
             blocks_loaded: stats.blocks_loaded,
         }
+    }
+
+    /// Field by field, so a failure names what diverged without printing
+    /// two whole multisets for a counter mismatch.
+    fn assert_matches(&self, want: &Outcome, what: &str) {
+        assert_eq!(
+            self.completed, want.completed,
+            "{what}: completion multiset"
+        );
+        assert_eq!(self.rc_updates, want.rc_updates, "{what}: rc_updates");
+        assert_eq!(
+            self.blocks_loaded, want.blocks_loaded,
+            "{what}: blocks_loaded"
+        );
     }
 }
 
@@ -123,24 +139,24 @@ fn hard_outcome(program: &DdmProgram, cfg: TsuConfig) -> Outcome {
 
 /// The sequential reference executor over the same units.
 fn seq_outcome(program: &DdmProgram) -> Outcome {
-    let tsu = Tsu::new(program, KERNELS, fifo());
+    let tsu = Tsu::new(program, KERNELS, direct(false));
     let completed = drain_sequential(&tsu).unwrap();
     let stats = tsu.stats();
     Outcome::new(completed, &stats)
 }
 
-/// The sequential reference, streamed: drain a pass, retire its epoch,
-/// open the next (which re-arms the inlet in place), drain again.
-fn seq_stream_outcome(program: &DdmProgram, epochs: u64) -> Outcome {
-    let cfg = TsuConfig {
-        window: 2,
-        ..fifo()
-    };
-    let tsu = Tsu::new(program, KERNELS, cfg);
+/// One thread streaming a `Tsu` on queue unit `Q`, round-robining the
+/// kernel ids: drain a pass, retire its epoch, open the next (which
+/// re-arms the inlet in place), drain again. `StealDeque` is the
+/// sequential reference; `ReadyQueue` is the unit kernel threads run on,
+/// completing through the same direct-update `complete`.
+fn stream_outcome<Q: QueueUnit>(program: &DdmProgram, cfg: TsuConfig, epochs: u64) -> Outcome {
+    let cfg = TsuConfig { window: 2, ..cfg };
+    let tsu = Tsu::<_, Q>::with_queue_unit(program, KERNELS, cfg);
     let mut completed = Vec::new();
     let mut scratch = Vec::new();
     for e in 0..epochs {
-        completed.extend(drain_sequential(&tsu).unwrap());
+        completed.extend(drain_sequential(&tsu).expect("stream stalled mid-pass"));
         tsu.retire_epoch(Epoch(e)).expect("retire drained pass");
         if e + 1 < epochs {
             tsu.open_epoch(&mut scratch).expect("open next pass");
@@ -150,105 +166,28 @@ fn seq_stream_outcome(program: &DdmProgram, epochs: u64) -> Outcome {
     Outcome::new(completed, &stats)
 }
 
-/// TFluxSoft, streamed: one inline kernel drives the shared `GlobalFifo`
-/// ready queue through `complete` (the kernels' direct-update
-/// path); at each pass boundary the drained epoch is retired and the
-/// next opened, re-arming the context slots the pass just vacated.
-fn soft_stream_outcome(program: &DdmProgram, cfg: TsuConfig, epochs: u64) -> Outcome {
-    let cfg = TsuConfig { window: 2, ..cfg };
-    let soft = SoftTsu::with_queue_unit(program, KERNELS, cfg);
-    let mut completed = Vec::new();
-    let mut scratch = Vec::new();
-    for e in 0..epochs {
-        loop {
-            match soft.queues()[0].try_pop() {
-                FetchResult::Thread(i, ep) => {
-                    completed.push(i);
-                    soft.complete(i, ep, &mut scratch)
-                        .expect("soft stream completion");
-                }
-                _ => {
-                    assert!(soft.finished(), "soft stream stalled mid-pass");
-                    break;
-                }
-            }
-        }
-        soft.retire_epoch(Epoch(e)).expect("retire drained pass");
-        if e + 1 < epochs {
-            soft.open_epoch(&mut scratch).expect("open next pass");
-        }
-    }
-    let stats = soft.stats();
-    Outcome::new(completed, &stats)
-}
-
 fn assert_equivalent(bench: Bench) {
     let p = with_default_unroll(bench, Params::hard(KERNELS, 0, SizeClass::Small));
     let (program, _) = sim_setup(bench, &p);
-
-    let soft = soft_outcome(&program, fifo());
-    let hard = hard_outcome(&program, fifo());
-    let seq = seq_outcome(&program);
-    // funnel-enabled variants of the two concurrent paths, held to the
-    // same funnel-free sequential baseline: batching is an implementation
-    // detail of the completion hot path, not a semantic change
-    let soft_f = soft_outcome(&program, batched());
-    let hard_f = hard_outcome(&program, batched());
-
     let name = bench.name();
+
+    let seq = seq_outcome(&program);
     assert_eq!(
-        soft.completed.len(),
+        seq.completed.len(),
         program.total_instances(),
-        "{name}: soft did not drain the program"
+        "{name}: the reference did not drain the program"
     );
-    assert_eq!(
-        soft.completed, hard.completed,
-        "{name}: soft vs hard completion multiset"
-    );
-    assert_eq!(
-        hard.completed, seq.completed,
-        "{name}: hard vs sequential completion multiset"
-    );
-    assert_eq!(
-        soft_f.completed, seq.completed,
-        "{name}: funneled soft vs sequential completion multiset"
-    );
-    assert_eq!(
-        hard_f.completed, seq.completed,
-        "{name}: funneled hard vs sequential completion multiset"
-    );
-    assert_eq!(
-        soft.rc_updates, hard.rc_updates,
-        "{name}: rc_updates soft vs hard"
-    );
-    assert_eq!(
-        hard.rc_updates, seq.rc_updates,
-        "{name}: rc_updates hard vs sequential"
-    );
-    assert_eq!(
-        soft_f.rc_updates, seq.rc_updates,
-        "{name}: rc_updates funneled soft vs sequential (batching lost decrements)"
-    );
-    assert_eq!(
-        hard_f.rc_updates, seq.rc_updates,
-        "{name}: rc_updates funneled hard vs sequential (batching lost decrements)"
-    );
-    assert_eq!(
-        soft.blocks_loaded, hard.blocks_loaded,
-        "{name}: blocks_loaded soft vs hard"
-    );
-    assert_eq!(
-        hard.blocks_loaded, seq.blocks_loaded,
-        "{name}: blocks_loaded hard vs sequential"
-    );
-    assert_eq!(
-        soft_f.blocks_loaded, seq.blocks_loaded,
-        "{name}: blocks_loaded funneled soft vs sequential"
-    );
-    assert_eq!(
-        hard_f.blocks_loaded, seq.blocks_loaded,
-        "{name}: blocks_loaded funneled hard vs sequential"
-    );
+    for steal in [false, true] {
+        // the two concurrent paths, funnel-free and funnel-enabled, all
+        // held to the one funnel-free, steal-free sequential baseline:
+        // batching and stealing are implementation details of the
+        // completion and fetch hot paths, not semantic changes
+        let at = |path: &str| format!("{name}, steal {steal}: {path} vs sequential");
+        soft_outcome(&program, direct(steal)).assert_matches(&seq, &at("soft"));
+        hard_outcome(&program, direct(steal)).assert_matches(&seq, &at("hard"));
+        soft_outcome(&program, batched(steal)).assert_matches(&seq, &at("funneled soft"));
+        hard_outcome(&program, batched(steal)).assert_matches(&seq, &at("funneled hard"));
+    }
 }
 
 /// K streamed epochs must be bit-identical to K one-shot runs: the same
@@ -260,57 +199,31 @@ fn assert_equivalent(bench: Bench) {
 fn assert_stream_equivalent(bench: Bench) {
     let p = with_default_unroll(bench, Params::hard(KERNELS, 0, SizeClass::Small));
     let (program, _) = sim_setup(bench, &p);
+    let name = bench.name();
 
     let one = seq_outcome(&program);
-    let seq_s = seq_stream_outcome(&program, STREAM_EPOCHS);
-    let soft_s = soft_stream_outcome(&program, fifo(), STREAM_EPOCHS);
-    let hard_s = hard_stream_outcome(&program, fifo(), STREAM_EPOCHS);
-
     let mut k_copies: Vec<Instance> =
         std::iter::repeat_n(one.completed.iter().copied(), STREAM_EPOCHS as usize)
             .flatten()
             .collect();
     k_copies.sort_unstable();
+    let k_one_shots = Outcome {
+        completed: k_copies,
+        rc_updates: STREAM_EPOCHS * one.rc_updates,
+        blocks_loaded: STREAM_EPOCHS * one.blocks_loaded,
+    };
 
-    let name = bench.name();
-    assert_eq!(
-        seq_s.completed, k_copies,
-        "{name}: streamed sequential vs {STREAM_EPOCHS}x one-shot multiset"
-    );
-    assert_eq!(
-        soft_s.completed, k_copies,
-        "{name}: streamed soft vs {STREAM_EPOCHS}x one-shot multiset"
-    );
-    assert_eq!(
-        hard_s.completed, k_copies,
-        "{name}: streamed hard vs {STREAM_EPOCHS}x one-shot multiset"
-    );
-    assert_eq!(
-        seq_s.rc_updates,
-        STREAM_EPOCHS * one.rc_updates,
-        "{name}: streamed rc_updates vs {STREAM_EPOCHS}x one-shot"
-    );
-    assert_eq!(
-        soft_s.rc_updates, seq_s.rc_updates,
-        "{name}: rc_updates streamed soft vs sequential"
-    );
-    assert_eq!(
-        hard_s.rc_updates, seq_s.rc_updates,
-        "{name}: rc_updates streamed hard vs sequential"
-    );
-    assert_eq!(
-        seq_s.blocks_loaded,
-        STREAM_EPOCHS * one.blocks_loaded,
-        "{name}: streamed blocks_loaded vs {STREAM_EPOCHS}x one-shot"
-    );
-    assert_eq!(
-        soft_s.blocks_loaded, seq_s.blocks_loaded,
-        "{name}: blocks_loaded streamed soft vs sequential"
-    );
-    assert_eq!(
-        hard_s.blocks_loaded, seq_s.blocks_loaded,
-        "{name}: blocks_loaded streamed hard vs sequential"
-    );
+    for steal in [false, true] {
+        let at = |path: &str| {
+            format!("{name}, steal {steal}: streamed {path} vs {STREAM_EPOCHS}x one-shot")
+        };
+        stream_outcome::<StealDeque>(&program, direct(steal), STREAM_EPOCHS)
+            .assert_matches(&k_one_shots, &at("sequential"));
+        stream_outcome::<ReadyQueue>(&program, direct(steal), STREAM_EPOCHS)
+            .assert_matches(&k_one_shots, &at("soft"));
+        hard_stream_outcome(&program, direct(steal), STREAM_EPOCHS)
+            .assert_matches(&k_one_shots, &at("hard"));
+    }
 }
 
 #[test]
