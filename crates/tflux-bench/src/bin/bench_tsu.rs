@@ -11,13 +11,14 @@
 //!
 //! `--check` writes nothing: it is the regression gate the CI bench smoke
 //! job runs. Every pass/fail verdict keys on *deterministic* quantities —
-//! shard counters, simulated cycles and the 64-core NUMA scaling floors —
-//! so the gate's outcome is identical on any host.
+//! shard counters, simulated cycles, the 64-core NUMA scaling floors and
+//! the access classes of the `memsys` streams — so the gate's outcome is
+//! identical on any host.
 
 use tflux_bench::json::{Json, ToJson};
 use tflux_bench::tsu_path::{
     armed, balanced_fanout, complete_interleaved, imbalanced_fanout, measure, measure_stream,
-    pipeline, reduction, sim_makespan, sim_scaling,
+    memsys_stream, pipeline, reduction, sim_makespan, sim_scaling, MemStream, MemsysMeasure,
 };
 use tflux_sim::MachineConfig;
 use tflux_workloads::Bench;
@@ -195,6 +196,28 @@ impl ToJson for ScalingRow {
     }
 }
 
+/// One synthetic stream through `MemorySystem::access` on `bagle(27)`.
+/// `host_ns_per_access` is wall clock; every other column is simulated
+/// and identical on any host, which is what `--check` gates.
+struct MemsysRow(MemStream, MemsysMeasure);
+
+impl ToJson for MemsysRow {
+    fn to_json(&self) -> Json {
+        let MemsysRow(stream, m) = self;
+        Json::obj([
+            ("stream", stream.name().to_json()),
+            ("accesses", m.accesses.to_json()),
+            ("l1_hits", m.stats.l1_hits.to_json()),
+            ("l2_hits", m.stats.l2_hits.to_json()),
+            ("upgrades", m.stats.upgrades.to_json()),
+            ("remote_hits", m.stats.remote_hits.to_json()),
+            ("mem_misses", m.stats.mem_misses.to_json()),
+            ("latency_cycles", m.latency_cycles.to_json()),
+            ("host_ns_per_access", m.host_ns_per_access().to_json()),
+        ])
+    }
+}
+
 struct Report {
     bench: &'static str,
     regenerate: &'static str,
@@ -207,6 +230,7 @@ struct Report {
     streaming: Vec<StreamRow>,
     steal: Vec<StealRow>,
     scaling: Vec<ScalingRow>,
+    memsys: Vec<MemsysRow>,
 }
 
 impl ToJson for Report {
@@ -223,15 +247,18 @@ impl ToJson for Report {
             ("streaming", self.streaming.to_json()),
             ("steal", self.steal.to_json()),
             ("scaling", self.scaling.to_json()),
+            ("memsys", self.memsys.to_json()),
         ])
     }
 }
 
-/// The ns_* fields of `rows`/`speedups`/`funnel`/`streaming` are wall
-/// clock and depend on `host_threads`; `steal` and `scaling` are
-/// simulated cycles, identical on any host.
-const WALL_CLOCK_NOTE: &str = "rows/speedups/funnel/streaming ns fields are wall clock and vary \
-     with host_threads; steal and scaling are simulated cycles, host-independent";
+/// The ns_* fields of `rows`/`speedups`/`funnel`/`streaming` and
+/// `memsys.host_ns_per_access` are wall clock and depend on the host;
+/// `steal`, `scaling` and the other `memsys` columns are simulated,
+/// identical on any host.
+const WALL_CLOCK_NOTE: &str = "rows/speedups/funnel/streaming ns fields and memsys \
+     host_ns_per_access are wall clock and vary with the host; steal, scaling and the other \
+     memsys columns are simulated, host-independent";
 
 /// Machine presets the scaling section sweeps: the paper's flat UMA
 /// board and the 64-core 4-node NUMA part.
@@ -356,10 +383,21 @@ fn steal_row(scenario: &'static str, program: &tflux_core::DdmProgram, cores: u3
     }
 }
 
+/// Best-of-`RUNS` host time of one memory-system stream; the simulated
+/// columns are the same in every run.
+fn memsys_row(stream: MemStream) -> MemsysRow {
+    let best = (0..WARMUP + RUNS)
+        .map(|_| memsys_stream(stream))
+        .skip(WARMUP)
+        .min_by_key(|m| m.host_ns)
+        .unwrap();
+    MemsysRow(stream, best)
+}
+
 /// The CI smoke. Every gate keys on deterministic quantities — shard
 /// counters and simulated cycles: the funnel line-transfer cut, streaming
-/// epoch progress, the work-stealing makespans and the 64-core NUMA
-/// scaling floors.
+/// epoch progress, the work-stealing makespans, the 64-core NUMA scaling
+/// floors and the memory-system streams' access classes.
 fn check() -> ! {
     let k = *KERNELS.last().unwrap();
     let f = funnel_row(k);
@@ -450,9 +488,33 @@ fn check() -> ! {
         );
         std::process::exit(1);
     }
+    // memory-system gates: each synthetic stream exercises the path it is
+    // built for, and the model repeats exactly
+    for stream in MemStream::ALL {
+        let (a, b) = (memsys_stream(stream), memsys_stream(stream));
+        let on_target = stream.on_target(&a);
+        println!(
+            "bench_tsu --check memsys ({}): {} of {} accesses in class, {} latency cycles \
+             ({:.0} host ns per access, wall clock)",
+            stream.name(),
+            on_target,
+            a.accesses,
+            a.latency_cycles,
+            a.host_ns_per_access()
+        );
+        if on_target * 100 < a.accesses * 95 {
+            eprintln!("FAIL: memsys stream landed under 95% in the class it is built for");
+            std::process::exit(1);
+        }
+        if (a.stats, a.latency_cycles) != (b.stats, b.latency_cycles) {
+            eprintln!("FAIL: two runs of one memsys stream disagree");
+            std::process::exit(1);
+        }
+    }
     println!(
-        "OK: completion funnel, epoch streaming, work-stealing, and 64-core \
-         simulated scaling hold (gates are host-independent simulated cycles)"
+        "OK: completion funnel, epoch streaming, work-stealing, 64-core simulated \
+         scaling and memsys access classes hold (gates are host-independent \
+         counters and simulated cycles)"
     );
     std::process::exit(0);
 }
@@ -496,6 +558,7 @@ fn main() {
         .into_iter()
         .flat_map(|(name, cfg)| Bench::ALL.map(|b| scaling_row(name, b, cfg)))
         .collect();
+    let memsys = MemStream::ALL.map(memsys_row).into();
     let report = Report {
         bench: "tsu_completion_path",
         regenerate: "cargo run --release -p tflux-bench --bin bench_tsu",
@@ -510,6 +573,7 @@ fn main() {
         streaming,
         steal,
         scaling,
+        memsys,
     };
     let json = report.to_json().pretty();
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_tsu.json");

@@ -372,6 +372,128 @@ pub fn sim_scaling(bench: tflux_workloads::Bench, cfg: tflux_sim::MachineConfig)
     }
 }
 
+/// A synthetic access stream driven straight at
+/// [`MemorySystem::access`](tflux_sim::memsys::MemorySystem::access) on
+/// `bagle(27)`: the micro layer under `bench_e2e`'s `sim_mem_bound`, one
+/// stream per path through the memory system.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum MemStream {
+    /// Core 0 re-reads 256 lines, half its L1.
+    L1Resident,
+    /// Core 0 walks 8192 lines (16× its L1, a quarter of its L2) line by
+    /// line, 32 times over: an L1 miss and an L2 hit per access, the
+    /// regime MMULT Large spends its time in.
+    L2Walk,
+    /// Core 0 reads a new L2 line every access: all main memory.
+    ColdWalk,
+    /// Cores 0 and 1 (separate L2 groups) write one line in turn, a round
+    /// commit between: every write takes the line from the other's cache.
+    PingPong,
+}
+
+impl MemStream {
+    /// Every stream, in `BENCH_tsu.json` row order.
+    pub const ALL: [MemStream; 4] = [
+        MemStream::L1Resident,
+        MemStream::L2Walk,
+        MemStream::ColdWalk,
+        MemStream::PingPong,
+    ];
+
+    /// The row's `stream` column.
+    pub fn name(self) -> &'static str {
+        match self {
+            MemStream::L1Resident => "l1_resident",
+            MemStream::L2Walk => "l2_walk",
+            MemStream::ColdWalk => "cold_walk",
+            MemStream::PingPong => "ping_pong",
+        }
+    }
+
+    fn accesses(self) -> u64 {
+        match self {
+            MemStream::L1Resident | MemStream::L2Walk => 1 << 18,
+            MemStream::ColdWalk => 1 << 16,
+            MemStream::PingPong => 1 << 14,
+        }
+    }
+
+    /// Accesses between round commits: one of the machine's 64-access
+    /// chunks, except where the stream is about the commit itself.
+    fn commit_every(self) -> u64 {
+        match self {
+            MemStream::PingPong => 1,
+            _ => 64,
+        }
+    }
+
+    /// The `i`-th access: `(core, byte address, write)`.
+    fn access(self, i: u64) -> (u32, u64, bool) {
+        match self {
+            MemStream::L1Resident => (0, i % 256 * 64, false),
+            MemStream::L2Walk => (0, i % 8192 * 64, false),
+            MemStream::ColdWalk => (0, i * 128, false),
+            MemStream::PingPong => ((i % 2) as u32, 0, true),
+        }
+    }
+
+    /// Accesses of `m` that landed in the class the stream is built for.
+    pub fn on_target(self, m: &MemsysMeasure) -> u64 {
+        match self {
+            MemStream::L1Resident => m.stats.l1_hits,
+            MemStream::L2Walk => m.stats.l2_hits,
+            MemStream::ColdWalk => m.stats.mem_misses,
+            MemStream::PingPong => m.stats.remote_hits,
+        }
+    }
+}
+
+/// One run of a [`MemStream`]. Everything but `host_ns` is simulated and
+/// repeats exactly.
+#[derive(Debug, Clone, Copy)]
+pub struct MemsysMeasure {
+    /// Accesses issued.
+    pub accesses: u64,
+    /// The memory system's counters after the last access.
+    pub stats: tflux_sim::memsys::MemStats,
+    /// Sum of the latencies the accesses were charged, in cycles.
+    pub latency_cycles: u64,
+    /// Wall-clock nanoseconds for the stream, construction excluded.
+    pub host_ns: u64,
+}
+
+impl MemsysMeasure {
+    /// Host nanoseconds per simulated access (wall clock).
+    pub fn host_ns_per_access(&self) -> f64 {
+        self.host_ns as f64 / self.accesses as f64
+    }
+}
+
+/// Drive `stream` through a fresh `bagle(27)` memory system, each access
+/// issuing when the previous one returns, rounds committed as the stream
+/// prescribes.
+pub fn memsys_stream(stream: MemStream) -> MemsysMeasure {
+    use tflux_sim::memsys::MemorySystem;
+    let mut mem = MemorySystem::new(tflux_sim::MachineConfig::bagle(27));
+    let accesses = stream.accesses();
+    let mut now = 0u64;
+    let t = Instant::now();
+    for i in 0..accesses {
+        let (core, addr, write) = stream.access(i);
+        now += mem.access(core, now, addr, write).0;
+        if (i + 1) % stream.commit_every() == 0 {
+            mem.commit_round();
+        }
+    }
+    let host_ns = t.elapsed().as_nanos() as u64;
+    MemsysMeasure {
+        accesses,
+        stats: mem.stats(),
+        latency_cycles: now,
+        host_ns,
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -434,6 +556,20 @@ mod tests {
         assert!(m.completions_per_sec() > 0.0);
         assert!(m.wrap_ns_per_epoch() >= 0.0);
         assert!(m.wrap_fraction() < 1.0);
+    }
+
+    #[test]
+    fn memsys_streams_land_in_their_class() {
+        for stream in MemStream::ALL {
+            let m = memsys_stream(stream);
+            assert_eq!(m.stats.accesses(), m.accesses);
+            assert!(
+                stream.on_target(&m) * 100 >= m.accesses * 95,
+                "{}: {:?}",
+                stream.name(),
+                m.stats
+            );
+        }
     }
 
     #[test]

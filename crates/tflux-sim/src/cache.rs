@@ -3,30 +3,30 @@
 //! The simulator tracks *presence* of cache lines, not data — workload
 //! semantics run natively; the cache model only produces latencies and
 //! miss classifications, like Simics' `gcache` modules the paper used.
+//!
+//! A set is `assoc` consecutive words holding its lines in recency order,
+//! most recent first. A line is stored as `line + 1` and `0` is an empty
+//! way, so a fresh tag store is all zeroes: `vec![0; n]` takes zeroed
+//! pages from the allocator and a set nobody touches is never written.
+//! The least-recent line of a full set is its last word; which way a line
+//! occupies carries no meaning beyond that order.
 
 use crate::config::CacheConfig;
 
 /// Tag store of one cache.
 #[derive(Debug)]
 pub struct Cache {
-    /// `tags[set * assoc + way]`; `u64::MAX` = invalid.
-    tags: Vec<u64>,
-    /// LRU stamps, parallel to `tags`.
-    stamps: Vec<u64>,
-    sets: usize,
+    /// `ways[set * assoc..][..assoc]` is one set, laid out as the module
+    /// docs say. `line + 1` cannot overflow: `MachineConfig::check_caches`
+    /// rejects lines under 2 bytes, so a line address has its top bit clear.
+    ways: Vec<u64>,
+    sets: u64,
     assoc: usize,
     /// Line size of *this* cache in bytes (lines are addressed in bytes /
     /// line further up; the cache re-derives its own tag granularity so an
     /// L2 with 128-byte lines can back an L1 with 64-byte lines).
     line_shift: u32,
-    tick: u64,
-    /// Hits since construction.
-    pub hits: u64,
-    /// Misses since construction.
-    pub misses: u64,
 }
-
-const INVALID: u64 = u64::MAX;
 
 impl Cache {
     /// Build a cache from its configuration.
@@ -34,26 +34,19 @@ impl Cache {
         let sets = config.sets();
         let assoc = config.assoc.max(1);
         Cache {
-            tags: vec![INVALID; sets * assoc],
-            stamps: vec![0; sets * assoc],
-            sets,
+            ways: vec![0; sets * assoc],
+            sets: sets as u64,
             assoc,
             line_shift: config.line.trailing_zeros(),
-            tick: 0,
-            hits: 0,
-            misses: 0,
         }
     }
 
+    /// Where `line_addr`'s set lies in `ways` (any set count, not only
+    /// powers of two).
     #[inline]
-    fn set_of(&self, line_addr: u64) -> usize {
-        (line_addr % self.sets as u64) as usize
-    }
-
-    /// Convert a byte address to this cache's line address.
-    #[inline]
-    pub fn line_of(&self, byte_addr: u64) -> u64 {
-        byte_addr >> self.line_shift
+    fn set_of(&self, line_addr: u64) -> std::ops::Range<usize> {
+        let base = (line_addr % self.sets) as usize * self.assoc;
+        base..base + self.assoc
     }
 
     /// Log2 of this cache's line size.
@@ -62,99 +55,76 @@ impl Cache {
         self.line_shift
     }
 
-    /// Probe for a line (by this cache's line address); updates LRU and hit
-    /// counters on hit.
+    /// Probe for a line (by this cache's line address); a hit makes it the
+    /// set's most recent line.
     #[inline]
     pub fn probe(&mut self, line_addr: u64) -> bool {
-        self.tick += 1;
+        let key = line_addr + 1;
         let set = self.set_of(line_addr);
-        let base = set * self.assoc;
-        for way in 0..self.assoc {
-            if self.tags[base + way] == line_addr {
-                self.stamps[base + way] = self.tick;
-                self.hits += 1;
-                return true;
+        let set = &mut self.ways[set];
+        match set.iter().position(|&w| w == key) {
+            Some(pos) => {
+                set.copy_within(0..pos, 1);
+                set[0] = key;
+                true
             }
+            None => false,
         }
-        self.misses += 1;
-        false
     }
 
-    /// Probe without touching LRU or counters.
+    /// Probe without touching the recency order.
     pub fn contains(&self, line_addr: u64) -> bool {
-        let set = self.set_of(line_addr);
-        let base = set * self.assoc;
-        self.tags[base..base + self.assoc].contains(&line_addr)
+        self.ways[self.set_of(line_addr)].contains(&(line_addr + 1))
     }
 
-    /// Insert a line, evicting the LRU way if needed; returns the evicted
-    /// line address, if any.
+    /// Insert a line as the set's most recent, evicting the least-recent
+    /// line of a full set; returns the evicted line address, if any.
     pub fn insert(&mut self, line_addr: u64) -> Option<u64> {
-        self.tick += 1;
+        let key = line_addr + 1;
         let set = self.set_of(line_addr);
-        let base = set * self.assoc;
-        // already present (refill race): refresh
-        for way in 0..self.assoc {
-            if self.tags[base + way] == line_addr {
-                self.stamps[base + way] = self.tick;
-                return None;
-            }
-        }
-        // free way?
-        for way in 0..self.assoc {
-            if self.tags[base + way] == INVALID {
-                self.tags[base + way] = line_addr;
-                self.stamps[base + way] = self.tick;
-                return None;
-            }
-        }
-        // evict LRU
-        let victim = (0..self.assoc)
-            .min_by_key(|&w| self.stamps[base + w])
-            .expect("assoc >= 1");
-        let evicted = self.tags[base + victim];
-        self.tags[base + victim] = line_addr;
-        self.stamps[base + victim] = self.tick;
-        Some(evicted)
+        let set = &mut self.ways[set];
+        // the more-recent lines shift over the line's own word (a refill
+        // race), else the first empty way, else the last: the least-recent
+        let pos = set
+            .iter()
+            .position(|&w| w == key)
+            .or_else(|| set.iter().position(|&w| w == 0))
+            .unwrap_or(set.len() - 1);
+        let old = set[pos];
+        set.copy_within(0..pos, 1);
+        set[0] = key;
+        (old != 0 && old != key).then(|| old - 1)
     }
 
-    /// Drop a line if present; returns whether it was present.
+    /// Drop a line if present; returns whether it was present. The way it
+    /// leaves empty stays where it is: the lines around it keep their
+    /// order, and `insert` fills the first empty way before evicting.
     pub fn invalidate(&mut self, line_addr: u64) -> bool {
+        let key = line_addr + 1;
         let set = self.set_of(line_addr);
-        let base = set * self.assoc;
-        for way in 0..self.assoc {
-            if self.tags[base + way] == line_addr {
-                self.tags[base + way] = INVALID;
-                return true;
-            }
-        }
-        false
-    }
-
-    /// Miss ratio so far (0 when no accesses).
-    pub fn miss_ratio(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.misses as f64 / total as f64
-        }
+        let way = self.ways[set].iter_mut().find(|w| **w == key);
+        way.map(|w| *w = 0).is_some()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tflux_core::rng::SplitMix64;
+
+    fn geometry(size: usize, assoc: usize) -> CacheConfig {
+        CacheConfig {
+            size,
+            line: 64,
+            assoc,
+            read_lat: 1,
+            write_lat: 1,
+        }
+    }
 
     fn tiny() -> Cache {
         // 4 sets x 2 ways, 64B lines
-        Cache::new(&CacheConfig {
-            size: 512,
-            line: 64,
-            assoc: 2,
-            read_lat: 1,
-            write_lat: 1,
-        })
+        Cache::new(&geometry(512, 2))
     }
 
     #[test]
@@ -163,8 +133,6 @@ mod tests {
         assert!(!c.probe(7));
         c.insert(7);
         assert!(c.probe(7));
-        assert_eq!(c.hits, 1);
-        assert_eq!(c.misses, 1);
     }
 
     #[test]
@@ -199,15 +167,6 @@ mod tests {
     }
 
     #[test]
-    fn line_of_uses_configured_line_size() {
-        let c = tiny();
-        assert_eq!(c.line_of(0), 0);
-        assert_eq!(c.line_of(63), 0);
-        assert_eq!(c.line_of(64), 1);
-        assert_eq!(c.line_of(130), 2);
-    }
-
-    #[test]
     fn distinct_sets_do_not_interfere() {
         let mut c = tiny();
         for line in 0..4 {
@@ -218,12 +177,89 @@ mod tests {
         }
     }
 
+    /// The stamped tag store the recency-ordered sets replaced: parallel
+    /// `tags`/`stamps`, a `tick` bumped on every `probe`/`insert`, victim =
+    /// smallest stamp, refill = lowest-numbered invalid way.
+    struct Stamped {
+        tags: Vec<u64>,
+        stamps: Vec<u64>,
+        sets: usize,
+        assoc: usize,
+        tick: u64,
+    }
+
+    impl Stamped {
+        fn new(config: &CacheConfig) -> Self {
+            let (sets, assoc) = (config.sets(), config.assoc);
+            Stamped {
+                tags: vec![u64::MAX; sets * assoc],
+                stamps: vec![0; sets * assoc],
+                sets,
+                assoc,
+                tick: 0,
+            }
+        }
+
+        fn ways(&self, line: u64) -> std::ops::Range<usize> {
+            let base = (line % self.sets as u64) as usize * self.assoc;
+            base..base + self.assoc
+        }
+
+        /// The way of `line`'s set holding `tag` (`u64::MAX` = invalid).
+        fn find(&self, line: u64, tag: u64) -> Option<usize> {
+            self.ways(line).find(|&w| self.tags[w] == tag)
+        }
+
+        fn probe(&mut self, line: u64) -> bool {
+            self.tick += 1;
+            let hit = self.find(line, line);
+            if let Some(w) = hit {
+                self.stamps[w] = self.tick;
+            }
+            hit.is_some()
+        }
+
+        fn insert(&mut self, line: u64) -> Option<u64> {
+            self.tick += 1;
+            let w = self.find(line, line).or_else(|| self.find(line, u64::MAX));
+            let w = w.unwrap_or_else(|| self.ways(line).min_by_key(|&w| self.stamps[w]).unwrap());
+            let old = std::mem::replace(&mut self.tags[w], line);
+            self.stamps[w] = self.tick;
+            (old != u64::MAX && old != line).then_some(old)
+        }
+
+        fn invalidate(&mut self, line: u64) -> bool {
+            let hit = self.find(line, line);
+            if let Some(w) = hit {
+                self.tags[w] = u64::MAX;
+            }
+            hit.is_some()
+        }
+    }
+
     #[test]
-    fn miss_ratio_tracks() {
-        let mut c = tiny();
-        c.probe(1); // miss
-        c.insert(1);
-        c.probe(1); // hit
-        assert!((c.miss_ratio() - 0.5).abs() < 1e-12);
+    fn recency_order_matches_the_stamped_reference() {
+        // every return value (hit, victim, presence), step by step, on:
+        // direct-mapped, a non-power-of-two set count (6), a single set,
+        // and the two L1 shapes the presets use
+        let shapes = [(256, 1), (64 * 12, 2), (512, 8), (1024, 4), (4096, 8)];
+        for (seed, (size, assoc)) in shapes.into_iter().enumerate() {
+            let config = geometry(size, assoc);
+            let (mut new, mut old) = (Cache::new(&config), Stamped::new(&config));
+            let mut rng = SplitMix64(0xCAC4E + seed as u64);
+            // three lines per way: sets fill, evict and refill constantly
+            let lines = 3 * (size / 64) as u64;
+            for step in 0..20_000 {
+                let line = rng.below(lines);
+                let op = rng.below(8);
+                let at = format!("{size}B/{assoc}-way step {step} op {op} line {line}");
+                match op {
+                    0..=2 => assert_eq!(new.probe(line), old.probe(line), "{at}"),
+                    3..=5 => assert_eq!(new.insert(line), old.insert(line), "{at}"),
+                    6 => assert_eq!(new.invalidate(line), old.invalidate(line), "{at}"),
+                    _ => assert_eq!(new.contains(line), old.find(line, line).is_some(), "{at}"),
+                }
+            }
+        }
     }
 }

@@ -15,6 +15,15 @@ pub enum ConfigError {
     },
     /// A machine with zero cores: nothing can run the kernel loop.
     NoCores,
+    /// A cache whose tag store cannot be addressed as configured.
+    CacheGeometry {
+        /// `"l1"` or `"l2"`.
+        cache: &'static str,
+        /// The [`CacheConfig`] field at fault: `"line"` (not a power of two
+        /// of at least 2 bytes, or an L2 line shorter than the L1's) or
+        /// `"assoc"` (zero).
+        field: &'static str,
+    },
 }
 
 impl fmt::Display for ConfigError {
@@ -25,6 +34,11 @@ impl fmt::Display for ConfigError {
                 "{kernels} kernels requested but the machine has {cores} kernel cores"
             ),
             ConfigError::NoCores => write!(f, "the machine has no cores"),
+            ConfigError::CacheGeometry { cache, field } => write!(
+                f,
+                "{cache} cache: `{field}` is out of range (`line` is a power of two of \
+                 at least 2 bytes, the L2's no shorter than the L1's; `assoc` is at least 1)"
+            ),
         }
     }
 }
@@ -337,6 +351,28 @@ impl MachineConfig {
                 channel_transfer: 8,
             },
         })
+    }
+
+    /// Reject cache geometries the tag stores cannot address: `line` and
+    /// `assoc` are public fields, a zero in either divides by zero, and a
+    /// `line` that is not a power of two — or an L2 line shorter than the
+    /// L1's — would be mis-addressed silently. A `line` of at least 2 bytes
+    /// also keeps every line address below `u64::MAX`, which
+    /// [`Cache`](crate::cache::Cache) relies on.
+    pub(crate) fn check_caches(&self) -> Result<(), ConfigError> {
+        let bad = |cache, field| Err(ConfigError::CacheGeometry { cache, field });
+        for (cache, c) in [("l1", &self.l1), ("l2", &self.l2)] {
+            if c.line < 2 || !c.line.is_power_of_two() {
+                return bad(cache, "line");
+            }
+            if c.assoc == 0 {
+                return bad(cache, "assoc");
+            }
+        }
+        if self.l2.line < self.l1.line {
+            return bad("l2", "line");
+        }
+        Ok(())
     }
 
     /// Override the TSU cost model.

@@ -21,8 +21,9 @@ pub enum SimError {
         /// The lane (simulated core) whose push was refused.
         lane: u32,
     },
-    /// The machine configuration cannot be simulated: `cores` is a
-    /// caller-set field, checked when a run starts.
+    /// The machine configuration cannot be simulated: the core count and
+    /// the cache geometries are caller-set fields, checked when a run
+    /// starts.
     Config(ConfigError),
     /// The TSU state machine rejected a command — an invalid
     /// program/configuration pair (e.g. a block exceeding TSU capacity),

@@ -228,8 +228,9 @@ impl Machine {
     /// event queue drains with cores still waiting — both indicate an
     /// invalid program/configuration pair, not a data-dependent condition —
     /// [`SimError::EventOverflow`] if the event queue exceeds its slot
-    /// store, and [`SimError::Config`] if the machine has no cores or more
-    /// than the 64 the coherence directory can track.
+    /// store, and [`SimError::Config`] if the machine has no cores, more
+    /// than the 64 the coherence directory can track, or a cache geometry
+    /// the tag stores cannot address.
     pub fn run(
         &self,
         program: &DdmProgram,
@@ -292,6 +293,7 @@ impl Machine {
             }
             .into());
         }
+        self.cfg.check_caches()?;
         let mut dev = self.build_dev(program, cores)?;
         let mut mem = MemorySystem::new(self.cfg);
         let mut states: Vec<CoreState> = (0..cores).map(|_| CoreState::default()).collect();
@@ -540,6 +542,9 @@ impl Machine {
             }
             now += work.compute;
             instances += 1;
+            // one domain: its overlay and the snapshot are the same state,
+            // so committing moves no cycle — it only bounds the edit log
+            mem.commit_round();
         }
         SimReport {
             cycles: now,
@@ -855,6 +860,34 @@ mod tests {
         assert_eq!(run(65), Err(SimError::Config(too_many)));
         assert_eq!(run(0), Err(SimError::Config(ConfigError::NoCores)));
         assert!(run(64).is_ok(), "64 cores is the largest valid machine");
+    }
+
+    #[test]
+    fn malformed_cache_geometries_surface_as_config_errors() {
+        // regression: `CacheConfig` fields are public; the first two used
+        // to divide by zero, the last two were mis-addressed silently
+        let p = fork_join(8);
+        let src = UniformWork { cycles: 100 };
+        let run = |edit: fn(&mut MachineConfig)| {
+            let mut cfg = MachineConfig::bagle(4);
+            edit(&mut cfg);
+            let m = Machine::new(cfg);
+            let traced = m.run_traced(&p, &src).map(|(r, _)| r.cycles);
+            let plain = m.run(&p, &src).map(|r| r.cycles);
+            assert_eq!(plain, traced);
+            plain
+        };
+        let bad = |cache, field| {
+            Err(SimError::Config(ConfigError::CacheGeometry {
+                cache,
+                field,
+            }))
+        };
+        assert_eq!(run(|c| c.l1.line = 0), bad("l1", "line"));
+        assert_eq!(run(|c| c.l2.assoc = 0), bad("l2", "assoc"));
+        assert_eq!(run(|c| c.l1.line = 96), bad("l1", "line"));
+        assert_eq!(run(|c| c.l2.line = 32), bad("l2", "line"));
+        assert!(run(|c| c.l1.line = 128).is_ok(), "equal L1 and L2 lines");
     }
 
     #[test]

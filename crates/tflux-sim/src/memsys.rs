@@ -28,10 +28,47 @@
 //!
 //! The round is the model's coherence-visibility quantum: what one domain
 //! does inside a round reaches the others at its end, in a fixed order.
+//!
+//! # Host representation
+//!
+//! The directory, every domain's view of it, and the bus and channel
+//! windows are `LineMap`s: `std` hash maps whose `u64` key is hashed by one
+//! multiplication (`LineHasher`). Every access is by key; the one
+//! iteration, in `Bus::merge`, sums and prunes by key, so no map's layout
+//! or iteration order can reach a latency or a counter. An L1 miss looks
+//! the directory up once per line it changes (the filled line, the victim).
 
 use crate::cache::Cache;
 use crate::config::MachineConfig;
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
+
+/// Hash of a `LineMap` key: a multiplication by 2^64/φ, its well-mixed
+/// high half folded onto the low bits the table indexes by. Keys come from
+/// the simulated program's own trace, not an adversary, so a keyed hash
+/// buys nothing — and `std`'s costs more than the rest of an L1 miss.
+#[derive(Clone, Copy, Debug, Default)]
+struct LineHasher(u64);
+
+impl Hasher for LineHasher {
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("LineMap keys are u64");
+    }
+
+    #[inline]
+    fn write_u64(&mut self, key: u64) {
+        let h = key.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        self.0 = h ^ (h >> 32);
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// A map keyed by line address or bus window index.
+type LineMap<V> = HashMap<u64, V, BuildHasherDefault<LineHasher>>;
 
 /// Classification of one memory access.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -49,7 +86,7 @@ pub enum AccessClass {
 }
 
 /// Aggregate counters of the memory system.
-#[derive(Clone, Copy, Debug, Default)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct MemStats {
     /// L1 hits.
     pub l1_hits: u64,
@@ -125,12 +162,10 @@ struct Dir {
 /// the same line from different domains compose rather than clobber.
 #[derive(Clone, Copy, Debug)]
 enum DirEdit {
-    /// `l1s |= 1 << core`.
-    AddL1 { line: u64, core: u32 },
+    /// A read fill: `l1s |= 1 << core`, `l2s |= 1 << group`.
+    Fill { line: u64, core: u32, group: u32 },
     /// `l1s &= !(1 << core)` (L1 victim eviction).
     DelL1 { line: u64, core: u32 },
-    /// `l2s |= 1 << group`.
-    AddL2 { line: u64, group: u32 },
     /// `l2s &= !(1 << group)` (L2 victim eviction).
     DelL2 { line: u64, group: u32 },
     /// `owner = None` (demotion / dirty supply / owner eviction).
@@ -143,9 +178,8 @@ enum DirEdit {
 impl DirEdit {
     fn line(&self) -> u64 {
         match *self {
-            DirEdit::AddL1 { line, .. }
+            DirEdit::Fill { line, .. }
             | DirEdit::DelL1 { line, .. }
-            | DirEdit::AddL2 { line, .. }
             | DirEdit::DelL2 { line, .. }
             | DirEdit::DropOwner { line }
             | DirEdit::Claim { line, .. } => line,
@@ -154,9 +188,11 @@ impl DirEdit {
 
     fn apply(&self, d: &mut Dir) {
         match *self {
-            DirEdit::AddL1 { core, .. } => d.l1s |= 1 << core,
+            DirEdit::Fill { core, group, .. } => {
+                d.l1s |= 1 << core;
+                d.l2s |= 1 << group;
+            }
             DirEdit::DelL1 { core, .. } => d.l1s &= !(1 << core),
-            DirEdit::AddL2 { group, .. } => d.l2s |= 1 << group,
             DirEdit::DelL2 { group, .. } => d.l2s &= !(1 << group),
             DirEdit::DropOwner { .. } => d.owner = None,
             DirEdit::Claim { core, group, .. } => {
@@ -199,7 +235,7 @@ struct Bus {
     window: u64,
     /// Booked cycles per window, keyed by window index (sparse; old
     /// windows are pruned at merge time).
-    used: HashMap<u64, u64>,
+    used: LineMap<u64>,
     horizon: u64,
 }
 
@@ -207,7 +243,7 @@ impl Bus {
     fn new(window: u64) -> Self {
         Bus {
             window: window.max(1),
-            used: HashMap::new(),
+            used: LineMap::default(),
             horizon: 0,
         }
     }
@@ -215,7 +251,7 @@ impl Bus {
     /// Book `cost` cycles starting at `now` against the committed snapshot
     /// plus `local` overlay, recording the booking into `local`; returns
     /// the total delay (queueing + transfer) experienced.
-    fn book_overlaid(&self, local: &mut HashMap<u64, u64>, now: u64, cost: u64) -> u64 {
+    fn book_overlaid(&self, local: &mut LineMap<u64>, now: u64, cost: u64) -> u64 {
         let w = self.window;
         let mut win = now / w;
         let mut remaining = cost;
@@ -240,7 +276,7 @@ impl Bus {
     /// Fold a round's overlay into the snapshot (summing is commutative,
     /// so merge order across domains cannot matter) and prune windows far
     /// behind the newest booking.
-    fn merge(&mut self, local: &mut HashMap<u64, u64>) {
+    fn merge(&mut self, local: &mut LineMap<u64>) {
         let mut max_win = self.horizon;
         for (win, cycles) in local.drain() {
             *self.used.entry(win).or_insert(0) += cycles;
@@ -259,7 +295,7 @@ impl Bus {
 /// mutates in [`MemorySystem::commit_round`].
 #[derive(Debug)]
 struct SharedMem {
-    dir: HashMap<u64, Dir>,
+    dir: LineMap<Dir>,
     bus: Bus,
     /// Per-NUMA-node memory channels (bandwidth windows; only booked when
     /// the topology models channel occupancy).
@@ -271,13 +307,13 @@ struct SharedMem {
 struct RoundCtx {
     /// Materialized view of every directory line this domain touched this
     /// round: snapshot value at first touch, plus own edits.
-    dir_view: HashMap<u64, Dir>,
+    dir_view: LineMap<Dir>,
     /// Ordered edit log, replayed into the snapshot at commit.
     dir_log: Vec<DirEdit>,
     /// Per-window bus cycles booked this round.
-    bus_local: HashMap<u64, u64>,
+    bus_local: LineMap<u64>,
     /// Per-node channel cycles booked this round.
-    chan_local: Vec<HashMap<u64, u64>>,
+    chan_local: Vec<LineMap<u64>>,
     /// Foreign-cache invalidations to deliver at commit.
     invals: Vec<Inval>,
     /// Stats delta.
@@ -328,7 +364,7 @@ impl MemorySystem {
                     ratio,
                     l1_shift: cfg.l1.line.trailing_zeros(),
                     rnd: RoundCtx {
-                        chan_local: (0..nodes).map(|_| HashMap::new()).collect(),
+                        chan_local: vec![LineMap::default(); nodes],
                         ..RoundCtx::default()
                     },
                 }
@@ -337,7 +373,7 @@ impl MemorySystem {
         MemorySystem {
             cfg,
             shared: SharedMem {
-                dir: HashMap::new(),
+                dir: LineMap::default(),
                 // window sized so that ~256 line transfers fit per window:
                 // wide enough to absorb chunk-granular reordering, narrow
                 // enough to expose sustained saturation
@@ -368,11 +404,12 @@ impl MemorySystem {
         byte_addr: u64,
         write: bool,
     ) -> (u64, AccessClass) {
-        let g = self.cfg.group_of(core) as usize;
-        let MemorySystem {
-            shared, domains, ..
-        } = self;
-        domains[g].access(shared, core, now, byte_addr, write)
+        let domain = &mut self.domains[self.cfg.group_of(core) as usize];
+        if write {
+            domain.write(&self.shared, core, now, byte_addr)
+        } else {
+            domain.read(&self.shared, core, now, byte_addr)
+        }
     }
 
     /// Merge every domain's round overlay into the shared snapshot. Call at
@@ -450,16 +487,31 @@ impl DomainMem {
             .unwrap_or_default()
     }
 
-    /// Apply `edit` to the domain's view and append it to the commit log.
-    fn edit(&mut self, shared: &SharedMem, e: DirEdit) {
+    /// If `wanted` says so of the view entry as it stands, apply `e` to it
+    /// and log `e` for the commit; returns the entry afterwards. The entry
+    /// is materialized either way: untouched, it reads as the snapshot does.
+    fn edit_if(
+        &mut self,
+        shared: &SharedMem,
+        e: DirEdit,
+        wanted: impl FnOnce(&Dir) -> bool,
+    ) -> Dir {
         let line = e.line();
         let entry = self
             .rnd
             .dir_view
             .entry(line)
             .or_insert_with(|| shared.dir.get(&line).copied().unwrap_or_default());
-        e.apply(entry);
-        self.rnd.dir_log.push(e);
+        if wanted(entry) {
+            e.apply(entry);
+            self.rnd.dir_log.push(e);
+        }
+        *entry
+    }
+
+    /// Apply `e` to the view and log it; returns the view entry afterwards.
+    fn edit(&mut self, shared: &SharedMem, e: DirEdit) -> Dir {
+        self.edit_if(shared, e, |_| true)
     }
 
     /// Acquire the bus at `now` for `cost` cycles; returns the total delay
@@ -527,10 +579,9 @@ impl DomainMem {
 
     /// Evict bookkeeping for an L1 victim.
     fn l1_evicted(&mut self, shared: &SharedMem, core: u32, line: u64) {
-        let d = self.dir_of(shared, line);
-        if d.l1s & (1 << core) != 0 {
-            self.edit(shared, DirEdit::DelL1 { line, core });
-        }
+        self.edit_if(shared, DirEdit::DelL1 { line, core }, |d| {
+            d.l1s & (1 << core) != 0
+        });
         // a dirty victim writes back through L2 (stays dirty in L2
         // conceptually); the owner mark survives so the group still
         // supplies dirty data
@@ -549,21 +600,6 @@ impl DomainMem {
                     self.rnd.stats.writebacks += 1;
                 }
             }
-        }
-    }
-
-    fn access(
-        &mut self,
-        shared: &SharedMem,
-        core: u32,
-        now: u64,
-        byte_addr: u64,
-        write: bool,
-    ) -> (u64, AccessClass) {
-        if write {
-            self.write(shared, core, now, byte_addr)
-        } else {
-            self.read(shared, core, now, byte_addr)
         }
     }
 
@@ -615,21 +651,20 @@ impl DomainMem {
             if let Some(victim) = self.l2.insert(l2line) {
                 self.l2_evicted(shared, g, victim);
             }
-            self.edit(shared, DirEdit::AddL2 { line, group: g });
-        }
-        // a read by a non-owner demotes any owner to shared
-        let d = self.dir_of(shared, line);
-        if let Some(o) = d.owner {
-            if o != core {
-                self.edit(shared, DirEdit::DropOwner { line });
-            }
         }
         // fill L1
         if let Some(victim) = self.l1_of(core).insert(line) {
             self.l1_evicted(shared, core, victim);
         }
-        self.edit(shared, DirEdit::AddL1 { line, core });
-        self.edit(shared, DirEdit::AddL2 { line, group: g });
+        let fill = DirEdit::Fill {
+            line,
+            core,
+            group: g,
+        };
+        // a read by a non-owner demotes any owner to shared
+        if self.edit(shared, fill).owner.is_some_and(|o| o != core) {
+            self.edit(shared, DirEdit::DropOwner { line });
+        }
         (lat, class)
     }
 
@@ -914,6 +949,38 @@ mod tests {
             }
         }
         assert_eq!(m.stats().accesses(), 20);
+    }
+
+    #[test]
+    fn bus_merge_does_not_depend_on_booking_order() {
+        // `Bus::merge` is the one place a map is iterated: the same round
+        // overlay, built by booking its windows in two different orders
+        // (so the two maps are laid out differently), must merge into the
+        // same snapshot and delay the next round's bookings equally
+        let merged = |times: &[u64]| {
+            let mut bus = Bus::new(100);
+            let mut local = LineMap::default();
+            for &t in times {
+                bus.book_overlaid(&mut local, t, 30);
+            }
+            bus.merge(&mut local);
+            assert!(local.is_empty());
+            bus
+        };
+        // 200 consecutive windows and one far enough ahead to prune most
+        let times: Vec<u64> = (0..200).map(|w| w * 100).chain([23_000]).collect();
+        let reversed: Vec<u64> = times.iter().rev().copied().collect();
+        let (a, b) = (merged(&times), merged(&reversed));
+        assert_eq!((&a.used, a.horizon), (&b.used, b.horizon));
+        assert_eq!(a.used.keys().min(), Some(&166), "old windows pruned");
+        for t in [0, 16_550, 16_690, 19_900, 23_000, 23_071] {
+            let (mut la, mut lb) = (LineMap::default(), LineMap::default());
+            assert_eq!(
+                a.book_overlaid(&mut la, t, 80),
+                b.book_overlaid(&mut lb, t, 80),
+                "booking at {t}"
+            );
+        }
     }
 
     fn numa_sys(cores: u32) -> MemorySystem {

@@ -110,6 +110,45 @@ fn model_is_deterministic() {
 }
 
 #[test]
+fn single_domain_commits_are_invisible() {
+    cases(100, |rng| {
+        // One domain's overlay and the snapshot are the same state, so when
+        // — or whether — it commits cannot show in any latency, class or
+        // counter. `Machine::run_sequential` relies on this to commit once
+        // per instance. (Time advances with the stream, as it does there:
+        // a merge prunes bus windows far behind the newest booking.)
+        let machines = [
+            MachineConfig::bagle(1),
+            MachineConfig::sparc_t3_4(16).expect("16 kernels fit the T3-4"),
+        ];
+        let cfg = *rng.pick(&machines);
+        let every = rng.range(1usize..40);
+        let stream: Vec<(u32, u64, bool)> = (0..rng.range(1..600))
+            .map(|_| {
+                // 2048 lines: 16× the T3-4's L1s, 4× Bagle's
+                let addr = rng.range(0u64..2048) * 64 + rng.range(0u64..64);
+                (rng.range(0..cfg.cores), addr, rng.chance(1, 3))
+            })
+            .collect();
+        let run = |every: Option<usize>| {
+            let mut m = MemorySystem::new(cfg);
+            let mut t = 0u64;
+            let mut seen = Vec::new();
+            for (i, &(core, addr, write)) in stream.iter().enumerate() {
+                let (lat, class) = m.access(core, t, addr, write);
+                seen.push((lat, class));
+                t += lat;
+                if every.is_some_and(|k| i % k == k - 1) {
+                    m.commit_round();
+                }
+            }
+            (seen, m.stats())
+        };
+        assert_eq!(run(None), run(Some(every)), "commit every {every}");
+    });
+}
+
+#[test]
 fn repeated_private_access_converges_to_l1_hits() {
     cases(200, |rng| {
         let core = rng.range(0u32..4);
