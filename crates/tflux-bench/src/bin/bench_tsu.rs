@@ -11,14 +11,15 @@
 //!
 //! `--check` writes nothing: it is the regression gate the CI bench smoke
 //! job runs. Every pass/fail verdict keys on *deterministic* quantities —
-//! shard counters, simulated cycles, the 64-core NUMA scaling floors and
-//! the access classes of the `memsys` streams — so the gate's outcome is
-//! identical on any host.
+//! shard counters, simulated cycles, the 64-core NUMA scaling floors, the
+//! access classes of the `memsys` streams and the wake-up counts of the
+//! `server` mix — so the gate's outcome is identical on any host.
 
 use tflux_bench::json::{Json, ToJson};
 use tflux_bench::tsu_path::{
     armed, balanced_fanout, complete_interleaved, imbalanced_fanout, measure, measure_stream,
-    memsys_stream, pipeline, reduction, sim_makespan, sim_scaling, MemStream, MemsysMeasure,
+    memsys_stream, pipeline, reduction, server_mix, sim_makespan, sim_scaling, MemStream,
+    MemsysMeasure, ServerMeasure, SERVER_KERNELS, SERVER_PROGRAMS,
 };
 use tflux_sim::MachineConfig;
 use tflux_workloads::Bench;
@@ -218,6 +219,28 @@ impl ToJson for MemsysRow {
     }
 }
 
+/// The fixed program mix through a `SERVER_KERNELS`-kernel `ProgramServer`.
+/// `host_us_per_program` is wall clock; the counts are fixed by the mix
+/// and identical on any host, which is what `--check` gates.
+struct ServerRow(ServerMeasure);
+
+impl ToJson for ServerRow {
+    fn to_json(&self) -> Json {
+        let ServerRow(m) = self;
+        Json::obj([
+            ("mix", "blocks_1_2_work_16_64_every_10th_stream_8".to_json()),
+            ("programs", SERVER_PROGRAMS.to_json()),
+            ("kernels", SERVER_KERNELS.to_json()),
+            ("completions", m.completions.to_json()),
+            ("pool_rings", m.pool_rings.to_json()),
+            ("supervisor_rings", m.supervisor_rings.to_json()),
+            ("tub_pushes", m.tub_pushes.to_json()),
+            ("rings_per_completion", m.rings_per_completion().to_json()),
+            ("host_us_per_program", m.host_us_per_program().to_json()),
+        ])
+    }
+}
+
 struct Report {
     bench: &'static str,
     regenerate: &'static str,
@@ -231,6 +254,7 @@ struct Report {
     steal: Vec<StealRow>,
     scaling: Vec<ScalingRow>,
     memsys: Vec<MemsysRow>,
+    server: Vec<ServerRow>,
 }
 
 impl ToJson for Report {
@@ -248,17 +272,20 @@ impl ToJson for Report {
             ("steal", self.steal.to_json()),
             ("scaling", self.scaling.to_json()),
             ("memsys", self.memsys.to_json()),
+            ("server", self.server.to_json()),
         ])
     }
 }
 
-/// The ns_* fields of `rows`/`speedups`/`funnel`/`streaming` and
-/// `memsys.host_ns_per_access` are wall clock and depend on the host;
-/// `steal`, `scaling` and the other `memsys` columns are simulated,
-/// identical on any host.
-const WALL_CLOCK_NOTE: &str = "rows/speedups/funnel/streaming ns fields and memsys \
-     host_ns_per_access are wall clock and vary with the host; steal, scaling and the other \
-     memsys columns are simulated, host-independent";
+/// The ns_* fields of `rows`/`speedups`/`funnel`/`streaming`,
+/// `memsys.host_ns_per_access` and `server.host_us_per_program` are wall
+/// clock and depend on the host; `steal`, `scaling` and the other `memsys`
+/// columns are simulated and the other `server` columns are counts fixed
+/// by the mix, identical on any host.
+const WALL_CLOCK_NOTE: &str = "rows/speedups/funnel/streaming ns fields, memsys \
+     host_ns_per_access and server host_us_per_program are wall clock and vary with the host; \
+     steal, scaling and the other memsys columns are simulated, the other server columns are \
+     counts fixed by the mix, host-independent";
 
 /// Machine presets the scaling section sweeps: the paper's flat UMA
 /// board and the 64-core 4-node NUMA part.
@@ -394,10 +421,22 @@ fn memsys_row(stream: MemStream) -> MemsysRow {
     MemsysRow(stream, best)
 }
 
+/// Best-of-`RUNS` host time of the server mix; the counts are the same in
+/// every run.
+fn server_row() -> ServerRow {
+    let best = (0..WARMUP + RUNS)
+        .map(|_| server_mix())
+        .skip(WARMUP)
+        .min_by_key(|m| m.host_ns)
+        .unwrap();
+    ServerRow(best)
+}
+
 /// The CI smoke. Every gate keys on deterministic quantities — shard
 /// counters and simulated cycles: the funnel line-transfer cut, streaming
 /// epoch progress, the work-stealing makespans, the 64-core NUMA scaling
-/// floors and the memory-system streams' access classes.
+/// floors, the memory-system streams' access classes and the server mix's
+/// wake-up counts.
 fn check() -> ! {
     let k = *KERNELS.last().unwrap();
     let f = funnel_row(k);
@@ -511,10 +550,37 @@ fn check() -> ! {
             std::process::exit(1);
         }
     }
+    // server gates: block transitions complete on the pool kernels (no
+    // tenant TUB traffic), wake-ups are rung per published work rather
+    // than per completion, and both counts are fixed by the mix
+    let (a, b) = (server_mix(), server_mix());
+    println!(
+        "bench_tsu --check server ({SERVER_PROGRAMS} programs, {SERVER_KERNELS} kernels): {} completions, \
+         {} pool + {} supervisor rings ({:.3} per completion), {} TUB pushes \
+         ({:.1} host us per program, wall clock)",
+        a.completions,
+        a.pool_rings,
+        a.supervisor_rings,
+        a.rings_per_completion(),
+        a.tub_pushes,
+        a.host_us_per_program()
+    );
+    if a.tub_pushes != 0 {
+        eprintln!("FAIL: a server tenant pushed a completion through its TUB");
+        std::process::exit(1);
+    }
+    if a.rings_per_completion() > 0.25 {
+        eprintln!("FAIL: the server rings more than once per four completions");
+        std::process::exit(1);
+    }
+    if a.counts() != b.counts() {
+        eprintln!("FAIL: two runs of the server mix disagree on a count");
+        std::process::exit(1);
+    }
     println!(
         "OK: completion funnel, epoch streaming, work-stealing, 64-core simulated \
-         scaling and memsys access classes hold (gates are host-independent \
-         counters and simulated cycles)"
+         scaling, memsys access classes and server wake-up counts hold (gates are \
+         host-independent counters and simulated cycles)"
     );
     std::process::exit(0);
 }
@@ -559,6 +625,7 @@ fn main() {
         .flat_map(|(name, cfg)| Bench::ALL.map(|b| scaling_row(name, b, cfg)))
         .collect();
     let memsys = MemStream::ALL.map(memsys_row).into();
+    let server = vec![server_row()];
     let report = Report {
         bench: "tsu_completion_path",
         regenerate: "cargo run --release -p tflux-bench --bin bench_tsu",
@@ -574,6 +641,7 @@ fn main() {
         steal,
         scaling,
         memsys,
+        server,
     };
     let json = report.to_json().pretty();
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_tsu.json");

@@ -494,6 +494,138 @@ pub fn memsys_stream(stream: MemStream) -> MemsysMeasure {
     }
 }
 
+/// Programs in one [`server_mix`] run.
+pub const SERVER_PROGRAMS: usize = 2000;
+/// Pool kernels of the [`server_mix`] server.
+pub const SERVER_KERNELS: u32 = 2;
+/// Programs the [`server_mix`] submitter keeps in flight.
+const SERVER_OUTSTANDING: usize = 8;
+/// Passes of every tenth [`server_mix`] program.
+const SERVER_STREAM_EPOCHS: u64 = 8;
+
+/// One [`server_mix`] run. Everything but `host_ns` is a count fixed by
+/// the mix (which completion readies something does not depend on the
+/// interleaving) and repeats exactly.
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+pub struct ServerMeasure {
+    /// DThread completions over all programs (inlets and outlets included).
+    pub completions: u64,
+    /// Rings of the eventcount the pool kernels park on.
+    pub pool_rings: u64,
+    /// Rings of the eventcount the supervisor parks on.
+    pub supervisor_rings: u64,
+    /// Entries pushed into tenant TUBs, summed over the reports.
+    pub tub_pushes: u64,
+    /// Wall-clock nanoseconds from the first submit to the last report.
+    pub host_ns: u64,
+}
+
+impl ServerMeasure {
+    /// Host microseconds per program (wall clock).
+    pub fn host_us_per_program(&self) -> f64 {
+        self.host_ns as f64 / 1e3 / SERVER_PROGRAMS as f64
+    }
+
+    /// Eventcount rings per DThread completion.
+    pub fn rings_per_completion(&self) -> f64 {
+        (self.pool_rings + self.supervisor_rings) as f64 / self.completions as f64
+    }
+
+    /// The columns that must repeat exactly.
+    pub fn counts(&self) -> [u64; 4] {
+        [
+            self.completions,
+            self.pool_rings,
+            self.supervisor_rings,
+            self.tub_pushes,
+        ]
+    }
+}
+
+/// [`SERVER_PROGRAMS`] small programs through a [`SERVER_KERNELS`]-kernel
+/// [`ProgramServer`](tflux_runtime::ProgramServer), one submitter keeping
+/// 8 outstanding: programs cycle through 1 and 2 blocks of `work(16) →
+/// sink`, then 1 and 2 blocks of `work(64) → sink`, and every tenth is a
+/// `.stream(8)` tenant. Every sink's sum is checked.
+pub fn server_mix() -> ServerMeasure {
+    use std::collections::VecDeque;
+    use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
+    use std::sync::Arc;
+    use tflux_runtime::{BodyTable, ProgramServer, ServerConfig, Submission, Submit};
+
+    /// `blocks` blocks of `work(arity) → sink`, with the thread ids.
+    fn shape(blocks: usize, arity: u32) -> (Arc<DdmProgram>, Vec<(ThreadId, ThreadId)>) {
+        let mut b = ProgramBuilder::new();
+        let threads = (0..blocks)
+            .map(|_| {
+                let blk = b.block();
+                let work = b.thread(blk, ThreadSpec::new("work", arity));
+                let sink = b.thread(blk, ThreadSpec::scalar("sink"));
+                b.arc(work, sink, ArcMapping::Reduction).unwrap();
+                (work, sink)
+            })
+            .collect();
+        (Arc::new(b.build().unwrap()), threads)
+    }
+
+    const SHAPES: [(usize, u32); 4] = [(1, 16), (2, 16), (1, 64), (2, 64)];
+    let shapes = SHAPES.map(|(blocks, arity)| shape(blocks, arity));
+    let server = ProgramServer::start(
+        ServerConfig::with_kernels(SERVER_KERNELS).max_resident(SERVER_OUTSTANDING),
+    );
+    let mut m = ServerMeasure::default();
+    let mut flying = VecDeque::with_capacity(SERVER_OUTSTANDING);
+    let mut reap = |flying: &mut VecDeque<(tflux_runtime::Admission, Arc<AtomicU64>, u64)>| {
+        let (adm, sum, want) = flying.pop_front().expect("something in flight");
+        let report = adm.wait().expect("a fault-free program finishes");
+        assert_eq!(sum.load(Relaxed), want, "{:?} summed wrong", report.id);
+        m.completions += report.tsu.completions;
+        m.tub_pushes += report.tub.pushes;
+    };
+    let t = Instant::now();
+    for n in 0..SERVER_PROGRAMS {
+        if flying.len() == SERVER_OUTSTANDING {
+            reap(&mut flying);
+        }
+        let (blocks, arity) = SHAPES[n % 4];
+        let (program, threads) = &shapes[n % 4];
+        let epochs = if n % 10 == 9 { SERVER_STREAM_EPOCHS } else { 1 };
+        let sum = Arc::new(AtomicU64::new(0));
+        let mut bodies = BodyTable::new(program);
+        for &(work, sink) in threads {
+            let cells: Arc<Vec<AtomicU64>> =
+                Arc::new((0..arity).map(|_| AtomicU64::new(0)).collect());
+            let written = Arc::clone(&cells);
+            bodies.set(work, move |c| {
+                written[c.context.0 as usize].store(1 + c.context.0 as u64, Relaxed);
+            });
+            let sum = Arc::clone(&sum);
+            bodies.set(sink, move |_| {
+                sum.fetch_add(cells.iter().map(|c| c.load(Relaxed)).sum(), Relaxed);
+            });
+        }
+        let want = epochs * blocks as u64 * (1..=arity as u64).sum::<u64>();
+        let adm = server
+            .submit(
+                Submission::new(Arc::clone(program), bodies).stream(epochs),
+                Submit::Block,
+            )
+            .expect("8 outstanding fit the admission queue");
+        flying.push_back((adm, sum, want));
+    }
+    while !flying.is_empty() {
+        reap(&mut flying);
+    }
+    m.host_ns = t.elapsed().as_nanos() as u64;
+    // every ring a tenant causes is issued right behind a completion that
+    // precedes its report; shutdown's own two come after this snapshot
+    let stats = server.stats();
+    m.pool_rings = stats.pool_rings;
+    m.supervisor_rings = stats.supervisor_rings;
+    server.shutdown();
+    m
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -570,6 +702,14 @@ mod tests {
                 m.stats
             );
         }
+    }
+
+    #[test]
+    fn server_mix_counts_are_fixed_by_the_mix() {
+        let (a, b) = (server_mix(), server_mix());
+        assert_eq!(a.counts(), b.counts());
+        assert_eq!(a.tub_pushes, 0);
+        assert!(a.rings_per_completion() <= 0.25, "{a:?}");
     }
 
     #[test]

@@ -577,6 +577,15 @@ impl ServiceRotor {
         self.entries.is_empty()
     }
 
+    /// Grants in one full round: the sum of the weights. The grant
+    /// sequence repeats with this period, so *any* window of this many
+    /// consecutive [`next`](Self::next) calls names every tenant at least
+    /// once, wherever the cursor stands — the sweep length after which a
+    /// server may conclude that no tenant has work.
+    pub fn round_len(&self) -> usize {
+        self.entries.iter().map(|e| e.1 as usize).sum()
+    }
+
     /// The tenant to serve next. Each call grants one turn; a tenant of
     /// weight `w` receives `w` consecutive turns per round.
     #[allow(clippy::should_implement_trait)] // a rotor never ends; `None` means empty now
@@ -805,6 +814,47 @@ mod tests {
         assert!(r.is_empty());
         // evicting an unknown id is a no-op
         r.evict(ProgramId(9));
+    }
+
+    #[test]
+    fn every_window_of_one_round_names_every_tenant() {
+        fn assert_windows_cover(r: &mut ServiceRotor, ids: &[u64]) {
+            let n = r.round_len();
+            let grants: Vec<u64> = (0..3 * n).map(|_| r.next().unwrap().0).collect();
+            for w in grants.windows(n) {
+                for id in ids {
+                    assert!(w.contains(id), "window {w:?} of {n} grants misses {id}");
+                }
+            }
+        }
+        let mut r = ServiceRotor::new();
+        r.admit(ProgramId(0), 3);
+        r.admit(ProgramId(1), 1);
+        assert_eq!(r.round_len(), 4);
+        // a window of `len()` grants is too short: the heavy tenant's turn
+        // absorbs it whole and the light one goes unnamed
+        let short: Vec<u64> = (0..r.len()).map(|_| r.next().unwrap().0).collect();
+        assert_eq!(short, vec![0, 0]);
+        // the cursor now stands mid-turn (2 of tenant 0's 3 grants spent)
+        assert_windows_cover(&mut r, &[0, 1]);
+        // admission mid-turn lengthens the round
+        r.next();
+        r.admit(ProgramId(2), 2);
+        assert_eq!(r.round_len(), 6);
+        assert_windows_cover(&mut r, &[0, 1, 2]);
+        // evicting the tenant under the cursor mid-turn shortens it
+        while r.next() != Some(ProgramId(0)) {}
+        r.evict(ProgramId(0));
+        assert_eq!(r.round_len(), 3);
+        assert_windows_cover(&mut r, &[1, 2]);
+        // lowering a weight under a mid-turn cursor
+        assert_eq!(r.next(), Some(ProgramId(1)));
+        assert_eq!(r.next(), Some(ProgramId(2)));
+        r.admit(ProgramId(2), 1);
+        assert_windows_cover(&mut r, &[1, 2]);
+        r.evict(ProgramId(1));
+        r.evict(ProgramId(2));
+        assert_eq!(r.round_len(), 0);
     }
 
     #[test]

@@ -46,53 +46,11 @@ pub enum EmulatorExit {
     },
 }
 
-/// Outcome of one TUB drain round over a `(SoftTsu, Tub)` pair. Shared by
-/// the single-program emulator loop below and the multi-program server's
-/// supervisor, which multiplexes one such round per tenant.
-pub(crate) enum DrainRound {
-    /// Block transitions were processed this round.
-    Progress,
-    /// Nothing arrived through the TUB.
-    Idle,
-    /// The last block's outlet has completed.
-    Finished,
-    /// A protocol error surfaced — latched by a kernel or raised by a
-    /// block transition here.
-    Protocol(CoreError),
-}
-
-/// Drain the TUB once and run the block transitions it carried.
-pub(crate) fn drain_round<P: ProgramHandle>(
-    soft: &SoftTsu<P>,
-    tub: &Tub,
-    batch: &mut Vec<(Instance, Epoch)>,
-    scratch: &mut Vec<Instance>,
-) -> DrainRound {
-    // a kernel hit a protocol error on the direct path and kicked us
-    if let Some(e) = tub.take_error() {
-        return DrainRound::Protocol(e);
-    }
-    batch.clear();
-    let drained = tub.drain_into(batch);
-    for &(done, ep) in batch.iter() {
-        if let Err(e) = soft.complete(done, ep, scratch) {
-            return DrainRound::Protocol(e);
-        }
-    }
-    if soft.finished() {
-        return DrainRound::Finished;
-    }
-    if drained > 0 {
-        DrainRound::Progress
-    } else {
-        DrainRound::Idle
-    }
-}
-
 /// Watchdog forensics: walk the Synchronization Memory before tearing it
 /// down, so the abort names the stuck instances instead of discarding the
 /// evidence. Per-kernel counters and panics are filled in by the caller
-/// after joining its kernels.
+/// after joining its kernels. Shared with the multi-program server's
+/// supervisor, which keeps the watchdog for every tenant.
 pub(crate) fn stall_report<P: ProgramHandle>(
     soft: &SoftTsu<P>,
     tub: &Tub,
@@ -142,24 +100,25 @@ pub fn run_emulator<P: ProgramHandle, F: FaultInjector>(
         if let Some(d) = injector.drain_jitter(round) {
             std::thread::sleep(d);
         }
-        match drain_round(soft, tub, &mut batch, &mut scratch) {
-            DrainRound::Protocol(e) => {
+        // a kernel hit a protocol error on the direct path and kicked us
+        if let Some(e) = tub.take_error() {
+            shutdown(soft);
+            return EmulatorExit::Protocol(e);
+        }
+        batch.clear();
+        let drained = tub.drain_into(&mut batch);
+        for &(done, ep) in batch.iter() {
+            if let Err(e) = soft.complete(done, ep, &mut scratch) {
                 shutdown(soft);
                 return EmulatorExit::Protocol(e);
             }
-            DrainRound::Finished => {
-                shutdown(soft);
-                return EmulatorExit::Finished(soft.stats());
-            }
-            DrainRound::Progress => {
-                seen_completions = soft.completions();
-                last_progress = Instant::now();
-                continue;
-            }
-            DrainRound::Idle => {}
+        }
+        if soft.finished() {
+            shutdown(soft);
+            return EmulatorExit::Finished(soft.stats());
         }
         let completions = soft.completions();
-        if completions != seen_completions {
+        if drained > 0 || completions != seen_completions {
             seen_completions = completions;
             last_progress = Instant::now();
             continue;

@@ -10,9 +10,9 @@
 //! | body panic   | kernel, before a DThread body | the body panics instead of running |
 //! | body delay   | kernel, before a DThread body | the body is delayed |
 //! | kernel stall | kernel, top of the fetch loop | the kernel sleeps (descheduled CPU) |
-//! | TUB publish delay | [`Tub::push_with`](crate::tub::Tub::push_with) | the completion is published late |
-//! | dropped bell | after a TUB publish | the emulator's condvar is *not* signalled |
-//! | drain jitter | emulator, before each TUB drain | the post-processing phase runs late |
+//! | TUB publish delay | [`Tub::push_with`](crate::tub::Tub::push_with); server kernel, before it applies an Inlet/Outlet completion | the block transition is published late |
+//! | dropped bell | after a TUB publish (`Runtime::run` only) | the emulator's condvar is *not* signalled |
+//! | drain jitter | emulator, before each TUB drain (`Runtime::run` only) | the post-processing phase runs late |
 //!
 //! Everything is driven by a [`FaultPlan`]: a *seeded, deterministic*
 //! schedule with no ambient randomness. Every decision is a pure function
@@ -65,7 +65,10 @@ pub trait FaultInjector: Sync {
     }
 
     /// Site *TUB publish delay*: consulted before a completion is published
-    /// into the TUB. Returning a duration delays the publish.
+    /// into the TUB. Returning a duration delays the publish. The
+    /// [`ProgramServer`](crate::ProgramServer) has no TUB hop; its kernels
+    /// consult the site at the same point, before applying an Inlet/Outlet
+    /// completion themselves.
     #[inline]
     fn tub_publish_delay(&self, _instance: Instance) -> Option<Duration> {
         None
@@ -74,7 +77,9 @@ pub trait FaultInjector: Sync {
     /// Site *dropped bell*: consulted after a completion lands in a TUB
     /// segment. Returning `true` suppresses the emulator wakeup signal —
     /// the classic lost-wakeup failure mode. (The emulator's timed wait
-    /// must recover; the chaos suite verifies it does.)
+    /// must recover; the chaos suite verifies it does.) A
+    /// [`Runtime::run`](crate::Runtime) site only: server tenants push
+    /// nothing, so there is no bell to drop.
     #[inline]
     fn drop_bell(&self, _instance: Instance) -> bool {
         false

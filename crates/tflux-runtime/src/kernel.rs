@@ -57,8 +57,10 @@ const STEAL_RESCAN: Duration = Duration::from_millis(1);
 /// An unwind has already poisoned the Synchronization Memory (its
 /// drop-guard latches the flag); containing it here lets the kernel
 /// surface the typed error and exit cleanly instead of dying mid-update:
-/// `Err(())` tells it to break out of its loop.
-fn contained<P: ProgramHandle>(
+/// `Err(())` tells it to break out of its loop. Shared by the
+/// single-program kernel loop below and the multi-program server's kernel
+/// pool.
+pub(crate) fn contained<P: ProgramHandle>(
     tsu: &SoftTsu<P>,
     tub: &Tub,
     op: impl FnOnce() -> Result<(), CoreError>,
@@ -160,9 +162,8 @@ pub(crate) fn execute_body<F: FaultInjector>(
 /// Publish one completion, split by DThread kind. An *App* completion is
 /// the direct update: post-processed on the calling kernel's thread,
 /// failures [`contained`]. *Inlet*/*Outlet* completions stay serialized
-/// through the emulator and travel by TUB. Shared by the single-program
-/// kernel loop below and the multi-program server's kernel pool.
-pub(crate) fn publish_completion<P: ProgramHandle, F: FaultInjector>(
+/// through the emulator and travel by TUB.
+fn publish_completion<P: ProgramHandle, F: FaultInjector>(
     tsu: &SoftTsu<P>,
     tub: &Tub,
     instance: Instance,

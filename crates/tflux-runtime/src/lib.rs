@@ -76,7 +76,9 @@ pub mod tub;
 pub use body::{BodyCtx, BodyTable};
 pub use faults::{BodyFault, FaultCounts, FaultInjector, FaultPlan, NoFaults};
 pub use runtime::{RetryPolicy, Runtime, RuntimeConfig, RuntimeError};
-pub use server::{Admission, ProgramServer, ServerConfig, Submission, Submit, SubmitError};
+pub use server::{
+    Admission, ProgramServer, ServerConfig, ServerStats, Submission, Submit, SubmitError,
+};
 pub use shared::SharedVar;
 pub use sm::SoftTsu;
 pub use stats::{InFlightInstance, RunReport, StallReport, TenantReport};

@@ -7,12 +7,35 @@
 //! kernel OS threads alive and lets callers *submit* programs while others
 //! drain. Each admitted program (a *tenant*) gets a *private arena*: its
 //! own [`SoftTsu`] — Graph Memory, Synchronization Memory, ready queues —
-//! plus its own [TUB](crate::tub::Tub) and panic sink, so no
-//! scheduling state is shared between programs. The pool kernels multiplex
-//! over the resident arenas under a weighted round-robin
-//! [`ServiceRotor`] discipline; one
-//! supervisor thread multiplexes the TSU-Emulator duties (TUB drains,
-//! block transitions, watchdog) across tenants and runs admission.
+//! plus its own panic sink and error latch, so no scheduling state is
+//! shared between programs. The pool kernels multiplex over the resident
+//! arenas under a weighted round-robin [`ServiceRotor`] discipline.
+//!
+//! **Division of labour.** The program path runs on the pool kernels
+//! alone: a kernel completes *every* DThread it ran — Inlet and Outlet
+//! included — on its own thread through `Tsu::complete`. Block transitions
+//! serialize on the arena's `block` mutex (the one `open_epoch` and
+//! `retire_epoch` take), not on a thread, so unlike
+//! [`Runtime::run`](crate::Runtime) — one program, one dedicated TSU
+//! Emulator behind a [TUB](crate::tub::Tub), as in §4.2 of the paper — no
+//! tenant queues behind an emulator thread it shares with every other
+//! resident. One supervisor thread keeps the duties that need a single
+//! owner: admission, stream credits, finish → report → eviction, the
+//! per-tenant watchdog and deadline.
+//!
+//! **Wake-ups.** Kernels and the supervisor park on two instances of one
+//! waiter-aware eventcount (`sync::EventCount`; a ring is one atomic
+//! increment unless somebody sleeps), rung by this table and nothing
+//! else; the timed waits are the lost-wakeup backstop and the
+//! watchdog/deadline tick:
+//!
+//! | event | rings |
+//! |---|---|
+//! | a submission was queued; `poison()`; an error was latched | supervisor |
+//! | an Outlet completed (the pass may be over, a credit may have freed) | supervisor |
+//! | a completion or `open_epoch` published ≥ 1 ready instance | pool |
+//! | a tenant was admitted or evicted; `done` | pool |
+//! | shutdown | both |
 //!
 //! **Fault isolation.** A body panic, a poisoned Synchronization Memory,
 //! a TSU protocol error, a per-program deadline, or a watchdog expiry
@@ -36,13 +59,13 @@
 //! bounds the blast radius of a single wedged body.
 
 use crate::body::BodyTable;
-use crate::emulator::{drain_round, stall_report, DrainRound};
-use crate::faults::FaultPlan;
-use crate::kernel::{execute_body, publish_completion, PanicSink};
+use crate::emulator::stall_report;
+use crate::faults::{FaultInjector, FaultPlan};
+use crate::kernel::{contained, execute_body, PanicSink};
 use crate::runtime::{RetryPolicy, RuntimeError};
 use crate::sm::{shutdown, SoftTsu};
 use crate::stats::TenantReport;
-use crate::sync::{lock, wait, wait_timeout};
+use crate::sync::{lock, wait, EventCount};
 use crate::tub::Tub;
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -51,6 +74,7 @@ use std::time::{Duration, Instant};
 use tflux_core::error::CoreError;
 use tflux_core::ids::{Epoch, Instance, KernelId, ProgramId};
 use tflux_core::program::DdmProgram;
+use tflux_core::thread::ThreadKind;
 use tflux_core::tsu::{FetchResult, FlushPolicy, ServiceRotor, TsuConfig};
 
 /// Configuration of a [`ProgramServer`].
@@ -284,6 +308,8 @@ struct Tenant {
     admitted_at: Instant,
     /// The private arena: this tenant's whole scheduling state.
     soft: SoftTsu<Arc<DdmProgram>>,
+    /// The arena's error latch (what [`contained`] and [`stall_report`]
+    /// take); nothing is ever pushed into it.
     tub: Tub,
     bodies: BodyTable<'static>,
     panics: PanicSink,
@@ -299,10 +325,6 @@ struct Tenant {
     late: AtomicU64,
     done: Mutex<Option<mpsc::Sender<Result<TenantReport, RuntimeError>>>>,
 }
-
-/// TUB segments per tenant arena (§4.2); a constant for the same reason
-/// as the runtime's: two entries per block give segments nothing to do.
-const TENANT_TUB_SEGMENTS: usize = 2;
 
 impl Tenant {
     fn new(p: Pending, cfg: &ServerConfig) -> Self {
@@ -325,14 +347,14 @@ impl Tenant {
                 program,
                 cfg.kernels,
                 TsuConfig {
-                    // `serve_one` completes through `publish_completion`;
+                    // `serve_one` completes one instance at a time;
                     // resolving `Auto` would scan the graph for hot sinks
                     // on every admission and report a policy nothing runs
                     flush: FlushPolicy::Direct,
                     ..cfg.tsu
                 },
             ),
-            tub: Tub::new(TENANT_TUB_SEGMENTS),
+            tub: Tub::new(1),
             bodies,
             panics: PanicSink::default(),
             faults,
@@ -346,43 +368,52 @@ impl Tenant {
     }
 }
 
+/// Read-only counters of a [`ProgramServer`] — the micro layer under a
+/// throughput number (see the wake table in the module docs).
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct ServerStats {
+    /// Programs given an arena so far.
+    pub admitted: u64,
+    /// Tenants that ran to completion and delivered a [`TenantReport`].
+    pub finished: u64,
+    /// Tenants removed with an error (fault, deadline, watchdog).
+    pub evicted: u64,
+    /// Rings of the eventcount the pool kernels park on.
+    pub pool_rings: u64,
+    /// Rings of the eventcount the supervisor parks on.
+    pub supervisor_rings: u64,
+    /// Passes the supervisor made over the resident set. Unlike the other
+    /// counters this one depends on timing (the timed waits tick it).
+    pub supervisor_rounds: u64,
+}
+
 /// State shared by the pool kernels, the supervisor, and submitters.
 struct ServerShared {
     config: ServerConfig,
     next_id: AtomicU64,
-    /// The resident tenants. Kernels snapshot it on generation change.
+    /// The resident tenants; only the supervisor adds and removes. Kernels
+    /// snapshot it on generation change.
     registry: Mutex<Vec<Arc<Tenant>>>,
     /// Bumped on every admit/evict so kernels re-snapshot the registry.
     generation: AtomicU64,
     pending: Mutex<VecDeque<Pending>>,
     /// Rung when a pending slot frees up (and at shutdown).
     pending_cv: Condvar,
-    /// Eventcount kernels and the supervisor park on when idle: any
-    /// completion, admission, or eviction bumps it.
-    work_seq: Mutex<u64>,
-    work_cv: Condvar,
+    /// Where idle pool kernels park: rung when ready instances were
+    /// published or the resident set changed.
+    pool: EventCount,
+    /// Where the supervisor parks: rung when there is something to admit,
+    /// evict or credit.
+    supervisor: EventCount,
     shutdown: AtomicBool,
     /// Set by the supervisor after the last tenant drained; kernels exit.
     done: AtomicBool,
-}
-
-impl ServerShared {
-    fn work_epoch(&self) -> u64 {
-        *lock(&self.work_seq)
-    }
-
-    fn ring(&self) {
-        *lock(&self.work_seq) += 1;
-        self.work_cv.notify_all();
-    }
-
-    /// Park until the eventcount moves past `seen` or `timeout` elapses.
-    fn wait_for_work(&self, seen: u64, timeout: Duration) {
-        let g = lock(&self.work_seq);
-        if *g == seen {
-            drop(wait_timeout(&self.work_cv, g, timeout));
-        }
-    }
+    /// [`ServerStats`] counters the eventcounts do not already hold;
+    /// written by the supervisor only.
+    admitted: AtomicU64,
+    finished: AtomicU64,
+    evicted: AtomicU64,
+    rounds: AtomicU64,
 }
 
 /// A shared kernel pool serving many DDM programs with per-program fault
@@ -408,10 +439,14 @@ impl ProgramServer {
             generation: AtomicU64::new(0),
             pending: Mutex::new(VecDeque::new()),
             pending_cv: Condvar::new(),
-            work_seq: Mutex::new(0),
-            work_cv: Condvar::new(),
+            pool: EventCount::default(),
+            supervisor: EventCount::default(),
             shutdown: AtomicBool::new(false),
             done: AtomicBool::new(false),
+            admitted: AtomicU64::new(0),
+            finished: AtomicU64::new(0),
+            evicted: AtomicU64::new(0),
+            rounds: AtomicU64::new(0),
         });
         let mut threads = Vec::with_capacity(config.kernels as usize + 1);
         for k in 0..config.kernels {
@@ -461,7 +496,7 @@ impl ProgramServer {
         let (tx, rx) = mpsc::channel();
         pending.push_back(Pending { id, submission, tx });
         drop(pending);
-        self.shared.ring(); // wake the supervisor for admission
+        self.shared.supervisor.ring(); // admission
         Ok(Admission { id, rx })
     }
 
@@ -473,6 +508,19 @@ impl ProgramServer {
     /// Submissions waiting in the admission queue.
     pub fn queued(&self) -> usize {
         lock(&self.shared.pending).len()
+    }
+
+    /// Snapshot of the server's counters.
+    pub fn stats(&self) -> ServerStats {
+        let sh = &self.shared;
+        ServerStats {
+            admitted: sh.admitted.load(Ordering::Relaxed),
+            finished: sh.finished.load(Ordering::Relaxed),
+            evicted: sh.evicted.load(Ordering::Relaxed),
+            pool_rings: sh.pool.epoch(),
+            supervisor_rings: sh.supervisor.epoch(),
+            supervisor_rounds: sh.rounds.load(Ordering::Relaxed),
+        }
     }
 
     /// Poison a resident program's Synchronization Memory, exactly as a
@@ -489,7 +537,7 @@ impl ProgramServer {
             Some(t) => {
                 t.soft.poison();
                 t.tub.raise(CoreError::SmPoisoned);
-                self.shared.ring();
+                self.shared.supervisor.ring();
                 true
             }
             None => false,
@@ -508,7 +556,8 @@ impl ProgramServer {
         }
         self.shared.shutdown.store(true, Ordering::Release);
         self.shared.pending_cv.notify_all(); // blocked submitters: ShuttingDown
-        self.shared.ring();
+        self.shared.supervisor.ring();
+        self.shared.pool.ring();
         for t in self.threads.drain(..) {
             let _ = t.join();
         }
@@ -521,8 +570,9 @@ impl Drop for ProgramServer {
     }
 }
 
-/// Serve one rotor grant from `tenant`: try to fetch and run one instance.
-/// Returns whether anything was executed.
+/// Serve one rotor grant from `tenant`: try to fetch and run one instance,
+/// and complete it — whatever its kind — right here. Returns whether
+/// anything was executed.
 fn serve_one(
     shared: &ServerShared,
     tenant: &Tenant,
@@ -535,10 +585,10 @@ fn serve_one(
         // the arena was shut down by eviction
         Ok(_) => return false,
         Err(e) => {
-            // poisoned arena: report the error for the supervisor to evict
+            // poisoned arena: latch the error for the supervisor to evict
             // on, and move on to the next tenant — this kernel is fine
             tenant.tub.raise(e);
-            shared.ring();
+            shared.supervisor.ring();
             return false;
         }
     };
@@ -563,22 +613,37 @@ fn serve_one(
         tenant.poisoned.fetch_add(1, Ordering::Relaxed);
         return true;
     }
-    // a failed direct update poisons (and is reported against) only this
-    // tenant's private arena; the pool kernel itself carries on either way
-    let _ = publish_completion(
-        &tenant.soft,
-        &tenant.tub,
-        instance,
-        epoch,
-        &tenant.faults,
-        scratch,
-    );
-    shared.ring();
+    let kind = tenant.soft.graph().kind(instance.thread);
+    if kind != ThreadKind::App {
+        // the fault site a block transition's TUB publish carries under
+        // `Runtime::run`, consulted where the transition is applied now
+        if let Some(d) = FaultInjector::tub_publish_delay(&tenant.faults, instance) {
+            std::thread::sleep(d);
+        }
+    }
+    // a failed update (typed error or unwind) poisons and is latched
+    // against only this tenant's private arena; the pool kernel itself
+    // carries on either way
+    let mut applied = false;
+    let _ = contained(&tenant.soft, &tenant.tub, || {
+        tenant.soft.complete(instance, epoch, scratch)?;
+        applied = true;
+        Ok(())
+    });
+    if !scratch.is_empty() {
+        shared.pool.ring();
+    }
+    // an Outlet unloaded a block — the pass may be over, a stream credit
+    // may have freed; a latched error needs evicting on
+    if kind == ThreadKind::Outlet || !applied {
+        shared.supervisor.ring();
+    }
     true
 }
 
 /// One pool kernel: multiplex over the resident arenas in weighted
-/// round-robin order, parking on the eventcount when no tenant has work.
+/// round-robin order, parking on the pool eventcount when no tenant has
+/// work.
 fn run_pool_kernel(shared: &ServerShared, kernel: KernelId) {
     let mut rotor = ServiceRotor::new();
     let mut members: Vec<ProgramId> = Vec::new();
@@ -586,6 +651,8 @@ fn run_pool_kernel(shared: &ServerShared, kernel: KernelId) {
     let mut seen_gen = u64::MAX; // force the first snapshot
     let mut scratch: Vec<Instance> = Vec::new();
     loop {
+        // read before looking: whatever is published after this rings past it
+        let epoch = shared.pool.epoch();
         let gen = shared.generation.load(Ordering::Acquire);
         if gen != seen_gen {
             seen_gen = gen;
@@ -604,11 +671,17 @@ fn run_pool_kernel(shared: &ServerShared, kernel: KernelId) {
         if shared.done.load(Ordering::Acquire) {
             break;
         }
-        let epoch = shared.work_epoch();
         let mut did_work = false;
-        // one sweep: at most one service grant per rotor entry, so a
-        // tenant with no runnable work cannot absorb the whole sweep
-        for _ in 0..rotor.len() {
+        // one sweep is one rotor round: every resident tenant is offered
+        // at least one grant (a weight-`w` one `w`), so a sweep that ran
+        // nothing means nothing was runnable and the kernel may park. An
+        // admission or eviction cuts the sweep short (weights are
+        // unbounded, so a round can be long); a ring follows every
+        // generation bump, so the wait below does not sleep through it
+        for _ in 0..rotor.round_len() {
+            if shared.generation.load(Ordering::Acquire) != seen_gen {
+                break;
+            }
             let Some(id) = rotor.next() else { break };
             let Some(tenant) = snapshot.iter().find(|t| t.id == id) else {
                 continue;
@@ -621,7 +694,7 @@ fn run_pool_kernel(shared: &ServerShared, kernel: KernelId) {
             }
         }
         if !did_work {
-            shared.wait_for_work(epoch, Duration::from_millis(1));
+            shared.pool.wait(epoch, Duration::from_millis(1));
         }
     }
 }
@@ -653,7 +726,13 @@ fn evict_tenant(
     }
     lock(&shared.registry).retain(|t| t.id != tenant.id);
     shared.generation.fetch_add(1, Ordering::Release);
-    shared.ring();
+    shared.pool.ring();
+    let outcome = if result.is_ok() {
+        &shared.finished
+    } else {
+        &shared.evicted
+    };
+    outcome.fetch_add(1, Ordering::Relaxed);
     if let Some(tx) = lock(&tenant.done).take() {
         let _ = tx.send(result);
     }
@@ -661,10 +740,11 @@ fn evict_tenant(
 
 /// Advance a streaming tenant's epoch ledger: retire every fully drained
 /// epoch (freeing window credits), then bank upcoming passes until the
-/// stream's total is reached or the credit window pushes back. Newly
-/// re-armed inlets are published straight onto the tenant's ready queues
-/// by [`SoftTsu::open_epoch`](tflux_core::tsu::Tsu::open_epoch).
-fn stream_advance(tenant: &Tenant, scratch: &mut Vec<Instance>) -> Result<(), CoreError> {
+/// stream's total is reached or the credit window pushes back. A re-armed
+/// inlet is published straight onto the tenant's ready queues by
+/// [`SoftTsu::open_epoch`](tflux_core::tsu::Tsu::open_epoch); the return
+/// value says whether one was (the pool needs a ring).
+fn stream_advance(tenant: &Tenant, scratch: &mut Vec<Instance>) -> Result<bool, CoreError> {
     loop {
         let (_, completed, retired) = tenant.soft.epoch_ledger();
         if retired >= completed {
@@ -672,24 +752,23 @@ fn stream_advance(tenant: &Tenant, scratch: &mut Vec<Instance>) -> Result<(), Co
         }
         tenant.soft.retire_epoch(Epoch(retired))?;
     }
+    let mut published = false;
     loop {
         let (opened, _, _) = tenant.soft.epoch_ledger();
         if opened >= tenant.epochs {
             break;
         }
         match tenant.soft.open_epoch(scratch) {
-            Ok(_) => {}
+            Ok(_) => published |= !scratch.is_empty(),
             Err(CoreError::WindowExhausted { .. }) => break,
             Err(e) => return Err(e),
         }
     }
-    Ok(())
+    Ok(published)
 }
 
-/// Admit pending submissions while resident slots are free. Returns
-/// whether anything was admitted.
-fn admit_pending(shared: &ServerShared) -> bool {
-    let mut admitted = false;
+/// Admit pending submissions while resident slots are free.
+fn admit_pending(shared: &ServerShared) {
     let mut scratch: Vec<Instance> = Vec::new();
     loop {
         if lock(&shared.registry).len() >= shared.config.max_resident {
@@ -702,131 +781,108 @@ fn admit_pending(shared: &ServerShared) -> bool {
         shared.pending_cv.notify_all();
         let tenant = Arc::new(Tenant::new(p, &shared.config));
         // a streaming tenant banks its upcoming epochs (window permitting)
-        // right at admission so kernels see continuous work
+        // right at admission so the closing Outlet of each pass re-arms the
+        // next one on the kernel that ran it
         if tenant.epochs > 1 {
             if let Err(e) = stream_advance(&tenant, &mut scratch) {
-                tenant.tub.raise(e);
+                tenant.tub.raise(e); // evicted on this round's visit
             }
         }
         lock(&shared.registry).push(tenant);
         shared.generation.fetch_add(1, Ordering::Release);
-        shared.ring();
-        admitted = true;
+        shared.admitted.fetch_add(1, Ordering::Relaxed);
+        shared.pool.ring();
     }
-    admitted
 }
 
-/// The supervisor: admission, per-tenant TUB drains and block transitions,
-/// per-tenant watchdog/deadline, eviction, and result delivery.
+/// One supervisor visit to a resident tenant: latched error? deadline?
+/// stream credits? finished? watchdog? `Some` is the result to evict it
+/// with.
+fn supervise(
+    shared: &ServerShared,
+    tenant: &Tenant,
+    track: &mut Track,
+    scratch: &mut Vec<Instance>,
+) -> Option<Result<TenantReport, RuntimeError>> {
+    if let Some(e) = tenant.tub.take_error() {
+        return Some(Err(RuntimeError::Protocol(e)));
+    }
+    let idle_since = track.last_progress;
+    let stalled = || {
+        let mut report = stall_report(&tenant.soft, &tenant.tub, idle_since.elapsed());
+        report.panics = std::mem::take(&mut *lock(&tenant.panics));
+        Some(Err(RuntimeError::Stalled {
+            report: Box::new(report),
+        }))
+    };
+    // the deadline cancels even a tenant that is still making progress;
+    // the watchdog (below) only fires on genuine idleness
+    if tenant
+        .deadline
+        .is_some_and(|d| tenant.admitted_at.elapsed() >= d)
+    {
+        return stalled();
+    }
+    // keep a stream's pipeline primed: retire passes that fully drained
+    // and bank new ones the moment window credits free up
+    if tenant.epochs > 1 {
+        match stream_advance(tenant, scratch) {
+            Ok(true) => shared.pool.ring(), // a re-armed inlet is runnable
+            Ok(false) => {}
+            Err(e) => return Some(Err(RuntimeError::Protocol(e))),
+        }
+    }
+    // `finished` alone is also what a stream looks like between passes
+    // when the window held the next credit back
+    if tenant.soft.finished() && tenant.soft.epoch_ledger().1 >= tenant.epochs {
+        let panics = std::mem::take(&mut *lock(&tenant.panics));
+        return Some(if panics.is_empty() {
+            Ok(TenantReport {
+                id: tenant.id,
+                wall: tenant.admitted_at.elapsed(),
+                tsu: tenant.soft.stats(),
+                sm_shards: tenant.soft.shard_stats(),
+                tub: tenant.tub.stats().snapshot(),
+                executed: tenant.executed.load(Ordering::Relaxed),
+                retries: tenant.retries.load(Ordering::Relaxed),
+                poisoned: tenant.poisoned.load(Ordering::Relaxed),
+            })
+        } else {
+            Err(RuntimeError::BodyPanicked { panics })
+        });
+    }
+    let completions = tenant.soft.completions();
+    if completions != track.seen_completions {
+        track.seen_completions = completions;
+        track.last_progress = Instant::now();
+    } else if track.last_progress.elapsed() >= shared.config.watchdog {
+        return stalled();
+    }
+    None
+}
+
+/// The supervisor: admission, stream credits, per-tenant watchdog and
+/// deadline, eviction, and result delivery. It completes nothing — block
+/// transitions run on the pool kernels.
 fn run_supervisor(shared: &ServerShared) {
-    let cfg = shared.config;
     let mut tracking: HashMap<u64, Track> = HashMap::new();
-    let mut batch: Vec<(Instance, Epoch)> = Vec::new();
     let mut scratch: Vec<Instance> = Vec::new();
     loop {
-        let mut progressed = admit_pending(shared);
-        let epoch = shared.work_epoch();
+        // read before looking: whatever changes after this rings past it
+        let epoch = shared.supervisor.epoch();
+        shared.rounds.fetch_add(1, Ordering::Relaxed);
+        admit_pending(shared);
         let resident: Vec<Arc<Tenant>> = lock(&shared.registry).clone();
+        let mut freed_a_slot = false;
         for tenant in &resident {
-            if tenant.evicted.load(Ordering::Acquire) {
-                continue;
-            }
             let track = tracking.entry(tenant.id.0).or_insert_with(|| Track {
                 last_progress: Instant::now(),
                 seen_completions: 0,
             });
-            // the deadline cancels even a tenant that is still making
-            // progress; the watchdog (below) only fires on genuine idleness
-            if tenant
-                .deadline
-                .is_some_and(|d| tenant.admitted_at.elapsed() >= d)
-            {
-                let mut report =
-                    stall_report(&tenant.soft, &tenant.tub, track.last_progress.elapsed());
-                report.panics = std::mem::take(&mut *lock(&tenant.panics));
-                tracking.remove(&tenant.id.0);
-                evict_tenant(
-                    shared,
-                    tenant,
-                    Err(RuntimeError::Stalled {
-                        report: Box::new(report),
-                    }),
-                );
-                progressed = true;
-                continue;
-            }
-            // keep a stream's pipeline primed between rounds: retire passes
-            // that fully drained and bank new ones the moment window
-            // credits free up, so the dataflow never stops-and-goes
-            if tenant.epochs > 1 {
-                if let Err(e) = stream_advance(tenant, &mut scratch) {
-                    tracking.remove(&tenant.id.0);
-                    evict_tenant(shared, tenant, Err(RuntimeError::Protocol(e)));
-                    progressed = true;
-                    continue;
-                }
-            }
-            let outcome = match drain_round(&tenant.soft, &tenant.tub, &mut batch, &mut scratch) {
-                DrainRound::Protocol(e) => Some(Err(RuntimeError::Protocol(e))),
-                DrainRound::Finished if tenant.soft.epoch_ledger().1 < tenant.epochs => {
-                    // a long-lived stream between passes: every banked epoch
-                    // drained, more remain — retire and re-arm, no result yet
-                    match stream_advance(tenant, &mut scratch) {
-                        Ok(()) => {
-                            track.seen_completions = tenant.soft.completions();
-                            track.last_progress = Instant::now();
-                            progressed = true;
-                            shared.ring(); // re-armed inlets are runnable
-                            None
-                        }
-                        Err(e) => Some(Err(RuntimeError::Protocol(e))),
-                    }
-                }
-                DrainRound::Finished => {
-                    let panics = std::mem::take(&mut *lock(&tenant.panics));
-                    Some(if panics.is_empty() {
-                        Ok(TenantReport {
-                            id: tenant.id,
-                            wall: tenant.admitted_at.elapsed(),
-                            tsu: tenant.soft.stats(),
-                            sm_shards: tenant.soft.shard_stats(),
-                            executed: tenant.executed.load(Ordering::Relaxed),
-                            retries: tenant.retries.load(Ordering::Relaxed),
-                            poisoned: tenant.poisoned.load(Ordering::Relaxed),
-                        })
-                    } else {
-                        Err(RuntimeError::BodyPanicked { panics })
-                    })
-                }
-                DrainRound::Progress => {
-                    track.seen_completions = tenant.soft.completions();
-                    track.last_progress = Instant::now();
-                    progressed = true;
-                    shared.ring(); // block transitions armed new work
-                    None
-                }
-                DrainRound::Idle => {
-                    let c = tenant.soft.completions();
-                    if c != track.seen_completions {
-                        track.seen_completions = c;
-                        track.last_progress = Instant::now();
-                        None
-                    } else if track.last_progress.elapsed() >= cfg.watchdog {
-                        let mut report =
-                            stall_report(&tenant.soft, &tenant.tub, track.last_progress.elapsed());
-                        report.panics = std::mem::take(&mut *lock(&tenant.panics));
-                        Some(Err(RuntimeError::Stalled {
-                            report: Box::new(report),
-                        }))
-                    } else {
-                        None
-                    }
-                }
-            };
-            if let Some(result) = outcome {
+            if let Some(result) = supervise(shared, tenant, track, &mut scratch) {
                 tracking.remove(&tenant.id.0);
                 evict_tenant(shared, tenant, result);
-                progressed = true;
+                freed_a_slot = true;
             }
         }
         if shared.shutdown.load(Ordering::Acquire)
@@ -835,12 +891,14 @@ fn run_supervisor(shared: &ServerShared) {
         {
             break;
         }
-        if !progressed {
-            shared.wait_for_work(epoch, Duration::from_micros(500));
+        // after an eviction go round again to admit into the freed slot;
+        // everything else that could need this thread rings
+        if !freed_a_slot {
+            shared.supervisor.wait(epoch, Duration::from_micros(500));
         }
     }
     shared.done.store(true, Ordering::Release);
-    shared.ring();
+    shared.pool.ring();
     shared.pending_cv.notify_all();
 }
 
@@ -1173,6 +1231,305 @@ mod tests {
         );
         assert_eq!(report.executed, 8 + 2 + 2); // work + src/sink + inlet/outlet
         server.shutdown();
+    }
+
+    /// A one-way gate a test opens to release bodies parked in `pass`, so
+    /// an interleaving is forced rather than slept for.
+    #[derive(Default)]
+    struct Gate {
+        open: Mutex<bool>,
+        cv: Condvar,
+    }
+
+    impl Gate {
+        fn open(&self) {
+            *lock(&self.open) = true;
+            self.cv.notify_all();
+        }
+
+        fn pass(&self) {
+            let mut open = lock(&self.open);
+            while !*open {
+                open = wait(&self.cv, open);
+            }
+        }
+    }
+
+    /// The resident tenant `id`, once the supervisor has admitted it.
+    fn resident_tenant(server: &ProgramServer, id: ProgramId) -> Arc<Tenant> {
+        loop {
+            if let Some(t) = lock(&server.shared.registry).iter().find(|t| t.id == id) {
+                return Arc::clone(t);
+            }
+            std::thread::yield_now();
+        }
+    }
+
+    /// One `work(arity) → sink` block per entry of `arities`. Each sink
+    /// adds its block's sum of squares to that block's total, so `e`
+    /// streamed passes leave `e × expected(arity)` there. A `gate` holds
+    /// the first block's `work` context 0 until the test opens it.
+    fn reductions(
+        arities: &[u32],
+        gate: Option<Arc<Gate>>,
+    ) -> (Arc<DdmProgram>, BodyTable<'static>, Arc<Vec<AtomicU64>>) {
+        let mut b = ProgramBuilder::new();
+        let mut threads = Vec::new();
+        for &arity in arities {
+            let blk = b.block();
+            let work = b.thread(blk, ThreadSpec::new("work", arity));
+            let sink = b.thread(blk, ThreadSpec::scalar("sink"));
+            b.arc(work, sink, ArcMapping::Reduction).unwrap();
+            threads.push((work, sink));
+        }
+        let p = Arc::new(b.build().unwrap());
+        let totals: Arc<Vec<AtomicU64>> =
+            Arc::new(arities.iter().map(|_| AtomicU64::new(0)).collect());
+        let mut bodies = BodyTable::new(&p);
+        for (blk, (&(work, sink), &arity)) in threads.iter().zip(arities).enumerate() {
+            let cells: Arc<Vec<AtomicU64>> =
+                Arc::new((0..arity).map(|_| AtomicU64::new(0)).collect());
+            let gate = gate.clone().filter(|_| blk == 0);
+            {
+                let cells = Arc::clone(&cells);
+                bodies.set(work, move |c| {
+                    if let (Some(gate), 0) = (&gate, c.context.0) {
+                        gate.pass();
+                    }
+                    cells[c.context.0 as usize]
+                        .store((c.context.0 as u64).pow(2), Ordering::Relaxed);
+                });
+            }
+            let totals = Arc::clone(&totals);
+            bodies.set(sink, move |_| {
+                let sum: u64 = cells.iter().map(|c| c.load(Ordering::Relaxed)).sum();
+                totals[blk].fetch_add(sum, Ordering::Relaxed);
+            });
+        }
+        (p, bodies, totals)
+    }
+
+    /// Run one `reductions` tenant alone on a fresh 2-kernel server and
+    /// return its report and the server's counters once it is delivered.
+    fn run_alone(arities: &[u32], epochs: u64, window: usize) -> (TenantReport, ServerStats) {
+        let server = ProgramServer::start(ServerConfig::with_kernels(2).tsu(TsuConfig {
+            window,
+            ..Default::default()
+        }));
+        let (p, bodies, totals) = reductions(arities, None);
+        let report = server
+            .submit(Submission::new(p, bodies).stream(epochs), Submit::Block)
+            .unwrap()
+            .wait()
+            .unwrap();
+        for (total, &arity) in totals.iter().zip(arities) {
+            assert_eq!(
+                total.load(Ordering::Relaxed),
+                epochs * expected(arity as u64)
+            );
+        }
+        // every ring the tenant causes is issued right behind a completion
+        // that precedes its delivery, and shutdown (which rings both) has
+        // not happened yet
+        let stats = server.stats();
+        server.shutdown();
+        (report, stats)
+    }
+
+    #[test]
+    fn wake_ups_follow_the_table_exactly() {
+        // (arities, epochs, credit window); the windowed stream makes the
+        // supervisor bank credits mid-run, the unwindowed one banks all
+        // at admission
+        let cases: [(&[u32], u64, usize); 4] = [
+            (&[64], 1, 0),
+            (&[64, 16], 1, 0),
+            (&[16], 4, 0),
+            (&[16], 4, 2),
+        ];
+        for (arities, epochs, window) in cases {
+            let be = arities.len() as u64 * epochs;
+            let instances: u64 = arities.iter().map(|&a| a as u64 + 3).sum();
+            for run in 0..2 {
+                let (report, stats) = run_alone(arities, epochs, window);
+                let case = format!("{arities:?} x{epochs} window {window} run {run}");
+                assert_eq!(report.tub.pushes, 0, "{case}");
+                assert_eq!(report.executed, epochs * instances, "{case}");
+                assert_eq!(report.tsu.completions, epochs * instances, "{case}");
+                // pool: admission, eviction, and per block pass the inlet
+                // (loads the block), the last `work` (readies the sink), the
+                // sink (readies the outlet) and — unless it is the final one
+                // — the outlet (next inlet, or the re-armed first one)
+                assert_eq!(stats.pool_rings, 4 * be + 1, "{case}");
+                // supervisor: the submission and every outlet
+                assert_eq!(stats.supervisor_rings, be + 1, "{case}");
+                // the budget any re-pin of the two lines above must stay under
+                assert!(stats.pool_rings + stats.supervisor_rings <= 6 * be + 3);
+                assert_eq!(
+                    (stats.admitted, stats.finished, stats.evicted),
+                    (1, 1, 0),
+                    "{case}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn tub_publish_delay_fires_at_every_block_transition() {
+        // the tenant no longer pushes to a TUB, but the fault site a push
+        // carried is still consulted once per Inlet/Outlet completion
+        let server = ProgramServer::start(ServerConfig::with_kernels(2));
+        let gate = Arc::new(Gate::default());
+        let (arities, epochs) = ([8u32, 12], 3u64);
+        let (p, bodies, totals) = reductions(&arities, Some(Arc::clone(&gate)));
+        let plan = FaultPlan::new(7).tub_publish_delay(1000, Duration::from_micros(20));
+        let adm = server
+            .submit(
+                Submission::new(p, bodies).stream(epochs).faults(plan),
+                Submit::Block,
+            )
+            .unwrap();
+        // the gated body keeps the tenant resident until we hold its arena
+        let tenant = resident_tenant(&server, adm.id());
+        gate.open();
+        let report = adm.wait().unwrap();
+        assert_eq!(
+            tenant.faults.counts().tub_delays,
+            2 * arities.len() as u64 * epochs
+        );
+        assert_eq!(report.tub.pushes, 0);
+        for (total, &arity) in totals.iter().zip(&arities) {
+            assert_eq!(
+                total.load(Ordering::Relaxed),
+                epochs * expected(arity as u64)
+            );
+        }
+        server.shutdown();
+    }
+
+    #[test]
+    fn outlet_completion_after_eviction_is_discarded_as_late() {
+        // direct transitions under eviction: the deadline evicts the
+        // tenant while its Outlet's body is still running on a kernel; when
+        // the body returns, the kernel must drop the completion instead of
+        // unloading a block of the dead arena
+        let server = ProgramServer::start(ServerConfig::with_kernels(2).max_resident(2));
+        let (p, mut bodies, _) = reductions(&[4], None);
+        let gate = Arc::new(Gate::default());
+        {
+            let gate = Arc::clone(&gate);
+            bodies.set(p.blocks()[0].outlet, move |_| gate.pass());
+        }
+        let instances = p.total_instances() as u64;
+        let victim = server
+            .submit(
+                Submission::new(p, bodies).deadline(Duration::from_millis(30)),
+                Submit::Block,
+            )
+            .unwrap();
+        let tenant = resident_tenant(&server, victim.id());
+        let (good_sub, total, _) = sum_of_squares(16);
+        let good = server.submit(good_sub, Submit::Block).unwrap();
+        let verdict = victim.wait();
+        good.wait().unwrap();
+        // only now does the Outlet's body return (before any assertion, so
+        // a failure reports instead of leaving a kernel blocked)
+        gate.open();
+        let t0 = Instant::now();
+        while tenant.late.load(Ordering::Relaxed) == 0 && t0.elapsed() < Duration::from_secs(10) {
+            std::thread::yield_now();
+        }
+        match verdict {
+            Err(RuntimeError::Stalled { report }) => {
+                let outlet = tenant.soft.program().blocks()[0].outlet;
+                assert!(report.in_flight.iter().any(|f| f.instance.thread == outlet));
+            }
+            other => panic!("expected deadline eviction, got ok={}", other.is_ok()),
+        }
+        assert_eq!(total.load(Ordering::Relaxed), expected(16));
+        assert_eq!(tenant.late.load(Ordering::Relaxed), 1);
+        assert_eq!(tenant.executed.load(Ordering::Relaxed), instances);
+        // the arena never saw the Outlet complete: the pass is not over
+        assert_eq!(tenant.soft.completions(), instances - 1);
+        assert!(!tenant.soft.finished());
+        assert_eq!(server.stats().evicted, 1);
+        server.shutdown();
+    }
+
+    #[test]
+    fn light_tenant_is_served_while_a_heavy_one_has_nothing_runnable() {
+        // Tenant A (weight 3) has one instance, blocked in its body on one
+        // kernel, and nothing else runnable. Tenant B (weight 1) is a long
+        // stream the *other* kernel must run alone. A sweep of `len()`
+        // grants goes [A, A], [A, B], [A, A], … — every other sweep finds
+        // no work and parks for the full 1 ms backstop, since nobody is
+        // left to ring. A sweep of one rotor round always reaches B.
+        let server = ProgramServer::start(ServerConfig::with_kernels(2).max_resident(2));
+        let mut b = ProgramBuilder::new();
+        let blk = b.block();
+        let w = b.thread(blk, ThreadSpec::scalar("blocked"));
+        let pa = Arc::new(b.build().unwrap());
+        let gate = Arc::new(Gate::default());
+        let (entered_tx, entered_rx) = mpsc::channel();
+        let mut bodies = BodyTable::new(&pa);
+        {
+            let gate = Arc::clone(&gate);
+            let entered_tx = Mutex::new(entered_tx);
+            bodies.set(w, move |_| {
+                lock(&entered_tx).send(()).unwrap();
+                gate.pass();
+            });
+        }
+        let heavy = server
+            .submit(Submission::new(pa, bodies).weight(3), Submit::Block)
+            .unwrap();
+        entered_rx.recv().unwrap();
+        // B: 300 passes × (inlet, work, sink, outlet), each a dependent hop
+        let passes = 300u64;
+        let (pb, bodies, totals) = reductions(&[1], None);
+        let t0 = Instant::now();
+        let report = server
+            .submit(Submission::new(pb, bodies).stream(passes), Submit::Block)
+            .unwrap()
+            .wait()
+            .unwrap();
+        let took = t0.elapsed();
+        // release A before asserting, so a failure reports instead of
+        // leaving a kernel blocked under the server's drop
+        gate.open();
+        heavy.wait().unwrap();
+        server.shutdown();
+        assert_eq!(report.executed, 4 * passes);
+        assert_eq!(totals[0].load(Ordering::Relaxed), 0, "0² per pass");
+        // parking every other sweep costs ≥ 1 ms per two instances, i.e.
+        // ≥ 600 ms here; served without parks it is a few milliseconds
+        assert!(
+            took < Duration::from_millis(300),
+            "{} dependent instances took {took:?}: the kernel parked past runnable work",
+            4 * passes
+        );
+    }
+
+    #[test]
+    fn a_huge_weight_does_not_hide_the_next_admission() {
+        // a sweep is Σ weights grants long; when the heavy tenant is
+        // evicted mid-sweep the kernels must re-snapshot at once, not spend
+        // the remaining ≈ 4 · 10⁹ grants on a tenant that is gone
+        let server = ProgramServer::start(ServerConfig::with_kernels(2));
+        let (heavy, heavy_total, _) = sum_of_squares(8);
+        let heavy = server.submit(heavy.weight(u32::MAX), Submit::Block);
+        heavy.unwrap().wait().unwrap();
+        let t0 = Instant::now();
+        let (next, next_total, _) = sum_of_squares(8);
+        server.submit(next, Submit::Block).unwrap().wait().unwrap();
+        let took = t0.elapsed();
+        server.shutdown();
+        assert_eq!(heavy_total.load(Ordering::Relaxed), expected(8));
+        assert_eq!(next_total.load(Ordering::Relaxed), expected(8));
+        assert!(
+            took < Duration::from_secs(1),
+            "the next program waited {took:?} behind an evicted tenant's grants"
+        );
     }
 
     #[test]

@@ -140,6 +140,10 @@ pub struct TenantReport {
     pub tsu: TsuStats,
     /// Per-shard Synchronization Memory counters of this tenant's arena.
     pub sm_shards: Vec<ShardStats>,
+    /// The arena's TUB counters. Pool kernels complete block transitions
+    /// themselves, so `pushes` stays 0 — the TUB is the arena's error
+    /// latch only, and this field is the checkable form of that claim.
+    pub tub: TubSnapshot,
     /// DThread instances of this program executed by the kernel pool.
     pub executed: u64,
     /// Panicked body attempts re-dispatched under the retry policy.
