@@ -234,7 +234,6 @@ impl ToJson for ServerRow {
             ("completions", m.completions.to_json()),
             ("pool_rings", m.pool_rings.to_json()),
             ("supervisor_rings", m.supervisor_rings.to_json()),
-            ("tub_pushes", m.tub_pushes.to_json()),
             ("rings_per_completion", m.rings_per_completion().to_json()),
             ("host_us_per_program", m.host_us_per_program().to_json()),
         ])
@@ -550,25 +549,19 @@ fn check() -> ! {
             std::process::exit(1);
         }
     }
-    // server gates: block transitions complete on the pool kernels (no
-    // tenant TUB traffic), wake-ups are rung per published work rather
-    // than per completion, and both counts are fixed by the mix
+    // server gates: wake-ups are rung per published work rather than per
+    // completion, and the counts are fixed by the mix
     let (a, b) = (server_mix(), server_mix());
     println!(
         "bench_tsu --check server ({SERVER_PROGRAMS} programs, {SERVER_KERNELS} kernels): {} completions, \
-         {} pool + {} supervisor rings ({:.3} per completion), {} TUB pushes \
+         {} pool + {} supervisor rings ({:.3} per completion) \
          ({:.1} host us per program, wall clock)",
         a.completions,
         a.pool_rings,
         a.supervisor_rings,
         a.rings_per_completion(),
-        a.tub_pushes,
         a.host_us_per_program()
     );
-    if a.tub_pushes != 0 {
-        eprintln!("FAIL: a server tenant pushed a completion through its TUB");
-        std::process::exit(1);
-    }
     if a.rings_per_completion() > 0.25 {
         eprintln!("FAIL: the server rings more than once per four completions");
         std::process::exit(1);

@@ -433,7 +433,7 @@ pub fn tub_contention() -> Vec<(usize, u64, f64)> {
         });
         let wall = start.elapsed();
         assert_eq!(drained as u32, PUSHERS * PUSHES_PER_THREAD);
-        (wall, tub.stats().snapshot().busy_hits)
+        (wall, tub.stats().busy_hits)
     };
 
     [1usize, 2, 4, 8]

@@ -514,8 +514,6 @@ pub struct ServerMeasure {
     pub pool_rings: u64,
     /// Rings of the eventcount the supervisor parks on.
     pub supervisor_rings: u64,
-    /// Entries pushed into tenant TUBs, summed over the reports.
-    pub tub_pushes: u64,
     /// Wall-clock nanoseconds from the first submit to the last report.
     pub host_ns: u64,
 }
@@ -532,13 +530,8 @@ impl ServerMeasure {
     }
 
     /// The columns that must repeat exactly.
-    pub fn counts(&self) -> [u64; 4] {
-        [
-            self.completions,
-            self.pool_rings,
-            self.supervisor_rings,
-            self.tub_pushes,
-        ]
+    pub fn counts(&self) -> [u64; 3] {
+        [self.completions, self.pool_rings, self.supervisor_rings]
     }
 }
 
@@ -580,7 +573,6 @@ pub fn server_mix() -> ServerMeasure {
         let report = adm.wait().expect("a fault-free program finishes");
         assert_eq!(sum.load(Relaxed), want, "{:?} summed wrong", report.id);
         m.completions += report.tsu.completions;
-        m.tub_pushes += report.tub.pushes;
     };
     let t = Instant::now();
     for n in 0..SERVER_PROGRAMS {
@@ -708,7 +700,6 @@ mod tests {
     fn server_mix_counts_are_fixed_by_the_mix() {
         let (a, b) = (server_mix(), server_mix());
         assert_eq!(a.counts(), b.counts());
-        assert_eq!(a.tub_pushes, 0);
         assert!(a.rings_per_completion() <= 0.25, "{a:?}");
     }
 

@@ -181,7 +181,7 @@ pub struct ShardStats {
 
 /// A resident instance still waiting on producer completions — one row of
 /// the stall-forensics view exposed by
-/// [`Tsu::waiting_instances`](super::Tsu::waiting_instances).
+/// [`Tsu::forensics`](super::Tsu::forensics).
 /// Platforms embed these in their stall reports so a watchdog abort names
 /// the stuck instances instead of discarding the Synchronization Memory
 /// contents.

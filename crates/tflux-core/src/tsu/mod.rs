@@ -236,16 +236,12 @@ impl<P: ProgramHandle, Q: QueueUnit> Tsu<P, Q> {
         self.sm.shard_stats()
     }
 
-    /// Stall forensics: every resident instance whose ready count is still
-    /// above zero, ordered thread-major, context-minor.
-    pub fn waiting_instances(&self) -> Vec<WaitingInstance> {
-        self.sm.waiting_instances()
-    }
-
-    /// Stall forensics: instances dispatched but not yet completed —
-    /// queued, stolen or executing.
-    pub fn running_instances(&self) -> Vec<Instance> {
-        self.sm.running_instances()
+    /// Stall forensics from one pass over the Synchronization Memory:
+    /// every resident instance whose ready count is still above zero, and
+    /// every instance dispatched but not yet completed (queued, stolen or
+    /// executing). Both ordered thread-major, context-minor.
+    pub fn forensics(&self) -> (Vec<WaitingInstance>, Vec<Instance>) {
+        self.sm.forensics()
     }
 
     /// Poison the Synchronization Memory: a kernel died mid-completion, so
@@ -428,7 +424,7 @@ pub fn drain_sequential<P: ProgramHandle, Q: QueueUnit>(
                 idle_rounds += 1;
                 if idle_rounds > kernels {
                     return Err(CoreError::Deadlock {
-                        waiting: tsu.waiting_instances().len(),
+                        waiting: tsu.forensics().0.len(),
                     });
                 }
             }
@@ -815,20 +811,19 @@ mod tests {
         // watchdog name a never-popped instance in its forensics
         let inlet = tsu.graph().first_inlet();
         assert_eq!(tsu.ready_len(), 1);
-        assert_eq!(tsu.running_instances(), vec![inlet]);
-        assert!(tsu.waiting_instances().is_empty());
+        assert_eq!(tsu.forensics(), (vec![], vec![inlet]));
         assert_eq!(tsu.stats().fetches, 1);
         let FetchResult::Thread(fetched, ep) = tsu.fetch(KernelId(0)).unwrap() else {
             panic!("inlet not ready");
         };
         // popping it changes neither view
         assert_eq!(fetched, inlet);
-        assert_eq!(tsu.running_instances(), vec![inlet]);
+        assert_eq!(tsu.forensics(), (vec![], vec![inlet]));
         complete(&tsu, inlet, ep).unwrap();
         // block loaded: src (rc 0) is ready — queued, hence running; each
         // work instance waits on the src broadcast, the sink on 4 work
         // completions, the outlet on all 6 app instances
-        let waiting = tsu.waiting_instances();
+        let (waiting, running) = tsu.forensics();
         let src = p.blocks()[0].threads[0];
         let work = p.blocks()[0].threads[1];
         let sink = p.blocks()[0].threads[2];
@@ -841,7 +836,7 @@ mod tests {
         assert!(waiting
             .iter()
             .any(|w| w.instance == Instance::scalar(sink) && w.remaining == 4));
-        assert_eq!(tsu.running_instances(), vec![Instance::scalar(src)]);
+        assert_eq!(running, vec![Instance::scalar(src)]);
         // completing src moves the work instances from waiting to running
         // (queued), all four at once
         let FetchResult::Thread(first, ep) = tsu.fetch(KernelId(0)).unwrap() else {
@@ -849,18 +844,14 @@ mod tests {
         };
         assert_eq!(first, Instance::scalar(src));
         complete(&tsu, first, ep).unwrap();
-        let running = tsu.running_instances();
+        let (waiting, running) = tsu.forensics();
         assert_eq!(running.len(), 4);
         assert!(running.iter().all(|i| i.thread == work));
         assert_eq!(tsu.ready_len(), 4);
-        assert!(tsu
-            .waiting_instances()
-            .iter()
-            .all(|w| w.instance.thread != work));
+        assert!(waiting.iter().all(|w| w.instance.thread != work));
         // draining the rest empties both views
         drain_sequential(&tsu).unwrap();
-        assert!(tsu.waiting_instances().is_empty());
-        assert!(tsu.running_instances().is_empty());
+        assert_eq!(tsu.forensics(), (vec![], vec![]));
         let s = tsu.stats();
         assert_eq!(s.fetches, s.completions);
     }

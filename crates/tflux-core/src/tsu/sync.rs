@@ -761,42 +761,33 @@ impl<P: ProgramHandle> SyncMemory<P> {
         Ok(())
     }
 
-    /// Stall forensics: every resident instance whose ready count is still
-    /// above zero. Ordered thread-major, context-minor.
-    pub fn waiting_instances(&self) -> Vec<WaitingInstance> {
-        let mut out = Vec::new();
+    /// Stall forensics, one pass over the slots: every resident instance
+    /// whose ready count is still above zero, and every instance
+    /// dispatched to a kernel but not yet completed. Both ordered
+    /// thread-major, context-minor. Reached through
+    /// [`Tsu::forensics`](super::Tsu::forensics).
+    pub(super) fn forensics(&self) -> (Vec<WaitingInstance>, Vec<Instance>) {
+        let (mut waiting, mut running) = (Vec::new(), Vec::new());
         for (t, spec) in self.gm.program().threads().iter().enumerate() {
             for c in 0..spec.arity {
                 let instance = Instance::new(ThreadId(t as u32), Context(c));
                 let slot = self.slot(instance);
-                if phase(slot.state.load(Ordering::Acquire)) != RESIDENT {
-                    continue;
-                }
-                let remaining = slot.rc.load(Ordering::Acquire);
-                if remaining > 0 {
-                    out.push(WaitingInstance {
-                        instance,
-                        remaining,
-                    });
-                }
-            }
-        }
-        out
-    }
-
-    /// Stall forensics: every instance dispatched to a kernel but not yet
-    /// completed. Ordered thread-major, context-minor.
-    pub fn running_instances(&self) -> Vec<Instance> {
-        let mut out = Vec::new();
-        for (t, spec) in self.gm.program().threads().iter().enumerate() {
-            for c in 0..spec.arity {
-                let instance = Instance::new(ThreadId(t as u32), Context(c));
-                if phase(self.slot(instance).state.load(Ordering::Acquire)) == RUNNING {
-                    out.push(instance);
+                match phase(slot.state.load(Ordering::Acquire)) {
+                    RUNNING => running.push(instance),
+                    RESIDENT => {
+                        let remaining = slot.rc.load(Ordering::Acquire);
+                        if remaining > 0 {
+                            waiting.push(WaitingInstance {
+                                instance,
+                                remaining,
+                            });
+                        }
+                    }
+                    _ => {}
                 }
             }
         }
-        out
+        (waiting, running)
     }
 
     /// Aggregate operation counters. `waits` and `steals` are scheduler
@@ -965,7 +956,7 @@ mod tests {
         // nothing mutated: progress counters untouched, inlet still in
         // flight, no block loaded
         assert_eq!(sm.completions(), 0);
-        assert_eq!(sm.running_instances(), vec![inlet]);
+        assert_eq!(sm.forensics().1, vec![inlet]);
         assert_eq!(sm.loaded_block(), None);
         assert_eq!(sm.stats().blocks_loaded, 0);
         // replaying the completion observes the same state and the same
@@ -1000,7 +991,7 @@ mod tests {
             Err(CoreError::SmPoisoned)
         );
         // forensics still work on a poisoned SM
-        assert_eq!(sm.running_instances(), vec![inlet]);
+        assert_eq!(sm.forensics().1, vec![inlet]);
     }
 
     #[test]

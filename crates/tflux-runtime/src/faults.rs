@@ -2,17 +2,19 @@
 //!
 //! The paper's claim is that DDM scheduling runs reliably on a purely
 //! software TSU (§4.2). To test that claim under adverse timing — not just
-//! on the happy path — the runtime threads a [`FaultInjector`] through the
-//! kernel loop, the TUB and the TSU Emulator at *named sites*:
+//! on the happy path — a [`FaultInjector`] is consulted at six *named
+//! sites*, each bound once in the arena code both drivers share, so
+//! [`Runtime::run`](crate::Runtime) and every
+//! [`ProgramServer`](crate::ProgramServer) tenant see all six:
 //!
-//! | site | where | effect |
+//! | site | where (`arena.rs`) | effect |
 //! |---|---|---|
-//! | body panic   | kernel, before a DThread body | the body panics instead of running |
-//! | body delay   | kernel, before a DThread body | the body is delayed |
-//! | kernel stall | kernel, top of the fetch loop | the kernel sleeps (descheduled CPU) |
-//! | TUB publish delay | [`Tub::push_with`](crate::tub::Tub::push_with); server kernel, before it applies an Inlet/Outlet completion | the block transition is published late |
-//! | dropped bell | after a TUB publish (`Runtime::run` only) | the emulator's condvar is *not* signalled |
-//! | drain jitter | emulator, before each TUB drain (`Runtime::run` only) | the post-processing phase runs late |
+//! | body panic   | `step`, before a DThread body | the body panics instead of running |
+//! | body delay   | `step`, before a DThread body | the body is delayed |
+//! | kernel stall | `fetch`, before a kernel looks for work | the kernel sleeps (descheduled CPU) |
+//! | publish delay | `step`, before an Inlet/Outlet completion is applied | the block transition happens late |
+//! | dropped bell | `step`, after an Outlet completed or an error was latched | the supervisor is *not* rung (lost wakeup) |
+//! | drain jitter | `supervise`, top of every visit | finish, error and watchdog are noticed late |
 //!
 //! Everything is driven by a [`FaultPlan`]: a *seeded, deterministic*
 //! schedule with no ambient randomness. Every decision is a pure function
@@ -44,7 +46,7 @@ pub enum BodyFault {
 ///
 /// All methods have no-op defaults, so an injector only overrides the sites
 /// it cares about. Implementations must be [`Sync`]: one injector is shared
-/// by every kernel thread and the emulator. The runtime is monomorphized
+/// by every kernel thread and the supervisor. The runtime is monomorphized
 /// over the injector type, so the [`NoFaults`] default adds no overhead.
 pub trait FaultInjector: Sync {
     /// Site *body panic* / *body delay*: consulted by a kernel right before
@@ -56,38 +58,34 @@ pub trait FaultInjector: Sync {
         BodyFault::Pass
     }
 
-    /// Site *kernel stall*: consulted at the top of the kernel fetch loop;
-    /// `iteration` counts this kernel's loop iterations. Returning a
+    /// Site *kernel stall*: consulted before every fetch a kernel makes;
+    /// `iteration` counts that kernel thread's fetches. Returning a
     /// duration deschedules the kernel for that long.
     #[inline]
     fn kernel_stall(&self, _kernel: KernelId, _iteration: u64) -> Option<Duration> {
         None
     }
 
-    /// Site *TUB publish delay*: consulted before a completion is published
-    /// into the TUB. Returning a duration delays the publish. The
-    /// [`ProgramServer`](crate::ProgramServer) has no TUB hop; its kernels
-    /// consult the site at the same point, before applying an Inlet/Outlet
-    /// completion themselves.
+    /// Site *publish delay*: consulted before a kernel applies an
+    /// Inlet/Outlet completion (where the paper's kernel would publish it
+    /// into the TUB). Returning a duration delays the block transition.
     #[inline]
     fn tub_publish_delay(&self, _instance: Instance) -> Option<Duration> {
         None
     }
 
-    /// Site *dropped bell*: consulted after a completion lands in a TUB
-    /// segment. Returning `true` suppresses the emulator wakeup signal —
-    /// the classic lost-wakeup failure mode. (The emulator's timed wait
-    /// must recover; the chaos suite verifies it does.) A
-    /// [`Runtime::run`](crate::Runtime) site only: server tenants push
-    /// nothing, so there is no bell to drop.
+    /// Site *dropped bell*: consulted after an Outlet completed or an
+    /// error was latched. Returning `true` suppresses the supervisor's
+    /// wakeup — the classic lost-wakeup failure mode. (Its timed wait must
+    /// recover; the chaos suites verify it does.)
     #[inline]
     fn drop_bell(&self, _instance: Instance) -> bool {
         false
     }
 
-    /// Site *drain jitter*: consulted by the emulator before each TUB
-    /// drain; `round` counts emulator loop iterations. Returning a duration
-    /// delays the post-processing phase.
+    /// Site *drain jitter*: consulted at the top of every supervisor visit
+    /// to a program; `round` counts the visits. Returning a duration delays
+    /// the visit, and with it the verdict.
     #[inline]
     fn drain_jitter(&self, _round: u64) -> Option<Duration> {
         None
@@ -122,11 +120,11 @@ pub struct FaultCounts {
     pub body_delays: u64,
     /// Kernel fetch-loop stalls.
     pub kernel_stalls: u64,
-    /// TUB publishes delayed.
+    /// Block transitions delayed.
     pub tub_delays: u64,
-    /// Emulator wakeup signals suppressed.
+    /// Supervisor wakeups suppressed.
     pub dropped_bells: u64,
-    /// Emulator drains delayed.
+    /// Supervisor visits delayed.
     pub drain_jitters: u64,
 }
 
@@ -222,8 +220,8 @@ impl FaultPlan {
         self
     }
 
-    /// Stall a kernel's fetch loop with probability `per_mille`/1000 per
-    /// iteration, for a deterministic duration in `[0, max)`.
+    /// Stall a kernel with probability `per_mille`/1000 per fetch, for a
+    /// deterministic duration in `[0, max)`.
     pub fn kernel_stall(mut self, per_mille: u32, max: Duration) -> Self {
         self.kernel_stall = Arm {
             per_mille: per_mille.min(1000),
@@ -232,8 +230,8 @@ impl FaultPlan {
         self
     }
 
-    /// Delay TUB publishes with probability `per_mille`/1000, by a
-    /// deterministic duration in `[0, max)`.
+    /// Delay Inlet/Outlet completions with probability `per_mille`/1000,
+    /// by a deterministic duration in `[0, max)`.
     pub fn tub_publish_delay(mut self, per_mille: u32, max: Duration) -> Self {
         self.tub_delay = Arm {
             per_mille: per_mille.min(1000),
@@ -242,8 +240,8 @@ impl FaultPlan {
         self
     }
 
-    /// Delay emulator drains with probability `per_mille`/1000 per round,
-    /// by a deterministic duration in `[0, max)`.
+    /// Delay supervisor visits with probability `per_mille`/1000 per
+    /// visit, by a deterministic duration in `[0, max)`.
     pub fn drain_jitter(mut self, per_mille: u32, max: Duration) -> Self {
         self.drain_jitter = Arm {
             per_mille: per_mille.min(1000),
@@ -252,8 +250,8 @@ impl FaultPlan {
         self
     }
 
-    /// Suppress the emulator wakeup signal after a TUB publish with
-    /// probability `per_mille`/1000.
+    /// Suppress the supervisor's wakeup after an Outlet or a latched error
+    /// with probability `per_mille`/1000.
     pub fn dropped_bell(mut self, per_mille: u32) -> Self {
         self.dropped_bell = per_mille.min(1000);
         self

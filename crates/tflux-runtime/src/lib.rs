@@ -12,20 +12,22 @@
 //! * The shared software TSU ([`SoftTsu`]) is the one
 //!   [`Tsu`](tflux_core::tsu::Tsu) of `tflux-core` on blocking
 //!   [`ReadyQueue`](sm::ReadyQueue)s: a read-only Graph Memory and a
-//!   **lock-free Synchronization Memory** (atomic ready-count slots).
-//!   *Application* completions take the direct-update path — the
-//!   completing kernel decrements its consumers' ready counts with
-//!   atomic `fetch_sub`s and enqueues instances it drove to zero on the
-//!   owning kernel's queue, located directly via the Thread-to-Kernel
-//!   Table (the program's [`Affinity`](tflux_core::Affinity) assignment —
-//!   *Thread Indexing*). Completions touch no locks on this path, so
-//!   they neither serialize on one thread nor contend with each other.
-//! * One **TSU Emulator** thread keeps the single-owner duties: it drains
-//!   the [TUB](tub::Tub) of *Inlet*/*Outlet* completions to load and
-//!   unload DDM blocks, runs the watchdog, and collects protocol errors.
-//! * The **TUB** (Thread-to-Update Buffer) is segmented; kernels publish
-//!   block transitions with `try_lock` over the segments so a kernel never
-//!   blocks behind another kernel's segment (§4.2).
+//!   **lock-free Synchronization Memory** (atomic ready-count slots). A
+//!   completing kernel decrements its consumers' ready counts with atomic
+//!   `fetch_sub`s and enqueues instances it drove to zero on the owning
+//!   kernel's queue, located directly via the Thread-to-Kernel Table (the
+//!   program's [`Affinity`](tflux_core::Affinity) assignment — *Thread
+//!   Indexing*). *Every* completion takes this path on the kernel that ran
+//!   the DThread, Inlet and Outlet (block load and unload) included.
+//! * Two thin drivers share that code (`arena.rs`: one `step`, one
+//!   `supervise`): [`Runtime::run`] — scoped kernels, the calling thread
+//!   supervising — and the multi-tenant [`ProgramServer`]. The supervising
+//!   thread keeps the watchdog and collects errors; it completes nothing.
+//!   This departs from §4.2, where a **TSU Emulator** thread applies the
+//!   updates kernels publish through a segmented **TUB**: that design is
+//!   what `tflux-sim`'s software-TSU cost model charges for Fig. 6 and
+//!   what [`tub`] keeps for `figures -- tub`; EXPERIMENTS.md has the
+//!   numbers that took it off the run path.
 //!
 //! ```
 //! use tflux_core::prelude::*;
@@ -61,8 +63,8 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod arena;
 pub mod body;
-pub mod emulator;
 pub mod faults;
 pub mod kernel;
 pub mod runtime;
@@ -81,6 +83,6 @@ pub use server::{
 };
 pub use shared::SharedVar;
 pub use sm::SoftTsu;
-pub use stats::{InFlightInstance, RunReport, StallReport, TenantReport};
+pub use stats::{InFlightInstance, RunReport, StallCause, StallReport, TenantReport};
 // the one fetch vocabulary shared with the core TSU units
 pub use tflux_core::tsu::{FetchResult, ShardStats};

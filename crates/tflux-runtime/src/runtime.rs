@@ -1,19 +1,23 @@
-//! The TFluxSoft runtime: kernel threads + TSU Emulator thread.
+//! The TFluxSoft runtime: one program, `n` scoped kernel threads.
 //!
 //! §3.1: "The runtime support starts its execution by launching n Kernels,
 //! where n is the maximum number of DThreads that can execute in parallel in
-//! the machine." In TFluxSoft one extra execution entity, the TSU Emulator,
-//! runs alongside them (Fig. 4 — on a real machine it occupies one core;
-//! here it is simply one more OS thread).
+//! the machine." [`Runtime::run`] is the scoped driver of the one arena
+//! code (`arena.rs`): it spawns the kernels, each running
+//! `kernel::run_kernel`, and the calling thread supervises — watchdog,
+//! latched errors, the report — parked on an eventcount the kernels ring
+//! when the program finished or failed. It completes nothing: the paper's
+//! TSU Emulator thread and its TUB (§4.2, Fig. 4) are what `tflux-sim`'s
+//! software-TSU cost model charges and `figures -- tub` measures, not what
+//! runs here (DESIGN.md §4).
 
+use crate::arena::{Arena, Watch};
 use crate::body::BodyTable;
-use crate::emulator::{run_emulator, EmulatorExit};
 use crate::faults::{FaultInjector, NoFaults};
 use crate::kernel::run_kernel;
 use crate::sm::SoftTsu;
-use crate::stats::{KernelStats, RunReport, StallReport};
-use crate::sync;
-use crate::tub::Tub;
+use crate::stats::{RunReport, StallReport};
+use crate::sync::{self, EventCount};
 use std::time::{Duration, Instant};
 use tflux_core::error::CoreError;
 use tflux_core::ids::KernelId;
@@ -182,14 +186,9 @@ impl std::error::Error for RuntimeError {
     }
 }
 
-/// TUB segments of a run (§4.2). A constant: the TUB carries two entries
-/// per block, so segment contention is unmeasurable in a run; `figures --
-/// tub` varies [`Tub::new`] directly.
-const TUB_SEGMENTS: usize = 4;
-
 /// The TFluxSoft runtime. Create one with a [`RuntimeConfig`], then run DDM
-/// programs on it. `run` is synchronous: it launches the kernels and the
-/// emulator, executes the program to completion and joins everything.
+/// programs on it. `run` is synchronous: it launches the kernels, executes
+/// the program to completion and joins everything.
 #[derive(Clone, Copy, Debug)]
 pub struct Runtime {
     config: RuntimeConfig,
@@ -219,9 +218,8 @@ impl Runtime {
     }
 
     /// Execute `program` with `bodies` to completion, threading `injector`
-    /// through every fault site (body dispatch, kernel loop, TUB publish,
-    /// emulator drain). Pass a seeded
-    /// [`FaultPlan`](crate::faults::FaultPlan) to rehearse failures
+    /// through every fault site (see [`faults`](crate::faults)). Pass a
+    /// seeded [`FaultPlan`](crate::faults::FaultPlan) to rehearse failures
     /// deterministically.
     pub fn run_with<F: FaultInjector>(
         &self,
@@ -240,71 +238,41 @@ impl Runtime {
         // and the per-kernel ready queues, armed with the first block's
         // inlet.
         let soft = SoftTsu::with_queue_unit(program, kernels, self.config.tsu);
-        let tub = Tub::new(TUB_SEGMENTS);
-        let watchdog = self.config.watchdog;
-        let retry = self.config.retry;
-
-        let panic_sink = crate::kernel::PanicSink::default();
+        let arena = Arena::new(soft, self.config.retry);
+        let bell = EventCount::default();
+        let mut watch = Watch::new(self.config.watchdog, None, 1);
         let start = Instant::now();
-        let (exit, joined) = std::thread::scope(|s| {
-            let mut handles = Vec::with_capacity(kernels as usize);
-            for k in 0..kernels {
-                let soft = &soft;
-                let tub = &tub;
-                let panic_sink = &panic_sink;
-                handles.push(s.spawn(move || {
-                    run_kernel(KernelId(k), soft, bodies, tub, panic_sink, injector, retry)
-                }));
-            }
-            // The emulator runs on the caller's thread — the paper's "one
-            // CPU devoted to the TSU" (Fig. 4).
-            let exit = run_emulator(&soft, &tub, watchdog, injector);
-            let joined: Vec<std::thread::Result<KernelStats>> =
-                handles.into_iter().map(|h| h.join()).collect();
-            (exit, joined)
+        let (verdict, dead) = std::thread::scope(|s| {
+            let handles: Vec<_> = (0..kernels)
+                .map(|k| {
+                    let (arena, bell) = (&arena, &bell);
+                    s.spawn(move || run_kernel(arena, KernelId(k), bodies, bell, injector))
+                })
+                .collect();
+            let verdict = loop {
+                // read before looking: whatever changes after this rings
+                // past it; the timed wait is the lost-wakeup backstop and
+                // the watchdog tick
+                let seen = bell.epoch();
+                if let Some(verdict) = arena.supervise(&mut watch, injector) {
+                    break verdict;
+                }
+                bell.wait(seen, SUPERVISE_BACKSTOP);
+            };
+            // body panics are contained in `step`; an unwinding kernel
+            // thread means the machinery itself is broken
+            let dead = handles
+                .into_iter()
+                .enumerate()
+                .filter_map(|(k, h)| h.join().is_err().then_some(KernelId(k as u32)))
+                .min();
+            (verdict, dead)
         });
         let wall = start.elapsed();
-
-        let panics = sync::into_inner(panic_sink);
-        let mut kernel_stats = Vec::with_capacity(joined.len());
-        let mut dead: Option<KernelId> = None;
-        for (k, res) in joined.into_iter().enumerate() {
-            match res {
-                Ok(s) => kernel_stats.push(s),
-                Err(_) => {
-                    // body panics are contained in run_kernel; an unwinding
-                    // kernel thread means the machinery itself is broken
-                    dead.get_or_insert(KernelId(k as u32));
-                    kernel_stats.push(KernelStats::default());
-                }
-            }
-        }
         if let Some(kernel) = dead {
             return Err(RuntimeError::KernelDied { kernel });
         }
-        match exit {
-            EmulatorExit::Finished(tsu) => {
-                if !panics.is_empty() {
-                    return Err(RuntimeError::BodyPanicked { panics });
-                }
-                Ok(RunReport {
-                    wall,
-                    tsu,
-                    tub: tub.stats().snapshot(),
-                    kernels: kernel_stats,
-                    sm_shards: soft.shard_stats(),
-                })
-            }
-            EmulatorExit::Protocol(e) => Err(RuntimeError::Protocol(e)),
-            EmulatorExit::Stalled { mut report } => {
-                // complete the forensics with what only the runtime knows:
-                // the joined kernel counters and the panics recorded before
-                // the stall (a poisoned producer is the usual culprit)
-                report.kernels = kernel_stats;
-                report.panics = panics;
-                Err(RuntimeError::Stalled { report })
-            }
-        }
+        verdict.map(|()| arena.report(wall))
     }
 }
 
@@ -344,6 +312,9 @@ impl Runtime {
         Ok((report, sync::into_inner(spans)))
     }
 }
+
+/// How long the supervising thread sleeps between rounds when nobody rings.
+const SUPERVISE_BACKSTOP: Duration = Duration::from_millis(1);
 
 fn bodies_match(bodies: &BodyTable<'_>, program: &DdmProgram) -> bool {
     bodies.len() == program.threads().len()
@@ -385,9 +356,7 @@ mod tests {
         assert_eq!(counter.load(Ordering::Relaxed), 32);
         assert_eq!(report.tsu.completions as usize, p.total_instances());
         assert_eq!(report.total_executed() as usize, p.total_instances());
-        // only block transitions travel through the TUB now: one inlet and
-        // one outlet for the single block — App completions go direct
-        assert_eq!(report.tub.pushes, 2);
+        assert_eq!(report.tsu.blocks_loaded, 1);
     }
 
     #[test]
@@ -425,6 +394,22 @@ mod tests {
     }
 
     #[test]
+    fn thirty_two_block_transitions_complete_on_the_kernels() {
+        // 64 block transitions and no thread but a kernel to apply them:
+        // the supervising thread has no completion path at all
+        // (`Arena::supervise` takes no ready list and `Tsu::complete` has
+        // one call site, in `Arena::step`), so what can be observed is that
+        // every block loaded and nothing travelled through a TUB
+        let (p, _) = fork_join(4, 32);
+        let report = Runtime::new(RuntimeConfig::with_kernels(2))
+            .run(&p, &BodyTable::new(&p))
+            .unwrap();
+        assert_eq!(report.tsu.blocks_loaded, 32);
+        assert_eq!(report.tsu.completions as usize, p.total_instances());
+        assert_eq!(report.tub, crate::tub::TubSnapshot::default());
+    }
+
+    #[test]
     fn shared_var_pipeline_produces_correct_result() {
         // work[c] = c^2; sink sums — classic reduction through SharedVar
         let (p, works) = fork_join(16, 1);
@@ -447,75 +432,6 @@ mod tests {
             total.load(Ordering::Relaxed),
             (0..16u64).map(|i| i * i).sum()
         );
-    }
-
-    #[test]
-    fn panicking_body_reports_instead_of_hanging() {
-        let (p, works) = fork_join(8, 1);
-        let mut bodies = BodyTable::new(&p);
-        bodies.set(works[0], |c| {
-            if c.context.0 == 3 {
-                panic!("body exploded");
-            }
-        });
-        let err = Runtime::new(RuntimeConfig::with_kernels(2))
-            .run(&p, &bodies)
-            .unwrap_err();
-        match err {
-            RuntimeError::BodyPanicked { panics } => {
-                assert_eq!(panics.len(), 1);
-                assert!(panics[0].message.contains("exploded"));
-            }
-            other => panic!("{other}"),
-        }
-    }
-
-    #[test]
-    fn stalled_body_trips_watchdog() {
-        let (p, works) = fork_join(2, 1);
-        let mut bodies = BodyTable::new(&p);
-        bodies.set(works[0], |c| {
-            if c.context.0 == 0 {
-                // a body that never finishes would hang; simulate with a
-                // long sleep well past the watchdog
-                std::thread::sleep(Duration::from_millis(500));
-            }
-        });
-        let err = Runtime::new(RuntimeConfig::with_kernels(1).watchdog(Duration::from_millis(50)))
-            .run(&p, &bodies)
-            .unwrap_err();
-        match err {
-            RuntimeError::Stalled { report } => {
-                // the sleeping instance was dispatched and never completed
-                assert!(
-                    report
-                        .in_flight
-                        .iter()
-                        .any(|f| f.instance.thread == works[0]),
-                    "{report}"
-                );
-                // per-kernel counters were attached after the join
-                assert_eq!(report.kernels.len(), 1);
-                assert!(report.panics.is_empty());
-            }
-            other => panic!("{other}"),
-        }
-    }
-
-    #[test]
-    fn oversized_block_is_a_protocol_error() {
-        let (p, _) = fork_join(64, 1);
-        let bodies = BodyTable::new(&p);
-        let err = Runtime::new(RuntimeConfig::with_kernels(2).tsu(TsuConfig {
-            capacity: 4,
-            ..Default::default()
-        }))
-        .run(&p, &bodies)
-        .unwrap_err();
-        assert!(matches!(
-            err,
-            RuntimeError::Protocol(CoreError::BlockTooLarge { .. })
-        ));
     }
 
     #[test]
@@ -547,8 +463,7 @@ mod tests {
             .unwrap();
         assert_eq!(report.tsu.fetches, report.tsu.completions);
         assert_eq!(report.total_executed(), report.tsu.completions);
-        // the TUB carries exactly one inlet + one outlet per loaded block
-        assert_eq!(report.tub.pushes, 2 * report.tsu.blocks_loaded);
+        assert_eq!(report.tsu.blocks_loaded, 1);
         // the per-shard ledger sums to the aggregate rc-update counter
         assert_eq!(
             report.sm_shards.iter().map(|s| s.rc_updates).sum::<u64>(),
@@ -670,70 +585,6 @@ mod tests {
                 }
                 other => panic!("steal {steal}: unexpected {other}"),
             }
-        }
-    }
-
-    #[test]
-    fn idempotent_body_retry_recovers() {
-        let (p, works) = fork_join(8, 1);
-        let first_attempts = AtomicU64::new(0);
-        let mut bodies = BodyTable::new(&p);
-        let first_attempts_ref = &first_attempts;
-        bodies.set_idempotent(works[0], move |c| {
-            // context 2 fails exactly once, then succeeds on retry
-            if c.context.0 == 2 && first_attempts_ref.fetch_add(1, Ordering::Relaxed) == 0 {
-                panic!("transient failure");
-            }
-        });
-        let report = Runtime::new(RuntimeConfig::with_kernels(2).retry(RetryPolicy::attempts(3)))
-            .run(&p, &bodies)
-            .unwrap();
-        assert_eq!(report.total_retries(), 1);
-        assert_eq!(report.total_poisoned(), 0);
-        assert_eq!(report.tsu.completions as usize, p.total_instances());
-        assert_eq!(first_attempts.load(Ordering::Relaxed), 2);
-    }
-
-    #[test]
-    fn non_idempotent_body_is_not_retried() {
-        let (p, works) = fork_join(8, 1);
-        let mut bodies = BodyTable::new(&p);
-        bodies.set(works[0], |c| {
-            if c.context.0 == 2 {
-                panic!("always fails");
-            }
-        });
-        // a generous retry budget must not apply without the idempotent flag
-        let err = Runtime::new(RuntimeConfig::with_kernels(2).retry(RetryPolicy::attempts(3)))
-            .run(&p, &bodies)
-            .unwrap_err();
-        match err {
-            RuntimeError::BodyPanicked { panics } => {
-                assert_eq!(panics.len(), 1);
-                assert_eq!(panics[0].attempts, 1);
-            }
-            other => panic!("{other}"),
-        }
-    }
-
-    #[test]
-    fn exhausted_retries_surface_attempt_count() {
-        let (p, works) = fork_join(4, 1);
-        let mut bodies = BodyTable::new(&p);
-        bodies.set_idempotent(works[0], |c| {
-            if c.context.0 == 1 {
-                panic!("permanent failure");
-            }
-        });
-        let err = Runtime::new(RuntimeConfig::with_kernels(1).retry(RetryPolicy::attempts(3)))
-            .run(&p, &bodies)
-            .unwrap_err();
-        match err {
-            RuntimeError::BodyPanicked { panics } => {
-                assert_eq!(panics.len(), 1);
-                assert_eq!(panics[0].attempts, 3);
-            }
-            other => panic!("{other}"),
         }
     }
 

@@ -5,23 +5,18 @@
 //! The single-program [`Runtime`](crate::Runtime) owns its kernels for the
 //! duration of one `run`. A [`ProgramServer`] instead keeps a pool of
 //! kernel OS threads alive and lets callers *submit* programs while others
-//! drain. Each admitted program (a *tenant*) gets a *private arena*: its
-//! own [`SoftTsu`] — Graph Memory, Synchronization Memory, ready queues —
-//! plus its own panic sink and error latch, so no scheduling state is
-//! shared between programs. The pool kernels multiplex over the resident
-//! arenas under a weighted round-robin [`ServiceRotor`] discipline.
+//! drain. Each admitted program (a *tenant*) gets a *private arena* — the
+//! one `Runtime::run` builds (`arena.rs`): its own [`SoftTsu`], panic sink,
+//! error latch and per-kernel counters — so no scheduling state is shared
+//! between programs.
 //!
-//! **Division of labour.** The program path runs on the pool kernels
-//! alone: a kernel completes *every* DThread it ran — Inlet and Outlet
-//! included — on its own thread through `Tsu::complete`. Block transitions
-//! serialize on the arena's `block` mutex (the one `open_epoch` and
-//! `retire_epoch` take), not on a thread, so unlike
-//! [`Runtime::run`](crate::Runtime) — one program, one dedicated TSU
-//! Emulator behind a [TUB](crate::tub::Tub), as in §4.2 of the paper — no
-//! tenant queues behind an emulator thread it shares with every other
-//! resident. One supervisor thread keeps the duties that need a single
-//! owner: admission, stream credits, finish → report → eviction, the
-//! per-tenant watchdog and deadline.
+//! **Division of labour.** This file is the arena code's second thin
+//! driver. A pool kernel is a weighted round-robin [`ServiceRotor`] over
+//! the resident arenas + a non-blocking `fetch` + `step`, so it completes
+//! every DThread it ran, Inlet and Outlet included, on its own thread. One
+//! supervisor thread keeps what needs a single owner: admission, stream
+//! credits, and per resident one `supervise` (latched error, deadline,
+//! finish → report, watchdog) followed by eviction.
 //!
 //! **Wake-ups.** Kernels and the supervisor park on two instances of one
 //! waiter-aware eventcount (`sync::EventCount`; a ring is one atomic
@@ -58,23 +53,20 @@
 //! progressing on the remaining kernels, so pool sizing (`kernels ≥ 2`)
 //! bounds the blast radius of a single wedged body.
 
+use crate::arena::{Arena, KernelCtx, Watch};
 use crate::body::BodyTable;
-use crate::emulator::stall_report;
-use crate::faults::{FaultInjector, FaultPlan};
-use crate::kernel::{contained, execute_body, PanicSink};
+use crate::faults::FaultPlan;
 use crate::runtime::{RetryPolicy, RuntimeError};
-use crate::sm::{shutdown, SoftTsu};
+use crate::sm::SoftTsu;
 use crate::stats::TenantReport;
 use crate::sync::{lock, wait, EventCount};
-use crate::tub::Tub;
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 use tflux_core::error::CoreError;
 use tflux_core::ids::{Epoch, Instance, KernelId, ProgramId};
 use tflux_core::program::DdmProgram;
-use tflux_core::thread::ThreadKind;
 use tflux_core::tsu::{FetchResult, FlushPolicy, ServiceRotor, TsuConfig};
 
 /// Configuration of a [`ProgramServer`].
@@ -302,27 +294,14 @@ struct Pending {
 struct Tenant {
     id: ProgramId,
     weight: u32,
-    deadline: Option<Duration>,
     /// Total streaming passes this tenant runs (1 = one-shot).
     epochs: u64,
-    admitted_at: Instant,
-    /// The private arena: this tenant's whole scheduling state.
-    soft: SoftTsu<Arc<DdmProgram>>,
-    /// The arena's error latch (what [`contained`] and [`stall_report`]
-    /// take); nothing is ever pushed into it.
-    tub: Tub,
+    /// This tenant's whole execution state.
+    arena: Arena<Arc<DdmProgram>>,
     bodies: BodyTable<'static>,
-    panics: PanicSink,
     faults: FaultPlan,
-    /// Latched at eviction; kernels skip the tenant and discard late
-    /// completions once set.
-    evicted: AtomicBool,
-    executed: AtomicU64,
-    retries: AtomicU64,
-    poisoned: AtomicU64,
-    /// Completions of in-flight bodies that outlived the eviction,
-    /// discarded instead of published.
-    late: AtomicU64,
+    /// The supervisor's deadline and watchdog state; nobody else locks it.
+    watch: Mutex<Watch>,
     done: Mutex<Option<mpsc::Sender<Result<TenantReport, RuntimeError>>>>,
 }
 
@@ -337,32 +316,25 @@ impl Tenant {
             faults,
             epochs,
         } = submission;
+        let soft = SoftTsu::with_queue_unit(
+            program,
+            cfg.kernels,
+            TsuConfig {
+                // pool kernels keep one inert funnel for all tenants;
+                // resolving `Auto` would scan the graph for hot sinks on
+                // every admission and report a policy nothing runs
+                flush: FlushPolicy::Direct,
+                ..cfg.tsu
+            },
+        );
         Tenant {
             id,
             weight,
-            deadline,
             epochs,
-            admitted_at: Instant::now(),
-            soft: SoftTsu::with_queue_unit(
-                program,
-                cfg.kernels,
-                TsuConfig {
-                    // `serve_one` completes one instance at a time;
-                    // resolving `Auto` would scan the graph for hot sinks
-                    // on every admission and report a policy nothing runs
-                    flush: FlushPolicy::Direct,
-                    ..cfg.tsu
-                },
-            ),
-            tub: Tub::new(1),
+            arena: Arena::new(soft, cfg.retry),
             bodies,
-            panics: PanicSink::default(),
             faults,
-            evicted: AtomicBool::new(false),
-            executed: AtomicU64::new(0),
-            retries: AtomicU64::new(0),
-            poisoned: AtomicU64::new(0),
-            late: AtomicU64::new(0),
+            watch: Mutex::new(Watch::new(cfg.watchdog, deadline, epochs)),
             done: Mutex::new(Some(tx)),
         }
     }
@@ -535,8 +507,8 @@ impl ProgramServer {
             .cloned();
         match tenant {
             Some(t) => {
-                t.soft.poison();
-                t.tub.raise(CoreError::SmPoisoned);
+                t.arena.soft.poison();
+                t.arena.latch(CoreError::SmPoisoned);
                 self.shared.supervisor.ring();
                 true
             }
@@ -570,72 +542,29 @@ impl Drop for ProgramServer {
     }
 }
 
-/// Serve one rotor grant from `tenant`: try to fetch and run one instance,
-/// and complete it — whatever its kind — right here. Returns whether
-/// anything was executed.
-fn serve_one(
-    shared: &ServerShared,
-    tenant: &Tenant,
-    kernel: KernelId,
-    scratch: &mut Vec<Instance>,
-) -> bool {
-    let (instance, epoch) = match tenant.soft.fetch(kernel) {
-        Ok(FetchResult::Thread(i, ep)) => (i, ep),
+/// Serve one rotor grant from `tenant`: fetch one instance and `step` it,
+/// then ring what the step asks for (the wake table in the module docs).
+/// Returns whether anything was executed.
+fn serve_one(shared: &ServerShared, tenant: &Tenant, ctx: &mut KernelCtx) -> bool {
+    let fetched = match tenant.arena.fetch(ctx, &tenant.faults) {
+        Ok(FetchResult::Thread(instance, epoch)) => (instance, epoch),
         // Wait: nothing runnable here; Exit: between streamed passes, or
-        // the arena was shut down by eviction
+        // the tenant was evicted
         Ok(_) => return false,
-        Err(e) => {
-            // poisoned arena: latch the error for the supervisor to evict
-            // on, and move on to the next tenant — this kernel is fine
-            tenant.tub.raise(e);
+        Err(_) => {
+            // poisoned arena, latched for the supervisor to evict on; move
+            // on to the next tenant — this kernel is fine
             shared.supervisor.ring();
             return false;
         }
     };
-    let outcome = execute_body(
-        kernel,
-        instance,
-        &tenant.bodies,
-        &tenant.panics,
-        &tenant.faults,
-        shared.config.retry,
-    );
-    tenant.retries.fetch_add(outcome.retries, Ordering::Relaxed);
-    tenant.executed.fetch_add(1, Ordering::Relaxed);
-    if tenant.evicted.load(Ordering::Acquire) {
-        // the tenant was evicted while this body ran: discard the late
-        // completion rather than publish into the dead (maybe poisoned)
-        // arena
-        tenant.late.fetch_add(1, Ordering::Relaxed);
-        return true;
-    }
-    if !outcome.publish {
-        tenant.poisoned.fetch_add(1, Ordering::Relaxed);
-        return true;
-    }
-    let kind = tenant.soft.graph().kind(instance.thread);
-    if kind != ThreadKind::App {
-        // the fault site a block transition's TUB publish carries under
-        // `Runtime::run`, consulted where the transition is applied now
-        if let Some(d) = FaultInjector::tub_publish_delay(&tenant.faults, instance) {
-            std::thread::sleep(d);
-        }
-    }
-    // a failed update (typed error or unwind) poisons and is latched
-    // against only this tenant's private arena; the pool kernel itself
-    // carries on either way
-    let mut applied = false;
-    let _ = contained(&tenant.soft, &tenant.tub, || {
-        tenant.soft.complete(instance, epoch, scratch)?;
-        applied = true;
-        Ok(())
-    });
-    if !scratch.is_empty() {
+    let stepped = tenant
+        .arena
+        .step(ctx, fetched, &tenant.bodies, &tenant.faults);
+    if stepped.ready {
         shared.pool.ring();
     }
-    // an Outlet unloaded a block — the pass may be over, a stream credit
-    // may have freed; a latched error needs evicting on
-    if kind == ThreadKind::Outlet || !applied {
+    if stepped.outlet || stepped.latched {
         shared.supervisor.ring();
     }
     true
@@ -649,7 +578,7 @@ fn run_pool_kernel(shared: &ServerShared, kernel: KernelId) {
     let mut members: Vec<ProgramId> = Vec::new();
     let mut snapshot: Vec<Arc<Tenant>> = Vec::new();
     let mut seen_gen = u64::MAX; // force the first snapshot
-    let mut scratch: Vec<Instance> = Vec::new();
+    let mut ctx = KernelCtx::new(kernel, FlushPolicy::Direct);
     loop {
         // read before looking: whatever is published after this rings past it
         let epoch = shared.pool.epoch();
@@ -686,12 +615,7 @@ fn run_pool_kernel(shared: &ServerShared, kernel: KernelId) {
             let Some(tenant) = snapshot.iter().find(|t| t.id == id) else {
                 continue;
             };
-            if tenant.evicted.load(Ordering::Acquire) {
-                continue;
-            }
-            if serve_one(shared, tenant, kernel, &mut scratch) {
-                did_work = true;
-            }
+            did_work |= serve_one(shared, tenant, &mut ctx);
         }
         if !did_work {
             shared.pool.wait(epoch, Duration::from_millis(1));
@@ -699,31 +623,18 @@ fn run_pool_kernel(shared: &ServerShared, kernel: KernelId) {
     }
 }
 
-/// Supervisor-side per-tenant watchdog state.
-struct Track {
-    last_progress: Instant,
-    seen_completions: u64,
-}
-
-/// Evict `tenant`: latch the flag, shut its queues down, drop it from the
-/// registry, and deliver `result` to the submitter.
+/// Remove an evicted `tenant` (`Arena::supervise` has latched the flag and
+/// shut its queues down) from the registry and deliver `result` to the
+/// submitter.
 fn evict_tenant(
     shared: &ServerShared,
     tenant: &Arc<Tenant>,
     result: Result<TenantReport, RuntimeError>,
 ) {
-    tenant.evicted.store(true, Ordering::Release);
-    shutdown(&tenant.soft);
     // a long-lived stream may hold banked epochs at eviction: retire every
     // fully drained one so the ledger closes before the arena is torn down
     // (epochs cut short mid-pass are abandoned with the arena)
-    let (_, completed, mut retired) = tenant.soft.epoch_ledger();
-    while retired < completed {
-        if tenant.soft.retire_epoch(Epoch(retired)).is_err() {
-            break;
-        }
-        retired += 1;
-    }
+    let _ = retire_drained(&tenant.arena.soft);
     lock(&shared.registry).retain(|t| t.id != tenant.id);
     shared.generation.fetch_add(1, Ordering::Release);
     shared.pool.ring();
@@ -738,33 +649,43 @@ fn evict_tenant(
     }
 }
 
-/// Advance a streaming tenant's epoch ledger: retire every fully drained
-/// epoch (freeing window credits), then bank upcoming passes until the
-/// stream's total is reached or the credit window pushes back. A re-armed
-/// inlet is published straight onto the tenant's ready queues by
-/// [`SoftTsu::open_epoch`](tflux_core::tsu::Tsu::open_epoch); the return
-/// value says whether one was (the pool needs a ring).
-fn stream_advance(tenant: &Tenant, scratch: &mut Vec<Instance>) -> Result<bool, CoreError> {
+/// Retire every fully drained epoch, oldest first, freeing its window
+/// credit.
+fn retire_drained(soft: &SoftTsu<Arc<DdmProgram>>) -> Result<(), CoreError> {
     loop {
-        let (_, completed, retired) = tenant.soft.epoch_ledger();
+        let (_, completed, retired) = soft.epoch_ledger();
         if retired >= completed {
-            break;
+            return Ok(());
         }
-        tenant.soft.retire_epoch(Epoch(retired))?;
+        soft.retire_epoch(Epoch(retired))?;
     }
+}
+
+/// Advance a streaming tenant's epoch ledger: retire what drained, then
+/// bank upcoming passes until the stream's total is reached or the credit
+/// window pushes back. A re-armed inlet is published straight onto the
+/// tenant's ready queues by
+/// [`SoftTsu::open_epoch`](tflux_core::tsu::Tsu::open_epoch); the return
+/// value says whether one was (the pool needs a ring). A protocol error is
+/// latched for the tenant's next `supervise`.
+fn stream_advance(tenant: &Tenant, scratch: &mut Vec<Instance>) -> bool {
+    let soft = &tenant.arena.soft;
     let mut published = false;
-    loop {
-        let (opened, _, _) = tenant.soft.epoch_ledger();
-        if opened >= tenant.epochs {
-            break;
+    let mut advance = || {
+        retire_drained(soft)?;
+        while soft.epoch_ledger().0 < tenant.epochs {
+            match soft.open_epoch(scratch) {
+                Ok(_) => published |= !scratch.is_empty(),
+                Err(CoreError::WindowExhausted { .. }) => break,
+                Err(e) => return Err(e),
+            }
         }
-        match tenant.soft.open_epoch(scratch) {
-            Ok(_) => published |= !scratch.is_empty(),
-            Err(CoreError::WindowExhausted { .. }) => break,
-            Err(e) => return Err(e),
-        }
+        Ok(())
+    };
+    if let Err(e) = advance() {
+        tenant.arena.latch(e);
     }
-    Ok(published)
+    published
 }
 
 /// Admit pending submissions while resident slots are free.
@@ -784,9 +705,7 @@ fn admit_pending(shared: &ServerShared) {
         // right at admission so the closing Outlet of each pass re-arms the
         // next one on the kernel that ran it
         if tenant.epochs > 1 {
-            if let Err(e) = stream_advance(&tenant, &mut scratch) {
-                tenant.tub.raise(e); // evicted on this round's visit
-            }
+            stream_advance(&tenant, &mut scratch);
         }
         lock(&shared.registry).push(tenant);
         shared.generation.fetch_add(1, Ordering::Release);
@@ -795,77 +714,37 @@ fn admit_pending(shared: &ServerShared) {
     }
 }
 
-/// One supervisor visit to a resident tenant: latched error? deadline?
-/// stream credits? finished? watchdog? `Some` is the result to evict it
-/// with.
+/// One supervisor visit to a resident tenant: keep a stream's pipeline
+/// primed — retire passes that fully drained, bank new ones the moment
+/// window credits free up — then `Arena::supervise`. `Some` is the result
+/// the (already evicted) tenant leaves with.
 fn supervise(
     shared: &ServerShared,
     tenant: &Tenant,
-    track: &mut Track,
     scratch: &mut Vec<Instance>,
 ) -> Option<Result<TenantReport, RuntimeError>> {
-    if let Some(e) = tenant.tub.take_error() {
-        return Some(Err(RuntimeError::Protocol(e)));
+    if tenant.epochs > 1 && stream_advance(tenant, scratch) {
+        shared.pool.ring(); // a re-armed inlet is runnable
     }
-    let idle_since = track.last_progress;
-    let stalled = || {
-        let mut report = stall_report(&tenant.soft, &tenant.tub, idle_since.elapsed());
-        report.panics = std::mem::take(&mut *lock(&tenant.panics));
-        Some(Err(RuntimeError::Stalled {
-            report: Box::new(report),
-        }))
-    };
-    // the deadline cancels even a tenant that is still making progress;
-    // the watchdog (below) only fires on genuine idleness
-    if tenant
-        .deadline
-        .is_some_and(|d| tenant.admitted_at.elapsed() >= d)
-    {
-        return stalled();
-    }
-    // keep a stream's pipeline primed: retire passes that fully drained
-    // and bank new ones the moment window credits free up
-    if tenant.epochs > 1 {
-        match stream_advance(tenant, scratch) {
-            Ok(true) => shared.pool.ring(), // a re-armed inlet is runnable
-            Ok(false) => {}
-            Err(e) => return Some(Err(RuntimeError::Protocol(e))),
+    let mut watch = lock(&tenant.watch);
+    let verdict = tenant.arena.supervise(&mut watch, &tenant.faults)?;
+    Some(verdict.map(|()| {
+        let report = tenant.arena.report(watch.elapsed());
+        TenantReport {
+            id: tenant.id,
+            executed: report.total_executed(),
+            wall: report.wall,
+            tsu: report.tsu,
+            sm_shards: report.sm_shards,
+            kernels: report.kernels,
         }
-    }
-    // `finished` alone is also what a stream looks like between passes
-    // when the window held the next credit back
-    if tenant.soft.finished() && tenant.soft.epoch_ledger().1 >= tenant.epochs {
-        let panics = std::mem::take(&mut *lock(&tenant.panics));
-        return Some(if panics.is_empty() {
-            Ok(TenantReport {
-                id: tenant.id,
-                wall: tenant.admitted_at.elapsed(),
-                tsu: tenant.soft.stats(),
-                sm_shards: tenant.soft.shard_stats(),
-                tub: tenant.tub.stats().snapshot(),
-                executed: tenant.executed.load(Ordering::Relaxed),
-                retries: tenant.retries.load(Ordering::Relaxed),
-                poisoned: tenant.poisoned.load(Ordering::Relaxed),
-            })
-        } else {
-            Err(RuntimeError::BodyPanicked { panics })
-        });
-    }
-    let completions = tenant.soft.completions();
-    if completions != track.seen_completions {
-        track.seen_completions = completions;
-        track.last_progress = Instant::now();
-    } else if track.last_progress.elapsed() >= shared.config.watchdog {
-        return stalled();
-    }
-    None
+    }))
 }
 
 /// The supervisor: admission, stream credits, per-tenant watchdog and
 /// deadline, eviction, and result delivery. It completes nothing — block
 /// transitions run on the pool kernels.
 fn run_supervisor(shared: &ServerShared) {
-    let mut tracking: HashMap<u64, Track> = HashMap::new();
     let mut scratch: Vec<Instance> = Vec::new();
     loop {
         // read before looking: whatever changes after this rings past it
@@ -875,12 +754,7 @@ fn run_supervisor(shared: &ServerShared) {
         let resident: Vec<Arc<Tenant>> = lock(&shared.registry).clone();
         let mut freed_a_slot = false;
         for tenant in &resident {
-            let track = tracking.entry(tenant.id.0).or_insert_with(|| Track {
-                last_progress: Instant::now(),
-                seen_completions: 0,
-            });
-            if let Some(result) = supervise(shared, tenant, track, &mut scratch) {
-                tracking.remove(&tenant.id.0);
+            if let Some(result) = supervise(shared, tenant, &mut scratch) {
                 evict_tenant(shared, tenant, result);
                 freed_a_slot = true;
             }
@@ -905,7 +779,9 @@ fn run_supervisor(shared: &ServerShared) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::stats::StallCause;
     use std::sync::atomic::AtomicU64;
+    use std::time::Instant;
     use tflux_core::prelude::*;
 
     fn fork_join(arity: u32) -> (Arc<DdmProgram>, ThreadId, ThreadId) {
@@ -974,7 +850,7 @@ mod tests {
             tx,
         };
         let tenant = Tenant::new(pending, &cfg);
-        assert_eq!(tenant.soft.flush_policy(), FlushPolicy::Direct);
+        assert_eq!(tenant.arena.soft.flush_policy(), FlushPolicy::Direct);
     }
 
     #[test]
@@ -1123,6 +999,9 @@ mod tests {
         match adm.wait() {
             Err(RuntimeError::Stalled { report }) => {
                 assert!(!report.in_flight.is_empty() || !report.waiting.is_empty());
+                // the tenant was making progress: nothing blames a watchdog
+                assert_eq!(report.cause, StallCause::Deadline);
+                assert!(format!("{report}").starts_with("run cancelled: deadline passed"));
             }
             other => panic!("expected Stalled, got ok={}", other.is_ok()),
         }
@@ -1353,7 +1232,6 @@ mod tests {
             for run in 0..2 {
                 let (report, stats) = run_alone(arities, epochs, window);
                 let case = format!("{arities:?} x{epochs} window {window} run {run}");
-                assert_eq!(report.tub.pushes, 0, "{case}");
                 assert_eq!(report.executed, epochs * instances, "{case}");
                 assert_eq!(report.tsu.completions, epochs * instances, "{case}");
                 // pool: admission, eviction, and per block pass the inlet
@@ -1375,14 +1253,23 @@ mod tests {
     }
 
     #[test]
-    fn tub_publish_delay_fires_at_every_block_transition() {
-        // the tenant no longer pushes to a TUB, but the fault site a push
-        // carried is still consulted once per Inlet/Outlet completion
+    fn a_tenant_draws_every_fault_site() {
+        // the sites are bound in the arena code, so a tenant's plan reaches
+        // all of them: stalls before its fetches, a delay at each of its
+        // block transitions, every Outlet's supervisor ring dropped (the
+        // timed wait must notice the end), jitter on the supervisor's visits
         let server = ProgramServer::start(ServerConfig::with_kernels(2));
         let gate = Arc::new(Gate::default());
         let (arities, epochs) = ([8u32, 12], 3u64);
         let (p, bodies, totals) = reductions(&arities, Some(Arc::clone(&gate)));
-        let plan = FaultPlan::new(7).tub_publish_delay(1000, Duration::from_micros(20));
+        let instances = p.total_instances() as u64;
+        let tick = Duration::from_micros(10);
+        let plan = FaultPlan::new(7)
+            .body_delay(1000, tick)
+            .kernel_stall(1000, tick)
+            .tub_publish_delay(1000, tick)
+            .dropped_bell(1000)
+            .drain_jitter(1000, tick);
         let adm = server
             .submit(
                 Submission::new(p, bodies).stream(epochs).faults(plan),
@@ -1392,12 +1279,14 @@ mod tests {
         // the gated body keeps the tenant resident until we hold its arena
         let tenant = resident_tenant(&server, adm.id());
         gate.open();
-        let report = adm.wait().unwrap();
-        assert_eq!(
-            tenant.faults.counts().tub_delays,
-            2 * arities.len() as u64 * epochs
-        );
-        assert_eq!(report.tub.pushes, 0);
+        adm.wait().unwrap();
+        let counts = tenant.faults.counts();
+        let transitions = 2 * arities.len() as u64 * epochs;
+        assert_eq!(counts.tub_delays, transitions);
+        assert_eq!(counts.dropped_bells, transitions / 2, "one per Outlet");
+        assert_eq!(counts.body_delays, epochs * instances);
+        assert!(counts.kernel_stalls >= epochs * instances, "{counts:?}");
+        assert!(counts.drain_jitters > 0, "{counts:?}");
         for (total, &arity) in totals.iter().zip(&arities) {
             assert_eq!(
                 total.load(Ordering::Relaxed),
@@ -1436,22 +1325,23 @@ mod tests {
         // a failure reports instead of leaving a kernel blocked)
         gate.open();
         let t0 = Instant::now();
-        while tenant.late.load(Ordering::Relaxed) == 0 && t0.elapsed() < Duration::from_secs(10) {
+        while tenant.arena.late() == 0 && t0.elapsed() < Duration::from_secs(10) {
             std::thread::yield_now();
         }
         match verdict {
             Err(RuntimeError::Stalled { report }) => {
-                let outlet = tenant.soft.program().blocks()[0].outlet;
+                let outlet = tenant.arena.soft.program().blocks()[0].outlet;
                 assert!(report.in_flight.iter().any(|f| f.instance.thread == outlet));
             }
             other => panic!("expected deadline eviction, got ok={}", other.is_ok()),
         }
         assert_eq!(total.load(Ordering::Relaxed), expected(16));
-        assert_eq!(tenant.late.load(Ordering::Relaxed), 1);
-        assert_eq!(tenant.executed.load(Ordering::Relaxed), instances);
+        assert_eq!(tenant.arena.late(), 1);
+        let executed = tenant.arena.report(Duration::ZERO).total_executed();
+        assert_eq!(executed, instances);
         // the arena never saw the Outlet complete: the pass is not over
-        assert_eq!(tenant.soft.completions(), instances - 1);
-        assert!(!tenant.soft.finished());
+        assert_eq!(tenant.arena.soft.completions(), instances - 1);
+        assert!(!tenant.arena.soft.finished());
         assert_eq!(server.stats().evicted, 1);
         server.shutdown();
     }

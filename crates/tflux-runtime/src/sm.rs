@@ -40,14 +40,13 @@ use tflux_core::ids::{Epoch, Instance};
 use tflux_core::tsu::{FetchResult, MpmcRing, ProgramHandle, QueueUnit, Steal, StealDeque, Tsu};
 
 /// The shared software TSU of TFluxSoft: the one [`Tsu`] on blocking
-/// [`ReadyQueue`]s, shared by `&` between the kernels and the emulator.
+/// [`ReadyQueue`]s, shared by `&` between kernel threads.
 ///
 /// This is the direct-update redesign of §4.2: instead of funnelling every
-/// completion through the single TSU-Emulator thread, kernels publish
-/// *application* completions straight into the lock-free Synchronization
-/// Memory. Only Inlet/Outlet completions (block loading/unloading, which
-/// the paper serializes anyway) still travel through the
-/// [TUB](crate::tub::Tub) to the emulator, which also keeps the watchdog.
+/// completion through a single TSU-Emulator thread, kernels publish every
+/// completion straight into the lock-free Synchronization Memory; Inlet and
+/// Outlet completions (block loading/unloading) serialize on its `block`
+/// mutex, not on a thread.
 pub type SoftTsu<P> = Tsu<P, ReadyQueue>;
 
 /// Shut every queue of `tsu` down so all kernels terminate after draining.

@@ -1,5 +1,5 @@
 //! Execution reports for TFluxSoft runs, and the stall forensics report
-//! assembled when the watchdog fires.
+//! assembled when the watchdog fires or a deadline passes.
 
 use crate::kernel::BodyPanic;
 use crate::tub::TubSnapshot;
@@ -62,7 +62,7 @@ pub struct RunReport {
     pub wall: Duration,
     /// TSU state-machine counters (completions, ready-count updates, …).
     pub tsu: TsuStats,
-    /// TUB contention counters.
+    /// All zero, kept for the frozen bench: leaves with ROADMAP item 1.
     pub tub: TubSnapshot,
     /// Per-kernel counters, indexed by kernel id.
     pub kernels: Vec<KernelStats>,
@@ -126,30 +126,25 @@ impl RunReport {
 
 /// The result of one program's run through a
 /// [`ProgramServer`](crate::server::ProgramServer): the per-tenant analogue
-/// of [`RunReport`]. Kernel threads are shared between tenants in a server,
-/// so there is no per-kernel breakdown here — the execution counters are
-/// aggregated over whichever kernels happened to serve this tenant.
+/// of [`RunReport`], assembled by the same code from the tenant's private
+/// arena — so every counter is exact, not shared with co-resident programs.
 #[derive(Clone, Debug)]
 pub struct TenantReport {
     /// The id the server assigned this program at admission.
     pub id: ProgramId,
     /// Wall-clock duration from admission to the finishing completion.
     pub wall: Duration,
-    /// This tenant's TSU counters (its arena is private, so these are
-    /// exact, not shared with co-resident programs).
+    /// This tenant's TSU counters.
     pub tsu: TsuStats,
     /// Per-shard Synchronization Memory counters of this tenant's arena.
     pub sm_shards: Vec<ShardStats>,
-    /// The arena's TUB counters. Pool kernels complete block transitions
-    /// themselves, so `pushes` stays 0 — the TUB is the arena's error
-    /// latch only, and this field is the checkable form of that claim.
-    pub tub: TubSnapshot,
-    /// DThread instances of this program executed by the kernel pool.
+    /// What each pool kernel did for this tenant, indexed by kernel id
+    /// (`wait_ns` and `blocked_pops` stay 0: pool kernels park on the
+    /// pool's eventcount, never on a tenant's queue).
+    pub kernels: Vec<KernelStats>,
+    /// DThread instances of this program executed by the kernel pool: the
+    /// sum of `kernels[].executed`.
     pub executed: u64,
-    /// Panicked body attempts re-dispatched under the retry policy.
-    pub retries: u64,
-    /// Instances whose completion was withheld after retry exhaustion.
-    pub poisoned: u64,
 }
 
 /// An instance that was dispatched but never completed — the prime suspect
@@ -165,34 +160,45 @@ pub struct InFlightInstance {
     pub kernel: KernelId,
 }
 
-/// Forensic snapshot assembled when the watchdog declares a run stalled.
+/// Why a program was cancelled with a [`StallReport`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum StallCause {
+    /// No DThread completed for the whole watchdog interval.
+    Watchdog,
+    /// The submission's deadline passed; the program may well have been
+    /// making progress.
+    Deadline,
+}
+
+/// Forensic snapshot assembled when the watchdog declares a run stalled or
+/// its deadline cancels it.
 ///
-/// Instead of discarding the runtime state at abort, the emulator walks the
-/// TSU Synchronization Memory and reports *who* is stuck and *why*: every
-/// resident instance still waiting on producers (with its remaining ready
-/// count), every instance dispatched to a kernel that never published a
-/// completion, the ready-queue depths, and the TSU/TUB/kernel counters at
-/// the moment of the stall. Carried by
+/// Instead of discarding the runtime state at abort, the supervisor walks
+/// the TSU Synchronization Memory and reports *who* is stuck and *why*:
+/// every resident instance still waiting on producers (with its remaining
+/// ready count), every instance dispatched to a kernel that never published
+/// a completion, the ready-queue depths, and the TSU/kernel counters at the
+/// moment of the verdict. Carried by
 /// [`RuntimeError::Stalled`](crate::RuntimeError) and pretty-printed by its
 /// [`Display`](fmt::Display) impl.
 #[derive(Clone, Debug)]
 pub struct StallReport {
-    /// How long the emulator saw no completion before giving up.
+    /// What ended the program.
+    pub cause: StallCause,
+    /// How long ago the last completion was seen.
     pub idle: Duration,
     /// TSU counters at the moment of the stall.
     pub stats: TsuStats,
-    /// TUB counters at the moment of the stall.
-    pub tub: TubSnapshot,
     /// Resident instances still waiting on producer completions.
     pub waiting: Vec<WaitingInstance>,
     /// Instances dispatched to a kernel but never completed.
     pub in_flight: Vec<InFlightInstance>,
     /// Ready-queue depth per kernel at the moment of the stall.
     pub queue_depths: Vec<usize>,
-    /// Per-kernel counters, filled in after the kernels are joined.
+    /// Per-kernel counters at the moment of the stall.
     pub kernels: Vec<KernelStats>,
     /// Body panics recorded before the stall (a poisoned producer is the
-    /// most common stall cause), filled in after the kernels are joined.
+    /// most common stall cause).
     pub panics: Vec<BodyPanic>,
 }
 
@@ -200,45 +206,56 @@ pub struct StallReport {
 /// `Display` lists before truncating with an "… and N more" line.
 const STALL_DISPLAY_CAP: usize = 8;
 
+/// One `line` per item, up to [`STALL_DISPLAY_CAP`], then "… and N more".
+fn list<T>(
+    f: &mut fmt::Formatter<'_>,
+    items: &[T],
+    mut line: impl FnMut(&mut fmt::Formatter<'_>, &T) -> fmt::Result,
+) -> fmt::Result {
+    for item in items.iter().take(STALL_DISPLAY_CAP) {
+        line(f, item)?;
+    }
+    match items.len().saturating_sub(STALL_DISPLAY_CAP) {
+        0 => Ok(()),
+        more => writeln!(f, "    … and {more} more"),
+    }
+}
+
+fn plural(n: u64) -> &'static str {
+    if n == 1 {
+        ""
+    } else {
+        "s"
+    }
+}
+
 impl fmt::Display for StallReport {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(
-            f,
-            "run stalled: no completion for {:?} (watchdog fired)",
-            self.idle
-        )?;
+        match self.cause {
+            StallCause::Watchdog => writeln!(
+                f,
+                "run stalled: no completion for {:?} (watchdog fired)",
+                self.idle
+            )?,
+            StallCause::Deadline => writeln!(
+                f,
+                "run cancelled: deadline passed (last completion {:?} ago)",
+                self.idle
+            )?,
+        }
         writeln!(f, "  waiting instances: {}", self.waiting.len())?;
-        for w in self.waiting.iter().take(STALL_DISPLAY_CAP) {
-            writeln!(
-                f,
-                "    {} needs {} more completion{}",
-                w.instance,
-                w.remaining,
-                if w.remaining == 1 { "" } else { "s" }
-            )?;
-        }
-        if self.waiting.len() > STALL_DISPLAY_CAP {
-            writeln!(
-                f,
-                "    … and {} more",
-                self.waiting.len() - STALL_DISPLAY_CAP
-            )?;
-        }
+        list(f, &self.waiting, |f, w| {
+            let (n, s) = (w.remaining, plural(w.remaining as u64));
+            writeln!(f, "    {} needs {n} more completion{s}", w.instance)
+        })?;
         writeln!(
             f,
             "  dispatched but never completed: {}",
             self.in_flight.len()
         )?;
-        for i in self.in_flight.iter().take(STALL_DISPLAY_CAP) {
-            writeln!(f, "    {} on {}", i.instance, i.kernel)?;
-        }
-        if self.in_flight.len() > STALL_DISPLAY_CAP {
-            writeln!(
-                f,
-                "    … and {} more",
-                self.in_flight.len() - STALL_DISPLAY_CAP
-            )?;
-        }
+        list(f, &self.in_flight, |f, i| {
+            writeln!(f, "    {} on {}", i.instance, i.kernel)
+        })?;
         writeln!(f, "  ready-queue depths: {:?}", self.queue_depths)?;
         writeln!(
             f,
@@ -248,38 +265,18 @@ impl fmt::Display for StallReport {
             self.stats.rc_updates,
             self.stats.blocks_loaded
         )?;
-        writeln!(
-            f,
-            "  tub: {} pushes, {} dropped bells",
-            self.tub.pushes, self.tub.dropped_bells
-        )?;
         let poisoned: u64 = self.kernels.iter().map(|k| k.poisoned).sum();
         writeln!(
             f,
-            "  kernels: {} joined, {} poisoned instance{}",
+            "  kernels: {}, {poisoned} poisoned instance{}",
             self.kernels.len(),
-            poisoned,
-            if poisoned == 1 { "" } else { "s" }
+            plural(poisoned)
         )?;
         writeln!(f, "  body panics before the stall: {}", self.panics.len())?;
-        for p in self.panics.iter().take(STALL_DISPLAY_CAP) {
-            writeln!(
-                f,
-                "    {} after {} attempt{}: {}",
-                p.instance,
-                p.attempts,
-                if p.attempts == 1 { "" } else { "s" },
-                p.message
-            )?;
-        }
-        if self.panics.len() > STALL_DISPLAY_CAP {
-            writeln!(
-                f,
-                "    … and {} more",
-                self.panics.len() - STALL_DISPLAY_CAP
-            )?;
-        }
-        Ok(())
+        list(f, &self.panics, |f, p| {
+            let (n, s) = (p.attempts, plural(p.attempts as u64));
+            writeln!(f, "    {} after {n} attempt{s}: {}", p.instance, p.message)
+        })
     }
 }
 
@@ -333,10 +330,10 @@ mod tests {
     #[test]
     fn stall_report_display_names_the_stuck_instances() {
         use tflux_core::ids::{Context, ThreadId};
-        let report = StallReport {
+        let mut report = StallReport {
+            cause: StallCause::Watchdog,
             idle: Duration::from_millis(250),
             stats: TsuStats::default(),
-            tub: TubSnapshot::default(),
             waiting: vec![WaitingInstance {
                 instance: Instance::new(ThreadId(1), Context(0)),
                 remaining: 1,
@@ -357,12 +354,17 @@ mod tests {
             }],
         };
         let text = format!("{report}");
-        assert!(text.contains("run stalled"));
+        assert!(text.starts_with("run stalled: no completion for 250ms (watchdog fired)\n"));
         assert!(text.contains(&format!("{}", Instance::new(ThreadId(1), Context(0)))));
         assert!(text.contains("needs 1 more completion"));
         assert!(text.contains(&format!("on {}", KernelId(2))));
         assert!(text.contains("1 poisoned instance"));
         assert!(text.contains("after 2 attempts: boom"));
+        // a deadline says so instead of blaming a watchdog that never fired
+        report.cause = StallCause::Deadline;
+        let text = format!("{report}");
+        assert!(text.starts_with("run cancelled: deadline passed (last completion 250ms ago)\n"));
+        assert!(!text.contains("watchdog"));
     }
 
     #[test]

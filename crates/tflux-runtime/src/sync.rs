@@ -1,4 +1,5 @@
-//! `std::sync` locking without poisoning, and the server's eventcount.
+//! `std::sync` locking without poisoning, and the eventcount kernels and
+//! supervising threads park on.
 //!
 //! A poisoned mutex only says that some thread panicked while holding it.
 //! Every mutex in this crate guards data that is valid after each

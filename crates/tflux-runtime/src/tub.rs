@@ -7,59 +7,32 @@
 //! available segment using try/lock, a non-blocking technique which locks an
 //! entity only if it is available" — so a kernel stalls only when *every*
 //! segment is busy.
+//!
+//! **Experiment-only.** No run path pushes here: kernels complete every
+//! DThread themselves (`arena.rs`). What is left is what `figures -- tub`
+//! (EXPERIMENTS.md S42) measures — the segmented `try_lock` publish against
+//! a drainer, with its all-busy backoff.
 
-use crate::faults::{FaultInjector, NoFaults};
-use crate::sync::{lock, try_lock, wait_timeout};
+use crate::sync::{lock, try_lock};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Condvar, Mutex};
+use std::sync::Mutex;
 use std::time::Duration;
-use tflux_core::error::CoreError;
 use tflux_core::ids::{Epoch, Instance};
 use tflux_core::rng::mix;
 
-/// Contention counters for the TUB.
-#[derive(Debug, Default)]
-pub struct TubStats {
-    /// Completions published.
-    pub pushes: AtomicU64,
-    /// Segment `try_lock` attempts that found the segment busy.
-    pub busy_hits: AtomicU64,
-    /// Full passes over all segments that found every segment busy
-    /// (the genuine stall case the segmentation is designed to avoid).
-    pub full_spins: AtomicU64,
-    /// Times a pushing kernel gave up spinning on an all-busy TUB and
-    /// parked.
-    pub parks: AtomicU64,
-    /// Emulator wakeup signals suppressed by a fault injector.
-    pub dropped_bells: AtomicU64,
-}
-
-impl TubStats {
-    /// Snapshot the counters into plain integers.
-    pub fn snapshot(&self) -> TubSnapshot {
-        TubSnapshot {
-            pushes: self.pushes.load(Ordering::Relaxed),
-            busy_hits: self.busy_hits.load(Ordering::Relaxed),
-            full_spins: self.full_spins.load(Ordering::Relaxed),
-            parks: self.parks.load(Ordering::Relaxed),
-            dropped_bells: self.dropped_bells.load(Ordering::Relaxed),
-        }
-    }
-}
-
-/// Plain-integer view of [`TubStats`].
+/// Contention counters of a [`Tub`], as [`Tub::stats`] reads them.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct TubSnapshot {
     /// Completions published.
     pub pushes: u64,
-    /// `try_lock` attempts that found a segment busy.
+    /// Segment `try_lock` attempts that found the segment busy.
     pub busy_hits: u64,
-    /// Passes that found all segments busy.
+    /// Full passes over all segments that found every segment busy
+    /// (the genuine stall case the segmentation is designed to avoid).
     pub full_spins: u64,
-    /// Pushes that fell back from spinning to parking.
+    /// Times a pushing kernel gave up spinning on an all-busy TUB and
+    /// parked.
     pub parks: u64,
-    /// Emulator wakeup signals suppressed by a fault injector.
-    pub dropped_bells: u64,
 }
 
 // How a pushing kernel degrades when *every* TUB segment stays busy.
@@ -72,12 +45,8 @@ pub struct TubSnapshot {
 // `MAX_PARK_NS`, shortened by a deterministic per-pass jitter so colliding
 // kernels do not re-collide in lockstep.
 //
-// Constants, not configuration: App completions take the direct path, so
-// the TUB carries two entries per block (its Inlet and its Outlet, and the
-// second becomes ready only after the first is drained). A run's pusher
-// therefore contends with the emulator's drain alone, which holds one
-// segment at a time; no experiment has a schedule to vary. Only a
-// synthetic hammer (`figures -- tub`, the tests below) gets here.
+// Constants, not configuration: only a synthetic hammer (`figures -- tub`,
+// the tests below) gets here, and no experiment has a schedule to vary.
 
 /// Full all-busy passes to spin (with `yield_now`) before parking.
 const FULL_SPIN_LIMIT: u32 = 16;
@@ -107,13 +76,10 @@ pub struct Tub {
     segments: Vec<Mutex<Vec<(Instance, Epoch)>>>,
     /// Round-robin hint so kernels spread over segments.
     next: AtomicUsize,
-    /// Wakes the emulator when entries arrive.
-    signal: Mutex<bool>,
-    bell: Condvar,
-    stats: TubStats,
-    /// First TSU protocol error raised by a kernel on the direct-update
-    /// path; the emulator collects it and aborts the run.
-    error: Mutex<Option<CoreError>>,
+    pushes: AtomicU64,
+    busy_hits: AtomicU64,
+    full_spins: AtomicU64,
+    parks: AtomicU64,
 }
 
 impl Tub {
@@ -123,10 +89,10 @@ impl Tub {
         Tub {
             segments: (0..n).map(|_| Mutex::new(Vec::new())).collect(),
             next: AtomicUsize::new(0),
-            signal: Mutex::new(false),
-            bell: Condvar::new(),
-            stats: TubStats::default(),
-            error: Mutex::new(None),
+            pushes: AtomicU64::new(0),
+            busy_hits: AtomicU64::new(0),
+            full_spins: AtomicU64::new(0),
+            parks: AtomicU64::new(0),
         }
     }
 
@@ -135,27 +101,21 @@ impl Tub {
         self.segments.len()
     }
 
-    /// Contention counters.
-    pub fn stats(&self) -> &TubStats {
-        &self.stats
+    /// Contention counters so far.
+    pub fn stats(&self) -> TubSnapshot {
+        TubSnapshot {
+            pushes: self.pushes.load(Ordering::Relaxed),
+            busy_hits: self.busy_hits.load(Ordering::Relaxed),
+            full_spins: self.full_spins.load(Ordering::Relaxed),
+            parks: self.parks.load(Ordering::Relaxed),
+        }
     }
 
     /// Publish a completed instance with the epoch token it was fetched
     /// under: lock the first available segment via `try_lock`, spinning
-    /// over segments until one is free, then ring the emulator's bell.
+    /// over segments until one is free.
     pub fn push(&self, inst: Instance, epoch: Epoch) {
-        self.push_with(inst, epoch, &NoFaults);
-    }
-
-    /// [`push`](Self::push) with a fault injector consulted at the *TUB
-    /// publish delay* and *dropped bell* sites. The runtime's kernels route
-    /// every completion through here; with [`NoFaults`] it is exactly
-    /// `push`.
-    pub fn push_with<F: FaultInjector>(&self, inst: Instance, epoch: Epoch, injector: &F) {
-        if let Some(d) = injector.tub_publish_delay(inst) {
-            std::thread::sleep(d);
-        }
-        self.stats.pushes.fetch_add(1, Ordering::Relaxed);
+        self.pushes.fetch_add(1, Ordering::Relaxed);
         let n = self.segments.len();
         let start = self.next.fetch_add(1, Ordering::Relaxed) % n;
         let mut offset = 0usize;
@@ -166,16 +126,16 @@ impl Tub {
                 seg.push((inst, epoch));
                 break;
             }
-            self.stats.busy_hits.fetch_add(1, Ordering::Relaxed);
+            self.busy_hits.fetch_add(1, Ordering::Relaxed);
             offset += 1;
             if offset.is_multiple_of(n) {
                 // every segment busy: yield while under the spin limit,
                 // then degrade to exponentially growing, jittered parks
                 // (bounded livelock, desynchronized retries)
-                self.stats.full_spins.fetch_add(1, Ordering::Relaxed);
+                self.full_spins.fetch_add(1, Ordering::Relaxed);
                 all_busy_passes += 1;
                 if all_busy_passes > FULL_SPIN_LIMIT {
-                    self.stats.parks.fetch_add(1, Ordering::Relaxed);
+                    self.parks.fetch_add(1, Ordering::Relaxed);
                     let parked_pass = all_busy_passes - FULL_SPIN_LIMIT - 1;
                     std::thread::park_timeout(park_duration(parked_pass));
                 } else {
@@ -183,18 +143,9 @@ impl Tub {
                 }
             }
         }
-        // ring the emulator's bell — unless the plan drops it (lost wakeup)
-        if injector.drop_bell(inst) {
-            self.stats.dropped_bells.fetch_add(1, Ordering::Relaxed);
-            return;
-        }
-        *lock(&self.signal) = true;
-        self.bell.notify_one();
     }
 
     /// Drain every segment into `out`; returns the number of entries taken.
-    ///
-    /// Called by the TSU Emulator only.
     pub fn drain_into(&self, out: &mut Vec<(Instance, Epoch)>) -> usize {
         let before = out.len();
         for seg in &self.segments {
@@ -202,35 +153,6 @@ impl Tub {
             out.append(&mut seg);
         }
         out.len() - before
-    }
-
-    /// Block until entries may be available or `timeout` elapses.
-    ///
-    /// Spurious wakeups are fine — the emulator re-drains in a loop.
-    pub fn wait(&self, timeout: std::time::Duration) {
-        let mut s = lock(&self.signal);
-        if !*s {
-            s = wait_timeout(&self.bell, s, timeout);
-        }
-        *s = false;
-    }
-
-    /// Wake the emulator regardless of content (used at shutdown).
-    pub fn kick(&self) {
-        *lock(&self.signal) = true;
-        self.bell.notify_all();
-    }
-
-    /// Report a TSU protocol error raised on a kernel's direct path (first
-    /// one wins) and wake the emulator to abort the run.
-    pub fn raise(&self, e: CoreError) {
-        lock(&self.error).get_or_insert(e);
-        self.kick();
-    }
-
-    /// Take the reported protocol error, if any.
-    pub fn take_error(&self) -> Option<CoreError> {
-        lock(&self.error).take()
     }
 }
 
@@ -258,15 +180,6 @@ mod tests {
         assert_eq!(out, (0..10).map(|i| (inst(i, 0), E0)).collect::<Vec<_>>());
         // second drain finds nothing
         assert_eq!(tub.drain_into(&mut out), 0);
-    }
-
-    #[test]
-    fn protocol_error_is_latched_once() {
-        let tub = Tub::new(1);
-        tub.raise(CoreError::NotRunning(inst(1, 0)));
-        tub.raise(CoreError::NotRunning(inst(2, 9)));
-        assert_eq!(tub.take_error(), Some(CoreError::NotRunning(inst(1, 0))));
-        assert_eq!(tub.take_error(), None);
     }
 
     #[test]
@@ -299,7 +212,7 @@ mod tests {
         out.sort();
         out.dedup();
         assert_eq!(out.len(), (threads * per) as usize, "duplicate entries");
-        assert_eq!(tub.stats().snapshot().pushes, (threads * per) as u64);
+        assert_eq!(tub.stats().pushes, (threads * per) as u64);
     }
 
     #[test]
@@ -317,44 +230,13 @@ mod tests {
             };
             let mut got = Vec::new();
             while got.len() < total as usize {
-                tub.wait(std::time::Duration::from_millis(1));
+                std::thread::yield_now();
                 tub.drain_into(&mut got);
             }
             pusher.join().unwrap();
             got
         });
         assert_eq!(collected.len(), total as usize);
-    }
-
-    #[test]
-    fn wait_returns_after_kick() {
-        let tub = Arc::new(Tub::new(1));
-        let t = {
-            let tub = Arc::clone(&tub);
-            std::thread::spawn(move || {
-                tub.wait(std::time::Duration::from_secs(10));
-            })
-        };
-        std::thread::sleep(std::time::Duration::from_millis(10));
-        tub.kick();
-        t.join().unwrap(); // must not take 10s; join succeeding is the test
-    }
-
-    #[test]
-    fn dropped_bell_suppresses_wakeup_but_not_data() {
-        use crate::faults::FaultPlan;
-        let tub = Tub::new(2);
-        let plan = FaultPlan::new(5).dropped_bell(1000);
-        let t0 = std::time::Instant::now();
-        tub.push_with(inst(1, 0), E0, &plan);
-        // the bell was dropped: wait() must time out rather than return
-        // instantly on the signal flag
-        tub.wait(std::time::Duration::from_millis(5));
-        assert!(t0.elapsed() >= std::time::Duration::from_millis(4));
-        // the entry itself is safe in its segment
-        let mut out = Vec::new();
-        assert_eq!(tub.drain_into(&mut out), 1);
-        assert_eq!(tub.stats().snapshot().dropped_bells, 1);
     }
 
     #[test]
@@ -398,7 +280,7 @@ mod tests {
         });
         let mut out = Vec::new();
         assert_eq!(tub.drain_into(&mut out), 800);
-        let snap = tub.stats().snapshot();
+        let snap = tub.stats();
         assert_eq!(snap.pushes, 800);
         // parking only ever follows a counted all-busy pass
         assert!(snap.parks <= snap.full_spins);

@@ -2,8 +2,8 @@
 //! plans.
 //!
 //! The contract under test: whatever a deterministic [`FaultPlan`] throws
-//! at the runtime — injected body panics, delays, kernel stalls, late TUB
-//! publishes, lost emulator wakeups, drain jitter — every run either
+//! at the runtime — injected body panics, delays, kernel stalls, late block
+//! transitions, lost supervisor wakeups, supervisor jitter — every run either
 //! finishes with the correct result or returns a *typed*
 //! [`RuntimeError`], within the watchdog bound. No hangs, no silent
 //! corruption, no unwinding out of `Runtime::run_with`.

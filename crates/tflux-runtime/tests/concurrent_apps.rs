@@ -37,8 +37,9 @@ fn make_submission(idx: u64, faulty: bool) -> (Submission, Arc<AtomicU64>, u64, 
     }
     let expected = expected_checksum(&app);
 
-    // every tenant gets benign fault pressure (delays, stalls, late TUB
-    // publishes); only the seeded-faulty subset gets a targeted panic
+    // every tenant gets benign fault pressure (delays, stalls, late block
+    // transitions, a jittery supervisor that misses rings); only the
+    // seeded-faulty subset gets a targeted panic
     let target = faulty.then(|| {
         let (t, arity) = app[rng.below(app.len() as u64) as usize];
         Instance::new(t, Context(rng.below(arity as u64) as u32))
@@ -46,7 +47,9 @@ fn make_submission(idx: u64, faulty: bool) -> (Submission, Arc<AtomicU64>, u64, 
     let mut plan = FaultPlan::new(mix(idx ^ 0x00FA_CADE))
         .body_delay(rng.below(150) as u32, Duration::from_micros(50))
         .kernel_stall(rng.below(80) as u32, Duration::from_micros(100))
-        .tub_publish_delay(rng.below(150) as u32, Duration::from_micros(30));
+        .tub_publish_delay(rng.below(150) as u32, Duration::from_micros(30))
+        .drain_jitter(rng.below(100) as u32, Duration::from_micros(50))
+        .dropped_bell(rng.below(300) as u32);
     if let Some(t) = target {
         plan = plan.panic_at(t);
     }

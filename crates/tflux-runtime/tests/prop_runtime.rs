@@ -125,9 +125,12 @@ fn large_fan_out_under_contention() {
         .run(&p, &bodies)
         .unwrap();
     assert_eq!(count.load(Ordering::Relaxed), 2000);
-    // App completions take the direct-update path; only the block
-    // transitions (inlet + outlet per block) go through the TUB
-    assert_eq!(report.tub.pushes, 2 * report.tsu.blocks_loaded);
+    // every completion — the block's inlet and outlet included — ran on
+    // the kernel that executed the DThread
+    assert_eq!(
+        report.tsu.completions,
+        2000 + 1 + 2 * report.tsu.blocks_loaded
+    );
 }
 
 #[test]

@@ -39,7 +39,7 @@ fn main() {
         total_ref.put(Context(0), partial_ref.iter().sum());
     });
 
-    // 3. Run on 4 kernel threads (+ the TSU Emulator).
+    // 3. Run on 4 kernel threads (the calling thread supervises).
     let report = Runtime::new(RuntimeConfig::with_kernels(4))
         .run(&program, &bodies)
         .expect("run to completion");
@@ -52,8 +52,10 @@ fn main() {
         report.wall
     );
     println!(
-        "TSU: {} ready-count updates, {} blocks loaded; TUB pushes: {}",
-        report.tsu.rc_updates, report.tsu.blocks_loaded, report.tub.pushes
+        "TSU: {} ready-count updates, {} blocks loaded, {} steals",
+        report.tsu.rc_updates,
+        report.tsu.blocks_loaded,
+        report.total_steals()
     );
     assert_eq!(*total.value(), (0..16u64).map(|i| i * i).sum());
 }

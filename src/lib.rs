@@ -7,8 +7,9 @@
 //!
 //! * [`core`] — the DDM model: DThreads, synchronization graphs, DDM
 //!   blocks, and the target-independent TSU state machine.
-//! * [`runtime`] — TFluxSoft: the real threaded runtime with a software TSU
-//!   Emulator, segmented TUB, and per-kernel Synchronization Memories.
+//! * [`runtime`] — TFluxSoft: the real threaded runtime — kernel threads
+//!   sharing a software TSU, per-kernel Synchronization Memories — and the
+//!   multi-tenant program server.
 //! * [`sim`] — TFluxHard: a deterministic discrete-event multicore
 //!   simulator with MESI caches and a memory-mapped hardware TSU Group.
 //! * [`cell`] — TFluxCell: a simulated Cell/BE (PPE + SPEs, Local Stores,

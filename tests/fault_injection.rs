@@ -43,7 +43,7 @@ fn deterministic_counters(r: &tflux::runtime::RunReport) -> (u64, u64, u64, u64,
         r.tsu.rc_updates,
         r.tsu.blocks_loaded,
         r.tsu.max_resident,
-        r.tub.pushes,
+        r.tsu.epochs,
         r.total_executed(),
     )
 }

@@ -1,6 +1,6 @@
 //! Equivalence of the platforms driving the one `Tsu`: the threaded TFluxSoft path
-//! (kernels post-processing App completions directly through the lock-free
-//! Synchronization Memory + the emulator handling block transitions), the
+//! (kernels post-processing every completion, block transitions included,
+//! directly through the lock-free Synchronization Memory), the
 //! simulated hardware TSU device, and the sequential reference executor
 //! all drive the same `GraphMemory`/`SyncMemory` semantics — so with
 //! stealing off *and* with the shipping default (stealing on) they must
@@ -79,8 +79,8 @@ impl Outcome {
     }
 }
 
-/// TFluxSoft: real kernel threads take the direct-update path for App
-/// completions; the emulator drains Inlet/Outlet transitions from the TUB.
+/// TFluxSoft: real kernel threads take the direct-update path for every
+/// completion, Inlet and Outlet included.
 fn soft_outcome(program: &DdmProgram, cfg: TsuConfig) -> Outcome {
     let bodies = BodyTable::new(program); // no-op bodies: scheduling only
     let (report, spans) = Runtime::new(RuntimeConfig::with_kernels(KERNELS).tsu(cfg))
