@@ -12,17 +12,59 @@
 //! `--check` writes nothing: it is the regression gate the CI bench smoke
 //! job runs. Every pass/fail verdict keys on *deterministic* quantities —
 //! shard counters, simulated cycles, the 64-core NUMA scaling floors, the
-//! access classes of the `memsys` streams and the wake-up counts of the
-//! `server` mix — so the gate's outcome is identical on any host.
+//! access classes of the `memsys` streams, the wake-up counts of the
+//! `server` mix and the allocations of the `construction` row — so the
+//! gate's outcome is identical on any host.
 
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use tflux_bench::json::{Json, ToJson};
 use tflux_bench::tsu_path::{
-    armed, balanced_fanout, complete_interleaved, imbalanced_fanout, measure, measure_stream,
-    memsys_stream, pipeline, reduction, server_mix, sim_makespan, sim_scaling, MemStream,
-    MemsysMeasure, ServerMeasure, SERVER_KERNELS, SERVER_PROGRAMS,
+    armed, balanced_fanout, complete_interleaved, drain_funneled, fanout_reduce, imbalanced_fanout,
+    measure, measure_stream, memsys_stream, pipeline, reduction, server_mix, sim_makespan,
+    sim_scaling, MemStream, MemsysMeasure, ServerMeasure, SERVER_KERNELS, SERVER_PROGRAMS,
 };
+use tflux_core::tsu::{SyncMemory, TsuConfig};
+use tflux_runtime::SoftTsu;
 use tflux_sim::MachineConfig;
 use tflux_workloads::Bench;
+
+/// The system allocator, counting. This binary is the one place in the
+/// workspace with an `unsafe impl` (every library crate forbids `unsafe`):
+/// allocation counts are host-independent, so a gate can key on them.
+struct Counting;
+
+static ALLOC_CALLS: AtomicU64 = AtomicU64::new(0);
+static ALLOC_BYTES: AtomicU64 = AtomicU64::new(0);
+
+// SAFETY: every method forwards to `System` unchanged; `realloc` keeps its
+// default, which goes through `alloc` and `dealloc` below and is counted.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOC_CALLS.fetch_add(1, Relaxed);
+        ALLOC_BYTES.fetch_add(layout.size() as u64, Relaxed);
+        System.alloc(layout)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: Counting = Counting;
+
+/// `(calls, bytes)` allocated by this thread of control while `f` ran
+/// (nothing else runs meanwhile: the callers are single-threaded).
+fn allocations<R>(f: impl FnOnce() -> R) -> (R, u64, u64) {
+    let (calls, bytes) = (ALLOC_CALLS.load(Relaxed), ALLOC_BYTES.load(Relaxed));
+    let r = f();
+    (
+        r,
+        ALLOC_CALLS.load(Relaxed) - calls,
+        ALLOC_BYTES.load(Relaxed) - bytes,
+    )
+}
 
 const ARITY: u32 = 4096;
 const KERNELS: [u32; 4] = [1, 2, 4, 8];
@@ -240,6 +282,63 @@ impl ToJson for ServerRow {
     }
 }
 
+/// What building a `SoftTsu` for `fanout_reduce` at 2 kernels allocates,
+/// and what draining it allocates per instance — counted, not timed, and
+/// identical on any host, which is what `--check` gates. `sm_table_bytes`
+/// is the ready-count slab, O(instances) by definition; the rest of
+/// `bytes` — queue units, counter rows — must not grow with the block.
+#[derive(Clone, Copy, PartialEq, Eq)]
+struct ConstructionRow {
+    instances: u64,
+    alloc_calls: u64,
+    bytes: u64,
+    sm_table_bytes: u64,
+    drain_alloc_calls: u64,
+}
+
+/// Ceiling on construction bytes beyond the ready-count table.
+const CONSTRUCTION_CEILING: u64 = 256 << 10;
+
+impl ConstructionRow {
+    const KERNELS: u32 = 2;
+
+    fn measure() -> Self {
+        let program = fanout_reduce();
+        let (_, _, sm_table_bytes) = allocations(|| SyncMemory::new(&program, Self::KERNELS, 0));
+        let (tsu, alloc_calls, bytes) =
+            allocations(|| SoftTsu::with_queue_unit(&program, Self::KERNELS, TsuConfig::default()));
+        let (instances, drain_alloc_calls, _) = allocations(|| drain_funneled(&tsu));
+        ConstructionRow {
+            instances,
+            alloc_calls,
+            bytes,
+            sm_table_bytes,
+            drain_alloc_calls,
+        }
+    }
+
+    fn beyond_table_bytes(&self) -> u64 {
+        self.bytes - self.sm_table_bytes
+    }
+}
+
+impl ToJson for ConstructionRow {
+    fn to_json(&self) -> Json {
+        let per_instance = self.drain_alloc_calls as f64 / self.instances as f64;
+        Json::obj([
+            ("shape", "fanout_reduce_8x8192".to_json()),
+            ("kernels", Self::KERNELS.to_json()),
+            ("instances", self.instances.to_json()),
+            ("alloc_calls", self.alloc_calls.to_json()),
+            ("bytes", self.bytes.to_json()),
+            ("sm_table_bytes", self.sm_table_bytes.to_json()),
+            ("beyond_table_bytes", self.beyond_table_bytes().to_json()),
+            ("drain_alloc_calls", self.drain_alloc_calls.to_json()),
+            ("drain_allocs_per_instance", per_instance.to_json()),
+        ])
+    }
+}
+
 struct Report {
     bench: &'static str,
     regenerate: &'static str,
@@ -254,6 +353,7 @@ struct Report {
     scaling: Vec<ScalingRow>,
     memsys: Vec<MemsysRow>,
     server: Vec<ServerRow>,
+    construction: Vec<ConstructionRow>,
 }
 
 impl ToJson for Report {
@@ -272,6 +372,7 @@ impl ToJson for Report {
             ("scaling", self.scaling.to_json()),
             ("memsys", self.memsys.to_json()),
             ("server", self.server.to_json()),
+            ("construction", self.construction.to_json()),
         ])
     }
 }
@@ -280,11 +381,11 @@ impl ToJson for Report {
 /// `memsys.host_ns_per_access` and `server.host_us_per_program` are wall
 /// clock and depend on the host; `steal`, `scaling` and the other `memsys`
 /// columns are simulated and the other `server` columns are counts fixed
-/// by the mix, identical on any host.
+/// by the mix and `construction` counts allocations, identical on any host.
 const WALL_CLOCK_NOTE: &str = "rows/speedups/funnel/streaming ns fields, memsys \
      host_ns_per_access and server host_us_per_program are wall clock and vary with the host; \
      steal, scaling and the other memsys columns are simulated, the other server columns are \
-     counts fixed by the mix, host-independent";
+     counts fixed by the mix, construction counts allocations, host-independent";
 
 /// Machine presets the scaling section sweeps: the paper's flat UMA
 /// board and the 64-core 4-node NUMA part.
@@ -434,8 +535,8 @@ fn server_row() -> ServerRow {
 /// The CI smoke. Every gate keys on deterministic quantities — shard
 /// counters and simulated cycles: the funnel line-transfer cut, streaming
 /// epoch progress, the work-stealing makespans, the 64-core NUMA scaling
-/// floors, the memory-system streams' access classes and the server mix's
-/// wake-up counts.
+/// floors, the memory-system streams' access classes, the server mix's
+/// wake-up counts and what constructing a `SoftTsu` allocates.
 fn check() -> ! {
     let k = *KERNELS.last().unwrap();
     let f = funnel_row(k);
@@ -570,10 +671,33 @@ fn check() -> ! {
         eprintln!("FAIL: two runs of the server mix disagree on a count");
         std::process::exit(1);
     }
+    // construction gate: queue units start small whatever the block, and
+    // the counts repeat exactly
+    let (a, b) = (ConstructionRow::measure(), ConstructionRow::measure());
+    println!(
+        "bench_tsu --check construction (fanout_reduce, {} kernels): {} bytes in {} \
+         allocations, {} of them beyond the {}-byte ready-count table; {} allocations \
+         draining {} instances",
+        ConstructionRow::KERNELS,
+        a.bytes,
+        a.alloc_calls,
+        a.beyond_table_bytes(),
+        a.sm_table_bytes,
+        a.drain_alloc_calls,
+        a.instances
+    );
+    if a.beyond_table_bytes() > CONSTRUCTION_CEILING {
+        eprintln!("FAIL: a SoftTsu allocates more than 256 KiB beyond its ready-count table");
+        std::process::exit(1);
+    }
+    if a != b {
+        eprintln!("FAIL: two constructions and drains disagree on an allocation count");
+        std::process::exit(1);
+    }
     println!(
         "OK: completion funnel, epoch streaming, work-stealing, 64-core simulated \
-         scaling, memsys access classes and server wake-up counts hold (gates are \
-         host-independent counters and simulated cycles)"
+         scaling, memsys access classes, server wake-up counts and construction \
+         allocations hold (gates are host-independent counters and simulated cycles)"
     );
     std::process::exit(0);
 }
@@ -619,6 +743,7 @@ fn main() {
         .collect();
     let memsys = MemStream::ALL.map(memsys_row).into();
     let server = vec![server_row()];
+    let construction = vec![ConstructionRow::measure()];
     let report = Report {
         bench: "tsu_completion_path",
         regenerate: "cargo run --release -p tflux-bench --bin bench_tsu",
@@ -635,6 +760,7 @@ fn main() {
         scaling,
         memsys,
         server,
+        construction,
     };
     let json = report.to_json().pretty();
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_tsu.json");

@@ -149,7 +149,18 @@ fn calibrate() {
     println!("this runtime, this host : {ns:.0} ns/DThread ({cycles} cycles at {ghz} GHz)");
     println!("paper-2008 cost model   : {modeled} cycles/DThread (2*access + 2*op + kernel)");
     println!("the Fig. 6 model is calibrated to the paper's 2008 pthread runtime;");
-    println!("this Rust runtime's transition path is considerably cheaper\n");
+    println!("this Rust runtime's transition path is considerably cheaper");
+    let host = tflux_bench::figures::host_capacity();
+    println!(
+        "parallel capacity       : {:.2} cores (multiply-bound loop: {:.0} ms on 1 thread, {:.0} ms each on 2)",
+        host.parallel_capacity(),
+        host.one_thread_ms,
+        host.two_threads_ms
+    );
+    let [alone, beside, shared] = host.fetch_add_ns;
+    println!(
+        "fetch_add               : {alone:.1} ns alone, {beside:.1} ns beside a sibling on another line, {shared:.1} ns on the same line\n"
+    );
 }
 
 fn tub() {

@@ -387,6 +387,83 @@ pub fn calibrate_soft_overhead(ghz: f64) -> (f64, u64, u64) {
     (ns_per, measured_cycles, modeled)
 }
 
+/// What this host can give a second kernel, measured — the micro-costs the
+/// native numbers in EXPERIMENTS.md are to be read against.
+#[derive(Clone, Copy, Debug)]
+pub struct HostCapacity {
+    /// Milliseconds one thread takes for a fixed multiply-bound loop.
+    pub one_thread_ms: f64,
+    /// Milliseconds two threads take for that loop *each*. Equal to
+    /// `one_thread_ms` on two real cores; twice it when the two hardware
+    /// threads share one core's multiplier.
+    pub two_threads_ms: f64,
+    /// Nanoseconds per `fetch_add`: one thread alone, beside a sibling
+    /// hammering another cache line, beside one hammering the same line.
+    pub fetch_add_ns: [f64; 3],
+}
+
+impl HostCapacity {
+    /// Parallel capacity in cores: 2.0 means a second kernel doubles
+    /// throughput-bound work, 1.0 that it only overlaps latencies.
+    pub fn parallel_capacity(&self) -> f64 {
+        2.0 * self.one_thread_ms / self.two_threads_ms
+    }
+}
+
+/// **Host capacity** — best of 3 of each probe (see [`HostCapacity`]).
+pub fn host_capacity() -> HostCapacity {
+    use std::hint::black_box;
+    use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
+    use std::time::Instant;
+    #[repr(align(128))]
+    struct Line(AtomicU64);
+    /// Four independent multiply chains — one multiply issued per cycle,
+    /// which saturates the multiplier from one hardware thread. (The
+    /// rotate keeps the compiler from folding consecutive multiplies.)
+    fn multiply(iters: u64) {
+        let mut x = [3u64, 5, 7, 11];
+        for _ in 0..iters {
+            for v in &mut x {
+                *v = v.wrapping_mul(0x9E37_79B9_7F4A_7C15).rotate_left(7);
+            }
+        }
+        black_box(x);
+    }
+    /// Best-of-3 milliseconds of `threads` threads each running `work`.
+    fn best_ms(threads: usize, work: impl Fn(usize) + Sync) -> f64 {
+        let run = || {
+            let t = Instant::now();
+            std::thread::scope(|s| {
+                for k in 1..threads {
+                    let work = &work;
+                    s.spawn(move || work(k));
+                }
+                work(0);
+            });
+            t.elapsed().as_secs_f64() * 1e3
+        };
+        (0..3).map(|_| run()).fold(f64::INFINITY, f64::min)
+    }
+    const MULS: u64 = 40_000_000;
+    const ADDS: u64 = 4_000_000;
+    let lines = [Line(AtomicU64::new(0)), Line(AtomicU64::new(0))];
+    let hammer = |line: &Line| {
+        for _ in 0..ADDS {
+            line.0.fetch_add(1, Relaxed);
+        }
+    };
+    let ns_per_add = |ms: f64| ms * 1e6 / ADDS as f64;
+    HostCapacity {
+        one_thread_ms: best_ms(1, |_| multiply(MULS)),
+        two_threads_ms: best_ms(2, |_| multiply(MULS)),
+        fetch_add_ns: [
+            ns_per_add(best_ms(1, |_| hammer(&lines[0]))),
+            ns_per_add(best_ms(2, |k| hammer(&lines[k]))),
+            ns_per_add(best_ms(2, |_| hammer(&lines[0]))),
+        ],
+    }
+}
+
 /// **§4.2 ablation** — Thread-to-Update-Buffer contention on this host:
 /// 4 real pusher threads publish 2 000 completions each while a drainer
 /// empties the TUB, over 1, 2, 4 and 8 segments. The segmented `try_lock`

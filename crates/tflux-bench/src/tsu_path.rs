@@ -43,13 +43,13 @@ pub fn armed(program: &DdmProgram, kernels: u32) -> (SyncMemory<&DdmProgram>, Ve
     let sm = SyncMemory::new(program, kernels, 0);
     let mut ready = Vec::new();
     let inlet = sm.armed_inlet();
-    let ep = sm.dispatch(inlet).expect("inlet dispatch");
-    sm.complete(inlet, ep, &mut ready)
+    let ep = sm.dispatch(Some(K0), inlet).expect("inlet dispatch");
+    sm.complete(K0, inlet, ep, &mut ready)
         .expect("inlet completion");
     // the block is loaded; `ready` holds the zero-ready-count first stage
     let work = ready.clone();
     for &i in &work {
-        sm.dispatch(i).expect("work dispatch");
+        sm.dispatch(Some(K0), i).expect("work dispatch");
     }
     (sm, work)
 }
@@ -57,12 +57,16 @@ pub fn armed(program: &DdmProgram, kernels: u32) -> (SyncMemory<&DdmProgram>, Ve
 /// The epoch token of the one-shot measured pass.
 const E0: Epoch = Epoch(0);
 
+/// The kernel a single drainer acts as.
+const K0: KernelId = KernelId(0);
+
 /// Complete every instance from one thread — the pre-split model where a
 /// single TSU owner performs all ready-count updates.
 pub fn complete_serialized(sm: &SyncMemory<&DdmProgram>, work: &[Instance]) {
     let mut out = Vec::new();
     for &i in work {
-        sm.complete(i, E0, &mut out).expect("serialized completion");
+        sm.complete(K0, i, E0, &mut out)
+            .expect("serialized completion");
     }
 }
 
@@ -81,7 +85,8 @@ pub fn complete_sharded(sm: &SyncMemory<&DdmProgram>, work: &[Instance], kernels
             s.spawn(move || {
                 let mut out = Vec::new();
                 for i in mine {
-                    sm.complete(i, E0, &mut out).expect("sharded completion");
+                    sm.complete(KernelId(k), i, E0, &mut out)
+                        .expect("sharded completion");
                 }
             });
         }
@@ -153,10 +158,10 @@ pub fn complete_interleaved(
             }
             let hi = (c + batch).min(by_k[k].len());
             if batch == 1 {
-                sm.complete(by_k[k][c], E0, &mut out)
+                sm.complete(KernelId(k as u32), by_k[k][c], E0, &mut out)
                     .expect("direct completion");
             } else {
-                sm.complete_batch(&by_k[k][c..hi], E0, &mut out)
+                sm.complete_batch(KernelId(k as u32), &by_k[k][c..hi], E0, &mut out)
                     .expect("batched completion");
             }
             cursor[k] = hi;
@@ -220,9 +225,9 @@ pub fn measure_stream(program: &DdmProgram, kernels: u32, epochs: u64) -> Stream
     let t = Instant::now();
     for e in 0..epochs {
         while let Some(i) = frontier.pop() {
-            let ep = sm.dispatch(i).expect("stream dispatch");
+            let ep = sm.dispatch(Some(K0), i).expect("stream dispatch");
             assert_eq!(ep.0, e, "instance dispatched under the wrong epoch");
-            sm.complete(i, ep, &mut out).expect("stream completion");
+            sm.complete(K0, i, ep, &mut out).expect("stream completion");
             frontier.append(&mut out);
         }
         assert!(sm.finished(), "pass did not drain");
@@ -248,6 +253,59 @@ pub fn measure_stream(program: &DdmProgram, kernels: u32, epochs: u64) -> Stream
         "cross-epoch ready-count corruption: completions diverged"
     );
     measured
+}
+
+/// `bench_e2e`'s `fanout_reduce` shape: 8 threads × 8192 into one
+/// Reduction sink, a 65 539-instance block — the widest the runtime is
+/// benchmarked on, so the shape its construction cost is gated on.
+pub fn fanout_reduce() -> DdmProgram {
+    let mut b = ProgramBuilder::new();
+    let blk = b.block();
+    let fans: Vec<ThreadId> = (0..8)
+        .map(|_| b.thread(blk, ThreadSpec::new("fan", 8192)))
+        .collect();
+    let sink = b.thread(blk, ThreadSpec::scalar("sink"));
+    for fan in fans {
+        b.arc(fan, sink, ArcMapping::Reduction).unwrap();
+    }
+    b.build().unwrap()
+}
+
+/// Drain `tsu` the way kernel threads do — a funnel per kernel, flushed
+/// when full, before a block transition and before conceding a wait — with
+/// the calling thread playing every kernel in turn, so the run (and every
+/// allocation in it) repeats exactly. Returns the instances completed.
+pub fn drain_funneled(tsu: &tflux_runtime::SoftTsu<&DdmProgram>) -> u64 {
+    use tflux_core::tsu::{CompletionFunnel, FetchResult};
+    let kernels = tsu.kernels();
+    let mut funnels: Vec<_> = (0..kernels)
+        .map(|_| CompletionFunnel::new(tsu.flush_policy()))
+        .collect();
+    let mut scratch = Vec::new();
+    let (mut done, mut idle) = (0u64, 0u32);
+    for k in (0..kernels).cycle() {
+        let (kernel, funnel) = (KernelId(k), &mut funnels[k as usize]);
+        match tsu.fetch(kernel).expect("fetch") {
+            FetchResult::Thread(i, ep) => {
+                (done, idle) = (done + 1, 0);
+                if funnel.batching() && tsu.graph().kind(i.thread) == ThreadKind::App {
+                    if funnel.push(i, ep) {
+                        funnel.flush(kernel, tsu, &mut scratch).expect("flush");
+                    }
+                } else {
+                    funnel.flush(kernel, tsu, &mut scratch).expect("flush");
+                    tsu.complete(kernel, i, ep, &mut scratch).expect("complete");
+                }
+            }
+            FetchResult::Wait => {
+                funnel.flush(kernel, tsu, &mut scratch).expect("flush");
+                idle += 1;
+                assert!(idle <= 2 * kernels, "no kernel can make progress");
+            }
+            FetchResult::Exit => break,
+        }
+    }
+    done
 }
 
 /// Imbalanced fanout: every `work` instance is pinned to kernel 0 — one
@@ -636,6 +694,17 @@ mod tests {
         // every update went through a shard
         let updates: u64 = sm.shard_stats().iter().map(|s| s.rc_updates).sum();
         assert_eq!(updates, sm.stats().rc_updates);
+    }
+
+    #[test]
+    fn funneled_drain_runs_every_instance_of_the_fanout() {
+        let p = fanout_reduce();
+        assert_eq!(p.total_instances(), 8 * 8192 + 3);
+        let tsu = tflux_runtime::SoftTsu::with_queue_unit(&p, 2, Default::default());
+        assert_eq!(drain_funneled(&tsu) as usize, p.total_instances());
+        let s = tsu.stats();
+        assert_eq!(s.completions as usize, p.total_instances());
+        assert!(s.rc_rmws < s.rc_updates, "the hot sink must be funneled");
     }
 
     #[test]

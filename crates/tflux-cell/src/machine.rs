@@ -258,7 +258,7 @@ impl CellMachine {
                         if funnel.push(inst, epoch) {
                             cost += self.cfg.ppe_op;
                             funnel
-                                .flush(&tsu, &mut ready_buf)
+                                .flush(KernelId(spe), &tsu, &mut ready_buf)
                                 .map_err(CellError::Protocol)?;
                         }
                     } else {
@@ -267,11 +267,11 @@ impl CellMachine {
                         if !funnel.is_empty() {
                             cost += self.cfg.ppe_op;
                             funnel
-                                .flush(&tsu, &mut ready_buf)
+                                .flush(KernelId(spe), &tsu, &mut ready_buf)
                                 .map_err(CellError::Protocol)?;
                         }
                         cost += self.cfg.ppe_op;
-                        tsu.complete(inst, epoch, &mut ready_buf)
+                        tsu.complete(KernelId(spe), inst, epoch, &mut ready_buf)
                             .map_err(CellError::Protocol)?;
                     }
                     let mut done = start + cost;
@@ -317,7 +317,7 @@ impl CellMachine {
                             ppe_busy += self.cfg.ppe_op;
                             done = ppe_free;
                             funnel
-                                .flush(&tsu, &mut ready_buf)
+                                .flush(KernelId(spe), &tsu, &mut ready_buf)
                                 .map_err(CellError::Protocol)?;
                         }
                     }

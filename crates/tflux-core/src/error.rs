@@ -1,6 +1,6 @@
 //! Error types for program construction and TSU operation.
 
-use crate::ids::{BlockId, Epoch, Instance, ThreadId};
+use crate::ids::{BlockId, Epoch, Instance, KernelId, ThreadId};
 use std::fmt;
 
 /// Errors raised while building or executing a DDM program.
@@ -90,6 +90,16 @@ pub enum CoreError {
         /// Resident instances still waiting on producers.
         waiting: usize,
     },
+    /// A fetch or completion named a kernel the TSU does not serve. Every
+    /// kernel id owns one queue unit and one single-writer counter row;
+    /// serving a stranger from somebody else's would put two owners on one
+    /// Chase-Lev deque.
+    UnknownKernel {
+        /// The id that was presented.
+        kernel: KernelId,
+        /// Kernels the TSU serves: valid ids are `0..kernels`.
+        kernels: u32,
+    },
 }
 
 impl fmt::Display for CoreError {
@@ -151,6 +161,9 @@ impl fmt::Display for CoreError {
                 f,
                 "no kernel can make progress: every queue is empty with {waiting} instances waiting"
             ),
+            CoreError::UnknownKernel { kernel, kernels } => {
+                write!(f, "{kernel} is not one of this TSU's {kernels} kernels")
+            }
         }
     }
 }

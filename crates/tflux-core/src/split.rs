@@ -228,7 +228,9 @@ mod tests {
             FetchResult::Thread(i, ep) => (i, ep),
             other => panic!("{other:?}"),
         };
-        assert!(tsu.complete(inlet, ep, &mut Vec::new()).is_err());
+        assert!(tsu
+            .complete(KernelId(0), inlet, ep, &mut Vec::new())
+            .is_err());
 
         // ...and drains completely after splitting
         let (q, _) = split_for_capacity(&p, 12).unwrap();

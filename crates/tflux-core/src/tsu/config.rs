@@ -164,17 +164,17 @@ pub struct TsuStats {
 }
 
 /// Per-kernel Synchronization Memory counters: the table is one slab, and
-/// a "shard" is the traffic attributed to the owning kernel of each
-/// instance. Evenly spread `rc_updates` with low `contended` means
-/// completions rarely collided on the same slot.
+/// a "shard" is the traffic one kernel applied to it — the row only that
+/// kernel writes. Low `contended` against `rc_rmws` means completions
+/// rarely collided on the same slot.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ShardStats {
-    /// Logical ready-count decrements applied to this kernel's instances.
+    /// Logical ready-count decrements this kernel applied.
     pub rc_updates: u64,
-    /// Physical ready-count RMWs issued against this kernel's instances
-    /// (`<= rc_updates` once batching combines decrements).
+    /// Physical ready-count RMWs this kernel issued (`<= rc_updates` once
+    /// batching combines decrements).
     pub rc_rmws: u64,
-    /// Contention events on this kernel's instances: CAS retries on state
+    /// Contention events this kernel met: CAS retries on state
     /// transitions plus cross-kernel ready-count line transfers.
     pub contended: u64,
 }

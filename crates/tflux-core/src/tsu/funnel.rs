@@ -16,7 +16,7 @@
 //! Cell machine.
 
 use crate::error::CoreError;
-use crate::ids::{Epoch, Instance};
+use crate::ids::{Epoch, Instance, KernelId};
 
 use super::config::FlushPolicy;
 use super::gm::ProgramHandle;
@@ -94,13 +94,15 @@ impl CompletionFunnel {
         self.pending.len() >= self.batch
     }
 
-    /// Hand everything parked to `tsu` as one batch; newly-ready
+    /// Hand everything parked to `tsu` as one batch performed by
+    /// `kernel`, the kernel this funnel belongs to; newly-ready
     /// instances land in `ready` (cleared first; cleared even when the
     /// funnel is empty, so callers can rely on it). On error the funnel
     /// is left empty — the TSU has poisoned itself and replaying the
     /// batch would only fail again.
     pub fn flush<P: ProgramHandle, Q: QueueUnit>(
         &mut self,
+        kernel: KernelId,
         tsu: &Tsu<P, Q>,
         ready: &mut Vec<Instance>,
     ) -> Result<(), CoreError> {
@@ -108,7 +110,7 @@ impl CompletionFunnel {
             ready.clear();
             return Ok(());
         }
-        let result = tsu.complete_batch(&self.pending, self.epoch, ready);
+        let result = tsu.complete_batch(kernel, &self.pending, self.epoch, ready);
         self.pending.clear();
         result
     }
@@ -117,7 +119,7 @@ impl CompletionFunnel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ids::{Context, KernelId, ThreadId};
+    use crate::ids::{Context, ThreadId};
     use crate::mapping::ArcMapping;
     use crate::program::ProgramBuilder;
     use crate::thread::ThreadSpec;
@@ -166,7 +168,7 @@ mod tests {
         let FetchResult::Thread(inlet, ep) = tsu.fetch(KernelId(0)).unwrap() else {
             panic!("inlet not ready");
         };
-        tsu.complete(inlet, ep, &mut ready).unwrap();
+        tsu.complete(KernelId(0), inlet, ep, &mut ready).unwrap();
         for _ in 0..4 {
             let FetchResult::Thread(i, ep) = tsu.fetch(KernelId(0)).unwrap() else {
                 panic!("work not ready");
@@ -174,7 +176,7 @@ mod tests {
             let _ = f.push(i, ep);
         }
         assert_eq!(f.pending().len(), 4);
-        f.flush(&tsu, &mut ready).unwrap();
+        f.flush(KernelId(0), &tsu, &mut ready).unwrap();
         assert!(f.is_empty());
         // the flush published the sink onto the TSU's queues
         let FetchResult::Thread(sink, _) = tsu.fetch(KernelId(0)).unwrap() else {
@@ -183,7 +185,7 @@ mod tests {
         assert_eq!(sink.thread, ThreadId(1));
         // flushing an empty funnel is a no-op that still clears `ready`
         ready.push(sink);
-        f.flush(&tsu, &mut ready).unwrap();
+        f.flush(KernelId(0), &tsu, &mut ready).unwrap();
         assert!(ready.is_empty());
     }
 }

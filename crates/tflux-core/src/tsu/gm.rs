@@ -42,8 +42,7 @@ impl ProgramHandle for std::sync::Arc<DdmProgram> {
 /// A `GraphMemory` is a cheap handle (`Copy` when the program handle is,
 /// i.e. for borrowed programs): it holds the program and carries the kernel
 /// count, which together determine the *owning kernel* of every instance
-/// ([`owner_of`](Self::owner_of)) — the key the Synchronization Memory
-/// shards by and the queue units index by.
+/// ([`owner_of`](Self::owner_of)) — the key the queue units index by.
 #[derive(Clone, Copy)]
 pub struct GraphMemory<P: ProgramHandle> {
     program: P,
@@ -73,8 +72,8 @@ impl<P: ProgramHandle> GraphMemory<P> {
     }
 
     /// The kernel an instance is placed on (its affinity resolved against
-    /// the kernel count). This is both the locality hint for queueing and
-    /// the Synchronization Memory shard key.
+    /// the kernel count): the queue unit a ready instance is pushed on,
+    /// and the `updater` identity of the line-transfer statistic.
     #[inline]
     pub fn owner_of(&self, i: Instance) -> KernelId {
         self.program.get().kernel_of(i, self.kernels)

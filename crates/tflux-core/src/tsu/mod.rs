@@ -12,14 +12,17 @@
 //! * a [`QueueUnit`] per kernel — [`StealDeque`], a Chase-Lev
 //!   work-stealing deque of ready instances, or the threaded runtime's
 //!   blocking `ReadyQueue` built on it; idle kernels steal the oldest
-//!   entry of a sibling.
+//!   entry of a sibling. A unit is told when a push comes from its own
+//!   kernel, so that push need not leave it.
 //!
 //! [`Tsu`] composes the three, once. Every operation takes `&self` (the
 //! units are lock-free), so the same state machine is driven by one owner
 //! in the deterministic platforms and the reference executor
 //! ([`drain_sequential`]) and shared by `&` between kernel threads in
 //! TFluxSoft. The queue unit is the only parameter — which is what keeps
-//! TFluxSoft, TFluxHard and TFluxCell directly comparable.
+//! TFluxSoft, TFluxHard and TFluxCell directly comparable. Every fetch and
+//! completion names the kernel performing it: that selects the queue unit
+//! it owns and the counter row only it writes, here and in the SM.
 
 mod config;
 mod funnel;
@@ -45,9 +48,8 @@ use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 /// backoff. Written only by the thread driving that kernel id, so every
 /// update is a `Relaxed` load + store, never an RMW — the single-owner
 /// device models pay no locked instruction for it, and the values publish
-/// no other data. (Kernel ids past the configured count share the last
-/// slot; a racing pair can then lose a count, nothing more.) One cache
-/// line per kernel, so idle kernels do not false-share.
+/// no other data. One cache line per kernel, so idle kernels do not
+/// false-share.
 #[derive(Default)]
 #[repr(align(64))]
 struct KernelSlot {
@@ -128,7 +130,7 @@ impl<P: ProgramHandle, Q: QueueUnit> Tsu<P, Q> {
         let gm = sm.graph();
         let kernels = gm.kernels();
         // the resident bound, + slack for the re-armed inlet of the next
-        // streaming pass: a bounded unit of this size never overflows
+        // streaming pass: the most a unit can ever hold
         let cap = gm.program().max_block_instances() + 2;
         let tsu = Tsu {
             flush: config.flush.resolve(gm.program(), kernels),
@@ -142,7 +144,7 @@ impl<P: ProgramHandle, Q: QueueUnit> Tsu<P, Q> {
         // a fresh Synchronization Memory is unpoisoned and holds exactly
         // the armed inlet resident, so this cannot fail; were that ever
         // broken, the latched poison makes the first fetch report it
-        if tsu.publish(&[tsu.sm.armed_inlet()]).is_err() {
+        if tsu.publish(None, &[tsu.sm.armed_inlet()]).is_err() {
             tsu.sm.poison();
         }
         tsu
@@ -167,12 +169,6 @@ impl<P: ProgramHandle, Q: QueueUnit> Tsu<P, Q> {
     /// own; stall forensics read the depths.
     pub fn queues(&self) -> &[Q] {
         &self.queues
-    }
-
-    /// The index of the queue unit `kernel` consumes (its Local TSU);
-    /// kernel ids past the count are served from the last unit.
-    pub fn queue_index(&self, kernel: KernelId) -> usize {
-        kernel.idx().min(self.queues.len() - 1)
     }
 
     /// Whether idle kernels steal from sibling queue units.
@@ -227,11 +223,14 @@ impl<P: ProgramHandle, Q: QueueUnit> Tsu<P, Q> {
     /// kernel; the Synchronization Memory fields are zero.
     pub fn kernel_stats(&self, kernel: KernelId) -> TsuStats {
         let mut s = TsuStats::default();
-        self.slot(kernel).add_to(&mut s);
+        if let Ok(slot) = self.slot(kernel) {
+            slot.add_to(&mut s);
+        }
         s
     }
 
-    /// Per-shard Synchronization Memory counters, indexed by owning kernel.
+    /// Per-kernel Synchronization Memory counters, indexed by the kernel
+    /// that applied the updates.
     pub fn shard_stats(&self) -> Vec<ShardStats> {
         self.sm.shard_stats()
     }
@@ -251,16 +250,26 @@ impl<P: ProgramHandle, Q: QueueUnit> Tsu<P, Q> {
         self.sm.poison();
     }
 
-    fn slot(&self, kernel: KernelId) -> &KernelSlot {
-        &self.slots[kernel.idx().min(self.slots.len() - 1)]
+    /// `kernel`'s scheduler state, or [`CoreError::UnknownKernel`]: an id
+    /// past the count has no queue unit and no counter row of its own.
+    fn slot(&self, kernel: KernelId) -> Result<&KernelSlot, CoreError> {
+        self.slots
+            .get(kernel.idx())
+            .ok_or(CoreError::UnknownKernel {
+                kernel,
+                kernels: self.kernels(),
+            })
     }
 
     /// Dispatch every newly-ready instance and push it on its owning
-    /// kernel's queue unit (Thread Indexing via Graph Memory).
-    fn publish(&self, ready: &[Instance]) -> Result<(), CoreError> {
+    /// kernel's queue unit (Thread Indexing via Graph Memory). `by` is
+    /// the kernel whose completion readied them, `None` for a caller that
+    /// is no kernel.
+    fn publish(&self, by: Option<KernelId>, ready: &[Instance]) -> Result<(), CoreError> {
         for &i in ready {
-            let ep = self.sm.dispatch(i)?;
-            self.queues[self.gm.owner_of(i).idx()].push(i, ep);
+            let ep = self.sm.dispatch(by, i)?;
+            let owner = self.gm.owner_of(i);
+            self.queues[owner.idx()].push(i, ep, by == Some(owner));
         }
         Ok(())
     }
@@ -269,7 +278,8 @@ impl<P: ProgramHandle, Q: QueueUnit> Tsu<P, Q> {
     /// first, then (if stealing is on) a steal. Non-blocking — `Wait`
     /// means nothing is runnable anywhere right now. Fails with
     /// [`CoreError::SmPoisoned`] when the Synchronization Memory can no
-    /// longer be trusted.
+    /// longer be trusted, [`CoreError::UnknownKernel`] for an id outside
+    /// `0..kernels()`.
     pub fn fetch(&self, kernel: KernelId) -> Result<FetchResult, CoreError> {
         Ok(self.fetch_traced(kernel)?.0)
     }
@@ -279,18 +289,18 @@ impl<P: ProgramHandle, Q: QueueUnit> Tsu<P, Q> {
     /// from `kernel`'s own. Device models use this to charge a steal
     /// latency on migrated fetches.
     pub fn fetch_traced(&self, kernel: KernelId) -> Result<(FetchResult, bool), CoreError> {
+        let slot = self.slot(kernel)?;
         if self.sm.is_poisoned() {
             return Err(CoreError::SmPoisoned);
         }
         if self.sm.finished() {
             return Ok((FetchResult::Exit, false));
         }
-        let own = self.queue_index(kernel);
+        let own = kernel.idx();
         match self.queues[own].take() {
             FetchResult::Wait => {}
             r => return Ok((r, false)),
         }
-        let slot = self.slot(kernel);
         if self.steal {
             // adaptive backoff (polled units only, see
             // `QueueUnit::BACKOFF`): a kernel whose recent probes all
@@ -345,36 +355,40 @@ impl<P: ProgramHandle, Q: QueueUnit> Tsu<P, Q> {
         }
     }
 
-    /// Record completion of `inst`, which was fetched under `epoch`: run
-    /// the Post-Processing Phase and schedule everything it made ready.
+    /// Record completion of `inst`, which `kernel` fetched under `epoch`
+    /// and ran: perform the Post-Processing Phase on that kernel and
+    /// schedule everything it made ready.
     /// The newly-ready instances are also reported in `ready` (cleared
     /// first), so device models can inspect *who* became ready — e.g. to
     /// charge cross-TSU-shard update messages. A late completion whose
     /// token predates a re-armed slot fails with
-    /// [`CoreError::StaleEpoch`] instead of corrupting the next pass.
+    /// [`CoreError::StaleEpoch`] instead of corrupting the next pass, a
+    /// `kernel` outside `0..kernels()` with [`CoreError::UnknownKernel`].
     pub fn complete(
         &self,
+        kernel: KernelId,
         inst: Instance,
         epoch: Epoch,
         ready: &mut Vec<Instance>,
     ) -> Result<(), CoreError> {
-        self.sm.complete(inst, epoch, ready)?;
-        self.publish(ready)
+        self.sm.complete(kernel, inst, epoch, ready)?;
+        self.publish(Some(kernel), ready)
     }
 
-    /// Record a funnel flush: a batch of App completions, all fetched
-    /// under `epoch`, whose combined ready-count decrements hit each
-    /// consumer slot once. Scheduling and `ready` are as in
+    /// Record a funnel flush by `kernel`: a batch of App completions, all
+    /// fetched under `epoch`, whose combined ready-count decrements hit
+    /// each consumer slot once. Scheduling and `ready` are as in
     /// [`complete`](Self::complete). Inlet/Outlet completions drive block
     /// transitions and are never batched.
     pub fn complete_batch(
         &self,
+        kernel: KernelId,
         done: &[Instance],
         epoch: Epoch,
         ready: &mut Vec<Instance>,
     ) -> Result<(), CoreError> {
-        self.sm.complete_batch(done, epoch, ready)?;
-        self.publish(ready)
+        self.sm.complete_batch(kernel, done, epoch, ready)?;
+        self.publish(Some(kernel), ready)
     }
 
     /// Credit one more streaming pass. If the current pass has already
@@ -385,7 +399,7 @@ impl<P: ProgramHandle, Q: QueueUnit> Tsu<P, Q> {
     /// full — retire a drained epoch first.
     pub fn open_epoch(&self, ready: &mut Vec<Instance>) -> Result<Epoch, CoreError> {
         let ep = self.sm.open_epoch(ready)?;
-        self.publish(ready)?;
+        self.publish(None, ready)?;
         Ok(ep)
     }
 
@@ -418,7 +432,7 @@ pub fn drain_sequential<P: ProgramHandle, Q: QueueUnit>(
             FetchResult::Thread(i, ep) => {
                 idle_rounds = 0;
                 order.push(i);
-                tsu.complete(i, ep, &mut scratch)?;
+                tsu.complete(KernelId(k), i, ep, &mut scratch)?;
             }
             FetchResult::Wait => {
                 idle_rounds += 1;
@@ -465,8 +479,9 @@ mod tests {
         b.build().unwrap()
     }
 
+    /// Complete `i` as kernel 0.
     fn complete(tsu: &Tsu<&DdmProgram>, i: Instance, ep: Epoch) -> Result<(), CoreError> {
-        tsu.complete(i, ep, &mut Vec::new())
+        tsu.complete(KernelId(0), i, ep, &mut Vec::new())
     }
 
     #[test]
@@ -705,23 +720,24 @@ mod tests {
         let mut k = 0usize;
         let mut idle = 0u32;
         loop {
-            match tsu.fetch(KernelId(k as u32)).unwrap() {
+            let kernel = KernelId(k as u32);
+            match tsu.fetch(kernel).unwrap() {
                 FetchResult::Thread(i, ep) => {
                     idle = 0;
                     executed += 1;
                     if tsu.program().thread(i.thread).kind == crate::thread::ThreadKind::App {
                         if funnels[k].push(i, ep) {
-                            funnels[k].flush(&tsu, &mut scratch).unwrap();
+                            funnels[k].flush(kernel, &tsu, &mut scratch).unwrap();
                         }
                     } else {
                         // block transitions flush first, then complete
-                        funnels[k].flush(&tsu, &mut scratch).unwrap();
-                        tsu.complete(i, ep, &mut scratch).unwrap();
+                        funnels[k].flush(kernel, &tsu, &mut scratch).unwrap();
+                        tsu.complete(kernel, i, ep, &mut scratch).unwrap();
                     }
                 }
                 FetchResult::Wait => {
                     // flush before idling or the parked decrements deadlock
-                    funnels[k].flush(&tsu, &mut scratch).unwrap();
+                    funnels[k].flush(kernel, &tsu, &mut scratch).unwrap();
                     idle += 1;
                     assert!(idle <= 4, "deadlock");
                 }
@@ -903,6 +919,67 @@ mod tests {
             Err(CoreError::SmPoisoned)
         );
         assert_eq!(drain_sequential(&tsu), Err(CoreError::SmPoisoned));
+    }
+
+    /// A 2-kernel TSU with its inlet fetched by kernel 0, and the error
+    /// every entry point must answer kernel id 2 with.
+    fn stranger_case(p: &DdmProgram) -> (Tsu<&DdmProgram>, Instance, Epoch, CoreError) {
+        let tsu = Tsu::new(p, 2, TsuConfig::default());
+        let FetchResult::Thread(inlet, ep) = tsu.fetch(KernelId(0)).unwrap() else {
+            panic!("inlet not ready");
+        };
+        let unknown = CoreError::UnknownKernel {
+            kernel: KernelId(2),
+            kernels: 2,
+        };
+        (tsu, inlet, ep, unknown)
+    }
+
+    #[test]
+    fn fetch_by_an_unknown_kernel_is_a_typed_error() {
+        let p = fork_join(2, 1);
+        let (tsu, _, _, unknown) = stranger_case(&p);
+        assert_eq!(tsu.fetch(KernelId(2)), Err(unknown));
+        // not counted as a wait on anybody's slot
+        assert_eq!(tsu.stats().waits, 0);
+    }
+
+    #[test]
+    fn complete_by_an_unknown_kernel_is_a_typed_error() {
+        let p = fork_join(2, 1);
+        let (tsu, inlet, ep, unknown) = stranger_case(&p);
+        let mut ready = Vec::new();
+        assert_eq!(
+            tsu.complete(KernelId(2), inlet, ep, &mut ready),
+            Err(unknown)
+        );
+        // the inlet is still in flight and completes for a real kernel
+        assert_eq!(tsu.completions(), 0);
+        tsu.complete(KernelId(1), inlet, ep, &mut ready).unwrap();
+        assert_eq!(
+            drain_sequential(&tsu).unwrap().len(),
+            p.total_instances() - 1
+        );
+    }
+
+    #[test]
+    fn complete_batch_by_an_unknown_kernel_is_a_typed_error() {
+        let p = fork_join(2, 1);
+        let (tsu, inlet, ep, unknown) = stranger_case(&p);
+        complete(&tsu, inlet, ep).unwrap();
+        let FetchResult::Thread(src, ep) = tsu.fetch(KernelId(0)).unwrap() else {
+            panic!("src not ready");
+        };
+        let mut ready = Vec::new();
+        assert_eq!(
+            tsu.complete_batch(KernelId(2), &[src], ep, &mut ready),
+            Err(unknown)
+        );
+        // rejected before anything retired: no poison, and the batch lands
+        // when its own kernel hands it in
+        tsu.complete_batch(KernelId(0), &[src], ep, &mut ready)
+            .unwrap();
+        assert_eq!(ready.len(), 2);
     }
 
     #[test]

@@ -9,9 +9,9 @@
 //! not a scheduler hack layered on a `VecDeque`. Entries are epoch-tagged
 //! `(Instance, Epoch)` pairs so streaming tokens ride the steal path
 //! unchanged. The threaded runtime builds its blocking `ReadyQueue` on the
-//! same deque plus the [`MpmcRing`] inbox (foreign pushes); both speak the
-//! shared [`FetchResult`] vocabulary and both are a [`QueueUnit`] — the
-//! one parameter of the [`Tsu`](super::Tsu).
+//! same deque (pushes by the unit's own kernel) plus the [`MpmcRing`] inbox
+//! (everybody else's); both speak the shared [`FetchResult`] vocabulary and
+//! both are a [`QueueUnit`] — the one parameter of the [`Tsu`](super::Tsu).
 //!
 //! # Memory ordering
 //!
@@ -108,12 +108,16 @@ pub trait QueueUnit {
     /// and a skip window on top of it is a steal blackout.
     const BACKOFF: bool;
 
-    /// An empty unit. `cap` is the program's resident bound (a sizing
-    /// hint for bounded units).
+    /// An empty unit. `cap` is the program's resident bound — a sizing
+    /// hint, not a promise: units start small (the runtime's clamps it to
+    /// 1 024 inbox slots) and grow or spill on demand.
     fn new(cap: usize) -> Self;
 
-    /// Enqueue a dispatched instance with its epoch token.
-    fn push(&self, inst: Instance, epoch: Epoch);
+    /// Enqueue a dispatched instance with its epoch token. `by_owner`
+    /// says the calling thread is the one that [`take`](Self::take)s from
+    /// this unit, which a concurrent unit may serve without leaving the
+    /// kernel; `false` is always correct.
+    fn push(&self, inst: Instance, epoch: Epoch, by_owner: bool);
 
     /// One non-blocking take by the unit's consumer:
     /// [`FetchResult::Exit`] once the unit was shut down and drained.
@@ -139,7 +143,9 @@ impl QueueUnit for StealDeque {
         StealDeque::new()
     }
 
-    fn push(&self, inst: Instance, epoch: Epoch) {
+    /// One thread drives every kernel id of a device model, so each push
+    /// is an owner-side push whoever it is made for.
+    fn push(&self, inst: Instance, epoch: Epoch, _by_owner: bool) {
         StealDeque::push(self, inst, epoch)
     }
 
@@ -238,7 +244,8 @@ impl Buffer {
 /// Owner operations take `&self` (all state is atomic, so misuse cannot
 /// cause undefined behavior) but must come from one thread at a time:
 /// concurrent owner calls may lose or duplicate entries. The concurrent
-/// runtime upholds this by routing foreign pushes through its inbox ring.
+/// runtime upholds this by routing every push that is not the owner's own
+/// through its inbox ring.
 pub struct StealDeque {
     bottom: AtomicI64,
     top: AtomicI64,
@@ -366,6 +373,11 @@ impl StealDeque {
         Steal::Success((unpack(x), Epoch(e)))
     }
 
+    /// Slots of the live buffer: what the deque holds before it next grows.
+    pub fn capacity(&self) -> usize {
+        self.rung(self.cur.load(Ordering::Acquire)).cap() as usize
+    }
+
     /// Entries currently queued (a racy snapshot under concurrency; exact
     /// when quiescent).
     pub fn len(&self) -> usize {
@@ -386,9 +398,10 @@ impl StealDeque {
 ///
 /// Chase-Lev pushes are owner-only, but in the threaded runtime any
 /// completing kernel may make an instance ready on *another* kernel's
-/// queue. Those foreign pushes land here; the owner drains the inbox into
-/// its deque when it next pops, and thieves may pop the inbox directly —
-/// so work pushed at a kernel that never runs is still stealable.
+/// queue. Those foreign pushes — and only those — land here; the owner
+/// drains the inbox into its deque when it next pops, and thieves may pop
+/// the inbox directly, so work pushed at a kernel that never runs is still
+/// stealable.
 ///
 /// Each slot carries a sequence number: producers CAS `tail` and publish
 /// the slot with `seq = pos + 1` (`Release`), consumers CAS `head` after
@@ -430,6 +443,11 @@ impl MpmcRing {
     /// Capacity of the ring.
     pub fn capacity(&self) -> usize {
         self.mask + 1
+    }
+
+    /// Entries accepted over the ring's lifetime (`tail` never wraps back).
+    pub fn pushes(&self) -> usize {
+        self.tail.load(Ordering::Relaxed)
     }
 
     /// Enqueue from any thread; `false` means the ring is full and the

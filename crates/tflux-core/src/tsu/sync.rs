@@ -20,13 +20,23 @@
 //!   are still caught exactly, without any lock on the hot path.
 //!
 //! Only the block-transition slow path (Inlet/Outlet completions, already
-//! serialized by program structure) takes the `block` mutex. Per-kernel
-//! observability counters attribute traffic to the owning kernel of each
-//! instance: `rc_updates` counts *logical* decrements landing on each
-//! kernel's instances (`rc_rmws` counts the physical RMWs, which batching
-//! makes smaller), and `contended` counts weak-CAS retries on state
-//! transitions plus cross-kernel ready-count line transfers (a decrement
-//! arriving from a different kernel than the slot's previous one).
+//! serialized by program structure) takes the `block` mutex.
+//!
+//! The observability counters live in one cache-line-padded row per kernel,
+//! written by the kernel *performing* the operation — which is why
+//! `dispatch`, `complete` and `complete_batch` take it — with a `Relaxed`
+//! load + store: the thread driving a kernel id is the row's only writer,
+//! so nothing is lost and no counter costs a locked instruction. A
+//! completion's only shared RMWs are then the ones the paper's SM performs:
+//! its own state word and its consumers' ready counts. Callers that are no
+//! kernel (the constructor arming the first inlet, `open_epoch` from a
+//! supervisor) share one extra row and pay a `fetch_add` on it. Readers sum
+//! the rows: monotone while kernels run, exact once they are quiescent.
+//! `rc_updates` counts *logical* decrements (`rc_rmws` the physical RMWs,
+//! which batching makes fewer); `contended` counts weak-CAS retries on
+//! state transitions plus cross-kernel ready-count line transfers (a
+//! decrement from a producer placed on a different kernel than the slot's
+//! previous one).
 //!
 //! [`complete_batch`](SyncMemory::complete_batch) is the reduction-funnel
 //! flush path: a kernel's accumulated App completions arrive as one call
@@ -127,7 +137,8 @@ struct Slot {
     /// The kernel whose update last touched this ready count. A decrement
     /// arriving from a *different* kernel would, on real hardware, pull
     /// the slot's cache line across cores — counted as a contention event
-    /// so the measure is deterministic even on a single-core host.
+    /// so the measure is deterministic on any host. A statistic, not a
+    /// protocol word: read, and stored only when it changes.
     updater: AtomicU32,
 }
 
@@ -141,11 +152,16 @@ impl Default for Slot {
     }
 }
 
-/// Per-kernel observability counters. The table itself is not sharded —
-/// these only attribute traffic to the owning kernel of each instance
-/// (the `RunReport.sm_shards` view).
+/// One writer's observability counters, alone on a cache line. The table
+/// itself is not sharded — a row only says which kernel *applied* the
+/// traffic (the `RunReport.sm_shards` view).
 #[derive(Debug, Default)]
-struct ShardCounters {
+#[repr(align(64))]
+struct CounterRow {
+    /// Successful dispatches.
+    fetches: AtomicU64,
+    /// Completions processed.
+    completions: AtomicU64,
     /// Logical ready-count decrements (invariant under batching).
     rc_updates: AtomicU64,
     /// Physical `fetch_sub` RMWs (one per combined flush entry).
@@ -153,6 +169,27 @@ struct ShardCounters {
     /// Weak-CAS retries on state transitions plus cross-kernel
     /// ready-count line transfers.
     contended: AtomicU64,
+}
+
+/// The counter row an operation writes, resolved once per call.
+#[derive(Clone, Copy)]
+struct Writer<'a> {
+    row: &'a CounterRow,
+    /// The non-kernel row: any thread may be writing it.
+    shared: bool,
+}
+
+impl Writer<'_> {
+    #[inline]
+    fn add(self, counter: impl FnOnce(&CounterRow) -> &AtomicU64, n: u64) {
+        let c = counter(self.row);
+        if self.shared {
+            c.fetch_add(n, Ordering::Relaxed);
+        } else {
+            // single writer: see the module docs
+            c.store(c.load(Ordering::Relaxed) + n, Ordering::Relaxed);
+        }
+    }
 }
 
 /// Block residency bookkeeping — serialized because Inlet/Outlet
@@ -221,9 +258,8 @@ pub struct SyncMemory<P: ProgramHandle> {
     /// contiguous, so slot lookup is one add and one index.
     base: Vec<u32>,
     slots: Vec<Slot>,
-    shards: Vec<ShardCounters>,
-    fetches: AtomicU64,
-    completions: AtomicU64,
+    /// One row per kernel, then the row of callers that are no kernel.
+    rows: Vec<CounterRow>,
     finished: AtomicBool,
     poisoned: AtomicBool,
     block: Mutex<BlockState>,
@@ -260,9 +296,7 @@ impl<P: ProgramHandle> SyncMemory<P> {
             epoch: AtomicU64::new(0),
             base,
             slots,
-            shards: (0..kernels).map(|_| ShardCounters::default()).collect(),
-            fetches: AtomicU64::new(0),
-            completions: AtomicU64::new(0),
+            rows: (0..=kernels).map(|_| CounterRow::default()).collect(),
             finished: AtomicBool::new(false),
             poisoned: AtomicBool::new(false),
             block: Mutex::new(BlockState {
@@ -323,7 +357,28 @@ impl<P: ProgramHandle> SyncMemory<P> {
 
     /// Completions processed so far — the progress probe watchdogs poll.
     pub fn completions(&self) -> u64 {
-        self.completions.load(Ordering::Relaxed)
+        self.sum(|r| &r.completions)
+    }
+
+    fn sum(&self, counter: impl Fn(&CounterRow) -> &AtomicU64) -> u64 {
+        let load = |r| counter(r).load(Ordering::Relaxed);
+        self.rows.iter().map(load).sum()
+    }
+
+    /// The row `by` writes: its own for a kernel — [`CoreError::UnknownKernel`]
+    /// for an id this SM has no row for, which would otherwise put a second
+    /// writer on somebody's — and the shared last one for `None`.
+    fn writer(&self, by: Option<KernelId>) -> Result<Writer<'_>, CoreError> {
+        let kernels = self.gm.kernels();
+        match by {
+            Some(kernel) if kernel.0 >= kernels => {
+                Err(CoreError::UnknownKernel { kernel, kernels })
+            }
+            _ => Ok(Writer {
+                row: &self.rows[by.map_or(kernels as usize, KernelId::idx)],
+                shared: by.is_none(),
+            }),
+        }
     }
 
     #[inline]
@@ -332,9 +387,9 @@ impl<P: ProgramHandle> SyncMemory<P> {
     }
 
     /// Advance `inst`'s state word `from → to` by CAS. Spurious weak-CAS
-    /// failures retry and are counted as contention on the owning kernel's
-    /// shard counters; a genuine mismatch returns the observed state.
-    fn transition(&self, inst: Instance, from: u32, to: u32) -> Result<(), u32> {
+    /// failures retry and are counted as contention on `by`'s row; a
+    /// genuine mismatch returns the observed state.
+    fn transition(&self, by: Writer<'_>, inst: Instance, from: u32, to: u32) -> Result<(), u32> {
         let slot = self.slot(inst);
         loop {
             match slot
@@ -342,11 +397,7 @@ impl<P: ProgramHandle> SyncMemory<P> {
                 .compare_exchange_weak(from, to, Ordering::AcqRel, Ordering::Acquire)
             {
                 Ok(_) => return Ok(()),
-                Err(actual) if actual == from => {
-                    self.shards[self.gm.owner_of(inst).idx()]
-                        .contended
-                        .fetch_add(1, Ordering::Relaxed);
-                }
+                Err(actual) if actual == from => by.add(|r| &r.contended, 1),
                 Err(actual) => return Err(actual),
             }
         }
@@ -417,6 +468,8 @@ impl<P: ProgramHandle> SyncMemory<P> {
 
     /// Mark `inst` as dispatched to a kernel and return the epoch it runs
     /// in — the token a later [`complete`](Self::complete) must present.
+    /// `by` is the kernel whose completion made `inst` ready, `None` for a
+    /// caller that is no kernel (see the module docs).
     /// Fails with [`CoreError::NotResident`] if `inst`'s block is not
     /// loaded or the instance already ran (or is running) — a scheduler
     /// bug surfaces here instead of corrupting consumer counts later.
@@ -425,13 +478,14 @@ impl<P: ProgramHandle> SyncMemory<P> {
     /// advance while any of its instances is in flight — the outlet's
     /// ready count sees to that), so the epoch read here always matches
     /// the tag the CAS observed.
-    pub fn dispatch(&self, inst: Instance) -> Result<Epoch, CoreError> {
+    pub fn dispatch(&self, by: Option<KernelId>, inst: Instance) -> Result<Epoch, CoreError> {
         self.check_poisoned()?;
+        let by = self.writer(by)?;
         let epoch = self.epoch.load(Ordering::Acquire);
         let tag = tag_of(epoch);
-        self.transition(inst, word(tag, RESIDENT), word(tag, RUNNING))
+        self.transition(by, inst, word(tag, RESIDENT), word(tag, RUNNING))
             .map_err(|_| CoreError::NotResident(inst))?;
-        self.fetches.fetch_add(1, Ordering::Relaxed);
+        by.add(|r| &r.fetches, 1);
         Ok(Epoch(epoch))
     }
 
@@ -492,9 +546,9 @@ impl<P: ProgramHandle> SyncMemory<P> {
         guard.loaded = Some(b);
     }
 
-    /// The Post-Processing Phase: record completion of `inst`, decrement
-    /// its consumers' ready counts, and append newly-ready instances to
-    /// `out` (cleared first).
+    /// The Post-Processing Phase, performed by `kernel`: record completion
+    /// of `inst`, decrement its consumers' ready counts, and append
+    /// newly-ready instances to `out` (cleared first).
     ///
     /// Inlet completions load their block (appending every initially-ready
     /// application instance); outlet completions unload the block and
@@ -511,12 +565,14 @@ impl<P: ProgramHandle> SyncMemory<P> {
     /// from a finished pass must not touch a re-armed table.
     pub fn complete(
         &self,
+        kernel: KernelId,
         inst: Instance,
         epoch: Epoch,
         out: &mut Vec<Instance>,
     ) -> Result<(), CoreError> {
         out.clear();
         self.check_poisoned()?;
+        let by = self.writer(Some(kernel))?;
         let t = inst.thread;
         let tag = tag_of(epoch.0);
         match self.gm.kind(t) {
@@ -537,9 +593,9 @@ impl<P: ProgramHandle> SyncMemory<P> {
                         capacity: self.capacity,
                     });
                 }
-                self.transition(inst, word(tag, RUNNING), word(tag, DONE))
+                self.transition(by, inst, word(tag, RUNNING), word(tag, DONE))
                     .map_err(|w| self.classify(inst, epoch, w))?;
-                self.completions.fetch_add(1, Ordering::Relaxed);
+                by.add(|r| &r.completions, 1);
                 let sentinel = PoisonGuard::arm(&self.poisoned);
                 self.unload_thread(t, &mut guard);
                 self.load_block_locked(b, out, &mut guard);
@@ -547,13 +603,12 @@ impl<P: ProgramHandle> SyncMemory<P> {
             }
             ThreadKind::Outlet => {
                 let mut guard = self.lock_block()?;
-                self.transition(inst, word(tag, RUNNING), word(tag, DONE))
+                self.transition(by, inst, word(tag, RUNNING), word(tag, DONE))
                     .map_err(|w| self.classify(inst, epoch, w))?;
-                self.completions.fetch_add(1, Ordering::Relaxed);
+                by.add(|r| &r.completions, 1);
                 let sentinel = PoisonGuard::arm(&self.poisoned);
                 let block = self.gm.block_of(t);
-                let app_threads = self.gm.program().blocks()[block.idx()].threads.clone();
-                for at in app_threads {
+                for &at in &self.gm.program().blocks()[block.idx()].threads {
                     self.unload_thread(at, &mut guard);
                 }
                 self.unload_thread(t, &mut guard);
@@ -578,11 +633,11 @@ impl<P: ProgramHandle> SyncMemory<P> {
             }
             ThreadKind::App => {
                 // The hot path: no lock anywhere.
-                self.transition(inst, word(tag, RUNNING), word(tag, DONE))
+                self.transition(by, inst, word(tag, RUNNING), word(tag, DONE))
                     .map_err(|w| self.classify(inst, epoch, w))?;
-                self.completions.fetch_add(1, Ordering::Relaxed);
+                by.add(|r| &r.completions, 1);
                 let sentinel = PoisonGuard::arm(&self.poisoned);
-                self.post_process(inst, out);
+                self.post_process(by, inst, out);
                 sentinel.disarm();
             }
         }
@@ -670,7 +725,7 @@ impl<P: ProgramHandle> SyncMemory<P> {
         (guard.opened, guard.completed, guard.retired)
     }
 
-    fn post_process(&self, inst: Instance, out: &mut Vec<Instance>) {
+    fn post_process(&self, by: Writer<'_>, inst: Instance, out: &mut Vec<Instance>) {
         let t = inst.thread;
         let pa = self.gm.program().thread(t).arity;
         let updater = self.gm.owner_of(inst);
@@ -680,31 +735,40 @@ impl<P: ProgramHandle> SyncMemory<P> {
         for arc in self.gm.consumers(t) {
             let ca = self.gm.program().thread(arc.consumer).arity;
             for c in arc.mapping.consumers(inst.context, pa, ca) {
-                self.apply_rc_sub(Instance::new(arc.consumer, c), 1, updater, out);
+                self.apply_rc_sub(by, Instance::new(arc.consumer, c), 1, updater, out);
             }
         }
     }
 
     /// One physical ready-count RMW covering `n` logical decrements of
-    /// `ci`. The flusher that observes the `n→0` edge — exactly one, by
-    /// atomicity of `fetch_sub` — publishes the consumer into `out`; this
-    /// generalizes the direct path's 1→0 ownership rule. An update whose
-    /// `updater` kernel differs from the slot's previous updater counts
-    /// one contention event on the consumer-owner's shard (the line would
-    /// migrate between cores on real hardware).
-    fn apply_rc_sub(&self, ci: Instance, n: u32, updater: KernelId, out: &mut Vec<Instance>) {
-        let shard = &self.shards[self.gm.owner_of(ci).idx()];
-        shard.rc_updates.fetch_add(n as u64, Ordering::Relaxed);
-        shard.rc_rmws.fetch_add(1, Ordering::Relaxed);
+    /// `ci`, counted on `by`'s row. The flusher that observes the `n→0`
+    /// edge — exactly one, by atomicity of `fetch_sub` — publishes the
+    /// consumer into `out`; this generalizes the direct path's 1→0
+    /// ownership rule. An update whose `updater` (the producer's owning
+    /// kernel) differs from the slot's previous one counts one contention
+    /// event: the line would migrate between cores on real hardware.
+    fn apply_rc_sub(
+        &self,
+        by: Writer<'_>,
+        ci: Instance,
+        n: u32,
+        updater: KernelId,
+        out: &mut Vec<Instance>,
+    ) {
+        by.add(|r| &r.rc_updates, n as u64);
+        by.add(|r| &r.rc_rmws, 1);
         let slot = self.slot(ci);
         assert_ne!(
             phase(slot.state.load(Ordering::Acquire)),
             VACANT,
             "consumer {ci:?} not resident"
         );
-        let prev_updater = slot.updater.swap(updater.0, Ordering::Relaxed);
-        if prev_updater != NO_UPDATER && prev_updater != updater.0 {
-            shard.contended.fetch_add(1, Ordering::Relaxed);
+        let prev_updater = slot.updater.load(Ordering::Relaxed);
+        if prev_updater != updater.0 {
+            slot.updater.store(updater.0, Ordering::Relaxed);
+            if prev_updater != NO_UPDATER {
+                by.add(|r| &r.contended, 1);
+            }
         }
         let prev = slot.rc.fetch_sub(n, Ordering::AcqRel);
         assert!(prev >= n, "ready count underflow at {ci:?}");
@@ -713,10 +777,11 @@ impl<P: ProgramHandle> SyncMemory<P> {
         }
     }
 
-    /// Record a batch of *application* completions — the funnel flush
-    /// path. The batch's decrements are combined locally (one entry per
-    /// consumer slot, so K completions hitting one Reduction sink become a
-    /// single `fetch_sub(K)`) and applied to the table in slot order.
+    /// Record a batch of *application* completions performed by `kernel` —
+    /// the funnel flush path. The batch's decrements are combined locally
+    /// (one entry per consumer slot, so K completions hitting one Reduction
+    /// sink become a single `fetch_sub(K)`) and applied to the table in
+    /// slot order.
     ///
     /// Unlike [`complete`](Self::complete), a protocol error inside a
     /// batch (an instance that was never dispatched, a non-App instance)
@@ -724,12 +789,14 @@ impl<P: ProgramHandle> SyncMemory<P> {
     /// retired, so there is no state to roll back to.
     pub fn complete_batch(
         &self,
+        kernel: KernelId,
         done: &[Instance],
         epoch: Epoch,
         out: &mut Vec<Instance>,
     ) -> Result<(), CoreError> {
         out.clear();
         self.check_poisoned()?;
+        let by = self.writer(Some(kernel))?;
         let Some(&first) = done.first() else {
             return Ok(());
         };
@@ -743,9 +810,9 @@ impl<P: ProgramHandle> SyncMemory<P> {
                 ThreadKind::App,
                 "only App completions may be funneled: {inst:?}"
             );
-            self.transition(inst, word(tag, RUNNING), word(tag, DONE))
+            self.transition(by, inst, word(tag, RUNNING), word(tag, DONE))
                 .map_err(|w| self.classify(inst, epoch, w))?;
-            self.completions.fetch_add(1, Ordering::Relaxed);
+            by.add(|r| &r.completions, 1);
             let pa = self.gm.program().thread(inst.thread).arity;
             for arc in self.gm.consumers(inst.thread) {
                 let ca = self.gm.program().thread(arc.consumer).arity;
@@ -755,7 +822,7 @@ impl<P: ProgramHandle> SyncMemory<P> {
             }
         }
         for (&ci, &n) in &combined {
-            self.apply_rc_sub(ci, n, updater, out);
+            self.apply_rc_sub(by, ci, n, updater, out);
         }
         sentinel.disarm();
         Ok(())
@@ -795,19 +862,11 @@ impl<P: ProgramHandle> SyncMemory<P> {
     pub fn stats(&self) -> TsuStats {
         let guard = self.block_forensics();
         TsuStats {
-            fetches: self.fetches.load(Ordering::Relaxed),
+            fetches: self.sum(|r| &r.fetches),
             waits: 0,
-            completions: self.completions.load(Ordering::Relaxed),
-            rc_updates: self
-                .shards
-                .iter()
-                .map(|s| s.rc_updates.load(Ordering::Relaxed))
-                .sum(),
-            rc_rmws: self
-                .shards
-                .iter()
-                .map(|s| s.rc_rmws.load(Ordering::Relaxed))
-                .sum(),
+            completions: self.completions(),
+            rc_updates: self.sum(|r| &r.rc_updates),
+            rc_rmws: self.sum(|r| &r.rc_rmws),
             steals: 0,
             steal_misses: 0,
             steal_races: 0,
@@ -815,22 +874,18 @@ impl<P: ProgramHandle> SyncMemory<P> {
             blocks_loaded: guard.blocks_loaded,
             max_resident: guard.max_resident,
             epochs: guard.completed,
-            sm_contended: self
-                .shards
-                .iter()
-                .map(|s| s.contended.load(Ordering::Relaxed))
-                .sum(),
+            sm_contended: self.sum(|r| &r.contended),
         }
     }
 
-    /// Per-kernel counters, indexed by owning kernel.
+    /// Per-kernel counters, indexed by the kernel that applied the updates.
     pub fn shard_stats(&self) -> Vec<ShardStats> {
-        self.shards
+        self.rows[..self.gm.kernels() as usize]
             .iter()
-            .map(|s| ShardStats {
-                rc_updates: s.rc_updates.load(Ordering::Relaxed),
-                rc_rmws: s.rc_rmws.load(Ordering::Relaxed),
-                contended: s.contended.load(Ordering::Relaxed),
+            .map(|r| ShardStats {
+                rc_updates: r.rc_updates.load(Ordering::Relaxed),
+                rc_rmws: r.rc_rmws.load(Ordering::Relaxed),
+                contended: r.contended.load(Ordering::Relaxed),
             })
             .collect()
     }
@@ -842,6 +897,9 @@ mod tests {
     use crate::mapping::ArcMapping;
     use crate::program::{DdmProgram, ProgramBuilder};
     use crate::thread::ThreadSpec;
+
+    /// The kernel single-threaded tests perform every operation as.
+    const K0: KernelId = KernelId(0);
 
     fn fork_join() -> DdmProgram {
         let mut b = ProgramBuilder::new();
@@ -863,8 +921,8 @@ mod tests {
         let mut queue = vec![sm.armed_inlet()];
         let mut done = 0usize;
         while let Some(i) = queue.pop() {
-            let ep = sm.dispatch(i).unwrap();
-            sm.complete(i, ep, &mut ready).unwrap();
+            let ep = sm.dispatch(Some(K0), i).unwrap();
+            sm.complete(K0, i, ep, &mut ready).unwrap();
             done += 1;
             queue.append(&mut ready);
         }
@@ -877,40 +935,55 @@ mod tests {
     }
 
     #[test]
-    fn rc_updates_land_on_the_consumers_shard() {
-        // pin the whole program onto kernel 1 of 2: every decrement must be
-        // counted on shard 1, none on shard 0
-        let mut b = ProgramBuilder::new();
-        let blk = b.block();
-        let src = b.thread(
-            blk,
-            ThreadSpec::scalar("src")
-                .with_affinity(crate::thread::Affinity::Fixed(crate::ids::KernelId(1))),
-        );
-        let work = b.thread(
-            blk,
-            ThreadSpec::new("w", 4)
-                .with_affinity(crate::thread::Affinity::Fixed(crate::ids::KernelId(1))),
-        );
-        b.arc(src, work, ArcMapping::Broadcast).unwrap();
-        let p = b.build().unwrap();
+    fn rc_updates_land_on_the_row_of_the_kernel_that_applied_them() {
+        // kernel 1 of 2 performs every completion of a program placed by
+        // the default affinities: every decrement is counted on row 1,
+        // whoever owns the consumer, and kernel 0's row stays untouched
+        let p = fork_join();
         let sm = SyncMemory::new(&p, 2, 0);
+        let k1 = KernelId(1);
         let mut ready = Vec::new();
         let mut queue = vec![sm.armed_inlet()];
         while let Some(i) = queue.pop() {
-            let ep = sm.dispatch(i).unwrap();
-            sm.complete(i, ep, &mut ready).unwrap();
+            let ep = sm.dispatch(Some(k1), i).unwrap();
+            sm.complete(k1, i, ep, &mut ready).unwrap();
             queue.append(&mut ready);
         }
-        let shards = sm.shard_stats();
+        let (shards, total) = (sm.shard_stats(), sm.stats());
         assert_eq!(shards.len(), 2);
+        assert_eq!(shards[0], ShardStats::default());
+        assert_eq!(shards[1].rc_updates, total.rc_updates);
+        assert_eq!(shards[1].rc_rmws, total.rc_rmws);
+        // src → 4 work, 4 work → sink, and all 6 onto the implicit outlet
+        assert_eq!(total.rc_updates, 4 + 4 + 6);
+        assert_eq!(total.fetches as usize, p.total_instances());
+    }
+
+    #[test]
+    fn a_kernel_without_a_row_is_a_typed_error_not_an_alias() {
+        let p = fork_join();
+        let sm = SyncMemory::new(&p, 2, 0);
+        let (inlet, stranger) = (sm.armed_inlet(), KernelId(2));
+        let unknown = CoreError::UnknownKernel {
+            kernel: stranger,
+            kernels: 2,
+        };
+        let mut out = Vec::new();
+        assert_eq!(sm.dispatch(Some(stranger), inlet), Err(unknown.clone()));
+        let ep = sm.dispatch(None, inlet).unwrap();
         assert_eq!(
-            shards[0].rc_updates + shards[1].rc_updates,
-            sm.stats().rc_updates
+            sm.complete(stranger, inlet, ep, &mut out),
+            Err(unknown.clone())
         );
-        // the 4 broadcast decrements hit shard 1 (outlet updates go to the
-        // outlet's own shard, kernel 0, so shard 0 is not exactly zero)
-        assert!(shards[1].rc_updates >= 4, "{shards:?}");
+        assert_eq!(
+            sm.complete_batch(stranger, &[inlet], ep, &mut out),
+            Err(unknown)
+        );
+        // nothing moved: the one dispatch sits on the non-kernel row, the
+        // inlet is still in flight and the table is not poisoned
+        assert_eq!((sm.stats().fetches, sm.completions()), (1, 0));
+        assert_eq!(sm.shard_stats(), vec![ShardStats::default(); 2]);
+        sm.complete(K0, inlet, ep, &mut out).unwrap();
     }
 
     #[test]
@@ -919,7 +992,7 @@ mod tests {
         let sm = SyncMemory::new(&p, 1, 0);
         let mut ready = Vec::new();
         let err = sm
-            .complete(sm.armed_inlet(), sm.current_epoch(), &mut ready)
+            .complete(K0, sm.armed_inlet(), sm.current_epoch(), &mut ready)
             .unwrap_err();
         assert!(matches!(err, CoreError::NotRunning(_)));
     }
@@ -931,11 +1004,17 @@ mod tests {
         // the block is not loaded yet: dispatching an application instance
         // must fail instead of silently marking it running
         let work = Instance::new(ThreadId(1), Context(0));
-        assert_eq!(sm.dispatch(work), Err(CoreError::NotResident(work)));
+        assert_eq!(
+            sm.dispatch(Some(K0), work),
+            Err(CoreError::NotResident(work))
+        );
         // double dispatch of the armed inlet is rejected too
         let inlet = sm.armed_inlet();
-        sm.dispatch(inlet).unwrap();
-        assert_eq!(sm.dispatch(inlet), Err(CoreError::NotResident(inlet)));
+        sm.dispatch(Some(K0), inlet).unwrap();
+        assert_eq!(
+            sm.dispatch(Some(K0), inlet),
+            Err(CoreError::NotResident(inlet))
+        );
         // only the successful dispatch was counted
         assert_eq!(sm.stats().fetches, 1);
     }
@@ -949,9 +1028,9 @@ mod tests {
         let p = fork_join();
         let sm = SyncMemory::new(&p, 1, 6);
         let inlet = sm.armed_inlet();
-        let ep = sm.dispatch(inlet).unwrap();
+        let ep = sm.dispatch(Some(K0), inlet).unwrap();
         let mut ready = Vec::new();
-        let err = sm.complete(inlet, ep, &mut ready).unwrap_err();
+        let err = sm.complete(K0, inlet, ep, &mut ready).unwrap_err();
         assert!(matches!(err, CoreError::BlockTooLarge { .. }), "{err:?}");
         // nothing mutated: progress counters untouched, inlet still in
         // flight, no block loaded
@@ -961,7 +1040,7 @@ mod tests {
         assert_eq!(sm.stats().blocks_loaded, 0);
         // replaying the completion observes the same state and the same
         // error — not a protocol error about a missing instance
-        let again = sm.complete(inlet, ep, &mut ready).unwrap_err();
+        let again = sm.complete(K0, inlet, ep, &mut ready).unwrap_err();
         assert_eq!(err, again);
     }
 
@@ -970,7 +1049,7 @@ mod tests {
         let p = fork_join();
         let sm = SyncMemory::new(&p, 1, 0);
         let inlet = sm.armed_inlet();
-        let ep = sm.dispatch(inlet).unwrap();
+        let ep = sm.dispatch(Some(K0), inlet).unwrap();
         // a kernel dies while holding the block mutex: the OS-level poison
         // must latch and surface, not be swallowed by into_inner
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
@@ -980,12 +1059,12 @@ mod tests {
         assert!(result.is_err());
         let mut ready = Vec::new();
         assert_eq!(
-            sm.complete(inlet, ep, &mut ready),
+            sm.complete(K0, inlet, ep, &mut ready),
             Err(CoreError::SmPoisoned)
         );
         assert!(sm.is_poisoned());
         // every subsequent operation keeps failing loudly
-        assert_eq!(sm.dispatch(inlet), Err(CoreError::SmPoisoned));
+        assert_eq!(sm.dispatch(Some(K0), inlet), Err(CoreError::SmPoisoned));
         assert_eq!(
             sm.load_block(BlockId(0), &mut ready),
             Err(CoreError::SmPoisoned)
@@ -1003,20 +1082,20 @@ mod tests {
         let sm = SyncMemory::new(&p, 1, 0);
         let mut ready = Vec::new();
         let inlet = sm.armed_inlet();
-        let ep = sm.dispatch(inlet).unwrap();
-        sm.complete(inlet, ep, &mut ready).unwrap();
+        let ep = sm.dispatch(Some(K0), inlet).unwrap();
+        sm.complete(K0, inlet, ep, &mut ready).unwrap();
         let src = Instance::new(ThreadId(0), Context(0));
-        let ep = sm.dispatch(src).unwrap();
+        let ep = sm.dispatch(Some(K0), src).unwrap();
         // fake a corrupted table: vacate the consumer behind the SM's back
         let work0 = Instance::new(ThreadId(1), Context(0));
         sm.slot(work0).state.store(VACANT, Ordering::Release);
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             let mut out = Vec::new();
-            let _ = sm.complete(src, ep, &mut out);
+            let _ = sm.complete(K0, src, ep, &mut out);
         }));
         assert!(result.is_err(), "vacant consumer must still panic");
         assert!(sm.is_poisoned());
-        assert_eq!(sm.dispatch(work0), Err(CoreError::SmPoisoned));
+        assert_eq!(sm.dispatch(Some(K0), work0), Err(CoreError::SmPoisoned));
     }
 
     #[test]
@@ -1033,19 +1112,20 @@ mod tests {
         let sm = SyncMemory::new(&p, 4, 0);
         let mut ready = Vec::new();
         let inlet = sm.armed_inlet();
-        let ep = sm.dispatch(inlet).unwrap();
-        sm.complete(inlet, ep, &mut ready).unwrap();
+        let ep = sm.dispatch(Some(K0), inlet).unwrap();
+        sm.complete(K0, inlet, ep, &mut ready).unwrap();
         assert_eq!(ready.len(), 64);
 
         let newly: Mutex<Vec<Instance>> = Mutex::new(Vec::new());
         let (sm, newly_ref) = (&sm, &newly);
         std::thread::scope(|s| {
-            for chunk in ready.chunks(16) {
+            for (k, chunk) in ready.chunks(16).enumerate() {
                 s.spawn(move || {
+                    let k = KernelId(k as u32);
                     let mut local = Vec::new();
                     for &i in chunk {
-                        let ep = sm.dispatch(i).unwrap();
-                        sm.complete(i, ep, &mut local).unwrap();
+                        let ep = sm.dispatch(Some(k), i).unwrap();
+                        sm.complete(k, i, ep, &mut local).unwrap();
                         newly_ref.lock().unwrap().extend(local.drain(..));
                     }
                 });
@@ -1055,8 +1135,13 @@ mod tests {
         // exactly one instance (the sink) became ready, exactly once
         assert_eq!(newly, vec![Instance::scalar(sink)]);
         // 64 reduction decrements on the sink + 64 implicit All decrements
-        // on the outlet (the sink itself never completes in this test)
+        // on the outlet (the sink itself never completes in this test),
+        // a quarter of them on each kernel's single-writer row
         assert_eq!(sm.stats().rc_updates, 64 + 64);
+        for row in sm.shard_stats() {
+            assert_eq!(row.rc_updates, 16 + 16);
+        }
+        assert_eq!(sm.completions(), 1 + 64);
     }
 
     /// Wide reduction used by the funnel tests: `work[arity] -> sink`.
@@ -1073,10 +1158,10 @@ mod tests {
     fn armed_block(sm: &SyncMemory<&DdmProgram>) -> Vec<Instance> {
         let mut ready = Vec::new();
         let inlet = sm.armed_inlet();
-        let ep = sm.dispatch(inlet).unwrap();
-        sm.complete(inlet, ep, &mut ready).unwrap();
+        let ep = sm.dispatch(Some(K0), inlet).unwrap();
+        sm.complete(K0, inlet, ep, &mut ready).unwrap();
         for &i in &ready {
-            sm.dispatch(i).unwrap();
+            sm.dispatch(Some(K0), i).unwrap();
         }
         ready
     }
@@ -1092,7 +1177,7 @@ mod tests {
         let mut direct_ready = Vec::new();
         let mut scratch = Vec::new();
         for &i in &work {
-            direct.complete(i, ep, &mut scratch).unwrap();
+            direct.complete(K0, i, ep, &mut scratch).unwrap();
             direct_ready.extend_from_slice(&scratch);
         }
 
@@ -1102,7 +1187,7 @@ mod tests {
         let ep = batched.current_epoch();
         let mut batched_ready = Vec::new();
         for half in work.chunks(8) {
-            batched.complete_batch(half, ep, &mut scratch).unwrap();
+            batched.complete_batch(K0, half, ep, &mut scratch).unwrap();
             batched_ready.extend_from_slice(&scratch);
         }
 
@@ -1126,10 +1211,10 @@ mod tests {
         let ep = sm.current_epoch();
         let mut out = Vec::new();
         // first 7 as one batch: sink not yet ready
-        sm.complete_batch(&work[..7], ep, &mut out).unwrap();
+        sm.complete_batch(K0, &work[..7], ep, &mut out).unwrap();
         assert!(out.is_empty(), "{out:?}");
         // the final completion crosses 1→0 and publishes the sink once
-        sm.complete_batch(&work[7..], ep, &mut out).unwrap();
+        sm.complete_batch(K0, &work[7..], ep, &mut out).unwrap();
         assert_eq!(out, vec![Instance::scalar(sink)]);
     }
 
@@ -1138,7 +1223,7 @@ mod tests {
         let p = wide_reduction(4);
         let sm = SyncMemory::new(&p, 2, 0);
         let mut out = vec![Instance::scalar(ThreadId(0))];
-        sm.complete_batch(&[], sm.current_epoch(), &mut out)
+        sm.complete_batch(K0, &[], sm.current_epoch(), &mut out)
             .unwrap();
         assert!(out.is_empty());
         assert_eq!(sm.completions(), 0);
@@ -1155,13 +1240,13 @@ mod tests {
         let bogus = Instance::new(ThreadId(0), Context(3));
         let batch = [work[0], work[1], bogus];
         // `bogus` is dispatched... but completed twice within one batch
-        sm.complete(bogus, ep, &mut Vec::new()).unwrap();
+        sm.complete(K0, bogus, ep, &mut Vec::new()).unwrap();
         let mut out = Vec::new();
-        let err = sm.complete_batch(&batch, ep, &mut out).unwrap_err();
+        let err = sm.complete_batch(K0, &batch, ep, &mut out).unwrap_err();
         assert_eq!(err, CoreError::NotRunning(bogus));
         assert!(sm.is_poisoned());
         assert_eq!(
-            sm.complete_batch(&[work[2]], ep, &mut out),
+            sm.complete_batch(K0, &[work[2]], ep, &mut out),
             Err(CoreError::SmPoisoned)
         );
     }
@@ -1174,7 +1259,7 @@ mod tests {
         let ep = sm.current_epoch();
         let mut scratch = Vec::new();
         for &i in &work {
-            sm.complete(i, ep, &mut scratch).unwrap();
+            sm.complete(K0, i, ep, &mut scratch).unwrap();
         }
         assert_eq!(sm.stats().sm_contended, 0);
     }
@@ -1193,8 +1278,8 @@ mod tests {
         let mut scratch = Vec::new();
         // interleave kernels: K0 owns first half, K1 second half
         for pair in work[..16].iter().zip(work[16..].iter()) {
-            sm.complete(*pair.0, ep, &mut scratch).unwrap();
-            sm.complete(*pair.1, ep, &mut scratch).unwrap();
+            sm.complete(K0, *pair.0, ep, &mut scratch).unwrap();
+            sm.complete(K0, *pair.1, ep, &mut scratch).unwrap();
         }
         let contended = sm.stats().sm_contended;
         // 32 alternating updates on the sink slot → 31 transfers, plus 31
@@ -1206,8 +1291,10 @@ mod tests {
         let sm2 = SyncMemory::new(&p, 2, 0);
         let work = armed_block(&sm2);
         let ep = sm2.current_epoch();
-        sm2.complete_batch(&work[..16], ep, &mut scratch).unwrap();
-        sm2.complete_batch(&work[16..], ep, &mut scratch).unwrap();
+        sm2.complete_batch(K0, &work[..16], ep, &mut scratch)
+            .unwrap();
+        sm2.complete_batch(K0, &work[16..], ep, &mut scratch)
+            .unwrap();
         assert_eq!(sm2.stats().sm_contended, 2);
     }
 
@@ -1219,8 +1306,8 @@ mod tests {
         let mut queue = seed;
         let mut done = 0usize;
         while let Some(i) = queue.pop() {
-            let ep = sm.dispatch(i).unwrap();
-            sm.complete(i, ep, &mut ready).unwrap();
+            let ep = sm.dispatch(Some(K0), i).unwrap();
+            sm.complete(K0, i, ep, &mut ready).unwrap();
             done += 1;
             queue.append(&mut ready);
         }
@@ -1266,13 +1353,13 @@ mod tests {
         let mut ready = Vec::new();
         let mut queue: Vec<Instance> = Vec::new();
         for &i in &work {
-            sm.complete(i, e0, &mut ready).unwrap();
+            sm.complete(K0, i, e0, &mut ready).unwrap();
             queue.append(&mut ready);
         }
         // sink, then the outlet whose completion wraps into epoch 1
         while let Some(i) = queue.pop() {
-            let ep = sm.dispatch(i).unwrap();
-            sm.complete(i, ep, &mut ready).unwrap();
+            let ep = sm.dispatch(Some(K0), i).unwrap();
+            sm.complete(K0, i, ep, &mut ready).unwrap();
             if sm.current_epoch() != e0 {
                 break;
             }
@@ -1280,13 +1367,13 @@ mod tests {
         }
         assert_eq!(sm.current_epoch(), Epoch(1));
         let inlet = sm.armed_inlet();
-        let e1 = sm.dispatch(inlet).unwrap();
+        let e1 = sm.dispatch(Some(K0), inlet).unwrap();
         assert_eq!(e1, Epoch(1));
-        sm.complete(inlet, e1, &mut ready).unwrap();
+        sm.complete(K0, inlet, e1, &mut ready).unwrap();
         // a late duplicate still holding its epoch-0 token loses on the
         // tag bits — the re-armed slot is untouched
         assert_eq!(
-            sm.complete(work[0], e0, &mut ready),
+            sm.complete(K0, work[0], e0, &mut ready),
             Err(CoreError::StaleEpoch {
                 epoch: Epoch(0),
                 current: Epoch(1),
@@ -1294,13 +1381,13 @@ mod tests {
         );
         // a same-epoch protocol error still classifies as NotRunning
         assert_eq!(
-            sm.complete(work[0], e1, &mut ready),
+            sm.complete(K0, work[0], e1, &mut ready),
             Err(CoreError::NotRunning(work[0]))
         );
         // and the instance runs epoch 1 normally afterwards
-        let ep = sm.dispatch(work[0]).unwrap();
+        let ep = sm.dispatch(Some(K0), work[0]).unwrap();
         assert_eq!(ep, Epoch(1));
-        sm.complete(work[0], ep, &mut ready).unwrap();
+        sm.complete(K0, work[0], ep, &mut ready).unwrap();
     }
 
     #[test]

@@ -6,7 +6,9 @@
 //! must observe [`CoreError::NotResident`], the fan-in sink must become
 //! newly-ready exactly once, and the decrement ledger (`rc_updates`)
 //! must balance to the program's arc structure exactly — a lost or
-//! duplicated `fetch_sub` shows up as an off-by-one here.
+//! duplicated `fetch_sub` shows up as an off-by-one here. Every concurrent
+//! thread acts as a kernel id of its own, as the SM's single-writer counter
+//! rows require; the sequential prologues and epilogues act as kernel 0.
 //!
 //! Runs in the CI chaos job (and under ThreadSanitizer in the tsan job).
 
@@ -16,8 +18,12 @@ use std::sync::Mutex;
 use tflux_core::prelude::*;
 use tflux_core::SyncMemory;
 
+/// The kernel the single-threaded parts of every test act as.
+const K0: KernelId = KernelId(0);
+
 /// One round: `arity` producers reduced into a scalar sink, raced by
-/// `racers` threads that all contend for every dispatch.
+/// `racers` threads that all contend for every dispatch. The SM is built
+/// for at least `racers` kernels, so that every racer has a row.
 fn race_round(arity: u32, racers: usize, kernels: u32) {
     let mut b = ProgramBuilder::new();
     let blk = b.block();
@@ -26,11 +32,11 @@ fn race_round(arity: u32, racers: usize, kernels: u32) {
     b.arc(work, sink, ArcMapping::Reduction).unwrap();
     let p = b.build().unwrap();
 
-    let sm = SyncMemory::new(&p, kernels, 0);
+    let sm = SyncMemory::new(&p, kernels.max(racers as u32), 0);
     let mut ready = Vec::new();
     let inlet = sm.armed_inlet();
-    let ep = sm.dispatch(inlet).unwrap();
-    sm.complete(inlet, ep, &mut ready).unwrap();
+    let ep = sm.dispatch(Some(K0), inlet).unwrap();
+    sm.complete(K0, inlet, ep, &mut ready).unwrap();
     assert_eq!(ready.len(), arity as usize);
 
     let wins = AtomicU64::new(0);
@@ -39,17 +45,17 @@ fn race_round(arity: u32, racers: usize, kernels: u32) {
     let (sm_ref, ready_ref) = (&sm, &ready);
     let (wins_ref, losses_ref, newly_ref) = (&wins, &losses, &newly);
     std::thread::scope(|s| {
-        for _ in 0..racers {
+        for k in (0..racers as u32).map(KernelId) {
             s.spawn(move || {
                 let mut local = Vec::new();
                 for &i in ready_ref {
                     // every racer tries every instance: the state CAS must
                     // admit exactly one winner, and reject the rest with a
                     // protocol error rather than a silent double-dispatch
-                    match sm_ref.dispatch(i) {
+                    match sm_ref.dispatch(Some(k), i) {
                         Ok(ep) => {
                             wins_ref.fetch_add(1, Ordering::Relaxed);
-                            sm_ref.complete(i, ep, &mut local).unwrap();
+                            sm_ref.complete(k, i, ep, &mut local).unwrap();
                             newly_ref.lock().unwrap().extend(local.drain(..));
                         }
                         Err(CoreError::NotResident(lost)) => {
@@ -85,8 +91,8 @@ fn race_round(arity: u32, racers: usize, kernels: u32) {
     // drain the rest of the program sequentially: sink, then outlet
     let mut frontier = newly;
     while let Some(i) = frontier.pop() {
-        let ep = sm.dispatch(i).unwrap();
-        sm.complete(i, ep, &mut frontier).unwrap();
+        let ep = sm.dispatch(Some(K0), i).unwrap();
+        sm.complete(K0, i, ep, &mut frontier).unwrap();
     }
     assert!(sm.finished(), "program must drain to completion");
     assert!(!sm.is_poisoned());
@@ -135,28 +141,29 @@ fn racing_batch_flushers_conserve_the_decrement_ledger() {
     b.arc(work, sink, ArcMapping::Reduction).unwrap();
     let p = b.build().unwrap();
 
-    let sm = SyncMemory::new(&p, 4, 0);
+    let sm = SyncMemory::new(&p, flushers as u32, 0);
     let mut ready = Vec::new();
     let inlet = sm.armed_inlet();
-    let ep = sm.dispatch(inlet).unwrap();
-    sm.complete(inlet, ep, &mut ready).unwrap();
+    let ep = sm.dispatch(Some(K0), inlet).unwrap();
+    sm.complete(K0, inlet, ep, &mut ready).unwrap();
     assert_eq!(ready.len(), arity as usize);
 
     let newly: Mutex<Vec<Instance>> = Mutex::new(Vec::new());
     let (sm_ref, newly_ref) = (&sm, &newly);
     std::thread::scope(|s| {
-        for slice in ready.chunks(arity as usize / flushers) {
+        for (k, slice) in ready.chunks(arity as usize / flushers).enumerate() {
             s.spawn(move || {
+                let k = KernelId(k as u32);
                 let mut out = Vec::new();
                 let mut published = Vec::new();
                 for sub in slice.chunks(batch) {
                     let mut ep = sm_ref.current_epoch();
                     for &i in sub {
-                        ep = sm_ref.dispatch(i).unwrap();
+                        ep = sm_ref.dispatch(Some(k), i).unwrap();
                     }
                     // one flush per sub-batch: each covers up to `batch`
                     // logical decrements of the sink with one RMW
-                    sm_ref.complete_batch(sub, ep, &mut out).unwrap();
+                    sm_ref.complete_batch(k, sub, ep, &mut out).unwrap();
                     published.append(&mut out);
                 }
                 newly_ref.lock().unwrap().extend(published);
@@ -191,8 +198,8 @@ fn racing_batch_flushers_conserve_the_decrement_ledger() {
     // drain the rest of the program and audit the totals
     let mut frontier = newly;
     while let Some(i) = frontier.pop() {
-        let ep = sm.dispatch(i).unwrap();
-        sm.complete(i, ep, &mut frontier).unwrap();
+        let ep = sm.dispatch(Some(K0), i).unwrap();
+        sm.complete(K0, i, ep, &mut frontier).unwrap();
     }
     assert!(sm.finished(), "program must drain to completion");
     assert!(!sm.is_poisoned());
@@ -213,21 +220,22 @@ fn completions_are_exact_under_concurrent_completers() {
     b.arc(work, sink, ArcMapping::Reduction).unwrap();
     let p = b.build().unwrap();
 
-    let sm = SyncMemory::new(&p, 4, 0);
+    let sm = SyncMemory::new(&p, arity / 24, 0);
     let mut ready = Vec::new();
     let inlet = sm.armed_inlet();
-    let ep = sm.dispatch(inlet).unwrap();
-    sm.complete(inlet, ep, &mut ready).unwrap();
+    let ep = sm.dispatch(Some(K0), inlet).unwrap();
+    sm.complete(K0, inlet, ep, &mut ready).unwrap();
 
     let done: Mutex<Vec<Instance>> = Mutex::new(Vec::new());
     let (sm_ref, done_ref) = (&sm, &done);
     std::thread::scope(|s| {
-        for chunk in ready.chunks(24) {
+        for (k, chunk) in ready.chunks(24).enumerate() {
             s.spawn(move || {
+                let k = KernelId(k as u32);
                 let mut newly = Vec::new();
                 for &i in chunk {
-                    let ep = sm_ref.dispatch(i).unwrap();
-                    sm_ref.complete(i, ep, &mut newly).unwrap();
+                    let ep = sm_ref.dispatch(Some(k), i).unwrap();
+                    sm_ref.complete(k, i, ep, &mut newly).unwrap();
                 }
                 done_ref.lock().unwrap().extend(chunk.iter().copied());
                 done_ref.lock().unwrap().extend(newly.drain(..));
@@ -245,6 +253,11 @@ fn completions_are_exact_under_concurrent_completers() {
     assert!(counts.values().all(|&c| c == 1), "double-ready detected");
     assert_eq!(counts.get(&Instance::scalar(sink)), Some(&1));
     assert_eq!(sm.completions(), 1 + arity as u64); // inlet + work
+                                                    // single-writer rows lose nothing: each completer's 24 completions put
+                                                    // 24 sink and 24 outlet decrements on its own row
+    for row in sm.shard_stats() {
+        assert_eq!((row.rc_updates, row.rc_rmws), (48, 48));
+    }
 }
 
 #[test]
@@ -411,17 +424,18 @@ fn stale_epoch_completions_lose_the_rearm_race() {
     b.arc(work, sink, ArcMapping::Reduction).unwrap();
     let p = b.build().unwrap();
 
-    let sm = SyncMemory::new(&p, 4, 0);
+    // four replaying racers and the epoch-1 driver: five kernels
+    let sm = SyncMemory::new(&p, 5, 0);
     let mut ready = Vec::new();
     let inlet = sm.armed_inlet();
-    let e0 = sm.dispatch(inlet).unwrap();
-    sm.complete(inlet, e0, &mut ready).unwrap();
+    let e0 = sm.dispatch(Some(K0), inlet).unwrap();
+    sm.complete(K0, inlet, e0, &mut ready).unwrap();
     let work_insts = ready.clone();
     let mut frontier = Vec::new();
     for &i in &work_insts {
-        let ep = sm.dispatch(i).unwrap();
+        let ep = sm.dispatch(Some(K0), i).unwrap();
         assert_eq!(ep, e0);
-        sm.complete(i, ep, &mut frontier).unwrap();
+        sm.complete(K0, i, ep, &mut frontier).unwrap();
     }
     // bank a second pass before the wrap, so the outlet completion below
     // re-arms the graph into epoch 1
@@ -429,8 +443,8 @@ fn stale_epoch_completions_lose_the_rearm_race() {
     let e1 = sm.open_epoch(&mut out).unwrap();
     assert!(out.is_empty(), "epoch 0 still running; credit is banked");
     while let Some(i) = frontier.pop() {
-        let ep = sm.dispatch(i).unwrap();
-        sm.complete(i, ep, &mut frontier).unwrap();
+        let ep = sm.dispatch(Some(K0), i).unwrap();
+        sm.complete(K0, i, ep, &mut frontier).unwrap();
         if sm.current_epoch() != e0 {
             break; // the outlet wrapped the table into epoch 1
         }
@@ -441,12 +455,12 @@ fn stale_epoch_completions_lose_the_rearm_race() {
     let (sm_ref, stale_ref) = (&sm, &stale_tagged);
     std::thread::scope(|s| {
         // racers replay every epoch-0 completion with the stale token
-        for _ in 0..4 {
+        for k in (0..4).map(KernelId) {
             let work_insts = work_insts.clone();
             s.spawn(move || {
                 let mut buf = Vec::new();
                 for &i in &work_insts {
-                    match sm_ref.complete(i, e0, &mut buf) {
+                    match sm_ref.complete(k, i, e0, &mut buf) {
                         Ok(()) => panic!("stale epoch-0 completion of {i} was accepted"),
                         Err(CoreError::StaleEpoch { epoch, current }) => {
                             assert_eq!(epoch, e0);
@@ -466,9 +480,9 @@ fn stale_epoch_completions_lose_the_rearm_race() {
             let mut frontier = vec![sm_ref.armed_inlet()];
             let mut newly = Vec::new();
             while let Some(i) = frontier.pop() {
-                let ep = sm_ref.dispatch(i).unwrap();
+                let ep = sm_ref.dispatch(Some(KernelId(4)), i).unwrap();
                 assert_eq!(ep, e1);
-                sm_ref.complete(i, ep, &mut newly).unwrap();
+                sm_ref.complete(KernelId(4), i, ep, &mut newly).unwrap();
                 frontier.append(&mut newly);
             }
         });
@@ -483,7 +497,7 @@ fn stale_epoch_completions_lose_the_rearm_race() {
     // epoch-1 tag, so the stale token loses on the tag bits
     let mut buf = Vec::new();
     assert_eq!(
-        sm.complete(work_insts[0], e0, &mut buf),
+        sm.complete(K0, work_insts[0], e0, &mut buf),
         Err(CoreError::StaleEpoch {
             epoch: e0,
             current: e1

@@ -182,9 +182,12 @@ impl<P: ProgramHandle> Arena<P> {
             return Ok(());
         }
         let KernelCtx {
-            funnel, scratch, ..
+            kernel,
+            funnel,
+            scratch,
+            ..
         } = ctx;
-        self.contained(|| funnel.flush(&self.soft, scratch))
+        self.contained(|| funnel.flush(*kernel, &self.soft, scratch))
     }
 
     /// One non-blocking fetch on behalf of `ctx`'s kernel, behind the
@@ -222,7 +225,7 @@ impl<P: ProgramHandle> Arena<P> {
         bodies: &BodyTable<'_>,
         injector: &F,
     ) -> Stepped {
-        let slot = &self.slots[ctx.kernel.idx().min(self.slots.len() - 1)];
+        let slot = &self.slots[ctx.kernel.idx()];
         let outcome = execute_body(
             ctx.kernel,
             instance,
@@ -257,7 +260,10 @@ impl<P: ProgramHandle> Arena<P> {
                         std::thread::sleep(d);
                     }
                 }
-                self.contained(|| self.soft.complete(instance, epoch, &mut ctx.scratch))
+                self.contained(|| {
+                    self.soft
+                        .complete(ctx.kernel, instance, epoch, &mut ctx.scratch)
+                })
             })
         };
         let (outlet, latched) = (kind == ThreadKind::Outlet, applied.is_err());

@@ -126,7 +126,7 @@ pub(crate) fn run_kernel<P: ProgramHandle, F: FaultInjector>(
 ) {
     let tsu = &arena.soft;
     let mut ctx = KernelCtx::new(kernel, tsu.flush_policy());
-    let queue = &tsu.queues()[tsu.queue_index(kernel)];
+    let queue = &tsu.queues()[kernel.idx()];
     loop {
         // fall back to a blocking pop on the own queue when nothing is
         // runnable anywhere — bounded for stealers, which must
@@ -201,8 +201,8 @@ mod tests {
         bodies.set(w, |c| {
             seen.lock().unwrap().push((c.kernel, c.context));
         });
-        // kernel id 3 on a 1-queue TSU: the clamp routes it to queue 0
-        run(&arena(&p, 1, TsuConfig::default()), 3, &bodies);
+        // kernel 3 of 4 running alone: it steals what it does not own
+        run(&arena(&p, 4, TsuConfig::default()), 3, &bodies);
         drop(bodies); // release the body closure's borrow of `seen`
         let mut seen = seen.into_inner().unwrap();
         seen.sort_by_key(|&(_, c)| c);

@@ -14,15 +14,20 @@
 //! The push/pop fast path takes **no mutex**:
 //!
 //! * a [`StealDeque`] the owner works LIFO at the bottom of, thieves CAS
-//!   the top of;
-//! * an [`MpmcRing`] *inbox* that receives every push — pushes come from
-//!   whichever kernel ran the producer, and Chase-Lev bottoms are
-//!   owner-only. The owner drains the inbox into its deque before
-//!   popping; thieves may pop the inbox directly, so work pushed at a
-//!   kernel that never fetches is still stealable;
+//!   the top of. A push made *by the owner* — the kernel whose completion
+//!   readied an instance is the kernel that will run it, the common case
+//!   under range placement — goes straight onto the bottom: no CAS, no
+//!   wake, nothing leaves the kernel;
+//! * an [`MpmcRing`] *inbox* that receives every other push (another
+//!   kernel ran the producer, or the caller is no kernel at all), since
+//!   Chase-Lev bottoms are owner-only. The owner drains the inbox into
+//!   its deque before popping; thieves may pop the inbox directly, so
+//!   work pushed at a kernel that never fetches is still stealable;
 //! * a `Mutex<VecDeque>` *overflow valve* behind an atomic length that is
-//!   only touched when the inbox is full — sized right it is never hit,
-//!   but no push is ever lost or spun on;
+//!   only touched when the inbox is full. The inbox is at most
+//!   [`INBOX_SLOTS`] long whatever the program, so this is where the
+//!   foreign part of a wide block load waits; no push is ever lost or
+//!   spun on;
 //! * a parker: `Mutex<()>` + `Condvar`, demoted to the slow path. A
 //!   consumer that misses registers itself in `parked` (SeqCst), re-checks
 //!   the queues, and only then waits; a pusher publishes its entry, runs a
@@ -56,6 +61,12 @@ pub fn shutdown<P: ProgramHandle>(tsu: &SoftTsu<P>) {
     }
 }
 
+/// The longest inbox a queue is built with. Both buffers start small and
+/// the program's resident bound is only a hint: the deque grows on demand
+/// and the valve takes what the inbox cannot, so constructing the queues
+/// costs the same for a 65 536-wide block as for an 8-wide one.
+pub const INBOX_SLOTS: usize = 1024;
+
 /// How long a blocked pop sleeps before re-checking on its own — the
 /// backstop against a lost wakeup, not the normal wake path.
 const PARK_BACKSTOP: Duration = Duration::from_millis(50);
@@ -63,10 +74,11 @@ const PARK_BACKSTOP: Duration = Duration::from_millis(50);
 /// A blocking MPMC ready queue for one kernel, with a lock-free fast path
 /// and queue-native stealing.
 pub struct ReadyQueue {
-    /// Owner-side deque: LIFO for the owner, FIFO for thieves.
+    /// Owner-side deque: LIFO for the owner, who also pushes what its own
+    /// completions ready straight onto it; FIFO for thieves.
     deque: StealDeque,
-    /// All pushes land here (pushers are foreign threads); drained into
-    /// `deque` by the owner, poppable by thieves.
+    /// Pushes by anyone but the owner land here; drained into `deque` by
+    /// the owner, poppable by thieves.
     inbox: MpmcRing,
     /// Valve for pushes that find the inbox full. `overflow_len` gates it
     /// so nobody locks the mutex while it is empty — the common case.
@@ -95,13 +107,12 @@ impl QueueUnit for ReadyQueue {
     /// ([`pop_timeout`](ReadyQueue::pop_timeout)), never by skipping them.
     const BACKOFF: bool = false;
 
-    /// An empty queue whose inbox holds `cap` entries before the overflow
-    /// valve engages — sized at the program's resident bound, the valve is
-    /// never hit.
+    /// An empty queue: a default-sized deque, and an inbox of `cap`
+    /// entries, at most [`INBOX_SLOTS`], before the overflow valve engages.
     fn new(cap: usize) -> Self {
         ReadyQueue {
-            deque: StealDeque::with_capacity(cap.max(4)),
-            inbox: MpmcRing::with_capacity(cap.max(4)),
+            deque: StealDeque::new(),
+            inbox: MpmcRing::with_capacity(cap.min(INBOX_SLOTS)),
             overflow: Mutex::new(VecDeque::new()),
             overflow_len: AtomicUsize::new(0),
             exit: AtomicBool::new(false),
@@ -114,9 +125,15 @@ impl QueueUnit for ReadyQueue {
     }
 
     /// Enqueue a ready instance with the epoch it was dispatched under
-    /// (completion-handler side; any thread). Lock-free unless the inbox
-    /// is full or a consumer is parked.
-    fn push(&self, inst: Instance, epoch: Epoch) {
+    /// (completion-handler side; any thread). The owner's own push is a
+    /// Chase-Lev bottom push and wakes nobody: the only thread that parks
+    /// on this queue is the one pushing. Anyone else's is lock-free
+    /// unless the inbox is full or the owner is parked.
+    fn push(&self, inst: Instance, epoch: Epoch, by_owner: bool) {
+        if by_owner {
+            self.deque.push(inst, epoch);
+            return;
+        }
         if !self.inbox.push(inst, epoch) {
             let mut ovf = lock(&self.overflow);
             ovf.push_back((inst, epoch));
@@ -277,7 +294,7 @@ impl ReadyQueue {
 mod tests {
     use super::*;
     use std::sync::Arc;
-    use tflux_core::ids::{Context, ThreadId};
+    use tflux_core::prelude::*;
 
     fn inst(t: u32) -> Instance {
         Instance::new(ThreadId(t), Context(0))
@@ -290,9 +307,9 @@ mod tests {
         // the Chase-Lev contract: the owner runs its newest (cache-warm)
         // entry, a thief migrates the oldest
         let q = ReadyQueue::new(256);
-        q.push(inst(1), E0);
-        q.push(inst(2), E0);
-        q.push(inst(3), E0);
+        q.push(inst(1), E0, false);
+        q.push(inst(2), E0, false);
+        q.push(inst(3), E0, false);
         assert_eq!(q.steal(), Steal::Success((inst(1), E0)));
         assert_eq!(q.pop(), FetchResult::Thread(inst(3), E0));
         assert_eq!(q.pop(), FetchResult::Thread(inst(2), E0));
@@ -306,7 +323,7 @@ mod tests {
         // every entry still comes out, and len() sees all of them
         let q = ReadyQueue::new(4);
         for t in 0..20 {
-            q.push(inst(t), E0);
+            q.push(inst(t), E0, false);
         }
         assert_eq!(q.len(), 20);
         let mut got = Vec::new();
@@ -328,7 +345,7 @@ mod tests {
     #[test]
     fn exit_reported_only_after_drain() {
         let q = ReadyQueue::new(256);
-        q.push(inst(1), E0);
+        q.push(inst(1), E0, false);
         q.shutdown();
         assert_eq!(q.pop(), FetchResult::Thread(inst(1), E0));
         assert_eq!(q.pop(), FetchResult::Exit);
@@ -343,7 +360,7 @@ mod tests {
             std::thread::spawn(move || q.pop())
         };
         std::thread::sleep(Duration::from_millis(20));
-        q.push(inst(7), E0);
+        q.push(inst(7), E0, false);
         assert_eq!(handle.join().unwrap(), FetchResult::Thread(inst(7), E0));
         assert!(q.blocked_pops() >= 1);
         assert!(q.wait_nanos() > 0);
@@ -365,7 +382,7 @@ mod tests {
     fn pop_timeout_expires_and_delivers() {
         let q = ReadyQueue::new(256);
         assert_eq!(q.pop_timeout(Duration::from_millis(5)), FetchResult::Wait);
-        q.push(inst(4), E0);
+        q.push(inst(4), E0, false);
         assert_eq!(
             q.pop_timeout(Duration::from_millis(5)),
             FetchResult::Thread(inst(4), E0)
@@ -378,7 +395,7 @@ mod tests {
     fn try_pop_states() {
         let q = ReadyQueue::new(256);
         assert_eq!(q.try_pop(), FetchResult::Wait);
-        q.push(inst(3), E0);
+        q.push(inst(3), E0, false);
         assert_eq!(q.try_pop(), FetchResult::Thread(inst(3), E0));
         q.shutdown();
         assert_eq!(q.try_pop(), FetchResult::Exit);
@@ -386,11 +403,14 @@ mod tests {
         assert_eq!(q.blocked_pops(), 0);
     }
 
-    #[test]
-    fn racing_thieves_and_owner_drain_exactly_once() {
-        // two foreign kernels steal while the owner pushes and pops;
-        // every entry is claimed exactly once across the three parties
+    /// The owner pushes `0..n` and pops every other time while two foreign
+    /// kernels steal; every entry must be claimed exactly once across the
+    /// parties. With `owner_path` the owner's pushes are Chase-Lev bottom
+    /// pushes and a fourth thread pushes `n..2n` through the inbox
+    /// meanwhile, as a sibling kernel's completions would.
+    fn race_thieves_against_the_owner(owner_path: bool) {
         let n = 5_000u32;
+        let total = if owner_path { 2 * n } else { n };
         let q = Arc::new(ReadyQueue::new(8));
         let done = Arc::new(AtomicBool::new(false));
         let mut handles = Vec::new();
@@ -413,14 +433,25 @@ mod tests {
                 mine
             }));
         }
+        let foreign = owner_path.then(|| {
+            let q = Arc::clone(&q);
+            std::thread::spawn(move || {
+                for c in n..2 * n {
+                    q.push(Instance::new(ThreadId(1), Context(c)), E0, false);
+                }
+            })
+        });
         let mut mine = Vec::new();
         for c in 0..n {
-            q.push(Instance::new(ThreadId(1), Context(c)), E0);
+            q.push(Instance::new(ThreadId(1), Context(c)), E0, owner_path);
             if c % 2 == 0 {
                 if let FetchResult::Thread(i, _) = q.try_pop() {
                     mine.push(i.context.0);
                 }
             }
+        }
+        if let Some(foreign) = foreign {
+            foreign.join().unwrap();
         }
         while let FetchResult::Thread(i, _) = q.try_pop() {
             mine.push(i.context.0);
@@ -429,8 +460,89 @@ mod tests {
         for h in handles {
             mine.extend(h.join().unwrap());
         }
+        assert_eq!(mine.len(), total as usize, "lost or duplicated entries");
         mine.sort_unstable();
         mine.dedup();
-        assert_eq!(mine.len(), n as usize, "lost or duplicated entries");
+        assert_eq!(mine.len(), total as usize, "duplicated entries");
+    }
+
+    #[test]
+    fn racing_thieves_and_owner_drain_exactly_once() {
+        race_thieves_against_the_owner(false);
+    }
+
+    #[test]
+    fn owner_path_pushes_race_thieves_and_an_inbox_pusher() {
+        race_thieves_against_the_owner(true);
+    }
+
+    #[test]
+    fn owner_pushes_stay_off_the_inbox_and_wake_nobody() {
+        let q = ReadyQueue::new(8);
+        q.push(inst(1), E0, true);
+        q.push(inst(2), E0, false);
+        q.push(inst(3), E0, true);
+        assert_eq!((q.deque.len(), q.inbox.pushes()), (2, 1));
+        assert_eq!(q.len(), 3);
+        // the owner's next take drains the inbox onto the bottom, on top
+        // of whatever the owner pushed in the meantime
+        assert_eq!(q.try_pop(), FetchResult::Thread(inst(2), E0));
+        assert_eq!(q.steal(), Steal::Success((inst(1), E0)));
+        assert_eq!(q.try_pop(), FetchResult::Thread(inst(3), E0));
+        assert_eq!(q.try_pop(), FetchResult::Wait);
+    }
+
+    /// `program` on a 1-kernel `SoftTsu`, drained by that kernel.
+    fn drained_by_one_kernel(program: &DdmProgram) -> SoftTsu<&DdmProgram> {
+        let tsu = SoftTsu::with_queue_unit(program, 1, TsuConfig::default());
+        let order = tflux_core::tsu::drain_sequential(&tsu).unwrap();
+        assert_eq!(order.len(), program.total_instances());
+        tsu
+    }
+
+    #[test]
+    fn one_kernel_pushes_only_the_armed_inlet_through_the_inbox() {
+        // two blocks: the Outlet → Inlet hand-over is a kernel's push too
+        let mut b = ProgramBuilder::new();
+        for _ in 0..2 {
+            let blk = b.block();
+            let work = b.thread(blk, ThreadSpec::new("work", 300));
+            let sink = b.thread(blk, ThreadSpec::scalar("sink"));
+            b.arc(work, sink, ArcMapping::Reduction).unwrap();
+        }
+        let p = b.build().unwrap();
+        let tsu = drained_by_one_kernel(&p);
+        // armed by the constructor, which is no kernel; every other ready
+        // instance was readied by kernel 0 for kernel 0
+        assert_eq!(tsu.queues()[0].inbox.pushes(), 1);
+        assert_eq!(tsu.stats().fetches as usize, p.total_instances());
+        // so is a pass opened after the drain, by whoever feeds the stream
+        tsu.open_epoch(&mut Vec::new()).unwrap();
+        tflux_core::tsu::drain_sequential(&tsu).unwrap();
+        assert_eq!(tsu.queues()[0].inbox.pushes(), 2);
+        assert_eq!(tsu.stats().completions as usize, 2 * p.total_instances());
+    }
+
+    #[test]
+    fn queue_units_start_small_whatever_the_block() {
+        // `soft_fine`'s fanout_reduce: a 65 539-instance block
+        let mut b = ProgramBuilder::new();
+        let blk = b.block();
+        let sink = b.thread(blk, ThreadSpec::scalar("sink"));
+        for _ in 0..8 {
+            let fan = b.thread(blk, ThreadSpec::new("fan", 8192));
+            b.arc(fan, sink, ArcMapping::Reduction).unwrap();
+        }
+        let p = b.build().unwrap();
+        assert_eq!(p.max_block_instances(), 8 * 8192 + 2);
+        let tsu = SoftTsu::with_queue_unit(&p, 2, TsuConfig::default());
+        for q in tsu.queues() {
+            assert!(q.inbox.capacity() <= INBOX_SLOTS);
+            assert_eq!(q.deque.capacity(), 64);
+        }
+        // and both grow or spill as the block loads: nothing is lost
+        let order = tflux_core::tsu::drain_sequential(&tsu).unwrap();
+        assert_eq!(order.len(), p.total_instances());
+        assert!(tsu.queues()[0].deque.capacity() >= 8 * 8192 / 2);
     }
 }

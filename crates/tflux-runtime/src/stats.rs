@@ -66,14 +66,14 @@ pub struct RunReport {
     pub tub: TubSnapshot,
     /// Per-kernel counters, indexed by kernel id.
     pub kernels: Vec<KernelStats>,
-    /// Per-shard Synchronization Memory counters, indexed by the owning
-    /// kernel: how many logical ready-count decrements landed on each
-    /// shard (`rc_updates`), how many physical atomic RMWs carried them
-    /// (`rc_rmws` — fewer when completion funnels batch), and how many
-    /// contention events it saw (`contended`: slot-state CAS retries plus
-    /// updates arriving from a different kernel than the previous
-    /// updater). A hot `contended` entry means many kernels' completions
-    /// pile into one consumer kernel's instances — the signature
+    /// Per-kernel Synchronization Memory counters, indexed by the kernel
+    /// that applied the updates: how many logical ready-count decrements
+    /// it performed (`rc_updates`), how many physical atomic RMWs carried
+    /// them (`rc_rmws` — fewer when completion funnels batch), and how
+    /// many contention events it met (`contended`: slot-state CAS retries
+    /// plus updates of a slot whose previous update came from a producer
+    /// on a different kernel). High `contended` sums mean many kernels'
+    /// completions pile into the same consumer slots — the signature
     /// `FlushPolicy::Batch` flattens.
     pub sm_shards: Vec<ShardStats>,
 }
@@ -136,7 +136,7 @@ pub struct TenantReport {
     pub wall: Duration,
     /// This tenant's TSU counters.
     pub tsu: TsuStats,
-    /// Per-shard Synchronization Memory counters of this tenant's arena.
+    /// Per-kernel Synchronization Memory counters of this tenant's arena.
     pub sm_shards: Vec<ShardStats>,
     /// What each pool kernel did for this tenant, indexed by kernel id
     /// (`wait_ns` and `blocked_pops` stay 0: pool kernels park on the

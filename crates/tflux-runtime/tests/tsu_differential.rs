@@ -28,7 +28,7 @@ impl QueueUnit for Unpaced {
     fn new(cap: usize) -> Self {
         Unpaced(QueueUnit::new(cap))
     }
-    fn push(&self, inst: Instance, epoch: Epoch) {
+    fn push(&self, inst: Instance, epoch: Epoch, _by_owner: bool) {
         self.0.push(inst, epoch)
     }
     fn take(&self) -> FetchResult {
@@ -145,15 +145,22 @@ fn drive<Q: QueueUnit>(case: &Case) -> (Vec<Vec<Instance>>, TsuStats) {
                 order[ep.0 as usize].push(i);
                 if funnels[k].batching() && tsu.graph().kind(i.thread) == ThreadKind::App {
                     if funnels[k].push(i, ep) {
-                        funnels[k].flush(&tsu, &mut scratch).expect("flush");
+                        funnels[k]
+                            .flush(KernelId(k as u32), &tsu, &mut scratch)
+                            .expect("flush");
                     }
                 } else {
-                    funnels[k].flush(&tsu, &mut scratch).expect("flush");
-                    tsu.complete(i, ep, &mut scratch).expect("complete");
+                    funnels[k]
+                        .flush(KernelId(k as u32), &tsu, &mut scratch)
+                        .expect("flush");
+                    tsu.complete(KernelId(k as u32), i, ep, &mut scratch)
+                        .expect("complete");
                 }
             }
             FetchResult::Wait => {
-                funnels[k].flush(&tsu, &mut scratch).expect("flush");
+                funnels[k]
+                    .flush(KernelId(k as u32), &tsu, &mut scratch)
+                    .expect("flush");
                 idle += 1;
                 assert!(idle <= 2 * n, "no kernel can make progress");
             }
@@ -243,8 +250,11 @@ fn zero_kernels_clamp_to_one_on_both_queue_units() {
         assert_eq!(tsu.kernels(), 1);
         assert_eq!(tsu.queues().len(), 1);
         assert!(!tsu.stealing());
-        // any kernel id is served from the one queue
-        assert_eq!(tsu.queue_index(KernelId(7)), 0);
+        // and only one: no id is aliased onto the one queue
+        assert!(matches!(
+            tsu.fetch(KernelId(7)),
+            Err(CoreError::UnknownKernel { kernels: 1, .. })
+        ));
         let order = tflux_core::tsu::drain_sequential(&tsu).unwrap();
         assert_eq!(order.len(), p.total_instances());
         assert_eq!(tsu.stats().completions as usize, p.total_instances());

@@ -155,7 +155,7 @@ impl<'p> TsuDevice<'p> {
         let ready_at = self.process(shard, arrive);
         self.stats.funnel_flushes += 1;
         let mut ready = std::mem::take(&mut self.ready_buf);
-        let result = self.funnels[core as usize].flush(&self.tsu, &mut ready);
+        let result = self.funnels[core as usize].flush(KernelId(core), &self.tsu, &mut ready);
         let ready_at = ready_at + self.cross_charge(shard, &ready);
         self.ready_buf = ready;
         result?;
@@ -243,7 +243,7 @@ impl<'p> TsuDevice<'p> {
         let shard = self.shard_of[c];
         let ready_at = self.process(shard, core_free);
         let mut ready = std::mem::take(&mut self.ready_buf);
-        self.tsu.complete(inst, epoch, &mut ready)?;
+        self.tsu.complete(KernelId(core), inst, epoch, &mut ready)?;
         let ready_at = ready_at + self.cross_charge(shard, &ready);
         self.ready_buf = ready;
         Ok((core_free, ready_at))
