@@ -4,7 +4,8 @@ use tflux_core::tsu::TsuConfig;
 
 /// Configuration of the simulated Cell/BE.
 ///
-/// All latencies are in 3.2 GHz SPE cycles.
+/// All latencies are in 3.2 GHz SPE cycles. The PS3 calibration itself is
+/// a set of constants of the one [`ps3`](CellConfig::ps3) preset.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct CellConfig {
     /// Usable SPEs (the PS3 exposes 6 of 8: one disabled for yield, one
@@ -12,35 +13,30 @@ pub struct CellConfig {
     pub spes: u32,
     /// Local Store bytes per SPE.
     pub ls_bytes: u64,
-    /// Fixed cost of issuing one DMA transfer (list setup + tag wait).
-    pub dma_setup: u64,
-    /// DMA bandwidth: bytes moved per cycle once started.
-    pub dma_bytes_per_cycle: u64,
-    /// Latency of a mailbox message (PPE → SPE notification).
-    pub mailbox_lat: u64,
-    /// Latency for a kernel's command to land in its CommandBuffer in main
-    /// memory (small DMA put).
-    pub cmd_lat: u64,
-    /// PPE cycles to process one TSU command (emulator software).
-    pub ppe_op: u64,
-    /// PPE cycles to scan one CommandBuffer during the round-robin poll
-    /// loop (charged per command as the average scan cost).
-    pub poll_scan: u64,
     /// Overlap each DThread's import DMA with the *previous* DThread's
     /// compute (double-buffering in the Local Store — the standard Cell
     /// optimization the paper's implementation leaves as future work).
     /// Requires spare LS for the second buffer, which the machine checks.
     pub double_buffer: bool,
-    /// SPE compute throughput scale: numerator/denominator applied to a
-    /// work model's generic compute cycles (SIMD-friendly kernels run
-    /// faster per element on an SPE; scalar-heavy code slower).
-    pub compute_scale_num: u64,
-    /// See [`CellConfig::compute_scale_num`].
-    pub compute_scale_den: u64,
     /// Configuration handed to the PPE-side TSU emulator (capacity,
     /// scheduling policy, completion-funnel flush policy).
     pub tsu: TsuConfig,
 }
+
+/// Fixed cost of issuing one DMA transfer (list setup + tag wait).
+const DMA_SETUP: u64 = 300;
+/// DMA bandwidth once started: ~25.6 GB/s at 3.2 GHz.
+const DMA_BYTES_PER_CYCLE: u64 = 8;
+/// Latency of a mailbox message (PPE → SPE notification).
+pub(crate) const MAILBOX_LAT: u64 = 200;
+/// Latency for a kernel's command to land in its CommandBuffer in main
+/// memory (a small DMA put).
+pub(crate) const CMD_LAT: u64 = 250;
+/// PPE cycles to process one TSU command (emulator software).
+pub(crate) const PPE_OP: u64 = 600;
+/// PPE cycles to scan one CommandBuffer during the round-robin poll loop,
+/// charged per command as the average scan cost.
+pub(crate) const POLL_SCAN: u64 = 120;
 
 impl CellConfig {
     /// The paper's PS3 (§6.3): 6 usable SPEs, 256 KB Local Stores,
@@ -49,15 +45,7 @@ impl CellConfig {
         CellConfig {
             spes: 6,
             ls_bytes: 256 * 1024,
-            dma_setup: 300,
-            dma_bytes_per_cycle: 8, // ~25.6 GB/s at 3.2 GHz
-            mailbox_lat: 200,
-            cmd_lat: 250,
-            ppe_op: 600,
-            poll_scan: 120,
             double_buffer: false,
-            compute_scale_num: 1,
-            compute_scale_den: 1,
             tsu: TsuConfig::default(),
         }
     }
@@ -87,12 +75,7 @@ impl CellConfig {
         if bytes == 0 {
             return 0;
         }
-        self.dma_setup + bytes.div_ceil(self.dma_bytes_per_cycle.max(1))
-    }
-
-    /// Scaled SPE compute cycles for a generic compute amount.
-    pub fn scale_compute(&self, cycles: u64) -> u64 {
-        cycles * self.compute_scale_num / self.compute_scale_den.max(1)
+        DMA_SETUP + bytes.div_ceil(DMA_BYTES_PER_CYCLE)
     }
 }
 
@@ -111,20 +94,12 @@ mod tests {
     fn dma_costs_setup_plus_bandwidth() {
         let c = CellConfig::ps3();
         assert_eq!(c.dma_cycles(0), 0);
-        assert_eq!(c.dma_cycles(8), c.dma_setup + 1);
-        assert_eq!(c.dma_cycles(16 * 1024), c.dma_setup + 2048);
+        assert_eq!(c.dma_cycles(8), DMA_SETUP + 1);
+        assert_eq!(c.dma_cycles(16 * 1024), DMA_SETUP + 2048);
     }
 
     #[test]
     fn spe_override() {
         assert_eq!(CellConfig::ps3().with_spes(2).spes, 2);
-    }
-
-    #[test]
-    fn compute_scaling() {
-        let mut c = CellConfig::ps3();
-        c.compute_scale_num = 3;
-        c.compute_scale_den = 2;
-        assert_eq!(c.scale_compute(100), 150);
     }
 }

@@ -15,7 +15,7 @@
 //! DMA transfers arbitrate for the element-interconnect bus; the PPE
 //! emulator is a serialized resource. Everything is deterministic.
 
-use crate::config::CellConfig;
+use crate::config::{CellConfig, CMD_LAT, MAILBOX_LAT, POLL_SCAN, PPE_OP};
 use crate::report::CellReport;
 use crate::work::{CellWork, CellWorkSource};
 use tflux_core::ids::{Epoch, Instance, KernelId};
@@ -141,7 +141,7 @@ impl CellMachine {
         let tsu = Tsu::new(program, spes, self.cfg.tsu);
         // the PPE emulator's completion funnel: under a batching flush
         // policy, App commands park here and post-process as one batch
-        // (one `ppe_op` charge per flush instead of per command)
+        // (one `PPE_OP` charge per flush instead of per command)
         let mut funnel = CompletionFunnel::new(tsu.flush_policy());
         let mut spelist: Vec<Spe> = (0..spes)
             .map(|_| Spe {
@@ -179,7 +179,7 @@ impl CellMachine {
             if let FetchResult::Thread(inst, ep) =
                 tsu.fetch(KernelId(k)).map_err(CellError::Protocol)?
             {
-                events.push(self.cfg.mailbox_lat, Ev::Mail(k, inst, ep));
+                events.push(MAILBOX_LAT, Ev::Mail(k, inst, ep));
                 spelist[k as usize].dispatched = true;
             }
         }
@@ -228,7 +228,7 @@ impl CellMachine {
                 Ev::Imported(spe) => {
                     let s = &mut spelist[spe as usize];
                     let (_, _, w) = s.cur.expect("Imported without current work");
-                    let c = self.cfg.scale_compute(w.compute);
+                    let c = w.compute;
                     s.busy += c;
                     s.prev_compute = c;
                     events.push(t + c, Ev::Export(spe));
@@ -245,18 +245,18 @@ impl CellMachine {
                         now = start + cost;
                     }
                     instances += 1;
-                    events.push(now + self.cfg.cmd_lat, Ev::Cmd(spe, inst, epoch));
+                    events.push(now + CMD_LAT, Ev::Cmd(spe, inst, epoch));
                 }
                 Ev::Cmd(spe, inst, epoch) => {
                     // PPE picks the command out of the CommandBuffer: the
                     // scan is always charged; the post-processing op is
                     // charged per batch when the funnel defers it
                     let start = ppe_free.max(t);
-                    let mut cost = self.cfg.poll_scan;
+                    let mut cost = POLL_SCAN;
                     commands += 1;
                     if funnel.batching() && program.thread(inst.thread).kind == ThreadKind::App {
                         if funnel.push(inst, epoch) {
-                            cost += self.cfg.ppe_op;
+                            cost += PPE_OP;
                             funnel
                                 .flush(KernelId(spe), &tsu, &mut ready_buf)
                                 .map_err(CellError::Protocol)?;
@@ -265,12 +265,12 @@ impl CellMachine {
                         // block transitions post-process directly, after
                         // draining parked completions they may depend on
                         if !funnel.is_empty() {
-                            cost += self.cfg.ppe_op;
+                            cost += PPE_OP;
                             funnel
                                 .flush(KernelId(spe), &tsu, &mut ready_buf)
                                 .map_err(CellError::Protocol)?;
                         }
-                        cost += self.cfg.ppe_op;
+                        cost += PPE_OP;
                         tsu.complete(KernelId(spe), inst, epoch, &mut ready_buf)
                             .map_err(CellError::Protocol)?;
                     }
@@ -284,7 +284,7 @@ impl CellMachine {
                     if tsu.finished() {
                         for (k, s) in spelist.iter().enumerate() {
                             if s.waiting_since.is_some() && !s.done && !s.dispatched {
-                                events.push(done + self.cfg.mailbox_lat, Ev::Bye(k as u32));
+                                events.push(done + MAILBOX_LAT, Ev::Bye(k as u32));
                             }
                         }
                     } else {
@@ -301,7 +301,7 @@ impl CellMachine {
                                 if let FetchResult::Thread(i, ep) =
                                     tsu.fetch(KernelId(k)).map_err(CellError::Protocol)?
                                 {
-                                    events.push(done + self.cfg.mailbox_lat, Ev::Mail(k, i, ep));
+                                    events.push(done + MAILBOX_LAT, Ev::Mail(k, i, ep));
                                     spelist[k as usize].dispatched = true;
                                 }
                             }
@@ -313,8 +313,8 @@ impl CellMachine {
                             {
                                 break;
                             }
-                            ppe_free += self.cfg.ppe_op;
-                            ppe_busy += self.cfg.ppe_op;
+                            ppe_free += PPE_OP;
+                            ppe_busy += PPE_OP;
                             done = ppe_free;
                             funnel
                                 .flush(KernelId(spe), &tsu, &mut ready_buf)
@@ -383,7 +383,7 @@ impl CellMachine {
             self.check_ls(inst, &w)?;
             peak_ls = peak_ls.max(w.ls_bytes);
             let d = self.cfg.dma_cycles(w.import_bytes) + self.cfg.dma_cycles(w.export_bytes);
-            let c = self.cfg.scale_compute(w.compute);
+            let c = w.compute;
             dma += d;
             busy += c;
             now += d + c;
@@ -581,7 +581,7 @@ mod tests {
         assert_eq!(batched.tsu.completions, direct.tsu.completions);
         assert_eq!(batched.tsu.rc_updates, direct.tsu.rc_updates);
         // ...with fewer physical RMWs and less PPE post-processing time,
-        // since up to 8 App commands share one `ppe_op` charge
+        // since up to 8 App commands share one `PPE_OP` charge
         assert!(batched.tsu.rc_rmws < direct.tsu.rc_rmws);
         assert!(
             batched.ppe_busy < direct.ppe_busy,

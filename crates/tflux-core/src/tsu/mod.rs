@@ -11,9 +11,10 @@
 //!   serialized).
 //! * a [`QueueUnit`] per kernel — [`StealDeque`], a Chase-Lev
 //!   work-stealing deque of ready instances, or the threaded runtime's
-//!   blocking `ReadyQueue` built on it; idle kernels steal the oldest
-//!   entry of a sibling. A unit is told when a push comes from its own
-//!   kernel, so that push need not leave it.
+//!   `ReadyQueue` built on it; idle kernels steal the oldest entry of a
+//!   sibling. A unit is told when a push comes from its own kernel, so
+//!   that push need not leave it. No unit blocks: [`FetchResult`] is
+//!   answered here, and a platform decides how its idle kernels wait.
 //!
 //! [`Tsu`] composes the three, once. Every operation takes `&self` (the
 //! units are lock-free), so the same state machine is driven by one owner
@@ -90,8 +91,8 @@ impl KernelSlot {
 /// This is the one scheduler of the workspace. With the default
 /// [`StealDeque`] unit it is the state machine behind the simulated
 /// hardware TSU (`tflux-sim`), the Cell PPE (`tflux-cell`) and the
-/// sequential reference executor; with the runtime's blocking `ReadyQueue`
-/// it is the TSU kernel threads and server arenas share by `&`.
+/// sequential reference executor; with the runtime's `ReadyQueue` it is
+/// the TSU kernel threads and server arenas share by `&`.
 ///
 /// Every instance is dispatched (marked in flight in the Synchronization
 /// Memory) *before* it is pushed onto a queue unit, so a popped or stolen
@@ -165,7 +166,7 @@ impl<P: ProgramHandle, Q: QueueUnit> Tsu<P, Q> {
         &self.gm
     }
 
-    /// The queue units, one per kernel. Kernel threads block on their
+    /// The queue units, one per kernel. Kernel threads park on their
     /// own; stall forensics read the depths.
     pub fn queues(&self) -> &[Q] {
         &self.queues
@@ -297,9 +298,8 @@ impl<P: ProgramHandle, Q: QueueUnit> Tsu<P, Q> {
             return Ok((FetchResult::Exit, false));
         }
         let own = kernel.idx();
-        match self.queues[own].take() {
-            FetchResult::Wait => {}
-            r => return Ok((r, false)),
+        if let Some((i, ep)) = self.queues[own].take() {
+            return Ok((FetchResult::Thread(i, ep), false));
         }
         if self.steal {
             // adaptive backoff (polled units only, see

@@ -8,10 +8,10 @@
 //! oldest entry by CAS-ing the top — stealing is a queue-native operation,
 //! not a scheduler hack layered on a `VecDeque`. Entries are epoch-tagged
 //! `(Instance, Epoch)` pairs so streaming tokens ride the steal path
-//! unchanged. The threaded runtime builds its blocking `ReadyQueue` on the
-//! same deque (pushes by the unit's own kernel) plus the [`MpmcRing`] inbox
-//! (everybody else's); both speak the shared [`FetchResult`] vocabulary and
-//! both are a [`QueueUnit`] — the one parameter of the [`Tsu`](super::Tsu).
+//! unchanged. The threaded runtime builds its `ReadyQueue` on the same
+//! deque (pushes by the unit's own kernel) plus the [`MpmcRing`] inbox
+//! (everybody else's); both are a [`QueueUnit`] — the one parameter of the
+//! [`Tsu`](super::Tsu) — and neither ever blocks.
 //!
 //! # Memory ordering
 //!
@@ -53,11 +53,12 @@ use std::sync::OnceLock;
 
 /// Result of a kernel's request for its next DThread.
 ///
-/// Every backend — and every queue, blocking or not — answers a fetch with
-/// one of these three words. A fetched instance carries the epoch it was
-/// dispatched under; the kernel hands that token back with the completion
-/// so a late completion can never corrupt a re-armed slot of a later
-/// streaming pass.
+/// Every backend answers a fetch with one of these three words; only the
+/// [`Tsu`](super::Tsu) and the runtime's arenas produce them, a queue unit
+/// answers with an entry or nothing. A fetched instance carries the epoch
+/// it was dispatched under; the kernel hands that token back with the
+/// completion so a late completion can never corrupt a re-armed slot of a
+/// later streaming pass.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum FetchResult {
     /// Run this instance next; report its completion with this epoch.
@@ -97,15 +98,15 @@ impl Steal {
 ///
 /// [`StealDeque`] is the unit of the single-owner device models (the
 /// simulated hardware TSU, the Cell PPE, the sequential reference drain);
-/// the threaded runtime's blocking `ReadyQueue` is the unit kernel threads
-/// and server arenas share.
+/// the threaded runtime's `ReadyQueue` is the unit kernel threads and
+/// server arenas share.
 pub trait QueueUnit {
     /// Whether a kernel whose steals keep missing gates its victim scans
     /// with [`StealBackoff`](crate::policy::StealBackoff). A polled unit
     /// needs it — nothing else stops an idle device from sweeping empty
-    /// siblings on every fetch. A unit its consumer can *block* on must
-    /// not have it: the timed park between rescans already is the pacing,
-    /// and a skip window on top of it is a steal blackout.
+    /// siblings on every fetch. A unit whose kernel parks between rescans
+    /// must not have it: the timed park already is the pacing, and a skip
+    /// window on top of it is a steal blackout.
     const BACKOFF: bool;
 
     /// An empty unit. `cap` is the program's resident bound — a sizing
@@ -119,9 +120,8 @@ pub trait QueueUnit {
     /// kernel; `false` is always correct.
     fn push(&self, inst: Instance, epoch: Epoch, by_owner: bool);
 
-    /// One non-blocking take by the unit's consumer:
-    /// [`FetchResult::Exit`] once the unit was shut down and drained.
-    fn take(&self) -> FetchResult;
+    /// One non-blocking take by the unit's consumer; `None` when empty.
+    fn take(&self) -> Option<(Instance, Epoch)>;
 
     /// One steal attempt by a foreign kernel.
     fn steal(&self) -> Steal;
@@ -149,11 +149,8 @@ impl QueueUnit for StealDeque {
         StealDeque::push(self, inst, epoch)
     }
 
-    fn take(&self) -> FetchResult {
-        match self.pop() {
-            Some((i, ep)) => FetchResult::Thread(i, ep),
-            None => FetchResult::Wait,
-        }
+    fn take(&self) -> Option<(Instance, Epoch)> {
+        self.pop()
     }
 
     fn steal(&self) -> Steal {

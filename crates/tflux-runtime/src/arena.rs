@@ -2,8 +2,8 @@
 //!
 //! An [`Arena`] is a program's execution state: its [`SoftTsu`], panic
 //! sink, error latch and per-kernel counters. Its two drivers —
-//! [`Runtime::run`](crate::Runtime) (scoped kernels that block on their
-//! own queue, the calling thread supervising) and the
+//! [`Runtime::run`](crate::Runtime) (scoped kernels that park on their
+//! own queue's bell, the calling thread supervising) and the
 //! [`ProgramServer`](crate::ProgramServer) (a persistent pool multiplexing
 //! over many arenas, one supervisor thread) — do only this to it:
 //!
@@ -21,7 +21,7 @@ use crate::body::BodyTable;
 use crate::faults::FaultInjector;
 use crate::kernel::{execute_body, BodyPanic, PanicSink};
 use crate::runtime::{RetryPolicy, RuntimeError};
-use crate::sm::{shutdown, SoftTsu};
+use crate::sm::{ring_all, SoftTsu};
 use crate::stats::{InFlightInstance, KernelStats, RunReport, StallCause, StallReport};
 use crate::sync::lock;
 use crate::tub::TubSnapshot;
@@ -44,6 +44,10 @@ struct KernelSlot {
     poisoned: AtomicU64,
     /// Completions of bodies that outlived the eviction, discarded.
     late: AtomicU64,
+    /// Nanoseconds parked on the kernel's own bell (`Runtime::run` only).
+    wait_ns: AtomicU64,
+    /// Parks on it: `Wait` fetches the kernel slept after.
+    blocked_pops: AtomicU64,
 }
 
 fn add(counter: &AtomicU64, n: u64) {
@@ -175,7 +179,7 @@ impl<P: ProgramHandle> Arena<P> {
     }
 
     /// Hand the kernel's parked completions to the SM as one batch. A
-    /// kernel calls this before it blocks: the parked decrements may be
+    /// kernel calls this before it parks: the parked decrements may be
     /// the very ones it (or a sibling) would wait on.
     pub(crate) fn flush(&self, ctx: &mut KernelCtx) -> Result<(), Latched> {
         if ctx.funnel.is_empty() {
@@ -206,6 +210,13 @@ impl<P: ProgramHandle> Arena<P> {
             return Ok(FetchResult::Exit);
         }
         self.soft.fetch(ctx.kernel).map_err(|e| self.latch(e))
+    }
+
+    /// Count one park of `kernel` on its bell, `waited` long.
+    pub(crate) fn parked(&self, kernel: KernelId, waited: Duration) {
+        let slot = &self.slots[kernel.idx()];
+        add(&slot.wait_ns, waited.as_nanos() as u64);
+        add(&slot.blocked_pops, 1);
     }
 
     /// Run one fetched instance and complete it on the calling kernel.
@@ -279,9 +290,10 @@ impl<P: ProgramHandle> Arena<P> {
     /// One visit by the supervising thread, behind the *drain jitter*
     /// fault site: latched error → deadline → finished → watchdog. `Some`
     /// is the verdict, and the arena is evicted with it: kernels stop
-    /// fetching from it and its queues are shut down. The deadline cancels
-    /// even a program that is making progress; the watchdog only fires on
-    /// genuine idleness, progress being any completion.
+    /// fetching from it, and a kernel parked on its bell wakes to `Exit`.
+    /// The deadline cancels even a program that is making progress; the
+    /// watchdog only fires on genuine idleness, progress being any
+    /// completion.
     pub(crate) fn supervise<F: FaultInjector>(
         &self,
         watch: &mut Watch,
@@ -322,7 +334,7 @@ impl<P: ProgramHandle> Arena<P> {
             }
         };
         self.evicted.store(true, Ordering::Release);
-        shutdown(&self.soft);
+        ring_all(&self.soft);
         Some(verdict)
     }
 
@@ -357,7 +369,6 @@ impl<P: ProgramHandle> Arena<P> {
 
     /// Per-kernel counters so far, indexed by kernel id.
     fn kernel_stats(&self) -> Vec<KernelStats> {
-        let queues = self.soft.queues();
         self.slots
             .iter()
             .enumerate()
@@ -365,8 +376,8 @@ impl<P: ProgramHandle> Arena<P> {
                 let sched = self.soft.kernel_stats(KernelId(k as u32));
                 KernelStats {
                     executed: slot.executed.load(Ordering::Relaxed),
-                    wait_ns: queues[k].wait_nanos(),
-                    blocked_pops: queues[k].blocked_pops(),
+                    wait_ns: slot.wait_ns.load(Ordering::Relaxed),
+                    blocked_pops: slot.blocked_pops.load(Ordering::Relaxed),
                     steals: sched.steals,
                     steal_misses: sched.steal_misses,
                     steal_races: sched.steal_races,

@@ -4,19 +4,26 @@
 //! alternates between the *FindReadyThread* loop and application DThread
 //! code. `run_kernel` is that loop as [`Runtime::run`](crate::Runtime)
 //! spawns it: fetch from the shared [`SoftTsu`](crate::SoftTsu) (own ready
-//! queue first, then, policy permitting, a steal), block on the own queue
-//! when nothing is runnable anywhere, and hand every fetched instance to
-//! the arena's `step` (`arena.rs`), which runs the body and completes it —
-//! block transitions included — right here, on this kernel.
+//! queue first, then, policy permitting, a steal), park on the own queue's
+//! bell when nothing is runnable anywhere, and hand every fetched instance
+//! to the arena's `step` (`arena.rs`), which runs the body and completes
+//! it — block transitions included — right here, on this kernel.
+//!
+//! Parking is the read-before-look protocol of the server's pool kernels:
+//! after a `Wait` the kernel flushes its funnel, reads the bell's epoch,
+//! fetches once more, and only then waits on that epoch. A foreign push
+//! published after the read rings past it; one published before it is
+//! found by the fetch — as is whatever the flush readied, since an owner
+//! push rings nothing.
 
 use crate::arena::{Arena, KernelCtx};
 use crate::body::{BodyCtx, BodyTable};
 use crate::faults::{BodyFault, FaultInjector};
 use crate::runtime::RetryPolicy;
-use crate::sm::shutdown;
+use crate::sm::ring_all;
 use crate::sync::{lock, EventCount};
 use std::sync::Mutex;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 use tflux_core::ids::{Instance, KernelId};
 use tflux_core::tsu::{FetchResult, ProgramHandle};
 
@@ -40,9 +47,10 @@ pub struct BodyPanic {
 /// Shared collector for body panics across kernels.
 pub type PanicSink = Mutex<Vec<BodyPanic>>;
 
-/// How long a stealing kernel blocks on its own queue between victim
-/// rescans.
-const STEAL_RESCAN: Duration = Duration::from_millis(1);
+/// How long an idle kernel of either driver parks before it looks again
+/// on its own: the backstop against a lost wake-up, and the pace of a
+/// stealer's victim rescans, which no ring announces.
+pub(crate) const KERNEL_BACKSTOP: Duration = Duration::from_millis(1);
 
 /// Outcome of one body execution under panic containment and retry.
 pub(crate) struct BodyOutcome {
@@ -113,10 +121,11 @@ pub(crate) fn execute_body<F: FaultInjector>(
 ///
 /// The loop mirrors Fig. 2: the first instance a kernel receives is (for
 /// kernel 0) the first block's Inlet; every completion jumps back to the
-/// FindReadyThread point. The kernel that finds the program finished —
-/// first of all the one that completed the last Outlet — shuts the queues
-/// down, which "forces [every] Kernel to exit". `supervisor` is rung when
-/// the program finished or an error was latched, nothing else.
+/// FindReadyThread point. A kernel whose fetch answers `Exit` — the
+/// program finished or the arena was evicted — rings every bell so the
+/// parked kernels see it too, which "forces [every] Kernel to exit".
+/// `supervisor` is rung when the program finished or an error was latched,
+/// nothing else.
 pub(crate) fn run_kernel<P: ProgramHandle, F: FaultInjector>(
     arena: &Arena<P>,
     kernel: KernelId,
@@ -126,23 +135,12 @@ pub(crate) fn run_kernel<P: ProgramHandle, F: FaultInjector>(
 ) {
     let tsu = &arena.soft;
     let mut ctx = KernelCtx::new(kernel, tsu.flush_policy());
-    let queue = &tsu.queues()[kernel.idx()];
+    let bell = tsu.queues()[kernel.idx()].bell();
+    // the bell's epoch, read after a `Wait`: the next fetch is the look
+    // that decides whether to park
+    let mut seen = None;
     loop {
-        // fall back to a blocking pop on the own queue when nothing is
-        // runnable anywhere — bounded for stealers, which must
-        // periodically rescan victims
         let fetched = match arena.fetch(&mut ctx, injector) {
-            Ok(FetchResult::Wait) => {
-                if arena.flush(&mut ctx).is_err() {
-                    supervisor.ring();
-                    break;
-                }
-                if tsu.stealing() {
-                    queue.pop_timeout(STEAL_RESCAN)
-                } else {
-                    queue.pop()
-                }
-            }
             Ok(r) => r,
             Err(_) => {
                 supervisor.ring();
@@ -151,16 +149,33 @@ pub(crate) fn run_kernel<P: ProgramHandle, F: FaultInjector>(
         };
         match fetched {
             FetchResult::Thread(instance, epoch) => {
+                seen = None;
                 let stepped = arena.step(&mut ctx, (instance, epoch), bodies, injector);
                 if stepped.latched || (stepped.outlet && tsu.finished()) {
                     supervisor.ring();
                 }
             }
             FetchResult::Exit => {
-                shutdown(tsu);
+                ring_all(tsu);
                 break;
             }
-            FetchResult::Wait => {}
+            FetchResult::Wait => match seen {
+                Some(epoch) => {
+                    let parked = Instant::now();
+                    bell.wait(epoch, KERNEL_BACKSTOP);
+                    arena.parked(kernel, parked.elapsed());
+                    seen = Some(bell.epoch());
+                }
+                None => {
+                    // the parked decrements may be the very ones this
+                    // kernel (or a sibling) would wait on
+                    if arena.flush(&mut ctx).is_err() {
+                        supervisor.ring();
+                        break;
+                    }
+                    seen = Some(bell.epoch());
+                }
+            },
         }
     }
     // drain anything still parked (a break on a latched error) so no
@@ -274,5 +289,64 @@ mod tests {
             report.tsu.rc_rmws,
             report.tsu.rc_updates
         );
+    }
+
+    #[test]
+    fn a_foreign_push_wakes_its_parked_owner() {
+        // a 2 000-link chain whose every link is pinned to the other
+        // kernel, no stealing: each hand-over is a foreign push, and a
+        // lost wake-up costs its link a full backstop (2 s in all)
+        let mut b = ProgramBuilder::new();
+        let blk = b.block();
+        let mut prev = None;
+        for link in 0..2_000u32 {
+            let on = Affinity::Fixed(KernelId(link % 2));
+            let t = b.thread(blk, ThreadSpec::scalar("link").with_affinity(on));
+            if let Some(p) = prev {
+                b.arc(p, t, ArcMapping::OneToOne).unwrap();
+            }
+            prev = Some(t);
+        }
+        let p = b.build().unwrap();
+        let tsu = TsuConfig {
+            steal: false,
+            ..TsuConfig::default()
+        };
+        let runtime = crate::Runtime::new(crate::RuntimeConfig::with_kernels(2).tsu(tsu));
+        let report = runtime.run(&p, &BodyTable::new(&p)).unwrap();
+        assert_eq!(report.total_executed() as usize, p.total_instances());
+        assert!(report.wall < Duration::from_secs(1), "{:?}", report.wall);
+        let parks: u64 = report.kernels.iter().map(|k| k.blocked_pops).sum();
+        let waited: u64 = report.kernels.iter().map(|k| k.wait_ns).sum();
+        assert!(parks > 0 && waited > 0, "{:?}", report.kernels);
+        // a park ends on its ring, not on the backstop
+        let mean = Duration::from_nanos(waited / parks);
+        assert!(mean < KERNEL_BACKSTOP / 2, "{mean:?} per park");
+    }
+
+    #[test]
+    fn a_lone_kernel_never_parks() {
+        // 30 producers under batches of 8 leave 6 parked at the last
+        // `Wait`: their flush readies the sink on this kernel's own queue,
+        // which rings nothing, so only the look after the flush finds it
+        let mut b = ProgramBuilder::new();
+        let blk = b.block();
+        let w = b.thread(blk, ThreadSpec::new("w", 30));
+        let sink = b.thread(blk, ThreadSpec::scalar("sink"));
+        b.arc(w, sink, ArcMapping::Reduction).unwrap();
+        let p = b.build().unwrap();
+        let tsu = TsuConfig {
+            flush: tflux_core::tsu::FlushPolicy::Batch { size: 8 },
+            ..TsuConfig::default()
+        };
+        let runtime = crate::Runtime::new(crate::RuntimeConfig::with_kernels(1).tsu(tsu));
+        let report = runtime.run(&p, &BodyTable::new(&p)).unwrap();
+        assert_eq!(report.total_executed() as usize, p.total_instances());
+        assert!(
+            report.tsu.rc_rmws < report.tsu.rc_updates,
+            "batches applied"
+        );
+        assert_eq!(report.kernels[0].blocked_pops, 0);
+        assert_eq!(report.kernels[0].wait_ns, 0);
     }
 }

@@ -10,7 +10,7 @@
 //!   the paper's "Kernel code and application DThread code in the same
 //!   function", i.e. no OS involvement per DThread.
 //! * The shared software TSU ([`SoftTsu`]) is the one
-//!   [`Tsu`](tflux_core::tsu::Tsu) of `tflux-core` on blocking
+//!   [`Tsu`](tflux_core::tsu::Tsu) of `tflux-core` on non-blocking
 //!   [`ReadyQueue`](sm::ReadyQueue)s: a read-only Graph Memory and a
 //!   **lock-free Synchronization Memory** (atomic ready-count slots). A
 //!   completing kernel decrements its consumers' ready counts with atomic

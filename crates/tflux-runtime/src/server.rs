@@ -34,8 +34,8 @@
 //!
 //! **Fault isolation.** A body panic, a poisoned Synchronization Memory,
 //! a TSU protocol error, a per-program deadline, or a watchdog expiry
-//! cancels and evicts *only* the affected tenant: its queues are shut
-//! down, its in-flight bodies drain (late completions are discarded, never
+//! cancels and evicts *only* the affected tenant: kernels stop fetching
+//! from it, its in-flight bodies drain (late completions are discarded, never
 //! published into the dead arena), and its submitter receives the
 //! [`RuntimeError`] through the [`Admission`] handle — while co-resident
 //! programs run to correct completion on the same kernels.
@@ -56,6 +56,7 @@
 use crate::arena::{Arena, KernelCtx, Watch};
 use crate::body::BodyTable;
 use crate::faults::FaultPlan;
+use crate::kernel::KERNEL_BACKSTOP;
 use crate::runtime::{RetryPolicy, RuntimeError};
 use crate::sm::SoftTsu;
 use crate::stats::TenantReport;
@@ -618,14 +619,13 @@ fn run_pool_kernel(shared: &ServerShared, kernel: KernelId) {
             did_work |= serve_one(shared, tenant, &mut ctx);
         }
         if !did_work {
-            shared.pool.wait(epoch, Duration::from_millis(1));
+            shared.pool.wait(epoch, KERNEL_BACKSTOP);
         }
     }
 }
 
-/// Remove an evicted `tenant` (`Arena::supervise` has latched the flag and
-/// shut its queues down) from the registry and deliver `result` to the
-/// submitter.
+/// Remove an evicted `tenant` (`Arena::supervise` has latched the flag)
+/// from the registry and deliver `result` to the submitter.
 fn evict_tenant(
     shared: &ServerShared,
     tenant: &Arc<Tenant>,

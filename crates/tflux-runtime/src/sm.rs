@@ -5,19 +5,19 @@
 //! [`StealDeque`] — in fact it is built *on* one. It is the [`QueueUnit`]
 //! that turns the one [`Tsu`] of `tflux-core` into the shared software TSU
 //! of TFluxSoft ([`SoftTsu`]): completion handlers push instances whose
-//! ready count reached zero; the kernel pops them, blocking when empty;
-//! idle siblings steal. All three answers speak the shared [`FetchResult`]
-//! vocabulary.
+//! ready count reached zero; the kernel takes them; idle siblings steal.
+//! Nothing here blocks — a kernel with nothing to run parks on its queue's
+//! bell (`kernel.rs`).
 //!
 //! # Structure
 //!
-//! The push/pop fast path takes **no mutex**:
+//! The push/take fast path takes **no mutex**:
 //!
 //! * a [`StealDeque`] the owner works LIFO at the bottom of, thieves CAS
 //!   the top of. A push made *by the owner* — the kernel whose completion
 //!   readied an instance is the kernel that will run it, the common case
 //!   under range placement — goes straight onto the bottom: no CAS, no
-//!   wake, nothing leaves the kernel;
+//!   ring, nothing leaves the kernel;
 //! * an [`MpmcRing`] *inbox* that receives every other push (another
 //!   kernel ran the producer, or the caller is no kernel at all), since
 //!   Chase-Lev bottoms are owner-only. The owner drains the inbox into
@@ -28,23 +28,18 @@
 //!   [`INBOX_SLOTS`] long whatever the program, so this is where the
 //!   foreign part of a wide block load waits; no push is ever lost or
 //!   spun on;
-//! * a parker: `Mutex<()>` + `Condvar`, demoted to the slow path. A
-//!   consumer that misses registers itself in `parked` (SeqCst), re-checks
-//!   the queues, and only then waits; a pusher publishes its entry, runs a
-//!   `SeqCst` fence and reads `parked` — the Dekker handshake means either
-//!   the pusher observes the parker (and notifies under the park lock) or
-//!   the parker's re-check observes the entry. A 50 ms timed wait backstops
-//!   lost wakeups.
+//! * a *bell*, the waiter-aware eventcount of `sync.rs`: every foreign
+//!   push rings it once, so it wakes the owner if it parked and costs one
+//!   atomic increment if not.
 
-use crate::sync::{lock, wait_timeout};
+use crate::sync::{lock, EventCount};
 use std::collections::VecDeque;
-use std::sync::atomic::{fence, AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Condvar, Mutex};
-use std::time::{Duration, Instant};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
 use tflux_core::ids::{Epoch, Instance};
-use tflux_core::tsu::{FetchResult, MpmcRing, ProgramHandle, QueueUnit, Steal, StealDeque, Tsu};
+use tflux_core::tsu::{MpmcRing, ProgramHandle, QueueUnit, Steal, StealDeque, Tsu};
 
-/// The shared software TSU of TFluxSoft: the one [`Tsu`] on blocking
+/// The shared software TSU of TFluxSoft: the one [`Tsu`] on
 /// [`ReadyQueue`]s, shared by `&` between kernel threads.
 ///
 /// This is the direct-update redesign of §4.2: instead of funnelling every
@@ -54,10 +49,11 @@ use tflux_core::tsu::{FetchResult, MpmcRing, ProgramHandle, QueueUnit, Steal, St
 /// mutex, not on a thread.
 pub type SoftTsu<P> = Tsu<P, ReadyQueue>;
 
-/// Shut every queue of `tsu` down so all kernels terminate after draining.
-pub fn shutdown<P: ProgramHandle>(tsu: &SoftTsu<P>) {
+/// Ring every kernel's bell: a kernel parked on its own queue wakes, and
+/// its next fetch answers `Exit` for a finished program or an evicted arena.
+pub(crate) fn ring_all<P: ProgramHandle>(tsu: &SoftTsu<P>) {
     for q in tsu.queues() {
-        q.shutdown();
+        q.bell.ring();
     }
 }
 
@@ -67,12 +63,8 @@ pub fn shutdown<P: ProgramHandle>(tsu: &SoftTsu<P>) {
 /// costs the same for a 65 536-wide block as for an 8-wide one.
 pub const INBOX_SLOTS: usize = 1024;
 
-/// How long a blocked pop sleeps before re-checking on its own — the
-/// backstop against a lost wakeup, not the normal wake path.
-const PARK_BACKSTOP: Duration = Duration::from_millis(50);
-
-/// A blocking MPMC ready queue for one kernel, with a lock-free fast path
-/// and queue-native stealing.
+/// A lock-free MPMC ready queue for one kernel, with queue-native
+/// stealing.
 pub struct ReadyQueue {
     /// Owner-side deque: LIFO for the owner, who also pushes what its own
     /// completions ready straight onto it; FIFO for thieves.
@@ -84,27 +76,14 @@ pub struct ReadyQueue {
     /// so nobody locks the mutex while it is empty — the common case.
     overflow: Mutex<VecDeque<(Instance, Epoch)>>,
     overflow_len: AtomicUsize,
-    exit: AtomicBool,
-    /// Consumers currently inside the park protocol.
-    parked: AtomicUsize,
-    park_lock: Mutex<()>,
-    available: Condvar,
-    /// Time consumers spent blocked on an empty queue, in nanoseconds.
-    wait_ns: AtomicU64,
-    /// Number of pop calls that had to block at least once.
-    blocked_pops: AtomicU64,
-}
-
-enum WaitMode {
-    /// Return `Wait` immediately on a miss.
-    Now,
-    /// Block until work, exit, or the deadline (`None` = forever).
-    Until(Option<Instant>),
+    /// Rung once per foreign push, after the entry is published; the
+    /// owner parks on it.
+    bell: EventCount,
 }
 
 impl QueueUnit for ReadyQueue {
-    /// Kernel threads pace their victim rescans by parking on this queue
-    /// ([`pop_timeout`](ReadyQueue::pop_timeout)), never by skipping them.
+    /// Kernel threads pace their victim rescans by parking on the bell,
+    /// never by skipping them.
     const BACKOFF: bool = false;
 
     /// An empty queue: a default-sized deque, and an inbox of `cap`
@@ -115,20 +94,15 @@ impl QueueUnit for ReadyQueue {
             inbox: MpmcRing::with_capacity(cap.min(INBOX_SLOTS)),
             overflow: Mutex::new(VecDeque::new()),
             overflow_len: AtomicUsize::new(0),
-            exit: AtomicBool::new(false),
-            parked: AtomicUsize::new(0),
-            park_lock: Mutex::new(()),
-            available: Condvar::new(),
-            wait_ns: AtomicU64::new(0),
-            blocked_pops: AtomicU64::new(0),
+            bell: EventCount::default(),
         }
     }
 
     /// Enqueue a ready instance with the epoch it was dispatched under
     /// (completion-handler side; any thread). The owner's own push is a
-    /// Chase-Lev bottom push and wakes nobody: the only thread that parks
-    /// on this queue is the one pushing. Anyone else's is lock-free
-    /// unless the inbox is full or the owner is parked.
+    /// Chase-Lev bottom push and rings nothing: the only thread that parks
+    /// on this queue is the one pushing. Anyone else's rings the bell, and
+    /// is lock-free unless the inbox is full or the owner is parked.
     fn push(&self, inst: Instance, epoch: Epoch, by_owner: bool) {
         if by_owner {
             self.deque.push(inst, epoch);
@@ -139,11 +113,16 @@ impl QueueUnit for ReadyQueue {
             ovf.push_back((inst, epoch));
             self.overflow_len.store(ovf.len(), Ordering::SeqCst);
         }
-        self.wake();
+        self.bell.ring();
     }
 
-    fn take(&self) -> FetchResult {
-        self.try_pop()
+    /// One take by this queue's consumer: drain the inbox into the deque,
+    /// then pop LIFO, then the overflow valve.
+    fn take(&self) -> Option<(Instance, Epoch)> {
+        while let Some((i, ep)) = self.inbox.pop() {
+            self.deque.push(i, ep);
+        }
+        self.deque.pop().or_else(|| self.pop_overflow())
     }
 
     /// One steal attempt by a foreign kernel: the deque top first (oldest
@@ -170,22 +149,10 @@ impl QueueUnit for ReadyQueue {
 }
 
 impl ReadyQueue {
-    /// Tell consumers to exit once the queue drains.
-    pub fn shutdown(&self) {
-        self.exit.store(true, Ordering::SeqCst);
-        self.wake();
-    }
-
-    /// The pusher half of the Dekker handshake: entry already published,
-    /// notify iff somebody is (or is about to be) parked.
-    fn wake(&self) {
-        fence(Ordering::SeqCst);
-        if self.parked.load(Ordering::SeqCst) > 0 {
-            // taking the lock orders the notify after the parker's
-            // registered-but-not-yet-waiting window closes
-            let _guard = lock(&self.park_lock);
-            self.available.notify_all();
-        }
+    /// Where this queue's owner parks: read its `epoch` before looking for
+    /// work, `wait` on it after a miss.
+    pub(crate) fn bell(&self) -> &EventCount {
+        &self.bell
     }
 
     fn pop_overflow(&self) -> Option<(Instance, Epoch)> {
@@ -197,102 +164,12 @@ impl ReadyQueue {
         self.overflow_len.store(ovf.len(), Ordering::SeqCst);
         e
     }
-
-    /// One take attempt by this queue's consumer: drain the inbox into
-    /// the deque, then pop LIFO.
-    fn take(&self) -> Option<(Instance, Epoch)> {
-        while let Some((i, ep)) = self.inbox.pop() {
-            self.deque.push(i, ep);
-        }
-        self.deque.pop().or_else(|| self.pop_overflow())
-    }
-
-    /// The one wait loop behind [`pop`](Self::pop),
-    /// [`pop_timeout`](Self::pop_timeout) and [`try_pop`](Self::try_pop),
-    /// so the `wait_nanos`/`blocked_pops` accounting cannot drift between
-    /// the three entry points.
-    fn pop_inner(&self, mode: WaitMode) -> FetchResult {
-        let mut counted = false;
-        loop {
-            // read exit *before* taking: if the flag is up, anything
-            // pushed before shutdown is already visible, so a miss after
-            // a true flag really means drained
-            let exiting = self.exit.load(Ordering::SeqCst);
-            if let Some((i, ep)) = self.take() {
-                return FetchResult::Thread(i, ep);
-            }
-            if exiting {
-                return FetchResult::Exit;
-            }
-            let deadline = match mode {
-                WaitMode::Now => return FetchResult::Wait,
-                WaitMode::Until(d) => d,
-            };
-            let now = Instant::now();
-            let wait_for = match deadline {
-                Some(d) => match d.checked_duration_since(now) {
-                    Some(left) => left.min(PARK_BACKSTOP),
-                    None => return FetchResult::Wait,
-                },
-                None => PARK_BACKSTOP,
-            };
-            if !counted {
-                counted = true;
-                self.blocked_pops.fetch_add(1, Ordering::Relaxed);
-            }
-            // park: register, re-check, then wait (the parker half of the
-            // Dekker handshake — see `wake`)
-            let mut guard = lock(&self.park_lock);
-            self.parked.fetch_add(1, Ordering::SeqCst);
-            fence(Ordering::SeqCst);
-            if self.is_empty() && !self.exit.load(Ordering::SeqCst) {
-                guard = wait_timeout(&self.available, guard, wait_for);
-            }
-            self.parked.fetch_sub(1, Ordering::SeqCst);
-            drop(guard);
-            self.wait_ns
-                .fetch_add(now.elapsed().as_nanos() as u64, Ordering::Relaxed);
-        }
-    }
-
-    /// Dequeue the next instance, blocking while the queue is empty and the
-    /// program is still running — never returns [`FetchResult::Wait`]. Exit
-    /// is reported only after the queue is empty, so no ready instance is
-    /// ever abandoned.
-    pub fn pop(&self) -> FetchResult {
-        self.pop_inner(WaitMode::Until(None))
-    }
-
-    /// Pop with a bounded wait: returns [`FetchResult::Wait`] when
-    /// `timeout` elapses with the queue still empty and the program still
-    /// running. Used by the work-stealing kernel loop, which must
-    /// periodically rescan victim queues instead of blocking on its own
-    /// queue forever.
-    pub fn pop_timeout(&self, timeout: Duration) -> FetchResult {
-        self.pop_inner(WaitMode::Until(Instant::now().checked_add(timeout)))
-    }
-
-    /// Non-blocking pop: [`FetchResult::Wait`] when the queue is empty and
-    /// the program is still running.
-    pub fn try_pop(&self) -> FetchResult {
-        self.pop_inner(WaitMode::Now)
-    }
-
-    /// Nanoseconds consumers spent blocked waiting for work.
-    pub fn wait_nanos(&self) -> u64 {
-        self.wait_ns.load(Ordering::Relaxed)
-    }
-
-    /// Number of pop calls that found the queue empty and blocked (each
-    /// blocking call counts once, however many times it re-checks).
-    pub fn blocked_pops(&self) -> u64 {
-        self.blocked_pops.load(Ordering::Relaxed)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::AtomicBool;
     use std::sync::Arc;
     use tflux_core::prelude::*;
 
@@ -311,10 +188,10 @@ mod tests {
         q.push(inst(2), E0, false);
         q.push(inst(3), E0, false);
         assert_eq!(q.steal(), Steal::Success((inst(1), E0)));
-        assert_eq!(q.pop(), FetchResult::Thread(inst(3), E0));
-        assert_eq!(q.pop(), FetchResult::Thread(inst(2), E0));
+        assert_eq!(q.take(), Some((inst(3), E0)));
+        assert_eq!(q.take(), Some((inst(2), E0)));
         assert_eq!(q.steal(), Steal::Empty);
-        assert_eq!(q.try_pop(), FetchResult::Wait);
+        assert_eq!(q.take(), None);
     }
 
     #[test]
@@ -327,12 +204,8 @@ mod tests {
         }
         assert_eq!(q.len(), 20);
         let mut got = Vec::new();
-        loop {
-            match q.try_pop() {
-                FetchResult::Thread(i, _) => got.push(i.thread.0),
-                FetchResult::Wait => break,
-                FetchResult::Exit => unreachable!(),
-            }
+        while let Some((i, _)) = q.take() {
+            got.push(i.thread.0);
             // interleave thief traffic through the same valve
             if let Steal::Success((i, _)) = q.steal() {
                 got.push(i.thread.0);
@@ -340,67 +213,6 @@ mod tests {
         }
         got.sort_unstable();
         assert_eq!(got, (0..20).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn exit_reported_only_after_drain() {
-        let q = ReadyQueue::new(256);
-        q.push(inst(1), E0, false);
-        q.shutdown();
-        assert_eq!(q.pop(), FetchResult::Thread(inst(1), E0));
-        assert_eq!(q.pop(), FetchResult::Exit);
-        assert_eq!(q.pop(), FetchResult::Exit);
-    }
-
-    #[test]
-    fn blocking_pop_wakes_on_push() {
-        let q = Arc::new(ReadyQueue::new(256));
-        let handle = {
-            let q = Arc::clone(&q);
-            std::thread::spawn(move || q.pop())
-        };
-        std::thread::sleep(Duration::from_millis(20));
-        q.push(inst(7), E0, false);
-        assert_eq!(handle.join().unwrap(), FetchResult::Thread(inst(7), E0));
-        assert!(q.blocked_pops() >= 1);
-        assert!(q.wait_nanos() > 0);
-    }
-
-    #[test]
-    fn blocking_pop_wakes_on_shutdown() {
-        let q = Arc::new(ReadyQueue::new(256));
-        let handle = {
-            let q = Arc::clone(&q);
-            std::thread::spawn(move || q.pop())
-        };
-        std::thread::sleep(Duration::from_millis(10));
-        q.shutdown();
-        assert_eq!(handle.join().unwrap(), FetchResult::Exit);
-    }
-
-    #[test]
-    fn pop_timeout_expires_and_delivers() {
-        let q = ReadyQueue::new(256);
-        assert_eq!(q.pop_timeout(Duration::from_millis(5)), FetchResult::Wait);
-        q.push(inst(4), E0, false);
-        assert_eq!(
-            q.pop_timeout(Duration::from_millis(5)),
-            FetchResult::Thread(inst(4), E0)
-        );
-        q.shutdown();
-        assert_eq!(q.pop_timeout(Duration::from_millis(5)), FetchResult::Exit);
-    }
-
-    #[test]
-    fn try_pop_states() {
-        let q = ReadyQueue::new(256);
-        assert_eq!(q.try_pop(), FetchResult::Wait);
-        q.push(inst(3), E0, false);
-        assert_eq!(q.try_pop(), FetchResult::Thread(inst(3), E0));
-        q.shutdown();
-        assert_eq!(q.try_pop(), FetchResult::Exit);
-        // a blocked-pop counter is only charged by calls that block
-        assert_eq!(q.blocked_pops(), 0);
     }
 
     /// The owner pushes `0..n` and pops every other time while two foreign
@@ -445,7 +257,7 @@ mod tests {
         for c in 0..n {
             q.push(Instance::new(ThreadId(1), Context(c)), E0, owner_path);
             if c % 2 == 0 {
-                if let FetchResult::Thread(i, _) = q.try_pop() {
+                if let Some((i, _)) = q.take() {
                     mine.push(i.context.0);
                 }
             }
@@ -453,7 +265,7 @@ mod tests {
         if let Some(foreign) = foreign {
             foreign.join().unwrap();
         }
-        while let FetchResult::Thread(i, _) = q.try_pop() {
+        while let Some((i, _)) = q.take() {
             mine.push(i.context.0);
         }
         done.store(true, Ordering::SeqCst);
@@ -479,17 +291,28 @@ mod tests {
     #[test]
     fn owner_pushes_stay_off_the_inbox_and_wake_nobody() {
         let q = ReadyQueue::new(8);
-        q.push(inst(1), E0, true);
-        q.push(inst(2), E0, false);
-        q.push(inst(3), E0, true);
+        // a foreign push rings the owner's bell exactly once, through the
+        // valve too; an owner push rings nothing
+        let rings = |push: &dyn Fn()| {
+            let seen = q.bell.epoch();
+            push();
+            q.bell.epoch() - seen
+        };
+        assert_eq!(rings(&|| q.push(inst(1), E0, true)), 0);
+        assert_eq!(rings(&|| q.push(inst(2), E0, false)), 1);
+        assert_eq!(rings(&|| q.push(inst(3), E0, true)), 0);
         assert_eq!((q.deque.len(), q.inbox.pushes()), (2, 1));
         assert_eq!(q.len(), 3);
         // the owner's next take drains the inbox onto the bottom, on top
         // of whatever the owner pushed in the meantime
-        assert_eq!(q.try_pop(), FetchResult::Thread(inst(2), E0));
+        assert_eq!(q.take(), Some((inst(2), E0)));
         assert_eq!(q.steal(), Steal::Success((inst(1), E0)));
-        assert_eq!(q.try_pop(), FetchResult::Thread(inst(3), E0));
-        assert_eq!(q.try_pop(), FetchResult::Wait);
+        assert_eq!(q.take(), Some((inst(3), E0)));
+        assert_eq!(q.take(), None);
+        for t in 0..q.inbox.capacity() as u32 + 4 {
+            assert_eq!(rings(&|| q.push(inst(t), E0, false)), 1);
+        }
+        assert!(q.overflow_len.load(Ordering::SeqCst) > 0);
     }
 
     /// `program` on a 1-kernel `SoftTsu`, drained by that kernel.

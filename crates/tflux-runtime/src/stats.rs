@@ -13,11 +13,10 @@ use tflux_core::tsu::{ShardStats, TsuStats, WaitingInstance};
 pub struct KernelStats {
     /// DThread instances this kernel executed.
     pub executed: u64,
-    /// Nanoseconds spent blocked on an empty ready queue.
+    /// Nanoseconds spent parked on the kernel's own queue's bell.
     pub wait_ns: u64,
-    /// Pop *calls* that found the queue empty and had to block — each
-    /// blocking call counts once, however many times its internal wait
-    /// loop re-checked before work (or shutdown) arrived.
+    /// `Wait` fetches after which the kernel parked: one per park, each
+    /// ended by a ring or the 1 ms backstop.
     pub blocked_pops: u64,
     /// Instances this kernel took from sibling queues and executed
     /// (successful steals). `executed - steals` is therefore the count of

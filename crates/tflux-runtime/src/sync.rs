@@ -47,10 +47,12 @@ pub(crate) fn wait_timeout<'a, T>(
 }
 
 /// A waiter-aware eventcount: `ring` is one atomic increment unless a
-/// thread is (or is about to be) asleep in `wait`. Same Dekker handshake as
-/// [`ReadyQueue`](crate::sm::ReadyQueue)'s `wake`/`pop_inner`: the ringer
-/// bumps `seq` then reads `sleepers`, the waiter bumps `sleepers` then
-/// re-reads `seq`, all `SeqCst`, so at least one side sees the other.
+/// thread is (or is about to be) asleep in `wait`. A Dekker handshake: the
+/// ringer bumps `seq` then reads `sleepers`, the waiter bumps `sleepers`
+/// then re-reads `seq`, all `SeqCst`, so at least one side sees the other.
+/// The one parking primitive of the crate: every kernel parks on its own
+/// queue's bell (`Runtime::run`) or the server's pool eventcount, every
+/// supervising thread on its own.
 #[derive(Default)]
 pub(crate) struct EventCount {
     seq: AtomicU64,

@@ -31,8 +31,8 @@ impl QueueUnit for Unpaced {
     fn push(&self, inst: Instance, epoch: Epoch, _by_owner: bool) {
         self.0.push(inst, epoch)
     }
-    fn take(&self) -> FetchResult {
-        self.0.take()
+    fn take(&self) -> Option<(Instance, Epoch)> {
+        self.0.pop()
     }
     fn steal(&self) -> Steal {
         self.0.steal()
