@@ -287,6 +287,9 @@ impl ToJson for ServerRow {
 /// identical on any host, which is what `--check` gates. `sm_table_bytes`
 /// is the ready-count slab, O(instances) by definition; the rest of
 /// `bytes` — queue units, counter rows — must not grow with the block.
+/// `rings` (bell rings on kernel 1's queue) and `valve_locks` (overflow
+/// valve acquisitions, both queues) count the hand-over of the block
+/// load, which publishes one run per (owner, thread).
 #[derive(Clone, Copy, PartialEq, Eq)]
 struct ConstructionRow {
     instances: u64,
@@ -294,10 +297,17 @@ struct ConstructionRow {
     bytes: u64,
     sm_table_bytes: u64,
     drain_alloc_calls: u64,
+    rings: u64,
+    valve_locks: u64,
 }
 
 /// Ceiling on construction bytes beyond the ready-count table.
 const CONSTRUCTION_CEILING: u64 = 256 << 10;
+/// Ceilings on the drain's hand-over counts: one ring per foreign run
+/// (8 threads' shares for kernel 1, plus slack), one valve lock per
+/// spilling run and per take-over.
+const RINGS_CEILING: u64 = 16;
+const VALVE_LOCKS_CEILING: u64 = 32;
 
 impl ConstructionRow {
     const KERNELS: u32 = 2;
@@ -314,6 +324,8 @@ impl ConstructionRow {
             bytes,
             sm_table_bytes,
             drain_alloc_calls,
+            rings: tsu.queues()[1].handover_counts().0,
+            valve_locks: tsu.queues().iter().map(|q| q.handover_counts().1).sum(),
         }
     }
 
@@ -335,6 +347,8 @@ impl ToJson for ConstructionRow {
             ("beyond_table_bytes", self.beyond_table_bytes().to_json()),
             ("drain_alloc_calls", self.drain_alloc_calls.to_json()),
             ("drain_allocs_per_instance", per_instance.to_json()),
+            ("rings", self.rings.to_json()),
+            ("valve_locks", self.valve_locks.to_json()),
         ])
     }
 }
@@ -671,33 +685,44 @@ fn check() -> ! {
         eprintln!("FAIL: two runs of the server mix disagree on a count");
         std::process::exit(1);
     }
-    // construction gate: queue units start small whatever the block, and
-    // the counts repeat exactly
+    // construction gate: queue units start small whatever the block, the
+    // block load reaches each kernel in one hand-over per run, and the
+    // counts repeat exactly
     let (a, b) = (ConstructionRow::measure(), ConstructionRow::measure());
     println!(
         "bench_tsu --check construction (fanout_reduce, {} kernels): {} bytes in {} \
-         allocations, {} of them beyond the {}-byte ready-count table; {} allocations \
-         draining {} instances",
+         allocations, {} of them beyond the {}-byte ready-count table; {} allocations, \
+         {} rings on kernel 1 and {} valve locks draining {} instances",
         ConstructionRow::KERNELS,
         a.bytes,
         a.alloc_calls,
         a.beyond_table_bytes(),
         a.sm_table_bytes,
         a.drain_alloc_calls,
+        a.rings,
+        a.valve_locks,
         a.instances
     );
     if a.beyond_table_bytes() > CONSTRUCTION_CEILING {
         eprintln!("FAIL: a SoftTsu allocates more than 256 KiB beyond its ready-count table");
         std::process::exit(1);
     }
+    if a.rings > RINGS_CEILING || a.valve_locks > VALVE_LOCKS_CEILING {
+        eprintln!(
+            "FAIL: the block load is handed over per instance: more than \
+             {RINGS_CEILING} rings or {VALVE_LOCKS_CEILING} valve locks"
+        );
+        std::process::exit(1);
+    }
     if a != b {
-        eprintln!("FAIL: two constructions and drains disagree on an allocation count");
+        eprintln!("FAIL: two constructions and drains disagree on a count");
         std::process::exit(1);
     }
     println!(
         "OK: completion funnel, epoch streaming, work-stealing, 64-core simulated \
          scaling, memsys access classes, server wake-up counts and construction \
-         allocations hold (gates are host-independent counters and simulated cycles)"
+         allocations and hand-overs hold (gates are host-independent counters and \
+         simulated cycles)"
     );
     std::process::exit(0);
 }

@@ -1,9 +1,8 @@
 //! Synchronization-graph analysis: work, span, ideal speedup, DOT export.
 //!
 //! These analyses operate at *instance* granularity so that loop threads and
-//! instance mappings are accounted for exactly. They are used by the figure
-//! harness to annotate results with the theoretical speedup bound of each
-//! DDM decomposition, and by tests that check the bound is respected.
+//! instance mappings are accounted for exactly. Tests use them to check
+//! that a DDM decomposition respects its theoretical speedup bound.
 
 use crate::ids::{Context, Instance, ThreadId};
 use crate::program::DdmProgram;

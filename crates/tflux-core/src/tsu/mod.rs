@@ -12,9 +12,10 @@
 //! * a [`QueueUnit`] per kernel — [`StealDeque`], a Chase-Lev
 //!   work-stealing deque of ready instances, or the threaded runtime's
 //!   `ReadyQueue` built on it; idle kernels steal the oldest entry of a
-//!   sibling. A unit is told when a push comes from its own kernel, so
-//!   that push need not leave it. No unit blocks: [`FetchResult`] is
-//!   answered here, and a platform decides how its idle kernels wait.
+//!   sibling. A unit receives its share of each publication as one run,
+//!   and is told when the run comes from its own kernel, so it need not
+//!   leave that kernel. No unit blocks: [`FetchResult`] is answered here,
+//!   and a platform decides how its idle kernels wait.
 //!
 //! [`Tsu`] composes the three, once. Every operation takes `&self` (the
 //! units are lock-free), so the same state machine is driven by one owner
@@ -262,16 +263,41 @@ impl<P: ProgramHandle, Q: QueueUnit> Tsu<P, Q> {
             })
     }
 
-    /// Dispatch every newly-ready instance and push it on its owning
-    /// kernel's queue unit (Thread Indexing via Graph Memory). `by` is
-    /// the kernel whose completion readied them, `None` for a caller that
-    /// is no kernel.
+    /// Dispatch every newly-ready instance, then hand each owning kernel's
+    /// queue unit its run of them in one call (Thread Indexing via Graph
+    /// Memory). Placement keeps an owner's share of a thread contiguous,
+    /// so a block load is one run per (owner, thread), each a sub-slice of
+    /// `ready`; one epoch covers the whole publication, because a pass
+    /// cannot end while its own instances are still being published. A
+    /// failed dispatch still hands over the run dispatched before it, so
+    /// every dispatched instance is queued. `by` is the kernel whose
+    /// completion readied them, `None` for a caller that is no kernel.
     fn publish(&self, by: Option<KernelId>, ready: &[Instance]) -> Result<(), CoreError> {
-        for &i in ready {
-            let ep = self.sm.dispatch(by, i)?;
-            let owner = self.gm.owner_of(i);
-            self.queues[owner.idx()].push(i, ep, by == Some(owner));
+        let hand_over = |run: &[Instance], owner: KernelId, epoch| {
+            if !run.is_empty() {
+                self.queues[owner.idx()].push_run(run, epoch, by == Some(owner));
+            }
+        };
+        // `ready[start..n]` is dispatched, all for `owner`, under `epoch`
+        let (mut start, mut owner, mut epoch) = (0, KernelId(0), Epoch(0));
+        for (n, &i) in ready.iter().enumerate() {
+            let o = self.gm.owner_of(i);
+            if o != owner {
+                hand_over(&ready[start..n], owner, epoch);
+                (start, owner) = (n, o);
+            }
+            match self.sm.dispatch(by, i) {
+                Ok(ep) => {
+                    debug_assert!(n == start || ep == epoch, "a publication spans epochs");
+                    epoch = ep;
+                }
+                Err(e) => {
+                    hand_over(&ready[start..n], owner, epoch);
+                    return Err(e);
+                }
+            }
         }
+        hand_over(&ready[start..], owner, epoch);
         Ok(())
     }
 
@@ -1018,6 +1044,93 @@ mod tests {
         assert_eq!(s.epochs, 2);
         assert_eq!(s.completions as usize, 2 * p.total_instances());
         assert_eq!(tsu.epoch_ledger(), (2, 2, 2));
+    }
+
+    /// A [`StealDeque`] that logs every enqueue call: `(run, by_owner)`.
+    #[derive(Default)]
+    struct Recording {
+        deque: StealDeque,
+        calls: std::sync::Mutex<Vec<(Vec<Instance>, bool)>>,
+    }
+
+    impl QueueUnit for Recording {
+        const BACKOFF: bool = true;
+        fn new(_cap: usize) -> Self {
+            Recording::default()
+        }
+        fn push(&self, inst: Instance, epoch: Epoch, by_owner: bool) {
+            self.push_run(&[inst], epoch, by_owner)
+        }
+        fn push_run(&self, run: &[Instance], epoch: Epoch, by_owner: bool) {
+            self.calls.lock().unwrap().push((run.to_vec(), by_owner));
+            run.iter().for_each(|&i| self.deque.push(i, epoch));
+        }
+        fn take(&self) -> Option<(Instance, Epoch)> {
+            self.deque.pop()
+        }
+        fn steal(&self) -> Steal {
+            self.deque.steal()
+        }
+        fn len(&self) -> usize {
+            self.deque.len()
+        }
+    }
+
+    #[test]
+    fn publication_hands_each_owner_one_run_per_thread() {
+        // three independent 8-wide threads: all ready when the block loads
+        let mut b = ProgramBuilder::new();
+        let blk = b.block();
+        for _ in 0..3 {
+            b.thread(blk, ThreadSpec::new("w", 8));
+        }
+        let p = b.build().unwrap();
+        let tsu = Tsu::<_, Recording>::with_queue_unit(&p, 2, TsuConfig::default());
+        let calls = |k: usize| std::mem::take(&mut *tsu.queues[k].calls.lock().unwrap());
+        let every_call = || [calls(0), calls(1)].concat();
+        // arming the inlet publishes one instance, for no kernel: one call,
+        // a run of one
+        let inlet = tsu.graph().first_inlet();
+        assert_eq!(every_call(), vec![(vec![inlet], false)]);
+        // kernel 0 completes the inlet: each owner receives its share of
+        // each thread as one contiguous run
+        let FetchResult::Thread(i, ep) = tsu.fetch(KernelId(0)).unwrap() else {
+            panic!("inlet not ready");
+        };
+        tsu.complete(KernelId(0), i, ep, &mut Vec::new()).unwrap();
+        let mut published = Vec::new();
+        for k in 0..2 {
+            let got = calls(k);
+            assert_eq!(got.len(), 3, "kernel {k}: one call per thread");
+            for (run, by_owner) in got {
+                assert_eq!(by_owner, k == 0);
+                assert_eq!(run.len(), 4);
+                for (n, i) in run.iter().enumerate() {
+                    assert_eq!(tsu.graph().owner_of(*i), KernelId(k as u32));
+                    assert_eq!(
+                        *i,
+                        Instance::new(run[0].thread, Context(run[0].context.0 + n as u32))
+                    );
+                }
+                published.extend(run);
+            }
+        }
+        published.sort_unstable();
+        published.dedup();
+        assert_eq!(published.len(), 24);
+        // of the App completions only the last publishes: the outlet, a
+        // run of one
+        let mut app_calls = Vec::new();
+        for _ in 0..24 {
+            let FetchResult::Thread(i, ep) = tsu.fetch(KernelId(1)).unwrap() else {
+                panic!("App instance not ready");
+            };
+            tsu.complete(KernelId(1), i, ep, &mut Vec::new()).unwrap();
+            app_calls.extend(every_call());
+        }
+        let outlet = Instance::scalar(p.blocks()[0].outlet);
+        let by_owner = tsu.graph().owner_of(outlet) == KernelId(1);
+        assert_eq!(app_calls, vec![(vec![outlet], by_owner)]);
     }
 
     #[test]

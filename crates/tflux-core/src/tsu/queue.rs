@@ -99,7 +99,9 @@ impl Steal {
 /// [`StealDeque`] is the unit of the single-owner device models (the
 /// simulated hardware TSU, the Cell PPE, the sequential reference drain);
 /// the threaded runtime's `ReadyQueue` is the unit kernel threads and
-/// server arenas share.
+/// server arenas share. The [`Tsu`](super::Tsu) enqueues only through
+/// [`push_run`](Self::push_run), one call per owner's contiguous share of
+/// a publication: a block load's share of a thread, or one instance.
 pub trait QueueUnit {
     /// Whether a kernel whose steals keep missing gates its victim scans
     /// with [`StealBackoff`](crate::policy::StealBackoff). A polled unit
@@ -119,6 +121,17 @@ pub trait QueueUnit {
     /// this unit, which a concurrent unit may serve without leaving the
     /// kernel; `false` is always correct.
     fn push(&self, inst: Instance, epoch: Epoch, by_owner: bool);
+
+    /// Enqueue a run of dispatched instances, all under `epoch`. To takes
+    /// and steals it must be indistinguishable from pushing the entries
+    /// one at a time, in order, which is all this default does (the
+    /// deque's way); the runtime's unit hands a foreign run over at once
+    /// (one inbox reservation, at most one valve lock, one wake-up).
+    fn push_run(&self, run: &[Instance], epoch: Epoch, by_owner: bool) {
+        for &inst in run {
+            self.push(inst, epoch, by_owner);
+        }
+    }
 
     /// One non-blocking take by the unit's consumer; `None` when empty.
     fn take(&self) -> Option<(Instance, Epoch)>;
@@ -400,12 +413,13 @@ impl StealDeque {
 /// the inbox directly, so work pushed at a kernel that never runs is still
 /// stealable.
 ///
-/// Each slot carries a sequence number: producers CAS `tail` and publish
-/// the slot with `seq = pos + 1` (`Release`), consumers CAS `head` after
-/// observing that sequence (`Acquire`) and recycle the slot with
-/// `seq = pos + cap`. `push` returns `false` when full — callers keep an
-/// overflow valve — and all data lives in atomics, so the ring is exactly
-/// as ThreadSanitizer-clean as the deque.
+/// Each slot carries a sequence number: a producer reserves a run of
+/// slots with one CAS on `tail` and publishes each with `seq = pos + 1`
+/// (`Release`), consumers CAS `head` after observing that sequence
+/// (`Acquire`) and recycle the slot with `seq = pos + cap`. A run longer
+/// than the free slots is cut short — callers keep an overflow valve —
+/// and all data lives in atomics, so the ring is exactly as
+/// ThreadSanitizer-clean as the deque.
 pub struct MpmcRing {
     head: AtomicUsize,
     tail: AtomicUsize,
@@ -447,33 +461,54 @@ impl MpmcRing {
         self.tail.load(Ordering::Relaxed)
     }
 
-    /// Enqueue from any thread; `false` means the ring is full and the
-    /// caller must take its overflow path.
-    pub fn push(&self, inst: Instance, epoch: Epoch) -> bool {
+    /// Enqueue the longest prefix of `run` the free slots hold, in order,
+    /// from any thread: one `tail` CAS reserves the whole prefix. Returns
+    /// its length; the caller's overflow path takes the rest.
+    ///
+    /// A slot at position `p` is free when its sequence reads `p`. Only a
+    /// producer that moved `tail` past `p` can make a free slot busy
+    /// again, so the prefix found free from `pos` is still free when the
+    /// CAS from `pos` succeeds.
+    pub fn push_run(&self, run: &[Instance], epoch: Epoch) -> usize {
+        if run.is_empty() {
+            return 0;
+        }
         let mut pos = self.tail.load(Ordering::Relaxed);
         loop {
-            let slot = &self.slots[pos & self.mask];
-            let seq = slot.seq.load(Ordering::Acquire);
-            let dif = seq as isize - pos as isize;
-            match dif {
-                0 => {
-                    match self.tail.compare_exchange_weak(
-                        pos,
-                        pos.wrapping_add(1),
-                        Ordering::Relaxed,
-                        Ordering::Relaxed,
-                    ) {
-                        Ok(_) => {
-                            slot.inst.store(pack(inst), Ordering::Relaxed);
-                            slot.epoch.store(epoch.0, Ordering::Relaxed);
-                            slot.seq.store(pos.wrapping_add(1), Ordering::Release);
-                            return true;
-                        }
-                        Err(p) => pos = p,
+            let seq_at = |k: usize| {
+                self.slots[pos.wrapping_add(k) & self.mask]
+                    .seq
+                    .load(Ordering::Acquire)
+            };
+            let dif = seq_at(0) as isize - pos as isize;
+            if dif < 0 {
+                return 0; // full
+            }
+            if dif > 0 {
+                pos = self.tail.load(Ordering::Relaxed);
+                continue;
+            }
+            let free = 1
+                + (1..run.len().min(self.capacity()))
+                    .take_while(|&k| seq_at(k) == pos.wrapping_add(k))
+                    .count();
+            match self.tail.compare_exchange_weak(
+                pos,
+                pos.wrapping_add(free),
+                Ordering::Relaxed,
+                Ordering::Relaxed,
+            ) {
+                Ok(_) => {
+                    for (k, &inst) in run[..free].iter().enumerate() {
+                        let p = pos.wrapping_add(k);
+                        let slot = &self.slots[p & self.mask];
+                        slot.inst.store(pack(inst), Ordering::Relaxed);
+                        slot.epoch.store(epoch.0, Ordering::Relaxed);
+                        slot.seq.store(p.wrapping_add(1), Ordering::Release);
                     }
+                    return free;
                 }
-                d if d < 0 => return false, // full
-                _ => pos = self.tail.load(Ordering::Relaxed),
+                Err(p) => pos = p,
             }
         }
     }
@@ -739,15 +774,16 @@ mod tests {
     fn ring_is_fifo_and_bounded() {
         let r = MpmcRing::with_capacity(4);
         assert_eq!(r.capacity(), 4);
-        assert!(r.push(inst(1, 0), E0));
-        assert!(r.push(inst(1, 1), Epoch(5)));
-        assert!(r.push(inst(1, 2), E0));
-        assert!(r.push(inst(1, 3), E0));
-        assert!(!r.push(inst(1, 4), E0), "full ring must refuse");
+        assert_eq!(r.push_run(&[inst(1, 0)], E0), 1);
+        assert_eq!(r.push_run(&[inst(1, 1)], Epoch(5)), 1);
+        // a run takes the free prefix; a full ring refuses
+        let run = [inst(1, 2), inst(1, 3), inst(1, 4)];
+        assert_eq!(r.push_run(&run, E0), 2);
+        assert_eq!(r.push_run(&run[2..], E0), 0, "full ring must refuse");
         assert_eq!(r.len(), 4);
         assert_eq!(r.pop(), Some((inst(1, 0), E0)));
         assert_eq!(r.pop(), Some((inst(1, 1), Epoch(5))));
-        assert!(r.push(inst(1, 4), E0), "slots recycle");
+        assert_eq!(r.push_run(&run[2..], E0), 1, "slots recycle");
         assert_eq!(r.pop(), Some((inst(1, 2), E0)));
         assert_eq!(r.pop(), Some((inst(1, 3), E0)));
         assert_eq!(r.pop(), Some((inst(1, 4), E0)));
@@ -764,9 +800,16 @@ mod tests {
             for p in 0..2u32 {
                 let r = &r;
                 s.spawn(move || {
-                    for i in 0..n {
-                        while !r.push(inst(p, i), Epoch(p as u64)) {
-                            std::thread::yield_now();
+                    // runs of 5, each reserving what is free and retrying
+                    // the rest
+                    let mine: Vec<_> = (0..n).map(|i| inst(p, i)).collect();
+                    for mut run in mine.chunks(5) {
+                        while !run.is_empty() {
+                            let queued = r.push_run(run, Epoch(p as u64));
+                            if queued == 0 {
+                                std::thread::yield_now();
+                            }
+                            run = &run[queued..];
                         }
                     }
                 });

@@ -11,10 +11,10 @@
 //!
 //! Parking is the read-before-look protocol of the server's pool kernels:
 //! after a `Wait` the kernel flushes its funnel, reads the bell's epoch,
-//! fetches once more, and only then waits on that epoch. A foreign push
+//! fetches once more, and only then waits on that epoch. A foreign run
 //! published after the read rings past it; one published before it is
 //! found by the fetch — as is whatever the flush readied, since an owner
-//! push rings nothing.
+//! run rings nothing.
 
 use crate::arena::{Arena, KernelCtx};
 use crate::body::{BodyCtx, BodyTable};

@@ -11,31 +11,40 @@
 //!
 //! # Structure
 //!
-//! The push/take fast path takes **no mutex**:
+//! Every push is a *run*: the owner's contiguous share of one publication
+//! (a whole block load's share of a thread, or a single instance), handed
+//! over in one call. The push/take fast path takes **no mutex**:
 //!
 //! * a [`StealDeque`] the owner works LIFO at the bottom of, thieves CAS
-//!   the top of. A push made *by the owner* — the kernel whose completion
-//!   readied an instance is the kernel that will run it, the common case
-//!   under range placement — goes straight onto the bottom: no CAS, no
-//!   ring, nothing leaves the kernel;
-//! * an [`MpmcRing`] *inbox* that receives every other push (another
+//!   the top of. A run pushed *by the owner* — the kernel whose completion
+//!   readied it is the kernel that will run it, the common case under
+//!   range placement — goes straight onto the bottom: no CAS, no ring,
+//!   nothing leaves the kernel;
+//! * an [`MpmcRing`] *inbox* that receives every other run (another
 //!   kernel ran the producer, or the caller is no kernel at all), since
-//!   Chase-Lev bottoms are owner-only. The owner drains the inbox into
+//!   Chase-Lev bottoms are owner-only: one `tail` CAS reserves as much of
+//!   the run as there are free slots. The owner drains the inbox into
 //!   its deque before popping; thieves may pop the inbox directly, so
 //!   work pushed at a kernel that never fetches is still stealable;
-//! * a `Mutex<VecDeque>` *overflow valve* behind an atomic length that is
-//!   only touched when the inbox is full. The inbox is at most
-//!   [`INBOX_SLOTS`] long whatever the program, so this is where the
-//!   foreign part of a wide block load waits; no push is ever lost or
-//!   spun on;
+//! * a `Mutex<VecDeque>` *overflow valve* behind an atomic length that
+//!   takes the rest of a run, under one lock, when the inbox is full. The
+//!   inbox is at most [`INBOX_SLOTS`] long whatever the program, so this
+//!   is where the foreign part of a wide block load waits; no push is
+//!   ever lost or spun on. When its deque runs dry the owner moves the
+//!   whole valve onto the deque bottom, in order and under one lock, where
+//!   thieves reach it too;
 //! * a *bell*, the waiter-aware eventcount of `sync.rs`: every foreign
-//!   push rings it once, so it wakes the owner if it parked and costs one
-//!   atomic increment if not.
+//!   run rings it once, after the run's last entry is visible, so it
+//!   wakes the owner if it parked and costs one atomic increment if not.
+//!
+//! A run is observably its pushes made one at a time, in order: the same
+//! entries land in the inbox and the valve, and takes and steals see them
+//! in the same order.
 
 use crate::sync::{lock, EventCount};
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Mutex, MutexGuard};
 use tflux_core::ids::{Epoch, Instance};
 use tflux_core::tsu::{MpmcRing, ProgramHandle, QueueUnit, Steal, StealDeque, Tsu};
 
@@ -72,11 +81,14 @@ pub struct ReadyQueue {
     /// Pushes by anyone but the owner land here; drained into `deque` by
     /// the owner, poppable by thieves.
     inbox: MpmcRing,
-    /// Valve for pushes that find the inbox full. `overflow_len` gates it
-    /// so nobody locks the mutex while it is empty — the common case.
+    /// Valve for the part of a run that finds the inbox full. `overflow_len`
+    /// gates it so nobody locks the mutex while it is empty — the common
+    /// case.
     overflow: Mutex<VecDeque<(Instance, Epoch)>>,
     overflow_len: AtomicUsize,
-    /// Rung once per foreign push, after the entry is published; the
+    /// Acquisitions of `overflow`, bumped by the holder (never an RMW).
+    valve_locks: AtomicU64,
+    /// Rung once per foreign run, after its last entry is published; the
     /// owner parks on it.
     bell: EventCount,
 }
@@ -94,35 +106,56 @@ impl QueueUnit for ReadyQueue {
             inbox: MpmcRing::with_capacity(cap.min(INBOX_SLOTS)),
             overflow: Mutex::new(VecDeque::new()),
             overflow_len: AtomicUsize::new(0),
+            valve_locks: AtomicU64::new(0),
             bell: EventCount::default(),
         }
     }
 
-    /// Enqueue a ready instance with the epoch it was dispatched under
-    /// (completion-handler side; any thread). The owner's own push is a
-    /// Chase-Lev bottom push and rings nothing: the only thread that parks
-    /// on this queue is the one pushing. Anyone else's rings the bell, and
-    /// is lock-free unless the inbox is full or the owner is parked.
+    /// A run of one.
     fn push(&self, inst: Instance, epoch: Epoch, by_owner: bool) {
+        self.push_run(std::slice::from_ref(&inst), epoch, by_owner)
+    }
+
+    /// Enqueue a run of ready instances with the epoch they were
+    /// dispatched under (completion-handler side; any thread). The owner's
+    /// own run is Chase-Lev bottom pushes and rings nothing: the only
+    /// thread that parks on this queue is the one pushing. Anyone else's
+    /// takes one inbox reservation, puts what does not fit in the valve
+    /// under one lock, and rings the bell once.
+    fn push_run(&self, run: &[Instance], epoch: Epoch, by_owner: bool) {
         if by_owner {
-            self.deque.push(inst, epoch);
+            for &i in run {
+                self.deque.push(i, epoch);
+            }
             return;
         }
-        if !self.inbox.push(inst, epoch) {
-            let mut ovf = lock(&self.overflow);
-            ovf.push_back((inst, epoch));
+        let queued = self.inbox.push_run(run, epoch);
+        if queued < run.len() {
+            let mut ovf = self.valve();
+            ovf.extend(run[queued..].iter().map(|&i| (i, epoch)));
             self.overflow_len.store(ovf.len(), Ordering::SeqCst);
         }
         self.bell.ring();
     }
 
-    /// One take by this queue's consumer: drain the inbox into the deque,
-    /// then pop LIFO, then the overflow valve.
+    /// One take by this queue's consumer: drain the inbox into the deque
+    /// and pop LIFO; a dry deque first takes over the whole valve.
     fn take(&self) -> Option<(Instance, Epoch)> {
         while let Some((i, ep)) = self.inbox.pop() {
             self.deque.push(i, ep);
         }
-        self.deque.pop().or_else(|| self.pop_overflow())
+        self.deque.pop().or_else(|| {
+            if self.overflow_len.load(Ordering::SeqCst) == 0 {
+                return None;
+            }
+            let mut ovf = self.valve();
+            for (i, ep) in ovf.drain(..) {
+                self.deque.push(i, ep);
+            }
+            self.overflow_len.store(0, Ordering::SeqCst);
+            drop(ovf);
+            self.deque.pop()
+        })
     }
 
     /// One steal attempt by a foreign kernel: the deque top first (oldest
@@ -155,11 +188,24 @@ impl ReadyQueue {
         &self.bell
     }
 
+    /// `(bell rings, overflow-valve lock acquisitions)` since construction:
+    /// what the hand-over of foreign runs has cost this queue.
+    pub fn handover_counts(&self) -> (u64, u64) {
+        (self.bell.epoch(), self.valve_locks.load(Ordering::Relaxed))
+    }
+
+    fn valve(&self) -> MutexGuard<'_, VecDeque<(Instance, Epoch)>> {
+        let ovf = lock(&self.overflow);
+        let n = self.valve_locks.load(Ordering::Relaxed);
+        self.valve_locks.store(n + 1, Ordering::Relaxed);
+        ovf
+    }
+
     fn pop_overflow(&self) -> Option<(Instance, Epoch)> {
         if self.overflow_len.load(Ordering::SeqCst) == 0 {
             return None;
         }
-        let mut ovf = lock(&self.overflow);
+        let mut ovf = self.valve();
         let e = ovf.pop_front();
         self.overflow_len.store(ovf.len(), Ordering::SeqCst);
         e
@@ -215,14 +261,23 @@ mod tests {
         assert_eq!(got, (0..20).collect::<Vec<_>>());
     }
 
+    /// Contexts `lo..hi` of one thread.
+    fn entries(lo: u32, hi: u32) -> Vec<Instance> {
+        (lo..hi)
+            .map(|c| Instance::new(ThreadId(1), Context(c)))
+            .collect()
+    }
+
     /// The owner pushes `0..n` and pops every other time while two foreign
     /// kernels steal; every entry must be claimed exactly once across the
     /// parties. With `owner_path` the owner's pushes are Chase-Lev bottom
-    /// pushes and a fourth thread pushes `n..2n` through the inbox
-    /// meanwhile, as a sibling kernel's completions would.
-    fn race_thieves_against_the_owner(owner_path: bool) {
+    /// pushes. Each of `runs` is one more producer, as a sibling kernel's
+    /// completions would be: meanwhile it pushes `n` entries of its own
+    /// through the 8-slot inbox, in runs of that length, so a run longer
+    /// than the inbox spills into the valve.
+    fn race_thieves_against_the_owner(owner_path: bool, runs: &[usize]) {
         let n = 5_000u32;
-        let total = if owner_path { 2 * n } else { n };
+        let total = n * (1 + runs.len() as u32);
         let q = Arc::new(ReadyQueue::new(8));
         let done = Arc::new(AtomicBool::new(false));
         let mut handles = Vec::new();
@@ -245,14 +300,17 @@ mod tests {
                 mine
             }));
         }
-        let foreign = owner_path.then(|| {
-            let q = Arc::clone(&q);
-            std::thread::spawn(move || {
-                for c in n..2 * n {
-                    q.push(Instance::new(ThreadId(1), Context(c)), E0, false);
-                }
+        let producers: Vec<_> = (1..)
+            .zip(runs)
+            .map(|(p, &len)| {
+                let q = Arc::clone(&q);
+                std::thread::spawn(move || {
+                    for run in entries(p * n, (p + 1) * n).chunks(len) {
+                        q.push_run(run, E0, false);
+                    }
+                })
             })
-        });
+            .collect();
         let mut mine = Vec::new();
         for c in 0..n {
             q.push(Instance::new(ThreadId(1), Context(c)), E0, owner_path);
@@ -262,8 +320,8 @@ mod tests {
                 }
             }
         }
-        if let Some(foreign) = foreign {
-            foreign.join().unwrap();
+        for p in producers {
+            p.join().unwrap();
         }
         while let Some((i, _)) = q.take() {
             mine.push(i.context.0);
@@ -276,16 +334,81 @@ mod tests {
         mine.sort_unstable();
         mine.dedup();
         assert_eq!(mine.len(), total as usize, "duplicated entries");
+        if runs.iter().any(|&len| len > q.inbox.capacity()) {
+            assert!(q.handover_counts().1 > 0, "no run reached the valve");
+        }
     }
 
     #[test]
     fn racing_thieves_and_owner_drain_exactly_once() {
-        race_thieves_against_the_owner(false);
+        race_thieves_against_the_owner(false, &[]);
     }
 
     #[test]
     fn owner_path_pushes_race_thieves_and_an_inbox_pusher() {
-        race_thieves_against_the_owner(true);
+        race_thieves_against_the_owner(true, &[1]);
+    }
+
+    #[test]
+    fn foreign_runs_race_the_owner_and_thieves_through_the_valve() {
+        race_thieves_against_the_owner(true, &[3, 50]);
+    }
+
+    /// Push `runs` at one queue as runs and at another one entry at a
+    /// time, by a foreign kernel unless `by_owner`, with an owner take
+    /// after each; then let a thief and the owner take turns until both
+    /// queues are empty. Every take and steal must see the same entry on
+    /// both. Returns each queue's `(rings, valve locks)`.
+    fn as_runs_and_as_pushes(runs: &[Vec<Instance>], by_owner: bool) -> [(u64, u64); 2] {
+        let (batched, single) = (ReadyQueue::new(8), ReadyQueue::new(8));
+        for run in runs {
+            batched.push_run(run, E0, by_owner);
+            for &i in run {
+                single.push(i, E0, by_owner);
+            }
+            assert_eq!(batched.len(), single.len());
+            assert_eq!(batched.take(), single.take());
+        }
+        loop {
+            let turn = (batched.steal(), batched.take());
+            assert_eq!(turn, (single.steal(), single.take()));
+            if turn == (Steal::Empty, None) {
+                break;
+            }
+        }
+        [batched.handover_counts(), single.handover_counts()]
+    }
+
+    #[test]
+    fn a_foreign_run_rings_once_and_reads_as_its_pushes() {
+        // below the 8-slot inbox: no valve either way
+        let [(rings, locks), single] = as_runs_and_as_pushes(&[entries(0, 5)], false);
+        assert_eq!((rings, locks, single), (1, 0, (5, 0)));
+        // above it: the rest of the run spills under one lock, and the
+        // owner's dry deque takes the valve over under one more
+        let [(rings, locks), (single_rings, single_locks)] =
+            as_runs_and_as_pushes(&[entries(0, 40)], false);
+        assert_eq!((rings, locks, single_rings), (1, 2, 40));
+        assert!(
+            single_locks > 32,
+            "one lock per spilled push: {single_locks}"
+        );
+        // runs interleaved with single pushes, the inbox filling up
+        let mixed = [(0, 1), (1, 6), (6, 7), (7, 30), (30, 31), (31, 45)];
+        let mixed: Vec<_> = mixed.iter().map(|&(lo, hi)| entries(lo, hi)).collect();
+        let [(rings, _), (single_rings, _)] = as_runs_and_as_pushes(&mixed, false);
+        assert_eq!((rings, single_rings), (6, 45));
+        // the owner's run goes onto its deque and rings nothing
+        let [owner, single] = as_runs_and_as_pushes(&[entries(0, 40)], true);
+        assert_eq!((owner, single), ((0, 0), (0, 0)));
+        // the valve reaches the deque bottom in order: the owner takes the
+        // inbox's share newest first, then the spilled rest newest first
+        let q = ReadyQueue::new(8);
+        q.push_run(&entries(0, 40), E0, false);
+        let taken: Vec<u32> = std::iter::from_fn(|| q.take())
+            .map(|(i, _)| i.context.0)
+            .collect();
+        assert_eq!(taken, (0..8).rev().chain((8..40).rev()).collect::<Vec<_>>());
     }
 
     #[test]

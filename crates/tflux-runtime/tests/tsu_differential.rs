@@ -1,7 +1,7 @@
 //! Differential test of the one `Tsu` across its queue units.
 //!
 //! The platforms differ only in the [`QueueUnit`] they instantiate:
-//! `StealDeque` behind the device models, the blocking `ReadyQueue` behind
+//! `StealDeque` behind the device models, the runtime's `ReadyQueue` behind
 //! kernel threads. Driven by *one* thread round-robining the kernel ids,
 //! `ReadyQueue`'s inbox-then-deque is observationally a `StealDeque`, so
 //! under the same steal pacing the two must make the same decisions:
