@@ -24,8 +24,7 @@ use tflux_bench::tsu_path::{
     measure, measure_stream, memsys_stream, pipeline, reduction, server_mix, sim_makespan,
     sim_scaling, MemStream, MemsysMeasure, ServerMeasure, SERVER_KERNELS, SERVER_PROGRAMS,
 };
-use tflux_core::tsu::{SyncMemory, TsuConfig};
-use tflux_runtime::SoftTsu;
+use tflux_core::tsu::{SyncMemory, Tsu, TsuConfig};
 use tflux_sim::MachineConfig;
 use tflux_workloads::Bench;
 
@@ -282,7 +281,7 @@ impl ToJson for ServerRow {
     }
 }
 
-/// What building a `SoftTsu` for `fanout_reduce` at 2 kernels allocates,
+/// What building a threaded `Tsu` for `fanout_reduce` at 2 kernels allocates,
 /// and what draining it allocates per instance — counted, not timed, and
 /// identical on any host, which is what `--check` gates. `sm_table_bytes`
 /// is the ready-count slab, O(instances) by definition; the rest of
@@ -316,7 +315,7 @@ impl ConstructionRow {
         let program = fanout_reduce();
         let (_, _, sm_table_bytes) = allocations(|| SyncMemory::new(&program, Self::KERNELS, 0));
         let (tsu, alloc_calls, bytes) =
-            allocations(|| SoftTsu::with_queue_unit(&program, Self::KERNELS, TsuConfig::default()));
+            allocations(|| Tsu::threaded(&program, Self::KERNELS, TsuConfig::default()));
         let (instances, drain_alloc_calls, _) = allocations(|| drain_funneled(&tsu));
         ConstructionRow {
             instances,
@@ -550,7 +549,7 @@ fn server_row() -> ServerRow {
 /// counters and simulated cycles: the funnel line-transfer cut, streaming
 /// epoch progress, the work-stealing makespans, the 64-core NUMA scaling
 /// floors, the memory-system streams' access classes, the server mix's
-/// wake-up counts and what constructing a `SoftTsu` allocates.
+/// wake-up counts and what constructing a threaded `Tsu` allocates.
 fn check() -> ! {
     let k = *KERNELS.last().unwrap();
     let f = funnel_row(k);
@@ -704,7 +703,7 @@ fn check() -> ! {
         a.instances
     );
     if a.beyond_table_bytes() > CONSTRUCTION_CEILING {
-        eprintln!("FAIL: a SoftTsu allocates more than 256 KiB beyond its ready-count table");
+        eprintln!("FAIL: a threaded Tsu allocates more than 256 KiB beyond its ready-count table");
         std::process::exit(1);
     }
     if a.rings > RINGS_CEILING || a.valve_locks > VALVE_LOCKS_CEILING {

@@ -275,7 +275,7 @@ pub fn fanout_reduce() -> DdmProgram {
 /// when full, before a block transition and before conceding a wait — with
 /// the calling thread playing every kernel in turn, so the run (and every
 /// allocation in it) repeats exactly. Returns the instances completed.
-pub fn drain_funneled(tsu: &tflux_runtime::SoftTsu<&DdmProgram>) -> u64 {
+pub fn drain_funneled(tsu: &Tsu<&DdmProgram>) -> u64 {
     use tflux_core::tsu::{CompletionFunnel, FetchResult};
     let kernels = tsu.kernels();
     let mut funnels: Vec<_> = (0..kernels)
@@ -700,7 +700,7 @@ mod tests {
     fn funneled_drain_runs_every_instance_of_the_fanout() {
         let p = fanout_reduce();
         assert_eq!(p.total_instances(), 8 * 8192 + 3);
-        let tsu = tflux_runtime::SoftTsu::with_queue_unit(&p, 2, Default::default());
+        let tsu = Tsu::threaded(&p, 2, Default::default());
         assert_eq!(drain_funneled(&tsu) as usize, p.total_instances());
         let s = tsu.stats();
         assert_eq!(s.completions as usize, p.total_instances());

@@ -15,17 +15,20 @@
 //! * **The TSU** ([`tsu`]) — the paper's §3.3 decomposition:
 //!   [`tsu::GraphMemory`] (immutable program view), [`tsu::SyncMemory`]
 //!   (lock-free ready counts + post-processing) and a per-kernel
-//!   [`tsu::QueueUnit`] ([`tsu::StealDeque`], a Chase-Lev work-stealing
-//!   queue), composed once into [`tsu::Tsu`]. All three platforms (the
-//!   software TSU of `tflux-runtime`, the simulated hardware TSU of
-//!   `tflux-sim`, the Cell model of `tflux-cell`) drive that one `&self`
-//!   state machine and differ only in the queue unit they instantiate,
-//!   which is what makes the platform implementations directly
-//!   comparable.
+//!   [`tsu::ReadyQueue`] (a Chase-Lev work-stealing [`tsu::StealDeque`]
+//!   plus an inbox for other kernels' pushes), composed once into
+//!   [`tsu::Tsu`]. All three platforms (the software TSU of
+//!   `tflux-runtime`, the simulated hardware TSU of `tflux-sim`, the Cell
+//!   model of `tflux-cell`) drive that one `&self` state machine, with the
+//!   same queue type; they differ only in whether one thread drives every
+//!   kernel id ([`Tsu::new`]) or each kernel is a thread
+//!   ([`Tsu::threaded`]), which is what makes the platform implementations
+//!   directly comparable.
 //!
-//! The crate is deliberately free of threads, I/O and unsafe code: it is the
-//! model, not a platform. Platforms live in `tflux-runtime`, `tflux-sim`
-//! and `tflux-cell`.
+//! The crate is deliberately free of I/O and unsafe code and spawns no
+//! thread: it is the model, not a platform. Its one blocking call is the
+//! [`tsu::EventCount`] a kernel thread parks on. Platforms live in
+//! `tflux-runtime`, `tflux-sim` and `tflux-cell`.
 //!
 //! ## Quick tour
 //!
@@ -76,8 +79,8 @@ pub use policy::StealBackoff;
 pub use program::{DdmProgram, ProgramBuilder};
 pub use thread::{Affinity, ThreadKind, ThreadSpec};
 pub use tsu::{
-    CompletionFunnel, FetchResult, FlushPolicy, GraphMemory, MpmcRing, ProgramHandle, QueueUnit,
-    ServiceRotor, ShardStats, Steal, StealDeque, SyncMemory, Tsu, TsuConfig, TsuStats,
+    CompletionFunnel, EventCount, FetchResult, FlushPolicy, GraphMemory, MpmcRing, ProgramHandle,
+    ReadyQueue, ServiceRotor, ShardStats, Steal, StealDeque, SyncMemory, Tsu, TsuConfig, TsuStats,
     WaitingInstance,
 };
 

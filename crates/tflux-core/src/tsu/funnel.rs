@@ -20,7 +20,6 @@ use crate::ids::{Epoch, Instance, KernelId};
 
 use super::config::FlushPolicy;
 use super::gm::ProgramHandle;
-use super::queue::QueueUnit;
 use super::Tsu;
 
 /// Per-kernel accumulator of App completions awaiting a batched flush.
@@ -100,10 +99,10 @@ impl CompletionFunnel {
     /// funnel is empty, so callers can rely on it). On error the funnel
     /// is left empty — the TSU has poisoned itself and replaying the
     /// batch would only fail again.
-    pub fn flush<P: ProgramHandle, Q: QueueUnit>(
+    pub fn flush<P: ProgramHandle>(
         &mut self,
         kernel: KernelId,
-        tsu: &Tsu<P, Q>,
+        tsu: &Tsu<P>,
         ready: &mut Vec<Instance>,
     ) -> Result<(), CoreError> {
         if self.pending.is_empty() {

@@ -9,22 +9,23 @@
 //!   Phase, held in a lock-free table of atomic slots so concurrent
 //!   completions never contend on a lock (only block transitions are
 //!   serialized).
-//! * a [`QueueUnit`] per kernel — [`StealDeque`], a Chase-Lev
-//!   work-stealing deque of ready instances, or the threaded runtime's
-//!   `ReadyQueue` built on it; idle kernels steal the oldest entry of a
-//!   sibling. A unit receives its share of each publication as one run,
-//!   and is told when the run comes from its own kernel, so it need not
-//!   leave that kernel. No unit blocks: [`FetchResult`] is answered here,
-//!   and a platform decides how its idle kernels wait.
+//! * a [`ReadyQueue`] per kernel — a Chase-Lev work-stealing deque of
+//!   ready instances ([`StealDeque`]) plus an inbox for runs pushed by
+//!   other kernels; idle kernels steal the oldest entry of a sibling. A
+//!   queue receives its share of each publication as one run, and is told
+//!   when the run comes from its own kernel, so it need not leave that
+//!   kernel. No queue blocks: [`FetchResult`] is answered here, and a
+//!   platform decides how its idle kernels wait.
 //!
-//! [`Tsu`] composes the three, once. Every operation takes `&self` (the
-//! units are lock-free), so the same state machine is driven by one owner
-//! in the deterministic platforms and the reference executor
-//! ([`drain_sequential`]) and shared by `&` between kernel threads in
-//! TFluxSoft. The queue unit is the only parameter — which is what keeps
-//! TFluxSoft, TFluxHard and TFluxCell directly comparable. Every fetch and
-//! completion names the kernel performing it: that selects the queue unit
-//! it owns and the counter row only it writes, here and in the SM.
+//! [`Tsu`] composes the three, once, with the same types on every
+//! platform — which is what keeps TFluxSoft, TFluxHard and TFluxCell
+//! directly comparable. Every operation takes `&self` (the units are
+//! lock-free), so the same state machine is driven by one thread in the
+//! deterministic platforms and the reference executor
+//! ([`drain_sequential`]), built by [`Tsu::new`], and shared by `&`
+//! between kernel threads in TFluxSoft, built by [`Tsu::threaded`]. Every
+//! fetch and completion names the kernel performing it: that selects the
+//! queue it owns and the counter row only it writes, here and in the SM.
 
 mod config;
 mod funnel;
@@ -35,7 +36,9 @@ mod sync;
 pub use config::{FlushPolicy, ShardStats, TsuConfig, TsuStats, WaitingInstance, AUTO_BATCH_SIZE};
 pub use funnel::CompletionFunnel;
 pub use gm::{GraphMemory, ProgramHandle};
-pub use queue::{FetchResult, MpmcRing, QueueUnit, ServiceRotor, Steal, StealDeque};
+pub use queue::{
+    EventCount, FetchResult, MpmcRing, ReadyQueue, ServiceRotor, Steal, StealDeque, INBOX_SLOTS,
+};
 pub use sync::SyncMemory;
 
 use crate::error::CoreError;
@@ -86,24 +89,27 @@ impl KernelSlot {
     }
 }
 
-/// The TSU: Graph Memory + Synchronization Memory + one [`QueueUnit`] per
+/// The TSU: Graph Memory + Synchronization Memory + one [`ReadyQueue`] per
 /// kernel.
 ///
-/// This is the one scheduler of the workspace. With the default
-/// [`StealDeque`] unit it is the state machine behind the simulated
-/// hardware TSU (`tflux-sim`), the Cell PPE (`tflux-cell`) and the
-/// sequential reference executor; with the runtime's `ReadyQueue` it is
-/// the TSU kernel threads and server arenas share by `&`.
+/// This is the one scheduler of the workspace. Built by [`Tsu::new`] it is
+/// the state machine behind the simulated hardware TSU (`tflux-sim`), the
+/// Cell PPE (`tflux-cell`) and the sequential reference executor; built by
+/// [`Tsu::threaded`] it is the TSU kernel threads and server arenas share
+/// by `&`.
 ///
 /// Every instance is dispatched (marked in flight in the Synchronization
-/// Memory) *before* it is pushed onto a queue unit, so a popped or stolen
-/// entry can never fail, `fetches` and `completions` pair up exactly, and
-/// stall forensics can name an instance that was queued but never popped.
-pub struct Tsu<P: ProgramHandle, Q: QueueUnit = StealDeque> {
+/// Memory) *before* it is pushed onto a queue, so a popped or stolen entry
+/// can never fail, `fetches` and `completions` pair up exactly, and stall
+/// forensics can name an instance that was queued but never popped.
+pub struct Tsu<P: ProgramHandle> {
     gm: GraphMemory<P>,
     sm: SyncMemory<P>,
-    queues: Vec<Q>,
-    /// Whether a kernel whose own unit misses probes its siblings.
+    queues: Vec<ReadyQueue>,
+    /// Each kernel id is a thread that parks on its queue's bell, rather
+    /// than one thread driving them all.
+    threaded: bool,
+    /// Whether a kernel whose own queue misses probes its siblings.
     steal: bool,
     flush: FlushPolicy,
     /// The one victim-draw stream of this TSU, seeded from the kernel
@@ -115,30 +121,47 @@ pub struct Tsu<P: ProgramHandle, Q: QueueUnit = StealDeque> {
 }
 
 impl<P: ProgramHandle> Tsu<P> {
-    /// A TSU on the default queue unit, [`StealDeque`]; see
-    /// [`with_queue_unit`](Tsu::with_queue_unit).
-    pub fn new(program: P, kernels: u32, config: TsuConfig) -> Self {
-        Self::with_queue_unit(program, kernels, config)
-    }
-}
-
-impl<P: ProgramHandle, Q: QueueUnit> Tsu<P, Q> {
     /// Create a TSU for `program` serving `kernels` kernels (clamped to
     /// ≥ 1) and arm it: the inlet of the first block is dispatched and
-    /// queued. One queue unit per kernel, with stealing if configured and
-    /// there is anyone to steal from.
-    pub fn with_queue_unit(program: P, kernels: u32, config: TsuConfig) -> Self {
+    /// queued. One queue per kernel, with stealing if configured and there
+    /// is anyone to steal from.
+    ///
+    /// This is the TSU one thread drives, playing every kernel id: each run
+    /// is then its owner's, so it goes straight onto the deque bottom,
+    /// rings nothing, and no queue has an inbox. Nothing paces an idle
+    /// kernel's victim scans but the TSU itself, so a kernel whose steals
+    /// keep missing skips scans under [`StealBackoff`].
+    pub fn new(program: P, kernels: u32, config: TsuConfig) -> Self {
+        Self::build(program, kernels, config, false)
+    }
+
+    /// [`new`](Self::new), for kernel ids that are each a thread parking
+    /// on its own queue's [`bell`](ReadyQueue::bell). A run goes onto the
+    /// deque only when the completing kernel owns it; any other lands in
+    /// the owner's inbox and rings it. Victim scans are never skipped: the
+    /// timed park between rescans already is the pacing, and a skip window
+    /// on top of it would be a steal blackout.
+    pub fn threaded(program: P, kernels: u32, config: TsuConfig) -> Self {
+        Self::build(program, kernels, config, true)
+    }
+
+    fn build(program: P, kernels: u32, config: TsuConfig, threaded: bool) -> Self {
         let sm = SyncMemory::with_window(program, kernels, config.capacity, config.window);
         let gm = sm.graph();
         let kernels = gm.kernels();
         // the resident bound, + slack for the re-armed inlet of the next
-        // streaming pass: the most a unit can ever hold
-        let cap = gm.program().max_block_instances() + 2;
+        // streaming pass: the most a queue can ever hold
+        let inbox = if threaded {
+            gm.program().max_block_instances() + 2
+        } else {
+            0
+        };
         let tsu = Tsu {
             flush: config.flush.resolve(gm.program(), kernels),
             gm,
             sm,
-            queues: (0..kernels).map(|_| Q::new(cap)).collect(),
+            queues: (0..kernels).map(|_| ReadyQueue::new(inbox)).collect(),
+            threaded,
             steal: config.steal && kernels > 1,
             steal_rng: AtomicU64::new(0x5EED_0000 ^ ((kernels as u64) << 8)),
             slots: (0..kernels).map(|_| KernelSlot::default()).collect(),
@@ -167,9 +190,9 @@ impl<P: ProgramHandle, Q: QueueUnit> Tsu<P, Q> {
         &self.gm
     }
 
-    /// The queue units, one per kernel. Kernel threads park on their
-    /// own; stall forensics read the depths.
-    pub fn queues(&self) -> &[Q] {
+    /// The queues, one per kernel. Kernel threads park on their own; stall
+    /// forensics read the depths.
+    pub fn queues(&self) -> &[ReadyQueue] {
         &self.queues
     }
 
@@ -253,7 +276,7 @@ impl<P: ProgramHandle, Q: QueueUnit> Tsu<P, Q> {
     }
 
     /// `kernel`'s scheduler state, or [`CoreError::UnknownKernel`]: an id
-    /// past the count has no queue unit and no counter row of its own.
+    /// past the count has no queue and no counter row of its own.
     fn slot(&self, kernel: KernelId) -> Result<&KernelSlot, CoreError> {
         self.slots
             .get(kernel.idx())
@@ -264,7 +287,7 @@ impl<P: ProgramHandle, Q: QueueUnit> Tsu<P, Q> {
     }
 
     /// Dispatch every newly-ready instance, then hand each owning kernel's
-    /// queue unit its run of them in one call (Thread Indexing via Graph
+    /// queue its run of them in one call (Thread Indexing via Graph
     /// Memory). Placement keeps an owner's share of a thread contiguous,
     /// so a block load is one run per (owner, thread), each a sub-slice of
     /// `ready`; one epoch covers the whole publication, because a pass
@@ -275,7 +298,8 @@ impl<P: ProgramHandle, Q: QueueUnit> Tsu<P, Q> {
     fn publish(&self, by: Option<KernelId>, ready: &[Instance]) -> Result<(), CoreError> {
         let hand_over = |run: &[Instance], owner: KernelId, epoch| {
             if !run.is_empty() {
-                self.queues[owner.idx()].push_run(run, epoch, by == Some(owner));
+                let by_owner = !self.threaded || by == Some(owner);
+                self.queues[owner.idx()].push_run(run, epoch, by_owner);
             }
         };
         // `ready[start..n]` is dispatched, all for `owner`, under `epoch`
@@ -301,7 +325,7 @@ impl<P: ProgramHandle, Q: QueueUnit> Tsu<P, Q> {
         Ok(())
     }
 
-    /// Ask for the next DThread on behalf of `kernel`: its own queue unit
+    /// Ask for the next DThread on behalf of `kernel`: its own queue
     /// first, then (if stealing is on) a steal. Non-blocking — `Wait`
     /// means nothing is runnable anywhere right now. Fails with
     /// [`CoreError::SmPoisoned`] when the Synchronization Memory can no
@@ -312,7 +336,7 @@ impl<P: ProgramHandle, Q: QueueUnit> Tsu<P, Q> {
     }
 
     /// [`fetch`](Self::fetch) with provenance: the flag is `true` when the
-    /// instance was stolen from a sibling queue unit rather than served
+    /// instance was stolen from a sibling queue rather than served
     /// from `kernel`'s own. Device models use this to charge a steal
     /// latency on migrated fetches.
     pub fn fetch_traced(&self, kernel: KernelId) -> Result<(FetchResult, bool), CoreError> {
@@ -328,14 +352,13 @@ impl<P: ProgramHandle, Q: QueueUnit> Tsu<P, Q> {
             return Ok((FetchResult::Thread(i, ep), false));
         }
         if self.steal {
-            // adaptive backoff (polled units only, see
-            // `QueueUnit::BACKOFF`): a kernel whose recent probes all
-            // missed skips the victim scan on most attempts, so an idle
-            // machine stops paying for empty sweeps; one hit re-arms
-            // eager probing
-            if !Q::BACKOFF || slot.backoff(StealBackoff::should_probe) {
+            // adaptive backoff (one-thread drivers only, see `Tsu::new`):
+            // a kernel whose recent probes all missed skips the victim
+            // scan on most attempts, so an idle machine stops paying for
+            // empty sweeps; one hit re-arms eager probing
+            if self.threaded || slot.backoff(StealBackoff::should_probe) {
                 let stolen = self.steal_for(slot, own);
-                if Q::BACKOFF {
+                if !self.threaded {
                     slot.backoff(|b| b.record(stolen.is_some()));
                 }
                 if let Some((i, ep)) = stolen {
@@ -445,9 +468,7 @@ impl<P: ProgramHandle, Q: QueueUnit> Tsu<P, Q> {
 ///
 /// This is the reference executor used by tests and by the graph-analysis
 /// tooling; platforms implement their own drivers.
-pub fn drain_sequential<P: ProgramHandle, Q: QueueUnit>(
-    tsu: &Tsu<P, Q>,
-) -> Result<Vec<Instance>, CoreError> {
+pub fn drain_sequential<P: ProgramHandle>(tsu: &Tsu<P>) -> Result<Vec<Instance>, CoreError> {
     let mut order = Vec::new();
     let mut scratch = Vec::new();
     let kernels = tsu.kernels();
@@ -795,7 +816,7 @@ mod tests {
         // queue 1 holds both work instances; a thief would target it...
         assert_eq!(tsu.queues[1].len(), 2);
         // ...but it drains before the steal lands
-        while tsu.queues[1].pop().is_some() {}
+        while tsu.queues[1].take().is_some() {}
         assert_eq!(tsu.queues[1].steal(), Steal::Empty, "must be a clean miss");
         assert_eq!(tsu.stats().steals, 0);
         // the public fetch path reports Wait (and counts the miss)
@@ -1046,36 +1067,6 @@ mod tests {
         assert_eq!(tsu.epoch_ledger(), (2, 2, 2));
     }
 
-    /// A [`StealDeque`] that logs every enqueue call: `(run, by_owner)`.
-    #[derive(Default)]
-    struct Recording {
-        deque: StealDeque,
-        calls: std::sync::Mutex<Vec<(Vec<Instance>, bool)>>,
-    }
-
-    impl QueueUnit for Recording {
-        const BACKOFF: bool = true;
-        fn new(_cap: usize) -> Self {
-            Recording::default()
-        }
-        fn push(&self, inst: Instance, epoch: Epoch, by_owner: bool) {
-            self.push_run(&[inst], epoch, by_owner)
-        }
-        fn push_run(&self, run: &[Instance], epoch: Epoch, by_owner: bool) {
-            self.calls.lock().unwrap().push((run.to_vec(), by_owner));
-            run.iter().for_each(|&i| self.deque.push(i, epoch));
-        }
-        fn take(&self) -> Option<(Instance, Epoch)> {
-            self.deque.pop()
-        }
-        fn steal(&self) -> Steal {
-            self.deque.steal()
-        }
-        fn len(&self) -> usize {
-            self.deque.len()
-        }
-    }
-
     #[test]
     fn publication_hands_each_owner_one_run_per_thread() {
         // three independent 8-wide threads: all ready when the block loads
@@ -1085,52 +1076,46 @@ mod tests {
             b.thread(blk, ThreadSpec::new("w", 8));
         }
         let p = b.build().unwrap();
-        let tsu = Tsu::<_, Recording>::with_queue_unit(&p, 2, TsuConfig::default());
-        let calls = |k: usize| std::mem::take(&mut *tsu.queues[k].calls.lock().unwrap());
-        let every_call = || [calls(0), calls(1)].concat();
-        // arming the inlet publishes one instance, for no kernel: one call,
-        // a run of one
-        let inlet = tsu.graph().first_inlet();
-        assert_eq!(every_call(), vec![(vec![inlet], false)]);
-        // kernel 0 completes the inlet: each owner receives its share of
-        // each thread as one contiguous run
+        let tsu = Tsu::threaded(&p, 2, TsuConfig::default());
+        let rings = |k: usize| tsu.queues[k].handover_counts().0;
+        // arming the inlet publishes one instance, for no kernel: one ring
+        assert_eq!((rings(0), rings(1)), (1, 0));
+        // kernel 0 completes the inlet: its own share of each thread goes
+        // onto its deque and rings nothing; kernel 1 receives its share of
+        // each thread as one run, rung once
         let FetchResult::Thread(i, ep) = tsu.fetch(KernelId(0)).unwrap() else {
             panic!("inlet not ready");
         };
-        tsu.complete(KernelId(0), i, ep, &mut Vec::new()).unwrap();
-        let mut published = Vec::new();
-        for k in 0..2 {
-            let got = calls(k);
-            assert_eq!(got.len(), 3, "kernel {k}: one call per thread");
-            for (run, by_owner) in got {
-                assert_eq!(by_owner, k == 0);
-                assert_eq!(run.len(), 4);
-                for (n, i) in run.iter().enumerate() {
-                    assert_eq!(tsu.graph().owner_of(*i), KernelId(k as u32));
-                    assert_eq!(
-                        *i,
-                        Instance::new(run[0].thread, Context(run[0].context.0 + n as u32))
-                    );
-                }
-                published.extend(run);
-            }
+        complete(&tsu, i, ep).unwrap();
+        assert_eq!((rings(0), rings(1)), (1, 3));
+        assert_eq!((tsu.queues[0].len(), tsu.queues[1].len()), (12, 12));
+        // each run is one thread's contexts in order: kernel 0 runs its own
+        // newest first, then steals kernel 1's oldest first
+        let threads = &p.blocks()[0].threads;
+        let at = |t: usize, c| Instance::new(threads[t], Context(c));
+        let mut expect = Vec::new();
+        for t in (0..3).rev() {
+            expect.extend((0..4).rev().map(|c| (at(t, c), false)));
         }
-        published.sort_unstable();
-        published.dedup();
-        assert_eq!(published.len(), 24);
-        // of the App completions only the last publishes: the outlet, a
-        // run of one
-        let mut app_calls = Vec::new();
+        for t in 0..3 {
+            expect.extend((4..8).map(|c| (at(t, c), true)));
+        }
+        let mut got = Vec::new();
         for _ in 0..24 {
-            let FetchResult::Thread(i, ep) = tsu.fetch(KernelId(1)).unwrap() else {
+            let (FetchResult::Thread(i, ep), stolen) = tsu.fetch_traced(KernelId(0)).unwrap()
+            else {
                 panic!("App instance not ready");
             };
-            tsu.complete(KernelId(1), i, ep, &mut Vec::new()).unwrap();
-            app_calls.extend(every_call());
+            complete(&tsu, i, ep).unwrap();
+            got.push((i, stolen));
         }
+        assert_eq!(got, expect);
+        // of the App completions only the last publishes: the outlet,
+        // kernel 0's own, which rings nobody
         let outlet = Instance::scalar(p.blocks()[0].outlet);
-        let by_owner = tsu.graph().owner_of(outlet) == KernelId(1);
-        assert_eq!(app_calls, vec![(vec![outlet], by_owner)]);
+        assert_eq!(tsu.graph().owner_of(outlet), KernelId(0));
+        assert_eq!(tsu.queues[0].len(), 1);
+        assert_eq!((rings(0), rings(1)), (1, 3));
     }
 
     #[test]

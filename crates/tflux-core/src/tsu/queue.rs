@@ -1,19 +1,18 @@
-//! The per-kernel Queue Unit — a work-stealing deque — and the one
-//! fetch-result vocabulary.
+//! The per-kernel Queue Unit and the one fetch-result vocabulary.
 //!
 //! §3.3/Fig. 4: each processor gets its own queue of ready DThreads, fed by
-//! the Synchronization Memory and drained by the kernel. [`StealDeque`] is
-//! that queue: a Chase-Lev deque whose owner pushes and pops at the bottom
-//! with plain loads/stores plus fences, while idle kernels *steal* the
-//! oldest entry by CAS-ing the top — stealing is a queue-native operation,
-//! not a scheduler hack layered on a `VecDeque`. Entries are epoch-tagged
-//! `(Instance, Epoch)` pairs so streaming tokens ride the steal path
-//! unchanged. The threaded runtime builds its `ReadyQueue` on the same
-//! deque (pushes by the unit's own kernel) plus the [`MpmcRing`] inbox
-//! (everybody else's); both are a [`QueueUnit`] — the one parameter of the
-//! [`Tsu`](super::Tsu) — and neither ever blocks.
+//! the Synchronization Memory and drained by the kernel. [`ReadyQueue`] is
+//! that queue, the same type on every platform. Its core is a
+//! [`StealDeque`]: a Chase-Lev deque whose owner pushes and pops at the
+//! bottom with plain loads/stores plus fences, while idle kernels *steal*
+//! the oldest entry by CAS-ing the top — stealing is a queue-native
+//! operation, not a scheduler hack layered on a `VecDeque`. Entries are
+//! epoch-tagged `(Instance, Epoch)` pairs so streaming tokens ride the
+//! steal path unchanged. Runs pushed by anyone but the owner land in an
+//! [`MpmcRing`] inbox and ring the queue's [`EventCount`] bell. Only
+//! [`EventCount::wait`] ever blocks.
 //!
-//! # Memory ordering
+//! # Memory ordering of the deque
 //!
 //! The implementation follows the C11 formulation of Chase-Lev (Lê,
 //! Pop, Cohen, Zappa Nardelli, *Correct and Efficient Work-Stealing for
@@ -48,8 +47,10 @@
 //!   often the rung is swapped.
 
 use crate::ids::{Epoch, Instance, ProgramId, ThreadId};
+use std::collections::VecDeque;
 use std::sync::atomic::{fence, AtomicI64, AtomicU64, AtomicUsize, Ordering};
-use std::sync::OnceLock;
+use std::sync::{Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
+use std::time::Duration;
 
 /// Result of a kernel's request for its next DThread.
 ///
@@ -90,88 +91,6 @@ impl Steal {
             Steal::Success(e) => Some(e),
             _ => None,
         }
-    }
-}
-
-/// What the [`Tsu`](super::Tsu) needs from a per-kernel Queue Unit — the
-/// only thing that differs between platforms.
-///
-/// [`StealDeque`] is the unit of the single-owner device models (the
-/// simulated hardware TSU, the Cell PPE, the sequential reference drain);
-/// the threaded runtime's `ReadyQueue` is the unit kernel threads and
-/// server arenas share. The [`Tsu`](super::Tsu) enqueues only through
-/// [`push_run`](Self::push_run), one call per owner's contiguous share of
-/// a publication: a block load's share of a thread, or one instance.
-pub trait QueueUnit {
-    /// Whether a kernel whose steals keep missing gates its victim scans
-    /// with [`StealBackoff`](crate::policy::StealBackoff). A polled unit
-    /// needs it — nothing else stops an idle device from sweeping empty
-    /// siblings on every fetch. A unit whose kernel parks between rescans
-    /// must not have it: the timed park already is the pacing, and a skip
-    /// window on top of it is a steal blackout.
-    const BACKOFF: bool;
-
-    /// An empty unit. `cap` is the program's resident bound — a sizing
-    /// hint, not a promise: units start small (the runtime's clamps it to
-    /// 1 024 inbox slots) and grow or spill on demand.
-    fn new(cap: usize) -> Self;
-
-    /// Enqueue a dispatched instance with its epoch token. `by_owner`
-    /// says the calling thread is the one that [`take`](Self::take)s from
-    /// this unit, which a concurrent unit may serve without leaving the
-    /// kernel; `false` is always correct.
-    fn push(&self, inst: Instance, epoch: Epoch, by_owner: bool);
-
-    /// Enqueue a run of dispatched instances, all under `epoch`. To takes
-    /// and steals it must be indistinguishable from pushing the entries
-    /// one at a time, in order, which is all this default does (the
-    /// deque's way); the runtime's unit hands a foreign run over at once
-    /// (one inbox reservation, at most one valve lock, one wake-up).
-    fn push_run(&self, run: &[Instance], epoch: Epoch, by_owner: bool) {
-        for &inst in run {
-            self.push(inst, epoch, by_owner);
-        }
-    }
-
-    /// One non-blocking take by the unit's consumer; `None` when empty.
-    fn take(&self) -> Option<(Instance, Epoch)>;
-
-    /// One steal attempt by a foreign kernel.
-    fn steal(&self) -> Steal;
-
-    /// Entries currently queued (a racy snapshot under concurrency).
-    fn len(&self) -> usize;
-
-    /// Whether the unit is (momentarily) empty.
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
-impl QueueUnit for StealDeque {
-    const BACKOFF: bool = true;
-
-    /// The deque grows on demand, so the hint is unused.
-    fn new(_cap: usize) -> Self {
-        StealDeque::new()
-    }
-
-    /// One thread drives every kernel id of a device model, so each push
-    /// is an owner-side push whoever it is made for.
-    fn push(&self, inst: Instance, epoch: Epoch, _by_owner: bool) {
-        StealDeque::push(self, inst, epoch)
-    }
-
-    fn take(&self) -> Option<(Instance, Epoch)> {
-        self.pop()
-    }
-
-    fn steal(&self) -> Steal {
-        StealDeque::steal(self)
-    }
-
-    fn len(&self) -> usize {
-        StealDeque::len(self)
     }
 }
 
@@ -240,8 +159,8 @@ impl Buffer {
     }
 }
 
-/// One kernel's Queue Unit: a Chase-Lev work-stealing deque of epoch-tagged
-/// ready instances.
+/// The core of a [`ReadyQueue`]: a Chase-Lev work-stealing deque of
+/// epoch-tagged ready instances.
 ///
 /// The *owner* (the kernel the queue belongs to, or the single scheduler
 /// thread in the single-owner platforms) calls [`push`](Self::push) and
@@ -253,9 +172,9 @@ impl Buffer {
 ///
 /// Owner operations take `&self` (all state is atomic, so misuse cannot
 /// cause undefined behavior) but must come from one thread at a time:
-/// concurrent owner calls may lose or duplicate entries. The concurrent
-/// runtime upholds this by routing every push that is not the owner's own
-/// through its inbox ring.
+/// concurrent owner calls may lose or duplicate entries. [`ReadyQueue`]
+/// upholds this by routing every push that is not the owner's own through
+/// its inbox ring.
 pub struct StealDeque {
     bottom: AtomicI64,
     top: AtomicI64,
@@ -403,15 +322,15 @@ impl StealDeque {
 }
 
 /// A bounded lock-free MPMC ring of epoch-tagged instances (Vyukov's
-/// sequence-numbered design): the *inbox* the threaded runtime pairs with
-/// each kernel's [`StealDeque`].
+/// sequence-numbered design): the *inbox* a [`ReadyQueue`] pairs with its
+/// [`StealDeque`].
 ///
-/// Chase-Lev pushes are owner-only, but in the threaded runtime any
+/// Chase-Lev pushes are owner-only, but when kernels are threads any
 /// completing kernel may make an instance ready on *another* kernel's
 /// queue. Those foreign pushes — and only those — land here; the owner
-/// drains the inbox into its deque when it next pops, and thieves may pop
-/// the inbox directly, so work pushed at a kernel that never runs is still
-/// stealable.
+/// drains the inbox into its deque when it next pushes or takes, and
+/// thieves may pop the inbox directly, so work pushed at a kernel that
+/// never runs is still stealable.
 ///
 /// Each slot carries a sequence number: a producer reserves a run of
 /// slots with one CAS on `tail` and publishes each with `seq = pos + 1`
@@ -557,6 +476,239 @@ impl MpmcRing {
     }
 }
 
+/// `std::sync` locking without poisoning: every mutex here guards data
+/// that is valid after each individual update.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// A waiter-aware eventcount: `ring` is one atomic increment unless a
+/// thread is (or is about to be) asleep in `wait`. A Dekker handshake: the
+/// ringer bumps `seq` then reads `sleepers`, the waiter bumps `sleepers`
+/// then re-reads `seq`, all `SeqCst`, so at least one side sees the other.
+/// The one parking primitive of the workspace: every kernel thread parks on
+/// its own queue's bell or a server's pool eventcount, every supervising
+/// thread on its own.
+#[derive(Default)]
+pub struct EventCount {
+    seq: AtomicU64,
+    sleepers: AtomicUsize,
+    lock: Mutex<()>,
+    cv: Condvar,
+}
+
+impl EventCount {
+    /// Rings so far. Read it *before* looking for work; pass it to `wait`.
+    pub fn epoch(&self) -> u64 {
+        self.seq.load(Ordering::SeqCst)
+    }
+
+    /// Count one event and wake every thread asleep in [`wait`](Self::wait).
+    pub fn ring(&self) {
+        self.seq.fetch_add(1, Ordering::SeqCst);
+        if self.sleepers.load(Ordering::SeqCst) > 0 {
+            // taking the lock orders the notify after the sleeper's
+            // registered-but-not-yet-waiting window closes
+            let _guard = lock(&self.lock);
+            self.cv.notify_all();
+        }
+    }
+
+    /// Sleep until a ring moves the count past `seen` or `timeout` elapses
+    /// (or spuriously — callers loop).
+    pub fn wait(&self, seen: u64, timeout: Duration) {
+        let guard = lock(&self.lock);
+        self.sleepers.fetch_add(1, Ordering::SeqCst);
+        if self.seq.load(Ordering::SeqCst) == seen {
+            drop(self.cv.wait_timeout(guard, timeout));
+        }
+        self.sleepers.fetch_sub(1, Ordering::SeqCst);
+    }
+}
+
+/// The longest inbox a queue is built with. Both buffers start small and
+/// the program's resident bound is only a hint: the deque grows on demand
+/// and the valve takes what the inbox cannot, so constructing the queues
+/// costs the same for a 65 536-wide block as for an 8-wide one.
+pub const INBOX_SLOTS: usize = 1024;
+
+/// One kernel's Queue Unit ("Local TSU" in Fig. 4), on every platform.
+///
+/// Every push is a *run*: the owner's contiguous share of one publication
+/// (a whole block load's share of a thread, or a single instance), handed
+/// over in one call. The push/take fast path takes **no mutex**:
+///
+/// * a [`StealDeque`] the owner works LIFO at the bottom of, thieves CAS
+///   the top of. A run pushed *by the owner* — the kernel whose completion
+///   readied it is the kernel that will run it, or one thread drives every
+///   kernel — goes straight onto the bottom: no CAS, no ring;
+/// * an [`MpmcRing`] *inbox* that receives every other run, since
+///   Chase-Lev bottoms are owner-only: one `tail` CAS reserves as much of
+///   the run as there are free slots. Thieves may pop it directly, so work
+///   pushed at a kernel that never fetches is still stealable. A queue
+///   built without one sends foreign runs to the valve;
+/// * a `Mutex<VecDeque>` *overflow valve* behind an atomic length that
+///   takes the rest of a run, under one lock, when the inbox is full. The
+///   inbox is at most [`INBOX_SLOTS`] long whatever the program, so this
+///   is where the foreign part of a wide block load waits; no push is ever
+///   lost or spun on;
+/// * a *bell*, an [`EventCount`]: every foreign run rings it once, after
+///   the run's last entry is visible, so it wakes the owner if it parked
+///   and costs one atomic increment if not.
+///
+/// Entries keep their **arrival order**. A foreign run goes to the valve
+/// whenever the valve is non-empty, so the deque holds what arrived before
+/// the inbox, and the inbox what arrived before the valve. The owner moves
+/// the inbox and then the valve onto its deque bottom before each of its
+/// own pushes and takes. So when one thread drives the queue, every take
+/// answers the newest entry and every steal the oldest, exactly as a
+/// [`StealDeque`] fed the same pushes would; a run is its pushes made one
+/// at a time.
+pub struct ReadyQueue {
+    deque: StealDeque,
+    /// Runs by anyone but the owner; drained into `deque` by the owner,
+    /// poppable by thieves.
+    inbox: Option<MpmcRing>,
+    /// Valve for the part of a run that finds the inbox full (or the valve
+    /// non-empty). `overflow_len` gates it so nobody locks the mutex while
+    /// it is empty — the common case.
+    overflow: Mutex<VecDeque<(Instance, Epoch)>>,
+    overflow_len: AtomicUsize,
+    /// Acquisitions of `overflow`, bumped by the holder (never an RMW).
+    valve_locks: AtomicU64,
+    /// Rung once per foreign run, after its last entry is published; the
+    /// owner parks on it.
+    bell: EventCount,
+}
+
+impl ReadyQueue {
+    /// An empty queue: a default-sized deque, and an inbox of `inbox`
+    /// entries, at most [`INBOX_SLOTS`], before the overflow valve engages.
+    /// `0` builds no inbox, for a queue whose every push is its owner's.
+    pub fn new(inbox: usize) -> Self {
+        ReadyQueue {
+            deque: StealDeque::new(),
+            inbox: (inbox > 0).then(|| MpmcRing::with_capacity(inbox.min(INBOX_SLOTS))),
+            overflow: Mutex::new(VecDeque::new()),
+            overflow_len: AtomicUsize::new(0),
+            valve_locks: AtomicU64::new(0),
+            bell: EventCount::default(),
+        }
+    }
+
+    /// Enqueue a run of dispatched instances, all under `epoch`, from any
+    /// thread. `by_owner` says the caller is the one thread that
+    /// [`take`](Self::take)s from this queue: its run goes onto the deque
+    /// bottom, behind everything that arrived before it, and rings nothing.
+    /// Anyone else's takes one inbox reservation, puts what does not fit in
+    /// the valve under one lock, and rings the bell once.
+    pub fn push_run(&self, run: &[Instance], epoch: Epoch, by_owner: bool) {
+        if by_owner {
+            self.drain();
+            for &i in run {
+                self.deque.push(i, epoch);
+            }
+            return;
+        }
+        let queued = match &self.inbox {
+            // behind a non-empty valve the inbox would overtake it
+            Some(inbox) if self.overflow_len.load(Ordering::SeqCst) == 0 => {
+                inbox.push_run(run, epoch)
+            }
+            _ => 0,
+        };
+        if queued < run.len() {
+            let mut ovf = self.valve();
+            ovf.extend(run[queued..].iter().map(|&i| (i, epoch)));
+            self.overflow_len.store(ovf.len(), Ordering::SeqCst);
+        }
+        self.bell.ring();
+    }
+
+    /// One non-blocking take by this queue's owner: the newest entry.
+    pub fn take(&self) -> Option<(Instance, Epoch)> {
+        self.drain();
+        self.deque.pop()
+    }
+
+    /// Move the inbox, then the valve, onto the deque bottom in arrival
+    /// order (owner side; the valve under one lock).
+    fn drain(&self) {
+        if let Some(inbox) = &self.inbox {
+            while let Some((i, ep)) = inbox.pop() {
+                self.deque.push(i, ep);
+            }
+        }
+        if self.overflow_len.load(Ordering::SeqCst) > 0 {
+            let mut ovf = self.valve();
+            for (i, ep) in ovf.drain(..) {
+                self.deque.push(i, ep);
+            }
+            self.overflow_len.store(0, Ordering::SeqCst);
+        }
+    }
+
+    /// One steal attempt by a foreign kernel: the deque top first (the
+    /// oldest entry the owner moved there), then the inbox, then the valve.
+    /// [`Steal::Retry`] means a CAS was lost to the owner or another thief
+    /// — the caller counts the race and may retry or move on.
+    pub fn steal(&self) -> Steal {
+        match self.deque.steal() {
+            Steal::Empty => {}
+            hit_or_race => return hit_or_race,
+        }
+        if let Some(e) = self.inbox.as_ref().and_then(MpmcRing::pop) {
+            return Steal::Success(e);
+        }
+        match self.pop_overflow() {
+            Some(e) => Steal::Success(e),
+            None => Steal::Empty,
+        }
+    }
+
+    /// Entries currently queued (a racy snapshot under concurrency; exact
+    /// when quiescent).
+    pub fn len(&self) -> usize {
+        self.deque.len()
+            + self.inbox.as_ref().map_or(0, MpmcRing::len)
+            + self.overflow_len.load(Ordering::SeqCst)
+    }
+
+    /// Whether the queue is (momentarily) empty.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Where this queue's owner parks: read its `epoch` before looking for
+    /// work, `wait` on it after a miss.
+    pub fn bell(&self) -> &EventCount {
+        &self.bell
+    }
+
+    /// `(bell rings, overflow-valve lock acquisitions)` since construction:
+    /// what the hand-over of foreign runs has cost this queue.
+    pub fn handover_counts(&self) -> (u64, u64) {
+        (self.bell.epoch(), self.valve_locks.load(Ordering::Relaxed))
+    }
+
+    fn valve(&self) -> MutexGuard<'_, VecDeque<(Instance, Epoch)>> {
+        let ovf = lock(&self.overflow);
+        let n = self.valve_locks.load(Ordering::Relaxed);
+        self.valve_locks.store(n + 1, Ordering::Relaxed);
+        ovf
+    }
+
+    fn pop_overflow(&self) -> Option<(Instance, Epoch)> {
+        if self.overflow_len.load(Ordering::SeqCst) == 0 {
+            return None;
+        }
+        let mut ovf = self.valve();
+        let e = ovf.pop_front();
+        self.overflow_len.store(ovf.len(), Ordering::SeqCst);
+        e
+    }
+}
+
 /// Weighted round-robin service order over admitted programs.
 ///
 /// When one kernel pool serves many co-resident programs (the
@@ -660,15 +812,445 @@ impl ServiceRotor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ids::{Context, ThreadId};
+    use crate::prelude::*;
+    use crate::tsu::drain_sequential;
     use std::collections::HashSet;
-    use std::sync::Mutex;
+    use std::sync::atomic::AtomicBool;
+    use std::sync::Arc;
+    use std::time::Instant;
 
     fn inst(t: u32, c: u32) -> Instance {
         Instance::new(ThreadId(t), Context(c))
     }
 
     const E0: Epoch = Epoch(0);
+
+    /// Contexts `lo..hi` of one thread.
+    fn entries(lo: u32, hi: u32) -> Vec<Instance> {
+        (lo..hi).map(|c| inst(1, c)).collect()
+    }
+
+    /// One foreign push of `i`.
+    fn foreign(q: &ReadyQueue, i: Instance) {
+        q.push_run(&[i], E0, false)
+    }
+
+    #[test]
+    fn one_thread_driving_a_ready_queue_sees_a_steal_deque() {
+        // one thread feeds a queue and a bare deque the same random
+        // sequence: owner runs, foreign runs (some longer than the free
+        // inbox, so they spill into the valve), takes and steals. Arrival
+        // order makes every answer the deque's.
+        let mut valve_locks = 0;
+        crate::rng::cases(64, |rng| {
+            let (q, model) = (ReadyQueue::new(8), StealDeque::new());
+            let mut next = 0;
+            for _ in 0..300 {
+                match rng.below(6) {
+                    0..=2 => {
+                        let longest = if rng.chance(1, 4) { 20 } else { 4 };
+                        let len = rng.range(1..longest);
+                        let (run, epoch) = (entries(next, next + len), Epoch(rng.below(3)));
+                        next += len;
+                        q.push_run(&run, epoch, rng.chance(1, 2));
+                        run.iter().for_each(|&i| model.push(i, epoch));
+                    }
+                    3 | 4 => assert_eq!(q.take(), model.pop()),
+                    _ => assert_eq!(q.steal(), model.steal()),
+                }
+                assert_eq!(q.len(), model.len());
+            }
+            while let Some(e) = q.take() {
+                assert_eq!(Some(e), model.pop());
+            }
+            assert!(model.is_empty());
+            valve_locks += q.handover_counts().1;
+        });
+        assert!(valve_locks > 0, "no run reached the valve");
+    }
+
+    #[test]
+    fn ready_queue_pops_lifo_and_steals_fifo() {
+        // the Chase-Lev contract: the owner runs its newest (cache-warm)
+        // entry, a thief migrates the oldest
+        let q = ReadyQueue::new(256);
+        for t in 1..=3 {
+            foreign(&q, inst(t, 0));
+        }
+        assert_eq!(q.steal(), Steal::Success((inst(1, 0), E0)));
+        assert_eq!(q.take(), Some((inst(3, 0), E0)));
+        assert_eq!(q.take(), Some((inst(2, 0), E0)));
+        assert_eq!(q.steal(), Steal::Empty);
+        assert_eq!(q.take(), None);
+    }
+
+    #[test]
+    fn overflow_valve_loses_nothing() {
+        // an undersized inbox pushes the excess through the mutex valve;
+        // every entry still comes out, and len() sees all of them
+        let q = ReadyQueue::new(4);
+        for t in 0..20 {
+            foreign(&q, inst(t, 0));
+        }
+        assert_eq!(q.len(), 20);
+        let mut got = Vec::new();
+        while let Some((i, _)) = q.take() {
+            got.push(i.thread.0);
+            // interleave thief traffic through the same valve
+            if let Steal::Success((i, _)) = q.steal() {
+                got.push(i.thread.0);
+            }
+        }
+        got.sort_unstable();
+        assert_eq!(got, (0..20).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn a_queue_without_an_inbox_sends_foreign_runs_to_the_valve() {
+        let q = ReadyQueue::new(0);
+        q.push_run(&entries(0, 3), E0, false);
+        q.push_run(&entries(3, 5), E0, true);
+        assert_eq!(q.handover_counts(), (1, 2), "one ring; spill + move");
+        let taken: Vec<u32> = std::iter::from_fn(|| q.take())
+            .map(|(i, _)| i.context.0)
+            .collect();
+        assert_eq!(taken, vec![4, 3, 2, 1, 0]);
+    }
+
+    /// The owner pushes `0..n` and pops every other time while two foreign
+    /// kernels steal; every entry must be claimed exactly once across the
+    /// parties. With `owner_path` the owner's pushes are Chase-Lev bottom
+    /// pushes. Each of `runs` is one more producer, as a sibling kernel's
+    /// completions would be: meanwhile it pushes `n` entries of its own
+    /// through the 8-slot inbox, in runs of that length, so a run longer
+    /// than the inbox spills into the valve.
+    fn race_thieves_against_the_owner(owner_path: bool, runs: &[usize]) {
+        let n = 5_000u32;
+        let total = n * (1 + runs.len() as u32);
+        let q = Arc::new(ReadyQueue::new(8));
+        let done = Arc::new(AtomicBool::new(false));
+        let mut handles = Vec::new();
+        for _ in 0..2 {
+            let q = Arc::clone(&q);
+            let done = Arc::clone(&done);
+            handles.push(std::thread::spawn(move || {
+                let mut mine = Vec::new();
+                loop {
+                    match q.steal() {
+                        Steal::Success((i, _)) => mine.push(i.context.0),
+                        Steal::Retry => {}
+                        Steal::Empty => {
+                            if done.load(Ordering::SeqCst) && q.steal() == Steal::Empty {
+                                break;
+                            }
+                        }
+                    }
+                }
+                mine
+            }));
+        }
+        let producers: Vec<_> = (1..)
+            .zip(runs)
+            .map(|(p, &len)| {
+                let q = Arc::clone(&q);
+                std::thread::spawn(move || {
+                    for run in entries(p * n, (p + 1) * n).chunks(len) {
+                        q.push_run(run, E0, false);
+                    }
+                })
+            })
+            .collect();
+        let mut mine = Vec::new();
+        for c in 0..n {
+            q.push_run(&[inst(1, c)], E0, owner_path);
+            if c % 2 == 0 {
+                if let Some((i, _)) = q.take() {
+                    mine.push(i.context.0);
+                }
+            }
+        }
+        for p in producers {
+            p.join().unwrap();
+        }
+        while let Some((i, _)) = q.take() {
+            mine.push(i.context.0);
+        }
+        done.store(true, Ordering::SeqCst);
+        for h in handles {
+            mine.extend(h.join().unwrap());
+        }
+        assert_eq!(mine.len(), total as usize, "lost or duplicated entries");
+        mine.sort_unstable();
+        mine.dedup();
+        assert_eq!(mine.len(), total as usize, "duplicated entries");
+        if runs.iter().any(|&len| len > 8) {
+            assert!(q.handover_counts().1 > 0, "no run reached the valve");
+        }
+    }
+
+    #[test]
+    fn racing_thieves_and_owner_drain_exactly_once() {
+        race_thieves_against_the_owner(false, &[]);
+    }
+
+    #[test]
+    fn owner_path_pushes_race_thieves_and_an_inbox_pusher() {
+        race_thieves_against_the_owner(true, &[1]);
+    }
+
+    #[test]
+    fn foreign_runs_race_the_owner_and_thieves_through_the_valve() {
+        race_thieves_against_the_owner(true, &[3, 50]);
+    }
+
+    /// Push `runs` at one queue as runs and at another one entry at a
+    /// time, by a foreign kernel unless `by_owner`, with an owner take
+    /// after each; then let a thief and the owner take turns until both
+    /// queues are empty. Every take and steal must see the same entry on
+    /// both. Returns each queue's `(rings, valve locks)`.
+    fn as_runs_and_as_pushes(runs: &[Vec<Instance>], by_owner: bool) -> [(u64, u64); 2] {
+        let (batched, single) = (ReadyQueue::new(8), ReadyQueue::new(8));
+        for run in runs {
+            batched.push_run(run, E0, by_owner);
+            for &i in run {
+                single.push_run(&[i], E0, by_owner);
+            }
+            assert_eq!(batched.len(), single.len());
+            assert_eq!(batched.take(), single.take());
+        }
+        loop {
+            let turn = (batched.steal(), batched.take());
+            assert_eq!(turn, (single.steal(), single.take()));
+            if turn == (Steal::Empty, None) {
+                break;
+            }
+        }
+        [batched.handover_counts(), single.handover_counts()]
+    }
+
+    #[test]
+    fn a_foreign_run_rings_once_and_reads_as_its_pushes() {
+        // below the 8-slot inbox: no valve either way
+        let [(rings, locks), single] = as_runs_and_as_pushes(&[entries(0, 5)], false);
+        assert_eq!((rings, locks, single), (1, 0, (5, 0)));
+        // above it: the rest of the run spills under one lock, and the
+        // owner's next take moves the valve over under one more
+        let [(rings, locks), (single_rings, single_locks)] =
+            as_runs_and_as_pushes(&[entries(0, 40)], false);
+        assert_eq!((rings, locks, single_rings), (1, 2, 40));
+        assert!(
+            single_locks > 32,
+            "one lock per spilled push: {single_locks}"
+        );
+        // runs interleaved with single pushes, the inbox filling up
+        let mixed = [(0, 1), (1, 6), (6, 7), (7, 30), (30, 31), (31, 45)];
+        let mixed: Vec<_> = mixed.iter().map(|&(lo, hi)| entries(lo, hi)).collect();
+        let [(rings, _), (single_rings, _)] = as_runs_and_as_pushes(&mixed, false);
+        assert_eq!((rings, single_rings), (6, 45));
+        // the owner's run goes onto its deque and rings nothing
+        let [owner, single] = as_runs_and_as_pushes(&[entries(0, 40)], true);
+        assert_eq!((owner, single), ((0, 0), (0, 0)));
+        // the inbox's share and the spilled rest reach the deque bottom in
+        // arrival order: the owner takes the whole run newest first
+        let q = ReadyQueue::new(8);
+        q.push_run(&entries(0, 40), E0, false);
+        let taken: Vec<u32> = std::iter::from_fn(|| q.take())
+            .map(|(i, _)| i.context.0)
+            .collect();
+        assert_eq!(taken, (0..40).rev().collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn owner_pushes_stay_off_the_inbox_and_wake_nobody() {
+        let q = ReadyQueue::new(8);
+        // a foreign push rings the owner's bell exactly once, through the
+        // valve too; an owner push rings nothing
+        let rings = |push: &dyn Fn()| {
+            let seen = q.bell.epoch();
+            push();
+            q.bell.epoch() - seen
+        };
+        assert_eq!(rings(&|| q.push_run(&[inst(1, 0)], E0, true)), 0);
+        assert_eq!(rings(&|| foreign(&q, inst(2, 0))), 1);
+        assert_eq!(rings(&|| q.push_run(&[inst(3, 0)], E0, true)), 0);
+        // the owner's push first moved the inbox onto the bottom, behind
+        // which its own entry lands
+        let inbox = q.inbox.as_ref().unwrap();
+        assert_eq!((q.deque.len(), inbox.len(), inbox.pushes()), (3, 0, 1));
+        assert_eq!(q.len(), 3);
+        // so the owner's next take is its own newest push, and a thief
+        // still takes the oldest
+        assert_eq!(q.take(), Some((inst(3, 0), E0)));
+        assert_eq!(q.steal(), Steal::Success((inst(1, 0), E0)));
+        assert_eq!(q.take(), Some((inst(2, 0), E0)));
+        assert_eq!(q.take(), None);
+        for t in 0..inbox.capacity() as u32 + 4 {
+            assert_eq!(rings(&|| foreign(&q, inst(t, 0))), 1);
+        }
+        assert!(q.overflow_len.load(Ordering::SeqCst) > 0);
+    }
+
+    /// `program` on a 1-kernel threaded `Tsu`, drained by that kernel.
+    fn drained_by_one_kernel(program: &DdmProgram) -> Tsu<&DdmProgram> {
+        let tsu = Tsu::threaded(program, 1, TsuConfig::default());
+        let order = drain_sequential(&tsu).unwrap();
+        assert_eq!(order.len(), program.total_instances());
+        tsu
+    }
+
+    fn inbox_pushes(q: &ReadyQueue) -> usize {
+        q.inbox.as_ref().map_or(0, MpmcRing::pushes)
+    }
+
+    #[test]
+    fn one_kernel_pushes_only_the_armed_inlet_through_the_inbox() {
+        // two blocks: the Outlet → Inlet hand-over is a kernel's push too
+        let mut b = ProgramBuilder::new();
+        for _ in 0..2 {
+            let blk = b.block();
+            let work = b.thread(blk, ThreadSpec::new("work", 300));
+            let sink = b.thread(blk, ThreadSpec::scalar("sink"));
+            b.arc(work, sink, ArcMapping::Reduction).unwrap();
+        }
+        let p = b.build().unwrap();
+        let tsu = drained_by_one_kernel(&p);
+        // armed by the constructor, which is no kernel; every other ready
+        // instance was readied by kernel 0 for kernel 0
+        assert_eq!(inbox_pushes(&tsu.queues()[0]), 1);
+        assert_eq!(tsu.stats().fetches as usize, p.total_instances());
+        // so is a pass opened after the drain, by whoever feeds the stream
+        tsu.open_epoch(&mut Vec::new()).unwrap();
+        drain_sequential(&tsu).unwrap();
+        assert_eq!(inbox_pushes(&tsu.queues()[0]), 2);
+        assert_eq!(tsu.stats().completions as usize, 2 * p.total_instances());
+        // one thread driving every kernel id needs no inbox at all
+        let single = Tsu::new(&p, 1, TsuConfig::default());
+        assert!(single.queues()[0].inbox.is_none());
+        assert_eq!(
+            drain_sequential(&single).unwrap().len(),
+            p.total_instances()
+        );
+        assert_eq!(single.queues()[0].handover_counts(), (0, 0));
+    }
+
+    #[test]
+    fn queue_units_start_small_whatever_the_block() {
+        // `soft_fine`'s fanout_reduce: a 65 539-instance block
+        let mut b = ProgramBuilder::new();
+        let blk = b.block();
+        let sink = b.thread(blk, ThreadSpec::scalar("sink"));
+        for _ in 0..8 {
+            let fan = b.thread(blk, ThreadSpec::new("fan", 8192));
+            b.arc(fan, sink, ArcMapping::Reduction).unwrap();
+        }
+        let p = b.build().unwrap();
+        assert_eq!(p.max_block_instances(), 8 * 8192 + 2);
+        let tsu = Tsu::threaded(&p, 2, TsuConfig::default());
+        for q in tsu.queues() {
+            assert_eq!(q.inbox.as_ref().map(MpmcRing::capacity), Some(INBOX_SLOTS));
+            assert_eq!(q.deque.capacity(), 64);
+        }
+        // and both grow or spill as the block loads: nothing is lost
+        let order = drain_sequential(&tsu).unwrap();
+        assert_eq!(order.len(), p.total_instances());
+        assert!(tsu.queues()[0].deque.capacity() >= 8 * 8192 / 2);
+    }
+
+    const LONG: Duration = Duration::from_secs(10);
+
+    #[test]
+    fn ring_before_wait_returns_at_once() {
+        let ec = EventCount::default();
+        let seen = ec.epoch();
+        ec.ring();
+        assert_eq!(ec.epoch(), seen + 1);
+        let t0 = Instant::now();
+        ec.wait(seen, LONG);
+        assert!(t0.elapsed() < LONG / 2);
+    }
+
+    #[test]
+    fn wait_without_a_ring_times_out() {
+        let ec = EventCount::default();
+        let t0 = Instant::now();
+        ec.wait(ec.epoch(), Duration::from_millis(5));
+        assert!(t0.elapsed() >= Duration::from_millis(5));
+        assert_eq!(ec.sleepers.load(Ordering::SeqCst), 0);
+    }
+
+    #[test]
+    fn ring_with_no_sleeper_takes_no_lock() {
+        let ec = EventCount::default();
+        // were `ring` to touch the mutex it would block behind this guard
+        let held = lock(&ec.lock);
+        std::thread::scope(|s| {
+            let (tx, rx) = std::sync::mpsc::channel();
+            let ec = &ec;
+            s.spawn(move || {
+                ec.ring();
+                tx.send(()).unwrap();
+            });
+            let rang = rx.recv_timeout(LONG);
+            drop(held); // let a blocked ringer finish so the scope can join
+            rang.expect("ring blocked on the sleeper lock with nobody asleep");
+        });
+        assert_eq!(ec.epoch(), 1);
+    }
+
+    /// One waiter, one ringer, and the ringer fires the moment the waiter
+    /// has read its epoch — i.e. inside the waiter's register-then-recheck
+    /// window. Either the ringer sees the registration and notifies under
+    /// the lock, or the waiter's recheck sees the ring; a round that sleeps
+    /// out its timeout is a lost wake-up.
+    #[test]
+    fn racing_rings_never_lose_a_wakeup() {
+        let rounds: u64 = if cfg!(debug_assertions) {
+            20_000
+        } else {
+            200_000
+        };
+        let ec = EventCount::default();
+        let armed = AtomicU64::new(0); // the round the waiter is about to wait in
+        const STOP: u64 = u64::MAX;
+        let mut slowest = Duration::ZERO;
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                for round in 1..=rounds {
+                    loop {
+                        match armed.load(Ordering::Acquire) {
+                            r if r == round => break,
+                            STOP => return,
+                            _ => std::hint::spin_loop(),
+                        }
+                    }
+                    // vary where in the window the ring lands, up to
+                    // after the waiter is asleep
+                    for _ in 0..(round % 8) * 64 {
+                        std::hint::spin_loop();
+                    }
+                    ec.ring();
+                }
+            });
+            for round in 1..=rounds {
+                let seen = ec.epoch();
+                armed.store(round, Ordering::Release);
+                let t0 = Instant::now();
+                ec.wait(seen, LONG);
+                slowest = slowest.max(t0.elapsed());
+                if slowest >= LONG / 2 {
+                    armed.store(STOP, Ordering::Release);
+                    break;
+                }
+                // the ring of this round must have landed before the next
+                // epoch is read, or that one would count it
+                while ec.epoch() == seen {
+                    std::hint::spin_loop();
+                }
+            }
+        });
+        assert!(slowest < LONG / 2, "a wait slept {slowest:?}: lost wake-up");
+        assert_eq!(ec.epoch(), rounds);
+    }
 
     #[test]
     fn owner_pops_newest_thieves_steal_oldest() {

@@ -1,6 +1,6 @@
 //! One resident program, and the three things a driver does to it.
 //!
-//! An [`Arena`] is a program's execution state: its [`SoftTsu`], panic
+//! An [`Arena`] is a program's execution state: its threaded [`Tsu`], panic
 //! sink, error latch and per-kernel counters. Its two drivers —
 //! [`Runtime::run`](crate::Runtime) (scoped kernels that park on their
 //! own queue's bell, the calling thread supervising) and the
@@ -21,7 +21,6 @@ use crate::body::BodyTable;
 use crate::faults::FaultInjector;
 use crate::kernel::{execute_body, BodyPanic, PanicSink};
 use crate::runtime::{RetryPolicy, RuntimeError};
-use crate::sm::{ring_all, SoftTsu};
 use crate::stats::{InFlightInstance, KernelStats, RunReport, StallCause, StallReport};
 use crate::sync::lock;
 use crate::tub::TubSnapshot;
@@ -31,7 +30,15 @@ use std::time::{Duration, Instant};
 use tflux_core::error::CoreError;
 use tflux_core::ids::{Epoch, Instance, KernelId};
 use tflux_core::thread::ThreadKind;
-use tflux_core::tsu::{CompletionFunnel, FetchResult, FlushPolicy, ProgramHandle, QueueUnit};
+use tflux_core::tsu::{CompletionFunnel, FetchResult, FlushPolicy, ProgramHandle, Tsu};
+
+/// Ring every kernel's bell: a kernel parked on its own queue wakes, and
+/// its next fetch answers `Exit` for a finished program or an evicted arena.
+pub(crate) fn ring_all<P: ProgramHandle>(tsu: &Tsu<P>) {
+    for q in tsu.queues() {
+        q.bell().ring();
+    }
+}
 
 /// One kernel's execution counters in one arena. Written only by the
 /// thread driving that kernel id, so an update is a `Relaxed` load + store
@@ -132,7 +139,7 @@ impl Watch {
 /// One resident program. See the module docs.
 pub(crate) struct Arena<P: ProgramHandle> {
     /// The program's whole scheduling state.
-    pub(crate) soft: SoftTsu<P>,
+    pub(crate) soft: Tsu<P>,
     retry: RetryPolicy,
     /// First TSU protocol error raised on a kernel, for `supervise`.
     error: Mutex<Option<CoreError>>,
@@ -144,7 +151,7 @@ pub(crate) struct Arena<P: ProgramHandle> {
 }
 
 impl<P: ProgramHandle> Arena<P> {
-    pub(crate) fn new(soft: SoftTsu<P>, retry: RetryPolicy) -> Self {
+    pub(crate) fn new(soft: Tsu<P>, retry: RetryPolicy) -> Self {
         let slots = (0..soft.kernels()).map(|_| KernelSlot::default()).collect();
         Arena {
             soft,
@@ -718,7 +725,7 @@ mod tests {
 
     /// An arena nobody runs: the armed Inlet sits on kernel 0's queue.
     fn idle_arena(p: &DdmProgram) -> Arena<&DdmProgram> {
-        let soft = SoftTsu::with_queue_unit(p, 1, TsuConfig::default());
+        let soft = Tsu::threaded(p, 1, TsuConfig::default());
         Arena::new(soft, RetryPolicy::default())
     }
 

@@ -3,7 +3,7 @@
 //! A kernel is "a simple user-level process" — here an OS thread — that
 //! alternates between the *FindReadyThread* loop and application DThread
 //! code. `run_kernel` is that loop as [`Runtime::run`](crate::Runtime)
-//! spawns it: fetch from the shared [`SoftTsu`](crate::SoftTsu) (own ready
+//! spawns it: fetch from the arena's threaded `Tsu` (own ready
 //! queue first, then, policy permitting, a steal), park on the own queue's
 //! bell when nothing is runnable anywhere, and hand every fetched instance
 //! to the arena's `step` (`arena.rs`), which runs the body and completes
@@ -16,16 +16,15 @@
 //! found by the fetch — as is whatever the flush readied, since an owner
 //! run rings nothing.
 
-use crate::arena::{Arena, KernelCtx};
+use crate::arena::{ring_all, Arena, KernelCtx};
 use crate::body::{BodyCtx, BodyTable};
 use crate::faults::{BodyFault, FaultInjector};
 use crate::runtime::RetryPolicy;
-use crate::sm::ring_all;
-use crate::sync::{lock, EventCount};
+use crate::sync::lock;
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 use tflux_core::ids::{Instance, KernelId};
-use tflux_core::tsu::{FetchResult, ProgramHandle};
+use tflux_core::tsu::{EventCount, FetchResult, ProgramHandle};
 
 /// A panic captured from a DThread body. The kernel contains the panic,
 /// retries it if the body opted in as idempotent and the
@@ -187,13 +186,12 @@ pub(crate) fn run_kernel<P: ProgramHandle, F: FaultInjector>(
 mod tests {
     use super::*;
     use crate::faults::NoFaults;
-    use crate::sm::SoftTsu;
     use std::sync::atomic::{AtomicU64, Ordering};
     use tflux_core::prelude::*;
 
     /// An arena over `p` for `kernels` kernels, no retry.
     fn arena(p: &DdmProgram, kernels: u32, tsu: TsuConfig) -> Arena<&DdmProgram> {
-        let soft = SoftTsu::with_queue_unit(p, kernels, tsu);
+        let soft = Tsu::threaded(p, kernels, tsu);
         Arena::new(soft, RetryPolicy::default())
     }
 

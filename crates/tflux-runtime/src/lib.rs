@@ -9,9 +9,12 @@
 //!   Phase. Body dispatch is a plain closure call — the Rust analogue of
 //!   the paper's "Kernel code and application DThread code in the same
 //!   function", i.e. no OS involvement per DThread.
-//! * The shared software TSU ([`SoftTsu`]) is the one
-//!   [`Tsu`](tflux_core::tsu::Tsu) of `tflux-core` on non-blocking
-//!   [`ReadyQueue`](sm::ReadyQueue)s: a read-only Graph Memory and a
+//! * The shared software TSU is the one [`Tsu`](tflux_core::tsu::Tsu) of
+//!   `tflux-core`, built by
+//!   [`Tsu::threaded`](tflux_core::tsu::Tsu::threaded) because each
+//!   kernel is a thread parking on its own
+//!   non-blocking [`ReadyQueue`](tflux_core::tsu::ReadyQueue): a read-only
+//!   Graph Memory and a
 //!   **lock-free Synchronization Memory** (atomic ready-count slots). A
 //!   completing kernel decrements its consumers' ready counts with atomic
 //!   `fetch_sub`s and enqueues instances it drove to zero on the owning
@@ -70,7 +73,6 @@ pub mod kernel;
 pub mod runtime;
 pub mod server;
 pub mod shared;
-pub mod sm;
 pub mod stats;
 mod sync;
 pub mod tub;
@@ -82,7 +84,6 @@ pub use server::{
     Admission, ProgramServer, ServerConfig, ServerStats, Submission, Submit, SubmitError,
 };
 pub use shared::SharedVar;
-pub use sm::SoftTsu;
 pub use stats::{InFlightInstance, RunReport, StallCause, StallReport, TenantReport};
 // the one fetch vocabulary shared with the core TSU units
 pub use tflux_core::tsu::{FetchResult, ShardStats};

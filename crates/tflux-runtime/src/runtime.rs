@@ -15,14 +15,13 @@ use crate::arena::{Arena, Watch};
 use crate::body::BodyTable;
 use crate::faults::{FaultInjector, NoFaults};
 use crate::kernel::run_kernel;
-use crate::sm::SoftTsu;
 use crate::stats::{RunReport, StallReport};
-use crate::sync::{self, EventCount};
+use crate::sync;
 use std::time::{Duration, Instant};
 use tflux_core::error::CoreError;
 use tflux_core::ids::KernelId;
 use tflux_core::program::DdmProgram;
-use tflux_core::tsu::TsuConfig;
+use tflux_core::tsu::{EventCount, Tsu, TsuConfig};
 
 /// What a kernel does with a DThread body that panics.
 ///
@@ -237,7 +236,7 @@ impl Runtime {
         // The shared software TSU: Graph Memory, Synchronization Memory
         // and the per-kernel ready queues, armed with the first block's
         // inlet.
-        let soft = SoftTsu::with_queue_unit(program, kernels, self.config.tsu);
+        let soft = Tsu::threaded(program, kernels, self.config.tsu);
         let arena = Arena::new(soft, self.config.retry);
         let bell = EventCount::default();
         let mut watch = Watch::new(self.config.watchdog, None, 1);

@@ -6,7 +6,7 @@
 //! duration of one `run`. A [`ProgramServer`] instead keeps a pool of
 //! kernel OS threads alive and lets callers *submit* programs while others
 //! drain. Each admitted program (a *tenant*) gets a *private arena* — the
-//! one `Runtime::run` builds (`arena.rs`): its own [`SoftTsu`], panic sink,
+//! one `Runtime::run` builds (`arena.rs`): its own threaded `Tsu`, panic sink,
 //! error latch and per-kernel counters — so no scheduling state is shared
 //! between programs.
 //!
@@ -19,7 +19,7 @@
 //! finish → report, watchdog) followed by eviction.
 //!
 //! **Wake-ups.** Kernels and the supervisor park on two instances of one
-//! waiter-aware eventcount (`sync::EventCount`; a ring is one atomic
+//! waiter-aware eventcount ([`EventCount`]; a ring is one atomic
 //! increment unless somebody sleeps), rung by this table and nothing
 //! else; the timed waits are the lost-wakeup backstop and the
 //! watchdog/deadline tick:
@@ -58,9 +58,8 @@ use crate::body::BodyTable;
 use crate::faults::FaultPlan;
 use crate::kernel::KERNEL_BACKSTOP;
 use crate::runtime::{RetryPolicy, RuntimeError};
-use crate::sm::SoftTsu;
 use crate::stats::TenantReport;
-use crate::sync::{lock, wait, EventCount};
+use crate::sync::{lock, wait};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex};
@@ -68,7 +67,7 @@ use std::time::Duration;
 use tflux_core::error::CoreError;
 use tflux_core::ids::{Epoch, Instance, KernelId, ProgramId};
 use tflux_core::program::DdmProgram;
-use tflux_core::tsu::{FetchResult, FlushPolicy, ServiceRotor, TsuConfig};
+use tflux_core::tsu::{EventCount, FetchResult, FlushPolicy, ServiceRotor, Tsu, TsuConfig};
 
 /// Configuration of a [`ProgramServer`].
 #[derive(Clone, Copy, Debug)]
@@ -317,7 +316,7 @@ impl Tenant {
             faults,
             epochs,
         } = submission;
-        let soft = SoftTsu::with_queue_unit(
+        let soft = Tsu::threaded(
             program,
             cfg.kernels,
             TsuConfig {
@@ -651,7 +650,7 @@ fn evict_tenant(
 
 /// Retire every fully drained epoch, oldest first, freeing its window
 /// credit.
-fn retire_drained(soft: &SoftTsu<Arc<DdmProgram>>) -> Result<(), CoreError> {
+fn retire_drained(soft: &Tsu<Arc<DdmProgram>>) -> Result<(), CoreError> {
     loop {
         let (_, completed, retired) = soft.epoch_ledger();
         if retired >= completed {
@@ -664,10 +663,9 @@ fn retire_drained(soft: &SoftTsu<Arc<DdmProgram>>) -> Result<(), CoreError> {
 /// Advance a streaming tenant's epoch ledger: retire what drained, then
 /// bank upcoming passes until the stream's total is reached or the credit
 /// window pushes back. A re-armed inlet is published straight onto the
-/// tenant's ready queues by
-/// [`SoftTsu::open_epoch`](tflux_core::tsu::Tsu::open_epoch); the return
-/// value says whether one was (the pool needs a ring). A protocol error is
-/// latched for the tenant's next `supervise`.
+/// tenant's ready queues by [`Tsu::open_epoch`]; the return value says
+/// whether one was (the pool needs a ring). A protocol error is latched
+/// for the tenant's next `supervise`.
 fn stream_advance(tenant: &Tenant, scratch: &mut Vec<Instance>) -> bool {
     let soft = &tenant.arena.soft;
     let mut published = false;

@@ -1,15 +1,19 @@
-//! Differential test of the one `Tsu` across its queue units.
+//! Differential test of the one `Tsu` across its two constructors.
 //!
-//! The platforms differ only in the [`QueueUnit`] they instantiate:
-//! `StealDeque` behind the device models, the runtime's `ReadyQueue` behind
-//! kernel threads. Driven by *one* thread round-robining the kernel ids,
-//! `ReadyQueue`'s inbox-then-deque is observationally a `StealDeque`, so
-//! under the same steal pacing the two must make the same decisions:
-//! identical execution order, identical `TsuStats`. The one legitimate
-//! difference is the pacing itself (`QueueUnit::BACKOFF`), so the shipping
-//! `StealDeque` is additionally held to the order-independent part.
+//! Every platform runs the same queue type; what differs is the driver.
+//! `Tsu::new` serves one thread playing every kernel id (the device models,
+//! the sequential drain): every run lands on its owner's deque, and idle
+//! victim scans are paced. `Tsu::threaded` serves kernel threads: a run by
+//! anyone but its owner goes through the owner's inbox, and scans are never
+//! skipped. Driven by *one* thread, the inbox keeps arrival order, so with
+//! stealing off the two must make the same decisions — identical execution
+//! order, identical `TsuStats` — under either driver below: kernels taking
+//! turns, or kernels each holding a fetched instance while the held ones
+//! complete in a seeded order, as the simulator's event loop does. With
+//! stealing on, pacing legitimately differs, so the two are held to the
+//! order-independent part.
 //!
-//! Generated programs are built to hit the paths where the units could
+//! Generated programs are built to hit the paths where the two could
 //! diverge: wide threads pinned to one kernel (every sibling must steal),
 //! reductions into a scalar sink under `FlushPolicy::Batch` (funnels +
 //! combining), several blocks, and three or more streamed epochs.
@@ -17,30 +21,7 @@
 use tflux_core::ids::Epoch;
 use tflux_core::prelude::*;
 use tflux_core::rng::{cases, SplitMix64};
-use tflux_core::tsu::{GraphMemory, QueueUnit, Steal, StealDeque, TsuStats};
-use tflux_runtime::sm::ReadyQueue;
-
-/// A `StealDeque` driven at the runtime's pacing: every miss probes.
-struct Unpaced(StealDeque);
-
-impl QueueUnit for Unpaced {
-    const BACKOFF: bool = false;
-    fn new(cap: usize) -> Self {
-        Unpaced(QueueUnit::new(cap))
-    }
-    fn push(&self, inst: Instance, epoch: Epoch, _by_owner: bool) {
-        self.0.push(inst, epoch)
-    }
-    fn take(&self) -> Option<(Instance, Epoch)> {
-        self.0.pop()
-    }
-    fn steal(&self) -> Steal {
-        self.0.steal()
-    }
-    fn len(&self) -> usize {
-        self.0.len()
-    }
-}
+use tflux_core::tsu::{GraphMemory, TsuStats};
 
 struct Case {
     program: DdmProgram,
@@ -61,7 +42,7 @@ fn affinity(rng: &mut SplitMix64, kernels: u32) -> Affinity {
     }
 }
 
-fn case(rng: &mut SplitMix64, steal: bool) -> Case {
+fn case(rng: &mut SplitMix64) -> Case {
     let kernels = rng.range(2u32..6);
     let mut b = ProgramBuilder::new();
     for _ in 0..rng.range(1..4) {
@@ -103,7 +84,7 @@ fn case(rng: &mut SplitMix64, steal: bool) -> Case {
         kernels,
         config: TsuConfig {
             capacity: 0,
-            steal,
+            steal: true,
             flush: *rng.pick(&[
                 FlushPolicy::Batch { size: 3 },
                 FlushPolicy::Batch { size: 8 },
@@ -117,13 +98,49 @@ fn case(rng: &mut SplitMix64, steal: bool) -> Case {
     }
 }
 
-/// Drain every epoch of `case` through a `Tsu<_, Q>` the way a platform
-/// does — per-kernel funnels, flushed when full, before a block
-/// transition and before conceding a wait — with one thread playing all
-/// kernels in turn. Returns the execution order of each epoch and the
-/// final counters.
-fn drive<Q: QueueUnit>(case: &Case) -> (Vec<Vec<Instance>>, TsuStats) {
-    let tsu = Tsu::<_, Q>::with_queue_unit(&case.program, case.kernels, case.config);
+/// What a kernel does with a fetched instance once it has run: park an App
+/// completion in its funnel, flushing when full; flush, then complete,
+/// anything else.
+fn complete(
+    tsu: &Tsu<&DdmProgram>,
+    funnel: &mut CompletionFunnel,
+    k: usize,
+    (i, ep): (Instance, Epoch),
+    scratch: &mut Vec<Instance>,
+) {
+    let kernel = KernelId(k as u32);
+    if funnel.batching() && tsu.graph().kind(i.thread) == ThreadKind::App {
+        if funnel.push(i, ep) {
+            funnel.flush(kernel, tsu, scratch).expect("flush");
+        }
+    } else {
+        funnel.flush(kernel, tsu, scratch).expect("flush");
+        tsu.complete(kernel, i, ep, scratch).expect("complete");
+    }
+}
+
+/// Drain every epoch of `case`, stealing or not, through the `Tsu` that
+/// `build` constructs, the way a platform does — per-kernel funnels,
+/// flushed when full, before a block transition and before conceding a
+/// wait — with one thread playing all kernels. With `interleave` unset the
+/// kernels take turns, each completing what it fetched at once; with a
+/// seed, every kernel holds up to one fetched instance and a seeded draw
+/// picks which holder completes next. Returns the execution order of each
+/// epoch and the final counters.
+fn drive<'p>(
+    case: &'p Case,
+    steal: bool,
+    build: fn(&'p DdmProgram, u32, TsuConfig) -> Tsu<&'p DdmProgram>,
+    interleave: Option<u64>,
+) -> (Vec<Vec<Instance>>, TsuStats) {
+    let tsu = build(
+        &case.program,
+        case.kernels,
+        TsuConfig {
+            steal,
+            ..case.config
+        },
+    );
     let n = case.kernels as usize;
     let mut funnels: Vec<_> = (0..n)
         .map(|_| CompletionFunnel::new(tsu.flush_policy()))
@@ -137,38 +154,47 @@ fn drive<Q: QueueUnit>(case: &Case) -> (Vec<Vec<Instance>>, TsuStats) {
         }
         opened = case.epochs;
     }
+    let mut held = vec![None; n];
+    let mut rng = SplitMix64(interleave.unwrap_or(0));
     let (mut k, mut idle) = (0usize, 0usize);
     loop {
-        match tsu.fetch(KernelId(k as u32)).expect("fetch") {
-            FetchResult::Thread(i, ep) => {
-                idle = 0;
-                order[ep.0 as usize].push(i);
-                if funnels[k].batching() && tsu.graph().kind(i.thread) == ThreadKind::App {
-                    if funnels[k].push(i, ep) {
-                        funnels[k]
-                            .flush(KernelId(k as u32), &tsu, &mut scratch)
-                            .expect("flush");
-                    }
-                } else {
-                    funnels[k]
-                        .flush(KernelId(k as u32), &tsu, &mut scratch)
-                        .expect("flush");
-                    tsu.complete(KernelId(k as u32), i, ep, &mut scratch)
-                        .expect("complete");
+        // the turn-taking driver fetches for one kernel, the interleaved
+        // one for every kernel holding nothing
+        let fetching: Vec<usize> = match interleave {
+            None => vec![k],
+            Some(_) => (0..n).filter(|&k| held[k].is_none()).collect(),
+        };
+        let mut exit = false;
+        for f in fetching {
+            match tsu.fetch(KernelId(f as u32)).expect("fetch") {
+                FetchResult::Thread(i, ep) => {
+                    order[ep.0 as usize].push(i);
+                    held[f] = Some((i, ep));
                 }
+                FetchResult::Wait => {
+                    funnels[f]
+                        .flush(KernelId(f as u32), &tsu, &mut scratch)
+                        .expect("flush");
+                }
+                FetchResult::Exit => exit = true,
             }
-            FetchResult::Wait => {
-                funnels[k]
-                    .flush(KernelId(k as u32), &tsu, &mut scratch)
-                    .expect("flush");
+        }
+        let holders: Vec<usize> = (0..n).filter(|&k| held[k].is_some()).collect();
+        if holders.is_empty() {
+            if exit && opened < case.epochs {
+                tsu.open_epoch(&mut scratch).expect("open next pass");
+                opened += 1;
+            } else if exit {
+                break;
+            } else {
                 idle += 1;
                 assert!(idle <= 2 * n, "no kernel can make progress");
             }
-            FetchResult::Exit if opened < case.epochs => {
-                tsu.open_epoch(&mut scratch).expect("open next pass");
-                opened += 1;
-            }
-            FetchResult::Exit => break,
+        } else {
+            idle = 0;
+            let h = *rng.pick(&holders);
+            let done = held[h].take().expect("a holder holds");
+            complete(&tsu, &mut funnels[h], h, done, &mut scratch);
         }
         k = (k + 1) % n;
     }
@@ -199,39 +225,39 @@ fn sorted(order: &[Vec<Instance>]) -> Vec<Vec<Instance>> {
 }
 
 #[test]
-fn queue_units_make_the_same_decisions_under_the_same_pacing() {
+fn both_constructors_make_the_same_decisions_under_one_thread() {
     let (mut steals, mut batched) = (0, 0);
     cases(96, |rng| {
-        let steal = rng.chance(3, 4);
-        let case = case(rng, steal);
-        let (deque_order, deque_stats) = drive::<Unpaced>(&case);
-        let (ready_order, ready_stats) = drive::<ReadyQueue>(&case);
-        assert_eq!(deque_order, ready_order, "execution order diverged");
-        assert_eq!(format!("{deque_stats:?}"), format!("{ready_stats:?}"));
+        let case = case(rng);
+        let seed = rng.next_u64();
         // every pass ran every instance exactly once
         let p = &case.program;
         let mut all: Vec<Instance> = (0..p.threads().len() as u32)
             .flat_map(|t| p.instances_of(ThreadId(t)))
             .collect();
         all.sort_unstable();
-        for pass in sorted(&deque_order) {
-            assert_eq!(pass, all);
+        for interleave in [None, Some(seed)] {
+            let (order, stats) = drive(&case, false, Tsu::new, interleave);
+            let (threaded_order, threaded_stats) = drive(&case, false, Tsu::threaded, interleave);
+            assert_eq!(order, threaded_order, "execution order diverged");
+            assert_eq!(format!("{stats:?}"), format!("{threaded_stats:?}"));
+            for pass in sorted(&order) {
+                assert_eq!(pass, all);
+            }
+            assert_eq!(
+                stats.completions as usize,
+                case.epochs as usize * p.total_instances()
+            );
+            batched += stats.rc_updates - stats.rc_rmws;
+            // stealing: the two differ only in pacing — same work, same
+            // bookkeeping, in whatever order
+            let (paced_order, paced_stats) = drive(&case, true, Tsu::new, interleave);
+            let (order, stats) = drive(&case, true, Tsu::threaded, interleave);
+            assert_eq!(sorted(&paced_order), sorted(&order));
+            assert_eq!(order_independent(&paced_stats), order_independent(&stats));
+            assert_eq!(stats.steal_skips, 0, "kernel threads never skip");
+            steals += stats.steals;
         }
-        assert_eq!(
-            deque_stats.completions as usize,
-            case.epochs as usize * case.program.total_instances()
-        );
-        steals += deque_stats.steals;
-        batched += deque_stats.rc_updates - deque_stats.rc_rmws;
-        // the shipping device unit differs from the runtime's only in
-        // pacing: same work, same bookkeeping, in whatever order
-        let (paced_order, paced_stats) = drive::<StealDeque>(&case);
-        assert_eq!(sorted(&paced_order), sorted(&ready_order));
-        assert_eq!(
-            order_independent(&paced_stats),
-            order_independent(&ready_stats)
-        );
-        assert_eq!(ready_stats.steal_skips, 0, "kernel threads never skip");
     });
     // the generator does reach the paths it is meant to
     assert!(steals > 1_000, "pinned threads must force steals: {steals}");
@@ -242,11 +268,14 @@ fn queue_units_make_the_same_decisions_under_the_same_pacing() {
 }
 
 #[test]
-fn zero_kernels_clamp_to_one_on_both_queue_units() {
+fn zero_kernels_clamp_to_one_on_both_constructors() {
     // one rule in the one constructor (and in the units under it):
     // `kernels == 0` means one kernel, as the platform configs clamp
-    fn check<Q: QueueUnit>(p: &DdmProgram) {
-        let tsu = Tsu::<_, Q>::with_queue_unit(p, 0, TsuConfig::default());
+    fn check<'p>(
+        p: &'p DdmProgram,
+        build: fn(&'p DdmProgram, u32, TsuConfig) -> Tsu<&'p DdmProgram>,
+    ) {
+        let tsu = build(p, 0, TsuConfig::default());
         assert_eq!(tsu.kernels(), 1);
         assert_eq!(tsu.queues().len(), 1);
         assert!(!tsu.stealing());
@@ -260,8 +289,8 @@ fn zero_kernels_clamp_to_one_on_both_queue_units() {
         assert_eq!(tsu.stats().completions as usize, p.total_instances());
     }
     let mut rng = SplitMix64(0);
-    let case = case(&mut rng, true);
+    let case = case(&mut rng);
     assert_eq!(GraphMemory::new(&case.program, 0).kernels(), 1);
-    check::<StealDeque>(&case.program);
-    check::<ReadyQueue>(&case.program);
+    check(&case.program, Tsu::new);
+    check(&case.program, Tsu::threaded);
 }

@@ -28,8 +28,8 @@
 //! they yield compute cycles plus a cache-line-granular memory access
 //! stream. The simulator executes the *same* [`DdmProgram`]s as the real
 //! runtime — scheduling decisions come from the same
-//! [`Tsu`](tflux_core::Tsu), here on its single-owner
-//! [`StealDeque`](tflux_core::StealDeque) queue unit.
+//! [`Tsu`](tflux_core::Tsu), here built by
+//! [`Tsu::new`](tflux_core::Tsu::new) for one thread driving every core.
 //!
 //! [`DdmProgram`]: tflux_core::DdmProgram
 

@@ -10,8 +10,7 @@
 
 use tflux::core::ids::Epoch;
 use tflux::core::prelude::*;
-use tflux::core::tsu::{drain_sequential, QueueUnit, StealDeque, TsuStats};
-use tflux::runtime::sm::ReadyQueue;
+use tflux::core::tsu::{drain_sequential, TsuStats};
 use tflux::runtime::{BodyTable, Runtime, RuntimeConfig};
 use tflux::sim::tsu_dev::{DevFetch, TsuDevice};
 use tflux::sim::TsuCosts;
@@ -145,14 +144,19 @@ fn seq_outcome(program: &DdmProgram) -> Outcome {
     Outcome::new(completed, &stats)
 }
 
-/// One thread streaming a `Tsu` on queue unit `Q`, round-robining the
+/// One thread streaming a `Tsu` from `build`, round-robining the
 /// kernel ids: drain a pass, retire its epoch, open the next (which
-/// re-arms the inlet in place), drain again. `StealDeque` is the
-/// sequential reference; `ReadyQueue` is the unit kernel threads run on,
+/// re-arms the inlet in place), drain again. `Tsu::new` is the
+/// sequential reference; `Tsu::threaded` is the TSU kernel threads run on,
 /// completing through the same direct-update `complete`.
-fn stream_outcome<Q: QueueUnit>(program: &DdmProgram, cfg: TsuConfig, epochs: u64) -> Outcome {
+fn stream_outcome<'p>(
+    build: fn(&'p DdmProgram, u32, TsuConfig) -> Tsu<&'p DdmProgram>,
+    program: &'p DdmProgram,
+    cfg: TsuConfig,
+    epochs: u64,
+) -> Outcome {
     let cfg = TsuConfig { window: 2, ..cfg };
-    let tsu = Tsu::<_, Q>::with_queue_unit(program, KERNELS, cfg);
+    let tsu = build(program, KERNELS, cfg);
     let mut completed = Vec::new();
     let mut scratch = Vec::new();
     for e in 0..epochs {
@@ -217,9 +221,9 @@ fn assert_stream_equivalent(bench: Bench) {
         let at = |path: &str| {
             format!("{name}, steal {steal}: streamed {path} vs {STREAM_EPOCHS}x one-shot")
         };
-        stream_outcome::<StealDeque>(&program, direct(steal), STREAM_EPOCHS)
+        stream_outcome(Tsu::new, &program, direct(steal), STREAM_EPOCHS)
             .assert_matches(&k_one_shots, &at("sequential"));
-        stream_outcome::<ReadyQueue>(&program, direct(steal), STREAM_EPOCHS)
+        stream_outcome(Tsu::threaded, &program, direct(steal), STREAM_EPOCHS)
             .assert_matches(&k_one_shots, &at("soft"));
         hard_stream_outcome(&program, direct(steal), STREAM_EPOCHS)
             .assert_matches(&k_one_shots, &at("hard"));
