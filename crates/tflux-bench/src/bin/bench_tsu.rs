@@ -286,9 +286,9 @@ impl ToJson for ServerRow {
 /// identical on any host, which is what `--check` gates. `sm_table_bytes`
 /// is the ready-count slab, O(instances) by definition; the rest of
 /// `bytes` — queue units, counter rows — must not grow with the block.
-/// `rings` (bell rings on kernel 1's queue) and `valve_locks` (overflow
-/// valve acquisitions, both queues) count the hand-over of the block
-/// load, which publishes one run per (owner, thread).
+/// `rings` (bell rings on kernel 1's queue) and `inbox_locks` (inbox
+/// acquisitions, both queues) count the hand-over of the block load,
+/// which publishes one run per (owner, thread).
 #[derive(Clone, Copy, PartialEq, Eq)]
 struct ConstructionRow {
     instances: u64,
@@ -297,16 +297,16 @@ struct ConstructionRow {
     sm_table_bytes: u64,
     drain_alloc_calls: u64,
     rings: u64,
-    valve_locks: u64,
+    inbox_locks: u64,
 }
 
 /// Ceiling on construction bytes beyond the ready-count table.
 const CONSTRUCTION_CEILING: u64 = 256 << 10;
 /// Ceilings on the drain's hand-over counts: one ring per foreign run
-/// (8 threads' shares for kernel 1, plus slack), one valve lock per
-/// spilling run and per take-over.
+/// (8 threads' shares for kernel 1, plus slack), one inbox lock per
+/// foreign run and per take-over.
 const RINGS_CEILING: u64 = 16;
-const VALVE_LOCKS_CEILING: u64 = 32;
+const INBOX_LOCKS_CEILING: u64 = 32;
 
 impl ConstructionRow {
     const KERNELS: u32 = 2;
@@ -324,7 +324,7 @@ impl ConstructionRow {
             sm_table_bytes,
             drain_alloc_calls,
             rings: tsu.queues()[1].handover_counts().0,
-            valve_locks: tsu.queues().iter().map(|q| q.handover_counts().1).sum(),
+            inbox_locks: tsu.queues().iter().map(|q| q.handover_counts().1).sum(),
         }
     }
 
@@ -347,7 +347,7 @@ impl ToJson for ConstructionRow {
             ("drain_alloc_calls", self.drain_alloc_calls.to_json()),
             ("drain_allocs_per_instance", per_instance.to_json()),
             ("rings", self.rings.to_json()),
-            ("valve_locks", self.valve_locks.to_json()),
+            ("inbox_locks", self.inbox_locks.to_json()),
         ])
     }
 }
@@ -691,7 +691,7 @@ fn check() -> ! {
     println!(
         "bench_tsu --check construction (fanout_reduce, {} kernels): {} bytes in {} \
          allocations, {} of them beyond the {}-byte ready-count table; {} allocations, \
-         {} rings on kernel 1 and {} valve locks draining {} instances",
+         {} rings on kernel 1 and {} inbox locks draining {} instances",
         ConstructionRow::KERNELS,
         a.bytes,
         a.alloc_calls,
@@ -699,17 +699,17 @@ fn check() -> ! {
         a.sm_table_bytes,
         a.drain_alloc_calls,
         a.rings,
-        a.valve_locks,
+        a.inbox_locks,
         a.instances
     );
     if a.beyond_table_bytes() > CONSTRUCTION_CEILING {
         eprintln!("FAIL: a threaded Tsu allocates more than 256 KiB beyond its ready-count table");
         std::process::exit(1);
     }
-    if a.rings > RINGS_CEILING || a.valve_locks > VALVE_LOCKS_CEILING {
+    if a.rings > RINGS_CEILING || a.inbox_locks > INBOX_LOCKS_CEILING {
         eprintln!(
             "FAIL: the block load is handed over per instance: more than \
-             {RINGS_CEILING} rings or {VALVE_LOCKS_CEILING} valve locks"
+             {RINGS_CEILING} rings or {INBOX_LOCKS_CEILING} inbox locks"
         );
         std::process::exit(1);
     }

@@ -8,8 +8,9 @@
 //!
 //! * **CommandBuffer** — a 128-byte per-TSU buffer in main memory where a
 //!   kernel "places a command ... whenever a DThread needs to notify its
-//!   TSU of any event" ([`cmd::CommandBuffer`] also provides the concrete
-//!   wire encoding, exercised by the DDMCPP cell back-end);
+//!   TSU of any event" ([`cmd::CommandBuffer`] is its 16-byte-record wire
+//!   format, tested on its own; the machine model does not encode through
+//!   it yet — ROADMAP item 8 is to wire it in);
 //! * **SharedVariableBuffer** — produced data is *exported* to main memory
 //!   after a DThread completes and *imported* into the consumer SPE's Local
 //!   Store before it starts, via DMA ([`work::CellWork`] carries the byte

@@ -16,7 +16,7 @@
 //!   [`tsu::GraphMemory`] (immutable program view), [`tsu::SyncMemory`]
 //!   (lock-free ready counts + post-processing) and a per-kernel
 //!   [`tsu::ReadyQueue`] (a Chase-Lev work-stealing [`tsu::StealDeque`]
-//!   plus an inbox for other kernels' pushes), composed once into
+//!   plus one locked inbox for other kernels' runs), composed once into
 //!   [`tsu::Tsu`]. All three platforms (the software TSU of
 //!   `tflux-runtime`, the simulated hardware TSU of `tflux-sim`, the Cell
 //!   model of `tflux-cell`) drive that one `&self` state machine, with the
@@ -79,8 +79,8 @@ pub use policy::StealBackoff;
 pub use program::{DdmProgram, ProgramBuilder};
 pub use thread::{Affinity, ThreadKind, ThreadSpec};
 pub use tsu::{
-    CompletionFunnel, EventCount, FetchResult, FlushPolicy, GraphMemory, MpmcRing, ProgramHandle,
-    ReadyQueue, ServiceRotor, ShardStats, Steal, StealDeque, SyncMemory, Tsu, TsuConfig, TsuStats,
+    CompletionFunnel, EventCount, FetchResult, FlushPolicy, GraphMemory, ProgramHandle, ReadyQueue,
+    ServiceRotor, ShardStats, Steal, StealDeque, SyncMemory, Tsu, TsuConfig, TsuStats,
     WaitingInstance,
 };
 

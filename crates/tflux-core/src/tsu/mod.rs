@@ -10,18 +10,18 @@
 //!   completions never contend on a lock (only block transitions are
 //!   serialized).
 //! * a [`ReadyQueue`] per kernel — a Chase-Lev work-stealing deque of
-//!   ready instances ([`StealDeque`]) plus an inbox for runs pushed by
-//!   other kernels; idle kernels steal the oldest entry of a sibling. A
-//!   queue receives its share of each publication as one run, and is told
-//!   when the run comes from its own kernel, so it need not leave that
-//!   kernel. No queue blocks: [`FetchResult`] is answered here, and a
-//!   platform decides how its idle kernels wait.
+//!   ready instances ([`StealDeque`]) plus one locked FIFO inbox for runs
+//!   pushed by other kernels; idle kernels steal the oldest entry of a
+//!   sibling. A queue receives its share of each publication as one run,
+//!   and is told when the run comes from its own kernel, so it need not
+//!   leave that kernel. No queue blocks: [`FetchResult`] is answered here,
+//!   and a platform decides how its idle kernels wait.
 //!
 //! [`Tsu`] composes the three, once, with the same types on every
 //! platform — which is what keeps TFluxSoft, TFluxHard and TFluxCell
-//! directly comparable. Every operation takes `&self` (the units are
-//! lock-free), so the same state machine is driven by one thread in the
-//! deterministic platforms and the reference executor
+//! directly comparable. Every operation takes `&self` (the units
+//! synchronize internally), so the same state machine is driven by one
+//! thread in the deterministic platforms and the reference executor
 //! ([`drain_sequential`]), built by [`Tsu::new`], and shared by `&`
 //! between kernel threads in TFluxSoft, built by [`Tsu::threaded`]. Every
 //! fetch and completion names the kernel performing it: that selects the
@@ -36,9 +36,7 @@ mod sync;
 pub use config::{FlushPolicy, ShardStats, TsuConfig, TsuStats, WaitingInstance, AUTO_BATCH_SIZE};
 pub use funnel::CompletionFunnel;
 pub use gm::{GraphMemory, ProgramHandle};
-pub use queue::{
-    EventCount, FetchResult, MpmcRing, ReadyQueue, ServiceRotor, Steal, StealDeque, INBOX_SLOTS,
-};
+pub use queue::{EventCount, FetchResult, ReadyQueue, ServiceRotor, Steal, StealDeque};
 pub use sync::SyncMemory;
 
 use crate::error::CoreError;
@@ -128,19 +126,19 @@ impl<P: ProgramHandle> Tsu<P> {
     ///
     /// This is the TSU one thread drives, playing every kernel id: each run
     /// is then its owner's, so it goes straight onto the deque bottom,
-    /// rings nothing, and no queue has an inbox. Nothing paces an idle
+    /// rings nothing, and no inbox is ever used. Nothing paces an idle
     /// kernel's victim scans but the TSU itself, so a kernel whose steals
     /// keep missing skips scans under [`StealBackoff`].
     pub fn new(program: P, kernels: u32, config: TsuConfig) -> Self {
         Self::build(program, kernels, config, false)
     }
 
-    /// [`new`](Self::new), for kernel ids that are each a thread parking
-    /// on its own queue's [`bell`](ReadyQueue::bell). A run goes onto the
-    /// deque only when the completing kernel owns it; any other lands in
-    /// the owner's inbox and rings it. Victim scans are never skipped: the
-    /// timed park between rescans already is the pacing, and a skip window
-    /// on top of it would be a steal blackout.
+    /// [`new`](Self::new), with the same queues, for kernel ids that are
+    /// each a thread parking on its own queue's [`bell`](ReadyQueue::bell).
+    /// A run goes onto the deque only when the completing kernel owns it;
+    /// any other lands in the owner's inbox and rings it. Victim scans are
+    /// never skipped: the timed park between rescans already is the
+    /// pacing, and a skip window on top of it would be a steal blackout.
     pub fn threaded(program: P, kernels: u32, config: TsuConfig) -> Self {
         Self::build(program, kernels, config, true)
     }
@@ -149,18 +147,11 @@ impl<P: ProgramHandle> Tsu<P> {
         let sm = SyncMemory::with_window(program, kernels, config.capacity, config.window);
         let gm = sm.graph();
         let kernels = gm.kernels();
-        // the resident bound, + slack for the re-armed inlet of the next
-        // streaming pass: the most a queue can ever hold
-        let inbox = if threaded {
-            gm.program().max_block_instances() + 2
-        } else {
-            0
-        };
         let tsu = Tsu {
             flush: config.flush.resolve(gm.program(), kernels),
             gm,
             sm,
-            queues: (0..kernels).map(|_| ReadyQueue::new(inbox)).collect(),
+            queues: (0..kernels).map(|_| ReadyQueue::new()).collect(),
             threaded,
             steal: config.steal && kernels > 1,
             steal_rng: AtomicU64::new(0x5EED_0000 ^ ((kernels as u64) << 8)),

@@ -8,8 +8,8 @@
 //! the oldest entry by CAS-ing the top — stealing is a queue-native
 //! operation, not a scheduler hack layered on a `VecDeque`. Entries are
 //! epoch-tagged `(Instance, Epoch)` pairs so streaming tokens ride the
-//! steal path unchanged. Runs pushed by anyone but the owner land in an
-//! [`MpmcRing`] inbox and ring the queue's [`EventCount`] bell. Only
+//! steal path unchanged. Runs pushed by anyone but the owner land in one
+//! locked FIFO inbox and ring the queue's [`EventCount`] bell. Only
 //! [`EventCount::wait`] ever blocks.
 //!
 //! # Memory ordering of the deque
@@ -174,7 +174,7 @@ impl Buffer {
 /// cause undefined behavior) but must come from one thread at a time:
 /// concurrent owner calls may lose or duplicate entries. [`ReadyQueue`]
 /// upholds this by routing every push that is not the owner's own through
-/// its inbox ring.
+/// its inbox.
 pub struct StealDeque {
     bottom: AtomicI64,
     top: AtomicI64,
@@ -321,161 +321,6 @@ impl StealDeque {
     }
 }
 
-/// A bounded lock-free MPMC ring of epoch-tagged instances (Vyukov's
-/// sequence-numbered design): the *inbox* a [`ReadyQueue`] pairs with its
-/// [`StealDeque`].
-///
-/// Chase-Lev pushes are owner-only, but when kernels are threads any
-/// completing kernel may make an instance ready on *another* kernel's
-/// queue. Those foreign pushes — and only those — land here; the owner
-/// drains the inbox into its deque when it next pushes or takes, and
-/// thieves may pop the inbox directly, so work pushed at a kernel that
-/// never runs is still stealable.
-///
-/// Each slot carries a sequence number: a producer reserves a run of
-/// slots with one CAS on `tail` and publishes each with `seq = pos + 1`
-/// (`Release`), consumers CAS `head` after observing that sequence
-/// (`Acquire`) and recycle the slot with `seq = pos + cap`. A run longer
-/// than the free slots is cut short — callers keep an overflow valve —
-/// and all data lives in atomics, so the ring is exactly as
-/// ThreadSanitizer-clean as the deque.
-pub struct MpmcRing {
-    head: AtomicUsize,
-    tail: AtomicUsize,
-    mask: usize,
-    slots: Box<[RingSlot]>,
-}
-
-struct RingSlot {
-    seq: AtomicUsize,
-    inst: AtomicU64,
-    epoch: AtomicU64,
-}
-
-impl MpmcRing {
-    /// A ring holding up to `cap` entries (rounded up to a power of two).
-    pub fn with_capacity(cap: usize) -> Self {
-        let cap = cap.next_power_of_two().max(2);
-        MpmcRing {
-            head: AtomicUsize::new(0),
-            tail: AtomicUsize::new(0),
-            mask: cap - 1,
-            slots: (0..cap)
-                .map(|i| RingSlot {
-                    seq: AtomicUsize::new(i),
-                    inst: AtomicU64::new(0),
-                    epoch: AtomicU64::new(0),
-                })
-                .collect(),
-        }
-    }
-
-    /// Capacity of the ring.
-    pub fn capacity(&self) -> usize {
-        self.mask + 1
-    }
-
-    /// Entries accepted over the ring's lifetime (`tail` never wraps back).
-    pub fn pushes(&self) -> usize {
-        self.tail.load(Ordering::Relaxed)
-    }
-
-    /// Enqueue the longest prefix of `run` the free slots hold, in order,
-    /// from any thread: one `tail` CAS reserves the whole prefix. Returns
-    /// its length; the caller's overflow path takes the rest.
-    ///
-    /// A slot at position `p` is free when its sequence reads `p`. Only a
-    /// producer that moved `tail` past `p` can make a free slot busy
-    /// again, so the prefix found free from `pos` is still free when the
-    /// CAS from `pos` succeeds.
-    pub fn push_run(&self, run: &[Instance], epoch: Epoch) -> usize {
-        if run.is_empty() {
-            return 0;
-        }
-        let mut pos = self.tail.load(Ordering::Relaxed);
-        loop {
-            let seq_at = |k: usize| {
-                self.slots[pos.wrapping_add(k) & self.mask]
-                    .seq
-                    .load(Ordering::Acquire)
-            };
-            let dif = seq_at(0) as isize - pos as isize;
-            if dif < 0 {
-                return 0; // full
-            }
-            if dif > 0 {
-                pos = self.tail.load(Ordering::Relaxed);
-                continue;
-            }
-            let free = 1
-                + (1..run.len().min(self.capacity()))
-                    .take_while(|&k| seq_at(k) == pos.wrapping_add(k))
-                    .count();
-            match self.tail.compare_exchange_weak(
-                pos,
-                pos.wrapping_add(free),
-                Ordering::Relaxed,
-                Ordering::Relaxed,
-            ) {
-                Ok(_) => {
-                    for (k, &inst) in run[..free].iter().enumerate() {
-                        let p = pos.wrapping_add(k);
-                        let slot = &self.slots[p & self.mask];
-                        slot.inst.store(pack(inst), Ordering::Relaxed);
-                        slot.epoch.store(epoch.0, Ordering::Relaxed);
-                        slot.seq.store(p.wrapping_add(1), Ordering::Release);
-                    }
-                    return free;
-                }
-                Err(p) => pos = p,
-            }
-        }
-    }
-
-    /// Dequeue from any thread; `None` when empty.
-    pub fn pop(&self) -> Option<(Instance, Epoch)> {
-        let mut pos = self.head.load(Ordering::Relaxed);
-        loop {
-            let slot = &self.slots[pos & self.mask];
-            let seq = slot.seq.load(Ordering::Acquire);
-            let dif = seq as isize - pos.wrapping_add(1) as isize;
-            match dif {
-                0 => {
-                    match self.head.compare_exchange_weak(
-                        pos,
-                        pos.wrapping_add(1),
-                        Ordering::Relaxed,
-                        Ordering::Relaxed,
-                    ) {
-                        Ok(_) => {
-                            let x = slot.inst.load(Ordering::Relaxed);
-                            let e = slot.epoch.load(Ordering::Relaxed);
-                            slot.seq
-                                .store(pos.wrapping_add(self.mask + 1), Ordering::Release);
-                            return Some((unpack(x), Epoch(e)));
-                        }
-                        Err(p) => pos = p,
-                    }
-                }
-                d if d < 0 => return None, // empty
-                _ => pos = self.head.load(Ordering::Relaxed),
-            }
-        }
-    }
-
-    /// Entries currently queued (a racy snapshot under concurrency).
-    pub fn len(&self) -> usize {
-        let tail = self.tail.load(Ordering::Relaxed);
-        let head = self.head.load(Ordering::Relaxed);
-        tail.wrapping_sub(head).min(self.capacity())
-    }
-
-    /// Whether the ring is (momentarily) empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
 /// `std::sync` locking without poisoning: every mutex here guards data
 /// that is valid after each individual update.
 fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
@@ -526,82 +371,59 @@ impl EventCount {
     }
 }
 
-/// The longest inbox a queue is built with. Both buffers start small and
-/// the program's resident bound is only a hint: the deque grows on demand
-/// and the valve takes what the inbox cannot, so constructing the queues
-/// costs the same for a 65 536-wide block as for an 8-wide one.
-pub const INBOX_SLOTS: usize = 1024;
-
 /// One kernel's Queue Unit ("Local TSU" in Fig. 4), on every platform.
 ///
 /// Every push is a *run*: the owner's contiguous share of one publication
 /// (a whole block load's share of a thread, or a single instance), handed
-/// over in one call. The push/take fast path takes **no mutex**:
+/// over in one call. Two buffers and a bell:
 ///
 /// * a [`StealDeque`] the owner works LIFO at the bottom of, thieves CAS
 ///   the top of. A run pushed *by the owner* — the kernel whose completion
 ///   readied it is the kernel that will run it, or one thread drives every
-///   kernel — goes straight onto the bottom: no CAS, no ring;
-/// * an [`MpmcRing`] *inbox* that receives every other run, since
-///   Chase-Lev bottoms are owner-only: one `tail` CAS reserves as much of
-///   the run as there are free slots. Thieves may pop it directly, so work
-///   pushed at a kernel that never fetches is still stealable. A queue
-///   built without one sends foreign runs to the valve;
-/// * a `Mutex<VecDeque>` *overflow valve* behind an atomic length that
-///   takes the rest of a run, under one lock, when the inbox is full. The
-///   inbox is at most [`INBOX_SLOTS`] long whatever the program, so this
-///   is where the foreign part of a wide block load waits; no push is ever
-///   lost or spun on;
+///   kernel — goes straight onto the bottom: no ring, and no lock while
+///   the inbox is empty;
+/// * a `Mutex<VecDeque>` *inbox* that receives every other run, since
+///   Chase-Lev bottoms are owner-only: one lock per run, whatever its
+///   length. An atomic length gates the owner's drain and a thief's pop,
+///   so neither locks it while it is empty — the common case. Thieves may
+///   pop its front, so work pushed at a kernel that never fetches is still
+///   stealable;
 /// * a *bell*, an [`EventCount`]: every foreign run rings it once, after
-///   the run's last entry is visible, so it wakes the owner if it parked
-///   and costs one atomic increment if not.
+///   the run is visible, so it wakes the owner if it parked and costs one
+///   atomic increment if not.
 ///
-/// Entries keep their **arrival order**. A foreign run goes to the valve
-/// whenever the valve is non-empty, so the deque holds what arrived before
-/// the inbox, and the inbox what arrived before the valve. The owner moves
-/// the inbox and then the valve onto its deque bottom before each of its
-/// own pushes and takes. So when one thread drives the queue, every take
-/// answers the newest entry and every steal the oldest, exactly as a
-/// [`StealDeque`] fed the same pushes would; a run is its pushes made one
-/// at a time.
+/// Entries keep their **arrival order**: the owner moves the inbox onto
+/// its deque bottom, under one lock, before each of its own pushes and
+/// takes, so the deque holds what arrived before the inbox. When one
+/// thread drives the queue, every take therefore answers the newest entry
+/// and every steal the oldest, exactly as a [`StealDeque`] fed the same pushes
+/// would; a run is its pushes made one at a time.
+#[derive(Default)]
 pub struct ReadyQueue {
     deque: StealDeque,
-    /// Runs by anyone but the owner; drained into `deque` by the owner,
-    /// poppable by thieves.
-    inbox: Option<MpmcRing>,
-    /// Valve for the part of a run that finds the inbox full (or the valve
-    /// non-empty). `overflow_len` gates it so nobody locks the mutex while
-    /// it is empty — the common case.
-    overflow: Mutex<VecDeque<(Instance, Epoch)>>,
-    overflow_len: AtomicUsize,
-    /// Acquisitions of `overflow`, bumped by the holder (never an RMW).
-    valve_locks: AtomicU64,
-    /// Rung once per foreign run, after its last entry is published; the
-    /// owner parks on it.
+    /// Runs by anyone but the owner, oldest first; moved onto `deque` by
+    /// the owner, poppable by thieves.
+    inbox: Mutex<VecDeque<(Instance, Epoch)>>,
+    /// `inbox`'s length, stored by whoever holds the lock.
+    inbox_len: AtomicUsize,
+    /// Acquisitions of `inbox`, bumped by the holder (never an RMW).
+    inbox_locks: AtomicU64,
+    /// Rung once per foreign run, after it is in the inbox; the owner
+    /// parks on it.
     bell: EventCount,
 }
 
 impl ReadyQueue {
-    /// An empty queue: a default-sized deque, and an inbox of `inbox`
-    /// entries, at most [`INBOX_SLOTS`], before the overflow valve engages.
-    /// `0` builds no inbox, for a queue whose every push is its owner's.
-    pub fn new(inbox: usize) -> Self {
-        ReadyQueue {
-            deque: StealDeque::new(),
-            inbox: (inbox > 0).then(|| MpmcRing::with_capacity(inbox.min(INBOX_SLOTS))),
-            overflow: Mutex::new(VecDeque::new()),
-            overflow_len: AtomicUsize::new(0),
-            valve_locks: AtomicU64::new(0),
-            bell: EventCount::default(),
-        }
+    /// An empty queue: a default-sized deque and an empty inbox.
+    pub fn new() -> Self {
+        ReadyQueue::default()
     }
 
     /// Enqueue a run of dispatched instances, all under `epoch`, from any
     /// thread. `by_owner` says the caller is the one thread that
     /// [`take`](Self::take)s from this queue: its run goes onto the deque
     /// bottom, behind everything that arrived before it, and rings nothing.
-    /// Anyone else's takes one inbox reservation, puts what does not fit in
-    /// the valve under one lock, and rings the bell once.
+    /// Anyone else's joins the inbox under one lock and rings the bell once.
     pub fn push_run(&self, run: &[Instance], epoch: Epoch, by_owner: bool) {
         if by_owner {
             self.drain();
@@ -610,18 +432,10 @@ impl ReadyQueue {
             }
             return;
         }
-        let queued = match &self.inbox {
-            // behind a non-empty valve the inbox would overtake it
-            Some(inbox) if self.overflow_len.load(Ordering::SeqCst) == 0 => {
-                inbox.push_run(run, epoch)
-            }
-            _ => 0,
-        };
-        if queued < run.len() {
-            let mut ovf = self.valve();
-            ovf.extend(run[queued..].iter().map(|&i| (i, epoch)));
-            self.overflow_len.store(ovf.len(), Ordering::SeqCst);
-        }
+        let mut inbox = self.inbox();
+        inbox.extend(run.iter().map(|&i| (i, epoch)));
+        self.inbox_len.store(inbox.len(), Ordering::SeqCst);
+        drop(inbox);
         self.bell.ring();
     }
 
@@ -631,25 +445,20 @@ impl ReadyQueue {
         self.deque.pop()
     }
 
-    /// Move the inbox, then the valve, onto the deque bottom in arrival
-    /// order (owner side; the valve under one lock).
+    /// Move the inbox onto the deque bottom in arrival order (owner side,
+    /// under one lock, and only when the inbox is non-empty).
     fn drain(&self) {
-        if let Some(inbox) = &self.inbox {
-            while let Some((i, ep)) = inbox.pop() {
+        if self.inbox_len.load(Ordering::SeqCst) > 0 {
+            let mut inbox = self.inbox();
+            for (i, ep) in inbox.drain(..) {
                 self.deque.push(i, ep);
             }
-        }
-        if self.overflow_len.load(Ordering::SeqCst) > 0 {
-            let mut ovf = self.valve();
-            for (i, ep) in ovf.drain(..) {
-                self.deque.push(i, ep);
-            }
-            self.overflow_len.store(0, Ordering::SeqCst);
+            self.inbox_len.store(0, Ordering::SeqCst);
         }
     }
 
     /// One steal attempt by a foreign kernel: the deque top first (the
-    /// oldest entry the owner moved there), then the inbox, then the valve.
+    /// oldest entry the owner moved there), then the inbox front.
     /// [`Steal::Retry`] means a CAS was lost to the owner or another thief
     /// — the caller counts the race and may retry or move on.
     pub fn steal(&self) -> Steal {
@@ -657,21 +466,19 @@ impl ReadyQueue {
             Steal::Empty => {}
             hit_or_race => return hit_or_race,
         }
-        if let Some(e) = self.inbox.as_ref().and_then(MpmcRing::pop) {
-            return Steal::Success(e);
+        if self.inbox_len.load(Ordering::SeqCst) == 0 {
+            return Steal::Empty;
         }
-        match self.pop_overflow() {
-            Some(e) => Steal::Success(e),
-            None => Steal::Empty,
-        }
+        let mut inbox = self.inbox();
+        let e = inbox.pop_front();
+        self.inbox_len.store(inbox.len(), Ordering::SeqCst);
+        e.map_or(Steal::Empty, Steal::Success)
     }
 
     /// Entries currently queued (a racy snapshot under concurrency; exact
     /// when quiescent).
     pub fn len(&self) -> usize {
-        self.deque.len()
-            + self.inbox.as_ref().map_or(0, MpmcRing::len)
-            + self.overflow_len.load(Ordering::SeqCst)
+        self.deque.len() + self.inbox_len.load(Ordering::SeqCst)
     }
 
     /// Whether the queue is (momentarily) empty.
@@ -685,27 +492,17 @@ impl ReadyQueue {
         &self.bell
     }
 
-    /// `(bell rings, overflow-valve lock acquisitions)` since construction:
-    /// what the hand-over of foreign runs has cost this queue.
+    /// `(bell rings, inbox lock acquisitions)` since construction: what
+    /// the hand-over of foreign runs has cost this queue.
     pub fn handover_counts(&self) -> (u64, u64) {
-        (self.bell.epoch(), self.valve_locks.load(Ordering::Relaxed))
+        (self.bell.epoch(), self.inbox_locks.load(Ordering::Relaxed))
     }
 
-    fn valve(&self) -> MutexGuard<'_, VecDeque<(Instance, Epoch)>> {
-        let ovf = lock(&self.overflow);
-        let n = self.valve_locks.load(Ordering::Relaxed);
-        self.valve_locks.store(n + 1, Ordering::Relaxed);
-        ovf
-    }
-
-    fn pop_overflow(&self) -> Option<(Instance, Epoch)> {
-        if self.overflow_len.load(Ordering::SeqCst) == 0 {
-            return None;
-        }
-        let mut ovf = self.valve();
-        let e = ovf.pop_front();
-        self.overflow_len.store(ovf.len(), Ordering::SeqCst);
-        e
+    fn inbox(&self) -> MutexGuard<'_, VecDeque<(Instance, Epoch)>> {
+        let inbox = lock(&self.inbox);
+        let n = self.inbox_locks.load(Ordering::Relaxed);
+        self.inbox_locks.store(n + 1, Ordering::Relaxed);
+        inbox
     }
 }
 
@@ -838,12 +635,11 @@ mod tests {
     #[test]
     fn one_thread_driving_a_ready_queue_sees_a_steal_deque() {
         // one thread feeds a queue and a bare deque the same random
-        // sequence: owner runs, foreign runs (some longer than the free
-        // inbox, so they spill into the valve), takes and steals. Arrival
-        // order makes every answer the deque's.
-        let mut valve_locks = 0;
+        // sequence: owner runs, foreign runs (some long), takes and
+        // steals. Arrival order makes every answer the deque's.
+        let mut inbox_locks = 0;
         crate::rng::cases(64, |rng| {
-            let (q, model) = (ReadyQueue::new(8), StealDeque::new());
+            let (q, model) = (ReadyQueue::new(), StealDeque::new());
             let mut next = 0;
             for _ in 0..300 {
                 match rng.below(6) {
@@ -864,16 +660,16 @@ mod tests {
                 assert_eq!(Some(e), model.pop());
             }
             assert!(model.is_empty());
-            valve_locks += q.handover_counts().1;
+            inbox_locks += q.handover_counts().1;
         });
-        assert!(valve_locks > 0, "no run reached the valve");
+        assert!(inbox_locks > 0, "no run reached the inbox");
     }
 
     #[test]
     fn ready_queue_pops_lifo_and_steals_fifo() {
         // the Chase-Lev contract: the owner runs its newest (cache-warm)
         // entry, a thief migrates the oldest
-        let q = ReadyQueue::new(256);
+        let q = ReadyQueue::new();
         for t in 1..=3 {
             foreign(&q, inst(t, 0));
         }
@@ -884,50 +680,16 @@ mod tests {
         assert_eq!(q.take(), None);
     }
 
-    #[test]
-    fn overflow_valve_loses_nothing() {
-        // an undersized inbox pushes the excess through the mutex valve;
-        // every entry still comes out, and len() sees all of them
-        let q = ReadyQueue::new(4);
-        for t in 0..20 {
-            foreign(&q, inst(t, 0));
-        }
-        assert_eq!(q.len(), 20);
-        let mut got = Vec::new();
-        while let Some((i, _)) = q.take() {
-            got.push(i.thread.0);
-            // interleave thief traffic through the same valve
-            if let Steal::Success((i, _)) = q.steal() {
-                got.push(i.thread.0);
-            }
-        }
-        got.sort_unstable();
-        assert_eq!(got, (0..20).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn a_queue_without_an_inbox_sends_foreign_runs_to_the_valve() {
-        let q = ReadyQueue::new(0);
-        q.push_run(&entries(0, 3), E0, false);
-        q.push_run(&entries(3, 5), E0, true);
-        assert_eq!(q.handover_counts(), (1, 2), "one ring; spill + move");
-        let taken: Vec<u32> = std::iter::from_fn(|| q.take())
-            .map(|(i, _)| i.context.0)
-            .collect();
-        assert_eq!(taken, vec![4, 3, 2, 1, 0]);
-    }
-
     /// The owner pushes `0..n` and pops every other time while two foreign
     /// kernels steal; every entry must be claimed exactly once across the
     /// parties. With `owner_path` the owner's pushes are Chase-Lev bottom
     /// pushes. Each of `runs` is one more producer, as a sibling kernel's
     /// completions would be: meanwhile it pushes `n` entries of its own
-    /// through the 8-slot inbox, in runs of that length, so a run longer
-    /// than the inbox spills into the valve.
+    /// through the inbox, in runs of that length.
     fn race_thieves_against_the_owner(owner_path: bool, runs: &[usize]) {
         let n = 5_000u32;
         let total = n * (1 + runs.len() as u32);
-        let q = Arc::new(ReadyQueue::new(8));
+        let q = Arc::new(ReadyQueue::new());
         let done = Arc::new(AtomicBool::new(false));
         let mut handles = Vec::new();
         for _ in 0..2 {
@@ -983,9 +745,6 @@ mod tests {
         mine.sort_unstable();
         mine.dedup();
         assert_eq!(mine.len(), total as usize, "duplicated entries");
-        if runs.iter().any(|&len| len > 8) {
-            assert!(q.handover_counts().1 > 0, "no run reached the valve");
-        }
     }
 
     #[test]
@@ -999,7 +758,7 @@ mod tests {
     }
 
     #[test]
-    fn foreign_runs_race_the_owner_and_thieves_through_the_valve() {
+    fn foreign_runs_race_the_owner_and_thieves_through_the_inbox() {
         race_thieves_against_the_owner(true, &[3, 50]);
     }
 
@@ -1007,9 +766,9 @@ mod tests {
     /// time, by a foreign kernel unless `by_owner`, with an owner take
     /// after each; then let a thief and the owner take turns until both
     /// queues are empty. Every take and steal must see the same entry on
-    /// both. Returns each queue's `(rings, valve locks)`.
+    /// both. Returns each queue's `(rings, inbox locks)`.
     fn as_runs_and_as_pushes(runs: &[Vec<Instance>], by_owner: bool) -> [(u64, u64); 2] {
-        let (batched, single) = (ReadyQueue::new(8), ReadyQueue::new(8));
+        let (batched, single) = (ReadyQueue::new(), ReadyQueue::new());
         for run in runs {
             batched.push_run(run, E0, by_owner);
             for &i in run {
@@ -1030,41 +789,36 @@ mod tests {
 
     #[test]
     fn a_foreign_run_rings_once_and_reads_as_its_pushes() {
-        // below the 8-slot inbox: no valve either way
-        let [(rings, locks), single] = as_runs_and_as_pushes(&[entries(0, 5)], false);
-        assert_eq!((rings, locks, single), (1, 0, (5, 0)));
-        // above it: the rest of the run spills under one lock, and the
-        // owner's next take moves the valve over under one more
-        let [(rings, locks), (single_rings, single_locks)] =
-            as_runs_and_as_pushes(&[entries(0, 40)], false);
-        assert_eq!((rings, locks, single_rings), (1, 2, 40));
-        assert!(
-            single_locks > 32,
-            "one lock per spilled push: {single_locks}"
-        );
-        // runs interleaved with single pushes, the inbox filling up
+        // a run of any length is one lock and one ring, and the owner's
+        // next take moves it over under one more lock; its pushes one at
+        // a time pay a lock and a ring each
+        let [batched, single] = as_runs_and_as_pushes(&[entries(0, 40)], false);
+        assert_eq!((batched, single), ((1, 2), (40, 41)));
+        // runs interleaved with single pushes
         let mixed = [(0, 1), (1, 6), (6, 7), (7, 30), (30, 31), (31, 45)];
         let mixed: Vec<_> = mixed.iter().map(|&(lo, hi)| entries(lo, hi)).collect();
-        let [(rings, _), (single_rings, _)] = as_runs_and_as_pushes(&mixed, false);
-        assert_eq!((rings, single_rings), (6, 45));
+        let [batched, single] = as_runs_and_as_pushes(&mixed, false);
+        assert_eq!((batched, single), ((6, 12), (45, 51)));
         // the owner's run goes onto its deque and rings nothing
         let [owner, single] = as_runs_and_as_pushes(&[entries(0, 40)], true);
         assert_eq!((owner, single), ((0, 0), (0, 0)));
-        // the inbox's share and the spilled rest reach the deque bottom in
-        // arrival order: the owner takes the whole run newest first
-        let q = ReadyQueue::new(8);
+        // the inbox reaches the deque bottom ahead of the owner's next
+        // run, in arrival order: the owner takes everything newest first
+        let q = ReadyQueue::new();
         q.push_run(&entries(0, 40), E0, false);
+        q.push_run(&entries(40, 45), E0, true);
+        assert_eq!(q.handover_counts(), (1, 2), "one ring; run + move");
         let taken: Vec<u32> = std::iter::from_fn(|| q.take())
             .map(|(i, _)| i.context.0)
             .collect();
-        assert_eq!(taken, (0..40).rev().collect::<Vec<_>>());
+        assert_eq!(taken, (0..45).rev().collect::<Vec<_>>());
     }
 
     #[test]
     fn owner_pushes_stay_off_the_inbox_and_wake_nobody() {
-        let q = ReadyQueue::new(8);
-        // a foreign push rings the owner's bell exactly once, through the
-        // valve too; an owner push rings nothing
+        let q = ReadyQueue::new();
+        // a foreign push rings the owner's bell exactly once; an owner
+        // push rings nothing
         let rings = |push: &dyn Fn()| {
             let seen = q.bell.epoch();
             push();
@@ -1075,19 +829,20 @@ mod tests {
         assert_eq!(rings(&|| q.push_run(&[inst(3, 0)], E0, true)), 0);
         // the owner's push first moved the inbox onto the bottom, behind
         // which its own entry lands
-        let inbox = q.inbox.as_ref().unwrap();
-        assert_eq!((q.deque.len(), inbox.len(), inbox.pushes()), (3, 0, 1));
+        let inbox_len = q.inbox_len.load(Ordering::SeqCst);
+        assert_eq!(
+            (q.deque.len(), inbox_len, q.handover_counts()),
+            (3, 0, (1, 2))
+        );
         assert_eq!(q.len(), 3);
         // so the owner's next take is its own newest push, and a thief
-        // still takes the oldest
+        // still takes the oldest, neither of them locking the empty inbox
         assert_eq!(q.take(), Some((inst(3, 0), E0)));
         assert_eq!(q.steal(), Steal::Success((inst(1, 0), E0)));
         assert_eq!(q.take(), Some((inst(2, 0), E0)));
         assert_eq!(q.take(), None);
-        for t in 0..inbox.capacity() as u32 + 4 {
-            assert_eq!(rings(&|| foreign(&q, inst(t, 0))), 1);
-        }
-        assert!(q.overflow_len.load(Ordering::SeqCst) > 0);
+        assert_eq!(q.steal(), Steal::Empty);
+        assert_eq!(q.handover_counts(), (1, 2));
     }
 
     /// `program` on a 1-kernel threaded `Tsu`, drained by that kernel.
@@ -1096,10 +851,6 @@ mod tests {
         let order = drain_sequential(&tsu).unwrap();
         assert_eq!(order.len(), program.total_instances());
         tsu
-    }
-
-    fn inbox_pushes(q: &ReadyQueue) -> usize {
-        q.inbox.as_ref().map_or(0, MpmcRing::pushes)
     }
 
     #[test]
@@ -1116,16 +867,15 @@ mod tests {
         let tsu = drained_by_one_kernel(&p);
         // armed by the constructor, which is no kernel; every other ready
         // instance was readied by kernel 0 for kernel 0
-        assert_eq!(inbox_pushes(&tsu.queues()[0]), 1);
+        assert_eq!(tsu.queues()[0].handover_counts().0, 1);
         assert_eq!(tsu.stats().fetches as usize, p.total_instances());
         // so is a pass opened after the drain, by whoever feeds the stream
         tsu.open_epoch(&mut Vec::new()).unwrap();
         drain_sequential(&tsu).unwrap();
-        assert_eq!(inbox_pushes(&tsu.queues()[0]), 2);
+        assert_eq!(tsu.queues()[0].handover_counts().0, 2);
         assert_eq!(tsu.stats().completions as usize, 2 * p.total_instances());
-        // one thread driving every kernel id needs no inbox at all
+        // one thread driving every kernel id sends nothing through the inbox
         let single = Tsu::new(&p, 1, TsuConfig::default());
-        assert!(single.queues()[0].inbox.is_none());
         assert_eq!(
             drain_sequential(&single).unwrap().len(),
             p.total_instances()
@@ -1145,15 +895,28 @@ mod tests {
         }
         let p = b.build().unwrap();
         assert_eq!(p.max_block_instances(), 8 * 8192 + 2);
-        let tsu = Tsu::threaded(&p, 2, TsuConfig::default());
-        for q in tsu.queues() {
-            assert_eq!(q.inbox.as_ref().map(MpmcRing::capacity), Some(INBOX_SLOTS));
-            assert_eq!(q.deque.capacity(), 64);
+        let q = ReadyQueue::new();
+        assert_eq!((q.deque.capacity(), lock(&q.inbox).capacity()), (64, 0));
+        let built = [
+            Tsu::new(&p, 2, TsuConfig::default()),
+            Tsu::threaded(&p, 2, TsuConfig::default()),
+        ];
+        for tsu in &built {
+            // both constructors build the same queues; the armed inlet is
+            // the one entry either has queued, and the threaded one's is
+            // in its owner's inbox, handed over by no kernel
+            assert_eq!(tsu.ready_len(), 1);
+            for q in tsu.queues() {
+                assert_eq!(q.deque.capacity(), 64);
+                assert!(lock(&q.inbox).len() <= 1);
+            }
         }
-        // and both grow or spill as the block loads: nothing is lost
-        let order = drain_sequential(&tsu).unwrap();
-        assert_eq!(order.len(), p.total_instances());
-        assert!(tsu.queues()[0].deque.capacity() >= 8 * 8192 / 2);
+        // and the deque grows as the block loads: nothing is lost
+        for tsu in &built {
+            let order = drain_sequential(tsu).unwrap();
+            assert_eq!(order.len(), p.total_instances());
+            assert!(tsu.queues()[0].deque.capacity() >= 8 * 8192 / 2);
+        }
     }
 
     const LONG: Duration = Duration::from_secs(10);
@@ -1350,71 +1113,6 @@ mod tests {
         all.sort_unstable();
         all.dedup();
         assert_eq!(all.len(), n as usize, "duplicate claims");
-    }
-
-    #[test]
-    fn ring_is_fifo_and_bounded() {
-        let r = MpmcRing::with_capacity(4);
-        assert_eq!(r.capacity(), 4);
-        assert_eq!(r.push_run(&[inst(1, 0)], E0), 1);
-        assert_eq!(r.push_run(&[inst(1, 1)], Epoch(5)), 1);
-        // a run takes the free prefix; a full ring refuses
-        let run = [inst(1, 2), inst(1, 3), inst(1, 4)];
-        assert_eq!(r.push_run(&run, E0), 2);
-        assert_eq!(r.push_run(&run[2..], E0), 0, "full ring must refuse");
-        assert_eq!(r.len(), 4);
-        assert_eq!(r.pop(), Some((inst(1, 0), E0)));
-        assert_eq!(r.pop(), Some((inst(1, 1), Epoch(5))));
-        assert_eq!(r.push_run(&run[2..], E0), 1, "slots recycle");
-        assert_eq!(r.pop(), Some((inst(1, 2), E0)));
-        assert_eq!(r.pop(), Some((inst(1, 3), E0)));
-        assert_eq!(r.pop(), Some((inst(1, 4), E0)));
-        assert_eq!(r.pop(), None);
-        assert!(r.is_empty());
-    }
-
-    #[test]
-    fn ring_survives_concurrent_producers_and_consumers() {
-        let r = MpmcRing::with_capacity(64);
-        let n = 4_000u32;
-        let got: Mutex<Vec<u32>> = Mutex::new(Vec::new());
-        std::thread::scope(|s| {
-            for p in 0..2u32 {
-                let r = &r;
-                s.spawn(move || {
-                    // runs of 5, each reserving what is free and retrying
-                    // the rest
-                    let mine: Vec<_> = (0..n).map(|i| inst(p, i)).collect();
-                    for mut run in mine.chunks(5) {
-                        while !run.is_empty() {
-                            let queued = r.push_run(run, Epoch(p as u64));
-                            if queued == 0 {
-                                std::thread::yield_now();
-                            }
-                            run = &run[queued..];
-                        }
-                    }
-                });
-            }
-            for _ in 0..2 {
-                let (r, got) = (&r, &got);
-                s.spawn(move || {
-                    let mut mine = Vec::new();
-                    while mine.len() < n as usize {
-                        if let Some((i, ep)) = r.pop() {
-                            assert_eq!(ep.0, i.thread.0 as u64, "epoch rides its entry");
-                            mine.push(i.thread.0 * n + i.context.0);
-                        }
-                    }
-                    got.lock().unwrap().extend(mine);
-                });
-            }
-        });
-        let mut all = got.into_inner().unwrap();
-        assert_eq!(all.len(), 2 * n as usize);
-        all.sort_unstable();
-        all.dedup();
-        assert_eq!(all.len(), 2 * n as usize, "duplicate or lost entries");
     }
 
     #[test]

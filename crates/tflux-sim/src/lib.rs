@@ -42,7 +42,6 @@ pub mod error;
 pub mod event;
 pub mod machine;
 pub mod memsys;
-pub mod mmi;
 pub mod report;
 pub mod trace;
 pub mod tsu_dev;
