@@ -164,10 +164,11 @@ fn calibrate() {
 }
 
 fn tub() {
-    println!("== §4.2: segmented TUB contention (4 pushers + 1 drainer, this host) ==");
-    println!("{:>8} {:>10} {:>12}", "segments", "busy_hits", "ns/push");
-    for (segments, busy_hits, ns_per_push) in figures::tub_contention() {
-        println!("{segments:>8} {busy_hits:>10} {ns_per_push:>12.0}");
+    println!("== §4.2: segmented TUB contention (simulated, soft-TSU costs, 1000 pushes/core) ==");
+    println!(" pushers segments  busy_hits  cycles/push");
+    for (pushers, segments, s) in figures::tub_contention() {
+        let (hits, per_push) = (s.busy_hits, s.push_cycles as f64 / s.pushes as f64);
+        println!("{pushers:>8} {segments:>8} {hits:>10} {per_push:>12.1}");
     }
     println!("paper: segments keep completing kernels from serializing on one lock\n");
 }

@@ -464,64 +464,16 @@ pub fn host_capacity() -> HostCapacity {
     }
 }
 
-/// **§4.2 ablation** — Thread-to-Update-Buffer contention on this host:
-/// 4 real pusher threads publish 2 000 completions each while a drainer
-/// empties the TUB, over 1, 2, 4 and 8 segments. The segmented `try_lock`
-/// design is the paper's answer to completion-path serialization; more
-/// segments should mean fewer `busy_hits`. Returns
-/// `(segments, busy_hits, wall_ns_per_push)` of the median (by wall time)
-/// of 3 runs per row, and panics unless every push is drained.
-pub fn tub_contention() -> Vec<(usize, u64, f64)> {
-    use std::sync::atomic::{AtomicBool, Ordering};
-    use tflux_core::ids::{Context, Epoch, Instance, ThreadId};
-    use tflux_runtime::tub::Tub;
-    const PUSHERS: u32 = 4;
-    const PUSHES_PER_THREAD: u32 = 2_000;
-
-    let contended_run = |segments: usize| {
-        let tub = Tub::new(segments);
-        let stop = AtomicBool::new(false);
-        let start = std::time::Instant::now();
-        let drained = std::thread::scope(|s| {
-            let drainer = s.spawn(|| {
-                let mut sink = Vec::new();
-                while !stop.load(Ordering::Acquire) {
-                    tub.drain_into(&mut sink);
-                    std::thread::yield_now();
-                }
-                tub.drain_into(&mut sink);
-                sink.len()
-            });
-            let pushers: Vec<_> = (0..PUSHERS)
-                .map(|t| {
-                    let tub = &tub;
-                    s.spawn(move || {
-                        for c in 0..PUSHES_PER_THREAD {
-                            tub.push(Instance::new(ThreadId(t), Context(c)), Epoch(0));
-                        }
-                    })
-                })
-                .collect();
-            for p in pushers {
-                p.join().expect("pusher panicked");
-            }
-            stop.store(true, Ordering::Release);
-            drainer.join().expect("drainer panicked")
-        });
-        let wall = start.elapsed();
-        assert_eq!(drained as u32, PUSHERS * PUSHES_PER_THREAD);
-        (wall, tub.stats().busy_hits)
-    };
-
-    [1usize, 2, 4, 8]
+/// **§4.2 ablation** — the segmented Thread-to-Update Buffer, simulated
+/// ([`tflux_sim::tub`]) at the [`TsuCosts::soft`] costs: 2, 4, 6 and 8
+/// kernel cores publish 1 000 completions each into 1, 2, 4 and 8
+/// segments. More segments should mean fewer `busy_hits`. Returns
+/// `(pushers, segments, stats)`, pushers-major.
+pub fn tub_contention() -> Vec<(u32, u32, tflux_sim::tub::TubStats)> {
+    let grid = [2, 4, 6, 8]
         .into_iter()
-        .map(|segments| {
-            let mut runs = [(); 3].map(|()| contended_run(segments));
-            runs.sort_unstable();
-            let (wall, busy_hits) = runs[1];
-            let ns_per_push = wall.as_nanos() as f64 / (PUSHERS * PUSHES_PER_THREAD) as f64;
-            (segments, busy_hits, ns_per_push)
-        })
+        .flat_map(|p| [1, 2, 4, 8].map(|s| (p, s)));
+    grid.map(|(p, s)| (p, s, tflux_sim::tub::simulate(p, s, 1_000)))
         .collect()
 }
 

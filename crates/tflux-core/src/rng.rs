@@ -1,9 +1,9 @@
 //! The workspace's one deterministic generator: splitmix64.
 //!
-//! Steal-victim draws, `FaultPlan` decisions, TUB backoff jitter, the
-//! QSORT input and every randomized test all draw from the stream defined
-//! here, so a seed printed anywhere in the workspace reproduces bit for
-//! bit. [`cases`] is the property-test runner built on it.
+//! Steal-victim draws, `FaultPlan` decisions, the QSORT input and every
+//! randomized test all draw from the stream defined here, so a seed
+//! printed anywhere in the workspace reproduces bit for bit. [`cases`] is
+//! the property-test runner built on it.
 
 use std::ops::Range;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};

@@ -21,9 +21,10 @@ use crate::body::BodyTable;
 use crate::faults::FaultInjector;
 use crate::kernel::{execute_body, BodyPanic, PanicSink};
 use crate::runtime::{RetryPolicy, RuntimeError};
-use crate::stats::{InFlightInstance, KernelStats, RunReport, StallCause, StallReport};
+use crate::stats::{
+    InFlightInstance, KernelStats, RunReport, StallCause, StallReport, TubSnapshot,
+};
 use crate::sync::lock;
-use crate::tub::TubSnapshot;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
@@ -233,7 +234,7 @@ impl<P: ProgramHandle> Arena<P> {
     /// in the kernel's funnel when that batches; anything else flushes the
     /// funnel first — a block transition's post-processing must see every
     /// App decrement this kernel produced — and goes through
-    /// `Tsu::complete`, Inlet and Outlet behind the *publish delay* fault
+    /// `Tsu::complete`, Inlet and Outlet behind the *transition delay* fault
     /// site. A completion that outlived the arena's eviction is discarded,
     /// never published into the dead (maybe poisoned) arena.
     pub(crate) fn step<F: FaultInjector>(
@@ -274,7 +275,7 @@ impl<P: ProgramHandle> Arena<P> {
         } else {
             self.flush(ctx).and_then(|()| {
                 if kind != ThreadKind::App {
-                    if let Some(d) = injector.tub_publish_delay(instance) {
+                    if let Some(d) = injector.transition_delay(instance) {
                         std::thread::sleep(d);
                     }
                 }
@@ -708,7 +709,7 @@ mod tests {
             .panic_at(Instance::new(work, Context(0)))
             .body_delay(1000, Duration::from_micros(10))
             .kernel_stall(1000, Duration::from_micros(10))
-            .tub_publish_delay(1000, Duration::from_micros(10))
+            .transition_delay(1000, Duration::from_micros(10))
             .dropped_bell(1000)
             .drain_jitter(1000, Duration::from_micros(10));
         let bodies = BodyTable::new(&p);
@@ -718,7 +719,10 @@ mod tests {
         assert_eq!(counts.body_panics, 1, "{counts:?}");
         assert_eq!(counts.body_delays as usize, p.total_instances() - 1);
         assert!(counts.kernel_stalls > 0, "{counts:?}");
-        assert_eq!(counts.tub_delays, 2, "one Inlet, one Outlet: {counts:?}");
+        assert_eq!(
+            counts.transition_delays, 2,
+            "one Inlet, one Outlet: {counts:?}"
+        );
         assert_eq!(counts.dropped_bells, 1, "the finishing Outlet: {counts:?}");
         assert!(counts.drain_jitters > 0, "{counts:?}");
     }

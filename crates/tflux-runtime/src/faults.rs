@@ -12,7 +12,7 @@
 //! | body panic   | `step`, before a DThread body | the body panics instead of running |
 //! | body delay   | `step`, before a DThread body | the body is delayed |
 //! | kernel stall | `fetch`, before a kernel looks for work | the kernel sleeps (descheduled CPU) |
-//! | publish delay | `step`, before an Inlet/Outlet completion is applied | the block transition happens late |
+//! | transition delay | `step`, before an Inlet/Outlet completion is applied | the block transition happens late |
 //! | dropped bell | `step`, after an Outlet completed or an error was latched | the supervisor is *not* rung (lost wakeup) |
 //! | drain jitter | `supervise`, top of every visit | finish, error and watchdog are noticed late |
 //!
@@ -66,11 +66,11 @@ pub trait FaultInjector: Sync {
         None
     }
 
-    /// Site *publish delay*: consulted before a kernel applies an
-    /// Inlet/Outlet completion (where the paper's kernel would publish it
-    /// into the TUB). Returning a duration delays the block transition.
+    /// Site *transition delay*: consulted before a kernel applies an
+    /// Inlet/Outlet completion. Returning a duration delays the block
+    /// transition (a block load or unload).
     #[inline]
-    fn tub_publish_delay(&self, _instance: Instance) -> Option<Duration> {
+    fn transition_delay(&self, _instance: Instance) -> Option<Duration> {
         None
     }
 
@@ -102,7 +102,7 @@ impl FaultInjector for NoFaults {}
 const SITE_BODY_PANIC: u64 = 0x9147_11FB_6C8F_0001;
 const SITE_BODY_DELAY: u64 = 0x9147_11FB_6C8F_0002;
 const SITE_KERNEL_STALL: u64 = 0x9147_11FB_6C8F_0003;
-const SITE_TUB_DELAY: u64 = 0x9147_11FB_6C8F_0004;
+const SITE_TRANSITION_DELAY: u64 = 0x9147_11FB_6C8F_0004;
 const SITE_DROPPED_BELL: u64 = 0x9147_11FB_6C8F_0005;
 const SITE_DRAIN_JITTER: u64 = 0x9147_11FB_6C8F_0006;
 
@@ -121,7 +121,7 @@ pub struct FaultCounts {
     /// Kernel fetch-loop stalls.
     pub kernel_stalls: u64,
     /// Block transitions delayed.
-    pub tub_delays: u64,
+    pub transition_delays: u64,
     /// Supervisor wakeups suppressed.
     pub dropped_bells: u64,
     /// Supervisor visits delayed.
@@ -134,7 +134,7 @@ impl FaultCounts {
         self.body_panics
             + self.body_delays
             + self.kernel_stalls
-            + self.tub_delays
+            + self.transition_delays
             + self.dropped_bells
             + self.drain_jitters
     }
@@ -145,7 +145,7 @@ struct Counters {
     body_panics: AtomicU64,
     body_delays: AtomicU64,
     kernel_stalls: AtomicU64,
-    tub_delays: AtomicU64,
+    transition_delays: AtomicU64,
     dropped_bells: AtomicU64,
     drain_jitters: AtomicU64,
 }
@@ -181,7 +181,7 @@ pub struct FaultPlan {
     body_panic: u32,
     body_delay: Arm,
     kernel_stall: Arm,
-    tub_delay: Arm,
+    transition_delay: Arm,
     drain_jitter: Arm,
     dropped_bell: u32,
     always_panic: Vec<Instance>,
@@ -232,8 +232,8 @@ impl FaultPlan {
 
     /// Delay Inlet/Outlet completions with probability `per_mille`/1000,
     /// by a deterministic duration in `[0, max)`.
-    pub fn tub_publish_delay(mut self, per_mille: u32, max: Duration) -> Self {
-        self.tub_delay = Arm {
+    pub fn transition_delay(mut self, per_mille: u32, max: Duration) -> Self {
+        self.transition_delay = Arm {
             per_mille: per_mille.min(1000),
             max_delay: max,
         };
@@ -277,7 +277,7 @@ impl FaultPlan {
             body_panics: self.counters.body_panics.load(Ordering::Relaxed),
             body_delays: self.counters.body_delays.load(Ordering::Relaxed),
             kernel_stalls: self.counters.kernel_stalls.load(Ordering::Relaxed),
-            tub_delays: self.counters.tub_delays.load(Ordering::Relaxed),
+            transition_delays: self.counters.transition_delays.load(Ordering::Relaxed),
             dropped_bells: self.counters.dropped_bells.load(Ordering::Relaxed),
             drain_jitters: self.counters.drain_jitters.load(Ordering::Relaxed),
         }
@@ -341,11 +341,13 @@ impl FaultInjector for FaultPlan {
         }
     }
 
-    fn tub_publish_delay(&self, instance: Instance) -> Option<Duration> {
+    fn transition_delay(&self, instance: Instance) -> Option<Duration> {
         let key = instance_key(instance);
-        if self.hit(SITE_TUB_DELAY, key, self.tub_delay.per_mille) {
-            self.counters.tub_delays.fetch_add(1, Ordering::Relaxed);
-            Some(self.scaled(SITE_TUB_DELAY, key, self.tub_delay.max_delay))
+        if self.hit(SITE_TRANSITION_DELAY, key, self.transition_delay.per_mille) {
+            self.counters
+                .transition_delays
+                .fetch_add(1, Ordering::Relaxed);
+            Some(self.scaled(SITE_TRANSITION_DELAY, key, self.transition_delay.max_delay))
         } else {
             None
         }
@@ -384,7 +386,7 @@ mod tests {
         let f = NoFaults;
         assert_eq!(f.before_body(KernelId(0), inst(1, 2), 1), BodyFault::Pass);
         assert_eq!(f.kernel_stall(KernelId(0), 7), None);
-        assert_eq!(f.tub_publish_delay(inst(1, 2)), None);
+        assert_eq!(f.transition_delay(inst(1, 2)), None);
         assert!(!f.drop_bell(inst(1, 2)));
         assert_eq!(f.drain_jitter(3), None);
     }
@@ -400,7 +402,7 @@ mod tests {
                 );
                 // qualified: the `FaultPlan` builder method of the same
                 // name would otherwise shadow the injector trait method
-                assert_eq!(FaultInjector::tub_publish_delay(&plan, inst(t, c)), None);
+                assert_eq!(FaultInjector::transition_delay(&plan, inst(t, c)), None);
                 assert!(!plan.drop_bell(inst(t, c)));
             }
         }

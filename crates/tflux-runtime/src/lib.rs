@@ -27,10 +27,10 @@
 //!   supervising — and the multi-tenant [`ProgramServer`]. The supervising
 //!   thread keeps the watchdog and collects errors; it completes nothing.
 //!   This departs from §4.2, where a **TSU Emulator** thread applies the
-//!   updates kernels publish through a segmented **TUB**: that design is
-//!   what `tflux-sim`'s software-TSU cost model charges for Fig. 6 and
-//!   what [`tub`] keeps for `figures -- tub`; EXPERIMENTS.md has the
-//!   numbers that took it off the run path.
+//!   updates kernels publish through a segmented **TUB**: that design
+//!   lives on only in `tflux-sim`, as the software-TSU costs behind Fig. 6
+//!   and the simulated TUB port behind `figures -- tub`; EXPERIMENTS.md
+//!   has the numbers that took it off the run path.
 //!
 //! ```
 //! use tflux_core::prelude::*;
@@ -75,7 +75,6 @@ pub mod server;
 pub mod shared;
 pub mod stats;
 mod sync;
-pub mod tub;
 
 pub use body::{BodyCtx, BodyTable};
 pub use faults::{BodyFault, FaultCounts, FaultInjector, FaultPlan, NoFaults};

@@ -7,9 +7,9 @@
 //! `kernel::run_kernel`, and the calling thread supervises — watchdog,
 //! latched errors, the report — parked on an eventcount the kernels ring
 //! when the program finished or failed. It completes nothing: the paper's
-//! TSU Emulator thread and its TUB (§4.2, Fig. 4) are what `tflux-sim`'s
-//! software-TSU cost model charges and `figures -- tub` measures, not what
-//! runs here (DESIGN.md §4).
+//! TSU Emulator thread and its TUB (§4.2, Fig. 4) exist only as `tflux-sim`
+//! models — the software-TSU costs behind Fig. 6 and the segmented-TUB port
+//! behind `figures -- tub` (DESIGN.md §4).
 
 use crate::arena::{Arena, Watch};
 use crate::body::BodyTable;
@@ -405,7 +405,7 @@ mod tests {
             .unwrap();
         assert_eq!(report.tsu.blocks_loaded, 32);
         assert_eq!(report.tsu.completions as usize, p.total_instances());
-        assert_eq!(report.tub, crate::tub::TubSnapshot::default());
+        assert_eq!(report.tub, crate::stats::TubSnapshot::default());
     }
 
     #[test]

@@ -1265,7 +1265,7 @@ mod tests {
         let plan = FaultPlan::new(7)
             .body_delay(1000, tick)
             .kernel_stall(1000, tick)
-            .tub_publish_delay(1000, tick)
+            .transition_delay(1000, tick)
             .dropped_bell(1000)
             .drain_jitter(1000, tick);
         let adm = server
@@ -1280,7 +1280,7 @@ mod tests {
         adm.wait().unwrap();
         let counts = tenant.faults.counts();
         let transitions = 2 * arities.len() as u64 * epochs;
-        assert_eq!(counts.tub_delays, transitions);
+        assert_eq!(counts.transition_delays, transitions);
         assert_eq!(counts.dropped_bells, transitions / 2, "one per Outlet");
         assert_eq!(counts.body_delays, epochs * instances);
         assert!(counts.kernel_stalls >= epochs * instances, "{counts:?}");

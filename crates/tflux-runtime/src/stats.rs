@@ -2,7 +2,6 @@
 //! assembled when the watchdog fires or a deadline passes.
 
 use crate::kernel::BodyPanic;
-use crate::tub::TubSnapshot;
 use std::fmt;
 use std::time::Duration;
 use tflux_core::ids::{Instance, KernelId, ProgramId};
@@ -38,6 +37,18 @@ pub struct KernelStats {
     /// Instances whose completion was withheld after retry exhaustion
     /// (`poison_on_exhaust`); their consumers never fire.
     pub poisoned: u64,
+}
+
+/// The counters the frozen bench reads off [`RunReport::tub`]. No run path
+/// publishes through a TUB, so both read zero; the type leaves with that
+/// field in ROADMAP item 1. `figures -- tub` simulates the segmented TUB
+/// (`tflux_sim::tub`).
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct TubSnapshot {
+    /// Completions published.
+    pub pushes: u64,
+    /// Segment `try_lock` attempts that found the segment busy.
+    pub busy_hits: u64,
 }
 
 /// One executed instance in a wall-clock trace (see

@@ -8,19 +8,10 @@
 //! `SyncMemory`'s own poison latch (`CoreError::SmPoisoned`) is separate
 //! and untouched.
 
-use std::sync::{Condvar, Mutex, MutexGuard, PoisonError, TryLockError};
+use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 
 pub(crate) fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
-/// `None` only if the lock is held right now.
-pub(crate) fn try_lock<T>(m: &Mutex<T>) -> Option<MutexGuard<'_, T>> {
-    match m.try_lock() {
-        Ok(g) => Some(g),
-        Err(TryLockError::Poisoned(e)) => Some(e.into_inner()),
-        Err(TryLockError::WouldBlock) => None,
-    }
 }
 
 pub(crate) fn into_inner<T>(m: Mutex<T>) -> T {

@@ -53,7 +53,7 @@ fn chaos_matrix_never_hangs_and_never_lies() {
             .body_panic(panic_rate)
             .body_delay(rng.below(300) as u32, Duration::from_micros(100))
             .kernel_stall(rng.below(200) as u32, Duration::from_micros(200))
-            .tub_publish_delay(rng.below(200) as u32, Duration::from_micros(50))
+            .transition_delay(rng.below(200) as u32, Duration::from_micros(50))
             .drain_jitter(rng.below(200) as u32, Duration::from_micros(100))
             .dropped_bell(rng.below(400) as u32);
 

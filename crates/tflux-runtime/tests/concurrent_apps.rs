@@ -47,7 +47,7 @@ fn make_submission(idx: u64, faulty: bool) -> (Submission, Arc<AtomicU64>, u64, 
     let mut plan = FaultPlan::new(mix(idx ^ 0x00FA_CADE))
         .body_delay(rng.below(150) as u32, Duration::from_micros(50))
         .kernel_stall(rng.below(80) as u32, Duration::from_micros(100))
-        .tub_publish_delay(rng.below(150) as u32, Duration::from_micros(30))
+        .transition_delay(rng.below(150) as u32, Duration::from_micros(30))
         .drain_jitter(rng.below(100) as u32, Duration::from_micros(50))
         .dropped_bell(rng.below(300) as u32);
     if let Some(t) = target {

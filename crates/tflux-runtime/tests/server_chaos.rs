@@ -92,7 +92,7 @@ fn chaos_matrix_isolates_every_fault_to_its_tenant() {
                 .body_panic(panic_rate)
                 .body_delay(rng.below(300) as u32, Duration::from_micros(100))
                 .kernel_stall(rng.below(200) as u32, Duration::from_micros(200))
-                .tub_publish_delay(rng.below(200) as u32, Duration::from_micros(50))
+                .transition_delay(rng.below(200) as u32, Duration::from_micros(50))
                 .drain_jitter(rng.below(200) as u32, Duration::from_micros(100))
                 .dropped_bell(rng.below(400) as u32);
             let (sub, checksum, expected, app_threads) =
@@ -187,7 +187,7 @@ fn epoch_stress_streams_survive_mid_stream_faults() {
                 .body_panic(panic_rate)
                 .body_delay(rng.below(300) as u32, Duration::from_micros(100))
                 .kernel_stall(rng.below(200) as u32, Duration::from_micros(200))
-                .tub_publish_delay(rng.below(200) as u32, Duration::from_micros(50))
+                .transition_delay(rng.below(200) as u32, Duration::from_micros(50))
                 .drain_jitter(rng.below(200) as u32, Duration::from_micros(100))
                 .dropped_bell(rng.below(400) as u32);
             let (sub, checksum, expected, _) =

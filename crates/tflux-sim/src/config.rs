@@ -381,12 +381,6 @@ impl MachineConfig {
         self
     }
 
-    /// Override the core count.
-    pub fn with_cores(mut self, cores: u32) -> Self {
-        self.cores = cores;
-        self
-    }
-
     /// Override the number of TSU Group shards.
     pub fn with_tsu_groups(mut self, groups: u32) -> Self {
         self.tsu_groups = groups.max(1);
@@ -420,12 +414,6 @@ impl MachineConfig {
     /// model.
     pub fn merge_round_len(&self) -> u64 {
         (self.tsu.access + self.tsu.op).max(256)
-    }
-
-    /// Override the NUMA topology.
-    pub fn with_topology(mut self, topology: Topology) -> Self {
-        self.topology = topology;
-        self
     }
 
     /// Number of NUMA nodes (1 for a flat machine).

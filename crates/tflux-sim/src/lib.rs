@@ -22,7 +22,9 @@
 //!   configurable TSU processing time (the §4.1 knob whose 1→128-cycle
 //!   sweep changes performance by <1%);
 //! * the kernel loop of Fig. 2 on every core: fetch → execute → complete,
-//!   with cores parked (not polling) while the TSU has nothing ready.
+//!   with cores parked (not polling) while the TSU has nothing ready;
+//! * apart from the machine, §4.2's segmented Thread-to-Update Buffer in
+//!   front of the software TSU Emulator, as an arbitrated port ([`tub`]).
 //!
 //! Workloads plug in as [`work::WorkSource`]s: for every DThread instance
 //! they yield compute cycles plus a cache-line-granular memory access
@@ -45,6 +47,7 @@ pub mod memsys;
 pub mod report;
 pub mod trace;
 pub mod tsu_dev;
+pub mod tub;
 pub mod work;
 
 pub use config::{CacheConfig, ConfigError, MachineConfig, Topology, TsuCosts};

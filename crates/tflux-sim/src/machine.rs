@@ -529,7 +529,10 @@ impl Machine {
         // a `DdmProgram` is validated acyclic at build and capacity is
         // unlimited here, so neither a protocol error nor a deadlock can occur
         let order = drain_sequential(&tsu).expect("validated program, unlimited capacity");
-        let mut mem = MemorySystem::new(self.cfg.with_cores(1));
+        let mut mem = MemorySystem::new(MachineConfig {
+            cores: 1,
+            ..self.cfg
+        });
         let mut now = 0u64;
         let mut work = InstanceWork::default();
         let mut instances = 0usize;
@@ -847,7 +850,7 @@ mod tests {
         let p = fork_join(8);
         let src = UniformWork { cycles: 100 };
         let run = |cores| {
-            let m = Machine::new(MachineConfig::bagle(27).with_cores(cores));
+            let m = Machine::new(MachineConfig::bagle(cores));
             let traced = m.run_traced(&p, &src).map(|(r, _)| r);
             let plain = m.run(&p, &src);
             assert_eq!(plain.as_ref().err(), traced.as_ref().err());

@@ -1007,10 +1007,13 @@ mod tests {
     #[test]
     fn cross_node_c2c_pays_the_remote_penalty() {
         let cfg = crate::config::MachineConfig::sparc_t3_4(64).unwrap();
-        let no_penalty = cfg.with_topology(crate::config::Topology {
-            remote_c2c_penalty: 0,
-            ..cfg.topology
-        });
+        let no_penalty = MachineConfig {
+            topology: crate::config::Topology {
+                remote_c2c_penalty: 0,
+                ..cfg.topology
+            },
+            ..cfg
+        };
         // core 0 (node 0) dirties a line; core 17 (node 1) reads it back
         let run = |mut m: MemorySystem| {
             m.access(0, 0, 0x40, true);

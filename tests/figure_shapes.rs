@@ -135,3 +135,28 @@ fn headline_averages_are_in_the_paper_band() {
         / 4.0;
     assert!(cell > 3.0 && cell < 6.0, "cell average = {cell}");
 }
+
+#[test]
+fn tub_segments_cut_busy_hits() {
+    // §4.2: kernels take "the first available segment using try/lock", so
+    // segmenting the TUB keeps completing kernels from serializing on it
+    let rows = tflux_bench::figures::tub_contention();
+    assert_eq!(rows, tflux_bench::figures::tub_contention());
+    for pushers in [4, 6, 8] {
+        // busy hits at 1, 2, 4 and 8 segments
+        let hits: Vec<u64> = rows
+            .iter()
+            .filter(|r| r.0 == pushers)
+            .map(|r| r.2.busy_hits)
+            .collect();
+        assert!(
+            hits.windows(2).all(|w| w[1] <= w[0]),
+            "{pushers} pushers: {hits:?}"
+        );
+        assert!(hits[3] < hits[0], "{pushers} pushers: {hits:?}");
+    }
+    for segments in [1, 2, 4, 8] {
+        let alone = tflux::sim::tub::simulate(1, segments, 1_000);
+        assert_eq!(alone.busy_hits, 0, "{segments} segments");
+    }
+}
