@@ -271,10 +271,10 @@ pub fn fanout_reduce() -> DdmProgram {
     b.build().unwrap()
 }
 
-/// Drain `tsu` the way kernel threads do — a funnel per kernel, flushed
-/// when full, before a block transition and before conceding a wait — with
-/// the calling thread playing every kernel in turn, so the run (and every
-/// allocation in it) repeats exactly. Returns the instances completed.
+/// Drain `tsu` the way kernel threads do — a funnel per kernel, completing
+/// through it and flushing it before conceding a wait — with the calling
+/// thread playing every kernel in turn, so the run (and every allocation
+/// in it) repeats exactly. Returns the instances completed.
 pub fn drain_funneled(tsu: &Tsu<&DdmProgram>) -> u64 {
     use tflux_core::tsu::{CompletionFunnel, FetchResult};
     let kernels = tsu.kernels();
@@ -288,14 +288,9 @@ pub fn drain_funneled(tsu: &Tsu<&DdmProgram>) -> u64 {
         match tsu.fetch(kernel).expect("fetch") {
             FetchResult::Thread(i, ep) => {
                 (done, idle) = (done + 1, 0);
-                if funnel.batching() && tsu.graph().kind(i.thread) == ThreadKind::App {
-                    if funnel.push(i, ep) {
-                        funnel.flush(kernel, tsu, &mut scratch).expect("flush");
-                    }
-                } else {
-                    funnel.flush(kernel, tsu, &mut scratch).expect("flush");
-                    tsu.complete(kernel, i, ep, &mut scratch).expect("complete");
-                }
+                funnel
+                    .complete(kernel, tsu, i, ep, &mut scratch, |_, _| {})
+                    .expect("complete");
             }
             FetchResult::Wait => {
                 funnel.flush(kernel, tsu, &mut scratch).expect("flush");

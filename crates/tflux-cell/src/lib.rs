@@ -4,13 +4,14 @@
 //! Cell/BE with one **PPE** running the software TSU Emulator and six
 //! usable **SPEs** running kernels out of their 256 KB Local Stores.
 //!
-//! The Cell-specific mechanisms the paper describes are all modeled:
+//! The Cell-specific mechanisms the paper describes are all modeled, as
+//! costs on one deterministic event queue:
 //!
-//! * **CommandBuffer** — a 128-byte per-TSU buffer in main memory where a
-//!   kernel "places a command ... whenever a DThread needs to notify its
-//!   TSU of any event" ([`cmd::CommandBuffer`] is its 16-byte-record wire
-//!   format, tested on its own; the machine model does not encode through
-//!   it yet — ROADMAP item 8 is to wire it in);
+//! * **CommandBuffer** — the per-TSU buffer in main memory where a kernel
+//!   "places a command ... whenever a DThread needs to notify its TSU of
+//!   any event": a completion command's trip there and the PPE's scan that
+//!   finds it (an SPE has at most one command in flight, so the buffer
+//!   never fills);
 //! * **SharedVariableBuffer** — produced data is *exported* to main memory
 //!   after a DThread completes and *imported* into the consumer SPE's Local
 //!   Store before it starts, via DMA ([`work::CellWork`] carries the byte
@@ -25,20 +26,18 @@
 //!   the PS3 (§6.3).
 //!
 //! Scheduling comes from the same [`Tsu`](tflux_core::Tsu) as every other
-//! TFlux platform.
+//! TFlux platform, and the PPE completes DThreads by the same rule
+//! ([`CompletionFunnel::complete`](tflux_core::CompletionFunnel::complete)).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod cmd;
 pub mod config;
 pub mod machine;
 pub mod report;
-pub mod svb;
 pub mod work;
 
 pub use config::CellConfig;
 pub use machine::{CellError, CellMachine};
 pub use report::CellReport;
-pub use svb::SharedVariableBuffer;
 pub use work::{CellWork, CellWorkSource};

@@ -12,6 +12,12 @@
 //!    up, runs the post-processing phase, and answers ready DThreads
 //!    through the mailboxes.
 //!
+//! The buffers themselves are costs, not data: `CMD_LAT` is the command's
+//! trip to main memory and `POLL_SCAN` the PPE's scan that finds it, and
+//! the DMA import/export bytes of [`CellWork`] are the SharedVariableBuffer
+//! traffic. An SPE sends one command and then waits on its mailbox, so its
+//! CommandBuffer never holds more than one record.
+//!
 //! DMA transfers arbitrate for the element-interconnect bus; the PPE
 //! emulator is a serialized resource. Everything is deterministic.
 
@@ -20,7 +26,6 @@ use crate::report::CellReport;
 use crate::work::{CellWork, CellWorkSource};
 use tflux_core::ids::{Epoch, Instance, KernelId};
 use tflux_core::program::DdmProgram;
-use tflux_core::thread::ThreadKind;
 use tflux_core::tsu::{drain_sequential, CompletionFunnel, FetchResult, Tsu, TsuConfig};
 use tflux_sim::event::EventQueue;
 
@@ -73,7 +78,7 @@ enum Ev {
     /// Compute finished; the export DMA starts.
     Export(u32),
     /// An SPE finished executing and its command reaches the PPE. The
-    /// epoch token rides the CommandBuffer record (see [`crate::cmd`])
+    /// command carries the epoch token the instance was dispatched under,
     /// so a command that outlives its pass is rejected, not absorbed.
     Cmd(u32, Instance, Epoch),
     /// A shutdown mail: the SPE exits.
@@ -248,32 +253,17 @@ impl CellMachine {
                     events.push(now + CMD_LAT, Ev::Cmd(spe, inst, epoch));
                 }
                 Ev::Cmd(spe, inst, epoch) => {
-                    // PPE picks the command out of the CommandBuffer: the
-                    // scan is always charged; the post-processing op is
-                    // charged per batch when the funnel defers it
+                    // the PPE picks the command up: the scan is always
+                    // charged, the post-processing op once per
+                    // Synchronization Memory operation the funnel performs
                     let start = ppe_free.max(t);
                     let mut cost = POLL_SCAN;
                     commands += 1;
-                    if funnel.batching() && program.thread(inst.thread).kind == ThreadKind::App {
-                        if funnel.push(inst, epoch) {
-                            cost += PPE_OP;
-                            funnel
-                                .flush(KernelId(spe), &tsu, &mut ready_buf)
-                                .map_err(CellError::Protocol)?;
-                        }
-                    } else {
-                        // block transitions post-process directly, after
-                        // draining parked completions they may depend on
-                        if !funnel.is_empty() {
-                            cost += PPE_OP;
-                            funnel
-                                .flush(KernelId(spe), &tsu, &mut ready_buf)
-                                .map_err(CellError::Protocol)?;
-                        }
-                        cost += PPE_OP;
-                        tsu.complete(KernelId(spe), inst, epoch, &mut ready_buf)
-                            .map_err(CellError::Protocol)?;
-                    }
+                    funnel
+                        .complete(KernelId(spe), &tsu, inst, epoch, &mut ready_buf, |_, _| {
+                            cost += PPE_OP
+                        })
+                        .map_err(CellError::Protocol)?;
                     let mut done = start + cost;
                     ppe_free = done;
                     ppe_busy += cost;

@@ -68,6 +68,7 @@ pub mod program;
 pub mod rng;
 pub mod split;
 pub mod thread;
+pub mod trace;
 pub mod tsu;
 pub mod unroll;
 

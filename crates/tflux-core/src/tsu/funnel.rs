@@ -1,36 +1,48 @@
-//! The per-kernel completion funnel: local accumulation of App
-//! completions, flushed in batches through [`Tsu::complete_batch`].
+//! The per-kernel completion funnel, and the one rule by which a finished
+//! DThread reaches the Synchronization Memory on every platform.
 //!
 //! A `Reduction` arc sends every producer's ready-count decrement at the
 //! *same* sink slot; with K kernels completing producers concurrently
 //! that slot's cache line ping-pongs K ways. The funnel is the classic
-//! combining cure: each kernel parks its completions here (keyed by
-//! `(consumer thread, context)` once combined by the Synchronization
-//! Memory) and hands them over as one batch, so the sink sees one
+//! combining cure: each kernel parks its App completions here and hands
+//! them over as one batch ([`Tsu::complete_batch`]), so the sink sees one
 //! `fetch_sub(n)` per flush instead of n separate RMWs.
 //!
-//! The funnel itself is deliberately dumb — a bounded pending list and a
-//! policy. All protocol knowledge (state transitions, combining, the n→0
-//! publication rule) lives behind [`Tsu::complete_batch`], so the same
-//! funnel fronts the threaded runtime, the simulated hardware TSU and the
-//! Cell machine.
+//! [`CompletionFunnel::complete`] is the rule itself: an App completion
+//! parks when the funnel batches and flushes the funnel when it is full;
+//! anything else flushes the funnel, then completes directly. The threaded
+//! runtime's kernels, the simulated hardware TSU and the Cell PPE all call
+//! it, and report what each Synchronization Memory operation cost on their
+//! platform. All protocol knowledge (state transitions, combining, the
+//! n→0 publication rule) lives behind [`Tsu`].
 
 use crate::error::CoreError;
 use crate::ids::{Epoch, Instance, KernelId};
+use crate::thread::ThreadKind;
 
 use super::config::FlushPolicy;
 use super::gm::ProgramHandle;
 use super::Tsu;
 
+/// One Synchronization Memory operation [`CompletionFunnel::complete`]
+/// performed.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum SmOp {
+    /// The parked completions, handed over as one batch.
+    Flush,
+    /// The completion itself, applied on its own.
+    Complete,
+}
+
 /// Per-kernel accumulator of App completions awaiting a batched flush.
 ///
-/// Under [`FlushPolicy::Direct`] the funnel never accumulates:
-/// [`push`](Self::push) reports every completion as an immediate flush of
-/// one. Under [`FlushPolicy::Batch`] completions park until the batch
-/// size is reached — and the *kernel* must also flush at any point where
-/// it might block or give up the CPU (a fetch that returns `Wait`, a
-/// block transition, loop exit), or the deferred decrements would
-/// deadlock the very consumers the kernel is waiting on.
+/// Under [`FlushPolicy::Direct`] the funnel never accumulates. Under
+/// [`FlushPolicy::Batch`] App completions park until the batch size is
+/// reached — and the *kernel* must also [`flush`](Self::flush) at any
+/// point where it might block or give up the CPU (a fetch that returns
+/// `Wait`, loop exit), or the deferred decrements would deadlock the very
+/// consumers the kernel is waiting on. Block transitions flush inside
+/// [`complete`](Self::complete).
 ///
 /// A batch carries one epoch token for all its completions. That is an
 /// invariant, not a restriction: block transitions (and therefore epoch
@@ -40,7 +52,7 @@ use super::Tsu;
 #[derive(Debug)]
 pub struct CompletionFunnel {
     pending: Vec<Instance>,
-    /// Epoch of every parked completion (set by the first push of a
+    /// Epoch of every parked completion (set by the first park of a
     /// batch).
     epoch: Epoch,
     /// Completions per automatic flush; 1 on the direct path.
@@ -58,39 +70,58 @@ impl CompletionFunnel {
         }
     }
 
-    /// Whether this funnel actually batches (false under
-    /// [`FlushPolicy::Direct`]).
-    pub fn batching(&self) -> bool {
-        self.batch > 1
-    }
-
-    /// Completions currently parked.
-    pub fn pending(&self) -> &[Instance] {
-        &self.pending
-    }
-
     /// Whether nothing is parked.
     pub fn is_empty(&self) -> bool {
         self.pending.is_empty()
     }
 
-    /// Park a completion fetched under `epoch`. Returns `true` when the
-    /// batch is full and the caller must [`flush`](Self::flush) now. The
-    /// first push of a batch fixes the batch's epoch; mixing epochs in
-    /// one batch is a kernel protocol bug (block transitions flush before
-    /// any epoch wrap, so it cannot happen in a well-behaved kernel).
-    #[must_use]
-    pub fn push(&mut self, inst: Instance, epoch: Epoch) -> bool {
-        if self.pending.is_empty() {
-            self.epoch = epoch;
-        } else {
-            debug_assert_eq!(
-                self.epoch, epoch,
-                "completion funnel batch spans an epoch boundary"
-            );
+    /// Hand `tsu` the completion of `inst`, which `kernel` (the kernel this
+    /// funnel belongs to) fetched under `epoch` and ran. An App completion
+    /// parks when the funnel batches, and a full funnel flushes; anything
+    /// else flushes the funnel, then completes directly — a block
+    /// transition's post-processing must see every decrement parked before
+    /// it. `performed` hears of each Synchronization Memory operation as it
+    /// happens, in order, with the instances that operation made ready:
+    /// none for a parked completion, at most a flush then a completion.
+    /// `ready` is the scratch they land in; it is cleared first, so after a
+    /// successful call it holds the last operation's ready list.
+    ///
+    /// Allocates nothing. On error the operation that failed is not
+    /// reported and nothing follows it.
+    pub fn complete<P: ProgramHandle>(
+        &mut self,
+        kernel: KernelId,
+        tsu: &Tsu<P>,
+        inst: Instance,
+        epoch: Epoch,
+        ready: &mut Vec<Instance>,
+        mut performed: impl FnMut(SmOp, &[Instance]),
+    ) -> Result<(), CoreError> {
+        ready.clear();
+        let parks = self.batch > 1 && tsu.graph().kind(inst.thread) == ThreadKind::App;
+        if parks {
+            if self.pending.is_empty() {
+                self.epoch = epoch;
+            } else {
+                debug_assert_eq!(
+                    self.epoch, epoch,
+                    "completion funnel batch spans an epoch boundary"
+                );
+            }
+            self.pending.push(inst);
+            if self.pending.len() < self.batch {
+                return Ok(());
+            }
         }
-        self.pending.push(inst);
-        self.pending.len() >= self.batch
+        if !self.pending.is_empty() {
+            self.flush(kernel, tsu, ready)?;
+            performed(SmOp::Flush, ready);
+        }
+        if !parks {
+            tsu.complete(kernel, inst, epoch, ready)?;
+            performed(SmOp::Complete, ready);
+        }
+        Ok(())
     }
 
     /// Hand everything parked to `tsu` as one batch performed by
@@ -118,13 +149,13 @@ impl CompletionFunnel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ids::{Context, ThreadId};
+    use crate::ids::ThreadId;
     use crate::mapping::ArcMapping;
-    use crate::program::ProgramBuilder;
+    use crate::program::{DdmProgram, ProgramBuilder};
     use crate::thread::ThreadSpec;
     use crate::tsu::{FetchResult, TsuConfig};
 
-    fn wide_reduction(arity: u32) -> crate::program::DdmProgram {
+    fn wide_reduction(arity: u32) -> DdmProgram {
         let mut b = ProgramBuilder::new();
         let blk = b.block();
         let work = b.thread(blk, ThreadSpec::new("w", arity));
@@ -133,57 +164,88 @@ mod tests {
         b.build().unwrap()
     }
 
-    #[test]
-    fn direct_policy_flushes_every_push() {
-        let mut f = CompletionFunnel::new(FlushPolicy::Direct);
-        assert!(!f.batching());
-        assert!(f.push(Instance::new(ThreadId(0), Context(0)), Epoch(0)));
-    }
-
-    #[test]
-    fn batch_policy_fills_before_demanding_a_flush() {
-        let mut f = CompletionFunnel::new(FlushPolicy::Batch { size: 3 });
-        assert!(f.batching());
-        assert!(!f.push(Instance::new(ThreadId(0), Context(0)), Epoch(0)));
-        assert!(!f.push(Instance::new(ThreadId(0), Context(1)), Epoch(0)));
-        assert!(f.push(Instance::new(ThreadId(0), Context(2)), Epoch(0)));
-        assert_eq!(f.pending().len(), 3);
-    }
-
-    #[test]
-    fn zero_batch_size_is_clamped_to_direct() {
-        let mut f = CompletionFunnel::new(FlushPolicy::Batch { size: 0 });
-        assert!(!f.batching());
-        assert!(f.push(Instance::new(ThreadId(0), Context(0)), Epoch(0)));
-    }
-
-    #[test]
-    fn flush_drives_a_tsu_and_empties_the_funnel() {
-        let p = wide_reduction(4);
-        let tsu = Tsu::new(&p, 1, TsuConfig::default());
-        let mut f = CompletionFunnel::new(FlushPolicy::Batch { size: 8 });
-        let mut ready = Vec::new();
-        // run the inlet directly, park every work completion
+    /// A one-kernel TSU for `wide_reduction(arity)` under `flush`, with its
+    /// inlet completed: every work instance is ready.
+    fn loaded(p: &DdmProgram, flush: FlushPolicy) -> Tsu<&DdmProgram> {
+        let tsu = Tsu::new(
+            p,
+            1,
+            TsuConfig {
+                flush,
+                ..TsuConfig::default()
+            },
+        );
         let FetchResult::Thread(inlet, ep) = tsu.fetch(KernelId(0)).unwrap() else {
             panic!("inlet not ready");
         };
+        let mut ready = Vec::new();
         tsu.complete(KernelId(0), inlet, ep, &mut ready).unwrap();
-        for _ in 0..4 {
-            let FetchResult::Thread(i, ep) = tsu.fetch(KernelId(0)).unwrap() else {
-                panic!("work not ready");
-            };
-            let _ = f.push(i, ep);
+        tsu
+    }
+
+    /// Fetch the next instance and complete it through `f`; returns the
+    /// operations performed, each with its ready count.
+    fn step(tsu: &Tsu<&DdmProgram>, f: &mut CompletionFunnel) -> (Instance, Vec<(SmOp, usize)>) {
+        let FetchResult::Thread(i, ep) = tsu.fetch(KernelId(0)).unwrap() else {
+            panic!("nothing ready");
+        };
+        let mut ops = Vec::new();
+        f.complete(KernelId(0), tsu, i, ep, &mut Vec::new(), |op, r| {
+            ops.push((op, r.len()))
+        })
+        .unwrap();
+        (i, ops)
+    }
+
+    #[test]
+    fn direct_policy_completes_every_instance_on_its_own() {
+        for flush in [FlushPolicy::Direct, FlushPolicy::Batch { size: 0 }] {
+            let p = wide_reduction(2);
+            let tsu = loaded(&p, flush);
+            let mut f = CompletionFunnel::new(flush);
+            assert_eq!(step(&tsu, &mut f).1, vec![(SmOp::Complete, 0)]);
+            assert!(f.is_empty(), "{flush:?} must never park");
         }
-        assert_eq!(f.pending().len(), 4);
+    }
+
+    #[test]
+    fn batch_policy_parks_until_full_then_flushes_once() {
+        let p = wide_reduction(3);
+        let tsu = loaded(&p, FlushPolicy::Batch { size: 3 });
+        let mut f = CompletionFunnel::new(FlushPolicy::Batch { size: 3 });
+        assert_eq!(step(&tsu, &mut f).1, vec![]);
+        assert_eq!(step(&tsu, &mut f).1, vec![]);
+        assert_eq!(f.pending.len(), 2);
+        // the third fills the batch: one flush, which readies the sink
+        assert_eq!(step(&tsu, &mut f).1, vec![(SmOp::Flush, 1)]);
+        assert!(f.is_empty());
+    }
+
+    #[test]
+    fn parked_completions_gate_the_block_transition() {
+        let p = wide_reduction(4);
+        let tsu = loaded(&p, FlushPolicy::Batch { size: 8 });
+        let mut f = CompletionFunnel::new(FlushPolicy::Batch { size: 8 });
+        let mut ready = Vec::new();
+        for _ in 0..4 {
+            assert_eq!(step(&tsu, &mut f).1, vec![]);
+        }
+        // nothing is ready until the parked work reaches the SM
+        assert_eq!(tsu.fetch(KernelId(0)).unwrap(), FetchResult::Wait);
         f.flush(KernelId(0), &tsu, &mut ready).unwrap();
         assert!(f.is_empty());
-        // the flush published the sink onto the TSU's queues
-        let FetchResult::Thread(sink, _) = tsu.fetch(KernelId(0)).unwrap() else {
-            panic!("sink not ready after flush");
-        };
-        assert_eq!(sink.thread, ThreadId(1));
+        // the sink is App too: it parks, and holds the outlet back
+        let (sink, ops) = step(&tsu, &mut f);
+        assert_eq!((sink.thread, ops), (ThreadId(1), vec![]));
+        assert_eq!(tsu.fetch(KernelId(0)).unwrap(), FetchResult::Wait);
+        f.flush(KernelId(0), &tsu, &mut ready).unwrap();
+        // the outlet is not App: it completes on its own, readying nothing
+        let (outlet, ops) = step(&tsu, &mut f);
+        assert_eq!(outlet, Instance::scalar(p.blocks()[0].outlet));
+        assert_eq!(ops, vec![(SmOp::Complete, 0)]);
+        assert!(tsu.finished());
         // flushing an empty funnel is a no-op that still clears `ready`
-        ready.push(sink);
+        ready.push(outlet);
         f.flush(KernelId(0), &tsu, &mut ready).unwrap();
         assert!(ready.is_empty());
     }

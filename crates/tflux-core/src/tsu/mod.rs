@@ -34,7 +34,7 @@ mod queue;
 mod sync;
 
 pub use config::{FlushPolicy, ShardStats, TsuConfig, TsuStats, WaitingInstance, AUTO_BATCH_SIZE};
-pub use funnel::CompletionFunnel;
+pub use funnel::{CompletionFunnel, SmOp};
 pub use gm::{GraphMemory, ProgramHandle};
 pub use queue::{EventCount, FetchResult, ReadyQueue, ServiceRotor, Steal, StealDeque};
 pub use sync::SyncMemory;
@@ -763,15 +763,9 @@ mod tests {
                 FetchResult::Thread(i, ep) => {
                     idle = 0;
                     executed += 1;
-                    if tsu.program().thread(i.thread).kind == crate::thread::ThreadKind::App {
-                        if funnels[k].push(i, ep) {
-                            funnels[k].flush(kernel, &tsu, &mut scratch).unwrap();
-                        }
-                    } else {
-                        // block transitions flush first, then complete
-                        funnels[k].flush(kernel, &tsu, &mut scratch).unwrap();
-                        tsu.complete(kernel, i, ep, &mut scratch).unwrap();
-                    }
+                    funnels[k]
+                        .complete(kernel, &tsu, i, ep, &mut scratch, |_, _| {})
+                        .unwrap();
                 }
                 FetchResult::Wait => {
                     // flush before idling or the parked decrements deadlock

@@ -230,13 +230,11 @@ impl<P: ProgramHandle> Arena<P> {
     /// Run one fetched instance and complete it on the calling kernel.
     ///
     /// The body is a direct closure call (§3.2: no OS involvement per
-    /// DThread) under panic containment and retry. An App completion parks
-    /// in the kernel's funnel when that batches; anything else flushes the
-    /// funnel first — a block transition's post-processing must see every
-    /// App decrement this kernel produced — and goes through
-    /// `Tsu::complete`, Inlet and Outlet behind the *transition delay* fault
-    /// site. A completion that outlived the arena's eviction is discarded,
-    /// never published into the dead (maybe poisoned) arena.
+    /// DThread) under panic containment and retry. The completion goes
+    /// through the kernel's funnel ([`CompletionFunnel::complete`]), Inlet
+    /// and Outlet behind the *transition delay* fault site. A completion
+    /// that outlived the arena's eviction is discarded, never published
+    /// into the dead (maybe poisoned) arena.
     pub(crate) fn step<F: FaultInjector>(
         &self,
         ctx: &mut KernelCtx,
@@ -264,27 +262,20 @@ impl<P: ProgramHandle> Arena<P> {
             return Stepped::default();
         }
         let kind = self.soft.graph().kind(instance.thread);
-        ctx.scratch.clear();
-        let applied = if kind == ThreadKind::App && ctx.funnel.batching() {
-            // park the completion; a full funnel flushes as one batch
-            if ctx.funnel.push(instance, epoch) {
-                self.flush(ctx)
-            } else {
-                Ok(())
+        if kind != ThreadKind::App {
+            if let Some(d) = injector.transition_delay(instance) {
+                std::thread::sleep(d);
             }
-        } else {
-            self.flush(ctx).and_then(|()| {
-                if kind != ThreadKind::App {
-                    if let Some(d) = injector.transition_delay(instance) {
-                        std::thread::sleep(d);
-                    }
-                }
-                self.contained(|| {
-                    self.soft
-                        .complete(ctx.kernel, instance, epoch, &mut ctx.scratch)
-                })
-            })
-        };
+        }
+        let KernelCtx {
+            kernel,
+            funnel,
+            scratch,
+            ..
+        } = ctx;
+        let applied = self.contained(|| {
+            funnel.complete(*kernel, &self.soft, instance, epoch, scratch, |_, _| {})
+        });
         let (outlet, latched) = (kind == ThreadKind::Outlet, applied.is_err());
         // the *dropped bell* site: the supervisor's timed wait must recover
         let rung = (outlet || latched) && !injector.drop_bell(instance);

@@ -21,6 +21,7 @@ use std::time::{Duration, Instant};
 use tflux_core::error::CoreError;
 use tflux_core::ids::KernelId;
 use tflux_core::program::DdmProgram;
+use tflux_core::trace::ExecTrace;
 use tflux_core::tsu::{EventCount, Tsu, TsuConfig};
 
 /// What a kernel does with a DThread body that panics.
@@ -276,39 +277,34 @@ impl Runtime {
 }
 
 impl Runtime {
-    /// Like [`run`](Self::run), additionally recording a wall-clock span
-    /// (kernel, start, end) for every executed DThread body — the runtime
-    /// counterpart of the simulator's `Machine::run_traced` in `tflux-sim`.
+    /// Like [`run`](Self::run), additionally recording a span (kernel,
+    /// start, end) for every executed DThread body, in nanoseconds since
+    /// the run started — the runtime counterpart of the simulator's
+    /// `Machine::run_traced` in `tflux-sim`, with the same trace type.
     pub fn run_traced(
         &self,
         program: &DdmProgram,
         bodies: &BodyTable<'_>,
-    ) -> Result<(RunReport, Vec<crate::stats::RtSpan>), RuntimeError> {
-        use std::sync::Mutex;
-        let epoch = std::time::Instant::now();
-        let spans: Mutex<Vec<crate::stats::RtSpan>> = Mutex::new(Vec::new());
+    ) -> Result<(RunReport, ExecTrace), RuntimeError> {
+        let epoch = Instant::now();
+        let trace = std::sync::Mutex::new(ExecTrace::new("ns"));
         let mut wrapped = BodyTable::new(program);
         for t in 0..program.threads().len() {
             let t = tflux_core::ThreadId(t as u32);
             if bodies.idempotent(t) {
                 wrapped.mark_idempotent(t);
             }
-            let spans = &spans;
+            let trace = &trace;
             wrapped.set(t, move |ctx| {
-                let start_ns = epoch.elapsed().as_nanos() as u64;
+                let start = epoch.elapsed().as_nanos() as u64;
                 (bodies.get(ctx.instance.thread))(ctx);
-                let end_ns = epoch.elapsed().as_nanos() as u64;
-                sync::lock(spans).push(crate::stats::RtSpan {
-                    kernel: ctx.kernel.0,
-                    instance: ctx.instance,
-                    start_ns,
-                    end_ns,
-                });
+                let end = epoch.elapsed().as_nanos() as u64;
+                sync::lock(trace).record(ctx.kernel.0, ctx.instance, start, end);
             });
         }
         let report = self.run(program, &wrapped)?;
         drop(wrapped);
-        Ok((report, sync::into_inner(spans)))
+        Ok((report, sync::into_inner(trace)))
     }
 }
 
@@ -529,26 +525,18 @@ mod tests {
         bodies.set(works[0], |_| {
             std::thread::sleep(Duration::from_micros(50));
         });
-        let (report, spans) = Runtime::new(RuntimeConfig::with_kernels(3))
+        let (report, trace) = Runtime::new(RuntimeConfig::with_kernels(3))
             .run_traced(&p, &bodies)
             .unwrap();
-        assert_eq!(spans.len(), p.total_instances());
-        assert_eq!(report.total_executed() as usize, spans.len());
-        for s in &spans {
-            assert!(s.end_ns >= s.start_ns);
-            assert!(s.kernel < 3);
+        assert_eq!(trace.unit, "ns");
+        assert_eq!(trace.len(), p.total_instances());
+        assert_eq!(report.total_executed() as usize, trace.len());
+        for s in &trace.spans {
+            assert!(s.end >= s.start);
+            assert!(s.core < 3);
         }
         // spans on one kernel never overlap (bodies run serially per kernel)
-        let mut by_kernel: std::collections::HashMap<u32, Vec<_>> = Default::default();
-        for s in &spans {
-            by_kernel.entry(s.kernel).or_default().push(*s);
-        }
-        for spans in by_kernel.values_mut() {
-            spans.sort_by_key(|s| s.start_ns);
-            for w in spans.windows(2) {
-                assert!(w[1].start_ns >= w[0].end_ns, "{w:?}");
-            }
-        }
+        assert_eq!(trace.find_overlap(), None);
     }
 
     #[test]

@@ -51,20 +51,6 @@ pub struct TubSnapshot {
     pub busy_hits: u64,
 }
 
-/// One executed instance in a wall-clock trace (see
-/// [`Runtime::run_traced`](crate::Runtime::run_traced)).
-#[derive(Clone, Copy, Debug)]
-pub struct RtSpan {
-    /// Kernel that executed the body.
-    pub kernel: u32,
-    /// The instance.
-    pub instance: tflux_core::ids::Instance,
-    /// Nanoseconds from run start to body entry.
-    pub start_ns: u64,
-    /// Nanoseconds from run start to body exit.
-    pub end_ns: u64,
-}
-
 /// The result of one [`crate::Runtime::run`].
 #[derive(Clone, Debug)]
 pub struct RunReport {

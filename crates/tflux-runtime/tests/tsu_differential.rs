@@ -98,31 +98,10 @@ fn case(rng: &mut SplitMix64) -> Case {
     }
 }
 
-/// What a kernel does with a fetched instance once it has run: park an App
-/// completion in its funnel, flushing when full; flush, then complete,
-/// anything else.
-fn complete(
-    tsu: &Tsu<&DdmProgram>,
-    funnel: &mut CompletionFunnel,
-    k: usize,
-    (i, ep): (Instance, Epoch),
-    scratch: &mut Vec<Instance>,
-) {
-    let kernel = KernelId(k as u32);
-    if funnel.batching() && tsu.graph().kind(i.thread) == ThreadKind::App {
-        if funnel.push(i, ep) {
-            funnel.flush(kernel, tsu, scratch).expect("flush");
-        }
-    } else {
-        funnel.flush(kernel, tsu, scratch).expect("flush");
-        tsu.complete(kernel, i, ep, scratch).expect("complete");
-    }
-}
-
 /// Drain every epoch of `case`, stealing or not, through the `Tsu` that
-/// `build` constructs, the way a platform does — per-kernel funnels,
-/// flushed when full, before a block transition and before conceding a
-/// wait — with one thread playing all kernels. With `interleave` unset the
+/// `build` constructs, the way a platform does — completing through
+/// per-kernel funnels, and flushing them before conceding a wait — with
+/// one thread playing all kernels. With `interleave` unset the
 /// kernels take turns, each completing what it fetched at once; with a
 /// seed, every kernel holds up to one fetched instance and a seeded draw
 /// picks which holder completes next. Returns the execution order of each
@@ -193,8 +172,10 @@ fn drive<'p>(
         } else {
             idle = 0;
             let h = *rng.pick(&holders);
-            let done = held[h].take().expect("a holder holds");
-            complete(&tsu, &mut funnels[h], h, done, &mut scratch);
+            let (i, ep) = held[h].take().expect("a holder holds");
+            funnels[h]
+                .complete(KernelId(h as u32), &tsu, i, ep, &mut scratch, |_, _| {})
+                .expect("complete");
         }
         k = (k + 1) % n;
     }

@@ -45,7 +45,6 @@ pub mod event;
 pub mod machine;
 pub mod memsys;
 pub mod report;
-pub mod trace;
 pub mod tsu_dev;
 pub mod tub;
 pub mod work;
@@ -55,5 +54,5 @@ pub use error::SimError;
 pub use event::EventQueue;
 pub use machine::Machine;
 pub use report::SimReport;
-pub use trace::ExecTrace;
+pub use tflux_core::trace::ExecTrace;
 pub use work::{InstanceWork, MemAccess, WorkSource};

@@ -36,13 +36,13 @@ use crate::error::SimError;
 use crate::event::EventQueue;
 use crate::memsys::MemorySystem;
 use crate::report::SimReport;
-use crate::trace::ExecTrace;
 use crate::tsu_dev::{DevFetch, TsuDevice};
 use crate::work::{InstanceWork, WorkSource};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use tflux_core::ids::{Epoch, Instance};
 use tflux_core::program::DdmProgram;
+use tflux_core::trace::ExecTrace;
 use tflux_core::tsu::{drain_sequential, FlushPolicy, Tsu, TsuConfig};
 
 /// Accesses per scheduling quantum. Chunking trades event-queue overhead
@@ -247,7 +247,7 @@ impl Machine {
         program: &DdmProgram,
         source: &dyn WorkSource,
     ) -> Result<(SimReport, ExecTrace), SimError> {
-        let mut trace = ExecTrace::default();
+        let mut trace = ExecTrace::new("cycles");
         let report = self.run_inner(program, source, Some(&mut trace))?;
         Ok((report, trace))
     }
@@ -767,7 +767,7 @@ mod tests {
         assert_eq!(trace.len(), p.total_instances());
         assert_eq!(report.instances, trace.len());
         assert!(trace.find_overlap().is_none(), "{:?}", trace.find_overlap());
-        assert!(trace.end_cycle() <= report.cycles);
+        assert!(trace.end() <= report.cycles);
         // busy accounting agrees with the report
         assert_eq!(trace.core_busy(4), report.core_busy);
         // gantt renders

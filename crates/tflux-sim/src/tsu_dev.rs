@@ -14,8 +14,8 @@
 use crate::config::TsuCosts;
 use tflux_core::error::CoreError;
 use tflux_core::ids::{Epoch, Instance, KernelId};
-use tflux_core::thread::ThreadKind;
-use tflux_core::tsu::{CompletionFunnel, FetchResult, Tsu};
+use tflux_core::program::DdmProgram;
+use tflux_core::tsu::{CompletionFunnel, FetchResult, GraphMemory, SmOp, Tsu};
 
 /// Counters of the device model.
 #[derive(Clone, Copy, Debug, Default)]
@@ -59,12 +59,8 @@ pub enum DevFetch {
 /// that crosses shards pays `cross_cost` extra cycles (the TSU-to-TSU
 /// message that the single-group design handles internally).
 pub struct TsuDevice<'p> {
-    tsu: Tsu<&'p tflux_core::program::DdmProgram>,
-    costs: TsuCosts,
-    busy_until: Vec<u64>,
-    /// `shard_of[core]`.
-    shard_of: Vec<u32>,
-    cross_cost: u64,
+    tsu: Tsu<&'p DdmProgram>,
+    unit: Unit,
     parked: Vec<bool>,
     ready_buf: Vec<Instance>,
     /// Per-core completion funnels (empty and inert under
@@ -75,17 +71,63 @@ pub struct TsuDevice<'p> {
     pub stats: TsuDevStats,
 }
 
+/// The unit's timing: one serialized command stream per shard, and what a
+/// command costs.
+struct Unit {
+    costs: TsuCosts,
+    busy_until: Vec<u64>,
+    /// `shard_of[core]`.
+    shard_of: Vec<u32>,
+    cross_cost: u64,
+}
+
+impl Unit {
+    /// Serialize one command into a shard; returns its completion cycle.
+    fn process(&mut self, stats: &mut TsuDevStats, shard: u32, arrive: u64) -> u64 {
+        let b = &mut self.busy_until[shard as usize];
+        let start = (*b).max(arrive);
+        let done = start + self.costs.op;
+        *b = done;
+        stats.commands += 1;
+        stats.busy += self.costs.op;
+        done
+    }
+
+    /// One Synchronization Memory command arriving at `shard` at cycle
+    /// `arrive` that made `ready` ready; returns the cycle at which they
+    /// become visible. That includes the TSU-to-TSU network message of a
+    /// cross-shard ready-count update: `cross_cost` extra cycles, charged
+    /// only when a newly-ready instance's owning kernel actually lives on
+    /// another shard.
+    fn sm_command(
+        &mut self,
+        stats: &mut TsuDevStats,
+        graph: &GraphMemory<&DdmProgram>,
+        shard: u32,
+        arrive: u64,
+        ready: &[Instance],
+    ) -> u64 {
+        let done = self.process(stats, shard, arrive);
+        let crosses = |&i: &Instance| self.shard_of[graph.owner_of(i).idx()] != shard;
+        if self.cross_cost == 0 || !ready.iter().any(crosses) {
+            return done;
+        }
+        stats.cross_updates += 1;
+        done + self.cross_cost
+    }
+}
+
 impl<'p> TsuDevice<'p> {
     /// Wrap a TSU state machine with a cost model for `cores` cores (one
     /// TSU Group).
-    pub fn new(tsu: Tsu<&'p tflux_core::program::DdmProgram>, costs: TsuCosts, cores: u32) -> Self {
+    pub fn new(tsu: Tsu<&'p DdmProgram>, costs: TsuCosts, cores: u32) -> Self {
         Self::sharded(tsu, costs, cores, 1, 0)
     }
 
     /// A sharded TSU: `groups` independent units, cross-shard updates
     /// costing `cross_cost` extra cycles.
     pub fn sharded(
-        tsu: Tsu<&'p tflux_core::program::DdmProgram>,
+        tsu: Tsu<&'p DdmProgram>,
         costs: TsuCosts,
         cores: u32,
         groups: u32,
@@ -100,10 +142,12 @@ impl<'p> TsuDevice<'p> {
             .collect();
         TsuDevice {
             tsu,
-            costs,
-            busy_until: vec![0; g as usize],
-            shard_of,
-            cross_cost,
+            unit: Unit {
+                costs,
+                busy_until: vec![0; g as usize],
+                shard_of,
+                cross_cost,
+            },
             parked: vec![false; cores as usize],
             ready_buf: Vec::new(),
             funnels,
@@ -112,7 +156,7 @@ impl<'p> TsuDevice<'p> {
     }
 
     /// The wrapped state machine.
-    pub fn tsu(&self) -> &Tsu<&'p tflux_core::program::DdmProgram> {
+    pub fn tsu(&self) -> &Tsu<&'p DdmProgram> {
         &self.tsu
     }
 
@@ -121,54 +165,29 @@ impl<'p> TsuDevice<'p> {
         self.tsu.finished()
     }
 
-    /// Serialize one command into a shard; returns its completion cycle.
-    fn process(&mut self, shard: u32, arrive: u64) -> u64 {
-        let b = &mut self.busy_until[shard as usize];
-        let start = (*b).max(arrive);
-        let done = start + self.costs.op;
-        *b = done;
-        self.stats.commands += 1;
-        self.stats.busy += self.costs.op;
-        done
-    }
-
-    /// The TSU-to-TSU network message of a cross-shard ready-count update:
-    /// `cross_cost` extra cycles, charged only when a newly-ready instance's
-    /// owning kernel actually lives on another shard than `shard`.
-    fn cross_charge(&mut self, shard: u32, ready: &[Instance]) -> u64 {
-        let crosses = |&i: &Instance| self.shard_of[self.tsu.graph().owner_of(i).idx()] != shard;
-        if self.cross_cost == 0 || !ready.iter().any(crosses) {
-            return 0;
-        }
-        self.stats.cross_updates += 1;
-        self.cross_cost
-    }
-
     /// Flush a core's funnel as one batched completion command arriving
-    /// at the unit at cycle `arrive`; returns the cycle at which the
-    /// newly-ready DThreads become visible. A no-op for empty funnels.
-    fn flush_core(&mut self, core: u32, arrive: u64) -> Result<u64, CoreError> {
-        if self.funnels[core as usize].is_empty() {
-            return Ok(arrive);
+    /// at the unit at cycle `arrive`. A no-op for empty funnels.
+    fn flush_core(&mut self, core: u32, arrive: u64) -> Result<(), CoreError> {
+        let funnel = &mut self.funnels[core as usize];
+        if funnel.is_empty() {
+            return Ok(());
         }
-        let shard = self.shard_of[core as usize];
-        let ready_at = self.process(shard, arrive);
         self.stats.funnel_flushes += 1;
-        let mut ready = std::mem::take(&mut self.ready_buf);
-        let result = self.funnels[core as usize].flush(KernelId(core), &self.tsu, &mut ready);
-        let ready_at = ready_at + self.cross_charge(shard, &ready);
-        self.ready_buf = ready;
-        result?;
-        Ok(ready_at)
+        let result = funnel.flush(KernelId(core), &self.tsu, &mut self.ready_buf);
+        let shard = self.unit.shard_of[core as usize];
+        let graph = self.tsu.graph();
+        self.unit
+            .sm_command(&mut self.stats, graph, shard, arrive, &self.ready_buf);
+        result
     }
 
     /// A core asks for its next DThread at core-local cycle `now`.
     /// Propagates TSU protocol errors (non-resident dispatch, poisoned
     /// Synchronization Memory) instead of handing out a bogus instance.
-    pub fn fetch(&mut self, core: u32, now: u64) -> Result<DevFetch, tflux_core::error::CoreError> {
-        let arrive = now + self.costs.access;
-        let shard = self.shard_of[core as usize];
-        let mut done = self.process(shard, arrive);
+    pub fn fetch(&mut self, core: u32, now: u64) -> Result<DevFetch, CoreError> {
+        let arrive = now + self.unit.costs.access;
+        let shard = self.unit.shard_of[core as usize];
+        let mut done = self.unit.process(&mut self.stats, shard, arrive);
         let (mut fetched, mut stolen) = self.tsu.fetch_traced(KernelId(core))?;
         if fetched == FetchResult::Wait && self.funnels.iter().any(|f| !f.is_empty()) {
             // parked decrements may be the only thing standing between
@@ -187,10 +206,11 @@ impl<'p> TsuDevice<'p> {
         if stolen {
             // the unit walked a sibling queue to serve this fetch: the
             // command occupies the shard for `steal` extra cycles
-            self.busy_until[shard as usize] += self.costs.steal;
-            self.stats.busy += self.costs.steal;
+            let steal = self.unit.costs.steal;
+            self.unit.busy_until[shard as usize] += steal;
+            self.stats.busy += steal;
             self.stats.stolen_fetches += 1;
-            done += self.costs.steal;
+            done += steal;
         }
         Ok(match fetched {
             FetchResult::Thread(i, ep) => {
@@ -217,35 +237,43 @@ impl<'p> TsuDevice<'p> {
     /// (the notification is a posted store — the core does not wait for the
     /// TSU's post-processing), and the cycle at which newly-ready DThreads
     /// become visible (post-processing done inside the unit).
+    ///
+    /// Each Synchronization Memory operation the core's funnel performs is
+    /// one unit command arriving after the MMI access. A completion that
+    /// only parks costs nothing, and one that fills the batch costs the
+    /// core nothing either: the funnel flush is the unit's work.
     pub fn complete(
         &mut self,
         core: u32,
         now: u64,
         inst: Instance,
         epoch: Epoch,
-    ) -> Result<(u64, u64), tflux_core::error::CoreError> {
-        let c = core as usize;
-        if self.funnels[c].batching()
-            && self.tsu.program().thread(inst.thread).kind == ThreadKind::App
-        {
-            // the completion parks in the core-local funnel: no MMI
-            // access and no unit command until the batch fills
-            if self.funnels[c].push(inst, epoch) {
-                let ready_at = self.flush_core(core, now + self.costs.access)?;
-                return Ok((now, ready_at));
-            }
-            return Ok((now, now));
-        }
-        let core_free = now + self.costs.access;
-        // block transitions go straight to the unit; drain parked work
-        // first so the command observes every earlier decrement
-        self.flush_core(core, core_free)?;
-        let shard = self.shard_of[c];
-        let ready_at = self.process(shard, core_free);
-        let mut ready = std::mem::take(&mut self.ready_buf);
-        self.tsu.complete(KernelId(core), inst, epoch, &mut ready)?;
-        let ready_at = ready_at + self.cross_charge(shard, &ready);
-        self.ready_buf = ready;
+    ) -> Result<(u64, u64), CoreError> {
+        let arrive = now + self.unit.costs.access;
+        let shard = self.unit.shard_of[core as usize];
+        let (mut core_free, mut ready_at) = (now, now);
+        let Self {
+            tsu,
+            unit,
+            ready_buf,
+            funnels,
+            stats,
+            ..
+        } = self;
+        funnels[core as usize].complete(
+            KernelId(core),
+            tsu,
+            inst,
+            epoch,
+            ready_buf,
+            |op, ready| {
+                match op {
+                    SmOp::Flush => stats.funnel_flushes += 1,
+                    SmOp::Complete => core_free = arrive,
+                }
+                ready_at = unit.sm_command(stats, tsu.graph(), shard, arrive, ready);
+            },
+        )?;
         Ok((core_free, ready_at))
     }
 
@@ -270,14 +298,16 @@ impl<'p> TsuDevice<'p> {
 
     /// Kernel-side software overhead per DThread transition.
     pub fn kernel_overhead(&self) -> u64 {
-        self.costs.kernel_overhead
+        self.unit.costs.kernel_overhead
     }
 
     /// Open the next streaming epoch: one unit command on shard 0 (epoch
     /// control is a serialized MMI operation). Returns the epoch id and
     /// the cycle at which any re-armed instances become fetchable.
     pub fn open_epoch(&mut self, now: u64) -> Result<(Epoch, u64), CoreError> {
-        let done = self.process(0, now + self.costs.access);
+        let done = self
+            .unit
+            .process(&mut self.stats, 0, now + self.unit.costs.access);
         let mut ready = std::mem::take(&mut self.ready_buf);
         let ep = self.tsu.open_epoch(&mut ready);
         self.ready_buf = ready;
@@ -287,7 +317,9 @@ impl<'p> TsuDevice<'p> {
     /// Retire a fully drained epoch, freeing one credit of the window.
     /// One unit command on shard 0; returns its completion cycle.
     pub fn retire_epoch(&mut self, epoch: Epoch, now: u64) -> Result<u64, CoreError> {
-        let done = self.process(0, now + self.costs.access);
+        let done = self
+            .unit
+            .process(&mut self.stats, 0, now + self.unit.costs.access);
         self.tsu.retire_epoch(epoch)?;
         Ok(done)
     }

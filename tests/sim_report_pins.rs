@@ -10,11 +10,17 @@
 //! *model* change (round length, replay order, commit order, latencies):
 //! make it deliberately, and replace the table with the rows this test
 //! prints on failure.
+//!
+//! The Cell table does the same for TFluxCell: every Cell benchmark at
+//! `Small` on the six-SPE PS3 under the default `Auto` flush (so the
+//! hot-sink programs batch on the PPE), plus TRAPEZ streamed for three
+//! epochs, must reproduce its whole [`CellReport`].
 
+use tflux::cell::{CellConfig, CellMachine, CellReport};
 use tflux::core::rng::mix;
 use tflux::sim::{Machine, MachineConfig, SimReport};
 use tflux::workloads::common::Params;
-use tflux::workloads::setup::{sim_setup, with_default_unroll};
+use tflux::workloads::setup::{cell_setup, sim_setup, with_default_unroll};
 use tflux::workloads::sizes::SizeClass;
 use tflux::workloads::Bench;
 
@@ -36,9 +42,9 @@ fn run(bench: Bench, cfg: MachineConfig, epochs: u64) -> SimReport {
         .expect("sim run")
 }
 
-/// Fold of the report's `Debug` rendering: covers every field, including
+/// Fold of a report's `Debug` rendering: covers every field, including
 /// the per-core vectors and the nested counter structs.
-fn fold(r: &SimReport) -> u64 {
+fn fold(r: &impl std::fmt::Debug) -> u64 {
     format!("{r:?}")
         .bytes()
         .fold(0, |h, b| mix(h ^ u64::from(b)))
@@ -96,6 +102,50 @@ fn every_report_matches_its_pin() {
         !moved,
         "the simulated model moved; the table is now\n{table}"
     );
+}
+
+/// `(bench, epochs, cycles, commands, fold)` on `CellConfig::ps3()`.
+type CellPin = (Bench, u64, u64, u64, u64);
+
+#[rustfmt::skip]
+const CELL_PINS: [CellPin; 5] = [
+    (Bench::Trapez, 1, 1190747, 19, 0x73231665dd0d6f23),
+    (Bench::Mmult, 1, 21321964, 7, 0x018e4c98e4ad84f8),
+    (Bench::Qsort, 1, 825210, 22, 0x5c8d691f00d12e07),
+    (Bench::Susan, 1, 3139568, 33, 0x94368163bdb60571),
+    (Bench::Trapez, 3, 3571841, 57, 0xb331e6628f4fbee6),
+];
+
+fn cell_run(bench: Bench, epochs: u64) -> CellReport {
+    let cfg = CellConfig::ps3();
+    let p = with_default_unroll(bench, Params::cell(cfg.spes, 0, SizeClass::Small));
+    let (prog, src) = cell_setup(bench, &p);
+    CellMachine::new(cfg)
+        .with_epochs(epochs)
+        .run(&prog, src.as_ref())
+        .expect("cell run")
+}
+
+#[test]
+fn every_cell_report_matches_its_pin() {
+    let mut moved = false;
+    let mut table = String::new();
+    for &(bench, epochs, cycles, commands, pin) in &CELL_PINS {
+        let r = cell_run(bench, epochs);
+        assert_eq!(r.tsu.epochs, epochs, "{bench:?}: epochs did not stream");
+        let now = (r.cycles, r.commands, fold(&r));
+        if now != (cycles, commands, pin) {
+            moved = true;
+            eprintln!(
+                "{bench:?} x{epochs} moved from {cycles} cycles / {commands} commands to {r:?}"
+            );
+        }
+        table += &format!(
+            "    (Bench::{bench:?}, {epochs}, {}, {}, {:#018x}),\n",
+            now.0, now.1, now.2
+        );
+    }
+    assert!(!moved, "the Cell model moved; the table is now\n{table}");
 }
 
 #[test]

@@ -82,10 +82,10 @@ impl Outcome {
 /// completion, Inlet and Outlet included.
 fn soft_outcome(program: &DdmProgram, cfg: TsuConfig) -> Outcome {
     let bodies = BodyTable::new(program); // no-op bodies: scheduling only
-    let (report, spans) = Runtime::new(RuntimeConfig::with_kernels(KERNELS).tsu(cfg))
+    let (report, trace) = Runtime::new(RuntimeConfig::with_kernels(KERNELS).tsu(cfg))
         .run_traced(program, &bodies)
         .expect("soft run failed");
-    let completed = spans.iter().map(|s| s.instance).collect();
+    let completed = trace.spans.iter().map(|s| s.instance).collect();
     Outcome::new(completed, &report.tsu)
 }
 
