@@ -20,11 +20,11 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use tflux_bench::json::{Json, ToJson};
 use tflux_bench::tsu_path::{
-    armed, balanced_fanout, complete_interleaved, drain_funneled, fanout_reduce, imbalanced_fanout,
-    measure, measure_stream, memsys_stream, pipeline, reduction, server_mix, sim_makespan,
-    sim_scaling, MemStream, MemsysMeasure, ServerMeasure, SERVER_KERNELS, SERVER_PROGRAMS,
+    armed, balanced_fanout, complete_interleaved, fanout_reduce, imbalanced_fanout, measure,
+    measure_stream, memsys_stream, pipeline, reduction, server_mix, sim_makespan, sim_scaling,
+    MemStream, MemsysMeasure, ServerMeasure, SERVER_KERNELS, SERVER_PROGRAMS,
 };
-use tflux_core::tsu::{SyncMemory, Tsu, TsuConfig};
+use tflux_core::tsu::{drain_sequential, SyncMemory, Tsu, TsuConfig};
 use tflux_sim::MachineConfig;
 use tflux_workloads::Bench;
 
@@ -316,9 +316,10 @@ impl ConstructionRow {
         let (_, _, sm_table_bytes) = allocations(|| SyncMemory::new(&program, Self::KERNELS, 0));
         let (tsu, alloc_calls, bytes) =
             allocations(|| Tsu::threaded(&program, Self::KERNELS, TsuConfig::default()));
-        let (instances, drain_alloc_calls, _) = allocations(|| drain_funneled(&tsu));
+        let (order, drain_alloc_calls, _) =
+            allocations(|| drain_sequential(&tsu).expect("fanout_reduce drains"));
         ConstructionRow {
-            instances,
+            instances: order.len() as u64,
             alloc_calls,
             bytes,
             sm_table_bytes,

@@ -271,38 +271,6 @@ pub fn fanout_reduce() -> DdmProgram {
     b.build().unwrap()
 }
 
-/// Drain `tsu` the way kernel threads do — a funnel per kernel, completing
-/// through it and flushing it before conceding a wait — with the calling
-/// thread playing every kernel in turn, so the run (and every allocation
-/// in it) repeats exactly. Returns the instances completed.
-pub fn drain_funneled(tsu: &Tsu<&DdmProgram>) -> u64 {
-    use tflux_core::tsu::{CompletionFunnel, FetchResult};
-    let kernels = tsu.kernels();
-    let mut funnels: Vec<_> = (0..kernels)
-        .map(|_| CompletionFunnel::new(tsu.flush_policy()))
-        .collect();
-    let mut scratch = Vec::new();
-    let (mut done, mut idle) = (0u64, 0u32);
-    for k in (0..kernels).cycle() {
-        let (kernel, funnel) = (KernelId(k), &mut funnels[k as usize]);
-        match tsu.fetch(kernel).expect("fetch") {
-            FetchResult::Thread(i, ep) => {
-                (done, idle) = (done + 1, 0);
-                funnel
-                    .complete(kernel, tsu, i, ep, &mut scratch, |_, _| {})
-                    .expect("complete");
-            }
-            FetchResult::Wait => {
-                funnel.flush(kernel, tsu, &mut scratch).expect("flush");
-                idle += 1;
-                assert!(idle <= 2 * kernels, "no kernel can make progress");
-            }
-            FetchResult::Exit => break,
-        }
-    }
-    done
-}
-
 /// Imbalanced fanout: every `work` instance is pinned to kernel 0 — one
 /// producer kernel, N−1 consumers with empty local queues. Without
 /// stealing, core 0 drains the whole stage serially while the others
@@ -696,7 +664,8 @@ mod tests {
         let p = fanout_reduce();
         assert_eq!(p.total_instances(), 8 * 8192 + 3);
         let tsu = Tsu::threaded(&p, 2, Default::default());
-        assert_eq!(drain_funneled(&tsu) as usize, p.total_instances());
+        let order = tflux_core::tsu::drain_sequential(&tsu).unwrap();
+        assert_eq!(order.len(), p.total_instances());
         let s = tsu.stats();
         assert_eq!(s.completions as usize, p.total_instances());
         assert!(s.rc_rmws < s.rc_updates, "the hot sink must be funneled");

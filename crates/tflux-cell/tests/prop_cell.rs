@@ -1,16 +1,15 @@
-//! Property tests of the Cell machine: arbitrary layered programs with
+//! Property tests of the Cell machine: generated programs with
 //! arbitrary (LS-feasible) costs always complete, deterministically, with
 //! consistent accounting.
 
 use tflux_cell::work::{CellWork, FnCellWork};
 use tflux_cell::{CellConfig, CellMachine};
 use tflux_core::prelude::*;
-use tflux_core::rng::{cases, SplitMix64};
+use tflux_core::rng::{cases, program, SplitMix64};
 
 #[derive(Debug, Clone)]
-struct Desc {
-    layers: Vec<u32>,
-    blocks: u32,
+struct Draw {
+    program: DdmProgram,
     spes: u32,
     compute: u64,
     import: u64,
@@ -18,10 +17,9 @@ struct Desc {
     double_buffer: bool,
 }
 
-fn desc(rng: &mut SplitMix64) -> Desc {
-    Desc {
-        layers: (0..rng.range(1..4)).map(|_| rng.range(1u32..8)).collect(),
-        blocks: rng.range(1u32..3),
+fn draw(rng: &mut SplitMix64) -> Draw {
+    Draw {
+        program: program(rng, 1),
         spes: rng.range(1u32..7),
         compute: rng.range(10u64..100_000),
         import: rng.range(0u64..32_768),
@@ -30,27 +28,11 @@ fn desc(rng: &mut SplitMix64) -> Desc {
     }
 }
 
-fn build(d: &Desc) -> DdmProgram {
-    let mut b = ProgramBuilder::new();
-    for _ in 0..d.blocks {
-        let blk = b.block();
-        let mut prev: Option<ThreadId> = None;
-        for (li, &arity) in d.layers.iter().enumerate() {
-            let t = b.thread(blk, ThreadSpec::new(format!("l{li}"), arity));
-            if let Some(p) = prev {
-                b.arc(p, t, ArcMapping::All).unwrap();
-            }
-            prev = Some(t);
-        }
-    }
-    b.build().unwrap()
-}
-
 #[test]
 fn cell_machine_completes_and_accounts() {
     cases(96, |rng| {
-        let d = desc(rng);
-        let p = build(&d);
+        let d = draw(rng);
+        let p = &d.program;
         let w = CellWork {
             compute: d.compute,
             import_bytes: d.import,
@@ -63,7 +45,7 @@ fn cell_machine_completes_and_accounts() {
                 .with_spes(d.spes)
                 .with_double_buffer(d.double_buffer),
         );
-        let r = m.run(&p, &src).expect("feasible run");
+        let r = m.run(p, &src).expect("feasible run");
         assert_eq!(r.instances, p.total_instances());
         assert_eq!(r.tsu.completions as usize, p.total_instances());
         assert_eq!(r.commands as usize, p.total_instances());
@@ -74,7 +56,7 @@ fn cell_machine_completes_and_accounts() {
         assert!(r.cycles * d.spes as u64 >= busy);
 
         // deterministic
-        let r2 = m.run(&p, &src).expect("second run");
+        let r2 = m.run(p, &src).expect("second run");
         assert_eq!(r.cycles, r2.cycles);
     });
 }

@@ -58,7 +58,6 @@
 #![warn(missing_docs)]
 
 pub mod block;
-pub mod ctx2d;
 pub mod error;
 pub mod graph;
 pub mod ids;

@@ -3,8 +3,13 @@
 //! Steal-victim draws, `FaultPlan` decisions, the QSORT input and every
 //! randomized test all draw from the stream defined here, so a seed
 //! printed anywhere in the workspace reproduces bit for bit. [`cases`] is
-//! the property-test runner built on it.
+//! the property-test runner built on it, and [`program`] the one graph
+//! generator every randomized suite draws its programs from.
 
+use crate::ids::KernelId;
+use crate::mapping::ArcMapping;
+use crate::program::{DdmProgram, ProgramBuilder};
+use crate::thread::{Affinity, ThreadSpec};
 use std::ops::Range;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 
@@ -80,9 +85,136 @@ pub fn cases(n: u32, mut property: impl FnMut(&mut SplitMix64)) {
     }
 }
 
+/// A random valid program for `kernels` kernels (clamped to at least 1).
+/// Each of its 1–3 blocks holds:
+///
+/// * a `src → wide → sink` spine through Broadcast and Reduction arcs,
+///   `wide` drawn from `kernels..=4·kernels`, so a multi-kernel run under
+///   `FlushPolicy::Auto` meets a hot sink;
+/// * 0–4 side threads of arity 1, `wide` or 1–8, each fed from a random
+///   earlier thread of its block and, half the time, from a second,
+///   distinct one: a join, whose ready counts sum several producers. Each
+///   arc draws its own [`ArcMapping`] kind, a negative `Offset` included.
+///   An arc the arities reject is skipped; a consumer left with none is
+///   ready at block load.
+///
+/// Every thread draws its affinity: `Range`, `RoundRobin`, or (half the
+/// time) `Fixed` on a kernel below `kernels`, so siblings must steal.
+/// Arities are capped at `4·kernels + 1`, so with each block's inlet and
+/// outlet a program has at most `12·(1 + kernels + max(4·kernels, 5))`
+/// instances (84 at one kernel, 312 at five): a suite that wants small
+/// graphs passes few kernels.
+pub fn program(rng: &mut SplitMix64, kernels: u32) -> DdmProgram {
+    let kernels = kernels.max(1);
+    let spec = |rng: &mut SplitMix64, name: &str, arity: u32| {
+        let affinity = match rng.below(4) {
+            0 => Affinity::Range,
+            1 => Affinity::RoundRobin,
+            _ => Affinity::Fixed(KernelId(rng.range(0..kernels))),
+        };
+        ThreadSpec::new(name, arity.min(4 * kernels + 1)).with_affinity(affinity)
+    };
+    let mapping = |rng: &mut SplitMix64| {
+        let factor = rng.range(1..5);
+        [
+            ArcMapping::All,
+            ArcMapping::OneToOne,
+            ArcMapping::Offset(rng.range(-2..3)),
+            ArcMapping::Group { factor },
+            ArcMapping::Expand { factor },
+        ][rng.below(5) as usize]
+    };
+    let mut b = ProgramBuilder::new();
+    for _ in 0..rng.range(1..4) {
+        let blk = b.block();
+        let wide = rng.range(kernels..4 * kernels + 1);
+        let src = b.thread(blk, spec(rng, "src", 1));
+        let work = b.thread(blk, spec(rng, "wide", wide));
+        let sink = b.thread(blk, spec(rng, "sink", 1));
+        b.arc(src, work, ArcMapping::Broadcast)
+            .expect("broadcast fits");
+        b.arc(work, sink, ArcMapping::Reduction)
+            .expect("reduction fits");
+        let mut threads = vec![src, work, sink];
+        for i in 0..rng.range(0..5) {
+            let arity = [1, wide, rng.range(1..9)][rng.below(3) as usize];
+            let t = b.thread(blk, spec(rng, &format!("t{i}"), arity));
+            let n = threads.len() as u64;
+            let first = rng.below(n);
+            let second = rng.chance(1, 2).then(|| (first + 1 + rng.below(n - 1)) % n);
+            for producer in [Some(first), second].into_iter().flatten() {
+                // arc() validates the arities; a rejected arc is no arc
+                let _ = b.arc(threads[producer as usize], t, mapping(rng));
+            }
+            threads.push(t);
+        }
+    }
+    b.build().expect("generated program validates")
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::graph::hot_sinks;
+    use crate::ids::ThreadId;
+    use crate::thread::ThreadKind;
+    use std::mem::discriminant;
+
+    /// `program`'s size bound: three blocks of inlet, outlet, `src`,
+    /// `sink`, a `wide` of `4·kernels` and four side threads at their cap.
+    fn max_instances(kernels: u32) -> usize {
+        let k = kernels as usize;
+        3 * (4 + 4 * k + 4 * (4 * k).max(5))
+    }
+
+    #[test]
+    fn generated_programs_reach_every_shape() {
+        let (mut mappings, mut affinities) = (Vec::new(), Vec::new());
+        let (mut negative_offset, mut multi_block, mut hot_at_two) = (false, false, false);
+        let mut join = false;
+        cases(256, |rng| {
+            let kernels = rng.range(1..6);
+            let p = program(rng, kernels);
+            assert!(p.total_instances() <= max_instances(kernels));
+            multi_block |= p.blocks().len() > 1;
+            hot_at_two |= !hot_sinks(&p, 2).is_empty();
+            for (t, spec) in p.threads().iter().enumerate() {
+                affinities.push(discriminant(&spec.affinity));
+                join |= spec.kind == ThreadKind::App && p.producers(ThreadId(t as u32)).len() >= 2;
+                for arc in p.consumers(ThreadId(t as u32)) {
+                    mappings.push(discriminant(&arc.mapping));
+                    negative_offset |= matches!(arc.mapping, ArcMapping::Offset(k) if k < 0);
+                }
+            }
+        });
+        for m in [
+            ArcMapping::All,
+            ArcMapping::OneToOne,
+            ArcMapping::Offset(0),
+            ArcMapping::Group { factor: 1 },
+            ArcMapping::Expand { factor: 1 },
+        ] {
+            assert!(mappings.contains(&discriminant(&m)), "{m:?} never drawn");
+        }
+        for a in [
+            Affinity::Range,
+            Affinity::RoundRobin,
+            Affinity::Fixed(KernelId(0)),
+        ] {
+            assert!(affinities.contains(&discriminant(&a)), "{a:?} never drawn");
+        }
+        assert!(negative_offset && multi_block && hot_at_two && join);
+        // no larger than the largest graph of the builders this replaced
+        // (about 320 instances), whatever the seed
+        assert_eq!(max_instances(5), 312);
+    }
+
+    #[test]
+    fn program_is_a_function_of_the_seed() {
+        let draw = |seed| format!("{:?}", program(&mut SplitMix64(seed), 3));
+        assert_eq!(draw(9), draw(9));
+        assert_ne!(draw(9), draw(10));
+    }
 
     #[test]
     fn stream_matches_the_reference_vectors() {

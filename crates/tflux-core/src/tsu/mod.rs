@@ -453,28 +453,36 @@ impl<P: ProgramHandle> Tsu<P> {
 }
 
 /// Drive a TSU to completion single-threadedly, round-robining fetches over
-/// the kernels; returns the execution order. A protocol error ends the
-/// drain; so does a full round of kernels all answering `Wait`
-/// ([`CoreError::Deadlock`]), which a validated program cannot produce.
+/// the kernels; returns the execution order. Each kernel completes through
+/// its own [`CompletionFunnel`] under the TSU's flush policy and flushes it
+/// before it concedes a `Wait`, the rule every platform follows. A protocol
+/// error ends the drain; so does a full round of kernels all answering
+/// `Wait` with nothing to flush ([`CoreError::Deadlock`]), which a
+/// validated program cannot produce.
 ///
-/// This is the reference executor used by tests and by the graph-analysis
-/// tooling; platforms implement their own drivers.
+/// This is the reference executor used by tests, the benches and the
+/// graph-analysis tooling; platforms implement their own drivers.
 pub fn drain_sequential<P: ProgramHandle>(tsu: &Tsu<P>) -> Result<Vec<Instance>, CoreError> {
-    let mut order = Vec::new();
-    let mut scratch = Vec::new();
     let kernels = tsu.kernels();
-    let mut k = 0u32;
-    let mut idle_rounds = 0u32;
+    let mut funnels: Vec<_> = (0..kernels)
+        .map(|_| CompletionFunnel::new(tsu.flush_policy()))
+        .collect();
+    let mut order = Vec::with_capacity(tsu.graph().program().total_instances());
+    let mut scratch = Vec::new();
+    let (mut k, mut idle) = (0u32, 0u32);
     loop {
-        match tsu.fetch(KernelId(k))? {
+        let (kernel, funnel) = (KernelId(k), &mut funnels[k as usize]);
+        match tsu.fetch(kernel)? {
             FetchResult::Thread(i, ep) => {
-                idle_rounds = 0;
+                idle = 0;
                 order.push(i);
-                tsu.complete(KernelId(k), i, ep, &mut scratch)?;
+                funnel.complete(kernel, tsu, i, ep, &mut scratch, |_, _| {})?;
             }
             FetchResult::Wait => {
-                idle_rounds += 1;
-                if idle_rounds > kernels {
+                // a flush is progress: the decrements it lands may ready work
+                idle = if funnel.is_empty() { idle + 1 } else { 0 };
+                funnel.flush(kernel, tsu, &mut scratch)?;
+                if idle > kernels {
                     return Err(CoreError::Deadlock {
                         waiting: tsu.forensics().0.len(),
                     });
@@ -710,7 +718,11 @@ mod tests {
     #[test]
     fn stats_count_operations() {
         let p = fork_join(4, 2);
-        let tsu = Tsu::new(&p, 2, TsuConfig::default());
+        let direct = TsuConfig {
+            flush: FlushPolicy::Direct,
+            ..TsuConfig::default()
+        };
+        let tsu = Tsu::new(&p, 2, direct);
         drain_sequential(&tsu).unwrap();
         let s = tsu.stats();
         assert_eq!(s.completions as usize, p.total_instances());
@@ -737,48 +749,21 @@ mod tests {
     #[test]
     fn batched_drain_matches_direct_counters() {
         let p = fork_join(8, 2);
-        let direct = Tsu::new(&p, 2, TsuConfig::default());
-        drain_sequential(&direct).unwrap();
-
-        // same program, but every App completion funneled through batches
-        let tsu = Tsu::new(
-            &p,
-            2,
-            TsuConfig {
-                flush: FlushPolicy::Batch { size: 4 },
-                ..TsuConfig::default()
-            },
-        );
-        let mut funnels = [
-            CompletionFunnel::new(tsu.flush_policy()),
-            CompletionFunnel::new(tsu.flush_policy()),
-        ];
-        let mut scratch = Vec::new();
-        let mut executed = 0usize;
-        let mut k = 0usize;
-        let mut idle = 0u32;
-        loop {
-            let kernel = KernelId(k as u32);
-            match tsu.fetch(kernel).unwrap() {
-                FetchResult::Thread(i, ep) => {
-                    idle = 0;
-                    executed += 1;
-                    funnels[k]
-                        .complete(kernel, &tsu, i, ep, &mut scratch, |_, _| {})
-                        .unwrap();
-                }
-                FetchResult::Wait => {
-                    // flush before idling or the parked decrements deadlock
-                    funnels[k].flush(kernel, &tsu, &mut scratch).unwrap();
-                    idle += 1;
-                    assert!(idle <= 4, "deadlock");
-                }
-                FetchResult::Exit => break,
-            }
-            k = (k + 1) % 2;
-        }
-        assert_eq!(executed, p.total_instances());
-        let (d, b) = (direct.stats(), tsu.stats());
+        let drained = |flush| {
+            let tsu = Tsu::new(
+                &p,
+                2,
+                TsuConfig {
+                    flush,
+                    ..TsuConfig::default()
+                },
+            );
+            assert_eq!(drain_sequential(&tsu).unwrap().len(), p.total_instances());
+            tsu.stats()
+        };
+        // the same program, once with every App completion funneled
+        let d = drained(FlushPolicy::Direct);
+        let b = drained(FlushPolicy::Batch { size: 4 });
         // conservation: batching changes *when* decrements land, not how
         // many, and the physical RMW count shrinks
         assert_eq!(b.rc_updates, d.rc_updates);

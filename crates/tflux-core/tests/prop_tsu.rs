@@ -4,105 +4,20 @@
 
 use std::collections::HashMap;
 use tflux_core::prelude::*;
-use tflux_core::rng::{cases, SplitMix64};
+use tflux_core::rng::{cases, program, SplitMix64};
 use tflux_core::tsu::drain_sequential;
 
-/// A random, always-valid program description.
-#[derive(Debug, Clone)]
-struct ProgramDesc {
-    blocks: Vec<Vec<(u32, Affinity)>>, // per block: (arity, affinity) per thread
-    // arcs as (block, producer idx, consumer idx > producer idx, mapping sel)
-    arcs: Vec<(usize, usize, usize, u8, u8)>,
-    kernels: u32,
-    steal: bool,
-}
-
-fn affinity(rng: &mut SplitMix64) -> Affinity {
-    match rng.below(3) {
-        0 => Affinity::Range,
-        1 => Affinity::RoundRobin,
-        _ => Affinity::Fixed(KernelId(rng.range(0u32..4))),
-    }
-}
-
-fn desc(rng: &mut SplitMix64) -> ProgramDesc {
-    let blocks: Vec<Vec<(u32, Affinity)>> = (0..rng.range(1..4))
-        .map(|_| {
-            (0..rng.range(1..6))
-                .map(|_| (rng.range(1u32..9), affinity(rng)))
-                .collect()
-        })
-        .collect();
-    let nb = blocks.len();
-    let arcs = (0..rng.range(0..12))
-        .map(|_| {
-            (
-                rng.range(0..nb),
-                rng.range(0usize..6),
-                rng.range(0usize..6),
-                rng.range(0u8..5),
-                rng.range(1u8..5),
-            )
-        })
-        .collect();
-    ProgramDesc {
-        blocks,
-        arcs,
-        kernels: rng.range(1u32..6),
-        steal: rng.chance(1, 2),
-    }
-}
-
-/// Materialize a description into a validated program. Arcs that would be
-/// invalid (same thread, wrong arity for the mapping, out of range) are
-/// skipped — the generator over-produces and we keep what is legal, which
-/// still explores a wide space of DAG shapes.
-fn build(desc: &ProgramDesc) -> DdmProgram {
-    let mut b = ProgramBuilder::new();
-    let mut ids: Vec<Vec<ThreadId>> = Vec::new();
-    for block in &desc.blocks {
-        let blk = b.block();
-        let mut v = Vec::new();
-        for (i, (arity, aff)) in block.iter().enumerate() {
-            v.push(b.thread(
-                blk,
-                ThreadSpec::new(format!("t{i}"), *arity).with_affinity(*aff),
-            ));
-        }
-        ids.push(v);
-    }
-    for &(blk, p, c, m, f) in &desc.arcs {
-        let threads = &ids[blk];
-        if threads.len() < 2 {
-            continue;
-        }
-        let p = p % threads.len();
-        let c = c % threads.len();
-        if p >= c {
-            continue; // keep the template graph acyclic by index order
-        }
-        let (tp, tc) = (threads[p], threads[c]);
-        let mapping = match m {
-            0 => ArcMapping::All,
-            1 => ArcMapping::OneToOne,
-            2 => ArcMapping::Offset(f as i32 - 2),
-            3 => ArcMapping::Group { factor: f as u32 },
-            _ => ArcMapping::Expand { factor: f as u32 },
-        };
-        // arc() validates arity compatibility; skip incompatible ones
-        let _ = b.arc(tp, tc, mapping);
-    }
-    b.build().expect("generated program must validate")
-}
-
-/// Build a generated program and drain it through a `Tsu`.
-fn drained(desc: &ProgramDesc) -> (DdmProgram, Vec<Instance>, bool) {
-    let p = build(desc);
+/// A generated program, sized for two kernels, drained through a `Tsu` on
+/// 1–5 kernels, stealing or not.
+fn drained(rng: &mut SplitMix64) -> (DdmProgram, Vec<Instance>, bool) {
+    let kernels = rng.range(1u32..6);
+    let steal = rng.chance(1, 2);
+    let p = program(rng, 2);
     let tsu = Tsu::new(
         &p,
-        desc.kernels,
+        kernels,
         TsuConfig {
-            steal: desc.steal,
+            steal,
             ..Default::default()
         },
     );
@@ -115,7 +30,7 @@ fn drained(desc: &ProgramDesc) -> (DdmProgram, Vec<Instance>, bool) {
 #[test]
 fn every_instance_runs_exactly_once() {
     cases(256, |rng| {
-        let (p, order, finished) = drained(&desc(rng));
+        let (p, order, finished) = drained(rng);
         assert_eq!(order.len(), p.total_instances());
         let mut seen = HashMap::new();
         for i in &order {
@@ -129,7 +44,7 @@ fn every_instance_runs_exactly_once() {
 #[test]
 fn producers_always_precede_consumers() {
     cases(256, |rng| {
-        let (p, order, _) = drained(&desc(rng));
+        let (p, order, _) = drained(rng);
         let pos: HashMap<Instance, usize> =
             order.iter().enumerate().map(|(n, &i)| (i, n)).collect();
         for t in 0..p.threads().len() {
@@ -152,7 +67,7 @@ fn producers_always_precede_consumers() {
 #[test]
 fn blocks_never_interleave() {
     cases(256, |rng| {
-        let (p, order, _) = drained(&desc(rng));
+        let (p, order, _) = drained(rng);
         let blocks: Vec<u32> = order.iter().map(|i| p.block_of(i.thread).0).collect();
         let mut sorted = blocks.clone();
         sorted.sort_unstable();
@@ -163,7 +78,7 @@ fn blocks_never_interleave() {
 #[test]
 fn work_span_bounds_hold() {
     cases(256, |rng| {
-        let p = build(&desc(rng));
+        let p = program(rng, 2);
         let ws = tflux_core::graph::work_span(&p, |_, _| 1.0);
         // span counts at least one instance per block (plus inlets), and
         // work counts everything

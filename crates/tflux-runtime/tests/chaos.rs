@@ -15,7 +15,7 @@
 
 mod common;
 
-use common::{build_program, chaos_seeds, expected_checksum, instance_key, mix, Rng};
+use common::{chaos_seeds, expected_checksum, generated, instance_key, mix, SplitMix64};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 use tflux_core::prelude::*;
@@ -29,8 +29,8 @@ fn chaos_matrix_never_hangs_and_never_lies() {
     let mut panicked_runs = 0u64;
 
     for seed in 0..runs {
-        let mut rng = Rng(mix(seed));
-        let (program, app) = build_program(&mut rng);
+        let mut rng = SplitMix64(mix(seed));
+        let (program, app) = generated(&mut rng);
 
         // alternate stealing and retry regimes across the matrix
         let kernels = 1 + rng.below(3) as u32;

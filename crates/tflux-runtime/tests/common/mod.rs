@@ -1,5 +1,6 @@
-//! Helpers shared by the multi-tenant integration suites: a deterministic
-//! program generator and the checksum discipline its bodies use.
+//! Helpers shared by the multi-tenant integration suites: programs drawn
+//! from `tflux_core::rng::program` and the checksum discipline their
+//! bodies use.
 //!
 //! Everything here derives from a per-run seed, so a CI failure reproduces
 //! locally from the seed printed in the assertion.
@@ -9,53 +10,27 @@
 use std::sync::Arc;
 use tflux_core::prelude::*;
 
+use tflux_core::rng::program;
 /// The mixing function behind every `FaultPlan` decision, reused for
-/// program generation and body checksums.
-pub use tflux_core::rng::mix;
-
-/// Tiny deterministic generator for program shapes. (A counter fed
-/// through [`mix`], not the `SplitMix64` stream: the shapes each chaos
-/// seed has always produced depend on it.)
-pub struct Rng(pub u64);
-
-impl Rng {
-    pub fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(1);
-        mix(self.0)
-    }
-
-    pub fn below(&mut self, n: u64) -> u64 {
-        self.next() % n
-    }
-}
+/// seeds and body checksums.
+pub use tflux_core::rng::{mix, SplitMix64};
 
 /// The pure per-instance key the checksum bodies fold.
 pub fn instance_key(i: Instance) -> u64 {
     ((i.thread.0 as u64) << 32) | i.context.0 as u64
 }
 
-/// Generate a layered program: 1–2 blocks, each 1–3 layers of 1–6-wide
-/// loop threads, consecutive layers joined all-to-all. Returns the program
-/// and its application threads with their arities.
-pub fn build_program(rng: &mut Rng) -> (Arc<DdmProgram>, Vec<(ThreadId, u32)>) {
-    let mut b = ProgramBuilder::new();
-    let mut app = Vec::new();
-    let blocks = 1 + rng.below(2);
-    for bi in 0..blocks {
-        let blk = b.block();
-        let layers = 1 + rng.below(3);
-        let mut prev: Option<ThreadId> = None;
-        for li in 0..layers {
-            let arity = 1 + rng.below(6) as u32;
-            let t = b.thread(blk, ThreadSpec::new(format!("b{bi}l{li}"), arity));
-            if let Some(p) = prev {
-                b.arc(p, t, ArcMapping::All).unwrap();
-            }
-            app.push((t, arity));
-            prev = Some(t);
-        }
-    }
-    (Arc::new(b.build().unwrap()), app)
+/// Draw a tenant's program from the shared generator at its smallest size
+/// (one kernel's worth of arity). Returns the program and its application
+/// threads with their arities.
+pub fn generated(rng: &mut SplitMix64) -> (Arc<DdmProgram>, Vec<(ThreadId, u32)>) {
+    let p = program(rng, 1);
+    let app = (0..p.threads().len() as u32)
+        .map(ThreadId)
+        .filter(|&t| p.thread(t).kind == ThreadKind::App)
+        .map(|t| (t, p.thread(t).arity))
+        .collect();
+    (Arc::new(p), app)
 }
 
 /// The checksum a fault-free run of `app` must produce.

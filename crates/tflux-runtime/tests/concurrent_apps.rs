@@ -10,7 +10,7 @@
 
 mod common;
 
-use common::{build_program, expected_checksum, instance_key, mix, Rng};
+use common::{expected_checksum, generated, instance_key, mix, SplitMix64};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -24,8 +24,8 @@ use tflux_runtime::{
 /// fault-free run must produce, and — for seeded-faulty programs — the
 /// instance whose body the plan panics.
 fn make_submission(idx: u64, faulty: bool) -> (Submission, Arc<AtomicU64>, u64, Option<Instance>) {
-    let mut rng = Rng(mix(idx));
-    let (program, app) = build_program(&mut rng);
+    let mut rng = SplitMix64(mix(idx));
+    let (program, app) = generated(&mut rng);
 
     let checksum = Arc::new(AtomicU64::new(0));
     let mut bodies = BodyTable::new(&program);
@@ -150,8 +150,8 @@ fn seeded_faults_replay_identically_through_the_server() {
     for seed in [3u64, 11, 29] {
         let outcomes: Vec<Vec<(u32, u32)>> = (0..2)
             .map(|_| {
-                let mut rng = Rng(mix(seed));
-                let (program, app) = build_program(&mut rng);
+                let mut rng = SplitMix64(mix(seed));
+                let (program, app) = generated(&mut rng);
                 let mut bodies = BodyTable::new(&program);
                 for &(t, _) in &app {
                     bodies.set(t, |_| {});

@@ -1,4 +1,4 @@
-//! Property tests of the threaded TFluxSoft runtime: random layered DAG
+//! Property tests of the threaded TFluxSoft runtime: generated DAG
 //! programs executed on real kernel threads run every instance exactly once
 //! and never violate producer→consumer ordering, regardless of thread
 //! interleaving.
@@ -8,54 +8,15 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Duration;
 use tflux_core::prelude::*;
-use tflux_core::rng::{cases, SplitMix64};
+use tflux_core::rng::{cases, program};
 use tflux_runtime::{BodyTable, Runtime, RuntimeConfig};
-
-#[derive(Debug, Clone)]
-struct Desc {
-    layers: Vec<u32>, // arity per layer, connected with a random mapping
-    maps: Vec<u8>,
-    kernels: u32,
-    blocks: u32,
-}
-
-fn desc(rng: &mut SplitMix64) -> Desc {
-    Desc {
-        layers: (0..rng.range(1..5)).map(|_| rng.range(1u32..12)).collect(),
-        maps: (0..rng.range(0..5)).map(|_| rng.range(0u8..3)).collect(),
-        kernels: rng.range(1u32..5),
-        blocks: rng.range(1u32..3),
-    }
-}
-
-fn build(d: &Desc) -> DdmProgram {
-    let mut b = ProgramBuilder::new();
-    for _ in 0..d.blocks {
-        let blk = b.block();
-        let mut prev: Option<(ThreadId, u32)> = None;
-        for (li, &arity) in d.layers.iter().enumerate() {
-            let t = b.thread(blk, ThreadSpec::new(format!("l{li}"), arity));
-            if let Some((pt, pa)) = prev {
-                let sel = d.maps.get(li - 1).copied().unwrap_or(0);
-                let mapping = match sel {
-                    1 if pa == arity => ArcMapping::OneToOne,
-                    2 if pa == arity => ArcMapping::Offset(1),
-                    _ => ArcMapping::All,
-                };
-                b.arc(pt, t, mapping).unwrap();
-            }
-            prev = Some((t, arity));
-        }
-    }
-    b.build().unwrap()
-}
 
 #[test]
 fn every_instance_executes_exactly_once() {
     // Thread spawning is expensive; keep the case count moderate.
     cases(40, |rng| {
-        let d = desc(rng);
-        let p = build(&d);
+        let kernels = rng.range(1u32..5);
+        let p = program(rng, kernels);
         let seq = AtomicUsize::new(0);
         let log: Mutex<Vec<(Instance, usize)>> = Mutex::new(Vec::new());
         let mut bodies = BodyTable::new(&p);
@@ -69,7 +30,7 @@ fn every_instance_executes_exactly_once() {
             });
         }
         let report =
-            Runtime::new(RuntimeConfig::with_kernels(d.kernels).watchdog(Duration::from_secs(20)))
+            Runtime::new(RuntimeConfig::with_kernels(kernels).watchdog(Duration::from_secs(20)))
                 .run(&p, &bodies)
                 .expect("run failed");
         drop(bodies);

@@ -19,7 +19,7 @@
 
 mod common;
 
-use common::{build_program, chaos_seeds, expected_checksum, instance_key, mix, Rng};
+use common::{chaos_seeds, expected_checksum, generated, instance_key, mix, SplitMix64};
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -42,8 +42,8 @@ fn flat_program(arity: u32) -> (Arc<DdmProgram>, ThreadId) {
 /// A generated checksum tenant: submission, checksum cell, expected value,
 /// and the set of its application threads (for panic filtering).
 fn checksum_tenant(seed: u64, plan: FaultPlan) -> (Submission, Arc<AtomicU64>, u64, HashSet<u32>) {
-    let mut rng = Rng(mix(seed));
-    let (program, app) = build_program(&mut rng);
+    let mut rng = SplitMix64(mix(seed));
+    let (program, app) = generated(&mut rng);
     let checksum = Arc::new(AtomicU64::new(0));
     let mut bodies = BodyTable::new(&program);
     for &(t, _) in &app {
@@ -70,7 +70,7 @@ fn chaos_matrix_isolates_every_fault_to_its_tenant() {
     let mut panicked_tenants = 0u64;
 
     for seed in 0..seeds {
-        let mut rng = Rng(mix(seed ^ 0x5EED));
+        let mut rng = SplitMix64(mix(seed ^ 0x5EED));
         let kernels = 2 + rng.below(3) as u32;
         let server = ProgramServer::start(
             ServerConfig::with_kernels(kernels)
@@ -159,7 +159,7 @@ fn epoch_stress_streams_survive_mid_stream_faults() {
     let mut evicted_streams = 0u64;
 
     for seed in 0..seeds {
-        let mut rng = Rng(mix(seed ^ 0xE90C));
+        let mut rng = SplitMix64(mix(seed ^ 0xE90C));
         let kernels = 2 + rng.below(3) as u32;
         let server = ProgramServer::start(
             ServerConfig::with_kernels(kernels)

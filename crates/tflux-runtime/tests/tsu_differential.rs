@@ -13,14 +13,15 @@
 //! stealing on, pacing legitimately differs, so the two are held to the
 //! order-independent part.
 //!
-//! Generated programs are built to hit the paths where the two could
-//! diverge: wide threads pinned to one kernel (every sibling must steal),
-//! reductions into a scalar sink under `FlushPolicy::Batch` (funnels +
-//! combining), several blocks, and three or more streamed epochs.
+//! The generated programs (`rng::program`) hit the paths where the two
+//! could diverge: wide threads pinned to one kernel (every sibling must
+//! steal), reductions into a scalar sink under `FlushPolicy::Batch`
+//! (funnels + combining) and several blocks; each case streams three or
+//! more epochs.
 
 use tflux_core::ids::Epoch;
 use tflux_core::prelude::*;
-use tflux_core::rng::{cases, SplitMix64};
+use tflux_core::rng::{cases, program, SplitMix64};
 use tflux_core::tsu::{GraphMemory, TsuStats};
 
 struct Case {
@@ -33,54 +34,12 @@ struct Case {
     bank_up_front: bool,
 }
 
-fn affinity(rng: &mut SplitMix64, kernels: u32) -> Affinity {
-    match rng.below(4) {
-        0 => Affinity::Range,
-        1 => Affinity::RoundRobin,
-        // half of all threads sit on one kernel's queue: siblings steal
-        _ => Affinity::Fixed(KernelId(rng.range(0..kernels))),
-    }
-}
-
 fn case(rng: &mut SplitMix64) -> Case {
     let kernels = rng.range(2u32..6);
-    let mut b = ProgramBuilder::new();
-    for _ in 0..rng.range(1..4) {
-        let blk = b.block();
-        // a fork-join spine with a hot reduction sink...
-        let src = b.thread(blk, ThreadSpec::scalar("src"));
-        let wide = rng.range(kernels..4 * kernels + 1);
-        let work = b.thread(
-            blk,
-            ThreadSpec::new("work", wide).with_affinity(affinity(rng, kernels)),
-        );
-        let sink = b.thread(blk, ThreadSpec::scalar("sink"));
-        b.arc(src, work, ArcMapping::Broadcast).unwrap();
-        b.arc(work, sink, ArcMapping::Reduction).unwrap();
-        // ...plus random side threads hung off it wherever the arities fit
-        let mut threads = vec![src, work];
-        for i in 0..rng.range(0..4) {
-            let arity = [1, wide, rng.range(1..9)][rng.below(3) as usize];
-            let t = b.thread(
-                blk,
-                ThreadSpec::new(format!("t{i}"), arity).with_affinity(affinity(rng, kernels)),
-            );
-            let producer = *rng.pick(&threads);
-            let mapping = *rng.pick(&[
-                ArcMapping::All,
-                ArcMapping::OneToOne,
-                ArcMapping::Offset(1),
-                ArcMapping::Group { factor: 2 },
-            ]);
-            // arc() validates arity compatibility; an unconnected thread is
-            // simply ready at block load
-            let _ = b.arc(producer, t, mapping);
-            threads.push(t);
-        }
-    }
+    let program = program(rng, kernels);
     let epochs = rng.range(3u64..6);
     Case {
-        program: b.build().expect("generated program must validate"),
+        program,
         kernels,
         config: TsuConfig {
             capacity: 0,

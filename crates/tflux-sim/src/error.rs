@@ -12,15 +12,6 @@ use tflux_core::error::CoreError;
 /// Why a simulation run could not produce a report.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SimError {
-    /// The event queue accumulated more than 2^20 outstanding events.
-    ///
-    /// The queue packs the slot index into the low 20 bits of the
-    /// deterministic tie-break key; overflowing it would silently corrupt
-    /// event ordering, so the push is refused instead.
-    EventOverflow {
-        /// The lane (simulated core) whose push was refused.
-        lane: u32,
-    },
     /// The machine configuration cannot be simulated: the core count and
     /// the cache geometries are caller-set fields, checked when a run
     /// starts.
@@ -40,11 +31,6 @@ pub enum SimError {
 impl fmt::Display for SimError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            SimError::EventOverflow { lane } => write!(
-                f,
-                "lane {lane} exceeded 2^20 outstanding events; the 20-bit \
-                 slot field of the deterministic event key would overflow"
-            ),
             SimError::Config(e) => write!(f, "invalid machine configuration: {e}"),
             SimError::Protocol(e) => write!(f, "TSU protocol error: {e}"),
             SimError::Deadlock { stuck } => write!(
@@ -80,12 +66,6 @@ impl From<ConfigError> for SimError {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn display_names_the_lane() {
-        let e = SimError::EventOverflow { lane: 7 };
-        assert!(e.to_string().contains("lane 7"));
-    }
 
     #[test]
     fn protocol_errors_chain_their_source() {

@@ -1,26 +1,57 @@
 //! The discrete-event queue.
 //!
-//! [`EventQueue`] is one binary heap ordering events by the canonical key
-//! **`(cycle, lane)`**, with insertion order breaking what little remains.
-//! The machine schedules at most one outstanding event per lane (core), so
-//! `(cycle, lane)` is a *total* order over live events: pop order is a
-//! function of what was scheduled, never of the order the pushes happened
-//! to arrive in. `tflux-sim` and `tflux-cell` both run on it.
+//! [`EventQueue`] is one binary heap of `(cycle, lane, seq, event)` entries
+//! ordered on the first three fields: events pop by cycle, then lane, then
+//! insertion order, and carry their payloads inline. The machine schedules
+//! at most one outstanding event per lane (core), so `(cycle, lane)` is a
+//! *total* order over its live events: pop order is a function of what was
+//! scheduled, never of the order the pushes happened to arrive in. The Cell
+//! machine and [`tub::simulate`](crate::tub::simulate) put several events
+//! on one lane, and insertion order breaks their ties.
 
-use crate::error::SimError;
-use std::cmp::Reverse;
+use std::cmp::{Ordering, Reverse};
 use std::collections::BinaryHeap;
 
-/// Slot indices ride in the low 20 bits of the tie-break key.
-const SLOT_BITS: u64 = 20;
-const SLOT_MASK: u64 = (1 << SLOT_BITS) - 1;
+/// One scheduled event, ordered on `(at, lane, seq)` alone: `seq` is
+/// unique, so the payload never decides.
+#[derive(Debug)]
+struct Entry<E> {
+    at: u64,
+    lane: u32,
+    seq: u64,
+    event: E,
+}
+
+impl<E> Entry<E> {
+    fn key(&self) -> (u64, u32, u64) {
+        (self.at, self.lane, self.seq)
+    }
+}
+
+impl<E> PartialEq for Entry<E> {
+    fn eq(&self, other: &Self) -> bool {
+        self.key() == other.key()
+    }
+}
+
+impl<E> Eq for Entry<E> {}
+
+impl<E> PartialOrd for Entry<E> {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl<E> Ord for Entry<E> {
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.key().cmp(&other.key())
+    }
+}
 
 /// Deterministic event queue keyed by `(cycle, lane, insertion order)`.
 #[derive(Debug)]
 pub struct EventQueue<E> {
-    heap: BinaryHeap<Reverse<(u64, u32, u64)>>,
-    slots: Vec<Option<E>>,
-    free: Vec<usize>,
+    heap: BinaryHeap<Reverse<Entry<E>>>,
     next_seq: u64,
 }
 
@@ -35,55 +66,36 @@ impl<E> EventQueue<E> {
     pub fn new() -> Self {
         EventQueue {
             heap: BinaryHeap::new(),
-            slots: Vec::new(),
-            free: Vec::new(),
             next_seq: 0,
         }
     }
 
     /// Schedule `event` at absolute cycle `at` on lane 0.
-    ///
-    /// # Panics
-    /// If more than 2^20 events are outstanding. Fallible callers (the
-    /// machine) use [`EventQueue::try_push_lane`] instead.
     pub fn push(&mut self, at: u64, event: E) {
-        self.try_push_lane(0, at, event)
-            .expect("more than 2^20 outstanding events");
+        self.push_lane(0, at, event);
     }
 
     /// Schedule `event` at absolute cycle `at` on `lane`. Events pop in
     /// `(at, lane)` order; same-lane ties resolve in insertion order.
-    pub fn try_push_lane(&mut self, lane: u32, at: u64, event: E) -> Result<(), SimError> {
-        let slot = if let Some(s) = self.free.pop() {
-            s
-        } else {
-            self.slots.push(None);
-            self.slots.len() - 1
-        };
-        if slot as u64 > SLOT_MASK {
-            self.slots.pop();
-            return Err(SimError::EventOverflow { lane });
-        }
-        self.slots[slot] = Some(event);
+    pub fn push_lane(&mut self, lane: u32, at: u64, event: E) {
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.heap
-            .push(Reverse((at, lane, (seq << SLOT_BITS) | slot as u64)));
-        Ok(())
+        self.heap.push(Reverse(Entry {
+            at,
+            lane,
+            seq,
+            event,
+        }));
     }
 
     /// Earliest pending cycle, if any.
     pub fn min_time(&self) -> Option<u64> {
-        self.heap.peek().map(|Reverse((at, _, _))| *at)
+        self.heap.peek().map(|Reverse(e)| e.at)
     }
 
     /// Pop the earliest event; ties resolve by lane, then insertion order.
     pub fn pop(&mut self) -> Option<(u64, E)> {
-        let Reverse((at, _, key)) = self.heap.pop()?;
-        let slot = (key & SLOT_MASK) as usize;
-        let event = self.slots[slot].take().expect("event slot empty");
-        self.free.push(slot);
-        Some((at, event))
+        self.heap.pop().map(|Reverse(e)| (e.at, e.event))
     }
 
     /// Pop the earliest event if it fires before cycle `end`.
@@ -138,22 +150,12 @@ mod tests {
     #[test]
     fn lanes_break_ties_before_insertion_order() {
         let mut q = EventQueue::new();
-        q.try_push_lane(2, 5, 'a').unwrap();
-        q.try_push_lane(0, 5, 'b').unwrap();
-        q.try_push_lane(1, 5, 'c').unwrap();
+        q.push_lane(2, 5, 'a');
+        q.push_lane(0, 5, 'b');
+        q.push_lane(1, 5, 'c');
         assert_eq!(q.pop(), Some((5, 'b')));
         assert_eq!(q.pop(), Some((5, 'c')));
         assert_eq!(q.pop(), Some((5, 'a')));
-    }
-
-    #[test]
-    fn slots_are_recycled() {
-        let mut q = EventQueue::new();
-        for round in 0..100u64 {
-            q.push(round, round);
-            assert_eq!(q.pop(), Some((round, round)));
-        }
-        assert!(q.is_empty());
     }
 
     #[test]

@@ -129,7 +129,7 @@ struct RoundIo<'a> {
 }
 
 impl RoundIo<'_> {
-    fn push(&mut self, lane: u32, at: u64, ev: Ev) -> Result<(), SimError> {
+    fn push(&mut self, lane: u32, at: u64, ev: Ev) {
         let (t0, l0) = self.trigger;
         if lane != l0 {
             debug_assert!(
@@ -142,9 +142,8 @@ impl RoundIo<'_> {
         }
         if matches!(ev, Ev::Fetch(_)) && at < self.round_end {
             self.batch.push(at, lane, DevOp::Fetch);
-            Ok(())
         } else {
-            self.events.try_push_lane(lane, at, ev)
+            self.events.push_lane(lane, at, ev);
         }
     }
 }
@@ -227,8 +226,7 @@ impl Machine {
     /// exceeding the configured capacity), [`SimError::Deadlock`] if the
     /// event queue drains with cores still waiting — both indicate an
     /// invalid program/configuration pair, not a data-dependent condition —
-    /// [`SimError::EventOverflow`] if the event queue exceeds its slot
-    /// store, and [`SimError::Config`] if the machine has no cores, more
+    /// and [`SimError::Config`] if the machine has no cores, more
     /// than the 64 the coherence directory can track, or a cache geometry
     /// the tag stores cannot address.
     pub fn run(
@@ -306,7 +304,7 @@ impl Machine {
         let mut events_done = 0u64;
 
         for c in 0..cores {
-            events.try_push_lane(c, 0, Ev::Fetch(c))?;
+            events.push_lane(c, 0, Ev::Fetch(c));
         }
 
         while let Some(t0) = events.min_time() {
@@ -319,9 +317,7 @@ impl Machine {
                     Ev::Chunk(c) => {
                         let s = &mut states[c as usize];
                         match run_chunk(s, c, t, &mut mem) {
-                            ChunkOut::Continue(now) => {
-                                events.try_push_lane(c, now, Ev::Chunk(c))?
-                            }
+                            ChunkOut::Continue(now) => events.push_lane(c, now, Ev::Chunk(c)),
                             ChunkOut::Done(now) => batch.push(t, c, DevOp::Complete { now }),
                         }
                     }
@@ -424,7 +420,7 @@ impl Machine {
         source: &dyn WorkSource,
         states: &mut [CoreState],
         io: &mut RoundIo<'_>,
-    ) -> Result<(), SimError> {
+    ) {
         let s = &mut states[c as usize];
         s.current = Some((inst, epoch));
         s.started = start;
@@ -434,7 +430,7 @@ impl Machine {
         let chunks = s.work.accesses.len().div_ceil(CHUNK).max(1) as u64;
         s.compute_per_chunk = s.work.compute / chunks;
         s.compute_rem = s.work.compute % chunks;
-        io.push(c, start, Ev::Chunk(c))
+        io.push(c, start, Ev::Chunk(c));
     }
 
     fn handle_fetch(
@@ -449,7 +445,7 @@ impl Machine {
             DevFetch::Thread(inst, ep, at) => {
                 let start = at + dev.kernel_overhead();
                 states[c as usize].tsu_time += start - t;
-                Self::begin_instance(c, start, inst, ep, source, states, io)?;
+                Self::begin_instance(c, start, inst, ep, source, states, io);
             }
             DevFetch::Parked => {
                 states[c as usize].parked_since = t;
@@ -482,7 +478,7 @@ impl Machine {
         let (core_free, ready_at) = dev.complete(c, now, inst, epoch)?;
         let next_fetch = core_free + dev.kernel_overhead();
         states[c as usize].tsu_time += next_fetch - now;
-        io.push(c, next_fetch, Ev::Fetch(c))?;
+        io.push(c, next_fetch, Ev::Fetch(c));
 
         // Wake parked cores: after post-processing, ready DThreads (or the
         // Exit condition) become visible at `ready_at`.
@@ -502,7 +498,7 @@ impl Machine {
                             let start = at + dev.kernel_overhead();
                             states[p as usize].idle += ready_at.saturating_sub(parked_since);
                             states[p as usize].tsu_time += start - ready_at;
-                            Self::begin_instance(p, start, pi, pep, source, states, io)?;
+                            Self::begin_instance(p, start, pi, pep, source, states, io);
                             budget = budget.saturating_sub(1);
                         }
                         DevFetch::Parked => {}

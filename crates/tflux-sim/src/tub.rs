@@ -52,9 +52,6 @@ enum Ev {
 /// `segments`-way TUB (at least 1) in front of one Emulator core. The
 /// Emulator runs on lane 0 and pusher `p` on lane `p + 1`, so same-cycle
 /// ties go to the Emulator, then to lower pushers.
-///
-/// # Panics
-/// If `pushers` reaches 2^20: each pusher has one event outstanding.
 pub fn simulate(pushers: u32, segments: u32, pushes: u32) -> TubStats {
     let costs = TsuCosts::soft();
     let n = segments.max(1) as usize;
@@ -68,7 +65,7 @@ pub fn simulate(pushers: u32, segments: u32, pushes: u32) -> TubStats {
     if pushes > 0 {
         for p in 0..pushers {
             let i = p as usize;
-            schedule(&mut events, p + 1, asked[i], Ev::Push(p, i % n));
+            events.push_lane(p + 1, asked[i], Ev::Push(p, i % n));
         }
     }
     let (mut hint, mut cursor, mut emulator_idle) = (pushers as usize, 0, true);
@@ -83,7 +80,7 @@ pub fn simulate(pushers: u32, segments: u32, pushes: u32) -> TubStats {
                 stats.busy_hits += free.map_or(n, |s| (s + n - start) % n) as u64;
                 let Some(s) = free else {
                     let retry = held_until.iter().copied().min().unwrap_or(now);
-                    schedule(&mut events, p + 1, retry, ev);
+                    events.push_lane(p + 1, retry, ev);
                     continue;
                 };
                 let (i, released) = (p as usize, now + costs.access);
@@ -93,12 +90,12 @@ pub fn simulate(pushers: u32, segments: u32, pushes: u32) -> TubStats {
                 stats.push_cycles += released - asked[i];
                 if emulator_idle {
                     emulator_idle = false;
-                    schedule(&mut events, 0, released, Ev::Drain);
+                    events.push_lane(0, released, Ev::Drain);
                 }
                 left[i] -= 1;
                 if left[i] > 0 {
                     asked[i] = released + think;
-                    schedule(&mut events, p + 1, asked[i], Ev::Push(p, hint % n));
+                    events.push_lane(p + 1, asked[i], Ev::Push(p, hint % n));
                     hint += 1;
                 }
             }
@@ -112,24 +109,18 @@ pub fn simulate(pushers: u32, segments: u32, pushes: u32) -> TubStats {
                 };
                 if held_until[s] > now {
                     // a blocking lock: the Emulator takes it at release
-                    schedule(&mut events, 0, held_until[s], Ev::Drain);
+                    events.push_lane(0, held_until[s], Ev::Drain);
                     continue;
                 }
                 held_until[s] = now + queued[s] * costs.op;
                 queued[s] = 0;
                 cursor = (s + 1) % n;
-                schedule(&mut events, 0, held_until[s], Ev::Drain);
+                events.push_lane(0, held_until[s], Ev::Drain);
             }
         }
     }
     debug_assert!(queued.iter().all(|&k| k == 0), "undrained entries");
     stats
-}
-
-fn schedule(events: &mut EventQueue<Ev>, lane: u32, at: u64, ev: Ev) {
-    events
-        .try_push_lane(lane, at, ev)
-        .expect("pushers + 1 events outstanding");
 }
 
 #[cfg(test)]

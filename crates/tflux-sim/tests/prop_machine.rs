@@ -1,51 +1,18 @@
-//! Property tests of the full machine: random programs with random work
+//! Property tests of the full machine: generated programs with random work
 //! models always complete every instance, produce physically consistent
 //! traces, and respect the work/span lower bound.
 
 use tflux_core::prelude::*;
-use tflux_core::rng::{cases, SplitMix64};
+use tflux_core::rng::{cases, program};
 use tflux_sim::work::{FnWork, InstanceWork};
 use tflux_sim::{Machine, MachineConfig};
-
-#[derive(Debug, Clone)]
-struct Desc {
-    layers: Vec<u32>,
-    blocks: u32,
-    cores: u32,
-    base_cost: u64,
-}
-
-fn desc(rng: &mut SplitMix64) -> Desc {
-    Desc {
-        layers: (0..rng.range(1..4)).map(|_| rng.range(1u32..10)).collect(),
-        blocks: rng.range(1u32..3),
-        cores: rng.range(1u32..9),
-        base_cost: rng.range(10u64..5_000),
-    }
-}
-
-fn build(d: &Desc) -> DdmProgram {
-    let mut b = ProgramBuilder::new();
-    for _ in 0..d.blocks {
-        let blk = b.block();
-        let mut prev: Option<ThreadId> = None;
-        for (li, &arity) in d.layers.iter().enumerate() {
-            let t = b.thread(blk, ThreadSpec::new(format!("l{li}"), arity));
-            if let Some(p) = prev {
-                b.arc(p, t, ArcMapping::All).unwrap();
-            }
-            prev = Some(t);
-        }
-    }
-    b.build().unwrap()
-}
 
 #[test]
 fn machine_completes_arbitrary_programs() {
     cases(64, |rng| {
-        let d = desc(rng);
-        let p = build(&d);
-        let base = d.base_cost;
+        let cores = rng.range(1u32..9);
+        let base = rng.range(10u64..5_000);
+        let p = program(rng, 2);
         let src = FnWork(move |i: Instance, out: &mut InstanceWork| {
             out.compute = base + i.context.0 as u64 * 7;
             // touch a private line now and then
@@ -55,7 +22,7 @@ fn machine_completes_arbitrary_programs() {
                 ));
             }
         });
-        let m = Machine::new(MachineConfig::bagle(d.cores));
+        let m = Machine::new(MachineConfig::bagle(cores));
         let (report, trace) = m.run_traced(&p, &src).expect("sim run");
         assert_eq!(report.instances, p.total_instances());
         assert_eq!(report.tsu.completions as usize, p.total_instances());
@@ -78,7 +45,7 @@ fn machine_completes_arbitrary_programs() {
             ws.span
         );
         // nor beat perfect parallelism over the cores
-        assert!((report.cycles as f64) * (d.cores as f64) >= ws.work);
+        assert!((report.cycles as f64) * (cores as f64) >= ws.work);
     });
 }
 

@@ -8,14 +8,14 @@
 //! the run is complete and repeats bit for bit.
 
 use tflux_core::prelude::*;
-use tflux_core::rng::{cases, SplitMix64};
+use tflux_core::rng::{cases, program, SplitMix64};
 use tflux_sim::config::TsuCosts;
 use tflux_sim::work::{FnWork, InstanceWork};
 use tflux_sim::{Machine, MachineConfig, SimReport};
 
 #[derive(Debug, Clone)]
 struct Draw {
-    layers: Vec<u32>,
+    program: DdmProgram,
     cores: u32,
     xeon: bool,
     base_cost: u64,
@@ -25,7 +25,7 @@ struct Draw {
 
 fn draw(rng: &mut SplitMix64) -> Draw {
     Draw {
-        layers: (0..rng.range(1..4)).map(|_| rng.range(1u32..8)).collect(),
+        program: program(rng, 2),
         cores: rng.range(2u32..9),
         xeon: rng.chance(1, 2),
         base_cost: rng.range(10u64..3_000),
@@ -42,20 +42,6 @@ fn draw(rng: &mut SplitMix64) -> Draw {
     }
 }
 
-fn build(layers: &[u32]) -> DdmProgram {
-    let mut b = ProgramBuilder::new();
-    let blk = b.block();
-    let mut prev: Option<ThreadId> = None;
-    for (li, &arity) in layers.iter().enumerate() {
-        let t = b.thread(blk, ThreadSpec::new(format!("l{li}"), arity));
-        if let Some(p) = prev {
-            b.arc(p, t, ArcMapping::All).unwrap();
-        }
-        prev = Some(t);
-    }
-    b.build().unwrap()
-}
-
 fn config(d: &Draw) -> MachineConfig {
     let cfg = if d.xeon {
         MachineConfig::xeon_x3650(d.cores)
@@ -65,7 +51,7 @@ fn config(d: &Draw) -> MachineConfig {
     cfg.with_tsu(d.tsu)
 }
 
-fn run(d: &Draw, p: &DdmProgram) -> SimReport {
+fn run(d: &Draw) -> SimReport {
     let base = d.base_cost;
     let src = FnWork(move |i: Instance, out: &mut InstanceWork| {
         out.compute = base + i.context.0 as u64 * 13;
@@ -81,7 +67,7 @@ fn run(d: &Draw, p: &DdmProgram) -> SimReport {
     });
     Machine::new(config(d))
         .with_epochs(d.epochs)
-        .run(p, &src)
+        .run(&d.program, &src)
         .expect("sim run")
 }
 
@@ -93,12 +79,11 @@ fn run(d: &Draw, p: &DdmProgram) -> SimReport {
 fn window_invariant_holds_for_random_tsu_costs() {
     cases(48, |rng| {
         let d = draw(rng);
-        let p = build(&d.layers);
-        let first = run(&d, &p);
+        let first = run(&d);
         assert_eq!(
             first.instances as u64,
-            d.epochs * p.total_instances() as u64
+            d.epochs * d.program.total_instances() as u64
         );
-        assert_eq!(format!("{first:?}"), format!("{:?}", run(&d, &p)));
+        assert_eq!(format!("{first:?}"), format!("{:?}", run(&d)));
     });
 }

@@ -1,82 +1,118 @@
-//! The portability claim: one DDM program, three platforms. The same
-//! `DdmProgram` must execute completely — with identical instance counts
-//! and block sequencing — on the threaded runtime, the hardware-TSU
-//! simulator, and the Cell model; and a DDMCPP module must lower onto all
-//! of them.
+//! The portability claim: one DDM program, three platforms. Every
+//! generated program (`rng::program`) must execute completely, with the
+//! same scheduling bookkeeping, on five executors: the sequential
+//! reference (`drain_sequential`), the threaded runtime, a one-tenant
+//! `ProgramServer`, the hardware-TSU simulator and the Cell model; and a
+//! DDMCPP module must lower onto all of them.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 use tflux::cell::work::{CellWork, FnCellWork};
 use tflux::cell::{CellConfig, CellMachine};
 use tflux::core::prelude::*;
+use tflux::core::rng::{cases, program, SplitMix64};
+use tflux::core::trace::ExecTrace;
+use tflux::core::tsu::{drain_sequential, TsuStats};
 use tflux::ddmcpp;
-use tflux::runtime::{BodyTable, Runtime, RuntimeConfig};
+use tflux::runtime::{
+    BodyTable, ProgramServer, Runtime, RuntimeConfig, ServerConfig, Submission, Submit,
+};
 use tflux::sim::work::{FnWork, InstanceWork};
 use tflux::sim::{Machine, MachineConfig};
 
-/// A program exercising every mapping kind across two blocks.
-fn rich_program() -> DdmProgram {
-    let mut b = ProgramBuilder::new();
-    let b1 = b.block();
-    let src = b.thread(b1, ThreadSpec::scalar("src"));
-    let stage = b.thread(b1, ThreadSpec::new("stage", 12));
-    let pair = b.thread(b1, ThreadSpec::new("pair", 12));
-    let merge = b.thread(b1, ThreadSpec::new("merge", 6));
-    let sink = b.thread(b1, ThreadSpec::scalar("sink"));
-    b.arc(src, stage, ArcMapping::Broadcast).unwrap();
-    b.arc(stage, pair, ArcMapping::OneToOne).unwrap();
-    b.arc(pair, merge, ArcMapping::Group { factor: 2 }).unwrap();
-    b.arc(merge, sink, ArcMapping::Reduction).unwrap();
-    let b2 = b.block();
-    let post = b.thread(b2, ThreadSpec::new("post", 8));
-    let fin = b.thread(b2, ThreadSpec::scalar("fin"));
-    b.arc(post, fin, ArcMapping::Reduction).unwrap();
-    b.build().unwrap()
+/// The counters no executor may disagree on.
+fn bookkeeping(s: &TsuStats) -> [u64; 4] {
+    [s.completions, s.fetches, s.rc_updates, s.blocks_loaded]
+}
+
+/// The instances a trace completed, as a sorted multiset.
+fn completed(trace: &ExecTrace) -> Vec<Instance> {
+    let mut done: Vec<Instance> = trace.spans.iter().map(|s| s.instance).collect();
+    done.sort_unstable();
+    done
+}
+
+/// One generated case: kernel count, per-instance base cost, program.
+fn draw(rng: &mut SplitMix64) -> (u32, u64, Arc<DdmProgram>) {
+    let kernels = rng.range(1u32..5);
+    let cost = rng.range(100u64..1_000);
+    (kernels, cost, Arc::new(program(rng, kernels)))
+}
+
+fn sim_work(cost: u64) -> FnWork<impl Fn(Instance, &mut InstanceWork)> {
+    FnWork(move |i: Instance, out: &mut InstanceWork| {
+        out.compute = cost + i.context.0 as u64 * 13;
+    })
+}
+
+fn cell_work(cost: u64) -> FnCellWork<impl Fn(Instance) -> CellWork> {
+    FnCellWork(move |i: Instance| CellWork {
+        compute: cost + i.context.0 as u64 * 13,
+        import_bytes: 256,
+        export_bytes: 128,
+        ls_bytes: 8192,
+    })
 }
 
 #[test]
 fn same_program_runs_on_all_three_platforms() {
-    let program = rich_program();
-    let expect = program.total_instances();
+    cases(32, |rng| {
+        let (kernels, cost, p) = draw(rng);
 
-    // 1. TFluxSoft: real threads
-    let count = AtomicUsize::new(0);
-    let mut bodies = BodyTable::new(&program);
-    for t in 0..program.threads().len() {
-        let count = &count;
-        bodies.set(ThreadId(t as u32), move |_| {
-            count.fetch_add(1, Ordering::Relaxed);
-        });
-    }
-    let soft = Runtime::new(RuntimeConfig::with_kernels(3))
-        .run(&program, &bodies)
-        .unwrap();
-    drop(bodies);
-    assert_eq!(count.load(Ordering::Relaxed), expect);
-    assert_eq!(soft.tsu.completions as usize, expect);
+        // the oracle: one thread drains the TSU, completing through funnels
+        let oracle = Tsu::new(&*p, kernels, TsuConfig::default());
+        let mut order = drain_sequential(&oracle).unwrap();
+        order.sort_unstable();
+        let expect = bookkeeping(&oracle.stats());
+        assert_eq!(order.len(), p.total_instances());
 
-    // 2. TFluxHard: simulated hardware TSU
-    let src = FnWork(|_: Instance, out: &mut InstanceWork| {
-        out.compute = 500;
+        // TFluxSoft: kernel threads, then a one-tenant server pool
+        let bodies = BodyTable::new(&p); // no-op bodies: scheduling only
+        let (soft, trace) = Runtime::new(RuntimeConfig::with_kernels(kernels))
+            .run_traced(&p, &bodies)
+            .unwrap();
+        assert_eq!(bookkeeping(&soft.tsu), expect, "runtime");
+        assert_eq!(completed(&trace), order, "runtime");
+        let server = ProgramServer::start(ServerConfig::with_kernels(kernels));
+        let tenant = Submission::new(Arc::clone(&p), BodyTable::new(&p));
+        let served = server
+            .submit(tenant, Submit::Block)
+            .unwrap()
+            .wait()
+            .unwrap();
+        server.shutdown();
+        assert_eq!(bookkeeping(&served.tsu), expect, "server");
+
+        // TFluxHard: the simulated hardware TSU
+        let hard = Machine::new(MachineConfig::bagle(kernels));
+        let (report, trace) = hard.run_traced(&p, &sim_work(cost)).unwrap();
+        assert_eq!(bookkeeping(&report.tsu), expect, "sim");
+        assert_eq!(completed(&trace), order, "sim");
+
+        // TFluxCell: the simulated PS3
+        let cell = CellMachine::new(CellConfig::ps3().with_spes(kernels));
+        let report = cell.run(&p, &cell_work(cost)).unwrap();
+        assert_eq!(bookkeeping(&report.tsu), expect, "cell");
     });
-    let hard = Machine::new(MachineConfig::bagle(4))
-        .run(&program, &src)
-        .unwrap();
-    assert_eq!(hard.instances, expect);
-    assert_eq!(hard.tsu.blocks_loaded, 2);
+}
 
-    // 3. TFluxCell: simulated PS3
-    let src = FnCellWork(|_: Instance| CellWork::compute(500, 4096));
-    let cell = CellMachine::new(CellConfig::ps3())
-        .run(&program, &src)
-        .unwrap();
-    assert_eq!(cell.instances, expect);
-    assert_eq!(cell.tsu.blocks_loaded, 2);
-
-    // identical scheduling bookkeeping everywhere
-    assert_eq!(soft.tsu.completions, hard.tsu.completions);
-    assert_eq!(hard.tsu.completions, cell.tsu.completions);
-    assert_eq!(soft.tsu.rc_updates, hard.tsu.rc_updates);
-    assert_eq!(hard.tsu.rc_updates, cell.tsu.rc_updates);
+#[test]
+fn deterministic_simulators_cross_check() {
+    // the two event-driven platforms repeat bit for bit on every case
+    cases(32, |rng| {
+        let (kernels, cost, p) = draw(rng);
+        let hard = Machine::new(MachineConfig::bagle(kernels));
+        let src = sim_work(cost);
+        assert_eq!(
+            format!("{:?}", hard.run(&p, &src).unwrap()),
+            format!("{:?}", hard.run(&p, &src).unwrap())
+        );
+        let cell = CellMachine::new(CellConfig::ps3().with_spes(kernels));
+        let src = cell_work(cost);
+        assert_eq!(
+            format!("{:?}", cell.run(&p, &src).unwrap()),
+            format!("{:?}", cell.run(&p, &src).unwrap())
+        );
+    });
 }
 
 const DDM_SOURCE: &str = r#"
@@ -138,34 +174,4 @@ fn ddmcpp_generates_for_every_backend() {
     assert!(sim.contains("MachineConfig::bagle"));
     let cell = ddmcpp::preprocess(DDM_SOURCE, ddmcpp::Backend::Cell).unwrap();
     assert!(cell.contains("CellConfig::ps3"));
-}
-
-#[test]
-fn deterministic_simulators_cross_check() {
-    // the two event-driven platforms are bit-deterministic across runs
-    let program = rich_program();
-    let src = FnWork(|i: Instance, out: &mut InstanceWork| {
-        out.compute = 100 + i.context.0 as u64 * 13;
-    });
-    let a = Machine::new(MachineConfig::bagle(5))
-        .run(&program, &src)
-        .unwrap();
-    let b = Machine::new(MachineConfig::bagle(5))
-        .run(&program, &src)
-        .unwrap();
-    assert_eq!(a.cycles, b.cycles);
-
-    let csrc = FnCellWork(|i: Instance| CellWork {
-        compute: 100 + i.context.0 as u64 * 13,
-        import_bytes: 256,
-        export_bytes: 128,
-        ls_bytes: 8192,
-    });
-    let ca = CellMachine::new(CellConfig::ps3())
-        .run(&program, &csrc)
-        .unwrap();
-    let cb = CellMachine::new(CellConfig::ps3())
-        .run(&program, &csrc)
-        .unwrap();
-    assert_eq!(ca.cycles, cb.cycles);
 }
