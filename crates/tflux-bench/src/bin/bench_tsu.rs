@@ -1,8 +1,9 @@
-//! Measure the TSU completion hot path and write `BENCH_tsu.json` at the
-//! workspace root: the serialized single-drainer baseline (the pre-split
-//! emulator model, one thread performing every ready-count update), the
-//! and the lock-free direct-update path (one completing thread per kernel,
-//! `fetch_sub` on atomic ready-count slots) on the same host.
+//! Measure the shipping TSU layers and write `BENCH_tsu.json` at the
+//! workspace root: direct vs. funneled completion into a hot sink
+//! (`funnel`), consecutive streaming epochs (`streaming`), work stealing
+//! and workload scaling in simulated cycles (`steal`, `scaling`), the
+//! simulator's memory system (`memsys`), the program server's wake-ups
+//! (`server`) and what a threaded `Tsu` allocates (`construction`).
 //!
 //! ```sh
 //! cargo run --release -p tflux-bench --bin bench_tsu            # write BENCH_tsu.json
@@ -20,9 +21,9 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use tflux_bench::json::{Json, ToJson};
 use tflux_bench::tsu_path::{
-    armed, balanced_fanout, complete_interleaved, fanout_reduce, imbalanced_fanout, measure,
-    measure_stream, memsys_stream, pipeline, reduction, server_mix, sim_makespan, sim_scaling,
-    MemStream, MemsysMeasure, ServerMeasure, SERVER_KERNELS, SERVER_PROGRAMS,
+    armed, balanced_fanout, complete_interleaved, fanout_reduce, imbalanced_fanout, measure_stream,
+    memsys_stream, pipeline, reduction, server_mix, sim_makespan, sim_scaling, MemStream,
+    MemsysMeasure, ScalingMeasure, ServerMeasure, StreamMeasure, SERVER_KERNELS, SERVER_PROGRAMS,
 };
 use tflux_core::tsu::{drain_sequential, SyncMemory, Tsu, TsuConfig};
 use tflux_sim::MachineConfig;
@@ -79,43 +80,6 @@ const STEAL_ARITY: u32 = 256;
 /// Uniform compute cycles per instance in the steal scenarios.
 const STEAL_WORK: u64 = 200;
 
-struct Row {
-    path: &'static str,
-    kernels: u32,
-    ns_total: u64,
-    ns_per_completion: f64,
-    completions_per_sec: f64,
-}
-
-impl ToJson for Row {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("path", self.path.to_json()),
-            ("kernels", self.kernels.to_json()),
-            ("ns_total", self.ns_total.to_json()),
-            ("ns_per_completion", self.ns_per_completion.to_json()),
-            ("completions_per_sec", self.completions_per_sec.to_json()),
-        ])
-    }
-}
-
-struct Speedup {
-    kernels: u32,
-    lockfree_over_serialized: f64,
-}
-
-impl ToJson for Speedup {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("kernels", self.kernels.to_json()),
-            (
-                "lockfree_over_serialized",
-                self.lockfree_over_serialized.to_json(),
-            ),
-        ])
-    }
-}
-
 /// One funnel-on vs funnel-off comparison on the reduction scenario.
 /// The counters are deterministic (the driver interleaves round-robin);
 /// only the wall-clock fields vary between hosts.
@@ -152,26 +116,19 @@ impl ToJson for FunnelRow {
 /// place at every wrap. The wrap columns price the epoch turnaround
 /// (`retire_epoch` + `open_epoch`) against the steady-state completion
 /// work it buys.
-struct StreamRow {
-    kernels: u32,
-    epochs: u64,
-    ns_total: u64,
-    completions: u64,
-    completions_per_sec: f64,
-    wrap_ns_per_epoch: f64,
-    wrap_fraction: f64,
-}
+struct StreamRow(u32, StreamMeasure);
 
 impl ToJson for StreamRow {
     fn to_json(&self) -> Json {
+        let StreamRow(kernels, m) = self;
         Json::obj([
-            ("kernels", self.kernels.to_json()),
-            ("epochs", self.epochs.to_json()),
-            ("ns_total", self.ns_total.to_json()),
-            ("completions", self.completions.to_json()),
-            ("completions_per_sec", self.completions_per_sec.to_json()),
-            ("wrap_ns_per_epoch", self.wrap_ns_per_epoch.to_json()),
-            ("wrap_fraction", self.wrap_fraction.to_json()),
+            ("kernels", kernels.to_json()),
+            ("epochs", m.epochs.to_json()),
+            ("ns_total", m.ns_total.to_json()),
+            ("completions", m.completions.to_json()),
+            ("completions_per_sec", m.completions_per_sec().to_json()),
+            ("wrap_ns_per_epoch", m.wrap_ns_per_epoch().to_json()),
+            ("wrap_fraction", m.wrap_fraction().to_json()),
         ])
     }
 }
@@ -212,28 +169,24 @@ impl ToJson for StealRow {
 /// happens to have.
 struct ScalingRow {
     topology: &'static str,
-    bench: &'static str,
+    bench: Bench,
     cores: u32,
-    sim_cycles: u64,
-    seq_cycles: u64,
-    speedup: f64,
-    remote_node: u64,
-    channel_wait: u64,
-    steals: u64,
+    m: ScalingMeasure,
 }
 
 impl ToJson for ScalingRow {
     fn to_json(&self) -> Json {
+        let m = &self.m;
         Json::obj([
             ("topology", self.topology.to_json()),
-            ("bench", self.bench.to_json()),
+            ("bench", self.bench.name().to_json()),
             ("cores", self.cores.to_json()),
-            ("sim_cycles", self.sim_cycles.to_json()),
-            ("seq_cycles", self.seq_cycles.to_json()),
-            ("speedup", self.speedup.to_json()),
-            ("remote_node", self.remote_node.to_json()),
-            ("channel_wait", self.channel_wait.to_json()),
-            ("steals", self.steals.to_json()),
+            ("sim_cycles", m.sim_cycles.to_json()),
+            ("seq_cycles", m.seq_cycles.to_json()),
+            ("speedup", m.speedup.to_json()),
+            ("remote_node", m.remote_node.to_json()),
+            ("channel_wait", m.channel_wait.to_json()),
+            ("steals", m.steals.to_json()),
         ])
     }
 }
@@ -359,8 +312,6 @@ struct Report {
     host_threads: usize,
     wall_clock_note: &'static str,
     arity: u32,
-    rows: Vec<Row>,
-    speedups: Vec<Speedup>,
     funnel: Vec<FunnelRow>,
     streaming: Vec<StreamRow>,
     steal: Vec<StealRow>,
@@ -378,8 +329,6 @@ impl ToJson for Report {
             ("host_threads", self.host_threads.to_json()),
             ("wall_clock_note", self.wall_clock_note.to_json()),
             ("arity", self.arity.to_json()),
-            ("rows", self.rows.to_json()),
-            ("speedups", self.speedups.to_json()),
             ("funnel", self.funnel.to_json()),
             ("streaming", self.streaming.to_json()),
             ("steal", self.steal.to_json()),
@@ -391,12 +340,12 @@ impl ToJson for Report {
     }
 }
 
-/// The ns_* fields of `rows`/`speedups`/`funnel`/`streaming`,
+/// The ns_* fields of `funnel`/`streaming`,
 /// `memsys.host_ns_per_access` and `server.host_us_per_program` are wall
 /// clock and depend on the host; `steal`, `scaling` and the other `memsys`
 /// columns are simulated and the other `server` columns are counts fixed
 /// by the mix and `construction` counts allocations, identical on any host.
-const WALL_CLOCK_NOTE: &str = "rows/speedups/funnel/streaming ns fields, memsys \
+const WALL_CLOCK_NOTE: &str = "funnel/streaming ns fields, memsys \
      host_ns_per_access and server host_us_per_program are wall clock and vary with the host; \
      steal, scaling and the other memsys columns are simulated, the other server columns are \
      counts fixed by the mix, construction counts allocations, host-independent";
@@ -414,40 +363,11 @@ fn scaling_machines() -> [(&'static str, MachineConfig); 2] {
 }
 
 fn scaling_row(topology: &'static str, bench: Bench, cfg: MachineConfig) -> ScalingRow {
-    let m = sim_scaling(bench, cfg);
     ScalingRow {
         topology,
-        bench: bench.name(),
+        bench,
         cores: cfg.cores,
-        sim_cycles: m.sim_cycles,
-        seq_cycles: m.seq_cycles,
-        speedup: m.speedup,
-        remote_node: m.remote_node,
-        channel_wait: m.channel_wait,
-        steals: m.steals,
-    }
-}
-
-/// Best-of-`RUNS` after warmup: the completion path is short enough that
-/// the minimum is the least noisy central estimate.
-fn best(program: &tflux_core::DdmProgram, kernels: u32, sharded: bool) -> u64 {
-    for _ in 0..WARMUP {
-        measure(program, kernels, sharded);
-    }
-    (0..RUNS)
-        .map(|_| measure(program, kernels, sharded))
-        .min()
-        .unwrap()
-}
-
-fn row(path: &'static str, kernels: u32, ns_total: u64) -> Row {
-    let n = ARITY as f64;
-    Row {
-        path,
-        kernels,
-        ns_total,
-        ns_per_completion: ns_total as f64 / n,
-        completions_per_sec: n / (ns_total as f64 / 1e9),
+        m: sim_scaling(bench, cfg),
     }
 }
 
@@ -489,23 +409,12 @@ fn funnel_row(kernels: u32) -> FunnelRow {
 /// `measure_stream` on every run, warmup included.
 fn stream_row(kernels: u32) -> StreamRow {
     let program = pipeline(ARITY);
-    let mut best: Option<tflux_bench::tsu_path::StreamMeasure> = None;
-    for i in 0..WARMUP + RUNS {
-        let m = measure_stream(&program, kernels, STREAM_EPOCHS);
-        if i >= WARMUP && best.is_none_or(|b| m.ns_total < b.ns_total) {
-            best = Some(m);
-        }
-    }
-    let m = best.unwrap();
-    StreamRow {
-        kernels,
-        epochs: m.epochs,
-        ns_total: m.ns_total,
-        completions: m.completions,
-        completions_per_sec: m.completions_per_sec(),
-        wrap_ns_per_epoch: m.wrap_ns_per_epoch(),
-        wrap_fraction: m.wrap_fraction(),
-    }
+    let best = (0..WARMUP + RUNS)
+        .map(|_| measure_stream(&program, kernels, STREAM_EPOCHS))
+        .skip(WARMUP)
+        .min_by_key(|m| m.ns_total)
+        .unwrap();
+    StreamRow(kernels, best)
 }
 
 /// One steal-on vs steal-off comparison at `cores` cores (simulated).
@@ -731,21 +640,6 @@ fn main() {
     if std::env::args().any(|a| a == "--check") {
         check();
     }
-    let program = pipeline(ARITY);
-    let mut rows = Vec::new();
-    let mut speedups = Vec::new();
-    for &k in &KERNELS {
-        let serial = best(&program, k, false);
-        rows.push(row("serialized_single_drainer", k, serial));
-        if k > 1 {
-            let lockfree = best(&program, k, true);
-            rows.push(row("lockfree_direct_update", k, lockfree));
-            speedups.push(Speedup {
-                kernels: k,
-                lockfree_over_serialized: serial as f64 / lockfree as f64,
-            });
-        }
-    }
     let funnel = KERNELS
         .iter()
         .filter(|&&k| k > 1)
@@ -777,8 +671,6 @@ fn main() {
             .unwrap_or(1),
         wall_clock_note: WALL_CLOCK_NOTE,
         arity: ARITY,
-        rows,
-        speedups,
         funnel,
         streaming,
         steal,

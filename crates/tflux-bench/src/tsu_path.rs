@@ -1,29 +1,29 @@
-//! The TSU fetch/complete hot path, isolated for measurement.
+//! The scenarios `bench_tsu` measures (it writes `BENCH_tsu.json`), one
+//! per shipping layer:
 //!
-//! Before the TSU decomposition, every App completion funneled through
-//! the single TSU-owner thread (the TFluxSoft emulator): kernels published
-//! instance ids and one thread performed all ready-count updates. After
-//! the split, kernels call [`SyncMemory::complete`] themselves; the
-//! ready counts now live in a lock-free table of atomic slots. This module
-//! builds the paths on the *same* `SyncMemory` so the `bench_tsu` binary
-//! (which writes `BENCH_tsu.json`) compares exactly the completion work,
-//! with no body execution or queue noise. (The locked-shard interior the
-//! table replaced was kept here as a reference until its numbers were
-//! frozen in EXPERIMENTS.md, "SM completion path".)
+//! * the completion funnel: App completions into one hot sink, completed
+//!   directly or in batches on the same [`SyncMemory`], in a
+//!   deterministic round-robin over the kernels ([`complete_interleaved`]);
+//! * streaming epochs: consecutive passes through one windowed
+//!   `SyncMemory` ([`measure_stream`]);
+//! * work stealing and workload scaling, in simulated cycles on the
+//!   `tflux-sim` machine ([`sim_makespan`], [`sim_scaling`]);
+//! * synthetic streams through the simulator's memory system
+//!   ([`memsys_stream`]);
+//! * a fixed mix of small programs through a `ProgramServer`
+//!   ([`server_mix`]).
+//!
+//! Every scenario's counts repeat exactly; only its wall-clock fields
+//! depend on the host.
 
 use std::time::Instant;
 use tflux_core::ids::Epoch;
 use tflux_core::prelude::*;
 use tflux_core::tsu::SyncMemory;
 
-/// A two-stage `OneToOne` pipeline of `arity` instances per stage.
-///
-/// Every `produce[i]` completion decrements `consume[i]`'s ready count
-/// through the shard of `consume[i]`'s owning kernel, so with the range
-/// partition the update traffic of different kernels lands on different
-/// shards — the case the sharding is designed for. The final reduction
-/// into `sink` is *not* part of the measured set; it is the funnel case
-/// the per-shard `contended` counter diagnoses at run time.
+/// A two-stage `OneToOne` pipeline of `arity` instances per stage,
+/// reduced into one scalar `sink`: the program the streaming scenario
+/// drives pass after pass.
 pub fn pipeline(arity: u32) -> DdmProgram {
     let mut b = ProgramBuilder::new();
     let blk = b.block();
@@ -35,9 +35,9 @@ pub fn pipeline(arity: u32) -> DdmProgram {
     b.build().unwrap()
 }
 
-/// A Synchronization Memory with the block loaded and every first-stage
-/// instance dispatched; returns the instances whose completions are the
-/// measured work. The measured pass is epoch 0, so completers hand back
+/// A Synchronization Memory with the block loaded and every initially
+/// ready instance dispatched; returns the instances whose completions are
+/// the measured work. The measured pass is epoch 0, so completers hand back
 /// `Epoch(0)` tokens.
 pub fn armed(program: &DdmProgram, kernels: u32) -> (SyncMemory<&DdmProgram>, Vec<Instance>) {
     let sm = SyncMemory::new(program, kernels, 0);
@@ -57,60 +57,8 @@ pub fn armed(program: &DdmProgram, kernels: u32) -> (SyncMemory<&DdmProgram>, Ve
 /// The epoch token of the one-shot measured pass.
 const E0: Epoch = Epoch(0);
 
-/// The kernel a single drainer acts as.
+/// The kernel a single-threaded driver acts as.
 const K0: KernelId = KernelId(0);
-
-/// Complete every instance from one thread — the pre-split model where a
-/// single TSU owner performs all ready-count updates.
-pub fn complete_serialized(sm: &SyncMemory<&DdmProgram>, work: &[Instance]) {
-    let mut out = Vec::new();
-    for &i in work {
-        sm.complete(K0, i, E0, &mut out)
-            .expect("serialized completion");
-    }
-}
-
-/// Complete the instances from `kernels` threads, each completing the
-/// instances it owns — the sharded direct-update path of the threaded
-/// runtime.
-pub fn complete_sharded(sm: &SyncMemory<&DdmProgram>, work: &[Instance], kernels: u32) {
-    let gm = sm.graph();
-    std::thread::scope(|s| {
-        for k in 0..kernels {
-            let mine: Vec<Instance> = work
-                .iter()
-                .copied()
-                .filter(|&i| gm.owner_of(i) == KernelId(k))
-                .collect();
-            s.spawn(move || {
-                let mut out = Vec::new();
-                for i in mine {
-                    sm.complete(KernelId(k), i, E0, &mut out)
-                        .expect("sharded completion");
-                }
-            });
-        }
-    });
-}
-
-/// Nanoseconds to complete all first-stage instances of `program`, setup
-/// excluded. `sharded = false` runs the single-drainer baseline.
-pub fn measure(program: &DdmProgram, kernels: u32, sharded: bool) -> u64 {
-    let (sm, work) = armed(program, kernels);
-    let t = Instant::now();
-    if sharded {
-        complete_sharded(&sm, &work, kernels);
-    } else {
-        complete_serialized(&sm, &work);
-    }
-    let ns = t.elapsed().as_nanos() as u64;
-    assert_eq!(
-        sm.completions() as usize,
-        work.len() + 1,
-        "lost completions"
-    );
-    ns
-}
 
 /// A wide fan-in: every one of `arity` producers feeds the same scalar
 /// sink through a `Reduction` arc — the hot-sink case the completion
@@ -644,22 +592,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn both_paths_complete_every_instance() {
-        let p = pipeline(64);
-        let (sm, work) = armed(&p, 4);
-        assert_eq!(work.len(), 64);
-        complete_serialized(&sm, &work);
-        assert_eq!(sm.completions(), 65); // inlet + 64
-
-        let (sm, work) = armed(&p, 4);
-        complete_sharded(&sm, &work, 4);
-        assert_eq!(sm.completions(), 65);
-        // every update went through a shard
-        let updates: u64 = sm.shard_stats().iter().map(|s| s.rc_updates).sum();
-        assert_eq!(updates, sm.stats().rc_updates);
-    }
-
-    #[test]
     fn funneled_drain_runs_every_instance_of_the_fanout() {
         let p = fanout_reduce();
         assert_eq!(p.total_instances(), 8 * 8192 + 3);
@@ -669,13 +601,6 @@ mod tests {
         let s = tsu.stats();
         assert_eq!(s.completions as usize, p.total_instances());
         assert!(s.rc_rmws < s.rc_updates, "the hot sink must be funneled");
-    }
-
-    #[test]
-    fn measure_reports_nonzero_time() {
-        let p = pipeline(128);
-        assert!(measure(&p, 1, false) > 0);
-        assert!(measure(&p, 2, true) > 0);
     }
 
     #[test]

@@ -43,10 +43,15 @@ pub fn work_span(
     let mut total_span = 0.0f64;
 
     for block in program.blocks() {
-        // Longest path within the block over instances; threads are already
-        // topologically ordered by construction order? Not guaranteed —
-        // compute a topological order of the block's template graph first.
-        let order = block_topo_order(program, block.id);
+        // longest path within the block over instances, walking the
+        // block's threads (outlet last) in topological order
+        let members: Vec<ThreadId> = block
+            .threads
+            .iter()
+            .copied()
+            .chain(std::iter::once(block.outlet))
+            .collect();
+        let order = topo_order(program, &members);
         // dist maps instance -> longest path *ending at* that instance.
         let mut dist: HashMap<Instance, f64> = HashMap::new();
         let mut block_span = 0.0f64;
@@ -82,37 +87,39 @@ pub fn work_span(
     }
 }
 
-/// Topological order of a block's threads (inlet excluded, outlet last).
-fn block_topo_order(program: &DdmProgram, block: crate::ids::BlockId) -> Vec<ThreadId> {
-    let blk = &program.blocks()[block.idx()];
-    let members: Vec<ThreadId> = blk
-        .threads
-        .iter()
-        .copied()
-        .chain(std::iter::once(blk.outlet))
-        .collect();
-    let mut indeg: HashMap<ThreadId, usize> = members.iter().map(|&t| (t, 0)).collect();
-    for &t in &members {
+/// Topological order of `threads` (members of one block) over the arcs
+/// among them; among the threads ready at once the lowest id goes first,
+/// so the order is deterministic.
+pub(crate) fn topo_order(program: &DdmProgram, threads: &[ThreadId]) -> Vec<ThreadId> {
+    use std::cmp::Reverse;
+    use std::collections::BinaryHeap;
+    let mut indeg: HashMap<ThreadId, usize> = threads.iter().map(|&t| (t, 0)).collect();
+    for &t in threads {
         for arc in program.consumers(t) {
             if let Some(d) = indeg.get_mut(&arc.consumer) {
                 *d += 1;
             }
         }
     }
-    let mut queue: Vec<ThreadId> = members.iter().copied().filter(|t| indeg[t] == 0).collect();
-    let mut order = Vec::with_capacity(members.len());
-    while let Some(t) = queue.pop() {
+    let mut ready: BinaryHeap<Reverse<ThreadId>> = threads
+        .iter()
+        .copied()
+        .filter(|t| indeg[t] == 0)
+        .map(Reverse)
+        .collect();
+    let mut order = Vec::with_capacity(threads.len());
+    while let Some(Reverse(t)) = ready.pop() {
         order.push(t);
         for arc in program.consumers(t) {
             if let Some(d) = indeg.get_mut(&arc.consumer) {
                 *d -= 1;
                 if *d == 0 {
-                    queue.push(arc.consumer);
+                    ready.push(Reverse(arc.consumer));
                 }
             }
         }
     }
-    debug_assert_eq!(order.len(), members.len(), "block not acyclic");
+    debug_assert_eq!(order.len(), threads.len(), "block not acyclic");
     order
 }
 

@@ -18,7 +18,6 @@
 
 use crate::error::CoreError;
 use crate::ids::ThreadId;
-use crate::mapping::ArcMapping;
 use crate::program::{DdmProgram, ProgramBuilder};
 use crate::thread::ThreadKind;
 use std::collections::HashMap;
@@ -28,20 +27,20 @@ use std::collections::HashMap;
 /// already fit are kept as-is. Returns the new program plus the mapping
 /// from old to new [`ThreadId`]s (splitting renumbers threads).
 ///
-/// A single thread whose own arity exceeds `capacity - 1` cannot be split
+/// A single thread that does not fit beside the outlet entry (arity + 1 >
+/// `capacity`, so every thread when `capacity ≤ 1`) cannot be split
 /// (instances of one DThread share a block); that case returns
 /// [`CoreError::BlockTooLarge`].
 pub fn split_for_capacity(
     program: &DdmProgram,
     capacity: usize,
 ) -> Result<(DdmProgram, HashMap<ThreadId, ThreadId>), CoreError> {
-    assert!(capacity > 1, "capacity must exceed the outlet entry");
     let mut b = ProgramBuilder::new();
     let mut idmap: HashMap<ThreadId, ThreadId> = HashMap::new();
 
     for block in program.blocks() {
         // topological order of the block's app threads
-        let order = topo_app_order(program, &block.threads);
+        let order = crate::graph::topo_order(program, &block.threads);
 
         // greedily pack consecutive threads into capacity-sized groups
         let mut groups: Vec<Vec<ThreadId>> = Vec::new();
@@ -92,41 +91,6 @@ pub fn split_for_capacity(
     Ok((b.build()?, idmap))
 }
 
-/// Topological order over a block's application threads.
-fn topo_app_order(program: &DdmProgram, threads: &[ThreadId]) -> Vec<ThreadId> {
-    let mut indeg: HashMap<ThreadId, usize> = threads.iter().map(|&t| (t, 0)).collect();
-    for &t in threads {
-        for arc in program.consumers(t) {
-            if let Some(d) = indeg.get_mut(&arc.consumer) {
-                *d += 1;
-            }
-        }
-    }
-    // lowest-id-first min-heap for deterministic output
-    use std::cmp::Reverse;
-    use std::collections::BinaryHeap;
-    let mut ready: BinaryHeap<Reverse<ThreadId>> = threads
-        .iter()
-        .copied()
-        .filter(|t| indeg[t] == 0)
-        .map(Reverse)
-        .collect();
-    let mut order = Vec::with_capacity(threads.len());
-    while let Some(Reverse(t)) = ready.pop() {
-        order.push(t);
-        for arc in program.consumers(t) {
-            if let Some(d) = indeg.get_mut(&arc.consumer) {
-                *d -= 1;
-                if *d == 0 {
-                    ready.push(Reverse(arc.consumer));
-                }
-            }
-        }
-    }
-    debug_assert_eq!(order.len(), threads.len());
-    order
-}
-
 /// Check that no mapping information is lost by a split: every original
 /// producer→consumer *instance* constraint is still enforced, either by an
 /// arc or by block ordering. Used by tests.
@@ -150,17 +114,13 @@ pub fn split_preserves_ordering(
             let has_arc = split
                 .consumers(nt)
                 .iter()
-                .any(|a| a.consumer == nc && arc_eq(a.mapping, arc.mapping));
+                .any(|a| a.consumer == nc && a.mapping == arc.mapping);
             if !(ordered || (same_block && has_arc)) {
                 return false;
             }
         }
     }
     true
-}
-
-fn arc_eq(a: ArcMapping, b: ArcMapping) -> bool {
-    a == b
 }
 
 #[cfg(test)]
@@ -269,10 +229,14 @@ mod tests {
     #[test]
     fn unsplittable_thread_is_an_error() {
         let p = layered(&[32]);
-        assert!(matches!(
-            split_for_capacity(&p, 16),
-            Err(CoreError::BlockTooLarge { .. })
-        ));
+        // capacities 0 and 1 leave no room beside the outlet entry: every
+        // thread is too large, an error rather than a panic
+        for capacity in [0, 1, 16] {
+            assert!(matches!(
+                split_for_capacity(&p, capacity),
+                Err(CoreError::BlockTooLarge { .. })
+            ));
+        }
     }
 
     #[test]

@@ -49,7 +49,7 @@
 //!
 //! A kernel that dies mid-update (or any unwind out of a mutating
 //! section) **poisons** the SM: the `poisoned` flag latches, and every
-//! subsequent `dispatch`/`complete`/`load_block` fails with
+//! subsequent `dispatch`/`complete`/`complete_batch` fails with
 //! [`CoreError::SmPoisoned`] instead of silently trusting half-applied
 //! ready counts.
 //!
@@ -330,7 +330,7 @@ impl<P: ProgramHandle> SyncMemory<P> {
 
     /// Whether the SM is poisoned (a kernel died mid-update, or a
     /// protocol invariant was violated mid-flight). Once set, every
-    /// `dispatch`/`complete`/`load_block` fails with
+    /// `dispatch`/`complete`/`complete_batch` fails with
     /// [`CoreError::SmPoisoned`].
     pub fn is_poisoned(&self) -> bool {
         self.poisoned.load(Ordering::Acquire)
@@ -505,27 +505,10 @@ impl<P: ProgramHandle> SyncMemory<P> {
         }
     }
 
-    /// Load a DDM block: make its instances resident and append the
-    /// initially-ready ones (ready count 0) to `out`.
-    pub fn load_block(&self, b: BlockId, out: &mut Vec<Instance>) -> Result<(), CoreError> {
-        self.check_poisoned()?;
-        let mut guard = self.lock_block()?;
-        let instances = self.gm.block_instances(b);
-        if self.capacity != 0 && guard.resident + instances > self.capacity {
-            return Err(CoreError::BlockTooLarge {
-                block: b,
-                instances,
-                capacity: self.capacity,
-            });
-        }
-        let sentinel = PoisonGuard::arm(&self.poisoned);
-        self.load_block_locked(b, out, &mut guard);
-        sentinel.disarm();
-        Ok(())
-    }
-
-    /// The load itself, after capacity validation. Caller holds the block
-    /// lock and has armed a poison guard.
+    /// Load block `b` for its Inlet's completion: make its instances
+    /// resident and append the initially-ready ones (ready count 0) to
+    /// `out`. The caller has validated capacity, holds the block lock and
+    /// has armed a poison guard.
     fn load_block_locked(
         &self,
         b: BlockId,
@@ -1066,7 +1049,7 @@ mod tests {
         // every subsequent operation keeps failing loudly
         assert_eq!(sm.dispatch(Some(K0), inlet), Err(CoreError::SmPoisoned));
         assert_eq!(
-            sm.load_block(BlockId(0), &mut ready),
+            sm.complete_batch(K0, &[inlet], ep, &mut ready),
             Err(CoreError::SmPoisoned)
         );
         // forensics still work on a poisoned SM

@@ -1,6 +1,6 @@
 //! The front-end AST: a parsed DDM module, target-independent.
 
-use crate::directive::{DependsClause, ImportClause, MappingSpec};
+use crate::directive::{DependsClause, ImportClause};
 
 /// Whether a thread is a scalar or a loop thread, and its resolved shape.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -125,17 +125,6 @@ impl DdmModule {
     pub fn thread_count(&self) -> usize {
         self.blocks.iter().map(|b| b.threads.len()).sum()
     }
-
-    /// Translate a [`MappingSpec`] into the core model's mapping.
-    pub fn core_mapping(spec: MappingSpec) -> tflux_core::ArcMapping {
-        match spec {
-            MappingSpec::All => tflux_core::ArcMapping::All,
-            MappingSpec::OneToOne => tflux_core::ArcMapping::OneToOne,
-            MappingSpec::Offset(k) => tflux_core::ArcMapping::Offset(k),
-            MappingSpec::Group(f) => tflux_core::ArcMapping::Group { factor: f },
-            MappingSpec::Expand(f) => tflux_core::ArcMapping::Expand { factor: f },
-        }
-    }
 }
 
 #[cfg(test)]
@@ -173,17 +162,5 @@ mod tests {
             size: None,
         };
         assert_eq!(s.byte_size(), 4);
-    }
-
-    #[test]
-    fn mapping_translation() {
-        assert_eq!(
-            DdmModule::core_mapping(MappingSpec::Group(2)),
-            tflux_core::ArcMapping::Group { factor: 2 }
-        );
-        assert_eq!(
-            DdmModule::core_mapping(MappingSpec::Offset(-3)),
-            tflux_core::ArcMapping::Offset(-3)
-        );
     }
 }

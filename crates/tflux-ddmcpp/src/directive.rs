@@ -26,21 +26,7 @@
 //! work model, and `def` for compile-time constants.
 
 use crate::error::{ErrorKind, PreprocessError};
-
-/// Instance-mapping specification on an import/depends clause.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MappingSpec {
-    /// All-to-all (broadcast/reduction/scalar).
-    All,
-    /// Context-to-context.
-    OneToOne,
-    /// Context + k.
-    Offset(i32),
-    /// `factor` producers per consumer (merge tree).
-    Group(u32),
-    /// `factor` consumers per producer (fork).
-    Expand(u32),
-}
+use tflux_core::ArcMapping;
 
 /// An integer-valued expression: a literal or a `def`-defined constant.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -56,8 +42,8 @@ pub enum Expr {
 pub struct DependsClause {
     /// Producer thread id.
     pub thread: u32,
-    /// Instance mapping (defaults to [`MappingSpec::All`]).
-    pub mapping: MappingSpec,
+    /// Instance mapping (defaults to [`ArcMapping::All`]).
+    pub mapping: ArcMapping,
 }
 
 /// One import clause: variable name + mapping.
@@ -66,7 +52,7 @@ pub struct ImportClause {
     /// Imported variable.
     pub var: String,
     /// Instance mapping for the producing thread's slots.
-    pub mapping: MappingSpec,
+    pub mapping: ArcMapping,
 }
 
 /// Attributes of a `thread` / `for thread` directive.
@@ -333,31 +319,31 @@ pub fn parse_directive(text: &str, line: usize) -> Result<Directive, PreprocessE
     Ok(d)
 }
 
-fn parse_mapping(t: &mut Toks<'_>) -> Result<MappingSpec, PreprocessError> {
+fn parse_mapping(t: &mut Toks<'_>) -> Result<ArcMapping, PreprocessError> {
     let w = t
         .word()
         .ok_or_else(|| t.err("expected mapping name after `:`"))?
         .to_string();
     match w.as_str() {
-        "all" => Ok(MappingSpec::All),
-        "onetoone" => Ok(MappingSpec::OneToOne),
+        "all" => Ok(ArcMapping::All),
+        "onetoone" => Ok(ArcMapping::OneToOne),
         "offset" => {
             t.expect('(')?;
             let k = t.int()? as i32;
             t.expect(')')?;
-            Ok(MappingSpec::Offset(k))
+            Ok(ArcMapping::Offset(k))
         }
         "group" => {
             t.expect('(')?;
             let k = t.u32()?;
             t.expect(')')?;
-            Ok(MappingSpec::Group(k))
+            Ok(ArcMapping::Group { factor: k })
         }
         "expand" => {
             t.expect('(')?;
             let k = t.u32()?;
             t.expect(')')?;
-            Ok(MappingSpec::Expand(k))
+            Ok(ArcMapping::Expand { factor: k })
         }
         other => Err(t.err(format!("unknown mapping `{other}`"))),
     }
@@ -409,7 +395,7 @@ fn parse_attrs(t: &mut Toks<'_>) -> Result<ThreadAttrs, PreprocessError> {
                     let mapping = if t.eat(':') {
                         parse_mapping(t)?
                     } else {
-                        MappingSpec::All
+                        ArcMapping::All
                     };
                     a.imports.push(ImportClause { var, mapping });
                     if !t.eat(',') {
@@ -439,7 +425,7 @@ fn parse_attrs(t: &mut Toks<'_>) -> Result<ThreadAttrs, PreprocessError> {
                     let mapping = if t.eat(':') {
                         parse_mapping(t)?
                     } else {
-                        MappingSpec::All
+                        ArcMapping::All
                     };
                     a.depends.push(DependsClause { thread, mapping });
                     if !t.eat(',') {
@@ -486,11 +472,11 @@ mod tests {
                     vec![
                         DependsClause {
                             thread: 1,
-                            mapping: MappingSpec::All
+                            mapping: ArcMapping::All
                         },
                         DependsClause {
                             thread: 3,
-                            mapping: MappingSpec::OneToOne
+                            mapping: ArcMapping::OneToOne
                         },
                     ]
                 );
@@ -522,8 +508,8 @@ mod tests {
         match p("thread 4 import(a:group(2), b) export(c, d)") {
             Directive::Thread { attrs, .. } => {
                 assert_eq!(attrs.imports.len(), 2);
-                assert_eq!(attrs.imports[0].mapping, MappingSpec::Group(2));
-                assert_eq!(attrs.imports[1].mapping, MappingSpec::All);
+                assert_eq!(attrs.imports[0].mapping, ArcMapping::Group { factor: 2 });
+                assert_eq!(attrs.imports[1].mapping, ArcMapping::All);
                 assert_eq!(attrs.exports, vec!["c".to_string(), "d".to_string()]);
             }
             other => panic!("{other:?}"),
@@ -553,7 +539,7 @@ mod tests {
     fn negative_offset_mapping() {
         match p("thread 9 depends(8:offset(-1))") {
             Directive::Thread { attrs, .. } => {
-                assert_eq!(attrs.depends[0].mapping, MappingSpec::Offset(-1));
+                assert_eq!(attrs.depends[0].mapping, ArcMapping::Offset(-1));
             }
             other => panic!("{other:?}"),
         }

@@ -44,12 +44,8 @@ pub fn lower(module: &DdmModule) -> Result<Lowered, PreprocessError> {
                     continue;
                 }
                 arcs_done.push((d.thread, t.id));
-                b.arc(
-                    thread_ids[&d.thread],
-                    thread_ids[&t.id],
-                    DdmModule::core_mapping(d.mapping),
-                )
-                .map_err(|e| PreprocessError::at(t.line, ErrorKind::Lower(e.to_string())))?;
+                b.arc(thread_ids[&d.thread], thread_ids[&t.id], d.mapping)
+                    .map_err(|e| PreprocessError::at(t.line, ErrorKind::Lower(e.to_string())))?;
             }
             for imp in &t.imports {
                 if let Some(producer) = exporter_of(block.threads.as_slice(), &imp.var, t.id) {
@@ -57,12 +53,10 @@ pub fn lower(module: &DdmModule) -> Result<Lowered, PreprocessError> {
                         continue;
                     }
                     arcs_done.push((producer.id, t.id));
-                    b.arc(
-                        thread_ids[&producer.id],
-                        thread_ids[&t.id],
-                        DdmModule::core_mapping(imp.mapping),
-                    )
-                    .map_err(|e| PreprocessError::at(t.line, ErrorKind::Lower(e.to_string())))?;
+                    b.arc(thread_ids[&producer.id], thread_ids[&t.id], imp.mapping)
+                        .map_err(|e| {
+                            PreprocessError::at(t.line, ErrorKind::Lower(e.to_string()))
+                        })?;
                 }
             }
         }

@@ -6,16 +6,16 @@
 //! tooling that rewrites DDM programs.
 
 use crate::ast::{DdmModule, ThreadDecl, ThreadShape};
-use crate::directive::MappingSpec;
 use std::fmt::Write as _;
+use tflux_core::ArcMapping;
 
-fn mapping_suffix(m: MappingSpec) -> String {
+fn mapping_suffix(m: ArcMapping) -> String {
     match m {
-        MappingSpec::All => String::new(),
-        MappingSpec::OneToOne => ":onetoone".into(),
-        MappingSpec::Offset(k) => format!(":offset({k})"),
-        MappingSpec::Group(f) => format!(":group({f})"),
-        MappingSpec::Expand(f) => format!(":expand({f})"),
+        ArcMapping::All => String::new(),
+        ArcMapping::OneToOne => ":onetoone".into(),
+        ArcMapping::Offset(k) => format!(":offset({k})"),
+        ArcMapping::Group { factor } => format!(":group({factor})"),
+        ArcMapping::Expand { factor } => format!(":expand({factor})"),
     }
 }
 

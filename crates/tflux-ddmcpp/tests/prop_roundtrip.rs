@@ -2,17 +2,22 @@
 //! for arbitrary structurally-valid modules.
 
 use tflux_core::rng::{cases, SplitMix64};
+use tflux_core::ArcMapping;
 use tflux_ddmcpp::ast::{BlockDecl, DdmModule, ThreadDecl, ThreadShape, VarDecl};
-use tflux_ddmcpp::directive::{DependsClause, ImportClause, MappingSpec};
+use tflux_ddmcpp::directive::{DependsClause, ImportClause};
 use tflux_ddmcpp::print::print_module;
 
-fn mapping(rng: &mut SplitMix64) -> MappingSpec {
+fn mapping(rng: &mut SplitMix64) -> ArcMapping {
     match rng.below(5) {
-        0 => MappingSpec::All,
-        1 => MappingSpec::OneToOne,
-        2 => MappingSpec::Offset(rng.range(-4i32..5)),
-        3 => MappingSpec::Group(rng.range(1u32..5)),
-        _ => MappingSpec::Expand(rng.range(1u32..5)),
+        0 => ArcMapping::All,
+        1 => ArcMapping::OneToOne,
+        2 => ArcMapping::Offset(rng.range(-4i32..5)),
+        3 => ArcMapping::Group {
+            factor: rng.range(1u32..5),
+        },
+        _ => ArcMapping::Expand {
+            factor: rng.range(1u32..5),
+        },
     }
 }
 
@@ -208,10 +213,10 @@ fn codegen_never_panics_on_valid_modules() {
         for b in &mut m.blocks {
             for t in &mut b.threads {
                 for d in &mut t.depends {
-                    d.mapping = MappingSpec::All;
+                    d.mapping = ArcMapping::All;
                 }
                 for i in &mut t.imports {
-                    i.mapping = MappingSpec::All;
+                    i.mapping = ArcMapping::All;
                 }
             }
         }

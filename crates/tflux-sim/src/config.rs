@@ -387,12 +387,6 @@ impl MachineConfig {
         self
     }
 
-    /// The TSU shard serving a core.
-    pub fn tsu_shard_of(&self, core: u32) -> u32 {
-        let g = self.tsu_groups.max(1);
-        (core as u64 * g as u64 / self.cores.max(1) as u64) as u32
-    }
-
     /// Number of L2 groups on this machine.
     pub fn l2_groups(&self) -> u32 {
         self.cores.div_ceil(self.l2_group.max(1))
@@ -548,15 +542,6 @@ mod tests {
         assert_eq!(numa.home_node(0x4000), 0);
         // same-page addresses share a home
         assert_eq!(numa.home_node(0x1000), numa.home_node(0x1FFF));
-    }
-
-    #[test]
-    fn tsu_shards_partition_cores() {
-        let m = MachineConfig::bagle(8).with_tsu_groups(2);
-        let shards: Vec<u32> = (0..8).map(|c| m.tsu_shard_of(c)).collect();
-        assert_eq!(shards, vec![0, 0, 0, 0, 1, 1, 1, 1]);
-        let single = MachineConfig::bagle(8);
-        assert!((0..8).all(|c| single.tsu_shard_of(c) == 0));
     }
 
     #[test]

@@ -345,7 +345,13 @@ impl Machine {
 
     /// Replay the round's deferred device operations in `(cycle, lane)`
     /// order. Returns the number of operations replayed.
+    ///
+    /// Never inlined: it keeps how the drain loop inlines `run_chunk` and
+    /// `MemorySystem::access` independent of the device path's size. A
+    /// five-line branch added to `handle_fetch` cost the memory-bound
+    /// simulations 15 % of host throughput while this was inlined.
     #[allow(clippy::too_many_arguments)]
+    #[inline(never)]
     fn replay_batch(
         &self,
         batch: &mut DevBatch,
@@ -370,7 +376,9 @@ impl Machine {
                 trigger: (at, lane),
             };
             match op {
-                DevOp::Fetch => Self::handle_fetch(lane, at, dev, source, states, &mut io)?,
+                DevOp::Fetch => {
+                    Self::handle_fetch(lane, at, dev, source, states, &mut io, parked_buf)?
+                }
                 DevOp::Complete { now } => {
                     *instances += 1;
                     if let Some(tr) = trace.as_deref_mut() {
@@ -440,7 +448,9 @@ impl Machine {
         source: &dyn WorkSource,
         states: &mut [CoreState],
         io: &mut RoundIo<'_>,
+        parked_buf: &mut Vec<u32>,
     ) -> Result<(), SimError> {
+        let flushes = dev.stats.funnel_flushes;
         match dev.fetch(c, t)? {
             DevFetch::Thread(inst, ep, at) => {
                 let start = at + dev.kernel_overhead();
@@ -449,6 +459,12 @@ impl Machine {
             }
             DevFetch::Parked => {
                 states[c as usize].parked_since = t;
+                // before parking, the device flushed completion funnels:
+                // like a completion, that may have readied a parked core's
+                // work, and no completion may come to wake it
+                if dev.stats.funnel_flushes != flushes && dev.parked_owner_has_work() {
+                    Self::wake_parked(t, dev, source, states, io, parked_buf)?;
+                }
             }
             DevFetch::Exit(at) => {
                 let s = &mut states[c as usize];
@@ -482,6 +498,19 @@ impl Machine {
 
         // Wake parked cores: after post-processing, ready DThreads (or the
         // Exit condition) become visible at `ready_at`.
+        Self::wake_parked(ready_at, dev, source, states, io, parked_buf)
+    }
+
+    /// Retry the fetches of the parked cores at cycle `ready_at`, if any
+    /// work is ready or the program finished.
+    fn wake_parked(
+        ready_at: u64,
+        dev: &mut TsuDevice<'_>,
+        source: &dyn WorkSource,
+        states: &mut [CoreState],
+        io: &mut RoundIo<'_>,
+        parked_buf: &mut Vec<u32>,
+    ) -> Result<(), SimError> {
         if dev.any_parked() {
             let finished = dev.finished();
             let avail = dev.tsu().ready_len();
@@ -648,6 +677,35 @@ mod tests {
         assert_eq!(r.instances, p.total_instances());
         assert_eq!(r.tsu.completions as usize, p.total_instances());
         assert!(r.events > 0, "the event counter must tick");
+    }
+
+    #[test]
+    fn a_flush_at_fetch_wakes_the_parked_owner_of_what_it_readied() {
+        // stealing off, funnels on: core 1 finishes `a[1]` first and
+        // parks; core 0's fetch then flushes `a[0]`'s parked completion,
+        // which readies `sink` on core 1's queue, and core 0 parks too. No
+        // completion is left to wake core 1, so the flush must.
+        let mut b = ProgramBuilder::new();
+        let blk = b.block();
+        let a = b.thread(blk, ThreadSpec::new("a", 2));
+        let sink = b.thread(
+            blk,
+            ThreadSpec::scalar("sink").with_affinity(Affinity::Fixed(KernelId(1))),
+        );
+        b.arc(a, sink, ArcMapping::Reduction).unwrap();
+        let p = b.build().unwrap();
+        let src = FnWork(|inst: Instance, out: &mut InstanceWork| {
+            out.compute = if inst.context.0 == 0 { 1_000 } else { 10 };
+        });
+        let r = Machine::new(MachineConfig::bagle(2))
+            .with_tsu_config(TsuConfig {
+                steal: false,
+                flush: FlushPolicy::Batch { size: 8 },
+                ..TsuConfig::default()
+            })
+            .run(&p, &src)
+            .unwrap();
+        assert_eq!(r.instances, p.total_instances());
     }
 
     #[test]

@@ -296,6 +296,16 @@ impl<'p> TsuDevice<'p> {
         self.parked.iter().any(|&p| p)
     }
 
+    /// Whether a parked core's own queue holds work: a funnel flush readied
+    /// it after the core parked.
+    pub fn parked_owner_has_work(&self) -> bool {
+        let queues = self.tsu.queues();
+        self.parked
+            .iter()
+            .zip(queues)
+            .any(|(&p, q)| p && !q.is_empty())
+    }
+
     /// Kernel-side software overhead per DThread transition.
     pub fn kernel_overhead(&self) -> u64 {
         self.unit.costs.kernel_overhead
@@ -312,16 +322,6 @@ impl<'p> TsuDevice<'p> {
         let ep = self.tsu.open_epoch(&mut ready);
         self.ready_buf = ready;
         Ok((ep?, done))
-    }
-
-    /// Retire a fully drained epoch, freeing one credit of the window.
-    /// One unit command on shard 0; returns its completion cycle.
-    pub fn retire_epoch(&mut self, epoch: Epoch, now: u64) -> Result<u64, CoreError> {
-        let done = self
-            .unit
-            .process(&mut self.stats, 0, now + self.unit.costs.access);
-        self.tsu.retire_epoch(epoch)?;
-        Ok(done)
     }
 }
 
@@ -575,10 +575,6 @@ mod tests {
             2 * p.total_instances()
         );
         assert_eq!(dev.tsu().stats().epochs, 2);
-        // retiring closes the ledger oldest-first, exactly once
-        dev.retire_epoch(tflux_core::ids::Epoch(0), now).unwrap();
-        dev.retire_epoch(tflux_core::ids::Epoch(1), now).unwrap();
-        assert!(dev.retire_epoch(tflux_core::ids::Epoch(1), now).is_err());
     }
 
     #[test]

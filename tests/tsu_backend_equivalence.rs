@@ -12,8 +12,8 @@ use tflux::core::ids::Epoch;
 use tflux::core::prelude::*;
 use tflux::core::tsu::{drain_sequential, TsuStats};
 use tflux::runtime::{BodyTable, Runtime, RuntimeConfig};
-use tflux::sim::tsu_dev::{DevFetch, TsuDevice};
-use tflux::sim::TsuCosts;
+use tflux::sim::work::UniformWork;
+use tflux::sim::{Machine, MachineConfig};
 use tflux::workloads::common::Params;
 use tflux::workloads::setup::{sim_setup, with_default_unroll};
 use tflux::workloads::sizes::SizeClass;
@@ -89,47 +89,21 @@ fn soft_outcome(program: &DdmProgram, cfg: TsuConfig) -> Outcome {
     Outcome::new(completed, &report.tsu)
 }
 
-/// TFluxHard: the memory-mapped TSU device wrapping the `Tsu`, driven
-/// core-by-core exactly like the simulated kernel loop. With `epochs > 1`
-/// every pass beyond the first is credited up front (the drive loop has
-/// no supervisor to bank credits mid-run), so the device re-arms the
-/// inlet at each pass's final outlet and streams straight through.
+/// TFluxHard: the simulated machine, its cores driving the memory-mapped
+/// TSU device, every instance the same compute. With `epochs > 1` the
+/// machine banks every pass up front and streams straight through.
 fn hard_stream_outcome(program: &DdmProgram, cfg: TsuConfig, epochs: u64) -> Outcome {
     let cfg = TsuConfig {
         window: epochs as usize,
         ..cfg
     };
-    let tsu = Tsu::new(program, KERNELS, cfg);
-    let mut dev = TsuDevice::new(tsu, TsuCosts::hard(), KERNELS);
-    let mut completed = Vec::new();
-    let mut now = 0u64;
-    for _ in 1..epochs {
-        let (_, done) = dev.open_epoch(now).expect("bank stream credit");
-        now = done;
-    }
-    let mut core = 0u32;
-    let mut parked_in_a_row = 0u32;
-    loop {
-        match dev.fetch(core, now).expect("fetch protocol error") {
-            DevFetch::Thread(inst, ep, at) => {
-                parked_in_a_row = 0;
-                completed.push(inst);
-                let (core_free, _) = dev.complete(core, at, inst, ep).expect("protocol error");
-                now = core_free;
-            }
-            DevFetch::Parked => {
-                parked_in_a_row += 1;
-                assert!(parked_in_a_row <= KERNELS, "device drive deadlocked");
-            }
-            DevFetch::Exit(_) => break,
-        }
-        core = (core + 1) % KERNELS;
-    }
-    for e in 0..epochs {
-        now = dev.retire_epoch(Epoch(e), now).expect("retire pass");
-    }
-    let stats = dev.tsu().stats();
-    Outcome::new(completed, &stats)
+    let (report, trace) = Machine::new(MachineConfig::bagle(KERNELS))
+        .with_tsu_config(cfg)
+        .with_epochs(epochs)
+        .run_traced(program, &UniformWork { cycles: 100 })
+        .expect("sim run failed");
+    let completed = trace.spans.iter().map(|s| s.instance).collect();
+    Outcome::new(completed, &report.tsu)
 }
 
 fn hard_outcome(program: &DdmProgram, cfg: TsuConfig) -> Outcome {
