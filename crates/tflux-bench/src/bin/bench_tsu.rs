@@ -214,8 +214,9 @@ impl ToJson for MemsysRow {
 }
 
 /// The fixed program mix through a `SERVER_KERNELS`-kernel `ProgramServer`.
-/// `host_us_per_program` is wall clock; the counts are fixed by the mix
-/// and identical on any host, which is what `--check` gates.
+/// `host_us_per_program` is wall clock and the turn columns beside it
+/// depend on timing; the other counts are fixed by the mix and identical
+/// on any host, which is what `--check` gates.
 struct ServerRow(ServerMeasure);
 
 impl ToJson for ServerRow {
@@ -230,6 +231,11 @@ impl ToJson for ServerRow {
             ("supervisor_rings", m.supervisor_rings.to_json()),
             ("rings_per_completion", m.rings_per_completion().to_json()),
             ("host_us_per_program", m.host_us_per_program().to_json()),
+            ("turns_per_program", m.turns_per_program().to_json()),
+            (
+                "empty_turns_per_program",
+                m.empty_turns_per_program().to_json(),
+            ),
         ])
     }
 }
@@ -342,11 +348,13 @@ impl ToJson for Report {
 
 /// The ns_* fields of `funnel`/`streaming`,
 /// `memsys.host_ns_per_access` and `server.host_us_per_program` are wall
-/// clock and depend on the host; `steal`, `scaling` and the other `memsys`
-/// columns are simulated and the other `server` columns are counts fixed
-/// by the mix and `construction` counts allocations, identical on any host.
+/// clock and depend on the host, and the `server` turn columns on timing;
+/// `steal`, `scaling` and the other `memsys` columns are simulated, the
+/// other `server` columns are counts fixed by the mix and `construction`
+/// counts allocations, identical on any host.
 const WALL_CLOCK_NOTE: &str = "funnel/streaming ns fields, memsys \
-     host_ns_per_access and server host_us_per_program are wall clock and vary with the host; \
+     host_ns_per_access and server host_us_per_program are wall clock and vary with the host, \
+     server turns_per_program and empty_turns_per_program depend on timing; \
      steal, scaling and the other memsys columns are simulated, the other server columns are \
      counts fixed by the mix, construction counts allocations, host-independent";
 
@@ -579,12 +587,14 @@ fn check() -> ! {
     println!(
         "bench_tsu --check server ({SERVER_PROGRAMS} programs, {SERVER_KERNELS} kernels): {} completions, \
          {} pool + {} supervisor rings ({:.3} per completion) \
-         ({:.1} host us per program, wall clock)",
+         ({:.1} host us and {:.1} turns, {:.1} empty, per program; timing-dependent)",
         a.completions,
         a.pool_rings,
         a.supervisor_rings,
         a.rings_per_completion(),
-        a.host_us_per_program()
+        a.host_us_per_program(),
+        a.turns_per_program(),
+        a.empty_turns_per_program()
     );
     if a.rings_per_completion() > 0.25 {
         eprintln!("FAIL: the server rings more than once per four completions");

@@ -472,9 +472,10 @@ const SERVER_OUTSTANDING: usize = 8;
 /// Passes of every tenth [`server_mix`] program.
 const SERVER_STREAM_EPOCHS: u64 = 8;
 
-/// One [`server_mix`] run. Everything but `host_ns` is a count fixed by
+/// One [`server_mix`] run. The rings and completions are counts fixed by
 /// the mix (which completion readies something does not depend on the
-/// interleaving) and repeats exactly.
+/// interleaving) and repeat exactly; `host_ns` and the turn counts depend
+/// on timing.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct ServerMeasure {
     /// DThread completions over all programs (inlets and outlets included).
@@ -483,6 +484,10 @@ pub struct ServerMeasure {
     pub pool_rings: u64,
     /// Rings of the eventcount the supervisor parks on.
     pub supervisor_rings: u64,
+    /// Turns the pool kernels gave tenants.
+    pub turns: u64,
+    /// Turns that found nothing runnable.
+    pub empty_turns: u64,
     /// Wall-clock nanoseconds from the first submit to the last report.
     pub host_ns: u64,
 }
@@ -491,6 +496,16 @@ impl ServerMeasure {
     /// Host microseconds per program (wall clock).
     pub fn host_us_per_program(&self) -> f64 {
         self.host_ns as f64 / 1e3 / SERVER_PROGRAMS as f64
+    }
+
+    /// Pool-kernel turns per program (timing-dependent).
+    pub fn turns_per_program(&self) -> f64 {
+        self.turns as f64 / SERVER_PROGRAMS as f64
+    }
+
+    /// Turns that ran nothing, per program (timing-dependent).
+    pub fn empty_turns_per_program(&self) -> f64 {
+        self.empty_turns as f64 / SERVER_PROGRAMS as f64
     }
 
     /// Eventcount rings per DThread completion.
@@ -583,6 +598,8 @@ pub fn server_mix() -> ServerMeasure {
     let stats = server.stats();
     m.pool_rings = stats.pool_rings;
     m.supervisor_rings = stats.supervisor_rings;
+    m.turns = stats.turns;
+    m.empty_turns = stats.empty_turns;
     server.shutdown();
     m
 }

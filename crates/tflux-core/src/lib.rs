@@ -80,8 +80,7 @@ pub use program::{DdmProgram, ProgramBuilder};
 pub use thread::{Affinity, ThreadKind, ThreadSpec};
 pub use tsu::{
     CompletionFunnel, EventCount, FetchResult, FlushPolicy, GraphMemory, ProgramHandle, ReadyQueue,
-    ServiceRotor, ShardStats, Steal, StealDeque, SyncMemory, Tsu, TsuConfig, TsuStats,
-    WaitingInstance,
+    ShardStats, Steal, StealDeque, SyncMemory, Tsu, TsuConfig, TsuStats, WaitingInstance,
 };
 
 /// Convenient glob import for users of the model.

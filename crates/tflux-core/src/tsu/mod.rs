@@ -36,7 +36,7 @@ mod sync;
 pub use config::{FlushPolicy, ShardStats, TsuConfig, TsuStats, WaitingInstance, AUTO_BATCH_SIZE};
 pub use funnel::{CompletionFunnel, SmOp};
 pub use gm::{GraphMemory, ProgramHandle};
-pub use queue::{EventCount, FetchResult, ReadyQueue, ServiceRotor, Steal, StealDeque};
+pub use queue::{EventCount, FetchResult, ReadyQueue, Steal, StealDeque};
 pub use sync::SyncMemory;
 
 use crate::error::CoreError;

@@ -46,7 +46,7 @@
 //!   is a monotonic counter that never reuses values, regardless of how
 //!   often the rung is swapped.
 
-use crate::ids::{Epoch, Instance, ProgramId, ThreadId};
+use crate::ids::{Epoch, Instance, ThreadId};
 use std::collections::VecDeque;
 use std::sync::atomic::{fence, AtomicI64, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
@@ -503,106 +503,6 @@ impl ReadyQueue {
         let n = self.inbox_locks.load(Ordering::Relaxed);
         self.inbox_locks.store(n + 1, Ordering::Relaxed);
         inbox
-    }
-}
-
-/// Weighted round-robin service order over admitted programs.
-///
-/// When one kernel pool serves many co-resident programs (the
-/// multi-program server in `tflux-runtime`), fetch attempts must not let
-/// one tenant monopolize the pool. The rotor fixes a circular service
-/// order over the admitted [`ProgramId`]s and grants each tenant `weight`
-/// consecutive turns per round before moving to the next — weight 1 for
-/// plain round-robin, higher weights for proportional shares.
-///
-/// Unlike the queues, the rotor is single-owner: each kernel keeps its
-/// own copy of the admitted set and rotates independently, so no lock is
-/// taken on the fetch path.
-#[derive(Clone, Debug, Default)]
-pub struct ServiceRotor {
-    /// `(tenant, weight)` in admission order.
-    entries: Vec<(ProgramId, u32)>,
-    /// Index of the tenant currently being served.
-    cursor: usize,
-    /// Turns already granted to the current tenant this round.
-    served: u32,
-}
-
-impl ServiceRotor {
-    /// An empty rotor.
-    pub fn new() -> Self {
-        ServiceRotor::default()
-    }
-
-    /// Add a tenant with the given weight (clamped to at least 1).
-    /// Re-admitting an id updates its weight instead of duplicating it.
-    pub fn admit(&mut self, id: ProgramId, weight: u32) {
-        let weight = weight.max(1);
-        if let Some(e) = self.entries.iter_mut().find(|e| e.0 == id) {
-            e.1 = weight;
-        } else {
-            self.entries.push((id, weight));
-        }
-    }
-
-    /// Remove a tenant from the rotation. Unknown ids are ignored.
-    pub fn evict(&mut self, id: ProgramId) {
-        let Some(idx) = self.entries.iter().position(|e| e.0 == id) else {
-            return;
-        };
-        self.entries.remove(idx);
-        if idx < self.cursor {
-            self.cursor -= 1;
-        } else if idx == self.cursor {
-            self.served = 0;
-        }
-        if self.cursor >= self.entries.len() {
-            self.cursor = 0;
-        }
-    }
-
-    /// Whether a tenant is in the rotation.
-    pub fn contains(&self, id: ProgramId) -> bool {
-        self.entries.iter().any(|e| e.0 == id)
-    }
-
-    /// Number of tenants in the rotation.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Whether the rotation is empty.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// Grants in one full round: the sum of the weights. The grant
-    /// sequence repeats with this period, so *any* window of this many
-    /// consecutive [`next`](Self::next) calls names every tenant at least
-    /// once, wherever the cursor stands — the sweep length after which a
-    /// server may conclude that no tenant has work.
-    pub fn round_len(&self) -> usize {
-        self.entries.iter().map(|e| e.1 as usize).sum()
-    }
-
-    /// The tenant to serve next. Each call grants one turn; a tenant of
-    /// weight `w` receives `w` consecutive turns per round.
-    #[allow(clippy::should_implement_trait)] // a rotor never ends; `None` means empty now
-    pub fn next(&mut self) -> Option<ProgramId> {
-        if self.entries.is_empty() {
-            return None;
-        }
-        if self.cursor >= self.entries.len() {
-            self.cursor = 0;
-            self.served = 0;
-        }
-        let (id, weight) = self.entries[self.cursor];
-        self.served += 1;
-        if self.served >= weight {
-            self.cursor = (self.cursor + 1) % self.entries.len();
-            self.served = 0;
-        }
-        Some(id)
     }
 }
 
@@ -1113,98 +1013,5 @@ mod tests {
         all.sort_unstable();
         all.dedup();
         assert_eq!(all.len(), n as usize, "duplicate claims");
-    }
-
-    #[test]
-    fn rotor_round_robins_equal_weights() {
-        let mut r = ServiceRotor::new();
-        r.admit(ProgramId(0), 1);
-        r.admit(ProgramId(1), 1);
-        r.admit(ProgramId(2), 1);
-        let turns: Vec<u64> = (0..6).map(|_| r.next().unwrap().0).collect();
-        assert_eq!(turns, vec![0, 1, 2, 0, 1, 2]);
-    }
-
-    #[test]
-    fn rotor_grants_weighted_shares() {
-        let mut r = ServiceRotor::new();
-        r.admit(ProgramId(0), 2);
-        r.admit(ProgramId(1), 1);
-        let turns: Vec<u64> = (0..6).map(|_| r.next().unwrap().0).collect();
-        assert_eq!(turns, vec![0, 0, 1, 0, 0, 1]);
-    }
-
-    #[test]
-    fn rotor_eviction_keeps_rotation_sound() {
-        let mut r = ServiceRotor::new();
-        for p in 0..3 {
-            r.admit(ProgramId(p), 1);
-        }
-        assert_eq!(r.next(), Some(ProgramId(0)));
-        // evict the tenant *before* the cursor and the one *at* it
-        r.evict(ProgramId(0));
-        r.evict(ProgramId(1));
-        assert_eq!(r.len(), 1);
-        assert_eq!(r.next(), Some(ProgramId(2)));
-        assert_eq!(r.next(), Some(ProgramId(2)));
-        r.evict(ProgramId(2));
-        assert_eq!(r.next(), None);
-        assert!(r.is_empty());
-        // evicting an unknown id is a no-op
-        r.evict(ProgramId(9));
-    }
-
-    #[test]
-    fn every_window_of_one_round_names_every_tenant() {
-        fn assert_windows_cover(r: &mut ServiceRotor, ids: &[u64]) {
-            let n = r.round_len();
-            let grants: Vec<u64> = (0..3 * n).map(|_| r.next().unwrap().0).collect();
-            for w in grants.windows(n) {
-                for id in ids {
-                    assert!(w.contains(id), "window {w:?} of {n} grants misses {id}");
-                }
-            }
-        }
-        let mut r = ServiceRotor::new();
-        r.admit(ProgramId(0), 3);
-        r.admit(ProgramId(1), 1);
-        assert_eq!(r.round_len(), 4);
-        // a window of `len()` grants is too short: the heavy tenant's turn
-        // absorbs it whole and the light one goes unnamed
-        let short: Vec<u64> = (0..r.len()).map(|_| r.next().unwrap().0).collect();
-        assert_eq!(short, vec![0, 0]);
-        // the cursor now stands mid-turn (2 of tenant 0's 3 grants spent)
-        assert_windows_cover(&mut r, &[0, 1]);
-        // admission mid-turn lengthens the round
-        r.next();
-        r.admit(ProgramId(2), 2);
-        assert_eq!(r.round_len(), 6);
-        assert_windows_cover(&mut r, &[0, 1, 2]);
-        // evicting the tenant under the cursor mid-turn shortens it
-        while r.next() != Some(ProgramId(0)) {}
-        r.evict(ProgramId(0));
-        assert_eq!(r.round_len(), 3);
-        assert_windows_cover(&mut r, &[1, 2]);
-        // lowering a weight under a mid-turn cursor
-        assert_eq!(r.next(), Some(ProgramId(1)));
-        assert_eq!(r.next(), Some(ProgramId(2)));
-        r.admit(ProgramId(2), 1);
-        assert_windows_cover(&mut r, &[1, 2]);
-        r.evict(ProgramId(1));
-        r.evict(ProgramId(2));
-        assert_eq!(r.round_len(), 0);
-    }
-
-    #[test]
-    fn rotor_readmission_updates_weight() {
-        let mut r = ServiceRotor::new();
-        r.admit(ProgramId(7), 1);
-        r.admit(ProgramId(7), 3);
-        assert_eq!(r.len(), 1);
-        let turns: Vec<u64> = (0..3).map(|_| r.next().unwrap().0).collect();
-        assert_eq!(turns, vec![7, 7, 7]);
-        // zero weight clamps to one turn per round
-        r.admit(ProgramId(8), 0);
-        assert!(r.contains(ProgramId(8)));
     }
 }

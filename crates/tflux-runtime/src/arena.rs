@@ -58,7 +58,7 @@ struct KernelSlot {
     blocked_pops: AtomicU64,
 }
 
-fn add(counter: &AtomicU64, n: u64) {
+pub(crate) fn add(counter: &AtomicU64, n: u64) {
     counter.store(counter.load(Ordering::Relaxed) + n, Ordering::Relaxed);
 }
 

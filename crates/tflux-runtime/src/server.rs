@@ -11,9 +11,11 @@
 //! between programs.
 //!
 //! **Division of labour.** This file is the arena code's second thin
-//! driver. A pool kernel is a weighted round-robin [`ServiceRotor`] over
-//! the resident arenas + a non-blocking `fetch` + `step`, so it completes
-//! every DThread it ran, Inlet and Outlet included, on its own thread. One
+//! driver. A pool kernel sweeps the resident arenas, giving each one
+//! *turn* per sweep: a non-blocking `fetch` + `step` repeated until the
+//! tenant has nothing runnable or a weight-`w` tenant has run `w ×`
+//! [`TURN`] instances. It completes every DThread it ran, Inlet and
+//! Outlet included, on its own thread. One
 //! supervisor thread keeps what needs a single owner: admission, stream
 //! credits, and per resident one `supervise` (latched error, deadline,
 //! finish → report, watchdog) followed by eviction.
@@ -53,7 +55,7 @@
 //! progressing on the remaining kernels, so pool sizing (`kernels ≥ 2`)
 //! bounds the blast radius of a single wedged body.
 
-use crate::arena::{Arena, KernelCtx, Watch};
+use crate::arena::{add, Arena, KernelCtx, Watch};
 use crate::body::BodyTable;
 use crate::faults::FaultPlan;
 use crate::kernel::KERNEL_BACKSTOP;
@@ -67,7 +69,13 @@ use std::time::Duration;
 use tflux_core::error::CoreError;
 use tflux_core::ids::{Epoch, Instance, KernelId, ProgramId};
 use tflux_core::program::DdmProgram;
-use tflux_core::tsu::{EventCount, FetchResult, FlushPolicy, ServiceRotor, Tsu, TsuConfig};
+use tflux_core::tsu::{EventCount, FetchResult, FlushPolicy, Tsu, TsuConfig};
+
+/// Instances a weight-1 tenant may run in one turn of a pool kernel; a
+/// weight-`w` tenant may run `w × TURN`. The bound is what keeps a tenant
+/// with endless work (a long stream) from holding a kernel while its
+/// co-residents wait; 16 and 64 measured alike (EXPERIMENTS.md).
+pub const TURN: u32 = 16;
 
 /// Configuration of a [`ProgramServer`].
 #[derive(Clone, Copy, Debug)]
@@ -234,8 +242,8 @@ impl Submission {
         self
     }
 
-    /// Set the fairness weight: a weight-`w` tenant receives `w` service
-    /// grants per rotor cycle on each kernel (clamped to ≥ 1).
+    /// Set the fairness weight: a weight-`w` tenant's turn on a pool
+    /// kernel runs up to `w ×` [`TURN`] instances (clamped to ≥ 1).
     pub fn weight(mut self, weight: u32) -> Self {
         self.weight = weight.max(1);
         self
@@ -357,6 +365,20 @@ pub struct ServerStats {
     /// Passes the supervisor made over the resident set. Unlike the other
     /// counters this one depends on timing (the timed waits tick it).
     pub supervisor_rounds: u64,
+    /// Turns the pool kernels gave tenants (each tried at least one
+    /// fetch). Timing-dependent, like `supervisor_rounds`.
+    pub turns: u64,
+    /// Turns that ran nothing: the tenant had no runnable instance.
+    pub empty_turns: u64,
+}
+
+/// One pool kernel's turn counters. Written only by that kernel, so an
+/// update is a `Relaxed` load + store; one cache line per kernel.
+#[derive(Default)]
+#[repr(align(64))]
+struct PoolSlot {
+    turns: AtomicU64,
+    empty_turns: AtomicU64,
 }
 
 /// State shared by the pool kernels, the supervisor, and submitters.
@@ -386,6 +408,8 @@ struct ServerShared {
     finished: AtomicU64,
     evicted: AtomicU64,
     rounds: AtomicU64,
+    /// One per pool kernel, indexed by kernel id.
+    slots: Vec<PoolSlot>,
 }
 
 /// A shared kernel pool serving many DDM programs with per-program fault
@@ -419,6 +443,7 @@ impl ProgramServer {
             finished: AtomicU64::new(0),
             evicted: AtomicU64::new(0),
             rounds: AtomicU64::new(0),
+            slots: (0..config.kernels).map(|_| PoolSlot::default()).collect(),
         });
         let mut threads = Vec::with_capacity(config.kernels as usize + 1);
         for k in 0..config.kernels {
@@ -485,6 +510,9 @@ impl ProgramServer {
     /// Snapshot of the server's counters.
     pub fn stats(&self) -> ServerStats {
         let sh = &self.shared;
+        let sum = |f: fn(&PoolSlot) -> &AtomicU64| -> u64 {
+            sh.slots.iter().map(|s| f(s).load(Ordering::Relaxed)).sum()
+        };
         ServerStats {
             admitted: sh.admitted.load(Ordering::Relaxed),
             finished: sh.finished.load(Ordering::Relaxed),
@@ -492,6 +520,8 @@ impl ProgramServer {
             pool_rings: sh.pool.epoch(),
             supervisor_rings: sh.supervisor.epoch(),
             supervisor_rounds: sh.rounds.load(Ordering::Relaxed),
+            turns: sum(|s| &s.turns),
+            empty_turns: sum(|s| &s.empty_turns),
         }
     }
 
@@ -542,9 +572,9 @@ impl Drop for ProgramServer {
     }
 }
 
-/// Serve one rotor grant from `tenant`: fetch one instance and `step` it,
-/// then ring what the step asks for (the wake table in the module docs).
-/// Returns whether anything was executed.
+/// Fetch one instance of `tenant` and `step` it, then ring what the step
+/// asks for (the wake table in the module docs). Returns whether anything
+/// was executed.
 fn serve_one(shared: &ServerShared, tenant: &Tenant, ctx: &mut KernelCtx) -> bool {
     let fetched = match tenant.arena.fetch(ctx, &tenant.faults) {
         Ok(FetchResult::Thread(instance, epoch)) => (instance, epoch),
@@ -570,14 +600,13 @@ fn serve_one(shared: &ServerShared, tenant: &Tenant, ctx: &mut KernelCtx) -> boo
     true
 }
 
-/// One pool kernel: multiplex over the resident arenas in weighted
-/// round-robin order, parking on the pool eventcount when no tenant has
-/// work.
+/// One pool kernel: sweep the resident arenas, one turn each, parking on
+/// the pool eventcount after a sweep in which no tenant had work.
 fn run_pool_kernel(shared: &ServerShared, kernel: KernelId) {
-    let mut rotor = ServiceRotor::new();
-    let mut members: Vec<ProgramId> = Vec::new();
+    let slot = &shared.slots[kernel.0 as usize];
     let mut snapshot: Vec<Arc<Tenant>> = Vec::new();
     let mut seen_gen = u64::MAX; // force the first snapshot
+    let mut cursor = 0usize;
     let mut ctx = KernelCtx::new(kernel, FlushPolicy::Direct);
     loop {
         // read before looking: whatever is published after this rings past it
@@ -586,38 +615,46 @@ fn run_pool_kernel(shared: &ServerShared, kernel: KernelId) {
         if gen != seen_gen {
             seen_gen = gen;
             snapshot = lock(&shared.registry).clone();
-            let live: Vec<ProgramId> = snapshot.iter().map(|t| t.id).collect();
-            for &old in &members {
-                if !live.contains(&old) {
-                    rotor.evict(old);
-                }
-            }
-            for t in &snapshot {
-                rotor.admit(t.id, t.weight);
-            }
-            members = live;
         }
         if shared.done.load(Ordering::Acquire) {
             break;
         }
-        let mut did_work = false;
-        // one sweep is one rotor round: every resident tenant is offered
-        // at least one grant (a weight-`w` one `w`), so a sweep that ran
-        // nothing means nothing was runnable and the kernel may park. An
-        // admission or eviction cuts the sweep short (weights are
-        // unbounded, so a round can be long); a ring follows every
-        // generation bump, so the wait below does not sleep through it
-        for _ in 0..rotor.round_len() {
-            if shared.generation.load(Ordering::Acquire) != seen_gen {
+        // one sweep gives every resident one turn, in circular order from
+        // where the last sweep stopped. A turn ends when its tenant has
+        // nothing runnable or its `weight × TURN` budget is spent; every
+        // turn fetches at least once, so a sweep that ran nothing proves no
+        // tenant had work and the kernel may park. An admission or
+        // eviction ends the sweep at once (weights are unbounded, so a
+        // turn can be long) and the kernel re-snapshots without parking
+        let (mut did_work, mut moved) = (false, false);
+        let n = snapshot.len();
+        for _ in 0..n {
+            let tenant = &snapshot[cursor % n];
+            let budget = tenant.weight.saturating_mul(TURN);
+            let mut served = 0u32;
+            while served < budget {
+                if shared.generation.load(Ordering::Acquire) != seen_gen {
+                    moved = true;
+                    break;
+                }
+                if !serve_one(shared, tenant, &mut ctx) {
+                    break;
+                }
+                served += 1;
+            }
+            // a turn cut short before its first fetch is no turn
+            if moved && served == 0 {
                 break;
             }
-            let Some(id) = rotor.next() else { break };
-            let Some(tenant) = snapshot.iter().find(|t| t.id == id) else {
-                continue;
-            };
-            did_work |= serve_one(shared, tenant, &mut ctx);
+            cursor = cursor % n + 1;
+            add(&slot.turns, 1);
+            add(&slot.empty_turns, u64::from(served == 0));
+            did_work |= served > 0;
+            if moved {
+                break;
+            }
         }
-        if !did_work {
+        if !did_work && !moved {
             shared.pool.wait(epoch, KERNEL_BACKSTOP);
         }
     }
@@ -1078,7 +1115,7 @@ mod tests {
     #[test]
     fn idle_pool_kernel_steals_within_the_tenant_arena() {
         // All `work` instances are pinned to kernel 0's queue in the
-        // tenant's arena. Kernel 1's rotor turn finds its own queue empty,
+        // tenant's arena. Kernel 1's turn finds its own queue empty,
         // so the only way it can ever execute anything is to steal inside
         // the arena; the slow bodies guarantee kernel 0 cannot drain the
         // queue alone before kernel 1 sweeps.
@@ -1418,6 +1455,82 @@ mod tests {
             took < Duration::from_secs(1),
             "the next program waited {took:?} behind an evicted tenant's grants"
         );
+    }
+
+    #[test]
+    fn a_turn_is_bounded_by_weight_times_turn() {
+        // One kernel, two tenants of weights 1 and 3, each a wide block
+        // whose bodies log the tenant's index. While both have runnable
+        // work, the kernel alternates one turn each: no run of a tenant in
+        // the log is longer than its `weight × TURN` budget, and every
+        // window of the two budgets plus one names both.
+        const WEIGHTS: [u32; 2] = [1, 3];
+        let server = ProgramServer::start(ServerConfig::with_kernels(1));
+        let log = Arc::new(Mutex::new(Vec::new()));
+        let gate = Arc::new(Gate::default());
+        let (entered_tx, entered_rx) = mpsc::channel();
+        let entered_tx = Arc::new(Mutex::new(Some(entered_tx)));
+        let mut waits = Vec::new();
+        for (tenant, weight) in WEIGHTS.into_iter().enumerate() {
+            let mut b = ProgramBuilder::new();
+            let blk = b.block();
+            let work = b.thread(blk, ThreadSpec::new("work", 256));
+            let p = Arc::new(b.build().unwrap());
+            let mut bodies = BodyTable::new(&p);
+            let (log, gate, entered_tx) =
+                (Arc::clone(&log), Arc::clone(&gate), Arc::clone(&entered_tx));
+            bodies.set(work, move |_| {
+                // the first body holds the only kernel until both are resident
+                if let Some(tx) = lock(&entered_tx).take() {
+                    tx.send(()).unwrap();
+                    gate.pass();
+                }
+                lock(&log).push(tenant);
+            });
+            let sub = Submission::new(p, bodies).weight(weight);
+            waits.push(server.submit(sub, Submit::Block).unwrap());
+            if tenant == 0 {
+                entered_rx.recv().unwrap();
+            }
+        }
+        // `admitted` counts after the generation bump the kernel checks
+        while server.stats().admitted < 2 {
+            std::thread::yield_now();
+        }
+        gate.open();
+        for adm in waits {
+            adm.wait().unwrap();
+        }
+        let stats = server.stats();
+        server.shutdown();
+        let log = Arc::try_unwrap(log).unwrap().into_inner().unwrap();
+        assert_eq!(log.len(), 2 * 256);
+        assert!(stats.turns > stats.empty_turns, "{stats:?}");
+        // the prefix in which both tenants still had work to log
+        let last = |t: usize| log.iter().rposition(|&x| x == t).unwrap();
+        let both = &log[..last(0).min(last(1)) + 1];
+        // the longest run of each tenant is exactly its budget: a turn
+        // never overruns it, and a tenant with work uses all of it
+        for (tenant, weight) in WEIGHTS.into_iter().enumerate() {
+            let longest = both
+                .chunk_by(|a, b| a == b)
+                .filter(|run| run[0] == tenant)
+                .map(<[usize]>::len)
+                .max();
+            let budget = (weight * TURN) as usize;
+            assert_eq!(longest, Some(budget), "tenant {tenant}: {log:?}");
+        }
+        let window = ((WEIGHTS[0] + WEIGHTS[1]) * TURN) as usize + 1;
+        assert!(
+            both.len() > window,
+            "the tenants never shared the kernel: {log:?}"
+        );
+        for w in both.windows(window) {
+            assert!(
+                w.contains(&0) && w.contains(&1),
+                "a window misses a tenant: {log:?}"
+            );
+        }
     }
 
     #[test]
