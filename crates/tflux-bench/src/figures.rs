@@ -316,7 +316,7 @@ pub fn qsort_tree_depth(quick: bool) -> Vec<(u32, f64, f64)> {
         let (sprog, ssrc) = sim_baseline(Bench::Qsort, &p);
         let seq = m.run_sequential(&sprog, ssrc.as_ref());
         let (prog, ids) = qsort::program_with_depth(&p, d);
-        let src = qsort::tree_sim_source(&p, ids);
+        let src = qsort::tree_model(&p, ids);
         m.run(&prog, &src).expect("sim run").speedup_over(&seq)
     };
     depths

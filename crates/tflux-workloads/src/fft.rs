@@ -12,13 +12,11 @@
 //! worse than the row phase (each element on its own cache line for the
 //! paper's sizes), which the trace model reproduces.
 
-use crate::common::{chunk, Params, Region};
+use crate::common::{chunk, Costed, Describe, Params, Region, Sink};
 use crate::sizes::fft_n;
-use tflux_cell::work::{CellWork, CellWorkSource};
 use tflux_core::prelude::*;
 use tflux_core::unroll::Unroll;
 use tflux_runtime::{BodyTable, Runtime, RuntimeConfig, SharedVar};
-use tflux_sim::work::{InstanceWork, WorkSource};
 
 /// A complex number (kept as a plain pair for determinism and layout
 /// control).
@@ -227,8 +225,10 @@ pub fn run_ddm(p: &Params) -> (Vec<Cpx>, Cpx) {
 /// add/sub pair and twiddle update, on a scalar in-order core).
 const CYCLES_PER_BUTTERFLY: u64 = 24;
 
-/// Simulator trace model: matrix at 256 MB (16-byte complex elements),
-/// column-phase scratch at 512 MB.
+/// Cost description: matrix at 256 MB (16-byte complex elements),
+/// column-phase scratch at 512 MB. FFT is not part of Fig. 7, but the
+/// description serves the Cell too, so the suite is complete on every
+/// platform.
 pub struct FftModel {
     n: u64,
     unroll: u32,
@@ -237,19 +237,19 @@ pub struct FftModel {
     scratch: Region,
 }
 
-/// Build the simulator work source.
-pub fn sim_source(p: &Params, ids: FftIds) -> FftModel {
-    FftModel {
+/// Build the cost model.
+pub fn model(p: &Params, ids: FftIds) -> Costed<FftModel> {
+    Costed(FftModel {
         n: fft_n(p.size) as u64,
         unroll: p.unroll,
         ids,
         m: Region::new(0x1000_0000, 16),
         scratch: Region::new(0x2000_0000, 16),
-    }
+    })
 }
 
-impl WorkSource for FftModel {
-    fn work(&self, inst: Instance, out: &mut InstanceWork) {
+impl Describe for FftModel {
+    fn describe<S: Sink>(&self, inst: Instance, out: &mut S) {
         let n = self.n;
         let logn = 64 - (n - 1).leading_zeros() as u64;
         if inst.thread == self.ids.rows {
@@ -261,7 +261,7 @@ impl WorkSource for FftModel {
                     self.m.scan(out, r * n, (r + 1) * n, true);
                 }
             }
-            out.compute = (hi - lo) * (n / 2) * logn * CYCLES_PER_BUTTERFLY;
+            out.compute((hi - lo) * (n / 2) * logn * CYCLES_PER_BUTTERFLY);
         } else if inst.thread == self.ids.cols {
             let (lo, hi) = chunk(n, self.unroll, inst.context.0);
             for c in lo..hi {
@@ -275,53 +275,10 @@ impl WorkSource for FftModel {
                 }
                 self.m.strided(out, c, c + n * n, n, true);
             }
-            out.compute = (hi - lo) * (n / 2) * logn * CYCLES_PER_BUTTERFLY;
+            out.compute((hi - lo) * (n / 2) * logn * CYCLES_PER_BUTTERFLY);
         } else if inst.thread == self.ids.check {
             self.m.scan(out, 0, n * n / 16, false); // sampled walk
-            out.compute = n * n / 8;
-        }
-    }
-}
-
-/// Cell cost model (FFT is not part of Fig. 7, but the model exists so the
-/// suite is complete on every platform).
-pub struct FftCellModel {
-    n: u64,
-    unroll: u32,
-    ids: FftIds,
-}
-
-/// Build the Cell work source.
-pub fn cell_source(p: &Params, ids: FftIds) -> FftCellModel {
-    FftCellModel {
-        n: fft_n(p.size) as u64,
-        unroll: p.unroll,
-        ids,
-    }
-}
-
-impl CellWorkSource for FftCellModel {
-    fn work(&self, inst: Instance) -> CellWork {
-        let n = self.n;
-        let logn = 64 - (n - 1).leading_zeros() as u64;
-        if inst.thread == self.ids.rows || inst.thread == self.ids.cols {
-            let (lo, hi) = chunk(n, self.unroll, inst.context.0);
-            let lines = (hi - lo) * n * 16;
-            CellWork {
-                compute: (hi - lo) * (n / 2) * logn * CYCLES_PER_BUTTERFLY,
-                import_bytes: lines,
-                export_bytes: lines,
-                ls_bytes: 32 * 1024 + 2 * lines,
-            }
-        } else if inst.thread == self.ids.check {
-            CellWork {
-                compute: n * n / 8,
-                import_bytes: n * n,
-                export_bytes: 16,
-                ls_bytes: 48 * 1024,
-            }
-        } else {
-            CellWork::default()
+            out.compute(n * n / 8);
         }
     }
 }
@@ -330,6 +287,7 @@ impl CellWorkSource for FftCellModel {
 mod tests {
     use super::*;
     use crate::sizes::SizeClass;
+    use tflux_sim::work::InstanceWork;
 
     /// Naive DFT for validation.
     fn dft(a: &[Cpx]) -> Vec<Cpx> {
@@ -409,11 +367,11 @@ mod tests {
     fn column_phase_touches_more_lines_than_row_phase() {
         let p = Params::hard(4, 1, SizeClass::Medium); // n=64
         let (_, ids) = program(&p);
-        let src = sim_source(&p, ids);
+        let Costed(src) = model(&p, ids);
         let mut wr = InstanceWork::default();
         let mut wc = InstanceWork::default();
-        src.work(Instance::new(src.ids.rows, Context(0)), &mut wr);
-        src.work(Instance::new(src.ids.cols, Context(0)), &mut wc);
+        src.describe(Instance::new(src.ids.rows, Context(0)), &mut wr);
+        src.describe(Instance::new(src.ids.cols, Context(0)), &mut wc);
         assert!(wc.accesses.len() > wr.accesses.len());
     }
 }

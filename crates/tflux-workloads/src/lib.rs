@@ -12,10 +12,13 @@
 //!    between DThreads through explicit
 //!    [`SharedVar`](tflux_runtime::SharedVar) slots — the same
 //!    produce/export → import/consume discipline TFluxCell uses;
-//! 3. **platform cost models** (`sim_*` / `cell_*` functions) — the same
-//!    decomposition expressed as cache-line-granular access traces for
-//!    `tflux-sim` and DMA/compute costs for `tflux-cell`, which is what the
-//!    figure harness sweeps. These model the paper's in-place C
+//! 3. **one cost description** (`model` functions, [`common::Describe`]) —
+//!    the same decomposition as each instance's compute cycles plus region
+//!    touches. `Machine` expands the touches into cache-line accesses; the
+//!    Cell sums them into DMA bytes and Local Store footprint, adding only
+//!    a per-benchmark SPE compute scale and fixed Local Store bytes
+//!    ([`common::CellCosts`]). `setup::{sim_setup, cell_setup}` hand the
+//!    figure harness either view. These model the paper's in-place C
 //!    decomposition (workers write results directly into shared arrays).
 //!
 //! | Benchmark | Source (paper) | Decomposition |

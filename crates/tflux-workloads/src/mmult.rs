@@ -9,13 +9,11 @@
 //! scalar sink. Every worker streams all of `B`, which is what generates
 //! the coherency/bus traffic that caps MMULT's scaling.
 
-use crate::common::{chunk, Params, Region};
+use crate::common::{chunk, CellCosts, Costed, Describe, Params, Region, Sink};
 use crate::sizes::mmult_n;
-use tflux_cell::work::{CellWork, CellWorkSource};
 use tflux_core::prelude::*;
 use tflux_core::unroll::Unroll;
 use tflux_runtime::{BodyTable, Runtime, RuntimeConfig, SharedVar};
-use tflux_sim::work::{InstanceWork, WorkSource};
 
 /// Deterministic input matrices: `A[i][j] = (i + 2j) % 17`,
 /// `B[i][j] = (3i + j) % 13` (integers in f64 keep results exact).
@@ -112,8 +110,21 @@ pub fn run_ddm(p: &Params) -> Vec<f64> {
 /// FP multiply + add + index update, no FMA, no SIMD).
 pub const CYCLES_PER_MAC: u64 = 5;
 
-/// Simulator trace model. Address space: `A` at 256 MB, `B` at 512 MB,
-/// `C` at 768 MB (all row-major f64).
+/// The Cell streams `A`, `B` and `C` through fixed 16 KB Local Store
+/// tiles (matrix multiply tiles at any size), so the footprint is constant
+/// while the DMA traffic scales with the data actually moved.
+const CELL: CellCosts = CellCosts {
+    spe_scale: 1,
+    ls_fixed: 32 * 1024 + 3 * 16 * 1024,
+};
+
+/// The three matrices: `A` at 256 MB, `B` at 512 MB, `C` at 768 MB (all
+/// row-major f64, streamed on the Cell).
+fn matrices() -> [Region; 3] {
+    [0x1000_0000, 0x2000_0000, 0x3000_0000].map(|base| Region::streamed(base, 8))
+}
+
+/// Cost description of the row-blocked program.
 pub struct MmultModel {
     n: u64,
     unroll: u32,
@@ -123,23 +134,26 @@ pub struct MmultModel {
     c: Region,
 }
 
-/// Build the simulator work source.
-pub fn sim_source(p: &Params, ids: MmultIds) -> MmultModel {
-    MmultModel {
+/// Build the cost model.
+pub fn model(p: &Params, ids: MmultIds) -> Costed<MmultModel> {
+    let [a, b, c] = matrices();
+    Costed(MmultModel {
         n: mmult_n(p.size, p.platform) as u64,
         unroll: p.unroll,
         ids,
-        a: Region::new(0x1000_0000, 8),
-        b: Region::new(0x2000_0000, 8),
-        c: Region::new(0x3000_0000, 8),
-    }
+        a,
+        b,
+        c,
+    })
 }
 
-impl WorkSource for MmultModel {
-    fn work(&self, inst: Instance, out: &mut InstanceWork) {
+impl Describe for MmultModel {
+    const CELL: CellCosts = CELL;
+
+    fn describe<S: Sink>(&self, inst: Instance, out: &mut S) {
         if inst.thread != self.ids.work {
             if inst.thread == self.ids.sink {
-                out.compute = 100;
+                out.compute(100);
             }
             return;
         }
@@ -153,48 +167,7 @@ impl WorkSource for MmultModel {
                 self.c.scan(out, i * n, (i + 1) * n, true);
             }
         }
-        out.compute = (hi - lo) * n * n * CYCLES_PER_MAC;
-    }
-}
-
-/// Cell cost model: each instance imports its `A` rows plus all of `B`
-/// (double-buffered streaming in the real port; we charge the transfer),
-/// exports its `C` rows.
-pub struct MmultCellModel {
-    n: u64,
-    unroll: u32,
-    ids: MmultIds,
-}
-
-/// Build the Cell work source.
-pub fn cell_source(p: &Params, ids: MmultIds) -> MmultCellModel {
-    MmultCellModel {
-        n: mmult_n(p.size, p.platform) as u64,
-        unroll: p.unroll,
-        ids,
-    }
-}
-
-impl CellWorkSource for MmultCellModel {
-    fn work(&self, inst: Instance) -> CellWork {
-        if inst.thread != self.ids.work {
-            return CellWork::default();
-        }
-        let n = self.n;
-        let (lo, hi) = chunk(n, self.unroll, inst.context.0);
-        let rows = hi - lo;
-        // A, B and C are all streamed through fixed 16 KB LS tiles (matrix
-        // multiply tiles at any size), so the LS footprint is constant while
-        // the DMA traffic scales with the data actually moved.
-        let a_bytes = rows * n * 8;
-        let b_bytes = n * n * 8;
-        let c_bytes = rows * n * 8;
-        CellWork {
-            compute: rows * n * n * CYCLES_PER_MAC,
-            import_bytes: a_bytes + b_bytes,
-            export_bytes: c_bytes,
-            ls_bytes: 32 * 1024 + 3 * 16 * 1024,
-        }
+        out.compute((hi - lo) * n * n * CYCLES_PER_MAC);
     }
 }
 
@@ -216,8 +189,8 @@ pub struct MmultElem {
     c: Region,
 }
 
-/// Build the element-granular program and simulator model.
-pub fn elem_setup(p: &Params) -> (DdmProgram, MmultElem) {
+/// Build the element-granular program and cost model.
+pub fn elem_setup(p: &Params) -> (DdmProgram, Costed<MmultElem>) {
     let n = mmult_n(p.size, p.platform) as u64;
     let elems = n * n;
     let arity = Unroll::new(elems, p.unroll).arity();
@@ -226,21 +199,24 @@ pub fn elem_setup(p: &Params) -> (DdmProgram, MmultElem) {
     let work = bld.thread(blk, ThreadSpec::new("mmult.elem", arity));
     let sink = bld.thread(blk, ThreadSpec::scalar("mmult.sink"));
     bld.arc(work, sink, ArcMapping::Reduction).expect("arc");
+    let [a, b, c] = matrices();
     (
         bld.build().expect("mmult elem program"),
-        MmultElem {
+        Costed(MmultElem {
             n,
             unroll: p.unroll,
             work,
-            a: Region::new(0x1000_0000, 8),
-            b: Region::new(0x2000_0000, 8),
-            c: Region::new(0x3000_0000, 8),
-        },
+            a,
+            b,
+            c,
+        }),
     )
 }
 
-impl WorkSource for MmultElem {
-    fn work(&self, inst: Instance, out: &mut InstanceWork) {
+impl Describe for MmultElem {
+    const CELL: CellCosts = CELL;
+
+    fn describe<S: Sink>(&self, inst: Instance, out: &mut S) {
         if inst.thread != self.work {
             return;
         }
@@ -253,25 +229,7 @@ impl WorkSource for MmultElem {
             self.b.strided(out, j, j + n * n, n, false);
             self.c.scan(out, i * n + j, i * n + j + 1, true);
         }
-        out.compute = (hi - lo) * n * CYCLES_PER_MAC;
-    }
-}
-
-impl CellWorkSource for MmultElem {
-    fn work(&self, inst: Instance) -> CellWork {
-        if inst.thread != self.work {
-            return CellWork::default();
-        }
-        let n = self.n;
-        let (lo, hi) = chunk(n * n, self.unroll, inst.context.0);
-        let elems = hi - lo;
-        CellWork {
-            compute: elems * n * CYCLES_PER_MAC,
-            // per element: one A row + one B column in, one element out
-            import_bytes: elems * 2 * n * 8,
-            export_bytes: elems * 8,
-            ls_bytes: 48 * 1024,
-        }
+        out.compute((hi - lo) * n * CYCLES_PER_MAC);
     }
 }
 
@@ -279,6 +237,8 @@ impl CellWorkSource for MmultElem {
 mod tests {
     use super::*;
     use crate::sizes::SizeClass;
+    use tflux_cell::work::CellWorkSource;
+    use tflux_sim::work::InstanceWork;
 
     #[test]
     fn seq_matches_naive_small() {
@@ -317,9 +277,9 @@ mod tests {
     fn sim_model_access_counts_scale_with_rows() {
         let p = Params::hard(4, 2, SizeClass::Small); // n=64, 2 rows/instance
         let (_, ids) = program(&p);
-        let src = sim_source(&p, ids);
+        let Costed(src) = model(&p, ids);
         let mut w = InstanceWork::default();
-        src.work(Instance::new(src.ids.work, Context(0)), &mut w);
+        src.describe(Instance::new(src.ids.work, Context(0)), &mut w);
         let n = 64u64;
         // per row: A lines (n/8) + n * (B lines + C lines) = 8 + 64*(8+8)
         let per_row = 8 + n * 16;
@@ -330,10 +290,10 @@ mod tests {
     #[test]
     fn elem_model_covers_all_elements() {
         let p = Params::hard(4, 8, SizeClass::Small); // n=64, 8 elems/thread
-        let (prog, src) = elem_setup(&p);
+        let (prog, Costed(src)) = elem_setup(&p);
         assert_eq!(prog.thread(src.work).arity, 64 * 64 / 8);
         let mut w = InstanceWork::default();
-        tflux_sim::work::WorkSource::work(&src, Instance::new(src.work, Context(0)), &mut w);
+        src.describe(Instance::new(src.work, Context(0)), &mut w);
         assert_eq!(w.compute, 8 * 64 * CYCLES_PER_MAC);
         // per element: 8 A lines + 64 B lines + 1 C line
         assert_eq!(w.accesses.len(), 8 * (8 + 64 + 1));
@@ -344,10 +304,10 @@ mod tests {
         let ids = |p: &Params| program(p).1;
         let p1 = Params::cell(6, 1, SizeClass::Small);
         let p64 = Params::cell(6, 64, SizeClass::Small);
-        let s1 = cell_source(&p1, ids(&p1));
-        let s64 = cell_source(&p64, ids(&p64));
-        let w1 = s1.work(Instance::new(s1.ids.work, Context(0)));
-        let w64 = s64.work(Instance::new(s64.ids.work, Context(0)));
+        let s1 = model(&p1, ids(&p1));
+        let s64 = model(&p64, ids(&p64));
+        let w1 = CellWorkSource::work(&s1, Instance::new(s1.0.ids.work, Context(0)));
+        let w64 = CellWorkSource::work(&s64, Instance::new(s64.0.ids.work, Context(0)));
         // compute per byte transferred is 64x better at unroll 64
         let r1 = w1.compute as f64 / (w1.import_bytes + w1.export_bytes) as f64;
         let r64 = w64.compute as f64 / (w64.import_bytes + w64.export_bytes) as f64;

@@ -11,13 +11,11 @@
 //! one partition; a first merge level of `P/2` pair-mergers; and a scalar
 //! final merge — exactly two tree levels.
 
-use crate::common::{Params, Region};
+use crate::common::{CellCosts, Costed, Describe, Params, Region, Sink};
 use crate::sizes::qsort_n;
-use tflux_cell::work::{CellWork, CellWorkSource};
 use tflux_core::prelude::*;
 use tflux_core::rng::SplitMix64;
 use tflux_runtime::{BodyTable, Runtime, RuntimeConfig, SharedVar};
-use tflux_sim::work::{InstanceWork, WorkSource};
 
 /// Deterministic input array.
 pub fn input(n: usize) -> Vec<i32> {
@@ -172,8 +170,25 @@ const CYCLES_PER_MERGE: u64 = 12;
 /// Cycles per element initialized (PRNG + store).
 const CYCLES_PER_INIT: u64 = 10;
 
-/// Simulator trace model. The array lives at 256 MB; merge scratch at
-/// 512 MB; final output at 768 MB.
+/// How much slower branchy, pointer-chasing scalar code runs on an SPE
+/// than on the PPE: the SPE has no branch predictor and no scalar
+/// load/store path, so quicksort-style code pays a heavy penalty (~2x). The
+/// sequential baseline runs on the PPE (the paper's baseline uses "the
+/// same processor", i.e. the Cell's general-purpose core, so it pays × 1),
+/// which is why the paper's Cell QSORT speedups stay at 1.3–2.1 even on 6
+/// SPEs.
+pub(crate) const SPE_SCALAR_PENALTY: u64 = 2;
+
+/// The DDM decomposition's Cell constants: its threads run on SPEs.
+const SPE: CellCosts = CellCosts {
+    spe_scale: SPE_SCALAR_PENALTY,
+    ls_fixed: 32 * 1024,
+};
+
+/// Cost description. The array lives at 256 MB; merge scratch at 512 MB;
+/// final output at 768 MB. On the Cell every touch is Local-Store resident,
+/// so the final merge must hold the whole array (in + out) — the reason
+/// the paper caps Cell QSORT at 12 K elements.
 pub struct QsortModel {
     n: usize,
     parts: u32,
@@ -183,26 +198,28 @@ pub struct QsortModel {
     fin: Region,
 }
 
-/// Build the simulator work source.
-pub fn sim_source(p: &Params, ids: QsortIds) -> QsortModel {
-    QsortModel {
+/// Build the cost model.
+pub fn model(p: &Params, ids: QsortIds) -> Costed<QsortModel> {
+    Costed(QsortModel {
         n: qsort_n(p.size, p.platform),
         parts: partitions(p.kernels),
         ids,
         arr: Region::new(0x1000_0000, 4),
         scratch: Region::new(0x2000_0000, 4),
         fin: Region::new(0x3000_0000, 4),
-    }
+    })
 }
 
-impl WorkSource for QsortModel {
-    fn work(&self, inst: Instance, out: &mut InstanceWork) {
+impl Describe for QsortModel {
+    const CELL: CellCosts = SPE;
+
+    fn describe<S: Sink>(&self, inst: Instance, out: &mut S) {
         let n = self.n as u64;
         if inst.thread == self.ids.init {
             // one core writes the whole array — the §6.2.2 communication
             // trade-off source
             self.arr.scan(out, 0, n, true);
-            out.compute = n * CYCLES_PER_INIT;
+            out.compute(n * CYCLES_PER_INIT);
         } else if inst.thread == self.ids.sort {
             let (lo, hi) = part_bounds(self.n, self.parts, inst.context.0);
             let m = (hi - lo) as u64;
@@ -212,93 +229,21 @@ impl WorkSource for QsortModel {
                 self.arr.scan(out, lo as u64, hi as u64, true);
             }
             // ~1.4 n log n compare-swaps for randomized quicksort
-            out.compute = m * passes * CYCLES_PER_CMP * 7 / 5;
+            out.compute(m * passes * CYCLES_PER_CMP * 7 / 5);
         } else if inst.thread == self.ids.merge1 {
             let g = inst.context.0;
             let (lo, _) = part_bounds(self.n, self.parts, 2 * g);
             let (_, hi) = part_bounds(self.n, self.parts, 2 * g + 1);
             self.arr.scan(out, lo as u64, hi as u64, false);
             self.scratch.scan(out, lo as u64, hi as u64, true);
-            out.compute = (hi - lo) as u64 * CYCLES_PER_MERGE;
+            out.compute((hi - lo) as u64 * CYCLES_PER_MERGE);
         } else if inst.thread == self.ids.merge2 {
             self.scratch.scan(out, 0, n, false);
             self.fin.scan(out, 0, n, true);
             // heap-based k-way merge: log2(runs) heap levels per element
             let runs = (self.parts as u64 / 2).max(2);
             let log_runs = 64 - (runs - 1).leading_zeros() as u64;
-            out.compute = n * CYCLES_PER_MERGE * log_runs.max(1);
-        }
-    }
-}
-
-/// How much slower branchy, pointer-chasing scalar code runs on an SPE
-/// than on the PPE: the SPE has no branch predictor and no scalar
-/// load/store path, so quicksort-style code pays a heavy penalty (~2x). The
-/// sequential baseline runs on the PPE (the paper's baseline uses "the
-/// same processor", i.e. the Cell's general-purpose core), which is why
-/// the paper's Cell QSORT speedups stay at 1.3–2.1 even on 6 SPEs.
-const SPE_SCALAR_PENALTY: u64 = 2;
-
-/// Cell cost model. The final merge must hold the whole array (in + out)
-/// in the Local Store — the reason the paper caps Cell QSORT at 12 K
-/// elements.
-pub struct QsortCellModel {
-    n: usize,
-    parts: u32,
-    ids: QsortIds,
-}
-
-/// Build the Cell work source.
-pub fn cell_source(p: &Params, ids: QsortIds) -> QsortCellModel {
-    QsortCellModel {
-        n: qsort_n(p.size, p.platform),
-        parts: partitions(p.kernels),
-        ids,
-    }
-}
-
-impl CellWorkSource for QsortCellModel {
-    fn work(&self, inst: Instance) -> CellWork {
-        let n = self.n as u64;
-        if inst.thread == self.ids.init {
-            CellWork {
-                compute: n * CYCLES_PER_INIT * 2,
-                import_bytes: 0,
-                export_bytes: n * 4,
-                ls_bytes: 32 * 1024 + n * 4,
-            }
-        } else if inst.thread == self.ids.sort {
-            let (lo, hi) = part_bounds(self.n, self.parts, inst.context.0);
-            let m = (hi - lo) as u64;
-            let passes = (64 - m.leading_zeros() as u64).max(1);
-            CellWork {
-                compute: m * passes * CYCLES_PER_CMP * 7 / 5 * SPE_SCALAR_PENALTY,
-                import_bytes: m * 4,
-                export_bytes: m * 4,
-                ls_bytes: 32 * 1024 + m * 4,
-            }
-        } else if inst.thread == self.ids.merge1 {
-            let g = inst.context.0;
-            let (lo, _) = part_bounds(self.n, self.parts, 2 * g);
-            let (_, hi) = part_bounds(self.n, self.parts, 2 * g + 1);
-            let m = (hi - lo) as u64;
-            CellWork {
-                compute: m * CYCLES_PER_MERGE * SPE_SCALAR_PENALTY,
-                import_bytes: m * 4,
-                export_bytes: m * 4,
-                ls_bytes: 32 * 1024 + 2 * m * 4,
-            }
-        } else if inst.thread == self.ids.merge2 {
-            let runs = (self.parts as u64 / 2).max(2);
-            let log_runs = (64 - (runs - 1).leading_zeros() as u64).max(1);
-            CellWork {
-                compute: n * CYCLES_PER_MERGE * log_runs * SPE_SCALAR_PENALTY,
-                import_bytes: n * 4,
-                export_bytes: n * 4,
-                ls_bytes: 32 * 1024 + 2 * n * 4,
-            }
-        } else {
-            CellWork::default()
+            out.compute(n * CYCLES_PER_MERGE * log_runs.max(1));
         }
     }
 }
@@ -366,7 +311,7 @@ pub struct QsortTreeIds {
     pub fin: ThreadId,
 }
 
-/// Simulator model for the depth-configurable tree.
+/// Cost description of the depth-configurable tree.
 pub struct QsortTreeModel {
     n: usize,
     parts: u32,
@@ -375,23 +320,25 @@ pub struct QsortTreeModel {
     scratch: Region,
 }
 
-/// Build the tree-model work source.
-pub fn tree_sim_source(p: &Params, ids: QsortTreeIds) -> QsortTreeModel {
-    QsortTreeModel {
+/// Build the tree's cost model.
+pub fn tree_model(p: &Params, ids: QsortTreeIds) -> Costed<QsortTreeModel> {
+    Costed(QsortTreeModel {
         n: qsort_n(p.size, p.platform),
         parts: partitions(p.kernels),
         ids,
         arr: Region::new(0x1000_0000, 4),
         scratch: Region::new(0x2000_0000, 4),
-    }
+    })
 }
 
-impl WorkSource for QsortTreeModel {
-    fn work(&self, inst: Instance, out: &mut InstanceWork) {
+impl Describe for QsortTreeModel {
+    const CELL: CellCosts = SPE;
+
+    fn describe<S: Sink>(&self, inst: Instance, out: &mut S) {
         let n = self.n as u64;
         if inst.thread == self.ids.init {
             self.arr.scan(out, 0, n, true);
-            out.compute = n * CYCLES_PER_INIT;
+            out.compute(n * CYCLES_PER_INIT);
         } else if inst.thread == self.ids.sort {
             let (lo, hi) = part_bounds(self.n, self.parts, inst.context.0);
             let m = (hi - lo) as u64;
@@ -400,7 +347,7 @@ impl WorkSource for QsortTreeModel {
                 self.arr.scan(out, lo as u64, hi as u64, false);
                 self.arr.scan(out, lo as u64, hi as u64, true);
             }
-            out.compute = m * passes * CYCLES_PER_CMP * 7 / 5;
+            out.compute(m * passes * CYCLES_PER_CMP * 7 / 5);
         } else if let Some(level) = self.ids.levels.iter().position(|&l| l == inst.thread) {
             // a level-l merger merges 2^(l+1) original partitions
             let span = 1u64 << (level as u64 + 1);
@@ -410,7 +357,7 @@ impl WorkSource for QsortTreeModel {
             let m = hi.saturating_sub(lo);
             self.arr.scan(out, lo, hi, false);
             self.scratch.scan(out, lo, hi, true);
-            out.compute = m * CYCLES_PER_MERGE;
+            out.compute(m * CYCLES_PER_MERGE);
         } else if inst.thread == self.ids.fin {
             let levels = self.ids.levels.len() as u32;
             let mut runs = self.parts;
@@ -421,7 +368,7 @@ impl WorkSource for QsortTreeModel {
             let log_runs = (64 - (runs.max(2) - 1).leading_zeros() as u64).max(1);
             self.scratch.scan(out, 0, n, false);
             self.arr.scan(out, 0, n, true);
-            out.compute = n * CYCLES_PER_MERGE * log_runs;
+            out.compute(n * CYCLES_PER_MERGE * log_runs);
         }
     }
 }
@@ -429,7 +376,8 @@ impl WorkSource for QsortTreeModel {
 /// The *original sequential program* model (the paper's baseline, §5:
 /// "the baseline program is the original sequential one"): init plus one
 /// full-array quicksort — note this does strictly *less* total work than
-/// the DDM decomposition, which adds the merge phases.
+/// the DDM decomposition, which adds the merge phases. On the Cell it runs
+/// on the PPE, at the default `spe_scale` of 1.
 pub struct QsortSeqModel {
     n: usize,
     work: ThreadId,
@@ -438,23 +386,23 @@ pub struct QsortSeqModel {
 
 /// Build the sequential-baseline program (a single scalar thread) and its
 /// model.
-pub fn seq_sim_program(p: &Params) -> (DdmProgram, QsortSeqModel) {
+pub fn seq_sim_program(p: &Params) -> (DdmProgram, Costed<QsortSeqModel>) {
     let n = qsort_n(p.size, p.platform);
     let mut b = ProgramBuilder::new();
     let blk = b.block();
     let work = b.thread(blk, ThreadSpec::scalar("qsort.seq"));
     (
         b.build().expect("qsort seq program"),
-        QsortSeqModel {
+        Costed(QsortSeqModel {
             n,
             work,
             arr: Region::new(0x1000_0000, 4),
-        },
+        }),
     )
 }
 
-impl WorkSource for QsortSeqModel {
-    fn work(&self, inst: Instance, out: &mut InstanceWork) {
+impl Describe for QsortSeqModel {
+    fn describe<S: Sink>(&self, inst: Instance, out: &mut S) {
         if inst.thread != self.work {
             return;
         }
@@ -467,41 +415,7 @@ impl WorkSource for QsortSeqModel {
             self.arr.scan(out, 0, n, false);
             self.arr.scan(out, 0, n, true);
         }
-        out.compute = n * CYCLES_PER_INIT + n * passes * CYCLES_PER_CMP * 7 / 5;
-    }
-}
-
-/// Cell-side sequential baseline: init + full quicksort on one SPE.
-pub struct QsortSeqCellModel {
-    n: usize,
-    work: ThreadId,
-}
-
-/// Build the Cell sequential-baseline program and model.
-pub fn seq_cell_program(p: &Params) -> (DdmProgram, QsortSeqCellModel) {
-    let n = qsort_n(p.size, p.platform);
-    let mut b = ProgramBuilder::new();
-    let blk = b.block();
-    let work = b.thread(blk, ThreadSpec::scalar("qsort.seq"));
-    (
-        b.build().expect("qsort seq cell program"),
-        QsortSeqCellModel { n, work },
-    )
-}
-
-impl CellWorkSource for QsortSeqCellModel {
-    fn work(&self, inst: Instance) -> CellWork {
-        if inst.thread != self.work {
-            return CellWork::default();
-        }
-        let n = self.n as u64;
-        let passes = (64 - n.leading_zeros() as u64).max(1);
-        CellWork {
-            compute: n * CYCLES_PER_INIT + n * passes * CYCLES_PER_CMP * 7 / 5,
-            import_bytes: 0,
-            export_bytes: n * 4,
-            ls_bytes: 32 * 1024 + n * 4,
-        }
+        out.compute(n * CYCLES_PER_INIT + n * passes * CYCLES_PER_CMP * 7 / 5);
     }
 }
 
@@ -509,6 +423,8 @@ impl CellWorkSource for QsortSeqCellModel {
 mod tests {
     use super::*;
     use crate::sizes::{Platform, SizeClass};
+    use tflux_cell::work::CellWorkSource;
+    use tflux_sim::work::InstanceWork;
 
     #[test]
     fn ddm_sorts_correctly() {
@@ -563,9 +479,9 @@ mod tests {
     fn sim_model_init_writes_whole_array() {
         let p = Params::hard(4, 1, SizeClass::Small);
         let (_, ids) = program(&p);
-        let src = sim_source(&p, ids);
+        let Costed(src) = model(&p, ids);
         let mut w = InstanceWork::default();
-        src.work(Instance::scalar(src.ids.init), &mut w);
+        src.describe(Instance::scalar(src.ids.init), &mut w);
         // 10K ints = 40KB = 625 lines
         assert_eq!(w.accesses.len(), 625);
         assert!(w.accesses.iter().all(|a| a.write));
@@ -598,13 +514,13 @@ mod tests {
         let mut accesses = Vec::new();
         for depth in [0u32, 2, 4] {
             let (prog, ids) = program_with_depth(&p, depth);
-            let src = tree_sim_source(&p, ids);
+            let Costed(src) = tree_model(&p, ids);
             let mut acc = 0usize;
             for t in 0..prog.threads().len() {
                 let t = ThreadId(t as u32);
                 for c in 0..prog.thread(t).arity {
                     let mut w = InstanceWork::default();
-                    src.work(Instance::new(t, Context(c)), &mut w);
+                    src.describe(Instance::new(t, Context(c)), &mut w);
                     acc += w.accesses.len();
                 }
             }
@@ -624,14 +540,14 @@ mod tests {
             platform: Platform::Native, // force native size through cell model
         };
         let (_, ids) = program(&p);
-        let src = cell_source(&p, ids);
-        let w = src.work(Instance::scalar(src.ids.merge2));
+        let src = model(&p, ids);
+        let w = CellWorkSource::work(&src, Instance::scalar(src.0.ids.merge2));
         assert!(w.ls_bytes > 256 * 1024, "{}", w.ls_bytes);
         // while the Cell-table sizes fit
         let pc = Params::cell(6, 1, SizeClass::Large);
         let (_, ids) = program(&pc);
-        let srcc = cell_source(&pc, ids);
-        let wc = srcc.work(Instance::scalar(srcc.ids.merge2));
+        let srcc = model(&pc, ids);
+        let wc = CellWorkSource::work(&srcc, Instance::scalar(srcc.0.ids.merge2));
         assert!(wc.ls_bytes <= 256 * 1024, "{}", wc.ls_bytes);
     }
 }

@@ -9,7 +9,7 @@
 //! defaults below encode those findings; the unroll ablation harness sweeps
 //! the factor explicitly to *reproduce* them.
 
-use crate::common::Params;
+use crate::common::{Costed, Describe, Params};
 use crate::sizes::Platform;
 use crate::{fft, mmult, qsort, susan, trapez, Bench};
 use tflux_cell::work::CellWorkSource;
@@ -77,53 +77,90 @@ pub fn best_unroll(
     best
 }
 
-/// Build the DDM program and simulator cost model for a benchmark.
-pub fn sim_setup(bench: Bench, p: &Params) -> (DdmProgram, Box<dyn WorkSource + Send + Sync>) {
+/// What a caller makes of a benchmark's cost model: `Machine`'s or the
+/// Cell's boxed input. A type parameter, so a binary that only simulates
+/// `Machine` carries no Cell code.
+trait View {
+    type Out;
+    fn of<D: Describe + Send + Sync + 'static>(model: Costed<D>) -> Self::Out;
+}
+
+struct OnMachine;
+
+impl View for OnMachine {
+    type Out = Box<dyn WorkSource + Send + Sync>;
+    fn of<D: Describe + Send + Sync + 'static>(model: Costed<D>) -> Self::Out {
+        Box::new(model)
+    }
+}
+
+struct OnCell;
+
+impl View for OnCell {
+    type Out = Box<dyn CellWorkSource + Send + Sync>;
+    fn of<D: Describe + Send + Sync + 'static>(model: Costed<D>) -> Self::Out {
+        Box::new(model)
+    }
+}
+
+/// The DDM program and cost model of a benchmark: the one per-benchmark
+/// dispatch behind every `*_setup` and `*_baseline`.
+fn model<V: View>(bench: Bench, p: &Params) -> (DdmProgram, V::Out) {
     match bench {
         Bench::Trapez => {
             let (prog, ids) = trapez::program(p);
             let arity = prog.thread(ids.work).arity;
-            let src = trapez::sim_source(p, ids, arity);
-            (prog, Box::new(src))
+            (prog, V::of(trapez::model(p, ids, arity)))
         }
         Bench::Mmult => {
             let (prog, ids) = mmult::program(p);
-            let src = mmult::sim_source(p, ids);
-            (prog, Box::new(src))
+            (prog, V::of(mmult::model(p, ids)))
         }
         Bench::Qsort => {
             let (prog, ids) = qsort::program(p);
-            let src = qsort::sim_source(p, ids);
-            (prog, Box::new(src))
+            (prog, V::of(qsort::model(p, ids)))
         }
         Bench::Susan => {
             let (prog, ids) = susan::program(p);
-            let src = susan::sim_source(p, ids);
-            (prog, Box::new(src))
+            (prog, V::of(susan::model(p, ids)))
         }
         Bench::Fft => {
             let (prog, ids) = fft::program(p);
-            let src = fft::sim_source(p, ids);
-            (prog, Box::new(src))
+            (prog, V::of(fft::model(p, ids)))
         }
     }
+}
+
+/// The sequential baseline's program and cost model (see [`sim_baseline`]).
+fn baseline<V: View>(bench: Bench, p: &Params) -> (DdmProgram, V::Out) {
+    match bench {
+        Bench::Qsort => {
+            let (prog, src) = qsort::seq_sim_program(p);
+            (prog, V::of(src))
+        }
+        _ => model::<V>(bench, p),
+    }
+}
+
+/// Build the DDM program and simulator cost model for a benchmark.
+pub fn sim_setup(bench: Bench, p: &Params) -> (DdmProgram, Box<dyn WorkSource + Send + Sync>) {
+    model::<OnMachine>(bench, p)
 }
 
 /// Build the *sequential baseline* program and model: the original
 /// sequential program, per §5 ("the baseline program is the original
 /// sequential one, i.e. without any TFlux overheads"). For TRAPEZ, MMULT,
-/// SUSAN and FFT the DDM instances executed back-to-back perform exactly
-/// the original computation, so the DDM program doubles as the baseline;
-/// QSORT's decomposition does *more* work than plain quicksort (it adds the
-/// merge tree), so its baseline is a dedicated full-array-quicksort model.
+/// SUSAN and FFT the DDM instances executed back-to-back perform exactly the
+/// original computation, so the DDM program doubles as the baseline; QSORT's
+/// decomposition does *more* work than plain quicksort (it adds the merge
+/// tree), so its baseline is a dedicated full-array-quicksort model.
 pub fn sim_baseline(bench: Bench, p: &Params) -> (DdmProgram, Box<dyn WorkSource + Send + Sync>) {
-    match bench {
-        Bench::Qsort => {
-            let (prog, src) = qsort::seq_sim_program(p);
-            (prog, Box::new(src))
-        }
-        _ => sim_setup(bench, p),
-    }
+    baseline::<OnMachine>(bench, p)
+}
+
+/// Build the DDM program and Cell cost model for a benchmark.
+pub fn cell_setup(bench: Bench, p: &Params) -> (DdmProgram, Box<dyn CellWorkSource + Send + Sync>) {
+    model::<OnCell>(bench, p)
 }
 
 /// The Cell-side sequential baseline (see [`sim_baseline`]).
@@ -131,45 +168,7 @@ pub fn cell_baseline(
     bench: Bench,
     p: &Params,
 ) -> (DdmProgram, Box<dyn CellWorkSource + Send + Sync>) {
-    match bench {
-        Bench::Qsort => {
-            let (prog, src) = qsort::seq_cell_program(p);
-            (prog, Box::new(src))
-        }
-        _ => cell_setup(bench, p),
-    }
-}
-
-/// Build the DDM program and Cell cost model for a benchmark.
-pub fn cell_setup(bench: Bench, p: &Params) -> (DdmProgram, Box<dyn CellWorkSource + Send + Sync>) {
-    match bench {
-        Bench::Trapez => {
-            let (prog, ids) = trapez::program(p);
-            let arity = prog.thread(ids.work).arity;
-            let src = trapez::cell_source(p, ids, arity);
-            (prog, Box::new(src))
-        }
-        Bench::Mmult => {
-            let (prog, ids) = mmult::program(p);
-            let src = mmult::cell_source(p, ids);
-            (prog, Box::new(src))
-        }
-        Bench::Qsort => {
-            let (prog, ids) = qsort::program(p);
-            let src = qsort::cell_source(p, ids);
-            (prog, Box::new(src))
-        }
-        Bench::Susan => {
-            let (prog, ids) = susan::program(p);
-            let src = susan::cell_source(p, ids);
-            (prog, Box::new(src))
-        }
-        Bench::Fft => {
-            let (prog, ids) = fft::program(p);
-            let src = fft::cell_source(p, ids);
-            (prog, Box::new(src))
-        }
-    }
+    baseline::<OnCell>(bench, p)
 }
 
 /// Run a benchmark's DDM decomposition on the real threaded runtime and
@@ -234,6 +233,7 @@ pub fn verify_runtime(bench: Bench, p: &Params) -> Result<(), String> {
 mod tests {
     use super::*;
     use crate::sizes::SizeClass;
+    use tflux_core::ids::{Context, Instance, ThreadId};
     use tflux_sim::{Machine, MachineConfig};
 
     #[test]
@@ -252,12 +252,40 @@ mod tests {
 
     #[test]
     fn cell_setup_builds_cell_benchmarks() {
-        for bench in Bench::CELL {
+        for bench in Bench::ALL {
             let p = with_default_unroll(bench, Params::cell(2, 0, SizeClass::Small));
             let (prog, src) = cell_setup(bench, &p);
             let m = tflux_cell::CellMachine::new(tflux_cell::CellConfig::ps3().with_spes(2));
             let r = m.run(&prog, src.as_ref()).expect("cell run");
             assert_eq!(r.instances, prog.total_instances(), "{bench:?}");
+        }
+    }
+
+    #[test]
+    fn one_description_costs_every_platform() {
+        // every instance's SPE compute is its `Machine` compute times the
+        // benchmark's one Cell-only scale
+        for bench in Bench::ALL {
+            let scale = match bench {
+                Bench::Qsort => qsort::SPE_SCALAR_PENALTY,
+                _ => 1,
+            };
+            let p = with_default_unroll(bench, Params::cell(4, 0, SizeClass::Small));
+            let (prog, sim) = sim_setup(bench, &p);
+            let (_, cell) = cell_setup(bench, &p);
+            let mut w = tflux_sim::work::InstanceWork::default();
+            for (t, spec) in prog.threads().iter().enumerate() {
+                for c in 0..spec.arity {
+                    let inst = Instance::new(ThreadId(t as u32), Context(c));
+                    w.clear();
+                    sim.work(inst, &mut w);
+                    assert_eq!(
+                        cell.work(inst).compute,
+                        w.compute * scale,
+                        "{bench:?} {inst:?}"
+                    );
+                }
+            }
         }
     }
 

@@ -10,13 +10,11 @@
 //! 5×5 mask: weight = spatial Gaussian × `exp(-(ΔI/t)²)` via a 512-entry
 //! lookup table, as in the MiBench original.
 
-use crate::common::{chunk, Params, Region};
+use crate::common::{chunk, Costed, Describe, Params, Region, Sink};
 use crate::sizes::susan_dims;
-use tflux_cell::work::{CellWork, CellWorkSource};
 use tflux_core::prelude::*;
 use tflux_core::unroll::Unroll;
 use tflux_runtime::{BodyTable, Runtime, RuntimeConfig, SharedVar};
-use tflux_sim::work::{InstanceWork, WorkSource};
 
 /// Brightness threshold of the similarity function.
 pub const THRESHOLD: f64 = 27.0;
@@ -204,8 +202,9 @@ const CYCLES_PER_PIXEL: u64 = 180;
 /// Cycles per generated pixel.
 const CYCLES_PER_GEN: u64 = 8;
 
-/// Simulator trace model: image at 256 MB, smoothed at 512 MB, output
-/// array at 768 MB.
+/// Cost description: image at 256 MB, smoothed at 512 MB, output array at
+/// 768 MB. On the Cell, bands plus halos move by DMA and the Local Store
+/// holds the halo band and the produced band.
 pub struct SusanModel {
     w: usize,
     h: usize,
@@ -216,10 +215,10 @@ pub struct SusanModel {
     out: Region,
 }
 
-/// Build the simulator work source.
-pub fn sim_source(p: &Params, ids: SusanIds) -> SusanModel {
+/// Build the cost model.
+pub fn model(p: &Params, ids: SusanIds) -> Costed<SusanModel> {
     let (w, h) = susan_dims(p.size);
-    SusanModel {
+    Costed(SusanModel {
         w,
         h,
         unroll: p.unroll,
@@ -227,81 +226,27 @@ pub fn sim_source(p: &Params, ids: SusanIds) -> SusanModel {
         img: Region::new(0x1000_0000, 1),
         sm: Region::new(0x2000_0000, 1),
         out: Region::new(0x3000_0000, 1),
-    }
+    })
 }
 
-impl WorkSource for SusanModel {
-    fn work(&self, inst: Instance, out: &mut InstanceWork) {
+impl Describe for SusanModel {
+    fn describe<S: Sink>(&self, inst: Instance, out: &mut S) {
         let w = self.w as u64;
         let (lo, hi) = chunk(self.h as u64, self.unroll, inst.context.0);
         let rows = hi - lo;
         if inst.thread == self.ids.init {
             self.img.scan(out, lo * w, hi * w, true);
-            out.compute = rows * w * CYCLES_PER_GEN;
+            out.compute(rows * w * CYCLES_PER_GEN);
         } else if inst.thread == self.ids.smooth {
             let halo_lo = lo.saturating_sub(RADIUS as u64);
             let halo_hi = (hi + RADIUS as u64).min(self.h as u64);
             self.img.scan(out, halo_lo * w, halo_hi * w, false);
             self.sm.scan(out, lo * w, hi * w, true);
-            out.compute = rows * w * CYCLES_PER_PIXEL;
+            out.compute(rows * w * CYCLES_PER_PIXEL);
         } else if inst.thread == self.ids.writeout {
             self.sm.scan(out, lo * w, hi * w, false);
             self.out.scan(out, lo * w, hi * w, true);
-            out.compute = rows * w;
-        }
-    }
-}
-
-/// Cell cost model: bands plus halos move by DMA; LS holds the halo band
-/// and the produced band.
-pub struct SusanCellModel {
-    w: usize,
-    h: usize,
-    unroll: u32,
-    ids: SusanIds,
-}
-
-/// Build the Cell work source.
-pub fn cell_source(p: &Params, ids: SusanIds) -> SusanCellModel {
-    let (w, h) = susan_dims(p.size);
-    SusanCellModel {
-        w,
-        h,
-        unroll: p.unroll,
-        ids,
-    }
-}
-
-impl CellWorkSource for SusanCellModel {
-    fn work(&self, inst: Instance) -> CellWork {
-        let w = self.w as u64;
-        let (lo, hi) = chunk(self.h as u64, self.unroll, inst.context.0);
-        let rows = hi - lo;
-        let band = rows * w;
-        if inst.thread == self.ids.init {
-            CellWork {
-                compute: band * CYCLES_PER_GEN,
-                import_bytes: 0,
-                export_bytes: band,
-                ls_bytes: 32 * 1024 + band,
-            }
-        } else if inst.thread == self.ids.smooth {
-            let halo = (rows + 2 * RADIUS as u64) * w;
-            CellWork {
-                compute: band * CYCLES_PER_PIXEL,
-                import_bytes: halo,
-                export_bytes: band,
-                ls_bytes: 32 * 1024 + halo + band,
-            }
-        } else if inst.thread == self.ids.writeout {
-            CellWork {
-                compute: band,
-                import_bytes: band,
-                export_bytes: band,
-                ls_bytes: 32 * 1024 + 2 * band,
-            }
-        } else {
-            CellWork::default()
+            out.compute(rows * w);
         }
     }
 }
@@ -310,6 +255,8 @@ impl CellWorkSource for SusanCellModel {
 mod tests {
     use super::*;
     use crate::sizes::SizeClass;
+    use tflux_cell::work::CellWorkSource;
+    use tflux_sim::work::InstanceWork;
 
     #[test]
     fn lut_is_monotonic_decreasing() {
@@ -378,13 +325,32 @@ mod tests {
     fn sim_model_smooth_reads_halo() {
         let p = Params::hard(4, 16, SizeClass::Small);
         let (_, ids) = program(&p);
-        let src = sim_source(&p, ids);
+        let Costed(src) = model(&p, ids);
         let mut w = InstanceWork::default();
-        src.work(Instance::new(src.ids.smooth, Context(1)), &mut w);
+        src.describe(Instance::new(src.ids.smooth, Context(1)), &mut w);
         let width = 256u64;
         // halo = (16 + 4) rows read + 16 rows written, at 1 byte/pixel
         let read_lines = (20 * width).div_ceil(64);
         let write_lines = (16 * width).div_ceil(64);
         assert_eq!(w.accesses.len() as u64, read_lines + write_lines);
+    }
+
+    #[test]
+    fn edge_bands_import_only_rows_that_exist() {
+        let p = Params::cell(6, 32, SizeClass::Small);
+        let (w, h) = susan_dims(SizeClass::Small);
+        let (w, h, rows) = (w as u64, h as u64, 32u64);
+        let (prog, ids) = program(&p);
+        let last = prog.thread(ids.smooth).arity - 1;
+        let src = model(&p, ids);
+        let smooth =
+            |c: u32| CellWorkSource::work(&src, Instance::new(src.0.ids.smooth, Context(c)));
+        // the top band has no rows above it, the bottom band none below
+        assert_eq!(smooth(0).import_bytes, (rows + RADIUS as u64) * w);
+        let bottom = h - last as u64 * rows;
+        assert_eq!(smooth(last).import_bytes, (bottom + RADIUS as u64) * w);
+        // an interior band imports its halo on both sides
+        assert_eq!(smooth(1).import_bytes, (rows + 2 * RADIUS as u64) * w);
+        assert_eq!(smooth(1).export_bytes, rows * w);
     }
 }

@@ -9,14 +9,12 @@
 //! sets the chunk size) producing one partial sum each, reduced by a scalar
 //! sink DThread.
 
-use crate::common::{chunk, Params, Region};
+use crate::common::{chunk, CellCosts, Costed, Describe, Params, Region, Sink};
 use crate::sizes::trapez_intervals;
 use std::sync::atomic::{AtomicU64, Ordering};
-use tflux_cell::work::{CellWork, CellWorkSource};
 use tflux_core::prelude::*;
 use tflux_core::unroll::Unroll;
 use tflux_runtime::{BodyTable, Runtime, RuntimeConfig, SharedVar};
-use tflux_sim::work::{InstanceWork, WorkSource};
 
 /// The integrand: `4 / (1 + x²)` over `[0, 1]` integrates to π, giving the
 /// tests an exact target.
@@ -97,7 +95,8 @@ pub fn run_ddm(p: &Params) -> f64 {
 /// multiplies + adds).
 pub const CYCLES_PER_POINT: u64 = 12;
 
-/// Trace model for the simulator.
+/// Cost description: each worker stores one partial sum, the sink reads
+/// them all.
 pub struct TrapezModel {
     n: u64,
     unroll: u32,
@@ -106,70 +105,35 @@ pub struct TrapezModel {
     partial: Region,
 }
 
-/// Build the simulator work source (pair it with [`program`]'s output).
-pub fn sim_source(p: &Params, ids: TrapezIds, arity: u32) -> TrapezModel {
-    TrapezModel {
+/// Build the cost model (pair it with [`program`]'s output).
+pub fn model(p: &Params, ids: TrapezIds, arity: u32) -> Costed<TrapezModel> {
+    Costed(TrapezModel {
         n: trapez_intervals(p.size),
         unroll: p.unroll,
         ids,
         arity,
         partial: Region::new(0x1000_0000, 8),
-    }
+    })
 }
 
-impl WorkSource for TrapezModel {
-    fn work(&self, inst: Instance, out: &mut InstanceWork) {
+impl Describe for TrapezModel {
+    /// The quadrature kernel is a few instructions: an 8 KB code image.
+    const CELL: CellCosts = CellCosts {
+        spe_scale: 1,
+        ls_fixed: 8 * 1024,
+    };
+
+    fn describe<S: Sink>(&self, inst: Instance, out: &mut S) {
         if inst.thread == self.ids.work {
             let (lo, hi) = chunk(self.n, self.unroll, inst.context.0);
-            out.compute = (hi - lo) * CYCLES_PER_POINT + 30;
+            out.compute((hi - lo) * CYCLES_PER_POINT + 30);
             // one partial-sum store; neighbours share lines (false sharing,
             // a real TRAPEZ artifact the coherence model captures)
             self.partial
                 .scan(out, inst.context.0 as u64, inst.context.0 as u64 + 1, true);
         } else if inst.thread == self.ids.sink {
-            out.compute = self.arity as u64 * 4;
+            out.compute(self.arity as u64 * 4);
             self.partial.scan(out, 0, self.arity as u64, false);
-        }
-    }
-}
-
-/// Cell cost model: compute-heavy, 8-byte export per instance.
-pub struct TrapezCellModel {
-    n: u64,
-    unroll: u32,
-    ids: TrapezIds,
-    arity: u32,
-}
-
-/// Build the Cell work source.
-pub fn cell_source(p: &Params, ids: TrapezIds, arity: u32) -> TrapezCellModel {
-    TrapezCellModel {
-        n: trapez_intervals(p.size),
-        unroll: p.unroll,
-        ids,
-        arity,
-    }
-}
-
-impl CellWorkSource for TrapezCellModel {
-    fn work(&self, inst: Instance) -> CellWork {
-        if inst.thread == self.ids.work {
-            let (lo, hi) = chunk(self.n, self.unroll, inst.context.0);
-            CellWork {
-                compute: (hi - lo) * CYCLES_PER_POINT + 30,
-                import_bytes: 32, // chunk descriptor
-                export_bytes: 8,  // the partial sum
-                ls_bytes: 8 * 1024,
-            }
-        } else if inst.thread == self.ids.sink {
-            CellWork {
-                compute: self.arity as u64 * 4,
-                import_bytes: self.arity as u64 * 8,
-                export_bytes: 8,
-                ls_bytes: 8 * 1024 + self.arity as u64 * 8,
-            }
-        } else {
-            CellWork::default()
         }
     }
 }
@@ -178,6 +142,8 @@ impl CellWorkSource for TrapezCellModel {
 mod tests {
     use super::*;
     use crate::sizes::SizeClass;
+    use tflux_cell::work::CellWorkSource;
+    use tflux_sim::work::InstanceWork;
 
     #[test]
     fn sequential_integrates_pi() {
@@ -213,9 +179,9 @@ mod tests {
         let p = Params::hard(4, 1024, SizeClass::Small);
         let (prog, ids) = program(&p);
         let arity = prog.thread(ids.work).arity;
-        let src = sim_source(&p, ids, arity);
+        let Costed(src) = model(&p, ids, arity);
         let mut w = InstanceWork::default();
-        src.work(Instance::new(src.ids.work, Context(0)), &mut w);
+        src.describe(Instance::new(src.ids.work, Context(0)), &mut w);
         assert_eq!(w.compute, 1024 * CYCLES_PER_POINT + 30);
         assert_eq!(w.accesses.len(), 1);
     }
@@ -225,8 +191,8 @@ mod tests {
         let p = Params::cell(4, 2048, SizeClass::Small);
         let (prog, ids) = program(&p);
         let arity = prog.thread(ids.work).arity;
-        let src = cell_source(&p, ids, arity);
-        let w = src.work(Instance::new(src.ids.work, Context(1)));
+        let src = model(&p, ids, arity);
+        let w = CellWorkSource::work(&src, Instance::new(src.0.ids.work, Context(1)));
         assert_eq!(w.export_bytes, 8);
         assert!(w.ls_bytes < 256 * 1024);
     }

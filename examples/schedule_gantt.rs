@@ -16,7 +16,7 @@ fn main() {
     let kernels = 8;
     let p = Params::hard(kernels, 1, SizeClass::Small);
     let (prog, ids) = qsort::program(&p);
-    let src = qsort::sim_source(&p, ids);
+    let src = qsort::model(&p, ids);
     let machine = Machine::new(MachineConfig::bagle(kernels));
     let (report, trace) = machine.run_traced(&prog, &src).expect("sim run");
 

@@ -33,7 +33,7 @@ fn main() {
         let p = Params::hard(kernels, 512, SizeClass::Medium);
         let (prog, ids) = trapez::program(&p);
         let arity = prog.thread(ids.work).arity;
-        let src = trapez::sim_source(&p, ids, arity);
+        let src = trapez::model(&p, ids, arity);
         let machine = Machine::new(MachineConfig::bagle(kernels));
         let baseline = machine.run_sequential(&prog, &src);
         let parallel = machine.run(&prog, &src).expect("sim run");

@@ -109,11 +109,11 @@ type CellPin = (Bench, u64, u64, u64, u64);
 
 #[rustfmt::skip]
 const CELL_PINS: [CellPin; 5] = [
-    (Bench::Trapez, 1, 1190747, 19, 0x73231665dd0d6f23),
-    (Bench::Mmult, 1, 21321964, 7, 0x018e4c98e4ad84f8),
+    (Bench::Trapez, 1, 1189382, 19, 0xa4fb7c160953bee2),
+    (Bench::Mmult, 1, 21322064, 7, 0xfb610f39b8b4b387),
     (Bench::Qsort, 1, 825210, 22, 0x5c8d691f00d12e07),
-    (Bench::Susan, 1, 3139568, 33, 0x94368163bdb60571),
-    (Bench::Trapez, 3, 3571841, 57, 0xb331e6628f4fbee6),
+    (Bench::Susan, 1, 3139504, 33, 0x036ce50b7f2af25f),
+    (Bench::Trapez, 3, 3569186, 57, 0xb4e3f053fecb65e0),
 ];
 
 fn cell_run(bench: Bench, epochs: u64) -> CellReport {
