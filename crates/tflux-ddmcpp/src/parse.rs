@@ -38,19 +38,24 @@ pub fn parse_module(source: &str) -> Result<DdmModule, PreprocessError> {
 
     for piece in pieces {
         match piece {
-            Piece::Code { text, .. } => match state {
-                State::Before => module.prelude.push_str(&text),
-                State::After => module.epilogue.push_str(&text),
-                State::InThread => cur_thread
-                    .as_mut()
-                    .expect("thread open")
-                    .body
-                    .push_str(&text),
-                // code between threads inside a program/block is dropped by
-                // the original DDMCPP as well (only thread bodies execute);
-                // we preserve it in the prelude to stay lossless.
-                State::InProgram | State::InBlock => module.prelude.push_str(&text),
-            },
+            Piece::Code { text, .. } => {
+                let out = match state {
+                    State::Before => &mut module.prelude,
+                    State::After => &mut module.epilogue,
+                    State::InThread => &mut cur_thread.as_mut().expect("thread open").body,
+                    // code between threads inside a program/block is dropped
+                    // by the original DDMCPP as well (only thread bodies
+                    // execute); we preserve it in the prelude to stay lossless.
+                    State::InProgram | State::InBlock => &mut module.prelude,
+                };
+                // a thread body is usually one segment: move it, not copy
+                if out.is_empty() {
+                    *out = text;
+                } else {
+                    out.push_str(&text);
+                }
+            }
+            Piece::Error(e) => return Err(e),
             Piece::Pragma { line, text } => {
                 let d = parse_directive(&text, line)?;
                 match d {
@@ -371,5 +376,43 @@ mod tests {
         // declaration order wins; ids are labels
         assert_eq!(m.blocks[0].id, 2);
         assert_eq!(m.blocks[1].id, 1);
+    }
+
+    #[test]
+    fn comments_on_directive_lines_are_ignored() {
+        let commented = GOOD
+            .replace("#pragma ddm block 1", "#pragma ddm block 1 // first block")
+            .replace("depends(1)", "depends(1) /* after t1 */")
+            .replace("#pragma ddm endblock", "#pragma ddm endblock /* a */ // b");
+        assert_eq!(parse_module(&commented), parse_module(GOOD));
+    }
+
+    #[test]
+    fn blanks_between_hash_and_pragma_make_a_directive() {
+        let spaced = GOOD.replace("#pragma ddm end", "#  pragma ddm end");
+        assert_eq!(parse_module(&spaced), parse_module(GOOD));
+    }
+
+    #[test]
+    fn comment_left_open_on_a_directive_line_is_a_bad_directive() {
+        let src = "#pragma ddm startprogram\n#pragma ddm block 1 /* opens\n\
+                   #pragma ddm endblock\n*/\n#pragma ddm endprogram\n";
+        let e = parse_module(src).unwrap_err();
+        assert!(matches!(e.kind, ErrorKind::BadDirective(_)), "{e:?}");
+        assert_eq!(e.line, 2);
+    }
+
+    #[test]
+    fn crlf_sources_keep_their_error_lines() {
+        let src = "#pragma ddm startprogram\n#pragma ddm block 1\n\
+                   #pragma ddm thread 1\nwork();\n#pragma ddm endthread\n\
+                   #pragma ddm thread 1\n#pragma ddm endthread\n\
+                   #pragma ddm endblock\n#pragma ddm endprogram\n";
+        let lf = parse_module(src).unwrap_err();
+        assert_eq!(
+            (lf.kind.clone(), lf.line),
+            (ErrorKind::DuplicateThread(1), 6)
+        );
+        assert_eq!(parse_module(&src.replace('\n', "\r\n")), Err(lf));
     }
 }
