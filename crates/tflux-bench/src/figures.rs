@@ -2,7 +2,7 @@
 
 use crate::json::{Json, ToJson};
 use tflux_cell::{CellConfig, CellMachine};
-use tflux_sim::{Machine, MachineConfig, TsuCosts};
+use tflux_sim::{Machine, MachineConfig, SimReport, TsuCosts};
 use tflux_workloads::common::Params;
 use tflux_workloads::setup::{
     cell_baseline, cell_setup, sim_baseline, sim_setup, with_default_unroll,
@@ -56,12 +56,20 @@ fn sizes_for(quick: bool) -> &'static [SizeClass] {
     }
 }
 
-/// Run one simulated configuration and its baseline; return the row.
-fn sim_point(bench: Bench, machine: &Machine, p: &Params) -> FigRow {
+/// Simulate `bench` at `p` on `machine`, then its sequential baseline on
+/// the same machine: the `(parallel, sequential)` reports every simulated
+/// speedup is read from.
+pub(crate) fn sim_run(bench: Bench, machine: &Machine, p: &Params) -> (SimReport, SimReport) {
     let (prog, src) = sim_setup(bench, p);
     let (seq_prog, seq_src) = sim_baseline(bench, p);
     let seq = machine.run_sequential(&seq_prog, seq_src.as_ref());
     let par = machine.run(&prog, src.as_ref()).expect("sim run");
+    (par, seq)
+}
+
+/// Run one simulated configuration and its baseline; return the row.
+fn sim_point(bench: Bench, machine: &Machine, p: &Params) -> FigRow {
+    let (par, seq) = sim_run(bench, machine, p);
     FigRow {
         bench: bench.name(),
         size: p.size.label(),
@@ -340,14 +348,7 @@ pub fn fig5_x86(quick: bool) -> Vec<(&'static str, f64, f64)> {
         .iter()
         .map(|&bench| {
             let p = with_default_unroll(bench, Params::hard(8, 0, size));
-            let speedup = |m: &Machine| {
-                let (prog, src) = sim_setup(bench, &p);
-                let (sprog, ssrc) = sim_baseline(bench, &p);
-                let seq = m.run_sequential(&sprog, ssrc.as_ref());
-                m.run(&prog, src.as_ref())
-                    .expect("sim run")
-                    .speedup_over(&seq)
-            };
+            let speedup = |m: &Machine| sim_point(bench, m, &p).speedup;
             (
                 bench.name(),
                 speedup(&Machine::new(

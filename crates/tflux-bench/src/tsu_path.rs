@@ -1,5 +1,6 @@
-//! The scenarios `bench_tsu` measures (it writes `BENCH_tsu.json`), one
-//! per shipping layer:
+//! The scenarios `bench_tsu` measures, the rows it writes to
+//! `BENCH_tsu.json` from them, and the floors those rows are held to —
+//! one scenario per shipping layer:
 //!
 //! * the completion funnel: App completions into one hot sink, completed
 //!   directly or in batches on the same [`SyncMemory`], in a
@@ -14,12 +15,47 @@
 //!   ([`server_mix`]).
 //!
 //! Every scenario's counts repeat exactly; only its wall-clock fields
-//! depend on the host.
+//! depend on the host. Each floor is a unit test of this module that runs
+//! the row's scenario at the row's size (the `construction` floor is
+//! `bench_tsu`'s own test, since only that binary counts allocations):
+//!
+//! ```sh
+//! cargo test --release -p tflux-bench
+//! ```
 
+use crate::json::{Json, ToJson};
 use std::time::Instant;
 use tflux_core::ids::Epoch;
 use tflux_core::prelude::*;
 use tflux_core::tsu::SyncMemory;
+use tflux_sim::MachineConfig;
+use tflux_workloads::Bench;
+
+/// Instances per stage of the funnel and streaming scenarios.
+pub const ARITY: u32 = 4096;
+/// Kernel counts the funnel, streaming and steal rows sweep.
+pub const KERNELS: [u32; 4] = [1, 2, 4, 8];
+/// Completions per funnel flush in the reduction scenario.
+pub const FUNNEL_BATCH: usize = 8;
+/// Consecutive passes per context in the streaming scenario.
+pub const STREAM_EPOCHS: u64 = 8;
+/// Fanout width of the work-stealing scenarios (simulated, so it need
+/// not match the wall-clock `ARITY`).
+pub const STEAL_ARITY: u32 = 256;
+/// Uniform compute cycles per instance in the steal scenarios.
+pub const STEAL_WORK: u64 = 200;
+const WARMUP: usize = 2;
+const RUNS: usize = 7;
+
+/// The run with the fewest wall-clock nanoseconds (`ns`) of `RUNS`
+/// measurements, after `WARMUP` discarded ones.
+fn best_of<M>(measure: impl FnMut() -> M, ns: impl Fn(&M) -> u64) -> M {
+    std::iter::repeat_with(measure)
+        .take(WARMUP + RUNS)
+        .skip(WARMUP)
+        .min_by_key(ns)
+        .expect("RUNS > 0")
+}
 
 /// A two-stage `OneToOne` pipeline of `arity` instances per stage,
 /// reduced into one scalar `sink`: the program the streaming scenario
@@ -277,7 +313,7 @@ pub fn sim_makespan(
 ) -> StealMeasure {
     use tflux_core::tsu::TsuConfig;
     use tflux_sim::work::UniformWork;
-    use tflux_sim::{Machine, MachineConfig};
+    use tflux_sim::Machine;
     let r = Machine::new(MachineConfig::bagle(cores))
         .with_tsu_config(TsuConfig {
             steal,
@@ -301,8 +337,8 @@ pub fn sim_makespan(
 /// One simulated scaling point: a full workload run on a machine preset,
 /// priced against the zero-overhead sequential baseline on the *same*
 /// machine. All fields are simulated — identical on any host, any
-/// `host_threads`, so `bench_tsu --check` can gate on them without
-/// caring how parallel the CI runner happens to be.
+/// `host_threads`, so a floor can key on them without caring how
+/// parallel the test host happens to be.
 #[derive(Debug, Clone, Copy)]
 pub struct ScalingMeasure {
     /// Parallel makespan in simulated cycles.
@@ -321,16 +357,12 @@ pub struct ScalingMeasure {
 
 /// Run `bench` at `Small` size with one kernel per core of `cfg` and
 /// report the simulated speedup over the sequential baseline.
-pub fn sim_scaling(bench: tflux_workloads::Bench, cfg: tflux_sim::MachineConfig) -> ScalingMeasure {
+pub fn sim_scaling(bench: Bench, cfg: MachineConfig) -> ScalingMeasure {
     use tflux_workloads::common::Params;
-    use tflux_workloads::setup::{sim_baseline, sim_setup, with_default_unroll};
+    use tflux_workloads::setup::with_default_unroll;
     use tflux_workloads::sizes::SizeClass;
     let p = with_default_unroll(bench, Params::hard(cfg.cores, 0, SizeClass::Small));
-    let machine = tflux_sim::Machine::new(cfg);
-    let (prog, src) = sim_setup(bench, &p);
-    let (sprog, ssrc) = sim_baseline(bench, &p);
-    let seq = machine.run_sequential(&sprog, ssrc.as_ref());
-    let par = machine.run(&prog, src.as_ref()).expect("sim run");
+    let (par, seq) = crate::figures::sim_run(bench, &tflux_sim::Machine::new(cfg), &p);
     ScalingMeasure {
         sim_cycles: par.cycles,
         seq_cycles: seq.cycles,
@@ -443,7 +475,7 @@ impl MemsysMeasure {
 /// prescribes.
 pub fn memsys_stream(stream: MemStream) -> MemsysMeasure {
     use tflux_sim::memsys::MemorySystem;
-    let mut mem = MemorySystem::new(tflux_sim::MachineConfig::bagle(27));
+    let mut mem = MemorySystem::new(MachineConfig::bagle(27));
     let accesses = stream.accesses();
     let mut now = 0u64;
     let t = Instant::now();
@@ -604,107 +636,374 @@ pub fn server_mix() -> ServerMeasure {
     m
 }
 
+/// One funnel-on vs funnel-off comparison on the reduction scenario.
+/// The counters are deterministic (the driver interleaves round-robin);
+/// only the wall-clock fields vary between hosts.
+pub struct FunnelRow {
+    kernels: u32,
+    batch: usize,
+    ns_funnel_off: u64,
+    ns_funnel_on: u64,
+    contended_off: u64,
+    contended_on: u64,
+    contended_ratio: f64,
+    rc_rmws_off: u64,
+    rc_rmws_on: u64,
+}
+
+impl ToJson for FunnelRow {
+    fn to_json(&self) -> Json {
+        Json::obj([
+            ("kernels", self.kernels.to_json()),
+            ("batch", self.batch.to_json()),
+            ("ns_funnel_off", self.ns_funnel_off.to_json()),
+            ("ns_funnel_on", self.ns_funnel_on.to_json()),
+            ("contended_off", self.contended_off.to_json()),
+            ("contended_on", self.contended_on.to_json()),
+            ("contended_ratio", self.contended_ratio.to_json()),
+            ("rc_rmws_off", self.rc_rmws_off.to_json()),
+            ("rc_rmws_on", self.rc_rmws_on.to_json()),
+        ])
+    }
+}
+
+/// One funnel-off vs funnel-on measurement of `reduction(ARITY)`:
+/// deterministic round-robin interleaving, best-of-`RUNS` wall clock.
+/// Panics if batching changes the logical work.
+pub fn funnel_row(kernels: u32) -> FunnelRow {
+    let program = reduction(ARITY);
+    let run = |batch: usize| {
+        best_of(
+            || {
+                let (sm, work) = armed(&program, kernels);
+                let ns = complete_interleaved(&sm, &work, kernels, batch);
+                (ns, sm.stats())
+            },
+            |&(ns, _)| ns,
+        )
+    };
+    let (ns_off, off) = run(1);
+    let (ns_on, on) = run(FUNNEL_BATCH);
+    assert_eq!(on.rc_updates, off.rc_updates, "batching lost decrements");
+    assert_eq!(on.completions, off.completions, "batching lost completions");
+    FunnelRow {
+        kernels,
+        batch: FUNNEL_BATCH,
+        ns_funnel_off: ns_off,
+        ns_funnel_on: ns_on,
+        contended_off: off.sm_contended,
+        contended_on: on.sm_contended,
+        contended_ratio: off.sm_contended as f64 / on.sm_contended.max(1) as f64,
+        rc_rmws_off: off.rc_rmws,
+        rc_rmws_on: on.rc_rmws,
+    }
+}
+
+/// One sustained-throughput streaming measurement: `epochs` consecutive
+/// passes through one windowed SyncMemory, context slots re-armed in
+/// place at every wrap. The wrap columns price the epoch turnaround
+/// (`retire_epoch` + `open_epoch`) against the steady-state completion
+/// work it buys.
+pub struct StreamRow(u32, StreamMeasure);
+
+impl ToJson for StreamRow {
+    fn to_json(&self) -> Json {
+        let StreamRow(kernels, m) = self;
+        Json::obj([
+            ("kernels", kernels.to_json()),
+            ("epochs", m.epochs.to_json()),
+            ("ns_total", m.ns_total.to_json()),
+            ("completions", m.completions.to_json()),
+            ("completions_per_sec", m.completions_per_sec().to_json()),
+            ("wrap_ns_per_epoch", m.wrap_ns_per_epoch().to_json()),
+            ("wrap_fraction", m.wrap_fraction().to_json()),
+        ])
+    }
+}
+
+/// Best-of-`RUNS` sustained streaming measurement of `pipeline(ARITY)`
+/// over `STREAM_EPOCHS` passes. Correctness (exact completion counts,
+/// epoch-ordered dispatch) is asserted inside `measure_stream` on every
+/// run, warmup included.
+pub fn stream_row(kernels: u32) -> StreamRow {
+    let program = pipeline(ARITY);
+    let best = best_of(
+        || measure_stream(&program, kernels, STREAM_EPOCHS),
+        |m| m.ns_total,
+    );
+    StreamRow(kernels, best)
+}
+
+/// One work-stealing comparison: the same fanout simulated with stealing
+/// on and off. Simulated cycles — fully deterministic, identical on any
+/// host (unlike the wall-clock rows).
+pub struct StealRow {
+    scenario: &'static str,
+    cores: u32,
+    cycles_steal_on: u64,
+    cycles_steal_off: u64,
+    speedup: f64,
+    steals: u64,
+    steal_misses: u64,
+    stolen_fetches: u64,
+}
+
+impl ToJson for StealRow {
+    fn to_json(&self) -> Json {
+        Json::obj([
+            ("scenario", self.scenario.to_json()),
+            ("cores", self.cores.to_json()),
+            ("cycles_steal_on", self.cycles_steal_on.to_json()),
+            ("cycles_steal_off", self.cycles_steal_off.to_json()),
+            ("speedup", self.speedup.to_json()),
+            ("steals", self.steals.to_json()),
+            ("steal_misses", self.steal_misses.to_json()),
+            ("stolen_fetches", self.stolen_fetches.to_json()),
+        ])
+    }
+}
+
+/// One steal-on vs steal-off comparison at `cores` cores (simulated),
+/// `STEAL_WORK` cycles per instance. Panics if the run with stealing off
+/// steals.
+pub fn steal_row(scenario: &'static str, program: &DdmProgram, cores: u32) -> StealRow {
+    let on = sim_makespan(program, cores, true, STEAL_WORK);
+    let off = sim_makespan(program, cores, false, STEAL_WORK);
+    assert_eq!(
+        (off.steals, off.stolen_fetches),
+        (0, 0),
+        "{scenario}: a run with stealing off stole"
+    );
+    StealRow {
+        scenario,
+        cores,
+        cycles_steal_on: on.cycles,
+        cycles_steal_off: off.cycles,
+        speedup: off.cycles as f64 / on.cycles.max(1) as f64,
+        steals: on.steals,
+        steal_misses: on.steal_misses,
+        stolen_fetches: on.stolen_fetches,
+    }
+}
+
+/// One simulated-cycle scaling row: a full workload on a machine preset,
+/// speedup over the zero-overhead sequential baseline on the same
+/// machine. Host-independent: these rows carry the scaling floors,
+/// because they cannot be perturbed by how many host threads the runner
+/// happens to have.
+pub struct ScalingRow {
+    topology: &'static str,
+    bench: Bench,
+    cores: u32,
+    m: ScalingMeasure,
+}
+
+impl ToJson for ScalingRow {
+    fn to_json(&self) -> Json {
+        let m = &self.m;
+        Json::obj([
+            ("topology", self.topology.to_json()),
+            ("bench", self.bench.name().to_json()),
+            ("cores", self.cores.to_json()),
+            ("sim_cycles", m.sim_cycles.to_json()),
+            ("seq_cycles", m.seq_cycles.to_json()),
+            ("speedup", m.speedup.to_json()),
+            ("remote_node", m.remote_node.to_json()),
+            ("channel_wait", m.channel_wait.to_json()),
+            ("steals", m.steals.to_json()),
+        ])
+    }
+}
+
+/// Machine presets the scaling rows sweep: the paper's flat UMA board
+/// and the 64-core 4-node NUMA part.
+pub fn scaling_machines() -> [(&'static str, MachineConfig); 2] {
+    [
+        ("bagle", MachineConfig::bagle(8)),
+        (
+            "sparc_t3_4",
+            MachineConfig::sparc_t3_4(64).expect("64 kernels fit the T3-4"),
+        ),
+    ]
+}
+
+/// `bench` at `Small` size on `cfg`, one kernel per core.
+pub fn scaling_row(topology: &'static str, bench: Bench, cfg: MachineConfig) -> ScalingRow {
+    ScalingRow {
+        topology,
+        bench,
+        cores: cfg.cores,
+        m: sim_scaling(bench, cfg),
+    }
+}
+
+/// One synthetic stream through `MemorySystem::access` on `bagle(27)`.
+/// `host_ns_per_access` is wall clock; every other column is simulated
+/// and identical on any host, which is what the floor keys on.
+pub struct MemsysRow(MemStream, MemsysMeasure);
+
+impl ToJson for MemsysRow {
+    fn to_json(&self) -> Json {
+        let MemsysRow(stream, m) = self;
+        Json::obj([
+            ("stream", stream.name().to_json()),
+            ("accesses", m.accesses.to_json()),
+            ("l1_hits", m.stats.l1_hits.to_json()),
+            ("l2_hits", m.stats.l2_hits.to_json()),
+            ("upgrades", m.stats.upgrades.to_json()),
+            ("remote_hits", m.stats.remote_hits.to_json()),
+            ("mem_misses", m.stats.mem_misses.to_json()),
+            ("latency_cycles", m.latency_cycles.to_json()),
+            ("host_ns_per_access", m.host_ns_per_access().to_json()),
+        ])
+    }
+}
+
+/// Best-of-`RUNS` host time of one memory-system stream; the simulated
+/// columns are the same in every run.
+pub fn memsys_row(stream: MemStream) -> MemsysRow {
+    MemsysRow(stream, best_of(|| memsys_stream(stream), |m| m.host_ns))
+}
+
+/// The fixed program mix through a `SERVER_KERNELS`-kernel `ProgramServer`.
+/// `host_us_per_program` is wall clock and the turn columns beside it
+/// depend on timing; the other counts are fixed by the mix and identical
+/// on any host, which is what the floor keys on.
+pub struct ServerRow(ServerMeasure);
+
+impl ToJson for ServerRow {
+    fn to_json(&self) -> Json {
+        let ServerRow(m) = self;
+        Json::obj([
+            ("mix", "blocks_1_2_work_16_64_every_10th_stream_8".to_json()),
+            ("programs", SERVER_PROGRAMS.to_json()),
+            ("kernels", SERVER_KERNELS.to_json()),
+            ("completions", m.completions.to_json()),
+            ("pool_rings", m.pool_rings.to_json()),
+            ("supervisor_rings", m.supervisor_rings.to_json()),
+            ("rings_per_completion", m.rings_per_completion().to_json()),
+            ("host_us_per_program", m.host_us_per_program().to_json()),
+            ("turns_per_program", m.turns_per_program().to_json()),
+            (
+                "empty_turns_per_program",
+                m.empty_turns_per_program().to_json(),
+            ),
+        ])
+    }
+}
+
+/// Best-of-`RUNS` host time of the server mix; the counts are the same in
+/// every run.
+pub fn server_row() -> ServerRow {
+    ServerRow(best_of(server_mix, |m| m.host_ns))
+}
+
+/// The floors: each test runs the scenario of a `BENCH_tsu.json` row at
+/// the row's size and holds it to the bound the row is read against.
+/// Every floor but the streaming wrap share keys on counts or simulated
+/// cycles, so its verdict is the same on any host.
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    #[test]
-    fn funneled_drain_runs_every_instance_of_the_fanout() {
-        let p = fanout_reduce();
-        assert_eq!(p.total_instances(), 8 * 8192 + 3);
-        let tsu = Tsu::threaded(&p, 2, Default::default());
-        let order = tflux_core::tsu::drain_sequential(&tsu).unwrap();
-        assert_eq!(order.len(), p.total_instances());
-        let s = tsu.stats();
-        assert_eq!(s.completions as usize, p.total_instances());
-        assert!(s.rc_rmws < s.rc_updates, "the hot sink must be funneled");
-    }
+    const MOST_KERNELS: u32 = KERNELS[KERNELS.len() - 1];
 
     #[test]
     fn funnel_batches_cut_line_transfers() {
-        let p = reduction(64);
-        let (sm, work) = armed(&p, 4);
-        complete_interleaved(&sm, &work, 4, 1);
-        let off = sm.stats();
-        let (sm, work) = armed(&p, 4);
-        complete_interleaved(&sm, &work, 4, 8);
-        let on = sm.stats();
-        // identical logical work, far fewer RMWs and line transfers
-        assert_eq!(on.rc_updates, off.rc_updates);
-        assert_eq!(on.completions, off.completions);
+        let f = funnel_row(MOST_KERNELS);
         assert!(
-            on.rc_rmws < off.rc_rmws,
-            "{} !< {}",
-            on.rc_rmws,
-            off.rc_rmws
+            f.contended_ratio >= 1.5,
+            "the funnel must cut line transfers by >= 1.5x: off {} vs on {}",
+            f.contended_off,
+            f.contended_on
         );
         assert!(
-            off.sm_contended as f64 >= 1.5 * on.sm_contended as f64,
-            "funnel must cut line transfers ≥1.5x: off {} vs on {}",
-            off.sm_contended,
-            on.sm_contended
+            f.rc_rmws_on < f.rc_rmws_off,
+            "{} !< {}",
+            f.rc_rmws_on,
+            f.rc_rmws_off
         );
     }
 
     #[test]
     fn stream_sustains_consecutive_epochs() {
-        let p = pipeline(64);
-        let m = measure_stream(&p, 4, 4);
-        assert_eq!(m.epochs, 4);
-        assert_eq!(m.completions, 4 * p.total_instances() as u64);
-        assert!(m.completions_per_sec() > 0.0);
-        assert!(m.wrap_ns_per_epoch() >= 0.0);
-        assert!(m.wrap_fraction() < 1.0);
+        let p = pipeline(ARITY);
+        // completion counts and per-dispatch epochs are asserted inside
+        let m = measure_stream(&p, MOST_KERNELS, 3);
+        assert!(m.epochs >= 3, "{m:?}");
+        assert_eq!(m.completions, m.epochs * p.total_instances() as u64);
+        assert!(m.completions_per_sec() > 0.0 && m.wrap_ns_per_epoch() >= 0.0);
+        // the one floor that reads wall clock: epoch wraps must not
+        // dominate the stream (they take well under 1 % of it)
+        assert!(m.wrap_fraction() <= 0.5, "{m:?}");
+    }
+
+    #[test]
+    fn stealing_beats_no_steal_on_the_imbalanced_fanout() {
+        let r = steal_row(
+            "imbalanced_fanout",
+            &imbalanced_fanout(STEAL_ARITY),
+            MOST_KERNELS,
+        );
+        assert!(
+            r.speedup >= 1.2,
+            "stealing must beat no-steal by >= 1.2x on the pinned fanout: on {} vs off {}",
+            r.cycles_steal_on,
+            r.cycles_steal_off
+        );
+        assert!(r.steals > 0 && r.stolen_fetches > 0);
+    }
+
+    #[test]
+    fn stealing_is_noise_on_the_balanced_fanout() {
+        let r = steal_row(
+            "balanced_fanout",
+            &balanced_fanout(STEAL_ARITY),
+            MOST_KERNELS,
+        );
+        let (on, off) = (r.cycles_steal_on, r.cycles_steal_off);
+        assert!(
+            on.max(off) * 100 <= on.min(off) * 105,
+            "balanced makespans must agree within 5%: on {on} vs off {off}"
+        );
+    }
+
+    #[test]
+    fn trapez_scales_on_both_machines() {
+        for (name, cfg) in scaling_machines() {
+            let r = scaling_row(name, Bench::Trapez, cfg);
+            let floor = if name == "sparc_t3_4" { 16.0 } else { 4.0 };
+            assert!(
+                r.m.speedup >= floor,
+                "{name} x{}: {:.1}x is below the {floor}x floor",
+                r.cores,
+                r.m.speedup
+            );
+            if name == "sparc_t3_4" {
+                assert!(r.m.remote_node > 0, "the NUMA model is inert: {:?}", r.m);
+            }
+        }
     }
 
     #[test]
     fn memsys_streams_land_in_their_class() {
         for stream in MemStream::ALL {
-            let m = memsys_stream(stream);
-            assert_eq!(m.stats.accesses(), m.accesses);
+            let (a, b) = (memsys_stream(stream), memsys_stream(stream));
+            assert_eq!(a.stats.accesses(), a.accesses);
             assert!(
-                stream.on_target(&m) * 100 >= m.accesses * 95,
+                stream.on_target(&a) * 100 >= a.accesses * 95,
                 "{}: {:?}",
                 stream.name(),
-                m.stats
+                a.stats
             );
+            assert_eq!((a.stats, a.latency_cycles), (b.stats, b.latency_cycles));
         }
     }
 
     #[test]
     fn server_mix_counts_are_fixed_by_the_mix() {
         let (a, b) = (server_mix(), server_mix());
-        assert_eq!(a.counts(), b.counts());
         assert!(a.rings_per_completion() <= 0.25, "{a:?}");
-    }
-
-    #[test]
-    fn stealing_beats_no_steal_on_the_imbalanced_fanout() {
-        let p = imbalanced_fanout(64);
-        let on = sim_makespan(&p, 4, true, 200);
-        let off = sim_makespan(&p, 4, false, 200);
-        assert!(
-            on.cycles * 12 < off.cycles * 10,
-            "stealing must beat no-steal by >1.2x on the pinned fanout: \
-             on {} vs off {}",
-            on.cycles,
-            off.cycles
-        );
-        assert!(on.steals > 0 && on.stolen_fetches > 0);
-        assert_eq!(off.steals, 0);
-    }
-
-    #[test]
-    fn stealing_is_noise_on_the_balanced_fanout() {
-        let p = balanced_fanout(64);
-        let on = sim_makespan(&p, 4, true, 200);
-        let off = sim_makespan(&p, 4, false, 200);
-        let (lo, hi) = (on.cycles.min(off.cycles), on.cycles.max(off.cycles));
-        assert!(
-            hi * 100 <= lo * 105,
-            "balanced makespans must agree within 5%: on {} vs off {}",
-            on.cycles,
-            off.cycles
-        );
+        assert_eq!(a.counts(), b.counts());
     }
 }

@@ -4,12 +4,14 @@
 //! Dependencies come from two places, mirroring DDMCPP semantics:
 //! explicit `depends(..)` clauses, and *implicit* producer/consumer arcs
 //! derived from `import`/`export` variable pairs within a block (a thread
-//! importing a variable another thread of the same block exports depends on
-//! that thread).
+//! importing a variable depends on *every* other thread of the same block
+//! that exports it). An exporter in an earlier block needs no arc — block
+//! order already sequences it — but an import that no other thread of its
+//! block nor any thread of an earlier block exports is a lowering error.
 
 use crate::ast::{DdmModule, ThreadDecl};
 use crate::error::{ErrorKind, PreprocessError};
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use tflux_core::ids::KernelId;
 use tflux_core::prelude::*;
 
@@ -26,6 +28,8 @@ pub struct Lowered {
 pub fn lower(module: &DdmModule) -> Result<Lowered, PreprocessError> {
     let mut b = ProgramBuilder::new();
     let mut thread_ids: HashMap<u32, ThreadId> = HashMap::new();
+    // variables exported by a block already lowered
+    let mut exported_before: HashSet<&str> = HashSet::new();
 
     for block in &module.blocks {
         let blk = b.block();
@@ -48,7 +52,18 @@ pub fn lower(module: &DdmModule) -> Result<Lowered, PreprocessError> {
                     .map_err(|e| PreprocessError::at(t.line, ErrorKind::Lower(e.to_string())))?;
             }
             for imp in &t.imports {
-                if let Some(producer) = exporter_of(block.threads.as_slice(), &imp.var, t.id) {
+                let mut exporters = exporters_of(&block.threads, &imp.var, t.id).peekable();
+                if exporters.peek().is_none() && !exported_before.contains(imp.var.as_str()) {
+                    return Err(PreprocessError::at(
+                        t.line,
+                        ErrorKind::Lower(format!(
+                            "thread {} imports `{}`, which no other thread of its block \
+                             and no earlier block exports",
+                            t.id, imp.var
+                        )),
+                    ));
+                }
+                for producer in exporters {
                     if arcs_done.contains(&(producer.id, t.id)) {
                         continue;
                     }
@@ -59,6 +74,9 @@ pub fn lower(module: &DdmModule) -> Result<Lowered, PreprocessError> {
                         })?;
                 }
             }
+        }
+        for t in &block.threads {
+            exported_before.extend(t.exports.iter().map(String::as_str));
         }
     }
 
@@ -97,10 +115,15 @@ pub fn to_program_with_capacity(
     })
 }
 
-fn exporter_of<'a>(threads: &'a [ThreadDecl], var: &str, consumer: u32) -> Option<&'a ThreadDecl> {
+/// Every thread of `threads` other than `consumer` that exports `var`.
+fn exporters_of<'a>(
+    threads: &'a [ThreadDecl],
+    var: &'a str,
+    consumer: u32,
+) -> impl Iterator<Item = &'a ThreadDecl> {
     threads
         .iter()
-        .find(|t| t.id != consumer && t.exports.iter().any(|e| e == var))
+        .filter(move |t| t.id != consumer && t.exports.iter().any(|e| e == var))
 }
 
 #[cfg(test)]
@@ -149,6 +172,39 @@ mod tests {
         let l = lower(&m).unwrap();
         let t2 = l.thread_ids[&2];
         assert_eq!(l.program.initial_rc(tflux_core::Instance::scalar(t2)), 1);
+    }
+
+    #[test]
+    fn an_import_waits_for_every_exporter_of_its_block() {
+        let src = r#"
+#pragma ddm startprogram
+#pragma ddm block 1
+#pragma ddm thread 1 export(A)
+#pragma ddm endthread
+#pragma ddm thread 2 export(A)
+#pragma ddm endthread
+#pragma ddm thread 3 import(A)
+#pragma ddm endthread
+#pragma ddm endblock
+#pragma ddm endprogram
+"#;
+        let l = lower(&parse_module(src).unwrap()).unwrap();
+        let t3 = l.thread_ids[&3];
+        assert_eq!(l.program.initial_rc(tflux_core::Instance::scalar(t3)), 2);
+    }
+
+    #[test]
+    fn an_import_nothing_exports_is_a_lower_error_at_its_line() {
+        let src = "#pragma ddm startprogram\n\
+                   #pragma ddm block 1\n\
+                   #pragma ddm thread 1 import(A)\n\
+                   #pragma ddm endthread\n\
+                   #pragma ddm endblock\n\
+                   #pragma ddm endprogram\n";
+        let e = lower(&parse_module(src).unwrap()).unwrap_err();
+        assert!(matches!(e.kind, ErrorKind::Lower(_)), "{e}");
+        assert_eq!(e.line, 3);
+        assert!(e.to_string().starts_with("line 3:"), "{e}");
     }
 
     #[test]

@@ -238,3 +238,46 @@ fn codegen_never_panics_on_valid_modules() {
         }
     });
 }
+
+/// Every backend generates code for a valid module whose imports all name
+/// a variable an earlier thread of the same block exports: each export is
+/// renamed to be unique, so every arc runs from an earlier thread to a
+/// later one and lowering cannot find a cycle or an unexported import.
+#[test]
+fn codegen_generates_modules_whose_imports_are_exported_earlier() {
+    cases(64, |rng| {
+        let mut m = module(rng);
+        for b in &mut m.blocks {
+            let mut exported: Vec<String> = Vec::new();
+            for t in &mut b.threads {
+                for d in &mut t.depends {
+                    d.mapping = ArcMapping::All;
+                }
+                t.imports.clear();
+                if !exported.is_empty() {
+                    for _ in 0..rng.range(0..3) {
+                        let var = rng.pick(&exported).clone();
+                        let clause = ImportClause {
+                            var,
+                            mapping: ArcMapping::All,
+                        };
+                        push_unique(&mut t.imports, clause, |c| &c.var);
+                    }
+                }
+                for (n, e) in t.exports.iter_mut().enumerate() {
+                    *e = format!("{e}_{}_{n}", t.id);
+                    exported.push(e.clone());
+                }
+            }
+        }
+        for backend in [
+            tflux_ddmcpp::Backend::Soft,
+            tflux_ddmcpp::Backend::Sim,
+            tflux_ddmcpp::Backend::Cell,
+        ] {
+            let out = tflux_ddmcpp::codegen::generate(&m, backend)
+                .unwrap_or_else(|e| panic!("{e}\n---\n{}", print_module(&m)));
+            assert!(out.contains("builder.build()"));
+        }
+    });
+}
