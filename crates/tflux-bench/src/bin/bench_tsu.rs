@@ -21,7 +21,7 @@ use tflux_bench::tsu_path::{
     balanced_fanout, fanout_reduce, funnel_row, imbalanced_fanout, memsys_row, scaling_machines,
     scaling_row, server_row, steal_row, stream_row, MemStream, ARITY, KERNELS, STEAL_ARITY,
 };
-use tflux_core::tsu::{drain_sequential, SyncMemory, Tsu, TsuConfig};
+use tflux_core::{drain_sequential, SyncMemory, Tsu, TsuConfig};
 use tflux_workloads::Bench;
 
 /// The system allocator, counting. This binary is the one place in the

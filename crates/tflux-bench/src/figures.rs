@@ -3,12 +3,11 @@
 use crate::json::{Json, ToJson};
 use tflux_cell::{CellConfig, CellMachine};
 use tflux_sim::{Machine, MachineConfig, SimReport, TsuCosts};
-use tflux_workloads::common::Params;
 use tflux_workloads::setup::{
     cell_baseline, cell_setup, sim_baseline, sim_setup, with_default_unroll,
 };
 use tflux_workloads::sizes::{Platform, SizeClass};
-use tflux_workloads::Bench;
+use tflux_workloads::{Bench, Params};
 
 /// One data point of a speedup figure.
 #[derive(Clone, Debug)]
@@ -466,15 +465,15 @@ pub fn host_capacity() -> HostCapacity {
 }
 
 /// **§4.2 ablation** — the segmented Thread-to-Update Buffer, simulated
-/// ([`tflux_sim::tub`]) at the [`TsuCosts::soft`] costs: 2, 4, 6 and 8
+/// ([`tflux_sim::simulate_tub`]) at the [`TsuCosts::soft`] costs: 2, 4, 6 and 8
 /// kernel cores publish 1 000 completions each into 1, 2, 4 and 8
 /// segments. More segments should mean fewer `busy_hits`. Returns
 /// `(pushers, segments, stats)`, pushers-major.
-pub fn tub_contention() -> Vec<(u32, u32, tflux_sim::tub::TubStats)> {
+pub fn tub_contention() -> Vec<(u32, u32, tflux_sim::TubStats)> {
     let grid = [2, 4, 6, 8]
         .into_iter()
         .flat_map(|p| [1, 2, 4, 8].map(|s| (p, s)));
-    grid.map(|(p, s)| (p, s, tflux_sim::tub::simulate(p, s, 1_000)))
+    grid.map(|(p, s)| (p, s, tflux_sim::simulate_tub(p, s, 1_000)))
         .collect()
 }
 

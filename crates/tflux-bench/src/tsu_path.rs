@@ -25,9 +25,8 @@
 
 use crate::json::{Json, ToJson};
 use std::time::Instant;
-use tflux_core::ids::Epoch;
 use tflux_core::prelude::*;
-use tflux_core::tsu::SyncMemory;
+use tflux_core::{Epoch, SyncMemory};
 use tflux_sim::MachineConfig;
 use tflux_workloads::Bench;
 
@@ -311,7 +310,7 @@ pub fn sim_makespan(
     steal: bool,
     work_cycles: u64,
 ) -> StealMeasure {
-    use tflux_core::tsu::TsuConfig;
+    use tflux_core::TsuConfig;
     use tflux_sim::work::UniformWork;
     use tflux_sim::Machine;
     let r = Machine::new(MachineConfig::bagle(cores))
@@ -358,9 +357,9 @@ pub struct ScalingMeasure {
 /// Run `bench` at `Small` size with one kernel per core of `cfg` and
 /// report the simulated speedup over the sequential baseline.
 pub fn sim_scaling(bench: Bench, cfg: MachineConfig) -> ScalingMeasure {
-    use tflux_workloads::common::Params;
     use tflux_workloads::setup::with_default_unroll;
     use tflux_workloads::sizes::SizeClass;
+    use tflux_workloads::Params;
     let p = with_default_unroll(bench, Params::hard(cfg.cores, 0, SizeClass::Small));
     let (par, seq) = crate::figures::sim_run(bench, &tflux_sim::Machine::new(cfg), &p);
     ScalingMeasure {
@@ -374,7 +373,7 @@ pub fn sim_scaling(bench: Bench, cfg: MachineConfig) -> ScalingMeasure {
 }
 
 /// A synthetic access stream driven straight at
-/// [`MemorySystem::access`](tflux_sim::memsys::MemorySystem::access) on
+/// [`MemorySystem::access`](tflux_sim::MemorySystem::access) on
 /// `bagle(27)`: the micro layer under `bench_e2e`'s `sim_mem_bound`, one
 /// stream per path through the memory system.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -456,7 +455,7 @@ pub struct MemsysMeasure {
     /// Accesses issued.
     pub accesses: u64,
     /// The memory system's counters after the last access.
-    pub stats: tflux_sim::memsys::MemStats,
+    pub stats: tflux_sim::MemStats,
     /// Sum of the latencies the accesses were charged, in cycles.
     pub latency_cycles: u64,
     /// Wall-clock nanoseconds for the stream, construction excluded.
@@ -474,8 +473,8 @@ impl MemsysMeasure {
 /// issuing when the previous one returns, rounds committed as the stream
 /// prescribes.
 pub fn memsys_stream(stream: MemStream) -> MemsysMeasure {
-    use tflux_sim::memsys::MemorySystem;
-    let mut mem = MemorySystem::new(MachineConfig::bagle(27));
+    use tflux_sim::MemorySystem;
+    let mut mem = MemorySystem::new(MachineConfig::bagle(27)).expect("a valid preset");
     let accesses = stream.accesses();
     let mut now = 0u64;
     let t = Instant::now();

@@ -1,6 +1,6 @@
 //! Cell/BE machine parameters.
 
-use tflux_core::tsu::TsuConfig;
+use tflux_core::TsuConfig;
 
 /// Configuration of the simulated Cell/BE.
 ///
@@ -13,11 +13,6 @@ pub struct CellConfig {
     pub spes: u32,
     /// Local Store bytes per SPE.
     pub ls_bytes: u64,
-    /// Overlap each DThread's import DMA with the *previous* DThread's
-    /// compute (double-buffering in the Local Store — the standard Cell
-    /// optimization the paper's implementation leaves as future work).
-    /// Requires spare LS for the second buffer, which the machine checks.
-    pub double_buffer: bool,
     /// Configuration handed to the PPE-side TSU emulator (capacity,
     /// scheduling policy, completion-funnel flush policy).
     pub tsu: TsuConfig,
@@ -45,7 +40,6 @@ impl CellConfig {
         CellConfig {
             spes: 6,
             ls_bytes: 256 * 1024,
-            double_buffer: false,
             tsu: TsuConfig::default(),
         }
     }
@@ -56,14 +50,8 @@ impl CellConfig {
         self
     }
 
-    /// Enable import/compute double-buffering.
-    pub fn with_double_buffer(mut self, on: bool) -> Self {
-        self.double_buffer = on;
-        self
-    }
-
     /// Override the PPE-side TSU emulator configuration (e.g. to enable
-    /// completion funnels with [`tflux_core::tsu::FlushPolicy::Batch`]).
+    /// completion funnels with [`tflux_core::FlushPolicy::Batch`]).
     pub fn with_tsu(mut self, tsu: TsuConfig) -> Self {
         self.tsu = tsu;
         self

@@ -21,7 +21,7 @@
 //!   about the next DThread to be executed"; the PPE-side emulator polls
 //!   the CommandBuffers round-robin and answers through them;
 //! * **Local Store capacity** — an instance whose footprint exceeds the LS
-//!   is a hard error ([`machine::CellError::LocalStoreOverflow`]), which is
+//!   is a hard error ([`CellError::LocalStoreOverflow`]), which is
 //!   exactly why the paper could not run QSORT beyond its Medium size on
 //!   the PS3 (§6.3).
 //!
@@ -31,10 +31,11 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
-pub mod config;
-pub mod machine;
-pub mod report;
+mod config;
+mod machine;
+mod report;
 pub mod work;
 
 pub use config::CellConfig;

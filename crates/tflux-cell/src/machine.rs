@@ -24,10 +24,11 @@
 use crate::config::{CellConfig, CMD_LAT, MAILBOX_LAT, POLL_SCAN, PPE_OP};
 use crate::report::CellReport;
 use crate::work::{CellWork, CellWorkSource};
-use tflux_core::ids::{Epoch, Instance, KernelId};
-use tflux_core::program::DdmProgram;
-use tflux_core::tsu::{drain_sequential, CompletionFunnel, FetchResult, Tsu, TsuConfig};
-use tflux_sim::event::EventQueue;
+use tflux_core::{
+    drain_sequential, CompletionFunnel, DdmProgram, Epoch, FetchResult, Instance, KernelId, Tsu,
+    TsuConfig,
+};
+use tflux_sim::EventQueue;
 
 /// Errors of a TFluxCell run.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -44,7 +45,7 @@ pub enum CellError {
         have: u64,
     },
     /// A TSU protocol error.
-    Protocol(tflux_core::error::CoreError),
+    Protocol(tflux_core::CoreError),
 }
 
 impl std::fmt::Display for CellError {
@@ -92,9 +93,6 @@ struct Spe {
     /// The instance, its epoch token, and the work currently executing
     /// on this SPE.
     cur: Option<(Instance, Epoch, CellWork)>,
-    /// Compute cycles of the previously executed instance (double-buffer
-    /// overlap budget).
-    prev_compute: u64,
     busy: u64,
     dma: u64,
     idle: u64,
@@ -153,7 +151,6 @@ impl CellMachine {
                 waiting_since: Some(0),
                 dispatched: false,
                 cur: None,
-                prev_compute: 0,
                 busy: 0,
                 dma: 0,
                 idle: 0,
@@ -198,34 +195,15 @@ impl CellMachine {
                         s.idle += t.saturating_sub(since);
                     }
                     let w = source.work(inst);
-                    // double-buffering needs a second import buffer resident
-                    let footprint = if self.cfg.double_buffer {
-                        CellWork {
-                            ls_bytes: w.ls_bytes + w.import_bytes,
-                            ..w
-                        }
-                    } else {
-                        w
-                    };
-                    self.check_ls(inst, &footprint)?;
-                    peak_ls = peak_ls.max(footprint.ls_bytes);
+                    self.check_ls(inst, &w)?;
+                    peak_ls = peak_ls.max(w.ls_bytes);
                     s.cur = Some((inst, epoch, w));
                     // import DMA (bus arbitration at the current time)
                     if w.import_bytes > 0 {
                         let cost = self.cfg.dma_cycles(w.import_bytes);
-                        let start = bus_free.max(t);
-                        bus_free = start + cost;
-                        // with double-buffering the transfer overlapped the
-                        // previous instance's compute; only the residue
-                        // stalls the SPE (the bus still carried the full
-                        // transfer, charged above)
-                        let visible = if self.cfg.double_buffer {
-                            ((start - t) + cost).saturating_sub(s.prev_compute)
-                        } else {
-                            (start - t) + cost
-                        };
-                        s.dma += visible;
-                        events.push(t + visible, Ev::Imported(spe));
+                        bus_free = bus_free.max(t) + cost;
+                        s.dma += bus_free - t;
+                        events.push(bus_free, Ev::Imported(spe));
                     } else {
                         events.push(t, Ev::Imported(spe));
                     }
@@ -235,7 +213,6 @@ impl CellMachine {
                     let (_, _, w) = s.cur.expect("Imported without current work");
                     let c = w.compute;
                     s.busy += c;
-                    s.prev_compute = c;
                     events.push(t + c, Ev::Export(spe));
                 }
                 Ev::Export(spe) => {
@@ -514,40 +491,6 @@ mod tests {
     }
 
     #[test]
-    fn double_buffering_hides_import_latency() {
-        // import sized so the XDR bus is NOT saturated (aggregate DMA
-        // demand stays under the wall time); the per-instance import
-        // stall (~4.4k cycles against 40k compute) is then hideable
-        let p = fork_join(96);
-        let src = app_work(40_000, 32_768, 1_024);
-        let base = CellMachine::new(CellConfig::ps3());
-        let db = CellMachine::new(CellConfig::ps3().with_double_buffer(true));
-        let r0 = base.run(&p, &src).unwrap();
-        let r1 = db.run(&p, &src).unwrap();
-        assert!(
-            r1.cycles < r0.cycles * 95 / 100,
-            "double buffering must hide import latency: {} vs {}",
-            r1.cycles,
-            r0.cycles
-        );
-        assert!(r1.dma_fraction() < r0.dma_fraction());
-    }
-
-    #[test]
-    fn double_buffering_requires_spare_local_store() {
-        let p = fork_join(4);
-        // footprint + second import buffer exceeds 256K only when doubled
-        let src = app_work(1_000, 150 * 1024, 0);
-        let base = CellMachine::new(CellConfig::ps3());
-        assert!(base.run(&p, &src).is_ok());
-        let db = CellMachine::new(CellConfig::ps3().with_double_buffer(true));
-        assert!(matches!(
-            db.run(&p, &src),
-            Err(CellError::LocalStoreOverflow { .. })
-        ));
-    }
-
-    #[test]
     fn funneled_ppe_batches_post_processing() {
         let p = fork_join(64);
         let src = app_work(10_000, 1024, 512);
@@ -613,7 +556,7 @@ mod tests {
         assert!(matches!(
             m.with_epochs(3).run(&p, &src),
             Err(CellError::Protocol(
-                tflux_core::error::CoreError::WindowExhausted { .. }
+                tflux_core::CoreError::WindowExhausted { .. }
             ))
         ));
     }

@@ -1,6 +1,6 @@
 //! TFluxCell execution reports.
 
-use tflux_core::tsu::TsuStats;
+use tflux_core::TsuStats;
 
 /// The outcome of one simulated TFluxCell execution.
 #[derive(Clone, Debug)]

@@ -1,6 +1,6 @@
 //! Cell work models: what one DThread instance costs on an SPE.
 
-use tflux_core::ids::Instance;
+use tflux_core::Instance;
 
 /// Cost description of one instance on an SPE.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -58,7 +58,7 @@ impl<F: Fn(Instance) -> CellWork> CellWorkSource for FnCellWork<F> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tflux_core::ids::{Context, ThreadId};
+    use tflux_core::{Context, ThreadId};
 
     #[test]
     fn uniform_source() {

@@ -131,7 +131,7 @@ pub(crate) fn topo_order(program: &DdmProgram, threads: &[ThreadId]) -> Vec<Thre
 /// per-kernel funnels: with `min_fan_in = kernels`, a hit means some slot
 /// will absorb updates from (at least) every kernel, so the sink's cache
 /// line is worth funneling.
-pub fn hot_sinks(program: &DdmProgram, min_fan_in: u32) -> Vec<(Instance, u32)> {
+pub(crate) fn hot_sinks(program: &DdmProgram, min_fan_in: u32) -> Vec<(Instance, u32)> {
     let mut out = Vec::new();
     for (t, spec) in program.threads().iter().enumerate() {
         if spec.kind != ThreadKind::App {

@@ -8,16 +8,16 @@
 //!   data-driven manner, identified by a [`ThreadId`] and, for loop threads,
 //!   a [`Context`] instance index.
 //! * **Synchronization graphs** — producer/consumer arcs between DThreads
-//!   with instance [`mapping::ArcMapping`]s (one-to-one, broadcast,
+//!   with instance [`ArcMapping`]s (one-to-one, broadcast,
 //!   reduction, merge trees, …).
 //! * **DDM blocks** — subsets of the program small enough to fit in the TSU,
 //!   chained by implicit *Inlet* and *Outlet* DThreads.
-//! * **The TSU** ([`tsu`]) — the paper's §3.3 decomposition:
-//!   [`tsu::GraphMemory`] (immutable program view), [`tsu::SyncMemory`]
+//! * **The TSU** — the paper's §3.3 decomposition:
+//!   [`GraphMemory`] (immutable program view), [`SyncMemory`]
 //!   (lock-free ready counts + post-processing) and a per-kernel
-//!   [`tsu::ReadyQueue`] (a Chase-Lev work-stealing [`tsu::StealDeque`]
+//!   [`ReadyQueue`] (a Chase-Lev work-stealing [`StealDeque`]
 //!   plus one locked inbox for other kernels' runs), composed once into
-//!   [`tsu::Tsu`]. All three platforms (the software TSU of
+//!   [`Tsu`]. All three platforms (the software TSU of
 //!   `tflux-runtime`, the simulated hardware TSU of `tflux-sim`, the Cell
 //!   model of `tflux-cell`) drive that one `&self` state machine, with the
 //!   same queue type; they differ only in whether one thread drives every
@@ -27,7 +27,7 @@
 //!
 //! The crate is deliberately free of I/O and unsafe code and spawns no
 //! thread: it is the model, not a platform. Its one blocking call is the
-//! [`tsu::EventCount`] a kernel thread parks on. Platforms live in
+//! [`EventCount`] a kernel thread parks on. Platforms live in
 //! `tflux-runtime`, `tflux-sim` and `tflux-cell`.
 //!
 //! ## Quick tour
@@ -50,49 +50,50 @@
 //!
 //! // Drive the TSU units to completion on 2 virtual kernels.
 //! let tsu = Tsu::new(&program, 2, TsuConfig::default());
-//! let order = tflux_core::tsu::drain_sequential(&tsu).unwrap();
+//! let order = tflux_core::drain_sequential(&tsu).unwrap();
 //! assert_eq!(order.len(), program.total_instances());
 //! ```
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
-pub mod block;
-pub mod error;
-pub mod graph;
-pub mod ids;
-pub mod mapping;
-pub mod policy;
-pub mod program;
-pub mod rng;
+mod block;
+mod error;
+mod graph;
+mod ids;
+mod mapping;
+mod policy;
+mod program;
+mod rng;
 pub mod split;
-pub mod thread;
-pub mod trace;
-pub mod tsu;
-pub mod unroll;
+mod thread;
+mod trace;
+mod tsu;
+mod unroll;
 
 pub use block::DdmBlock;
 pub use error::CoreError;
-pub use ids::{BlockId, Context, Instance, KernelId, ProgramId, ThreadId};
+pub use graph::{lints, to_dot, work_span, Lint, WorkSpan};
+pub use ids::{BlockId, Context, Epoch, Instance, KernelId, ProgramId, ThreadId};
 pub use mapping::ArcMapping;
-pub use policy::StealBackoff;
 pub use program::{DdmProgram, ProgramBuilder};
+pub use rng::{cases, mix, random_program, SplitMix64};
 pub use thread::{Affinity, ThreadKind, ThreadSpec};
+pub use trace::{ExecTrace, Span};
 pub use tsu::{
-    CompletionFunnel, EventCount, FetchResult, FlushPolicy, GraphMemory, ProgramHandle, ReadyQueue,
-    ShardStats, Steal, StealDeque, SyncMemory, Tsu, TsuConfig, TsuStats, WaitingInstance,
+    drain_sequential, CompletionFunnel, EventCount, FetchResult, FlushPolicy, GraphMemory,
+    ProgramHandle, ReadyQueue, ShardStats, SmOp, Steal, StealDeque, SyncMemory, Tsu, TsuConfig,
+    TsuStats, WaitingInstance,
 };
+pub use unroll::Unroll;
 
 /// Convenient glob import for users of the model.
 pub mod prelude {
-    pub use crate::block::DdmBlock;
-    pub use crate::error::CoreError;
-    pub use crate::ids::{BlockId, Context, Instance, KernelId, ProgramId, ThreadId};
-    pub use crate::mapping::ArcMapping;
-    pub use crate::policy::StealBackoff;
-    pub use crate::program::{DdmProgram, ProgramBuilder};
-    pub use crate::thread::{Affinity, ThreadKind, ThreadSpec};
-    pub use crate::tsu::{
-        CompletionFunnel, FetchResult, FlushPolicy, ProgramHandle, Tsu, TsuConfig,
+    #[doc(no_inline)]
+    pub use crate::{
+        Affinity, ArcMapping, BlockId, CompletionFunnel, Context, CoreError, DdmBlock, DdmProgram,
+        FetchResult, FlushPolicy, Instance, KernelId, ProgramBuilder, ProgramHandle, ProgramId,
+        ThreadId, ThreadKind, ThreadSpec, Tsu, TsuConfig,
     };
 }

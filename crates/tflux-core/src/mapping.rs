@@ -181,25 +181,6 @@ impl ArcMapping {
             }
         }
     }
-
-    /// The largest [`fan_in`](Self::fan_in) any consumer context sees on
-    /// this arc — how hot the hottest sink slot gets. Reduction funnels
-    /// size themselves from this without walking every context.
-    pub fn max_fan_in(&self, prod_arity: u32, cons_arity: u32) -> u32 {
-        match *self {
-            ArcMapping::All => prod_arity,
-            ArcMapping::OneToOne => 1,
-            ArcMapping::Offset(k) => {
-                // at least one producer context lands in range iff the
-                // shifted window overlaps [0, cons_arity)
-                let lo = k as i64;
-                let hi = (prod_arity as i64 - 1) + k as i64;
-                u32::from(hi >= 0 && lo < cons_arity as i64)
-            }
-            ArcMapping::Group { factor } => factor.min(prod_arity),
-            ArcMapping::Expand { .. } => u32::from(prod_arity > 0),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -276,28 +257,6 @@ mod tests {
             .validate(p, c, 3, 8)
             .is_err());
         assert!(ArcMapping::All.validate(p, c, 3, 8).is_ok());
-    }
-
-    #[test]
-    fn max_fan_in_bounds_every_context() {
-        let cases = [
-            (ArcMapping::All, 3, 5),
-            (ArcMapping::All, 5, 1),
-            (ArcMapping::OneToOne, 6, 6),
-            (ArcMapping::Offset(2), 6, 6),
-            (ArcMapping::Offset(-3), 6, 6),
-            (ArcMapping::Offset(9), 6, 6), // window entirely out of range
-            (ArcMapping::Group { factor: 2 }, 7, 4),
-            (ArcMapping::Expand { factor: 4 }, 2, 7),
-        ];
-        for (m, pa, ca) in cases {
-            let per_context = (0..ca).map(|c| m.fan_in(Context(c), pa, ca)).max();
-            assert_eq!(
-                m.max_fan_in(pa, ca),
-                per_context.unwrap(),
-                "mapping {m:?} (pa={pa}, ca={ca})"
-            );
-        }
     }
 
     #[test]

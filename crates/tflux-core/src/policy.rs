@@ -26,7 +26,7 @@ use crate::rng::SplitMix64;
 /// Purely deterministic — no clocks, no randomness — so single-owner
 /// simulations replay exactly.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct StealBackoff {
+pub(crate) struct StealBackoff {
     /// Consecutive failed steal attempts since the last hit.
     misses: u32,
     /// Attempts left to skip before the next probe.
@@ -35,20 +35,20 @@ pub struct StealBackoff {
 
 impl StealBackoff {
     /// Consecutive misses tolerated before probes start being skipped.
-    pub const THRESHOLD: u32 = 4;
+    pub(crate) const THRESHOLD: u32 = 4;
     /// Cap on the exponential skip count: at most `2^MAX_SHIFT` attempts
     /// (64) are skipped between probes, so a thief re-checks an idle
     /// machine at a bounded, if lazy, rate.
-    pub const MAX_SHIFT: u32 = 6;
+    pub(crate) const MAX_SHIFT: u32 = 6;
 
     /// A fresh, eagerly-probing backoff.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         StealBackoff::default()
     }
 
     /// Whether this fetch attempt should probe victims. Consumes one skip
     /// credit when the probe is gated off.
-    pub fn should_probe(&mut self) -> bool {
+    pub(crate) fn should_probe(&mut self) -> bool {
         if self.skip > 0 {
             self.skip -= 1;
             return false;
@@ -58,7 +58,7 @@ impl StealBackoff {
 
     /// Record the outcome of a probe that ran: a hit resets to eager
     /// probing, a miss extends the backoff schedule.
-    pub fn record(&mut self, hit: bool) {
+    pub(crate) fn record(&mut self, hit: bool) {
         if hit {
             *self = StealBackoff::new();
         } else {
@@ -67,11 +67,6 @@ impl StealBackoff {
                 self.skip = 1 << (self.misses - Self::THRESHOLD).min(Self::MAX_SHIFT);
             }
         }
-    }
-
-    /// Consecutive misses recorded since the last hit.
-    pub fn consecutive_misses(&self) -> u32 {
-        self.misses
     }
 
     /// Pack the state into one word, so a TSU can keep it in an atomic
@@ -149,10 +144,10 @@ mod tests {
             assert!(!b.should_probe());
         }
         assert!(b.should_probe());
-        assert_eq!(b.consecutive_misses(), StealBackoff::THRESHOLD + 2);
+        assert_eq!(b.misses, StealBackoff::THRESHOLD + 2);
         // a hit snaps straight back to eager probing
         b.record(true);
-        assert_eq!(b.consecutive_misses(), 0);
+        assert_eq!(b.misses, 0);
         assert!(b.should_probe());
         b.record(false);
         assert!(b.should_probe(), "one miss after a hit must not gate");

@@ -90,15 +90,6 @@ impl DdmProgram {
             + 1
     }
 
-    /// The largest TSU residency any block requires.
-    pub fn max_block_instances(&self) -> usize {
-        self.blocks
-            .iter()
-            .map(|b| self.block_instances(b.id))
-            .max()
-            .unwrap_or(0)
-    }
-
     /// The kernel that owns an instance (the Thread-to-Kernel Table lookup).
     pub fn kernel_of(&self, i: Instance, kernels: u32) -> KernelId {
         let spec = &self.threads[i.thread.idx()];
@@ -448,7 +439,7 @@ mod tests {
             assert_eq!(p.thread(blk.inlet).kind, ThreadKind::Inlet);
             assert_eq!(p.thread(blk.outlet).kind, ThreadKind::Outlet);
             assert_eq!(p.block_of(blk.inlet), blk.id);
+            assert_eq!(p.block_instances(blk.id), 5);
         }
-        assert_eq!(p.max_block_instances(), 5);
     }
 }

@@ -3,7 +3,7 @@
 //! Steal-victim draws, `FaultPlan` decisions, the QSORT input and every
 //! randomized test all draw from the stream defined here, so a seed
 //! printed anywhere in the workspace reproduces bit for bit. [`cases`] is
-//! the property-test runner built on it, and [`program`] the one graph
+//! the property-test runner built on it, and [`random_program`] the one graph
 //! generator every randomized suite draws its programs from.
 
 use crate::ids::KernelId;
@@ -104,7 +104,7 @@ pub fn cases(n: u32, mut property: impl FnMut(&mut SplitMix64)) {
 /// outlet a program has at most `12·(1 + kernels + max(4·kernels, 5))`
 /// instances (84 at one kernel, 312 at five): a suite that wants small
 /// graphs passes few kernels.
-pub fn program(rng: &mut SplitMix64, kernels: u32) -> DdmProgram {
+pub fn random_program(rng: &mut SplitMix64, kernels: u32) -> DdmProgram {
     let kernels = kernels.max(1);
     let spec = |rng: &mut SplitMix64, name: &str, arity: u32| {
         let affinity = match rng.below(4) {
@@ -160,8 +160,9 @@ mod tests {
     use crate::thread::ThreadKind;
     use std::mem::discriminant;
 
-    /// `program`'s size bound: three blocks of inlet, outlet, `src`,
-    /// `sink`, a `wide` of `4·kernels` and four side threads at their cap.
+    /// `random_program`'s size bound: three blocks of inlet, outlet,
+    /// `src`, `sink`, a `wide` of `4·kernels` and four side threads at
+    /// their cap.
     fn max_instances(kernels: u32) -> usize {
         let k = kernels as usize;
         3 * (4 + 4 * k + 4 * (4 * k).max(5))
@@ -174,7 +175,7 @@ mod tests {
         let mut join = false;
         cases(256, |rng| {
             let kernels = rng.range(1..6);
-            let p = program(rng, kernels);
+            let p = random_program(rng, kernels);
             assert!(p.total_instances() <= max_instances(kernels));
             multi_block |= p.blocks().len() > 1;
             hot_at_two |= !hot_sinks(&p, 2).is_empty();
@@ -211,7 +212,7 @@ mod tests {
 
     #[test]
     fn program_is_a_function_of_the_seed() {
-        let draw = |seed| format!("{:?}", program(&mut SplitMix64(seed), 3));
+        let draw = |seed| format!("{:?}", random_program(&mut SplitMix64(seed), 3));
         assert_eq!(draw(9), draw(9));
         assert_ne!(draw(9), draw(10));
     }

@@ -91,43 +91,44 @@ pub fn split_for_capacity(
     Ok((b.build()?, idmap))
 }
 
-/// Check that no mapping information is lost by a split: every original
-/// producer→consumer *instance* constraint is still enforced, either by an
-/// arc or by block ordering. Used by tests.
-pub fn split_preserves_ordering(
-    original: &DdmProgram,
-    split: &DdmProgram,
-    idmap: &HashMap<ThreadId, ThreadId>,
-) -> bool {
-    for t in 0..original.threads().len() {
-        let t = ThreadId(t as u32);
-        if original.thread(t).kind != ThreadKind::App {
-            continue;
-        }
-        for arc in original.consumers(t) {
-            if original.thread(arc.consumer).kind != ThreadKind::App {
-                continue;
-            }
-            let (nt, nc) = (idmap[&t], idmap[&arc.consumer]);
-            let same_block = split.block_of(nt) == split.block_of(nc);
-            let ordered = split.block_of(nt) < split.block_of(nc);
-            let has_arc = split
-                .consumers(nt)
-                .iter()
-                .any(|a| a.consumer == nc && a.mapping == arc.mapping);
-            if !(ordered || (same_block && has_arc)) {
-                return false;
-            }
-        }
-    }
-    true
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::prelude::*;
+    use crate::rng::{cases, random_program};
     use crate::tsu::drain_sequential;
+
+    /// Check that no mapping information is lost by a split: every original
+    /// producer→consumer *instance* constraint is still enforced, either by an
+    /// arc or by block ordering.
+    fn split_preserves_ordering(
+        original: &DdmProgram,
+        split: &DdmProgram,
+        idmap: &HashMap<ThreadId, ThreadId>,
+    ) -> bool {
+        for t in 0..original.threads().len() {
+            let t = ThreadId(t as u32);
+            if original.thread(t).kind != ThreadKind::App {
+                continue;
+            }
+            for arc in original.consumers(t) {
+                if original.thread(arc.consumer).kind != ThreadKind::App {
+                    continue;
+                }
+                let (nt, nc) = (idmap[&t], idmap[&arc.consumer]);
+                let same_block = split.block_of(nt) == split.block_of(nc);
+                let ordered = split.block_of(nt) < split.block_of(nc);
+                let has_arc = split
+                    .consumers(nt)
+                    .iter()
+                    .any(|a| a.consumer == nc && a.mapping == arc.mapping);
+                if !(ordered || (same_block && has_arc)) {
+                    return false;
+                }
+            }
+        }
+        true
+    }
 
     fn layered(arities: &[u32]) -> DdmProgram {
         let mut b = ProgramBuilder::new();
@@ -250,5 +251,50 @@ mod tests {
         let p = b.build().unwrap();
         let (q, _) = split_for_capacity(&p, 8).unwrap();
         assert_eq!(q.blocks().len(), 4);
+    }
+
+    /// For arbitrary programs and capacities, the split program fits the
+    /// capacity, preserves every ordering constraint, and executes
+    /// completely under a capacity-enforcing TSU.
+    #[test]
+    fn split_fits_preserves_and_executes() {
+        cases(256, |rng| {
+            let capacity = rng.range(4usize..40);
+            let p = random_program(rng, 1);
+            let max_arity = p.threads().iter().map(|t| t.arity).max().unwrap_or(1) as usize;
+            if max_arity >= capacity {
+                return; // not splittable: a single thread exceeds the capacity
+            }
+
+            let (q, idmap) = split_for_capacity(&p, capacity).expect("splittable");
+            // capacity respected by every block
+            for blk in q.blocks() {
+                assert!(q.block_instances(blk.id) <= capacity);
+            }
+            // ordering preserved
+            assert!(split_preserves_ordering(&p, &q, &idmap));
+            // app instances conserved
+            let apps = |p: &DdmProgram| {
+                p.threads()
+                    .iter()
+                    .filter(|t| t.kind == ThreadKind::App)
+                    .map(|t| t.arity as usize)
+                    .sum::<usize>()
+            };
+            assert_eq!(apps(&p), apps(&q));
+
+            // executes under a TSU with exactly that capacity
+            let tsu = Tsu::new(
+                &q,
+                3,
+                TsuConfig {
+                    capacity,
+                    ..Default::default()
+                },
+            );
+            let order = drain_sequential(&tsu).unwrap();
+            assert_eq!(order.len(), q.total_instances());
+            assert!(tsu.stats().max_resident <= capacity);
+        });
     }
 }

@@ -41,7 +41,7 @@ pub enum FlushPolicy {
 }
 
 /// Batch size `Auto` resolves to when the program has hot sinks.
-pub const AUTO_BATCH_SIZE: u32 = 8;
+pub(super) const AUTO_BATCH_SIZE: u32 = 8;
 
 impl FlushPolicy {
     /// The batch size under this policy: `None` for the direct path.
@@ -56,7 +56,7 @@ impl FlushPolicy {
     /// Resolve `Auto` against a concrete program and kernel count:
     /// batching turns on iff more than one kernel will feed some sink
     /// whose fan-in is at least the kernel count (a
-    /// [`hot_sinks`](crate::graph::hot_sinks) hit means the sink's cache
+    /// `hot_sinks` hit means the sink's cache
     /// line is worth funneling). Explicit `Direct`/`Batch` pass through
     /// unchanged, so the knob still overrides the heuristic. Platforms
     /// call this once at construction; the resolved policy never contains
@@ -144,7 +144,8 @@ pub struct TsuStats {
     /// onto the same victim despite the random first probe.
     pub steal_races: u64,
     /// Victim scans skipped by the adaptive backoff
-    /// ([`StealBackoff`](crate::policy::StealBackoff)): fetch attempts on
+    /// (`StealBackoff`: after 4 straight misses each further miss doubles
+    /// the attempts skipped, up to 64): fetch attempts on
     /// which a repeatedly-missing thief did not probe at all. High skips
     /// with zero steals is the *healthy* idle-machine signature — the old
     /// pathology was high `steal_misses` instead.

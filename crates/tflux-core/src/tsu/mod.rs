@@ -33,7 +33,7 @@ mod gm;
 mod queue;
 mod sync;
 
-pub use config::{FlushPolicy, ShardStats, TsuConfig, TsuStats, WaitingInstance, AUTO_BATCH_SIZE};
+pub use config::{FlushPolicy, ShardStats, TsuConfig, TsuStats, WaitingInstance};
 pub use funnel::{CompletionFunnel, SmOp};
 pub use gm::{GraphMemory, ProgramHandle};
 pub use queue::{EventCount, FetchResult, ReadyQueue, Steal, StealDeque};
@@ -128,7 +128,7 @@ impl<P: ProgramHandle> Tsu<P> {
     /// is then its owner's, so it goes straight onto the deque bottom,
     /// rings nothing, and no inbox is ever used. Nothing paces an idle
     /// kernel's victim scans but the TSU itself, so a kernel whose steals
-    /// keep missing skips scans under [`StealBackoff`].
+    /// keep missing skips scans under an exponential backoff.
     pub fn new(program: P, kernels: u32, config: TsuConfig) -> Self {
         Self::build(program, kernels, config, false)
     }
@@ -496,6 +496,7 @@ pub fn drain_sequential<P: ProgramHandle>(tsu: &Tsu<P>) -> Result<Vec<Instance>,
 
 #[cfg(test)]
 mod tests {
+    use super::config::AUTO_BATCH_SIZE;
     use super::*;
     use crate::ids::Context;
     use crate::mapping::ArcMapping;
@@ -731,7 +732,10 @@ mod tests {
         assert!(s.rc_updates > 0);
         // the direct path issues one physical RMW per logical decrement
         assert_eq!(s.rc_rmws, s.rc_updates);
-        assert!(s.max_resident >= p.max_block_instances());
+        assert!(p
+            .blocks()
+            .iter()
+            .all(|b| s.max_resident >= p.block_instances(b.id)));
         // two kernels round-robin completions, so the sink slots change
         // hands between kernels — counted as line transfers
         assert!(s.sm_contended > 0);

@@ -794,7 +794,7 @@ mod tests {
             b.arc(fan, sink, ArcMapping::Reduction).unwrap();
         }
         let p = b.build().unwrap();
-        assert_eq!(p.max_block_instances(), 8 * 8192 + 2);
+        assert_eq!(p.block_instances(p.blocks()[0].id), 8 * 8192 + 2);
         let q = ReadyQueue::new();
         assert_eq!((q.deque.capacity(), lock(&q.inbox).capacity()), (64, 0));
         let built = [

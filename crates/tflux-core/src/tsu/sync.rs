@@ -350,11 +350,6 @@ impl<P: ProgramHandle> SyncMemory<P> {
         }
     }
 
-    /// The currently loaded block, if any.
-    pub fn loaded_block(&self) -> Option<BlockId> {
-        self.block_forensics().loaded
-    }
-
     /// Completions processed so far — the progress probe watchdogs poll.
     pub fn completions(&self) -> u64 {
         self.sum(|r| &r.completions)
@@ -1019,7 +1014,7 @@ mod tests {
         // flight, no block loaded
         assert_eq!(sm.completions(), 0);
         assert_eq!(sm.forensics().1, vec![inlet]);
-        assert_eq!(sm.loaded_block(), None);
+        assert_eq!(sm.block_forensics().loaded, None);
         assert_eq!(sm.stats().blocks_loaded, 0);
         // replaying the completion observes the same state and the same
         // error — not a protocol error about a missing instance

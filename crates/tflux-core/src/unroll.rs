@@ -30,11 +30,6 @@ impl Unroll {
         }
     }
 
-    /// No unrolling: one iteration per instance.
-    pub fn none(iterations: u64) -> Self {
-        Unroll::new(iterations, 1)
-    }
-
     /// The DThread arity after unrolling (`ceil(n / u)`), at least 1.
     pub fn arity(&self) -> u32 {
         let a = self.iterations.div_ceil(self.factor as u64).max(1);

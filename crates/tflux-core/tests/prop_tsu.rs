@@ -4,15 +4,14 @@
 
 use std::collections::HashMap;
 use tflux_core::prelude::*;
-use tflux_core::rng::{cases, program, SplitMix64};
-use tflux_core::tsu::drain_sequential;
+use tflux_core::{cases, drain_sequential, random_program, SplitMix64};
 
 /// A generated program, sized for two kernels, drained through a `Tsu` on
 /// 1–5 kernels, stealing or not.
 fn drained(rng: &mut SplitMix64) -> (DdmProgram, Vec<Instance>, bool) {
     let kernels = rng.range(1u32..6);
     let steal = rng.chance(1, 2);
-    let p = program(rng, 2);
+    let p = random_program(rng, 2);
     let tsu = Tsu::new(
         &p,
         kernels,
@@ -78,8 +77,8 @@ fn blocks_never_interleave() {
 #[test]
 fn work_span_bounds_hold() {
     cases(256, |rng| {
-        let p = program(rng, 2);
-        let ws = tflux_core::graph::work_span(&p, |_, _| 1.0);
+        let p = random_program(rng, 2);
+        let ws = tflux_core::work_span(&p, |_, _| 1.0);
         // span counts at least one instance per block (plus inlets), and
         // work counts everything
         assert_eq!(ws.work, p.total_instances() as f64);

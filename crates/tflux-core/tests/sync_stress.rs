@@ -270,8 +270,7 @@ fn steal_heavy_thieves_claim_every_entry_exactly_once() {
     // slot, shows up as a duplicate or a hole here. Runs under
     // ThreadSanitizer in the tsan job.
     use std::sync::atomic::AtomicBool;
-    use tflux_core::ids::{Context, Epoch, Instance, ThreadId};
-    use tflux_core::tsu::{Steal, StealDeque};
+    use tflux_core::{Context, Epoch, Instance, Steal, StealDeque, ThreadId};
 
     let total: u32 = 20_000;
     let q = StealDeque::with_capacity(8);
@@ -331,10 +330,9 @@ fn steal_heavy_thieves_claim_every_entry_exactly_once() {
 /// `Empty`. Returns every claimed context, sorted.
 fn owner_vs_thief(
     preloaded: u32,
-    owner: impl FnOnce(&tflux_core::tsu::StealDeque) -> Vec<u32>,
+    owner: impl FnOnce(&tflux_core::StealDeque) -> Vec<u32>,
 ) -> Vec<u32> {
-    use tflux_core::ids::{Context, Epoch, Instance, ThreadId};
-    use tflux_core::tsu::{Steal, StealDeque};
+    use tflux_core::{Context, Epoch, Instance, Steal, StealDeque, ThreadId};
 
     let q = StealDeque::with_capacity(2);
     for c in 0..preloaded {
@@ -372,7 +370,7 @@ fn steal_during_growth_neither_loses_nor_duplicates() {
     // publish two larger rungs while the thief is (possibly) mid-steal on
     // a retired one; the monotonic top counter must make a stale-rung
     // claim impossible
-    use tflux_core::ids::{Context, Epoch, Instance, ThreadId};
+    use tflux_core::{Context, Epoch, Instance, ThreadId};
     for round in 0..2_000 {
         let all = owner_vs_thief(2, |q| {
             for c in 2..6 {

@@ -8,7 +8,7 @@
 
 use std::io::Write as _;
 use std::process::ExitCode;
-use tflux_ddmcpp::{codegen::Backend, lower, parse, preprocess};
+use tflux_ddmcpp::{lower, parse, preprocess, Backend};
 
 fn usage() -> ExitCode {
     eprintln!(
@@ -82,7 +82,7 @@ fn main() -> ExitCode {
             }
         };
         if dot {
-            print!("{}", tflux_core::graph::to_dot(&lowered));
+            print!("{}", tflux_core::to_dot(&lowered));
         } else {
             eprintln!(
                 "ddmcpp: {input}: OK ({} blocks, {} threads, {} instances)",
@@ -90,7 +90,7 @@ fn main() -> ExitCode {
                 module.thread_count(),
                 lowered.total_instances()
             );
-            for lint in tflux_core::graph::lints(&lowered) {
+            for lint in tflux_core::lints(&lowered) {
                 eprintln!("ddmcpp: {input}: warning: {lint}");
             }
         }

@@ -1,24 +1,5 @@
-//! The `#pragma ddm` directive grammar and its recursive-descent parser.
-//!
-//! ```text
-//! directive   := startprogram [kernels(N)]
-//!              | endprogram
-//!              | block <id>
-//!              | endblock
-//!              | thread <id> attrs*
-//!              | endthread
-//!              | for thread <id> range(<expr>, <expr>) attrs*
-//!              | endfor
-//!              | var <type> <name> [size(<expr>)]
-//!              | def <name> <int>
-//!              | shutdown
-//! attrs       := kernel <k> | arity(<expr>) | unroll(<expr>)
-//!              | cost(<expr>) | import(var[:mapping], ...)
-//!              | export(var, ...) | depends(<tid>[:mapping], ...)
-//! mapping     := all | onetoone | offset(<int>) | group(<int>)
-//!              | expand(<int>)
-//! expr        := integer literal | defined constant name
-//! ```
+//! The `#pragma ddm` directive grammar (on [`parse_directive`]) and its
+//! recursive-descent parser.
 //!
 //! The grammar is a faithful superset of the DDMCPP directives the TFlux
 //! papers show (thread/block structure, loop threads, import/export,
@@ -235,7 +216,27 @@ impl<'a> Toks<'a> {
     }
 }
 
-/// Parse one directive line (text after `#pragma ddm`).
+/// Parse one directive line (text after `#pragma ddm`):
+///
+/// ```text
+/// directive   := startprogram [kernels(N)]
+///              | endprogram
+///              | block <id>
+///              | endblock
+///              | thread <id> attrs*
+///              | endthread
+///              | for thread <id> range(<expr>, <expr>) attrs*
+///              | endfor
+///              | var <type> <name> [size(<expr>)]
+///              | def <name> <int>
+///              | shutdown
+/// attrs       := kernel <k> | arity(<expr>) | unroll(<expr>)
+///              | cost(<expr>) | import(var[:mapping], ...)
+///              | export(var, ...) | depends(<tid>[:mapping], ...)
+/// mapping     := all | onetoone | offset(<int>) | group(<int>)
+///              | expand(<int>)
+/// expr        := integer literal | defined constant name
+/// ```
 pub fn parse_directive(text: &str, line: usize) -> Result<Directive, PreprocessError> {
     let mut t = Toks::new(text, line);
     let head = t

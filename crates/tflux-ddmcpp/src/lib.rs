@@ -9,7 +9,7 @@
 //!
 //! Like the original, the tool is split into a **front-end** — a
 //! target-independent parser for the `#pragma ddm` directive grammar that
-//! produces a [`ast::DdmModule`] — and per-target **back-ends** that
+//! produces a [`DdmModule`] — and per-target **back-ends** that
 //! generate code for a concrete TFlux platform:
 //!
 //! * [`Backend::Soft`] emits a Rust program driving `tflux-runtime`
@@ -26,7 +26,7 @@
 //! them, exactly like the original's front-end), so sources meant for the
 //! soft back-end write their bodies in Rust.
 //!
-//! The directive grammar is documented in [`directive`], and
+//! The directive grammar is documented on [`parse_directive`], and
 //! [`lower::to_program`] turns a parsed module straight into a validated
 //! [`DdmProgram`](tflux_core::DdmProgram) without generating text — used by
 //! tests and by anyone embedding the preprocessor.
@@ -53,19 +53,24 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
-pub mod ast;
+mod ast;
 pub mod codegen;
-pub mod directive;
-pub mod error;
-pub mod lexer;
+mod directive;
+mod error;
+mod lexer;
 pub mod lower;
-pub mod parse;
+mod parse;
 pub mod print;
 
-pub use ast::DdmModule;
+pub use ast::{BlockDecl, DdmModule, ThreadDecl, ThreadShape, VarDecl};
 pub use codegen::Backend;
-pub use error::PreprocessError;
+pub use directive::{DependsClause, ImportClause};
+pub use error::{ErrorKind, PreprocessError};
+// the front-end's two scanners, which the property tests drive directly
+pub use directive::parse_directive;
+pub use lexer::{lex, Piece};
 
 /// Parse a DDM-annotated source into its module AST (front-end only).
 pub fn parse(source: &str) -> Result<DdmModule, PreprocessError> {

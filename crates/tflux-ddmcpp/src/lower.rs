@@ -12,20 +12,11 @@
 use crate::ast::{DdmModule, ThreadDecl};
 use crate::error::{ErrorKind, PreprocessError};
 use std::collections::{HashMap, HashSet};
-use tflux_core::ids::KernelId;
 use tflux_core::prelude::*;
-
-/// The result of lowering: the program plus the user-id → ThreadId map.
-#[derive(Debug)]
-pub struct Lowered {
-    /// The validated program.
-    pub program: DdmProgram,
-    /// Mapping from the source's thread ids to core thread ids.
-    pub thread_ids: HashMap<u32, ThreadId>,
-}
+use tflux_core::KernelId;
 
 /// Lower a module into a core program.
-pub fn lower(module: &DdmModule) -> Result<Lowered, PreprocessError> {
+pub fn to_program(module: &DdmModule) -> Result<DdmProgram, PreprocessError> {
     let mut b = ProgramBuilder::new();
     let mut thread_ids: HashMap<u32, ThreadId> = HashMap::new();
     // variables exported by a block already lowered
@@ -80,39 +71,8 @@ pub fn lower(module: &DdmModule) -> Result<Lowered, PreprocessError> {
         }
     }
 
-    let program = b
-        .build()
-        .map_err(|e| PreprocessError::at(0, ErrorKind::Lower(e.to_string())))?;
-    Ok(Lowered {
-        program,
-        thread_ids,
-    })
-}
-
-/// Convenience wrapper returning only the program.
-pub fn to_program(module: &DdmModule) -> Result<DdmProgram, PreprocessError> {
-    lower(module).map(|l| l.program)
-}
-
-/// Lower and automatically split blocks for a TSU of the given capacity
-/// (see [`tflux_core::split::split_for_capacity`]). The returned thread-id
-/// map composes the module's user ids with the split's renumbering.
-pub fn to_program_with_capacity(
-    module: &DdmModule,
-    capacity: usize,
-) -> Result<Lowered, PreprocessError> {
-    let l = lower(module)?;
-    let (program, renumber) = tflux_core::split::split_for_capacity(&l.program, capacity)
-        .map_err(|e| PreprocessError::at(0, ErrorKind::Lower(e.to_string())))?;
-    let thread_ids = l
-        .thread_ids
-        .into_iter()
-        .map(|(user, old)| (user, renumber[&old]))
-        .collect();
-    Ok(Lowered {
-        program,
-        thread_ids,
-    })
+    b.build()
+        .map_err(|e| PreprocessError::at(0, ErrorKind::Lower(e.to_string())))
 }
 
 /// Every thread of `threads` other than `consumer` that exports `var`.
@@ -131,6 +91,13 @@ mod tests {
     use super::*;
     use crate::parse::parse_module;
 
+    /// The core thread lowered from the source's `thread <id>`.
+    fn user(p: &DdmProgram, id: u32) -> ThreadId {
+        let name = format!("t{id}");
+        let at = p.threads().iter().position(|t| t.name == name);
+        ThreadId(at.expect("thread lowered") as u32)
+    }
+
     #[test]
     fn lowers_structure_and_arcs() {
         let src = r#"
@@ -145,11 +112,9 @@ mod tests {
 #pragma ddm endprogram
 "#;
         let m = parse_module(src).unwrap();
-        let l = lower(&m).unwrap();
-        let p = &l.program;
+        let p = &to_program(&m).unwrap();
         assert_eq!(p.blocks().len(), 1);
-        let t1 = l.thread_ids[&1];
-        let t2 = l.thread_ids[&2];
+        let (t1, t2) = (user(p, 1), user(p, 2));
         assert_eq!(p.thread(t1).arity, 16);
         assert_eq!(p.thread(t2).arity, 1);
         // implicit import arc: thread 2 waits for all 16 producers
@@ -169,9 +134,8 @@ mod tests {
 #pragma ddm endprogram
 "#;
         let m = parse_module(src).unwrap();
-        let l = lower(&m).unwrap();
-        let t2 = l.thread_ids[&2];
-        assert_eq!(l.program.initial_rc(tflux_core::Instance::scalar(t2)), 1);
+        let p = to_program(&m).unwrap();
+        assert_eq!(p.initial_rc(tflux_core::Instance::scalar(user(&p, 2))), 1);
     }
 
     #[test]
@@ -188,9 +152,8 @@ mod tests {
 #pragma ddm endblock
 #pragma ddm endprogram
 "#;
-        let l = lower(&parse_module(src).unwrap()).unwrap();
-        let t3 = l.thread_ids[&3];
-        assert_eq!(l.program.initial_rc(tflux_core::Instance::scalar(t3)), 2);
+        let p = to_program(&parse_module(src).unwrap()).unwrap();
+        assert_eq!(p.initial_rc(tflux_core::Instance::scalar(user(&p, 3))), 2);
     }
 
     #[test]
@@ -201,7 +164,7 @@ mod tests {
                    #pragma ddm endthread\n\
                    #pragma ddm endblock\n\
                    #pragma ddm endprogram\n";
-        let e = lower(&parse_module(src).unwrap()).unwrap_err();
+        let e = to_program(&parse_module(src).unwrap()).unwrap_err();
         assert!(matches!(e.kind, ErrorKind::Lower(_)), "{e}");
         assert_eq!(e.line, 3);
         assert!(e.to_string().starts_with("line 3:"), "{e}");
@@ -220,7 +183,10 @@ mod tests {
 #pragma ddm endprogram
 "#;
         let m = parse_module(src).unwrap();
-        assert!(matches!(lower(&m).unwrap_err().kind, ErrorKind::Lower(_)));
+        assert!(matches!(
+            to_program(&m).unwrap_err().kind,
+            ErrorKind::Lower(_)
+        ));
     }
 
     #[test]
@@ -236,7 +202,7 @@ mod tests {
 #pragma ddm endprogram
 "#;
         let m = parse_module(src).unwrap();
-        assert!(lower(&m).is_err());
+        assert!(to_program(&m).is_err());
     }
 
     #[test]
@@ -252,11 +218,10 @@ mod tests {
 #pragma ddm endprogram
 "#;
         let m = parse_module(src).unwrap();
-        let l = to_program_with_capacity(&m, 10).unwrap();
-        assert!(l.program.blocks().len() >= 2);
-        assert!(l.program.max_block_instances() <= 10);
-        // user ids still resolve
-        assert!(l.thread_ids.contains_key(&1) && l.thread_ids.contains_key(&2));
+        let p = to_program(&m).unwrap();
+        let (q, _) = tflux_core::split::split_for_capacity(&p, 10).unwrap();
+        assert!(q.blocks().len() >= 2);
+        assert!(q.blocks().iter().all(|b| q.block_instances(b.id) <= 10));
     }
 
     #[test]
@@ -278,7 +243,7 @@ mod tests {
         let m = parse_module(src).unwrap();
         let p = to_program(&m).unwrap();
         let tsu = Tsu::new(&p, 2, TsuConfig::default());
-        let order = tflux_core::tsu::drain_sequential(&tsu).unwrap();
+        let order = tflux_core::drain_sequential(&tsu).unwrap();
         assert_eq!(order.len(), p.total_instances());
     }
 }

@@ -7,7 +7,7 @@ use crate::lexer::{lex, Piece};
 use std::collections::HashMap;
 
 /// Parse a full source file into a module.
-pub fn parse_module(source: &str) -> Result<DdmModule, PreprocessError> {
+pub(crate) fn parse_module(source: &str) -> Result<DdmModule, PreprocessError> {
     let pieces = lex(source);
     let mut module = DdmModule::default();
     let mut defs: HashMap<String, i64> = HashMap::new();

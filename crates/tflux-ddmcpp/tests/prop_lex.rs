@@ -12,13 +12,12 @@
 //! blanks may separate `#` from `pragma`. A source that exercises them is
 //! checked against the reference run on the same source without them.
 
-use tflux_core::rng::{cases, SplitMix64};
-use tflux_ddmcpp::error::ErrorKind;
-use tflux_ddmcpp::lexer::{lex, Piece};
+use tflux_core::{cases, SplitMix64};
+use tflux_ddmcpp::{lex, ErrorKind, Piece};
 
 /// The byte-loop lexer this crate shipped before the word-at-a-time scan.
 mod reference {
-    use tflux_ddmcpp::lexer::Piece;
+    use tflux_ddmcpp::Piece;
 
     pub fn lex(source: &str) -> Vec<Piece> {
         let mut pieces = Vec::new();

@@ -1,11 +1,11 @@
 //! Property test: printing a module and reparsing it yields the same AST,
 //! for arbitrary structurally-valid modules.
 
-use tflux_core::rng::{cases, SplitMix64};
-use tflux_core::ArcMapping;
-use tflux_ddmcpp::ast::{BlockDecl, DdmModule, ThreadDecl, ThreadShape, VarDecl};
-use tflux_ddmcpp::directive::{DependsClause, ImportClause};
+use tflux_core::{cases, ArcMapping, SplitMix64};
 use tflux_ddmcpp::print::print_module;
+use tflux_ddmcpp::{
+    BlockDecl, DdmModule, DependsClause, ImportClause, ThreadDecl, ThreadShape, VarDecl,
+};
 
 fn mapping(rng: &mut SplitMix64) -> ArcMapping {
     match rng.below(5) {
@@ -199,7 +199,7 @@ fn parser_never_panics_on_arbitrary_input() {
 #[test]
 fn directive_parser_never_panics() {
     cases(128, |rng| {
-        let _ = tflux_ddmcpp::directive::parse_directive(&printable(rng, 60), 1);
+        let _ = tflux_ddmcpp::parse_directive(&printable(rng, 60), 1);
     });
 }
 
@@ -231,7 +231,7 @@ fn codegen_never_panics_on_valid_modules() {
             match tflux_ddmcpp::codegen::generate(&m, backend) {
                 Ok(out) => assert!(out.contains("builder.build()")),
                 Err(e) => assert!(
-                    matches!(e.kind, tflux_ddmcpp::error::ErrorKind::Lower(_)),
+                    matches!(e.kind, tflux_ddmcpp::ErrorKind::Lower(_)),
                     "unexpected error kind: {e}"
                 ),
             }

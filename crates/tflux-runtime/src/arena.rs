@@ -28,10 +28,10 @@ use crate::sync::lock;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
-use tflux_core::error::CoreError;
-use tflux_core::ids::{Epoch, Instance, KernelId};
-use tflux_core::thread::ThreadKind;
-use tflux_core::tsu::{CompletionFunnel, FetchResult, FlushPolicy, ProgramHandle, Tsu};
+use tflux_core::{
+    CompletionFunnel, CoreError, Epoch, FetchResult, FlushPolicy, Instance, KernelId,
+    ProgramHandle, ThreadKind, Tsu,
+};
 
 /// Ring every kernel's bell: a kernel parked on its own queue wakes, and
 /// its next fetch answers `Exit` for a finished program or an evicted arena.
@@ -415,7 +415,7 @@ mod tests {
     use crate::{Runtime, RuntimeConfig};
     use std::sync::Arc;
     use tflux_core::prelude::*;
-    use tflux_core::tsu::TsuStats;
+    use tflux_core::TsuStats;
 
     #[derive(Clone, Copy, Debug)]
     enum Driver {

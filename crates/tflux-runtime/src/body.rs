@@ -1,8 +1,6 @@
 //! DThread bodies: the application code the kernels jump into.
 
-use tflux_core::ids::{Context, Instance, KernelId, ThreadId};
-use tflux_core::program::DdmProgram;
-use tflux_core::thread::ThreadKind;
+use tflux_core::{Context, DdmProgram, Instance, KernelId, ThreadId};
 
 /// Execution context handed to a DThread body.
 #[derive(Clone, Copy, Debug)]
@@ -18,7 +16,7 @@ pub struct BodyCtx {
 /// A DThread body. Bodies run concurrently on kernel threads, so they must
 /// be `Send + Sync`; share data through [`crate::SharedVar`], atomics, or
 /// other synchronized structures.
-pub type ThreadBody<'a> = Box<dyn Fn(&BodyCtx) + Send + Sync + 'a>;
+pub(crate) type ThreadBody<'a> = Box<dyn Fn(&BodyCtx) + Send + Sync + 'a>;
 
 /// Bodies for every thread of a program, indexed by [`ThreadId`].
 ///
@@ -86,14 +84,6 @@ impl<'a> BodyTable<'a> {
     }
 }
 
-/// Whether an instance's body should be invoked by a kernel.
-///
-/// All kinds run through the kernel loop, but inlet/outlet bodies are no-ops
-/// unless the user installed something (e.g. instrumentation).
-pub fn is_app(program: &DdmProgram, instance: Instance) -> bool {
-    program.thread(instance.thread).kind == ThreadKind::App
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -147,12 +137,5 @@ mod tests {
         // re-installing the body does not clear the flag
         t.set(ThreadId(0), |_| {});
         assert!(t.idempotent(ThreadId(0)));
-    }
-
-    #[test]
-    fn app_detection() {
-        let p = tiny();
-        assert!(is_app(&p, Instance::scalar(ThreadId(0))));
-        assert!(!is_app(&p, Instance::scalar(p.blocks()[0].inlet)));
     }
 }

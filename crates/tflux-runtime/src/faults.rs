@@ -27,8 +27,7 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
-use tflux_core::ids::{Instance, KernelId};
-use tflux_core::rng::mix;
+use tflux_core::{mix, Instance, KernelId};
 
 /// What the injector tells a kernel to do before it runs a DThread body.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -375,7 +374,7 @@ impl FaultInjector for FaultPlan {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tflux_core::ids::{Context, ThreadId};
+    use tflux_core::{Context, ThreadId};
 
     fn inst(t: u32, c: u32) -> Instance {
         Instance::new(ThreadId(t), Context(c))

@@ -23,8 +23,7 @@ use crate::runtime::RetryPolicy;
 use crate::sync::lock;
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
-use tflux_core::ids::{Instance, KernelId};
-use tflux_core::tsu::{EventCount, FetchResult, ProgramHandle};
+use tflux_core::{EventCount, FetchResult, Instance, KernelId, ProgramHandle};
 
 /// A panic captured from a DThread body. The kernel contains the panic,
 /// retries it if the body opted in as idempotent and the
@@ -44,7 +43,7 @@ pub struct BodyPanic {
 }
 
 /// Shared collector for body panics across kernels.
-pub type PanicSink = Mutex<Vec<BodyPanic>>;
+pub(crate) type PanicSink = Mutex<Vec<BodyPanic>>;
 
 /// How long an idle kernel of either driver parks before it looks again
 /// on its own: the backstop against a lost wake-up, and the pace of a
@@ -253,7 +252,7 @@ mod tests {
     fn funneled_kernels_drain_a_reduction_program() {
         // wide reduction with the funnels on: batched flushes must still
         // drive the program to completion with exact counters
-        use tflux_core::tsu::FlushPolicy;
+        use tflux_core::FlushPolicy;
         let mut b = ProgramBuilder::new();
         let blk = b.block();
         let w = b.thread(blk, ThreadSpec::new("w", 32));
@@ -334,7 +333,7 @@ mod tests {
         b.arc(w, sink, ArcMapping::Reduction).unwrap();
         let p = b.build().unwrap();
         let tsu = TsuConfig {
-            flush: tflux_core::tsu::FlushPolicy::Batch { size: 8 },
+            flush: tflux_core::FlushPolicy::Batch { size: 8 },
             ..TsuConfig::default()
         };
         let runtime = crate::Runtime::new(crate::RuntimeConfig::with_kernels(1).tsu(tsu));

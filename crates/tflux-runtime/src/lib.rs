@@ -9,11 +9,11 @@
 //!   Phase. Body dispatch is a plain closure call — the Rust analogue of
 //!   the paper's "Kernel code and application DThread code in the same
 //!   function", i.e. no OS involvement per DThread.
-//! * The shared software TSU is the one [`Tsu`](tflux_core::tsu::Tsu) of
+//! * The shared software TSU is the one [`Tsu`](tflux_core::Tsu) of
 //!   `tflux-core`, built by
-//!   [`Tsu::threaded`](tflux_core::tsu::Tsu::threaded) because each
+//!   [`Tsu::threaded`](tflux_core::Tsu::threaded) because each
 //!   kernel is a thread parking on its own
-//!   non-blocking [`ReadyQueue`](tflux_core::tsu::ReadyQueue): a read-only
+//!   non-blocking [`ReadyQueue`](tflux_core::ReadyQueue): a read-only
 //!   Graph Memory and a
 //!   **lock-free Synchronization Memory** (atomic ready-count slots). A
 //!   completing kernel decrements its consumers' ready counts with atomic
@@ -65,15 +65,16 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 mod arena;
-pub mod body;
-pub mod faults;
-pub mod kernel;
-pub mod runtime;
-pub mod server;
-pub mod shared;
-pub mod stats;
+mod body;
+mod faults;
+mod kernel;
+mod runtime;
+mod server;
+mod shared;
+mod stats;
 mod sync;
 
 pub use body::{BodyCtx, BodyTable};
@@ -85,4 +86,4 @@ pub use server::{
 pub use shared::SharedVar;
 pub use stats::{InFlightInstance, RunReport, StallCause, StallReport, TenantReport};
 // the one fetch vocabulary shared with the core TSU units
-pub use tflux_core::tsu::{FetchResult, ShardStats};
+pub use tflux_core::{FetchResult, ShardStats};

@@ -18,11 +18,7 @@ use crate::kernel::run_kernel;
 use crate::stats::{RunReport, StallReport};
 use crate::sync;
 use std::time::{Duration, Instant};
-use tflux_core::error::CoreError;
-use tflux_core::ids::KernelId;
-use tflux_core::program::DdmProgram;
-use tflux_core::trace::ExecTrace;
-use tflux_core::tsu::{EventCount, Tsu, TsuConfig};
+use tflux_core::{CoreError, DdmProgram, EventCount, ExecTrace, KernelId, Tsu, TsuConfig};
 
 /// What a kernel does with a DThread body that panics.
 ///
@@ -218,8 +214,8 @@ impl Runtime {
     }
 
     /// Execute `program` with `bodies` to completion, threading `injector`
-    /// through every fault site (see [`faults`](crate::faults)). Pass a
-    /// seeded [`FaultPlan`](crate::faults::FaultPlan) to rehearse failures
+    /// through every fault site (see [`FaultInjector`]). Pass a
+    /// seeded [`FaultPlan`](crate::FaultPlan) to rehearse failures
     /// deterministically.
     pub fn run_with<F: FaultInjector>(
         &self,

@@ -66,16 +66,16 @@ use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::time::Duration;
-use tflux_core::error::CoreError;
-use tflux_core::ids::{Epoch, Instance, KernelId, ProgramId};
-use tflux_core::program::DdmProgram;
-use tflux_core::tsu::{EventCount, FetchResult, FlushPolicy, Tsu, TsuConfig};
+use tflux_core::{
+    CoreError, DdmProgram, Epoch, EventCount, FetchResult, FlushPolicy, Instance, KernelId,
+    ProgramId, Tsu, TsuConfig,
+};
 
 /// Instances a weight-1 tenant may run in one turn of a pool kernel; a
 /// weight-`w` tenant may run `w × TURN`. The bound is what keeps a tenant
 /// with endless work (a long stream) from holding a kernel while its
 /// co-residents wait; 16 and 64 measured alike (EXPERIMENTS.md).
-pub const TURN: u32 = 16;
+pub(crate) const TURN: u32 = 16;
 
 /// Configuration of a [`ProgramServer`].
 #[derive(Clone, Copy, Debug)]
@@ -243,7 +243,7 @@ impl Submission {
     }
 
     /// Set the fairness weight: a weight-`w` tenant's turn on a pool
-    /// kernel runs up to `w ×` [`TURN`] instances (clamped to ≥ 1).
+    /// kernel runs up to `16 × w` instances (`w` clamped to ≥ 1).
     pub fn weight(mut self, weight: u32) -> Self {
         self.weight = weight.max(1);
         self

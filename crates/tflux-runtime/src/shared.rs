@@ -8,7 +8,7 @@
 //! in the producer-consumer relationships" of §3.1.
 
 use std::sync::OnceLock;
-use tflux_core::ids::Context;
+use tflux_core::Context;
 
 /// A write-once-per-slot variable shared between DThreads.
 ///
@@ -59,11 +59,6 @@ impl<T> SharedVar<T> {
             .unwrap_or_else(|| panic!("SharedVar slot {ctx:?} read before being produced"))
     }
 
-    /// Read a slot that may not have been produced.
-    pub fn get_opt(&self, ctx: Context) -> Option<&T> {
-        self.slots[ctx.idx()].get()
-    }
-
     /// The scalar slot (context 0).
     pub fn value(&self) -> &T {
         self.get(Context(0))
@@ -92,7 +87,7 @@ mod tests {
         let v = SharedVar::<u32>::new(3);
         v.put(Context(1), 42);
         assert_eq!(*v.get(Context(1)), 42);
-        assert_eq!(v.get_opt(Context(0)), None);
+        assert_eq!(v.slots[0].get(), None);
         assert_eq!(v.arity(), 3);
     }
 

@@ -4,8 +4,7 @@
 use crate::kernel::BodyPanic;
 use std::fmt;
 use std::time::Duration;
-use tflux_core::ids::{Instance, KernelId, ProgramId};
-use tflux_core::tsu::{ShardStats, TsuStats, WaitingInstance};
+use tflux_core::{Instance, KernelId, ProgramId, ShardStats, TsuStats, WaitingInstance};
 
 /// Per-kernel counters.
 #[derive(Clone, Copy, Debug, Default)]
@@ -42,7 +41,7 @@ pub struct KernelStats {
 /// The counters the frozen bench reads off [`RunReport::tub`]. No run path
 /// publishes through a TUB, so both read zero; the type leaves with that
 /// field in ROADMAP item 2. `figures -- tub` simulates the segmented TUB
-/// (`tflux_sim::tub`).
+/// (`tflux_sim::simulate_tub`).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct TubSnapshot {
     /// Completions published.
@@ -80,43 +79,10 @@ impl RunReport {
         self.kernels.iter().map(|k| k.executed).sum()
     }
 
-    /// Total panicked attempts that were re-dispatched across kernels.
-    pub fn total_retries(&self) -> u64 {
-        self.kernels.iter().map(|k| k.retries).sum()
-    }
-
-    /// Total instances poisoned (completion withheld) across kernels.
-    pub fn total_poisoned(&self) -> u64 {
-        self.kernels.iter().map(|k| k.poisoned).sum()
-    }
-
     /// Total successful steals across kernels (instances executed away
     /// from their owning kernel's queue).
     pub fn total_steals(&self) -> u64 {
         self.kernels.iter().map(|k| k.steals).sum()
-    }
-
-    /// Coefficient of variation of per-kernel executed counts — a quick
-    /// load-balance indicator (0 = perfectly balanced).
-    pub fn load_imbalance(&self) -> f64 {
-        let n = self.kernels.len() as f64;
-        if n < 2.0 {
-            return 0.0;
-        }
-        let mean = self.total_executed() as f64 / n;
-        if mean == 0.0 {
-            return 0.0;
-        }
-        let var = self
-            .kernels
-            .iter()
-            .map(|k| {
-                let d = k.executed as f64 - mean;
-                d * d
-            })
-            .sum::<f64>()
-            / n;
-        var.sqrt() / mean
     }
 }
 
@@ -280,6 +246,37 @@ impl fmt::Display for StallReport {
 mod tests {
     use super::*;
 
+    fn total_retries(r: &RunReport) -> u64 {
+        r.kernels.iter().map(|k| k.retries).sum()
+    }
+
+    fn total_poisoned(r: &RunReport) -> u64 {
+        r.kernels.iter().map(|k| k.poisoned).sum()
+    }
+
+    /// Coefficient of variation of per-kernel executed counts — a quick
+    /// load-balance indicator (0 = perfectly balanced).
+    fn load_imbalance(r: &RunReport) -> f64 {
+        let n = r.kernels.len() as f64;
+        if n < 2.0 {
+            return 0.0;
+        }
+        let mean = r.total_executed() as f64 / n;
+        if mean == 0.0 {
+            return 0.0;
+        }
+        let var = r
+            .kernels
+            .iter()
+            .map(|k| {
+                let d = k.executed as f64 - mean;
+                d * d
+            })
+            .sum::<f64>()
+            / n;
+        var.sqrt() / mean
+    }
+
     #[test]
     fn imbalance_zero_when_balanced() {
         let r = RunReport {
@@ -299,7 +296,7 @@ mod tests {
             sm_shards: Vec::new(),
         };
         assert_eq!(r.total_executed(), 10);
-        assert_eq!(r.load_imbalance(), 0.0);
+        assert_eq!(load_imbalance(&r), 0.0);
     }
 
     #[test]
@@ -320,12 +317,12 @@ mod tests {
             ],
             sm_shards: Vec::new(),
         };
-        assert!(r.load_imbalance() > 0.9);
+        assert!(load_imbalance(&r) > 0.9);
     }
 
     #[test]
     fn stall_report_display_names_the_stuck_instances() {
-        use tflux_core::ids::{Context, ThreadId};
+        use tflux_core::{Context, ThreadId};
         let mut report = StallReport {
             cause: StallCause::Watchdog,
             idle: Duration::from_millis(250),
@@ -382,8 +379,8 @@ mod tests {
             ],
             sm_shards: Vec::new(),
         };
-        assert_eq!(r.total_retries(), 5);
-        assert_eq!(r.total_poisoned(), 1);
+        assert_eq!(total_retries(&r), 5);
+        assert_eq!(total_poisoned(&r), 1);
     }
 
     #[test]
@@ -398,6 +395,6 @@ mod tests {
             }],
             sm_shards: Vec::new(),
         };
-        assert_eq!(r.load_imbalance(), 0.0);
+        assert_eq!(load_imbalance(&r), 0.0);
     }
 }

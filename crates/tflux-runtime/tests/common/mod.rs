@@ -1,5 +1,5 @@
 //! Helpers shared by the multi-tenant integration suites: programs drawn
-//! from `tflux_core::rng::program` and the checksum discipline their
+//! from `tflux_core::random_program` and the checksum discipline their
 //! bodies use.
 //!
 //! Everything here derives from a per-run seed, so a CI failure reproduces
@@ -10,10 +10,10 @@
 use std::sync::Arc;
 use tflux_core::prelude::*;
 
-use tflux_core::rng::program;
+use tflux_core::random_program;
 /// The mixing function behind every `FaultPlan` decision, reused for
 /// seeds and body checksums.
-pub use tflux_core::rng::{mix, SplitMix64};
+pub use tflux_core::{mix, SplitMix64};
 
 /// The pure per-instance key the checksum bodies fold.
 pub fn instance_key(i: Instance) -> u64 {
@@ -24,7 +24,7 @@ pub fn instance_key(i: Instance) -> u64 {
 /// (one kernel's worth of arity). Returns the program and its application
 /// threads with their arities.
 pub fn generated(rng: &mut SplitMix64) -> (Arc<DdmProgram>, Vec<(ThreadId, u32)>) {
-    let p = program(rng, 1);
+    let p = random_program(rng, 1);
     let app = (0..p.threads().len() as u32)
         .map(ThreadId)
         .filter(|&t| p.thread(t).kind == ThreadKind::App)

@@ -8,7 +8,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Duration;
 use tflux_core::prelude::*;
-use tflux_core::rng::{cases, program};
+use tflux_core::{cases, random_program};
 use tflux_runtime::{BodyTable, Runtime, RuntimeConfig};
 
 #[test]
@@ -16,7 +16,7 @@ fn every_instance_executes_exactly_once() {
     // Thread spawning is expensive; keep the case count moderate.
     cases(40, |rng| {
         let kernels = rng.range(1u32..5);
-        let p = program(rng, kernels);
+        let p = random_program(rng, kernels);
         let seq = AtomicUsize::new(0);
         let log: Mutex<Vec<(Instance, usize)>> = Mutex::new(Vec::new());
         let mut bodies = BodyTable::new(&p);

@@ -24,8 +24,8 @@ use std::collections::HashSet;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
-use tflux_core::error::CoreError;
 use tflux_core::prelude::*;
+use tflux_core::CoreError;
 use tflux_runtime::{
     BodyTable, FaultPlan, ProgramServer, RuntimeError, ServerConfig, Submission, Submit,
 };

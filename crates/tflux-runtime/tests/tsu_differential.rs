@@ -13,16 +13,14 @@
 //! stealing on, pacing legitimately differs, so the two are held to the
 //! order-independent part.
 //!
-//! The generated programs (`rng::program`) hit the paths where the two
-//! could diverge: wide threads pinned to one kernel (every sibling must
-//! steal), reductions into a scalar sink under `FlushPolicy::Batch`
-//! (funnels + combining) and several blocks; each case streams three or
-//! more epochs.
+//! The generated programs (`tflux_core::random_program`) hit the paths
+//! where the two could diverge: wide threads pinned to one kernel (every
+//! sibling must steal), reductions into a scalar sink under
+//! `FlushPolicy::Batch` (funnels + combining) and several blocks; each
+//! case streams three or more epochs.
 
-use tflux_core::ids::Epoch;
 use tflux_core::prelude::*;
-use tflux_core::rng::{cases, program, SplitMix64};
-use tflux_core::tsu::{GraphMemory, TsuStats};
+use tflux_core::{cases, random_program, Epoch, GraphMemory, SplitMix64, TsuStats};
 
 struct Case {
     program: DdmProgram,
@@ -36,7 +34,7 @@ struct Case {
 
 fn case(rng: &mut SplitMix64) -> Case {
     let kernels = rng.range(2u32..6);
-    let program = program(rng, kernels);
+    let program = random_program(rng, kernels);
     let epochs = rng.range(3u64..6);
     Case {
         program,
@@ -224,7 +222,7 @@ fn zero_kernels_clamp_to_one_on_both_constructors() {
             tsu.fetch(KernelId(7)),
             Err(CoreError::UnknownKernel { kernels: 1, .. })
         ));
-        let order = tflux_core::tsu::drain_sequential(&tsu).unwrap();
+        let order = tflux_core::drain_sequential(&tsu).unwrap();
         assert_eq!(order.len(), p.total_instances());
         assert_eq!(tsu.stats().completions as usize, p.total_instances());
     }

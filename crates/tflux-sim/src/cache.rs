@@ -15,9 +15,9 @@ use crate::config::CacheConfig;
 
 /// Tag store of one cache.
 #[derive(Debug)]
-pub struct Cache {
+pub(crate) struct Cache {
     /// `ways[set * assoc..][..assoc]` is one set, laid out as the module
-    /// docs say. `line + 1` cannot overflow: `MachineConfig::check_caches`
+    /// docs say. `line + 1` cannot overflow: `MachineConfig::check`
     /// rejects lines under 2 bytes, so a line address has its top bit clear.
     ways: Vec<u64>,
     sets: u64,
@@ -30,7 +30,7 @@ pub struct Cache {
 
 impl Cache {
     /// Build a cache from its configuration.
-    pub fn new(config: &CacheConfig) -> Self {
+    pub(crate) fn new(config: &CacheConfig) -> Self {
         let sets = config.sets();
         let assoc = config.assoc.max(1);
         Cache {
@@ -51,14 +51,14 @@ impl Cache {
 
     /// Log2 of this cache's line size.
     #[inline]
-    pub fn line_shift(&self) -> u32 {
+    pub(crate) fn line_shift(&self) -> u32 {
         self.line_shift
     }
 
     /// Probe for a line (by this cache's line address); a hit makes it the
     /// set's most recent line.
     #[inline]
-    pub fn probe(&mut self, line_addr: u64) -> bool {
+    pub(crate) fn probe(&mut self, line_addr: u64) -> bool {
         let key = line_addr + 1;
         let set = self.set_of(line_addr);
         let set = &mut self.ways[set];
@@ -73,13 +73,13 @@ impl Cache {
     }
 
     /// Probe without touching the recency order.
-    pub fn contains(&self, line_addr: u64) -> bool {
+    pub(crate) fn contains(&self, line_addr: u64) -> bool {
         self.ways[self.set_of(line_addr)].contains(&(line_addr + 1))
     }
 
     /// Insert a line as the set's most recent, evicting the least-recent
     /// line of a full set; returns the evicted line address, if any.
-    pub fn insert(&mut self, line_addr: u64) -> Option<u64> {
+    pub(crate) fn insert(&mut self, line_addr: u64) -> Option<u64> {
         let key = line_addr + 1;
         let set = self.set_of(line_addr);
         let set = &mut self.ways[set];
@@ -99,7 +99,7 @@ impl Cache {
     /// Drop a line if present; returns whether it was present. The way it
     /// leaves empty stays where it is: the lines around it keep their
     /// order, and `insert` fills the first empty way before evicting.
-    pub fn invalidate(&mut self, line_addr: u64) -> bool {
+    pub(crate) fn invalidate(&mut self, line_addr: u64) -> bool {
         let key = line_addr + 1;
         let set = self.set_of(line_addr);
         let way = self.ways[set].iter_mut().find(|w| **w == key);
@@ -110,7 +110,7 @@ impl Cache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tflux_core::rng::SplitMix64;
+    use tflux_core::SplitMix64;
 
     fn geometry(size: usize, assoc: usize) -> CacheConfig {
         CacheConfig {

@@ -353,13 +353,26 @@ impl MachineConfig {
         })
     }
 
-    /// Reject cache geometries the tag stores cannot address: `line` and
-    /// `assoc` are public fields, a zero in either divides by zero, and a
-    /// `line` that is not a power of two — or an L2 line shorter than the
-    /// L1's — would be mis-addressed silently. A `line` of at least 2 bytes
-    /// also keeps every line address below `u64::MAX`, which
-    /// [`Cache`](crate::cache::Cache) relies on.
-    pub(crate) fn check_caches(&self) -> Result<(), ConfigError> {
+    /// Reject what the memory system cannot represent. `cores` is a public
+    /// field: zero cores is [`ConfigError::NoCores`], and more than the 64
+    /// its sharer bitmaps track is [`ConfigError::Oversubscribed`]. The
+    /// cache `line` and `assoc` fields are public too: a zero in either
+    /// divides by zero, and a `line` that is not a power of two — or an L2
+    /// line shorter than the L1's — would be mis-addressed silently
+    /// ([`ConfigError::CacheGeometry`]). A `line` of at least 2 bytes also
+    /// keeps every line address below `u64::MAX`, which the tag stores
+    /// rely on.
+    pub(crate) fn check(&self) -> Result<(), ConfigError> {
+        match self.cores {
+            0 => return Err(ConfigError::NoCores),
+            cores @ 65.. => {
+                return Err(ConfigError::Oversubscribed {
+                    kernels: cores,
+                    cores: 64,
+                })
+            }
+            _ => {}
+        }
         let bad = |cache, field| Err(ConfigError::CacheGeometry { cache, field });
         for (cache, c) in [("l1", &self.l1), ("l2", &self.l2)] {
             if c.line < 2 || !c.line.is_power_of_two() {

@@ -7,7 +7,7 @@
 
 use crate::config::ConfigError;
 use std::fmt;
-use tflux_core::error::CoreError;
+use tflux_core::CoreError;
 
 /// Why a simulation run could not produce a report.
 #[derive(Debug, Clone, PartialEq, Eq)]

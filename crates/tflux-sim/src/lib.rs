@@ -11,8 +11,8 @@
 //!
 //! * per-core L1 data caches and per-group unified L2 caches
 //!   (set-associative, LRU), with the paper's Bagle and Xeon geometries as
-//!   presets ([`config::MachineConfig::bagle`],
-//!   [`config::MachineConfig::xeon_x3650`]);
+//!   presets ([`MachineConfig::bagle`],
+//!   [`MachineConfig::xeon_x3650`]);
 //! * a MESI-style invalidation protocol over a shared, arbitrated system
 //!   network — L2-to-L2 transfers, read-for-ownership upgrades, and L1
 //!   invalidations are all charged bus time, so coherency misses and bus
@@ -24,9 +24,10 @@
 //! * the kernel loop of Fig. 2 on every core: fetch → execute → complete,
 //!   with cores parked (not polling) while the TSU has nothing ready;
 //! * apart from the machine, §4.2's segmented Thread-to-Update Buffer in
-//!   front of the software TSU Emulator, as an arbitrated port ([`tub`]).
+//!   front of the software TSU Emulator, as an arbitrated port
+//!   ([`simulate_tub`]).
 //!
-//! Workloads plug in as [`work::WorkSource`]s: for every DThread instance
+//! Workloads plug in as [`WorkSource`]s: for every DThread instance
 //! they yield compute cycles plus a cache-line-granular memory access
 //! stream. The simulator executes the *same* [`DdmProgram`]s as the real
 //! runtime — scheduling decisions come from the same
@@ -37,22 +38,25 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
-pub mod cache;
-pub mod config;
-pub mod error;
-pub mod event;
-pub mod machine;
-pub mod memsys;
-pub mod report;
-pub mod tsu_dev;
-pub mod tub;
+mod cache;
+mod config;
+mod error;
+mod event;
+mod machine;
+mod memsys;
+mod report;
+mod tsu_dev;
+mod tub;
 pub mod work;
 
 pub use config::{CacheConfig, ConfigError, MachineConfig, Topology, TsuCosts};
 pub use error::SimError;
 pub use event::EventQueue;
 pub use machine::Machine;
+pub use memsys::{AccessClass, MemStats, MemorySystem};
 pub use report::SimReport;
-pub use tflux_core::trace::ExecTrace;
+pub use tflux_core::ExecTrace;
+pub use tub::{simulate as simulate_tub, TubStats};
 pub use work::{InstanceWork, MemAccess, WorkSource};

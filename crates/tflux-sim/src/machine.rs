@@ -31,7 +31,7 @@
 //! core's coherence traffic and TSU commands become visible to another, and
 //! `tests/sim_report_pins.rs` pins the reports they produce.
 
-use crate::config::{ConfigError, MachineConfig};
+use crate::config::MachineConfig;
 use crate::error::SimError;
 use crate::event::EventQueue;
 use crate::memsys::MemorySystem;
@@ -40,10 +40,9 @@ use crate::tsu_dev::{DevFetch, TsuDevice};
 use crate::work::{InstanceWork, WorkSource};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-use tflux_core::ids::{Epoch, Instance};
-use tflux_core::program::DdmProgram;
-use tflux_core::trace::ExecTrace;
-use tflux_core::tsu::{drain_sequential, FlushPolicy, Tsu, TsuConfig};
+use tflux_core::{
+    drain_sequential, DdmProgram, Epoch, ExecTrace, FlushPolicy, Instance, Tsu, TsuConfig,
+};
 
 /// Accesses per scheduling quantum. Chunking trades event-queue overhead
 /// against interleaving fidelity; 64 accesses ≈ a few hundred cycles, well
@@ -278,22 +277,9 @@ impl Machine {
         source: &dyn WorkSource,
         mut trace: Option<&mut ExecTrace>,
     ) -> Result<SimReport, SimError> {
-        // `cores` is a public field: reject what the memory system's 64-bit
-        // sharer bitmaps and per-core arrays cannot represent
+        let mut mem = MemorySystem::new(self.cfg)?;
         let cores = self.cfg.cores;
-        if cores == 0 {
-            return Err(ConfigError::NoCores.into());
-        }
-        if cores > 64 {
-            return Err(ConfigError::Oversubscribed {
-                kernels: cores,
-                cores: 64,
-            }
-            .into());
-        }
-        self.cfg.check_caches()?;
         let mut dev = self.build_dev(program, cores)?;
-        let mut mem = MemorySystem::new(self.cfg);
         let mut states: Vec<CoreState> = (0..cores).map(|_| CoreState::default()).collect();
         let mut events = EventQueue::new();
         let round_len = self.cfg.merge_round_len();
@@ -549,6 +535,12 @@ impl Machine {
     /// executed instance-by-instance on a single core, with **zero** TSU
     /// and kernel costs — the paper's "original sequential \[program\],
     /// i.e. without any TFlux overheads" (§5).
+    ///
+    /// # Panics
+    ///
+    /// If the configuration has a cache geometry the tag stores cannot
+    /// address (the [`SimError::Config`] that [`run`](Self::run) returns).
+    /// The baseline runs on one core, so the core count never fails it.
     pub fn run_sequential(&self, program: &DdmProgram, source: &dyn WorkSource) -> SimReport {
         let tsu = Tsu::new(program, 1, TsuConfig::default());
         // a `DdmProgram` is validated acyclic at build and capacity is
@@ -557,7 +549,8 @@ impl Machine {
         let mut mem = MemorySystem::new(MachineConfig {
             cores: 1,
             ..self.cfg
-        });
+        })
+        .expect("a cache geometry the tag stores can address");
         let mut now = 0u64;
         let mut work = InstanceWork::default();
         let mut instances = 0usize;
@@ -591,7 +584,7 @@ impl Machine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::TsuCosts;
+    use crate::config::{ConfigError, TsuCosts};
     use crate::work::{FnWork, StreamWork, UniformWork};
     use tflux_core::prelude::*;
 
@@ -717,7 +710,7 @@ mod tests {
         let src = app_work(200_000);
         let base = MachineConfig::bagle(8);
         let direct = TsuConfig {
-            flush: tflux_core::tsu::FlushPolicy::Direct,
+            flush: tflux_core::FlushPolicy::Direct,
             ..TsuConfig::default()
         };
         let fast = Machine::new(base.with_tsu(TsuCosts {

@@ -39,7 +39,7 @@
 //! the directory up once per line it changes (the filled line, the victim).
 
 use crate::cache::Cache;
-use crate::config::MachineConfig;
+use crate::config::{ConfigError, MachineConfig};
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
@@ -345,8 +345,13 @@ pub struct MemorySystem {
 
 impl MemorySystem {
     /// Build the hierarchy for a machine.
-    pub fn new(cfg: MachineConfig) -> Self {
-        assert!(cfg.cores <= 64, "core bitmap limited to 64 cores");
+    ///
+    /// # Errors
+    /// [`ConfigError`] if the machine has no cores, more than the 64 the
+    /// coherence directory can track, or a cache geometry the tag stores
+    /// cannot address.
+    pub fn new(cfg: MachineConfig) -> Result<Self, ConfigError> {
+        cfg.check()?;
         let groups = cfg.l2_groups();
         let per_group = cfg.l2_group.max(1);
         let ratio = (cfg.l2.line / cfg.l1.line).max(1) as u64;
@@ -370,7 +375,7 @@ impl MemorySystem {
                 }
             })
             .collect();
-        MemorySystem {
+        Ok(MemorySystem {
             cfg,
             shared: SharedMem {
                 dir: LineMap::default(),
@@ -384,12 +389,7 @@ impl MemorySystem {
             },
             domains,
             committed: MemStats::default(),
-        }
-    }
-
-    /// The machine configuration.
-    pub fn config(&self) -> &MachineConfig {
-        &self.cfg
+        })
     }
 
     /// Perform one access; returns `(latency_cycles, class)`.
@@ -777,7 +777,28 @@ mod tests {
     fn sys(cores: u32, group: u32) -> MemorySystem {
         let mut cfg = MachineConfig::bagle(cores);
         cfg.l2_group = group;
-        MemorySystem::new(cfg)
+        MemorySystem::new(cfg).unwrap()
+    }
+
+    #[test]
+    fn unrepresentable_configs_are_typed_errors_not_panics() {
+        let build = |edit: fn(&mut MachineConfig)| {
+            let mut cfg = MachineConfig::bagle(4);
+            edit(&mut cfg);
+            MemorySystem::new(cfg).map(|_| ())
+        };
+        let geometry = |cache, field| Err(ConfigError::CacheGeometry { cache, field });
+        assert_eq!(build(|c| c.cores = 0), Err(ConfigError::NoCores));
+        assert_eq!(
+            build(|c| c.cores = 65),
+            Err(ConfigError::Oversubscribed {
+                kernels: 65,
+                cores: 64
+            })
+        );
+        assert_eq!(build(|c| c.l1.line = 0), geometry("l1", "line"));
+        assert_eq!(build(|c| c.l2.line = c.l1.line / 2), geometry("l2", "line"));
+        assert_eq!(build(|c| c.cores = 64), Ok(()));
     }
 
     #[test]
@@ -785,10 +806,10 @@ mod tests {
         let mut m = sys(2, 1);
         let (lat, class) = m.access(0, 0, 0x1000, false);
         assert_eq!(class, AccessClass::MemMiss);
-        assert!(lat >= m.config().mem_lat);
+        assert!(lat >= m.cfg.mem_lat);
         let (lat2, class2) = m.access(0, 10_000, 0x1000, false);
         assert_eq!(class2, AccessClass::L1Hit);
-        assert_eq!(lat2, m.config().l1.read_lat);
+        assert_eq!(lat2, m.cfg.l1.read_lat);
         assert!(lat2 < lat);
     }
 
@@ -866,7 +887,7 @@ mod tests {
         for t in 1..10 {
             let (lat, class) = m.access(0, t * 10, 0x100, true);
             assert_eq!(class, AccessClass::L1Hit);
-            assert_eq!(lat, m.config().l1.write_lat);
+            assert_eq!(lat, m.cfg.l1.write_lat);
         }
     }
 
@@ -931,7 +952,7 @@ mod tests {
         // tiny L1: walk far beyond capacity, then re-walk
         let mut cfg = MachineConfig::bagle(1);
         cfg.l1.size = 1024; // 16 lines, 4-way
-        let mut m = MemorySystem::new(cfg);
+        let mut m = MemorySystem::new(cfg).unwrap();
         for i in 0..64u64 {
             m.access(0, i * 1000, i * 64, false);
         }
@@ -984,7 +1005,7 @@ mod tests {
     }
 
     fn numa_sys(cores: u32) -> MemorySystem {
-        MemorySystem::new(crate::config::MachineConfig::sparc_t3_4(cores).unwrap())
+        MemorySystem::new(crate::config::MachineConfig::sparc_t3_4(cores).unwrap()).unwrap()
     }
 
     #[test]
@@ -998,7 +1019,7 @@ mod tests {
         assert_eq!(cr, AccessClass::MemMiss);
         assert_eq!(
             lat_remote,
-            lat_local + remote.config().topology.remote_mem_penalty
+            lat_local + remote.cfg.topology.remote_mem_penalty
         );
         assert_eq!(remote.stats().remote_node, 1);
         assert_eq!(local.stats().remote_node, 0);
@@ -1022,8 +1043,8 @@ mod tests {
             assert_eq!(class, AccessClass::RemoteHit);
             (lat, m.stats().remote_node)
         };
-        let (lat_pen, crossings) = run(MemorySystem::new(cfg));
-        let (lat_flat, _) = run(MemorySystem::new(no_penalty));
+        let (lat_pen, crossings) = run(MemorySystem::new(cfg).unwrap());
+        let (lat_flat, _) = run(MemorySystem::new(no_penalty).unwrap());
         assert_eq!(lat_pen, lat_flat + cfg.topology.remote_c2c_penalty);
         assert!(crossings >= 1);
     }

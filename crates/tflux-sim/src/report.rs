@@ -2,7 +2,7 @@
 
 use crate::memsys::MemStats;
 use crate::tsu_dev::TsuDevStats;
-use tflux_core::tsu::TsuStats;
+use tflux_core::TsuStats;
 
 /// The outcome of one simulated execution.
 #[derive(Clone, Debug)]

@@ -12,10 +12,10 @@
 //! sweeps `op` to verify the <1% claim.
 
 use crate::config::TsuCosts;
-use tflux_core::error::CoreError;
-use tflux_core::ids::{Epoch, Instance, KernelId};
-use tflux_core::program::DdmProgram;
-use tflux_core::tsu::{CompletionFunnel, FetchResult, GraphMemory, SmOp, Tsu};
+use tflux_core::{
+    CompletionFunnel, CoreError, DdmProgram, Epoch, FetchResult, GraphMemory, Instance, KernelId,
+    SmOp, Tsu,
+};
 
 /// Counters of the device model.
 #[derive(Clone, Copy, Debug, Default)]
@@ -42,7 +42,7 @@ pub struct TsuDevStats {
 
 /// Result of a fetch command.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum DevFetch {
+pub(crate) enum DevFetch {
     /// Run this instance, dispatched under this epoch; the core may start
     /// at the given cycle. The epoch token must be handed back on
     /// [`TsuDevice::complete`].
@@ -58,7 +58,7 @@ pub enum DevFetch {
 /// each shard serializes its own cores' commands, and a ready-count update
 /// that crosses shards pays `cross_cost` extra cycles (the TSU-to-TSU
 /// message that the single-group design handles internally).
-pub struct TsuDevice<'p> {
+pub(crate) struct TsuDevice<'p> {
     tsu: Tsu<&'p DdmProgram>,
     unit: Unit,
     parked: Vec<bool>,
@@ -118,15 +118,9 @@ impl Unit {
 }
 
 impl<'p> TsuDevice<'p> {
-    /// Wrap a TSU state machine with a cost model for `cores` cores (one
-    /// TSU Group).
-    pub fn new(tsu: Tsu<&'p DdmProgram>, costs: TsuCosts, cores: u32) -> Self {
-        Self::sharded(tsu, costs, cores, 1, 0)
-    }
-
     /// A sharded TSU: `groups` independent units, cross-shard updates
     /// costing `cross_cost` extra cycles.
-    pub fn sharded(
+    pub(crate) fn sharded(
         tsu: Tsu<&'p DdmProgram>,
         costs: TsuCosts,
         cores: u32,
@@ -156,12 +150,12 @@ impl<'p> TsuDevice<'p> {
     }
 
     /// The wrapped state machine.
-    pub fn tsu(&self) -> &Tsu<&'p DdmProgram> {
+    pub(crate) fn tsu(&self) -> &Tsu<&'p DdmProgram> {
         &self.tsu
     }
 
     /// Whether the program has finished.
-    pub fn finished(&self) -> bool {
+    pub(crate) fn finished(&self) -> bool {
         self.tsu.finished()
     }
 
@@ -184,7 +178,7 @@ impl<'p> TsuDevice<'p> {
     /// A core asks for its next DThread at core-local cycle `now`.
     /// Propagates TSU protocol errors (non-resident dispatch, poisoned
     /// Synchronization Memory) instead of handing out a bogus instance.
-    pub fn fetch(&mut self, core: u32, now: u64) -> Result<DevFetch, CoreError> {
+    pub(crate) fn fetch(&mut self, core: u32, now: u64) -> Result<DevFetch, CoreError> {
         let arrive = now + self.unit.costs.access;
         let shard = self.unit.shard_of[core as usize];
         let mut done = self.unit.process(&mut self.stats, shard, arrive);
@@ -242,7 +236,7 @@ impl<'p> TsuDevice<'p> {
     /// one unit command arriving after the MMI access. A completion that
     /// only parks costs nothing, and one that fills the batch costs the
     /// core nothing either: the funnel flush is the unit's work.
-    pub fn complete(
+    pub(crate) fn complete(
         &mut self,
         core: u32,
         now: u64,
@@ -281,7 +275,7 @@ impl<'p> TsuDevice<'p> {
     /// first); the machine retries their fetches after every completion.
     /// Fills a caller-owned buffer because that is once per completion,
     /// which at 64 cores is hot.
-    pub fn parked_cores_into(&self, buf: &mut Vec<u32>) {
+    pub(crate) fn parked_cores_into(&self, buf: &mut Vec<u32>) {
         buf.clear();
         buf.extend(
             self.parked
@@ -292,13 +286,13 @@ impl<'p> TsuDevice<'p> {
     }
 
     /// Whether any core is parked.
-    pub fn any_parked(&self) -> bool {
+    pub(crate) fn any_parked(&self) -> bool {
         self.parked.iter().any(|&p| p)
     }
 
     /// Whether a parked core's own queue holds work: a funnel flush readied
     /// it after the core parked.
-    pub fn parked_owner_has_work(&self) -> bool {
+    pub(crate) fn parked_owner_has_work(&self) -> bool {
         let queues = self.tsu.queues();
         self.parked
             .iter()
@@ -307,14 +301,14 @@ impl<'p> TsuDevice<'p> {
     }
 
     /// Kernel-side software overhead per DThread transition.
-    pub fn kernel_overhead(&self) -> u64 {
+    pub(crate) fn kernel_overhead(&self) -> u64 {
         self.unit.costs.kernel_overhead
     }
 
     /// Open the next streaming epoch: one unit command on shard 0 (epoch
     /// control is a serialized MMI operation). Returns the epoch id and
     /// the cycle at which any re-armed instances become fetchable.
-    pub fn open_epoch(&mut self, now: u64) -> Result<(Epoch, u64), CoreError> {
+    pub(crate) fn open_epoch(&mut self, now: u64) -> Result<(Epoch, u64), CoreError> {
         let done = self
             .unit
             .process(&mut self.stats, 0, now + self.unit.costs.access);
@@ -341,7 +335,7 @@ mod tests {
     fn fetch_charges_access_and_op_latency() {
         let p = fork(2);
         let tsu = Tsu::new(&p, 1, TsuConfig::default());
-        let mut dev = TsuDevice::new(tsu, TsuCosts::hard(), 1);
+        let mut dev = TsuDevice::sharded(tsu, TsuCosts::hard(), 1, 1, 0);
         match dev.fetch(0, 100).unwrap() {
             DevFetch::Thread(i, _, at) => {
                 assert_eq!(i.thread, p.blocks()[0].inlet);
@@ -365,7 +359,7 @@ mod tests {
         );
         let p = b.build().unwrap();
         let tsu = Tsu::new(&p, 2, TsuConfig::default());
-        let mut dev = TsuDevice::new(tsu, TsuCosts::hard(), 2);
+        let mut dev = TsuDevice::sharded(tsu, TsuCosts::hard(), 2, 1, 0);
         let DevFetch::Thread(inlet, ep, t0) = dev.fetch(0, 0).unwrap() else {
             panic!()
         };
@@ -390,7 +384,7 @@ mod tests {
     fn commands_serialize_through_the_unit() {
         let p = fork(8);
         let tsu = Tsu::new(&p, 2, TsuConfig::default());
-        let mut dev = TsuDevice::new(tsu, TsuCosts::hard(), 2);
+        let mut dev = TsuDevice::sharded(tsu, TsuCosts::hard(), 2, 1, 0);
         // prime: inlet fetched and completed so app threads are ready
         let DevFetch::Thread(inlet, ep, t0) = dev.fetch(0, 0).unwrap() else {
             panic!()
@@ -410,7 +404,7 @@ mod tests {
     fn empty_fetch_parks_core() {
         let p = fork(1);
         let tsu = Tsu::new(&p, 2, TsuConfig::default());
-        let mut dev = TsuDevice::new(tsu, TsuCosts::hard(), 2);
+        let mut dev = TsuDevice::sharded(tsu, TsuCosts::hard(), 2, 1, 0);
         let DevFetch::Thread(inlet, ep, _) = dev.fetch(0, 0).unwrap() else {
             panic!()
         };
@@ -431,7 +425,7 @@ mod tests {
     fn completion_is_posted_core_continues_before_postprocessing() {
         let p = fork(1);
         let tsu = Tsu::new(&p, 1, TsuConfig::default());
-        let mut dev = TsuDevice::new(tsu, TsuCosts::soft(), 1);
+        let mut dev = TsuDevice::sharded(tsu, TsuCosts::soft(), 1, 1, 0);
         let DevFetch::Thread(inlet, ep, t) = dev.fetch(0, 0).unwrap() else {
             panic!()
         };
@@ -479,7 +473,7 @@ mod tests {
         assert!(dev.stats.cross_updates >= 1);
         // ready_at includes the cross-shard message
         let plain_tsu = Tsu::new(&p, 4, TsuConfig::default());
-        let mut plain = TsuDevice::new(plain_tsu, TsuCosts::hard(), 4);
+        let mut plain = TsuDevice::sharded(plain_tsu, TsuCosts::hard(), 4, 1, 0);
         let DevFetch::Thread(inlet2, ep2, t1) = plain.fetch(0, 0).unwrap() else {
             panic!()
         };
@@ -504,7 +498,7 @@ mod tests {
                     ..TsuConfig::default()
                 },
             );
-            let mut dev = TsuDevice::new(tsu, TsuCosts::hard(), 2);
+            let mut dev = TsuDevice::sharded(tsu, TsuCosts::hard(), 2, 1, 0);
             let mut now = [0u64; 2];
             let mut exited = [false; 2];
             let mut guard = 0;
@@ -550,7 +544,7 @@ mod tests {
     fn reopened_epoch_resumes_the_device_after_exit() {
         let p = fork(2);
         let tsu = Tsu::new(&p, 1, TsuConfig::default());
-        let mut dev = TsuDevice::new(tsu, TsuCosts::hard(), 1);
+        let mut dev = TsuDevice::sharded(tsu, TsuCosts::hard(), 1, 1, 0);
         let mut now = 0;
         let drive = |dev: &mut TsuDevice<'_>, mut now: u64| loop {
             match dev.fetch(0, now).unwrap() {
@@ -566,7 +560,7 @@ mod tests {
         assert!(dev.finished());
         // open the next epoch: the device re-arms and serves a full pass
         let (ep, ready_at) = dev.open_epoch(now).unwrap();
-        assert_eq!(ep, tflux_core::ids::Epoch(1));
+        assert_eq!(ep, tflux_core::Epoch(1));
         assert!(!dev.finished());
         drive(&mut dev, ready_at);
         assert!(dev.finished());
@@ -581,7 +575,7 @@ mod tests {
     fn exit_after_program_finishes() {
         let p = fork(1);
         let tsu = Tsu::new(&p, 1, TsuConfig::default());
-        let mut dev = TsuDevice::new(tsu, TsuCosts::hard(), 1);
+        let mut dev = TsuDevice::sharded(tsu, TsuCosts::hard(), 1, 1, 0);
         let mut now = 0;
         loop {
             match dev.fetch(0, now).unwrap() {

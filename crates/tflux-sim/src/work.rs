@@ -10,7 +10,7 @@
 //! `tflux-workloads`; this module defines the interface plus simple sources
 //! used by tests and microbenchmarks.
 
-use tflux_core::ids::Instance;
+use tflux_core::Instance;
 
 /// One memory access (byte address; the caches derive their line).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -92,21 +92,23 @@ impl<F: Fn(Instance, &mut InstanceWork)> WorkSource for FnWork<F> {
 }
 
 /// A source that streams sequentially through a private array region per
-/// context — useful for cache-behaviour tests.
+/// context — for cache-behaviour tests.
+#[cfg(test)]
 #[derive(Clone, Copy, Debug)]
-pub struct StreamWork {
+pub(crate) struct StreamWork {
     /// Bytes each instance walks.
-    pub bytes_per_instance: u64,
+    pub(crate) bytes_per_instance: u64,
     /// Access stride in bytes.
-    pub stride: u64,
+    pub(crate) stride: u64,
     /// Base address of the shared region.
-    pub base: u64,
+    pub(crate) base: u64,
     /// Whether instances write (true) or read (false).
-    pub writes: bool,
+    pub(crate) writes: bool,
     /// Compute cycles per access.
-    pub cycles_per_access: u64,
+    pub(crate) cycles_per_access: u64,
 }
 
+#[cfg(test)]
 impl WorkSource for StreamWork {
     fn work(&self, inst: Instance, out: &mut InstanceWork) {
         let start = self.base + inst.context.0 as u64 * self.bytes_per_instance;
@@ -124,7 +126,7 @@ impl WorkSource for StreamWork {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tflux_core::ids::{Context, ThreadId};
+    use tflux_core::{Context, ThreadId};
 
     #[test]
     fn uniform_work_is_uniform() {

@@ -3,7 +3,7 @@
 //! traces, and respect the work/span lower bound.
 
 use tflux_core::prelude::*;
-use tflux_core::rng::{cases, program};
+use tflux_core::{cases, random_program};
 use tflux_sim::work::{FnWork, InstanceWork};
 use tflux_sim::{Machine, MachineConfig};
 
@@ -12,7 +12,7 @@ fn machine_completes_arbitrary_programs() {
     cases(64, |rng| {
         let cores = rng.range(1u32..9);
         let base = rng.range(10u64..5_000);
-        let p = program(rng, 2);
+        let p = random_program(rng, 2);
         let src = FnWork(move |i: Instance, out: &mut InstanceWork| {
             out.compute = base + i.context.0 as u64 * 7;
             // touch a private line now and then
@@ -31,7 +31,7 @@ fn machine_completes_arbitrary_programs() {
 
         // wall time can never beat the critical path (work/span bound with
         // the same weights the source charges, ignoring memory time)
-        let ws = tflux_core::graph::work_span(&p, |t, c| {
+        let ws = tflux_core::work_span(&p, |t, c| {
             if p.thread(t).kind == tflux_core::ThreadKind::App {
                 (base + c.0 as u64 * 7) as f64
             } else {

@@ -4,9 +4,8 @@
 //! (observable as: a reader after a foreign write never gets a stale L1
 //! hit), and the model is deterministic.
 
-use tflux_core::rng::{cases, SplitMix64};
-use tflux_sim::config::MachineConfig;
-use tflux_sim::memsys::{AccessClass, MemorySystem};
+use tflux_core::{cases, SplitMix64};
+use tflux_sim::{AccessClass, MachineConfig, MemorySystem};
 
 #[derive(Debug, Clone, Copy)]
 struct Op {
@@ -30,7 +29,7 @@ fn counters_add_up_and_latencies_are_bounded() {
     cases(200, |rng| {
         let stream = ops(rng, 4);
         let cfg = MachineConfig::bagle(4);
-        let mut m = MemorySystem::new(cfg);
+        let mut m = MemorySystem::new(cfg).unwrap();
         let worst = cfg.l1.read_lat
             + cfg.l1.write_lat
             + cfg.l2.read_lat
@@ -56,7 +55,7 @@ fn no_stale_read_after_foreign_write() {
         // core must NOT be an L1 hit (its copy was invalidated at the
         // commit). Cross-domain effects are only promised at round
         // boundaries, so the serial replay commits between accesses.
-        let mut m = MemorySystem::new(MachineConfig::bagle(4));
+        let mut m = MemorySystem::new(MachineConfig::bagle(4)).unwrap();
         let mut last_writer: std::collections::HashMap<u64, u32> = Default::default();
         let mut t = 0u64;
         for op in &stream {
@@ -95,7 +94,7 @@ fn model_is_deterministic() {
     cases(200, |rng| {
         let stream = ops(rng, 3);
         let run = || {
-            let mut m = MemorySystem::new(MachineConfig::bagle(3));
+            let mut m = MemorySystem::new(MachineConfig::bagle(3)).unwrap();
             let mut t = 0u64;
             let mut lats = Vec::new();
             for op in &stream {
@@ -131,7 +130,7 @@ fn single_domain_commits_are_invisible() {
             })
             .collect();
         let run = |every: Option<usize>| {
-            let mut m = MemorySystem::new(cfg);
+            let mut m = MemorySystem::new(cfg).unwrap();
             let mut t = 0u64;
             let mut seen = Vec::new();
             for (i, &(core, addr, write)) in stream.iter().enumerate() {
@@ -153,7 +152,7 @@ fn repeated_private_access_converges_to_l1_hits() {
     cases(200, |rng| {
         let core = rng.range(0u32..4);
         let line = rng.range(0u64..64);
-        let mut m = MemorySystem::new(MachineConfig::bagle(4));
+        let mut m = MemorySystem::new(MachineConfig::bagle(4)).unwrap();
         let addr = line * 64;
         let mut t = 0;
         for i in 0..10 {
@@ -179,7 +178,7 @@ fn remote_node_cold_miss_never_beats_local() {
         let addr = page * 4096;
         let home = cfg.home_node(addr);
         let cold = |core: u32| {
-            let mut m = MemorySystem::new(cfg);
+            let mut m = MemorySystem::new(cfg).unwrap();
             m.access(core, 0, addr, write).0
         };
         let local = cold(home * cfg.topology.cores_per_node);
@@ -206,7 +205,7 @@ fn channel_wait_is_monotone_in_concurrency() {
         // concurrent transfer joins.
         let cfg = MachineConfig::sparc_t3_4(64).expect("64 kernels fit the T3-4");
         let flood = |n: usize| {
-            let mut m = MemorySystem::new(cfg);
+            let mut m = MemorySystem::new(cfg).unwrap();
             for i in 0..n {
                 // page i*nodes homes on node 0; one requesting core per
                 // access so every miss is cold and concurrent at t = 0

@@ -8,10 +8,9 @@
 //! the run is complete and repeats bit for bit.
 
 use tflux_core::prelude::*;
-use tflux_core::rng::{cases, program, SplitMix64};
-use tflux_sim::config::TsuCosts;
+use tflux_core::{cases, random_program, SplitMix64};
 use tflux_sim::work::{FnWork, InstanceWork};
-use tflux_sim::{Machine, MachineConfig, SimReport};
+use tflux_sim::{Machine, MachineConfig, SimReport, TsuCosts};
 
 #[derive(Debug, Clone)]
 struct Draw {
@@ -25,7 +24,7 @@ struct Draw {
 
 fn draw(rng: &mut SplitMix64) -> Draw {
     Draw {
-        program: program(rng, 2),
+        program: random_program(rng, 2),
         cores: rng.range(2u32..9),
         xeon: rng.chance(1, 2),
         base_cost: rng.range(10u64..3_000),

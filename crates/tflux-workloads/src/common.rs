@@ -5,7 +5,7 @@
 
 use std::collections::BTreeMap;
 use tflux_cell::work::{CellWork, CellWorkSource};
-use tflux_core::ids::Instance;
+use tflux_core::Instance;
 use tflux_sim::work::{InstanceWork, MemAccess, WorkSource};
 
 /// Parameters of one benchmark execution.
@@ -68,7 +68,7 @@ pub struct Region {
 
 /// Cache line size assumed by the trace generators (both machine presets
 /// use 64-byte L1 lines).
-pub const LINE: u64 = 64;
+pub(crate) const LINE: u64 = 64;
 
 impl Region {
     /// A Local-Store-resident region starting at `base` with `elem`-byte
@@ -311,8 +311,8 @@ impl<D: Describe> CellWorkSource for Costed<D> {
 
 /// Split iterations `0..n` into the contiguous range of instance `ctx`
 /// when the loop is unrolled by `unroll` (helper mirroring
-/// [`tflux_core::unroll::Unroll`] for u64 sizes).
-pub fn chunk(n: u64, unroll: u32, ctx: u32) -> (u64, u64) {
+/// [`tflux_core::Unroll`] for u64 sizes).
+pub(crate) fn chunk(n: u64, unroll: u32, ctx: u32) -> (u64, u64) {
     let u = unroll.max(1) as u64;
     let lo = ctx as u64 * u;
     let hi = (lo + u).min(n);

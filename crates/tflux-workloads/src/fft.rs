@@ -15,7 +15,7 @@
 use crate::common::{chunk, Costed, Describe, Params, Region, Sink};
 use crate::sizes::fft_n;
 use tflux_core::prelude::*;
-use tflux_core::unroll::Unroll;
+use tflux_core::Unroll;
 use tflux_runtime::{BodyTable, Runtime, RuntimeConfig, SharedVar};
 
 /// A complex number (kept as a plain pair for determinism and layout
@@ -118,7 +118,7 @@ pub fn seq(n: usize) -> (Vec<Cpx>, Cpx) {
 }
 
 /// The NAS-style checksum: sum of a deterministic sample of elements.
-pub fn checksum(m: &[Cpx]) -> Cpx {
+pub(crate) fn checksum(m: &[Cpx]) -> Cpx {
     let mut s = Cpx::default();
     let step = (m.len() / 1024).max(1);
     let mut i = 0;
@@ -229,7 +229,7 @@ const CYCLES_PER_BUTTERFLY: u64 = 24;
 /// column-phase scratch at 512 MB. FFT is not part of Fig. 7, but the
 /// description serves the Cell too, so the suite is complete on every
 /// platform.
-pub struct FftModel {
+pub(crate) struct FftModel {
     n: u64,
     unroll: u32,
     ids: FftIds,
@@ -238,7 +238,7 @@ pub struct FftModel {
 }
 
 /// Build the cost model.
-pub fn model(p: &Params, ids: FftIds) -> Costed<FftModel> {
+pub(crate) fn model(p: &Params, ids: FftIds) -> Costed<FftModel> {
     Costed(FftModel {
         n: fft_n(p.size) as u64,
         unroll: p.unroll,

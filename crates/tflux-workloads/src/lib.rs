@@ -12,12 +12,12 @@
 //!    between DThreads through explicit
 //!    [`SharedVar`](tflux_runtime::SharedVar) slots — the same
 //!    produce/export → import/consume discipline TFluxCell uses;
-//! 3. **one cost description** (`model` functions, [`common::Describe`]) —
+//! 3. **one cost description** (`model` functions, one `Describe` impl each) —
 //!    the same decomposition as each instance's compute cycles plus region
 //!    touches. `Machine` expands the touches into cache-line accesses; the
 //!    Cell sums them into DMA bytes and Local Store footprint, adding only
 //!    a per-benchmark SPE compute scale and fixed Local Store bytes
-//!    ([`common::CellCosts`]). `setup::{sim_setup, cell_setup}` hand the
+//!    (`CellCosts`). `setup::{sim_setup, cell_setup}` hand the
 //!    figure harness either view. These model the paper's in-place C
 //!    decomposition (workers write results directly into shared arrays).
 //!
@@ -31,8 +31,9 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
-pub mod common;
+mod common;
 pub mod fft;
 pub mod mmult;
 pub mod qsort;

@@ -12,7 +12,7 @@
 use crate::common::{chunk, CellCosts, Costed, Describe, Params, Region, Sink};
 use crate::sizes::mmult_n;
 use tflux_core::prelude::*;
-use tflux_core::unroll::Unroll;
+use tflux_core::Unroll;
 use tflux_runtime::{BodyTable, Runtime, RuntimeConfig, SharedVar};
 
 /// Deterministic input matrices: `A[i][j] = (i + 2j) % 17`,
@@ -108,7 +108,7 @@ pub fn run_ddm(p: &Params) -> Vec<f64> {
 
 /// Compute cycles per inner-loop multiply-add (scalar, in-order 2008 core:
 /// FP multiply + add + index update, no FMA, no SIMD).
-pub const CYCLES_PER_MAC: u64 = 5;
+pub(crate) const CYCLES_PER_MAC: u64 = 5;
 
 /// The Cell streams `A`, `B` and `C` through fixed 16 KB Local Store
 /// tiles (matrix multiply tiles at any size), so the footprint is constant
@@ -125,7 +125,7 @@ fn matrices() -> [Region; 3] {
 }
 
 /// Cost description of the row-blocked program.
-pub struct MmultModel {
+pub(crate) struct MmultModel {
     n: u64,
     unroll: u32,
     ids: MmultIds,
@@ -135,7 +135,7 @@ pub struct MmultModel {
 }
 
 /// Build the cost model.
-pub fn model(p: &Params, ids: MmultIds) -> Costed<MmultModel> {
+pub(crate) fn model(p: &Params, ids: MmultIds) -> Costed<MmultModel> {
     let [a, b, c] = matrices();
     Costed(MmultModel {
         n: mmult_n(p.size, p.platform) as u64,

@@ -14,7 +14,7 @@
 use crate::common::{CellCosts, Costed, Describe, Params, Region, Sink};
 use crate::sizes::qsort_n;
 use tflux_core::prelude::*;
-use tflux_core::rng::SplitMix64;
+use tflux_core::SplitMix64;
 use tflux_runtime::{BodyTable, Runtime, RuntimeConfig, SharedVar};
 
 /// Deterministic input array.
@@ -32,7 +32,7 @@ pub fn seq(n: usize) -> Vec<i32> {
 }
 
 /// Number of sorter partitions for a kernel count (`P`, always even ≥ 4).
-pub fn partitions(kernels: u32) -> u32 {
+pub(crate) fn partitions(kernels: u32) -> u32 {
     (2 * kernels).max(4) & !1
 }
 
@@ -378,7 +378,7 @@ impl Describe for QsortTreeModel {
 /// full-array quicksort — note this does strictly *less* total work than
 /// the DDM decomposition, which adds the merge phases. On the Cell it runs
 /// on the PPE, at the default `spe_scale` of 1.
-pub struct QsortSeqModel {
+pub(crate) struct QsortSeqModel {
     n: usize,
     work: ThreadId,
     arr: Region,
@@ -386,7 +386,7 @@ pub struct QsortSeqModel {
 
 /// Build the sequential-baseline program (a single scalar thread) and its
 /// model.
-pub fn seq_sim_program(p: &Params) -> (DdmProgram, Costed<QsortSeqModel>) {
+pub(crate) fn seq_sim_program(p: &Params) -> (DdmProgram, Costed<QsortSeqModel>) {
     let n = qsort_n(p.size, p.platform);
     let mut b = ProgramBuilder::new();
     let blk = b.block();
@@ -495,7 +495,7 @@ mod tests {
             assert_eq!(ids.levels.len() as u32, depth.min(4));
             // program drains
             let tsu = tflux_core::Tsu::new(&prog, 4, tflux_core::TsuConfig::default());
-            let order = tflux_core::tsu::drain_sequential(&tsu).unwrap();
+            let order = tflux_core::drain_sequential(&tsu).unwrap();
             assert_eq!(order.len(), prog.total_instances(), "depth {depth}");
         }
         // depth 2 matches the paper's shipped two-level shape

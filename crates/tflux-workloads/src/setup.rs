@@ -13,7 +13,7 @@ use crate::common::{Costed, Describe, Params};
 use crate::sizes::Platform;
 use crate::{fft, mmult, qsort, susan, trapez, Bench};
 use tflux_cell::work::CellWorkSource;
-use tflux_core::program::DdmProgram;
+use tflux_core::DdmProgram;
 use tflux_sim::work::WorkSource;
 
 /// The default unroll factor for a benchmark on a platform.
@@ -233,7 +233,7 @@ pub fn verify_runtime(bench: Bench, p: &Params) -> Result<(), String> {
 mod tests {
     use super::*;
     use crate::sizes::SizeClass;
-    use tflux_core::ids::{Context, Instance, ThreadId};
+    use tflux_core::{Context, Instance, ThreadId};
     use tflux_sim::{Machine, MachineConfig};
 
     #[test]

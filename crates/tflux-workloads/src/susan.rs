@@ -13,11 +13,11 @@
 use crate::common::{chunk, Costed, Describe, Params, Region, Sink};
 use crate::sizes::susan_dims;
 use tflux_core::prelude::*;
-use tflux_core::unroll::Unroll;
+use tflux_core::Unroll;
 use tflux_runtime::{BodyTable, Runtime, RuntimeConfig, SharedVar};
 
 /// Brightness threshold of the similarity function.
-pub const THRESHOLD: f64 = 27.0;
+pub(crate) const THRESHOLD: f64 = 27.0;
 /// Mask radius (5×5 mask).
 pub const RADIUS: usize = 2;
 
@@ -205,7 +205,7 @@ const CYCLES_PER_GEN: u64 = 8;
 /// Cost description: image at 256 MB, smoothed at 512 MB, output array at
 /// 768 MB. On the Cell, bands plus halos move by DMA and the Local Store
 /// holds the halo band and the produced band.
-pub struct SusanModel {
+pub(crate) struct SusanModel {
     w: usize,
     h: usize,
     unroll: u32,
@@ -216,7 +216,7 @@ pub struct SusanModel {
 }
 
 /// Build the cost model.
-pub fn model(p: &Params, ids: SusanIds) -> Costed<SusanModel> {
+pub(crate) fn model(p: &Params, ids: SusanIds) -> Costed<SusanModel> {
     let (w, h) = susan_dims(p.size);
     Costed(SusanModel {
         w,

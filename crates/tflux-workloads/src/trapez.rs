@@ -13,13 +13,13 @@ use crate::common::{chunk, CellCosts, Costed, Describe, Params, Region, Sink};
 use crate::sizes::trapez_intervals;
 use std::sync::atomic::{AtomicU64, Ordering};
 use tflux_core::prelude::*;
-use tflux_core::unroll::Unroll;
+use tflux_core::Unroll;
 use tflux_runtime::{BodyTable, Runtime, RuntimeConfig, SharedVar};
 
 /// The integrand: `4 / (1 + x²)` over `[0, 1]` integrates to π, giving the
 /// tests an exact target.
 #[inline]
-pub fn f(x: f64) -> f64 {
+pub(crate) fn f(x: f64) -> f64 {
     4.0 / (1.0 + x * x)
 }
 
@@ -93,7 +93,7 @@ pub fn run_ddm(p: &Params) -> f64 {
 
 /// Cycles one quadrature point costs on the simulated core (divide + 2
 /// multiplies + adds).
-pub const CYCLES_PER_POINT: u64 = 12;
+pub(crate) const CYCLES_PER_POINT: u64 = 12;
 
 /// Cost description: each worker stores one partial sum, the sink reads
 /// them all.

@@ -1,7 +1,7 @@
 //! Mathematical property tests of the workload implementations — the
 //! algorithms themselves, independent of any platform.
 
-use tflux_core::rng::{cases, SplitMix64};
+use tflux_core::{cases, SplitMix64};
 use tflux_workloads::fft::{self, Cpx};
 use tflux_workloads::{mmult, qsort, susan, trapez};
 

@@ -7,10 +7,9 @@
 //! ```
 
 use tflux::cell::{CellConfig, CellMachine};
-use tflux::workloads::common::Params;
 use tflux::workloads::setup::{cell_baseline, cell_setup};
 use tflux::workloads::sizes::{Platform, SizeClass};
-use tflux::workloads::Bench;
+use tflux::workloads::{Bench, Params};
 
 fn main() {
     println!("MMULT on the simulated PS3 (1 PPE + SPEs, 256 KB Local Stores)\n");

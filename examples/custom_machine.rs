@@ -8,10 +8,9 @@
 //! ```
 
 use tflux::sim::{CacheConfig, Machine, MachineConfig, Topology, TsuCosts};
-use tflux::workloads::common::Params;
 use tflux::workloads::setup::{sim_baseline, sim_setup, with_default_unroll};
 use tflux::workloads::sizes::SizeClass;
-use tflux::workloads::Bench;
+use tflux::workloads::{Bench, Params};
 
 /// A 2012-flavoured CMP: more cores, bigger L2 slices, faster memory.
 fn future_cmp(cores: u32) -> MachineConfig {

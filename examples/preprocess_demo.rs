@@ -8,7 +8,7 @@
 //! cargo run --example preprocess_demo
 //! ```
 
-use tflux::core::tsu::{drain_sequential, Tsu, TsuConfig};
+use tflux::core::{drain_sequential, Tsu, TsuConfig};
 use tflux::ddmcpp::{self, Backend};
 
 const SOURCE: &str = r#"
@@ -71,5 +71,5 @@ fn main() {
     );
     // and the synchronization graph for graphviz users
     println!("\n==== DOT (render with `dot -Tsvg`) ====");
-    print!("{}", tflux::core::graph::to_dot(&lowered));
+    print!("{}", tflux::core::to_dot(&lowered));
 }

@@ -8,9 +8,8 @@
 //! ```
 
 use tflux::sim::{Machine, MachineConfig};
-use tflux::workloads::common::Params;
-use tflux::workloads::qsort;
 use tflux::workloads::sizes::SizeClass;
+use tflux::workloads::{qsort, Params};
 
 fn main() {
     let kernels = 8;

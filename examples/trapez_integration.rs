@@ -8,9 +8,8 @@
 //! ```
 
 use tflux::sim::{Machine, MachineConfig};
-use tflux::workloads::common::Params;
 use tflux::workloads::sizes::SizeClass;
-use tflux::workloads::trapez;
+use tflux::workloads::{trapez, Params};
 
 fn main() {
     // --- native execution on the TFluxSoft runtime ---

@@ -1,17 +1,15 @@
 //! The portability claim: one DDM program, three platforms. Every
-//! generated program (`rng::program`) must execute completely, with the
-//! same scheduling bookkeeping, on five executors: the sequential
-//! reference (`drain_sequential`), the threaded runtime, a one-tenant
-//! `ProgramServer`, the hardware-TSU simulator and the Cell model; and a
-//! DDMCPP module must lower onto all of them.
+//! generated program (`tflux_core::random_program`) must execute
+//! completely, with the same scheduling bookkeeping, on five executors:
+//! the sequential reference (`drain_sequential`), the threaded runtime, a
+//! one-tenant `ProgramServer`, the hardware-TSU simulator and the Cell
+//! model; and a DDMCPP module must lower onto all of them.
 
 use std::sync::Arc;
 use tflux::cell::work::{CellWork, FnCellWork};
 use tflux::cell::{CellConfig, CellMachine};
 use tflux::core::prelude::*;
-use tflux::core::rng::{cases, program, SplitMix64};
-use tflux::core::trace::ExecTrace;
-use tflux::core::tsu::{drain_sequential, TsuStats};
+use tflux::core::{cases, drain_sequential, random_program, ExecTrace, SplitMix64, TsuStats};
 use tflux::ddmcpp;
 use tflux::runtime::{
     BodyTable, ProgramServer, Runtime, RuntimeConfig, ServerConfig, Submission, Submit,
@@ -35,7 +33,7 @@ fn completed(trace: &ExecTrace) -> Vec<Instance> {
 fn draw(rng: &mut SplitMix64) -> (u32, u64, Arc<DdmProgram>) {
     let kernels = rng.range(1u32..5);
     let cost = rng.range(100u64..1_000);
-    (kernels, cost, Arc::new(program(rng, kernels)))
+    (kernels, cost, Arc::new(random_program(rng, kernels)))
 }
 
 fn sim_work(cost: u64) -> FnWork<impl Fn(Instance, &mut InstanceWork)> {

@@ -96,7 +96,7 @@ fn targeted_panic_first_recovers_through_retry() {
         total.load(Ordering::Relaxed),
         (1..=8u64).map(|i| i * i).sum()
     );
-    assert_eq!(report.total_retries(), 2);
+    assert_eq!(report.kernels.iter().map(|k| k.retries).sum::<u64>(), 2);
     assert_eq!(plan.counts().body_panics, 2);
     assert_eq!(report.tsu.completions as usize, program.total_instances());
 }

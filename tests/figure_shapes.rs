@@ -5,12 +5,11 @@
 
 use tflux::cell::{CellConfig, CellMachine};
 use tflux::sim::{Machine, MachineConfig};
-use tflux::workloads::common::Params;
 use tflux::workloads::setup::{
     cell_baseline, cell_setup, sim_baseline, sim_setup, with_default_unroll,
 };
 use tflux::workloads::sizes::SizeClass;
-use tflux::workloads::Bench;
+use tflux::workloads::{Bench, Params};
 
 fn hard_speedup(bench: Bench, kernels: u32, size: SizeClass) -> f64 {
     let p = with_default_unroll(bench, Params::hard(kernels, 0, size));
@@ -156,7 +155,7 @@ fn tub_segments_cut_busy_hits() {
         assert!(hits[3] < hits[0], "{pushers} pushers: {hits:?}");
     }
     for segments in [1, 2, 4, 8] {
-        let alone = tflux::sim::tub::simulate(1, segments, 1_000);
+        let alone = tflux::sim::simulate_tub(1, segments, 1_000);
         assert_eq!(alone.busy_hits, 0, "{segments} segments");
     }
 }

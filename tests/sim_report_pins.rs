@@ -17,12 +17,11 @@
 //! epochs, must reproduce its whole [`CellReport`].
 
 use tflux::cell::{CellConfig, CellMachine, CellReport};
-use tflux::core::rng::mix;
+use tflux::core::mix;
 use tflux::sim::{Machine, MachineConfig, SimReport};
-use tflux::workloads::common::Params;
 use tflux::workloads::setup::{cell_setup, sim_setup, with_default_unroll};
 use tflux::workloads::sizes::SizeClass;
-use tflux::workloads::Bench;
+use tflux::workloads::{Bench, Params};
 
 fn machine(name: &str) -> MachineConfig {
     match name {

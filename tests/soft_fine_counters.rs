@@ -8,8 +8,8 @@
 
 use tflux::core::prelude::*;
 use tflux::runtime::{BodyTable, Runtime, RuntimeConfig};
-use tflux::workloads::common::Params;
 use tflux::workloads::sizes::SizeClass;
+use tflux::workloads::Params;
 
 /// `layers` threads of `n` instances, each feeding the next through `m`.
 fn chain(layers: usize, n: u32, m: ArcMapping) -> DdmProgram {
@@ -74,7 +74,7 @@ fn single_writer_rows_lose_nothing_on_two_kernels() {
         assert_eq!(report.tsu.completions, instances, "{name}: completions");
         assert_eq!(report.total_executed(), instances, "{name}: executed");
         assert_eq!(report.sm_shards.len(), 2, "{name}");
-        let by_kernel = |f: fn(&tflux::core::tsu::ShardStats) -> u64| -> u64 {
+        let by_kernel = |f: fn(&tflux::core::ShardStats) -> u64| -> u64 {
             report.sm_shards.iter().map(f).sum()
         };
         assert_eq!(by_kernel(|s| s.rc_updates), report.tsu.rc_updates, "{name}");

@@ -8,16 +8,14 @@
 //! ready-count-update and block-load bookkeeping* for every workload in
 //! the suite. Who executed what, and in which order, is free.
 
-use tflux::core::ids::Epoch;
 use tflux::core::prelude::*;
-use tflux::core::tsu::{drain_sequential, TsuStats};
+use tflux::core::{drain_sequential, Epoch, TsuStats};
 use tflux::runtime::{BodyTable, Runtime, RuntimeConfig};
 use tflux::sim::work::UniformWork;
 use tflux::sim::{Machine, MachineConfig};
-use tflux::workloads::common::Params;
 use tflux::workloads::setup::{sim_setup, with_default_unroll};
 use tflux::workloads::sizes::SizeClass;
-use tflux::workloads::Bench;
+use tflux::workloads::{Bench, Params};
 
 const KERNELS: u32 = 3;
 /// Completions per funnel flush in the batched variants.

@@ -2,10 +2,9 @@
 //! the real threaded TFluxSoft runtime, produces the same result as its
 //! sequential reference.
 
-use tflux::workloads::common::Params;
 use tflux::workloads::setup::verify_runtime;
 use tflux::workloads::sizes::SizeClass;
-use tflux::workloads::Bench;
+use tflux::workloads::{Bench, Params};
 
 #[test]
 fn trapez_matches_reference_on_runtime() {
