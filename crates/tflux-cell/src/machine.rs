@@ -310,12 +310,7 @@ impl CellMachine {
 
         // Close the ledger: every streamed pass drained, so its credit
         // can be handed back in order.
-        let (_, completed, mut retired) = tsu.epoch_ledger();
-        while retired < completed {
-            tsu.retire_epoch(Epoch(retired))
-                .map_err(CellError::Protocol)?;
-            retired += 1;
-        }
+        tsu.retire_drained().map_err(CellError::Protocol)?;
 
         Ok(CellReport {
             cycles: spelist.iter().map(|s| s.finish).max().unwrap_or(0),

@@ -21,7 +21,7 @@ pub struct CellReport {
     pub commands: u64,
     /// Times a kernel stalled because its CommandBuffer was full: always
     /// 0, because an SPE has at most one command in flight. Kept only for
-    /// the frozen bench, which reads it (ROADMAP item 2).
+    /// the frozen bench, which reads it (ROADMAP item 1).
     pub cmd_stalls: u64,
     /// DThread instances executed.
     pub instances: usize,

@@ -450,6 +450,18 @@ impl<P: ProgramHandle> Tsu<P> {
     pub fn retire_epoch(&self, epoch: Epoch) -> Result<(), CoreError> {
         self.sm.retire_epoch(epoch)
     }
+
+    /// Retire every fully drained epoch, oldest first, freeing its window
+    /// credit. A no-op when nothing completed since the last call.
+    pub fn retire_drained(&self) -> Result<(), CoreError> {
+        loop {
+            let (_, completed, retired) = self.epoch_ledger();
+            if retired >= completed {
+                return Ok(());
+            }
+            self.retire_epoch(Epoch(retired))?;
+        }
+    }
 }
 
 /// Drive a TSU to completion single-threadedly, round-robining fetches over
@@ -1039,6 +1051,31 @@ mod tests {
         assert_eq!(s.epochs, 2);
         assert_eq!(s.completions as usize, 2 * p.total_instances());
         assert_eq!(tsu.epoch_ledger(), (2, 2, 2));
+    }
+
+    #[test]
+    fn retire_drained_closes_only_the_drained_epochs() {
+        let p = fork_join(4, 2);
+        let window = TsuConfig {
+            window: 3,
+            ..TsuConfig::default()
+        };
+        let tsu = Tsu::new(&p, 2, window);
+        let mut out = Vec::new();
+        drain_sequential(&tsu).unwrap();
+        tsu.open_epoch(&mut out).unwrap();
+        drain_sequential(&tsu).unwrap();
+        // the third epoch re-arms but never runs, and the window is full
+        tsu.open_epoch(&mut out).unwrap();
+        assert_eq!(tsu.epoch_ledger(), (3, 2, 0));
+        assert_eq!(
+            tsu.open_epoch(&mut out),
+            Err(CoreError::WindowExhausted { window: 3 })
+        );
+        tsu.retire_drained().unwrap();
+        assert_eq!(tsu.epoch_ledger(), (3, 2, 2));
+        tsu.retire_drained().unwrap();
+        assert_eq!(tsu.epoch_ledger(), (3, 2, 2));
     }
 
     #[test]

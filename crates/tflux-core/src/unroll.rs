@@ -44,17 +44,6 @@ impl Unroll {
         let hi = (lo + self.factor as u64).min(self.iterations);
         lo..hi
     }
-
-    /// Number of iterations instance `ctx` executes.
-    pub fn len(&self, ctx: Context) -> u64 {
-        let r = self.range(ctx);
-        r.end.saturating_sub(r.start)
-    }
-
-    /// True when the loop has no iterations at all.
-    pub fn is_empty(&self) -> bool {
-        self.iterations == 0
-    }
 }
 
 #[cfg(test)]
@@ -74,7 +63,6 @@ mod tests {
         let u = Unroll::new(10, 4);
         assert_eq!(u.arity(), 3);
         assert_eq!(u.range(Context(2)), 8..10);
-        assert_eq!(u.len(Context(2)), 2);
     }
 
     #[test]
@@ -105,8 +93,7 @@ mod tests {
     #[test]
     fn empty_loop_has_one_empty_instance() {
         let u = Unroll::new(0, 8);
-        assert!(u.is_empty());
         assert_eq!(u.arity(), 1);
-        assert_eq!(u.len(Context(0)), 0);
+        assert_eq!(u.range(Context(0)), 0..0);
     }
 }

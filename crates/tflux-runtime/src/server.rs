@@ -67,8 +67,8 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::time::Duration;
 use tflux_core::{
-    CoreError, DdmProgram, Epoch, EventCount, FetchResult, FlushPolicy, Instance, KernelId,
-    ProgramId, Tsu, TsuConfig,
+    CoreError, DdmProgram, EventCount, FetchResult, FlushPolicy, Instance, KernelId, ProgramId,
+    Tsu, TsuConfig,
 };
 
 /// Instances a weight-1 tenant may run in one turn of a pool kernel; a
@@ -670,7 +670,7 @@ fn evict_tenant(
     // a long-lived stream may hold banked epochs at eviction: retire every
     // fully drained one so the ledger closes before the arena is torn down
     // (epochs cut short mid-pass are abandoned with the arena)
-    let _ = retire_drained(&tenant.arena.soft);
+    let _ = tenant.arena.soft.retire_drained();
     lock(&shared.registry).retain(|t| t.id != tenant.id);
     shared.generation.fetch_add(1, Ordering::Release);
     shared.pool.ring();
@@ -685,18 +685,6 @@ fn evict_tenant(
     }
 }
 
-/// Retire every fully drained epoch, oldest first, freeing its window
-/// credit.
-fn retire_drained(soft: &Tsu<Arc<DdmProgram>>) -> Result<(), CoreError> {
-    loop {
-        let (_, completed, retired) = soft.epoch_ledger();
-        if retired >= completed {
-            return Ok(());
-        }
-        soft.retire_epoch(Epoch(retired))?;
-    }
-}
-
 /// Advance a streaming tenant's epoch ledger: retire what drained, then
 /// bank upcoming passes until the stream's total is reached or the credit
 /// window pushes back. A re-armed inlet is published straight onto the
@@ -707,7 +695,7 @@ fn stream_advance(tenant: &Tenant, scratch: &mut Vec<Instance>) -> bool {
     let soft = &tenant.arena.soft;
     let mut published = false;
     let mut advance = || {
-        retire_drained(soft)?;
+        soft.retire_drained()?;
         while soft.epoch_ledger().0 < tenant.epochs {
             match soft.open_epoch(scratch) {
                 Ok(_) => published |= !scratch.is_empty(),

@@ -40,7 +40,7 @@ pub struct KernelStats {
 
 /// The counters the frozen bench reads off [`RunReport::tub`]. No run path
 /// publishes through a TUB, so both read zero; the type leaves with that
-/// field in ROADMAP item 2. `figures -- tub` simulates the segmented TUB
+/// field in ROADMAP item 1. `figures -- tub` simulates the segmented TUB
 /// (`tflux_sim::simulate_tub`).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct TubSnapshot {
@@ -57,7 +57,7 @@ pub struct RunReport {
     pub wall: Duration,
     /// TSU state-machine counters (completions, ready-count updates, …).
     pub tsu: TsuStats,
-    /// All zero, kept for the frozen bench: leaves with ROADMAP item 2.
+    /// All zero, kept for the frozen bench: leaves with ROADMAP item 1.
     pub tub: TubSnapshot,
     /// Per-kernel counters, indexed by kernel id.
     pub kernels: Vec<KernelStats>,

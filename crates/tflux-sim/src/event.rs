@@ -3,11 +3,12 @@
 //! [`EventQueue`] is one binary heap of `(cycle, lane, seq, event)` entries
 //! ordered on the first three fields: events pop by cycle, then lane, then
 //! insertion order, and carry their payloads inline. The machine schedules
-//! at most one outstanding event per lane (core), so `(cycle, lane)` is a
-//! *total* order over its live events: pop order is a function of what was
-//! scheduled, never of the order the pushes happened to arrive in. The Cell
-//! machine and [`tub::simulate`](crate::tub::simulate) put several events
-//! on one lane, and insertion order breaks their ties.
+//! at most one outstanding event per lane (core) in each of its two queues
+//! (core events and the round's deferred device batch), so `(cycle, lane)`
+//! is a *total* order over each queue's live events: pop order is a
+//! function of what was scheduled, never of the order the pushes happened
+//! to arrive in. The Cell machine and [`tub::simulate`](crate::tub::simulate)
+//! put several events on one lane, and insertion order breaks their ties.
 
 use std::cmp::{Ordering, Reverse};
 use std::collections::BinaryHeap;

@@ -17,13 +17,15 @@
 //!    `(cycle, lane)` order. `Chunk` events execute immediately against the
 //!    core's memory domain (reading the shared snapshot, writing a private
 //!    overlay); they only ever push follow-up events onto their own lane.
-//!    `Fetch` events and chunk completions are *deferred* into a batch keyed
-//!    by `(cycle, lane)` — TSU-device state is global, so device commands
-//!    wait until every lane has reached the round boundary.
-//! 2. **Replay** — the deferred batch drains in `(cycle, lane)` order.
-//!    Device commands run here; fetches they spawn inside the round join
-//!    the batch, chunk work always lands on the event queue for the next
-//!    round.
+//!    `Fetch` events and chunk completions are *deferred* into the batch, a
+//!    second [`EventQueue`] of [`DevOp`]s on the same `(cycle, lane)` keys —
+//!    TSU-device state is global, so device commands wait until every lane
+//!    has reached the round boundary.
+//! 2. **Replay** — the batch drains in `(cycle, lane)` order. Device
+//!    commands run here, as methods on the one [`Run`] state; fetches they
+//!    spawn inside the round join the batch, chunk work always lands on the
+//!    event queue for the next round. The device keeps its parked cores as
+//!    a bitmask and retries them in ascending core order.
 //! 3. **Commit** — every domain's memory overlay merges into the shared
 //!    snapshot in domain-index order ([`crate::memsys`]).
 //!
@@ -34,12 +36,10 @@
 use crate::config::MachineConfig;
 use crate::error::SimError;
 use crate::event::EventQueue;
-use crate::memsys::MemorySystem;
+use crate::memsys::{MemStats, MemorySystem};
 use crate::report::SimReport;
 use crate::tsu_dev::{DevFetch, TsuDevice};
 use crate::work::{InstanceWork, WorkSource};
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 use tflux_core::{
     drain_sequential, DdmProgram, Epoch, ExecTrace, FlushPolicy, Instance, Tsu, TsuConfig,
 };
@@ -83,68 +83,17 @@ struct CoreState {
     done: bool,
 }
 
-/// A deferred TSU-device operation, replayed serially at the round
-/// boundary. `Ord` is derived only so the tuple key is heap-friendly;
-/// batch keys `(cycle, lane)` are unique, so the op never decides order.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+/// A deferred TSU-device operation on its lane, replayed serially at the
+/// round boundary. A lane has at most one outstanding operation, so the
+/// batch's `(cycle, lane)` keys are unique and its insertion-order
+/// tie-break never decides.
+#[derive(Debug, Clone, Copy)]
 enum DevOp {
     /// Replay `dev.fetch(lane, cycle)`.
-    Fetch,
-    /// The lane's instance finished its last chunk at `now` (≥ the
+    Fetch(u32),
+    /// The lane's instance finished its last chunk at this cycle (≥ the
     /// triggering event's cycle, which keys the batch).
-    Complete { now: u64 },
-}
-
-/// The round's deferred device operations, drained in `(cycle, lane)`
-/// order.
-#[derive(Default)]
-struct DevBatch {
-    heap: BinaryHeap<Reverse<(u64, u32, DevOp)>>,
-}
-
-impl DevBatch {
-    fn push(&mut self, at: u64, lane: u32, op: DevOp) {
-        self.heap.push(Reverse((at, lane, op)));
-    }
-
-    fn pop(&mut self) -> Option<(u64, u32, DevOp)> {
-        self.heap.pop().map(|Reverse(x)| x)
-    }
-}
-
-/// Push router for the replay phase: fetches landing inside the current
-/// round rejoin the device batch, everything else goes to the event queue.
-/// Also asserts the conservative bound that justifies deferral — a device
-/// op triggered at `trigger` can only schedule *other* lanes at least one
-/// TSU service latency later.
-struct RoundIo<'a> {
-    events: &'a mut EventQueue<Ev>,
-    batch: &'a mut DevBatch,
-    round_end: u64,
-    /// Minimum cross-lane scheduling latency (`tsu.access + tsu.op`).
-    window: u64,
-    /// `(cycle, lane)` key of the op being replayed.
-    trigger: (u64, u32),
-}
-
-impl RoundIo<'_> {
-    fn push(&mut self, lane: u32, at: u64, ev: Ev) {
-        let (t0, l0) = self.trigger;
-        if lane != l0 {
-            debug_assert!(
-                at >= t0 + self.window,
-                "cross-lane event at cycle {at} lands inside the conservative \
-                 window {t0}+{}: deferring device ops to the round boundary \
-                 no longer preserves event order",
-                self.window
-            );
-        }
-        if matches!(ev, Ev::Fetch(_)) && at < self.round_end {
-            self.batch.push(at, lane, DevOp::Fetch);
-        } else {
-            self.events.push_lane(lane, at, ev);
-        }
-    }
+    Complete(u32, u64),
 }
 
 /// Outcome of executing one chunk.
@@ -175,6 +124,185 @@ fn run_chunk(s: &mut CoreState, c: u32, t: u64, mem: &mut MemorySystem) -> Chunk
         ChunkOut::Continue(now)
     } else {
         ChunkOut::Done(now)
+    }
+}
+
+/// One simulation's state: the device, the cores, the event queue and the
+/// round's deferred device batch. The replay phase runs as its methods.
+struct Run<'p, 's> {
+    dev: TsuDevice<'p>,
+    source: &'s dyn WorkSource,
+    states: Vec<CoreState>,
+    events: EventQueue<Ev>,
+    /// The round's deferred device operations, in `(cycle, lane)` order.
+    batch: EventQueue<DevOp>,
+    round_end: u64,
+    /// Minimum cross-lane scheduling latency (`tsu.access + tsu.op`).
+    window: u64,
+    /// `(cycle, lane)` key of the op being replayed.
+    trigger: (u64, u32),
+    instances: usize,
+    trace: Option<&'s mut ExecTrace>,
+}
+
+impl Run<'_, '_> {
+    /// Push router for the replay phase: fetches landing inside the current
+    /// round rejoin the device batch, everything else goes to the event
+    /// queue. Also asserts the conservative bound that justifies deferral —
+    /// a device op triggered at `trigger` can only schedule *other* lanes at
+    /// least one TSU service latency later.
+    fn push(&mut self, lane: u32, at: u64, ev: Ev) {
+        let (t0, l0) = self.trigger;
+        if lane != l0 {
+            debug_assert!(
+                at >= t0 + self.window,
+                "cross-lane event at cycle {at} lands inside the conservative \
+                 window {t0}+{}: deferring device ops to the round boundary \
+                 no longer preserves event order",
+                self.window
+            );
+        }
+        if matches!(ev, Ev::Fetch(_)) && at < self.round_end {
+            self.batch.push_lane(lane, at, DevOp::Fetch(lane));
+        } else {
+            self.events.push_lane(lane, at, ev);
+        }
+    }
+
+    /// Replay the round's deferred device operations in `(cycle, lane)`
+    /// order. Returns the number of operations replayed.
+    ///
+    /// Never inlined: it keeps how the drain loop inlines `run_chunk` and
+    /// `MemorySystem::access` independent of the device path's size. A
+    /// five-line branch added to `handle_fetch` cost the memory-bound
+    /// simulations 15 % of host throughput while this was inlined.
+    #[inline(never)]
+    fn replay_batch(&mut self) -> Result<u64, SimError> {
+        let mut done = 0u64;
+        while let Some((at, op)) = self.batch.pop() {
+            done += 1;
+            let (DevOp::Fetch(lane) | DevOp::Complete(lane, _)) = op;
+            self.trigger = (at, lane);
+            match op {
+                DevOp::Fetch(c) => self.handle_fetch(c, at)?,
+                DevOp::Complete(c, now) => self.handle_completion(c, now)?,
+            }
+        }
+        Ok(done)
+    }
+
+    fn finish_report(self, mem: MemStats, events: u64) -> Result<SimReport, SimError> {
+        let states = &self.states;
+        let stuck = states.iter().filter(|s| !s.done).count() as u32;
+        if stuck > 0 || !self.dev.finished() {
+            return Err(SimError::Deadlock { stuck });
+        }
+        Ok(SimReport {
+            cycles: states.iter().map(|s| s.finish).max().unwrap_or(0),
+            core_busy: states.iter().map(|s| s.busy).collect(),
+            core_tsu: states.iter().map(|s| s.tsu_time).collect(),
+            core_idle: states.iter().map(|s| s.idle).collect(),
+            mem,
+            tsu: self.dev.tsu().stats(),
+            dev: self.dev.stats,
+            instances: self.instances,
+            events,
+        })
+    }
+
+    /// Start executing `inst` (fetched under `epoch`) on core `c` at
+    /// cycle `start`.
+    fn begin_instance(&mut self, c: u32, start: u64, inst: Instance, epoch: Epoch) {
+        let s = &mut self.states[c as usize];
+        s.current = Some((inst, epoch));
+        s.started = start;
+        s.work.clear();
+        self.source.work(inst, &mut s.work);
+        s.cursor = 0;
+        let chunks = s.work.accesses.len().div_ceil(CHUNK).max(1) as u64;
+        s.compute_per_chunk = s.work.compute / chunks;
+        s.compute_rem = s.work.compute % chunks;
+        self.push(c, start, Ev::Chunk(c));
+    }
+
+    /// Act on the device's answer to core `c`'s fetch at cycle `t`: start
+    /// the DThread, or retire the core. A `Parked` answer changes nothing.
+    fn take(&mut self, c: u32, t: u64, fetched: DevFetch) {
+        match fetched {
+            DevFetch::Thread(inst, epoch, at) => {
+                let start = at + self.dev.kernel_overhead();
+                self.states[c as usize].tsu_time += start - t;
+                self.begin_instance(c, start, inst, epoch);
+            }
+            DevFetch::Parked => {}
+            DevFetch::Exit(at) => {
+                let s = &mut self.states[c as usize];
+                s.tsu_time += at - t;
+                s.finish = at;
+                s.done = true;
+            }
+        }
+    }
+
+    fn handle_fetch(&mut self, c: u32, t: u64) -> Result<(), SimError> {
+        let flushes = self.dev.stats.funnel_flushes;
+        let fetched = self.dev.fetch(c, t)?;
+        self.take(c, t, fetched);
+        if fetched == DevFetch::Parked {
+            self.states[c as usize].parked_since = t;
+            // before parking, the device flushed completion funnels: like a
+            // completion, that may have readied a parked core's work, and
+            // no completion may come to wake it
+            if self.dev.stats.funnel_flushes != flushes && self.dev.parked_owner_has_work() {
+                self.wake_parked(t)?;
+            }
+        }
+        Ok(())
+    }
+
+    fn handle_completion(&mut self, c: u32, now: u64) -> Result<(), SimError> {
+        let s = &mut self.states[c as usize];
+        let (inst, epoch) = s
+            .current
+            .take()
+            .expect("completion without a current instance");
+        if let Some(tr) = self.trace.as_deref_mut() {
+            tr.record(c, inst, s.started, now);
+        }
+        self.instances += 1;
+        let (core_free, ready_at) = self.dev.complete(c, now, inst, epoch)?;
+        let next_fetch = core_free + self.dev.kernel_overhead();
+        self.states[c as usize].tsu_time += next_fetch - now;
+        self.push(c, next_fetch, Ev::Fetch(c));
+
+        // Wake parked cores: after post-processing, ready DThreads (or the
+        // Exit condition) become visible at `ready_at`.
+        self.wake_parked(ready_at)
+    }
+
+    /// Retry the fetches of the parked cores, ascending, at cycle
+    /// `ready_at`, if any work is ready or the program finished.
+    fn wake_parked(&mut self, ready_at: u64) -> Result<(), SimError> {
+        let mut parked = self.dev.parked;
+        // the mask first: `ready_len` sums every core's queue, and most
+        // completions find no core parked
+        let mut budget = match parked {
+            0 => 0,
+            _ if self.dev.finished() => usize::MAX,
+            _ => self.dev.tsu().ready_len(),
+        };
+        while parked != 0 && budget > 0 {
+            let p = parked.trailing_zeros();
+            parked &= parked - 1;
+            let fetched = self.dev.fetch(p, ready_at)?;
+            if fetched != DevFetch::Parked {
+                let s = &mut self.states[p as usize];
+                s.idle += ready_at.saturating_sub(s.parked_since);
+                budget -= matches!(fetched, DevFetch::Thread(..)) as usize;
+            }
+            self.take(p, ready_at, fetched);
+        }
+        Ok(())
     }
 }
 
@@ -275,260 +403,54 @@ impl Machine {
         &self,
         program: &DdmProgram,
         source: &dyn WorkSource,
-        mut trace: Option<&mut ExecTrace>,
+        trace: Option<&mut ExecTrace>,
     ) -> Result<SimReport, SimError> {
         let mut mem = MemorySystem::new(self.cfg)?;
         let cores = self.cfg.cores;
-        let mut dev = self.build_dev(program, cores)?;
-        let mut states: Vec<CoreState> = (0..cores).map(|_| CoreState::default()).collect();
-        let mut events = EventQueue::new();
         let round_len = self.cfg.merge_round_len();
-        let window = self.cfg.tsu.access + self.cfg.tsu.op;
-        let mut batch = DevBatch::default();
-        let mut instances = 0usize;
-        let mut parked_buf: Vec<u32> = Vec::with_capacity(cores as usize);
+        let mut run = Run {
+            dev: self.build_dev(program, cores)?,
+            source,
+            states: (0..cores).map(|_| CoreState::default()).collect(),
+            events: EventQueue::new(),
+            batch: EventQueue::new(),
+            round_end: 0,
+            window: self.cfg.tsu.access + self.cfg.tsu.op,
+            trigger: (0, 0),
+            instances: 0,
+            trace,
+        };
         let mut events_done = 0u64;
 
         for c in 0..cores {
-            events.push_lane(c, 0, Ev::Fetch(c));
+            run.events.push_lane(c, 0, Ev::Fetch(c));
         }
 
-        while let Some(t0) = events.min_time() {
-            let round_end = t0.saturating_add(round_len);
+        while let Some(t0) = run.events.min_time() {
+            run.round_end = t0.saturating_add(round_len);
             // phase 1: drain chunks, defer device ops
-            while let Some((t, ev)) = events.pop_before(round_end) {
+            while let Some((t, ev)) = run.events.pop_before(run.round_end) {
                 events_done += 1;
                 match ev {
-                    Ev::Fetch(c) => batch.push(t, c, DevOp::Fetch),
+                    Ev::Fetch(c) => run.batch.push_lane(c, t, DevOp::Fetch(c)),
                     Ev::Chunk(c) => {
-                        let s = &mut states[c as usize];
+                        let s = &mut run.states[c as usize];
                         match run_chunk(s, c, t, &mut mem) {
-                            ChunkOut::Continue(now) => events.push_lane(c, now, Ev::Chunk(c)),
-                            ChunkOut::Done(now) => batch.push(t, c, DevOp::Complete { now }),
+                            ChunkOut::Continue(now) => run.events.push_lane(c, now, Ev::Chunk(c)),
+                            ChunkOut::Done(now) => {
+                                run.batch.push_lane(c, t, DevOp::Complete(c, now))
+                            }
                         }
                     }
                 }
             }
             // phase 2: replay device ops serially
-            events_done += self.replay_batch(
-                &mut batch,
-                round_end,
-                window,
-                &mut dev,
-                source,
-                &mut states,
-                &mut events,
-                &mut instances,
-                &mut parked_buf,
-                trace.as_deref_mut(),
-            )?;
+            events_done += run.replay_batch()?;
             // phase 3: merge round overlays
             mem.commit_round();
         }
 
-        Self::finish_report(&states, &dev, mem.stats(), instances, events_done)
-    }
-
-    /// Replay the round's deferred device operations in `(cycle, lane)`
-    /// order. Returns the number of operations replayed.
-    ///
-    /// Never inlined: it keeps how the drain loop inlines `run_chunk` and
-    /// `MemorySystem::access` independent of the device path's size. A
-    /// five-line branch added to `handle_fetch` cost the memory-bound
-    /// simulations 15 % of host throughput while this was inlined.
-    #[allow(clippy::too_many_arguments)]
-    #[inline(never)]
-    fn replay_batch(
-        &self,
-        batch: &mut DevBatch,
-        round_end: u64,
-        window: u64,
-        dev: &mut TsuDevice<'_>,
-        source: &dyn WorkSource,
-        states: &mut [CoreState],
-        events: &mut EventQueue<Ev>,
-        instances: &mut usize,
-        parked_buf: &mut Vec<u32>,
-        mut trace: Option<&mut ExecTrace>,
-    ) -> Result<u64, SimError> {
-        let mut done = 0u64;
-        while let Some((at, lane, op)) = batch.pop() {
-            done += 1;
-            let mut io = RoundIo {
-                events,
-                batch,
-                round_end,
-                window,
-                trigger: (at, lane),
-            };
-            match op {
-                DevOp::Fetch => {
-                    Self::handle_fetch(lane, at, dev, source, states, &mut io, parked_buf)?
-                }
-                DevOp::Complete { now } => {
-                    *instances += 1;
-                    if let Some(tr) = trace.as_deref_mut() {
-                        let st = &states[lane as usize];
-                        if let Some((inst, _)) = st.current {
-                            tr.record(lane, inst, st.started, now);
-                        }
-                    }
-                    self.handle_completion(lane, now, dev, source, states, &mut io, parked_buf)?;
-                }
-            }
-        }
-        Ok(done)
-    }
-
-    fn finish_report(
-        states: &[CoreState],
-        dev: &TsuDevice<'_>,
-        mem: crate::memsys::MemStats,
-        instances: usize,
-        events: u64,
-    ) -> Result<SimReport, SimError> {
-        let stuck = states.iter().filter(|s| !s.done).count() as u32;
-        if stuck > 0 || !dev.finished() {
-            return Err(SimError::Deadlock { stuck });
-        }
-        Ok(SimReport {
-            cycles: states.iter().map(|s| s.finish).max().unwrap_or(0),
-            core_busy: states.iter().map(|s| s.busy).collect(),
-            core_tsu: states.iter().map(|s| s.tsu_time).collect(),
-            core_idle: states.iter().map(|s| s.idle).collect(),
-            mem,
-            tsu: dev.tsu().stats(),
-            dev: dev.stats,
-            instances,
-            events,
-        })
-    }
-
-    /// Start executing `inst` (fetched under `epoch`) on core `c` at
-    /// cycle `start`.
-    fn begin_instance(
-        c: u32,
-        start: u64,
-        inst: Instance,
-        epoch: Epoch,
-        source: &dyn WorkSource,
-        states: &mut [CoreState],
-        io: &mut RoundIo<'_>,
-    ) {
-        let s = &mut states[c as usize];
-        s.current = Some((inst, epoch));
-        s.started = start;
-        s.work.clear();
-        source.work(inst, &mut s.work);
-        s.cursor = 0;
-        let chunks = s.work.accesses.len().div_ceil(CHUNK).max(1) as u64;
-        s.compute_per_chunk = s.work.compute / chunks;
-        s.compute_rem = s.work.compute % chunks;
-        io.push(c, start, Ev::Chunk(c));
-    }
-
-    fn handle_fetch(
-        c: u32,
-        t: u64,
-        dev: &mut TsuDevice<'_>,
-        source: &dyn WorkSource,
-        states: &mut [CoreState],
-        io: &mut RoundIo<'_>,
-        parked_buf: &mut Vec<u32>,
-    ) -> Result<(), SimError> {
-        let flushes = dev.stats.funnel_flushes;
-        match dev.fetch(c, t)? {
-            DevFetch::Thread(inst, ep, at) => {
-                let start = at + dev.kernel_overhead();
-                states[c as usize].tsu_time += start - t;
-                Self::begin_instance(c, start, inst, ep, source, states, io);
-            }
-            DevFetch::Parked => {
-                states[c as usize].parked_since = t;
-                // before parking, the device flushed completion funnels:
-                // like a completion, that may have readied a parked core's
-                // work, and no completion may come to wake it
-                if dev.stats.funnel_flushes != flushes && dev.parked_owner_has_work() {
-                    Self::wake_parked(t, dev, source, states, io, parked_buf)?;
-                }
-            }
-            DevFetch::Exit(at) => {
-                let s = &mut states[c as usize];
-                s.tsu_time += at - t;
-                s.finish = at;
-                s.done = true;
-            }
-        }
-        Ok(())
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn handle_completion(
-        &self,
-        c: u32,
-        now: u64,
-        dev: &mut TsuDevice<'_>,
-        source: &dyn WorkSource,
-        states: &mut [CoreState],
-        io: &mut RoundIo<'_>,
-        parked_buf: &mut Vec<u32>,
-    ) -> Result<(), SimError> {
-        let (inst, epoch) = states[c as usize]
-            .current
-            .take()
-            .expect("completion without a current instance");
-        let (core_free, ready_at) = dev.complete(c, now, inst, epoch)?;
-        let next_fetch = core_free + dev.kernel_overhead();
-        states[c as usize].tsu_time += next_fetch - now;
-        io.push(c, next_fetch, Ev::Fetch(c));
-
-        // Wake parked cores: after post-processing, ready DThreads (or the
-        // Exit condition) become visible at `ready_at`.
-        Self::wake_parked(ready_at, dev, source, states, io, parked_buf)
-    }
-
-    /// Retry the fetches of the parked cores at cycle `ready_at`, if any
-    /// work is ready or the program finished.
-    fn wake_parked(
-        ready_at: u64,
-        dev: &mut TsuDevice<'_>,
-        source: &dyn WorkSource,
-        states: &mut [CoreState],
-        io: &mut RoundIo<'_>,
-        parked_buf: &mut Vec<u32>,
-    ) -> Result<(), SimError> {
-        if dev.any_parked() {
-            let finished = dev.finished();
-            let avail = dev.tsu().ready_len();
-            if finished || avail > 0 {
-                let mut budget = if finished { usize::MAX } else { avail };
-                dev.parked_cores_into(parked_buf);
-                for &p in parked_buf.iter() {
-                    if budget == 0 {
-                        break;
-                    }
-                    let parked_since = states[p as usize].parked_since;
-                    match dev.fetch(p, ready_at)? {
-                        DevFetch::Thread(pi, pep, at) => {
-                            let start = at + dev.kernel_overhead();
-                            states[p as usize].idle += ready_at.saturating_sub(parked_since);
-                            states[p as usize].tsu_time += start - ready_at;
-                            Self::begin_instance(p, start, pi, pep, source, states, io);
-                            budget = budget.saturating_sub(1);
-                        }
-                        DevFetch::Parked => {}
-                        DevFetch::Exit(at) => {
-                            let s = &mut states[p as usize];
-                            s.idle += ready_at.saturating_sub(parked_since);
-                            s.tsu_time += at - ready_at;
-                            s.finish = at;
-                            s.done = true;
-                        }
-                    }
-                }
-            }
-        }
-        Ok(())
+        run.finish_report(mem.stats(), events_done)
     }
 
     /// Simulate the *sequential baseline*: the original program's work

@@ -61,7 +61,9 @@ pub(crate) enum DevFetch {
 pub(crate) struct TsuDevice<'p> {
     tsu: Tsu<&'p DdmProgram>,
     unit: Unit,
-    parked: Vec<bool>,
+    /// The parked cores, bit `c` for core `c` (a machine has at most 64);
+    /// the machine retries their fetches after every completion.
+    pub(crate) parked: u64,
     ready_buf: Vec<Instance>,
     /// Per-core completion funnels (empty and inert under
     /// `FlushPolicy::Direct`): App completions park core-locally and reach
@@ -142,7 +144,7 @@ impl<'p> TsuDevice<'p> {
                 shard_of,
                 cross_cost,
             },
-            parked: vec![false; cores as usize],
+            parked: 0,
             ready_buf: Vec::new(),
             funnels,
             stats: TsuDevStats::default(),
@@ -206,20 +208,21 @@ impl<'p> TsuDevice<'p> {
             self.stats.stolen_fetches += 1;
             done += steal;
         }
+        let bit = 1u64 << core;
         Ok(match fetched {
             FetchResult::Thread(i, ep) => {
-                self.parked[core as usize] = false;
+                self.parked &= !bit;
                 DevFetch::Thread(i, ep, done)
             }
             FetchResult::Wait => {
                 self.stats.empty_fetches += 1;
-                self.parked[core as usize] = true;
-                let parked = self.parked.iter().filter(|&&p| p).count() as u32;
+                self.parked |= bit;
+                let parked = self.parked.count_ones();
                 self.stats.max_parked = self.stats.max_parked.max(parked);
                 DevFetch::Parked
             }
             FetchResult::Exit => {
-                self.parked[core as usize] = false;
+                self.parked &= !bit;
                 DevFetch::Exit(done)
             }
         })
@@ -271,33 +274,13 @@ impl<'p> TsuDevice<'p> {
         Ok((core_free, ready_at))
     }
 
-    /// Collect the currently-parked cores, ascending, into `buf` (cleared
-    /// first); the machine retries their fetches after every completion.
-    /// Fills a caller-owned buffer because that is once per completion,
-    /// which at 64 cores is hot.
-    pub(crate) fn parked_cores_into(&self, buf: &mut Vec<u32>) {
-        buf.clear();
-        buf.extend(
-            self.parked
-                .iter()
-                .enumerate()
-                .filter_map(|(c, &p)| p.then_some(c as u32)),
-        );
-    }
-
-    /// Whether any core is parked.
-    pub(crate) fn any_parked(&self) -> bool {
-        self.parked.iter().any(|&p| p)
-    }
-
     /// Whether a parked core's own queue holds work: a funnel flush readied
     /// it after the core parked.
     pub(crate) fn parked_owner_has_work(&self) -> bool {
         let queues = self.tsu.queues();
-        self.parked
-            .iter()
+        (0..)
             .zip(queues)
-            .any(|(&p, q)| p && !q.is_empty())
+            .any(|(c, q)| self.parked & 1 << c != 0 && !q.is_empty())
     }
 
     /// Kernel-side software overhead per DThread transition.
@@ -410,15 +393,12 @@ mod tests {
         };
         // core 1 fetches while only core 0 holds the inlet: nothing ready
         assert_eq!(dev.fetch(1, 0).unwrap(), DevFetch::Parked);
-        assert!(dev.any_parked());
-        let mut parked = Vec::new();
-        dev.parked_cores_into(&mut parked);
-        assert_eq!(parked, vec![1]);
+        assert_eq!(dev.parked, 0b10);
         assert_eq!(dev.stats.empty_fetches, 1);
         // completing the inlet loads the block; core 1 can now fetch
         dev.complete(0, 10, inlet, ep).unwrap();
         assert!(matches!(dev.fetch(1, 20).unwrap(), DevFetch::Thread(..)));
-        assert!(!dev.any_parked());
+        assert_eq!(dev.parked, 0);
     }
 
     #[test]

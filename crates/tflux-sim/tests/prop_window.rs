@@ -2,7 +2,7 @@
 //! round structure: within one merge round no lane can influence another,
 //! because every cross-lane push lands at least `tsu.access + tsu.op`
 //! cycles after the event that caused it. The machine debug-asserts that
-//! bound on every cross-lane push (`RoundIo::push`), so in debug builds
+//! bound on every cross-lane push (`Run::push`), so in debug builds
 //! each case fuzzes the invariant directly, for arbitrary `TsuCosts`,
 //! programs, machine shapes and epoch counts; the test then checks that
 //! the run is complete and repeats bit for bit.

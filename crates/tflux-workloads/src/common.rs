@@ -309,16 +309,6 @@ impl<D: Describe> CellWorkSource for Costed<D> {
     }
 }
 
-/// Split iterations `0..n` into the contiguous range of instance `ctx`
-/// when the loop is unrolled by `unroll` (helper mirroring
-/// [`tflux_core::Unroll`] for u64 sizes).
-pub(crate) fn chunk(n: u64, unroll: u32, ctx: u32) -> (u64, u64) {
-    let u = unroll.max(1) as u64;
-    let lo = ctx as u64 * u;
-    let hi = (lo + u).min(n);
-    (lo.min(n), hi)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -411,12 +401,5 @@ mod tests {
 
         // nothing computed or touched: zero cost, like an inlet
         assert_eq!(Tally::default().cell_work(costs), CellWork::default());
-    }
-
-    #[test]
-    fn chunking() {
-        assert_eq!(chunk(100, 8, 0), (0, 8));
-        assert_eq!(chunk(100, 8, 12), (96, 100));
-        assert_eq!(chunk(100, 8, 13), (100, 100));
     }
 }

@@ -12,8 +12,9 @@
 //! worse than the row phase (each element on its own cache line for the
 //! paper's sizes), which the trace model reproduces.
 
-use crate::common::{chunk, Costed, Describe, Params, Region, Sink};
+use crate::common::{Costed, Describe, Params, Region, Sink};
 use crate::sizes::fft_n;
+use std::ops::Range;
 use tflux_core::prelude::*;
 use tflux_core::Unroll;
 use tflux_runtime::{BodyTable, Runtime, RuntimeConfig, SharedVar};
@@ -169,9 +170,9 @@ pub fn run_ddm(p: &Params) -> (Vec<Cpx>, Cpx) {
 
     let mut bodies = BodyTable::new(&prog);
     let (dref, rref, cref, resref) = (&data, &row_out, &col_out, &result);
-    let unroll = p.unroll;
+    let bands = Unroll::new(n as u64, p.unroll);
     bodies.set(ids.rows, move |ctx| {
-        let (lo, hi) = chunk(n as u64, unroll, ctx.context.0);
+        let Range { start: lo, end: hi } = bands.range(ctx.context);
         let mut out = Vec::with_capacity((hi - lo) as usize * n);
         for r in lo..hi {
             let r = r as usize;
@@ -182,16 +183,16 @@ pub fn run_ddm(p: &Params) -> (Vec<Cpx>, Cpx) {
         rref.put(ctx.context, out);
     });
     bodies.set(ids.cols, move |ctx| {
-        let (lo, hi) = chunk(n as u64, unroll, ctx.context.0);
+        let Range { start: lo, end: hi } = bands.range(ctx.context);
         let mut out = Vec::with_capacity((hi - lo) as usize * n);
         for c in lo..hi {
             let c = c as usize;
             // gather column c across the row-phase chunks
             let mut col = Vec::with_capacity(n);
             for r in 0..n {
-                let band = r as u64 / unroll.max(1) as u64;
-                let (blo, _) = chunk(n as u64, unroll, band as u32);
-                let chunk_rows = rref.get(Context(band as u32));
+                let band = Context((r as u64 / bands.factor as u64) as u32);
+                let blo = bands.range(band).start;
+                let chunk_rows = rref.get(band);
                 col.push(chunk_rows[(r - blo as usize) * n + c]);
             }
             fft_inplace(&mut col);
@@ -203,8 +204,7 @@ pub fn run_ddm(p: &Params) -> (Vec<Cpx>, Cpx) {
         // reassemble the matrix from column chunks
         let mut m = vec![Cpx::default(); n * n];
         for (band, chunkv) in cref.iter().enumerate() {
-            let (lo, hi) = chunk(n as u64, unroll, band as u32);
-            for (ci, c) in (lo..hi).enumerate() {
+            for (ci, c) in bands.range(Context(band as u32)).enumerate() {
                 for r in 0..n {
                     m[r * n + c as usize] = chunkv[ci * n + r];
                 }
@@ -253,7 +253,7 @@ impl Describe for FftModel {
         let n = self.n;
         let logn = 64 - (n - 1).leading_zeros() as u64;
         if inst.thread == self.ids.rows {
-            let (lo, hi) = chunk(n, self.unroll, inst.context.0);
+            let Range { start: lo, end: hi } = Unroll::new(n, self.unroll).range(inst.context);
             for r in lo..hi {
                 // log n passes over the row (in cache after the first)
                 for _ in 0..logn {
@@ -263,7 +263,7 @@ impl Describe for FftModel {
             }
             out.compute((hi - lo) * (n / 2) * logn * CYCLES_PER_BUTTERFLY);
         } else if inst.thread == self.ids.cols {
-            let (lo, hi) = chunk(n, self.unroll, inst.context.0);
+            let Range { start: lo, end: hi } = Unroll::new(n, self.unroll).range(inst.context);
             for c in lo..hi {
                 // gather: one strided read per row element (stride = row
                 // length ⇒ a fresh line each time for the paper's sizes)

@@ -9,8 +9,9 @@
 //! scalar sink. Every worker streams all of `B`, which is what generates
 //! the coherency/bus traffic that caps MMULT's scaling.
 
-use crate::common::{chunk, CellCosts, Costed, Describe, Params, Region, Sink};
+use crate::common::{CellCosts, Costed, Describe, Params, Region, Sink};
 use crate::sizes::mmult_n;
+use std::ops::Range;
 use tflux_core::prelude::*;
 use tflux_core::Unroll;
 use tflux_runtime::{BodyTable, Runtime, RuntimeConfig, SharedVar};
@@ -77,7 +78,7 @@ pub fn run_ddm(p: &Params) -> Vec<f64> {
     let mut bodies = BodyTable::new(&prog);
     let (aref, bref, rref) = (&a, &b, &rows);
     bodies.set(ids.work, move |ctx| {
-        let (lo, hi) = chunk(n as u64, p.unroll, ctx.context.0);
+        let Range { start: lo, end: hi } = Unroll::new(n as u64, p.unroll).range(ctx.context);
         let (lo, hi) = (lo as usize, hi as usize);
         let mut out = vec![0.0; (hi - lo) * n];
         for i in lo..hi {
@@ -158,7 +159,7 @@ impl Describe for MmultModel {
             return;
         }
         let n = self.n;
-        let (lo, hi) = chunk(n, self.unroll, inst.context.0);
+        let Range { start: lo, end: hi } = Unroll::new(n, self.unroll).range(inst.context);
         for i in lo..hi {
             // ikj order: A row once per k, B row streamed, C row streamed
             self.a.scan(out, i * n, (i + 1) * n, false);
@@ -221,7 +222,7 @@ impl Describe for MmultElem {
             return;
         }
         let n = self.n;
-        let (lo, hi) = chunk(n * n, self.unroll, inst.context.0);
+        let Range { start: lo, end: hi } = Unroll::new(n * n, self.unroll).range(inst.context);
         for e in lo..hi {
             let (i, j) = (e / n, e % n);
             // ijk element: A row streamed, B column strided, one C store

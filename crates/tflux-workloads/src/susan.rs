@@ -10,8 +10,9 @@
 //! 5×5 mask: weight = spatial Gaussian × `exp(-(ΔI/t)²)` via a 512-entry
 //! lookup table, as in the MiBench original.
 
-use crate::common::{chunk, Costed, Describe, Params, Region, Sink};
+use crate::common::{Costed, Describe, Params, Region, Sink};
 use crate::sizes::susan_dims;
+use std::ops::Range;
 use tflux_core::prelude::*;
 use tflux_core::Unroll;
 use tflux_runtime::{BodyTable, Runtime, RuntimeConfig, SharedVar};
@@ -148,8 +149,9 @@ pub fn run_ddm(p: &Params) -> Vec<u8> {
 
     let mut bodies = BodyTable::new(&prog);
     let (iref, sref, oref, lref) = (&img_bands, &smooth_bands, &out_bands, &lut);
+    let bands = Unroll::new(h as u64, p.unroll);
     bodies.set(ids.init, move |ctx| {
-        let (lo, hi) = chunk(h as u64, p.unroll, ctx.context.0);
+        let Range { start: lo, end: hi } = bands.range(ctx.context);
         let mut band = Vec::with_capacity((hi - lo) as usize * w);
         for y in lo..hi {
             band.extend_from_slice(&gen_row(w, h, y as usize));
@@ -159,15 +161,15 @@ pub fn run_ddm(p: &Params) -> Vec<u8> {
     bodies.set(ids.smooth, move |ctx| {
         // the block barrier guarantees every init band exists; rebuild the
         // halo view from the producer slots
-        let (lo, hi) = chunk(h as u64, p.unroll, ctx.context.0);
+        let Range { start: lo, end: hi } = bands.range(ctx.context);
         let (lo, hi) = (lo as usize, hi as usize);
         let halo_lo = lo.saturating_sub(RADIUS);
         let halo_hi = (hi + RADIUS).min(h);
         let mut halo = Vec::with_capacity((halo_hi - halo_lo) * w);
         for y in halo_lo..halo_hi {
-            let band_idx = y as u64 / p.unroll.max(1) as u64;
-            let (blo, _) = chunk(h as u64, p.unroll, band_idx as u32);
-            let band = iref.get(Context(band_idx as u32));
+            let band_idx = Context((y as u64 / bands.factor as u64) as u32);
+            let blo = bands.range(band_idx).start;
+            let band = iref.get(band_idx);
             let row = y - blo as usize;
             halo.extend_from_slice(&band[row * w..(row + 1) * w]);
         }
@@ -232,7 +234,8 @@ pub(crate) fn model(p: &Params, ids: SusanIds) -> Costed<SusanModel> {
 impl Describe for SusanModel {
     fn describe<S: Sink>(&self, inst: Instance, out: &mut S) {
         let w = self.w as u64;
-        let (lo, hi) = chunk(self.h as u64, self.unroll, inst.context.0);
+        let Range { start: lo, end: hi } =
+            Unroll::new(self.h as u64, self.unroll).range(inst.context);
         let rows = hi - lo;
         if inst.thread == self.ids.init {
             self.img.scan(out, lo * w, hi * w, true);

@@ -9,8 +9,9 @@
 //! sets the chunk size) producing one partial sum each, reduced by a scalar
 //! sink DThread.
 
-use crate::common::{chunk, CellCosts, Costed, Describe, Params, Region, Sink};
+use crate::common::{CellCosts, Costed, Describe, Params, Region, Sink};
 use crate::sizes::trapez_intervals;
+use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 use tflux_core::prelude::*;
 use tflux_core::Unroll;
@@ -66,7 +67,7 @@ pub fn run_ddm(p: &Params) -> f64 {
     let partial_ref = &partial;
     let result_ref = &result;
     bodies.set(ids.work, move |ctx| {
-        let (lo, hi) = chunk(n, p.unroll, ctx.context.0);
+        let Range { start: lo, end: hi } = Unroll::new(n, p.unroll).range(ctx.context);
         let mut s = 0.0;
         for i in lo..hi {
             // opening end point halved here; the closing one is added by
@@ -125,7 +126,7 @@ impl Describe for TrapezModel {
 
     fn describe<S: Sink>(&self, inst: Instance, out: &mut S) {
         if inst.thread == self.ids.work {
-            let (lo, hi) = chunk(self.n, self.unroll, inst.context.0);
+            let Range { start: lo, end: hi } = Unroll::new(self.n, self.unroll).range(inst.context);
             out.compute((hi - lo) * CYCLES_PER_POINT + 30);
             // one partial-sum store; neighbours share lines (false sharing,
             // a real TRAPEZ artifact the coherence model captures)
