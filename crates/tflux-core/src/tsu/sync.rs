@@ -75,7 +75,6 @@
 use crate::error::CoreError;
 use crate::ids::{BlockId, Context, Epoch, Instance, KernelId, ThreadId};
 use crate::thread::ThreadKind;
-use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
@@ -713,26 +712,23 @@ impl<P: ProgramHandle> SyncMemory<P> {
         for arc in self.gm.consumers(t) {
             let ca = self.gm.program().thread(arc.consumer).arity;
             for c in arc.mapping.consumers(inst.context, pa, ca) {
-                self.apply_rc_sub(by, Instance::new(arc.consumer, c), 1, updater, out);
+                let ci = Instance::new(arc.consumer, c);
+                if self.apply_rc_sub(by, ci, 1, updater) {
+                    out.push(ci);
+                }
             }
         }
     }
 
     /// One physical ready-count RMW covering `n` logical decrements of
-    /// `ci`, counted on `by`'s row. The flusher that observes the `n→0`
-    /// edge — exactly one, by atomicity of `fetch_sub` — publishes the
-    /// consumer into `out`; this generalizes the direct path's 1→0
-    /// ownership rule. An update whose `updater` (the producer's owning
-    /// kernel) differs from the slot's previous one counts one contention
-    /// event: the line would migrate between cores on real hardware.
-    fn apply_rc_sub(
-        &self,
-        by: Writer<'_>,
-        ci: Instance,
-        n: u32,
-        updater: KernelId,
-        out: &mut Vec<Instance>,
-    ) {
+    /// `ci`, counted on `by`'s row. Returns whether this update observed
+    /// the `n→0` edge — exactly one does, by atomicity of `fetch_sub` —
+    /// and so owns publishing the consumer; this generalizes the direct
+    /// path's 1→0 ownership rule. An update whose `updater` (the
+    /// producer's owning kernel) differs from the slot's previous one
+    /// counts one contention event: the line would migrate between cores
+    /// on real hardware.
+    fn apply_rc_sub(&self, by: Writer<'_>, ci: Instance, n: u32, updater: KernelId) -> bool {
         by.add(|r| &r.rc_updates, n as u64);
         by.add(|r| &r.rc_rmws, 1);
         let slot = self.slot(ci);
@@ -750,16 +746,15 @@ impl<P: ProgramHandle> SyncMemory<P> {
         }
         let prev = slot.rc.fetch_sub(n, Ordering::AcqRel);
         assert!(prev >= n, "ready count underflow at {ci:?}");
-        if prev == n {
-            out.push(ci);
-        }
+        prev == n
     }
 
     /// Record a batch of *application* completions performed by `kernel` —
     /// the funnel flush path. The batch's decrements are combined locally
     /// (one entry per consumer slot, so K completions hitting one Reduction
     /// sink become a single `fetch_sub(K)`) and applied to the table in
-    /// slot order.
+    /// slot order. The combining happens in `out`, so a flush allocates
+    /// nothing once the caller's buffer has grown to its batches.
     ///
     /// Unlike [`complete`](Self::complete), a protocol error inside a
     /// batch (an instance that was never dispatched, a non-App instance)
@@ -781,27 +776,41 @@ impl<P: ProgramHandle> SyncMemory<P> {
         let tag = tag_of(epoch.0);
         let updater = self.gm.owner_of(first);
         let sentinel = PoisonGuard::arm(&self.poisoned);
-        let mut combined: BTreeMap<Instance, u32> = BTreeMap::new();
+        // `out` collects every consumer decrement first, then is
+        // compacted in place to the instances published
         for &inst in done {
             assert_eq!(
                 self.gm.kind(inst.thread),
                 ThreadKind::App,
                 "only App completions may be funneled: {inst:?}"
             );
-            self.transition(by, inst, word(tag, RUNNING), word(tag, DONE))
-                .map_err(|w| self.classify(inst, epoch, w))?;
+            if let Err(w) = self.transition(by, inst, word(tag, RUNNING), word(tag, DONE)) {
+                out.clear();
+                return Err(self.classify(inst, epoch, w));
+            }
             by.add(|r| &r.completions, 1);
             let pa = self.gm.program().thread(inst.thread).arity;
             for arc in self.gm.consumers(inst.thread) {
                 let ca = self.gm.program().thread(arc.consumer).arity;
-                for c in arc.mapping.consumers(inst.context, pa, ca) {
-                    *combined.entry(Instance::new(arc.consumer, c)).or_insert(0) += 1;
-                }
+                out.extend(
+                    arc.mapping
+                        .consumers(inst.context, pa, ca)
+                        .map(|c| Instance::new(arc.consumer, c)),
+                );
             }
         }
-        for (&ci, &n) in &combined {
-            self.apply_rc_sub(by, ci, n, updater, out);
+        out.sort_unstable();
+        let (mut run, mut published) = (0, 0);
+        while run < out.len() {
+            let ci = out[run];
+            let n = out[run..].iter().take_while(|&&c| c == ci).count();
+            run += n;
+            if self.apply_rc_sub(by, ci, n as u32, updater) {
+                out[published] = ci;
+                published += 1;
+            }
         }
+        out.truncate(published);
         sentinel.disarm();
         Ok(())
     }
@@ -1144,40 +1153,55 @@ mod tests {
         ready
     }
 
+    /// `work[16] -> sink` (Reduction) and `work -> gather[4]` (All): a
+    /// flush decrements five consumer slots, each several times.
+    fn reduction_and_all_set() -> DdmProgram {
+        let mut b = ProgramBuilder::new();
+        let blk = b.block();
+        let work = b.thread(blk, ThreadSpec::new("w", 16));
+        let sink = b.thread(blk, ThreadSpec::scalar("sink"));
+        let gather = b.thread(blk, ThreadSpec::new("gather", 4));
+        b.arc(work, sink, ArcMapping::Reduction).unwrap();
+        b.arc(work, gather, ArcMapping::All).unwrap();
+        b.build().unwrap()
+    }
+
     #[test]
     fn batched_completion_matches_direct_path() {
-        let p = wide_reduction(16);
+        // (program, slots each work completion decrements: its consumers
+        // plus the implicit outlet)
+        for (p, slots) in [(wide_reduction(16), 2u64), (reduction_and_all_set(), 6)] {
+            let (direct, batched) = (SyncMemory::new(&p, 2, 0), SyncMemory::new(&p, 2, 0));
+            let work = armed_block(&direct);
+            assert_eq!(work, armed_block(&batched));
+            let ep = direct.current_epoch();
+            let (mut direct_ready, mut batched_ready) = (Vec::new(), Vec::new());
+            let mut scratch = Vec::new();
+            // direct: one decrement per completion; batched: the same 16
+            // completions in two flushes of 8
+            for half in work.chunks(8) {
+                for &i in half {
+                    direct.complete(K0, i, ep, &mut scratch).unwrap();
+                    direct_ready.extend_from_slice(&scratch);
+                }
+                batched.complete_batch(K0, half, ep, &mut scratch).unwrap();
+                batched_ready.extend_from_slice(&scratch);
+                // the same ready count left on every consumer slot
+                assert_eq!(direct.forensics(), batched.forensics());
+            }
 
-        // direct: one decrement per completion
-        let direct = SyncMemory::new(&p, 2, 0);
-        let work = armed_block(&direct);
-        let ep = direct.current_epoch();
-        let mut direct_ready = Vec::new();
-        let mut scratch = Vec::new();
-        for &i in &work {
-            direct.complete(K0, i, ep, &mut scratch).unwrap();
-            direct_ready.extend_from_slice(&scratch);
+            // same consumers published in the same order, same logical
+            // decrements (conservation)...
+            assert_eq!(direct_ready.len() as u64, slots - 1);
+            assert_eq!(direct_ready, batched_ready);
+            let (d, b) = (direct.stats(), batched.stats());
+            assert_eq!(d.rc_updates, b.rc_updates);
+            assert_eq!(d.completions, b.completions);
+            // ...but far fewer physical RMWs: one per slot per flush
+            // against one per slot per completion
+            assert_eq!(d.rc_rmws, 16 * slots);
+            assert_eq!(b.rc_rmws, 2 * slots);
         }
-
-        // batched: the same 16 completions in two flushes of 8
-        let batched = SyncMemory::new(&p, 2, 0);
-        let work = armed_block(&batched);
-        let ep = batched.current_epoch();
-        let mut batched_ready = Vec::new();
-        for half in work.chunks(8) {
-            batched.complete_batch(K0, half, ep, &mut scratch).unwrap();
-            batched_ready.extend_from_slice(&scratch);
-        }
-
-        // same published set, same logical decrements (conservation)...
-        assert_eq!(direct_ready, batched_ready);
-        let (d, b) = (direct.stats(), batched.stats());
-        assert_eq!(d.rc_updates, b.rc_updates);
-        assert_eq!(d.completions, b.completions);
-        // ...but far fewer physical RMWs: 2 flushes × 2 slots (sink +
-        // implicit outlet) vs 16 completions × 2 slots
-        assert_eq!(d.rc_rmws, 32);
-        assert_eq!(b.rc_rmws, 4);
     }
 
     #[test]

@@ -171,12 +171,6 @@ impl Run<'_, '_> {
 
     /// Replay the round's deferred device operations in `(cycle, lane)`
     /// order. Returns the number of operations replayed.
-    ///
-    /// Never inlined: it keeps how the drain loop inlines `run_chunk` and
-    /// `MemorySystem::access` independent of the device path's size. A
-    /// five-line branch added to `handle_fetch` cost the memory-bound
-    /// simulations 15 % of host throughput while this was inlined.
-    #[inline(never)]
     fn replay_batch(&mut self) -> Result<u64, SimError> {
         let mut done = 0u64;
         while let Some((at, op)) = self.batch.pop() {

@@ -340,6 +340,9 @@ pub struct MemorySystem {
     cfg: MachineConfig,
     shared: SharedMem,
     domains: Vec<DomainMem>,
+    /// Bit `g` set: domain `g` was accessed since the last commit (a
+    /// machine has at most 64 cores, so at most 64 domains).
+    touched: u64,
     committed: MemStats,
 }
 
@@ -388,6 +391,7 @@ impl MemorySystem {
                     .collect(),
             },
             domains,
+            touched: 0,
             committed: MemStats::default(),
         })
     }
@@ -404,7 +408,9 @@ impl MemorySystem {
         byte_addr: u64,
         write: bool,
     ) -> (u64, AccessClass) {
-        let domain = &mut self.domains[self.cfg.group_of(core) as usize];
+        let group = self.cfg.group_of(core);
+        self.touched |= 1 << group;
+        let domain = &mut self.domains[group as usize];
         if write {
             domain.write(&self.shared, core, now, byte_addr)
         } else {
@@ -415,20 +421,24 @@ impl MemorySystem {
     /// Merge every domain's round overlay into the shared snapshot. Call at
     /// each round boundary.
     ///
-    /// Two passes, both in domain-index order: first every domain's
-    /// directory log, bus and channel overlays, and stats delta fold into
-    /// the snapshot; then the recorded foreign-cache invalidations are
-    /// delivered.
+    /// Two passes, both in domain-index order: first the directory log,
+    /// bus and channel overlays, and stats delta of every domain accessed
+    /// since the last commit fold into the snapshot; then the recorded
+    /// foreign-cache invalidations are delivered. An untouched domain has
+    /// nothing to fold.
     pub fn commit_round(&mut self) {
         let MemorySystem {
             cfg,
             shared,
             domains,
+            touched,
             committed,
         } = self;
         let mut invals: Vec<Inval> = Vec::new();
-        for d in domains.iter_mut() {
-            let rnd = &mut d.rnd;
+        while *touched != 0 {
+            let g = touched.trailing_zeros() as usize;
+            *touched &= *touched - 1;
+            let rnd = &mut domains[g].rnd;
             for e in rnd.dir_log.drain(..) {
                 e.apply(shared.dir.entry(e.line()).or_default());
             }
