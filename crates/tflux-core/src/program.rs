@@ -116,6 +116,8 @@ pub struct ProgramBuilder {
     block_of: Vec<BlockId>,
     block_threads: Vec<Vec<ThreadId>>,
     arcs: Vec<Arc>,
+    /// Per thread, the producers `arc` has connected to it so far.
+    producers: Vec<Vec<ThreadId>>,
 }
 
 impl ProgramBuilder {
@@ -137,6 +139,7 @@ impl ProgramBuilder {
         self.threads.push(spec);
         self.block_of.push(block);
         self.block_threads[block.idx()].push(id);
+        self.producers.push(Vec::new());
         id
     }
 
@@ -157,11 +160,7 @@ impl ProgramBuilder {
         if self.block_of[producer.idx()] != self.block_of[consumer.idx()] {
             return Err(CoreError::CrossBlockArc { producer, consumer });
         }
-        if self
-            .arcs
-            .iter()
-            .any(|a| a.producer == producer && a.consumer == consumer)
-        {
+        if self.producers[consumer.idx()].contains(&producer) {
             return Err(CoreError::DuplicateArc { producer, consumer });
         }
         mapping.validate(
@@ -170,6 +169,7 @@ impl ProgramBuilder {
             self.threads[producer.idx()].arity,
             self.threads[consumer.idx()].arity,
         )?;
+        self.producers[consumer.idx()].push(producer);
         self.arcs.push(Arc {
             producer,
             consumer,

@@ -7,7 +7,9 @@
 //! Decomposition: `C = A × B` row-blocked — a loop DThread over row chunks
 //! (`unroll` rows per instance) with no inter-worker dependencies, plus a
 //! scalar sink. Every worker streams all of `B`, which is what generates
-//! the coherency/bus traffic that caps MMULT's scaling.
+//! the coherency/bus traffic that caps MMULT's scaling. The one ikj kernel
+//! (`seq` and the workers) folds four `k` steps into each C row pass, with
+//! `C[i][j]` in a register; its products still add in `k` order, bit for bit.
 
 use crate::common::{CellCosts, Costed, Describe, Params, Region, Sink};
 use crate::sizes::mmult_n;
@@ -30,19 +32,30 @@ pub fn inputs(n: usize) -> (Vec<f64>, Vec<f64>) {
     (a, b)
 }
 
-/// Sequential reference: ikj-ordered triple loop (the cache-friendly
-/// variant both versions model).
-pub fn seq(a: &[f64], b: &[f64], n: usize) -> Vec<f64> {
-    let mut c = vec![0.0; n * n];
-    for i in 0..n {
-        for k in 0..n {
-            let aik = a[i * n + k];
-            let (brow, crow) = (&b[k * n..k * n + n], &mut c[i * n..i * n + n]);
+/// Rows `rows` of `A × B` into `out`, four `k` steps per C row pass.
+fn mul_rows(a: &[f64], b: &[f64], n: usize, rows: Range<usize>, out: &mut [f64]) {
+    let (k4, brow) = (n - n % 4, |k: usize| &b[k * n..(k + 1) * n]);
+    for (r, i) in rows.enumerate() {
+        let (arow, crow) = (&a[i * n..(i + 1) * n], &mut out[r * n..(r + 1) * n]);
+        for k in (0..k4).step_by(4) {
+            let (b0, b1, b2, b3) = (brow(k), brow(k + 1), brow(k + 2), brow(k + 3));
+            let (a0, a1, a2, a3) = (arow[k], arow[k + 1], arow[k + 2], arow[k + 3]);
             for j in 0..n {
-                crow[j] += aik * brow[j];
+                crow[j] = crow[j] + a0 * b0[j] + a1 * b1[j] + a2 * b2[j] + a3 * b3[j];
+            }
+        }
+        for (k, &aik) in arow.iter().enumerate().skip(k4) {
+            for (c, &bkj) in crow.iter_mut().zip(brow(k)) {
+                *c += aik * bkj;
             }
         }
     }
+}
+
+/// Sequential reference: the cache-friendly ikj order both versions model.
+pub fn seq(a: &[f64], b: &[f64], n: usize) -> Vec<f64> {
+    let mut c = vec![0.0; n * n];
+    mul_rows(a, b, n, 0..n, &mut c);
     c
 }
 
@@ -79,18 +92,8 @@ pub fn run_ddm(p: &Params) -> Vec<f64> {
     let (aref, bref, rref) = (&a, &b, &rows);
     bodies.set(ids.work, move |ctx| {
         let Range { start: lo, end: hi } = Unroll::new(n as u64, p.unroll).range(ctx.context);
-        let (lo, hi) = (lo as usize, hi as usize);
-        let mut out = vec![0.0; (hi - lo) * n];
-        for i in lo..hi {
-            for k in 0..n {
-                let aik = aref[i * n + k];
-                let brow = &bref[k * n..k * n + n];
-                let crow = &mut out[(i - lo) * n..(i - lo) * n + n];
-                for j in 0..n {
-                    crow[j] += aik * brow[j];
-                }
-            }
-        }
+        let mut out = vec![0.0; (hi - lo) as usize * n];
+        mul_rows(aref, bref, n, lo as usize..hi as usize, &mut out);
         rref.put(ctx.context, out);
     });
 
@@ -99,10 +102,7 @@ pub fn run_ddm(p: &Params) -> Vec<f64> {
         .expect("mmult run");
     drop(bodies);
 
-    let mut c = Vec::with_capacity(n * n);
-    for chunk_rows in rows.iter() {
-        c.extend_from_slice(chunk_rows);
-    }
+    let c = rows.iter().map(Vec::as_slice).collect::<Vec<_>>().concat();
     assert_eq!(c.len(), n * n, "a worker slot was never produced");
     c
 }

@@ -100,7 +100,7 @@ fn merge2way(a: &[i32], b: &[i32]) -> Vec<i32> {
 
 /// Heap-based k-way merge of sorted runs (O(n log k) — the final DThread's
 /// algorithm, and the model the trace generator charges).
-fn merge_kway(runs: Vec<Vec<i32>>) -> Vec<i32> {
+fn merge_kway(runs: &[&[i32]]) -> Vec<i32> {
     use std::cmp::Reverse;
     use std::collections::BinaryHeap;
     let total: usize = runs.iter().map(|r| r.len()).sum();
@@ -149,8 +149,8 @@ pub fn run_ddm(p: &Params) -> Vec<i32> {
         m1ref.put(ctx.context, merge2way(a, b));
     });
     bodies.set(ids.merge2, move |_| {
-        let runs: Vec<Vec<i32>> = m1ref.iter().cloned().collect();
-        fref.put(Context(0), merge_kway(runs));
+        let runs: Vec<&[i32]> = m1ref.iter().map(Vec::as_slice).collect();
+        fref.put(Context(0), merge_kway(&runs));
     });
 
     Runtime::new(RuntimeConfig::with_kernels(p.kernels))
@@ -449,7 +449,7 @@ mod tests {
     fn merge_helpers_are_correct() {
         assert_eq!(merge2way(&[1, 4, 6], &[2, 3, 7]), vec![1, 2, 3, 4, 6, 7]);
         assert_eq!(
-            merge_kway(vec![vec![5, 9], vec![1, 6], vec![2, 3]]),
+            merge_kway(&[&[5, 9], &[1, 6], &[2, 3]]),
             vec![1, 2, 3, 5, 6, 9]
         );
         assert_eq!(merge2way(&[], &[1]), vec![1]);

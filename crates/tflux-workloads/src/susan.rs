@@ -7,8 +7,9 @@
 //! The three phases become three DDM blocks, each holding one loop DThread
 //! over row bands — the block chaining gives exactly the phase barriers the
 //! paper describes. Smoothing itself is the USAN-style brightness-weighted
-//! 5×5 mask: weight = spatial Gaussian × `exp(-(ΔI/t)²)` via a 512-entry
-//! lookup table, as in the MiBench original.
+//! 5×5 mask, as in the MiBench original: weight = spatial Gaussian (a 5×5
+//! table built once per band, MiBench's `dpt`) × `exp(-(ΔI/t)²)` (a 512-entry
+//! lookup table). Each pixel reads its 24 taps straight from its five rows.
 
 use crate::common::{Costed, Describe, Params, Region, Sink};
 use crate::sizes::susan_dims;
@@ -49,47 +50,46 @@ pub fn gen_row(w: usize, _h: usize, y: usize) -> Vec<u8> {
         .collect()
 }
 
-/// Smooth one pixel with the 5×5 USAN mask.
-fn smooth_pixel(img: &dyn Fn(isize, isize) -> u8, x: usize, y: usize, lut: &[f64]) -> u8 {
-    let center = img(x as isize, y as isize) as i32;
-    let mut num = 0.0f64;
-    let mut den = 0.0f64;
-    for dy in -(RADIUS as isize)..=(RADIUS as isize) {
-        for dx in -(RADIUS as isize)..=(RADIUS as isize) {
-            if dx == 0 && dy == 0 {
-                continue;
-            }
-            let v = img(x as isize + dx, y as isize + dy) as i32;
-            let spatial = (-((dx * dx + dy * dy) as f64) / 7.5).exp();
-            let w = spatial * lut[(v - center).unsigned_abs() as usize];
-            num += w * v as f64;
-            den += w;
-        }
-    }
-    if den > 1e-12 {
-        (num / den).round().clamp(0.0, 255.0) as u8
-    } else {
-        center as u8
-    }
-}
-
 /// Smooth rows `lo..hi` of `img` (w×h, row-major), returning the band.
 /// Border pixels (within `RADIUS` of the edge) pass through unchanged.
 pub fn smooth_band(img: &[u8], w: usize, h: usize, lo: usize, hi: usize, lut: &[f64]) -> Vec<u8> {
-    let at = |x: isize, y: isize| -> u8 {
-        let xc = x.clamp(0, w as isize - 1) as usize;
-        let yc = y.clamp(0, h as isize - 1) as usize;
-        img[yc * w + xc]
-    };
-    let mut out = Vec::with_capacity((hi - lo) * w);
-    for y in lo..hi {
-        for x in 0..w {
-            if x < RADIUS || x >= w - RADIUS || y < RADIUS || y >= h - RADIUS {
-                out.push(img[y * w + x]);
-            } else {
-                out.push(smooth_pixel(&at, x, y, lut));
-            }
+    let mut spatial = [[0.0f64; 2 * RADIUS + 1]; 2 * RADIUS + 1];
+    for (dy, row) in (-(RADIUS as isize)..).zip(&mut spatial) {
+        for (dx, s) in (-(RADIUS as isize)..).zip(row) {
+            *s = (-((dx * dx + dy * dy) as f64) / 7.5).exp();
         }
+    }
+    let (x0, mut out) = (RADIUS.min(w), Vec::with_capacity((hi - lo) * w));
+    let x1 = w.saturating_sub(RADIUS).max(x0);
+    for y in lo..hi {
+        let row = &img[y * w..(y + 1) * w];
+        if y < RADIUS || y + RADIUS >= h {
+            out.extend_from_slice(row);
+            continue;
+        }
+        let rows = &img[(y - RADIUS) * w..(y + RADIUS + 1) * w];
+        out.extend_from_slice(&row[..x0]);
+        for x in x0..x1 {
+            let center = row[x] as i32;
+            let (mut num, mut den) = (0.0f64, 0.0f64);
+            for (dy, weights) in spatial.iter().enumerate() {
+                let taps = &rows[dy * w + x - RADIUS..];
+                for (dx, (&s, &v)) in weights.iter().zip(taps).enumerate() {
+                    if dx == RADIUS && dy == RADIUS {
+                        continue;
+                    }
+                    let wt = s * lut[(v as i32 - center).unsigned_abs() as usize];
+                    num += wt * v as f64;
+                    den += wt;
+                }
+            }
+            out.push(if den > 1e-12 {
+                (num / den).round().clamp(0.0, 255.0) as u8
+            } else {
+                center as u8
+            });
+        }
+        out.extend_from_slice(&row[x1..]);
     }
     out
 }

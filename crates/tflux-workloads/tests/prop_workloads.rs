@@ -179,3 +179,102 @@ fn fft2d_matches_transpose_formulation() {
         }
     });
 }
+
+/// SUSAN as it was before the spatial table: a per-tap `exp` and every
+/// tap read through a clamping closure. The reference the table-driven
+/// `smooth_band` must match byte for byte.
+fn susan_reference(img: &[u8], w: usize, h: usize, lo: usize, hi: usize, lut: &[f64]) -> Vec<u8> {
+    let r = susan::RADIUS as isize;
+    let at = |x: isize, y: isize| -> u8 {
+        let xc = x.clamp(0, w as isize - 1) as usize;
+        let yc = y.clamp(0, h as isize - 1) as usize;
+        img[yc * w + xc]
+    };
+    let pixel = |img: &dyn Fn(isize, isize) -> u8, x: isize, y: isize| -> u8 {
+        let center = img(x, y) as i32;
+        let (mut num, mut den) = (0.0f64, 0.0f64);
+        for dy in -r..=r {
+            for dx in -r..=r {
+                if dx == 0 && dy == 0 {
+                    continue;
+                }
+                let v = img(x + dx, y + dy) as i32;
+                let spatial = (-((dx * dx + dy * dy) as f64) / 7.5).exp();
+                let w = spatial * lut[(v - center).unsigned_abs() as usize];
+                num += w * v as f64;
+                den += w;
+            }
+        }
+        if den > 1e-12 {
+            (num / den).round().clamp(0.0, 255.0) as u8
+        } else {
+            center as u8
+        }
+    };
+    let mut out = Vec::with_capacity((hi - lo) * w);
+    for y in lo as isize..hi as isize {
+        for x in 0..w as isize {
+            if x < r || x >= w as isize - r || y < r || y >= h as isize - r {
+                out.push(img[y as usize * w + x as usize]);
+            } else {
+                out.push(pixel(&at, x, y));
+            }
+        }
+    }
+    out
+}
+
+/// MMULT as it was before the four-step fold: the plain ikj loop.
+fn mmult_reference(a: &[f64], b: &[f64], n: usize) -> Vec<f64> {
+    let mut c = vec![0.0; n * n];
+    for i in 0..n {
+        for k in 0..n {
+            let aik = a[i * n + k];
+            for j in 0..n {
+                c[i * n + j] += aik * b[k * n + j];
+            }
+        }
+    }
+    c
+}
+
+/// The table-driven SUSAN mask gives the per-tap reference's bytes on
+/// random images, down to 1×1, and on every `lo..hi` band.
+#[test]
+fn susan_matches_per_tap_reference() {
+    let lut = susan::brightness_lut();
+    cases(64, |rng| {
+        let (w, h) = (rng.range(1usize..24), rng.range(1usize..20));
+        let img: Vec<u8> = (0..w * h).map(|_| rng.next_u64() as u8).collect();
+        let lo = rng.range(0..h);
+        let hi = rng.range(lo..h + 1);
+        assert_eq!(
+            susan::smooth_band(&img, w, h, lo, hi, &lut),
+            susan_reference(&img, w, h, lo, hi, &lut),
+            "{w}x{h}, rows {lo}..{hi}"
+        );
+    });
+    let (w, h) = (40, 24);
+    let img: Vec<u8> = (0..h).flat_map(|y| susan::gen_row(w, h, y)).collect();
+    assert_eq!(
+        susan::smooth_band(&img, w, h, 0, h, &lut),
+        susan_reference(&img, w, h, 0, h, &lut)
+    );
+}
+
+/// The four-step MMULT fold gives the plain ikj loop's bits on random
+/// matrices, at sizes that leave one to three `k` steps over.
+#[test]
+fn mmult_matches_ikj_reference() {
+    cases(64, |rng| {
+        let n = rng.range(1usize..20);
+        let (a, b) = (reals(rng, n * n), reals(rng, n * n));
+        let (got, want) = (mmult::seq(&a, &b, n), mmult_reference(&a, &b, n));
+        assert!(
+            got.iter()
+                .zip(&want)
+                .all(|(g, w)| g.to_bits() == w.to_bits()),
+            "n = {n}"
+        );
+    });
+}
