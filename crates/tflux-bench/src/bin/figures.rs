@@ -179,7 +179,7 @@ fn qsort_tree(quick: bool) {
     for (d, small, large) in tflux_bench::figures::qsort_tree_depth(quick) {
         println!("{d:>6} {small:>10.2} {large:>10.2}");
     }
-    println!("paper: shipped depth 2; deeper trees trade steps for parallelism\n");
+    println!("paper: shipped depth 1; deeper trees trade steps for parallelism\n");
 }
 
 fn tsu_groups_scale(quick: bool) {

@@ -968,6 +968,27 @@ mod tests {
     }
 
     #[test]
+    fn committed_steal_rows_match_the_code() {
+        // the rows are simulated cycles, so the committed file must hold
+        // exactly what the code computes now
+        let squash = |s: &str| s.split_whitespace().collect::<String>();
+        let committed = squash(include_str!("../../../BENCH_tsu.json"));
+        for k in KERNELS.into_iter().filter(|&k| k > 1) {
+            for (name, p) in [
+                ("imbalanced_fanout", imbalanced_fanout(STEAL_ARITY)),
+                ("balanced_fanout", balanced_fanout(STEAL_ARITY)),
+            ] {
+                let row = steal_row(name, &p, k).to_json().pretty();
+                assert!(
+                    committed.contains(&squash(&row)),
+                    "BENCH_tsu.json's {name} row at {k} cores is stale; it is now\n{row}\
+                     regenerate with `cargo run --release -p tflux-bench --bin bench_tsu`"
+                );
+            }
+        }
+    }
+
+    #[test]
     fn trapez_scales_on_both_machines() {
         for (name, cfg) in scaling_machines() {
             let r = scaling_row(name, Bench::Trapez, cfg);

@@ -26,7 +26,8 @@
 //!   the PS3 (§6.3).
 //!
 //! Scheduling comes from the same [`Tsu`](tflux_core::Tsu) as every other
-//! TFlux platform, and the PPE completes DThreads by the same rule
+//! TFlux platform, and the PPE completes DThreads by the threaded
+//! runtime's rule
 //! ([`CompletionFunnel::complete`](tflux_core::CompletionFunnel::complete)).
 
 #![forbid(unsafe_code)]

@@ -234,13 +234,11 @@ impl CellMachine {
                     // charged, the post-processing op once per
                     // Synchronization Memory operation the funnel performs
                     let start = ppe_free.max(t);
-                    let mut cost = POLL_SCAN;
                     commands += 1;
-                    funnel
-                        .complete(KernelId(spe), &tsu, inst, epoch, &mut ready_buf, |_, _| {
-                            cost += PPE_OP
-                        })
+                    let ops = funnel
+                        .complete(KernelId(spe), &tsu, inst, epoch, &mut ready_buf)
                         .map_err(CellError::Protocol)?;
+                    let cost = POLL_SCAN + PPE_OP * ops as u64;
                     let mut done = start + cost;
                     ppe_free = done;
                     ppe_busy += cost;

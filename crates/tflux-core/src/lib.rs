@@ -83,8 +83,8 @@ pub use thread::{Affinity, ThreadKind, ThreadSpec};
 pub use trace::{ExecTrace, Span};
 pub use tsu::{
     drain_sequential, CompletionFunnel, EventCount, FetchResult, FlushPolicy, GraphMemory,
-    ProgramHandle, ReadyQueue, ShardStats, SmOp, Steal, StealDeque, SyncMemory, Tsu, TsuConfig,
-    TsuStats, WaitingInstance,
+    ProgramHandle, ReadyQueue, ShardStats, Steal, StealDeque, SyncMemory, Tsu, TsuConfig, TsuStats,
+    WaitingInstance,
 };
 pub use unroll::Unroll;
 

@@ -1,5 +1,6 @@
-//! The per-kernel completion funnel, and the one rule by which a finished
-//! DThread reaches the Synchronization Memory on every platform.
+//! The per-kernel completion funnel, and the rule by which a finished
+//! DThread reaches the Synchronization Memory on the threaded runtime and
+//! the Cell PPE.
 //!
 //! A `Reduction` arc sends every producer's ready-count decrement at the
 //! *same* sink slot; with K kernels completing producers concurrently
@@ -11,10 +12,10 @@
 //! [`CompletionFunnel::complete`] is the rule itself: an App completion
 //! parks when the funnel batches and flushes the funnel when it is full;
 //! anything else flushes the funnel, then completes directly. The threaded
-//! runtime's kernels, the simulated hardware TSU and the Cell PPE all call
-//! it, and report what each Synchronization Memory operation cost on their
-//! platform. All protocol knowledge (state transitions, combining, the
-//! n→0 publication rule) lives behind [`Tsu`].
+//! runtime's kernels and the Cell PPE call it; the PPE charges each
+//! Synchronization Memory operation it reports. All protocol knowledge
+//! (state transitions, combining, the n→0 publication rule) lives behind
+//! [`Tsu`].
 
 use crate::error::CoreError;
 use crate::ids::{Epoch, Instance, KernelId};
@@ -23,16 +24,6 @@ use crate::thread::ThreadKind;
 use super::config::FlushPolicy;
 use super::gm::ProgramHandle;
 use super::Tsu;
-
-/// One Synchronization Memory operation [`CompletionFunnel::complete`]
-/// performed.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum SmOp {
-    /// The parked completions, handed over as one batch.
-    Flush,
-    /// The completion itself, applied on its own.
-    Complete,
-}
 
 /// Per-kernel accumulator of App completions awaiting a batched flush.
 ///
@@ -80,14 +71,14 @@ impl CompletionFunnel {
     /// parks when the funnel batches, and a full funnel flushes; anything
     /// else flushes the funnel, then completes directly — a block
     /// transition's post-processing must see every decrement parked before
-    /// it. `performed` hears of each Synchronization Memory operation as it
-    /// happens, in order, with the instances that operation made ready:
+    /// it. Returns how many Synchronization Memory operations that took:
     /// none for a parked completion, at most a flush then a completion.
-    /// `ready` is the scratch they land in; it is cleared first, so after a
-    /// successful call it holds the last operation's ready list.
+    /// `ready` is the scratch their newly-ready instances land in; it is
+    /// cleared first, so after a successful call it holds the last
+    /// operation's ready list.
     ///
-    /// Allocates nothing. On error the operation that failed is not
-    /// reported and nothing follows it.
+    /// Allocates nothing. On error nothing follows the operation that
+    /// failed.
     pub fn complete<P: ProgramHandle>(
         &mut self,
         kernel: KernelId,
@@ -95,8 +86,7 @@ impl CompletionFunnel {
         inst: Instance,
         epoch: Epoch,
         ready: &mut Vec<Instance>,
-        mut performed: impl FnMut(SmOp, &[Instance]),
-    ) -> Result<(), CoreError> {
+    ) -> Result<u32, CoreError> {
         ready.clear();
         let parks = self.batch > 1 && tsu.graph().kind(inst.thread) == ThreadKind::App;
         if parks {
@@ -110,18 +100,17 @@ impl CompletionFunnel {
             }
             self.pending.push(inst);
             if self.pending.len() < self.batch {
-                return Ok(());
+                return Ok(0);
             }
         }
-        if !self.pending.is_empty() {
+        let flushes = !self.pending.is_empty();
+        if flushes {
             self.flush(kernel, tsu, ready)?;
-            performed(SmOp::Flush, ready);
         }
         if !parks {
             tsu.complete(kernel, inst, epoch, ready)?;
-            performed(SmOp::Complete, ready);
         }
-        Ok(())
+        Ok(flushes as u32 + !parks as u32)
     }
 
     /// Hand everything parked to `tsu` as one batch performed by
@@ -184,17 +173,14 @@ mod tests {
     }
 
     /// Fetch the next instance and complete it through `f`; returns the
-    /// operations performed, each with its ready count.
-    fn step(tsu: &Tsu<&DdmProgram>, f: &mut CompletionFunnel) -> (Instance, Vec<(SmOp, usize)>) {
+    /// number of operations performed and the last one's ready count.
+    fn step(tsu: &Tsu<&DdmProgram>, f: &mut CompletionFunnel) -> (Instance, (u32, usize)) {
         let FetchResult::Thread(i, ep) = tsu.fetch(KernelId(0)).unwrap() else {
             panic!("nothing ready");
         };
-        let mut ops = Vec::new();
-        f.complete(KernelId(0), tsu, i, ep, &mut Vec::new(), |op, r| {
-            ops.push((op, r.len()))
-        })
-        .unwrap();
-        (i, ops)
+        let mut ready = Vec::new();
+        let ops = f.complete(KernelId(0), tsu, i, ep, &mut ready).unwrap();
+        (i, (ops, ready.len()))
     }
 
     #[test]
@@ -203,7 +189,7 @@ mod tests {
             let p = wide_reduction(2);
             let tsu = loaded(&p, flush);
             let mut f = CompletionFunnel::new(flush);
-            assert_eq!(step(&tsu, &mut f).1, vec![(SmOp::Complete, 0)]);
+            assert_eq!(step(&tsu, &mut f).1, (1, 0));
             assert!(f.is_empty(), "{flush:?} must never park");
         }
     }
@@ -213,11 +199,11 @@ mod tests {
         let p = wide_reduction(3);
         let tsu = loaded(&p, FlushPolicy::Batch { size: 3 });
         let mut f = CompletionFunnel::new(FlushPolicy::Batch { size: 3 });
-        assert_eq!(step(&tsu, &mut f).1, vec![]);
-        assert_eq!(step(&tsu, &mut f).1, vec![]);
+        assert_eq!(step(&tsu, &mut f).1, (0, 0));
+        assert_eq!(step(&tsu, &mut f).1, (0, 0));
         assert_eq!(f.pending.len(), 2);
         // the third fills the batch: one flush, which readies the sink
-        assert_eq!(step(&tsu, &mut f).1, vec![(SmOp::Flush, 1)]);
+        assert_eq!(step(&tsu, &mut f).1, (1, 1));
         assert!(f.is_empty());
     }
 
@@ -228,7 +214,7 @@ mod tests {
         let mut f = CompletionFunnel::new(FlushPolicy::Batch { size: 8 });
         let mut ready = Vec::new();
         for _ in 0..4 {
-            assert_eq!(step(&tsu, &mut f).1, vec![]);
+            assert_eq!(step(&tsu, &mut f).1, (0, 0));
         }
         // nothing is ready until the parked work reaches the SM
         assert_eq!(tsu.fetch(KernelId(0)).unwrap(), FetchResult::Wait);
@@ -236,13 +222,13 @@ mod tests {
         assert!(f.is_empty());
         // the sink is App too: it parks, and holds the outlet back
         let (sink, ops) = step(&tsu, &mut f);
-        assert_eq!((sink.thread, ops), (ThreadId(1), vec![]));
+        assert_eq!((sink.thread, ops), (ThreadId(1), (0, 0)));
         assert_eq!(tsu.fetch(KernelId(0)).unwrap(), FetchResult::Wait);
         f.flush(KernelId(0), &tsu, &mut ready).unwrap();
         // the outlet is not App: it completes on its own, readying nothing
         let (outlet, ops) = step(&tsu, &mut f);
         assert_eq!(outlet, Instance::scalar(p.blocks()[0].outlet));
-        assert_eq!(ops, vec![(SmOp::Complete, 0)]);
+        assert_eq!(ops, (1, 0));
         assert!(tsu.finished());
         // flushing an empty funnel is a no-op that still clears `ready`
         ready.push(outlet);

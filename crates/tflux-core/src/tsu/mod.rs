@@ -34,7 +34,7 @@ mod queue;
 mod sync;
 
 pub use config::{FlushPolicy, ShardStats, TsuConfig, TsuStats, WaitingInstance};
-pub use funnel::{CompletionFunnel, SmOp};
+pub use funnel::CompletionFunnel;
 pub use gm::{GraphMemory, ProgramHandle};
 pub use queue::{EventCount, FetchResult, ReadyQueue, Steal, StealDeque};
 pub use sync::SyncMemory;
@@ -466,11 +466,11 @@ impl<P: ProgramHandle> Tsu<P> {
 
 /// Drive a TSU to completion single-threadedly, round-robining fetches over
 /// the kernels; returns the execution order. Each kernel completes through
-/// its own [`CompletionFunnel`] under the TSU's flush policy and flushes it
-/// before it concedes a `Wait`, the rule every platform follows. A protocol
-/// error ends the drain; so does a full round of kernels all answering
-/// `Wait` with nothing to flush ([`CoreError::Deadlock`]), which a
-/// validated program cannot produce.
+/// its own [`CompletionFunnel`] under the TSU's flush policy and flushes
+/// it before it concedes a `Wait`, the rule the threaded runtime follows.
+/// A protocol error ends the drain; so does a full round of kernels all
+/// answering `Wait` with nothing to flush ([`CoreError::Deadlock`]), which
+/// a validated program cannot produce.
 ///
 /// This is the reference executor used by tests, the benches and the
 /// graph-analysis tooling; platforms implement their own drivers.
@@ -488,7 +488,7 @@ pub fn drain_sequential<P: ProgramHandle>(tsu: &Tsu<P>) -> Result<Vec<Instance>,
             FetchResult::Thread(i, ep) => {
                 idle = 0;
                 order.push(i);
-                funnel.complete(kernel, tsu, i, ep, &mut scratch, |_, _| {})?;
+                funnel.complete(kernel, tsu, i, ep, &mut scratch)?;
             }
             FetchResult::Wait => {
                 // a flush is progress: the decrements it lands may ready work

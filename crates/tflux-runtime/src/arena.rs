@@ -274,7 +274,9 @@ impl<P: ProgramHandle> Arena<P> {
             ..
         } = ctx;
         let applied = self.contained(|| {
-            funnel.complete(*kernel, &self.soft, instance, epoch, scratch, |_, _| {})
+            funnel
+                .complete(*kernel, &self.soft, instance, epoch, scratch)
+                .map(drop)
         });
         let (outlet, latched) = (kind == ThreadKind::Outlet, applied.is_err());
         // the *dropped bell* site: the supervisor's timed wait must recover

@@ -131,7 +131,7 @@ fn drive<'p>(
             let h = *rng.pick(&holders);
             let (i, ep) = held[h].take().expect("a holder holds");
             funnels[h]
-                .complete(KernelId(h as u32), &tsu, i, ep, &mut scratch, |_, _| {})
+                .complete(KernelId(h as u32), &tsu, i, ep, &mut scratch)
                 .expect("complete");
         }
         k = (k + 1) % n;

@@ -7,8 +7,11 @@
 //! (core events and the round's deferred device batch), so `(cycle, lane)`
 //! is a *total* order over each queue's live events: pop order is a
 //! function of what was scheduled, never of the order the pushes happened
-//! to arrive in. The Cell machine and [`tub::simulate`](crate::tub::simulate)
-//! put several events on one lane, and insertion order breaks their ties.
+//! to arrive in. [`tub::simulate`](crate::tub::simulate) keeps the same
+//! rule: the Emulator's one `Drain` waits on lane 0 (gated by its idle
+//! flag) and each pusher has one outstanding `Push` on lane `p + 1`. Only
+//! the Cell machine puts several events on one lane, and insertion order
+//! breaks their ties.
 
 use std::cmp::{Ordering, Reverse};
 use std::collections::BinaryHeap;

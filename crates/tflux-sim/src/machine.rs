@@ -239,17 +239,10 @@ impl Run<'_, '_> {
     }
 
     fn handle_fetch(&mut self, c: u32, t: u64) -> Result<(), SimError> {
-        let flushes = self.dev.stats.funnel_flushes;
         let fetched = self.dev.fetch(c, t)?;
         self.take(c, t, fetched);
         if fetched == DevFetch::Parked {
             self.states[c as usize].parked_since = t;
-            // before parking, the device flushed completion funnels: like a
-            // completion, that may have readied a parked core's work, and
-            // no completion may come to wake it
-            if self.dev.stats.funnel_flushes != flushes && self.dev.parked_owner_has_work() {
-                self.wake_parked(t)?;
-            }
         }
         Ok(())
     }
@@ -303,22 +296,20 @@ impl Run<'_, '_> {
 impl Machine {
     /// A machine with default (unlimited-capacity) TSU configuration.
     ///
-    /// Completion flushing is pinned to [`FlushPolicy::Direct`]: the
-    /// paper's hardware TSU posts every completion straight to the SM,
-    /// so the simulated figures must not pick up the software runtime's
-    /// adaptive funnel batching. Opt in via [`Machine::with_tsu_config`].
+    /// The device posts every completion straight to the Synchronization
+    /// Memory, as the paper's hardware TSU does: it keeps no completion
+    /// funnel, and its `Tsu` is built with [`FlushPolicy::Direct`].
     pub fn new(cfg: MachineConfig) -> Self {
         Machine {
             cfg,
-            tsu_cfg: TsuConfig {
-                flush: FlushPolicy::Direct,
-                ..TsuConfig::default()
-            },
+            tsu_cfg: TsuConfig::default(),
             epochs: 1,
         }
     }
 
-    /// Override the TSU state-machine configuration (capacity, policy).
+    /// Override the TSU capacity, stealing and epoch window. `flush` is not
+    /// consulted: the device publishes every completion directly, so its
+    /// `Tsu` is built with [`FlushPolicy::Direct`] whatever the policy.
     pub fn with_tsu_config(mut self, tsu_cfg: TsuConfig) -> Self {
         self.tsu_cfg = tsu_cfg;
         self
@@ -377,7 +368,11 @@ impl Machine {
         program: &'p DdmProgram,
         cores: u32,
     ) -> Result<TsuDevice<'p>, SimError> {
-        let tsu = Tsu::new(program, cores, self.tsu_cfg);
+        let direct = TsuConfig {
+            flush: FlushPolicy::Direct,
+            ..self.tsu_cfg
+        };
+        let tsu = Tsu::new(program, cores, direct);
         // cross-TSU-group updates ride the system network
         let cross = if self.cfg.tsu_groups > 1 {
             self.cfg.bus_transfer * 2
@@ -589,58 +584,42 @@ mod tests {
     }
 
     #[test]
-    fn a_flush_at_fetch_wakes_the_parked_owner_of_what_it_readied() {
-        // stealing off, funnels on: core 1 finishes `a[1]` first and
-        // parks; core 0's fetch then flushes `a[0]`'s parked completion,
-        // which readies `sink` on core 1's queue, and core 0 parks too. No
-        // completion is left to wake core 1, so the flush must.
-        let mut b = ProgramBuilder::new();
-        let blk = b.block();
-        let a = b.thread(blk, ThreadSpec::new("a", 2));
-        let sink = b.thread(
-            blk,
-            ThreadSpec::scalar("sink").with_affinity(Affinity::Fixed(KernelId(1))),
-        );
-        b.arc(a, sink, ArcMapping::Reduction).unwrap();
-        let p = b.build().unwrap();
-        let src = FnWork(|inst: Instance, out: &mut InstanceWork| {
-            out.compute = if inst.context.0 == 0 { 1_000 } else { 10 };
-        });
-        let r = Machine::new(MachineConfig::bagle(2))
-            .with_tsu_config(TsuConfig {
-                steal: false,
-                flush: FlushPolicy::Batch { size: 8 },
+    fn the_device_ignores_the_flush_policy() {
+        // a hot reduction sink on several kernels is where a batching
+        // funnel would change the unit's command stream; the device has
+        // none, so the policy moves no number of the report
+        let p = fork_join(64);
+        let src = UniformWork { cycles: 300 };
+        let run = |flush| {
+            let tsu_cfg = TsuConfig {
+                flush,
                 ..TsuConfig::default()
-            })
-            .run(&p, &src)
-            .unwrap();
-        assert_eq!(r.instances, p.total_instances());
+            };
+            let m = Machine::new(MachineConfig::bagle(4)).with_tsu_config(tsu_cfg);
+            format!("{:?}", m.run(&p, &src).unwrap())
+        };
+        assert_eq!(
+            run(FlushPolicy::Batch { size: 8 }),
+            run(FlushPolicy::Direct)
+        );
     }
 
     #[test]
     fn tsu_op_latency_barely_matters_at_coarse_grain() {
         // §4.1: 1 -> 128 cycles of TSU processing changes performance <1%.
-        // The ablation isolates per-command cost, so the explicit Direct
-        // knob keeps adaptive funnel batching out of the measurement.
         let p = fork_join(128);
         let src = app_work(200_000);
         let base = MachineConfig::bagle(8);
-        let direct = TsuConfig {
-            flush: tflux_core::FlushPolicy::Direct,
-            ..TsuConfig::default()
-        };
         let fast = Machine::new(base.with_tsu(TsuCosts {
             op: 1,
             ..TsuCosts::hard()
         }))
-        .with_tsu_config(direct)
         .run(&p, &src)
         .unwrap();
         let slow = Machine::new(base.with_tsu(TsuCosts {
             op: 128,
             ..TsuCosts::hard()
         }))
-        .with_tsu_config(direct)
         .run(&p, &src)
         .unwrap();
         let delta = (slow.cycles as f64 - fast.cycles as f64) / fast.cycles as f64;

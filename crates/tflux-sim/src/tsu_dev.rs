@@ -12,10 +12,7 @@
 //! sweeps `op` to verify the <1% claim.
 
 use crate::config::TsuCosts;
-use tflux_core::{
-    CompletionFunnel, CoreError, DdmProgram, Epoch, FetchResult, GraphMemory, Instance, KernelId,
-    SmOp, Tsu,
-};
+use tflux_core::{CoreError, DdmProgram, Epoch, FetchResult, GraphMemory, Instance, KernelId, Tsu};
 
 /// Counters of the device model.
 #[derive(Clone, Copy, Debug, Default)]
@@ -28,13 +25,9 @@ pub struct TsuDevStats {
     pub empty_fetches: u64,
     /// Peak number of simultaneously parked cores.
     pub max_parked: u32,
-    /// Completion batches whose ready-count updates crossed TSU-Group
-    /// shards (each batch = one TSU-to-TSU network message).
+    /// Completions whose ready-count updates crossed TSU-Group shards
+    /// (each one TSU-to-TSU network message).
     pub cross_updates: u64,
-    /// Funnel flushes: batched completion commands sent to the unit. Each
-    /// one covers up to `FlushPolicy::Batch { size }` App completions but
-    /// costs a single command slot.
-    pub funnel_flushes: u64,
     /// Fetches served by stealing from a sibling kernel's ready queue
     /// (each paid [`TsuCosts::steal`] extra cycles inside the unit).
     pub stolen_fetches: u64,
@@ -65,10 +58,6 @@ pub(crate) struct TsuDevice<'p> {
     /// the machine retries their fetches after every completion.
     pub(crate) parked: u64,
     ready_buf: Vec<Instance>,
-    /// Per-core completion funnels (empty and inert under
-    /// `FlushPolicy::Direct`): App completions park core-locally and reach
-    /// the unit as one batched command per flush.
-    funnels: Vec<CompletionFunnel>,
     /// Counters.
     pub stats: TsuDevStats,
 }
@@ -133,9 +122,6 @@ impl<'p> TsuDevice<'p> {
         let shard_of = (0..cores)
             .map(|c| (c as u64 * g as u64 / cores.max(1) as u64) as u32)
             .collect();
-        let funnels = (0..cores)
-            .map(|_| CompletionFunnel::new(tsu.flush_policy()))
-            .collect();
         TsuDevice {
             tsu,
             unit: Unit {
@@ -146,7 +132,6 @@ impl<'p> TsuDevice<'p> {
             },
             parked: 0,
             ready_buf: Vec::new(),
-            funnels,
             stats: TsuDevStats::default(),
         }
     }
@@ -161,22 +146,6 @@ impl<'p> TsuDevice<'p> {
         self.tsu.finished()
     }
 
-    /// Flush a core's funnel as one batched completion command arriving
-    /// at the unit at cycle `arrive`. A no-op for empty funnels.
-    fn flush_core(&mut self, core: u32, arrive: u64) -> Result<(), CoreError> {
-        let funnel = &mut self.funnels[core as usize];
-        if funnel.is_empty() {
-            return Ok(());
-        }
-        self.stats.funnel_flushes += 1;
-        let result = funnel.flush(KernelId(core), &self.tsu, &mut self.ready_buf);
-        let shard = self.unit.shard_of[core as usize];
-        let graph = self.tsu.graph();
-        self.unit
-            .sm_command(&mut self.stats, graph, shard, arrive, &self.ready_buf);
-        result
-    }
-
     /// A core asks for its next DThread at core-local cycle `now`.
     /// Propagates TSU protocol errors (non-resident dispatch, poisoned
     /// Synchronization Memory) instead of handing out a bogus instance.
@@ -184,21 +153,7 @@ impl<'p> TsuDevice<'p> {
         let arrive = now + self.unit.costs.access;
         let shard = self.unit.shard_of[core as usize];
         let mut done = self.unit.process(&mut self.stats, shard, arrive);
-        let (mut fetched, mut stolen) = self.tsu.fetch_traced(KernelId(core))?;
-        if fetched == FetchResult::Wait && self.funnels.iter().any(|f| !f.is_empty()) {
-            // parked decrements may be the only thing standing between
-            // this core and ready work: drain its own funnel, then (still
-            // empty-handed) ask the unit to collect every core's buffer,
-            // before conceding a park
-            self.flush_core(core, arrive)?;
-            (fetched, stolen) = self.tsu.fetch_traced(KernelId(core))?;
-            if fetched == FetchResult::Wait {
-                for c in 0..self.funnels.len() as u32 {
-                    self.flush_core(c, arrive)?;
-                }
-                (fetched, stolen) = self.tsu.fetch_traced(KernelId(core))?;
-            }
-        }
+        let (fetched, stolen) = self.tsu.fetch_traced(KernelId(core))?;
         if stolen {
             // the unit walked a sibling queue to serve this fetch: the
             // command occupies the shard for `steal` extra cycles
@@ -235,10 +190,9 @@ impl<'p> TsuDevice<'p> {
     /// TSU's post-processing), and the cycle at which newly-ready DThreads
     /// become visible (post-processing done inside the unit).
     ///
-    /// Each Synchronization Memory operation the core's funnel performs is
-    /// one unit command arriving after the MMI access. A completion that
-    /// only parks costs nothing, and one that fills the batch costs the
-    /// core nothing either: the funnel flush is the unit's work.
+    /// The completion is one unit command arriving after the MMI access:
+    /// the hardware TSU posts every completion straight to the
+    /// Synchronization Memory, with no combining stage in front of it.
     pub(crate) fn complete(
         &mut self,
         core: u32,
@@ -248,39 +202,13 @@ impl<'p> TsuDevice<'p> {
     ) -> Result<(u64, u64), CoreError> {
         let arrive = now + self.unit.costs.access;
         let shard = self.unit.shard_of[core as usize];
-        let (mut core_free, mut ready_at) = (now, now);
-        let Self {
-            tsu,
-            unit,
-            ready_buf,
-            funnels,
-            stats,
-            ..
-        } = self;
-        funnels[core as usize].complete(
-            KernelId(core),
-            tsu,
-            inst,
-            epoch,
-            ready_buf,
-            |op, ready| {
-                match op {
-                    SmOp::Flush => stats.funnel_flushes += 1,
-                    SmOp::Complete => core_free = arrive,
-                }
-                ready_at = unit.sm_command(stats, tsu.graph(), shard, arrive, ready);
-            },
-        )?;
-        Ok((core_free, ready_at))
-    }
-
-    /// Whether a parked core's own queue holds work: a funnel flush readied
-    /// it after the core parked.
-    pub(crate) fn parked_owner_has_work(&self) -> bool {
-        let queues = self.tsu.queues();
-        (0..)
-            .zip(queues)
-            .any(|(c, q)| self.parked & 1 << c != 0 && !q.is_empty())
+        self.tsu
+            .complete(KernelId(core), inst, epoch, &mut self.ready_buf)?;
+        let graph = self.tsu.graph();
+        let ready_at = self
+            .unit
+            .sm_command(&mut self.stats, graph, shard, arrive, &self.ready_buf);
+        Ok((arrive, ready_at))
     }
 
     /// Kernel-side software overhead per DThread transition.
@@ -295,10 +223,8 @@ impl<'p> TsuDevice<'p> {
         let done = self
             .unit
             .process(&mut self.stats, 0, now + self.unit.costs.access);
-        let mut ready = std::mem::take(&mut self.ready_buf);
-        let ep = self.tsu.open_epoch(&mut ready);
-        self.ready_buf = ready;
-        Ok((ep?, done))
+        let ep = self.tsu.open_epoch(&mut self.ready_buf)?;
+        Ok((ep, done))
     }
 }
 
@@ -459,65 +385,6 @@ mod tests {
         };
         let (_, plain_ready) = plain.complete(0, t1, inlet2, ep2).unwrap();
         assert_eq!(ready_at, plain_ready + 50);
-    }
-
-    #[test]
-    fn funneled_completions_batch_unit_commands() {
-        fn drive(flush: FlushPolicy) -> (TsuDevStats, tflux_core::TsuStats) {
-            let mut b = ProgramBuilder::new();
-            let blk = b.block();
-            let work = b.thread(blk, ThreadSpec::new("w", 32));
-            let sink = b.thread(blk, ThreadSpec::scalar("sink"));
-            b.arc(work, sink, ArcMapping::Reduction).unwrap();
-            let p = b.build().unwrap();
-            let tsu = Tsu::new(
-                &p,
-                2,
-                TsuConfig {
-                    flush,
-                    ..TsuConfig::default()
-                },
-            );
-            let mut dev = TsuDevice::sharded(tsu, TsuCosts::hard(), 2, 1, 0);
-            let mut now = [0u64; 2];
-            let mut exited = [false; 2];
-            let mut guard = 0;
-            while !(exited[0] && exited[1]) {
-                guard += 1;
-                assert!(guard < 10_000, "device drive stalled");
-                for core in 0..2u32 {
-                    let c = core as usize;
-                    if exited[c] {
-                        continue;
-                    }
-                    match dev.fetch(core, now[c]).unwrap() {
-                        DevFetch::Thread(i, ep, at) => {
-                            let (free, _) = dev.complete(core, at, i, ep).unwrap();
-                            now[c] = free;
-                        }
-                        DevFetch::Parked => now[c] += 1,
-                        DevFetch::Exit(_) => exited[c] = true,
-                    }
-                }
-            }
-            (dev.stats, dev.tsu().stats())
-        }
-        let (d_dev, d_tsu) = drive(FlushPolicy::Direct);
-        let (b_dev, b_tsu) = drive(FlushPolicy::Batch { size: 8 });
-        // same logical work...
-        assert_eq!(b_tsu.completions, d_tsu.completions);
-        assert_eq!(b_tsu.rc_updates, d_tsu.rc_updates);
-        // ...but fewer physical RMWs and fewer unit commands: batched App
-        // completions reach the unit as funnel flushes, not one command
-        // apiece
-        assert!(b_tsu.rc_rmws < d_tsu.rc_rmws);
-        assert!(b_dev.funnel_flushes > 0);
-        assert!(
-            b_dev.commands < d_dev.commands,
-            "batched {} !< direct {}",
-            b_dev.commands,
-            d_dev.commands
-        );
     }
 
     #[test]

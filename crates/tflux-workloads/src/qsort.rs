@@ -251,8 +251,9 @@ impl Describe for QsortModel {
 /// Build a QSORT program with a merge tree of configurable depth — the
 /// §6.1.2 exploration: "Trees of bigger depth would result in higher
 /// parallelism but may not be always beneficial as the number of steps
-/// would increase as well." Depth 2 is the paper's shipped configuration
-/// ([`program`]); this generalization lets the harness sweep it.
+/// would increase as well." Depth 1 is the paper's shipped configuration
+/// ([`program`]: one pair-merge level, then the final k-way merge); this
+/// generalization lets the harness sweep it.
 ///
 /// Level `l` has `P / 2^l` pair-mergers; the final level is a scalar
 /// merging the remaining runs. `depth` counts the pair-merge levels (0 =
@@ -498,10 +499,26 @@ mod tests {
             let order = tflux_core::drain_sequential(&tsu).unwrap();
             assert_eq!(order.len(), prog.total_instances(), "depth {depth}");
         }
-        // depth 2 matches the paper's shipped two-level shape
+        // depth 2 adds a P/4 level under the P/2 one
         let (prog2, ids2) = program_with_depth(&p, 2);
         assert_eq!(prog2.thread(ids2.levels[0]).arity, 8);
         assert_eq!(prog2.thread(ids2.levels[1]).arity, 4);
+        // depth 1 is the shipped shape: the same arities and arc mappings
+        let shape = |prog: &DdmProgram| {
+            let threads = prog.threads().iter().enumerate();
+            threads
+                .map(|(t, spec)| {
+                    let arcs = prog.consumers(ThreadId(t as u32)).iter();
+                    let arcs = arcs.map(|a| (a.consumer, a.mapping)).collect::<Vec<_>>();
+                    (spec.arity, arcs)
+                })
+                .collect::<Vec<_>>()
+        };
+        for kernels in [1, 2, 8, 27] {
+            let p = Params::hard(kernels, 1, SizeClass::Small);
+            let shipped = shape(&program(&p).0);
+            assert_eq!(shipped, shape(&program_with_depth(&p, 1).0), "{kernels}");
+        }
     }
 
     #[test]

@@ -54,24 +54,24 @@ type Pin = (Bench, &'static str, u64, u64, u64, u64);
 
 #[rustfmt::skip]
 const PINS: [Pin; 18] = [
-    (Bench::Trapez, "bagle_x8", 1, 806370, 4123, 0x3b9c610d8cb7ee7b),
-    (Bench::Mmult, "bagle_x8", 1, 251937, 1177, 0x87071296e6b4d158),
-    (Bench::Qsort, "bagle_x8", 1, 1437372, 362, 0x37d232395700ec90),
-    (Bench::Susan, "bagle_x8", 1, 1792276, 898, 0x8aa0d29cf909d71b),
-    (Bench::Fft, "bagle_x8", 1, 26100, 262, 0xd0fb34910cf9ae08),
-    (Bench::Trapez, "bagle_x8", 3, 2415494, 12337, 0x22f53d90ae0890db),
-    (Bench::Trapez, "x86_x8", 1, 810565, 4123, 0xc3aaccb3ca0f5c2b),
-    (Bench::Mmult, "x86_x8", 1, 333402, 1177, 0xbb94f47421ce223a),
-    (Bench::Qsort, "x86_x8", 1, 1594040, 362, 0x77c2c5b0b836d259),
-    (Bench::Susan, "x86_x8", 1, 1839257, 898, 0x7b4da97f5445738a),
-    (Bench::Fft, "x86_x8", 1, 34126, 262, 0x0141003fd7e4982a),
-    (Bench::Trapez, "x86_x8", 3, 2424683, 12337, 0x34aa66b016eb4246),
-    (Bench::Trapez, "sparc_t3_4_x64", 1, 120955, 4235, 0x03a20781729b7fb1),
-    (Bench::Mmult, "sparc_t3_4_x64", 1, 159168, 1289, 0xa94336218405e5a9),
-    (Bench::Qsort, "sparc_t3_4_x64", 1, 1421665, 1063, 0xf5d19a8a738e307d),
-    (Bench::Susan, "sparc_t3_4_x64", 1, 438490, 1010, 0x38acf616062dcf23),
-    (Bench::Fft, "sparc_t3_4_x64", 1, 36159, 374, 0x0c664958fd4fbe1b),
-    (Bench::Trapez, "sparc_t3_4_x64", 3, 361568, 12449, 0xce940cc0b5c82549),
+    (Bench::Trapez, "bagle_x8", 1, 806370, 4123, 0xc8b773454d4ff4d1),
+    (Bench::Mmult, "bagle_x8", 1, 251937, 1177, 0x64b9e42a198bcdf0),
+    (Bench::Qsort, "bagle_x8", 1, 1437372, 362, 0x07da5167318e89c6),
+    (Bench::Susan, "bagle_x8", 1, 1792276, 898, 0xcb0db15e005fcf7d),
+    (Bench::Fft, "bagle_x8", 1, 26100, 262, 0x9f814f6cfa3a0cf6),
+    (Bench::Trapez, "bagle_x8", 3, 2415494, 12337, 0x8dbd179c2660ee26),
+    (Bench::Trapez, "x86_x8", 1, 810565, 4123, 0x5109f533eb11a81b),
+    (Bench::Mmult, "x86_x8", 1, 333402, 1177, 0x6b98732c1666c44a),
+    (Bench::Qsort, "x86_x8", 1, 1594040, 362, 0x1108ab94f76e3903),
+    (Bench::Susan, "x86_x8", 1, 1839257, 898, 0x7aca54fc87a549df),
+    (Bench::Fft, "x86_x8", 1, 34126, 262, 0x84b5aa1378a2c743),
+    (Bench::Trapez, "x86_x8", 3, 2424683, 12337, 0x467d19212593c6e5),
+    (Bench::Trapez, "sparc_t3_4_x64", 1, 120955, 4235, 0x032d829f0c65297d),
+    (Bench::Mmult, "sparc_t3_4_x64", 1, 159168, 1289, 0x744ce23fc8298f6e),
+    (Bench::Qsort, "sparc_t3_4_x64", 1, 1421665, 1063, 0x98db79b1aaa3a03d),
+    (Bench::Susan, "sparc_t3_4_x64", 1, 438490, 1010, 0x975b28536fa84e8b),
+    (Bench::Fft, "sparc_t3_4_x64", 1, 36159, 374, 0xcdcefa9be954e648),
+    (Bench::Trapez, "sparc_t3_4_x64", 3, 361568, 12449, 0x6f6134fdb1d20696),
 ];
 
 #[test]

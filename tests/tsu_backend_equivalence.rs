@@ -33,10 +33,11 @@ fn direct(steal: bool) -> TsuConfig {
     }
 }
 
-/// The same with completion funnels enabled: kernels (soft) and cores
-/// (hard) accumulate App completions locally and flush them as batches.
-/// Batching collapses physical RMWs but must not change the completion
-/// multiset or the logical decrement ledger.
+/// The same with completion funnels enabled: the soft kernels accumulate
+/// App completions locally and flush them as batches. Batching collapses
+/// physical RMWs but must not change the completion multiset or the
+/// logical decrement ledger. (The simulated device has no funnel, so only
+/// the soft path reads this.)
 fn batched(steal: bool) -> TsuConfig {
     TsuConfig {
         flush: FlushPolicy::Batch { size: FUNNEL_BATCH },
@@ -154,7 +155,7 @@ fn assert_equivalent(bench: Bench) {
         "{name}: the reference did not drain the program"
     );
     for steal in [false, true] {
-        // the two concurrent paths, funnel-free and funnel-enabled, all
+        // the two concurrent paths, the soft one also funnel-enabled, all
         // held to the one funnel-free, steal-free sequential baseline:
         // batching and stealing are implementation details of the
         // completion and fetch hot paths, not semantic changes
@@ -162,7 +163,6 @@ fn assert_equivalent(bench: Bench) {
         soft_outcome(&program, direct(steal)).assert_matches(&seq, &at("soft"));
         hard_outcome(&program, direct(steal)).assert_matches(&seq, &at("hard"));
         soft_outcome(&program, batched(steal)).assert_matches(&seq, &at("funneled soft"));
-        hard_outcome(&program, batched(steal)).assert_matches(&seq, &at("funneled hard"));
     }
 }
 
