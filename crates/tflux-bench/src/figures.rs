@@ -309,27 +309,34 @@ pub fn tsu_groups_scaling(quick: bool) -> Vec<(u32, u64, u64)> {
 /// **§6.1.2 exploration** — QSORT merge-tree depth: "Trees of bigger depth
 /// would result in higher parallelism but may not be always beneficial as
 /// the number of steps would increase as well." Sweeps the pair-merge
-/// depth at 27 kernels, Large size. Returns `(depth, speedup)`.
+/// depth at 27 kernels; depth 1 is Fig. 5's QSORT point. Returns
+/// `(depth, Small speedup, Large speedup)`.
 pub fn qsort_tree_depth(quick: bool) -> Vec<(u32, f64, f64)> {
-    use tflux_workloads::qsort;
     let depths: &[u32] = if quick {
         &[0, 2, 6]
     } else {
         &[0, 1, 2, 3, 4, 5, 6]
     };
-    let m = hard_machine(27);
-    let point = |size: SizeClass, d: u32| {
-        let p = Params::hard(27, 1, size);
-        let (sprog, ssrc) = sim_baseline(Bench::Qsort, &p);
-        let seq = m.run_sequential(&sprog, ssrc.as_ref());
-        let (prog, ids) = qsort::program_with_depth(&p, d);
-        let src = qsort::tree_model(&p, ids);
-        m.run(&prog, &src).expect("sim run").speedup_over(&seq)
-    };
     depths
         .iter()
-        .map(|&d| (d, point(SizeClass::Small, d), point(SizeClass::Large, d)))
+        .map(|&d| {
+            let point = |size| qsort_tree_point(size, d);
+            (d, point(SizeClass::Small), point(SizeClass::Large))
+        })
         .collect()
+}
+
+/// QSORT's Fig. 5 configuration at 27 kernels and `size`, with a merge
+/// tree of `depth`: its speedup over the sequential baseline.
+fn qsort_tree_point(size: SizeClass, depth: u32) -> f64 {
+    use tflux_workloads::qsort;
+    let m = hard_machine(27);
+    let p = with_default_unroll(Bench::Qsort, Params::hard(27, 0, size));
+    let (sprog, ssrc) = sim_baseline(Bench::Qsort, &p);
+    let seq = m.run_sequential(&sprog, ssrc.as_ref());
+    let (prog, ids) = qsort::program_with_depth(&p, depth);
+    let src = qsort::model(&p, ids);
+    m.run(&prog, &src).expect("sim run").speedup_over(&seq)
 }
 
 /// **§6.1.2 cross-check** — "The same benchmarks have been executed on a
@@ -553,6 +560,15 @@ mod tests {
         let soft1 = pts.iter().find(|p| p.0 == "soft" && p.1 == 1).unwrap().2;
         let soft64 = pts.iter().find(|p| p.0 == "soft" && p.1 == 64).unwrap().2;
         assert!(soft64 > 3.0 * soft1, "{soft1} vs {soft64}");
+    }
+
+    #[test]
+    fn qsort_tree_depth_one_is_the_fig5_point() {
+        for size in [SizeClass::Small, SizeClass::Large] {
+            let p = with_default_unroll(Bench::Qsort, Params::hard(27, 0, size));
+            let fig5 = sim_point(Bench::Qsort, &hard_machine(27), &p).speedup;
+            assert_eq!(qsort_tree_point(size, 1), fig5, "{size:?}");
+        }
     }
 
     #[test]

@@ -26,7 +26,7 @@
 use crate::json::{Json, ToJson};
 use std::time::Instant;
 use tflux_core::prelude::*;
-use tflux_core::{Epoch, SyncMemory};
+use tflux_core::{Epoch, SyncMemory, FUNNEL_BATCH};
 use tflux_sim::MachineConfig;
 use tflux_workloads::Bench;
 
@@ -34,8 +34,6 @@ use tflux_workloads::Bench;
 pub const ARITY: u32 = 4096;
 /// Kernel counts the funnel, streaming and steal rows sweep.
 pub const KERNELS: [u32; 4] = [1, 2, 4, 8];
-/// Completions per funnel flush in the reduction scenario.
-pub const FUNNEL_BATCH: usize = 8;
 /// Consecutive passes per context in the streaming scenario.
 pub const STREAM_EPOCHS: u64 = 8;
 /// Fanout width of the work-stealing scenarios (simulated, so it need
@@ -666,7 +664,8 @@ impl ToJson for FunnelRow {
     }
 }
 
-/// One funnel-off vs funnel-on measurement of `reduction(ARITY)`:
+/// One funnel-off vs funnel-on measurement of `reduction(ARITY)`, on at
+/// the batch size the platforms ship ([`FUNNEL_BATCH`]):
 /// deterministic round-robin interleaving, best-of-`RUNS` wall clock.
 /// Panics if batching changes the logical work.
 pub fn funnel_row(kernels: u32) -> FunnelRow {

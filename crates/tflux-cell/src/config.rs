@@ -14,7 +14,7 @@ pub struct CellConfig {
     /// Local Store bytes per SPE.
     pub ls_bytes: u64,
     /// Configuration handed to the PPE-side TSU emulator (capacity,
-    /// scheduling policy, completion-funnel flush policy).
+    /// stealing, epoch window).
     pub tsu: TsuConfig,
 }
 
@@ -50,8 +50,8 @@ impl CellConfig {
         self
     }
 
-    /// Override the PPE-side TSU emulator configuration (e.g. to enable
-    /// completion funnels with [`tflux_core::FlushPolicy::Batch`]).
+    /// Override the PPE-side TSU emulator configuration (e.g. to bound
+    /// its capacity or credit window).
     pub fn with_tsu(mut self, tsu: TsuConfig) -> Self {
         self.tsu = tsu;
         self

@@ -25,8 +25,8 @@ use crate::config::{CellConfig, CMD_LAT, MAILBOX_LAT, POLL_SCAN, PPE_OP};
 use crate::report::CellReport;
 use crate::work::{CellWork, CellWorkSource};
 use tflux_core::{
-    drain_sequential, CompletionFunnel, DdmProgram, Epoch, FetchResult, Instance, KernelId, Tsu,
-    TsuConfig,
+    drain_sequential, funnel_batch, CompletionFunnel, DdmProgram, Epoch, FetchResult, Instance,
+    KernelId, Tsu, TsuConfig,
 };
 use tflux_sim::EventQueue;
 
@@ -140,12 +140,23 @@ impl CellMachine {
         program: &DdmProgram,
         source: &dyn CellWorkSource,
     ) -> Result<CellReport, CellError> {
+        let batch = funnel_batch(program, self.cfg.spes.max(1));
+        self.run_funneled(program, source, batch)
+    }
+
+    /// [`run`](Self::run) with the PPE emulator's completion funnel of
+    /// batch size `batch`: above 1, App commands park there and
+    /// post-process as one batch (one `PPE_OP` charge per flush instead of
+    /// per command).
+    fn run_funneled(
+        &self,
+        program: &DdmProgram,
+        source: &dyn CellWorkSource,
+        batch: usize,
+    ) -> Result<CellReport, CellError> {
         let spes = self.cfg.spes.max(1);
         let tsu = Tsu::new(program, spes, self.cfg.tsu);
-        // the PPE emulator's completion funnel: under a batching flush
-        // policy, App commands park here and post-process as one batch
-        // (one `PPE_OP` charge per flush instead of per command)
-        let mut funnel = CompletionFunnel::new(tsu.flush_policy());
+        let mut funnel = CompletionFunnel::new(batch);
         let mut spelist: Vec<Spe> = (0..spes)
             .map(|_| Spe {
                 waiting_since: Some(0),
@@ -369,6 +380,7 @@ mod tests {
     use super::*;
     use crate::work::{FnCellWork, UniformCellWork};
     use tflux_core::prelude::*;
+    use tflux_core::FUNNEL_BATCH;
 
     fn fork_join(arity: u32) -> DdmProgram {
         let mut b = ProgramBuilder::new();
@@ -487,21 +499,15 @@ mod tests {
     fn funneled_ppe_batches_post_processing() {
         let p = fork_join(64);
         let src = app_work(10_000, 1024, 512);
-        // pin the baseline: the default `FlushPolicy::Auto` would batch
-        // this hot-sink program on its own, which is exactly the contrast
-        // this test wants to measure
-        let direct = CellMachine::new(CellConfig::ps3().with_tsu(TsuConfig {
-            flush: FlushPolicy::Direct,
-            ..TsuConfig::default()
-        }))
-        .run(&p, &src)
-        .unwrap();
-        let batched = CellMachine::new(CellConfig::ps3().with_tsu(TsuConfig {
-            flush: FlushPolicy::Batch { size: 8 },
-            ..TsuConfig::default()
-        }))
-        .run(&p, &src)
-        .unwrap();
+        let m = CellMachine::new(CellConfig::ps3());
+        // this hot-sink program batches on its own; the direct path is the
+        // contrast
+        let batched = m.run(&p, &src).unwrap();
+        assert_eq!(
+            format!("{batched:?}"),
+            format!("{:?}", m.run_funneled(&p, &src, FUNNEL_BATCH).unwrap())
+        );
+        let direct = m.run_funneled(&p, &src, 1).unwrap();
         // identical logical outcome...
         assert_eq!(batched.instances, direct.instances);
         assert_eq!(batched.tsu.completions, direct.tsu.completions);

@@ -127,24 +127,22 @@ pub(crate) fn topo_order(program: &DdmProgram, threads: &[ThreadId]) -> Vec<Thre
 /// `min_fan_in` — the hot sinks of the program's reduction arcs, returned
 /// with their fan-in (thread-major, context-minor order).
 ///
-/// `FlushPolicy::Auto` uses this to decide whether completions go through
-/// per-kernel funnels: with `min_fan_in = kernels`, a hit means some slot
-/// will absorb updates from (at least) every kernel, so the sink's cache
-/// line is worth funneling.
-pub(crate) fn hot_sinks(program: &DdmProgram, min_fan_in: u32) -> Vec<(Instance, u32)> {
-    let mut out = Vec::new();
-    for (t, spec) in program.threads().iter().enumerate() {
-        if spec.kind != ThreadKind::App {
-            continue;
-        }
+/// [`funnel_batch`](crate::funnel_batch) uses this to decide whether
+/// completions go through batching funnels: with `min_fan_in = kernels`, a
+/// hit means some slot will absorb updates from (at least) every kernel,
+/// so the sink's cache line is worth funneling.
+pub(crate) fn hot_sinks(
+    program: &DdmProgram,
+    min_fan_in: u32,
+) -> impl Iterator<Item = (Instance, u32)> + '_ {
+    let threads = program.threads().iter().enumerate();
+    let app = threads.filter(|(_, spec)| spec.kind == ThreadKind::App);
+    app.flat_map(move |(t, _)| {
         let t = ThreadId(t as u32);
-        for (c, &rc) in program.initial_rcs(t).iter().enumerate() {
-            if rc >= min_fan_in {
-                out.push((Instance::new(t, Context(c as u32)), rc));
-            }
-        }
-    }
-    out
+        let rcs = program.initial_rcs(t).iter().enumerate();
+        rcs.filter(move |&(_, &rc)| rc >= min_fan_in)
+            .map(move |(c, &rc)| (Instance::new(t, Context(c as u32)), rc))
+    })
 }
 
 /// Render the synchronization graph in Graphviz DOT format.
@@ -488,13 +486,13 @@ mod tests {
     fn hot_sinks_find_the_reduction_target() {
         let p = fork_join(10);
         // the sink absorbs 10 reduction updates; src/work have fan-in <= 1
-        let sinks = hot_sinks(&p, 4);
+        let sinks: Vec<_> = hot_sinks(&p, 4).collect();
         assert_eq!(sinks.len(), 1);
         let (inst, fan_in) = sinks[0];
         assert_eq!(p.thread(inst.thread).name, "sink");
         assert_eq!(fan_in, 10);
         // a high enough threshold finds nothing; inlets/outlets never count
-        assert!(hot_sinks(&p, 11).is_empty());
+        assert!(hot_sinks(&p, 11).next().is_none());
     }
 
     #[test]

@@ -82,9 +82,9 @@ pub use rng::{cases, mix, random_program, SplitMix64};
 pub use thread::{Affinity, ThreadKind, ThreadSpec};
 pub use trace::{ExecTrace, Span};
 pub use tsu::{
-    drain_sequential, CompletionFunnel, EventCount, FetchResult, FlushPolicy, GraphMemory,
+    drain_sequential, funnel_batch, CompletionFunnel, EventCount, FetchResult, GraphMemory,
     ProgramHandle, ReadyQueue, ShardStats, Steal, StealDeque, SyncMemory, Tsu, TsuConfig, TsuStats,
-    WaitingInstance,
+    WaitingInstance, FUNNEL_BATCH,
 };
 pub use unroll::Unroll;
 
@@ -93,7 +93,7 @@ pub mod prelude {
     #[doc(no_inline)]
     pub use crate::{
         Affinity, ArcMapping, BlockId, CompletionFunnel, Context, CoreError, DdmBlock, DdmProgram,
-        FetchResult, FlushPolicy, Instance, KernelId, ProgramBuilder, ProgramHandle, ProgramId,
-        ThreadId, ThreadKind, ThreadSpec, Tsu, TsuConfig,
+        FetchResult, Instance, KernelId, ProgramBuilder, ProgramHandle, ProgramId, ThreadId,
+        ThreadKind, ThreadSpec, Tsu, TsuConfig,
     };
 }

@@ -89,8 +89,8 @@ pub fn cases(n: u32, mut property: impl FnMut(&mut SplitMix64)) {
 /// Each of its 1–3 blocks holds:
 ///
 /// * a `src → wide → sink` spine through Broadcast and Reduction arcs,
-///   `wide` drawn from `kernels..=4·kernels`, so a multi-kernel run under
-///   `FlushPolicy::Auto` meets a hot sink;
+///   `wide` drawn from `kernels..=4·kernels`, so a multi-kernel run meets
+///   a hot sink and its funnels batch ([`funnel_batch`](crate::funnel_batch));
 /// * 0–4 side threads of arity 1, `wide` or 1–8, each fed from a random
 ///   earlier thread of its block and, half the time, from a second,
 ///   distinct one: a join, whose ready counts sum several producers. Each
@@ -178,7 +178,7 @@ mod tests {
             let p = random_program(rng, kernels);
             assert!(p.total_instances() <= max_instances(kernels));
             multi_block |= p.blocks().len() > 1;
-            hot_at_two |= !hot_sinks(&p, 2).is_empty();
+            hot_at_two |= hot_sinks(&p, 2).next().is_some();
             for (t, spec) in p.threads().iter().enumerate() {
                 affinities.push(discriminant(&spec.affinity));
                 join |= spec.kind == ThreadKind::App && p.producers(ThreadId(t as u32)).len() >= 2;

@@ -6,76 +6,7 @@
 //! `TsuStats` from the threaded runtime, the simulated hardware TSU and
 //! the Cell machine mean the same thing field for field.
 
-use crate::graph::hot_sinks;
 use crate::ids::Instance;
-use crate::program::DdmProgram;
-
-/// When a kernel's completion funnel hands its accumulated ready-count
-/// decrements to the Synchronization Memory.
-///
-/// `Direct` applies every App completion's Post-Processing Phase
-/// immediately, one `fetch_sub(1)` per consumer slot. `Batch` defers App
-/// completions into a per-kernel
-/// [`CompletionFunnel`](super::CompletionFunnel) and flushes them as one
-/// combined update per slot — at the batch size, at a fetch that would
-/// otherwise block (`Wait`), at a block transition (Inlet/Outlet
-/// completions are never batched), and at kernel exit. `Auto` (the
-/// default) picks between them at construction by inspecting the program:
-/// batching pays exactly when some reduction sink will absorb updates
-/// from every kernel.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub enum FlushPolicy {
-    /// Pick `Direct` or `Batch` from the program's sink fan-in at
-    /// construction ([`FlushPolicy::resolve`]). Explicitly configuring
-    /// `Direct` or `Batch` overrides the heuristic.
-    #[default]
-    Auto,
-    /// Apply every ready-count decrement as its completion arrives.
-    Direct,
-    /// Accumulate up to `size` App completions per kernel before flushing
-    /// them as one batched update (`size` is clamped to at least 1).
-    Batch {
-        /// Completions accumulated before an automatic flush.
-        size: u32,
-    },
-}
-
-/// Batch size `Auto` resolves to when the program has hot sinks.
-pub(super) const AUTO_BATCH_SIZE: u32 = 8;
-
-impl FlushPolicy {
-    /// The batch size under this policy: `None` for the direct path.
-    /// `Auto` reports `None` — resolve it first.
-    pub fn batch_size(self) -> Option<usize> {
-        match self {
-            FlushPolicy::Auto | FlushPolicy::Direct => None,
-            FlushPolicy::Batch { size } => Some(size.max(1) as usize),
-        }
-    }
-
-    /// Resolve `Auto` against a concrete program and kernel count:
-    /// batching turns on iff more than one kernel will feed some sink
-    /// whose fan-in is at least the kernel count (a
-    /// `hot_sinks` hit means the sink's cache
-    /// line is worth funneling). Explicit `Direct`/`Batch` pass through
-    /// unchanged, so the knob still overrides the heuristic. Platforms
-    /// call this once at construction; the resolved policy never contains
-    /// `Auto`.
-    pub fn resolve(self, program: &DdmProgram, kernels: u32) -> FlushPolicy {
-        match self {
-            FlushPolicy::Auto => {
-                if kernels > 1 && !hot_sinks(program, kernels).is_empty() {
-                    FlushPolicy::Batch {
-                        size: AUTO_BATCH_SIZE,
-                    }
-                } else {
-                    FlushPolicy::Direct
-                }
-            }
-            explicit => explicit,
-        }
-    }
-}
 
 /// Configuration of a TSU instance.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -89,10 +20,6 @@ pub struct TsuConfig {
     /// queue first (§3.1, spatial locality); victims are probed one random
     /// sibling first, then longest queue first.
     pub steal: bool,
-    /// Completion-funnel flush policy (default: `Auto`, which resolves to
-    /// `Batch` when the program has hot reduction sinks and `Direct`
-    /// otherwise; explicit `Direct`/`Batch` override the heuristic).
-    pub flush: FlushPolicy,
     /// Epoch credit window: maximum streaming passes in flight at once
     /// (opened but not yet retired). `0` means unwindowed — `open_epoch`
     /// never blocks on credits. One-shot programs never notice this knob:
@@ -101,13 +28,12 @@ pub struct TsuConfig {
 }
 
 impl Default for TsuConfig {
-    /// Unlimited capacity, stealing on, `Auto` flush, no credit window.
+    /// Unlimited capacity, stealing on, no credit window.
     /// Hand-written because the derived one would turn stealing off.
     fn default() -> Self {
         TsuConfig {
             capacity: 0,
             steal: true,
-            flush: FlushPolicy::Auto,
             window: 0,
         }
     }
@@ -124,7 +50,7 @@ pub struct TsuStats {
     pub completions: u64,
     /// Logical ready-count decrements performed during post-processing.
     /// Batched flushes count every combined decrement here, so this is
-    /// invariant under [`FlushPolicy`] and comparable across platforms.
+    /// invariant under completion funnels and comparable across platforms.
     pub rc_updates: u64,
     /// Physical atomic read-modify-writes issued against ready-count
     /// slots. Equal to `rc_updates` on the direct path; batching makes it

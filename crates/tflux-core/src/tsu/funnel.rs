@@ -9,27 +9,48 @@
 //! them over as one batch ([`Tsu::complete_batch`]), so the sink sees one
 //! `fetch_sub(n)` per flush instead of n separate RMWs.
 //!
+//! Whether a run batches at all is read off the program, once, by
+//! [`funnel_batch`]: combining pays exactly when some reduction sink will
+//! absorb updates from every kernel. `Runtime::run`'s kernels, the Cell PPE
+//! and [`drain_sequential`](super::drain_sequential) build their funnels
+//! from it; a funnel of batch size 1 is the direct path.
+//!
 //! [`CompletionFunnel::complete`] is the rule itself: an App completion
 //! parks when the funnel batches and flushes the funnel when it is full;
-//! anything else flushes the funnel, then completes directly. The threaded
-//! runtime's kernels and the Cell PPE call it; the PPE charges each
-//! Synchronization Memory operation it reports. All protocol knowledge
-//! (state transitions, combining, the n→0 publication rule) lives behind
-//! [`Tsu`].
+//! anything else flushes the funnel, then completes directly. The PPE
+//! charges each Synchronization Memory operation it reports. All protocol
+//! knowledge (state transitions, combining, the n→0 publication rule)
+//! lives behind [`Tsu`].
 
 use crate::error::CoreError;
+use crate::graph::hot_sinks;
 use crate::ids::{Epoch, Instance, KernelId};
+use crate::program::DdmProgram;
 use crate::thread::ThreadKind;
 
-use super::config::FlushPolicy;
 use super::gm::ProgramHandle;
 use super::Tsu;
 
+/// Completions per automatic flush of a batching funnel.
+pub const FUNNEL_BATCH: usize = 8;
+
+/// The batch size of the funnels that run `program` on `kernels` kernels:
+/// [`FUNNEL_BATCH`] when more than one kernel will feed some sink whose
+/// fan-in is at least the kernel count (that sink's cache line is worth
+/// funneling), 1 — the direct path — otherwise.
+pub fn funnel_batch(program: &DdmProgram, kernels: u32) -> usize {
+    if kernels > 1 && hot_sinks(program, kernels).next().is_some() {
+        FUNNEL_BATCH
+    } else {
+        1
+    }
+}
+
 /// Per-kernel accumulator of App completions awaiting a batched flush.
 ///
-/// Under [`FlushPolicy::Direct`] the funnel never accumulates. Under
-/// [`FlushPolicy::Batch`] App completions park until the batch size is
-/// reached — and the *kernel* must also [`flush`](Self::flush) at any
+/// At batch size 1 the funnel never accumulates. Above it App
+/// completions park until the batch size is reached — and the *kernel*
+/// must also [`flush`](Self::flush) at any
 /// point where it might block or give up the CPU (a fetch that returns
 /// `Wait`, loop exit), or the deferred decrements would deadlock the very
 /// consumers the kernel is waiting on. Block transitions flush inside
@@ -51,9 +72,10 @@ pub struct CompletionFunnel {
 }
 
 impl CompletionFunnel {
-    /// A funnel obeying `policy`.
-    pub fn new(policy: FlushPolicy) -> Self {
-        let batch = policy.batch_size().unwrap_or(1);
+    /// A funnel that flushes every `batch` App completions (clamped to
+    /// ≥ 1; 1 completes each on its own).
+    pub fn new(batch: usize) -> Self {
+        let batch = batch.max(1);
         CompletionFunnel {
             pending: Vec::with_capacity(batch),
             epoch: Epoch(0),
@@ -140,7 +162,7 @@ mod tests {
     use super::*;
     use crate::ids::ThreadId;
     use crate::mapping::ArcMapping;
-    use crate::program::{DdmProgram, ProgramBuilder};
+    use crate::program::ProgramBuilder;
     use crate::thread::ThreadSpec;
     use crate::tsu::{FetchResult, TsuConfig};
 
@@ -153,17 +175,10 @@ mod tests {
         b.build().unwrap()
     }
 
-    /// A one-kernel TSU for `wide_reduction(arity)` under `flush`, with its
-    /// inlet completed: every work instance is ready.
-    fn loaded(p: &DdmProgram, flush: FlushPolicy) -> Tsu<&DdmProgram> {
-        let tsu = Tsu::new(
-            p,
-            1,
-            TsuConfig {
-                flush,
-                ..TsuConfig::default()
-            },
-        );
+    /// A one-kernel TSU for `wide_reduction(arity)`, with its inlet
+    /// completed: every work instance is ready.
+    fn loaded(p: &DdmProgram) -> Tsu<&DdmProgram> {
+        let tsu = Tsu::new(p, 1, TsuConfig::default());
         let FetchResult::Thread(inlet, ep) = tsu.fetch(KernelId(0)).unwrap() else {
             panic!("inlet not ready");
         };
@@ -184,21 +199,37 @@ mod tests {
     }
 
     #[test]
+    fn the_batch_is_read_off_the_program() {
+        // a sink fed by at least every kernel, on two or more kernels
+        let hot = wide_reduction(8);
+        assert_eq!(funnel_batch(&hot, 2), FUNNEL_BATCH);
+        assert_eq!(funnel_batch(&hot, 8), FUNNEL_BATCH);
+        // one kernel: nothing to combine
+        assert_eq!(funnel_batch(&hot, 1), 1);
+        // no sink with fan-in ≥ kernels: nothing worth combining
+        assert_eq!(funnel_batch(&hot, 9), 1);
+        let mut b = ProgramBuilder::new();
+        let blk = b.block();
+        b.thread(blk, ThreadSpec::new("w", 8));
+        assert_eq!(funnel_batch(&b.build().unwrap(), 2), 1);
+    }
+
+    #[test]
     fn direct_policy_completes_every_instance_on_its_own() {
-        for flush in [FlushPolicy::Direct, FlushPolicy::Batch { size: 0 }] {
+        for batch in [1, 0] {
             let p = wide_reduction(2);
-            let tsu = loaded(&p, flush);
-            let mut f = CompletionFunnel::new(flush);
+            let tsu = loaded(&p);
+            let mut f = CompletionFunnel::new(batch);
             assert_eq!(step(&tsu, &mut f).1, (1, 0));
-            assert!(f.is_empty(), "{flush:?} must never park");
+            assert!(f.is_empty(), "batch {batch} must never park");
         }
     }
 
     #[test]
     fn batch_policy_parks_until_full_then_flushes_once() {
         let p = wide_reduction(3);
-        let tsu = loaded(&p, FlushPolicy::Batch { size: 3 });
-        let mut f = CompletionFunnel::new(FlushPolicy::Batch { size: 3 });
+        let tsu = loaded(&p);
+        let mut f = CompletionFunnel::new(3);
         assert_eq!(step(&tsu, &mut f).1, (0, 0));
         assert_eq!(step(&tsu, &mut f).1, (0, 0));
         assert_eq!(f.pending.len(), 2);
@@ -210,8 +241,8 @@ mod tests {
     #[test]
     fn parked_completions_gate_the_block_transition() {
         let p = wide_reduction(4);
-        let tsu = loaded(&p, FlushPolicy::Batch { size: 8 });
-        let mut f = CompletionFunnel::new(FlushPolicy::Batch { size: 8 });
+        let tsu = loaded(&p);
+        let mut f = CompletionFunnel::new(FUNNEL_BATCH);
         let mut ready = Vec::new();
         for _ in 0..4 {
             assert_eq!(step(&tsu, &mut f).1, (0, 0));

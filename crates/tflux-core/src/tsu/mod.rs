@@ -33,8 +33,8 @@ mod gm;
 mod queue;
 mod sync;
 
-pub use config::{FlushPolicy, ShardStats, TsuConfig, TsuStats, WaitingInstance};
-pub use funnel::CompletionFunnel;
+pub use config::{ShardStats, TsuConfig, TsuStats, WaitingInstance};
+pub use funnel::{funnel_batch, CompletionFunnel, FUNNEL_BATCH};
 pub use gm::{GraphMemory, ProgramHandle};
 pub use queue::{EventCount, FetchResult, ReadyQueue, Steal, StealDeque};
 pub use sync::SyncMemory;
@@ -109,7 +109,6 @@ pub struct Tsu<P: ProgramHandle> {
     threaded: bool,
     /// Whether a kernel whose own queue misses probes its siblings.
     steal: bool,
-    flush: FlushPolicy,
     /// The one victim-draw stream of this TSU, seeded from the kernel
     /// count: single-owner runs replay exactly. Concurrent thieves may
     /// interleave their load/store pairs and draw the same victim, which
@@ -148,7 +147,6 @@ impl<P: ProgramHandle> Tsu<P> {
         let gm = sm.graph();
         let kernels = gm.kernels();
         let tsu = Tsu {
-            flush: config.flush.resolve(gm.program(), kernels),
             gm,
             sm,
             queues: (0..kernels).map(|_| ReadyQueue::new()).collect(),
@@ -185,19 +183,6 @@ impl<P: ProgramHandle> Tsu<P> {
     /// forensics read the depths.
     pub fn queues(&self) -> &[ReadyQueue] {
         &self.queues
-    }
-
-    /// Whether idle kernels steal from sibling queue units.
-    pub fn stealing(&self) -> bool {
-        self.steal
-    }
-
-    /// The *resolved* completion-funnel flush policy (`Auto` is resolved
-    /// against the program's sink fan-in at construction, so this is
-    /// always `Direct` or `Batch`). Platforms build their per-kernel
-    /// funnels from it.
-    pub fn flush_policy(&self) -> FlushPolicy {
-        self.flush
     }
 
     /// The epoch currently executing.
@@ -466,8 +451,9 @@ impl<P: ProgramHandle> Tsu<P> {
 
 /// Drive a TSU to completion single-threadedly, round-robining fetches over
 /// the kernels; returns the execution order. Each kernel completes through
-/// its own [`CompletionFunnel`] under the TSU's flush policy and flushes
-/// it before it concedes a `Wait`, the rule the threaded runtime follows.
+/// its own [`CompletionFunnel`], batching as [`funnel_batch`] reads the
+/// program, and flushes it before it concedes a `Wait`: the rule the
+/// threaded runtime follows.
 /// A protocol error ends the drain; so does a full round of kernels all
 /// answering `Wait` with nothing to flush ([`CoreError::Deadlock`]), which
 /// a validated program cannot produce.
@@ -475,10 +461,16 @@ impl<P: ProgramHandle> Tsu<P> {
 /// This is the reference executor used by tests, the benches and the
 /// graph-analysis tooling; platforms implement their own drivers.
 pub fn drain_sequential<P: ProgramHandle>(tsu: &Tsu<P>) -> Result<Vec<Instance>, CoreError> {
+    drain_funneled(tsu, funnel_batch(tsu.program(), tsu.kernels()))
+}
+
+/// [`drain_sequential`] through funnels of batch size `batch`.
+fn drain_funneled<P: ProgramHandle>(
+    tsu: &Tsu<P>,
+    batch: usize,
+) -> Result<Vec<Instance>, CoreError> {
     let kernels = tsu.kernels();
-    let mut funnels: Vec<_> = (0..kernels)
-        .map(|_| CompletionFunnel::new(tsu.flush_policy()))
-        .collect();
+    let mut funnels: Vec<_> = (0..kernels).map(|_| CompletionFunnel::new(batch)).collect();
     let mut order = Vec::with_capacity(tsu.graph().program().total_instances());
     let mut scratch = Vec::new();
     let (mut k, mut idle) = (0u32, 0u32);
@@ -508,7 +500,6 @@ pub fn drain_sequential<P: ProgramHandle>(tsu: &Tsu<P>) -> Result<Vec<Instance>,
 
 #[cfg(test)]
 mod tests {
-    use super::config::AUTO_BATCH_SIZE;
     use super::*;
     use crate::ids::Context;
     use crate::mapping::ArcMapping;
@@ -707,7 +698,7 @@ mod tests {
                 ..Default::default()
             },
         );
-        assert!(!tsu.stealing());
+        assert!(!tsu.steal);
         let FetchResult::Thread(inlet, ep) = tsu.fetch(KernelId(0)).unwrap() else {
             panic!()
         };
@@ -721,9 +712,9 @@ mod tests {
         // a derived `Default` would silently turn stealing off
         assert!(TsuConfig::default().steal);
         let p = fork_join(2, 1);
-        assert!(Tsu::new(&p, 2, TsuConfig::default()).stealing());
+        assert!(Tsu::new(&p, 2, TsuConfig::default()).steal);
         assert!(
-            !Tsu::new(&p, 1, TsuConfig::default()).stealing(),
+            !Tsu::new(&p, 1, TsuConfig::default()).steal,
             "nobody to steal from"
         );
     }
@@ -731,12 +722,8 @@ mod tests {
     #[test]
     fn stats_count_operations() {
         let p = fork_join(4, 2);
-        let direct = TsuConfig {
-            flush: FlushPolicy::Direct,
-            ..TsuConfig::default()
-        };
-        let tsu = Tsu::new(&p, 2, direct);
-        drain_sequential(&tsu).unwrap();
+        let tsu = Tsu::new(&p, 2, TsuConfig::default());
+        drain_funneled(&tsu, 1).unwrap();
         let s = tsu.stats();
         assert_eq!(s.completions as usize, p.total_instances());
         assert_eq!(s.fetches as usize, p.total_instances());
@@ -765,21 +752,17 @@ mod tests {
     #[test]
     fn batched_drain_matches_direct_counters() {
         let p = fork_join(8, 2);
-        let drained = |flush| {
-            let tsu = Tsu::new(
-                &p,
-                2,
-                TsuConfig {
-                    flush,
-                    ..TsuConfig::default()
-                },
+        let drained = |batch| {
+            let tsu = Tsu::new(&p, 2, TsuConfig::default());
+            assert_eq!(
+                drain_funneled(&tsu, batch).unwrap().len(),
+                p.total_instances()
             );
-            assert_eq!(drain_sequential(&tsu).unwrap().len(), p.total_instances());
             tsu.stats()
         };
         // the same program, once with every App completion funneled
-        let d = drained(FlushPolicy::Direct);
-        let b = drained(FlushPolicy::Batch { size: 4 });
+        let d = drained(1);
+        let b = drained(4);
         // conservation: batching changes *when* decrements land, not how
         // many, and the physical RMW count shrinks
         assert_eq!(b.rc_updates, d.rc_updates);
@@ -1127,31 +1110,5 @@ mod tests {
         assert_eq!(tsu.graph().owner_of(outlet), KernelId(0));
         assert_eq!(tsu.queues[0].len(), 1);
         assert_eq!((rings(0), rings(1)), (1, 3));
-    }
-
-    #[test]
-    fn auto_flush_resolves_from_the_program() {
-        // hot reduction sink + multiple kernels: Auto turns batching on
-        let p = fork_join(8, 1);
-        let tsu = Tsu::new(&p, 2, TsuConfig::default());
-        assert_eq!(
-            tsu.flush_policy(),
-            FlushPolicy::Batch {
-                size: AUTO_BATCH_SIZE
-            }
-        );
-        // one kernel: nothing to combine, Auto stays direct
-        let tsu = Tsu::new(&p, 1, TsuConfig::default());
-        assert_eq!(tsu.flush_policy(), FlushPolicy::Direct);
-        // an explicit policy overrides the heuristic
-        let tsu = Tsu::new(
-            &p,
-            2,
-            TsuConfig {
-                flush: FlushPolicy::Direct,
-                ..TsuConfig::default()
-            },
-        );
-        assert_eq!(tsu.flush_policy(), FlushPolicy::Direct);
     }
 }

@@ -29,8 +29,8 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 use tflux_core::{
-    CompletionFunnel, CoreError, Epoch, FetchResult, FlushPolicy, Instance, KernelId,
-    ProgramHandle, ThreadKind, Tsu,
+    CompletionFunnel, CoreError, Epoch, FetchResult, Instance, KernelId, ProgramHandle, ThreadKind,
+    Tsu,
 };
 
 /// Ring every kernel's bell: a kernel parked on its own queue wakes, and
@@ -66,8 +66,8 @@ pub(crate) fn add(counter: &AtomicU64, n: u64) {
 /// next. A pool kernel keeps one across all the arenas it serves.
 pub(crate) struct KernelCtx {
     kernel: KernelId,
-    /// App completions park here under [`FlushPolicy::Batch`] and reach
-    /// the SM as combined batches; inert under `Direct`.
+    /// App completions park here when the funnel batches and reach the SM
+    /// as combined batches; inert at batch size 1, as on a pool kernel.
     funnel: CompletionFunnel,
     scratch: Vec<Instance>,
     /// Fetches so far: the kernel-stall fault site's argument.
@@ -75,10 +75,11 @@ pub(crate) struct KernelCtx {
 }
 
 impl KernelCtx {
-    pub(crate) fn new(kernel: KernelId, flush: FlushPolicy) -> Self {
+    /// `kernel`'s state, completing through a funnel of batch size `batch`.
+    pub(crate) fn new(kernel: KernelId, batch: usize) -> Self {
         KernelCtx {
             kernel,
-            funnel: CompletionFunnel::new(flush),
+            funnel: CompletionFunnel::new(batch),
             scratch: Vec::new(),
             fetches: 0,
         }
@@ -747,7 +748,7 @@ mod tests {
         assert!(report.waiting.is_empty(), "{:?}", report.waiting);
         assert_eq!(report.queue_depths, vec![1]);
         // the verdict evicted the arena: a kernel arriving now is sent away
-        let mut ctx = KernelCtx::new(KernelId(0), FlushPolicy::Direct);
+        let mut ctx = KernelCtx::new(KernelId(0), 1);
         let fetched = arena.fetch(&mut ctx, &NoFaults).unwrap();
         assert_eq!(fetched, FetchResult::Exit);
     }

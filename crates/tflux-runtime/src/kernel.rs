@@ -123,16 +123,18 @@ pub(crate) fn execute_body<F: FaultInjector>(
 /// program finished or the arena was evicted — rings every bell so the
 /// parked kernels see it too, which "forces [every] Kernel to exit".
 /// `supervisor` is rung when the program finished or an error was latched,
-/// nothing else.
+/// nothing else. The kernel completes through a funnel of batch size
+/// `batch`.
 pub(crate) fn run_kernel<P: ProgramHandle, F: FaultInjector>(
     arena: &Arena<P>,
     kernel: KernelId,
+    batch: usize,
     bodies: &BodyTable<'_>,
     supervisor: &EventCount,
     injector: &F,
 ) {
     let tsu = &arena.soft;
-    let mut ctx = KernelCtx::new(kernel, tsu.flush_policy());
+    let mut ctx = KernelCtx::new(kernel, batch);
     let bell = tsu.queues()[kernel.idx()].bell();
     // the bell's epoch, read after a `Wait`: the next fetch is the look
     // that decides whether to park
@@ -194,12 +196,13 @@ mod tests {
         Arena::new(soft, RetryPolicy::default())
     }
 
-    /// `run_kernel` with no injected faults. Nobody supervises: a kernel
-    /// completes everything it runs, so the program ends on the kernels
-    /// alone.
+    /// `run_kernel` with no injected faults, batching as `Runtime::run`
+    /// does. Nobody supervises: a kernel completes everything it runs, so
+    /// the program ends on the kernels alone.
     fn run(arena: &Arena<&DdmProgram>, kernel: u32, bodies: &BodyTable<'_>) {
         let bell = EventCount::default();
-        run_kernel(arena, KernelId(kernel), bodies, &bell, &NoFaults);
+        let batch = tflux_core::funnel_batch(arena.soft.program(), arena.soft.kernels());
+        run_kernel(arena, KernelId(kernel), batch, bodies, &bell, &NoFaults);
     }
 
     #[test]
@@ -250,9 +253,8 @@ mod tests {
 
     #[test]
     fn funneled_kernels_drain_a_reduction_program() {
-        // wide reduction with the funnels on: batched flushes must still
+        // a wide reduction on two kernels batches: the flushes must still
         // drive the program to completion with exact counters
-        use tflux_core::FlushPolicy;
         let mut b = ProgramBuilder::new();
         let blk = b.block();
         let w = b.thread(blk, ThreadSpec::new("w", 32));
@@ -264,11 +266,7 @@ mod tests {
         bodies.set(w, |_| {
             count.fetch_add(1, Ordering::Relaxed);
         });
-        let tsu = TsuConfig {
-            flush: FlushPolicy::Batch { size: 8 },
-            ..TsuConfig::default()
-        };
-        let arena = arena(&p, 2, tsu);
+        let arena = arena(&p, 2, TsuConfig::default());
         std::thread::scope(|s| {
             s.spawn(|| run(&arena, 0, &bodies));
             run(&arena, 1, &bodies);
@@ -323,21 +321,20 @@ mod tests {
 
     #[test]
     fn a_lone_kernel_never_parks() {
-        // 30 producers under batches of 8 leave 6 parked at the last
-        // `Wait`: their flush readies the sink on this kernel's own queue,
-        // which rings nothing, so only the look after the flush finds it
+        // kernel 0 of 2 running alone: 30 producers under batches of 8
+        // leave 6 parked at the last `Wait`; their flush readies the sink
+        // (a scalar, so kernel 0's) on this kernel's own queue, which rings
+        // nothing, so only the look after the flush finds it
         let mut b = ProgramBuilder::new();
         let blk = b.block();
         let w = b.thread(blk, ThreadSpec::new("w", 30));
         let sink = b.thread(blk, ThreadSpec::scalar("sink"));
         b.arc(w, sink, ArcMapping::Reduction).unwrap();
         let p = b.build().unwrap();
-        let tsu = TsuConfig {
-            flush: tflux_core::FlushPolicy::Batch { size: 8 },
-            ..TsuConfig::default()
-        };
-        let runtime = crate::Runtime::new(crate::RuntimeConfig::with_kernels(1).tsu(tsu));
-        let report = runtime.run(&p, &BodyTable::new(&p)).unwrap();
+        let arena = arena(&p, 2, TsuConfig::default());
+        assert_eq!(tflux_core::funnel_batch(&p, 2), tflux_core::FUNNEL_BATCH);
+        run(&arena, 0, &BodyTable::new(&p));
+        let report = arena.report(Duration::ZERO);
         assert_eq!(report.total_executed() as usize, p.total_instances());
         assert!(
             report.tsu.rc_rmws < report.tsu.rc_updates,

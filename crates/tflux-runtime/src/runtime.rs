@@ -18,7 +18,9 @@ use crate::kernel::run_kernel;
 use crate::stats::{RunReport, StallReport};
 use crate::sync;
 use std::time::{Duration, Instant};
-use tflux_core::{CoreError, DdmProgram, EventCount, ExecTrace, KernelId, Tsu, TsuConfig};
+use tflux_core::{
+    funnel_batch, CoreError, DdmProgram, EventCount, ExecTrace, KernelId, Tsu, TsuConfig,
+};
 
 /// What a kernel does with a DThread body that panics.
 ///
@@ -72,7 +74,9 @@ impl RetryPolicy {
 pub struct RuntimeConfig {
     /// Number of kernel threads (execution nodes).
     pub kernels: u32,
-    /// TSU capacity, stealing, flush policy and epoch window.
+    /// TSU capacity, stealing and epoch window. Whether the kernels'
+    /// completion funnels batch is read off each program
+    /// ([`tflux_core::funnel_batch`]).
     pub tsu: TsuConfig,
     /// Abort the run if no DThread completes for this long.
     pub watchdog: Duration,
@@ -235,6 +239,7 @@ impl Runtime {
         // inlet.
         let soft = Tsu::threaded(program, kernels, self.config.tsu);
         let arena = Arena::new(soft, self.config.retry);
+        let batch = funnel_batch(program, kernels);
         let bell = EventCount::default();
         let mut watch = Watch::new(self.config.watchdog, None, 1);
         let start = Instant::now();
@@ -242,7 +247,7 @@ impl Runtime {
             let handles: Vec<_> = (0..kernels)
                 .map(|k| {
                     let (arena, bell) = (&arena, &bell);
-                    s.spawn(move || run_kernel(arena, KernelId(k), bodies, bell, injector))
+                    s.spawn(move || run_kernel(arena, KernelId(k), batch, bodies, bell, injector))
                 })
                 .collect();
             let verdict = loop {

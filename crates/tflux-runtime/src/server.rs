@@ -67,8 +67,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::time::Duration;
 use tflux_core::{
-    CoreError, DdmProgram, EventCount, FetchResult, FlushPolicy, Instance, KernelId, ProgramId,
-    Tsu, TsuConfig,
+    CoreError, DdmProgram, EventCount, FetchResult, Instance, KernelId, ProgramId, Tsu, TsuConfig,
 };
 
 /// Instances a weight-1 tenant may run in one turn of a pool kernel; a
@@ -89,9 +88,6 @@ pub struct ServerConfig {
     /// submitters depending on their [`Submit`] mode.
     pub queue_depth: usize,
     /// TSU capacity, stealing and epoch window of every tenant arena.
-    /// `flush` is not consulted: pool kernels keep no completion funnel
-    /// and publish every completion directly, so arenas are built with
-    /// [`FlushPolicy::Direct`].
     pub tsu: TsuConfig,
     /// Evict a tenant when none of its DThreads completes for this long.
     pub watchdog: Duration,
@@ -324,17 +320,7 @@ impl Tenant {
             faults,
             epochs,
         } = submission;
-        let soft = Tsu::threaded(
-            program,
-            cfg.kernels,
-            TsuConfig {
-                // pool kernels keep one inert funnel for all tenants;
-                // resolving `Auto` would scan the graph for hot sinks on
-                // every admission and report a policy nothing runs
-                flush: FlushPolicy::Direct,
-                ..cfg.tsu
-            },
-        );
+        let soft = Tsu::threaded(program, cfg.kernels, cfg.tsu);
         Tenant {
             id,
             weight,
@@ -607,7 +593,9 @@ fn run_pool_kernel(shared: &ServerShared, kernel: KernelId) {
     let mut snapshot: Vec<Arc<Tenant>> = Vec::new();
     let mut seen_gen = u64::MAX; // force the first snapshot
     let mut cursor = 0usize;
-    let mut ctx = KernelCtx::new(kernel, FlushPolicy::Direct);
+    // one funnel of batch size 1 for all tenants: every completion is
+    // published at once
+    let mut ctx = KernelCtx::new(kernel, 1);
     loop {
         // read before looking: whatever is published after this rings past it
         let epoch = shared.pool.epoch();
@@ -856,24 +844,6 @@ mod tests {
         assert_eq!(report.tsu.completions as usize, instances);
         assert_eq!(total.load(Ordering::Relaxed), expected(16));
         server.shutdown();
-    }
-
-    #[test]
-    fn tenant_arenas_run_the_direct_flush_policy() {
-        // a hot reduction sink on 2 kernels: `Auto` would resolve to
-        // `Batch`, but pool kernels keep no funnel, so the arena must not
-        // report a policy nothing runs
-        let (submission, _, _) = sum_of_squares(16);
-        let (tx, _rx) = mpsc::channel();
-        let cfg = ServerConfig::with_kernels(2);
-        assert_eq!(cfg.tsu.flush, FlushPolicy::Auto);
-        let pending = Pending {
-            id: ProgramId(0),
-            submission,
-            tx,
-        };
-        let tenant = Tenant::new(pending, &cfg);
-        assert_eq!(tenant.arena.soft.flush_policy(), FlushPolicy::Direct);
     }
 
     #[test]

@@ -69,7 +69,7 @@ pub struct RunReport {
     /// plus updates of a slot whose previous update came from a producer
     /// on a different kernel). High `contended` sums mean many kernels'
     /// completions pile into the same consumer slots — the signature
-    /// `FlushPolicy::Batch` flattens.
+    /// batching completion funnels flatten.
     pub sm_shards: Vec<ShardStats>,
 }
 

@@ -15,12 +15,14 @@
 //!
 //! The generated programs (`tflux_core::random_program`) hit the paths
 //! where the two could diverge: wide threads pinned to one kernel (every
-//! sibling must steal), reductions into a scalar sink under
-//! `FlushPolicy::Batch` (funnels + combining) and several blocks; each
-//! case streams three or more epochs.
+//! sibling must steal), reductions into a scalar sink, whose fan-in makes
+//! every case's funnels batch (combining), and several blocks; each case
+//! streams three or more epochs.
 
 use tflux_core::prelude::*;
-use tflux_core::{cases, random_program, Epoch, GraphMemory, SplitMix64, TsuStats};
+use tflux_core::{
+    cases, funnel_batch, random_program, Epoch, GraphMemory, SplitMix64, TsuStats, FUNNEL_BATCH,
+};
 
 struct Case {
     program: DdmProgram,
@@ -42,12 +44,6 @@ fn case(rng: &mut SplitMix64) -> Case {
         config: TsuConfig {
             capacity: 0,
             steal: true,
-            flush: *rng.pick(&[
-                FlushPolicy::Batch { size: 3 },
-                FlushPolicy::Batch { size: 8 },
-                FlushPolicy::Auto,
-                FlushPolicy::Direct,
-            ]),
             window: epochs as usize,
         },
         epochs,
@@ -57,7 +53,8 @@ fn case(rng: &mut SplitMix64) -> Case {
 
 /// Drain every epoch of `case`, stealing or not, through the `Tsu` that
 /// `build` constructs, the way a platform does — completing through
-/// per-kernel funnels, and flushing them before conceding a wait — with
+/// per-kernel funnels batching as [`funnel_batch`] reads the program, and
+/// flushing them before conceding a wait — with
 /// one thread playing all kernels. With `interleave` unset the
 /// kernels take turns, each completing what it fetched at once; with a
 /// seed, every kernel holds up to one fetched instance and a seeded draw
@@ -78,9 +75,8 @@ fn drive<'p>(
         },
     );
     let n = case.kernels as usize;
-    let mut funnels: Vec<_> = (0..n)
-        .map(|_| CompletionFunnel::new(tsu.flush_policy()))
-        .collect();
+    let batch = funnel_batch(&case.program, case.kernels);
+    let mut funnels: Vec<_> = (0..n).map(|_| CompletionFunnel::new(batch)).collect();
     let mut scratch = Vec::new();
     let mut order = vec![Vec::new(); case.epochs as usize];
     let mut opened = 1;
@@ -167,6 +163,8 @@ fn both_constructors_make_the_same_decisions_under_one_thread() {
     let (mut steals, mut batched) = (0, 0);
     cases(96, |rng| {
         let case = case(rng);
+        // the `src → wide → sink` spine is a hot sink on every kernel count
+        assert_eq!(funnel_batch(&case.program, case.kernels), FUNNEL_BATCH);
         let seed = rng.next_u64();
         // every pass ran every instance exactly once
         let p = &case.program;
@@ -216,7 +214,6 @@ fn zero_kernels_clamp_to_one_on_both_constructors() {
         let tsu = build(p, 0, TsuConfig::default());
         assert_eq!(tsu.kernels(), 1);
         assert_eq!(tsu.queues().len(), 1);
-        assert!(!tsu.stealing());
         // and only one: no id is aliased onto the one queue
         assert!(matches!(
             tsu.fetch(KernelId(7)),

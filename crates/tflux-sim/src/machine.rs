@@ -40,9 +40,7 @@ use crate::memsys::{MemStats, MemorySystem};
 use crate::report::SimReport;
 use crate::tsu_dev::{DevFetch, TsuDevice};
 use crate::work::{InstanceWork, WorkSource};
-use tflux_core::{
-    drain_sequential, DdmProgram, Epoch, ExecTrace, FlushPolicy, Instance, Tsu, TsuConfig,
-};
+use tflux_core::{drain_sequential, DdmProgram, Epoch, ExecTrace, Instance, Tsu, TsuConfig};
 
 /// Accesses per scheduling quantum. Chunking trades event-queue overhead
 /// against interleaving fidelity; 64 accesses ≈ a few hundred cycles, well
@@ -298,7 +296,7 @@ impl Machine {
     ///
     /// The device posts every completion straight to the Synchronization
     /// Memory, as the paper's hardware TSU does: it keeps no completion
-    /// funnel, and its `Tsu` is built with [`FlushPolicy::Direct`].
+    /// funnel.
     pub fn new(cfg: MachineConfig) -> Self {
         Machine {
             cfg,
@@ -307,9 +305,7 @@ impl Machine {
         }
     }
 
-    /// Override the TSU capacity, stealing and epoch window. `flush` is not
-    /// consulted: the device publishes every completion directly, so its
-    /// `Tsu` is built with [`FlushPolicy::Direct`] whatever the policy.
+    /// Override the TSU capacity, stealing and epoch window.
     pub fn with_tsu_config(mut self, tsu_cfg: TsuConfig) -> Self {
         self.tsu_cfg = tsu_cfg;
         self
@@ -368,11 +364,7 @@ impl Machine {
         program: &'p DdmProgram,
         cores: u32,
     ) -> Result<TsuDevice<'p>, SimError> {
-        let direct = TsuConfig {
-            flush: FlushPolicy::Direct,
-            ..self.tsu_cfg
-        };
-        let tsu = Tsu::new(program, cores, direct);
+        let tsu = Tsu::new(program, cores, self.tsu_cfg);
         // cross-TSU-group updates ride the system network
         let cross = if self.cfg.tsu_groups > 1 {
             self.cfg.bus_transfer * 2
@@ -581,27 +573,6 @@ mod tests {
         assert_eq!(r.instances, p.total_instances());
         assert_eq!(r.tsu.completions as usize, p.total_instances());
         assert!(r.events > 0, "the event counter must tick");
-    }
-
-    #[test]
-    fn the_device_ignores_the_flush_policy() {
-        // a hot reduction sink on several kernels is where a batching
-        // funnel would change the unit's command stream; the device has
-        // none, so the policy moves no number of the report
-        let p = fork_join(64);
-        let src = UniformWork { cycles: 300 };
-        let run = |flush| {
-            let tsu_cfg = TsuConfig {
-                flush,
-                ..TsuConfig::default()
-            };
-            let m = Machine::new(MachineConfig::bagle(4)).with_tsu_config(tsu_cfg);
-            format!("{:?}", m.run(&p, &src).unwrap())
-        };
-        assert_eq!(
-            run(FlushPolicy::Batch { size: 8 }),
-            run(FlushPolicy::Direct)
-        );
     }
 
     #[test]

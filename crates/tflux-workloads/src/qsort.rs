@@ -36,38 +36,72 @@ pub(crate) fn partitions(kernels: u32) -> u32 {
     (2 * kernels).max(4) & !1
 }
 
-/// Thread ids of the QSORT program.
+/// Thread ids of a QSORT program.
 pub struct QsortIds {
     /// Array initialization (scalar).
     pub init: ThreadId,
     /// Partition sorters (arity `P`).
     pub sort: ThreadId,
-    /// First merge level (arity `P/2`).
-    pub merge1: ThreadId,
+    /// Pair-merge levels, outermost first: one, of arity `P/2`, in the
+    /// shipped shape.
+    pub levels: Vec<ThreadId>,
     /// Final merge (scalar).
-    pub merge2: ThreadId,
+    pub fin: ThreadId,
 }
 
-/// Build the DDM program.
+/// Build the DDM program: the shipped merge tree, of depth 1.
 pub fn program(p: &Params) -> (DdmProgram, QsortIds) {
+    program_with_depth(p, 1)
+}
+
+/// Build a QSORT program with a merge tree of configurable depth — the
+/// §6.1.2 exploration: "Trees of bigger depth would result in higher
+/// parallelism but may not be always beneficial as the number of steps
+/// would increase as well." Depth 1 is the paper's shipped configuration
+/// ([`program`]: one pair-merge level, then the final k-way merge); this
+/// generalization lets the harness sweep it.
+///
+/// Level `l` has `P / 2^l` pair-mergers; the final level is a scalar
+/// merging the remaining runs. `depth` counts the pair-merge levels (0 =
+/// sort then one big k-way merge).
+pub fn program_with_depth(p: &Params, depth: u32) -> (DdmProgram, QsortIds) {
     let parts = partitions(p.kernels);
     let mut b = ProgramBuilder::new();
     let blk = b.block();
     let init = b.thread(blk, ThreadSpec::scalar("qsort.init"));
     let sort = b.thread(blk, ThreadSpec::new("qsort.sort", parts));
-    let merge1 = b.thread(blk, ThreadSpec::new("qsort.merge1", parts / 2));
-    let merge2 = b.thread(blk, ThreadSpec::scalar("qsort.merge2"));
     b.arc(init, sort, ArcMapping::Broadcast).expect("arc");
-    b.arc(sort, merge1, ArcMapping::Group { factor: 2 })
-        .expect("arc");
-    b.arc(merge1, merge2, ArcMapping::Reduction).expect("arc");
+    let mut levels = Vec::new();
+    let mut prev = sort;
+    let mut width = parts;
+    for l in 0..depth {
+        if width < 2 {
+            break;
+        }
+        let next_width = width.div_ceil(2);
+        let level = b.thread(
+            blk,
+            ThreadSpec::new(format!("qsort.merge.l{l}"), next_width),
+        );
+        b.arc(prev, level, ArcMapping::Group { factor: 2 })
+            .expect("arc");
+        levels.push(level);
+        prev = level;
+        width = next_width;
+    }
+    let fin = b.thread(blk, ThreadSpec::scalar("qsort.final"));
+    if width > 1 {
+        b.arc(prev, fin, ArcMapping::Reduction).expect("arc");
+    } else {
+        b.arc(prev, fin, ArcMapping::OneToOne).expect("arc");
+    }
     (
         b.build().expect("qsort program"),
         QsortIds {
             init,
             sort,
-            merge1,
-            merge2,
+            levels,
+            fin,
         },
     )
 }
@@ -142,13 +176,13 @@ pub fn run_ddm(p: &Params) -> Vec<i32> {
         v.sort_unstable();
         sref.put(ctx.context, v);
     });
-    bodies.set(ids.merge1, move |ctx| {
+    bodies.set(ids.levels[0], move |ctx| {
         let g = ctx.context.0;
         let a = sref.get(Context(2 * g));
         let b = sref.get(Context(2 * g + 1));
         m1ref.put(ctx.context, merge2way(a, b));
     });
-    bodies.set(ids.merge2, move |_| {
+    bodies.set(ids.fin, move |_| {
         let runs: Vec<&[i32]> = m1ref.iter().map(Vec::as_slice).collect();
         fref.put(Context(0), merge_kway(&runs));
     });
@@ -185,10 +219,11 @@ const SPE: CellCosts = CellCosts {
     ls_fixed: 32 * 1024,
 };
 
-/// Cost description. The array lives at 256 MB; merge scratch at 512 MB;
-/// final output at 768 MB. On the Cell every touch is Local-Store resident,
-/// so the final merge must hold the whole array (in + out) — the reason
-/// the paper caps Cell QSORT at 12 K elements.
+/// Cost description of a merge tree of any depth. The array lives at
+/// 256 MB; merge scratch at 512 MB; final output at 768 MB. On the Cell
+/// every touch is Local-Store resident, so the final merge must hold the
+/// whole array (in + out) — the reason the paper caps Cell QSORT at 12 K
+/// elements.
 pub struct QsortModel {
     n: usize,
     parts: u32,
@@ -230,125 +265,6 @@ impl Describe for QsortModel {
             }
             // ~1.4 n log n compare-swaps for randomized quicksort
             out.compute(m * passes * CYCLES_PER_CMP * 7 / 5);
-        } else if inst.thread == self.ids.merge1 {
-            let g = inst.context.0;
-            let (lo, _) = part_bounds(self.n, self.parts, 2 * g);
-            let (_, hi) = part_bounds(self.n, self.parts, 2 * g + 1);
-            self.arr.scan(out, lo as u64, hi as u64, false);
-            self.scratch.scan(out, lo as u64, hi as u64, true);
-            out.compute((hi - lo) as u64 * CYCLES_PER_MERGE);
-        } else if inst.thread == self.ids.merge2 {
-            self.scratch.scan(out, 0, n, false);
-            self.fin.scan(out, 0, n, true);
-            // heap-based k-way merge: log2(runs) heap levels per element
-            let runs = (self.parts as u64 / 2).max(2);
-            let log_runs = 64 - (runs - 1).leading_zeros() as u64;
-            out.compute(n * CYCLES_PER_MERGE * log_runs.max(1));
-        }
-    }
-}
-
-/// Build a QSORT program with a merge tree of configurable depth — the
-/// §6.1.2 exploration: "Trees of bigger depth would result in higher
-/// parallelism but may not be always beneficial as the number of steps
-/// would increase as well." Depth 1 is the paper's shipped configuration
-/// ([`program`]: one pair-merge level, then the final k-way merge); this
-/// generalization lets the harness sweep it.
-///
-/// Level `l` has `P / 2^l` pair-mergers; the final level is a scalar
-/// merging the remaining runs. `depth` counts the pair-merge levels (0 =
-/// sort then one big k-way merge).
-pub fn program_with_depth(p: &Params, depth: u32) -> (DdmProgram, QsortTreeIds) {
-    let parts = partitions(p.kernels);
-    let mut b = ProgramBuilder::new();
-    let blk = b.block();
-    let init = b.thread(blk, ThreadSpec::scalar("qsort.init"));
-    let sort = b.thread(blk, ThreadSpec::new("qsort.sort", parts));
-    b.arc(init, sort, ArcMapping::Broadcast).expect("arc");
-    let mut levels = Vec::new();
-    let mut prev = sort;
-    let mut width = parts;
-    for l in 0..depth {
-        if width < 2 {
-            break;
-        }
-        let next_width = width.div_ceil(2);
-        let level = b.thread(
-            blk,
-            ThreadSpec::new(format!("qsort.merge.l{l}"), next_width),
-        );
-        b.arc(prev, level, ArcMapping::Group { factor: 2 })
-            .expect("arc");
-        levels.push(level);
-        prev = level;
-        width = next_width;
-    }
-    let fin = b.thread(blk, ThreadSpec::scalar("qsort.final"));
-    if width > 1 {
-        b.arc(prev, fin, ArcMapping::Reduction).expect("arc");
-    } else {
-        b.arc(prev, fin, ArcMapping::OneToOne).expect("arc");
-    }
-    (
-        b.build().expect("qsort tree program"),
-        QsortTreeIds {
-            init,
-            sort,
-            levels,
-            fin,
-        },
-    )
-}
-
-/// Thread ids of a [`program_with_depth`] QSORT program.
-pub struct QsortTreeIds {
-    /// Array initialization.
-    pub init: ThreadId,
-    /// Partition sorters.
-    pub sort: ThreadId,
-    /// Pair-merge levels, outermost first.
-    pub levels: Vec<ThreadId>,
-    /// Final merge (scalar).
-    pub fin: ThreadId,
-}
-
-/// Cost description of the depth-configurable tree.
-pub struct QsortTreeModel {
-    n: usize,
-    parts: u32,
-    ids: QsortTreeIds,
-    arr: Region,
-    scratch: Region,
-}
-
-/// Build the tree's cost model.
-pub fn tree_model(p: &Params, ids: QsortTreeIds) -> Costed<QsortTreeModel> {
-    Costed(QsortTreeModel {
-        n: qsort_n(p.size, p.platform),
-        parts: partitions(p.kernels),
-        ids,
-        arr: Region::new(0x1000_0000, 4),
-        scratch: Region::new(0x2000_0000, 4),
-    })
-}
-
-impl Describe for QsortTreeModel {
-    const CELL: CellCosts = SPE;
-
-    fn describe<S: Sink>(&self, inst: Instance, out: &mut S) {
-        let n = self.n as u64;
-        if inst.thread == self.ids.init {
-            self.arr.scan(out, 0, n, true);
-            out.compute(n * CYCLES_PER_INIT);
-        } else if inst.thread == self.ids.sort {
-            let (lo, hi) = part_bounds(self.n, self.parts, inst.context.0);
-            let m = (hi - lo) as u64;
-            let passes = (64 - m.leading_zeros() as u64).max(1);
-            for _ in 0..passes {
-                self.arr.scan(out, lo as u64, hi as u64, false);
-                self.arr.scan(out, lo as u64, hi as u64, true);
-            }
-            out.compute(m * passes * CYCLES_PER_CMP * 7 / 5);
         } else if let Some(level) = self.ids.levels.iter().position(|&l| l == inst.thread) {
             // a level-l merger merges 2^(l+1) original partitions
             let span = 1u64 << (level as u64 + 1);
@@ -360,15 +276,15 @@ impl Describe for QsortTreeModel {
             self.scratch.scan(out, lo, hi, true);
             out.compute(m * CYCLES_PER_MERGE);
         } else if inst.thread == self.ids.fin {
-            let levels = self.ids.levels.len() as u32;
+            // heap-based k-way merge: log2(runs) heap levels per element
             let mut runs = self.parts;
-            for _ in 0..levels {
+            for _ in 0..self.ids.levels.len() {
                 runs = runs.div_ceil(2);
             }
             let runs = runs.max(1) as u64;
             let log_runs = (64 - (runs.max(2) - 1).leading_zeros() as u64).max(1);
             self.scratch.scan(out, 0, n, false);
-            self.arr.scan(out, 0, n, true);
+            self.fin.scan(out, 0, n, true);
             out.compute(n * CYCLES_PER_MERGE * log_runs);
         }
     }
@@ -503,22 +419,10 @@ mod tests {
         let (prog2, ids2) = program_with_depth(&p, 2);
         assert_eq!(prog2.thread(ids2.levels[0]).arity, 8);
         assert_eq!(prog2.thread(ids2.levels[1]).arity, 4);
-        // depth 1 is the shipped shape: the same arities and arc mappings
-        let shape = |prog: &DdmProgram| {
-            let threads = prog.threads().iter().enumerate();
-            threads
-                .map(|(t, spec)| {
-                    let arcs = prog.consumers(ThreadId(t as u32)).iter();
-                    let arcs = arcs.map(|a| (a.consumer, a.mapping)).collect::<Vec<_>>();
-                    (spec.arity, arcs)
-                })
-                .collect::<Vec<_>>()
-        };
-        for kernels in [1, 2, 8, 27] {
-            let p = Params::hard(kernels, 1, SizeClass::Small);
-            let shipped = shape(&program(&p).0);
-            assert_eq!(shipped, shape(&program_with_depth(&p, 1).0), "{kernels}");
-        }
+        // the shipped shape is depth 1: P/2 pair-mergers
+        let (prog1, ids1) = program(&p);
+        assert_eq!(ids1.levels.len(), 1);
+        assert_eq!(prog1.thread(ids1.levels[0]).arity, 8);
     }
 
     #[test]
@@ -531,7 +435,7 @@ mod tests {
         let mut accesses = Vec::new();
         for depth in [0u32, 2, 4] {
             let (prog, ids) = program_with_depth(&p, depth);
-            let Costed(src) = tree_model(&p, ids);
+            let Costed(src) = model(&p, ids);
             let mut acc = 0usize;
             for t in 0..prog.threads().len() {
                 let t = ThreadId(t as u32);
@@ -558,13 +462,13 @@ mod tests {
         };
         let (_, ids) = program(&p);
         let src = model(&p, ids);
-        let w = CellWorkSource::work(&src, Instance::scalar(src.0.ids.merge2));
+        let w = CellWorkSource::work(&src, Instance::scalar(src.0.ids.fin));
         assert!(w.ls_bytes > 256 * 1024, "{}", w.ls_bytes);
         // while the Cell-table sizes fit
         let pc = Params::cell(6, 1, SizeClass::Large);
         let (_, ids) = program(&pc);
         let srcc = model(&pc, ids);
-        let wc = CellWorkSource::work(&srcc, Instance::scalar(srcc.0.ids.merge2));
+        let wc = CellWorkSource::work(&srcc, Instance::scalar(srcc.0.ids.fin));
         assert!(wc.ls_bytes <= 256 * 1024, "{}", wc.ls_bytes);
     }
 }

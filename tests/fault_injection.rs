@@ -4,7 +4,9 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use tflux::core::prelude::*;
-use tflux::runtime::{BodyTable, FaultPlan, NoFaults, RetryPolicy, Runtime, RuntimeConfig};
+use tflux::runtime::{
+    BodyTable, FaultCounts, FaultPlan, NoFaults, RetryPolicy, Runtime, RuntimeConfig,
+};
 
 fn fork_join(arity: u32) -> (DdmProgram, ThreadId, ThreadId) {
     let mut b = ProgramBuilder::new();
@@ -65,7 +67,7 @@ fn noop_injector_counters_match_plain_run() {
             _ => {
                 let zero_rate = FaultPlan::new(0);
                 let r = runtime.run_with(&program, &bodies, &zero_rate).unwrap();
-                assert_eq!(zero_rate.counts().total(), 0);
+                assert_eq!(zero_rate.counts(), FaultCounts::default());
                 r
             }
         };

@@ -1,8 +1,9 @@
 //! Equivalence of the platforms driving the one `Tsu`: the threaded TFluxSoft path
 //! (kernels post-processing every completion, block transitions included,
-//! directly through the lock-free Synchronization Memory), the
-//! simulated hardware TSU device, and the sequential reference executor
-//! all drive the same `GraphMemory`/`SyncMemory` semantics — so with
+//! through the lock-free Synchronization Memory, batched by completion
+//! funnels wherever the program has a hot sink), the simulated hardware
+//! TSU device, and the sequential reference executor all drive the same
+//! `GraphMemory`/`SyncMemory` semantics — so with
 //! stealing off *and* with the shipping default (stealing on) they must
 //! complete the *same multiset of instances* with the *same
 //! ready-count-update and block-load bookkeeping* for every workload in
@@ -18,30 +19,14 @@ use tflux::workloads::sizes::SizeClass;
 use tflux::workloads::{Bench, Params};
 
 const KERNELS: u32 = 3;
-/// Completions per funnel flush in the batched variants.
-const FUNNEL_BATCH: u32 = 8;
 /// Consecutive streamed passes in the epoch-equivalence scenarios.
 const STREAM_EPOCHS: u64 = 3;
 
-/// The funnel-free configuration the batched variants contrast, with
-/// stealing off or on.
-fn direct(steal: bool) -> TsuConfig {
+/// The default configuration with stealing off or on.
+fn config(steal: bool) -> TsuConfig {
     TsuConfig {
         steal,
-        flush: FlushPolicy::Direct,
         ..Default::default()
-    }
-}
-
-/// The same with completion funnels enabled: the soft kernels accumulate
-/// App completions locally and flush them as batches. Batching collapses
-/// physical RMWs but must not change the completion multiset or the
-/// logical decrement ledger. (The simulated device has no funnel, so only
-/// the soft path reads this.)
-fn batched(steal: bool) -> TsuConfig {
-    TsuConfig {
-        flush: FlushPolicy::Batch { size: FUNNEL_BATCH },
-        ..direct(steal)
     }
 }
 
@@ -77,8 +62,10 @@ impl Outcome {
     }
 }
 
-/// TFluxSoft: real kernel threads take the direct-update path for every
-/// completion, Inlet and Outlet included.
+/// TFluxSoft: real kernel threads post-process every completion, Inlet and
+/// Outlet included, through funnels that batch as the program asks.
+/// Batching collapses physical RMWs but must not change the completion
+/// multiset or the logical decrement ledger.
 fn soft_outcome(program: &DdmProgram, cfg: TsuConfig) -> Outcome {
     let bodies = BodyTable::new(program); // no-op bodies: scheduling only
     let (report, trace) = Runtime::new(RuntimeConfig::with_kernels(KERNELS).tsu(cfg))
@@ -111,7 +98,7 @@ fn hard_outcome(program: &DdmProgram, cfg: TsuConfig) -> Outcome {
 
 /// The sequential reference executor over the same units.
 fn seq_outcome(program: &DdmProgram) -> Outcome {
-    let tsu = Tsu::new(program, KERNELS, direct(false));
+    let tsu = Tsu::new(program, KERNELS, config(false));
     let completed = drain_sequential(&tsu).unwrap();
     let stats = tsu.stats();
     Outcome::new(completed, &stats)
@@ -121,7 +108,7 @@ fn seq_outcome(program: &DdmProgram) -> Outcome {
 /// kernel ids: drain a pass, retire its epoch, open the next (which
 /// re-arms the inlet in place), drain again. `Tsu::new` is the
 /// sequential reference; `Tsu::threaded` is the TSU kernel threads run on,
-/// completing through the same direct-update `complete`.
+/// completing through the same funnels.
 fn stream_outcome<'p>(
     build: fn(&'p DdmProgram, u32, TsuConfig) -> Tsu<&'p DdmProgram>,
     program: &'p DdmProgram,
@@ -155,21 +142,20 @@ fn assert_equivalent(bench: Bench) {
         "{name}: the reference did not drain the program"
     );
     for steal in [false, true] {
-        // the two concurrent paths, the soft one also funnel-enabled, all
-        // held to the one funnel-free, steal-free sequential baseline:
-        // batching and stealing are implementation details of the
-        // completion and fetch hot paths, not semantic changes
+        // the two concurrent paths, both held to the one steal-free
+        // sequential baseline: batching and stealing are implementation
+        // details of the completion and fetch hot paths, not semantic
+        // changes
         let at = |path: &str| format!("{name}, steal {steal}: {path} vs sequential");
-        soft_outcome(&program, direct(steal)).assert_matches(&seq, &at("soft"));
-        hard_outcome(&program, direct(steal)).assert_matches(&seq, &at("hard"));
-        soft_outcome(&program, batched(steal)).assert_matches(&seq, &at("funneled soft"));
+        soft_outcome(&program, config(steal)).assert_matches(&seq, &at("soft"));
+        hard_outcome(&program, config(steal)).assert_matches(&seq, &at("hard"));
     }
 }
 
 /// K streamed epochs must be bit-identical to K one-shot runs: the same
 /// completion multiset K times over, K times the decrement ledger, K
-/// times the block loads — on the sequential reference, the soft direct
-/// path, and the simulated hardware device alike. Any cross-epoch
+/// times the block loads — on the sequential reference, the soft path,
+/// and the simulated hardware device alike. Any cross-epoch
 /// ready-count leakage (a late decrement surviving a re-arm) would break
 /// the multiset or the ledger.
 fn assert_stream_equivalent(bench: Bench) {
@@ -193,11 +179,11 @@ fn assert_stream_equivalent(bench: Bench) {
         let at = |path: &str| {
             format!("{name}, steal {steal}: streamed {path} vs {STREAM_EPOCHS}x one-shot")
         };
-        stream_outcome(Tsu::new, &program, direct(steal), STREAM_EPOCHS)
+        stream_outcome(Tsu::new, &program, config(steal), STREAM_EPOCHS)
             .assert_matches(&k_one_shots, &at("sequential"));
-        stream_outcome(Tsu::threaded, &program, direct(steal), STREAM_EPOCHS)
+        stream_outcome(Tsu::threaded, &program, config(steal), STREAM_EPOCHS)
             .assert_matches(&k_one_shots, &at("soft"));
-        hard_stream_outcome(&program, direct(steal), STREAM_EPOCHS)
+        hard_stream_outcome(&program, config(steal), STREAM_EPOCHS)
             .assert_matches(&k_one_shots, &at("hard"));
     }
 }
