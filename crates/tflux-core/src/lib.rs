@@ -83,7 +83,7 @@ pub use thread::{Affinity, ThreadKind, ThreadSpec};
 pub use trace::{ExecTrace, Span};
 pub use tsu::{
     drain_sequential, funnel_batch, CompletionFunnel, EventCount, FetchResult, GraphMemory,
-    ProgramHandle, ReadyQueue, ShardStats, Steal, StealDeque, SyncMemory, Tsu, TsuConfig, TsuStats,
+    ProgramHandle, ReadyQueue, Steal, StealDeque, SyncMemory, Tsu, TsuConfig, TsuStats,
     WaitingInstance, FUNNEL_BATCH,
 };
 pub use unroll::Unroll;

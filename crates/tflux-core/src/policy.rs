@@ -70,7 +70,7 @@ impl StealBackoff {
     }
 
     /// Pack the state into one word, so a TSU can keep it in an atomic
-    /// per-kernel slot.
+    /// column of the kernel's counter row.
     pub(crate) fn to_bits(self) -> u64 {
         (self.misses as u64) << 32 | self.skip as u64
     }

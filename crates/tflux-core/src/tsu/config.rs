@@ -40,7 +40,7 @@ impl Default for TsuConfig {
 }
 
 /// Counters a TSU keeps about its own operation.
-#[derive(Clone, Copy, Debug, Default)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct TsuStats {
     /// Successful fetches (a DThread was handed to a kernel).
     pub fetches: u64,
@@ -88,22 +88,6 @@ pub struct TsuStats {
     /// Streaming epochs whose pass ran to completion (the epoch ledger's
     /// `completed` column). A one-shot run counts as one epoch.
     pub epochs: u64,
-}
-
-/// Per-kernel Synchronization Memory counters: the table is one slab, and
-/// a "shard" is the traffic one kernel applied to it — the row only that
-/// kernel writes. Low `contended` against `rc_rmws` means completions
-/// rarely collided on the same slot.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct ShardStats {
-    /// Logical ready-count decrements this kernel applied.
-    pub rc_updates: u64,
-    /// Physical ready-count RMWs this kernel issued (`<= rc_updates` once
-    /// batching combines decrements).
-    pub rc_rmws: u64,
-    /// Contention events this kernel met: CAS retries on state
-    /// transitions plus cross-kernel ready-count line transfers.
-    pub contended: u64,
 }
 
 /// A resident instance still waiting on producer completions — one row of

@@ -25,7 +25,8 @@
 //! ([`drain_sequential`]), built by [`Tsu::new`], and shared by `&`
 //! between kernel threads in TFluxSoft, built by [`Tsu::threaded`]. Every
 //! fetch and completion names the kernel performing it: that selects the
-//! queue it owns and the counter row only it writes, here and in the SM.
+//! queue it owns and the one counter row only it writes, which the SM keeps
+//! for the SM's columns and the scheduler's alike.
 
 mod config;
 mod funnel;
@@ -33,10 +34,11 @@ mod gm;
 mod queue;
 mod sync;
 
-pub use config::{ShardStats, TsuConfig, TsuStats, WaitingInstance};
+pub use config::{TsuConfig, TsuStats, WaitingInstance};
 pub use funnel::{funnel_batch, CompletionFunnel, FUNNEL_BATCH};
 pub use gm::{GraphMemory, ProgramHandle};
 pub use queue::{EventCount, FetchResult, ReadyQueue, Steal, StealDeque};
+use sync::CounterRow;
 pub use sync::SyncMemory;
 
 use crate::error::CoreError;
@@ -46,46 +48,6 @@ use crate::program::DdmProgram;
 use crate::rng::SplitMix64;
 use std::cmp::Reverse;
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
-
-/// One kernel's scheduler state: its wait/steal counters and its steal
-/// backoff. Written only by the thread driving that kernel id, so every
-/// update is a `Relaxed` load + store, never an RMW — the single-owner
-/// device models pay no locked instruction for it, and the values publish
-/// no other data. One cache line per kernel, so idle kernels do not
-/// false-share.
-#[derive(Default)]
-#[repr(align(64))]
-struct KernelSlot {
-    waits: AtomicU64,
-    steals: AtomicU64,
-    steal_misses: AtomicU64,
-    steal_races: AtomicU64,
-    steal_skips: AtomicU64,
-    /// A packed [`StealBackoff`].
-    backoff: AtomicU64,
-}
-
-fn bump(counter: &AtomicU64) {
-    counter.store(counter.load(Relaxed) + 1, Relaxed);
-}
-
-impl KernelSlot {
-    /// Run `f` on this kernel's backoff state and store the result back.
-    fn backoff<R>(&self, f: impl FnOnce(&mut StealBackoff) -> R) -> R {
-        let mut b = StealBackoff::from_bits(self.backoff.load(Relaxed));
-        let r = f(&mut b);
-        self.backoff.store(b.to_bits(), Relaxed);
-        r
-    }
-
-    fn add_to(&self, s: &mut TsuStats) {
-        s.waits += self.waits.load(Relaxed);
-        s.steals += self.steals.load(Relaxed);
-        s.steal_misses += self.steal_misses.load(Relaxed);
-        s.steal_races += self.steal_races.load(Relaxed);
-        s.steal_skips += self.steal_skips.load(Relaxed);
-    }
-}
 
 /// The TSU: Graph Memory + Synchronization Memory + one [`ReadyQueue`] per
 /// kernel.
@@ -114,7 +76,6 @@ pub struct Tsu<P: ProgramHandle> {
     /// interleave their load/store pairs and draw the same victim, which
     /// costs a probe, not correctness.
     steal_rng: AtomicU64,
-    slots: Vec<KernelSlot>,
 }
 
 impl<P: ProgramHandle> Tsu<P> {
@@ -153,7 +114,6 @@ impl<P: ProgramHandle> Tsu<P> {
             threaded,
             steal: config.steal && kernels > 1,
             steal_rng: AtomicU64::new(0x5EED_0000 ^ ((kernels as u64) << 8)),
-            slots: (0..kernels).map(|_| KernelSlot::default()).collect(),
         };
         // a fresh Synchronization Memory is unpoisoned and holds exactly
         // the armed inlet resident, so this cannot fail; were that ever
@@ -210,30 +170,16 @@ impl<P: ProgramHandle> Tsu<P> {
         self.queues.iter().map(|q| q.len()).sum()
     }
 
-    /// Operation counters: the Synchronization Memory's, plus every
-    /// kernel's waits and steals.
+    /// Operation counters, summed over every kernel's row.
     pub fn stats(&self) -> TsuStats {
-        let mut s = self.sm.stats();
-        for slot in &self.slots {
-            slot.add_to(&mut s);
-        }
-        s
+        self.sm.stats()
     }
 
-    /// The scheduler counters (`waits`, `steals`, `steal_*`) of one
-    /// kernel; the Synchronization Memory fields are zero.
+    /// The counters of the operations `kernel` performed: its fetches,
+    /// waits and steals, and the completions and ready-count updates it
+    /// applied ([`SyncMemory::kernel_stats`]).
     pub fn kernel_stats(&self, kernel: KernelId) -> TsuStats {
-        let mut s = TsuStats::default();
-        if let Ok(slot) = self.slot(kernel) {
-            slot.add_to(&mut s);
-        }
-        s
-    }
-
-    /// Per-kernel Synchronization Memory counters, indexed by the kernel
-    /// that applied the updates.
-    pub fn shard_stats(&self) -> Vec<ShardStats> {
-        self.sm.shard_stats()
+        self.sm.kernel_stats(kernel)
     }
 
     /// Stall forensics from one pass over the Synchronization Memory:
@@ -249,17 +195,6 @@ impl<P: ProgramHandle> Tsu<P> {
     /// fetch/complete fails with [`CoreError::SmPoisoned`].
     pub fn poison(&self) {
         self.sm.poison();
-    }
-
-    /// `kernel`'s scheduler state, or [`CoreError::UnknownKernel`]: an id
-    /// past the count has no queue and no counter row of its own.
-    fn slot(&self, kernel: KernelId) -> Result<&KernelSlot, CoreError> {
-        self.slots
-            .get(kernel.idx())
-            .ok_or(CoreError::UnknownKernel {
-                kernel,
-                kernels: self.kernels(),
-            })
     }
 
     /// Dispatch every newly-ready instance, then hand each owning kernel's
@@ -316,7 +251,7 @@ impl<P: ProgramHandle> Tsu<P> {
     /// from `kernel`'s own. Device models use this to charge a steal
     /// latency on migrated fetches.
     pub fn fetch_traced(&self, kernel: KernelId) -> Result<(FetchResult, bool), CoreError> {
-        let slot = self.slot(kernel)?;
+        let row = self.sm.kernel_row(kernel)?;
         if self.sm.is_poisoned() {
             return Err(CoreError::SmPoisoned);
         }
@@ -332,19 +267,19 @@ impl<P: ProgramHandle> Tsu<P> {
             // a kernel whose recent probes all missed skips the victim
             // scan on most attempts, so an idle machine stops paying for
             // empty sweeps; one hit re-arms eager probing
-            if self.threaded || slot.backoff(StealBackoff::should_probe) {
-                let stolen = self.steal_for(slot, own);
+            if self.threaded || row.backoff(StealBackoff::should_probe) {
+                let stolen = self.steal_for(row, own);
                 if !self.threaded {
-                    slot.backoff(|b| b.record(stolen.is_some()));
+                    row.backoff(|b| b.record(stolen.is_some()));
                 }
                 if let Some((i, ep)) = stolen {
                     return Ok((FetchResult::Thread(i, ep), true));
                 }
             } else {
-                bump(&slot.steal_skips);
+                row.add(|r| &r.steal_skips, 1);
             }
         }
-        bump(&slot.waits);
+        row.add(|r| &r.waits, 1);
         Ok((FetchResult::Wait, false))
     }
 
@@ -355,7 +290,7 @@ impl<P: ProgramHandle> Tsu<P> {
     /// drained between its length snapshot and the steal is a clean miss;
     /// a lost CAS re-scans — the entry went to someone, so the machine
     /// made progress.
-    fn steal_for(&self, slot: &KernelSlot, own: usize) -> Option<(Instance, Epoch)> {
+    fn steal_for(&self, row: &CounterRow, own: usize) -> Option<(Instance, Epoch)> {
         let n = self.queues.len();
         let mut rng = SplitMix64(self.steal_rng.load(Relaxed));
         let mut victim = first_victim(own, n, &mut rng);
@@ -371,11 +306,11 @@ impl<P: ProgramHandle> Tsu<P> {
             })?;
             match self.queues[v].steal() {
                 Steal::Success(e) => {
-                    bump(&slot.steals);
+                    row.add(|r| &r.steals, 1);
                     return Some(e);
                 }
-                Steal::Empty => bump(&slot.steal_misses),
-                Steal::Retry => bump(&slot.steal_races),
+                Steal::Empty => row.add(|r| &r.steal_misses, 1),
+                Steal::Retry => row.add(|r| &r.steal_races, 1),
             }
         }
     }
@@ -918,10 +853,35 @@ mod tests {
         assert_eq!(tsu.kernel_stats(KernelId(0)).steals, 4, "the 4 pinned");
         assert_eq!(tsu.kernel_stats(KernelId(1)).steals, 0);
         assert_eq!(tsu.stats().steals, 4);
-        assert_eq!(
-            tsu.stats().rc_updates,
-            tsu.shard_stats().iter().map(|s| s.rc_updates).sum::<u64>()
-        );
+        // one row per kernel plus the shared one hold every counter: each
+        // column of the rows sums to the aggregate
+        let mut rows: Vec<_> = (0..2).map(|k| tsu.kernel_stats(KernelId(k))).collect();
+        rows.push(tsu.sm.shared_stats());
+        let total = tsu.stats();
+        type Column = fn(&TsuStats) -> u64;
+        let columns: [(&str, Column); 10] = [
+            ("fetches", |s| s.fetches),
+            ("waits", |s| s.waits),
+            ("completions", |s| s.completions),
+            ("rc_updates", |s| s.rc_updates),
+            ("rc_rmws", |s| s.rc_rmws),
+            ("steals", |s| s.steals),
+            ("steal_misses", |s| s.steal_misses),
+            ("steal_races", |s| s.steal_races),
+            ("steal_skips", |s| s.steal_skips),
+            ("sm_contended", |s| s.sm_contended),
+        ];
+        for (name, column) in columns {
+            assert_eq!(
+                rows.iter().map(column).sum::<u64>(),
+                column(&total),
+                "{name}"
+            );
+        }
+        // kernel 0 performed every completion; only the armed inlet's
+        // dispatch, made before any kernel ran, sits on the shared row
+        assert_eq!(rows[0].completions as usize, p.total_instances());
+        assert_eq!((rows[2].fetches, rows[2].completions), (1, 0));
     }
 
     #[test]

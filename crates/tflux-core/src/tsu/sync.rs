@@ -22,21 +22,25 @@
 //! Only the block-transition slow path (Inlet/Outlet completions, already
 //! serialized by program structure) takes the `block` mutex.
 //!
-//! The observability counters live in one cache-line-padded row per kernel,
+//! Every counter of the TSU lives in one cache-line-padded row per kernel,
 //! written by the kernel *performing* the operation — which is why
 //! `dispatch`, `complete` and `complete_batch` take it — with a `Relaxed`
 //! load + store: the thread driving a kernel id is the row's only writer,
-//! so nothing is lost and no counter costs a locked instruction. A
+//! so nothing is lost and no counter costs a locked instruction. The same
+//! row carries the scheduler's columns (waits, steals and the packed steal
+//! backoff), which [`Tsu`](super::Tsu) writes through
+//! [`kernel_row`](SyncMemory::kernel_row) on the same kernel's fetches. A
 //! completion's only shared RMWs are then the ones the paper's SM performs:
 //! its own state word and its consumers' ready counts. Callers that are no
 //! kernel (the constructor arming the first inlet, `open_epoch` from a
 //! supervisor) share one extra row and pay a `fetch_add` on it. Readers sum
-//! the rows: monotone while kernels run, exact once they are quiescent.
-//! `rc_updates` counts *logical* decrements (`rc_rmws` the physical RMWs,
-//! which batching makes fewer); `contended` counts weak-CAS retries on
-//! state transitions plus cross-kernel ready-count line transfers (a
-//! decrement from a producer placed on a different kernel than the slot's
-//! previous one).
+//! the rows ([`stats`](SyncMemory::stats)) or read one
+//! ([`kernel_stats`](SyncMemory::kernel_stats)): monotone while kernels
+//! run, exact once they are quiescent. `rc_updates` counts *logical*
+//! decrements (`rc_rmws` the physical RMWs, which batching makes fewer);
+//! `sm_contended` counts weak-CAS retries on state transitions plus
+//! cross-kernel ready-count line transfers (a decrement from a producer
+//! placed on a different kernel than the slot's previous one).
 //!
 //! [`complete_batch`](SyncMemory::complete_batch) is the reduction-funnel
 //! flush path: a kernel's accumulated App completions arrive as one call
@@ -74,11 +78,12 @@
 
 use crate::error::CoreError;
 use crate::ids::{BlockId, Context, Epoch, Instance, KernelId, ThreadId};
+use crate::policy::StealBackoff;
 use crate::thread::ThreadKind;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
-use super::config::{ShardStats, TsuStats, WaitingInstance};
+use super::config::{TsuStats, WaitingInstance};
 use super::gm::{GraphMemory, ProgramHandle};
 
 /// Slot state machine: the lifecycle *phase* of one instance in the SM,
@@ -151,12 +156,12 @@ impl Default for Slot {
     }
 }
 
-/// One writer's observability counters, alone on a cache line. The table
-/// itself is not sharded — a row only says which kernel *applied* the
-/// traffic (the `RunReport.sm_shards` view).
+/// One writer's counters, on cache lines of their own: the columns of
+/// [`TsuStats`] that a kernel's operations move. The table itself is not
+/// sharded — a row only says which kernel *performed* the traffic.
 #[derive(Debug, Default)]
 #[repr(align(64))]
-struct CounterRow {
+pub(super) struct CounterRow {
     /// Successful dispatches.
     fetches: AtomicU64,
     /// Completions processed.
@@ -168,6 +173,47 @@ struct CounterRow {
     /// Weak-CAS retries on state transitions plus cross-kernel
     /// ready-count line transfers.
     contended: AtomicU64,
+    // the scheduler's columns, moved by `Tsu`'s fetches (see `TsuStats`)
+    pub(super) waits: AtomicU64,
+    pub(super) steals: AtomicU64,
+    pub(super) steal_misses: AtomicU64,
+    pub(super) steal_races: AtomicU64,
+    pub(super) steal_skips: AtomicU64,
+    /// A packed [`StealBackoff`].
+    backoff: AtomicU64,
+}
+
+impl CounterRow {
+    /// Add `n` to a counter of a kernel's own row: its one writer needs no
+    /// RMW (see the module docs).
+    #[inline]
+    pub(super) fn add(&self, counter: impl FnOnce(&Self) -> &AtomicU64, n: u64) {
+        let c = counter(self);
+        c.store(c.load(Ordering::Relaxed) + n, Ordering::Relaxed);
+    }
+
+    /// Run `f` on this kernel's steal backoff and store the result back.
+    pub(super) fn backoff<R>(&self, f: impl FnOnce(&mut StealBackoff) -> R) -> R {
+        let mut b = StealBackoff::from_bits(self.backoff.load(Ordering::Relaxed));
+        let r = f(&mut b);
+        self.backoff.store(b.to_bits(), Ordering::Relaxed);
+        r
+    }
+
+    /// Add this row's columns onto `s`.
+    fn add_to(&self, s: &mut TsuStats) {
+        let load = |c: &AtomicU64| c.load(Ordering::Relaxed);
+        s.fetches += load(&self.fetches);
+        s.completions += load(&self.completions);
+        s.rc_updates += load(&self.rc_updates);
+        s.rc_rmws += load(&self.rc_rmws);
+        s.sm_contended += load(&self.contended);
+        s.waits += load(&self.waits);
+        s.steals += load(&self.steals);
+        s.steal_misses += load(&self.steal_misses);
+        s.steal_races += load(&self.steal_races);
+        s.steal_skips += load(&self.steal_skips);
+    }
 }
 
 /// The counter row an operation writes, resolved once per call.
@@ -181,12 +227,10 @@ struct Writer<'a> {
 impl Writer<'_> {
     #[inline]
     fn add(self, counter: impl FnOnce(&CounterRow) -> &AtomicU64, n: u64) {
-        let c = counter(self.row);
         if self.shared {
-            c.fetch_add(n, Ordering::Relaxed);
+            counter(self.row).fetch_add(n, Ordering::Relaxed);
         } else {
-            // single writer: see the module docs
-            c.store(c.load(Ordering::Relaxed) + n, Ordering::Relaxed);
+            self.row.add(counter, n);
         }
     }
 }
@@ -359,20 +403,28 @@ impl<P: ProgramHandle> SyncMemory<P> {
         self.rows.iter().map(load).sum()
     }
 
-    /// The row `by` writes: its own for a kernel — [`CoreError::UnknownKernel`]
-    /// for an id this SM has no row for, which would otherwise put a second
-    /// writer on somebody's — and the shared last one for `None`.
-    fn writer(&self, by: Option<KernelId>) -> Result<Writer<'_>, CoreError> {
+    /// `kernel`'s own counter row, or [`CoreError::UnknownKernel`] for an
+    /// id this SM has no row for, which would otherwise put a second writer
+    /// on somebody's (the shared last row) or have no queue to serve.
+    pub(super) fn kernel_row(&self, kernel: KernelId) -> Result<&CounterRow, CoreError> {
         let kernels = self.gm.kernels();
-        match by {
-            Some(kernel) if kernel.0 >= kernels => {
-                Err(CoreError::UnknownKernel { kernel, kernels })
-            }
-            _ => Ok(Writer {
-                row: &self.rows[by.map_or(kernels as usize, KernelId::idx)],
-                shared: by.is_none(),
-            }),
+        if kernel.0 >= kernels {
+            return Err(CoreError::UnknownKernel { kernel, kernels });
         }
+        Ok(&self.rows[kernel.idx()])
+    }
+
+    /// The row `by` writes: [`kernel_row`](Self::kernel_row) for a kernel,
+    /// the shared last one for `None`.
+    fn writer(&self, by: Option<KernelId>) -> Result<Writer<'_>, CoreError> {
+        let row = match by {
+            Some(kernel) => self.kernel_row(kernel)?,
+            None => &self.rows[self.gm.kernels() as usize],
+        };
+        Ok(Writer {
+            row,
+            shared: by.is_none(),
+        })
     }
 
     #[inline]
@@ -844,37 +896,41 @@ impl<P: ProgramHandle> SyncMemory<P> {
         (waiting, running)
     }
 
-    /// Aggregate operation counters. `waits` and `steals` are scheduler
-    /// concerns and are reported as 0 here; schedulers fold their own in.
+    /// Aggregate operation counters: every column of every row, plus the
+    /// block bookkeeping.
     pub fn stats(&self) -> TsuStats {
         let guard = self.block_forensics();
-        TsuStats {
-            fetches: self.sum(|r| &r.fetches),
-            waits: 0,
-            completions: self.completions(),
-            rc_updates: self.sum(|r| &r.rc_updates),
-            rc_rmws: self.sum(|r| &r.rc_rmws),
-            steals: 0,
-            steal_misses: 0,
-            steal_races: 0,
-            steal_skips: 0,
+        let mut s = TsuStats {
             blocks_loaded: guard.blocks_loaded,
             max_resident: guard.max_resident,
             epochs: guard.completed,
-            sm_contended: self.sum(|r| &r.contended),
+            ..TsuStats::default()
+        };
+        for row in &self.rows {
+            row.add_to(&mut s);
         }
+        s
     }
 
-    /// Per-kernel counters, indexed by the kernel that applied the updates.
-    pub fn shard_stats(&self) -> Vec<ShardStats> {
-        self.rows[..self.gm.kernels() as usize]
-            .iter()
-            .map(|r| ShardStats {
-                rc_updates: r.rc_updates.load(Ordering::Relaxed),
-                rc_rmws: r.rc_rmws.load(Ordering::Relaxed),
-                contended: r.contended.load(Ordering::Relaxed),
-            })
-            .collect()
+    /// The counters of `kernel`'s own row. The block columns
+    /// (`blocks_loaded`, `max_resident`, `epochs`) belong to no row and
+    /// read 0, as does every column of an id with no row. Over every
+    /// kernel's row plus the shared one of callers that are no kernel, the
+    /// columns sum to [`stats`](Self::stats).
+    pub fn kernel_stats(&self, kernel: KernelId) -> TsuStats {
+        let mut s = TsuStats::default();
+        if let Ok(row) = self.kernel_row(kernel) {
+            row.add_to(&mut s);
+        }
+        s
+    }
+
+    /// The counters of the shared row of callers that are no kernel.
+    #[cfg(test)]
+    pub(super) fn shared_stats(&self) -> TsuStats {
+        let mut s = TsuStats::default();
+        self.rows[self.gm.kernels() as usize].add_to(&mut s);
+        s
     }
 }
 
@@ -936,11 +992,10 @@ mod tests {
             sm.complete(k1, i, ep, &mut ready).unwrap();
             queue.append(&mut ready);
         }
-        let (shards, total) = (sm.shard_stats(), sm.stats());
-        assert_eq!(shards.len(), 2);
-        assert_eq!(shards[0], ShardStats::default());
-        assert_eq!(shards[1].rc_updates, total.rc_updates);
-        assert_eq!(shards[1].rc_rmws, total.rc_rmws);
+        let (k1, total) = (sm.kernel_stats(k1), sm.stats());
+        assert_eq!(sm.kernel_stats(K0), TsuStats::default());
+        assert_eq!(k1.rc_updates, total.rc_updates);
+        assert_eq!(k1.rc_rmws, total.rc_rmws);
         // src → 4 work, 4 work → sink, and all 6 onto the implicit outlet
         assert_eq!(total.rc_updates, 4 + 4 + 6);
         assert_eq!(total.fetches as usize, p.total_instances());
@@ -969,7 +1024,10 @@ mod tests {
         // nothing moved: the one dispatch sits on the non-kernel row, the
         // inlet is still in flight and the table is not poisoned
         assert_eq!((sm.stats().fetches, sm.completions()), (1, 0));
-        assert_eq!(sm.shard_stats(), vec![ShardStats::default(); 2]);
+        assert_eq!(sm.shared_stats().fetches, 1);
+        for k in [K0, KernelId(1), stranger] {
+            assert_eq!(sm.kernel_stats(k), TsuStats::default(), "{k:?}");
+        }
         sm.complete(K0, inlet, ep, &mut out).unwrap();
     }
 
@@ -1125,8 +1183,8 @@ mod tests {
         // on the outlet (the sink itself never completes in this test),
         // a quarter of them on each kernel's single-writer row
         assert_eq!(sm.stats().rc_updates, 64 + 64);
-        for row in sm.shard_stats() {
-            assert_eq!(row.rc_updates, 16 + 16);
+        for k in 0..4 {
+            assert_eq!(sm.kernel_stats(KernelId(k)).rc_updates, 16 + 16);
         }
         assert_eq!(sm.completions(), 1 + 64);
     }

@@ -16,10 +16,16 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use tflux_core::prelude::*;
-use tflux_core::SyncMemory;
+use tflux_core::{SyncMemory, TsuStats};
 
 /// The kernel the single-threaded parts of every test act as.
 const K0: KernelId = KernelId(0);
+
+/// `column` of every kernel's counter row, summed.
+fn kernel_sum(sm: &SyncMemory<&DdmProgram>, column: fn(&TsuStats) -> u64) -> u64 {
+    let rows = (0..sm.graph().kernels()).map(|k| sm.kernel_stats(KernelId(k)));
+    rows.map(|s| column(&s)).sum()
+}
 
 /// One round: `arity` producers reduced into a scalar sink, raced by
 /// `racers` threads that all contend for every dispatch. The SM is built
@@ -85,8 +91,8 @@ fn race_round(arity: u32, racers: usize, kernels: u32) {
     // (Reduction) and the block outlet (implicit All) exactly once
     let after_race = 2 * arity as u64;
     assert_eq!(sm.stats().rc_updates, after_race);
-    let shard_sum: u64 = sm.shard_stats().iter().map(|s| s.rc_updates).sum();
-    assert_eq!(shard_sum, after_race, "per-shard ledger must sum to total");
+    let by_kernel = kernel_sum(&sm, |s| s.rc_updates);
+    assert_eq!(by_kernel, after_race, "per-kernel ledger must sum to total");
 
     // drain the rest of the program sequentially: sink, then outlet
     let mut frontier = newly;
@@ -180,11 +186,11 @@ fn racing_batch_flushers_conserve_the_decrement_ledger() {
     // exactly once, same as the direct path in `race_round`
     let st = sm.stats();
     assert_eq!(st.rc_updates, 2 * arity as u64);
-    let shard_sum: u64 = sm.shard_stats().iter().map(|s| s.rc_updates).sum();
+    let by_kernel = kernel_sum(&sm, |s| s.rc_updates);
     assert_eq!(
-        shard_sum,
+        by_kernel,
         2 * arity as u64,
-        "per-shard ledger must sum to total"
+        "per-kernel ledger must sum to total"
     );
     // ...but the physical RMW count collapsed: each flush combines its
     // sub-batch into at most two RMWs (sink + outlet)
@@ -255,7 +261,8 @@ fn completions_are_exact_under_concurrent_completers() {
     assert_eq!(sm.completions(), 1 + arity as u64); // inlet + work
                                                     // single-writer rows lose nothing: each completer's 24 completions put
                                                     // 24 sink and 24 outlet decrements on its own row
-    for row in sm.shard_stats() {
+    for k in 0..arity / 24 {
+        let row = sm.kernel_stats(KernelId(k));
         assert_eq!((row.rc_updates, row.rc_rmws), (48, 48));
     }
 }

@@ -383,6 +383,9 @@ impl<P: ProgramHandle> Arena<P> {
                     steals: sched.steals,
                     steal_misses: sched.steal_misses,
                     steal_races: sched.steal_races,
+                    rc_updates: sched.rc_updates,
+                    rc_rmws: sched.rc_rmws,
+                    sm_contended: sched.sm_contended,
                     retries: slot.retries.load(Ordering::Relaxed),
                     poisoned: slot.poisoned.load(Ordering::Relaxed),
                 }
@@ -397,7 +400,6 @@ impl<P: ProgramHandle> Arena<P> {
             tsu: self.soft.stats(),
             tub: TubSnapshot::default(),
             kernels: self.kernel_stats(),
-            sm_shards: self.soft.shard_stats(),
         }
     }
 

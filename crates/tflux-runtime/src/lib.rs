@@ -86,4 +86,4 @@ pub use server::{
 pub use shared::SharedVar;
 pub use stats::{InFlightInstance, RunReport, StallCause, StallReport, TenantReport};
 // the one fetch vocabulary shared with the core TSU units
-pub use tflux_core::{FetchResult, ShardStats};
+pub use tflux_core::FetchResult;

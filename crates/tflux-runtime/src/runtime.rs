@@ -460,9 +460,9 @@ mod tests {
         assert_eq!(report.tsu.fetches, report.tsu.completions);
         assert_eq!(report.total_executed(), report.tsu.completions);
         assert_eq!(report.tsu.blocks_loaded, 1);
-        // the per-shard ledger sums to the aggregate rc-update counter
+        // the per-kernel ledger sums to the aggregate rc-update counter
         assert_eq!(
-            report.sm_shards.iter().map(|s| s.rc_updates).sum::<u64>(),
+            report.kernels.iter().map(|k| k.rc_updates).sum::<u64>(),
             report.tsu.rc_updates
         );
         assert!(report.wall > Duration::ZERO);

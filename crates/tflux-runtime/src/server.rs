@@ -746,7 +746,6 @@ fn supervise(
             executed: report.total_executed(),
             wall: report.wall,
             tsu: report.tsu,
-            sm_shards: report.sm_shards,
             kernels: report.kernels,
         }
     }))

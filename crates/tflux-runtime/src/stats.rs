@@ -4,7 +4,7 @@
 use crate::kernel::BodyPanic;
 use std::fmt;
 use std::time::Duration;
-use tflux_core::{Instance, KernelId, ProgramId, ShardStats, TsuStats, WaitingInstance};
+use tflux_core::{Instance, KernelId, ProgramId, TsuStats, WaitingInstance};
 
 /// Per-kernel counters.
 #[derive(Clone, Copy, Debug, Default)]
@@ -30,6 +30,17 @@ pub struct KernelStats {
     /// Each race is a wasted CAS, not lost work — the entry went to the
     /// winner. High races mean thieves piled onto the same victim.
     pub steal_races: u64,
+    /// Logical ready-count decrements this kernel's completions applied.
+    pub rc_updates: u64,
+    /// Physical ready-count RMWs that carried them: fewer than
+    /// `rc_updates` when the completion funnel batches.
+    pub rc_rmws: u64,
+    /// Contention events this kernel met in the Synchronization Memory:
+    /// slot-state CAS retries plus updates of a slot whose previous update
+    /// came from a producer on a different kernel. High sums mean many
+    /// kernels' completions pile into the same consumer slots — the
+    /// signature batching completion funnels flatten.
+    pub sm_contended: u64,
     /// Panicked body attempts that were re-dispatched under the
     /// [`RetryPolicy`](crate::RetryPolicy).
     pub retries: u64,
@@ -61,16 +72,6 @@ pub struct RunReport {
     pub tub: TubSnapshot,
     /// Per-kernel counters, indexed by kernel id.
     pub kernels: Vec<KernelStats>,
-    /// Per-kernel Synchronization Memory counters, indexed by the kernel
-    /// that applied the updates: how many logical ready-count decrements
-    /// it performed (`rc_updates`), how many physical atomic RMWs carried
-    /// them (`rc_rmws` — fewer when completion funnels batch), and how
-    /// many contention events it met (`contended`: slot-state CAS retries
-    /// plus updates of a slot whose previous update came from a producer
-    /// on a different kernel). High `contended` sums mean many kernels'
-    /// completions pile into the same consumer slots — the signature
-    /// batching completion funnels flatten.
-    pub sm_shards: Vec<ShardStats>,
 }
 
 impl RunReport {
@@ -98,8 +99,6 @@ pub struct TenantReport {
     pub wall: Duration,
     /// This tenant's TSU counters.
     pub tsu: TsuStats,
-    /// Per-kernel Synchronization Memory counters of this tenant's arena.
-    pub sm_shards: Vec<ShardStats>,
     /// What each pool kernel did for this tenant, indexed by kernel id
     /// (`wait_ns` and `blocked_pops` stay 0: pool kernels park on the
     /// pool's eventcount, never on a tenant's queue).
@@ -293,7 +292,6 @@ mod tests {
                     ..Default::default()
                 },
             ],
-            sm_shards: Vec::new(),
         };
         assert_eq!(r.total_executed(), 10);
         assert_eq!(load_imbalance(&r), 0.0);
@@ -315,7 +313,6 @@ mod tests {
                     ..Default::default()
                 },
             ],
-            sm_shards: Vec::new(),
         };
         assert!(load_imbalance(&r) > 0.9);
     }
@@ -377,7 +374,6 @@ mod tests {
                     ..Default::default()
                 },
             ],
-            sm_shards: Vec::new(),
         };
         assert_eq!(total_retries(&r), 5);
         assert_eq!(total_poisoned(&r), 1);
@@ -393,7 +389,6 @@ mod tests {
                 executed: 3,
                 ..Default::default()
             }],
-            sm_shards: Vec::new(),
         };
         assert_eq!(load_imbalance(&r), 0.0);
     }

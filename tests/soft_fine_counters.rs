@@ -73,12 +73,12 @@ fn single_writer_rows_lose_nothing_on_two_kernels() {
         assert_eq!(report.tsu.fetches, instances, "{name}: fetches");
         assert_eq!(report.tsu.completions, instances, "{name}: completions");
         assert_eq!(report.total_executed(), instances, "{name}: executed");
-        assert_eq!(report.sm_shards.len(), 2, "{name}");
-        let by_kernel = |f: fn(&tflux::core::ShardStats) -> u64| -> u64 {
-            report.sm_shards.iter().map(f).sum()
-        };
-        assert_eq!(by_kernel(|s| s.rc_updates), report.tsu.rc_updates, "{name}");
-        assert_eq!(by_kernel(|s| s.rc_rmws), report.tsu.rc_rmws, "{name}");
+        assert_eq!(report.kernels.len(), 2, "{name}");
+        let rows = &report.kernels;
+        let rc_updates: u64 = rows.iter().map(|k| k.rc_updates).sum();
+        let rc_rmws: u64 = rows.iter().map(|k| k.rc_rmws).sum();
+        assert_eq!(rc_updates, report.tsu.rc_updates, "{name}");
+        assert_eq!(rc_rmws, report.tsu.rc_rmws, "{name}");
         // every arc instance is one logical decrement, whoever applied it
         let arcs: u64 = (0..program.threads().len() as u32)
             .flat_map(|t| program.instances_of(ThreadId(t)))
