@@ -132,26 +132,20 @@ fn merge2way(a: &[i32], b: &[i32]) -> Vec<i32> {
     out
 }
 
-/// Heap-based k-way merge of sorted runs (O(n log k) — the final DThread's
-/// algorithm, and the model the trace generator charges).
-fn merge_kway(runs: &[&[i32]]) -> Vec<i32> {
-    use std::cmp::Reverse;
-    use std::collections::BinaryHeap;
-    let total: usize = runs.iter().map(|r| r.len()).sum();
-    let mut heap: BinaryHeap<Reverse<(i32, usize, usize)>> = runs
-        .iter()
-        .enumerate()
-        .filter(|(_, r)| !r.is_empty())
-        .map(|(ri, r)| Reverse((r[0], ri, 0)))
-        .collect();
-    let mut out = Vec::with_capacity(total);
-    while let Some(Reverse((v, ri, i))) = heap.pop() {
-        out.push(v);
-        if i + 1 < runs[ri].len() {
-            heap.push(Reverse((runs[ri][i + 1], ri, i + 1)));
+/// Merge sorted runs pairwise: a balanced tree of [`merge2way`] calls, so
+/// two runs take one call and no element passes through more than
+/// `⌈log2(runs)⌉` merges (the final DThread's algorithm, and the cost the
+/// model charges).
+pub fn merge_runs(runs: &[&[i32]]) -> Vec<i32> {
+    match runs {
+        [] => Vec::new(),
+        [r] => r.to_vec(),
+        [a, b] => merge2way(a, b),
+        _ => {
+            let (a, b) = runs.split_at(runs.len() / 2);
+            merge2way(&merge_runs(a), &merge_runs(b))
         }
     }
-    out
 }
 
 /// Run QSORT on the real runtime; returns the sorted array.
@@ -184,7 +178,7 @@ pub fn run_ddm(p: &Params) -> Vec<i32> {
     });
     bodies.set(ids.fin, move |_| {
         let runs: Vec<&[i32]> = m1ref.iter().map(Vec::as_slice).collect();
-        fref.put(Context(0), merge_kway(&runs));
+        fref.put(Context(0), merge_runs(&runs));
     });
 
     Runtime::new(RuntimeConfig::with_kernels(p.kernels))
@@ -198,7 +192,7 @@ pub fn run_ddm(p: &Params) -> Vec<i32> {
 /// qsort benchmarks compare records through a callback (string / 3-D
 /// vector distance), so a comparison is tens of cycles, not one.
 const CYCLES_PER_CMP: u64 = 45;
-/// Cycles per element merged per heap level (adjust + copy; merging
+/// Cycles per element merged per merge level (compare + copy; merging
 /// compares keys directly, without the record-compare callback).
 const CYCLES_PER_MERGE: u64 = 12;
 /// Cycles per element initialized (PRNG + store).
@@ -276,7 +270,7 @@ impl Describe for QsortModel {
             self.scratch.scan(out, lo, hi, true);
             out.compute(m * CYCLES_PER_MERGE);
         } else if inst.thread == self.ids.fin {
-            // heap-based k-way merge: log2(runs) heap levels per element
+            // pairwise merge of the runs: log2(runs) merge levels per element
             let mut runs = self.parts;
             for _ in 0..self.ids.levels.len() {
                 runs = runs.div_ceil(2);
@@ -366,7 +360,7 @@ mod tests {
     fn merge_helpers_are_correct() {
         assert_eq!(merge2way(&[1, 4, 6], &[2, 3, 7]), vec![1, 2, 3, 4, 6, 7]);
         assert_eq!(
-            merge_kway(&[&[5, 9], &[1, 6], &[2, 3]]),
+            merge_runs(&[&[5, 9], &[1, 6], &[2, 3]]),
             vec![1, 2, 3, 5, 6, 9]
         );
         assert_eq!(merge2way(&[], &[1]), vec![1]);
@@ -427,8 +421,8 @@ mod tests {
 
     #[test]
     fn deeper_trees_move_more_memory_but_same_comparisons() {
-        // Total comparisons are ~n log P for any tree shape (the heap
-        // k-way merge and the pair-merge levels are both log-factor), but
+        // Total comparisons are ~n log P for any tree shape (the final
+        // pairwise merge and the pair-merge levels are both log-factor), but
         // every extra level re-streams the whole array through memory —
         // the "number of steps would increase" cost the paper names.
         let p = Params::hard(8, 1, SizeClass::Small);

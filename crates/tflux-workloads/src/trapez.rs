@@ -7,7 +7,9 @@
 //!
 //! Decomposition: a loop DThread over interval chunks (the §5 unroll factor
 //! sets the chunk size) producing one partial sum each, reduced by a scalar
-//! sink DThread.
+//! sink DThread. One kernel (`seq` and the workers) evaluates four points
+//! per step, so their divisions pack; the values still add in index order,
+//! bit for bit.
 
 use crate::common::{CellCosts, Costed, Describe, Params, Region, Sink};
 use crate::sizes::trapez_intervals;
@@ -24,14 +26,37 @@ pub(crate) fn f(x: f64) -> f64 {
     4.0 / (1.0 + x * x)
 }
 
+/// `s` plus `f(i·h)` for every `i` in `range`, added in index order. The
+/// four points of a step are evaluated before any is added, so their
+/// independent divisions pack into vector instructions.
+fn sum_f(mut s: f64, range: Range<u64>, h: f64) -> f64 {
+    let mut i = range.start;
+    while i + 4 <= range.end {
+        let v = [0, 1, 2, 3].map(|k| f((i + k) as f64 * h));
+        s = s + v[0] + v[1] + v[2] + v[3];
+        i += 4;
+    }
+    (i..range.end).fold(s, |s, i| s + f(i as f64 * h))
+}
+
 /// Sequential reference (the paper's baseline program).
 pub fn seq(intervals: u64) -> f64 {
     let h = 1.0 / intervals as f64;
-    let mut sum = 0.5 * (f(0.0) + f(1.0));
-    for i in 1..intervals {
-        sum += f(i as f64 * h);
+    sum_f(0.5 * (f(0.0) + f(1.0)), 1..intervals, h) * h
+}
+
+/// The partial sum worker `range` of an `n`-interval run contributes,
+/// before the sink's `× h`: the opening end point at half weight if the
+/// range starts at 0, the closing one at half weight if it ends at `n`.
+pub fn chunk_sum(n: u64, range: Range<u64>) -> f64 {
+    let h = 1.0 / n as f64;
+    let open = if range.start == 0 { 0.5 * f(0.0) } else { 0.0 };
+    let s = sum_f(open, range.start.max(1)..range.end, h);
+    if range.end == n {
+        s + 0.5 * f(1.0)
+    } else {
+        s
     }
-    sum * h
 }
 
 /// Thread ids of the TRAPEZ program.
@@ -67,19 +92,8 @@ pub fn run_ddm(p: &Params) -> f64 {
     let partial_ref = &partial;
     let result_ref = &result;
     bodies.set(ids.work, move |ctx| {
-        let Range { start: lo, end: hi } = Unroll::new(n, p.unroll).range(ctx.context);
-        let mut s = 0.0;
-        for i in lo..hi {
-            // opening end point halved here; the closing one is added by
-            // the last chunk below
-            let w = if i == 0 { 0.5 } else { 1.0 };
-            s += w * f(i as f64 * h);
-        }
-        // the closing end point belongs to the last chunk
-        if hi == n {
-            s += 0.5 * f(1.0);
-        }
-        partial_ref.put(ctx.context, s);
+        let range = Unroll::new(n, p.unroll).range(ctx.context);
+        partial_ref.put(ctx.context, chunk_sum(n, range));
     });
     bodies.set(ids.sink, move |_| {
         let total: f64 = partial_ref.iter().sum::<f64>() * h;

@@ -1,9 +1,9 @@
 //! Mathematical property tests of the workload implementations — the
 //! algorithms themselves, independent of any platform.
 
-use tflux_core::{cases, SplitMix64};
+use tflux_core::{cases, Context, SplitMix64, Unroll};
 use tflux_workloads::fft::{self, Cpx};
-use tflux_workloads::{mmult, qsort, susan, trapez};
+use tflux_workloads::{mmult, qsort, susan, trapez, Params, Platform, SizeClass};
 
 /// `n` reals drawn uniformly from `[-10, 10)`.
 fn reals(rng: &mut SplitMix64, n: usize) -> Vec<f64> {
@@ -277,4 +277,114 @@ fn mmult_matches_ikj_reference() {
             "n = {n}"
         );
     });
+}
+
+/// TRAPEZ's integrand, as both old loops below evaluate it.
+fn trapez_f(x: f64) -> f64 {
+    4.0 / (1.0 + x * x)
+}
+
+/// TRAPEZ's `seq` as it was before the four-wide kernel: one scalar loop.
+fn trapez_seq_reference(n: u64) -> f64 {
+    let h = 1.0 / n as f64;
+    let mut sum = 0.5 * (trapez_f(0.0) + trapez_f(1.0));
+    for i in 1..n {
+        sum += trapez_f(i as f64 * h);
+    }
+    sum * h
+}
+
+/// A TRAPEZ worker's partial sum as it was before the four-wide kernel:
+/// a per-point weight, halved at the opening end point.
+fn trapez_chunk_reference(n: u64, lo: u64, hi: u64) -> f64 {
+    let h = 1.0 / n as f64;
+    let mut s = 0.0;
+    for i in lo..hi {
+        let w = if i == 0 { 0.5 } else { 1.0 };
+        s += w * trapez_f(i as f64 * h);
+    }
+    if hi == n {
+        s += 0.5 * trapez_f(1.0);
+    }
+    s
+}
+
+/// The four-wide TRAPEZ kernel gives the old scalar loops' bits, in `seq`
+/// and in every worker range: unrolls 1–9 reach each remainder length, a
+/// range starting at 0 and one ending at `n`.
+#[test]
+fn trapez_matches_scalar_reference() {
+    cases(64, |rng| {
+        let n = rng.range(1u64..300);
+        assert_eq!(
+            trapez::seq(n).to_bits(),
+            trapez_seq_reference(n).to_bits(),
+            "seq, n = {n}"
+        );
+        let unroll = Unroll::new(n, rng.range(1u32..10));
+        for c in 0..unroll.arity() {
+            let range = unroll.range(Context(c));
+            let (lo, hi) = (range.start, range.end);
+            assert_eq!(
+                trapez::chunk_sum(n, range).to_bits(),
+                trapez_chunk_reference(n, lo, hi).to_bits(),
+                "n = {n}, range {lo}..{hi}"
+            );
+        }
+    });
+}
+
+/// QSORT's final merge as it was before the pairwise tree: a k-way merge
+/// through a binary heap.
+fn merge_kway(runs: &[&[i32]]) -> Vec<i32> {
+    use std::cmp::Reverse;
+    use std::collections::BinaryHeap;
+    let total: usize = runs.iter().map(|r| r.len()).sum();
+    let mut heap: BinaryHeap<Reverse<(i32, usize, usize)>> = runs
+        .iter()
+        .enumerate()
+        .filter(|(_, r)| !r.is_empty())
+        .map(|(ri, r)| Reverse((r[0], ri, 0)))
+        .collect();
+    let mut out = Vec::with_capacity(total);
+    while let Some(Reverse((v, ri, i))) = heap.pop() {
+        out.push(v);
+        if i + 1 < runs[ri].len() {
+            heap.push(Reverse((runs[ri][i + 1], ri, i + 1)));
+        }
+    }
+    out
+}
+
+/// The pairwise merge gives the heap merge's output on 0–9 sorted runs,
+/// empty runs and duplicate keys among them.
+#[test]
+fn qsort_merge_matches_heap_merge() {
+    cases(64, |rng| {
+        let runs: Vec<Vec<i32>> = (0..rng.range(0usize..10))
+            .map(|_| {
+                let mut r: Vec<i32> = (0..rng.range(0usize..40))
+                    .map(|_| rng.below(16) as i32)
+                    .collect();
+                r.sort_unstable();
+                r
+            })
+            .collect();
+        let runs: Vec<&[i32]> = runs.iter().map(Vec::as_slice).collect();
+        assert_eq!(qsort::merge_runs(&runs), merge_kway(&runs), "{runs:?}");
+    });
+}
+
+/// QSORT on the threaded runtime returns `seq`'s array at 1–6 kernels:
+/// the final DThread merges 2, 2, 3, 4, 5 and 6 runs.
+#[test]
+fn qsort_ddm_matches_seq_at_every_kernel_count() {
+    let want = qsort::seq(tflux_workloads::sizes::qsort_n(
+        SizeClass::Small,
+        Platform::Native,
+    ));
+    for kernels in 1..=6 {
+        let got = qsort::run_ddm(&Params::soft(kernels, 1, SizeClass::Small));
+        assert_eq!(got, want, "kernels = {kernels}");
+    }
 }
