@@ -89,13 +89,18 @@ pub fn fft_inplace(a: &mut [Cpx]) {
     }
 }
 
-/// Deterministic input matrix (n×n, row-major).
+/// Deterministic input matrix (n×n, row-major). Element `i` reads
+/// `sin(6x)` and `cos(4y)` at `x = (i % 251) / 251` and `y = (i % 127) / 127`,
+/// so both come from small tables built here.
 pub fn input(n: usize) -> Vec<Cpx> {
+    let sin6: [f64; 251] = std::array::from_fn(|k| (k as f64 / 251.0 * 6.0).sin());
+    let cos4: [f64; 127] = std::array::from_fn(|k| (k as f64 / 127.0 * 4.0).cos());
     (0..n * n)
         .map(|i| {
-            let x = (i % 251) as f64 / 251.0;
-            let y = (i % 127) as f64 / 127.0;
-            Cpx::new((x * 6.0).sin() + 0.5 * y, (y * 4.0).cos() - 0.25 * x)
+            let (a, b) = (i % 251, i % 127);
+            let x = a as f64 / 251.0;
+            let y = b as f64 / 127.0;
+            Cpx::new(sin6[a] + 0.5 * y, cos4[b] - 0.25 * x)
         })
         .collect()
 }

@@ -114,18 +114,18 @@ fn part_bounds(n: usize, parts: u32, ctx: u32) -> (usize, usize) {
     (lo, hi)
 }
 
-/// Merge two sorted runs.
-fn merge2way(a: &[i32], b: &[i32]) -> Vec<i32> {
+/// Merge two sorted runs; on ties `a`'s element comes first. Each step
+/// writes the smaller head and advances its run by the comparison's result,
+/// so the loop has no data-dependent branch to mispredict.
+pub fn merge2way<T: Copy + PartialOrd>(a: &[T], b: &[T]) -> Vec<T> {
     let mut out = Vec::with_capacity(a.len() + b.len());
     let (mut i, mut j) = (0, 0);
     while i < a.len() && j < b.len() {
-        if a[i] <= b[j] {
-            out.push(a[i]);
-            i += 1;
-        } else {
-            out.push(b[j]);
-            j += 1;
-        }
+        let (x, y) = (a[i], b[j]);
+        let take_a = x <= y;
+        out.push(if take_a { x } else { y });
+        i += usize::from(take_a);
+        j += usize::from(!take_a);
     }
     out.extend_from_slice(&a[i..]);
     out.extend_from_slice(&b[j..]);

@@ -9,7 +9,8 @@
 //! paper describes. Smoothing itself is the USAN-style brightness-weighted
 //! 5×5 mask, as in the MiBench original: weight = spatial Gaussian (a 5×5
 //! table built once per band, MiBench's `dpt`) × `exp(-(ΔI/t)²)` (a 512-entry
-//! lookup table). Each pixel reads its 24 taps straight from its five rows.
+//! lookup table). The two are premultiplied into one table per tap, and
+//! the mask runs four adjacent pixels per step, each with its own sums.
 
 use crate::common::{Costed, Describe, Params, Region, Sink};
 use crate::sizes::susan_dims;
@@ -22,6 +23,10 @@ use tflux_runtime::{BodyTable, Runtime, RuntimeConfig, SharedVar};
 pub(crate) const THRESHOLD: f64 = 27.0;
 /// Mask radius (5×5 mask).
 pub const RADIUS: usize = 2;
+/// Mask side.
+const SIDE: usize = 2 * RADIUS + 1;
+/// Pixels the mask evaluates per step.
+const LANES: usize = 4;
 
 /// The brightness LUT the MiBench code builds once: index |ΔI| ∈ 0..512.
 pub fn brightness_lut() -> Vec<f64> {
@@ -33,32 +38,89 @@ pub fn brightness_lut() -> Vec<f64> {
         .collect()
 }
 
-/// Deterministic synthetic input: a gradient with an embedded pattern
-/// (generated in the *init phase*, so the benchmark is self-contained).
-pub fn gen_row(w: usize, _h: usize, y: usize) -> Vec<u8> {
-    (0..w)
-        .map(|x| {
-            let g = (x * 255 / w.max(1)) as u32;
-            let p = ((x * 31 + y * 17) % 97) as u32;
+/// Rows `rows` of the deterministic synthetic input, `w` pixels wide: a
+/// gradient with an embedded pattern (generated in the *init phase*, so the
+/// benchmark is self-contained). Every row is written in place.
+pub fn gen_rows(w: usize, rows: Range<usize>) -> Vec<u8> {
+    let mut out = vec![0u8; rows.len() * w];
+    let grad: Vec<usize> = (0..w).map(|x| x * 255 / w).collect();
+    for (row, y) in out.chunks_exact_mut(w.max(1)).zip(rows) {
+        // `(x·31 + y·17) % 97`, stepped along the row
+        let mut p = y * 17 % 97;
+        for (x, (px, &g)) in row.iter_mut().zip(&grad).enumerate() {
             let edge = if (x / 32 + y / 32).is_multiple_of(2) {
                 40
             } else {
                 0
             };
-            ((g + p + edge) % 256) as u8
-        })
-        .collect()
+            *px = ((g + p + edge) % 256) as u8;
+            p += 31;
+            if p >= 97 {
+                p -= 97;
+            }
+        }
+    }
+    out
+}
+
+/// Row `y` of the synthetic input ([`gen_rows`]).
+pub fn gen_row(w: usize, _h: usize, y: usize) -> Vec<u8> {
+    gen_rows(w, y..y + 1)
+}
+
+/// Every tap's weight at every brightness difference, row-major over the
+/// mask: `spatial[dy][dx] × lut[|ΔI|]`, where the spatial Gaussian is
+/// MiBench's `dpt`.
+type Weights = [[f64; 256]; SIDE * SIDE];
+
+fn weight_table(lut: &[f64]) -> Weights {
+    let mut table = [[0.0; 256]; SIDE * SIDE];
+    for (k, row) in table.iter_mut().enumerate() {
+        let dy = (k / SIDE) as isize - RADIUS as isize;
+        let dx = (k % SIDE) as isize - RADIUS as isize;
+        let s = (-((dx * dx + dy * dy) as f64) / 7.5).exp();
+        for (t, &l) in row.iter_mut().zip(&lut[..256]) {
+            *t = s * l;
+        }
+    }
+    table
+}
+
+/// Smooth the `L` adjacent pixels from column `x` of the middle row of
+/// `rows` (the mask's `SIDE` image rows, `w` pixels each). Every lane adds
+/// its 24 taps in mask order into its own `num`/`den`, so it gets the bits
+/// of a one-pixel loop; the lanes' sums are independent chains.
+fn smooth_lanes<const L: usize>(rows: &[u8], w: usize, x: usize, weights: &Weights) -> [u8; L] {
+    let center: [u8; L] = std::array::from_fn(|l| rows[RADIUS * w + x + l]);
+    let (mut num, mut den) = ([0.0f64; L], [0.0f64; L]);
+    for dy in 0..SIDE {
+        let taps = &rows[dy * w + x - RADIUS..][..L + 2 * RADIUS];
+        for dx in 0..SIDE {
+            if dx == RADIUS && dy == RADIUS {
+                continue;
+            }
+            let table = &weights[dy * SIDE + dx];
+            for l in 0..L {
+                let v = taps[dx + l];
+                let wt = table[v.abs_diff(center[l]) as usize];
+                num[l] += wt * v as f64;
+                den[l] += wt;
+            }
+        }
+    }
+    std::array::from_fn(|l| {
+        if den[l] > 1e-12 {
+            (num[l] / den[l]).round().clamp(0.0, 255.0) as u8
+        } else {
+            center[l]
+        }
+    })
 }
 
 /// Smooth rows `lo..hi` of `img` (w×h, row-major), returning the band.
 /// Border pixels (within `RADIUS` of the edge) pass through unchanged.
 pub fn smooth_band(img: &[u8], w: usize, h: usize, lo: usize, hi: usize, lut: &[f64]) -> Vec<u8> {
-    let mut spatial = [[0.0f64; 2 * RADIUS + 1]; 2 * RADIUS + 1];
-    for (dy, row) in (-(RADIUS as isize)..).zip(&mut spatial) {
-        for (dx, s) in (-(RADIUS as isize)..).zip(row) {
-            *s = (-((dx * dx + dy * dy) as f64) / 7.5).exp();
-        }
-    }
+    let weights = weight_table(lut);
     let (x0, mut out) = (RADIUS.min(w), Vec::with_capacity((hi - lo) * w));
     let x1 = w.saturating_sub(RADIUS).max(x0);
     for y in lo..hi {
@@ -69,25 +131,13 @@ pub fn smooth_band(img: &[u8], w: usize, h: usize, lo: usize, hi: usize, lut: &[
         }
         let rows = &img[(y - RADIUS) * w..(y + RADIUS + 1) * w];
         out.extend_from_slice(&row[..x0]);
-        for x in x0..x1 {
-            let center = row[x] as i32;
-            let (mut num, mut den) = (0.0f64, 0.0f64);
-            for (dy, weights) in spatial.iter().enumerate() {
-                let taps = &rows[dy * w + x - RADIUS..];
-                for (dx, (&s, &v)) in weights.iter().zip(taps).enumerate() {
-                    if dx == RADIUS && dy == RADIUS {
-                        continue;
-                    }
-                    let wt = s * lut[(v as i32 - center).unsigned_abs() as usize];
-                    num += wt * v as f64;
-                    den += wt;
-                }
-            }
-            out.push(if den > 1e-12 {
-                (num / den).round().clamp(0.0, 255.0) as u8
-            } else {
-                center as u8
-            });
+        let mut x = x0;
+        while x + LANES <= x1 {
+            out.extend_from_slice(&smooth_lanes::<LANES>(rows, w, x, &weights));
+            x += LANES;
+        }
+        for x in x..x1 {
+            out.extend_from_slice(&smooth_lanes::<1>(rows, w, x, &weights));
         }
         out.extend_from_slice(&row[x1..]);
     }
@@ -97,10 +147,7 @@ pub fn smooth_band(img: &[u8], w: usize, h: usize, lo: usize, hi: usize, lut: &[
 /// Sequential reference: init → smooth → write-out.
 pub fn seq(w: usize, h: usize) -> Vec<u8> {
     let lut = brightness_lut();
-    let mut img = Vec::with_capacity(w * h);
-    for y in 0..h {
-        img.extend_from_slice(&gen_row(w, h, y));
-    }
+    let img = gen_rows(w, 0..h);
     // the write-out phase's copy is the returned Vec itself
     smooth_band(&img, w, h, 0, h, &lut)
 }
@@ -152,11 +199,7 @@ pub fn run_ddm(p: &Params) -> Vec<u8> {
     let bands = Unroll::new(h as u64, p.unroll);
     bodies.set(ids.init, move |ctx| {
         let Range { start: lo, end: hi } = bands.range(ctx.context);
-        let mut band = Vec::with_capacity((hi - lo) as usize * w);
-        for y in lo..hi {
-            band.extend_from_slice(&gen_row(w, h, y as usize));
-        }
-        iref.put(ctx.context, band);
+        iref.put(ctx.context, gen_rows(w, lo as usize..hi as usize));
     });
     bodies.set(ids.smooth, move |ctx| {
         // the block barrier guarantees every init band exists; rebuild the

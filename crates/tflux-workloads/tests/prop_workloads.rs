@@ -388,3 +388,128 @@ fn qsort_ddm_matches_seq_at_every_kernel_count() {
         assert_eq!(got, want, "kernels = {kernels}");
     }
 }
+
+/// FFT's input as it was before the tables: `sin` and `cos` per element.
+fn fft_input_reference(n: usize) -> Vec<Cpx> {
+    (0..n * n)
+        .map(|i| {
+            let x = (i % 251) as f64 / 251.0;
+            let y = (i % 127) as f64 / 127.0;
+            Cpx::new((x * 6.0).sin() + 0.5 * y, (y * 4.0).cos() - 0.25 * x)
+        })
+        .collect()
+}
+
+/// The table-driven FFT input gives the per-element formula's bits, from
+/// one element to matrices that wrap both tables many times.
+#[test]
+fn fft_input_matches_per_element_formula() {
+    for n in [1usize, 2, 16, 128, 256] {
+        let (got, want) = (fft::input(n), fft_input_reference(n));
+        assert_eq!(got.len(), want.len(), "n = {n}");
+        for (i, (g, w)) in got.iter().zip(&want).enumerate() {
+            assert_eq!(
+                (g.re.to_bits(), g.im.to_bits()),
+                (w.re.to_bits(), w.im.to_bits()),
+                "n = {n}, element {i}"
+            );
+        }
+    }
+}
+
+/// SUSAN's input row as it was before the rows were written in place: one
+/// `Vec` per row, every pixel from its own formula.
+fn susan_row_reference(w: usize, y: usize) -> Vec<u8> {
+    (0..w)
+        .map(|x| {
+            let g = (x * 255 / w.max(1)) as u32;
+            let p = ((x * 31 + y * 17) % 97) as u32;
+            let edge = if (x / 32 + y / 32).is_multiple_of(2) {
+                40
+            } else {
+                0
+            };
+            ((g + p + edge) % 256) as u8
+        })
+        .collect()
+}
+
+/// The in-place SUSAN rows are the per-row formula's bytes at the three
+/// Table 1 sizes, for the whole image and for bands starting mid-image.
+#[test]
+fn susan_rows_match_per_row_reference() {
+    for size in [SizeClass::Small, SizeClass::Medium, SizeClass::Large] {
+        let (w, h) = tflux_workloads::sizes::susan_dims(size);
+        let want: Vec<u8> = (0..h).flat_map(|y| susan_row_reference(w, y)).collect();
+        assert_eq!(susan::gen_rows(w, 0..h), want, "{size:?}");
+        for (lo, hi) in [(0, 1), (31, 97), (h - 3, h)] {
+            assert_eq!(
+                susan::gen_rows(w, lo..hi),
+                want[lo * w..hi * w],
+                "{size:?}, rows {lo}..{hi}"
+            );
+        }
+    }
+    cases(64, |rng| {
+        let (w, y) = (rng.range(0usize..100), rng.range(0usize..200));
+        assert_eq!(
+            susan::gen_row(w, 0, y),
+            susan_row_reference(w, y),
+            "w {w}, y {y}"
+        );
+    });
+}
+
+/// The branch-free `merge2way` gives the heap merge's output on
+/// duplicate-heavy runs (keys 0..4), with either run empty.
+#[test]
+fn qsort_merge2way_matches_heap_merge() {
+    let sorted = |rng: &mut SplitMix64, len: usize| {
+        let mut r: Vec<i32> = (0..len).map(|_| rng.below(4) as i32).collect();
+        r.sort_unstable();
+        r
+    };
+    cases(64, |rng| {
+        let (la, lb) = (rng.range(0usize..60), rng.range(0usize..60));
+        let (a, b) = (sorted(rng, la), sorted(rng, lb));
+        for (a, b) in [(&a[..], &b[..]), (&[][..], &b[..]), (&a[..], &[][..])] {
+            assert_eq!(qsort::merge2way(a, b), merge_kway(&[a, b]), "{a:?} + {b:?}");
+        }
+    });
+}
+
+/// A key with a tag that takes no part in the order, so a merge's choice
+/// between equal keys shows.
+#[derive(Clone, Copy, Debug, PartialEq)]
+struct Tagged {
+    key: u8,
+    tag: u32,
+}
+
+impl PartialOrd for Tagged {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        self.key.partial_cmp(&other.key)
+    }
+}
+
+/// `merge2way` is stable: on equal keys `a`'s elements come first, as a
+/// stable sort of `a` then `b` orders them.
+#[test]
+fn qsort_merge2way_takes_a_on_ties() {
+    cases(64, |rng| {
+        let mut run = |tag0: u32| {
+            let mut r: Vec<Tagged> = (0..rng.range(0u32..40))
+                .map(|t| Tagged {
+                    key: rng.below(4) as u8,
+                    tag: tag0 + t,
+                })
+                .collect();
+            r.sort_by_key(|t| t.key);
+            r
+        };
+        let (a, b) = (run(0), run(1000));
+        let mut want = [a.clone(), b.clone()].concat();
+        want.sort_by_key(|t| t.key);
+        assert_eq!(qsort::merge2way(&a, &b), want, "{a:?} + {b:?}");
+    });
+}
