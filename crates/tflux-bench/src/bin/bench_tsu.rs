@@ -64,8 +64,10 @@ fn allocations<R>(f: impl FnOnce() -> R) -> (R, u64, u64) {
 /// What building a threaded `Tsu` for `fanout_reduce` at 2 kernels allocates,
 /// and what draining it allocates per instance — counted, not timed, and
 /// identical on any host, which is what the floor keys on. `sm_table_bytes`
-/// is the ready-count slab, O(instances) by definition; the rest of
-/// `bytes` — queue units, counter rows — must not grow with the block.
+/// is the ready-count slab, O(instances) by definition; `queue_bytes` is the
+/// queue units' rings, each sized once for its kernel's share of the block;
+/// the rest of `bytes` — inboxes, counter rows — must not grow with the
+/// block.
 /// `rings` (bell rings on kernel 1's queue) and `inbox_locks` (inbox
 /// acquisitions, both queues) count the hand-over of the block load,
 /// which publishes one run per (owner, thread). The drain's TSU counters
@@ -76,6 +78,7 @@ struct ConstructionRow {
     alloc_calls: u64,
     bytes: u64,
     sm_table_bytes: u64,
+    queue_bytes: u64,
     drain_alloc_calls: u64,
     rings: u64,
     inbox_locks: u64,
@@ -83,6 +86,9 @@ struct ConstructionRow {
     rc_updates: u64,
     rc_rmws: u64,
 }
+
+/// Bytes of one deque slot: an instance word and an epoch word.
+const SLOT_BYTES: u64 = 16;
 
 impl ConstructionRow {
     const KERNELS: u32 = 2;
@@ -100,6 +106,12 @@ impl ConstructionRow {
             alloc_calls,
             bytes,
             sm_table_bytes,
+            queue_bytes: tsu
+                .queues()
+                .iter()
+                .map(|q| q.capacity() as u64)
+                .sum::<u64>()
+                * SLOT_BYTES,
             drain_alloc_calls,
             rings: tsu.queues()[1].handover_counts().0,
             inbox_locks: tsu.queues().iter().map(|q| q.handover_counts().1).sum(),
@@ -125,6 +137,7 @@ impl ToJson for ConstructionRow {
             ("bytes", self.bytes.to_json()),
             ("sm_table_bytes", self.sm_table_bytes.to_json()),
             ("beyond_table_bytes", self.beyond_table_bytes().to_json()),
+            ("queue_bytes", self.queue_bytes.to_json()),
             ("drain_alloc_calls", self.drain_alloc_calls.to_json()),
             ("drain_allocs_per_instance", per_instance.to_json()),
             ("rings", self.rings.to_json()),
@@ -199,12 +212,32 @@ fn main() {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tflux_core::{KernelId, ThreadKind};
 
     #[test]
     fn construction_stays_small_and_hands_the_block_over_per_run() {
         let (a, b) = (ConstructionRow::measure(), ConstructionRow::measure());
-        // queue units and counter rows start small whatever the block
-        assert!(a.beyond_table_bytes() <= 256 << 10, "{a:?}");
+        // each ring holds its kernel's share of the one block (all but
+        // the inlet), rounded up to a power of two
+        let (program, kernels) = (fanout_reduce(), ConstructionRow::KERNELS);
+        let share = |k| -> u32 {
+            let resident = program
+                .threads()
+                .iter()
+                .filter(|t| t.kind != ThreadKind::Inlet);
+            resident
+                .map(|t| t.affinity.share(KernelId(k), t.arity, kernels))
+                .sum()
+        };
+        let ring_bytes: u64 = (0..kernels)
+            .map(|k| share(k).next_power_of_two() as u64 * SLOT_BYTES)
+            .sum();
+        assert_eq!(a.queue_bytes, ring_bytes, "{a:?}");
+        assert_eq!(a.queue_bytes, (65_536 + 32_768) * SLOT_BYTES);
+        // everything else — inboxes and counter rows — stays small
+        // whatever the block, and draining allocates a fixed handful
+        assert!(a.beyond_table_bytes() - a.queue_bytes <= 256 << 10, "{a:?}");
+        assert_eq!(a.drain_alloc_calls, 23, "{a:?}");
         // one ring per foreign run (8 threads' shares for kernel 1, plus
         // slack), one inbox lock per foreign run and per take-over
         assert!(a.rings <= 16 && a.inbox_locks <= 32, "{a:?}");

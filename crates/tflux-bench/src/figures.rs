@@ -20,9 +20,11 @@ pub struct FigRow {
     pub kernels: u32,
     /// Measured speedup over the sequential baseline.
     pub speedup: f64,
-    /// Share of memory accesses that were coherency (remote) misses.
-    pub coherency_ratio: f64,
-    /// Average core utilization.
+    /// Share of memory accesses that were coherency (remote) misses;
+    /// `None` on the Cell, whose SPEs have no coherent caches to miss in.
+    pub coherency_ratio: Option<f64>,
+    /// Average core utilization: the share of the run's cycles each core
+    /// spent in DThread bodies.
     pub utilization: f64,
 }
 
@@ -33,7 +35,10 @@ impl ToJson for FigRow {
             ("size", self.size.to_json()),
             ("kernels", self.kernels.to_json()),
             ("speedup", self.speedup.to_json()),
-            ("coherency_ratio", self.coherency_ratio.to_json()),
+            (
+                "coherency_ratio",
+                self.coherency_ratio.map_or(Json::Null, |r| r.to_json()),
+            ),
             ("utilization", self.utilization.to_json()),
         ])
     }
@@ -74,7 +79,7 @@ fn sim_point(bench: Bench, machine: &Machine, p: &Params) -> FigRow {
         size: p.size.label(),
         kernels: p.kernels,
         speedup: par.speedup_over(&seq),
-        coherency_ratio: par.mem.coherency_ratio(),
+        coherency_ratio: Some(par.mem.coherency_ratio()),
         utilization: par.utilization(),
     }
 }
@@ -155,8 +160,8 @@ pub fn fig7(quick: bool) -> Vec<FigRow> {
                     size: p.size.label(),
                     kernels: k,
                     speedup: par.speedup_over(&seq),
-                    coherency_ratio: 0.0,
-                    utilization: par.dma_fraction(),
+                    coherency_ratio: None,
+                    utilization: par.utilization(),
                 });
             }
         }

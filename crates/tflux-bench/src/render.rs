@@ -268,8 +268,13 @@ fn render_figure(title: &str, rows: &[FigRow]) -> String {
                 Some(r) => format!("{:.1}", r.speedup),
                 None => "-".to_string(),
             };
-            // annotate with the largest-size point's diagnostics
+            // annotate with the largest-size point's diagnostics; a platform
+            // without coherent caches prints `-` for its coherency misses
             let diag = cell("Large").or(cell("Medium")).or(cell("Small"));
+            let coherency = |r: &FigRow| {
+                r.coherency_ratio
+                    .map_or("-".into(), |c| format!("{:.1}", c * 100.0))
+            };
             let _ = writeln!(
                 s,
                 "{:<8} {:>7} {:>10} {:>10} {:>10}   {:>9} {:>6}",
@@ -278,8 +283,7 @@ fn render_figure(title: &str, rows: &[FigRow]) -> String {
                 fmt(cell("Small")),
                 fmt(cell("Medium")),
                 fmt(cell("Large")),
-                diag.map(|r| format!("{:.1}", r.coherency_ratio * 100.0))
-                    .unwrap_or_default(),
+                diag.map(coherency).unwrap_or_default(),
                 diag.map(|r| format!("{:.0}", r.utilization * 100.0))
                     .unwrap_or_default(),
             );
@@ -313,7 +317,7 @@ mod tests {
             size,
             kernels,
             speedup,
-            coherency_ratio: 0.01,
+            coherency_ratio: Some(0.01),
             utilization: 0.9,
         }
     }

@@ -39,6 +39,12 @@ impl CellReport {
         }
     }
 
+    /// Average SPE utilization: body cycles over `SPEs × cycles`.
+    pub fn utilization(&self) -> f64 {
+        let busy: u64 = self.spe_busy.iter().sum();
+        busy as f64 / (self.spe_busy.len() as u64 * self.cycles).max(1) as f64
+    }
+
     /// Fraction of SPE time spent in DMA.
     pub fn dma_fraction(&self) -> f64 {
         let dma: u64 = self.spe_dma.iter().sum();
@@ -77,6 +83,7 @@ mod tests {
         let par = r(200, 100, 50, 50);
         assert!((par.speedup_over(&seq) - 5.0).abs() < 1e-12);
         assert!((par.dma_fraction() - 0.25).abs() < 1e-12);
+        assert!((par.utilization() - 0.5).abs() < 1e-12);
     }
 
     #[test]
@@ -84,5 +91,6 @@ mod tests {
         let z = r(0, 0, 0, 0);
         assert_eq!(z.speedup_over(&z), 0.0);
         assert_eq!(z.dma_fraction(), 0.0);
+        assert_eq!(z.utilization(), 0.0);
     }
 }

@@ -49,6 +49,22 @@ impl Affinity {
             Affinity::Fixed(k) => KernelId(k.0.min(kernels - 1)),
         }
     }
+
+    /// How many of the `arity` contexts [`kernel_of`](Self::kernel_of)
+    /// places on kernel `k`, in closed form.
+    pub fn share(&self, k: KernelId, arity: u32, kernels: u32) -> u32 {
+        debug_assert!(kernels > 0 && k.0 < kernels);
+        match *self {
+            Affinity::Range => {
+                let chunk = arity.div_ceil(kernels);
+                let before = (k.0 as u64 * chunk as u64).min(arity as u64) as u32;
+                chunk.min(arity - before)
+            }
+            Affinity::RoundRobin => arity / kernels + u32::from(k.0 < arity % kernels),
+            Affinity::Fixed(j) if k.0 == j.0.min(kernels - 1) => arity,
+            Affinity::Fixed(_) => 0,
+        }
+    }
 }
 
 /// Static description of a DThread template.
@@ -122,6 +138,26 @@ mod tests {
         let a = Affinity::RoundRobin;
         let owners: Vec<u32> = (0..6).map(|c| a.kernel_of(Context(c), 6, 3).0).collect();
         assert_eq!(owners, vec![0, 1, 2, 0, 1, 2]);
+    }
+
+    #[test]
+    fn share_counts_what_kernel_of_places() {
+        crate::rng::cases(200, |rng| {
+            let arity = rng.range(1u32..10_001);
+            let kernels = rng.range(1u32..65);
+            let fixed = Affinity::Fixed(KernelId(rng.range(0u32..2 * kernels)));
+            for a in [Affinity::Range, Affinity::RoundRobin, fixed] {
+                let mut counted = vec![0u32; kernels as usize];
+                for c in 0..arity {
+                    counted[a.kernel_of(Context(c), arity, kernels).idx()] += 1;
+                }
+                let shares: Vec<u32> = (0..kernels)
+                    .map(|k| a.share(KernelId(k), arity, kernels))
+                    .collect();
+                assert_eq!(shares, counted, "{a:?} arity={arity} kernels={kernels}");
+                assert_eq!(shares.iter().sum::<u32>(), arity);
+            }
+        });
     }
 
     #[test]

@@ -10,7 +10,8 @@
 //!   completions never contend on a lock (only block transitions are
 //!   serialized).
 //! * a [`ReadyQueue`] per kernel — a Chase-Lev work-stealing deque of
-//!   ready instances ([`StealDeque`]) plus one locked FIFO inbox for runs
+//!   ready instances ([`StealDeque`]), sized once from the committed
+//!   graph, plus one locked FIFO inbox for runs
 //!   pushed by other kernels; idle kernels steal the oldest entry of a
 //!   sibling. A queue receives its share of each publication as one run,
 //!   and is told when the run comes from its own kernel, so it need not
@@ -82,7 +83,9 @@ impl<P: ProgramHandle> Tsu<P> {
     /// Create a TSU for `program` serving `kernels` kernels (clamped to
     /// ≥ 1) and arm it: the inlet of the first block is dispatched and
     /// queued. One queue per kernel, with stealing if configured and there
-    /// is anyone to steal from.
+    /// is anyone to steal from. Each queue's deque is sized here, once, for
+    /// the most instances one block places on its kernel, at least 1; it
+    /// never needs more (the queue module's "Sizing").
     ///
     /// This is the TSU one thread drives, playing every kernel id: each run
     /// is then its owner's, so it goes straight onto the deque bottom,
@@ -107,10 +110,11 @@ impl<P: ProgramHandle> Tsu<P> {
         let sm = SyncMemory::with_window(program, kernels, config.capacity, config.window);
         let gm = sm.graph();
         let kernels = gm.kernels();
+        let queues = queue_bounds(&gm);
         let tsu = Tsu {
             gm,
             sm,
-            queues: (0..kernels).map(|_| ReadyQueue::new()).collect(),
+            queues: queues.into_iter().map(ReadyQueue::with_capacity).collect(),
             threaded,
             steal: config.steal && kernels > 1,
             steal_rng: AtomicU64::new(0x5EED_0000 ^ ((kernels as u64) << 8)),
@@ -382,6 +386,27 @@ impl<P: ProgramHandle> Tsu<P> {
             self.retire_epoch(Epoch(retired))?;
         }
     }
+}
+
+/// Per kernel, the most instances any one block of the program places on
+/// it: the block's app threads plus its outlet
+/// ([`block_instances`](GraphMemory::block_instances)), at least 1 for a
+/// lone inlet. O(threads × kernels), from
+/// [`Affinity::share`](crate::Affinity::share).
+fn queue_bounds<P: ProgramHandle>(gm: &GraphMemory<P>) -> Vec<usize> {
+    let (program, kernels) = (gm.program(), gm.kernels());
+    let mut bounds = vec![1; kernels as usize];
+    for blk in program.blocks() {
+        for (k, bound) in bounds.iter_mut().enumerate() {
+            let share = |&t| {
+                let spec = program.thread(t);
+                spec.affinity.share(KernelId(k as u32), spec.arity, kernels) as usize
+            };
+            let load = blk.threads.iter().chain([&blk.outlet]).map(share).sum();
+            *bound = (*bound).max(load);
+        }
+    }
+    bounds
 }
 
 /// Drive a TSU to completion single-threadedly, round-robining fetches over

@@ -36,20 +36,32 @@
 //!   read, then the `SeqCst` CAS on `top`. A failed CAS is
 //!   [`Steal::Retry`] — somebody else took index `top` — and the read
 //!   value is dropped on the floor.
-//! * **growth**: the owner initializes the next rung of a geometric
-//!   buffer *ladder* (each rung doubles the capacity), copies
-//!   `top..bottom` into it and publishes it with a `Release` store of the
-//!   rung index. Retired rungs stay initialized for the deque's lifetime,
-//!   so a thief still reading through a stale index touches valid memory
-//!   holding entries identical at the indices it may reach — which also
-//!   keeps the whole structure free of `unsafe`. ABA cannot occur: `top`
-//!   is a monotonic counter that never reuses values, regardless of how
-//!   often the rung is swapped.
+//! * **full**: the ring's size is fixed. A push that finds `bottom - top`
+//!   at the capacity hands its entry back and writes nothing. A stale
+//!   `top` is only ever low, so the check errs towards "full", never
+//!   towards overwriting a live slot.
+//!
+//! # Sizing
+//!
+//! [`Tsu`](super::Tsu) sizes each kernel's ring once, for the most
+//! instances one block places on that kernel (app threads plus outlet, at
+//! least 1 for a lone inlet), and the ring never fills: a deque receives
+//! only its own kernel's instances (anyone else's run lands in the inbox);
+//! every entry is dispatched before it is pushed; and one block and one
+//! epoch are resident at a time ([`SyncMemory`](super::SyncMemory),
+//! "Streaming epochs"), so a block's entries are pushed only after its
+//! predecessor's outlet, which waited for every earlier entry to be
+//! claimed. Nor can a stale `top` make a legal push look full: a steal of
+//! an earlier block's entry happens-before its completion, whose `AcqRel`
+//! ready-count decrement happens-before the outlet's dispatch and the
+//! block transition that precedes any push of the next block. So the
+//! owner's `Acquire` load of `top` reads at least the value at which the
+//! deque emptied, and `bottom - top` counts only this block's pushes.
 
 use crate::ids::{Epoch, Instance, ThreadId};
 use std::collections::VecDeque;
 use std::sync::atomic::{fence, AtomicI64, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
+use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
 
 /// Result of a kernel's request for its next DThread.
@@ -84,16 +96,6 @@ pub enum Steal {
     Retry,
 }
 
-impl Steal {
-    /// The stolen entry, if the attempt succeeded.
-    pub fn success(self) -> Option<(Instance, Epoch)> {
-        match self {
-            Steal::Success(e) => Some(e),
-            _ => None,
-        }
-    }
-}
-
 /// An `(Instance, Epoch)` entry packed into two per-slot atomics.
 ///
 /// `inst` packs `thread` in the high 32 bits and `context` in the low 32;
@@ -101,6 +103,7 @@ impl Steal {
 /// separately by thieves, and a torn pair (one word old, one new) can only
 /// be observed in executions where the claiming CAS fails — the pair is
 /// then discarded, so tearing is never visible to a caller.
+#[derive(Default)]
 struct Slot {
     inst: AtomicU64,
     epoch: AtomicU64,
@@ -116,51 +119,8 @@ fn unpack(x: u64) -> Instance {
     Instance::new(ThreadId((x >> 32) as u32), crate::ids::Context(x as u32))
 }
 
-/// A circular power-of-two buffer of slots, indexed by the unbounded
-/// `top`/`bottom` counters modulo its capacity.
-struct Buffer {
-    mask: i64,
-    slots: Box<[Slot]>,
-}
-
-impl Buffer {
-    fn new(cap: usize) -> Buffer {
-        let cap = cap.next_power_of_two().max(2);
-        Buffer {
-            mask: cap as i64 - 1,
-            slots: (0..cap)
-                .map(|_| Slot {
-                    inst: AtomicU64::new(0),
-                    epoch: AtomicU64::new(0),
-                })
-                .collect(),
-        }
-    }
-
-    #[inline]
-    fn cap(&self) -> i64 {
-        self.mask + 1
-    }
-
-    #[inline]
-    fn read(&self, i: i64) -> (u64, u64) {
-        let s = &self.slots[(i & self.mask) as usize];
-        (
-            s.inst.load(Ordering::Relaxed),
-            s.epoch.load(Ordering::Relaxed),
-        )
-    }
-
-    #[inline]
-    fn write(&self, i: i64, inst: u64, epoch: u64) {
-        let s = &self.slots[(i & self.mask) as usize];
-        s.inst.store(inst, Ordering::Relaxed);
-        s.epoch.store(epoch, Ordering::Relaxed);
-    }
-}
-
 /// The core of a [`ReadyQueue`]: a Chase-Lev work-stealing deque of
-/// epoch-tagged ready instances.
+/// epoch-tagged ready instances, in a fixed power-of-two ring.
 ///
 /// The *owner* (the kernel the queue belongs to, or the single scheduler
 /// thread in the single-owner platforms) calls [`push`](Self::push) and
@@ -178,77 +138,47 @@ impl Buffer {
 pub struct StealDeque {
     bottom: AtomicI64,
     top: AtomicI64,
-    /// Index of the live rung in `ladder`.
-    cur: AtomicUsize,
-    /// Geometric buffer ladder: rung `i` holds `base << i` slots, where
-    /// `base` is rung 0's capacity. Growth initializes the next rung,
-    /// copies the live window and publishes the new index; retired rungs
-    /// stay initialized for the deque's lifetime so a thief holding a
-    /// stale index always reads valid memory.
-    ladder: Box<[OnceLock<Buffer>]>,
-}
-
-impl Default for StealDeque {
-    fn default() -> Self {
-        StealDeque::new()
-    }
+    /// Capacity − 1: the unbounded counter `i` lives in slot `i & mask`.
+    mask: i64,
+    slots: Box<[Slot]>,
 }
 
 impl StealDeque {
-    /// An empty deque with the default initial capacity (it grows).
-    pub fn new() -> Self {
-        StealDeque::with_capacity(64)
-    }
-
-    /// An empty deque whose initial buffer holds `cap` entries (rounded up
-    /// to a power of two). The buffer doubles when full, so this is a
-    /// sizing hint, not a limit.
+    /// An empty deque holding at most `cap` entries, rounded up to a power
+    /// of two (at least 1). The size is fixed for the deque's lifetime.
     pub fn with_capacity(cap: usize) -> Self {
-        let base = Buffer::new(cap);
-        // enough rungs to double from `base` up to 2^62 entries — far past
-        // any reachable occupancy, so growth can never fall off the ladder
-        let rungs = 63 - (base.cap() as u64).ilog2() as usize;
-        let ladder: Box<[OnceLock<Buffer>]> = (0..rungs).map(|_| OnceLock::new()).collect();
-        let _ = ladder[0].set(base);
+        let cap = cap.next_power_of_two();
         StealDeque {
             bottom: AtomicI64::new(0),
             top: AtomicI64::new(0),
-            cur: AtomicUsize::new(0),
-            ladder,
+            mask: cap as i64 - 1,
+            slots: (0..cap).map(|_| Slot::default()).collect(),
         }
     }
 
     #[inline]
-    fn rung(&self, i: usize) -> &Buffer {
-        self.ladder[i].get().expect("published rung is initialized")
+    fn read(&self, i: i64) -> (u64, u64) {
+        let s = &self.slots[(i & self.mask) as usize];
+        (
+            s.inst.load(Ordering::Relaxed),
+            s.epoch.load(Ordering::Relaxed),
+        )
     }
 
-    /// Enqueue a ready instance at the bottom (owner side).
-    pub fn push(&self, inst: Instance, epoch: Epoch) {
+    /// Enqueue a ready instance at the bottom (owner side). A full ring
+    /// hands the entry back untouched.
+    pub fn push(&self, inst: Instance, epoch: Epoch) -> Result<(), (Instance, Epoch)> {
         let b = self.bottom.load(Ordering::Relaxed);
         let t = self.top.load(Ordering::Acquire);
-        let mut buf = self.rung(self.cur.load(Ordering::Relaxed));
-        if b - t >= buf.cap() {
-            buf = self.grow(t, b);
+        if b - t > self.mask {
+            return Err((inst, epoch));
         }
-        buf.write(b, pack(inst), epoch.0);
+        let s = &self.slots[(b & self.mask) as usize];
+        s.inst.store(pack(inst), Ordering::Relaxed);
+        s.epoch.store(epoch.0, Ordering::Relaxed);
         fence(Ordering::Release);
         self.bottom.store(b + 1, Ordering::Relaxed);
-    }
-
-    /// Climb one rung: initialize the doubled buffer, copy the live
-    /// window, publish the new index (owner-only slow path).
-    fn grow(&self, t: i64, b: i64) -> &Buffer {
-        let cur = self.cur.load(Ordering::Relaxed);
-        let old = self.rung(cur);
-        let base = self.rung(0).cap() as usize;
-        let new = self.ladder[cur + 1].get_or_init(|| Buffer::new(base << (cur + 1)));
-        for i in t..b {
-            let (x, e) = old.read(i);
-            new.write(i, x, e);
-        }
-        self.cur.store(cur + 1, Ordering::Release);
-        new
+        Ok(())
     }
 
     /// Dequeue the *newest* entry from the bottom (owner side). On the
@@ -256,12 +186,11 @@ impl StealDeque {
     /// losing is a clean `None`, never a double-pop.
     pub fn pop(&self) -> Option<(Instance, Epoch)> {
         let b = self.bottom.load(Ordering::Relaxed) - 1;
-        let buf = self.rung(self.cur.load(Ordering::Relaxed));
         self.bottom.store(b, Ordering::Relaxed);
         fence(Ordering::SeqCst);
         let t = self.top.load(Ordering::Relaxed);
         if t <= b {
-            let (x, e) = buf.read(b);
+            let (x, e) = self.read(b);
             if t == b {
                 // last entry: claim it against concurrent thieves
                 let won = self
@@ -290,8 +219,7 @@ impl StealDeque {
         if t >= b {
             return Steal::Empty;
         }
-        let buf = self.rung(self.cur.load(Ordering::Acquire));
-        let (x, e) = buf.read(t);
+        let (x, e) = self.read(t);
         if self
             .top
             .compare_exchange(t, t + 1, Ordering::SeqCst, Ordering::Relaxed)
@@ -302,9 +230,9 @@ impl StealDeque {
         Steal::Success((unpack(x), Epoch(e)))
     }
 
-    /// Slots of the live buffer: what the deque holds before it next grows.
+    /// Slots in the ring: the most entries the deque holds.
     pub fn capacity(&self) -> usize {
-        self.rung(self.cur.load(Ordering::Acquire)).cap() as usize
+        self.slots.len()
     }
 
     /// Entries currently queued (a racy snapshot under concurrency; exact
@@ -392,13 +320,15 @@ impl EventCount {
 ///   the run is visible, so it wakes the owner if it parked and costs one
 ///   atomic increment if not.
 ///
+/// The deque is sized for its kernel's largest block share ("Sizing"
+/// above), so a push it refuses is a broken invariant and panics.
+///
 /// Entries keep their **arrival order**: the owner moves the inbox onto
 /// its deque bottom, under one lock, before each of its own pushes and
 /// takes, so the deque holds what arrived before the inbox. When one
 /// thread drives the queue, every take therefore answers the newest entry
 /// and every steal the oldest, exactly as a [`StealDeque`] fed the same pushes
 /// would; a run is its pushes made one at a time.
-#[derive(Default)]
 pub struct ReadyQueue {
     deque: StealDeque,
     /// Runs by anyone but the owner, oldest first; moved onto `deque` by
@@ -408,15 +338,22 @@ pub struct ReadyQueue {
     inbox_len: AtomicUsize,
     /// Acquisitions of `inbox`, bumped by the holder (never an RMW).
     inbox_locks: AtomicU64,
-    /// Rung once per foreign run, after it is in the inbox; the owner
+    /// Rings once per foreign run, after it is in the inbox; the owner
     /// parks on it.
     bell: EventCount,
 }
 
 impl ReadyQueue {
-    /// An empty queue: a default-sized deque and an empty inbox.
-    pub fn new() -> Self {
-        ReadyQueue::default()
+    /// An empty queue whose deque holds `cap` entries (rounded up to a
+    /// power of two), and an empty inbox.
+    pub(crate) fn with_capacity(cap: usize) -> Self {
+        ReadyQueue {
+            deque: StealDeque::with_capacity(cap),
+            inbox: Mutex::default(),
+            inbox_len: AtomicUsize::new(0),
+            inbox_locks: AtomicU64::new(0),
+            bell: EventCount::default(),
+        }
     }
 
     /// Enqueue a run of dispatched instances, all under `epoch`, from any
@@ -428,7 +365,7 @@ impl ReadyQueue {
         if by_owner {
             self.drain();
             for &i in run {
-                self.deque.push(i, epoch);
+                self.push_owned(i, epoch);
             }
             return;
         }
@@ -451,10 +388,17 @@ impl ReadyQueue {
         if self.inbox_len.load(Ordering::SeqCst) > 0 {
             let mut inbox = self.inbox();
             for (i, ep) in inbox.drain(..) {
-                self.deque.push(i, ep);
+                self.push_owned(i, ep);
             }
             self.inbox_len.store(0, Ordering::SeqCst);
         }
+    }
+
+    /// Push onto the deque bottom (owner side), within its bound.
+    fn push_owned(&self, i: Instance, epoch: Epoch) {
+        self.deque
+            .push(i, epoch)
+            .expect("a Queue Unit holds at most its kernel's largest share of one block");
     }
 
     /// One steal attempt by a foreign kernel: the deque top first (the
@@ -486,6 +430,12 @@ impl ReadyQueue {
         self.len() == 0
     }
 
+    /// Slots in the deque's ring, fixed when the [`Tsu`](super::Tsu) is
+    /// built.
+    pub fn capacity(&self) -> usize {
+        self.deque.capacity()
+    }
+
     /// Where this queue's owner parks: read its `epoch` before looking for
     /// work, `wait` on it after a miss.
     pub fn bell(&self) -> &EventCount {
@@ -511,7 +461,6 @@ mod tests {
     use super::*;
     use crate::prelude::*;
     use crate::tsu::drain_sequential;
-    use std::collections::HashSet;
     use std::sync::atomic::AtomicBool;
     use std::sync::Arc;
     use std::time::Instant;
@@ -527,6 +476,11 @@ mod tests {
         (lo..hi).map(|c| inst(1, c)).collect()
     }
 
+    /// A queue whose deque no test below fills.
+    fn queue() -> ReadyQueue {
+        ReadyQueue::with_capacity(1 << 14)
+    }
+
     /// One foreign push of `i`.
     fn foreign(q: &ReadyQueue, i: Instance) {
         q.push_run(&[i], E0, false)
@@ -539,7 +493,7 @@ mod tests {
         // steals. Arrival order makes every answer the deque's.
         let mut inbox_locks = 0;
         crate::rng::cases(64, |rng| {
-            let (q, model) = (ReadyQueue::new(), StealDeque::new());
+            let (q, model) = (queue(), StealDeque::with_capacity(1 << 14));
             let mut next = 0;
             for _ in 0..300 {
                 match rng.below(6) {
@@ -549,7 +503,7 @@ mod tests {
                         let (run, epoch) = (entries(next, next + len), Epoch(rng.below(3)));
                         next += len;
                         q.push_run(&run, epoch, rng.chance(1, 2));
-                        run.iter().for_each(|&i| model.push(i, epoch));
+                        run.iter().for_each(|&i| model.push(i, epoch).unwrap());
                     }
                     3 | 4 => assert_eq!(q.take(), model.pop()),
                     _ => assert_eq!(q.steal(), model.steal()),
@@ -569,7 +523,7 @@ mod tests {
     fn ready_queue_pops_lifo_and_steals_fifo() {
         // the Chase-Lev contract: the owner runs its newest (cache-warm)
         // entry, a thief migrates the oldest
-        let q = ReadyQueue::new();
+        let q = queue();
         for t in 1..=3 {
             foreign(&q, inst(t, 0));
         }
@@ -589,7 +543,7 @@ mod tests {
     fn race_thieves_against_the_owner(owner_path: bool, runs: &[usize]) {
         let n = 5_000u32;
         let total = n * (1 + runs.len() as u32);
-        let q = Arc::new(ReadyQueue::new());
+        let q = Arc::new(queue());
         let done = Arc::new(AtomicBool::new(false));
         let mut handles = Vec::new();
         for _ in 0..2 {
@@ -668,7 +622,7 @@ mod tests {
     /// queues are empty. Every take and steal must see the same entry on
     /// both. Returns each queue's `(rings, inbox locks)`.
     fn as_runs_and_as_pushes(runs: &[Vec<Instance>], by_owner: bool) -> [(u64, u64); 2] {
-        let (batched, single) = (ReadyQueue::new(), ReadyQueue::new());
+        let (batched, single) = (queue(), queue());
         for run in runs {
             batched.push_run(run, E0, by_owner);
             for &i in run {
@@ -704,7 +658,7 @@ mod tests {
         assert_eq!((owner, single), ((0, 0), (0, 0)));
         // the inbox reaches the deque bottom ahead of the owner's next
         // run, in arrival order: the owner takes everything newest first
-        let q = ReadyQueue::new();
+        let q = queue();
         q.push_run(&entries(0, 40), E0, false);
         q.push_run(&entries(40, 45), E0, true);
         assert_eq!(q.handover_counts(), (1, 2), "one ring; run + move");
@@ -716,7 +670,7 @@ mod tests {
 
     #[test]
     fn owner_pushes_stay_off_the_inbox_and_wake_nobody() {
-        let q = ReadyQueue::new();
+        let q = queue();
         // a foreign push rings the owner's bell exactly once; an owner
         // push rings nothing
         let rings = |push: &dyn Fn()| {
@@ -784,8 +738,10 @@ mod tests {
     }
 
     #[test]
-    fn queue_units_start_small_whatever_the_block() {
-        // `soft_fine`'s fanout_reduce: a 65 539-instance block
+    fn queue_units_are_sized_from_the_block() {
+        // `soft_fine`'s fanout_reduce: a 65 539-instance block. At two
+        // kernels, kernel 0 gets half of each fan thread plus the sink and
+        // the outlet (32 770), kernel 1 the other halves (32 768)
         let mut b = ProgramBuilder::new();
         let blk = b.block();
         let sink = b.thread(blk, ThreadSpec::scalar("sink"));
@@ -795,8 +751,6 @@ mod tests {
         }
         let p = b.build().unwrap();
         assert_eq!(p.block_instances(p.blocks()[0].id), 8 * 8192 + 2);
-        let q = ReadyQueue::new();
-        assert_eq!((q.deque.capacity(), lock(&q.inbox).capacity()), (64, 0));
         let built = [
             Tsu::new(&p, 2, TsuConfig::default()),
             Tsu::threaded(&p, 2, TsuConfig::default()),
@@ -806,16 +760,15 @@ mod tests {
             // the one entry either has queued, and the threaded one's is
             // in its owner's inbox, handed over by no kernel
             assert_eq!(tsu.ready_len(), 1);
-            for q in tsu.queues() {
-                assert_eq!(q.deque.capacity(), 64);
-                assert!(lock(&q.inbox).len() <= 1);
-            }
+            let slots: Vec<usize> = tsu.queues().iter().map(|q| q.capacity()).collect();
+            assert_eq!(slots, [65_536, 32_768]);
+            assert!(tsu.queues().iter().all(|q| lock(&q.inbox).len() <= 1));
         }
-        // and the deque grows as the block loads: nothing is lost
+        // the whole block loads at once, and nothing overflows
         for tsu in &built {
             let order = drain_sequential(tsu).unwrap();
             assert_eq!(order.len(), p.total_instances());
-            assert!(tsu.queues()[0].deque.capacity() >= 8 * 8192 / 2);
+            assert_eq!(tsu.queues()[0].capacity(), 65_536);
         }
     }
 
@@ -917,10 +870,10 @@ mod tests {
 
     #[test]
     fn owner_pops_newest_thieves_steal_oldest() {
-        let q = StealDeque::new();
-        q.push(inst(1, 0), E0);
-        q.push(inst(1, 1), E0);
-        q.push(inst(2, 0), E0);
+        let q = StealDeque::with_capacity(4);
+        for i in [inst(1, 0), inst(1, 1), inst(2, 0)] {
+            q.push(i, E0).unwrap();
+        }
         assert_eq!(q.len(), 3);
         // thief side is FIFO: the oldest entry migrates first
         assert_eq!(q.steal(), Steal::Success((inst(1, 0), E0)));
@@ -934,40 +887,42 @@ mod tests {
 
     #[test]
     fn epoch_tags_ride_the_steal_path() {
-        let q = StealDeque::new();
-        q.push(inst(3, 0), Epoch(7));
-        q.push(inst(3, 1), Epoch(8));
+        let q = StealDeque::with_capacity(2);
+        q.push(inst(3, 0), Epoch(7)).unwrap();
+        q.push(inst(3, 1), Epoch(8)).unwrap();
         assert_eq!(q.steal(), Steal::Success((inst(3, 0), Epoch(7))));
         assert_eq!(q.pop(), Some((inst(3, 1), Epoch(8))));
     }
 
     #[test]
-    fn growth_preserves_every_entry() {
-        // push far past the initial capacity with interleaved steals so
-        // the live window straddles several growths
-        let q = StealDeque::with_capacity(2);
-        let mut expect = HashSet::new();
-        for i in 0..500u32 {
-            q.push(inst(9, i), Epoch(i as u64));
-            expect.insert(i);
-            if i % 3 == 0 {
-                if let Steal::Success((s, ep)) = q.steal() {
-                    assert_eq!(ep.0, s.context.0 as u64, "epoch must ride its entry");
-                    assert!(expect.remove(&s.context.0));
-                }
+    fn a_full_ring_hands_the_push_back_and_keeps_its_order() {
+        // a ring wrapped past its first lap, then filled: the refused
+        // entry comes back and nothing queued moves
+        let q = StealDeque::with_capacity(3);
+        assert_eq!(q.capacity(), 4);
+        for c in 0..6 {
+            q.push(inst(1, c), Epoch(c as u64)).unwrap();
+            if c < 2 {
+                assert!(matches!(q.steal(), Steal::Success(_)));
             }
         }
-        while let Some((s, ep)) = q.pop() {
-            assert_eq!(ep.0, s.context.0 as u64);
-            assert!(expect.remove(&s.context.0), "duplicate {s}");
-        }
-        assert!(expect.is_empty(), "lost entries: {expect:?}");
+        assert_eq!(q.len(), 4);
+        let extra = (inst(2, 0), Epoch(9));
+        assert_eq!(q.push(extra.0, extra.1), Err(extra));
+        assert_eq!(q.len(), 4);
+        let e = |c: u32| (inst(1, c), Epoch(c as u64));
+        assert_eq!(q.steal(), Steal::Success(e(2)));
+        assert_eq!(q.pop(), Some(e(5)));
+        assert_eq!(q.steal(), Steal::Success(e(3)));
+        assert_eq!(q.pop(), Some(e(4)));
+        assert_eq!((q.pop(), q.steal()), (None, Steal::Empty));
     }
 
     #[test]
     fn racing_thieves_claim_each_entry_exactly_once() {
-        // two thief threads race the owner popping: every entry must be
-        // claimed exactly once across the three parties
+        // two thief threads race the owner popping on a ring that wraps
+        // thousands of times: every entry must be claimed exactly once
+        // across the three parties
         use std::sync::atomic::{AtomicBool, Ordering as O};
         let n = 10_000u32;
         let q = StealDeque::with_capacity(4);
@@ -995,7 +950,10 @@ mod tests {
             }
             let mut mine = Vec::new();
             for i in 0..n {
-                q.push(inst(1, i), E0);
+                // the ring wraps: a refused push waits for a take
+                while q.push(inst(1, i), E0).is_err() {
+                    mine.extend(q.pop().map(|(p, _)| p.context.0));
+                }
                 if i % 2 == 0 {
                     if let Some((p, _)) = q.pop() {
                         mine.push(p.context.0);

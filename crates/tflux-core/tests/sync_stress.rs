@@ -271,9 +271,9 @@ fn completions_are_exact_under_concurrent_completers() {
 fn steal_heavy_thieves_claim_every_entry_exactly_once() {
     // steal-heavy Chase-Lev race: four thieves hammer one owner's deque
     // while the owner interleaves pushes with LIFO pops, and the tiny
-    // base capacity forces repeated buffer growth under fire. Every
-    // entry must be claimed exactly once across owner and thieves — a
-    // lost CAS that still hands out the entry, or a growth that drops a
+    // ring wraps its indices thousands of times under fire. Every entry
+    // must be claimed exactly once across owner and thieves — a lost CAS
+    // that still hands out the entry, or a push that overwrites a live
     // slot, shows up as a duplicate or a hole here. Runs under
     // ThreadSanitizer in the tsan job.
     use std::sync::atomic::AtomicBool;
@@ -310,7 +310,10 @@ fn steal_heavy_thieves_claim_every_entry_exactly_once() {
         let t = ThreadId(0);
         let mut mine = Vec::new();
         for c in 0..total {
-            q_ref.push(Instance::new(t, Context(c)), Epoch(3));
+            // a full ring refuses the push: take one back and retry
+            while q_ref.push(Instance::new(t, Context(c)), Epoch(3)).is_err() {
+                mine.extend(q_ref.pop().map(|(i, _)| i.context.0));
+            }
             if c % 3 == 0 {
                 if let Some((i, _)) = q_ref.pop() {
                     mine.push(i.context.0);
@@ -343,7 +346,8 @@ fn owner_vs_thief(
 
     let q = StealDeque::with_capacity(2);
     for c in 0..preloaded {
-        q.push(Instance::new(ThreadId(1), Context(c)), Epoch(0));
+        q.push(Instance::new(ThreadId(1), Context(c)), Epoch(0))
+            .unwrap();
     }
     let start = std::sync::Barrier::new(2);
     let (q_ref, start_ref) = (&q, &start);
@@ -372,29 +376,55 @@ fn owner_vs_thief(
 }
 
 #[test]
-fn steal_during_growth_neither_loses_nor_duplicates() {
-    // the base capacity of 2 is full at the start, so the owner's pushes
-    // publish two larger rungs while the thief is (possibly) mid-steal on
-    // a retired one; the monotonic top counter must make a stale-rung
-    // claim impossible
-    use tflux_core::{Context, Epoch, Instance, ThreadId};
-    for round in 0..2_000 {
-        let all = owner_vs_thief(2, |q| {
-            for c in 2..6 {
-                q.push(Instance::new(ThreadId(1), Context(c)), Epoch(0));
+fn steal_during_wrap_around_neither_loses_nor_duplicates() {
+    // a capacity-2 ring: the owner pushes every entry over slots a thief
+    // may be reading mid-steal (taking one back whenever the ring
+    // refuses), so the indices wrap ten thousand times while the thief
+    // steals; the monotonic top counter must make a claim of an
+    // overwritten slot impossible
+    use std::sync::atomic::AtomicBool;
+    use tflux_core::{Context, Epoch, Instance, Steal, StealDeque, ThreadId};
+
+    let total: u32 = 20_000;
+    let q = StealDeque::with_capacity(2);
+    let (done, start) = (AtomicBool::new(false), std::sync::Barrier::new(2));
+    let (q_ref, done_ref, start_ref) = (&q, &done, &start);
+    let mut all = std::thread::scope(|s| {
+        let thief = s.spawn(move || {
+            start_ref.wait();
+            let mut got = Vec::new();
+            loop {
+                match q_ref.steal() {
+                    Steal::Success((i, _)) => got.push(i.context.0),
+                    Steal::Retry => {}
+                    Steal::Empty => {
+                        if done_ref.load(Ordering::SeqCst) && q_ref.is_empty() {
+                            return got;
+                        }
+                    }
+                }
             }
-            let mut mine = Vec::new();
-            while let Some((i, _)) = q.pop() {
-                mine.push(i.context.0);
-            }
-            mine
         });
-        assert_eq!(
-            all,
-            vec![0, 1, 2, 3, 4, 5],
-            "round {round}: growth lost or duplicated an entry"
-        );
-    }
+        start.wait();
+        let mut mine = Vec::new();
+        for c in 0..total {
+            let i = Instance::new(ThreadId(1), Context(c));
+            while q_ref.push(i, Epoch(0)).is_err() {
+                mine.extend(q_ref.pop().map(|(i, _)| i.context.0));
+            }
+        }
+        while let Some((i, _)) = q_ref.pop() {
+            mine.push(i.context.0);
+        }
+        done_ref.store(true, Ordering::SeqCst);
+        mine.extend(thief.join().expect("thief panicked"));
+        mine
+    });
+    all.sort_unstable();
+    assert!(
+        all.iter().copied().eq(0..total),
+        "the wrap lost or duplicated an entry"
+    );
 }
 
 #[test]

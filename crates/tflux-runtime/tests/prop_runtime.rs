@@ -8,7 +8,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Duration;
 use tflux_core::prelude::*;
-use tflux_core::{cases, random_program};
+use tflux_core::{cases, drain_sequential, random_program};
 use tflux_runtime::{BodyTable, Runtime, RuntimeConfig};
 
 #[test]
@@ -92,6 +92,51 @@ fn large_fan_out_under_contention() {
         report.tsu.completions,
         2000 + 1 + 2 * report.tsu.blocks_loaded
     );
+}
+
+#[test]
+fn blocks_ready_at_once_fit_their_queue_units() {
+    // no app thread has a producer, so each block's whole share of a
+    // kernel is queued the moment the block loads: the most its Queue
+    // Unit must hold, which is what the Tsu sized it for
+    for kernels in 1..=4u32 {
+        let fixed = Affinity::Fixed(KernelId(kernels));
+        for affinity in [Affinity::Range, Affinity::RoundRobin, fixed] {
+            let mut b = ProgramBuilder::new();
+            for arity in [509, 250] {
+                let blk = b.block();
+                b.thread(blk, ThreadSpec::new("wide", arity).with_affinity(affinity));
+                b.thread(blk, ThreadSpec::new("odd", 3).with_affinity(affinity));
+            }
+            let p = b.build().unwrap();
+            // the bound, counted instance by instance
+            let mut bound = vec![1usize; kernels as usize];
+            for blk in p.blocks() {
+                let mut load = vec![0; kernels as usize];
+                for &t in blk.threads.iter().chain([&blk.outlet]) {
+                    for i in p.instances_of(t) {
+                        load[p.kernel_of(i, kernels).idx()] += 1;
+                    }
+                }
+                for (b, l) in bound.iter_mut().zip(load) {
+                    *b = (*b).max(l);
+                }
+            }
+            let slots: Vec<usize> = bound.iter().map(|b| b.next_power_of_two()).collect();
+            for tsu in [
+                Tsu::new(&p, kernels, TsuConfig::default()),
+                Tsu::threaded(&p, kernels, TsuConfig::default()),
+            ] {
+                let sized: Vec<usize> = tsu.queues().iter().map(|q| q.capacity()).collect();
+                assert_eq!(sized, slots, "{affinity:?} at {kernels} kernels");
+                assert_eq!(drain_sequential(&tsu).unwrap().len(), p.total_instances());
+            }
+            let report = Runtime::new(RuntimeConfig::with_kernels(kernels))
+                .run(&p, &BodyTable::new(&p))
+                .unwrap();
+            assert_eq!(report.tsu.completions as usize, p.total_instances());
+        }
+    }
 }
 
 #[test]
