@@ -3,7 +3,8 @@
 //! (`funnel`), consecutive streaming epochs (`streaming`), work stealing
 //! and workload scaling in simulated cycles (`steal`, `scaling`), the
 //! simulator's memory system (`memsys`), the program server's wake-ups
-//! (`server`) and what a threaded `Tsu` allocates (`construction`).
+//! (`server`) and what a `Tsu` allocates in either access mode
+//! (`construction`).
 //!
 //! ```sh
 //! cargo run --release -p tflux-bench --bin bench_tsu   # write BENCH_tsu.json
@@ -16,12 +17,13 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
+use std::time::Instant;
 use tflux_bench::json::{Json, ToJson};
 use tflux_bench::tsu_path::{
     balanced_fanout, fanout_reduce, funnel_row, imbalanced_fanout, memsys_row, scaling_machines,
     scaling_row, server_row, steal_row, stream_row, MemStream, ARITY, KERNELS, STEAL_ARITY,
 };
-use tflux_core::{drain_sequential, SyncMemory, Tsu, TsuConfig};
+use tflux_core::{drain_sequential, Access, DdmProgram, SyncMemory, Tsu, TsuConfig};
 use tflux_workloads::Bench;
 
 /// The system allocator, counting. This binary is the one place in the
@@ -72,6 +74,10 @@ fn allocations<R>(f: impl FnOnce() -> R) -> (R, u64, u64) {
 /// acquisitions, both queues) count the hand-over of the block load,
 /// which publishes one run per (owner, thread). The drain's TSU counters
 /// (`completions`, `rc_updates`, `rc_rmws`) are checked, not written.
+/// `owned` is the same three allocation counts for an owned `Tsu`
+/// (`Tsu::new`) of the same program. `drain_ns` is the one wall-clock
+/// column, reported and never gated: `drain_sequential`'s best time over
+/// a few drains of each, threaded then owned.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 struct ConstructionRow {
     instances: u64,
@@ -85,6 +91,50 @@ struct ConstructionRow {
     completions: u64,
     rc_updates: u64,
     rc_rmws: u64,
+    owned: Allocations,
+    drain_ns: Option<[u64; 2]>,
+}
+
+/// `(construction calls, construction bytes, drain calls)` of one `Tsu`.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+struct Allocations {
+    alloc_calls: u64,
+    bytes: u64,
+    drain_alloc_calls: u64,
+}
+
+/// Build a `Tsu` with `build` and drain it, counting both.
+fn built<'p, M: Access>(
+    build: impl FnOnce() -> Tsu<&'p DdmProgram, M>,
+) -> (
+    Tsu<&'p DdmProgram, M>,
+    Vec<tflux_core::Instance>,
+    Allocations,
+) {
+    let (tsu, alloc_calls, bytes) = allocations(build);
+    let (order, drain_alloc_calls, _) =
+        allocations(|| drain_sequential(&tsu).expect("fanout_reduce drains"));
+    let counts = Allocations {
+        alloc_calls,
+        bytes,
+        drain_alloc_calls,
+    };
+    (tsu, order, counts)
+}
+
+/// Wall-clock nanoseconds of `drain_sequential` on a fresh `Tsu` from
+/// `build`, the best of `DRAINS` (construction untimed).
+fn best_drain_ns<'p, M: Access>(build: impl Fn() -> Tsu<&'p DdmProgram, M>) -> u64 {
+    const DRAINS: usize = 7;
+    (0..DRAINS)
+        .map(|_| {
+            let tsu = build();
+            let t0 = Instant::now();
+            drain_sequential(&tsu).expect("fanout_reduce drains");
+            t0.elapsed().as_nanos() as u64
+        })
+        .min()
+        .expect("at least one drain")
 }
 
 /// Bytes of one deque slot: an instance word and an epoch word.
@@ -96,15 +146,14 @@ impl ConstructionRow {
     fn measure() -> Self {
         let program = fanout_reduce();
         let (_, _, sm_table_bytes) = allocations(|| SyncMemory::new(&program, Self::KERNELS, 0));
-        let (tsu, alloc_calls, bytes) =
-            allocations(|| Tsu::threaded(&program, Self::KERNELS, TsuConfig::default()));
-        let (order, drain_alloc_calls, _) =
-            allocations(|| drain_sequential(&tsu).expect("fanout_reduce drains"));
+        let (tsu, order, threaded) =
+            built(|| Tsu::threaded(&program, Self::KERNELS, TsuConfig::default()));
+        let (_, _, owned) = built(|| Tsu::new(&program, Self::KERNELS, TsuConfig::default()));
         let stats = tsu.stats();
         ConstructionRow {
             instances: order.len() as u64,
-            alloc_calls,
-            bytes,
+            alloc_calls: threaded.alloc_calls,
+            bytes: threaded.bytes,
             sm_table_bytes,
             queue_bytes: tsu
                 .queues()
@@ -112,12 +161,31 @@ impl ConstructionRow {
                 .map(|q| q.capacity() as u64)
                 .sum::<u64>()
                 * SLOT_BYTES,
-            drain_alloc_calls,
+            drain_alloc_calls: threaded.drain_alloc_calls,
             rings: tsu.queues()[1].handover_counts().0,
             inbox_locks: tsu.queues().iter().map(|q| q.handover_counts().1).sum(),
             completions: stats.completions,
             rc_updates: stats.rc_updates,
             rc_rmws: stats.rc_rmws,
+            owned,
+            drain_ns: None,
+        }
+    }
+
+    /// [`measure`](Self::measure), then time the drain in both modes,
+    /// alternating them.
+    fn measure_timed() -> Self {
+        let program = fanout_reduce();
+        let config = TsuConfig::default();
+        let mut ns = [u64::MAX; 2];
+        for _ in 0..3 {
+            let threaded = best_drain_ns(|| Tsu::threaded(&program, Self::KERNELS, config));
+            let owned = best_drain_ns(|| Tsu::new(&program, Self::KERNELS, config));
+            ns = [ns[0].min(threaded), ns[1].min(owned)];
+        }
+        ConstructionRow {
+            drain_ns: Some(ns),
+            ..Self::measure()
         }
     }
 
@@ -129,7 +197,7 @@ impl ConstructionRow {
 impl ToJson for ConstructionRow {
     fn to_json(&self) -> Json {
         let per_instance = self.drain_alloc_calls as f64 / self.instances as f64;
-        Json::obj([
+        let mut row = vec![
             ("shape", "fanout_reduce_8x8192".to_json()),
             ("kernels", Self::KERNELS.to_json()),
             ("instances", self.instances.to_json()),
@@ -142,21 +210,43 @@ impl ToJson for ConstructionRow {
             ("drain_allocs_per_instance", per_instance.to_json()),
             ("rings", self.rings.to_json()),
             ("inbox_locks", self.inbox_locks.to_json()),
-        ])
+            ("owned_alloc_calls", self.owned.alloc_calls.to_json()),
+            ("owned_bytes", self.owned.bytes.to_json()),
+            (
+                "owned_drain_alloc_calls",
+                self.owned.drain_alloc_calls.to_json(),
+            ),
+        ];
+        if let Some([threaded, owned]) = self.drain_ns {
+            let per_instance = |ns: u64| ns as f64 / self.instances as f64;
+            row.extend([
+                (
+                    "drain_host_ns_per_instance",
+                    per_instance(threaded).to_json(),
+                ),
+                (
+                    "owned_drain_host_ns_per_instance",
+                    per_instance(owned).to_json(),
+                ),
+            ]);
+        }
+        Json::obj(row)
     }
 }
 
 /// The ns_* fields of `funnel`/`streaming`,
-/// `memsys.host_ns_per_access` and `server.host_us_per_program` are wall
-/// clock and depend on the host, and the `server` turn columns on timing;
-/// `steal`, `scaling` and the other `memsys` columns are simulated, the
-/// other `server` columns are counts fixed by the mix and `construction`
-/// counts allocations, identical on any host.
+/// `memsys.host_ns_per_access`, `server.host_us_per_program` and the
+/// `construction` drain times are wall clock and depend on the host, and
+/// the `server` turn columns on timing; `steal`, `scaling` and the other
+/// `memsys` columns are simulated, the other `server` columns are counts
+/// fixed by the mix and the other `construction` columns count
+/// allocations, identical on any host.
 const WALL_CLOCK_NOTE: &str = "funnel/streaming ns fields, memsys \
-     host_ns_per_access and server host_us_per_program are wall clock and vary with the host, \
+     host_ns_per_access, server host_us_per_program and construction drain_host_ns_per_instance \
+     fields are wall clock and vary with the host, \
      server turns_per_program and empty_turns_per_program depend on timing; \
      steal, scaling and the other memsys columns are simulated, the other server columns are \
-     counts fixed by the mix, construction counts allocations, host-independent";
+     counts fixed by the mix, the other construction columns count allocations, host-independent";
 
 fn main() {
     let multi = || KERNELS.into_iter().filter(|&k| k > 1);
@@ -198,7 +288,10 @@ fn main() {
             Vec::from(MemStream::ALL.map(memsys_row)).to_json(),
         ),
         ("server", vec![server_row()].to_json()),
-        ("construction", vec![ConstructionRow::measure()].to_json()),
+        (
+            "construction",
+            vec![ConstructionRow::measure_timed()].to_json(),
+        ),
     ]);
     let json = report.pretty();
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_tsu.json");
@@ -242,6 +335,18 @@ mod tests {
         // slack), one inbox lock per foreign run and per take-over
         assert!(a.rings <= 16 && a.inbox_locks <= 32, "{a:?}");
         assert_eq!(a, b, "two constructions and drains disagree on a count");
+        // the owned TSU is the same units in the other access mode, whose
+        // runs never reach an inbox: it allocates what the threaded one
+        // does less the inbox buffers — the armed inlet's (one call, four
+        // 16-byte entries) when built, and kernel 1's four growths to
+        // hold the block load's foreign runs when drained
+        let owned = (
+            a.owned.alloc_calls,
+            a.owned.bytes,
+            a.owned.drain_alloc_calls,
+        );
+        let threaded = (a.alloc_calls - 1, a.bytes - 64, a.drain_alloc_calls - 4);
+        assert_eq!(owned, threaded, "{a:?}");
         // the funneled drain runs every instance, the hot sink batched
         assert_eq!(a.instances, 8 * 8192 + 3);
         assert_eq!(a.completions, a.instances);

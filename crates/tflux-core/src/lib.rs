@@ -21,9 +21,11 @@
 //!   `tflux-runtime`, the simulated hardware TSU of `tflux-sim`, the Cell
 //!   model of `tflux-cell`) drive that one `&self` state machine, with the
 //!   same queue type; they differ only in whether one thread drives every
-//!   kernel id ([`Tsu::new`]) or each kernel is a thread
-//!   ([`Tsu::threaded`]), which is what makes the platform implementations
-//!   directly comparable.
+//!   kernel id ([`Tsu::new`], whose units are [`Owned`]: plain loads and
+//!   stores, and the TSU cannot leave its thread) or each kernel is a
+//!   thread ([`Tsu::threaded`], whose units are [`Shared`]: atomic
+//!   read-modify-writes and fences), which is what makes the platform
+//!   implementations directly comparable.
 //!
 //! The crate is deliberately free of I/O and unsafe code and spawns no
 //! thread: it is the model, not a platform. Its one blocking call is the
@@ -48,10 +50,18 @@
 //! b.thread(blk1, ThreadSpec::scalar("done"));
 //! let program = b.build().unwrap();
 //!
-//! // Drive the TSU units to completion on 2 virtual kernels.
+//! // Drive the TSU units to completion on 2 virtual kernels, one thread
+//! // playing both: an owned TSU.
 //! let tsu = Tsu::new(&program, 2, TsuConfig::default());
 //! let order = tflux_core::drain_sequential(&tsu).unwrap();
 //! assert_eq!(order.len(), program.total_instances());
+//!
+//! // A threaded TSU's units are shared: other threads may drive it by `&`.
+//! let shared = Tsu::threaded(&program, 2, TsuConfig::default());
+//! std::thread::scope(|s| {
+//!     let drained = s.spawn(|| tflux_core::drain_sequential(&shared).unwrap().len());
+//!     assert_eq!(drained.join().unwrap(), order.len());
+//! });
 //! ```
 
 #![forbid(unsafe_code)]
@@ -82,9 +92,9 @@ pub use rng::{cases, mix, random_program, SplitMix64};
 pub use thread::{Affinity, ThreadKind, ThreadSpec};
 pub use trace::{ExecTrace, Span};
 pub use tsu::{
-    drain_sequential, funnel_batch, CompletionFunnel, EventCount, FetchResult, GraphMemory,
-    ProgramHandle, ReadyQueue, Steal, StealDeque, SyncMemory, Tsu, TsuConfig, TsuStats,
-    WaitingInstance, FUNNEL_BATCH,
+    drain_sequential, funnel_batch, Access, CompletionFunnel, EventCount, FetchResult, GraphMemory,
+    Owned, ProgramHandle, ReadyQueue, Shared, Steal, StealDeque, SyncMemory, Tsu, TsuConfig,
+    TsuStats, WaitingInstance, FUNNEL_BATCH,
 };
 pub use unroll::Unroll;
 

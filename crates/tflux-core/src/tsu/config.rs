@@ -52,9 +52,11 @@ pub struct TsuStats {
     /// Batched flushes count every combined decrement here, so this is
     /// invariant under completion funnels and comparable across platforms.
     pub rc_updates: u64,
-    /// Physical atomic read-modify-writes issued against ready-count
-    /// slots. Equal to `rc_updates` on the direct path; batching makes it
-    /// smaller (one `fetch_sub(n)` covers `n` logical decrements).
+    /// Combined ready-count updates: one per slot a completion or flush
+    /// decrements, each one `fetch_sub` RMW on a shared TSU (a load and a
+    /// store on an owned one). Equal to `rc_updates` on the direct path;
+    /// batching makes it smaller (one update of `n` covers `n` logical
+    /// decrements).
     pub rc_rmws: u64,
     /// Fetches satisfied from another kernel's queue (successful takes of
     /// a sibling's entry; the stolen instance executes on the thief).

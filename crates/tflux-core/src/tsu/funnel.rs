@@ -28,6 +28,7 @@ use crate::ids::{Epoch, Instance, KernelId};
 use crate::program::DdmProgram;
 use crate::thread::ThreadKind;
 
+use super::access::Access;
 use super::gm::ProgramHandle;
 use super::Tsu;
 
@@ -101,10 +102,10 @@ impl CompletionFunnel {
     ///
     /// Allocates nothing. On error nothing follows the operation that
     /// failed.
-    pub fn complete<P: ProgramHandle>(
+    pub fn complete<P: ProgramHandle, M: Access>(
         &mut self,
         kernel: KernelId,
-        tsu: &Tsu<P>,
+        tsu: &Tsu<P, M>,
         inst: Instance,
         epoch: Epoch,
         ready: &mut Vec<Instance>,
@@ -141,10 +142,10 @@ impl CompletionFunnel {
     /// funnel is empty, so callers can rely on it). On error the funnel
     /// is left empty — the TSU has poisoned itself and replaying the
     /// batch would only fail again.
-    pub fn flush<P: ProgramHandle>(
+    pub fn flush<P: ProgramHandle, M: Access>(
         &mut self,
         kernel: KernelId,
-        tsu: &Tsu<P>,
+        tsu: &Tsu<P, M>,
         ready: &mut Vec<Instance>,
     ) -> Result<(), CoreError> {
         if self.pending.is_empty() {
@@ -164,7 +165,7 @@ mod tests {
     use crate::mapping::ArcMapping;
     use crate::program::ProgramBuilder;
     use crate::thread::ThreadSpec;
-    use crate::tsu::{FetchResult, TsuConfig};
+    use crate::tsu::{FetchResult, Owned, TsuConfig};
 
     fn wide_reduction(arity: u32) -> DdmProgram {
         let mut b = ProgramBuilder::new();
@@ -177,7 +178,7 @@ mod tests {
 
     /// A one-kernel TSU for `wide_reduction(arity)`, with its inlet
     /// completed: every work instance is ready.
-    fn loaded(p: &DdmProgram) -> Tsu<&DdmProgram> {
+    fn loaded(p: &DdmProgram) -> Tsu<&DdmProgram, Owned> {
         let tsu = Tsu::new(p, 1, TsuConfig::default());
         let FetchResult::Thread(inlet, ep) = tsu.fetch(KernelId(0)).unwrap() else {
             panic!("inlet not ready");
@@ -189,7 +190,7 @@ mod tests {
 
     /// Fetch the next instance and complete it through `f`; returns the
     /// number of operations performed and the last one's ready count.
-    fn step(tsu: &Tsu<&DdmProgram>, f: &mut CompletionFunnel) -> (Instance, (u32, usize)) {
+    fn step(tsu: &Tsu<&DdmProgram, Owned>, f: &mut CompletionFunnel) -> (Instance, (u32, usize)) {
         let FetchResult::Thread(i, ep) = tsu.fetch(KernelId(0)).unwrap() else {
             panic!("nothing ready");
         };

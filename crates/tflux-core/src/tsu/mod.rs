@@ -20,21 +20,25 @@
 //!
 //! [`Tsu`] composes the three, once, with the same types on every
 //! platform — which is what keeps TFluxSoft, TFluxHard and TFluxCell
-//! directly comparable. Every operation takes `&self` (the units
-//! synchronize internally), so the same state machine is driven by one
-//! thread in the deterministic platforms and the reference executor
-//! ([`drain_sequential`]), built by [`Tsu::new`], and shared by `&`
-//! between kernel threads in TFluxSoft, built by [`Tsu::threaded`]. Every
+//! directly comparable. Every operation takes `&self`, so the same state
+//! machine is driven by one thread in the deterministic platforms and the
+//! reference executor ([`drain_sequential`]), built by [`Tsu::new`], and
+//! shared by `&` between kernel threads in TFluxSoft, built by
+//! [`Tsu::threaded`]. The two differ only in the units' [`Access`] mode:
+//! [`Owned`] units make each synchronizing step a plain load and store and
+//! cannot leave their thread; [`Shared`] units synchronize internally. Every
 //! fetch and completion names the kernel performing it: that selects the
 //! queue it owns and the one counter row only it writes, which the SM keeps
 //! for the SM's columns and the scheduler's alike.
 
+mod access;
 mod config;
 mod funnel;
 mod gm;
 mod queue;
 mod sync;
 
+pub use access::{Access, Owned, Shared};
 pub use config::{TsuConfig, TsuStats, WaitingInstance};
 pub use funnel::{funnel_batch, CompletionFunnel, FUNNEL_BATCH};
 pub use gm::{GraphMemory, ProgramHandle};
@@ -55,21 +59,20 @@ use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 ///
 /// This is the one scheduler of the workspace. Built by [`Tsu::new`] it is
 /// the state machine behind the simulated hardware TSU (`tflux-sim`), the
-/// Cell PPE (`tflux-cell`) and the sequential reference executor; built by
-/// [`Tsu::threaded`] it is the TSU kernel threads and server arenas share
-/// by `&`.
+/// Cell PPE (`tflux-cell`) and the sequential reference executor, in the
+/// [`Owned`] access mode; built by [`Tsu::threaded`] it is the TSU kernel
+/// threads and server arenas share by `&`, in the [`Shared`] one. The
+/// protocol is one copy of code; `M` supplies only the synchronizing
+/// steps.
 ///
 /// Every instance is dispatched (marked in flight in the Synchronization
 /// Memory) *before* it is pushed onto a queue, so a popped or stolen entry
 /// can never fail, `fetches` and `completions` pair up exactly, and stall
 /// forensics can name an instance that was queued but never popped.
-pub struct Tsu<P: ProgramHandle> {
+pub struct Tsu<P: ProgramHandle, M: Access = Shared> {
     gm: GraphMemory<P>,
-    sm: SyncMemory<P>,
-    queues: Vec<ReadyQueue>,
-    /// Each kernel id is a thread that parks on its queue's bell, rather
-    /// than one thread driving them all.
-    threaded: bool,
+    sm: SyncMemory<P, M>,
+    queues: Vec<ReadyQueue<M>>,
     /// Whether a kernel whose own queue misses probes its siblings.
     steal: bool,
     /// The one victim-draw stream of this TSU, seeded from the kernel
@@ -79,7 +82,7 @@ pub struct Tsu<P: ProgramHandle> {
     steal_rng: AtomicU64,
 }
 
-impl<P: ProgramHandle> Tsu<P> {
+impl<P: ProgramHandle> Tsu<P, Owned> {
     /// Create a TSU for `program` serving `kernels` kernels (clamped to
     /// ≥ 1) and arm it: the inlet of the first block is dispatched and
     /// queued. One queue per kernel, with stealing if configured and there
@@ -92,22 +95,49 @@ impl<P: ProgramHandle> Tsu<P> {
     /// rings nothing, and no inbox is ever used. Nothing paces an idle
     /// kernel's victim scans but the TSU itself, so a kernel whose steals
     /// keep missing skips scans under an exponential backoff.
+    ///
+    /// Its units are [`Owned`]: every CAS, `fetch_sub` and fence of the
+    /// protocol is a `Relaxed` load and store or nothing, as the paper's
+    /// one serializing TSU unit needs no more. So the TSU is `!Sync`, and
+    /// handing it to a second thread does not compile:
+    ///
+    /// ```compile_fail,E0277
+    /// use tflux_core::prelude::*;
+    ///
+    /// let mut b = ProgramBuilder::new();
+    /// let blk = b.block();
+    /// b.thread(blk, ThreadSpec::new("work", 4));
+    /// let program = b.build().unwrap();
+    /// let tsu = Tsu::new(&program, 2, TsuConfig::default());
+    /// std::thread::scope(|s| {
+    ///     s.spawn(|| tsu.fetch(KernelId(1)));
+    ///     tsu.fetch(KernelId(0))
+    /// });
+    /// ```
+    ///
+    /// Kernel threads share a [`Tsu::threaded`].
     pub fn new(program: P, kernels: u32, config: TsuConfig) -> Self {
-        Self::build(program, kernels, config, false)
+        Self::build(program, kernels, config)
     }
+}
 
-    /// [`new`](Self::new), with the same queues, for kernel ids that are
+impl<P: ProgramHandle> Tsu<P, Shared> {
+    /// [`new`](Tsu::new), with the same queues, for kernel ids that are
     /// each a thread parking on its own queue's [`bell`](ReadyQueue::bell).
-    /// A run goes onto the deque only when the completing kernel owns it;
-    /// any other lands in the owner's inbox and rings it. Victim scans are
+    /// Its units are [`Shared`]: the protocol's steps are atomic
+    /// read-modify-writes and fences, so threads may share it by `&`. A run
+    /// goes onto the deque only when the completing kernel owns it; any
+    /// other lands in the owner's inbox and rings it. Victim scans are
     /// never skipped: the timed park between rescans already is the
     /// pacing, and a skip window on top of it would be a steal blackout.
     pub fn threaded(program: P, kernels: u32, config: TsuConfig) -> Self {
-        Self::build(program, kernels, config, true)
+        Self::build(program, kernels, config)
     }
+}
 
-    fn build(program: P, kernels: u32, config: TsuConfig, threaded: bool) -> Self {
-        let sm = SyncMemory::with_window(program, kernels, config.capacity, config.window);
+impl<P: ProgramHandle, M: Access> Tsu<P, M> {
+    fn build(program: P, kernels: u32, config: TsuConfig) -> Self {
+        let sm = SyncMemory::build(program, kernels, config.capacity, config.window);
         let gm = sm.graph();
         let kernels = gm.kernels();
         let queues = queue_bounds(&gm);
@@ -115,7 +145,6 @@ impl<P: ProgramHandle> Tsu<P> {
             gm,
             sm,
             queues: queues.into_iter().map(ReadyQueue::with_capacity).collect(),
-            threaded,
             steal: config.steal && kernels > 1,
             steal_rng: AtomicU64::new(0x5EED_0000 ^ ((kernels as u64) << 8)),
         };
@@ -145,7 +174,7 @@ impl<P: ProgramHandle> Tsu<P> {
 
     /// The queues, one per kernel. Kernel threads park on their own; stall
     /// forensics read the depths.
-    pub fn queues(&self) -> &[ReadyQueue] {
+    pub fn queues(&self) -> &[ReadyQueue<M>] {
         &self.queues
     }
 
@@ -213,7 +242,7 @@ impl<P: ProgramHandle> Tsu<P> {
     fn publish(&self, by: Option<KernelId>, ready: &[Instance]) -> Result<(), CoreError> {
         let hand_over = |run: &[Instance], owner: KernelId, epoch| {
             if !run.is_empty() {
-                let by_owner = !self.threaded || by == Some(owner);
+                let by_owner = !M::SHARED || by == Some(owner);
                 self.queues[owner.idx()].push_run(run, epoch, by_owner);
             }
         };
@@ -271,9 +300,9 @@ impl<P: ProgramHandle> Tsu<P> {
             // a kernel whose recent probes all missed skips the victim
             // scan on most attempts, so an idle machine stops paying for
             // empty sweeps; one hit re-arms eager probing
-            if self.threaded || row.backoff(StealBackoff::should_probe) {
+            if M::SHARED || row.backoff(StealBackoff::should_probe) {
                 let stolen = self.steal_for(row, own);
-                if !self.threaded {
+                if !M::SHARED {
                     row.backoff(|b| b.record(stolen.is_some()));
                 }
                 if let Some((i, ep)) = stolen {
@@ -420,13 +449,15 @@ fn queue_bounds<P: ProgramHandle>(gm: &GraphMemory<P>) -> Vec<usize> {
 ///
 /// This is the reference executor used by tests, the benches and the
 /// graph-analysis tooling; platforms implement their own drivers.
-pub fn drain_sequential<P: ProgramHandle>(tsu: &Tsu<P>) -> Result<Vec<Instance>, CoreError> {
+pub fn drain_sequential<P: ProgramHandle, M: Access>(
+    tsu: &Tsu<P, M>,
+) -> Result<Vec<Instance>, CoreError> {
     drain_funneled(tsu, funnel_batch(tsu.program(), tsu.kernels()))
 }
 
 /// [`drain_sequential`] through funnels of batch size `batch`.
-fn drain_funneled<P: ProgramHandle>(
-    tsu: &Tsu<P>,
+fn drain_funneled<P: ProgramHandle, M: Access>(
+    tsu: &Tsu<P, M>,
     batch: usize,
 ) -> Result<Vec<Instance>, CoreError> {
     let kernels = tsu.kernels();
@@ -490,7 +521,11 @@ mod tests {
     }
 
     /// Complete `i` as kernel 0.
-    fn complete(tsu: &Tsu<&DdmProgram>, i: Instance, ep: Epoch) -> Result<(), CoreError> {
+    fn complete<M: Access>(
+        tsu: &Tsu<&DdmProgram, M>,
+        i: Instance,
+        ep: Epoch,
+    ) -> Result<(), CoreError> {
         tsu.complete(KernelId(0), i, ep, &mut Vec::new())
     }
 
@@ -924,7 +959,7 @@ mod tests {
 
     /// A 2-kernel TSU with its inlet fetched by kernel 0, and the error
     /// every entry point must answer kernel id 2 with.
-    fn stranger_case(p: &DdmProgram) -> (Tsu<&DdmProgram>, Instance, Epoch, CoreError) {
+    fn stranger_case(p: &DdmProgram) -> (Tsu<&DdmProgram, Owned>, Instance, Epoch, CoreError) {
         let tsu = Tsu::new(p, 2, TsuConfig::default());
         let FetchResult::Thread(inlet, ep) = tsu.fetch(KernelId(0)).unwrap() else {
             panic!("inlet not ready");

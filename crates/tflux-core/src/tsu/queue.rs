@@ -14,6 +14,12 @@
 //!
 //! # Memory ordering of the deque
 //!
+//! Everything below is the [`Shared`] mode, the deque threads share. In the
+//! [`Owned`](super::Owned) mode one thread is owner and every thief, so
+//! program order alone orders each step: the fences are nothing, and each
+//! `top` CAS is a `Relaxed` load, compare and store that cannot lose
+//! ([`Access`]). The steps themselves are the same code in both modes.
+//!
 //! The implementation follows the C11 formulation of Chase-Lev (Lê,
 //! Pop, Cohen, Zappa Nardelli, *Correct and Efficient Work-Stealing for
 //! Weak Memory Models*, PPoPP 2013), with one deliberate deviation: slot
@@ -35,7 +41,7 @@
 //! * **steal**: `Acquire` `top`, `SeqCst` fence, `Acquire` `bottom`, slot
 //!   read, then the `SeqCst` CAS on `top`. A failed CAS is
 //!   [`Steal::Retry`] — somebody else took index `top` — and the read
-//!   value is dropped on the floor.
+//!   value is dropped on the floor. An owned deque never returns it.
 //! * **full**: the ring's size is fixed. A push that finds `bottom - top`
 //!   at the capacity hands its entry back and writes nothing. A stale
 //!   `top` is only ever low, so the check errs towards "full", never
@@ -56,11 +62,14 @@
 //! ready-count decrement happens-before the outlet's dispatch and the
 //! block transition that precedes any push of the next block. So the
 //! owner's `Acquire` load of `top` reads at least the value at which the
-//! deque emptied, and `bottom - top` counts only this block's pushes.
+//! deque emptied, and `bottom - top` counts only this block's pushes. (An
+//! owned deque has no stale `top`: its one thread made every steal.)
 
+use super::access::{Access, Shared};
 use crate::ids::{Epoch, Instance, ThreadId};
 use std::collections::VecDeque;
-use std::sync::atomic::{fence, AtomicI64, AtomicU64, AtomicUsize, Ordering};
+use std::marker::PhantomData;
+use std::sync::atomic::{AtomicI64, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
 
@@ -135,24 +144,38 @@ fn unpack(x: u64) -> Instance {
 /// concurrent owner calls may lose or duplicate entries. [`ReadyQueue`]
 /// upholds this by routing every push that is not the owner's own through
 /// its inbox.
-pub struct StealDeque {
+///
+/// `M` is the [access mode](Access): a [`Shared`] deque is the one
+/// thieves on other threads reach; an [`Owned`](super::Owned) one is
+/// driven by one thread, owner and thieves alike, and can reach no other.
+pub struct StealDeque<M: Access = Shared> {
     bottom: AtomicI64,
     top: AtomicI64,
     /// Capacity − 1: the unbounded counter `i` lives in slot `i & mask`.
     mask: i64,
     slots: Box<[Slot]>,
+    mode: PhantomData<M>,
 }
 
 impl StealDeque {
-    /// An empty deque holding at most `cap` entries, rounded up to a power
-    /// of two (at least 1). The size is fixed for the deque's lifetime.
+    /// An empty [`Shared`] deque holding at most `cap` entries, rounded up
+    /// to a power of two (at least 1). The size is fixed for the deque's
+    /// lifetime.
     pub fn with_capacity(cap: usize) -> Self {
+        Self::ring(cap)
+    }
+}
+
+impl<M: Access> StealDeque<M> {
+    /// [`with_capacity`](StealDeque::with_capacity), in either mode.
+    fn ring(cap: usize) -> Self {
         let cap = cap.next_power_of_two();
         StealDeque {
             bottom: AtomicI64::new(0),
             top: AtomicI64::new(0),
             mask: cap as i64 - 1,
             slots: (0..cap).map(|_| Slot::default()).collect(),
+            mode: PhantomData,
         }
     }
 
@@ -176,7 +199,7 @@ impl StealDeque {
         let s = &self.slots[(b & self.mask) as usize];
         s.inst.store(pack(inst), Ordering::Relaxed);
         s.epoch.store(epoch.0, Ordering::Relaxed);
-        fence(Ordering::Release);
+        M::fence(Ordering::Release);
         self.bottom.store(b + 1, Ordering::Relaxed);
         Ok(())
     }
@@ -187,16 +210,15 @@ impl StealDeque {
     pub fn pop(&self) -> Option<(Instance, Epoch)> {
         let b = self.bottom.load(Ordering::Relaxed) - 1;
         self.bottom.store(b, Ordering::Relaxed);
-        fence(Ordering::SeqCst);
+        M::fence(Ordering::SeqCst);
         let t = self.top.load(Ordering::Relaxed);
         if t <= b {
             let (x, e) = self.read(b);
             if t == b {
                 // last entry: claim it against concurrent thieves
-                let won = self
-                    .top
-                    .compare_exchange(t, t + 1, Ordering::SeqCst, Ordering::Relaxed)
-                    .is_ok();
+                let won =
+                    M::compare_exchange(&self.top, t, t + 1, Ordering::SeqCst, Ordering::Relaxed)
+                        .is_ok();
                 self.bottom.store(b + 1, Ordering::Relaxed);
                 if !won {
                     return None;
@@ -214,17 +236,13 @@ impl StealDeque {
     /// concurrently emptied) victim.
     pub fn steal(&self) -> Steal {
         let t = self.top.load(Ordering::Acquire);
-        fence(Ordering::SeqCst);
+        M::fence(Ordering::SeqCst);
         let b = self.bottom.load(Ordering::Acquire);
         if t >= b {
             return Steal::Empty;
         }
         let (x, e) = self.read(t);
-        if self
-            .top
-            .compare_exchange(t, t + 1, Ordering::SeqCst, Ordering::Relaxed)
-            .is_err()
-        {
+        if M::compare_exchange(&self.top, t, t + 1, Ordering::SeqCst, Ordering::Relaxed).is_err() {
             return Steal::Retry;
         }
         Steal::Success((unpack(x), Epoch(e)))
@@ -329,8 +347,10 @@ impl EventCount {
 /// thread drives the queue, every take therefore answers the newest entry
 /// and every steal the oldest, exactly as a [`StealDeque`] fed the same pushes
 /// would; a run is its pushes made one at a time.
-pub struct ReadyQueue {
-    deque: StealDeque,
+///
+/// `M` is the deque's [access mode](Access), the [`Tsu`](super::Tsu)'s.
+pub struct ReadyQueue<M: Access = Shared> {
+    deque: StealDeque<M>,
     /// Runs by anyone but the owner, oldest first; moved onto `deque` by
     /// the owner, poppable by thieves.
     inbox: Mutex<VecDeque<(Instance, Epoch)>>,
@@ -343,12 +363,12 @@ pub struct ReadyQueue {
     bell: EventCount,
 }
 
-impl ReadyQueue {
+impl<M: Access> ReadyQueue<M> {
     /// An empty queue whose deque holds `cap` entries (rounded up to a
     /// power of two), and an empty inbox.
     pub(crate) fn with_capacity(cap: usize) -> Self {
         ReadyQueue {
-            deque: StealDeque::with_capacity(cap),
+            deque: StealDeque::ring(cap),
             inbox: Mutex::default(),
             inbox_len: AtomicUsize::new(0),
             inbox_locks: AtomicU64::new(0),
@@ -751,11 +771,7 @@ mod tests {
         }
         let p = b.build().unwrap();
         assert_eq!(p.block_instances(p.blocks()[0].id), 8 * 8192 + 2);
-        let built = [
-            Tsu::new(&p, 2, TsuConfig::default()),
-            Tsu::threaded(&p, 2, TsuConfig::default()),
-        ];
-        for tsu in &built {
+        fn check<M: Access>(tsu: Tsu<&DdmProgram, M>) {
             // both constructors build the same queues; the armed inlet is
             // the one entry either has queued, and the threaded one's is
             // in its owner's inbox, handed over by no kernel
@@ -763,13 +779,13 @@ mod tests {
             let slots: Vec<usize> = tsu.queues().iter().map(|q| q.capacity()).collect();
             assert_eq!(slots, [65_536, 32_768]);
             assert!(tsu.queues().iter().all(|q| lock(&q.inbox).len() <= 1));
-        }
-        // the whole block loads at once, and nothing overflows
-        for tsu in &built {
-            let order = drain_sequential(tsu).unwrap();
-            assert_eq!(order.len(), p.total_instances());
+            // the whole block loads at once, and nothing overflows
+            let order = drain_sequential(&tsu).unwrap();
+            assert_eq!(order.len(), tsu.program().total_instances());
             assert_eq!(tsu.queues()[0].capacity(), 65_536);
         }
+        check(Tsu::new(&p, 2, TsuConfig::default()));
+        check(Tsu::threaded(&p, 2, TsuConfig::default()));
     }
 
     const LONG: Duration = Duration::from_secs(10);

@@ -22,6 +22,13 @@
 //! Only the block-transition slow path (Inlet/Outlet completions, already
 //! serialized by program structure) takes the `block` mutex.
 //!
+//! The CAS, the `fetch_sub` and the shared row's `fetch_add` are the
+//! [`Shared`] mode's, the one kernel threads share. An
+//! [`Owned`](super::Owned) table, which one thread drives, makes the same
+//! steps as `Relaxed` loads and stores ([`Access`]): with one thread, each
+//! step sees every earlier one by program order, so every rule below
+//! holds unchanged.
+//!
 //! Every counter of the TSU lives in one cache-line-padded row per kernel,
 //! written by the kernel *performing* the operation — which is why
 //! `dispatch`, `complete` and `complete_batch` take it — with a `Relaxed`
@@ -37,7 +44,8 @@
 //! the rows ([`stats`](SyncMemory::stats)) or read one
 //! ([`kernel_stats`](SyncMemory::kernel_stats)): monotone while kernels
 //! run, exact once they are quiescent. `rc_updates` counts *logical*
-//! decrements (`rc_rmws` the physical RMWs, which batching makes fewer);
+//! decrements (`rc_rmws` the combined updates, each one RMW on a shared
+//! TSU, which batching makes fewer);
 //! `sm_contended` counts weak-CAS retries on state transitions plus
 //! cross-kernel ready-count line transfers (a decrement from a producer
 //! placed on a different kernel than the slot's previous one).
@@ -80,9 +88,11 @@ use crate::error::CoreError;
 use crate::ids::{BlockId, Context, Epoch, Instance, KernelId, ThreadId};
 use crate::policy::StealBackoff;
 use crate::thread::ThreadKind;
+use std::marker::PhantomData;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
+use super::access::{Access, Shared};
 use super::config::{TsuStats, WaitingInstance};
 use super::gm::{GraphMemory, ProgramHandle};
 
@@ -168,7 +178,8 @@ pub(super) struct CounterRow {
     completions: AtomicU64,
     /// Logical ready-count decrements (invariant under batching).
     rc_updates: AtomicU64,
-    /// Physical `fetch_sub` RMWs (one per combined flush entry).
+    /// Combined ready-count updates (one per flush entry): `fetch_sub`
+    /// RMWs on a shared TSU.
     rc_rmws: AtomicU64,
     /// Weak-CAS retries on state transitions plus cross-kernel
     /// ready-count line transfers.
@@ -217,18 +228,26 @@ impl CounterRow {
 }
 
 /// The counter row an operation writes, resolved once per call.
-#[derive(Clone, Copy)]
-struct Writer<'a> {
+struct Writer<'a, M> {
     row: &'a CounterRow,
     /// The non-kernel row: any thread may be writing it.
     shared: bool,
+    mode: PhantomData<M>,
 }
 
-impl Writer<'_> {
+impl<M> Clone for Writer<'_, M> {
+    fn clone(&self) -> Self {
+        *self
+    }
+}
+
+impl<M> Copy for Writer<'_, M> {}
+
+impl<M: Access> Writer<'_, M> {
     #[inline]
     fn add(self, counter: impl FnOnce(&CounterRow) -> &AtomicU64, n: u64) {
         if self.shared {
-            counter(self.row).fetch_add(n, Ordering::Relaxed);
+            M::fetch_add(counter(self.row), n, Ordering::Relaxed);
         } else {
             self.row.add(counter, n);
         }
@@ -287,8 +306,11 @@ impl Drop for PoisonGuard<'_> {
 /// All operations take `&self`: kernels on different threads may call
 /// [`dispatch`](Self::dispatch) and [`complete`](Self::complete)
 /// concurrently, and App completions never take a lock. The single
-/// `block` mutex only guards block transitions.
-pub struct SyncMemory<P: ProgramHandle> {
+/// `block` mutex only guards block transitions. That is the [`Shared`]
+/// [access mode](Access), which [`new`](SyncMemory::new) builds; a
+/// [`Tsu::new`](super::Tsu::new) holds an [`Owned`](super::Owned) one,
+/// which one thread drives.
+pub struct SyncMemory<P: ProgramHandle, M: Access = Shared> {
     gm: GraphMemory<P>,
     capacity: usize,
     /// Credit window: maximum `opened - retired` epochs in flight
@@ -306,6 +328,7 @@ pub struct SyncMemory<P: ProgramHandle> {
     finished: AtomicBool,
     poisoned: AtomicBool,
     block: Mutex<BlockState>,
+    mode: PhantomData<M>,
 }
 
 impl<P: ProgramHandle> SyncMemory<P> {
@@ -323,6 +346,13 @@ impl<P: ProgramHandle> SyncMemory<P> {
     /// from the Graph Memory — arities are static, so the table never
     /// reallocates, no matter how many epochs stream through it.
     pub fn with_window(program: P, kernels: u32, capacity: usize, window: usize) -> Self {
+        Self::build(program, kernels, capacity, window)
+    }
+}
+
+impl<P: ProgramHandle, M: Access> SyncMemory<P, M> {
+    /// [`with_window`](SyncMemory::with_window), in either mode.
+    pub(super) fn build(program: P, kernels: u32, capacity: usize, window: usize) -> Self {
         let gm = GraphMemory::new(program, kernels);
         let kernels = gm.kernels(); // clamped to ≥ 1
         let mut base = Vec::with_capacity(gm.program().threads().len());
@@ -348,6 +378,7 @@ impl<P: ProgramHandle> SyncMemory<P> {
                 opened: 1,
                 ..BlockState::default()
             }),
+            mode: PhantomData,
         };
         let mut guard = sm.block.lock().expect("fresh mutex");
         sm.mark_resident(sm.gm.first_inlet().thread, &mut guard);
@@ -416,7 +447,7 @@ impl<P: ProgramHandle> SyncMemory<P> {
 
     /// The row `by` writes: [`kernel_row`](Self::kernel_row) for a kernel,
     /// the shared last one for `None`.
-    fn writer(&self, by: Option<KernelId>) -> Result<Writer<'_>, CoreError> {
+    fn writer(&self, by: Option<KernelId>) -> Result<Writer<'_, M>, CoreError> {
         let row = match by {
             Some(kernel) => self.kernel_row(kernel)?,
             None => &self.rows[self.gm.kernels() as usize],
@@ -424,6 +455,7 @@ impl<P: ProgramHandle> SyncMemory<P> {
         Ok(Writer {
             row,
             shared: by.is_none(),
+            mode: PhantomData,
         })
     }
 
@@ -435,13 +467,16 @@ impl<P: ProgramHandle> SyncMemory<P> {
     /// Advance `inst`'s state word `from → to` by CAS. Spurious weak-CAS
     /// failures retry and are counted as contention on `by`'s row; a
     /// genuine mismatch returns the observed state.
-    fn transition(&self, by: Writer<'_>, inst: Instance, from: u32, to: u32) -> Result<(), u32> {
+    fn transition(&self, by: Writer<'_, M>, inst: Instance, from: u32, to: u32) -> Result<(), u32> {
         let slot = self.slot(inst);
         loop {
-            match slot
-                .state
-                .compare_exchange_weak(from, to, Ordering::AcqRel, Ordering::Acquire)
-            {
+            match M::compare_exchange_weak(
+                &slot.state,
+                from,
+                to,
+                Ordering::AcqRel,
+                Ordering::Acquire,
+            ) {
                 Ok(_) => return Ok(()),
                 Err(actual) if actual == from => by.add(|r| &r.contended, 1),
                 Err(actual) => return Err(actual),
@@ -754,13 +789,14 @@ impl<P: ProgramHandle> SyncMemory<P> {
         (guard.opened, guard.completed, guard.retired)
     }
 
-    fn post_process(&self, by: Writer<'_>, inst: Instance, out: &mut Vec<Instance>) {
+    fn post_process(&self, by: Writer<'_, M>, inst: Instance, out: &mut Vec<Instance>) {
         let t = inst.thread;
         let pa = self.gm.program().thread(t).arity;
         let updater = self.gm.owner_of(inst);
         // Consumer lists live in Graph Memory; each decrement is one
         // `fetch_sub` on the consumer's slot. The producer that observes
-        // the 1→0 edge — exactly one, by atomicity — publishes it.
+        // the 1→0 edge — exactly one: by atomicity in the shared mode, by
+        // program order in the owned one — publishes it.
         for arc in self.gm.consumers(t) {
             let ca = self.gm.program().thread(arc.consumer).arity;
             for c in arc.mapping.consumers(inst.context, pa, ca) {
@@ -772,15 +808,17 @@ impl<P: ProgramHandle> SyncMemory<P> {
         }
     }
 
-    /// One physical ready-count RMW covering `n` logical decrements of
-    /// `ci`, counted on `by`'s row. Returns whether this update observed
-    /// the `n→0` edge — exactly one does, by atomicity of `fetch_sub` —
-    /// and so owns publishing the consumer; this generalizes the direct
-    /// path's 1→0 ownership rule. An update whose `updater` (the
+    /// One combined ready-count update covering `n` logical decrements of
+    /// `ci`, counted on `by`'s row: one `fetch_sub` RMW in the shared mode,
+    /// a load and a store in the owned one. Returns whether this update
+    /// observed the `n→0` edge — exactly one does: in the shared mode by
+    /// atomicity of `fetch_sub`, in the owned mode by program order, one
+    /// thread making every update — and so owns publishing the consumer;
+    /// this generalizes the direct path's 1→0 ownership rule. An update whose `updater` (the
     /// producer's owning kernel) differs from the slot's previous one
     /// counts one contention event: the line would migrate between cores
     /// on real hardware.
-    fn apply_rc_sub(&self, by: Writer<'_>, ci: Instance, n: u32, updater: KernelId) -> bool {
+    fn apply_rc_sub(&self, by: Writer<'_, M>, ci: Instance, n: u32, updater: KernelId) -> bool {
         by.add(|r| &r.rc_updates, n as u64);
         by.add(|r| &r.rc_rmws, 1);
         let slot = self.slot(ci);
@@ -796,7 +834,7 @@ impl<P: ProgramHandle> SyncMemory<P> {
                 by.add(|r| &r.contended, 1);
             }
         }
-        let prev = slot.rc.fetch_sub(n, Ordering::AcqRel);
+        let prev = M::fetch_sub(&slot.rc, n, Ordering::AcqRel);
         assert!(prev >= n, "ready count underflow at {ci:?}");
         prev == n
     }

@@ -8,7 +8,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Duration;
 use tflux_core::prelude::*;
-use tflux_core::{cases, drain_sequential, random_program};
+use tflux_core::{cases, drain_sequential, random_program, Access};
 use tflux_runtime::{BodyTable, Runtime, RuntimeConfig};
 
 #[test]
@@ -123,13 +123,17 @@ fn blocks_ready_at_once_fit_their_queue_units() {
                 }
             }
             let slots: Vec<usize> = bound.iter().map(|b| b.next_power_of_two()).collect();
-            for tsu in [
-                Tsu::new(&p, kernels, TsuConfig::default()),
-                Tsu::threaded(&p, kernels, TsuConfig::default()),
+            // each constructor's queue sizes, after a drain through them
+            fn drained<M: Access>(tsu: Tsu<&DdmProgram, M>) -> Vec<usize> {
+                let total = tsu.program().total_instances();
+                assert_eq!(drain_sequential(&tsu).unwrap().len(), total);
+                tsu.queues().iter().map(|q| q.capacity()).collect()
+            }
+            for sized in [
+                drained(Tsu::new(&p, kernels, TsuConfig::default())),
+                drained(Tsu::threaded(&p, kernels, TsuConfig::default())),
             ] {
-                let sized: Vec<usize> = tsu.queues().iter().map(|q| q.capacity()).collect();
                 assert_eq!(sized, slots, "{affinity:?} at {kernels} kernels");
-                assert_eq!(drain_sequential(&tsu).unwrap().len(), p.total_instances());
             }
             let report = Runtime::new(RuntimeConfig::with_kernels(kernels))
                 .run(&p, &BodyTable::new(&p))

@@ -21,7 +21,8 @@
 
 use tflux_core::prelude::*;
 use tflux_core::{
-    cases, funnel_batch, random_program, Epoch, GraphMemory, SplitMix64, TsuStats, FUNNEL_BATCH,
+    cases, funnel_batch, random_program, Access, Epoch, GraphMemory, SplitMix64, TsuStats,
+    FUNNEL_BATCH,
 };
 
 struct Case {
@@ -60,10 +61,10 @@ fn case(rng: &mut SplitMix64) -> Case {
 /// seed, every kernel holds up to one fetched instance and a seeded draw
 /// picks which holder completes next. Returns the execution order of each
 /// epoch and the final counters.
-fn drive<'p>(
+fn drive<'p, M: Access>(
     case: &'p Case,
     steal: bool,
-    build: fn(&'p DdmProgram, u32, TsuConfig) -> Tsu<&'p DdmProgram>,
+    build: fn(&'p DdmProgram, u32, TsuConfig) -> Tsu<&'p DdmProgram, M>,
     interleave: Option<u64>,
 ) -> (Vec<Vec<Instance>>, TsuStats) {
     let tsu = build(
@@ -207,9 +208,9 @@ fn both_constructors_make_the_same_decisions_under_one_thread() {
 fn zero_kernels_clamp_to_one_on_both_constructors() {
     // one rule in the one constructor (and in the units under it):
     // `kernels == 0` means one kernel, as the platform configs clamp
-    fn check<'p>(
+    fn check<'p, M: Access>(
         p: &'p DdmProgram,
-        build: fn(&'p DdmProgram, u32, TsuConfig) -> Tsu<&'p DdmProgram>,
+        build: fn(&'p DdmProgram, u32, TsuConfig) -> Tsu<&'p DdmProgram, M>,
     ) {
         let tsu = build(p, 0, TsuConfig::default());
         assert_eq!(tsu.kernels(), 1);

@@ -12,7 +12,9 @@
 //! sweeps `op` to verify the <1% claim.
 
 use crate::config::TsuCosts;
-use tflux_core::{CoreError, DdmProgram, Epoch, FetchResult, GraphMemory, Instance, KernelId, Tsu};
+use tflux_core::{
+    CoreError, DdmProgram, Epoch, FetchResult, GraphMemory, Instance, KernelId, Owned, Tsu,
+};
 
 /// Counters of the device model.
 #[derive(Clone, Copy, Debug, Default)]
@@ -52,7 +54,7 @@ pub(crate) enum DevFetch {
 /// that crosses shards pays `cross_cost` extra cycles (the TSU-to-TSU
 /// message that the single-group design handles internally).
 pub(crate) struct TsuDevice<'p> {
-    tsu: Tsu<&'p DdmProgram>,
+    tsu: Tsu<&'p DdmProgram, Owned>,
     unit: Unit,
     /// The parked cores, bit `c` for core `c` (a machine has at most 64);
     /// the machine retries their fetches after every completion.
@@ -112,7 +114,7 @@ impl<'p> TsuDevice<'p> {
     /// A sharded TSU: `groups` independent units, cross-shard updates
     /// costing `cross_cost` extra cycles.
     pub(crate) fn sharded(
-        tsu: Tsu<&'p DdmProgram>,
+        tsu: Tsu<&'p DdmProgram, Owned>,
         costs: TsuCosts,
         cores: u32,
         groups: u32,
@@ -137,7 +139,7 @@ impl<'p> TsuDevice<'p> {
     }
 
     /// The wrapped state machine.
-    pub(crate) fn tsu(&self) -> &Tsu<&'p DdmProgram> {
+    pub(crate) fn tsu(&self) -> &Tsu<&'p DdmProgram, Owned> {
         &self.tsu
     }
 

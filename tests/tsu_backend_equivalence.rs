@@ -10,7 +10,7 @@
 //! the suite. Who executed what, and in which order, is free.
 
 use tflux::core::prelude::*;
-use tflux::core::{drain_sequential, Epoch, TsuStats};
+use tflux::core::{drain_sequential, Access, Epoch, TsuStats};
 use tflux::runtime::{BodyTable, Runtime, RuntimeConfig};
 use tflux::sim::work::UniformWork;
 use tflux::sim::{Machine, MachineConfig};
@@ -107,10 +107,11 @@ fn seq_outcome(program: &DdmProgram) -> Outcome {
 /// One thread streaming a `Tsu` from `build`, round-robining the
 /// kernel ids: drain a pass, retire its epoch, open the next (which
 /// re-arms the inlet in place), drain again. `Tsu::new` is the
-/// sequential reference; `Tsu::threaded` is the TSU kernel threads run on,
-/// completing through the same funnels.
-fn stream_outcome<'p>(
-    build: fn(&'p DdmProgram, u32, TsuConfig) -> Tsu<&'p DdmProgram>,
+/// sequential reference, in owned access; `Tsu::threaded` is the TSU
+/// kernel threads run on, in shared access, completing through the same
+/// funnels.
+fn stream_outcome<'p, M: Access>(
+    build: fn(&'p DdmProgram, u32, TsuConfig) -> Tsu<&'p DdmProgram, M>,
     program: &'p DdmProgram,
     cfg: TsuConfig,
     epochs: u64,
