@@ -234,15 +234,17 @@ impl ToJson for ConstructionRow {
     }
 }
 
-/// The ns_* fields of `funnel`/`streaming`,
-/// `memsys.host_ns_per_access`, `server.host_us_per_program` and the
+/// The ns_* fields of `funnel`/`streaming`, the
+/// `memsys.host_ns_per_access*` median and range,
+/// `server.host_us_per_program` and the
 /// `construction` drain times are wall clock and depend on the host, and
 /// the `server` turn columns on timing; `steal`, `scaling` and the other
 /// `memsys` columns are simulated, the other `server` columns are counts
 /// fixed by the mix and the other `construction` columns count
 /// allocations, identical on any host.
 const WALL_CLOCK_NOTE: &str = "funnel/streaming ns fields, memsys \
-     host_ns_per_access, server host_us_per_program and construction drain_host_ns_per_instance \
+     host_ns_per_access (median of 7 runs, with their min and max), \
+     server host_us_per_program and construction drain_host_ns_per_instance \
      fields are wall clock and vary with the host, \
      server turns_per_program and empty_turns_per_program depend on timing; \
      steal, scaling and the other memsys columns are simulated, the other server columns are \

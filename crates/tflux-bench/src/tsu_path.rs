@@ -121,10 +121,9 @@ pub fn complete_interleaved(
     kernels: u32,
     batch: usize,
 ) -> u64 {
-    let gm = sm.graph();
     let mut by_k: Vec<Vec<Instance>> = vec![Vec::new(); kernels as usize];
     for &i in work {
-        by_k[gm.owner_of(i).idx()].push(i);
+        by_k[sm.program().kernel_of(i, sm.kernels()).idx()].push(i);
     }
     let batch = batch.max(1);
     let mut out = Vec::new();
@@ -836,13 +835,20 @@ pub fn scaling_row(topology: &'static str, bench: Bench, cfg: MachineConfig) -> 
 }
 
 /// One synthetic stream through `MemorySystem::access` on `bagle(27)`.
-/// `host_ns_per_access` is wall clock; every other column is simulated
-/// and identical on any host, which is what the floor keys on.
-pub struct MemsysRow(MemStream, MemsysMeasure);
+/// The `host_ns_per_access` columns are wall clock: the median run, then
+/// the lowest and the highest. Every other column is simulated and
+/// identical on any host, which is what the floor keys on.
+pub struct MemsysRow {
+    stream: MemStream,
+    /// The median run.
+    m: MemsysMeasure,
+    /// Host ns per access of the fastest and the slowest run.
+    range: (f64, f64),
+}
 
 impl ToJson for MemsysRow {
     fn to_json(&self) -> Json {
-        let MemsysRow(stream, m) = self;
+        let MemsysRow { stream, m, range } = self;
         Json::obj([
             ("stream", stream.name().to_json()),
             ("accesses", m.accesses.to_json()),
@@ -853,14 +859,28 @@ impl ToJson for MemsysRow {
             ("mem_misses", m.stats.mem_misses.to_json()),
             ("latency_cycles", m.latency_cycles.to_json()),
             ("host_ns_per_access", m.host_ns_per_access().to_json()),
+            ("host_ns_per_access_min", range.0.to_json()),
+            ("host_ns_per_access_max", range.1.to_json()),
         ])
     }
 }
 
-/// Best-of-`RUNS` host time of one memory-system stream; the simulated
-/// columns are the same in every run.
+/// `RUNS` runs of one memory-system stream after `WARMUP` discarded ones:
+/// the median host time, with the lowest and highest beside it (one run's
+/// best hides how far back-to-back runs spread). The simulated columns are
+/// the same in every run.
 pub fn memsys_row(stream: MemStream) -> MemsysRow {
-    MemsysRow(stream, best_of(|| memsys_stream(stream), |m| m.host_ns))
+    let mut runs: Vec<_> = std::iter::repeat_with(|| memsys_stream(stream))
+        .take(WARMUP + RUNS)
+        .skip(WARMUP)
+        .collect();
+    runs.sort_by_key(|m| m.host_ns);
+    let ns = |m: &MemsysMeasure| m.host_ns_per_access();
+    MemsysRow {
+        stream,
+        m: runs[RUNS / 2],
+        range: (ns(&runs[0]), ns(&runs[RUNS - 1])),
+    }
 }
 
 /// The fixed program mix through a `SERVER_KERNELS`-kernel `ProgramServer`.

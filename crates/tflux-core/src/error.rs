@@ -100,6 +100,10 @@ pub enum CoreError {
         /// Kernels the TSU serves: valid ids are `0..kernels`.
         kernels: u32,
     },
+    /// A dispatch or completion named an instance the program does not
+    /// have: a thread past its last, or a context past the thread's arity.
+    /// Its Synchronization Memory slot would be a neighbour's, or none.
+    UnknownInstance(Instance),
 }
 
 impl fmt::Display for CoreError {
@@ -164,6 +168,7 @@ impl fmt::Display for CoreError {
             CoreError::UnknownKernel { kernel, kernels } => {
                 write!(f, "{kernel} is not one of this TSU's {kernels} kernels")
             }
+            CoreError::UnknownInstance(i) => write!(f, "instance {i} is not in the program"),
         }
     }
 }

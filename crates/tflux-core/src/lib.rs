@@ -12,9 +12,9 @@
 //!   reduction, merge trees, …).
 //! * **DDM blocks** — subsets of the program small enough to fit in the TSU,
 //!   chained by implicit *Inlet* and *Outlet* DThreads.
-//! * **The TSU** — the paper's §3.3 decomposition:
-//!   [`GraphMemory`] (immutable program view), [`SyncMemory`]
-//!   (lock-free ready counts + post-processing) and a per-kernel
+//! * **The TSU** — the paper's §3.3 decomposition: the Graph Memory is the
+//!   immutable [`DdmProgram`] itself, held once by the [`SyncMemory`]
+//!   (lock-free ready counts + post-processing), and a per-kernel
 //!   [`ReadyQueue`] (a Chase-Lev work-stealing [`StealDeque`]
 //!   plus one locked inbox for other kernels' runs), composed once into
 //!   [`Tsu`]. All three platforms (the software TSU of
@@ -92,9 +92,9 @@ pub use rng::{cases, mix, random_program, SplitMix64};
 pub use thread::{Affinity, ThreadKind, ThreadSpec};
 pub use trace::{ExecTrace, Span};
 pub use tsu::{
-    drain_sequential, funnel_batch, Access, CompletionFunnel, EventCount, FetchResult, GraphMemory,
-    Owned, ProgramHandle, ReadyQueue, Shared, Steal, StealDeque, SyncMemory, Tsu, TsuConfig,
-    TsuStats, WaitingInstance, FUNNEL_BATCH,
+    drain_sequential, funnel_batch, Access, CompletionFunnel, EventCount, FetchResult, Owned,
+    ProgramHandle, ReadyQueue, Shared, Steal, StealDeque, SyncMemory, Tsu, TsuConfig, TsuStats,
+    WaitingInstance, FUNNEL_BATCH,
 };
 pub use unroll::Unroll;
 

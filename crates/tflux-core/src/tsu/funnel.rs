@@ -29,8 +29,7 @@ use crate::program::DdmProgram;
 use crate::thread::ThreadKind;
 
 use super::access::Access;
-use super::gm::ProgramHandle;
-use super::Tsu;
+use super::{ProgramHandle, Tsu};
 
 /// Completions per automatic flush of a batching funnel.
 pub const FUNNEL_BATCH: usize = 8;
@@ -111,7 +110,13 @@ impl CompletionFunnel {
         ready: &mut Vec<Instance>,
     ) -> Result<u32, CoreError> {
         ready.clear();
-        let parks = self.batch > 1 && tsu.graph().kind(inst.thread) == ThreadKind::App;
+        // a thread outside the program does not park: `complete` refuses it
+        let kind = tsu
+            .program()
+            .threads()
+            .get(inst.thread.idx())
+            .map(|t| t.kind);
+        let parks = self.batch > 1 && kind == Some(ThreadKind::App);
         if parks {
             if self.pending.is_empty() {
                 self.epoch = epoch;
@@ -140,8 +145,9 @@ impl CompletionFunnel {
     /// `kernel`, the kernel this funnel belongs to; newly-ready
     /// instances land in `ready` (cleared first; cleared even when the
     /// funnel is empty, so callers can rely on it). On error the funnel
-    /// is left empty — the TSU has poisoned itself and replaying the
-    /// batch would only fail again.
+    /// is left empty — the TSU has poisoned itself, or refused the batch
+    /// before touching it (a kernel or first instance it does not know),
+    /// and replaying the batch would only fail again.
     pub fn flush<P: ProgramHandle, M: Access>(
         &mut self,
         kernel: KernelId,

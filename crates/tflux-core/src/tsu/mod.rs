@@ -1,14 +1,16 @@
 //! The Thread Synchronization Unit, decomposed into the paper's units.
 //!
 //! §3.3/Fig. 4 of the paper describe the TSU as distinct components, and
-//! this module mirrors that structure one type per unit:
+//! this module mirrors that structure:
 //!
-//! * [`GraphMemory`] — the immutable program view: DThread templates,
-//!   consumer lists, block structure, instance placement. Shareable by `&`.
-//! * [`SyncMemory`] — per-instance *Ready Counts* and the Post-Processing
-//!   Phase, held in a lock-free table of atomic slots so concurrent
-//!   completions never contend on a lock (only block transitions are
-//!   serialized).
+//! * the Graph Memory — the immutable DThread templates, consumer lists
+//!   and block structure — is the [`DdmProgram`] itself, held once through
+//!   a [`ProgramHandle`]; with the kernel count it fixes where every
+//!   instance is placed ([`Tsu::owner_of`]).
+//! * [`SyncMemory`] — the program handle and the clamped kernel count,
+//!   then per-instance *Ready Counts* and the Post-Processing Phase, held
+//!   in a lock-free table of atomic slots so concurrent completions never
+//!   contend on a lock (only block transitions are serialized).
 //! * a [`ReadyQueue`] per kernel — a Chase-Lev work-stealing deque of
 //!   ready instances ([`StealDeque`]), sized once from the committed
 //!   graph, plus one locked FIFO inbox for runs
@@ -18,7 +20,7 @@
 //!   leave that kernel. No queue blocks: [`FetchResult`] is answered here,
 //!   and a platform decides how its idle kernels wait.
 //!
-//! [`Tsu`] composes the three, once, with the same types on every
+//! [`Tsu`] composes them, once, with the same types on every
 //! platform — which is what keeps TFluxSoft, TFluxHard and TFluxCell
 //! directly comparable. Every operation takes `&self`, so the same state
 //! machine is driven by one thread in the deterministic platforms and the
@@ -34,14 +36,12 @@
 mod access;
 mod config;
 mod funnel;
-mod gm;
 mod queue;
 mod sync;
 
 pub use access::{Access, Owned, Shared};
 pub use config::{TsuConfig, TsuStats, WaitingInstance};
 pub use funnel::{funnel_batch, CompletionFunnel, FUNNEL_BATCH};
-pub use gm::{GraphMemory, ProgramHandle};
 pub use queue::{EventCount, FetchResult, ReadyQueue, Steal, StealDeque};
 use sync::CounterRow;
 pub use sync::SyncMemory;
@@ -54,8 +54,40 @@ use crate::rng::SplitMix64;
 use std::cmp::Reverse;
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 
-/// The TSU: Graph Memory + Synchronization Memory + one [`ReadyQueue`] per
-/// kernel.
+/// A cloneable handle to a [`DdmProgram`]: how the TSU holds its Graph
+/// Memory.
+///
+/// The TSU units are generic over *how* the program is held so the same
+/// code serves both the single-run drivers (which borrow the caller's
+/// program: `P = &DdmProgram`) and a long-lived multi-program server
+/// (which needs `'static` arenas: `P = std::sync::Arc<DdmProgram>`).
+///
+/// The parameter stays, though one `Arc`-backed program type would let
+/// `Runtime::run` and the server share one `Tsu<Shared>` and one arena:
+/// built that way, the threaded runtime lost its own monomorphized copy of
+/// the hot path, and `bench_e2e`'s `soft_fine` read 0.89–0.95× on a 2-CPU
+/// x86 host (raw runs in `docs/history.md`).
+pub trait ProgramHandle: Clone {
+    /// Borrow the underlying program.
+    fn get(&self) -> &DdmProgram;
+}
+
+impl ProgramHandle for &DdmProgram {
+    #[inline]
+    fn get(&self) -> &DdmProgram {
+        self
+    }
+}
+
+impl ProgramHandle for std::sync::Arc<DdmProgram> {
+    #[inline]
+    fn get(&self) -> &DdmProgram {
+        self
+    }
+}
+
+/// The TSU: the Synchronization Memory, which holds the program (the Graph
+/// Memory), and one [`ReadyQueue`] per kernel.
 ///
 /// This is the one scheduler of the workspace. Built by [`Tsu::new`] it is
 /// the state machine behind the simulated hardware TSU (`tflux-sim`), the
@@ -70,7 +102,6 @@ use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 /// can never fail, `fetches` and `completions` pair up exactly, and stall
 /// forensics can name an instance that was queued but never popped.
 pub struct Tsu<P: ProgramHandle, M: Access = Shared> {
-    gm: GraphMemory<P>,
     sm: SyncMemory<P, M>,
     queues: Vec<ReadyQueue<M>>,
     /// Whether a kernel whose own queue misses probes its siblings.
@@ -138,11 +169,9 @@ impl<P: ProgramHandle> Tsu<P, Shared> {
 impl<P: ProgramHandle, M: Access> Tsu<P, M> {
     fn build(program: P, kernels: u32, config: TsuConfig) -> Self {
         let sm = SyncMemory::build(program, kernels, config.capacity, config.window);
-        let gm = sm.graph();
-        let kernels = gm.kernels();
-        let queues = queue_bounds(&gm);
+        let kernels = sm.kernels();
+        let queues = queue_bounds(sm.program(), kernels);
         let tsu = Tsu {
-            gm,
             sm,
             queues: queues.into_iter().map(ReadyQueue::with_capacity).collect(),
             steal: config.steal && kernels > 1,
@@ -157,19 +186,21 @@ impl<P: ProgramHandle, M: Access> Tsu<P, M> {
         tsu
     }
 
-    /// The program this TSU executes.
+    /// The program this TSU executes: its Graph Memory.
     pub fn program(&self) -> &DdmProgram {
-        self.gm.program()
+        self.sm.program()
     }
 
-    /// Number of kernels served.
+    /// Number of kernels served (the constructor's count, clamped to ≥ 1).
     pub fn kernels(&self) -> u32 {
-        self.gm.kernels()
+        self.sm.kernels()
     }
 
-    /// The read-only Graph Memory view.
-    pub fn graph(&self) -> &GraphMemory<P> {
-        &self.gm
+    /// The kernel an instance is placed on (its affinity resolved against
+    /// the kernel count): the queue a ready instance is pushed on.
+    #[inline]
+    pub fn owner_of(&self, i: Instance) -> KernelId {
+        self.sm.owner_of(i)
     }
 
     /// The queues, one per kernel. Kernel threads park on their own; stall
@@ -249,7 +280,7 @@ impl<P: ProgramHandle, M: Access> Tsu<P, M> {
         // `ready[start..n]` is dispatched, all for `owner`, under `epoch`
         let (mut start, mut owner, mut epoch) = (0, KernelId(0), Epoch(0));
         for (n, &i) in ready.iter().enumerate() {
-            let o = self.gm.owner_of(i);
+            let o = self.sm.owner_of(i);
             if o != owner {
                 hand_over(&ready[start..n], owner, epoch);
                 (start, owner) = (n, o);
@@ -417,13 +448,12 @@ impl<P: ProgramHandle, M: Access> Tsu<P, M> {
     }
 }
 
-/// Per kernel, the most instances any one block of the program places on
-/// it: the block's app threads plus its outlet
-/// ([`block_instances`](GraphMemory::block_instances)), at least 1 for a
+/// Per kernel, the most instances any one block of `program` places on it
+/// out of `kernels`: the block's app threads plus its outlet
+/// ([`block_instances`](DdmProgram::block_instances)), at least 1 for a
 /// lone inlet. O(threads × kernels), from
 /// [`Affinity::share`](crate::Affinity::share).
-fn queue_bounds<P: ProgramHandle>(gm: &GraphMemory<P>) -> Vec<usize> {
-    let (program, kernels) = (gm.program(), gm.kernels());
+fn queue_bounds(program: &DdmProgram, kernels: u32) -> Vec<usize> {
     let mut bounds = vec![1; kernels as usize];
     for blk in program.blocks() {
         for (k, bound) in bounds.iter_mut().enumerate() {
@@ -462,7 +492,7 @@ fn drain_funneled<P: ProgramHandle, M: Access>(
 ) -> Result<Vec<Instance>, CoreError> {
     let kernels = tsu.kernels();
     let mut funnels: Vec<_> = (0..kernels).map(|_| CompletionFunnel::new(batch)).collect();
-    let mut order = Vec::with_capacity(tsu.graph().program().total_instances());
+    let mut order = Vec::with_capacity(tsu.program().total_instances());
     let mut scratch = Vec::new();
     let (mut k, mut idle) = (0u32, 0u32);
     loop {
@@ -492,7 +522,7 @@ fn drain_funneled<P: ProgramHandle, M: Access>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ids::Context;
+    use crate::ids::{Context, ThreadId};
     use crate::mapping::ArcMapping;
     use crate::program::ProgramBuilder;
     use crate::thread::ThreadSpec;
@@ -527,6 +557,80 @@ mod tests {
         ep: Epoch,
     ) -> Result<(), CoreError> {
         tsu.complete(KernelId(0), i, ep, &mut Vec::new())
+    }
+
+    #[test]
+    fn owner_respects_fixed_affinity() {
+        let p = pinned(4, 2);
+        let tsu = Tsu::new(&p, 4, TsuConfig::default());
+        let w = p.blocks()[0].threads[0];
+        for c in 0..4 {
+            assert_eq!(tsu.owner_of(Instance::new(w, Context(c))), KernelId(2));
+        }
+    }
+
+    /// Drive `tsu` round-robin to its end, completing each instance as it
+    /// is fetched; every fetch's provenance must match placement, because
+    /// a queue only ever holds its own kernel's instances. Returns the
+    /// steals seen.
+    fn fetches_match_placement<M: Access>(tsu: &Tsu<&DdmProgram, M>) -> usize {
+        let (mut k, mut idle, mut steals) = (0, 0, 0);
+        let mut ready = Vec::new();
+        loop {
+            let kernel = KernelId(k);
+            match tsu.fetch_traced(kernel).unwrap() {
+                (FetchResult::Thread(i, ep), stolen) => {
+                    assert_eq!(stolen, tsu.owner_of(i) != kernel, "{i} by {kernel}");
+                    steals += stolen as usize;
+                    idle = 0;
+                    tsu.complete(kernel, i, ep, &mut ready).unwrap();
+                }
+                (FetchResult::Wait, _) => {
+                    idle += 1;
+                    assert!(idle <= tsu.kernels(), "every queue empty, unfinished");
+                }
+                (FetchResult::Exit, _) => return steals,
+            }
+            k = (k + 1) % tsu.kernels();
+        }
+    }
+
+    #[test]
+    fn every_queue_holds_only_its_own_kernels_instances() {
+        let mut steals = 0;
+        crate::rng::cases(48, |rng| {
+            let kernels = rng.range(1..5);
+            let p = crate::rng::random_program(rng, kernels);
+            steals += fetches_match_placement(&Tsu::new(&p, kernels, TsuConfig::default()));
+            steals += fetches_match_placement(&Tsu::threaded(&p, kernels, TsuConfig::default()));
+        });
+        assert!(steals > 0, "the suite must exercise stealing");
+    }
+
+    #[test]
+    fn completing_an_instance_outside_the_program_is_a_typed_error() {
+        let p = fork_join(2, 1);
+        let tsu = Tsu::new(&p, 2, TsuConfig::default());
+        let work = p.blocks()[0].threads[1];
+        let past_arity = Instance::new(work, Context(2));
+        let past_end = Instance::scalar(ThreadId(p.threads().len() as u32));
+        let (k0, mut ready) = (KernelId(0), Vec::new());
+        let mut funnel = CompletionFunnel::new(FUNNEL_BATCH);
+        for bad in [past_arity, past_end] {
+            let unknown = Err(CoreError::UnknownInstance(bad));
+            assert_eq!(tsu.complete(k0, bad, Epoch(0), &mut ready), unknown);
+            assert_eq!(
+                tsu.complete_batch(k0, &[bad], Epoch(0), &mut ready),
+                unknown
+            );
+            // a funnel refuses an App thread's instance when it flushes,
+            // any other at once
+            let parked = funnel.complete(k0, &tsu, bad, Epoch(0), &mut ready);
+            let flushed = funnel.flush(k0, &tsu, &mut ready);
+            assert_eq!(parked.and(flushed), unknown);
+        }
+        // nothing was touched: the drain runs every instance
+        assert_eq!(drain_sequential(&tsu).unwrap().len(), p.total_instances());
     }
 
     #[test]
@@ -836,7 +940,7 @@ mod tests {
         // the armed inlet is dispatched *before* it is queued: already in
         // flight while no kernel has popped it — this is what lets a
         // watchdog name a never-popped instance in its forensics
-        let inlet = tsu.graph().first_inlet();
+        let inlet = tsu.sm.armed_inlet();
         assert_eq!(tsu.ready_len(), 1);
         assert_eq!(tsu.forensics(), (vec![], vec![inlet]));
         assert_eq!(tsu.stats().fetches, 1);
@@ -951,7 +1055,7 @@ mod tests {
         tsu.poison();
         assert_eq!(tsu.fetch(KernelId(0)), Err(CoreError::SmPoisoned));
         assert_eq!(
-            complete(&tsu, tsu.graph().first_inlet(), Epoch(0)),
+            complete(&tsu, tsu.sm.armed_inlet(), Epoch(0)),
             Err(CoreError::SmPoisoned)
         );
         assert_eq!(drain_sequential(&tsu), Err(CoreError::SmPoisoned));
@@ -1127,7 +1231,7 @@ mod tests {
         // of the App completions only the last publishes: the outlet,
         // kernel 0's own, which rings nobody
         let outlet = Instance::scalar(p.blocks()[0].outlet);
-        assert_eq!(tsu.graph().owner_of(outlet), KernelId(0));
+        assert_eq!(tsu.owner_of(outlet), KernelId(0));
         assert_eq!(tsu.queues[0].len(), 1);
         assert_eq!((rings(0), rings(1)), (1, 3));
     }

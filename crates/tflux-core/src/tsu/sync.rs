@@ -5,9 +5,12 @@
 //! Counts* of the loaded DDM block. The paper's hardware TSU performs
 //! ready-count decrements as independent memory-mapped updates with no
 //! global lock; this software SM matches that with a dense slab of atomic
-//! slots, one per `(ThreadId, Context)` pair, laid out once from the Graph
-//! Memory at construction (ThreadIds and arities are static, so each
-//! thread gets a fixed base offset into the slab).
+//! slots, one per `(ThreadId, Context)` pair, laid out once at construction
+//! from the program, which is the TSU's Graph Memory and which the SM
+//! holds (ThreadIds and arities are static, so each thread gets a fixed
+//! base offset into the slab). An instance outside the program is refused
+//! with [`CoreError::UnknownInstance`] before its slot is touched: its
+//! offset would land on a neighbour's slot, or on none.
 //!
 //! Each slot carries two words:
 //!
@@ -87,14 +90,15 @@
 use crate::error::CoreError;
 use crate::ids::{BlockId, Context, Epoch, Instance, KernelId, ThreadId};
 use crate::policy::StealBackoff;
-use crate::thread::ThreadKind;
+use crate::program::DdmProgram;
+use crate::thread::{ThreadKind, ThreadSpec};
 use std::marker::PhantomData;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use super::access::{Access, Shared};
 use super::config::{TsuStats, WaitingInstance};
-use super::gm::{GraphMemory, ProgramHandle};
+use super::ProgramHandle;
 
 /// Slot state machine: the lifecycle *phase* of one instance in the SM,
 /// stored in the low 2 bits of the state word.
@@ -112,6 +116,16 @@ const PHASE_MASK: u32 = 0b11;
 const TAG_BITS: u32 = 30;
 /// Mask for the (unshifted) epoch tag.
 const TAG_MASK: u32 = (1 << TAG_BITS) - 1;
+
+/// [`CoreError::UnknownInstance`], built out of line. Inlined, the error
+/// path grew `complete_batch` until LLVM stopped inlining its consumer walk,
+/// a call per instance that made an owned `drain_sequential` about 4 %
+/// slower on a 2-CPU x86 host.
+#[cold]
+#[inline(never)]
+fn unknown_instance(i: Instance) -> CoreError {
+    CoreError::UnknownInstance(i)
+}
 
 /// Pack an epoch tag and a phase into one state word.
 #[inline]
@@ -311,7 +325,10 @@ impl Drop for PoisonGuard<'_> {
 /// [`Tsu::new`](super::Tsu::new) holds an [`Owned`](super::Owned) one,
 /// which one thread drives.
 pub struct SyncMemory<P: ProgramHandle, M: Access = Shared> {
-    gm: GraphMemory<P>,
+    /// The Graph Memory: read-only, so shared by `&` without synchronization.
+    program: P,
+    /// Kernels the placement function maps onto, clamped to ≥ 1.
+    kernels: u32,
     capacity: usize,
     /// Credit window: maximum `opened - retired` epochs in flight
     /// (`0` = unbounded).
@@ -343,7 +360,7 @@ impl<P: ProgramHandle> SyncMemory<P> {
 
     /// Like [`new`](Self::new), but bounding in-flight epochs to `window`
     /// credits (`0` = unbounded). The slot layout is computed here, once,
-    /// from the Graph Memory — arities are static, so the table never
+    /// from the program — arities are static, so the table never
     /// reallocates, no matter how many epochs stream through it.
     pub fn with_window(program: P, kernels: u32, capacity: usize, window: usize) -> Self {
         Self::build(program, kernels, capacity, window)
@@ -353,17 +370,18 @@ impl<P: ProgramHandle> SyncMemory<P> {
 impl<P: ProgramHandle, M: Access> SyncMemory<P, M> {
     /// [`with_window`](SyncMemory::with_window), in either mode.
     pub(super) fn build(program: P, kernels: u32, capacity: usize, window: usize) -> Self {
-        let gm = GraphMemory::new(program, kernels);
-        let kernels = gm.kernels(); // clamped to ≥ 1
-        let mut base = Vec::with_capacity(gm.program().threads().len());
+        // the rule every platform configuration applies
+        let kernels = kernels.max(1);
+        let mut base = Vec::with_capacity(program.get().threads().len());
         let mut next = 0u32;
-        for spec in gm.program().threads() {
+        for spec in program.get().threads() {
             base.push(next);
             next += spec.arity;
         }
         let slots = (0..next).map(|_| Slot::default()).collect();
         let sm = SyncMemory {
-            gm,
+            program,
+            kernels,
             capacity,
             window,
             epoch: AtomicU64::new(0),
@@ -381,20 +399,36 @@ impl<P: ProgramHandle, M: Access> SyncMemory<P, M> {
             mode: PhantomData,
         };
         let mut guard = sm.block.lock().expect("fresh mutex");
-        sm.mark_resident(sm.gm.first_inlet().thread, &mut guard);
+        sm.mark_resident(sm.armed_inlet().thread, &mut guard);
         drop(guard);
         sm
     }
 
-    /// The Graph Memory view this SM was built against.
-    pub fn graph(&self) -> GraphMemory<P> {
-        self.gm.clone()
+    /// The program this SM was built against: the TSU's Graph Memory.
+    #[inline]
+    pub fn program(&self) -> &DdmProgram {
+        self.program.get()
+    }
+
+    /// Number of kernels the placement function maps onto (the
+    /// constructor's count, clamped to ≥ 1).
+    #[inline]
+    pub fn kernels(&self) -> u32 {
+        self.kernels
+    }
+
+    /// The kernel an instance is placed on: the queue a ready instance is
+    /// pushed on, and the `updater` identity of the line-transfer statistic.
+    #[inline]
+    pub(crate) fn owner_of(&self, i: Instance) -> KernelId {
+        self.program().kernel_of(i, self.kernels)
     }
 
     /// The armed first-block inlet — resident and ready (ready count 0)
-    /// from construction, waiting to be dispatched by a scheduler.
+    /// from construction, and again at each epoch's re-arm, waiting to be
+    /// dispatched by a scheduler.
     pub fn armed_inlet(&self) -> Instance {
-        self.gm.first_inlet()
+        Instance::scalar(self.program().blocks()[0].inlet)
     }
 
     /// Whether the last block's outlet has completed.
@@ -438,7 +472,7 @@ impl<P: ProgramHandle, M: Access> SyncMemory<P, M> {
     /// id this SM has no row for, which would otherwise put a second writer
     /// on somebody's (the shared last row) or have no queue to serve.
     pub(super) fn kernel_row(&self, kernel: KernelId) -> Result<&CounterRow, CoreError> {
-        let kernels = self.gm.kernels();
+        let kernels = self.kernels;
         if kernel.0 >= kernels {
             return Err(CoreError::UnknownKernel { kernel, kernels });
         }
@@ -450,7 +484,7 @@ impl<P: ProgramHandle, M: Access> SyncMemory<P, M> {
     fn writer(&self, by: Option<KernelId>) -> Result<Writer<'_, M>, CoreError> {
         let row = match by {
             Some(kernel) => self.kernel_row(kernel)?,
-            None => &self.rows[self.gm.kernels() as usize],
+            None => &self.rows[self.kernels as usize],
         };
         Ok(Writer {
             row,
@@ -459,6 +493,17 @@ impl<P: ProgramHandle, M: Access> SyncMemory<P, M> {
         })
     }
 
+    /// The template of `i`'s thread, or [`CoreError::UnknownInstance`] when
+    /// the program has no such thread or the context is past its arity.
+    #[inline]
+    fn template(&self, i: Instance) -> Result<&ThreadSpec, CoreError> {
+        match self.program().threads().get(i.thread.idx()) {
+            Some(spec) if i.context.0 < spec.arity => Ok(spec),
+            _ => Err(unknown_instance(i)),
+        }
+    }
+
+    /// `i`'s slot; `i` is inside the program ([`template`](Self::template)).
     #[inline]
     fn slot(&self, i: Instance) -> &Slot {
         &self.slots[self.base[i.thread.idx()] as usize + i.context.idx()]
@@ -513,8 +558,8 @@ impl<P: ProgramHandle, M: Access> SyncMemory<P, M> {
     /// holds the block lock (passed as `guard`).
     fn mark_resident(&self, t: ThreadId, guard: &mut MutexGuard<'_, BlockState>) {
         let tag = tag_of(self.epoch.load(Ordering::Relaxed));
-        let arity = self.gm.program().thread(t).arity;
-        let rcs = self.gm.program().initial_rcs(t);
+        let arity = self.program().thread(t).arity;
+        let rcs = self.program().initial_rcs(t);
         for c in 0..arity {
             let slot = self.slot(Instance::new(t, Context(c)));
             debug_assert_eq!(
@@ -537,7 +582,7 @@ impl<P: ProgramHandle, M: Access> SyncMemory<P, M> {
     /// [Outlet] is to clear the allocated resources").
     fn unload_thread(&self, t: ThreadId, guard: &mut MutexGuard<'_, BlockState>) {
         let tag = tag_of(self.epoch.load(Ordering::Relaxed));
-        let arity = self.gm.program().thread(t).arity;
+        let arity = self.program().thread(t).arity;
         for c in 0..arity {
             let slot = self.slot(Instance::new(t, Context(c)));
             slot.rc.store(0, Ordering::Relaxed);
@@ -553,7 +598,8 @@ impl<P: ProgramHandle, M: Access> SyncMemory<P, M> {
     /// caller that is no kernel (see the module docs).
     /// Fails with [`CoreError::NotResident`] if `inst`'s block is not
     /// loaded or the instance already ran (or is running) — a scheduler
-    /// bug surfaces here instead of corrupting consumer counts later.
+    /// bug surfaces here instead of corrupting consumer counts later — and
+    /// with [`CoreError::UnknownInstance`] if `inst` is not in the program.
     ///
     /// Only the current epoch ever holds `Resident` slots (an epoch cannot
     /// advance while any of its instances is in flight — the outlet's
@@ -562,6 +608,7 @@ impl<P: ProgramHandle, M: Access> SyncMemory<P, M> {
     pub fn dispatch(&self, by: Option<KernelId>, inst: Instance) -> Result<Epoch, CoreError> {
         self.check_poisoned()?;
         let by = self.writer(by)?;
+        self.template(inst)?;
         let epoch = self.epoch.load(Ordering::Acquire);
         let tag = tag_of(epoch);
         self.transition(by, inst, word(tag, RESIDENT), word(tag, RUNNING))
@@ -597,10 +644,10 @@ impl<P: ProgramHandle, M: Access> SyncMemory<P, M> {
         guard: &mut MutexGuard<'_, BlockState>,
     ) {
         guard.blocks_loaded += 1;
-        let block = &self.gm.program().blocks()[b.idx()];
+        let block = &self.program().blocks()[b.idx()];
         for &t in &block.threads {
             self.mark_resident(t, guard);
-            for (c, &rc) in self.gm.program().initial_rcs(t).iter().enumerate() {
+            for (c, &rc) in self.program().initial_rcs(t).iter().enumerate() {
                 if rc == 0 {
                     out.push(Instance::new(t, Context(c as u32)));
                 }
@@ -626,7 +673,8 @@ impl<P: ProgramHandle, M: Access> SyncMemory<P, M> {
     /// `epoch` is the token the matching [`dispatch`](Self::dispatch)
     /// returned. A completion whose epoch is older than the slot's current
     /// tag is rejected with [`CoreError::StaleEpoch`]: a late duplicate
-    /// from a finished pass must not touch a re-armed table.
+    /// from a finished pass must not touch a re-armed table. An instance
+    /// outside the program is [`CoreError::UnknownInstance`].
     pub fn complete(
         &self,
         kernel: KernelId,
@@ -637,17 +685,18 @@ impl<P: ProgramHandle, M: Access> SyncMemory<P, M> {
         out.clear();
         self.check_poisoned()?;
         let by = self.writer(Some(kernel))?;
+        let kind = self.template(inst)?.kind;
         let t = inst.thread;
         let tag = tag_of(epoch.0);
-        match self.gm.kind(t) {
+        match kind {
             ThreadKind::Inlet => {
                 let mut guard = self.lock_block()?;
-                let b = self.gm.block_of(t);
+                let b = self.program().block_of(t);
                 let observed = self.slot(inst).state.load(Ordering::Acquire);
                 if observed != word(tag, RUNNING) {
                     return Err(self.classify(inst, epoch, observed));
                 }
-                let instances = self.gm.block_instances(b);
+                let instances = self.program().block_instances(b);
                 // `- 1`: the inlet itself unloads as part of this
                 // completion, freeing its own entry for the block.
                 if self.capacity != 0 && guard.resident - 1 + instances > self.capacity {
@@ -671,15 +720,15 @@ impl<P: ProgramHandle, M: Access> SyncMemory<P, M> {
                     .map_err(|w| self.classify(inst, epoch, w))?;
                 by.add(|r| &r.completions, 1);
                 let sentinel = PoisonGuard::arm(&self.poisoned);
-                let block = self.gm.block_of(t);
-                for &at in &self.gm.program().blocks()[block.idx()].threads {
+                let block = self.program().block_of(t);
+                for &at in &self.program().blocks()[block.idx()].threads {
                     self.unload_thread(at, &mut guard);
                 }
                 self.unload_thread(t, &mut guard);
                 guard.loaded = None;
                 let next = BlockId(block.0 + 1);
-                if next.idx() < self.gm.program().blocks().len() {
-                    let inlet = Instance::scalar(self.gm.program().blocks()[next.idx()].inlet);
+                if next.idx() < self.program().blocks().len() {
+                    let inlet = Instance::scalar(self.program().blocks()[next.idx()].inlet);
                     self.mark_resident(inlet.thread, &mut guard);
                     out.push(inlet);
                 } else {
@@ -696,7 +745,11 @@ impl<P: ProgramHandle, M: Access> SyncMemory<P, M> {
                 sentinel.disarm();
             }
             ThreadKind::App => {
-                // The hot path: no lock anywhere.
+                // The hot path: no lock anywhere. It stays apart from
+                // `complete_batch`: sending every App completion through
+                // that path as a batch of one kept every pin but read
+                // `bench_e2e`'s `soft_fine` at 0.93× on a 2-CPU x86 host
+                // (raw runs in `docs/history.md`).
                 self.transition(by, inst, word(tag, RUNNING), word(tag, DONE))
                     .map_err(|w| self.classify(inst, epoch, w))?;
                 by.add(|r| &r.completions, 1);
@@ -719,7 +772,7 @@ impl<P: ProgramHandle, M: Access> SyncMemory<P, M> {
         // Release: the re-armed inlet's dispatcher must observe the new
         // epoch id after seeing the inlet published.
         self.epoch.store(next, Ordering::Release);
-        let inlet = self.gm.first_inlet();
+        let inlet = self.armed_inlet();
         self.mark_resident(inlet.thread, guard);
         out.push(inlet);
     }
@@ -791,14 +844,14 @@ impl<P: ProgramHandle, M: Access> SyncMemory<P, M> {
 
     fn post_process(&self, by: Writer<'_, M>, inst: Instance, out: &mut Vec<Instance>) {
         let t = inst.thread;
-        let pa = self.gm.program().thread(t).arity;
-        let updater = self.gm.owner_of(inst);
-        // Consumer lists live in Graph Memory; each decrement is one
-        // `fetch_sub` on the consumer's slot. The producer that observes
-        // the 1→0 edge — exactly one: by atomicity in the shared mode, by
-        // program order in the owned one — publishes it.
-        for arc in self.gm.consumers(t) {
-            let ca = self.gm.program().thread(arc.consumer).arity;
+        let pa = self.program().thread(t).arity;
+        let updater = self.owner_of(inst);
+        // Consumer lists live in Graph Memory (the program); each decrement
+        // is one `fetch_sub` on the consumer's slot. The producer that
+        // observes the 1→0 edge — exactly one: by atomicity in the shared
+        // mode, by program order in the owned one — publishes it.
+        for arc in self.program().consumers(t) {
+            let ca = self.program().thread(arc.consumer).arity;
             for c in arc.mapping.consumers(inst.context, pa, ca) {
                 let ci = Instance::new(arc.consumer, c);
                 if self.apply_rc_sub(by, ci, 1, updater) {
@@ -849,7 +902,9 @@ impl<P: ProgramHandle, M: Access> SyncMemory<P, M> {
     /// Unlike [`complete`](Self::complete), a protocol error inside a
     /// batch (an instance that was never dispatched, a non-App instance)
     /// poisons the SM: earlier instances of the batch have already
-    /// retired, so there is no state to roll back to.
+    /// retired, so there is no state to roll back to. That holds for an
+    /// instance outside the program ([`CoreError::UnknownInstance`]) too,
+    /// unless it is the batch's first, refused before anything is touched.
     pub fn complete_batch(
         &self,
         kernel: KernelId,
@@ -863,25 +918,33 @@ impl<P: ProgramHandle, M: Access> SyncMemory<P, M> {
         let Some(&first) = done.first() else {
             return Ok(());
         };
+        self.template(first)?;
         let tag = tag_of(epoch.0);
-        let updater = self.gm.owner_of(first);
+        let updater = self.owner_of(first);
         let sentinel = PoisonGuard::arm(&self.poisoned);
         // `out` collects every consumer decrement first, then is
         // compacted in place to the instances published
         for &inst in done {
-            assert_eq!(
-                self.gm.kind(inst.thread),
-                ThreadKind::App,
-                "only App completions may be funneled: {inst:?}"
-            );
-            if let Err(w) = self.transition(by, inst, word(tag, RUNNING), word(tag, DONE)) {
-                out.clear();
-                return Err(self.classify(inst, epoch, w));
-            }
+            let retired = self.template(inst).and_then(|spec| {
+                assert_eq!(
+                    spec.kind,
+                    ThreadKind::App,
+                    "only App completions may be funneled: {inst:?}"
+                );
+                self.transition(by, inst, word(tag, RUNNING), word(tag, DONE))
+                    .map_err(|w| self.classify(inst, epoch, w))?;
+                Ok(spec.arity)
+            });
+            let pa = match retired {
+                Ok(pa) => pa,
+                Err(e) => {
+                    out.clear();
+                    return Err(e);
+                }
+            };
             by.add(|r| &r.completions, 1);
-            let pa = self.gm.program().thread(inst.thread).arity;
-            for arc in self.gm.consumers(inst.thread) {
-                let ca = self.gm.program().thread(arc.consumer).arity;
+            for arc in self.program().consumers(inst.thread) {
+                let ca = self.program().thread(arc.consumer).arity;
                 out.extend(
                     arc.mapping
                         .consumers(inst.context, pa, ca)
@@ -912,7 +975,7 @@ impl<P: ProgramHandle, M: Access> SyncMemory<P, M> {
     /// [`Tsu::forensics`](super::Tsu::forensics).
     pub(super) fn forensics(&self) -> (Vec<WaitingInstance>, Vec<Instance>) {
         let (mut waiting, mut running) = (Vec::new(), Vec::new());
-        for (t, spec) in self.gm.program().threads().iter().enumerate() {
+        for (t, spec) in self.program().threads().iter().enumerate() {
             for c in 0..spec.arity {
                 let instance = Instance::new(ThreadId(t as u32), Context(c));
                 let slot = self.slot(instance);
@@ -967,7 +1030,7 @@ impl<P: ProgramHandle, M: Access> SyncMemory<P, M> {
     #[cfg(test)]
     pub(super) fn shared_stats(&self) -> TsuStats {
         let mut s = TsuStats::default();
-        self.rows[self.gm.kernels() as usize].add_to(&mut s);
+        self.rows[self.kernels as usize].add_to(&mut s);
         s
     }
 }
@@ -991,6 +1054,59 @@ mod tests {
         b.arc(src, work, ArcMapping::Broadcast).unwrap();
         b.arc(work, sink, ArcMapping::Reduction).unwrap();
         b.build().unwrap()
+    }
+
+    #[test]
+    fn first_inlet_is_block_zero_inlet() {
+        let mut b = ProgramBuilder::new();
+        let blk = b.block();
+        let src = b.thread(blk, ThreadSpec::scalar("src"));
+        let snk = b.thread(blk, ThreadSpec::scalar("snk"));
+        b.arc(src, snk, ArcMapping::All).unwrap();
+        let p = b.build().unwrap();
+        let sm = SyncMemory::new(&p, 2, 0);
+        let inlet = sm.armed_inlet();
+        assert_eq!(inlet, Instance::scalar(p.blocks()[0].inlet));
+        assert_eq!(sm.program().thread(inlet.thread).kind, ThreadKind::Inlet);
+    }
+
+    #[test]
+    fn an_instance_outside_the_program_is_a_typed_error_not_a_neighbour() {
+        // `a.c2` would be offset onto `c.c0`'s slot, and a thread past the
+        // program onto no slot at all
+        let mut b = ProgramBuilder::new();
+        let blk = b.block();
+        let a = b.thread(blk, ThreadSpec::new("a", 2));
+        let c = b.thread(blk, ThreadSpec::scalar("c"));
+        let p = b.build().unwrap();
+        let sm = SyncMemory::new(&p, 1, 0);
+        let mut ready = Vec::new();
+        let inlet = sm.armed_inlet();
+        let ep = sm.dispatch(Some(K0), inlet).unwrap();
+        sm.complete(K0, inlet, ep, &mut ready).unwrap();
+        let past_arity = Instance::new(a, Context(2));
+        let past_end = Instance::scalar(ThreadId(p.threads().len() as u32));
+        for bad in [past_arity, past_end] {
+            let unknown = CoreError::UnknownInstance(bad);
+            assert_eq!(sm.dispatch(Some(K0), bad), Err(unknown.clone()));
+            assert_eq!(sm.complete(K0, bad, ep, &mut ready), Err(unknown.clone()));
+            assert_eq!(sm.complete_batch(K0, &[bad], ep, &mut ready), Err(unknown));
+        }
+        // nothing was touched: only the inlet ran, nothing is poisoned, and
+        // the neighbour dispatches and completes normally
+        assert_eq!((sm.stats().fetches, sm.completions()), (1, 1));
+        assert!(!sm.is_poisoned());
+        let neighbour = Instance::scalar(c);
+        let ep = sm.dispatch(Some(K0), neighbour).unwrap();
+        sm.complete(K0, neighbour, ep, &mut ready).unwrap();
+        // behind an instance that retired, it poisons like any mid-batch error
+        let a0 = Instance::new(a, Context(0));
+        let ep = sm.dispatch(Some(K0), a0).unwrap();
+        assert_eq!(
+            sm.complete_batch(K0, &[a0, past_arity], ep, &mut ready),
+            Err(CoreError::UnknownInstance(past_arity))
+        );
+        assert!(sm.is_poisoned());
     }
 
     #[test]

@@ -23,7 +23,7 @@ const K0: KernelId = KernelId(0);
 
 /// `column` of every kernel's counter row, summed.
 fn kernel_sum(sm: &SyncMemory<&DdmProgram>, column: fn(&TsuStats) -> u64) -> u64 {
-    let rows = (0..sm.graph().kernels()).map(|k| sm.kernel_stats(KernelId(k)));
+    let rows = (0..sm.kernels()).map(|k| sm.kernel_stats(KernelId(k)));
     rows.map(|s| column(&s)).sum()
 }
 

@@ -262,7 +262,7 @@ impl<P: ProgramHandle> Arena<P> {
             add(&slot.poisoned, 1);
             return Stepped::default();
         }
-        let kind = self.soft.graph().kind(instance.thread);
+        let kind = self.soft.program().thread(instance.thread).kind;
         if kind != ThreadKind::App {
             if let Some(d) = injector.transition_delay(instance) {
                 std::thread::sleep(d);
@@ -349,7 +349,6 @@ impl<P: ProgramHandle> Arena<P> {
         watch: &Watch,
         panics: Vec<BodyPanic>,
     ) -> StallReport {
-        let gm = self.soft.graph();
         let (waiting, running) = self.soft.forensics();
         StallReport {
             cause,
@@ -360,7 +359,7 @@ impl<P: ProgramHandle> Arena<P> {
                 .into_iter()
                 .map(|instance| InFlightInstance {
                     instance,
-                    kernel: gm.owner_of(instance),
+                    kernel: self.soft.owner_of(instance),
                 })
                 .collect(),
             queue_depths: self.soft.queues().iter().map(|q| q.len()).collect(),

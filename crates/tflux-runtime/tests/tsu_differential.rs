@@ -21,7 +21,7 @@
 
 use tflux_core::prelude::*;
 use tflux_core::{
-    cases, funnel_batch, random_program, Access, Epoch, GraphMemory, SplitMix64, TsuStats,
+    cases, funnel_batch, random_program, Access, Epoch, SplitMix64, SyncMemory, TsuStats,
     FUNNEL_BATCH,
 };
 
@@ -226,7 +226,7 @@ fn zero_kernels_clamp_to_one_on_both_constructors() {
     }
     let mut rng = SplitMix64(0);
     let case = case(&mut rng);
-    assert_eq!(GraphMemory::new(&case.program, 0).kernels(), 1);
+    assert_eq!(SyncMemory::new(&case.program, 0, 0).kernels(), 1);
     check(&case.program, Tsu::new);
     check(&case.program, Tsu::threaded);
 }

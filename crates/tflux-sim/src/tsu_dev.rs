@@ -12,9 +12,7 @@
 //! sweeps `op` to verify the <1% claim.
 
 use crate::config::TsuCosts;
-use tflux_core::{
-    CoreError, DdmProgram, Epoch, FetchResult, GraphMemory, Instance, KernelId, Owned, Tsu,
-};
+use tflux_core::{CoreError, DdmProgram, Epoch, FetchResult, Instance, KernelId, Owned, Tsu};
 
 /// Counters of the device model.
 #[derive(Clone, Copy, Debug, Default)]
@@ -95,13 +93,13 @@ impl Unit {
     fn sm_command(
         &mut self,
         stats: &mut TsuDevStats,
-        graph: &GraphMemory<&DdmProgram>,
+        tsu: &Tsu<&DdmProgram, Owned>,
         shard: u32,
         arrive: u64,
         ready: &[Instance],
     ) -> u64 {
         let done = self.process(stats, shard, arrive);
-        let crosses = |&i: &Instance| self.shard_of[graph.owner_of(i).idx()] != shard;
+        let crosses = |&i: &Instance| self.shard_of[tsu.owner_of(i).idx()] != shard;
         if self.cross_cost == 0 || !ready.iter().any(crosses) {
             return done;
         }
@@ -206,10 +204,9 @@ impl<'p> TsuDevice<'p> {
         let shard = self.unit.shard_of[core as usize];
         self.tsu
             .complete(KernelId(core), inst, epoch, &mut self.ready_buf)?;
-        let graph = self.tsu.graph();
-        let ready_at = self
-            .unit
-            .sm_command(&mut self.stats, graph, shard, arrive, &self.ready_buf);
+        let ready_at =
+            self.unit
+                .sm_command(&mut self.stats, &self.tsu, shard, arrive, &self.ready_buf);
         Ok((arrive, ready_at))
     }
 

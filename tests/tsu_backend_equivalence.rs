@@ -3,7 +3,8 @@
 //! through the lock-free Synchronization Memory, batched by completion
 //! funnels wherever the program has a hot sink), the simulated hardware
 //! TSU device, and the sequential reference executor all drive the same
-//! `GraphMemory`/`SyncMemory` semantics — so with
+//! `SyncMemory` semantics over the same program, the TSU's Graph Memory —
+//! so with
 //! stealing off *and* with the shipping default (stealing on) they must
 //! complete the *same multiset of instances* with the *same
 //! ready-count-update and block-load bookkeeping* for every workload in
